@@ -51,16 +51,18 @@ fn flood_table(scale: Scale) -> Table {
     for threads in THREADS {
         let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
         let started = Instant::now();
-        net.par_run(rounds, |v, inbox, out| {
-            // mix the inbox into a digest and gossip it on every port
-            let mut h = v as u64 ^ 0x9E37_79B9_7F4A_7C15;
-            for m in inbox.iter().flatten() {
-                h = h.rotate_left(7) ^ m[0].wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            }
-            for p in 0..out.ports() {
-                out.send(p, [h ^ p as u64]);
-            }
-        });
+        for _ in 0..rounds {
+            net.par_step(|v, inbox, out| {
+                // mix the inbox into a digest and gossip it on every port
+                let mut h = v as u64 ^ 0x9E37_79B9_7F4A_7C15;
+                for m in inbox.iter().flatten() {
+                    h = h.rotate_left(7) ^ m[0].wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+                }
+                for p in 0..out.ports() {
+                    out.send(p, [h ^ p as u64]);
+                }
+            });
+        }
         let wall = started.elapsed().as_secs_f64() * 1e3;
         let s = net.stats();
         let (base_wall, identical) = match &baseline {

@@ -45,6 +45,9 @@
 //!
 //! * [`Network::step`]/[`Network::exchange`] accept `FnMut` closures that
 //!   may capture shared mutable state; they always run sequentially.
+//!   [`Network::exchange_active`] is `exchange` for a caller that knows
+//!   which vertices send: the round then costs what it carries instead of
+//!   a pass over every vertex and slot.
 //! * [`Network::step_state`]/[`Network::exchange_state`] split mutable
 //!   state per vertex (`&mut [S]`) and run on the configured thread pool;
 //!   [`Network::par_step`] is the stateless variant.
@@ -105,16 +108,24 @@ fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
     }
 }
 
-/// Returns a used grid to the pool slot, clearing every slot so the next
-/// round starts from the same all-`None` state a fresh allocation has.
-/// (Delivery sweeps `take()` every slot already, so for outgoing grids
-/// the clear is a read-mostly no-op pass.)
+/// Returns a used inbox grid to the pool slot, clearing every slot so the
+/// next round starts from the same all-`None` state a fresh allocation has.
 fn recycle_grid(slot: &mut Grid, mut grid: Grid) {
     for s in grid.iter_mut() {
         if s.is_some() {
             *s = None;
         }
     }
+    *slot = grid;
+}
+
+/// Returns a grid that is already all-`None` to the pool slot with no
+/// clearing pass. Outgoing arenas qualify because every delivery sweep
+/// `take()`s each slot of each row it was handed; the active-set round's
+/// inbox grid qualifies because it clears the receivers' rows itself. The
+/// pool invariant (DESIGN §10) rests on this, hence the debug check.
+fn return_clean(slot: &mut Grid, grid: Grid) {
+    debug_assert!(grid.iter().all(Option::is_none), "a grid went back to the pool dirty");
     *slot = grid;
 }
 
@@ -137,6 +148,26 @@ fn split_flat<'a>(
         rest = tail;
     }
     parts
+}
+
+/// The rows of the ascending `senders`, carved off the outbox arena one
+/// `split_at_mut` at a time: the part list an active-set round hands to
+/// [`sweep`], so delivery touches those rows and nothing else.
+fn sender_rows<'a>(
+    offsets: &'a [u32],
+    senders: &'a [usize],
+    arena: &'a mut [Option<Msg>],
+) -> impl Iterator<Item = (std::ops::Range<usize>, &'a mut [Option<Msg>])> {
+    let mut rest = arena;
+    let mut consumed = 0usize;
+    senders.iter().map(move |&v| {
+        let row = row_of(offsets, v);
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(row.start - consumed);
+        let (head, tail) = tail.split_at_mut(row.len());
+        rest = tail;
+        consumed = row.end;
+        (v..v + 1, head)
+    })
 }
 
 /// The CSR topology slices every delivery sweep walks: row starts, flat
@@ -212,6 +243,10 @@ pub struct Network<'g> {
     /// neighbor `u` itself is `g.csr_neighbors()[s]`).
     // lcg-lint: transient -- pure function of the graph, recomputed by the resume constructor
     rev_slot: Vec<u32>,
+    /// Scratch of [`Network::exchange_active`]: the vertices that received
+    /// a message this round. Kept here so a sparse round allocates nothing.
+    // lcg-lint: transient -- empty between rounds; rebuilt empty on resume
+    receivers: Vec<usize>,
     /// Opt-in trace recorder ([`Network::attach_tracer`]). `None` (the
     /// default) keeps every hot-path hook a skipped branch — no recording,
     /// no allocation.
@@ -452,34 +487,32 @@ fn consume_inboxes<S, R>(
 /// is adjudicated by the compiled schedule — destroyed messages are
 /// tallied (by cause) instead of delivered, surviving messages are
 /// truncated to the plan's capacity cap when one is set. Shared by every
-/// delivery path via [`sweep`]: `chunks`/`sources` are the ascending
-/// contiguous vertex partition with each chunk's flat arena sub-slice,
+/// delivery path via [`sweep`]: `parts` are ascending disjoint vertex
+/// ranges, each with the flat arena sub-slice of its rows,
 /// `put(u, dest_slot, msg)` stores a delivered message at the receiver's
 /// absolute CSR slot. Tracer edge loads count *delivered*
 /// words, so traces show the traffic that actually arrived; the
 /// compose-barrier statistics still count everything *sent*, preserving
 /// their meaning.
-#[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
-fn faulty_sweep<P>(
+fn faulty_sweep<'s, I, P>(
     round: u64,
     fs: &FaultState,
     topo: Topo<'_>,
     tracer: &mut Option<Tracer>,
     stats: &mut RoundStats,
-    chunks: &[std::ops::Range<usize>],
-    sources: &mut [&mut [Option<Msg>]],
+    parts: I,
     mut put: P,
 ) where
+    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
     P: FnMut(usize, usize, Msg),
 {
     let cap = fs.truncate_words();
     let (mut dropped, mut link, mut crashed, mut truncated) = (0u64, 0u64, 0u64, 0u64);
     {
         let mut track = tracer.as_mut().filter(|t| t.records_edge_loads());
-        for (ci, r) in chunks.iter().enumerate() {
-            let part = &mut *sources[ci];
+        for (r, part) in parts {
             let base = topo.offsets[r.start] as usize;
-            for v in r.clone() {
+            for v in r {
                 let row = row_of(topo.offsets, v);
                 for (s, slot) in row.clone().zip(&mut part[row.start - base..row.end - base]) {
                     if let Some(mut msg) = slot.take() {
@@ -529,27 +562,21 @@ fn faulty_sweep<P>(
     }
 }
 
-/// The fault-free delivery sweep over the source chunks (same contract as
+/// The fault-free delivery sweep over the source parts (same contract as
 /// [`faulty_sweep`] minus adjudication): pure moves, plus per-edge load
 /// tallies when a tracer asked for them. The common case — no tracer —
-/// walks each chunk's flat sub-slice linearly, row by row.
-fn sweep_rows<P>(
-    topo: Topo<'_>,
-    tracer: &mut Option<Tracer>,
-    chunks: &[std::ops::Range<usize>],
-    sources: &mut [&mut [Option<Msg>]],
-    mut put: P,
-) where
+/// walks each part's flat sub-slice linearly, row by row.
+fn sweep_rows<'s, I, P>(topo: Topo<'_>, tracer: &mut Option<Tracer>, parts: I, mut put: P)
+where
+    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
     P: FnMut(usize, usize, Msg),
 {
     let mut track = tracer.as_mut().filter(|t| t.records_edge_loads());
-    for (ci, r) in chunks.iter().enumerate() {
-        let part = &mut *sources[ci];
-        let base = topo.offsets[r.start] as usize;
-        // one pass over the chunk's contiguous slot range: slot `s` is
-        // absolute, `s - base` indexes the chunk sub-slice; sender order
+    for (r, part) in parts {
+        // one pass over the part's contiguous slot range: slot `s` is
+        // absolute, the zip walks the sub-slice alongside; sender order
         // equals slot order, so the sweep stays a vertex-order sweep
-        let lo = base;
+        let lo = topo.offsets[r.start] as usize;
         let hi = topo.offsets[r.end] as usize;
         for (s, slot) in (lo..hi).zip(part.iter_mut()) {
             if let Some(msg) = slot.take() {
@@ -559,16 +586,19 @@ fn sweep_rows<P>(
                 put(topo.neighbors[s] as usize, topo.rev_slot[s] as usize, msg);
             }
         }
-        debug_assert_eq!(part.len(), hi - lo, "chunk sub-slice shape mismatch");
+        debug_assert_eq!(part.len(), hi - lo, "part sub-slice shape mismatch");
     }
 }
 
 /// Delivery-sweep dispatcher: fault-adjudicated when a plan is installed,
-/// plain moves otherwise. `chunks`/`sources` must cover the vertices in
-/// ascending contiguous order — that ordering is the entire determinism
-/// argument, and it holds equally for a single whole-arena chunk and for
-/// the batch engine's multi-chunk partition. `put(u, dest_slot, msg)`
-/// stores a delivered message at the receiver's absolute CSR slot.
+/// plain moves otherwise. `parts` must list disjoint vertex ranges in
+/// ascending order, each with the arena sub-slice of exactly its rows —
+/// that ordering is the entire determinism argument, and it holds equally
+/// for a single whole-arena part, for the batch engine's multi-chunk
+/// partition, and for an active-set round's sender rows. Every slot of
+/// every part is `take()`n, so the rows handed in come back all-`None`.
+/// `put(u, dest_slot, msg)` stores a delivered message at the receiver's
+/// absolute CSR slot.
 ///
 /// With a metrics recorder attached the sweep additionally counts
 /// *delivered* messages (and mirrors the fault tallies) into the
@@ -576,23 +606,23 @@ fn sweep_rows<P>(
 /// sweep, so the registry inherits the sweep's determinism argument. With
 /// `metrics` `None` the historical code paths run untouched.
 #[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
-fn sweep<P>(
+fn sweep<'s, I, P>(
     round: u64,
     faults: Option<&FaultState>,
     topo: Topo<'_>,
     tracer: &mut Option<Tracer>,
     stats: &mut RoundStats,
     metrics: &mut Option<Recorder>,
-    chunks: &[std::ops::Range<usize>],
-    sources: &mut [&mut [Option<Msg>]],
+    parts: I,
     mut put: P,
 ) where
+    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
     P: FnMut(usize, usize, Msg),
 {
     let Some(rec) = metrics.as_mut() else {
         match faults {
-            Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, chunks, sources, put),
-            None => sweep_rows(topo, tracer, chunks, sources, put),
+            Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, parts, put),
+            None => sweep_rows(topo, tracer, parts, put),
         }
         return;
     };
@@ -604,8 +634,8 @@ fn sweep<P>(
         put(u, q, msg);
     };
     match faults {
-        Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, chunks, sources, counted_put),
-        None => sweep_rows(topo, tracer, chunks, sources, counted_put),
+        Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, parts, counted_put),
+        None => sweep_rows(topo, tracer, parts, counted_put),
     }
     rec.counter_add("net.delivered_messages", delivered);
     for (name, before, after) in [
@@ -647,7 +677,8 @@ fn deliver_chunked(
         let base = offsets[chunks[c].start] as usize;
         targets[c][dest - base] = Some(msg);
     };
-    sweep(round, faults, topo, tracer, stats, metrics, chunks, sources, put);
+    let parts = chunks.iter().cloned().zip(sources.iter_mut().map(|part| &mut **part));
+    sweep(round, faults, topo, tracer, stats, metrics, parts, put);
 }
 
 /// Folds one round's compose counters into the running statistics, the
@@ -746,6 +777,7 @@ impl<'g> Network<'g> {
             spare_inboxes: fresh_grid(g),
             spare_outgoing: fresh_grid(g),
             rev_slot,
+            receivers: Vec::new(),
             tracer: None,
             faults: None,
             metrics: None,
@@ -918,43 +950,16 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// Delivers composed outboxes into `pending` by a vertex-order sweep.
-    /// Pure moves — all counting already happened at the compose barrier —
-    /// except per-edge load tallies when a tracer asked for them (the sweep
-    /// is vertex-ordered, hence deterministic). With a fault plan installed
-    /// the sweep additionally adjudicates every message (see
-    /// [`faulty_sweep`]); the fault path is equally deterministic because
-    /// delivery always runs on the caller's thread in vertex order, and the
-    /// drop coins are keyed by `(round, edge)` rather than drawn from any
-    /// shared stream.
+    /// Delivers composed outboxes into `pending`: the [`Network::route`]
+    /// sweep over the whole arena. Delivery always runs on the caller's
+    /// thread in vertex order, and the drop coins are keyed by
+    /// `(round, edge)` rather than drawn from any shared stream, so the
+    /// fault path is as deterministic as the fault-free one.
     fn deliver(&mut self, outgoing: &mut [Option<Message>]) {
-        // `deliver` runs before `account` increments the round counter, so
-        // `stats.rounds` is the 0-based index of the round being delivered.
-        let round = self.stats.rounds;
-        let g = self.g;
-        let Network { pending, rev_slot, tracer, faults, stats, metrics, .. } = self;
-        let topo = Topo {
-            offsets: g.csr_offsets(),
-            neighbors: g.csr_neighbors(),
-            edge_ids: g.csr_edge_ids(),
-            rev_slot,
-        };
-        // one whole-arena chunk: the sweep contract wants an ascending
-        // contiguous partition, and `[0..n]` is the trivial one
-        #[allow(clippy::single_range_in_vec_init)] // a 1-chunk partition, not a range literal
-        let chunks = [0..g.n()];
-        let mut sources = [&mut *outgoing];
-        sweep(
-            round,
-            faults.as_ref(),
-            topo,
-            tracer,
-            stats,
-            metrics,
-            &chunks,
-            &mut sources,
-            |_u, dest, msg| pending[dest] = Some(msg),
-        );
+        let mut pending = std::mem::take(&mut self.pending);
+        let whole = std::iter::once((0..self.g.n(), outgoing));
+        self.route(whole, |_u, dest, msg| pending[dest] = Some(msg));
+        self.pending = pending;
     }
 
     /// Folds one round's counters into the running statistics.
@@ -993,7 +998,7 @@ impl<'g> Network<'g> {
         self.deliver(&mut outgoing);
         self.account(counters);
         recycle_grid(&mut self.spare_inboxes, inboxes);
-        recycle_grid(&mut self.spare_outgoing, outgoing);
+        return_clean(&mut self.spare_outgoing, outgoing);
     }
 
     /// Executes one synchronous round with per-vertex state on the
@@ -1034,7 +1039,7 @@ impl<'g> Network<'g> {
         self.deliver(&mut outgoing);
         self.account(counters);
         recycle_grid(&mut self.spare_inboxes, inboxes);
-        recycle_grid(&mut self.spare_outgoing, outgoing);
+        return_clean(&mut self.spare_outgoing, outgoing);
     }
 
     /// Stateless parallel round: like [`Network::step`] but with a
@@ -1067,17 +1072,6 @@ impl<'g> Network<'g> {
     {
         for _ in 0..rounds {
             self.step(&mut f);
-        }
-    }
-
-    /// Runs `rounds` rounds of the same stateless closure on the
-    /// configured thread pool.
-    pub fn par_run<F>(&mut self, rounds: usize, f: F)
-    where
-        F: Fn(usize, &Inbox, &mut Outbox) + Sync,
-    {
-        for _ in 0..rounds {
-            self.par_step(&f);
         }
     }
 
@@ -1228,7 +1222,7 @@ impl<'g> Network<'g> {
         drop(arena_parts);
         let placeholder = std::mem::replace(&mut self.pending, inflight);
         recycle_grid(&mut self.spare_inboxes, placeholder);
-        recycle_grid(&mut self.spare_outgoing, arena);
+        return_clean(&mut self.spare_outgoing, arena);
     }
 
     /// Executes one synchronous round with the *standard* round structure:
@@ -1262,13 +1256,72 @@ impl<'g> Network<'g> {
             counters.count(slots);
         }
         let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
-        self.route_exchange(&mut outgoing, &mut inboxes);
+        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
+        self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
         self.account(counters);
         for v in 0..self.g.n() {
             recv(v, &inboxes[row_of(self.g.csr_offsets(), v)]);
         }
         recycle_grid(&mut self.spare_inboxes, inboxes);
-        recycle_grid(&mut self.spare_outgoing, outgoing);
+        return_clean(&mut self.spare_outgoing, outgoing);
+    }
+
+    /// [`Network::exchange`] for a round in which only `senders` have
+    /// anything to say: `send` runs for those vertices only, delivery walks
+    /// only their outbox rows, and `recv` runs — in ascending vertex order —
+    /// only for the vertices a message actually reached. Statistics, trace,
+    /// metrics, fault adjudication and every delivered inbox are exactly
+    /// those of `exchange` with the other vertices sending nothing; what
+    /// changes is the cost, Θ(Σ deg(senders) + messages + Σ deg(receivers))
+    /// instead of Θ(n + 2m) (DESIGN §10). Sequential, like `exchange`: a
+    /// round this sparse is under any parallel work threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `senders` is not strictly ascending or names a vertex
+    /// outside the graph.
+    pub fn exchange_active<S, R>(&mut self, senders: &[usize], mut send: S, mut recv: R)
+    where
+        S: FnMut(usize, &mut Outbox),
+        R: FnMut(usize, &Inbox),
+    {
+        debug_assert!(
+            self.pending.iter().all(Option::is_none),
+            "exchange_active called with undelivered step() messages pending"
+        );
+        assert!(
+            senders.windows(2).all(|w| w[0] < w[1])
+                && senders.last().is_none_or(|&v| v < self.g.n()),
+            "senders must be strictly ascending vertex ids"
+        );
+        let cap = self.model.capacity();
+        let offsets = self.g.csr_offsets();
+        let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
+        let mut counters = ChunkCounters::default();
+        for &v in senders {
+            let slots = &mut outgoing[row_of(offsets, v)];
+            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
+            send(v, &mut out);
+            counters.count(slots);
+        }
+        let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
+        let mut receivers = std::mem::take(&mut self.receivers);
+        self.route(sender_rows(offsets, senders, &mut outgoing), |u, dest, msg| {
+            inboxes[dest] = Some(msg);
+            receivers.push(u);
+        });
+        self.account(counters);
+        receivers.sort_unstable();
+        receivers.dedup();
+        for &u in &receivers {
+            let row = &mut inboxes[row_of(offsets, u)];
+            recv(u, row);
+            row.fill(None);
+        }
+        receivers.clear();
+        self.receivers = receivers;
+        return_clean(&mut self.spare_inboxes, inboxes);
+        return_clean(&mut self.spare_outgoing, outgoing);
     }
 
     /// Parallel `exchange`: per-vertex state, `Fn + Sync` closures, and
@@ -1307,11 +1360,12 @@ impl<'g> Network<'g> {
             &|state, v, _inbox, out| send(state, v, out),
         );
         let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
-        self.route_exchange(&mut outgoing, &mut inboxes);
+        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
+        self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
         self.account(counters);
         consume_inboxes(&self.exec, self.g.csr_offsets(), states, &inboxes, &recv);
         recycle_grid(&mut self.spare_inboxes, inboxes);
-        recycle_grid(&mut self.spare_outgoing, outgoing);
+        return_clean(&mut self.spare_outgoing, outgoing);
     }
 
     /// Runs up to `max_rounds` standard exchange rounds
@@ -1524,18 +1578,23 @@ impl<'g> Network<'g> {
         });
         drop(arena_parts);
         drop(inbox_parts);
-        recycle_grid(&mut self.spare_outgoing, arena);
+        return_clean(&mut self.spare_outgoing, arena);
         recycle_grid(&mut self.spare_inboxes, inboxes);
         executed
     }
 
-    /// Moves exchange outboxes to receiver-side `inboxes` (vertex order;
-    /// pure moves, no counting — except per-edge load tallies when a
-    /// tracer asked for them, and fault adjudication when a plan is
-    /// installed). `inboxes` must be a clean grid (pooled or fresh).
-    fn route_exchange(&mut self, outgoing: &mut [Option<Msg>], inboxes: &mut [Option<Msg>]) {
-        // like `deliver`, routing precedes `account`, so `stats.rounds` is
-        // the 0-based index of the round in flight
+    /// Moves the outbox rows in `parts` to wherever `put` stores them
+    /// (vertex order; pure moves, no counting — all counting already
+    /// happened at the compose barrier — except per-edge load tallies when
+    /// a tracer asked for them, and fault adjudication when a plan is
+    /// installed; see [`sweep`] for the contract on `parts`).
+    fn route<'s, I, P>(&mut self, parts: I, put: P)
+    where
+        I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
+        P: FnMut(usize, usize, Msg),
+    {
+        // routing precedes `account`, so `stats.rounds` is the 0-based
+        // index of the round in flight
         let round = self.stats.rounds;
         let g = self.g;
         let Network { rev_slot, tracer, faults, stats, metrics, .. } = self;
@@ -1545,20 +1604,7 @@ impl<'g> Network<'g> {
             edge_ids: g.csr_edge_ids(),
             rev_slot,
         };
-        #[allow(clippy::single_range_in_vec_init)] // a 1-chunk partition, not a range literal
-        let chunks = [0..g.n()];
-        let mut sources = [&mut *outgoing];
-        sweep(
-            round,
-            faults.as_ref(),
-            topo,
-            tracer,
-            stats,
-            metrics,
-            &chunks,
-            &mut sources,
-            |_u, dest, msg| inboxes[dest] = Some(msg),
-        );
+        sweep(round, faults.as_ref(), topo, tracer, stats, metrics, parts, put);
     }
 
     /// Merges externally-measured statistics into this network's counters
@@ -1991,10 +2037,12 @@ mod tests {
     }
 
     #[test]
-    fn par_run_counts_rounds() {
+    fn par_step_loop_counts_rounds() {
         let g = gen::cycle(9);
         let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(3));
-        net.par_run(5, |_, _, out| out.send(0, [1]));
+        for _ in 0..5 {
+            net.par_step(|_, _, out| out.send(0, [1]));
+        }
         assert_eq!(net.stats().rounds, 5);
         assert_eq!(net.stats().messages, 45);
     }
@@ -2090,11 +2138,13 @@ mod tests {
             if traced {
                 net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
             }
-            net.par_run(3, |_, _, out| {
-                for p in 0..out.ports() {
-                    out.send(p, [4]);
-                }
-            });
+            for _ in 0..3 {
+                net.par_step(|_, _, out| {
+                    for p in 0..out.ports() {
+                        out.send(p, [4]);
+                    }
+                });
+            }
             net.stats()
         };
         stats::compare(&run(false), &run(true)).unwrap();

@@ -310,6 +310,49 @@ fn csr_built_network_round_trips() {
     assert_eq!(net.stats(), resumed.stats());
 }
 
+/// One active-set round: every third vertex (rotating with `round`) sends
+/// on all its ports; returns what each reached vertex heard.
+fn sparse_round(net: &mut Network<'_>, round: u64) -> Vec<(usize, Vec<u64>)> {
+    let senders: Vec<usize> =
+        (0..net.graph().n()).filter(|&v| v as u64 % 3 == round % 3).collect();
+    let mut heard = Vec::new();
+    net.exchange_active(
+        &senders,
+        |v, out| {
+            for p in 0..out.ports() {
+                out.send(p, [v as u64, round]);
+            }
+        },
+        |v, inbox| heard.push((v, inbox.iter().flatten().map(|m| m[0]).collect())),
+    );
+    heard
+}
+
+#[test]
+fn snapshot_between_sparse_rounds_round_trips() {
+    // The receiver scratch of `exchange_active` is transient: a snapshot
+    // taken between two sparse rounds resumes to a network whose next
+    // sparse round — faults, trace and metrics included — is the original's.
+    let g = gen::grid(5, 5);
+    let mut net = Network::new(&g, Model::congest());
+    net.set_fault_plan(Some(FaultPlan::drops(0x5A, 0.2).with_crash(7, 2)));
+    net.attach_tracer(Tracer::new(TraceConfig::full("sparse")));
+    net.attach_metrics(Recorder::new("sparse"));
+    for round in 0..2 {
+        sparse_round(&mut net, round);
+    }
+    let first = snapshot_bytes(&net);
+    let mut resumed =
+        Network::resume_snapshot(&g, first.as_slice()).expect("a fresh snapshot must resume");
+    assert_eq!(first, snapshot_bytes(&resumed), "resume must reproduce the exact snapshot");
+    for round in 2..5 {
+        assert_eq!(sparse_round(&mut net, round), sparse_round(&mut resumed, round));
+    }
+    assert!(net.stats().crashed_messages > 0, "the crash schedule must have fired");
+    assert_eq!(net.stats(), resumed.stats());
+    assert_eq!(snapshot_bytes(&net), snapshot_bytes(&resumed));
+}
+
 #[test]
 fn fault_progress_survives_the_round_trip() {
     // a plan with a crash at round 5: save at round 3, resume, and the

@@ -201,13 +201,26 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
+    // Metrics are opt-in, and like tracing are observation only: with a
+    // recorder attached the deterministic registry mirrors the logical
+    // counters while the profiling plane times the same phase boundaries
+    // the spans mark — plus the decomposition, which charges no rounds and
+    // so has no span, but is most of the wall time at charged-walk sizes.
+    let mut recorder = cfg.metrics.then(|| Recorder::new("framework"));
+
     // Phase 1 (substituted): (ε', φ) decomposition with ε' = ε / t.
     let eps_prime = cfg.epsilon / cfg.density_bound;
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_start("decomposition");
+    }
     let decomposition = if cfg.practical_phi {
         decomp::decompose_adaptive(g, eps_prime)
     } else {
         decomp::decompose(g, eps_prime)
     };
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_end("decomposition");
+    }
 
     let mut net = Network::with_exec(g, Model::congest(), cfg.exec);
     // The tracer is always attached: spans are how PhaseRounds is
@@ -217,12 +230,8 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     } else {
         TraceConfig::spans_only("framework")
     }));
-    // Metrics are opt-in, and like tracing are observation only: with a
-    // recorder attached the deterministic registry mirrors the logical
-    // counters while the profiling plane times the same phase boundaries
-    // the spans mark.
-    if cfg.metrics {
-        net.attach_metrics(Recorder::new("framework"));
+    if let Some(rec) = recorder {
+        net.attach_metrics(rec);
     }
     net.set_fault_plan(cfg.faults.clone());
     // A vacuous plan exercises the fault-adjudicating delivery sweep but
@@ -689,13 +698,13 @@ mod tests {
             det.gauge("framework.cut_edges"),
             Some(metered.decomposition.cut_edges.len() as u64)
         );
-        // the profiling plane observed real time and memory, and timed all
-        // four phase boundaries
+        // the profiling plane observed real time and memory, and timed the
+        // decomposition and all four phase boundaries
         assert!(report.profile.wall_ns > 0, "wall clock must advance");
         assert!(report.profile.peak_rss_bytes > 0, "VmHWM must be readable");
         let phase_names: Vec<&str> =
             report.profile.phases.iter().map(|p| p.name.as_str()).collect();
-        for name in ["election", "orientation", "gathering", "broadcast"] {
+        for name in ["decomposition", "election", "orientation", "gathering", "broadcast"] {
             assert!(phase_names.contains(&name), "missing phase timer `{name}`");
         }
     }

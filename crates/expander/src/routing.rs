@@ -551,6 +551,11 @@ pub fn network_walk_routing_with_counts(
         let (sub, _) = g.induced_subgraph(members);
         assert!(sub.is_connected(), "network_walk_routing needs a connected cluster");
     }
+    // the cluster in ascending vertex order: the order in which tokens
+    // flip their coins, and so the order of every draw from `rng`
+    let mut cluster: Vec<usize> = members.to_vec();
+    cluster.sort_unstable();
+    cluster.dedup();
     // intra-cluster ports per vertex
     let intra_ports: Vec<Vec<usize>> = (0..n)
         .map(|v| {
@@ -578,34 +583,39 @@ pub fn network_walk_routing_with_counts(
     }
     let mut steps = 0usize;
     let mut max_edge_load = 0usize;
+    // pending[v][q] = queue of tokens at v waiting to cross port q.
+    // BTreeMap, not HashMap: per-round sends and queue drains iterate
+    // these maps, and hash order would make message traces depend on
+    // the hasher seed (D001).
+    let mut pending: Vec<std::collections::BTreeMap<usize, Vec<u64>>> =
+        (0..n).map(|_| Default::default()).collect();
+    // the vertices whose `pending` map is non-empty, ascending: each
+    // serialization round costs what these carry, not a pass over the host
+    let mut active: Vec<usize> = Vec::new();
     while steps < max_steps && delivered < total {
         steps += 1;
         // each alive token decides: stay (prob 1/2) or pick a random
         // intra-cluster port
-        // pending[v][q] = queue of tokens at v waiting to cross port q.
-        // BTreeMap, not HashMap: per-round sends and queue drains iterate
-        // these maps, and hash order would make message traces depend on
-        // the hasher seed (D001).
-        let mut pending: Vec<std::collections::BTreeMap<usize, Vec<u64>>> =
-            (0..n).map(|_| Default::default()).collect();
-        for v in 0..n {
+        for &v in &cluster {
             let tokens = std::mem::take(&mut at[v]);
             for t in tokens {
                 if rng.gen_bool(0.5) || intra_ports[v].is_empty() {
                     at[v].push(t);
                 } else {
                     let q = intra_ports[v][rng.gen_range(0..intra_ports[v].len())];
-                    pending[v].entry(q).or_default().push(t);
+                    let queue = pending[v].entry(q).or_default();
+                    queue.push(t);
+                    max_edge_load = max_edge_load.max(queue.len());
                 }
             }
-        }
-        for q in pending.iter().flat_map(|m| m.values()) {
-            max_edge_load = max_edge_load.max(q.len());
+            if !pending[v].is_empty() {
+                active.push(v);
+            }
         }
         // serialize crossings: one token per port per round
-        while pending.iter().any(|m| !m.is_empty()) {
-            let mut arrivals: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
-            net.exchange(
+        while !active.is_empty() {
+            net.exchange_active(
+                &active,
                 |v, out| {
                     for (&q, queue) in pending[v].iter() {
                         if let Some(&t) = queue.last() {
@@ -615,31 +625,28 @@ pub fn network_walk_routing_with_counts(
                 },
                 |v, inbox| {
                     for m in inbox.iter().flatten() {
-                        arrivals[v].push(m[0]);
+                        if v == leader {
+                            delivered += 1;
+                        } else {
+                            at[v].push(m[0]);
+                        }
                     }
                 },
             );
-            for pend in pending.iter_mut().take(n) {
-                for m in pend.values_mut() {
-                    m.pop();
+            active.retain(|&v| {
+                let queues = &mut pending[v];
+                for queue in queues.values_mut() {
+                    queue.pop();
                 }
-                pend.retain(|_, q| !q.is_empty());
-            }
-            for (v, arr) in arrivals.into_iter().enumerate() {
-                for t in arr {
-                    if v == leader {
-                        delivered += 1;
-                    } else {
-                        at[v].push(t);
-                    }
-                }
-            }
+                queues.retain(|_, queue| !queue.is_empty());
+                !queues.is_empty()
+            });
         }
         // step-synchronization round
         net.charge_rounds(1);
         // tokens destroyed in transit by a fault plan leave the system;
         // once none are waiting anywhere there is nothing left to route
-        if delivered < total && at.iter().all(Vec::is_empty) {
+        if delivered < total && cluster.iter().all(|&v| at[v].is_empty()) {
             break;
         }
     }

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use locongest::congest::{stats, Model, Network, RoundStats};
+use locongest::congest::{stats, ExecConfig, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::graph::{gen, Graph};
 
@@ -67,11 +67,61 @@ fn framework_stats(g: &Graph) -> RoundStats {
     run_framework(g, &FrameworkConfig::planar(0.3, 5)).stats
 }
 
+/// The framework with the gathering phase executed message-faithfully
+/// (`network_walk_routing_with_counts`: every token a real 2-word message),
+/// fixed seed: statistics, phase rounds and every cluster's routing outcome.
+/// The golden is compared as text and replayed at 1, 2 and 4 threads.
+fn check_faithful(name: &str, g: &Graph) {
+    let render = |threads: usize| {
+        let cfg = FrameworkConfig {
+            message_faithful: true,
+            exec: ExecConfig::with_threads(threads),
+            ..FrameworkConfig::planar(0.3, 5)
+        };
+        let out = run_framework(g, &cfg);
+        let clusters: Vec<String> = out
+            .clusters
+            .iter()
+            .map(|c| {
+                let r = &c.routing;
+                format!(
+                    "    {{\"id\": {}, \"leader\": {}, \"delivered\": {}, \"total\": {}, \
+                     \"steps\": {}, \"rounds\": {}, \"max_edge_load\": {}}}",
+                    c.id, c.leader, r.delivered, r.total, r.steps, r.rounds, r.max_edge_load
+                )
+            })
+            .collect();
+        let p = out.phases;
+        format!(
+            "{{\n  \"stats\": {},\n  \"phases\": {{\"election\": {}, \"orientation\": {}, \
+             \"gathering\": {}, \"broadcast\": {}}},\n  \"clusters\": [\n{}\n  ]\n}}\n",
+            serde_json::to_string(&out.stats).unwrap(),
+            p.election,
+            p.orientation,
+            p.gathering,
+            p.broadcast,
+            clusters.join(",\n")
+        )
+    };
+    let path = golden_path(name);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, render(1)).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
+    });
+    for threads in [1, 2, 4] {
+        assert_eq!(render(threads), expected, "{name} diverged at {threads} threads");
+    }
+}
+
 #[test]
 fn golden_cycle() {
     let g = gen::cycle(64);
     check("cycle64_flood", flood_stats(&g));
     check("cycle64_framework", framework_stats(&g));
+    check_faithful("cycle64_framework_faithful", &g);
 }
 
 #[test]
@@ -80,6 +130,7 @@ fn golden_random_planar() {
     let g = gen::random_planar(200, 0.5, &mut rng);
     check("planar200_flood", flood_stats(&g));
     check("planar200_framework", framework_stats(&g));
+    check_faithful("planar200_framework_faithful", &g);
 }
 
 #[test]
@@ -87,4 +138,5 @@ fn golden_hypercube() {
     let g = gen::hypercube(8);
     check("hypercube8_flood", flood_stats(&g));
     check("hypercube8_framework", framework_stats(&g));
+    check_faithful("hypercube8_framework_faithful", &g);
 }

@@ -119,11 +119,13 @@ proptest! {
         let model = Model::Congest { words_per_edge: cap };
         let run = |threads: usize| {
             let mut net = Network::with_exec(&g, model, ExecConfig::with_threads(threads));
-            net.par_run(rounds, |v, _inbox, out| {
-                for p in 0..out.ports() {
-                    out.send(p, vec![v as u64; cap]);
-                }
-            });
+            for _ in 0..rounds {
+                net.par_step(|v, _inbox, out| {
+                    for p in 0..out.ports() {
+                        out.send(p, vec![v as u64; cap]);
+                    }
+                });
+            }
             net.stats()
         };
         let seq = run(1);
