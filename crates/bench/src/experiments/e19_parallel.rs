@@ -1,10 +1,10 @@
 //! **E19** — parallel round engine: wall-clock speedup, determinism cost
 //! zero. Two workloads at n ≥ 50k, each run at 1/2/4/8 worker threads:
 //!
-//! * **flood**: 20 `par_step` rounds of all-port gossip on a torus grid
+//! * **flood**: 20 `step_state` rounds of all-port gossip on a torus grid
 //!   (every vertex hashes its inbox and re-sends on every port);
 //! * **walk**: a fixed number of lazy-walk steps of one token per vertex
-//!   on the 16-dimensional hypercube (`random_walk_routing_exec`).
+//!   on the 16-dimensional hypercube (`random_walk_routing_with_counts_exec`).
 //!
 //! The table reports wall-clock per thread count and the speedup over the
 //! sequential run. `RoundStats` (flood) and the full `RoutingOutcome`
@@ -41,7 +41,7 @@ fn flood_table(scale: Scale) -> Table {
     let mut t = Table::new(
         "E19a",
         &format!(
-            "par_step all-port gossip on the {side}x{side} torus (n = {}, {rounds} rounds, host cores: {})",
+            "step_state all-port gossip on the {side}x{side} torus (n = {}, {rounds} rounds, host cores: {})",
             g.n(),
             cores()
         ),
@@ -50,9 +50,10 @@ fn flood_table(scale: Scale) -> Table {
     let mut baseline: Option<(f64, lcg_congest::RoundStats)> = None;
     for threads in THREADS {
         let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
+        let mut unit = vec![(); g.n()];
         let started = Instant::now();
         for _ in 0..rounds {
-            net.par_step(|v, inbox, out| {
+            net.step_state(&mut unit, |_, v, inbox, out| {
                 // mix the inbox into a digest and gossip it on every port
                 let mut h = v as u64 ^ 0x9E37_79B9_7F4A_7C15;
                 for m in inbox.iter().flatten() {
@@ -89,6 +90,7 @@ fn walk_table(scale: Scale) -> Table {
     let steps = scale.pick(8, 24);
     let g = gen::hypercube(dim);
     let members: Vec<usize> = (0..g.n()).collect();
+    let counts = vec![1usize; g.n()];
     let mut t = Table::new(
         "E19b",
         &format!(
@@ -102,10 +104,11 @@ fn walk_table(scale: Scale) -> Table {
     for threads in THREADS {
         let mut rng = gen::seeded_rng(0xE19);
         let started = Instant::now();
-        let out = routing::random_walk_routing_exec(
+        let out = routing::random_walk_routing_with_counts_exec(
             &g,
             &members,
             0,
+            &counts,
             steps,
             &mut rng,
             ExecConfig::with_threads(threads),

@@ -13,8 +13,6 @@
 //! artifacts, not prose.
 
 pub mod experiments;
-pub mod history;
-pub mod microbench;
 pub mod table;
 pub mod workloads;
 

@@ -12,7 +12,7 @@
 //!
 //! The engine (`Network`) composes the two: `par_chunks` decides *whether*
 //! a section parallelizes and how it is partitioned; `run_batch` executes
-//! multi-round sections on long-lived workers. See DESIGN §11 for the
+//! multi-round sections on long-lived workers. See DESIGN §10.3 for the
 //! lifecycle, barrier protocol, and determinism argument.
 
 pub mod audit;

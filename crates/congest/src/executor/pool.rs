@@ -24,7 +24,7 @@
 //! move, so no lock is ever taken and nothing is shared mutably: the
 //! leader merges returned arenas in chunk order, which reproduces vertex
 //! order exactly — the determinism argument is identical to the one-shot
-//! engine's (DESIGN §11). At most one job may be outstanding per worker.
+//! engine's (DESIGN §10.3). At most one job may be outstanding per worker.
 //!
 //! ## Panic propagation (pool poisoning)
 //!
@@ -41,14 +41,14 @@
 //! escapes: cleanly poisoned, never deadlocked, and the owning `Network`
 //! remains usable afterwards.
 
-use lcg_metrics::profile::{self, WorkerSample};
+use lcg_metrics::profile::{self, ExecProfile, WorkerSample};
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::ScopedJoinHandle;
 
 /// One worker's rendezvous lanes plus its join handle. The join value is
 /// the worker's profiling-plane timing sample — observer-only data that
-/// flows out to `lcg_metrics::profile`, never back into the batch.
+/// flows out to the batch's [`ExecProfile`] sink, never back into the batch.
 struct Lane<'scope, Job> {
     feed: Option<SyncSender<Job>>,
     done: Receiver<Job>,
@@ -146,6 +146,11 @@ fn drain<Job>(
 /// `worker(chunk_index, chunk_range, chunk_states, job)` on the worker's
 /// thread and handed back to the leader.
 ///
+/// `sink` is the profiling plane's per-run sample sink: workers time their
+/// busy/wait spans iff it is `Some`, and the samples are deposited there
+/// after an orderly shutdown. With `None` the batch performs zero clock
+/// reads.
+///
 /// `leader` drives the rounds (dispatch/collect in chunk order, merge
 /// between rounds) and its return value is the batch's. When it returns,
 /// the pool shuts down: feed lanes drop, parked workers exit, and all
@@ -165,6 +170,7 @@ pub fn run_batch<St, Job, W, L, T>(
     chunks: &[Range<usize>],
     states: &mut [St],
     worker: &W,
+    sink: Option<&mut ExecProfile>,
     leader: L,
 ) -> T
 where
@@ -178,6 +184,7 @@ where
         states.len(),
         "chunks must partition the states"
     );
+    let sampling = sink.is_some();
     std::thread::scope(|scope| {
         let mut lanes: Vec<Lane<'_, Job>> = Vec::with_capacity(chunks.len());
         let mut rest = states;
@@ -189,10 +196,9 @@ where
             let range = range.clone();
             let handle = scope.spawn(move || {
                 // Profiling-plane sampling is decided once per batch: when
-                // off (the default) the loop below performs zero clock
-                // reads. The sample is observer-only — it leaves on the
-                // join handle, never through the job lanes.
-                let sampling = profile::exec_sampling_enabled();
+                // off the loop below performs zero clock reads. The sample
+                // is observer-only — it leaves on the join handle, never
+                // through the job lanes.
                 let mut sample = WorkerSample::default();
                 // park between rounds; a dropped feed lane ends the batch
                 loop {
@@ -222,8 +228,8 @@ where
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
-        if profile::exec_sampling_enabled() {
-            profile::record_batch(&samples);
+        if let Some(sink) = sink {
+            sink.record_batch(&samples);
         }
         out
     })
@@ -249,7 +255,7 @@ mod tests {
                 }
                 job
             };
-        run_batch(&chunks, &mut states, &worker, |pool| {
+        run_batch(&chunks, &mut states, &worker, None, |pool| {
             for _ in 0..100 {
                 for i in 0..pool.workers() {
                     pool.dispatch(i, ());
@@ -271,7 +277,7 @@ mod tests {
             buf.push(i);
             buf
         };
-        let sizes = run_batch(&chunks, &mut states, &worker, |pool| {
+        let sizes = run_batch(&chunks, &mut states, &worker, None, |pool| {
             let mut out = Vec::new();
             for i in 0..pool.workers() {
                 pool.dispatch(i, Vec::new());
@@ -293,7 +299,7 @@ mod tests {
             job
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_batch(&chunks, &mut states, &worker, |pool| {
+            run_batch(&chunks, &mut states, &worker, None, |pool| {
                 for i in 0..pool.workers() {
                     pool.dispatch(i, ());
                 }
@@ -313,10 +319,9 @@ mod tests {
 
     #[test]
     fn sampling_records_per_worker_utilization() {
-        // With sampling on, every worker's sample reaches the global sink
-        // with one job per dispatched round; with it off (the default for
-        // every other test in this binary), zero clock reads happen and
-        // nothing is deposited by this batch.
+        // A batch handed a sink deposits exactly its own workers' samples,
+        // one job per dispatched round; a batch handed `None` (every other
+        // test here) reads no clock and deposits nowhere.
         let mut states: Vec<u64> = vec![0; 32];
         let chunks = even_chunks(32, 4);
         let worker = |_i: usize, _r: Range<usize>, chunk: &mut [u64], job: ()| {
@@ -325,9 +330,8 @@ mod tests {
             }
             job
         };
-        let _stale = profile::drain_exec_profile();
-        profile::set_exec_sampling(true);
-        run_batch(&chunks, &mut states, &worker, |pool| {
+        let mut prof = ExecProfile::default();
+        run_batch(&chunks, &mut states, &worker, Some(&mut prof), |pool| {
             for _ in 0..5 {
                 for i in 0..pool.workers() {
                     pool.dispatch(i, ());
@@ -337,12 +341,10 @@ mod tests {
                 }
             }
         });
-        profile::set_exec_sampling(false);
-        let prof = profile::drain_exec_profile();
-        assert!(prof.batches >= 1, "the sampled batch must deposit");
-        assert!(prof.workers.len() >= 4, "one slot per worker");
+        assert_eq!(prof.batches, 1, "the sampled batch must deposit once");
+        assert_eq!(prof.workers.len(), 4, "one slot per worker");
         assert!(
-            prof.workers.iter().take(4).all(|w| w.jobs >= 5),
+            prof.workers.iter().all(|w| w.jobs == 5),
             "each worker ran 5 jobs: {:?}",
             prof.workers
         );
@@ -358,7 +360,7 @@ mod tests {
         let chunks = even_chunks(8, 2);
         let worker = |_i: usize, _r: Range<usize>, _c: &mut [u64], job: ()| job;
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_batch(&chunks, &mut states, &worker, |pool| {
+            run_batch(&chunks, &mut states, &worker, None, |pool| {
                 pool.dispatch(0, ());
                 pool.collect(0);
                 panic!("leader bailed");

@@ -29,28 +29,31 @@
 //!    chunk-major over the arenas, which *is* vertex order because chunks
 //!    are contiguous and ascending.
 //!
-//! Multi-round entry points ([`Network::run_state`],
+//! The stateful entry points ([`Network::run_state`],
 //! [`Network::exchange_rounds`], and everything built on them) execute as
 //! one **batch** on the persistent worker pool
 //! (`crate::executor::pool::run_batch`): workers are spawned once per
 //! batch, own their state chunk throughout, and park on a rendezvous
 //! between rounds — so the per-round cost is a channel send, not a thread
-//! spawn. Single-shot paths share the same pool machinery one round at a
-//! time. A panic inside a worker (e.g. a CONGEST capacity violation)
-//! re-raises on the caller's thread with its original payload after the
-//! pool is torn down — cleanly poisoned, never a hang — and the network
-//! remains usable (DESIGN §11).
+//! spawn. A single stateful round is a batch of one. A panic inside a
+//! worker (e.g. a CONGEST capacity violation) re-raises on the caller's
+//! thread with its original payload after the pool is torn down — cleanly
+//! poisoned, never a hang — and the network remains usable (DESIGN §10).
 //!
-//! Two API families exist because parallelism needs `Fn + Sync`:
+//! Six ways to run a round, in two families, because parallelism needs
+//! `Fn + Sync`:
 //!
 //! * [`Network::step`]/[`Network::exchange`] accept `FnMut` closures that
 //!   may capture shared mutable state; they always run sequentially.
 //!   [`Network::exchange_active`] is `exchange` for a caller that knows
 //!   which vertices send: the round then costs what it carries instead of
 //!   a pass over every vertex and slot.
-//! * [`Network::step_state`]/[`Network::exchange_state`] split mutable
-//!   state per vertex (`&mut [S]`) and run on the configured thread pool;
-//!   [`Network::par_step`] is the stateless variant.
+//! * [`Network::run_state`]/[`Network::exchange_rounds`] split mutable
+//!   state per vertex (`&mut [S]`) and run `k` rounds as one batch on the
+//!   configured thread pool; [`Network::step_state`] is `run_state(1)`.
+//!   Below the work threshold they run the sequential bodies of the first
+//!   family, so there is one compose loop and one batch engine per round
+//!   structure.
 //!
 //! # Memory model (DESIGN §10)
 //!
@@ -62,7 +65,7 @@
 //! shape) whether they came from the pool or a fresh allocation.
 
 use lcg_graph::Graph;
-use lcg_metrics::Recorder;
+use lcg_metrics::{ExecProfile, Recorder};
 use lcg_trace::{SpanId, Tracer};
 
 use crate::executor::{audit, chunk_of, pool, ExecConfig};
@@ -214,7 +217,7 @@ struct Topo<'a> {
 ///
 /// let g = gen::cycle(5);
 /// let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(4));
-/// net.par_step(|v, _inbox, out| {
+/// net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
 ///     for p in 0..out.ports() {
 ///         out.send(p, [v as u64]);
 ///     }
@@ -367,120 +370,6 @@ where
     W: Fn(usize, std::ops::Range<usize>, &mut [St], Job) -> Job,
 {
     w
-}
-
-/// Runs the send closure over every vertex, chunked across the configured
-/// threads, writing outboxes and chunk-local counters. Free function (not
-/// a method) so it borrows only the pieces of the network it needs.
-///
-/// Single-round paths go through a one-round batch on the worker pool;
-/// multi-round paths (`run_state`, `exchange_rounds`) keep the pool alive
-/// across rounds instead of re-entering here. Grids are flat arenas: each
-/// job carries its chunk's contiguous sub-slice of the outgoing arena, so
-/// dispatch/collect move fat pointers, never rows.
-#[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
-fn compose_outboxes<S, F>(
-    exec: &ExecConfig,
-    round: u64,
-    cap: Option<usize>,
-    offsets: &[u32],
-    states: &mut [S],
-    inboxes: &[Option<Message>],
-    outgoing: &mut [Option<Message>],
-    f: &F,
-) -> ChunkCounters
-where
-    S: Send,
-    F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
-{
-    let n = states.len();
-    let Some(chunks) = exec.par_chunks(n) else {
-        let mut counters = ChunkCounters::default();
-        for (v, state) in states.iter_mut().enumerate() {
-            let slots = &mut outgoing[row_of(offsets, v)];
-            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-            f(state, v, &inboxes[row_of(offsets, v)], &mut out);
-            counters.count(slots);
-        }
-        return counters;
-    };
-    let mut out_parts = split_flat(outgoing, &chunks, offsets);
-    let worker = pin_worker(|_w: usize,
-                  range: std::ops::Range<usize>,
-                  states: &mut [S],
-                  (part, mut counters): (&mut [Option<Message>], ChunkCounters)| {
-        let base = offsets[range.start] as usize;
-        for (i, state) in states.iter_mut().enumerate() {
-            let v = range.start + i;
-            let row = row_of(offsets, v);
-            let slots = &mut part[row.start - base..row.end - base];
-            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-            f(state, v, &inboxes[row], &mut out);
-            counters.count(slots);
-        }
-        (part, counters)
-    });
-    pool::run_batch(&chunks, states, &worker, |pool| {
-        for (i, part) in out_parts.iter_mut().enumerate() {
-            pool.dispatch(i, (std::mem::take(part), ChunkCounters::default()));
-        }
-        let mut total = ChunkCounters::default();
-        let mut audit_parts = exec.audit().is_shuffle().then(Vec::new);
-        for (i, part) in out_parts.iter_mut().enumerate() {
-            let (slice, counters) = pool.collect(i);
-            *part = slice;
-            total.merge(&counters);
-            if let Some(parts) = audit_parts.as_mut() {
-                parts.push(counters);
-            }
-        }
-        if let Some(parts) = audit_parts {
-            audit::check_merge_order(
-                "compose_outboxes/ChunkCounters",
-                round,
-                ChunkCounters::default(),
-                &parts,
-                |a, b| a.merge(b),
-                &total,
-            );
-        }
-        total
-    })
-}
-
-/// Runs a receive closure over every vertex, chunked across threads.
-fn consume_inboxes<S, R>(
-    exec: &ExecConfig,
-    offsets: &[u32],
-    states: &mut [S],
-    inboxes: &[Option<Message>],
-    r: &R,
-) where
-    S: Send,
-    R: Fn(&mut S, usize, &Inbox) + Sync,
-{
-    let n = states.len();
-    let Some(chunks) = exec.par_chunks(n) else {
-        for (v, state) in states.iter_mut().enumerate() {
-            r(state, v, &inboxes[row_of(offsets, v)]);
-        }
-        return;
-    };
-    let worker = |_w: usize, range: std::ops::Range<usize>, states: &mut [S], job: ()| {
-        for (i, state) in states.iter_mut().enumerate() {
-            let v = range.start + i;
-            r(state, v, &inboxes[row_of(offsets, v)]);
-        }
-        job
-    };
-    pool::run_batch(&chunks, states, &worker, |pool| {
-        for i in 0..pool.workers() {
-            pool.dispatch(i, ());
-        }
-        for i in 0..pool.workers() {
-            pool.collect(i);
-        }
-    });
 }
 
 /// The delivery sweep under an installed fault plan: every taken message
@@ -656,7 +545,7 @@ fn sweep<'s, I, P>(
 /// chunk-major *is* ascending vertex order (chunks are contiguous and
 /// ascending), and the receiving chunk is located in O(1) by
 /// [`chunk_of`] — so this is bit-identical to the whole-grid sweep the
-/// one-shot paths run.
+/// sequential paths run.
 #[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
 fn deliver_chunked(
     round: u64,
@@ -706,6 +595,15 @@ fn account_round(
         }
         rec.gauge_max("net.max_words_edge_round", counters.max_words as u64);
         rec.histogram_record("net.words_per_round", counters.words);
+    }
+}
+
+/// Hands a finished batch's worker samples to the attached recorder. The
+/// batch samples into a local because its leader closure holds the
+/// recorder for the per-round accounting.
+fn deposit_samples(metrics: &mut Option<Recorder>, sampled: Option<ExecProfile>) {
+    if let (Some(rec), Some(batch)) = (metrics.as_mut(), sampled) {
+        rec.exec_sink().record_batch(&batch.workers);
     }
 }
 
@@ -798,12 +696,6 @@ impl<'g> Network<'g> {
     /// The execution configuration.
     pub fn exec(&self) -> ExecConfig {
         self.exec
-    }
-
-    /// Replaces the execution configuration (e.g. to compare thread
-    /// counts on one network). Never changes results — only speed.
-    pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.exec = exec;
     }
 
     /// Accumulated statistics.
@@ -976,8 +868,9 @@ impl<'g> Network<'g> {
     ///
     /// This variant accepts `FnMut` (closures capturing shared mutable
     /// state) and therefore always runs sequentially regardless of
-    /// [`ExecConfig`]; use [`Network::par_step`] or
-    /// [`Network::step_state`] for the parallel engine.
+    /// [`ExecConfig`]; use [`Network::run_state`] for the parallel engine.
+    /// It is also the one sequential compose loop: `run_state` runs it per
+    /// round when the work threshold withholds the pool.
     pub fn step<F>(&mut self, mut f: F)
     where
         F: FnMut(usize, &Inbox, &mut Outbox),
@@ -1001,7 +894,17 @@ impl<'g> Network<'g> {
         return_clean(&mut self.spare_outgoing, outgoing);
     }
 
-    /// Executes one synchronous round with per-vertex state on the
+    /// One round with per-vertex state: [`Network::run_state`] with
+    /// `rounds = 1`.
+    pub fn step_state<S, F>(&mut self, states: &mut [S], f: F)
+    where
+        S: Send,
+        F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
+    {
+        self.run_state(1, states, f);
+    }
+
+    /// Runs `rounds` rounds of the same per-vertex-state closure on the
     /// configured thread pool.
     ///
     /// `states[v]` is vertex `v`'s private state; `f(state, v, inbox,
@@ -1010,87 +913,20 @@ impl<'g> Network<'g> {
     /// chunking + chunk-order merge guarantee outputs and [`RoundStats`]
     /// are **bit-identical for every thread count** (see module docs).
     ///
+    /// On the parallel path this is a single **batch** on the persistent
+    /// worker pool: workers spawn once, own their state chunk for all
+    /// rounds, and park on a rendezvous between rounds. Results and
+    /// [`RoundStats`] stay bit-identical to `rounds` sequential
+    /// [`Network::step`] calls over the same states (which is exactly how
+    /// the sub-threshold fallback executes them), so `run_state(k)` ≡
+    /// k × `step_state`.
+    ///
     /// # Panics
     ///
     /// Panics if `states.len() != n`. A panic inside `f` on a worker
-    /// thread (e.g. a CONGEST violation) is re-raised on the caller's
-    /// thread with the original message after all workers joined — never
-    /// a hang.
-    pub fn step_state<S, F>(&mut self, states: &mut [S], f: F)
-    where
-        S: Send,
-        F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
-    {
-        assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        let cap = self.model.capacity();
-        let fresh = take_grid(self.g, &mut self.spare_inboxes);
-        let inboxes = std::mem::replace(&mut self.pending, fresh);
-        let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
-        let counters = compose_outboxes(
-            &self.exec,
-            self.stats.rounds,
-            cap,
-            self.g.csr_offsets(),
-            states,
-            &inboxes,
-            &mut outgoing,
-            &f,
-        );
-        self.deliver(&mut outgoing);
-        self.account(counters);
-        recycle_grid(&mut self.spare_inboxes, inboxes);
-        return_clean(&mut self.spare_outgoing, outgoing);
-    }
-
-    /// Stateless parallel round: like [`Network::step`] but with a
-    /// `Fn + Sync` closure so vertices run on the configured thread pool.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcg_congest::{ExecConfig, Model, Network};
-    /// let g = lcg_graph::gen::grid(8, 8);
-    /// let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(4));
-    /// net.par_step(|v, _inbox, out| {
-    ///     if v == 0 { out.send(0, [42]); }
-    /// });
-    /// assert_eq!(net.stats().messages, 1);
-    /// ```
-    pub fn par_step<F>(&mut self, f: F)
-    where
-        F: Fn(usize, &Inbox, &mut Outbox) + Sync,
-    {
-        let mut unit: Vec<()> = vec![(); self.g.n()];
-        self.step_state(&mut unit, |_, v, inbox, out| f(v, inbox, out));
-    }
-
-    /// Runs `rounds` rounds of the same step closure (sequential `FnMut`
-    /// variant).
-    pub fn run<F>(&mut self, rounds: usize, mut f: F)
-    where
-        F: FnMut(usize, &Inbox, &mut Outbox),
-    {
-        for _ in 0..rounds {
-            self.step(&mut f);
-        }
-    }
-
-    /// Runs `rounds` rounds of the same per-vertex-state closure on the
-    /// configured thread pool.
-    ///
-    /// On the parallel path this is a single **batch** on the persistent
-    /// worker pool: workers spawn once, own their state chunk for all
-    /// rounds, and park on a rendezvous between rounds — the thread
-    /// spawn/join cost the one-shot path pays per round is paid once per
-    /// batch. Results and [`RoundStats`] stay bit-identical to `rounds`
-    /// sequential [`Network::step_state`] calls (which is exactly how the
-    /// sub-threshold fallback executes them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() != n`. Worker panics re-raise with their
-    /// original payload after the pool is torn down (never a hang); the
-    /// network remains usable afterwards.
+    /// thread (e.g. a CONGEST violation) re-raises with its original
+    /// payload after the pool is torn down (never a hang); the network
+    /// remains usable afterwards.
     pub fn run_state<S, F>(&mut self, rounds: usize, states: &mut [S], f: F)
     where
         S: Send,
@@ -1101,7 +937,7 @@ impl<'g> Network<'g> {
             Some(chunks) if rounds > 0 => self.step_batch(rounds, &chunks, states, &f),
             _ => {
                 for _ in 0..rounds {
-                    self.step_state(states, &f);
+                    self.step(|v, inbox, out| f(&mut states[v], v, inbox, out));
                 }
             }
         }
@@ -1162,7 +998,8 @@ impl<'g> Network<'g> {
             job.counters = counters;
             job
         });
-        pool::run_batch(chunks, states, &worker, |pool| {
+        let mut sampled = metrics.is_some().then(ExecProfile::default);
+        pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
             for _ in 0..rounds {
                 for (i, (inbox, arena)) in
                     pending_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate()
@@ -1187,8 +1024,8 @@ impl<'g> Network<'g> {
                         parts.push(job.counters);
                     }
                 }
-                // deliver before account, exactly as the one-shot path
-                // orders them (`stats.rounds` = index of the round in flight)
+                // deliver before account, exactly as `step` orders them
+                // (`stats.rounds` = index of the round in flight)
                 let round = stats.rounds;
                 if let Some(parts) = audit_parts {
                     audit::check_merge_order(
@@ -1215,13 +1052,15 @@ impl<'g> Network<'g> {
                 account_round(stats, tracer, metrics, total);
             }
         });
+        deposit_samples(metrics, sampled);
         // batch done: the borrow-split sub-slices wrote through to the two
         // arenas, so `inflight` is the live `pending` grid; the placeholder
-        // and the outbox arena go back to the pool
+        // (never written while it stood in) and the outbox arena go back
+        // to the pool
         drop(pending_parts);
         drop(arena_parts);
         let placeholder = std::mem::replace(&mut self.pending, inflight);
-        recycle_grid(&mut self.spare_inboxes, placeholder);
+        return_clean(&mut self.spare_inboxes, placeholder);
         return_clean(&mut self.spare_outgoing, arena);
     }
 
@@ -1235,11 +1074,24 @@ impl<'g> Network<'g> {
     /// ignores the pending buffer (debug builds assert it is empty).
     ///
     /// `FnMut` variant — always sequential; see
-    /// [`Network::exchange_state`] for the parallel engine.
+    /// [`Network::exchange_rounds`] for the parallel engine.
     pub fn exchange<S, R>(&mut self, mut send: S, mut recv: R)
     where
         S: FnMut(usize, &mut Outbox),
         R: FnMut(usize, &Inbox),
+    {
+        let mut unit = vec![(); self.g.n()];
+        self.exchange_seq(&mut unit, |_, v, out| send(v, out), |_, v, inbox| recv(v, inbox));
+    }
+
+    /// The one sequential exchange body, behind [`Network::exchange`] and
+    /// the sub-threshold fallback of [`Network::exchange_rounds`]. It takes
+    /// the per-vertex states itself because `send` and `recv` both mutate
+    /// them and cannot each capture the slice.
+    fn exchange_seq<St, S, R>(&mut self, states: &mut [St], mut send: S, mut recv: R)
+    where
+        S: FnMut(&mut St, usize, &mut Outbox),
+        R: FnMut(&mut St, usize, &Inbox),
     {
         debug_assert!(
             self.pending.iter().all(Option::is_none),
@@ -1249,18 +1101,18 @@ impl<'g> Network<'g> {
         let offsets = self.g.csr_offsets();
         let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
         let mut counters = ChunkCounters::default();
-        for v in 0..self.g.n() {
+        for (v, state) in states.iter_mut().enumerate() {
             let slots = &mut outgoing[row_of(offsets, v)];
             let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-            send(v, &mut out);
+            send(state, v, &mut out);
             counters.count(slots);
         }
         let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
         let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
         self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
         self.account(counters);
-        for v in 0..self.g.n() {
-            recv(v, &inboxes[row_of(self.g.csr_offsets(), v)]);
+        for (v, state) in states.iter_mut().enumerate() {
+            recv(state, v, &inboxes[row_of(offsets, v)]);
         }
         recycle_grid(&mut self.spare_inboxes, inboxes);
         return_clean(&mut self.spare_outgoing, outgoing);
@@ -1324,54 +1176,11 @@ impl<'g> Network<'g> {
         return_clean(&mut self.spare_outgoing, outgoing);
     }
 
-    /// Parallel `exchange`: per-vertex state, `Fn + Sync` closures, and
-    /// the same determinism guarantee as [`Network::step_state`]. The
-    /// send phase, the receive phase, and the per-chunk statistics all
-    /// run chunked on the configured thread pool; delivery between the
-    /// two phases is a deterministic vertex-order sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() != n`.
-    pub fn exchange_state<St, S, R>(&mut self, states: &mut [St], send: S, recv: R)
-    where
-        St: Send,
-        S: Fn(&mut St, usize, &mut Outbox) + Sync,
-        R: Fn(&mut St, usize, &Inbox) + Sync,
-    {
-        assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        debug_assert!(
-            self.pending.iter().all(Option::is_none),
-            "exchange_state called with undelivered step() messages pending"
-        );
-        let cap = self.model.capacity();
-        let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
-        // `pending` is all-`None` on the exchange path (debug-asserted
-        // above), so it doubles as the empty inbox grid the compose
-        // signature wants — no dummy allocation.
-        let counters = compose_outboxes(
-            &self.exec,
-            self.stats.rounds,
-            cap,
-            self.g.csr_offsets(),
-            states,
-            &self.pending,
-            &mut outgoing,
-            &|state, v, _inbox, out| send(state, v, out),
-        );
-        let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
-        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
-        self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
-        self.account(counters);
-        consume_inboxes(&self.exec, self.g.csr_offsets(), states, &inboxes, &recv);
-        recycle_grid(&mut self.spare_inboxes, inboxes);
-        return_clean(&mut self.spare_outgoing, outgoing);
-    }
-
     /// Runs up to `max_rounds` standard exchange rounds
-    /// ([`Network::exchange_state`] semantics) as one **batch** on the
-    /// persistent worker pool, stopping early once every vertex reports
-    /// halted. Per round: `send(state, round, v, outbox)` composes, the
+    /// ([`Network::exchange`] semantics over per-vertex state, `Fn + Sync`
+    /// closures) as one **batch** on the persistent worker pool, stopping
+    /// early once every vertex reports halted. Per round:
+    /// `send(state, round, v, outbox)` composes, the
     /// engine delivers (fault adjudication and tracing included), then
     /// `recv(state, round, v, inbox)` consumes. `halted` is evaluated on
     /// each state as the previous round left it — a network that is
@@ -1382,9 +1191,9 @@ impl<'g> Network<'g> {
     /// run on: one batch amortizes the worker spawn across the whole loop,
     /// and the per-chunk halt votes replace the leader-side all-vertices
     /// scan. Results and [`RoundStats`] are bit-identical to the
-    /// equivalent sequential loop over [`Network::exchange_state`] at
-    /// every thread count — which is exactly how the sub-threshold
-    /// fallback executes it.
+    /// equivalent sequential loop over [`Network::exchange`] at every
+    /// thread count — which is exactly how the sub-threshold fallback
+    /// executes it.
     ///
     /// # Panics
     ///
@@ -1412,7 +1221,7 @@ impl<'g> Network<'g> {
                 if states.iter().all(&halted) {
                     break;
                 }
-                self.exchange_state(
+                self.exchange_seq(
                     states,
                     |s, v, out| send(s, round, v, out),
                     |s, v, inbox| recv(s, round, v, inbox),
@@ -1496,7 +1305,8 @@ impl<'g> Network<'g> {
                 }
             }
         });
-        let executed = pool::run_batch(chunks, states, &worker, |pool| {
+        let mut sampled = metrics.is_some().then(ExecProfile::default);
+        let executed = pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
             let mut executed = 0u64;
             for round in 0..max_rounds {
                 if all_halted {
@@ -1528,7 +1338,7 @@ impl<'g> Network<'g> {
                     }
                 }
                 // route + account between the phases, exactly as
-                // `exchange_state` orders them
+                // `exchange` orders them
                 let r0 = stats.rounds;
                 if let Some(parts) = audit_parts {
                     audit::check_merge_order(
@@ -1576,6 +1386,7 @@ impl<'g> Network<'g> {
             }
             executed
         });
+        deposit_samples(metrics, sampled);
         drop(arena_parts);
         drop(inbox_parts);
         return_clean(&mut self.spare_outgoing, arena);
@@ -1900,9 +1711,9 @@ mod tests {
     #[should_panic(expected = "CONGEST violation")]
     fn oversized_message_panics_in_parallel_worker() {
         let g = gen::grid(8, 8);
-        let mut net =
-            Network::with_exec(&g, Model::Congest { words_per_edge: 1 }, ExecConfig::with_threads(4));
-        net.par_step(|v, _, out| {
+        let exec = ExecConfig::with_threads(4).with_work_threshold(1);
+        let mut net = Network::with_exec(&g, Model::Congest { words_per_edge: 1 }, exec);
+        net.step_state(&mut vec![(); g.n()], |_, v, _, out| {
             if v == 37 {
                 out.send(0, [1, 2, 3]); // violation inside a worker thread
             }
@@ -2002,7 +1813,7 @@ mod tests {
     }
 
     #[test]
-    fn exchange_state_matches_exchange_bitwise() {
+    fn exchange_rounds_matches_exchange_bitwise() {
         let g = gen::grid(5, 7);
         // sequential FnMut exchange
         let mut seq_net = Network::new(&g, Model::congest());
@@ -2020,45 +1831,34 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
             let mut seen: Vec<u64> = vec![0; g.n()];
-            net.exchange_state(
+            let executed = net.exchange_rounds(
+                1,
                 &mut seen,
-                |_me, v, out| {
+                |_me, _round, v, out| {
                     for p in 0..out.ports() {
                         out.send(p, [v as u64 + 1]);
                     }
                 },
-                |me, _v, inbox| {
+                |me, _round, _v, inbox| {
                     *me = inbox.iter().flatten().map(|m| m[0]).sum();
                 },
+                |_| false,
             );
+            assert_eq!(executed, 1);
             assert_eq!(seen, seq_seen, "{threads} threads diverged");
             stats::compare(&seq_net.stats(), &net.stats()).unwrap();
         }
     }
 
     #[test]
-    fn par_step_loop_counts_rounds() {
+    fn step_state_loop_counts_rounds() {
         let g = gen::cycle(9);
         let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(3));
         for _ in 0..5 {
-            net.par_step(|_, _, out| out.send(0, [1]));
+            net.step_state(&mut [(); 9], |_, _, _, out| out.send(0, [1]));
         }
         assert_eq!(net.stats().rounds, 5);
         assert_eq!(net.stats().messages, 45);
-    }
-
-    #[test]
-    fn set_exec_changes_only_speed() {
-        let g = gen::grid(4, 4);
-        let mut net = Network::new(&g, Model::congest());
-        net.set_exec(ExecConfig::with_threads(2));
-        assert_eq!(net.exec().threads(), 2);
-        net.par_step(|_, _, out| {
-            for p in 0..out.ports() {
-                out.send(p, [1]);
-            }
-        });
-        assert_eq!(net.stats().messages, 2 * g.m() as u64);
     }
 
     #[test]
@@ -2076,7 +1876,7 @@ mod tests {
         let mut net = Network::new(&g, Model::congest());
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
         let sp = net.span_open("phase");
-        net.par_step(|_, _, out| {
+        net.step_state(&mut vec![(); g.n()], |_, _, _, out| {
             for p in 0..out.ports() {
                 out.send(p, [1, 2]);
             }
@@ -2139,7 +1939,7 @@ mod tests {
                 net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
             }
             for _ in 0..3 {
-                net.par_step(|_, _, out| {
+                net.step_state(&mut vec![(); g.n()], |_, _, _, out| {
                     for p in 0..out.ports() {
                         out.send(p, [4]);
                     }

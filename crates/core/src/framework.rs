@@ -354,12 +354,14 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
             faithful_traffic.crashed_messages += rstats.crashed_messages;
             faithful_traffic.truncated_messages += rstats.truncated_messages;
             outcome
-        } else if faults_active {
-            // charged walk with per-crossing fault adjudication (killed
-            // tokens consumed their bandwidth; the outcome honestly
-            // reports the shortfall for the §2.3 reversal detector)
-            let plan = cfg.faults.as_ref().expect("faults_active implies a plan");
-            let (outcome, loads) = routing::random_walk_routing_with_counts_faulty(
+        } else {
+            // One charged walk whatever is being observed: an active plan
+            // adjudicates each crossing (killed tokens consumed their
+            // bandwidth; the outcome honestly reports the shortfall for
+            // the §2.3 reversal detector), a full trace asks for the
+            // host-edge loads of the hotspot table. Same single rng draw
+            // and same trajectories in every combination.
+            let (outcome, loads) = routing::charged_walk_routing(
                 g,
                 &mapping,
                 leader,
@@ -367,28 +369,8 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
                 cfg.max_walk_steps,
                 &mut rng,
                 cfg.exec,
-                plan,
+                cfg.faults.as_ref().filter(|_| faults_active),
                 cfg.trace,
-            );
-            if cfg.trace {
-                if let Some(t) = net.tracer_mut() {
-                    for (e, w) in loads {
-                        t.add_edge_words(e, w);
-                    }
-                }
-            }
-            outcome
-        } else if cfg.trace {
-            // identical walk (same single rng draw, same trajectory) that
-            // additionally reports host-edge loads for the hotspot table
-            let (outcome, loads) = routing::random_walk_routing_with_counts_traced(
-                g,
-                &mapping,
-                leader,
-                &counts,
-                cfg.max_walk_steps,
-                &mut rng,
-                cfg.exec,
             );
             if let Some(t) = net.tracer_mut() {
                 for (e, w) in loads {
@@ -396,16 +378,6 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
                 }
             }
             outcome
-        } else {
-            routing::random_walk_routing_with_counts_exec(
-                g,
-                &mapping,
-                leader,
-                &counts,
-                cfg.max_walk_steps,
-                &mut rng,
-                cfg.exec,
-            )
         };
         gather_rounds = gather_rounds.max(routing_outcome.rounds);
         // broadcast = reversed routing (same cost, as in the paper)

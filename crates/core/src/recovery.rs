@@ -91,7 +91,7 @@ pub struct RecoveryReport {
 /// check to `det_net` (a fault-free control network on the host graph).
 /// Returns one line per detected failure; empty means the execution
 /// passed.
-pub(crate) fn detect_failures(outcome: &FrameworkOutcome, det_net: &mut Network) -> Vec<String> {
+fn detect_failures(outcome: &FrameworkOutcome, det_net: &mut Network) -> Vec<String> {
     let mut verdicts = Vec::new();
     let mut diam_bound = 0usize;
     for c in &outcome.clusters {
@@ -189,7 +189,7 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
 /// The terminal seal is the **only** place these counters are written —
 /// checkpoints persist the pre-seal fold, so a resumed run can never
 /// double-count them (see [`crate::supervisor`]).
-pub(crate) fn seal_recovery_metrics(
+fn seal_recovery_metrics(
     folded: Option<Report>,
     attempts: u32,
     degraded: bool,
@@ -201,6 +201,114 @@ pub(crate) fn seal_recovery_metrics(
         rep.deterministic.counter_add("recovery.detector_rounds", detector_rounds);
         rep
     })
+}
+
+/// The accumulators of the §2.3 retry loop between attempts — which makes
+/// them exactly the state [`crate::supervisor`] checkpoints at an attempt
+/// boundary. One attempt is [`AttemptLog::run`] (pure: a crash in there
+/// loses nothing) followed by [`AttemptLog::commit`].
+#[derive(Default)]
+pub(crate) struct AttemptLog {
+    /// Next attempt to execute (attempts `0..next_attempt` completed and
+    /// failed detection).
+    pub(crate) next_attempt: u64,
+    /// Detector rounds across completed attempts.
+    pub(crate) detector_rounds: u64,
+    /// Stats spent by completed attempts plus their detector passes.
+    pub(crate) spent: RoundStats,
+    /// Failure verdicts of completed attempts, in order.
+    pub(crate) failures: Vec<String>,
+    /// Folded deterministic metrics of completed attempts. The
+    /// `recovery.*` verdict counters are **not** in here — they are
+    /// stamped exactly once, at the terminal state, so a resume can never
+    /// double-count `recovery.attempts`.
+    pub(crate) folded: Option<Report>,
+}
+
+/// What [`AttemptLog::run`] produced, before any of it is committed.
+pub(crate) struct AttemptRun {
+    outcome: FrameworkOutcome,
+    det_stats: RoundStats,
+    verdicts: Vec<String>,
+}
+
+impl AttemptLog {
+    /// Executes attempt `next_attempt`: seed [`derived_seed`]`(cfg.seed, k)`,
+    /// walk budget `policy.initial_walk_steps · 2^k` capped by
+    /// `cfg.max_walk_steps`, then every §2.3 detector on a fault-free
+    /// control network. A pure function of `(g, cfg, policy, next_attempt)`.
+    pub(crate) fn run(&self, g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPolicy) -> AttemptRun {
+        let attempt = self.next_attempt as u32;
+        let attempt_cfg = FrameworkConfig {
+            seed: derived_seed(cfg.seed, attempt),
+            max_walk_steps: policy
+                .initial_walk_steps
+                .saturating_mul(2usize.saturating_pow(attempt))
+                .min(cfg.max_walk_steps),
+            ..cfg.clone()
+        };
+        let outcome = run_framework(g, &attempt_cfg);
+        let mut det_net = Network::with_exec(g, Model::congest(), cfg.exec);
+        let verdicts = detect_failures(&outcome, &mut det_net);
+        AttemptRun { outcome, det_stats: det_net.stats(), verdicts }
+    }
+
+    /// Commits a finished attempt: folds its registry on top of the failed
+    /// attempts' (the newest report wins the profiling plane), charges the
+    /// detector pass, then either accepts — the outcome with cumulative
+    /// stats and sealed metrics, plus the report — or records the verdicts
+    /// and advances to the next attempt (`None`).
+    pub(crate) fn commit(&mut self, ran: AttemptRun) -> Option<(FrameworkOutcome, RecoveryReport)> {
+        let AttemptRun { mut outcome, det_stats, verdicts } = ran;
+        let attempt = self.next_attempt as u32;
+        if let Some(mut rep) = outcome.metrics.take() {
+            if let Some(prev) = self.folded.take() {
+                rep.deterministic.merge(&prev.deterministic);
+            }
+            self.folded = Some(rep);
+        }
+        self.detector_rounds += det_stats.rounds;
+        self.spent.merge(&det_stats);
+        if verdicts.is_empty() {
+            return Some(self.conclude(outcome, attempt + 1, false));
+        }
+        self.failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
+        self.spent.merge(&outcome.stats);
+        self.next_attempt += 1;
+        None
+    }
+
+    /// The terminal degradation after `attempts` completed attempts:
+    /// [`singleton_outcome`] carrying everything the failed attempts spent,
+    /// with the folded metrics sealed.
+    pub(crate) fn degrade(
+        mut self,
+        g: &Graph,
+        cfg: &FrameworkConfig,
+        attempts: u32,
+    ) -> (FrameworkOutcome, RecoveryReport) {
+        self.conclude(singleton_outcome(g, cfg), attempts, true)
+    }
+
+    /// The terminal state either way: `outcome` takes on the cumulative
+    /// spending and the sealed metrics, the report takes the verdicts.
+    fn conclude(
+        &mut self,
+        mut outcome: FrameworkOutcome,
+        attempts: u32,
+        degraded: bool,
+    ) -> (FrameworkOutcome, RecoveryReport) {
+        outcome.stats.merge(&self.spent);
+        outcome.metrics =
+            seal_recovery_metrics(self.folded.take(), attempts, degraded, self.detector_rounds);
+        let report = RecoveryReport {
+            attempts,
+            degraded,
+            failures: std::mem::take(&mut self.failures),
+            detector_rounds: self.detector_rounds,
+        };
+        (outcome, report)
+    }
 }
 
 /// Runs the Theorem 2.6 framework under `cfg` (including its fault plan),
@@ -227,62 +335,14 @@ pub fn run_framework_resilient(
     cfg: &FrameworkConfig,
     policy: &RecoveryPolicy,
 ) -> (FrameworkOutcome, RecoveryReport) {
-    let mut spent = RoundStats::default();
-    let mut failures = Vec::new();
-    let mut detector_rounds = 0u64;
-    let mut folded_metrics: Option<Report> = None;
-    for attempt in 0..=policy.max_retries {
-        let attempt_cfg = FrameworkConfig {
-            seed: derived_seed(cfg.seed, attempt),
-            max_walk_steps: policy
-                .initial_walk_steps
-                .saturating_mul(2usize.saturating_pow(attempt))
-                .min(cfg.max_walk_steps),
-            ..cfg.clone()
-        };
-        let mut outcome = run_framework(g, &attempt_cfg);
-        // fold this attempt's registry on top of the failed attempts';
-        // the newest report wins the profiling plane
-        if let Some(mut rep) = outcome.metrics.take() {
-            if let Some(prev) = folded_metrics.take() {
-                rep.deterministic.merge(&prev.deterministic);
-            }
-            folded_metrics = Some(rep);
+    let mut log = AttemptLog::default();
+    while log.next_attempt <= u64::from(policy.max_retries) {
+        let ran = log.run(g, cfg, policy);
+        if let Some(accepted) = log.commit(ran) {
+            return accepted;
         }
-        let mut det_net = Network::with_exec(g, Model::congest(), cfg.exec);
-        let verdicts = detect_failures(&outcome, &mut det_net);
-        detector_rounds += det_net.stats().rounds;
-        spent.merge(&det_net.stats());
-        if verdicts.is_empty() {
-            outcome.stats.merge(&spent);
-            outcome.metrics =
-                seal_recovery_metrics(folded_metrics, attempt + 1, false, detector_rounds);
-            return (
-                outcome,
-                RecoveryReport {
-                    attempts: attempt + 1,
-                    degraded: false,
-                    failures,
-                    detector_rounds,
-                },
-            );
-        }
-        failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
-        spent.merge(&outcome.stats);
     }
-    let mut outcome = singleton_outcome(g, cfg);
-    outcome.stats.merge(&spent);
-    outcome.metrics =
-        seal_recovery_metrics(folded_metrics, policy.max_retries + 1, true, detector_rounds);
-    (
-        outcome,
-        RecoveryReport {
-            attempts: policy.max_retries + 1,
-            degraded: true,
-            failures,
-            detector_rounds,
-        },
-    )
+    log.degrade(g, cfg, policy.max_retries + 1)
 }
 
 #[cfg(test)]

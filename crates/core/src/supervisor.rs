@@ -20,10 +20,11 @@
 //!   [`SnapshotState`] after each batch.
 //! * [`run_framework_checkpointed`] — the Theorem 2.6 supervisor. The
 //!   framework is one monolithic execution, so the checkpoint unit is the
-//!   *attempt boundary* of the PR 4 resilient loop: each attempt is a pure
-//!   function of `(graph, config, attempt)`, and the accumulators between
-//!   attempts (spent stats, failure verdicts, the folded metrics registry)
-//!   are exactly the resumable state.
+//!   *attempt boundary* of the PR 4 resilient loop. It wraps recovery's
+//!   own attempt step (`recovery::AttemptLog`): `run` is a pure function of
+//!   `(graph, config, attempt)` and goes inside the `catch_unwind`, and
+//!   the accumulators `commit` advances (spent stats, failure verdicts,
+//!   the folded metrics registry) are exactly the resumable state.
 //!
 //! Snapshots are written atomically (tmp file + rename) and rotated
 //! keep-last-N, so a crash *during* a save can cost at most the newest
@@ -53,11 +54,8 @@ use lcg_congest::{
 use lcg_graph::Graph;
 use lcg_metrics::{Registry, Report};
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{
-    derived_seed, detect_failures, seal_recovery_metrics, singleton_outcome, RecoveryPolicy,
-    RecoveryReport,
-};
+use crate::framework::{FrameworkConfig, FrameworkOutcome};
+use crate::recovery::{AttemptLog, RecoveryPolicy, RecoveryReport};
 
 /// File extension of every snapshot the supervisor writes.
 pub const SNAPSHOT_EXT: &str = "lcgsnap";
@@ -457,37 +455,6 @@ fn try_load_state<'g, S: SnapshotState>(
 
 // ------------------------------------------------ framework-level driver
 
-/// The resumable accumulator state of the resilient framework loop at an
-/// attempt boundary.
-struct FrameworkCkpt {
-    /// Next attempt to execute (attempts `0..next_attempt` completed and
-    /// failed detection).
-    next_attempt: u64,
-    /// Detector rounds across completed attempts.
-    detector_rounds: u64,
-    /// Stats spent by completed attempts plus their detector passes.
-    spent: RoundStats,
-    /// Failure verdicts of completed attempts, in order.
-    failures: Vec<String>,
-    /// Folded deterministic metrics of completed attempts. The
-    /// `recovery.*` verdict counters are **not** in here — they are
-    /// stamped exactly once, at the terminal state, so a resume can never
-    /// double-count `recovery.attempts`.
-    folded: Option<Report>,
-}
-
-impl FrameworkCkpt {
-    fn fresh() -> FrameworkCkpt {
-        FrameworkCkpt {
-            next_attempt: 0,
-            detector_rounds: 0,
-            spent: RoundStats::default(),
-            failures: Vec::new(),
-            folded: None,
-        }
-    }
-}
-
 /// Fingerprint binding a framework checkpoint to its graph, config, and
 /// policy: resuming under different parameters silently skips the file.
 fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPolicy) -> u64 {
@@ -508,7 +475,7 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
 /// Writes one attempt-boundary checkpoint of the framework supervisor.
 fn save_framework_checkpoint(
     fingerprint: u64,
-    acc: &FrameworkCkpt,
+    acc: &AttemptLog,
     ckpt: &CheckpointConfig,
     report: &mut SupervisorReport,
 ) -> Result<(), SupervisorError> {
@@ -538,7 +505,7 @@ fn save_framework_checkpoint(
 }
 
 /// Loads and validates one framework-supervisor snapshot file.
-fn try_load_framework(fingerprint: u64, seq: u64, path: &Path) -> Result<FrameworkCkpt, SnapshotError> {
+fn try_load_framework(fingerprint: u64, seq: u64, path: &Path) -> Result<AttemptLog, SnapshotError> {
     let file = fs::File::open(path)?;
     let r = SnapshotReader::read_from(file)?;
     let mut supr = Dec::new("SUPR", r.section("SUPR")?);
@@ -565,7 +532,7 @@ fn try_load_framework(fingerprint: u64, seq: u64, path: &Path) -> Result<Framewo
         t => return Err(SnapshotError::Corrupt { detail: format!("bad METR tag {t}") }),
     };
     metr.finish()?;
-    Ok(FrameworkCkpt { next_attempt, detector_rounds, spent, failures, folded })
+    Ok(AttemptLog { next_attempt, detector_rounds, spent, failures, folded })
 }
 
 /// Newest framework checkpoint that parses and matches the fingerprint;
@@ -574,7 +541,7 @@ fn resume_framework_latest(
     fingerprint: u64,
     ckpt: &CheckpointConfig,
     report: &mut SupervisorReport,
-) -> Result<Option<FrameworkCkpt>, SupervisorError> {
+) -> Result<Option<AttemptLog>, SupervisorError> {
     let mut found = list_snapshots(&ckpt.dir)?;
     while let Some((seq, path)) = found.pop() {
         match try_load_framework(fingerprint, seq, &path) {
@@ -616,33 +583,20 @@ pub fn run_framework_checkpointed(
     let fingerprint = framework_fingerprint(g, cfg, policy);
     let mut sup = SupervisorReport::default();
     let mut kill = ckpt.kill_at_attempt;
-    let mut acc = match resume_framework_latest(fingerprint, ckpt, &mut sup)? {
-        Some(acc) => acc,
-        None => FrameworkCkpt::fresh(),
-    };
+    let mut acc = resume_framework_latest(fingerprint, ckpt, &mut sup)?.unwrap_or_default();
     while acc.next_attempt <= u64::from(policy.max_retries) {
         let attempt = acc.next_attempt as u32;
-        let attempt_cfg = FrameworkConfig {
-            seed: derived_seed(cfg.seed, attempt),
-            max_walk_steps: policy
-                .initial_walk_steps
-                .saturating_mul(2usize.saturating_pow(attempt))
-                .min(cfg.max_walk_steps),
-            ..cfg.clone()
-        };
         let kill_now = kill == Some(attempt);
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            let outcome = run_framework(g, &attempt_cfg);
+            let ran = acc.run(g, cfg, policy);
             if kill_now {
                 // fires after the attempt's work, before any of it is
                 // committed — the lost-progress crash checkpoints absorb
                 panic!("injected crash at attempt {attempt} (kill-at-attempt harness)"); // lcg-lint: allow(P001) -- deterministic crash injection; the supervisor's catch_unwind is the consumer
             }
-            let mut det_net = Network::with_exec(g, Model::congest(), cfg.exec);
-            let verdicts = detect_failures(&outcome, &mut det_net);
-            (outcome, det_net.stats(), verdicts)
+            ran
         }));
-        let (mut outcome, det_stats, verdicts) = match ran {
+        let ran = match ran {
             Ok(completed) => completed,
             Err(_) => {
                 kill = None; // one-shot
@@ -651,65 +605,22 @@ pub fn run_framework_checkpointed(
                     // crash loop: give up on the machinery and degrade to
                     // the PR 4 terminal state — never panic
                     sup.degraded = true;
-                    let mut outcome = singleton_outcome(g, cfg);
-                    outcome.stats.merge(&acc.spent);
-                    outcome.metrics =
-                        seal_recovery_metrics(acc.folded, attempt, true, acc.detector_rounds);
-                    let recovery = RecoveryReport {
-                        attempts: attempt,
-                        degraded: true,
-                        failures: acc.failures,
-                        detector_rounds: acc.detector_rounds,
-                    };
+                    let (outcome, recovery) = acc.degrade(g, cfg, attempt);
                     return Ok((outcome, recovery, sup));
                 }
                 backoff(ckpt, sup.crashes);
-                acc = match resume_framework_latest(fingerprint, ckpt, &mut sup)? {
-                    Some(acc) => acc,
-                    None => FrameworkCkpt::fresh(),
-                };
+                acc = resume_framework_latest(fingerprint, ckpt, &mut sup)?.unwrap_or_default();
                 continue;
             }
         };
-        // identical fold order to run_framework_resilient: this attempt's
-        // registry on top of the failed attempts', newest profiling wins
-        if let Some(mut rep) = outcome.metrics.take() {
-            if let Some(prev) = acc.folded.take() {
-                rep.deterministic.merge(&prev.deterministic);
-            }
-            acc.folded = Some(rep);
-        }
-        acc.detector_rounds += det_stats.rounds;
-        acc.spent.merge(&det_stats);
-        if verdicts.is_empty() {
-            outcome.stats.merge(&acc.spent);
-            outcome.metrics =
-                seal_recovery_metrics(acc.folded, attempt + 1, false, acc.detector_rounds);
-            let recovery = RecoveryReport {
-                attempts: attempt + 1,
-                degraded: false,
-                failures: acc.failures,
-                detector_rounds: acc.detector_rounds,
-            };
+        if let Some((outcome, recovery)) = acc.commit(ran) {
             return Ok((outcome, recovery, sup));
         }
-        acc.failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
-        acc.spent.merge(&outcome.stats);
-        acc.next_attempt += 1;
         save_framework_checkpoint(fingerprint, &acc, ckpt, &mut sup)?;
     }
     // retry budget exhausted: every attempt completed and failed detection
     sup.degraded = true;
-    let mut outcome = singleton_outcome(g, cfg);
-    outcome.stats.merge(&acc.spent);
-    outcome.metrics =
-        seal_recovery_metrics(acc.folded, policy.max_retries + 1, true, acc.detector_rounds);
-    let recovery = RecoveryReport {
-        attempts: policy.max_retries + 1,
-        degraded: true,
-        failures: acc.failures,
-        detector_rounds: acc.detector_rounds,
-    };
+    let (outcome, recovery) = acc.degrade(g, cfg, policy.max_retries + 1);
     Ok((outcome, recovery, sup))
 }
 
@@ -959,6 +870,57 @@ mod tests {
         let b = want.metrics.expect("metrics on").deterministic_json();
         assert_eq!(a, b);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// With no kill the supervisor is the resilient loop plus boundary
+    /// saves: same outcome stats, same recovery report, same deterministic
+    /// metrics bytes — on a plan that is outrun by a retry and on one
+    /// that exhausts the budget and degrades.
+    #[test]
+    fn unkilled_supervisor_equals_resilient_across_retries_and_degradation() {
+        let mut rng = gen::seeded_rng(501);
+        let planar = gen::random_planar(60, 0.5, &mut rng);
+        let grid = gen::grid(5, 5);
+        // edge 1 is down for the first two rounds and walk steps: whether
+        // a token dies on it depends on the attempt's derived walk seed
+        let retried = FrameworkConfig {
+            faults: Some(FaultPlan::none().with_link_failure(1, 0, 2)),
+            max_walk_steps: 20_000,
+            metrics: true,
+            ..FrameworkConfig::planar(0.3, 6)
+        };
+        let blackout = FrameworkConfig {
+            faults: Some(FaultPlan::drops(1, 1.0)),
+            max_walk_steps: 5_000,
+            metrics: true,
+            ..FrameworkConfig::planar(0.3, 11)
+        };
+        let cases = [
+            ("retried", &planar, retried, RecoveryPolicy { max_retries: 3, initial_walk_steps: 5_000 }, false),
+            ("degraded", &grid, blackout, RecoveryPolicy { max_retries: 1, initial_walk_steps: 1_000 }, true),
+        ];
+        for (name, g, cfg, policy, degrades) in cases {
+            let dir = scratch(&format!("fw-plain-{name}"));
+            let (want, want_rec) = run_framework_resilient(g, &cfg, &policy);
+            assert!(want_rec.attempts >= 2, "{name}: the plan must force a retry: {want_rec:?}");
+            assert_eq!(want_rec.degraded, degrades, "{name}");
+            let (out, rec, sup) =
+                run_framework_checkpointed(g, &cfg, &policy, &CheckpointConfig::new(&dir))
+                    .expect("supervised run");
+            assert_eq!(rec, want_rec, "{name}");
+            assert_eq!(out.stats, want.stats, "{name}");
+            assert_eq!(out.decomposition.cluster_of, want.decomposition.cluster_of, "{name}");
+            assert_eq!(
+                out.metrics.expect("metrics on").deterministic_json(),
+                want.metrics.expect("metrics on").deterministic_json(),
+                "{name}"
+            );
+            assert_eq!((sup.crashes, sup.resumed), (0, 0), "{name}");
+            assert_eq!(sup.degraded, degrades, "{name}");
+            // one boundary checkpoint per failed attempt
+            assert_eq!(sup.saved, u64::from(rec.attempts) - u64::from(!degrades), "{name}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Expander routing inside a cluster (paper Lemmas 2.4 and 2.5).
 //!
-//! * [`random_walk_routing`] is **Lemma 2.4 verbatim**: every cluster
+//! * [`charged_walk_routing`] is **Lemma 2.4 verbatim**: every cluster
 //!   vertex launches a lazy random walk carrying its `O(log n)`-bit
 //!   message; a walk is absorbed when it first visits the leader `v_i*`.
 //!   One walk step is simulated in as many CONGEST rounds as the maximum
 //!   number of tokens crossing a single edge (each token is one
 //!   `O(log n)`-bit message), which the lemma bounds by `O(log n)` w.h.p.
 //!   We *measure* that load instead of assuming it.
+//!   [`random_walk_routing`] (one token per member, ambient executor) and
+//!   [`random_walk_routing_with_counts_exec`] (no faults, no edge tally)
+//!   are its two argument-fixing adapters.
 //!
 //! * [`tree_routing`] is the deterministic counterpart standing in for
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
@@ -42,12 +45,8 @@ impl RoutingOutcome {
     }
 }
 
-/// Lemma 2.4: route one token from every vertex of `members` to `leader`
-/// by lazy random walks over the induced subgraph `G[members]`.
-///
-/// Walks step for at most `max_steps` logical steps (the lemma uses
-/// `O(φ⁻⁴ log² n)`); the function returns early once every token is
-/// absorbed.
+/// [`charged_walk_routing`] with one token per member, the ambient
+/// [`ExecConfig`], no fault plan and no edge tally.
 ///
 /// # Panics
 ///
@@ -60,40 +59,24 @@ pub fn random_walk_routing(
     rng: &mut impl Rng,
 ) -> RoutingOutcome {
     let counts = vec![1usize; members.len()];
-    random_walk_routing_with_counts(g, members, leader, &counts, max_steps, rng)
+    charged_walk_routing(g, members, leader, &counts, max_steps, rng, ExecConfig::from_env(), None, false).0
 }
 
-/// [`random_walk_routing`] with an explicit [`ExecConfig`].
-pub fn random_walk_routing_exec(
-    g: &Graph,
-    members: &[usize],
-    leader: usize,
-    max_steps: usize,
-    rng: &mut impl Rng,
-    exec: ExecConfig,
-) -> RoutingOutcome {
-    let counts = vec![1usize; members.len()];
-    random_walk_routing_with_counts_exec(g, members, leader, &counts, max_steps, rng, exec)
-}
-
-/// Lemma 2.4 with an explicit message count per member (the paper's
-/// `L · deg(v)` formulation): member `i` launches `counts[i]` tokens. The
-/// framework uses this to ship each vertex's `1 + outdeg(v)` topology
-/// words in a single routing execution.
+/// [`charged_walk_routing`] with no fault plan and no edge tally.
 ///
 /// # Panics
 ///
-/// Panics if `counts.len() != members.len()`, the leader is not a member,
-/// or `G[members]` is disconnected.
-pub fn random_walk_routing_with_counts(
+/// As [`charged_walk_routing`].
+pub fn random_walk_routing_with_counts_exec(
     g: &Graph,
     members: &[usize],
     leader: usize,
     counts: &[usize],
     max_steps: usize,
     rng: &mut impl Rng,
+    exec: ExecConfig,
 ) -> RoutingOutcome {
-    random_walk_routing_with_counts_exec(g, members, leader, counts, max_steps, rng, ExecConfig::from_env())
+    charged_walk_routing(g, members, leader, counts, max_steps, rng, exec, None, false).0
 }
 
 /// Per-token walk state. Each token owns a ChaCha8 stream seeded from the
@@ -125,90 +108,41 @@ fn token_step(sub: &Graph, tok: &mut Token) -> Option<(usize, usize)> {
     Some((e, w))
 }
 
-/// [`random_walk_routing_with_counts`] with an explicit [`ExecConfig`]:
-/// the per-step token moves are computed on the configured thread pool.
+/// Lemma 2.4, charged: route `counts[i]` tokens from member `i` of
+/// `members` (the paper's `L · deg(v)` formulation — the framework ships
+/// each vertex's `1 + outdeg(v)` topology words in one execution) to
+/// `leader` by lazy random walks over the induced subgraph `G[members]`.
 ///
-/// Tokens carry private RNG streams (seeded from one draw of `rng`), moves
-/// are computed chunk-parallel and then merged into the edge-load table by
-/// a sequential token-order sweep — so the outcome is **bit-identical for
-/// every thread count** (and `rng` advances by exactly one draw either
-/// way).
+/// Walks step for at most `max_steps` logical steps (the lemma uses
+/// `O(φ⁻⁴ log² n)`); the function returns early once every token is
+/// absorbed or destroyed.
 ///
-/// # Panics
+/// Tokens carry private RNG streams (seeded from one draw of `rng`), the
+/// per-step moves are computed chunk-parallel on `exec`'s thread pool and
+/// then merged into the edge-load table by a sequential token-order sweep
+/// — so the outcome is **bit-identical for every thread count**, and `rng`
+/// advances by exactly one draw whatever the other arguments are.
 ///
-/// As [`random_walk_routing_with_counts`].
-pub fn random_walk_routing_with_counts_exec(
-    g: &Graph,
-    members: &[usize],
-    leader: usize,
-    counts: &[usize],
-    max_steps: usize,
-    rng: &mut impl Rng,
-    exec: ExecConfig,
-) -> RoutingOutcome {
-    walk_routing_core(g, members, leader, counts, max_steps, rng, exec, None, false).0
-}
-
-/// [`random_walk_routing_with_counts_exec`] that additionally reports the
-/// cumulative per-edge word load of the walk: `(host_edge_id, words)` for
-/// every host edge at least one token crossed, sorted by edge id. Each
-/// crossing is one 2-word message, so `words = 2 · crossings`.
+/// `track_edges` additionally returns the cumulative per-edge word load of
+/// the walk: `(host_edge_id, words)` for every host edge at least one
+/// token crossed, sorted by edge id; each crossing is one 2-word message,
+/// so `words = 2 · crossings`. Without it the returned list is empty.
 ///
-/// The walk itself is unchanged — same single draw from `rng`, same
-/// trajectory, bit-identical [`RoutingOutcome`] — so callers can switch
-/// tracing on and off without perturbing downstream randomness.
+/// Under `faults`, each crossing of host edge `e` in walk step `s` is
+/// adjudicated by `faults.kills_message(s, e, from, to)` — a killed token
+/// still consumed the edge's bandwidth (the crossing is charged and, when
+/// tracked, tallied) but the token is destroyed, so the outcome can come
+/// back incomplete and `routing_failure_detected` fires. Trajectories are
+/// bit-identical to the fault-free walk; only token survival differs.
+/// Keying the fault coins by `(step, edge)` keeps the schedule independent
+/// of thread count, exactly as in the simulator's delivery paths.
 ///
 /// # Panics
 ///
-/// As [`random_walk_routing_with_counts`].
+/// Panics if `counts.len() != members.len()`, the leader is not a member,
+/// or `G[members]` is disconnected.
 #[allow(clippy::too_many_arguments)]
-pub fn random_walk_routing_with_counts_traced(
-    g: &Graph,
-    members: &[usize],
-    leader: usize,
-    counts: &[usize],
-    max_steps: usize,
-    rng: &mut impl Rng,
-    exec: ExecConfig,
-) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    walk_routing_core(g, members, leader, counts, max_steps, rng, exec, None, true)
-}
-
-/// The charged walk router under a fault schedule: each crossing of host
-/// edge `e` in walk step `s` is adjudicated by
-/// `faults.kills_message(s, e, from, to)` — a killed token still consumed
-/// the edge's bandwidth (the crossing is charged and, when tracked,
-/// traced) but the token is destroyed, so the outcome can come back
-/// incomplete and `routing_failure_detected` fires. The walk itself draws
-/// the same single seed from `rng` and its trajectories are bit-identical
-/// to the fault-free variant; only token survival differs. Keying the
-/// fault coins by `(step, edge)` keeps the schedule independent of thread
-/// count, exactly as in the simulator's delivery paths.
-///
-/// # Panics
-///
-/// As [`random_walk_routing_with_counts`].
-#[allow(clippy::too_many_arguments)]
-pub fn random_walk_routing_with_counts_faulty(
-    g: &Graph,
-    members: &[usize],
-    leader: usize,
-    counts: &[usize],
-    max_steps: usize,
-    rng: &mut impl Rng,
-    exec: ExecConfig,
-    faults: &FaultPlan,
-    track_edges: bool,
-) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    walk_routing_core(g, members, leader, counts, max_steps, rng, exec, Some(faults), track_edges)
-}
-
-/// Shared body of the charged lazy-walk router. `track_edges` turns on the
-/// cumulative per-edge word tally (host edge ids); `faults` adjudicates
-/// every crossing when present; everything else — trajectories, rng
-/// consumption, outcome — is identical either way.
-#[allow(clippy::too_many_arguments)]
-fn walk_routing_core(
+pub fn charged_walk_routing(
     g: &Graph,
     members: &[usize],
     leader: usize,
@@ -331,7 +265,7 @@ fn walk_routing_core(
             }
             job
         };
-        lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, |pool| {
+        lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, None, |pool| {
             while steps < max_steps && delivered + lost < total {
                 steps += 1;
                 for e in edge_load.iter_mut() {
@@ -496,7 +430,7 @@ pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutco
 /// simulator's capacity enforcement would panic otherwise). Tokens that
 /// want to cross the same edge in the same walk step serialize over
 /// multiple rounds, which is exactly the `O(max edge load)` cost
-/// [`random_walk_routing`] charges — this function *measures* it with
+/// [`charged_walk_routing`] charges — this function *measures* it with
 /// real messages instead.
 ///
 /// Walk steps are globally synchronized (as the lemma's analysis
@@ -720,9 +654,45 @@ mod tests {
         let g = gen::complete(10);
         let members: Vec<usize> = (0..10).collect();
         let counts: Vec<usize> = (0..10).map(|v| 1 + v % 3).collect();
-        let out = super::random_walk_routing_with_counts(&g, &members, 2, &counts, 50_000, &mut rng);
+        let out = random_walk_routing_with_counts_exec(
+            &g,
+            &members,
+            2,
+            &counts,
+            50_000,
+            &mut rng,
+            ExecConfig::sequential(),
+        );
         assert_eq!(out.total, counts.iter().sum::<usize>());
         assert!(out.complete());
+    }
+
+    /// One seeded execution of the one router: outcome, host-edge loads,
+    /// and the caller rng's next draw (the walk must consume exactly one).
+    #[allow(clippy::too_many_arguments)]
+    fn route(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        seed: u64,
+        threads: usize,
+        faults: Option<&FaultPlan>,
+        track_edges: bool,
+    ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
+        let mut rng = gen::seeded_rng(seed);
+        // threshold 1: the token batch really runs on the pool when threads > 1
+        let exec = ExecConfig::with_threads(threads).with_work_threshold(1);
+        let (out, loads) =
+            charged_walk_routing(g, members, leader, counts, max_steps, &mut rng, exec, faults, track_edges);
+        (out, loads, rng.gen::<u64>())
+    }
+
+    /// The four `(faults, track_edges)` settings that must not change the
+    /// walk when the plan is vacuous.
+    fn vacuous_combos(vacuous: &FaultPlan) -> [(Option<&FaultPlan>, bool); 4] {
+        [(None, false), (None, true), (Some(vacuous), false), (Some(vacuous), true)]
     }
 
     #[test]
@@ -730,18 +700,7 @@ mod tests {
         let g = gen::complete(18);
         let members: Vec<usize> = (0..18).collect();
         let counts: Vec<usize> = (0..18).map(|v| 1 + v % 2).collect();
-        let run = |threads: usize| {
-            let mut rng = gen::seeded_rng(139);
-            random_walk_routing_with_counts_exec(
-                &g,
-                &members,
-                4,
-                &counts,
-                50_000,
-                &mut rng,
-                lcg_congest::ExecConfig::with_threads(threads),
-            )
-        };
+        let run = |threads: usize| route(&g, &members, 4, &counts, 50_000, 139, threads, None, false).0;
         let seq = run(1);
         assert!(seq.complete());
         for threads in [2, 4, 8] {
@@ -751,24 +710,23 @@ mod tests {
 
     #[test]
     fn walk_routing_exec_advances_caller_rng_identically() {
-        // the exec variant consumes exactly one draw from the caller's rng
-        // regardless of thread count, so downstream phases stay aligned
-        use rand::Rng;
+        // the router consumes exactly one draw from the caller's rng
+        // regardless of thread count, fault plan and edge tally, so
+        // downstream phases stay aligned
         let g = gen::complete(12);
         let members: Vec<usize> = (0..12).collect();
-        let after = |threads: usize| {
-            let mut rng = gen::seeded_rng(140);
-            let _ = random_walk_routing_exec(
-                &g,
-                &members,
-                0,
-                10_000,
-                &mut rng,
-                lcg_congest::ExecConfig::with_threads(threads),
-            );
-            rng.gen::<u64>()
+        let counts = vec![1usize; 12];
+        let vacuous = FaultPlan::none();
+        let after = |threads: usize, faults: Option<&FaultPlan>, track: bool| {
+            route(&g, &members, 0, &counts, 10_000, 140, threads, faults, track).2
         };
-        assert_eq!(after(1), after(8));
+        let want = after(1, None, false);
+        for (faults, track) in vacuous_combos(&vacuous) {
+            assert_eq!(after(1, faults, track), want);
+            assert_eq!(after(8, faults, track), want);
+        }
+        let lossy = FaultPlan::drops(9, 0.5);
+        assert_eq!(after(8, Some(&lossy), true), want);
     }
 
     #[test]
@@ -776,16 +734,12 @@ mod tests {
         let g = gen::grid(5, 5);
         let members: Vec<usize> = (0..25).collect();
         let counts = vec![1usize; 25];
-        let exec = lcg_congest::ExecConfig::with_threads(2);
-        let mut rng_a = gen::seeded_rng(141);
-        let plain = random_walk_routing_with_counts_exec(&g, &members, 12, &counts, 100_000, &mut rng_a, exec);
-        let mut rng_b = gen::seeded_rng(141);
-        let (traced, loads) =
-            random_walk_routing_with_counts_traced(&g, &members, 12, &counts, 100_000, &mut rng_b, exec);
+        let (plain, no_loads, draw_a) = route(&g, &members, 12, &counts, 100_000, 141, 2, None, false);
+        let (traced, loads, draw_b) = route(&g, &members, 12, &counts, 100_000, 141, 2, None, true);
         // tracing must not perturb the walk or the caller's rng
         assert_eq!(traced, plain);
-        use rand::Rng;
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        assert_eq!(draw_a, draw_b);
+        assert!(no_loads.is_empty(), "an untracked walk reports no loads");
         // loads: sorted by host edge id, all valid, words even (2 per crossing)
         assert!(!loads.is_empty());
         assert!(loads.windows(2).all(|w| w[0].0 < w[1].0));
@@ -798,19 +752,10 @@ mod tests {
 
     #[test]
     fn traced_walk_on_subcluster_maps_to_host_ids() {
-        let mut rng = gen::seeded_rng(142);
         let g = gen::grid(6, 4);
         let members: Vec<usize> = (0..24).filter(|v| v % 6 < 3).collect();
         let counts = vec![1usize; members.len()];
-        let (out, loads) = random_walk_routing_with_counts_traced(
-            &g,
-            &members,
-            0,
-            &counts,
-            200_000,
-            &mut rng,
-            lcg_congest::ExecConfig::sequential(),
-        );
+        let (out, loads, _) = route(&g, &members, 0, &counts, 200_000, 142, 1, None, true);
         assert!(out.complete());
         let member_set: std::collections::BTreeSet<usize> = members.iter().copied().collect();
         for &(e, _) in &loads {
@@ -824,24 +769,15 @@ mod tests {
         let g = gen::complete(14);
         let members: Vec<usize> = (0..14).collect();
         let counts = vec![1usize; 14];
-        let exec = lcg_congest::ExecConfig::with_threads(2);
-        let mut rng_a = gen::seeded_rng(150);
-        let plain = random_walk_routing_with_counts_exec(&g, &members, 5, &counts, 50_000, &mut rng_a, exec);
-        let mut rng_b = gen::seeded_rng(150);
-        let (faulty, _) = random_walk_routing_with_counts_faulty(
-            &g,
-            &members,
-            5,
-            &counts,
-            50_000,
-            &mut rng_b,
-            exec,
-            &FaultPlan::none(),
-            false,
-        );
-        assert_eq!(faulty, plain);
-        use rand::Rng;
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        let vacuous = FaultPlan::none();
+        let (plain, _, draw) = route(&g, &members, 5, &counts, 50_000, 150, 2, None, false);
+        let (_, plain_loads, _) = route(&g, &members, 5, &counts, 50_000, 150, 2, None, true);
+        for (faults, track) in vacuous_combos(&vacuous) {
+            let (out, loads, next) = route(&g, &members, 5, &counts, 50_000, 150, 2, faults, track);
+            assert_eq!(out, plain, "faults={} track={track}", faults.is_some());
+            assert_eq!(next, draw);
+            assert_eq!(loads, if track { plain_loads.clone() } else { Vec::new() });
+        }
     }
 
     #[test]
@@ -849,18 +785,8 @@ mod tests {
         let g = gen::complete(12);
         let members: Vec<usize> = (0..12).collect();
         let counts = vec![1usize; 12];
-        let mut rng = gen::seeded_rng(151);
-        let (out, _) = random_walk_routing_with_counts_faulty(
-            &g,
-            &members,
-            0,
-            &counts,
-            50_000,
-            &mut rng,
-            lcg_congest::ExecConfig::sequential(),
-            &FaultPlan::drops(9, 1.0),
-            false,
-        );
+        let plan = FaultPlan::drops(9, 1.0);
+        let (out, _, _) = route(&g, &members, 0, &counts, 50_000, 151, 1, Some(&plan), false);
         // every first crossing kills its token; only the leader's own
         // token (absorbed at launch) counts as delivered
         assert_eq!(out.delivered, 1);
@@ -874,23 +800,14 @@ mod tests {
         let members: Vec<usize> = (0..16).collect();
         let counts: Vec<usize> = (0..16).map(|v| 1 + v % 2).collect();
         let plan = FaultPlan::drops(0xFA, 0.2).with_link_failure(3, 0, 50);
-        let run = |threads: usize| {
-            let mut rng = gen::seeded_rng(152);
-            random_walk_routing_with_counts_faulty(
-                &g,
-                &members,
-                4,
-                &counts,
-                20_000,
-                &mut rng,
-                lcg_congest::ExecConfig::with_threads(threads),
-                &plan,
-                true,
-            )
-        };
-        let seq = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), seq, "{threads} threads diverged under faults");
+        for track in [false, true] {
+            let run = |threads: usize| {
+                route(&g, &members, 4, &counts, 20_000, 152, threads, Some(&plan), track)
+            };
+            let seq = run(1);
+            for threads in [2, 4] {
+                assert_eq!(run(threads), seq, "{threads} threads diverged under faults");
+            }
         }
     }
 

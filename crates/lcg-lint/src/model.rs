@@ -24,9 +24,9 @@
 //!   reductions) fire only inside this region, so the heavy float math in
 //!   the sequential spectral/walk code stays untouched.
 //! * **Protocol closures.** The argument regions of
-//!   `.step_state(`/`.run_state(`/`.exchange_state(`/`.exchange_rounds(`/
-//!   `.par_step(` calls are per-vertex protocol logic; C003 forbids
-//!   thread-topology reads there even outside `NodeProgram` files.
+//!   `.step_state(`/`.run_state(`/`.exchange_rounds(` calls are
+//!   per-vertex protocol logic; C003 forbids thread-topology reads there
+//!   even outside `NodeProgram` files.
 //! * **Proptest registry.** A `merge` impl is *registered* when some
 //!   test-context region mentions its type name together with `merge` and
 //!   one of `proptest`/`permutation`/`shuffle` — the C002 ratchet that
@@ -96,8 +96,7 @@ pub struct WorkspaceModel {
 }
 
 /// Step APIs whose closure arguments are per-vertex protocol logic.
-const STEP_APIS: &[&str] =
-    &[".step_state(", ".run_state(", ".exchange_state(", ".exchange_rounds(", ".par_step("];
+const STEP_APIS: &[&str] = &[".step_state(", ".run_state(", ".exchange_rounds("];
 
 /// The executor entry point that makes an item a batch origin.
 const BATCH_ENTRY: &str = "run_batch";

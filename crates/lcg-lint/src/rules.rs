@@ -582,11 +582,9 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
     findings
 }
 
-/// The sanctioned homes for cross-thread machinery (C001): the
-/// persistent worker pool's rendezvous lanes, and the profiling plane's
-/// global sample sink.
-const C001_WHITELIST: &[&str] =
-    &["congest/src/executor/pool.rs", "metrics/src/profile.rs"];
+/// The sanctioned home for cross-thread machinery (C001): the
+/// persistent worker pool's rendezvous lanes.
+const C001_WHITELIST: &[&str] = &["congest/src/executor/pool.rs"];
 
 /// The profiling plane's quarantine file: the one sanctioned reader of
 /// the wall clock (D003) in deterministic crates, and the only file
@@ -599,7 +597,7 @@ const PROFILE_QUARANTINE: &[&str] = &["metrics/src/profile.rs"];
 const O001_ORIGINS: &[&str] = &[
     "now_ns",
     "peak_rss_bytes",
-    "drain_exec_profile",
+    "exec_sink",
     "elapsed",
     "busy_ns",
     "wait_ns",
@@ -1516,8 +1514,10 @@ fn drive(net: &mut Net, states: &mut [S]) {
         assert_eq!(active(&lint("crates/metrics/src/registry.rs", clock), "D003").len(), 1);
         assert!(active(&lint("crates/metrics/src/profile.rs", clock), "D003").is_empty());
         let sync = "fn f() { let b = std::sync::atomic::AtomicBool::new(false); }\n";
+        // the executor sample sink is per run, so the quarantine file gets
+        // no pass on shared mutable state either
         assert_eq!(active(&lint("crates/metrics/src/lib.rs", sync), "C001").len(), 1);
-        assert!(active(&lint("crates/metrics/src/profile.rs", sync), "C001").is_empty());
+        assert_eq!(active(&lint("crates/metrics/src/profile.rs", sync), "C001").len(), 1);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!
 //! The quarantine is enforced statically: lcg-lint rule O001 rejects any
 //! flow of profiling-plane values into protocol, merge, or RNG-seeding
-//! code, and only `profile.rs` may touch the monotonic clock (D003) or
-//! the global sample sink (C001).
+//! code, and only `profile.rs` may touch the monotonic clock (D003).
 
 pub mod profile;
 pub mod registry;
@@ -32,9 +31,9 @@ use serde::{Deserialize, Serialize, Value};
 /// Live recorder: a deterministic [`Registry`] plus a profiling
 /// [`Profile`] advancing together through a run.
 ///
-/// Creating a recorder turns on executor sampling process-wide and clears
-/// any stale samples; [`Recorder::finish`] turns sampling back off and
-/// claims what accumulated. Attach at most one recorder per run.
+/// The recorder owns the executor sample sink of its run
+/// ([`Recorder::exec_sink`]): worker-pool batches sample iff they are
+/// handed one, so recorders of concurrent runs never share samples.
 #[derive(Debug)]
 pub struct Recorder {
     label: String,
@@ -46,8 +45,6 @@ impl Recorder {
     /// Starts recording under a report label (e.g. `"framework"`).
     #[must_use]
     pub fn new(label: &str) -> Recorder {
-        let _stale = profile::drain_exec_profile();
-        profile::set_exec_sampling(true);
         Recorder { label: label.to_string(), registry: Registry::new(), prof: Profile::start() }
     }
 
@@ -85,6 +82,13 @@ impl Recorder {
         self.prof.phase_end(name);
     }
 
+    /// The profiling plane's executor sample sink: the round engine hands
+    /// it to the worker-pool batches it runs while this recorder is
+    /// attached.
+    pub fn exec_sink(&mut self) -> &mut ExecProfile {
+        &mut self.prof.exec
+    }
+
     /// The deterministic registry recorded so far.
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -110,7 +114,6 @@ impl Recorder {
     /// Stops recording and produces the final two-plane report.
     #[must_use]
     pub fn finish(self) -> Report {
-        profile::set_exec_sampling(false);
         Report {
             schema: Report::SCHEMA,
             label: self.label,

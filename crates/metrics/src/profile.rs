@@ -5,17 +5,17 @@
 //! to answer "how fast / how big", never "what happened": no value
 //! produced here may influence protocol state, merge order, or RNG
 //! seeding. That quarantine is enforced statically by lcg-lint rule O001,
-//! and this file is the single sanctioned carve-out from rules D003
-//! (wall-clock in deterministic crates) and C001 (shared mutable state):
-//! the monotonic clock and the global executor-sample sink live here and
-//! nowhere else.
+//! and this file is the single sanctioned carve-out from rule D003
+//! (wall-clock in deterministic crates): the monotonic clock and the
+//! `VmHWM` read live here and nowhere else. Executor samples are per run —
+//! each [`Profile`] owns the [`ExecProfile`] its batches deposit into — so
+//! concurrent recorders in one process never see each other's workers.
 //!
 //! Golden tests strip the `profile` section of a metrics report before
 //! comparing, so nothing in this module can ever force a re-blessing.
 
 use serde::{Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -24,7 +24,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 ///
 /// This is the only clock the workspace's deterministic crates may touch,
 /// and only from observer-side code: the executor pool calls it to sample
-/// per-worker busy/wait time when [`exec_sampling_enabled`] says so.
+/// per-worker busy/wait time when a batch is handed an [`ExecProfile`].
 #[must_use]
 pub fn now_ns() -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
@@ -94,6 +94,25 @@ pub struct ExecProfile {
     pub batches: u64,
 }
 
+impl ExecProfile {
+    /// Deposits one batch's per-worker samples.
+    ///
+    /// Index-aligned: `samples[i]` accumulates into worker slot `i`, growing
+    /// the slot vector on first contact.
+    pub fn record_batch(&mut self, samples: &[WorkerSample]) {
+        if samples.is_empty() {
+            return;
+        }
+        if self.workers.len() < samples.len() {
+            self.workers.resize(samples.len(), WorkerSample::default());
+        }
+        for (slot, s) in self.workers.iter_mut().zip(samples) {
+            slot.accumulate(s);
+        }
+        self.batches += 1;
+    }
+}
+
 impl Serialize for ExecProfile {
     fn to_value(&self) -> Value {
         Value::object([
@@ -111,49 +130,6 @@ impl Deserialize for ExecProfile {
             batches: u64::from_value(field("batches")?)?,
         })
     }
-}
-
-static SAMPLING: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<ExecProfile> = Mutex::new(ExecProfile { workers: Vec::new(), batches: 0 });
-
-/// Turns executor sampling on or off process-wide.
-///
-/// The pool's workers check [`exec_sampling_enabled`] once per batch; when
-/// off (the default) the hot path performs zero clock reads.
-pub fn set_exec_sampling(on: bool) {
-    SAMPLING.store(on, Ordering::Relaxed);
-}
-
-/// Whether the executor pool should record per-worker timing this batch.
-#[inline]
-#[must_use]
-pub fn exec_sampling_enabled() -> bool {
-    SAMPLING.load(Ordering::Relaxed)
-}
-
-/// Deposits one batch's per-worker samples into the global sink.
-///
-/// Index-aligned: `samples[i]` accumulates into worker slot `i`, growing
-/// the slot vector on first contact.
-pub fn record_batch(samples: &[WorkerSample]) {
-    if samples.is_empty() {
-        return;
-    }
-    let mut sink = SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if sink.workers.len() < samples.len() {
-        sink.workers.resize(samples.len(), WorkerSample::default());
-    }
-    for (slot, s) in sink.workers.iter_mut().zip(samples) {
-        slot.accumulate(s);
-    }
-    sink.batches += 1;
-}
-
-/// Takes the accumulated executor profile, leaving the sink empty.
-#[must_use]
-pub fn drain_exec_profile() -> ExecProfile {
-    let mut sink = SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::mem::take(&mut *sink)
 }
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
@@ -211,13 +187,16 @@ pub struct Profile {
     started_ns: u64,
     open: Vec<(String, u64)>,
     phases: Vec<PhaseTiming>,
+    /// Where the executor batches this profile observes deposit their
+    /// per-worker samples.
+    pub exec: ExecProfile,
 }
 
 impl Profile {
     /// Starts a profile whose total wall time begins now.
     #[must_use]
     pub fn start() -> Profile {
-        Profile { started_ns: now_ns(), open: Vec::new(), phases: Vec::new() }
+        Profile { started_ns: now_ns(), ..Profile::default() }
     }
 
     /// Opens a named phase timer.
@@ -236,15 +215,15 @@ impl Profile {
         self.phases.push(PhaseTiming { name, wall_ns: now_ns().saturating_sub(t0) });
     }
 
-    /// Finalizes: total wall time, peak RSS, finished phases, and whatever
-    /// the executor sink accumulated since the profile started.
+    /// Finalizes: total wall time, peak RSS, finished phases, and the
+    /// executor samples deposited since the profile started.
     #[must_use]
     pub fn finish(self) -> ProfileReport {
         ProfileReport {
             wall_ns: now_ns().saturating_sub(self.started_ns),
             peak_rss_bytes: peak_rss_bytes(),
             phases: self.phases,
-            exec: drain_exec_profile(),
+            exec: self.exec,
         }
     }
 }
@@ -313,23 +292,26 @@ mod tests {
     }
 
     #[test]
-    fn sink_accumulates_index_aligned_and_drains() {
-        // Tests share the global sink, so assert on deltas of our own
-        // deposits rather than absolute contents.
-        let before = drain_exec_profile();
-        record_batch(&[WorkerSample { busy_ns: 10, wait_ns: 5, jobs: 1 }]);
-        record_batch(&[
+    fn sink_accumulates_index_aligned() {
+        let mut sink = ExecProfile::default();
+        sink.record_batch(&[]); // an empty batch is not a batch
+        sink.record_batch(&[WorkerSample { busy_ns: 10, wait_ns: 5, jobs: 1 }]);
+        sink.record_batch(&[
             WorkerSample { busy_ns: 1, wait_ns: 1, jobs: 1 },
             WorkerSample { busy_ns: 2, wait_ns: 2, jobs: 2 },
         ]);
-        let drained = drain_exec_profile();
-        assert!(drained.workers.len() >= 2);
-        assert!(drained.batches >= 2);
-        assert!(drained.workers[0].jobs >= 2, "slot 0 took both deposits");
-        // restore anything another test had in flight
-        record_batch(&before.workers);
-        let empty = ExecProfile::default();
-        assert_eq!(empty.workers.len(), 0);
+        assert_eq!(sink.batches, 2);
+        assert_eq!(
+            sink.workers,
+            [
+                WorkerSample { busy_ns: 11, wait_ns: 6, jobs: 2 },
+                WorkerSample { busy_ns: 2, wait_ns: 2, jobs: 2 },
+            ]
+        );
+        // the profile that owns the sink reports exactly these samples
+        let mut p = Profile::start();
+        p.exec = sink.clone();
+        assert_eq!(p.finish().exec, sink);
     }
 
     #[test]

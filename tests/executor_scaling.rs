@@ -90,8 +90,8 @@ fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>
     let members: Vec<usize> = (0..g.n()).collect();
     let counts: Vec<usize> = (0..g.n()).map(|v| 1 + v % 3).collect();
     let mut rng = gen::seeded_rng(0x5CA2);
-    let (out, loads) = routing::random_walk_routing_with_counts_traced(
-        &g, &members, 0, &counts, 100_000, &mut rng, exec,
+    let (out, loads) = routing::charged_walk_routing(
+        &g, &members, 0, &counts, 100_000, &mut rng, exec, None, true,
     );
     assert!(out.complete());
     (out, loads)

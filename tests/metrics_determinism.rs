@@ -82,6 +82,42 @@ fn profile_plane_observes_real_time_and_memory() {
     );
 }
 
+/// Executor samples are per run, not per process: eight metered framework
+/// runs overlapping on eight threads, each with its own forced worker
+/// count, must each report exactly their own workers — a shared sink would
+/// show the widest run's slot count (or nothing, after a sibling drained
+/// it) in the others.
+#[test]
+fn concurrent_metered_runs_keep_their_own_executor_samples() {
+    let counts: Vec<usize> = (2..=9).collect();
+    let start = std::sync::Barrier::new(counts.len());
+    let reports: Vec<(usize, Report)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = counts
+            .iter()
+            .map(|&threads| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (threads, metered_run(threads))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("metered run panicked")).collect()
+    });
+    let baseline = reports[0].1.deterministic_json();
+    for (threads, report) in &reports {
+        let exec = &report.profile.exec;
+        assert_eq!(exec.workers.len(), *threads, "run forced to {threads} workers: {exec:?}");
+        assert!(exec.batches > 0, "the {threads}-worker run sampled no batch");
+        assert!(
+            exec.workers.iter().all(|w| w.jobs > 0),
+            "every one of the {threads} workers ran jobs: {:?}",
+            exec.workers
+        );
+        assert_eq!(report.deterministic_json(), baseline, "deterministic plane at {threads} threads");
+    }
+}
+
 /// Metrics off is the historical engine, bit for bit: stats, phases,
 /// and clustering all agree with a metrics-on run of the same instance,
 /// and no report is attached. This is the zero-re-blessing guarantee

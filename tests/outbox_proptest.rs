@@ -55,7 +55,7 @@ proptest! {
         let run = |threads: usize| {
             panic_message(AssertUnwindSafe(|| {
                 let mut net = Network::with_exec(&g, model, ExecConfig::with_threads(threads));
-                net.par_step(|v, _inbox, out| {
+                net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
                     if v == bad {
                         out.send(0, vec![7; cap + extra]);
                     } else {
@@ -87,7 +87,7 @@ proptest! {
             panic_message(AssertUnwindSafe(|| {
                 let mut net =
                     Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
-                net.par_step(|v, _inbox, out| {
+                net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
                     out.send(0, [1]);
                     if v == bad {
                         out.send(0, [2]);
@@ -120,7 +120,7 @@ proptest! {
         let run = |threads: usize| {
             let mut net = Network::with_exec(&g, model, ExecConfig::with_threads(threads));
             for _ in 0..rounds {
-                net.par_step(|v, _inbox, out| {
+                net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
                     for p in 0..out.ports() {
                         out.send(p, vec![v as u64; cap]);
                     }

@@ -118,9 +118,10 @@ fn mis_pipeline_thread_invariant() {
                 break;
             }
             // round A: undecided vertices draw and exchange priorities
-            net.exchange_state(
+            net.exchange_rounds(
+                1,
                 &mut vs,
-                |s, _v, out| {
+                |s, _round, _v, out| {
                     if s.state == St::Undecided {
                         s.priority = s.rng.gen::<u64>() | 1;
                         for p in 0..out.ports() {
@@ -128,18 +129,20 @@ fn mis_pipeline_thread_invariant() {
                         }
                     }
                 },
-                |s, _v, inbox| {
+                |s, _round, _v, inbox| {
                     if s.state == St::Undecided
                         && inbox.iter().flatten().all(|m| m[0] < s.priority)
                     {
                         s.state = St::In;
                     }
                 },
+                |_| false,
             );
             // round B: winners announce; their neighbors drop out
-            net.exchange_state(
+            net.exchange_rounds(
+                1,
                 &mut vs,
-                |s, _v, out| {
+                |s, _round, _v, out| {
                     if s.state == St::In && s.priority != 0 {
                         s.priority = 0; // announce only once
                         for p in 0..out.ports() {
@@ -147,11 +150,12 @@ fn mis_pipeline_thread_invariant() {
                         }
                     }
                 },
-                |s, _v, inbox| {
+                |s, _round, _v, inbox| {
                     if s.state == St::Undecided && inbox.iter().flatten().next().is_some() {
                         s.state = St::Out;
                     }
                 },
+                |_| false,
             );
         }
         (vs.iter().map(|v| v.state == St::In).collect(), net.stats())

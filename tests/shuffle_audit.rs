@@ -45,7 +45,7 @@ fn assert_matches_golden(name: &str, threads: usize, got: &RoundStats) {
 }
 
 /// BFS flood via `step_state` (one-round batches through
-/// `compose_outboxes`), identical to the golden_stats workload.
+/// `step_batch`), identical to the golden_stats workload.
 fn flood_stats(g: &Graph, exec: ExecConfig) -> RoundStats {
     let mut net = Network::with_exec(g, Model::congest(), exec);
     let mut informed = vec![false; g.n()];
@@ -68,7 +68,7 @@ fn flood_stats(g: &Graph, exec: ExecConfig) -> RoundStats {
 }
 
 /// The golden flood workloads replay byte-identically with the shuffle
-/// auditor cross-checking every `compose_outboxes` merge.
+/// auditor cross-checking every `step_batch` merge.
 #[test]
 fn golden_floods_are_byte_identical_under_shuffle_audit() {
     let cycle = gen::cycle(64);
