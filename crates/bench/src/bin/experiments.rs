@@ -28,7 +28,7 @@
 
 use std::io::Write;
 
-use lcg_bench::{experiments, Scale};
+use lcg_bench::{experiments, Opts, Scale};
 
 const USAGE: &str = "\
 usage: experiments [IDS...] [OPTIONS]
@@ -46,12 +46,12 @@ usage: experiments [IDS...] [OPTIONS]
                       report to stderr; with no IDS, run only that run
   --faults P          inject seeded i.i.d. message drops with probability P
                       into the traced run (fault events land in the trace)
-  --fault-seed S      fault-schedule seed for --faults and E20
+  --fault-seed S      fault-schedule seed for --faults, E20 and E24
                       (default 0xFA17)
-  --retry-budget N    max retries of the self-healing harness in E20
-                      (default 3)
+  --retry-budget N    max retries of the self-healing harness in E20 and
+                      the supervised run (default 3)
   --checkpoint-every K  engine-plane checkpoint cadence in rounds for E24
-                      and the supervised run (default 8)
+                      (default 8)
   --kill-at-round R   inject a deterministic crash at round R in E24's
                       engine plane (default: half the run)
   --resume-from DIR   run the framework under the kill-and-resume
@@ -59,7 +59,35 @@ usage: experiments [IDS...] [OPTIONS]
                       snapshots already there (the cross-process resume
                       path); prints the checkpoint.* counters to stderr.
                       With no IDS, run only the supervised run
+  --scale-n N         vertex count of E25 (default 10^5 quick, 10^6 full)
+  --e25-metrics PATH  write E25's framework-row metrics.json to PATH
   -h, --help          print this help";
+
+/// The value after `name` on the command line, parsed; `None` when the flag
+/// is absent.
+///
+/// # Panics
+///
+/// Panics, naming the flag, when the value has the wrong shape.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
+    let v = args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))?;
+    Some(v.parse().unwrap_or_else(|_| panic!("{name} expects {what}, got `{v}`")))
+}
+
+/// The experiment ids: every flag but `--quick` takes the argument after it
+/// as its value, what is left over names experiments.
+fn ids(args: &[String]) -> Vec<&str> {
+    let mut ids = Vec::new();
+    let mut is_value = false;
+    for a in args {
+        let is_flag = a.starts_with("--");
+        if !is_flag && !is_value {
+            ids.push(a.as_str());
+        }
+        is_value = is_flag && a != "--quick";
+    }
+    ids
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,101 +95,62 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    // what experiments read
+    let opts = Opts {
+        scale: if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full },
+        fault_seed: flag(&args, "--fault-seed", "a number").unwrap_or(0xFA17),
+        retry_budget: flag(&args, "--retry-budget", "a number").unwrap_or(3),
+        checkpoint_every: flag(&args, "--checkpoint-every", "a round count").unwrap_or(8),
+        kill_at_round: flag(&args, "--kill-at-round", "a round number"),
+        scale_n: flag(&args, "--scale-n", "a vertex count"),
+        e25_metrics: flag(&args, "--e25-metrics", "a path"),
     };
-    let json_dir = flag_value("--json");
-    let threads = flag_value("--threads");
-    let trace_path = flag_value("--trace");
-    let metrics_path = flag_value("--metrics");
-    let trace_top_k: usize = flag_value("--trace-top-k")
-        .map(|v| v.parse().expect("--trace-top-k expects a number"))
-        .unwrap_or(10);
-    let fault_drop: Option<f64> = flag_value("--faults")
-        .map(|v| v.parse().expect("--faults expects a probability in [0,1]"));
-    let fault_seed: u64 = flag_value("--fault-seed")
-        .map(|v| v.parse().expect("--fault-seed expects a number"))
-        .unwrap_or(0xFA17);
-    if let Some(t) = &threads {
-        // ExecConfig::from_env reads this everywhere a Network is built
+    // what only this binary reads
+    let json_dir: Option<String> = flag(&args, "--json", "a directory");
+    let trace_path: Option<String> = flag(&args, "--trace", "a path");
+    let trace_top_k = flag(&args, "--trace-top-k", "a number").unwrap_or(10);
+    let metrics_path: Option<String> = flag(&args, "--metrics", "a path");
+    let resume_from: Option<String> = flag(&args, "--resume-from", "a directory");
+    let faults = flag(&args, "--faults", "a probability in [0,1]")
+        .map(|p: f64| lcg_congest::FaultPlan::drops(opts.fault_seed, p));
+    if let Some(t) = flag::<String>(&args, "--threads", "a thread count") {
+        // the one flag that travels by environment: `ExecConfig::from_env`
+        // reads it wherever a library entry point builds a Network
         std::env::set_var("LCG_THREADS", t);
     }
-    // E20 reads these the same way --threads travels via LCG_THREADS
-    std::env::set_var("LCG_FAULT_SEED", fault_seed.to_string());
-    if let Some(b) = flag_value("--retry-budget") {
-        let _: u32 = b.parse().expect("--retry-budget expects a number");
-        std::env::set_var("LCG_RETRY_BUDGET", b);
-    }
-    // E24 reads these; see crates/bench/src/experiments/e24_checkpoint.rs
-    if let Some(k) = flag_value("--checkpoint-every") {
-        let _: u64 = k.parse().expect("--checkpoint-every expects a round count");
-        std::env::set_var("LCG_CHECKPOINT_EVERY", k);
-    }
-    if let Some(r) = flag_value("--kill-at-round") {
-        let _: u64 = r.parse().expect("--kill-at-round expects a round number");
-        std::env::set_var("LCG_KILL_AT", r);
-    }
-    let resume_from = flag_value("--resume-from");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    let flags_with_value = [
-        "--json",
-        "--threads",
-        "--trace",
-        "--trace-top-k",
-        "--metrics",
-        "--faults",
-        "--fault-seed",
-        "--retry-budget",
-        "--checkpoint-every",
-        "--kill-at-round",
-        "--resume-from",
-    ];
-    let selected: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !a.starts_with("--"))
-        .filter(|(i, _)| {
-            // skip values consumed by the flag immediately before them
-            *i == 0 || !flags_with_value.contains(&args[i - 1].as_str())
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
+    let selected = ids(&args);
+    let scale = opts.scale;
 
     if let Some(path) = &trace_path {
-        run_traced(path, trace_top_k, scale, fault_drop, fault_seed);
+        run_traced(path, trace_top_k, scale, faults.clone());
         if selected.is_empty() && metrics_path.is_none() {
             return;
         }
     }
 
     if let Some(path) = &metrics_path {
-        run_metrics(path, scale, fault_drop, fault_seed);
+        run_metrics(path, scale, faults.clone());
         if selected.is_empty() && resume_from.is_none() {
             return;
         }
     }
 
     if let Some(dir) = &resume_from {
-        run_checkpointed(dir, scale, fault_drop, fault_seed);
+        run_checkpointed(dir, &opts, faults);
         if selected.is_empty() {
             return;
         }
     }
 
-    let registry = experiments::all();
-    let run_all = selected.is_empty() || selected.iter().any(|s| s == "all");
+    let run_all = selected.is_empty() || selected.contains(&"all");
     let mut ran = 0;
-    for (id, f) in &registry {
-        if !run_all && !selected.iter().any(|s| s == id) {
+    for (id, f) in &experiments::all() {
+        if !run_all && !selected.contains(id) {
             continue;
         }
         eprintln!(">>> running {id} ({scale:?})...");
         let started = std::time::Instant::now();
-        let tables = f(scale);
+        let tables = f(&opts);
         for t in &tables {
             t.print();
             if let Some(dir) = &json_dir {
@@ -180,25 +169,25 @@ fn main() {
     }
 }
 
+/// The planar instance the three framework runs below share (with the one
+/// fault plan `main` builds), so their reports describe the same execution.
+fn planar_instance(scale: Scale) -> lcg_graph::Graph {
+    let n = scale.pick(200, 2_000);
+    lcg_graph::gen::random_planar(n, 0.5, &mut lcg_graph::gen::seeded_rng(42))
+}
+
 /// One fully traced framework run on a planar instance, sized by `scale`.
 /// With `--faults P`, a seeded drop schedule is injected and its events
 /// land in the trace (and the report's fault section).
-fn run_traced(path: &str, top_k: usize, scale: Scale, fault_drop: Option<f64>, fault_seed: u64) {
-    use lcg_congest::FaultPlan;
+fn run_traced(path: &str, top_k: usize, scale: Scale, faults: Option<lcg_congest::FaultPlan>) {
     use lcg_core::framework::{run_framework, FrameworkConfig};
-    use lcg_graph::gen;
 
-    let n = match scale {
-        Scale::Quick => 200,
-        Scale::Full => 2_000,
-    };
-    eprintln!(">>> running traced framework (n={n}, top-k {top_k})...");
-    let mut rng = gen::seeded_rng(42);
-    let g = gen::random_planar(n, 0.5, &mut rng);
+    let g = planar_instance(scale);
+    eprintln!(">>> running traced framework (n={}, top-k {top_k})...", g.n());
     let cfg = FrameworkConfig {
         trace: true,
         trace_top_k: top_k,
-        faults: fault_drop.map(|p| FaultPlan::drops(fault_seed, p)),
+        faults,
         ..FrameworkConfig::planar(0.3, 42)
     };
     let out = run_framework(&g, &cfg);
@@ -212,34 +201,17 @@ fn run_traced(path: &str, top_k: usize, scale: Scale, fault_drop: Option<f64>, f
 /// attempt boundary and resuming any compatible snapshots already there —
 /// kill the process mid-run and invoke it again with the same `--resume-from`
 /// to watch the cross-process resume path lose at most one attempt.
-fn run_checkpointed(dir: &str, scale: Scale, fault_drop: Option<f64>, fault_seed: u64) {
-    use lcg_congest::FaultPlan;
+fn run_checkpointed(dir: &str, opts: &Opts, faults: Option<lcg_congest::FaultPlan>) {
     use lcg_core::framework::FrameworkConfig;
     use lcg_core::recovery::RecoveryPolicy;
     use lcg_core::supervisor::{run_framework_checkpointed, CheckpointConfig};
-    use lcg_graph::gen;
 
-    let n = match scale {
-        Scale::Quick => 200,
-        Scale::Full => 2_000,
-    };
-    eprintln!(">>> running checkpointed framework (n={n}, dir={dir})...");
-    let mut rng = gen::seeded_rng(42);
-    let g = gen::random_planar(n, 0.5, &mut rng);
-    let cfg = FrameworkConfig {
-        metrics: true,
-        faults: fault_drop.map(|p| FaultPlan::drops(fault_seed, p)),
-        ..FrameworkConfig::planar(0.3, 42)
-    };
+    let g = planar_instance(opts.scale);
+    eprintln!(">>> running checkpointed framework (n={}, dir={dir})...", g.n());
+    let cfg = FrameworkConfig { metrics: true, faults, ..FrameworkConfig::planar(0.3, 42) };
     let policy = RecoveryPolicy {
-        max_retries: std::env::var("LCG_RETRY_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3),
-        initial_walk_steps: match scale {
-            Scale::Quick => 20_000,
-            Scale::Full => 200_000,
-        },
+        max_retries: opts.retry_budget,
+        initial_walk_steps: opts.scale.pick(20_000, 200_000),
     };
     let ckpt = CheckpointConfig::new(dir);
     let (outcome, recovery, sup) =
@@ -261,26 +233,39 @@ fn run_checkpointed(dir: &str, scale: Scale, fault_drop: Option<f64>, fault_seed
 /// `scale`. The same instance and seed as the traced run, so the two
 /// reports describe the same execution. Writes the full two-plane report
 /// to `path` and renders it to stderr.
-fn run_metrics(path: &str, scale: Scale, fault_drop: Option<f64>, fault_seed: u64) {
-    use lcg_congest::FaultPlan;
+fn run_metrics(path: &str, scale: Scale, faults: Option<lcg_congest::FaultPlan>) {
     use lcg_core::framework::{run_framework, FrameworkConfig};
-    use lcg_graph::gen;
 
-    let n = match scale {
-        Scale::Quick => 200,
-        Scale::Full => 2_000,
-    };
-    eprintln!(">>> running metrics-recorded framework (n={n})...");
-    let mut rng = gen::seeded_rng(42);
-    let g = gen::random_planar(n, 0.5, &mut rng);
-    let cfg = FrameworkConfig {
-        metrics: true,
-        faults: fault_drop.map(|p| FaultPlan::drops(fault_seed, p)),
-        ..FrameworkConfig::planar(0.3, 42)
-    };
+    let g = planar_instance(scale);
+    eprintln!(">>> running metrics-recorded framework (n={})...", g.n());
+    let cfg = FrameworkConfig { metrics: true, faults, ..FrameworkConfig::planar(0.3, 42) };
     let out = run_framework(&g, &cfg);
     let report = out.metrics.expect("metrics: true always yields a report");
     std::fs::write(path, report.to_json()).expect("write metrics file");
     eprintln!("{}", lcg_metrics::report::render(&report));
     eprintln!("<<< metrics written to {path}\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split(' ').map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_take_the_next_argument_and_the_rest_are_ids() {
+        let a = args("e20 --quick e24 --fault-seed 7 --json out all");
+        assert_eq!(ids(&a), ["e20", "e24", "all"]);
+        assert_eq!(flag::<u64>(&a, "--fault-seed", "a number"), Some(7));
+        assert_eq!(flag::<String>(&a, "--json", "a directory").as_deref(), Some("out"));
+        assert_eq!(flag::<u64>(&a, "--kill-at-round", "a round number"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--retry-budget expects a number, got `many`")]
+    fn a_malformed_value_names_its_flag() {
+        flag::<u32>(&args("e20 --retry-budget many"), "--retry-budget", "a number");
+    }
 }

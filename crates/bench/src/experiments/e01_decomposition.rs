@@ -6,11 +6,11 @@ use lcg_expander::decomp;
 use lcg_graph::gen;
 
 use crate::workloads::Family;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E1.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let sizes: &[usize] = scale.pick(&[256, 1024][..], &[256, 1024, 4096, 16384][..]);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let sizes: &[usize] = opts.scale.pick(&[256, 1024][..], &[256, 1024, 4096, 16384][..]);
     let epsilons = [0.1, 0.2, 0.4];
     let mut t = Table::new(
         "E1",

@@ -10,7 +10,7 @@ use lcg_expander::decomp;
 use lcg_graph::{gen, Graph};
 
 use crate::workloads::Family;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// min over non-singleton clusters of Δ_i / (φ²·|V_i|) with φ = the
 /// decomposition's per-cluster conductance estimate.
@@ -30,8 +30,8 @@ fn min_degree_ratio(g: &Graph, d: &decomp::ExpanderDecomposition) -> Option<f64>
 }
 
 /// Runs E2.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let sizes: &[usize] = scale.pick(&[256, 1024][..], &[256, 1024, 4096][..]);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let sizes: &[usize] = opts.scale.pick(&[256, 1024][..], &[256, 1024, 4096][..]);
     let mut t = Table::new(
         "E2",
         "Lemma 2.3: min over clusters of Δ_i/(φ²·|V_i|) stays Ω(1) on minor-free families",

@@ -7,10 +7,11 @@ use lcg_expander::{routing, spectral};
 use lcg_graph::gen;
 
 use crate::workloads::wheel;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E3.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let sizes: &[usize] = scale.pick(&[64, 256][..], &[64, 256, 1024, 4096][..]);
     let mut t = Table::new(
         "E3",

@@ -8,10 +8,11 @@ use lcg_graph::gen;
 use lcg_solvers::mis;
 
 use crate::workloads::Family;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E4.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let n = scale.pick(120, 220);
     let trials = scale.pick(2, 3);
     let mut t = Table::new(

@@ -8,10 +8,11 @@ use lcg_graph::gen;
 use lcg_solvers::matching;
 
 use crate::workloads::pendant_planar;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E5.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let trials = scale.pick(2, 3);
     let mut t = Table::new(
         "E5",

@@ -8,11 +8,11 @@ use lcg_graph::gen;
 use lcg_solvers::mwm;
 
 use crate::workloads::Family;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E6.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let n = scale.pick(100, 200);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let n = opts.scale.pick(100, 200);
     let mut t = Table::new(
         "E6",
         "Theorem 1.1: (1−ε)-MWM ratio vs exact optimum across weight ranges",

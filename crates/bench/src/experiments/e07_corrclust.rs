@@ -6,10 +6,11 @@ use lcg_core::apps::corrclust as app;
 use lcg_graph::gen;
 use lcg_solvers::corrclust;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E7.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let mut rng = gen::seeded_rng(0xE7);
 
     // small instances: ratio against the exact optimum

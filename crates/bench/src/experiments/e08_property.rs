@@ -5,10 +5,11 @@
 use lcg_core::apps::property_testing::{test_property, TestedProperty};
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E8.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let trials = scale.pick(3u64, 10u64);
     let n = scale.pick(150, 400);
     let mut t = Table::new(

@@ -6,10 +6,11 @@
 use lcg_core::apps::ldd;
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E9.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let sizes: &[usize] = scale.pick(&[256, 576][..], &[256, 1024, 2500][..]);
     let mut t = Table::new(
         "E9",

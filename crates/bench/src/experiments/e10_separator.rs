@@ -6,11 +6,11 @@
 use lcg_graph::{gen, separator};
 
 use crate::workloads::Family;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E10.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let sizes: &[usize] = scale.pick(&[64, 256, 1024][..], &[64, 256, 1024, 4096, 16384][..]);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let sizes: &[usize] = opts.scale.pick(&[64, 256, 1024][..], &[64, 256, 1024, 4096, 16384][..]);
     let mut t = Table::new(
         "E10",
         "Theorem 1.6: balanced edge separators; quality = |∂S|/√(Δn) bounded on minor-free families",

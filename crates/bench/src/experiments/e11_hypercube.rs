@@ -6,11 +6,11 @@
 use lcg_expander::{decomp, spectral, walks};
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E11.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let dims: &[u32] = scale.pick(&[4, 6][..], &[4, 6, 8, 10][..]);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let dims: &[u32] = opts.scale.pick(&[4, 6][..], &[4, 6, 8, 10][..]);
     let mut t = Table::new(
         "E11",
         "hypercube tightness: Φ(Q_d)·d ≈ const; after decomposition min cluster φ·log n stays bounded",

@@ -8,7 +8,7 @@ use lcg_congest::{Model, Network};
 use lcg_core::framework::{run_framework, FrameworkConfig};
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Naive LOCAL gathering: r rounds of full-knowledge flooding; returns
 /// (rounds, max words on any edge in any round).
@@ -44,8 +44,8 @@ fn local_gather(g: &lcg_graph::Graph, radius: usize) -> (u64, usize) {
 }
 
 /// Runs E12.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let sizes: &[usize] = scale.pick(&[100, 200][..], &[100, 200, 400, 800][..]);
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let sizes: &[usize] = opts.scale.pick(&[100, 200][..], &[100, 200, 400, 800][..]);
     let mut t = Table::new(
         "E12",
         "LOCAL vs CONGEST: per-edge words of naive topology gathering vs the framework (planar)",

@@ -7,10 +7,11 @@ use lcg_graph::gen;
 use lcg_solvers::{mds as seq_mds, wmis};
 use rand::Rng;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E13.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let mut rng = gen::seeded_rng(0xE13);
     let trials = scale.pick(2u64, 3u64);
 

@@ -10,10 +10,10 @@ use lcg_core::framework::{run_framework, FrameworkConfig};
 use lcg_graph::gen;
 use lcg_solvers::mis;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E14.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         "E14",
         "ablation: paper φ vs adaptive φ in the Theorem 2.6 framework (planar, ε = 0.3)",
@@ -25,7 +25,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut rng = gen::seeded_rng(0xE14);
     // ratio column only where the exact reference is cheap (n ≤ 200);
     // the structural columns are the point of the ablation.
-    let sizes: &[usize] = scale.pick(&[150][..], &[150, 1024][..]);
+    let sizes: &[usize] = opts.scale.pick(&[150][..], &[150, 1024][..]);
     for &n in sizes {
         let g = gen::stacked_triangulation(n, &mut rng);
         let opt = if n <= 200 {

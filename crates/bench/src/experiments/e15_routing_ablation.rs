@@ -6,10 +6,10 @@
 use lcg_core::framework::{run_framework, FrameworkConfig};
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E15.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         "E15",
         "ablation: random-walk (Lemma 2.4) vs deterministic tree routing in the gathering phase",
@@ -19,7 +19,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     let mut rng = gen::seeded_rng(0xE15);
-    let sizes: &[usize] = scale.pick(&[150][..], &[150, 400, 800][..]);
+    let sizes: &[usize] = opts.scale.pick(&[150][..], &[150, 400, 800][..]);
     for &n in sizes {
         let g = gen::stacked_triangulation(n, &mut rng);
         for det in [false, true] {

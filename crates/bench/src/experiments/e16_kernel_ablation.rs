@@ -10,7 +10,7 @@ use lcg_graph::gen;
 use lcg_solvers::matching;
 
 use crate::workloads::pendant_planar;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// MCM pipeline with the kernelization skipped: the naive §3.1-style
 /// recipe (decompose with ε' = ε, per-cluster optimum, union) that does
@@ -29,7 +29,7 @@ fn mcm_without_kernel(g: &lcg_graph::Graph, epsilon: f64, seed: u64) -> usize {
 }
 
 /// Runs E16.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         "E16",
         "ablation: Theorem 3.2 with vs without the Lemma 3.1 star-elimination kernel (ε = 0.5)",
@@ -38,7 +38,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     let mut rng = gen::seeded_rng(0xE16);
-    let core = scale.pick(60usize, 100);
+    let core = opts.scale.pick(60usize, 100);
     for &pend in &[0usize, 2, 5] {
         let pendants = core * pend;
         let g = pendant_planar(core, pendants, &mut rng);

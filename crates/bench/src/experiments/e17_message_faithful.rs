@@ -10,10 +10,11 @@ use lcg_expander::routing;
 use lcg_graph::gen;
 
 use crate::workloads::wheel;
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E17.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let mut t = Table::new(
         "E17",
         "charged vs message-faithful routing cost (same workload, independent randomness)",

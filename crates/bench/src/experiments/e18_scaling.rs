@@ -8,10 +8,10 @@
 use lcg_core::framework::{run_framework, FrameworkConfig};
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Runs E18.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         "E18",
         "framework round scaling on maximal planar inputs (ε = 0.3, walk routing)",
@@ -21,7 +21,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     let mut rng = gen::seeded_rng(0xE18);
-    let sizes: &[usize] = scale.pick(&[256, 1024][..], &[256, 1024, 4096][..]);
+    let sizes: &[usize] = opts.scale.pick(&[256, 1024][..], &[256, 1024, 4096][..]);
     for &n in sizes {
         let g = gen::stacked_triangulation(n, &mut rng);
         let fw = run_framework(&g, &FrameworkConfig::planar(0.3, 2));

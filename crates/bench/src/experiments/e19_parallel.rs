@@ -18,7 +18,7 @@ use lcg_congest::{stats, ExecConfig, Model, Network};
 use lcg_expander::routing;
 use lcg_graph::gen;
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Scale, Table};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -30,7 +30,8 @@ fn cores() -> usize {
 }
 
 /// Runs E19.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     vec![flood_table(scale), walk_table(scale)]
 }
 

@@ -8,10 +8,8 @@
 //! validity column (maximality / matching / domination / clustering
 //! invariants verified on the actual output, not assumed).
 //!
-//! Environment knobs (set by the `experiments` CLI flags):
-//!
-//! * `LCG_FAULT_SEED`  (`--fault-seed`)   — fault-schedule seed, default 0xFA17
-//! * `LCG_RETRY_BUDGET` (`--retry-budget`) — max retries, default 3
+//! Options read: [`Opts::fault_seed`] (`--fault-seed`, default 0xFA17) and
+//! [`Opts::retry_budget`] (`--retry-budget`, default 3).
 
 use lcg_congest::FaultPlan;
 use lcg_core::apps::{corrclust, ldd, maxis, mcm, mds, wmaxis};
@@ -19,20 +17,13 @@ use lcg_core::recovery::{RecoveryPolicy, RecoveryReport};
 use lcg_graph::{gen, Graph};
 use lcg_solvers::mis::is_maximal_independent_set;
 
-use crate::{cells, Scale, Table};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use crate::{cells, Opts, Scale, Table};
 
 /// Runs E20.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let n = scale.pick(60, 300);
-    let fault_seed = env_u64("LCG_FAULT_SEED", 0xFA17);
-    let retries = env_u64("LCG_RETRY_BUDGET", 3) as u32;
+    let (fault_seed, retries) = (opts.fault_seed, opts.retry_budget);
     let probs: &[f64] = match scale {
         Scale::Quick => &[0.0, 0.1, 0.3],
         Scale::Full => &[0.0, 0.05, 0.1, 0.2, 0.3],

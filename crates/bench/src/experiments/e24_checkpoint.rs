@@ -20,12 +20,10 @@
 //! from [`SupervisorReport`]; the CI `checkpoint-resume` lane asserts
 //! them.
 //!
-//! Environment knobs (set by the `experiments` CLI flags):
-//!
-//! * `LCG_CHECKPOINT_EVERY` (`--checkpoint-every`) — engine-plane
-//!   checkpoint cadence in rounds, default 8
-//! * `LCG_KILL_AT` (`--kill-at-round`) — engine-plane injected crash
-//!   round, default half the run
+//! Options read: [`Opts::checkpoint_every`] (`--checkpoint-every`,
+//! engine-plane checkpoint cadence in rounds, default 8),
+//! [`Opts::kill_at_round`] (`--kill-at-round`, engine-plane injected crash
+//! round, default half the run) and [`Opts::fault_seed`] (`--fault-seed`).
 
 use std::path::PathBuf;
 
@@ -38,14 +36,7 @@ use lcg_core::supervisor::{
 };
 use lcg_graph::{gen, Graph};
 
-use crate::{cells, Scale, Table};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use crate::{cells, Opts, Scale, Table};
 
 /// Unique scratch directory under the system temp dir (bench crate:
 /// ambient process state is fine here, results never depend on it).
@@ -72,14 +63,15 @@ fn corrupt_newest(dir: &PathBuf) {
 }
 
 /// Runs E24.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
     let n = scale.pick(60, 300);
     let rounds = scale.pick(24, 64) as u64;
-    let every = env_u64("LCG_CHECKPOINT_EVERY", 8);
-    let kill_at = env_u64("LCG_KILL_AT", rounds / 2);
+    let every = opts.checkpoint_every;
+    let kill_at = opts.kill_at_round.unwrap_or(rounds / 2);
     let mut rng = gen::seeded_rng(0xE24);
     let g = gen::random_planar(n, 0.5, &mut rng);
-    vec![engine_table(&g, rounds, every, kill_at), framework_table(&g, scale)]
+    vec![engine_table(&g, rounds, every, kill_at), framework_table(&g, scale, opts.fault_seed)]
 }
 
 // ------------------------------------------------------------ engine plane
@@ -173,8 +165,7 @@ fn engine_table(g: &Graph, rounds: u64, every: u64, kill_at: u64) -> Table {
 
 // --------------------------------------------------------- framework plane
 
-fn framework_table(g: &Graph, scale: Scale) -> Table {
-    let fault_seed = env_u64("LCG_FAULT_SEED", 0xFA17);
+fn framework_table(g: &Graph, scale: Scale, fault_seed: u64) -> Table {
     let cfg = FrameworkConfig {
         metrics: true,
         // drops aggressive enough to make early attempts fail detection,

@@ -18,19 +18,17 @@
 //! from ad-hoc timers, so the numbers live behind the same two-plane wall
 //! as every other profile figure in the repo.
 //!
-//! Environment knobs:
-//!
-//! * `LCG_SCALE_N` — vertex count override (default 10⁵ quick / 10⁶ full)
-//! * `LCG_E25_METRICS` — when set, the framework row's two-plane
-//!   `metrics.json` is written to this path (the CI `scale-smoke` lane
-//!   uploads it as an artifact)
+//! Options read: [`Opts::scale_n`] (`--scale-n`, vertex count override;
+//! default 10⁵ quick / 10⁶ full) and [`Opts::e25_metrics`]
+//! (`--e25-metrics PATH`: the framework row's two-plane `metrics.json` is
+//! written there; the CI `scale-smoke` lane uploads it as an artifact).
 
 use lcg_congest::{Inbox, Model, Network, Outbox, RoundStats};
 use lcg_core::framework::{run_framework, FrameworkConfig};
 use lcg_graph::{gen, Graph};
 use lcg_metrics::{ProfileReport, Recorder};
 
-use crate::{cells, Scale, Table};
+use crate::{cells, Opts, Table};
 
 /// Per-vertex flood state: `informed` latches, `fresh` marks the one
 /// round a newly informed vertex still has to gossip.
@@ -87,24 +85,20 @@ fn routing_fixed_rounds(g: &Graph, rounds: usize) -> (RoundStats, ProfileReport)
     (net.stats(), report.profile)
 }
 
-fn framework_run(g: &Graph, seed: u64) -> (RoundStats, ProfileReport) {
+fn framework_run(g: &Graph, seed: u64, metrics_path: Option<&str>) -> (RoundStats, ProfileReport) {
     let cfg = FrameworkConfig { metrics: true, ..FrameworkConfig::planar(0.3, seed) };
     let out = run_framework(g, &cfg);
     let report = out.metrics.expect("metrics: true always yields a report");
-    if let Ok(path) = std::env::var("LCG_E25_METRICS") {
-        if !path.is_empty() {
-            std::fs::write(&path, report.to_json()).expect("write LCG_E25_METRICS report");
-        }
+    if let Some(path) = metrics_path {
+        std::fs::write(path, report.to_json()).expect("write --e25-metrics report");
     }
     (out.stats, report.profile)
 }
 
 /// Runs E25.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let n: usize = std::env::var("LCG_SCALE_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale.pick(100_000, 1_000_000));
+pub fn run(opts: &Opts) -> Vec<Table> {
+    let scale = opts.scale;
+    let n = opts.scale_n.unwrap_or_else(|| scale.pick(100_000, 1_000_000));
     let mut t = Table::new(
         "E25",
         &format!(
@@ -150,7 +144,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let rows = (n as f64).sqrt() as usize;
     let cols = n.div_ceil(rows);
     let gn = gen::grid_with_noise(rows, cols, 0.02, &mut gen::seeded_rng(0xE2503));
-    let (stats, prof) = framework_run(&gn, 0xE25);
+    let (stats, prof) = framework_run(&gn, 0xE25, opts.e25_metrics.as_deref());
     t.row(cells!(
         "framework",
         "grid_with_noise(2%)",

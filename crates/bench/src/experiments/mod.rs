@@ -23,10 +23,10 @@ pub mod e20_chaos;
 pub mod e24_checkpoint;
 pub mod e25_scale;
 
-use crate::{Scale, Table};
+use crate::{Opts, Table};
 
-/// An experiment entry point: scale in, tables out.
-pub type Experiment = fn(Scale) -> Vec<Table>;
+/// An experiment entry point: the parsed command line in, tables out.
+pub type Experiment = fn(&Opts) -> Vec<Table>;
 
 /// All experiment entry points, by id.
 pub fn all() -> Vec<(&'static str, Experiment)> {

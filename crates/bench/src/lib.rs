@@ -37,3 +37,25 @@ impl Scale {
         }
     }
 }
+
+/// What the `experiments` command line hands to every experiment: a flag an
+/// experiment reads is a field here, never ambient process state. The
+/// binary parses it once; flags only the binary reads stay there.
+#[derive(Debug, Clone)]
+pub struct Opts {
+    /// `--quick`: CI scale.
+    pub scale: Scale,
+    /// `--fault-seed S`: fault-schedule seed of `--faults`, E20 and E24.
+    pub fault_seed: u64,
+    /// `--retry-budget N`: max retries in E20 and the supervised run.
+    pub retry_budget: u32,
+    /// `--checkpoint-every K`: E24 engine-plane checkpoint cadence (rounds).
+    pub checkpoint_every: u64,
+    /// `--kill-at-round R`: E24 engine-plane injected crash round; half the
+    /// run when absent.
+    pub kill_at_round: Option<u64>,
+    /// `--scale-n N`: E25 vertex count; 10⁵ quick / 10⁶ full when absent.
+    pub scale_n: Option<usize>,
+    /// `--e25-metrics PATH`: where E25 writes its framework row's report.
+    pub e25_metrics: Option<String>,
+}

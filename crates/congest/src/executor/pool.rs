@@ -41,7 +41,7 @@
 //! escapes: cleanly poisoned, never deadlocked, and the owning `Network`
 //! remains usable afterwards.
 
-use lcg_metrics::profile::{self, ExecProfile, WorkerSample};
+use lcg_metrics::profile::{ExecProfile, Stamp, WorkerSample};
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::ScopedJoinHandle;
@@ -202,14 +202,13 @@ where
                 let mut sample = WorkerSample::default();
                 // park between rounds; a dropped feed lane ends the batch
                 loop {
-                    let parked_at = if sampling { profile::now_ns() } else { 0 };
+                    let parked_at = sampling.then(Stamp::now);
                     let Ok(job) = feed_rx.recv() else { break };
-                    let woke_at = if sampling { profile::now_ns() } else { 0 };
+                    let woke_at = sampling.then(Stamp::now);
                     let job = worker(i, range.clone(), &mut *chunk, job);
-                    if sampling {
-                        let done_at = profile::now_ns();
-                        sample.wait_ns += woke_at.saturating_sub(parked_at);
-                        sample.busy_ns += done_at.saturating_sub(woke_at);
+                    if let (Some(parked_at), Some(woke_at)) = (parked_at, woke_at) {
+                        sample.wait_ns += woke_at.ns_since(parked_at);
+                        sample.busy_ns += Stamp::now().ns_since(woke_at);
                         sample.jobs += 1;
                     }
                     if done_tx.send(job).is_err() {

@@ -55,6 +55,14 @@
 //!   family, so there is one compose loop and one batch engine per round
 //!   structure.
 //!
+//! # Accounting (DESIGN §8)
+//!
+//! [`RoundStats`], the optional [`Tracer`] and the optional [`Recorder`]
+//! live in one private sink with one method per engine event; every
+//! delivery body and charge path reports there, so the three views cannot
+//! drift. [`Network::phase`] is the one boundary above it: a trace span and
+//! a profiling-plane timer opened and closed together.
+//!
 //! # Memory model (DESIGN §10)
 //!
 //! The hot path is allocation-free: messages are [`Msg`] values that store
@@ -111,14 +119,20 @@ fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
     }
 }
 
-/// Returns a used inbox grid to the pool slot, clearing every slot so the
-/// next round starts from the same all-`None` state a fresh allocation has.
-fn recycle_grid(slot: &mut Grid, mut grid: Grid) {
-    for s in grid.iter_mut() {
+/// Clears consumed inbox slots, writing only the occupied ones.
+#[inline]
+fn clear_slots(slots: &mut [Option<Msg>]) {
+    for s in slots.iter_mut() {
         if s.is_some() {
             *s = None;
         }
     }
+}
+
+/// Returns a used inbox grid to the pool slot, clearing every slot so the
+/// next round starts from the same all-`None` state a fresh allocation has.
+fn recycle_grid(slot: &mut Grid, mut grid: Grid) {
+    clear_slots(&mut grid);
     *slot = grid;
 }
 
@@ -186,6 +200,17 @@ struct Topo<'a> {
     rev_slot: &'a [u32],
 }
 
+impl<'a> Topo<'a> {
+    fn of(g: &'a Graph, rev_slot: &'a [u32]) -> Topo<'a> {
+        Topo {
+            offsets: g.csr_offsets(),
+            neighbors: g.csr_neighbors(),
+            edge_ids: g.csr_edge_ids(),
+            rev_slot,
+        }
+    }
+}
+
 /// A synchronous CONGEST/LOCAL network over a graph.
 ///
 /// # Examples
@@ -230,7 +255,8 @@ pub struct Network<'g> {
     g: &'g Graph,
     model: Model,
     exec: ExecConfig,
-    stats: RoundStats,
+    /// Statistics, trace and metrics; every engine event lands here once.
+    sink: Sink,
     /// Flat pending arena: the slot `g.csr_offsets()[v] + p` holds the
     /// message awaiting delivery to `v` on port `p`.
     pending: Grid,
@@ -250,18 +276,14 @@ pub struct Network<'g> {
     /// a message this round. Kept here so a sparse round allocates nothing.
     // lcg-lint: transient -- empty between rounds; rebuilt empty on resume
     receivers: Vec<usize>,
-    /// Opt-in trace recorder ([`Network::attach_tracer`]). `None` (the
-    /// default) keeps every hot-path hook a skipped branch — no recording,
-    /// no allocation.
-    tracer: Option<Tracer>,
+    /// Scratch of the batch engines: one round's per-chunk compose
+    /// counters, in chunk order, for [`barrier_total`].
+    // lcg-lint: transient -- overwritten every batch round before it is read; rebuilt empty on resume
+    counted: Vec<ChunkCounters>,
     /// Compiled fault schedule ([`Network::set_fault_plan`]). `None` (the
     /// default) keeps both delivery paths on their historical fault-free
     /// sweeps — zero cost, bit-identical behavior.
     faults: Option<FaultState>,
-    /// Opt-in metrics recorder ([`Network::attach_metrics`]). `None` (the
-    /// default) keeps every hook a skipped branch — with metrics off both
-    /// delivery paths are byte-identical to their historical behavior.
-    metrics: Option<Recorder>,
 }
 
 /// Per-vertex outbox handed to the step closure.
@@ -372,95 +394,199 @@ where
     w
 }
 
-/// The delivery sweep under an installed fault plan: every taken message
-/// is adjudicated by the compiled schedule — destroyed messages are
-/// tallied (by cause) instead of delivered, surviving messages are
-/// truncated to the plan's capacity cap when one is set. Shared by every
-/// delivery path via [`sweep`]: `parts` are ascending disjoint vertex
-/// ranges, each with the flat arena sub-slice of its rows,
-/// `put(u, dest_slot, msg)` stores a delivered message at the receiver's
-/// absolute CSR slot. Tracer edge loads count *delivered*
-/// words, so traces show the traffic that actually arrived; the
-/// compose-barrier statistics still count everything *sent*, preserving
-/// their meaning.
-fn faulty_sweep<'s, I, P>(
-    round: u64,
-    fs: &FaultState,
-    topo: Topo<'_>,
-    tracer: &mut Option<Tracer>,
-    stats: &mut RoundStats,
-    parts: I,
-    mut put: P,
-) where
-    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
-    P: FnMut(usize, usize, Msg),
-{
-    let cap = fs.truncate_words();
-    let (mut dropped, mut link, mut crashed, mut truncated) = (0u64, 0u64, 0u64, 0u64);
-    {
-        let mut track = tracer.as_mut().filter(|t| t.records_edge_loads());
-        for (r, part) in parts {
-            let base = topo.offsets[r.start] as usize;
-            for v in r {
-                let row = row_of(topo.offsets, v);
-                for (s, slot) in row.clone().zip(&mut part[row.start - base..row.end - base]) {
-                    if let Some(mut msg) = slot.take() {
-                        let u = topo.neighbors[s] as usize;
-                        let e = topo.edge_ids[s] as usize;
-                        match fs.classify(round, e, v, u) {
-                            FaultVerdict::Crashed => {
-                                crashed += 1;
-                                continue;
-                            }
-                            FaultVerdict::LinkDown => {
-                                link += 1;
-                                continue;
-                            }
-                            FaultVerdict::Dropped => {
-                                dropped += 1;
-                                continue;
-                            }
-                            FaultVerdict::Deliver => {}
-                        }
-                        if let Some(cap) = cap {
-                            if msg.len() > cap {
-                                msg.truncate(cap);
-                                truncated += 1;
-                            }
-                        }
-                        if let Some(t) = track.as_mut() {
-                            t.add_edge_words(e, msg.len() as u64);
-                        }
-                        put(u, topo.rev_slot[s] as usize, msg);
-                    }
+/// The one accounting sink under the round engine, one method per engine
+/// event. Every delivery body and both charge paths report each event here
+/// exactly once, so `stats` == trace totals == the `net.*` registry
+/// counters by construction (DESIGN §8). With no tracer and no recorder
+/// attached every method is the `stats` update plus skipped branches.
+// lcg-lint: snapshot-root
+#[derive(Default)]
+struct Sink {
+    stats: RoundStats,
+    /// Opt-in trace recorder ([`Network::attach_tracer`]).
+    tracer: Option<Tracer>,
+    /// Opt-in metrics recorder ([`Network::attach_metrics`]).
+    metrics: Option<Recorder>,
+}
+
+impl Sink {
+    /// One round composed: the barrier-merged compose counters of every
+    /// message *sent* this round.
+    fn round(&mut self, counters: ChunkCounters) {
+        self.stats.messages += counters.messages;
+        self.stats.words += counters.words;
+        self.stats.max_words_edge_round = self.stats.max_words_edge_round.max(counters.max_words);
+        self.stats.rounds += 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_round(counters.messages, counters.words, counters.max_words);
+        }
+        if let Some(rec) = self.metrics.as_mut() {
+            rec.counter_add("net.rounds", 1);
+            rec.counter_add("net.messages", counters.messages);
+            rec.counter_add("net.words", counters.words);
+            if counters.spilled > 0 {
+                rec.counter_add("net.spilled_messages", counters.spilled);
+            }
+            rec.gauge_max("net.max_words_edge_round", counters.max_words as u64);
+            rec.histogram_record("net.words_per_round", counters.words);
+        }
+    }
+
+    /// Messages one delivery sweep stored in an inbox.
+    fn delivered(&mut self, messages: u64) {
+        if let Some(rec) = self.metrics.as_mut() {
+            rec.counter_add("net.delivered_messages", messages);
+        }
+    }
+
+    /// One delivery sweep's fault adjudication, by cause. `dropped` and
+    /// `link` share a statistics field; the trace keeps them apart.
+    fn faults(&mut self, dropped: u64, link: u64, crashed: u64, truncated: u64) {
+        self.stats.dropped_messages += dropped + link;
+        self.stats.crashed_messages += crashed;
+        self.stats.truncated_messages += truncated;
+        if let Some(t) = self.tracer.as_mut() {
+            for (kind, count) in
+                [("drop", dropped), ("link", link), ("crash", crashed), ("trunc", truncated)]
+            {
+                if count > 0 {
+                    t.record_fault(kind, count);
                 }
             }
         }
+        self.fault_counters(dropped + link, crashed, truncated);
     }
-    stats.dropped_messages += dropped + link;
-    stats.crashed_messages += crashed;
-    stats.truncated_messages += truncated;
-    if let Some(t) = tracer.as_mut() {
-        for (kind, count) in
-            [("drop", dropped), ("link", link), ("crash", crashed), ("trunc", truncated)]
-        {
+
+    /// Mirrors fault tallies into the registry; a counter that never fired
+    /// stays absent from the report.
+    fn fault_counters(&mut self, dropped: u64, crashed: u64, truncated: u64) {
+        let Some(rec) = self.metrics.as_mut() else { return };
+        for (name, count) in [
+            ("net.dropped_messages", dropped),
+            ("net.crashed_messages", crashed),
+            ("net.truncated_messages", truncated),
+        ] {
             if count > 0 {
-                t.record_fault(kind, count);
+                rec.counter_add(name, count);
             }
+        }
+    }
+
+    /// `rounds` silent rounds charged ([`Network::charge_rounds`]).
+    fn quiet_rounds(&mut self, rounds: u64) {
+        self.stats.rounds += rounds;
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_quiet_rounds(rounds);
+        }
+        if let Some(rec) = self.metrics.as_mut() {
+            rec.counter_add("net.rounds", rounds);
+        }
+    }
+
+    /// Externally measured statistics charged ([`Network::charge_stats`]).
+    fn external(&mut self, s: &RoundStats) {
+        self.stats.merge(s);
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_external(s.rounds, s.messages, s.words, s.max_words_edge_round);
+        }
+        if let Some(rec) = self.metrics.as_mut() {
+            rec.counter_add("net.rounds", s.rounds);
+            rec.counter_add("net.messages", s.messages);
+            rec.counter_add("net.words", s.words);
+            rec.gauge_max("net.max_words_edge_round", s.max_words_edge_round as u64);
+        }
+        self.fault_counters(s.dropped_messages, s.crashed_messages, s.truncated_messages);
+    }
+
+    /// Where a sweep tallies per-edge words: the tracer, iff it asked for
+    /// edge loads. Hoisted out of the sweep loops, so an untraced sweep
+    /// pays one branch per sweep, not one per message.
+    fn edge_tally(&mut self) -> Option<&mut Tracer> {
+        self.tracer.as_mut().filter(|t| t.records_edge_loads())
+    }
+
+    /// A finished batch's worker samples. The batch samples into a local
+    /// because its leader closure holds the sink for the per-round events.
+    fn samples(&mut self, sampled: Option<ExecProfile>) {
+        if let (Some(rec), Some(batch)) = (self.metrics.as_mut(), sampled) {
+            rec.exec_sink().record_batch(&batch.workers);
         }
     }
 }
 
-/// The fault-free delivery sweep over the source parts (same contract as
-/// [`faulty_sweep`] minus adjudication): pure moves, plus per-edge load
-/// tallies when a tracer asked for them. The common case — no tracer —
-/// walks each part's flat sub-slice linearly, row by row.
-fn sweep_rows<'s, I, P>(topo: Topo<'_>, tracer: &mut Option<Tracer>, parts: I, mut put: P)
+/// The delivery sweep under an installed fault plan: every taken message
+/// is adjudicated by the compiled schedule — destroyed messages are
+/// tallied (by cause) instead of delivered, surviving messages are
+/// truncated to the plan's capacity cap when one is set. Same contract on
+/// `parts` and `put` as [`sweep`]. Tracer edge loads count *delivered*
+/// words, so traces show the traffic that actually arrived; the
+/// compose-barrier statistics still count everything *sent*, preserving
+/// their meaning.
+fn faulty_sweep<'s, I, P>(fs: &FaultState, topo: Topo<'_>, sink: &mut Sink, parts: I, mut put: P)
 where
     I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
     P: FnMut(usize, usize, Msg),
 {
-    let mut track = tracer.as_mut().filter(|t| t.records_edge_loads());
+    // delivery precedes the round's `Sink::round`, so `stats.rounds` is
+    // the 0-based index of the round in flight
+    let round = sink.stats.rounds;
+    let cap = fs.truncate_words();
+    let (mut delivered, mut dropped, mut link, mut crashed, mut truncated) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut track = sink.edge_tally();
+    for (r, part) in parts {
+        let base = topo.offsets[r.start] as usize;
+        for v in r {
+            let row = row_of(topo.offsets, v);
+            for (s, slot) in row.clone().zip(&mut part[row.start - base..row.end - base]) {
+                if let Some(mut msg) = slot.take() {
+                    let u = topo.neighbors[s] as usize;
+                    let e = topo.edge_ids[s] as usize;
+                    match fs.classify(round, e, v, u) {
+                        FaultVerdict::Crashed => {
+                            crashed += 1;
+                            continue;
+                        }
+                        FaultVerdict::LinkDown => {
+                            link += 1;
+                            continue;
+                        }
+                        FaultVerdict::Dropped => {
+                            dropped += 1;
+                            continue;
+                        }
+                        FaultVerdict::Deliver => {}
+                    }
+                    if let Some(cap) = cap {
+                        if msg.len() > cap {
+                            msg.truncate(cap);
+                            truncated += 1;
+                        }
+                    }
+                    if let Some(t) = track.as_mut() {
+                        t.add_edge_words(e, msg.len() as u64);
+                    }
+                    delivered += 1;
+                    put(u, topo.rev_slot[s] as usize, msg);
+                }
+            }
+        }
+    }
+    sink.faults(dropped, link, crashed, truncated);
+    sink.delivered(delivered);
+}
+
+/// The fault-free delivery sweep (same contract as [`sweep`]): pure moves,
+/// plus per-edge load tallies when a tracer asked for them. The common
+/// case — no tracer — walks each part's flat sub-slice linearly, row by
+/// row.
+fn sweep_rows<'s, I, P>(topo: Topo<'_>, sink: &mut Sink, parts: I, mut put: P)
+where
+    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
+    P: FnMut(usize, usize, Msg),
+{
+    let mut delivered = 0u64;
+    let mut track = sink.edge_tally();
     for (r, part) in parts {
         // one pass over the part's contiguous slot range: slot `s` is
         // absolute, the zip walks the sub-slice alongside; sender order
@@ -472,70 +598,34 @@ where
                 if let Some(t) = track.as_mut() {
                     t.add_edge_words(topo.edge_ids[s] as usize, msg.len() as u64);
                 }
+                delivered += 1;
                 put(topo.neighbors[s] as usize, topo.rev_slot[s] as usize, msg);
             }
         }
         debug_assert_eq!(part.len(), hi - lo, "part sub-slice shape mismatch");
     }
+    sink.delivered(delivered);
 }
 
-/// Delivery-sweep dispatcher: fault-adjudicated when a plan is installed,
-/// plain moves otherwise. `parts` must list disjoint vertex ranges in
-/// ascending order, each with the arena sub-slice of exactly its rows —
-/// that ordering is the entire determinism argument, and it holds equally
-/// for a single whole-arena part, for the batch engine's multi-chunk
+/// The delivery sweep: fault-adjudicated when a plan is installed, plain
+/// moves otherwise. `parts` must list disjoint vertex ranges in ascending
+/// order, each with the arena sub-slice of exactly its rows — that
+/// ordering is the entire determinism argument, and it holds equally for
+/// a single whole-arena part, for the batch engine's multi-chunk
 /// partition, and for an active-set round's sender rows. Every slot of
 /// every part is `take()`n, so the rows handed in come back all-`None`.
 /// `put(u, dest_slot, msg)` stores a delivered message at the receiver's
-/// absolute CSR slot.
-///
-/// With a metrics recorder attached the sweep additionally counts
-/// *delivered* messages (and mirrors the fault tallies) into the
-/// deterministic registry — derived purely from the same vertex-order
-/// sweep, so the registry inherits the sweep's determinism argument. With
-/// `metrics` `None` the historical code paths run untouched.
-#[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
-fn sweep<'s, I, P>(
-    round: u64,
-    faults: Option<&FaultState>,
-    topo: Topo<'_>,
-    tracer: &mut Option<Tracer>,
-    stats: &mut RoundStats,
-    metrics: &mut Option<Recorder>,
-    parts: I,
-    mut put: P,
-) where
+/// absolute CSR slot. The sweep reports what it delivered, and what the
+/// plan destroyed, to `sink` once — tallies derived purely from the
+/// vertex-order sweep, so they inherit its determinism argument.
+fn sweep<'s, I, P>(faults: Option<&FaultState>, topo: Topo<'_>, sink: &mut Sink, parts: I, put: P)
+where
     I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
     P: FnMut(usize, usize, Msg),
 {
-    let Some(rec) = metrics.as_mut() else {
-        match faults {
-            Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, parts, put),
-            None => sweep_rows(topo, tracer, parts, put),
-        }
-        return;
-    };
-    let mut delivered = 0u64;
-    let faults_before =
-        (stats.dropped_messages, stats.crashed_messages, stats.truncated_messages);
-    let counted_put = |u: usize, q: usize, msg: Msg| {
-        delivered += 1;
-        put(u, q, msg);
-    };
     match faults {
-        Some(fs) => faulty_sweep(round, fs, topo, tracer, stats, parts, counted_put),
-        None => sweep_rows(topo, tracer, parts, counted_put),
-    }
-    rec.counter_add("net.delivered_messages", delivered);
-    for (name, before, after) in [
-        ("net.dropped_messages", faults_before.0, stats.dropped_messages),
-        ("net.crashed_messages", faults_before.1, stats.crashed_messages),
-        ("net.truncated_messages", faults_before.2, stats.truncated_messages),
-    ] {
-        let delta = after - before;
-        if delta > 0 {
-            rec.counter_add(name, delta);
-        }
+        Some(fs) => faulty_sweep(fs, topo, sink, parts, put),
+        None => sweep_rows(topo, sink, parts, put),
     }
 }
 
@@ -546,20 +636,16 @@ fn sweep<'s, I, P>(
 /// ascending), and the receiving chunk is located in O(1) by
 /// [`chunk_of`] — so this is bit-identical to the whole-grid sweep the
 /// sequential paths run.
-#[allow(clippy::too_many_arguments)] // borrow-split pieces of one Network
 fn deliver_chunked(
-    round: u64,
-    n: usize,
     chunks: &[std::ops::Range<usize>],
     sources: &mut [&mut [Option<Msg>]],
     targets: &mut [&mut [Option<Msg>]],
     faults: Option<&FaultState>,
     topo: Topo<'_>,
-    tracer: &mut Option<Tracer>,
-    stats: &mut RoundStats,
-    metrics: &mut Option<Recorder>,
+    sink: &mut Sink,
 ) {
     let k = chunks.len();
+    let n = topo.offsets.len() - 1;
     let offsets = topo.offsets;
     let put = |u: usize, dest: usize, msg: Msg| {
         let (c, _) = chunk_of(n, k, u);
@@ -567,44 +653,21 @@ fn deliver_chunked(
         targets[c][dest - base] = Some(msg);
     };
     let parts = chunks.iter().cloned().zip(sources.iter_mut().map(|part| &mut **part));
-    sweep(round, faults, topo, tracer, stats, metrics, parts, put);
+    sweep(faults, topo, sink, parts, put);
 }
 
-/// Folds one round's compose counters into the running statistics, the
-/// attached trace, and the attached metrics registry. Free function so the
-/// batch engine can call it while the network is borrow-split.
-fn account_round(
-    stats: &mut RoundStats,
-    tracer: &mut Option<Tracer>,
-    metrics: &mut Option<Recorder>,
-    counters: ChunkCounters,
-) {
-    stats.messages += counters.messages;
-    stats.words += counters.words;
-    stats.max_words_edge_round = stats.max_words_edge_round.max(counters.max_words);
-    stats.rounds += 1;
-    if let Some(t) = tracer.as_mut() {
-        t.record_round(counters.messages, counters.words, counters.max_words);
+/// The barrier merge: folds one round's per-chunk compose counters in
+/// chunk order, and under the shuffle audit re-folds them in a seeded
+/// permutation and cross-checks the total (`what` names the site).
+fn barrier_total(what: &str, round: u64, audit_on: bool, parts: &[ChunkCounters]) -> ChunkCounters {
+    let mut total = ChunkCounters::default();
+    for part in parts {
+        total.merge(part);
     }
-    if let Some(rec) = metrics.as_mut() {
-        rec.counter_add("net.rounds", 1);
-        rec.counter_add("net.messages", counters.messages);
-        rec.counter_add("net.words", counters.words);
-        if counters.spilled > 0 {
-            rec.counter_add("net.spilled_messages", counters.spilled);
-        }
-        rec.gauge_max("net.max_words_edge_round", counters.max_words as u64);
-        rec.histogram_record("net.words_per_round", counters.words);
+    if audit_on {
+        audit::check_merge_order(what, round, ChunkCounters::default(), parts, |a, b| a.merge(b), &total);
     }
-}
-
-/// Hands a finished batch's worker samples to the attached recorder. The
-/// batch samples into a local because its leader closure holds the
-/// recorder for the per-round accounting.
-fn deposit_samples(metrics: &mut Option<Recorder>, sampled: Option<ExecProfile>) {
-    if let (Some(rec), Some(batch)) = (metrics.as_mut(), sampled) {
-        rec.exec_sink().record_batch(&batch.workers);
-    }
+    total
 }
 
 /// One round's worth of buffers for one chunk, moved leader → worker →
@@ -670,18 +733,16 @@ impl<'g> Network<'g> {
             g,
             model,
             exec,
-            stats: RoundStats::default(),
+            sink: Sink::default(),
             pending: fresh_grid(g),
             spare_inboxes: fresh_grid(g),
             spare_outgoing: fresh_grid(g),
             rev_slot,
             receivers: Vec::new(),
-            tracer: None,
+            counted: Vec::new(),
             faults: None,
-            metrics: None,
         }
     }
-
 
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
@@ -701,12 +762,12 @@ impl<'g> Network<'g> {
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> RoundStats {
-        self.stats
+        self.sink.stats
     }
 
     /// Resets statistics (e.g. between measured phases).
     pub fn reset_stats(&mut self) -> RoundStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.sink.stats)
     }
 
     /// Attaches a trace recorder: binds it to this network's topology and
@@ -734,12 +795,12 @@ impl<'g> Network<'g> {
         tracer.bind_topology(self.g.n(), self.g.m(), ends);
         // per-edge load tallies read the graph's flat `edge_ids` array
         // directly — no per-port side table to build
-        self.tracer = Some(tracer);
+        self.sink.tracer = Some(tracer);
     }
 
     /// Detaches and returns the tracer (finish it to obtain the trace).
     pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.tracer.take()
+        self.sink.tracer.take()
     }
 
     /// Installs (or clears) a fault schedule. Every subsequent delivery —
@@ -780,25 +841,20 @@ impl<'g> Network<'g> {
         self.faults = plan.map(|p| FaultState::compile(p, self.g.n(), self.g.m()));
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// The attached tracer, if any (e.g. to annotate the current span).
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
+        self.sink.tracer.as_mut()
     }
 
     /// Opens a span on the attached tracer; `None` when untraced, so call
     /// sites need no tracing-enabled branch of their own.
     pub fn span_open(&mut self, name: &str) -> Option<SpanId> {
-        self.tracer.as_mut().map(|t| t.open_span(name))
+        self.sink.tracer.as_mut().map(|t| t.open_span(name))
     }
 
     /// Closes a span previously opened with [`Network::span_open`].
     pub fn span_close(&mut self, id: Option<SpanId>) {
-        if let (Some(t), Some(id)) = (self.tracer.as_mut(), id) {
+        if let (Some(t), Some(id)) = (self.sink.tracer.as_mut(), id) {
             t.close_span(id);
         }
     }
@@ -811,52 +867,32 @@ impl<'g> Network<'g> {
     /// hook a skipped branch — results, statistics, and traces are
     /// byte-identical with metrics off.
     pub fn attach_metrics(&mut self, recorder: Recorder) {
-        self.metrics = Some(recorder);
+        self.sink.metrics = Some(recorder);
     }
 
     /// Detaches and returns the metrics recorder (finish it to obtain the
     /// two-plane report).
     pub fn take_metrics(&mut self) -> Option<Recorder> {
-        self.metrics.take()
+        self.sink.metrics.take()
     }
 
-    /// The attached metrics recorder, if any (e.g. to add an
-    /// algorithm-level counter or gauge mid-run).
-    pub fn metrics_mut(&mut self) -> Option<&mut Recorder> {
-        self.metrics.as_mut()
-    }
-
-    /// Opens a profiling-plane phase timer on the attached recorder; a
-    /// no-op when no recorder is attached, so call sites need no
-    /// metrics-enabled branch of their own.
-    pub fn metrics_phase_start(&mut self, name: &str) {
-        if let Some(rec) = self.metrics.as_mut() {
+    /// Runs `body` as the named phase: one boundary for both observers —
+    /// a trace span (the phase's rounds, messages and words) and a
+    /// profiling-plane timer (its wall time) open before `body` and close
+    /// after it, each a no-op when its observer is not attached.
+    /// [`Network::span_open`]/[`Network::span_close`] remain for spans
+    /// that carry no timer.
+    pub fn phase<T>(&mut self, name: &str, body: impl FnOnce(&mut Network<'g>) -> T) -> T {
+        let span = self.span_open(name);
+        if let Some(rec) = self.sink.metrics.as_mut() {
             rec.phase_start(name);
         }
-    }
-
-    /// Closes a phase timer opened with [`Network::metrics_phase_start`].
-    pub fn metrics_phase_end(&mut self, name: &str) {
-        if let Some(rec) = self.metrics.as_mut() {
+        let out = body(self);
+        if let Some(rec) = self.sink.metrics.as_mut() {
             rec.phase_end(name);
         }
-    }
-
-    /// Delivers composed outboxes into `pending`: the [`Network::route`]
-    /// sweep over the whole arena. Delivery always runs on the caller's
-    /// thread in vertex order, and the drop coins are keyed by
-    /// `(round, edge)` rather than drawn from any shared stream, so the
-    /// fault path is as deterministic as the fault-free one.
-    fn deliver(&mut self, outgoing: &mut [Option<Message>]) {
-        let mut pending = std::mem::take(&mut self.pending);
-        let whole = std::iter::once((0..self.g.n(), outgoing));
-        self.route(whole, |_u, dest, msg| pending[dest] = Some(msg));
-        self.pending = pending;
-    }
-
-    /// Folds one round's counters into the running statistics.
-    fn account(&mut self, counters: ChunkCounters) {
-        account_round(&mut self.stats, &mut self.tracer, &mut self.metrics, counters);
+        self.span_close(span);
+        out
     }
 
     /// Executes one synchronous round.
@@ -888,8 +924,12 @@ impl<'g> Network<'g> {
             f(v, &inboxes[row], &mut out);
             counters.count(slots);
         }
-        self.deliver(&mut outgoing);
-        self.account(counters);
+        // deliver into `pending`, on the caller's thread in vertex order
+        let mut pending = std::mem::take(&mut self.pending);
+        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
+        self.route(whole, |_u, dest, msg| pending[dest] = Some(msg));
+        self.pending = pending;
+        self.sink.round(counters);
         recycle_grid(&mut self.spare_inboxes, inboxes);
         return_clean(&mut self.spare_outgoing, outgoing);
     }
@@ -960,7 +1000,6 @@ impl<'g> Network<'g> {
     {
         let cap = self.model.capacity();
         let g = self.g;
-        let n = g.n();
         let offsets = g.csr_offsets();
         let placeholder = take_grid(g, &mut self.spare_inboxes);
         let mut inflight = std::mem::replace(&mut self.pending, placeholder);
@@ -968,13 +1007,8 @@ impl<'g> Network<'g> {
         let mut pending_parts = split_flat(&mut inflight, chunks, offsets);
         let mut arena_parts = split_flat(&mut arena, chunks, offsets);
         let audit_on = self.exec.audit().is_shuffle();
-        let Network { stats, tracer, rev_slot, faults, metrics, .. } = &mut *self;
-        let topo = Topo {
-            offsets,
-            neighbors: g.csr_neighbors(),
-            edge_ids: g.csr_edge_ids(),
-            rev_slot,
-        };
+        let Network { sink, rev_slot, faults, counted, .. } = &mut *self;
+        let topo = Topo::of(g, rev_slot);
         let worker = pin_worker(|_w: usize, range: std::ops::Range<usize>, states: &mut [S], mut job: StepJob| {
             let mut counters = ChunkCounters::default();
             let base = offsets[range.start] as usize;
@@ -988,17 +1022,13 @@ impl<'g> Network<'g> {
                 f(state, v, inbox, &mut out);
                 // consumed: clear the row so it can serve as this round's
                 // delivery target (same all-`None` state a recycle gives)
-                for s in inbox.iter_mut() {
-                    if s.is_some() {
-                        *s = None;
-                    }
-                }
+                clear_slots(inbox);
                 counters.count(slots);
             }
             job.counters = counters;
             job
         });
-        let mut sampled = metrics.is_some().then(ExecProfile::default);
+        let mut sampled = sink.metrics.is_some().then(ExecProfile::default);
         pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
             for _ in 0..rounds {
                 for (i, (inbox, arena)) in
@@ -1011,48 +1041,23 @@ impl<'g> Network<'g> {
                     };
                     pool.dispatch(i, job);
                 }
-                let mut total = ChunkCounters::default();
-                let mut audit_parts = audit_on.then(Vec::new);
+                counted.clear();
                 for (i, (inbox, arena)) in
                     pending_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate()
                 {
                     let job = pool.collect(i);
                     *inbox = job.inbox;
                     *arena = job.arena;
-                    total.merge(&job.counters);
-                    if let Some(parts) = audit_parts.as_mut() {
-                        parts.push(job.counters);
-                    }
+                    counted.push(job.counters);
                 }
-                // deliver before account, exactly as `step` orders them
-                // (`stats.rounds` = index of the round in flight)
-                let round = stats.rounds;
-                if let Some(parts) = audit_parts {
-                    audit::check_merge_order(
-                        "step_batch/ChunkCounters",
-                        round,
-                        ChunkCounters::default(),
-                        &parts,
-                        |a, b| a.merge(b),
-                        &total,
-                    );
-                }
-                deliver_chunked(
-                    round,
-                    n,
-                    chunks,
-                    &mut arena_parts,
-                    &mut pending_parts,
-                    faults.as_ref(),
-                    topo,
-                    tracer,
-                    stats,
-                    metrics,
-                );
-                account_round(stats, tracer, metrics, total);
+                let total =
+                    barrier_total("step_batch/ChunkCounters", sink.stats.rounds, audit_on, counted);
+                // deliver before the round tick, exactly as `step` orders them
+                deliver_chunked(chunks, &mut arena_parts, &mut pending_parts, faults.as_ref(), topo, sink);
+                sink.round(total);
             }
         });
-        deposit_samples(metrics, sampled);
+        sink.samples(sampled);
         // batch done: the borrow-split sub-slices wrote through to the two
         // arenas, so `inflight` is the live `pending` grid; the placeholder
         // (never written while it stood in) and the outbox arena go back
@@ -1110,7 +1115,7 @@ impl<'g> Network<'g> {
         let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
         let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
         self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
-        self.account(counters);
+        self.sink.round(counters);
         for (v, state) in states.iter_mut().enumerate() {
             recv(state, v, &inboxes[row_of(offsets, v)]);
         }
@@ -1162,7 +1167,7 @@ impl<'g> Network<'g> {
             inboxes[dest] = Some(msg);
             receivers.push(u);
         });
-        self.account(counters);
+        self.sink.round(counters);
         receivers.sort_unstable();
         receivers.dedup();
         for &u in &receivers {
@@ -1257,7 +1262,6 @@ impl<'g> Network<'g> {
         );
         let cap = self.model.capacity();
         let g = self.g;
-        let n = g.n();
         let offsets = g.csr_offsets();
         let mut arena = take_grid(g, &mut self.spare_outgoing);
         let mut inboxes = take_grid(g, &mut self.spare_inboxes);
@@ -1265,13 +1269,8 @@ impl<'g> Network<'g> {
         let mut inbox_parts = split_flat(&mut inboxes, chunks, offsets);
         let mut all_halted = states.iter().all(halted);
         let audit_on = self.exec.audit().is_shuffle();
-        let Network { stats, tracer, rev_slot, faults, metrics, .. } = &mut *self;
-        let topo = Topo {
-            offsets,
-            neighbors: g.csr_neighbors(),
-            edge_ids: g.csr_edge_ids(),
-            rev_slot,
-        };
+        let Network { sink, rev_slot, faults, counted, .. } = &mut *self;
+        let topo = Topo::of(g, rev_slot);
         let worker = pin_worker(|_w: usize, range: std::ops::Range<usize>, states: &mut [St], job: XchgJob| {
             let base = offsets[range.start] as usize;
             match job {
@@ -1294,18 +1293,14 @@ impl<'g> Network<'g> {
                         let inbox_row = &mut inbox[row.start - base..row.end - base];
                         recv(state, round, v, inbox_row);
                         // consumed: clear for the next round's delivery
-                        for s in inbox_row.iter_mut() {
-                            if s.is_some() {
-                                *s = None;
-                            }
-                        }
+                        clear_slots(inbox_row);
                     }
                     let all_halted = states.iter().all(halted);
                     XchgJob::Recv { round, inbox, all_halted }
                 }
             }
         });
-        let mut sampled = metrics.is_some().then(ExecProfile::default);
+        let mut sampled = sink.metrics.is_some().then(ExecProfile::default);
         let executed = pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
             let mut executed = 0u64;
             for round in 0..max_rounds {
@@ -1321,48 +1316,24 @@ impl<'g> Network<'g> {
                     };
                     pool.dispatch(i, job);
                 }
-                let mut total = ChunkCounters::default();
-                let mut audit_parts = audit_on.then(Vec::new);
+                counted.clear();
                 for (i, arena) in arena_parts.iter_mut().enumerate() {
                     match pool.collect(i) {
                         XchgJob::Send { arena: rows, counters, .. } => {
                             *arena = rows;
-                            total.merge(&counters);
-                            if let Some(parts) = audit_parts.as_mut() {
-                                parts.push(counters);
-                            }
+                            counted.push(counters);
                         }
                         // the pool answers in dispatch order, so a compose
                         // dispatch always collects a compose job
                         XchgJob::Recv { .. } => unreachable!("compose phase collected a recv job"),
                     }
                 }
-                // route + account between the phases, exactly as
+                let total =
+                    barrier_total("exchange_batch/ChunkCounters", sink.stats.rounds, audit_on, counted);
+                // deliver + round tick between the phases, exactly as
                 // `exchange` orders them
-                let r0 = stats.rounds;
-                if let Some(parts) = audit_parts {
-                    audit::check_merge_order(
-                        "exchange_batch/ChunkCounters",
-                        r0,
-                        ChunkCounters::default(),
-                        &parts,
-                        |a, b| a.merge(b),
-                        &total,
-                    );
-                }
-                deliver_chunked(
-                    r0,
-                    n,
-                    chunks,
-                    &mut arena_parts,
-                    &mut inbox_parts,
-                    faults.as_ref(),
-                    topo,
-                    tracer,
-                    stats,
-                    metrics,
-                );
-                account_round(stats, tracer, metrics, total);
+                deliver_chunked(chunks, &mut arena_parts, &mut inbox_parts, faults.as_ref(), topo, sink);
+                sink.round(total);
                 // consume phase; workers also vote on quiescence
                 for (i, inbox) in inbox_parts.iter_mut().enumerate() {
                     let job = XchgJob::Recv {
@@ -1386,7 +1357,7 @@ impl<'g> Network<'g> {
             }
             executed
         });
-        deposit_samples(metrics, sampled);
+        sink.samples(sampled);
         drop(arena_parts);
         drop(inbox_parts);
         return_clean(&mut self.spare_outgoing, arena);
@@ -1394,44 +1365,23 @@ impl<'g> Network<'g> {
         executed
     }
 
-    /// Moves the outbox rows in `parts` to wherever `put` stores them
-    /// (vertex order; pure moves, no counting — all counting already
-    /// happened at the compose barrier — except per-edge load tallies when
-    /// a tracer asked for them, and fault adjudication when a plan is
-    /// installed; see [`sweep`] for the contract on `parts`).
+    /// Moves the outbox rows in `parts` to wherever `put` stores them: the
+    /// [`sweep`] (see there for the contract on `parts`) over this
+    /// network's topology, fault plan and sink.
     fn route<'s, I, P>(&mut self, parts: I, put: P)
     where
         I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
         P: FnMut(usize, usize, Msg),
     {
-        // routing precedes `account`, so `stats.rounds` is the 0-based
-        // index of the round in flight
-        let round = self.stats.rounds;
-        let g = self.g;
-        let Network { rev_slot, tracer, faults, stats, metrics, .. } = self;
-        let topo = Topo {
-            offsets: g.csr_offsets(),
-            neighbors: g.csr_neighbors(),
-            edge_ids: g.csr_edge_ids(),
-            rev_slot,
-        };
-        sweep(round, faults.as_ref(), topo, tracer, stats, metrics, parts, put);
+        let Network { g, rev_slot, faults, sink, .. } = self;
+        sweep(faults.as_ref(), Topo::of(g, rev_slot), sink, parts, put);
     }
 
     /// Merges externally-measured statistics into this network's counters
     /// (used when phases are executed on parallel per-cluster networks and
     /// their aggregate must be attributed to the main execution).
     pub fn charge_stats(&mut self, s: &RoundStats) {
-        self.stats.merge(s);
-        if let Some(t) = self.tracer.as_mut() {
-            t.record_external(s.rounds, s.messages, s.words, s.max_words_edge_round);
-        }
-        if let Some(rec) = self.metrics.as_mut() {
-            rec.counter_add("net.rounds", s.rounds);
-            rec.counter_add("net.messages", s.messages);
-            rec.counter_add("net.words", s.words);
-            rec.gauge_max("net.max_words_edge_round", s.max_words_edge_round as u64);
-        }
+        self.sink.external(s);
     }
 
     /// Charges `rounds` silent rounds (no messages) to the statistics.
@@ -1440,13 +1390,7 @@ impl<'g> Network<'g> {
     /// the fixed `b`-round windows of the §2.3 failure-detection protocol)
     /// without any traffic in the simulation shortcut.
     pub fn charge_rounds(&mut self, rounds: u64) {
-        self.stats.rounds += rounds;
-        if let Some(t) = self.tracer.as_mut() {
-            t.record_quiet_rounds(rounds);
-        }
-        if let Some(rec) = self.metrics.as_mut() {
-            rec.counter_add("net.rounds", rounds);
-        }
+        self.sink.quiet_rounds(rounds);
     }
 
     /// Neighbor vertex on `port` of `v`.
@@ -1505,7 +1449,7 @@ impl<'g> Network<'g> {
         w.section("TOPO", topo.into_bytes());
         w.state_section("MODL", &self.model);
         w.state_section("EXEC", &self.exec);
-        w.state_section("STAT", &self.stats);
+        w.state_section("STAT", &self.sink.stats);
         // the flat arena is written in the wire shape of the historical
         // nested grid (row count, then per row its length and slots), so
         // snapshots stay byte-compatible across the CSR change
@@ -1522,7 +1466,7 @@ impl<'g> Network<'g> {
         let plan: Option<FaultPlan> = self.faults.as_ref().map(|f| f.plan().clone());
         w.state_section("FLTS", &plan);
         let mut trce = Enc::new();
-        match &self.tracer {
+        match &self.sink.tracer {
             None => trce.u8(0),
             Some(t) => {
                 trce.u8(1);
@@ -1531,7 +1475,7 @@ impl<'g> Network<'g> {
         }
         w.section("TRCE", trce.into_bytes());
         let mut metr = Enc::new();
-        match &self.metrics {
+        match &self.sink.metrics {
             None => metr.u8(0),
             Some(rec) => {
                 metr.u8(1);
@@ -1643,15 +1587,11 @@ impl<'g> Network<'g> {
 
         // every section decoded — only now is engine state assembled
         let mut net = Network::with_exec(g, model, exec);
-        net.stats = stats;
+        // direct field set: `attach_tracer` would re-bind the topology and
+        // reset the restored per-edge loads
+        net.sink = Sink { stats, tracer, metrics };
         net.pending = pending;
         net.set_fault_plan(plan); // recompiles FaultState from the plan
-        if let Some(t) = tracer {
-            // direct field set: `attach_tracer` would re-bind the topology
-            // and reset the restored per-edge loads
-            net.tracer = Some(t);
-        }
-        net.metrics = metrics;
         Ok(net)
     }
 
@@ -1870,36 +1810,111 @@ mod tests {
         assert_eq!(net.stats().messages, 0);
     }
 
+    /// `stats` == trace totals == `net.*` registry counters, field by
+    /// field, after every public round form and both charge paths, under
+    /// an active fault plan. `external_faults` are the fault tallies that
+    /// arrived through `charge_stats`: the trace keeps fault *events* (with
+    /// the round they struck in), which foreign statistics do not carry.
+    fn assert_sinks_agree(net: &mut Network, span: Option<SpanId>, external_faults: &RoundStats, what: &str) {
+        let s = net.stats();
+        let mut tracer = net.sink.tracer.clone().expect("tracer attached");
+        tracer.close_span(span.expect("span open"));
+        let trace = tracer.finish();
+        let t = &trace.total;
+        assert_eq!(
+            (t.rounds, t.messages, t.words, t.max_words_edge_round),
+            (s.rounds, s.messages, s.words, s.max_words_edge_round),
+            "trace totals after {what}"
+        );
+        assert_eq!(trace.span_rounds("phase"), s.rounds, "the open span saw everything ({what})");
+        let events = |kind: &str| -> u64 {
+            trace.faults.iter().filter(|f| f.kind == kind).map(|f| f.count).sum()
+        };
+        assert_eq!(
+            (events("drop") + events("link"), events("crash"), events("trunc")),
+            (
+                s.dropped_messages - external_faults.dropped_messages,
+                s.crashed_messages - external_faults.crashed_messages,
+                s.truncated_messages - external_faults.truncated_messages,
+            ),
+            "trace fault events after {what}"
+        );
+        let reg = net.sink.metrics.as_ref().expect("recorder attached").registry();
+        let mirrored = RoundStats {
+            rounds: reg.counter("net.rounds"),
+            messages: reg.counter("net.messages"),
+            words: reg.counter("net.words"),
+            max_words_edge_round: reg.gauge("net.max_words_edge_round").unwrap_or(0) as usize,
+            dropped_messages: reg.counter("net.dropped_messages"),
+            crashed_messages: reg.counter("net.crashed_messages"),
+            truncated_messages: reg.counter("net.truncated_messages"),
+        };
+        stats::compare(&s, &mirrored).unwrap_or_else(|e| panic!("registry after {what}: {e}"));
+        let destroyed = s.dropped_messages + s.crashed_messages
+            - external_faults.dropped_messages
+            - external_faults.crashed_messages;
+        assert_eq!(
+            reg.counter("net.delivered_messages") + destroyed + external_faults.messages,
+            s.messages,
+            "every message sent on this network was delivered or destroyed ({what})"
+        );
+    }
+
     #[test]
     fn tracer_mirrors_stats_across_all_charge_paths() {
         let g = gen::grid(4, 4);
-        let mut net = Network::new(&g, Model::congest());
+        // threshold 1 forces the pool, so the state-carrying forms run
+        // their batch engines; `step`/`exchange*` are the sequential bodies
+        let exec = ExecConfig::with_threads(2).with_work_threshold(1);
+        let mut net = Network::with_exec(&g, Model::congest(), exec);
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
+        net.attach_metrics(Recorder::new("t"));
+        net.set_fault_plan(Some(
+            FaultPlan::drops(0x51, 0.3).with_crash(5, 1).with_link_failure(2, 0, 4).with_truncation(1),
+        ));
         let sp = net.span_open("phase");
-        net.step_state(&mut vec![(); g.n()], |_, _, _, out| {
+        let mut external = RoundStats::default();
+        let flood = |out: &mut Outbox| {
             for p in 0..out.ports() {
                 out.send(p, [1, 2]);
             }
-        });
+        };
+        let mut unit = vec![(); g.n()];
+
+        net.step(|_, _, out| flood(out));
+        assert_sinks_agree(&mut net, sp, &external, "step");
+        net.step_state(&mut unit, |_, _, _, out| flood(out));
+        assert_sinks_agree(&mut net, sp, &external, "step_state");
+        net.run_state(2, &mut unit, |_, _, _, out| flood(out));
+        assert_sinks_agree(&mut net, sp, &external, "run_state");
+        net.step(|_, _, _| {}); // drain: the exchange forms need an empty pending grid
+        net.exchange(|_, out| flood(out), |_, _| {});
+        assert_sinks_agree(&mut net, sp, &external, "exchange");
+        net.exchange_active(&[0, 6, 15], |_, out| flood(out), |_, _| {});
+        assert_sinks_agree(&mut net, sp, &external, "exchange_active");
+        let ran = net.exchange_rounds(3, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);
+        assert_eq!(ran, 3);
+        assert_sinks_agree(&mut net, sp, &external, "exchange_rounds");
         net.charge_rounds(7);
-        net.charge_stats(&RoundStats {
+        assert_sinks_agree(&mut net, sp, &external, "charge_rounds");
+        external = RoundStats {
             rounds: 2,
             messages: 5,
             words: 9,
             max_words_edge_round: 3,
-            ..RoundStats::default()
-        });
+            dropped_messages: 4,
+            crashed_messages: 1,
+            truncated_messages: 2,
+        };
+        net.charge_stats(&external);
+        assert_sinks_agree(&mut net, sp, &external, "charge_stats");
+
+        let s = net.stats();
+        assert!(s.dropped_messages > 4 && s.crashed_messages > 1 && s.truncated_messages > 2, "{s}");
         net.span_close(sp);
         let trace = net.take_tracer().expect("tracer attached").finish();
-        let s = net.stats();
-        assert_eq!(trace.total.rounds, s.rounds);
-        assert_eq!(trace.total.messages, s.messages);
-        assert_eq!(trace.total.words, s.words);
-        assert_eq!(trace.total.max_words_edge_round, s.max_words_edge_round);
-        // the single span saw everything
-        assert_eq!(trace.span_rounds("phase"), s.rounds);
-        // exactly one executed round was sampled; charged rounds are quiet
-        assert_eq!(trace.series.len(), 1);
+        // ten executed rounds were sampled; charged rounds are quiet
+        assert_eq!(trace.series.len(), 10);
     }
 
     #[test]

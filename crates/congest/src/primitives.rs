@@ -364,13 +364,6 @@ pub fn cluster_members(cluster: &[usize]) -> std::collections::BTreeMap<usize, V
     map
 }
 
-/// Induced subgraph of one cluster plus the vertex mapping. (Orchestration
-/// helper used by leaders after topology gathering.)
-pub fn cluster_subgraph(g: &Graph, cluster: &[usize], id: usize) -> (Graph, Vec<usize>) {
-    let members: Vec<usize> = (0..g.n()).filter(|&v| cluster[v] == id).collect();
-    g.induced_subgraph(&members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,7 +504,8 @@ mod tests {
         let members = cluster_members(&cluster);
         assert_eq!(members[&0], vec![0, 1]);
         assert_eq!(members[&1], vec![2, 3, 4]);
-        let (sub, map) = cluster_subgraph(&g, &cluster, 1);
+        // what a leader reconstructs after topology gathering
+        let (sub, map) = g.induced_subgraph(&members[&1]);
         assert_eq!(sub.n(), 3);
         assert_eq!(sub.m(), 2);
         assert_eq!(map, vec![2, 3, 4]);

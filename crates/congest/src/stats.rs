@@ -80,6 +80,22 @@ impl RoundStats {
         self.crashed_messages += other.crashed_messages;
         self.truncated_messages += other.truncated_messages;
     }
+
+    /// What the same execution accumulated after `start` was read: every
+    /// running sum minus its earlier value. The edge peak is a maximum over
+    /// the whole run, not a flow, and is reported as it stands.
+    #[must_use]
+    pub fn since(&self, start: &RoundStats) -> RoundStats {
+        RoundStats {
+            rounds: self.rounds - start.rounds,
+            messages: self.messages - start.messages,
+            words: self.words - start.words,
+            max_words_edge_round: self.max_words_edge_round,
+            dropped_messages: self.dropped_messages - start.dropped_messages,
+            crashed_messages: self.crashed_messages - start.crashed_messages,
+            truncated_messages: self.truncated_messages - start.truncated_messages,
+        }
+    }
 }
 
 /// Compares two executions' statistics field by field, returning a
@@ -177,7 +193,10 @@ mod tests {
             crashed_messages: 7,
             truncated_messages: 1,
         };
+        let before = a;
         a.merge(&b);
+        // `since` undoes the sums and keeps the run's peak
+        assert_eq!(a.since(&before), RoundStats { max_words_edge_round: 4, ..b });
         assert_eq!(a.rounds, 5);
         assert_eq!(a.messages, 15);
         assert_eq!(a.words, 60);

@@ -8,7 +8,7 @@
 //! do the nontrivial augmentation work locally. This harness realizes both
 //! with an **iterated-decomposition local-improvement scheme**:
 //!
-//! 1. Draw a fresh expander decomposition (new randomness each round).
+//! 1. Decompose and run the framework (seed `s + i` in iteration `i`).
 //! 2. Matched edges crossing the decomposition are *locked*: they keep
 //!    their weight and their endpoints are frozen (the analogue of the
 //!    ±δ perturbation keeping boundary structure intact).
@@ -17,6 +17,15 @@
 //!    monotone non-decreasing total weight by construction.
 //! 4. Repeat `O(1/ε · polylog)` times; the measured ratio against the
 //!    exact sequential optimum is what Experiment E6 reports.
+//!
+//! **Finding (EXPERIMENTS §E6, ROADMAP item 5):** step 1 draws nothing
+//! fresh. `decompose_adaptive` takes no seed — the decomposition is a pure
+//! function of `(G, ε)` — so every iteration cuts the same edges and only
+//! the routing walks (hence `stats.rounds`) depend on the seed. Over a
+//! fixed clustering steps 2–3 are at their fixed point after one
+//! iteration: on the shuffled, weighted `triangulated_grid(16, 16)` of the
+//! repo benchmark, ε = 0.3, seeds `s … s+3` give identical `cluster_of`
+//! (k = 2, 31 cut edges) and all 14 `history` entries are 97 368.
 
 use lcg_congest::RoundStats;
 use lcg_graph::Graph;
@@ -37,8 +46,61 @@ pub struct MwmOutcome {
     pub stats: RoundStats,
 }
 
-/// Runs the Theorem 1.1 harness: `iterations` rounds of fresh
-/// decomposition + per-cluster exact MWM improvement.
+/// One improvement iteration (steps 1–3 of the module docs) under
+/// framework seed `seed`, applied to `out` in place: a history entry and
+/// one commit round are added whether or not the matching changed.
+fn improve(g: &Graph, epsilon: f64, density_bound: f64, seed: u64, out: &mut MwmOutcome) {
+    let fw = run_framework(g, &FrameworkConfig::minor_free(epsilon, density_bound, seed));
+    out.stats.merge(&fw.stats);
+    let cluster_of = &fw.decomposition.cluster_of;
+    // vertices frozen by matched cut edges keep their matches
+    let mut frozen = vec![false; g.n()];
+    for (v, &m) in out.mate.iter().enumerate() {
+        if let Some(u) = m {
+            if cluster_of[u] != cluster_of[v] {
+                frozen[v] = true;
+            }
+        }
+    }
+    let mut new_mate: Vec<Option<usize>> = (0..g.n())
+        .map(|v| if frozen[v] { out.mate[v] } else { None })
+        .collect();
+    for c in &fw.clusters {
+        // leader solves MWM on the cluster minus frozen vertices
+        let free_local: Vec<usize> = (0..c.subgraph.n())
+            .filter(|&l| !frozen[c.mapping[l]])
+            .collect();
+        if free_local.len() < 2 {
+            continue;
+        }
+        let (sub2, map2) = c.subgraph.induced_subgraph(&free_local);
+        if sub2.m() == 0 {
+            continue;
+        }
+        let local_mate = mwm::maximum_weight_matching(&sub2);
+        for (l2, &p2) in local_mate.iter().enumerate() {
+            if let Some(p) = p2 {
+                let u = c.mapping[map2[l2]];
+                let v = c.mapping[map2[p]];
+                new_mate[u] = Some(v);
+            }
+        }
+    }
+    debug_assert!(mwm::is_valid_matching(g, &new_mate));
+    let new_weight = mwm::matching_weight(g, &new_mate);
+    // Per-cluster optimality makes this monotone; assert it.
+    debug_assert!(new_weight >= out.weight, "weight regressed: {} -> {new_weight}", out.weight);
+    if new_weight >= out.weight {
+        out.mate = new_mate;
+        out.weight = new_weight;
+    }
+    out.history.push(out.weight);
+    // one round: clusters commit / broadcast acceptance
+    out.stats.rounds += 1;
+}
+
+/// Runs the Theorem 1.1 harness: `iterations` rounds of decomposition +
+/// per-cluster exact MWM improvement.
 pub fn approx_maximum_weight_matching(
     g: &Graph,
     epsilon: f64,
@@ -46,66 +108,16 @@ pub fn approx_maximum_weight_matching(
     seed: u64,
     iterations: usize,
 ) -> MwmOutcome {
-    let mut mate: Vec<Option<usize>> = vec![None; g.n()];
-    let mut stats = RoundStats::default();
-    let mut history = Vec::with_capacity(iterations);
+    let mut out = MwmOutcome {
+        mate: vec![None; g.n()],
+        weight: 0,
+        history: Vec::with_capacity(iterations),
+        stats: RoundStats::default(),
+    };
     for it in 0..iterations {
-        let cfg = FrameworkConfig::minor_free(epsilon, density_bound, seed.wrapping_add(it as u64));
-        let fw = run_framework(g, &cfg);
-        stats.merge(&fw.stats);
-        let cluster_of = &fw.decomposition.cluster_of;
-        // vertices frozen by matched cut edges keep their matches
-        let mut frozen = vec![false; g.n()];
-        for (v, &m) in mate.iter().enumerate() {
-            if let Some(u) = m {
-                if cluster_of[u] != cluster_of[v] {
-                    frozen[v] = true;
-                }
-            }
-        }
-        let mut new_mate: Vec<Option<usize>> = (0..g.n())
-            .map(|v| if frozen[v] { mate[v] } else { None })
-            .collect();
-        for c in &fw.clusters {
-            // leader solves MWM on the cluster minus frozen vertices
-            let free_local: Vec<usize> = (0..c.subgraph.n())
-                .filter(|&l| !frozen[c.mapping[l]])
-                .collect();
-            if free_local.len() < 2 {
-                continue;
-            }
-            let (sub2, map2) = c.subgraph.induced_subgraph(&free_local);
-            if sub2.m() == 0 {
-                continue;
-            }
-            let local_mate = mwm::maximum_weight_matching(&sub2);
-            for (l2, &p2) in local_mate.iter().enumerate() {
-                if let Some(p) = p2 {
-                    let u = c.mapping[map2[l2]];
-                    let v = c.mapping[map2[p]];
-                    new_mate[u] = Some(v);
-                }
-            }
-        }
-        debug_assert!(mwm::is_valid_matching(g, &new_mate));
-        let new_weight = mwm::matching_weight(g, &new_mate);
-        let old_weight = mwm::matching_weight(g, &mate);
-        // Per-cluster optimality makes this monotone; assert it.
-        debug_assert!(new_weight >= old_weight, "weight regressed: {old_weight} -> {new_weight}");
-        if new_weight >= old_weight {
-            mate = new_mate;
-        }
-        history.push(mwm::matching_weight(g, &mate));
-        // one round: clusters commit / broadcast acceptance
-        stats.rounds += 1;
+        improve(g, epsilon, density_bound, seed.wrapping_add(it as u64), &mut out);
     }
-    let weight = mwm::matching_weight(g, &mate);
-    MwmOutcome {
-        mate,
-        weight,
-        history,
-        stats,
-    }
+    out
 }
 
 /// Recommended iteration count for a target ε (measured convergence is
@@ -188,59 +200,11 @@ pub fn approx_mwm_with_warm_start(
     seed: u64,
     iterations: usize,
 ) -> MwmOutcome {
-    let warm = scaling_sweep(g, epsilon, density_bound, seed);
-    let mut mate = warm.mate;
-    let mut stats = warm.stats;
-    let mut history = warm.history;
+    let mut out = scaling_sweep(g, epsilon, density_bound, seed);
     for it in 0..iterations {
-        let cfg =
-            FrameworkConfig::minor_free(epsilon, density_bound, seed.wrapping_add(1000 + it as u64));
-        let fw = run_framework(g, &cfg);
-        stats.merge(&fw.stats);
-        let cluster_of = &fw.decomposition.cluster_of;
-        let mut frozen = vec![false; g.n()];
-        for (v, &m) in mate.iter().enumerate() {
-            if let Some(u) = m {
-                if cluster_of[u] != cluster_of[v] {
-                    frozen[v] = true;
-                }
-            }
-        }
-        let mut new_mate: Vec<Option<usize>> = (0..g.n())
-            .map(|v| if frozen[v] { mate[v] } else { None })
-            .collect();
-        for c in &fw.clusters {
-            let free_local: Vec<usize> = (0..c.subgraph.n())
-                .filter(|&l| !frozen[c.mapping[l]])
-                .collect();
-            if free_local.len() < 2 {
-                continue;
-            }
-            let (sub2, map2) = c.subgraph.induced_subgraph(&free_local);
-            if sub2.m() == 0 {
-                continue;
-            }
-            let local_mate = mwm::maximum_weight_matching(&sub2);
-            for (l2, &p2) in local_mate.iter().enumerate() {
-                if let Some(p) = p2 {
-                    let u = c.mapping[map2[l2]];
-                    let v = c.mapping[map2[p]];
-                    new_mate[u] = Some(v);
-                }
-            }
-        }
-        if mwm::matching_weight(g, &new_mate) >= mwm::matching_weight(g, &mate) {
-            mate = new_mate;
-        }
-        history.push(mwm::matching_weight(g, &mate));
-        stats.rounds += 1;
+        improve(g, epsilon, density_bound, seed.wrapping_add(1000 + it as u64), &mut out);
     }
-    MwmOutcome {
-        weight: mwm::matching_weight(g, &mate),
-        mate,
-        history,
-        stats,
-    }
+    out
 }
 
 #[cfg(test)]

@@ -260,20 +260,15 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
             })
             .collect()
     };
-    let sp = net.span_open("election");
-    net.metrics_phase_start("election");
-    let elected = primitives::max_flood(&mut net, &degrees, diam_bound, Scope::Intra(&cluster_of));
-    net.metrics_phase_end("election");
-    net.span_close(sp);
+    let elected = net.phase("election", |net| {
+        primitives::max_flood(net, &degrees, diam_bound, Scope::Intra(&cluster_of))
+    });
 
     // Phase 3: distributed orientation (so each vertex ships O(1) edges).
-    let sp = net.span_open("orientation");
-    net.metrics_phase_start("orientation");
     let max_layers = 4 * ((g.n().max(2) as f64).log2().ceil() as usize) + 8;
-    let layer =
-        primitives::h_partition_distributed(&mut net, cfg.density_bound, 1.0, max_layers, Scope::Intra(&cluster_of));
-    net.metrics_phase_end("orientation");
-    net.span_close(sp);
+    let layer = net.phase("orientation", |net| {
+        primitives::h_partition_distributed(net, cfg.density_bound, 1.0, max_layers, Scope::Intra(&cluster_of))
+    });
     // out-edges: lower layer -> higher layer (ties by id), intra-cluster
     let out_deg: Vec<usize> = (0..g.n())
         .map(|v| {
@@ -294,135 +289,121 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     let mut gather_rounds = 0u64;
     let mut broadcast_rounds = 0u64;
     let mut faithful_traffic = RoundStats::default();
-    let sp_gather = net.span_open("gathering");
-    net.metrics_phase_start("gathering");
-    for (cid, sub, mapping) in subs {
-        let leader = mapping
-            .iter()
-            .copied()
-            .max_by_key(|&v| (degrees[v], v))
-            .expect("decomposition clusters are non-empty");
-        // sanity: the flood elects the same leader everywhere — unless an
-        // active fault plan dropped flood messages, in which case the
-        // disagreement is *recorded* for the §2.3 detectors, not asserted.
-        let election_agrees = mapping.iter().all(|&v| elected[v].1 == leader);
-        debug_assert!(
-            faults_active || election_agrees,
-            "fault-free election must agree on the max-degree leader"
-        );
-        let counts: Vec<usize> = mapping.iter().map(|&v| 1 + out_deg[v]).collect();
-        let routing_outcome = if sub.n() <= 1 {
-            routing::RoutingOutcome {
-                delivered: counts.iter().sum(),
-                total: counts.iter().sum(),
-                steps: 0,
-                rounds: 0,
-                max_edge_load: 0,
-            }
-        } else if cfg.deterministic_routing {
-            routing::tree_routing(g, &mapping, leader)
-        } else if cfg.message_faithful {
-            // run this cluster's routing on its own network (clusters run
-            // in parallel; rounds take the max, traffic sums)
-            let mut cluster_net = Network::with_exec(g, Model::congest(), cfg.exec);
-            if cfg.trace {
-                // the cluster net shares the host graph, so its per-edge
-                // loads merge 1:1 into the main tracer's table
-                cluster_net.attach_tracer(Tracer::new(TraceConfig::hotspots_only("cluster")));
-            }
-            // same host graph, same edge ids: the fault schedule applies
-            // to the cluster's traffic exactly as it would on the host
-            cluster_net.set_fault_plan(cfg.faults.clone());
-            let (outcome, rstats) = routing::network_walk_routing_with_counts(
-                &mut cluster_net,
-                &mapping,
-                leader,
-                &counts,
-                cfg.max_walk_steps,
-                &mut rng,
+    net.phase("gathering", |net| {
+        for (cid, sub, mapping) in subs {
+            let leader = mapping
+                .iter()
+                .copied()
+                .max_by_key(|&v| (degrees[v], v))
+                .expect("decomposition clusters are non-empty");
+            // sanity: the flood elects the same leader everywhere — unless an
+            // active fault plan dropped flood messages, in which case the
+            // disagreement is *recorded* for the §2.3 detectors, not asserted.
+            let election_agrees = mapping.iter().all(|&v| elected[v].1 == leader);
+            debug_assert!(
+                faults_active || election_agrees,
+                "fault-free election must agree on the max-degree leader"
             );
-            if let Some(cluster_tracer) = cluster_net.take_tracer() {
+            let counts: Vec<usize> = mapping.iter().map(|&v| 1 + out_deg[v]).collect();
+            let routing_outcome = if sub.n() <= 1 {
+                routing::RoutingOutcome {
+                    delivered: counts.iter().sum(),
+                    total: counts.iter().sum(),
+                    steps: 0,
+                    rounds: 0,
+                    max_edge_load: 0,
+                }
+            } else if cfg.deterministic_routing {
+                routing::tree_routing(g, &mapping, leader)
+            } else if cfg.message_faithful {
+                // run this cluster's routing on its own network (clusters run
+                // in parallel; rounds take the max, traffic sums)
+                let mut cluster_net = Network::with_exec(g, Model::congest(), cfg.exec);
+                if cfg.trace {
+                    // the cluster net shares the host graph, so its per-edge
+                    // loads merge 1:1 into the main tracer's table
+                    cluster_net.attach_tracer(Tracer::new(TraceConfig::hotspots_only("cluster")));
+                }
+                // same host graph, same edge ids: the fault schedule applies
+                // to the cluster's traffic exactly as it would on the host
+                cluster_net.set_fault_plan(cfg.faults.clone());
+                let (outcome, rstats) = routing::network_walk_routing_with_counts(
+                    &mut cluster_net,
+                    &mapping,
+                    leader,
+                    &counts,
+                    cfg.max_walk_steps,
+                    &mut rng,
+                );
+                if let Some(cluster_tracer) = cluster_net.take_tracer() {
+                    if let Some(t) = net.tracer_mut() {
+                        t.merge_edge_words_from(&cluster_tracer);
+                    }
+                }
+                // clusters run in parallel: rounds are charged once below, as
+                // the max; everything else sums
+                faithful_traffic.merge(&RoundStats { rounds: 0, ..rstats });
+                outcome
+            } else {
+                // One charged walk whatever is being observed: an active plan
+                // adjudicates each crossing (killed tokens consumed their
+                // bandwidth; the outcome honestly reports the shortfall for
+                // the §2.3 reversal detector), a full trace asks for the
+                // host-edge loads of the hotspot table. Same single rng draw
+                // and same trajectories in every combination.
+                let (outcome, loads) = routing::charged_walk_routing(
+                    g,
+                    &mapping,
+                    leader,
+                    &counts,
+                    cfg.max_walk_steps,
+                    &mut rng,
+                    cfg.exec,
+                    cfg.faults.as_ref().filter(|_| faults_active),
+                    cfg.trace,
+                );
                 if let Some(t) = net.tracer_mut() {
-                    t.merge_edge_words_from(&cluster_tracer);
+                    for (e, w) in loads {
+                        t.add_edge_words(e, w);
+                    }
                 }
+                outcome
+            };
+            gather_rounds = gather_rounds.max(routing_outcome.rounds);
+            // broadcast = reversed routing (same cost, as in the paper)
+            broadcast_rounds = broadcast_rounds.max(routing_outcome.rounds);
+            if cfg.trace {
+                // zero-round child span carrying this cluster's routing budget
+                // (rounds are charged once after the loop, as the max)
+                let csp = net.span_open("cluster");
+                if let (Some(id), Some(t)) = (csp, net.tracer_mut()) {
+                    t.annotate(id, "cluster", cid as u64);
+                    t.annotate(id, "members", mapping.len() as u64);
+                    t.annotate(id, "rounds", routing_outcome.rounds);
+                    t.annotate(id, "steps", routing_outcome.steps as u64);
+                    t.annotate(id, "max_edge_load", routing_outcome.max_edge_load as u64);
+                    t.annotate(id, "delivered", routing_outcome.delivered as u64);
+                }
+                net.span_close(csp);
             }
-            faithful_traffic.messages += rstats.messages;
-            faithful_traffic.words += rstats.words;
-            faithful_traffic.max_words_edge_round =
-                faithful_traffic.max_words_edge_round.max(rstats.max_words_edge_round);
-            faithful_traffic.dropped_messages += rstats.dropped_messages;
-            faithful_traffic.crashed_messages += rstats.crashed_messages;
-            faithful_traffic.truncated_messages += rstats.truncated_messages;
-            outcome
-        } else {
-            // One charged walk whatever is being observed: an active plan
-            // adjudicates each crossing (killed tokens consumed their
-            // bandwidth; the outcome honestly reports the shortfall for
-            // the §2.3 reversal detector), a full trace asks for the
-            // host-edge loads of the hotspot table. Same single rng draw
-            // and same trajectories in every combination.
-            let (outcome, loads) = routing::charged_walk_routing(
-                g,
-                &mapping,
+            clusters.push(ClusterRun {
+                id: cid,
+                members: mapping.clone(),
                 leader,
-                &counts,
-                cfg.max_walk_steps,
-                &mut rng,
-                cfg.exec,
-                cfg.faults.as_ref().filter(|_| faults_active),
-                cfg.trace,
-            );
-            if let Some(t) = net.tracer_mut() {
-                for (e, w) in loads {
-                    t.add_edge_words(e, w);
-                }
-            }
-            outcome
-        };
-        gather_rounds = gather_rounds.max(routing_outcome.rounds);
-        // broadcast = reversed routing (same cost, as in the paper)
-        broadcast_rounds = broadcast_rounds.max(routing_outcome.rounds);
-        if cfg.trace {
-            // zero-round child span carrying this cluster's routing budget
-            // (rounds are charged once after the loop, as the max)
-            let csp = net.span_open("cluster");
-            if let (Some(id), Some(t)) = (csp, net.tracer_mut()) {
-                t.annotate(id, "cluster", cid as u64);
-                t.annotate(id, "members", mapping.len() as u64);
-                t.annotate(id, "rounds", routing_outcome.rounds);
-                t.annotate(id, "steps", routing_outcome.steps as u64);
-                t.annotate(id, "max_edge_load", routing_outcome.max_edge_load as u64);
-                t.annotate(id, "delivered", routing_outcome.delivered as u64);
-            }
-            net.span_close(csp);
+                subgraph: sub,
+                mapping,
+                election_agrees,
+                routing: routing_outcome,
+            });
         }
-        clusters.push(ClusterRun {
-            id: cid,
-            members: mapping.clone(),
-            leader,
-            subgraph: sub,
-            mapping,
-            election_agrees,
-            routing: routing_outcome,
-        });
-    }
-    net.charge_rounds(gather_rounds);
-    if cfg.message_faithful {
-        // the per-cluster networks' traffic (rounds already accounted as
-        // the max, charged above)
-        net.charge_stats(&RoundStats {
-            rounds: 0,
-            ..faithful_traffic
-        });
-    }
-    net.metrics_phase_end("gathering");
-    net.span_close(sp_gather);
+        net.charge_rounds(gather_rounds);
+        if cfg.message_faithful {
+            // the per-cluster networks' traffic (rounds were charged above)
+            net.charge_stats(&faithful_traffic);
+        }
+    });
 
-    let sp = net.span_open("broadcast");
-    net.metrics_phase_start("broadcast");
-    net.charge_rounds(broadcast_rounds);
-    net.metrics_phase_end("broadcast");
-    net.span_close(sp);
+    net.phase("broadcast", |net| net.charge_rounds(broadcast_rounds));
 
     let metrics_recorder = net.take_metrics();
     let stats = net.stats();
@@ -679,6 +660,31 @@ mod tests {
         for name in ["decomposition", "election", "orientation", "gathering", "broadcast"] {
             assert!(phase_names.contains(&name), "missing phase timer `{name}`");
         }
+    }
+
+    /// Message-faithful gathering runs on per-cluster networks whose stats
+    /// reach the host through `charge_stats`: the registry must see their
+    /// fault tallies too, not only their rounds/messages/words.
+    #[test]
+    fn faithful_faulty_metrics_mirror_the_fault_counters() {
+        let mut rng = gen::seeded_rng(220);
+        let g = gen::random_planar(90, 0.5, &mut rng);
+        let cfg = FrameworkConfig {
+            message_faithful: true,
+            metrics: true,
+            faults: Some(lcg_congest::FaultPlan::drops(0xD0, 0.2)),
+            max_walk_steps: 20_000,
+            ..FrameworkConfig::planar(0.3, 9)
+        };
+        let out = run_framework(&g, &cfg);
+        let det = &out.metrics.as_ref().expect("metrics on must produce a report").deterministic;
+        // the election + orientation drops alone are fewer than the total,
+        // so equality below really covers the per-cluster networks
+        assert!(out.stats.dropped_messages > 0, "0.2 drop rate must bite");
+        assert_eq!(det.counter("net.dropped_messages"), out.stats.dropped_messages);
+        assert_eq!(det.counter("net.crashed_messages"), out.stats.crashed_messages);
+        assert_eq!(det.counter("net.truncated_messages"), out.stats.truncated_messages);
+        assert_eq!(det.counter("net.messages"), out.stats.messages);
     }
 
     /// `faults: Some(FaultPlan::none())` exercises the fault-adjudicating

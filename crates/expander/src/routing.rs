@@ -56,7 +56,7 @@ pub fn random_walk_routing(
     members: &[usize],
     leader: usize,
     max_steps: usize,
-    rng: &mut impl Rng,
+    rng: &mut ChaCha8Rng,
 ) -> RoutingOutcome {
     let counts = vec![1usize; members.len()];
     charged_walk_routing(g, members, leader, &counts, max_steps, rng, ExecConfig::from_env(), None, false).0
@@ -73,7 +73,7 @@ pub fn random_walk_routing_with_counts_exec(
     leader: usize,
     counts: &[usize],
     max_steps: usize,
-    rng: &mut impl Rng,
+    rng: &mut ChaCha8Rng,
     exec: ExecConfig,
 ) -> RoutingOutcome {
     charged_walk_routing(g, members, leader, counts, max_steps, rng, exec, None, false).0
@@ -88,24 +88,85 @@ struct Token {
     rng: ChaCha8Rng,
 }
 
-/// One step of one token: `None` = stay (lazy), `Some((edge, dest))` = the
-/// chosen crossing. Pure per-token computation — this is the part the
-/// engine fans out across worker threads.
-#[inline]
-fn token_step(sub: &Graph, tok: &mut Token) -> Option<(usize, usize)> {
-    if !tok.alive || tok.rng.gen_bool(0.5) {
-        return None;
+/// What a token step reads besides the token: the walk's constants.
+struct Walk<'a> {
+    sub: &'a Graph,
+    /// `map[local] = host` vertex (fault coins key on host ids).
+    map: &'a [usize],
+    leader_local: usize,
+    faults: Option<&'a FaultPlan>,
+    /// Host edge id per sub edge; empty without a fault plan.
+    host_edge: &'a [usize],
+}
+
+impl Walk<'_> {
+    /// One step of one token: roll (stay with probability 1/2, else a
+    /// uniform neighbor), adjudicate the crossing, move, absorb at the
+    /// leader. `step` is the 1-based walk step. Returns the sub edge
+    /// crossed, for [`EdgeTally::step`]. Every update here is a pure
+    /// function of `(step, token)` — it never reads the shared edge tables
+    /// — so running it on a worker thread is bit-identical to running it
+    /// in token order; this is the part the engine fans out.
+    #[inline]
+    fn advance(&self, step: usize, tok: &mut Token, delivered: &mut usize, lost: &mut usize) -> Option<usize> {
+        if !tok.alive || tok.rng.gen_bool(0.5) {
+            return None;
+        }
+        let d = self.sub.degree(tok.pos);
+        if d == 0 {
+            return None;
+        }
+        let k = tok.rng.gen_range(0..d);
+        let (w, e) = self.sub.neighbors(tok.pos).nth(k).expect("k < degree(pos) by construction");
+        // the crossing consumed the edge's bandwidth either way (the tally
+        // still charges it); the plan decides the token's survival, keyed
+        // by the 0-based walk step
+        let killed = self.faults.is_some_and(|f| {
+            f.kills_message((step - 1) as u64, self.host_edge[e], self.map[tok.pos], self.map[w])
+        });
+        if killed {
+            tok.alive = false;
+            *lost += 1;
+        } else {
+            tok.pos = w;
+            if w == self.leader_local {
+                tok.alive = false;
+                *delivered += 1;
+            }
+        }
+        Some(e)
     }
-    let d = sub.degree(tok.pos);
-    if d == 0 {
-        return None;
+}
+
+/// The walk's shared bookkeeping, updated once per step by a token-order
+/// sweep over that step's crossings — the part that needs global order.
+struct EdgeTally {
+    /// Tokens per sub edge in the current step.
+    load: Vec<usize>,
+    /// Cumulative words per sub edge; empty unless tracked.
+    words: Vec<u64>,
+    rounds: u64,
+    max_load: usize,
+}
+
+impl EdgeTally {
+    /// Charges one walk step. Each token crossing an edge is one
+    /// O(log n)-bit message and an edge carries one message per round per
+    /// direction, so the step costs (at least) the max directed load; we
+    /// charge the undirected max, a faithful upper bound within a factor 2.
+    fn step<'m>(&mut self, crossings: impl Iterator<Item = &'m Option<usize>>) {
+        self.load.fill(0);
+        let mut step_max = 0usize;
+        for &e in crossings.flatten() {
+            self.load[e] += 1;
+            step_max = step_max.max(self.load[e]);
+            if let Some(w) = self.words.get_mut(e) {
+                *w += 2; // one 2-word message per crossing
+            }
+        }
+        self.rounds += step_max.max(1) as u64;
+        self.max_load = self.max_load.max(step_max);
     }
-    let k = tok.rng.gen_range(0..d);
-    let (w, e) = sub
-        .neighbors(tok.pos)
-        .nth(k)
-        .expect("k < degree(pos) by construction");
-    Some((e, w))
 }
 
 /// Lemma 2.4, charged: route `counts[i]` tokens from member `i` of
@@ -139,8 +200,8 @@ fn token_step(sub: &Graph, tok: &mut Token) -> Option<(usize, usize)> {
 ///
 /// # Panics
 ///
-/// Panics if `counts.len() != members.len()`, the leader is not a member,
-/// or `G[members]` is disconnected.
+/// Panics if `counts.len() != members.len()`, a member repeats, the leader
+/// is not a member, or `G[members]` is disconnected.
 #[allow(clippy::too_many_arguments)]
 pub fn charged_walk_routing(
     g: &Graph,
@@ -148,7 +209,7 @@ pub fn charged_walk_routing(
     leader: usize,
     counts: &[usize],
     max_steps: usize,
-    rng: &mut impl Rng,
+    rng: &mut ChaCha8Rng,
     exec: ExecConfig,
     faults: Option<&FaultPlan>,
     track_edges: bool,
@@ -160,22 +221,14 @@ pub fn charged_walk_routing(
         .iter()
         .position(|&v| v == leader)
         .expect("leader must be a cluster member");
-    let n = sub.n();
-    // `map` preserves the order of (deduplicated) `members`, so counts
-    // line up with local ids after the same dedup; recompute defensively.
-    let count_of = |local: usize| -> usize {
-        let orig = map[local];
-        members
-            .iter()
-            .position(|&v| v == orig)
-            .map(|i| counts[i])
-            .unwrap_or(0)
-    };
+    // `induced_subgraph` numbers vertices in `members` order, so local id
+    // `v` is index `v` of `counts` as long as no member repeats
+    assert_eq!(map.len(), members.len(), "members must not repeat");
     let master: u64 = rng.gen();
     // token states; tokens at the leader are absorbed immediately
     let mut tokens: Vec<Token> = Vec::new();
-    for v in 0..n {
-        for _ in 0..count_of(v) {
+    for (v, &count) in counts.iter().enumerate() {
+        for _ in 0..count {
             let t = tokens.len() as u64;
             tokens.push(Token {
                 pos: v,
@@ -187,24 +240,20 @@ pub fn charged_walk_routing(
     let total = tokens.len();
     let mut delivered = tokens.iter().filter(|t| !t.alive).count();
     let mut lost = 0usize;
-    let mut rounds = 0u64;
     let mut steps = 0usize;
-    let mut max_edge_load = 0usize;
-    let mut edge_load = vec![0usize; sub.m()];
-    // cumulative 2-word messages per sub edge (only when tracked)
-    let mut edge_words: Vec<u64> = if track_edges { vec![0; sub.m()] } else { Vec::new() };
-    // host edge id per sub edge (only needed to key fault decisions)
-    let host_edge: Vec<usize> = if faults.is_some() {
-        let mut h = vec![usize::MAX; sub.m()];
-        for (e, a, b) in sub.edges() {
-            h[e] = g
-                .edge_id(map[a], map[b])
-                .expect("induced-subgraph edges exist in the host graph");
-        }
-        h
-    } else {
-        Vec::new()
+    let mut tally = EdgeTally {
+        load: vec![0; sub.m()],
+        words: if track_edges { vec![0; sub.m()] } else { Vec::new() },
+        rounds: 0,
+        max_load: 0,
     };
+    let host_edge_of = |(_, a, b): (usize, usize, usize)| {
+        g.edge_id(map[a], map[b]).expect("induced-subgraph edges exist in the host graph")
+    };
+    // only needed to key fault decisions; `edges()` yields them in id order
+    let host_edge: Vec<usize> =
+        if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
+    let walk = Walk { sub: &sub, map: &map, leader_local, faults, host_edge: &host_edge };
     // A token step is an order of magnitude cheaper than a vertex round
     // (one RNG draw and a couple of table reads vs a full degree sweep),
     // so the adaptive fallback needs proportionally more tokens per worker
@@ -215,163 +264,65 @@ pub fn charged_walk_routing(
     if let Some(chunks) = token_exec.par_chunks(total) {
         // Parallel path: ONE persistent batch for the whole walk
         // (`pool::run_batch`) — workers spawn once, own their token chunk
-        // across every step, and park on a rendezvous between steps.
-        //
-        // Each step's job carries the chunk's move buffer out and back.
-        // Workers roll *and apply* their tokens' moves (position,
-        // absorption, fault kills): every per-token update is a pure
-        // function of `(step, move, token)` — it never reads the shared
-        // edge tables — so applying it on the worker is bit-identical to
-        // the sequential token-order merge. The leader then sweeps the
-        // returned moves in token order for the shared bookkeeping
-        // (per-step edge loads, max congestion, traced words), which is
-        // the part that genuinely needs global order.
+        // across every step, and park on a rendezvous between steps. Each
+        // step's job carries the chunk's crossing buffer out and back;
+        // workers `advance` their tokens, the leader then tallies the
+        // returned crossings in token order.
         struct WalkJob {
-            /// 1-based step counter (fault coins key on `step - 1`).
+            /// 1-based step counter.
             step: usize,
-            /// The chunk's move buffer, refilled by the worker.
-            moves: Vec<Option<(usize, usize)>>,
+            /// The chunk's crossing buffer, refilled by the worker.
+            crossed: Vec<Option<usize>>,
             /// Tokens of this chunk absorbed at the leader this step.
             delivered: usize,
             /// Tokens of this chunk destroyed by the fault plan this step.
             lost: usize,
         }
-        let mut mv_parts: Vec<Vec<Option<(usize, usize)>>> =
-            chunks.iter().map(|r| vec![None; r.len()]).collect();
-        let sub = &sub;
-        let (map, host_edge) = (&map, &host_edge);
+        let mut parts: Vec<Vec<Option<usize>>> = chunks.iter().map(|r| vec![None; r.len()]).collect();
         let worker = |_w: usize, _r: std::ops::Range<usize>, toks: &mut [Token], mut job: WalkJob| {
-            job.delivered = 0;
-            job.lost = 0;
-            for (tok, mv) in toks.iter_mut().zip(job.moves.iter_mut()) {
-                *mv = token_step(sub, tok);
-                if let Some((e, w)) = *mv {
-                    if let Some(f) = faults {
-                        // the crossing consumed the edge's bandwidth either
-                        // way (the leader still charges it); adjudicate the
-                        // token's survival keyed by the 0-based walk step
-                        if f.kills_message((job.step - 1) as u64, host_edge[e], map[tok.pos], map[w]) {
-                            tok.alive = false;
-                            job.lost += 1;
-                            continue;
-                        }
-                    }
-                    tok.pos = w;
-                    if w == leader_local {
-                        tok.alive = false;
-                        job.delivered += 1;
-                    }
-                }
+            for (tok, mv) in toks.iter_mut().zip(job.crossed.iter_mut()) {
+                *mv = walk.advance(job.step, tok, &mut job.delivered, &mut job.lost);
             }
             job
         };
         lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, None, |pool| {
             while steps < max_steps && delivered + lost < total {
                 steps += 1;
-                for e in edge_load.iter_mut() {
-                    *e = 0;
+                for (i, part) in parts.iter_mut().enumerate() {
+                    let crossed = std::mem::take(part);
+                    pool.dispatch(i, WalkJob { step: steps, crossed, delivered: 0, lost: 0 });
                 }
-                for (i, part) in mv_parts.iter_mut().enumerate() {
-                    let job = WalkJob {
-                        step: steps,
-                        moves: std::mem::take(part),
-                        delivered: 0,
-                        lost: 0,
-                    };
-                    pool.dispatch(i, job);
-                }
-                for (i, part) in mv_parts.iter_mut().enumerate() {
+                for (i, part) in parts.iter_mut().enumerate() {
                     let job = pool.collect(i);
-                    *part = job.moves;
+                    *part = job.crossed;
                     delivered += job.delivered;
                     lost += job.lost;
                 }
-                // token-order sweep over the shared edge tables
-                let mut step_max = 0usize;
-                for mv in mv_parts.iter().flat_map(|p| p.iter()) {
-                    if let Some((e, _)) = *mv {
-                        edge_load[e] += 1;
-                        step_max = step_max.max(edge_load[e]);
-                        if track_edges {
-                            edge_words[e] += 2; // one 2-word message per crossing
-                        }
-                    }
-                }
-                rounds += step_max.max(1) as u64;
-                max_edge_load = max_edge_load.max(step_max);
+                tally.step(parts.iter().flatten());
             }
         });
     } else {
-        let mut moves: Vec<Option<(usize, usize)>> = vec![None; total];
+        let mut crossed: Vec<Option<usize>> = vec![None; total];
         while steps < max_steps && delivered + lost < total {
             steps += 1;
-            for e in edge_load.iter_mut() {
-                *e = 0;
+            for (tok, mv) in tokens.iter_mut().zip(crossed.iter_mut()) {
+                *mv = walk.advance(steps, tok, &mut delivered, &mut lost);
             }
-            for (tok, mv) in tokens.iter_mut().zip(moves.iter_mut()) {
-                *mv = token_step(&sub, tok);
-            }
-            // merge: token-order sweep applies crossings to the shared tables
-            let mut step_max = 0usize;
-            for (tok, mv) in tokens.iter_mut().zip(moves.iter()) {
-                if let Some((e, w)) = *mv {
-                    edge_load[e] += 1;
-                    step_max = step_max.max(edge_load[e]);
-                    if track_edges {
-                        edge_words[e] += 2; // one 2-word message per crossing
-                    }
-                    if let Some(f) = faults {
-                        // the crossing consumed the edge's bandwidth either
-                        // way; adjudicate the token's survival keyed by the
-                        // 0-based walk step
-                        let from = tok.pos;
-                        if f.kills_message((steps - 1) as u64, host_edge[e], map[from], map[w]) {
-                            tok.alive = false;
-                            lost += 1;
-                            continue;
-                        }
-                    }
-                    tok.pos = w;
-                    if w == leader_local {
-                        tok.alive = false;
-                        delivered += 1;
-                    }
-                }
-            }
-            // Each token crossing an edge is one O(log n)-bit message; an
-            // edge carries one message per round per direction, so this
-            // step costs (at least) the max directed load. We charge the
-            // undirected max, a faithful upper bound within a factor 2.
-            rounds += step_max.max(1) as u64;
-            max_edge_load = max_edge_load.max(step_max);
+            tally.step(crossed.iter());
         }
     }
-    let loads = if track_edges {
-        let mut loads: Vec<(usize, u64)> = sub
-            .edges()
-            .filter(|&(e, _, _)| edge_words[e] > 0)
-            .map(|(e, a, b)| {
-                let host = g
-                    .edge_id(map[a], map[b])
-                    .expect("induced-subgraph edges exist in the host graph");
-                (host, edge_words[e])
-            })
-            .collect();
-        loads.sort_unstable();
-        loads
-    } else {
-        Vec::new()
-    };
-    (
-        RoutingOutcome {
-            delivered,
-            total,
-            steps,
-            rounds,
-            max_edge_load,
-        },
-        loads,
-    )
+    // edges come in id order, so they pair up with the per-edge words
+    // (none at all when untracked)
+    let mut loads: Vec<(usize, u64)> = sub
+        .edges()
+        .zip(&tally.words)
+        .filter(|&(_, &words)| words > 0)
+        .map(|(edge, &words)| (host_edge_of(edge), words))
+        .collect();
+    loads.sort_unstable();
+    let outcome =
+        RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
+    (outcome, loads)
 }
 
 /// Deterministic routing: pipelined convergecast of one message per vertex
@@ -449,7 +400,7 @@ pub fn network_walk_routing(
     members: &[usize],
     leader: usize,
     max_steps: usize,
-    rng: &mut impl Rng,
+    rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
     let counts = vec![1usize; members.len()];
     network_walk_routing_with_counts(net, members, leader, &counts, max_steps, rng)
@@ -468,7 +419,7 @@ pub fn network_walk_routing_with_counts(
     leader: usize,
     counts: &[usize],
     max_steps: usize,
-    rng: &mut impl Rng,
+    rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
     assert_eq!(counts.len(), members.len(), "one count per member required");
     let g = net.graph();
@@ -584,14 +535,7 @@ pub fn network_walk_routing_with_counts(
             break;
         }
     }
-    let end = net.stats();
-    let mut stats = end;
-    stats.rounds -= start.rounds;
-    stats.messages -= start.messages;
-    stats.words -= start.words;
-    stats.dropped_messages -= start.dropped_messages;
-    stats.crashed_messages -= start.crashed_messages;
-    stats.truncated_messages -= start.truncated_messages;
+    let stats = net.stats().since(&start);
     (
         RoutingOutcome {
             delivered,

@@ -135,16 +135,23 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "C001",
         severity: Severity::Error,
-        summary: "no shared-mutable-state primitives (Mutex/RwLock/Atomic*/static mut) in deterministic crates outside the executor pool core",
+        summary: "no shared-mutable-state primitives (Mutex/RwLock/Atomic*/static mut) in deterministic crates outside the executor pool core, and no `static` holding interior mutability (OnceLock/LazyLock/Cell/RefCell/Mutex/RwLock/Atomic*) in any library crate",
         rationale: "the engine's thread-count invariance is proven by construction: workers own \
                     disjoint chunks and reduce at a barrier in chunk order. A lock or atomic \
                     introduces cross-thread communication whose timing the proof cannot see — \
-                    results may still *look* right at one thread count and drift at another.",
-        example: "static PROGRESS: AtomicU64 = AtomicU64::new(0);  // in crates/congest",
+                    results may still *look* right at one thread count and drift at another. A \
+                    `static` with interior mutability is the run-to-run form of the same leak: \
+                    two runs in one process (every `cargo test` binary) share it, so one run's \
+                    samples, flags or first-call epoch show up in the other — which is how \
+                    tier-1 flaked until the profiler's statics were removed. That half of the \
+                    rule has no whitelist: it applies to every library crate, the profiling \
+                    quarantine and the pool core included.",
+        example: "static EPOCH: OnceLock<Instant> = OnceLock::new();  // anywhere under crates/*/src",
         fix: "restructure as chunk-local state merged at the round barrier (see \
-              executor::pool::run_batch); genuinely engine-internal synchronization belongs in \
-              the whitelisted pool core, anything else needs \
-              `// lcg-lint: allow(C001) -- <why this cannot affect results>`",
+              executor::pool::run_batch), and hang per-run state on a per-run value (the \
+              Recorder, the ExecConfig, the Network) instead of a `static`; genuinely \
+              engine-internal synchronization belongs in the whitelisted pool core, anything \
+              else needs `// lcg-lint: allow(C001) -- <why this cannot affect results>`",
     },
     RuleInfo {
         id: "C002",
@@ -196,7 +203,7 @@ pub const RULES: &[RuleInfo] = &[
                     profiling value reaching a message payload, a reduction, a deterministic \
                     counter, or an RNG seed ties results to the run's timing, breaking \
                     bit-identical replay in a way no golden test can localize.",
-        example: "let t = profile::now_ns();\nlet mut rng = ChaCha8Rng::seed_from_u64(t);",
+        example: "let t = Stamp::now().ns_since(started);\nlet mut rng = ChaCha8Rng::seed_from_u64(t);",
         fix: "keep profiling values inside the profile plane (time things, report them, never \
               feed them back): derive seeds from the run seed, account logical quantities only; \
               a diagnostics-only flow can be waived with \
@@ -497,11 +504,21 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
             check_d001(&mut findings, &mut emit, &hash_bindings, i, code);
         }
 
+        // C001, run-to-run half: a `static` holding interior mutability is
+        // process-global state, banned in the library code of every crate
+        // with no whitelist. It stands in for the token findings below on
+        // its line (one finding per sin).
+        let global = if line.in_test || ctx.non_library_target { None } else { static_interior(code) };
+        if let Some((col, token)) = global {
+            emit(&mut findings, "C001", i, col, format!("`static` holding `{token}`: process-global interior mutability is shared by every run in the process, so runs leak samples, flags and first-call state into each other; hang it on a per-run value (Recorder, ExecConfig, Network) instead"));
+        }
+
         // C001: shared-mutable-state primitives in deterministic crates.
         // Protocol files are M001's domain (one finding per sin) and the
         // executor pool core is the one sanctioned home for cross-thread
         // machinery — everything else must be chunk-local + barrier-merged.
         if ctx.deterministic()
+            && global.is_none()
             && !line.in_test
             && !protocol_file
             && !C001_WHITELIST.iter().any(|w| ctx.rel.ends_with(w))
@@ -595,7 +612,8 @@ const PROFILE_QUARANTINE: &[&str] = &["metrics/src/profile.rs"];
 /// Profiling-plane origin tokens (O001): a line touching one of these
 /// carries a wall-clock / scheduler / memory observation.
 const O001_ORIGINS: &[&str] = &[
-    "now_ns",
+    "Stamp",
+    "ns_since",
     "peak_rss_bytes",
     "exec_sink",
     "elapsed",
@@ -607,7 +625,7 @@ const O001_ORIGINS: &[&str] = &[
 /// Profiling-plane types (O001): a binding annotated with one is
 /// tainted wherever it is used in the file.
 const O001_TYPES: &[&str] =
-    &["WorkerSample", "ExecProfile", "Profile", "ProfileReport", "PhaseTiming"];
+    &["Stamp", "WorkerSample", "ExecProfile", "Profile", "ProfileReport", "PhaseTiming"];
 
 /// RNG-seeding sinks (O001), matched at word boundaries.
 const O001_SEED_SINKS: &[&str] = &["seed_from_u64", "from_seed", "SeedableRng"];
@@ -624,6 +642,30 @@ const O001_CALL_SINKS: &[&str] = &[
     "gauge_max(",
     "histogram_record(",
 ];
+
+/// Interior-mutability types a `static` must not hold (C001), besides
+/// `Atomic*`.
+const STATIC_INTERIOR: &[&str] = &["OnceLock", "LazyLock", "Cell", "RefCell", "Mutex", "RwLock"];
+
+/// `(column, type token)` when `code` declares a `static` item whose type
+/// holds interior mutability: `[pub[(..)]] static NAME: <type> = ...` with
+/// a [`STATIC_INTERIOR`] or `Atomic*` token in `<type>`.
+fn static_interior(code: &str) -> Option<(usize, &'static str)> {
+    let pos = find_word(code, "static")?;
+    let before = code[..pos].trim();
+    if !(before.is_empty() || before.starts_with("pub")) {
+        return None; // `&'static str`, `T: 'static`, ...
+    }
+    let decl = &code[pos + "static".len()..];
+    let ty = &decl[decl.find(':')? + 1..];
+    let ty = &ty[..ty.find('=').unwrap_or(ty.len())];
+    let token = STATIC_INTERIOR
+        .iter()
+        .copied()
+        .find(|t| find_word(ty, t).is_some())
+        .or_else(|| find_atomic(ty).map(|_| "Atomic*"))?;
+    Some((pos, token))
+}
 
 /// Column of an `Atomic<Uppercase>` token (AtomicU64, AtomicBool, ...).
 fn find_atomic(code: &str) -> Option<usize> {
@@ -1370,6 +1412,36 @@ mod tests {
     }
 
     #[test]
+    fn c001_bans_interior_mutable_statics_in_every_library_crate() {
+        let src = "static EPOCH: OnceLock<Instant> = OnceLock::new();\n";
+        // no crate and no whitelist is out of scope: bench, the linter, the
+        // profiling quarantine, the pool core
+        for path in [
+            "crates/bench/src/x.rs",
+            "crates/lcg-lint/src/x.rs",
+            "crates/metrics/src/profile.rs",
+            "crates/congest/src/executor/pool.rs",
+        ] {
+            assert_eq!(active(&lint(path, src), "C001").len(), 1, "{path}");
+        }
+        // test targets and test regions may keep process state
+        assert!(active(&lint("crates/congest/tests/x.rs", src), "C001").is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+        assert!(active(&lint("crates/congest/src/x.rs", &in_test), "C001").is_empty());
+        // one finding per line, also where the token rule matches too
+        let both = "pub(crate) static HITS: AtomicU64 = AtomicU64::new(0);\n";
+        assert_eq!(active(&lint("crates/congest/src/x.rs", both), "C001").len(), 1);
+        for held in ["LazyLock<Vec<u8>>", "Cell<u32>", "RefCell<u32>", "Mutex<()>", "RwLock<()>"] {
+            let src = format!("static G: {held} = make();\n");
+            assert_eq!(active(&lint("crates/bench/src/x.rs", &src), "C001").len(), 1, "{held}");
+        }
+        // immutable statics, `'static` lifetimes and non-static cells are
+        // not process-global mutable state
+        let fine = "static TABLE: [u32; 4] = [1, 2, 3, 4];\nfn f(s: &'static str, c: Cell<u32>) {}\nstatic NAMES: &[&str] = &[];\n";
+        assert!(active(&lint("crates/bench/src/x.rs", fine), "C001").is_empty());
+    }
+
+    #[test]
     fn c001_defers_to_m001_in_protocol_files() {
         let src = "use std::sync::Mutex;\nstruct P { m: Mutex<u32> }\nimpl NodeProgram for P {}\n";
         let fs = lint("crates/congest/src/proto.rs", src);
@@ -1468,7 +1540,7 @@ fn engine(chunks: &[R], states: &mut [S]) {
 
     #[test]
     fn o001_flags_profiling_values_reaching_seeds_merges_and_sends() {
-        let seeded = "fn f() {\n    let t = profile::now_ns();\n    let mut rng = ChaCha8Rng::seed_from_u64(t);\n}\n";
+        let seeded = "fn f(started: Stamp) {\n    let t = Stamp::now().ns_since(started);\n    let mut rng = ChaCha8Rng::seed_from_u64(t);\n}\n";
         let fs = lint("crates/core/src/x.rs", seeded);
         assert_eq!(active(&fs, "O001").len(), 1, "{fs:?}");
         assert_eq!(active(&fs, "O001")[0].line, 3);
@@ -1485,7 +1557,7 @@ fn engine(chunks: &[R], states: &mut [S]) {
         let src = "\
 fn drive(net: &mut Net, states: &mut [S]) {
     net.step_state(states, |me, v, inbox, out| {
-        let stamp = profile::now_ns();
+        let stamp = Stamp::now().ns_since(started);
         out.send(0, [stamp]);
     });
 }
@@ -1504,7 +1576,7 @@ fn drive(net: &mut Net, states: &mut [S]) {
         let logical = "fn f(rec: &mut Recorder, stats: &RoundStats) {\n    rec.counter_add(\"net.rounds\", stats.rounds);\n}\n";
         assert!(active(&lint("crates/core/src/x.rs", logical), "O001").is_empty());
         // the quarantine file works with origins freely
-        let quarantine = "pub fn now_ns() -> u64 {\n    let e = epoch().elapsed();\n    sink().merge(&sample(e));\n}\n";
+        let quarantine = "pub fn ns_since(self, earlier: Stamp) -> u64 {\n    let e = self.0.duration_since(earlier.0);\n    sink().merge(&sample(e));\n}\n";
         assert!(active(&lint("crates/metrics/src/profile.rs", quarantine), "O001").is_empty());
     }
 

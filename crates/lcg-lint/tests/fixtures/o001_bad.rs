@@ -2,11 +2,11 @@
 // RNG-seeding, protocol, reduction, and registry code. Never compiled —
 // read as text by fixtures_test.rs.
 
-use lcg_metrics::profile;
+use lcg_metrics::profile::{self, Stamp};
 
 /// Seeding an RNG from the monotonic clock: replays become impossible.
-fn reseed() -> ChaCha8Rng {
-    let stamp = profile::now_ns();
+fn reseed(started: Stamp) -> ChaCha8Rng {
+    let stamp = Stamp::now().ns_since(started);
     ChaCha8Rng::seed_from_u64(stamp)
 }
 
@@ -14,7 +14,7 @@ fn reseed() -> ChaCha8Rng {
 /// protocol closure: vertices see the scheduler.
 fn drive(net: &mut Net, states: &mut [S]) {
     net.step_state(states, |me, v, inbox, out| {
-        let tick = profile::now_ns();
+        let tick = Stamp::now().ns_since(started);
         out.send(0, [tick]);
     });
 }

@@ -97,10 +97,17 @@ fn u001_fires_and_is_suppressible() {
 #[test]
 fn c001_fires_and_is_suppressible() {
     let bad = lint_fixture("c001_bad.rs");
-    assert!(active(&bad, "C001") >= 4, "Mutex + RwLock + Atomic + static mut: {bad:?}");
+    assert!(
+        active(&bad, "C001") >= 5,
+        "Mutex + RwLock + Atomic + static mut + static OnceLock: {bad:?}"
+    );
+    assert!(
+        bad.iter().any(|f| f.rule == "C001" && f.message.contains("`static` holding `OnceLock`")),
+        "the process-global epoch is named: {bad:?}"
+    );
     let ok = lint_fixture("c001_allowed.rs");
     assert_eq!(active(&ok, "C001"), 0, "{ok:?}");
-    assert!(suppressed(&ok, "C001") >= 2, "suppressions are recorded: {ok:?}");
+    assert!(suppressed(&ok, "C001") >= 3, "suppressions are recorded: {ok:?}");
 }
 
 #[test]

@@ -15,20 +15,29 @@
 //! comparing, so nothing in this module can ever force a re-blessing.
 
 use serde::{Deserialize, Serialize, Value};
-use std::sync::OnceLock;
 use std::time::Instant;
 
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process-wide monotonic epoch (first call).
+/// One reading of the monotonic clock. There is no process-wide epoch, so
+/// a reading means nothing alone; only the distance between two does.
 ///
 /// This is the only clock the workspace's deterministic crates may touch,
-/// and only from observer-side code: the executor pool calls it to sample
+/// and only from observer-side code: the executor pool reads it to sample
 /// per-worker busy/wait time when a batch is handed an [`ExecProfile`].
-#[must_use]
-pub fn now_ns() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+#[derive(Debug, Clone, Copy)]
+pub struct Stamp(Instant);
+
+impl Stamp {
+    /// Reads the clock.
+    #[must_use]
+    pub fn now() -> Stamp {
+        Stamp(Instant::now())
+    }
+
+    /// Nanoseconds from `earlier` to this reading (0 if it is not later).
+    #[must_use]
+    pub fn ns_since(self, earlier: Stamp) -> u64 {
+        u64::try_from(self.0.saturating_duration_since(earlier.0).as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// One worker thread's accumulated timing observations.
@@ -182,10 +191,10 @@ impl Deserialize for PhaseTiming {
 }
 
 /// Live phase-timer state: an open-phase stack plus finished timings.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Profile {
-    started_ns: u64,
-    open: Vec<(String, u64)>,
+    started: Stamp,
+    open: Vec<(String, Stamp)>,
     phases: Vec<PhaseTiming>,
     /// Where the executor batches this profile observes deposit their
     /// per-worker samples.
@@ -196,12 +205,17 @@ impl Profile {
     /// Starts a profile whose total wall time begins now.
     #[must_use]
     pub fn start() -> Profile {
-        Profile { started_ns: now_ns(), ..Profile::default() }
+        Profile {
+            started: Stamp::now(),
+            open: Vec::new(),
+            phases: Vec::new(),
+            exec: ExecProfile::default(),
+        }
     }
 
     /// Opens a named phase timer.
     pub fn phase_start(&mut self, name: &str) {
-        self.open.push((name.to_string(), now_ns()));
+        self.open.push((name.to_string(), Stamp::now()));
     }
 
     /// Closes the innermost open phase with this name; a close without a
@@ -212,7 +226,7 @@ impl Profile {
             return;
         };
         let (name, t0) = self.open.remove(pos);
-        self.phases.push(PhaseTiming { name, wall_ns: now_ns().saturating_sub(t0) });
+        self.phases.push(PhaseTiming { name, wall_ns: Stamp::now().ns_since(t0) });
     }
 
     /// Finalizes: total wall time, peak RSS, finished phases, and the
@@ -220,7 +234,7 @@ impl Profile {
     #[must_use]
     pub fn finish(self) -> ProfileReport {
         ProfileReport {
-            wall_ns: now_ns().saturating_sub(self.started_ns),
+            wall_ns: Stamp::now().ns_since(self.started),
             peak_rss_bytes: peak_rss_bytes(),
             phases: self.phases,
             exec: self.exec,
@@ -273,9 +287,10 @@ mod tests {
 
     #[test]
     fn clock_is_monotonic() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
+        let a = Stamp::now();
+        let b = Stamp::now();
+        assert_eq!(a.ns_since(a), 0);
+        assert_eq!(a.ns_since(b), 0, "an earlier reading is never after a later one");
     }
 
     #[test]

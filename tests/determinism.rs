@@ -42,6 +42,21 @@ fn framework_is_seed_deterministic() {
     assert_eq!(run(5), run(5));
 }
 
+/// The framework seed drives the routing walks only: the decomposition is
+/// a pure function of `(G, ε)`. ROADMAP items 2(a) (one decomposition
+/// tree) and 5 (skip re-decomposing an unchanged working graph) build on
+/// exactly this; `core::apps::mwm` documents what it costs Theorem 1.1.
+#[test]
+fn decomposition_ignores_the_seed() {
+    let mut rng = gen::seeded_rng(43);
+    let g = gen::random_planar(120, 0.5, &mut rng);
+    let a = run_framework(&g, &FrameworkConfig::planar(0.3, 5));
+    let b = run_framework(&g, &FrameworkConfig::planar(0.3, 6));
+    assert_eq!(a.decomposition.cluster_of, b.decomposition.cluster_of);
+    assert_eq!(a.decomposition.cut_edges, b.decomposition.cut_edges);
+    assert_ne!(a.stats.rounds, b.stats.rounds, "the walks do depend on the seed");
+}
+
 #[test]
 fn apps_are_seed_deterministic() {
     let mut rng = gen::seeded_rng(44);
