@@ -10,7 +10,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::network::{Inbox, Network, Outbox};
+use crate::network::{Inbox, Network, NoRecv, Outbox};
 
 /// Immutable per-node context handed to a [`NodeProgram`].
 #[derive(Debug)]
@@ -42,6 +42,51 @@ pub trait NodeProgram {
     fn output(&self, ctx: &NodeCtx) -> Self::Output;
 }
 
+/// One node of a run: its program, its context, and whether it still runs.
+struct Node<P> {
+    program: P,
+    ctx: NodeCtx,
+    running: bool,
+}
+
+/// The one runner behind [`run_programs`] and [`run_programs_state`]:
+/// `NodeProgram::round` is the engine's compose-reads-inbox round, so each
+/// program is handed the engine's own inbox row; `drive` picks the round
+/// body. A halted node's row is still cleared (it receives, and ignores),
+/// and the last round's messages are dropped, so the inbox grid comes back
+/// empty — the `exchange` family's precondition.
+fn run_nodes<P: NodeProgram>(
+    net: &mut Network,
+    programs: Vec<P>,
+    seed: u64,
+    drive: impl FnOnce(&mut Network, &mut [Node<P>]),
+) -> Vec<P::Output> {
+    let g = net.graph();
+    assert_eq!(programs.len(), g.n(), "one program per node");
+    net.debug_assert_drained();
+    let mut nodes: Vec<Node<P>> = programs
+        .into_iter()
+        .enumerate()
+        .map(|(v, program)| Node {
+            program,
+            ctx: NodeCtx {
+                id: v,
+                ports: g.degree(v),
+                n: g.n(),
+                rng: ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15)),
+            },
+            running: true,
+        })
+        .collect();
+    drive(net, &mut nodes);
+    net.discard_pending();
+    nodes.iter().map(|s| s.program.output(&s.ctx)).collect()
+}
+
+fn node_round<P: NodeProgram>(s: &mut Node<P>, round: usize, _v: usize, inbox: &Inbox, out: &mut Outbox) {
+    s.running = s.running && s.program.round(&mut s.ctx, round, inbox, out);
+}
+
 /// Runs one [`NodeProgram`] instance per node until every node has halted
 /// or `max_rounds` elapses. Returns per-node outputs.
 ///
@@ -50,65 +95,20 @@ pub trait NodeProgram {
 /// Panics if `programs.len() != n`.
 pub fn run_programs<P: NodeProgram>(
     net: &mut Network,
-    mut programs: Vec<P>,
+    programs: Vec<P>,
     seed: u64,
     max_rounds: usize,
 ) -> Vec<P::Output> {
-    let n = net.graph().n();
-    assert_eq!(programs.len(), n, "one program per node");
-    let mut ctxs: Vec<NodeCtx> = (0..n)
-        .map(|v| NodeCtx {
-            id: v,
-            ports: net.graph().degree(v),
-            n,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15)),
-        })
-        .collect();
-    let mut running = vec![true; n];
-    // Double-buffered inbox grids: `prev_inboxes` feeds the programs while
-    // `inboxes` collects this round's arrivals; the recv phase writes every
-    // slot, so swapping (no clear, no reallocation) is enough. The stored
-    // clone is a plain copy for inline CONGEST-size messages.
-    let mut inboxes: Vec<Vec<Option<crate::network::Message>>> =
-        (0..n).map(|v| vec![None; net.graph().degree(v)]).collect();
-    let mut prev_inboxes = inboxes.clone();
-    for round in 0..max_rounds {
-        if running.iter().all(|&r| !r) {
-            break;
-        }
-        let mut next_running = running.clone();
-        std::mem::swap(&mut prev_inboxes, &mut inboxes);
-        // one exchange: send phase runs the programs, recv phase stores
-        // the inboxes for the next round.
-        net.exchange(
-            |v, out| {
-                if running[v] {
-                    let keep = programs[v].round(&mut ctxs[v], round, &prev_inboxes[v], out);
-                    if !keep {
-                        next_running[v] = false;
-                    }
-                }
-            },
-            |v, inbox| {
-                for (p, m) in inbox.iter().enumerate() {
-                    inboxes[v][p] = m.clone();
-                }
-            },
-        );
-        running = next_running;
-    }
-    programs
-        .iter()
-        .zip(&ctxs)
-        .map(|(p, c)| p.output(c))
-        .collect()
+    run_nodes(net, programs, seed, |net, nodes| {
+        net.rounds_seq(max_rounds, nodes, node_round, None::<NoRecv<Node<P>>>, Some(|s: &Node<P>| !s.running));
+    })
 }
 
 /// Like [`run_programs`], but executed on the network's configured thread
-/// pool ([`crate::ExecConfig`]): each node's program, context, RNG, and
-/// inbox live in a per-vertex state record, so the whole run is one
-/// [`Network::exchange_rounds`] batch — workers spawn once and stay
-/// parked between rounds instead of being respawned every round.
+/// pool ([`crate::ExecConfig`]): each node's program, context and RNG
+/// live in a per-vertex state record, so the whole run is one batch —
+/// workers spawn once and stay parked between rounds instead of being
+/// respawned every round.
 ///
 /// Requires `P: Send` (states migrate to worker threads). Outputs and
 /// [`crate::RoundStats`] are bit-identical to [`run_programs`] for every
@@ -127,49 +127,9 @@ pub fn run_programs_state<P>(
 where
     P: NodeProgram + Send,
 {
-    struct NodeState<P> {
-        program: P,
-        ctx: NodeCtx,
-        running: bool,
-        inbox: Vec<Option<crate::network::Message>>,
-    }
-    let n = net.graph().n();
-    assert_eq!(programs.len(), n, "one program per node");
-    let mut states: Vec<NodeState<P>> = programs
-        .into_iter()
-        .enumerate()
-        .map(|(v, program)| NodeState {
-            program,
-            ctx: NodeCtx {
-                id: v,
-                ports: net.graph().degree(v),
-                n,
-                rng: ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15)),
-            },
-            running: true,
-            inbox: vec![None; net.graph().degree(v)],
-        })
-        .collect();
-    net.exchange_rounds(
-        max_rounds,
-        &mut states,
-        |s, round, _v, out| {
-            if s.running {
-                // disjoint field borrows: program + ctx mutable, inbox shared
-                let keep = s.program.round(&mut s.ctx, round, &s.inbox, out);
-                if !keep {
-                    s.running = false;
-                }
-            }
-        },
-        |s, _round, _v, inbox| {
-            for (p, m) in inbox.iter().enumerate() {
-                s.inbox[p] = m.clone();
-            }
-        },
-        |s| !s.running,
-    );
-    states.iter().map(|s| s.program.output(&s.ctx)).collect()
+    run_nodes(net, programs, seed, |net, nodes| {
+        net.rounds(max_rounds, nodes, node_round, None::<NoRecv<Node<P>>>, Some(|s: &Node<P>| !s.running));
+    })
 }
 
 #[cfg(test)]

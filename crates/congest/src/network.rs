@@ -40,20 +40,26 @@
 //! thread with its original payload after the pool is torn down — cleanly
 //! poisoned, never a hang — and the network remains usable (DESIGN §10).
 //!
-//! Six ways to run a round, in two families, because parallelism needs
-//! `Fn + Sync`:
+//! # One round, six adapters
+//!
+//! The model has one kind of round — compose, deliver, consume — written
+//! out once per execution mode: a sequential body (`FnMut`, the caller's
+//! thread) and a pool body (`Fn + Sync`, one batch). The two round
+//! *structures* differ only in when the inbox is read: a `step` round
+//! reads last round's deliveries while composing and has no consume
+//! phase; an `exchange` round composes, delivers, then consumes. The
+//! phase that read an inbox row clears it. The public forms are adapters,
+//! in two families because parallelism needs `Fn + Sync`:
 //!
 //! * [`Network::step`]/[`Network::exchange`] accept `FnMut` closures that
 //!   may capture shared mutable state; they always run sequentially.
 //!   [`Network::exchange_active`] is `exchange` for a caller that knows
-//!   which vertices send: the round then costs what it carries instead of
-//!   a pass over every vertex and slot.
+//!   which vertices send: its own sparse body, so the round costs what it
+//!   carries instead of a pass over every vertex and slot.
 //! * [`Network::run_state`]/[`Network::exchange_rounds`] split mutable
 //!   state per vertex (`&mut [S]`) and run `k` rounds as one batch on the
 //!   configured thread pool; [`Network::step_state`] is `run_state(1)`.
-//!   Below the work threshold they run the sequential bodies of the first
-//!   family, so there is one compose loop and one batch engine per round
-//!   structure.
+//!   Below the work threshold they run the sequential body.
 //!
 //! # Accounting (DESIGN §8)
 //!
@@ -66,11 +72,13 @@
 //! # Memory model (DESIGN §10)
 //!
 //! The hot path is allocation-free: messages are [`Msg`] values that store
-//! CONGEST-size payloads inline, and the per-vertex/per-port buffer grids
-//! are pooled double buffers owned by the network — each round swaps and
-//! clears them instead of reallocating. Pooling never changes results:
-//! the grids a round observes are bitwise the same (all-`None`, identical
-//! shape) whether they came from the pool or a fresh allocation.
+//! CONGEST-size payloads inline, and the network owns the two
+//! per-vertex/per-port grids a round needs — the inbox grid (`pending`)
+//! and the outbox arena. Delivery starts only after every vertex has
+//! composed, so the inbox needs no double buffer: a round takes both
+//! grids out of the network, works in place, and puts them back. A panic
+//! mid-round loses them with the round's in-flight messages; the next
+//! round starts from fresh, identically shaped grids.
 
 use lcg_graph::Graph;
 use lcg_metrics::{ExecProfile, Recorder};
@@ -107,9 +115,9 @@ fn fresh_grid(g: &Graph) -> Grid {
     vec![None; g.slots()]
 }
 
-/// Takes a clean grid out of the pool slot, falling back to a fresh
-/// allocation when the pool is cold (first round on this network, or a
-/// panic unwound mid-round and the grids were lost with it).
+/// Takes a grid out of its slot for the duration of a round, falling back
+/// to a fresh allocation when the slot is cold (a panic unwound mid-round
+/// and the grid, with the failed round's in-flight messages, was lost).
 fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
     let grid = std::mem::take(slot);
     if grid.len() == g.slots() {
@@ -129,20 +137,13 @@ fn clear_slots(slots: &mut [Option<Msg>]) {
     }
 }
 
-/// Returns a used inbox grid to the pool slot, clearing every slot so the
-/// next round starts from the same all-`None` state a fresh allocation has.
-fn recycle_grid(slot: &mut Grid, mut grid: Grid) {
-    clear_slots(&mut grid);
-    *slot = grid;
-}
-
-/// Returns a grid that is already all-`None` to the pool slot with no
-/// clearing pass. Outgoing arenas qualify because every delivery sweep
-/// `take()`s each slot of each row it was handed; the active-set round's
-/// inbox grid qualifies because it clears the receivers' rows itself. The
-/// pool invariant (DESIGN §10) rests on this, hence the debug check.
+/// Returns a grid that is already all-`None` to its slot with no clearing
+/// pass. The outbox arena qualifies because every delivery sweep `take()`s
+/// each slot of each row it was handed; the inbox grid of an exchange
+/// round qualifies because the consume phase clears every row it read.
+/// The pool invariant (DESIGN §10) rests on this, hence the debug check.
 fn return_clean(slot: &mut Grid, grid: Grid) {
-    debug_assert!(grid.iter().all(Option::is_none), "a grid went back to the pool dirty");
+    debug_assert!(grid.iter().all(Option::is_none), "a grid went back to the network dirty");
     *slot = grid;
 }
 
@@ -257,14 +258,14 @@ pub struct Network<'g> {
     exec: ExecConfig,
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
-    /// Flat pending arena: the slot `g.csr_offsets()[v] + p` holds the
-    /// message awaiting delivery to `v` on port `p`.
+    /// The one inbox grid: the slot `g.csr_offsets()[v] + p` holds the
+    /// message delivered to `v` on port `p`. Between `step` rounds it
+    /// carries the messages awaiting the next one; an `exchange` round
+    /// fills and drains it. Taken out of `self` for the duration of a
+    /// round, so a panic mid-round leaves it cold (empty).
     pending: Grid,
-    /// Pooled inbox grid: swapped with `pending` each round, cleared, and
-    /// reused — the round engine allocates no buffers after construction.
-    // lcg-lint: transient -- all-None by the pool invariant; rebuilt fresh on resume, never serialized empty
-    spare_inboxes: Grid,
-    /// Pooled outgoing grid, reused the same way.
+    /// The outbox arena, taken and put back the same way — the round
+    /// engine allocates no buffers after construction.
     // lcg-lint: transient -- all-None by the pool invariant; rebuilt fresh on resume, never serialized empty
     spare_outgoing: Grid,
     /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — the
@@ -276,10 +277,6 @@ pub struct Network<'g> {
     /// a message this round. Kept here so a sparse round allocates nothing.
     // lcg-lint: transient -- empty between rounds; rebuilt empty on resume
     receivers: Vec<usize>,
-    /// Scratch of the batch engines: one round's per-chunk compose
-    /// counters, in chunk order, for [`barrier_total`].
-    // lcg-lint: transient -- overwritten every batch round before it is read; rebuilt empty on resume
-    counted: Vec<ChunkCounters>,
     /// Compiled fault schedule ([`Network::set_fault_plan`]). `None` (the
     /// default) keeps both delivery paths on their historical fault-free
     /// sweeps — zero cost, bit-identical behavior.
@@ -381,17 +378,6 @@ impl ChunkCounters {
 #[inline]
 fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
     offsets[v] as usize..offsets[v + 1] as usize
-}
-
-/// Pins a worker closure to a single `Job` type, so the borrowed-slice
-/// jobs' lifetimes unify between argument and return position (closure
-/// region inference otherwise invents two unrelated lifetimes and rejects
-/// returning the job it was handed).
-fn pin_worker<St, Job, W>(w: W) -> W
-where
-    W: Fn(usize, std::ops::Range<usize>, &mut [St], Job) -> Job,
-{
-    w
 }
 
 /// The one accounting sink under the round engine, one method per engine
@@ -670,30 +656,68 @@ fn barrier_total(what: &str, round: u64, audit_on: bool, parts: &[ChunkCounters]
     total
 }
 
-/// One round's worth of buffers for one chunk, moved leader → worker →
-/// leader through the batch engine's rendezvous lanes (`run_state` path).
-/// The buffers are borrowed sub-slices of the two flat arenas — each
-/// dispatch/collect ships two fat pointers and a counter, nothing else.
-struct StepJob<'a> {
-    /// The chunk's inbox slots: read by the step closure, then cleared by
-    /// the worker so the leader can deliver the new round's messages into
-    /// them — the worker-side clear is what keeps the round barrier free
-    /// of a separate recycle pass.
-    inbox: &'a mut [Option<Msg>],
-    /// The chunk's outbox arena slots, filled by the step closure.
-    arena: &'a mut [Option<Msg>],
-    /// Chunk-local message counters.
-    counters: ChunkCounters,
+/// Which half of a round a pool job runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Compose,
+    Consume,
 }
 
-/// One phase's buffers for one chunk on the `exchange_rounds` path.
-enum XchgJob<'a> {
-    /// Compose phase: run `send` over the chunk, fill the arena, count.
-    Send { round: usize, arena: &'a mut [Option<Msg>], counters: ChunkCounters },
-    /// Consume phase: run `recv` over the delivered inbox slots, clear
-    /// them, and report whether every vertex of the chunk has halted.
-    Recv { round: usize, inbox: &'a mut [Option<Msg>], all_halted: bool },
+/// One phase's buffers for one chunk, moved leader → worker → leader
+/// through the pool's rendezvous lanes: borrowed sub-slices of the two
+/// flat grids (two fat pointers), a counter and a vote, nothing else.
+struct RoundJob<'a> {
+    phase: Phase,
+    round: usize,
+    /// The chunk's inbox rows; the phase that reads them clears them on
+    /// the worker, so the round barrier needs no clearing pass.
+    inbox: &'a mut [Option<Msg>],
+    /// The chunk's outbox arena rows, filled by the compose phase.
+    arena: &'a mut [Option<Msg>],
+    /// Chunk-local compose counters.
+    counters: ChunkCounters,
+    /// The round's last phase votes: has every vertex of the chunk halted?
+    all_halted: bool,
 }
+
+/// One phase of one pooled round: every chunk's rows go out to its worker
+/// and come back, in chunk order. Leaves the per-chunk compose counters in
+/// `counted`; returns whether every chunk voted halted.
+fn run_phase<'a>(
+    pool: &mut pool::Conductor<'_, RoundJob<'a>>,
+    phase: Phase,
+    round: usize,
+    inbox_parts: &mut [&'a mut [Option<Msg>]],
+    arena_parts: &mut [&'a mut [Option<Msg>]],
+    counted: &mut Vec<ChunkCounters>,
+) -> bool {
+    for (i, (inbox, arena)) in inbox_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate() {
+        let job = RoundJob {
+            phase,
+            round,
+            inbox: std::mem::take(inbox),
+            arena: std::mem::take(arena),
+            counters: ChunkCounters::default(),
+            all_halted: false,
+        };
+        pool.dispatch(i, job);
+    }
+    counted.clear();
+    let mut all_halted = true;
+    for (i, (inbox, arena)) in inbox_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate() {
+        let job = pool.collect(i);
+        *inbox = job.inbox;
+        *arena = job.arena;
+        counted.push(job.counters);
+        all_halted &= job.all_halted;
+    }
+    all_halted
+}
+
+/// The closure types of an absent consume phase and an absent halt vote:
+/// what the compose-only adapters name when they pass `None`.
+pub(crate) type NoRecv<St> = fn(&mut St, usize, usize, &Inbox);
+type NoHalt<St> = fn(&St) -> bool;
 
 impl<'g> Network<'g> {
     /// Creates a network over `g` under `model`, with the execution
@@ -735,17 +759,16 @@ impl<'g> Network<'g> {
             exec,
             sink: Sink::default(),
             pending: fresh_grid(g),
-            spare_inboxes: fresh_grid(g),
             spare_outgoing: fresh_grid(g),
             rev_slot,
             receivers: Vec::new(),
-            counted: Vec::new(),
             faults: None,
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
+    /// The underlying graph, borrowed for its own lifetime, not this
+    /// network's: a round loop reads adjacency rows while it drives `self`.
+    pub fn graph(&self) -> &'g Graph {
         self.g
     }
 
@@ -905,33 +928,13 @@ impl<'g> Network<'g> {
     /// This variant accepts `FnMut` (closures capturing shared mutable
     /// state) and therefore always runs sequentially regardless of
     /// [`ExecConfig`]; use [`Network::run_state`] for the parallel engine.
-    /// It is also the one sequential compose loop: `run_state` runs it per
-    /// round when the work threshold withholds the pool.
     pub fn step<F>(&mut self, mut f: F)
     where
         F: FnMut(usize, &Inbox, &mut Outbox),
     {
-        let cap = self.model.capacity();
-        let offsets = self.g.csr_offsets();
-        let fresh = take_grid(self.g, &mut self.spare_inboxes);
-        let inboxes = std::mem::replace(&mut self.pending, fresh);
-        let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
-        let mut counters = ChunkCounters::default();
-        for v in 0..self.g.n() {
-            let row = row_of(offsets, v);
-            let slots = &mut outgoing[row.clone()];
-            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-            f(v, &inboxes[row], &mut out);
-            counters.count(slots);
-        }
-        // deliver into `pending`, on the caller's thread in vertex order
-        let mut pending = std::mem::take(&mut self.pending);
-        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
-        self.route(whole, |_u, dest, msg| pending[dest] = Some(msg));
-        self.pending = pending;
-        self.sink.round(counters);
-        recycle_grid(&mut self.spare_inboxes, inboxes);
-        return_clean(&mut self.spare_outgoing, outgoing);
+        let mut unit = vec![(); self.g.n()];
+        let compose = |_: &mut (), _, v, inbox: &Inbox, out: &mut Outbox| f(v, inbox, out);
+        self.rounds_seq(1, &mut unit, compose, None::<NoRecv<()>>, None::<NoHalt<()>>);
     }
 
     /// One round with per-vertex state: [`Network::run_state`] with
@@ -972,101 +975,8 @@ impl<'g> Network<'g> {
         S: Send,
         F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
     {
-        assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        match self.exec.par_chunks(self.g.n()) {
-            Some(chunks) if rounds > 0 => self.step_batch(rounds, &chunks, states, &f),
-            _ => {
-                for _ in 0..rounds {
-                    self.step(|v, inbox, out| f(&mut states[v], v, inbox, out));
-                }
-            }
-        }
-    }
-
-    /// The batch step engine behind [`Network::run_state`]: `rounds`
-    /// rounds on persistent workers. `pending` is swapped for a clean
-    /// pooled grid up front, so a panic unwinding out of the batch (pool
-    /// poisoned, the failed batch's in-flight messages dropped) still
-    /// leaves the network with correctly shaped buffers.
-    fn step_batch<S, F>(
-        &mut self,
-        rounds: usize,
-        chunks: &[std::ops::Range<usize>],
-        states: &mut [S],
-        f: &F,
-    ) where
-        S: Send,
-        F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
-    {
-        let cap = self.model.capacity();
-        let g = self.g;
-        let offsets = g.csr_offsets();
-        let placeholder = take_grid(g, &mut self.spare_inboxes);
-        let mut inflight = std::mem::replace(&mut self.pending, placeholder);
-        let mut arena = take_grid(g, &mut self.spare_outgoing);
-        let mut pending_parts = split_flat(&mut inflight, chunks, offsets);
-        let mut arena_parts = split_flat(&mut arena, chunks, offsets);
-        let audit_on = self.exec.audit().is_shuffle();
-        let Network { sink, rev_slot, faults, counted, .. } = &mut *self;
-        let topo = Topo::of(g, rev_slot);
-        let worker = pin_worker(|_w: usize, range: std::ops::Range<usize>, states: &mut [S], mut job: StepJob| {
-            let mut counters = ChunkCounters::default();
-            let base = offsets[range.start] as usize;
-            for (i, state) in states.iter_mut().enumerate() {
-                let v = range.start + i;
-                let row = row_of(offsets, v);
-                let local = row.start - base..row.end - base;
-                let inbox = &mut job.inbox[local.clone()];
-                let slots = &mut job.arena[local];
-                let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-                f(state, v, inbox, &mut out);
-                // consumed: clear the row so it can serve as this round's
-                // delivery target (same all-`None` state a recycle gives)
-                clear_slots(inbox);
-                counters.count(slots);
-            }
-            job.counters = counters;
-            job
-        });
-        let mut sampled = sink.metrics.is_some().then(ExecProfile::default);
-        pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
-            for _ in 0..rounds {
-                for (i, (inbox, arena)) in
-                    pending_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate()
-                {
-                    let job = StepJob {
-                        inbox: std::mem::take(inbox),
-                        arena: std::mem::take(arena),
-                        counters: ChunkCounters::default(),
-                    };
-                    pool.dispatch(i, job);
-                }
-                counted.clear();
-                for (i, (inbox, arena)) in
-                    pending_parts.iter_mut().zip(arena_parts.iter_mut()).enumerate()
-                {
-                    let job = pool.collect(i);
-                    *inbox = job.inbox;
-                    *arena = job.arena;
-                    counted.push(job.counters);
-                }
-                let total =
-                    barrier_total("step_batch/ChunkCounters", sink.stats.rounds, audit_on, counted);
-                // deliver before the round tick, exactly as `step` orders them
-                deliver_chunked(chunks, &mut arena_parts, &mut pending_parts, faults.as_ref(), topo, sink);
-                sink.round(total);
-            }
-        });
-        sink.samples(sampled);
-        // batch done: the borrow-split sub-slices wrote through to the two
-        // arenas, so `inflight` is the live `pending` grid; the placeholder
-        // (never written while it stood in) and the outbox arena go back
-        // to the pool
-        drop(pending_parts);
-        drop(arena_parts);
-        let placeholder = std::mem::replace(&mut self.pending, inflight);
-        return_clean(&mut self.spare_inboxes, placeholder);
-        return_clean(&mut self.spare_outgoing, arena);
+        let compose = |s: &mut S, _, v, inbox: &Inbox, out: &mut Outbox| f(s, v, inbox, out);
+        self.rounds(rounds, states, compose, None::<NoRecv<S>>, None::<NoHalt<S>>);
     }
 
     /// Executes one synchronous round with the *standard* round structure:
@@ -1075,8 +985,8 @@ impl<'g> Network<'g> {
     /// (`recv`) — so information travels one hop per round, exactly as in
     /// the textbook CONGEST definition.
     ///
-    /// Do not mix with in-flight [`Network::step`] messages: `exchange`
-    /// ignores the pending buffer (debug builds assert it is empty).
+    /// Do not mix with in-flight [`Network::step`] messages: both forms
+    /// use the one inbox grid (debug builds assert it is empty).
     ///
     /// `FnMut` variant — always sequential; see
     /// [`Network::exchange_rounds`] for the parallel engine.
@@ -1085,42 +995,84 @@ impl<'g> Network<'g> {
         S: FnMut(usize, &mut Outbox),
         R: FnMut(usize, &Inbox),
     {
+        self.debug_assert_drained();
         let mut unit = vec![(); self.g.n()];
-        self.exchange_seq(&mut unit, |_, v, out| send(v, out), |_, v, inbox| recv(v, inbox));
+        let compose = |_: &mut (), _, v, _: &Inbox, out: &mut Outbox| send(v, out);
+        let consume = |_: &mut (), _, v, inbox: &Inbox| recv(v, inbox);
+        self.rounds_seq(1, &mut unit, compose, Some(consume), None::<NoHalt<()>>);
     }
 
-    /// The one sequential exchange body, behind [`Network::exchange`] and
-    /// the sub-threshold fallback of [`Network::exchange_rounds`]. It takes
-    /// the per-vertex states itself because `send` and `recv` both mutate
-    /// them and cannot each capture the slice.
-    fn exchange_seq<St, S, R>(&mut self, states: &mut [St], mut send: S, mut recv: R)
-    where
-        S: FnMut(&mut St, usize, &mut Outbox),
-        R: FnMut(&mut St, usize, &Inbox),
-    {
+    /// The `exchange` family's precondition, checked where a run enters:
+    /// its rounds consume the inbox grid whole, `step` leftovers included.
+    pub(crate) fn debug_assert_drained(&self) {
         debug_assert!(
             self.pending.iter().all(Option::is_none),
-            "exchange called with undelivered step() messages pending"
+            "an exchange round was started with undelivered step() messages pending"
         );
+    }
+
+    /// Drops the messages awaiting the next `step` round, as a compose-only
+    /// run that stops mid-flight must before an `exchange` may follow it.
+    pub(crate) fn discard_pending(&mut self) {
+        clear_slots(&mut self.pending);
+    }
+
+    /// The sequential round body: up to `max_rounds` rounds of compose →
+    /// deliver → consume on the caller's thread, stopping early once every
+    /// state is `halted`; returns the rounds executed. Without a `consume`
+    /// phase, `compose` reads the previous round's deliveries; with one,
+    /// the rows it sees are empty and `consume` reads this round's. The
+    /// phase that read a row clears it, so delivery lands on clean slots.
+    /// It takes the states itself because both closures mutate them and
+    /// cannot each capture the slice.
+    pub(crate) fn rounds_seq<St, C, R, H>(
+        &mut self,
+        max_rounds: usize,
+        states: &mut [St],
+        mut compose: C,
+        mut consume: Option<R>,
+        halted: Option<H>,
+    ) -> u64
+    where
+        C: FnMut(&mut St, usize, usize, &Inbox, &mut Outbox),
+        R: FnMut(&mut St, usize, usize, &Inbox),
+        H: Fn(&St) -> bool,
+    {
         let cap = self.model.capacity();
         let offsets = self.g.csr_offsets();
+        let mut inbox = take_grid(self.g, &mut self.pending);
         let mut outgoing = take_grid(self.g, &mut self.spare_outgoing);
-        let mut counters = ChunkCounters::default();
-        for (v, state) in states.iter_mut().enumerate() {
-            let slots = &mut outgoing[row_of(offsets, v)];
-            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-            send(state, v, &mut out);
-            counters.count(slots);
+        let mut executed = 0u64;
+        for round in 0..max_rounds {
+            if halted.as_ref().is_some_and(|h| states.iter().all(h)) {
+                break;
+            }
+            let mut counters = ChunkCounters::default();
+            for (v, state) in states.iter_mut().enumerate() {
+                let row = row_of(offsets, v);
+                let slots = &mut outgoing[row.clone()];
+                let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
+                compose(state, round, v, &inbox[row.clone()], &mut out);
+                counters.count(slots);
+                if consume.is_none() {
+                    clear_slots(&mut inbox[row]);
+                }
+            }
+            let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
+            self.route(whole, |_u, dest, msg| inbox[dest] = Some(msg));
+            self.sink.round(counters);
+            if let Some(recv) = consume.as_mut() {
+                for (v, state) in states.iter_mut().enumerate() {
+                    let row = &mut inbox[row_of(offsets, v)];
+                    recv(state, round, v, row);
+                    clear_slots(row);
+                }
+            }
+            executed += 1;
         }
-        let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
-        let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
-        self.route(whole, |_u, dest, msg| inboxes[dest] = Some(msg));
-        self.sink.round(counters);
-        for (v, state) in states.iter_mut().enumerate() {
-            recv(state, v, &inboxes[row_of(offsets, v)]);
-        }
-        recycle_grid(&mut self.spare_inboxes, inboxes);
+        self.pending = inbox;
         return_clean(&mut self.spare_outgoing, outgoing);
+        executed
     }
 
     /// [`Network::exchange`] for a round in which only `senders` have
@@ -1142,10 +1094,7 @@ impl<'g> Network<'g> {
         S: FnMut(usize, &mut Outbox),
         R: FnMut(usize, &Inbox),
     {
-        debug_assert!(
-            self.pending.iter().all(Option::is_none),
-            "exchange_active called with undelivered step() messages pending"
-        );
+        self.debug_assert_drained();
         assert!(
             senders.windows(2).all(|w| w[0] < w[1])
                 && senders.last().is_none_or(|&v| v < self.g.n()),
@@ -1161,7 +1110,7 @@ impl<'g> Network<'g> {
             send(v, &mut out);
             counters.count(slots);
         }
-        let mut inboxes = take_grid(self.g, &mut self.spare_inboxes);
+        let mut inboxes = take_grid(self.g, &mut self.pending);
         let mut receivers = std::mem::take(&mut self.receivers);
         self.route(sender_rows(offsets, senders, &mut outgoing), |u, dest, msg| {
             inboxes[dest] = Some(msg);
@@ -1177,7 +1126,7 @@ impl<'g> Network<'g> {
         }
         receivers.clear();
         self.receivers = receivers;
-        return_clean(&mut self.spare_inboxes, inboxes);
+        return_clean(&mut self.pending, inboxes);
         return_clean(&mut self.spare_outgoing, outgoing);
     }
 
@@ -1219,149 +1168,107 @@ impl<'g> Network<'g> {
         R: Fn(&mut St, usize, usize, &Inbox) + Sync,
         H: Fn(&St) -> bool + Sync,
     {
-        assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        let Some(chunks) = self.exec.par_chunks(self.g.n()) else {
-            let mut executed = 0u64;
-            for round in 0..max_rounds {
-                if states.iter().all(&halted) {
-                    break;
-                }
-                self.exchange_seq(
-                    states,
-                    |s, v, out| send(s, round, v, out),
-                    |s, v, inbox| recv(s, round, v, inbox),
-                );
-                executed += 1;
-            }
-            return executed;
-        };
-        self.exchange_batch(max_rounds, &chunks, states, &send, &recv, &halted)
+        self.debug_assert_drained();
+        let compose = |s: &mut St, round, v, _: &Inbox, out: &mut Outbox| send(s, round, v, out);
+        self.rounds(max_rounds, states, compose, Some(recv), Some(halted))
     }
 
-    /// The batch engine behind [`Network::exchange_rounds`]: per round one
-    /// compose phase and one consume phase on the persistent workers, with
-    /// delivery and accounting on the leader between them.
-    fn exchange_batch<St, S, R, H>(
+    /// The pool round body: the contract of [`Network::rounds_seq`] —
+    /// which it runs when the work threshold withholds the pool — as one
+    /// batch on persistent workers. Per round: a compose phase on the
+    /// workers; barrier merge, delivery and round tick on the leader;
+    /// then, only when there is a `consume` closure, a consume phase on
+    /// the workers. Panics if `states.len() != n`.
+    pub(crate) fn rounds<St, C, R, H>(
         &mut self,
         max_rounds: usize,
-        chunks: &[std::ops::Range<usize>],
         states: &mut [St],
-        send: &S,
-        recv: &R,
-        halted: &H,
+        compose: C,
+        consume: Option<R>,
+        halted: Option<H>,
     ) -> u64
     where
         St: Send,
-        S: Fn(&mut St, usize, usize, &mut Outbox) + Sync,
+        C: Fn(&mut St, usize, usize, &Inbox, &mut Outbox) + Sync,
         R: Fn(&mut St, usize, usize, &Inbox) + Sync,
         H: Fn(&St) -> bool + Sync,
     {
-        debug_assert!(
-            self.pending.iter().all(Option::is_none),
-            "exchange_rounds called with undelivered step() messages pending"
-        );
+        assert_eq!(states.len(), self.g.n(), "one state per vertex");
+        let chunks = match self.exec.par_chunks(self.g.n()) {
+            Some(chunks) if max_rounds > 0 => chunks,
+            _ => return self.rounds_seq(max_rounds, states, compose, consume, halted),
+        };
+        let (consume, halted) = (consume.as_ref(), halted.as_ref());
         let cap = self.model.capacity();
         let g = self.g;
         let offsets = g.csr_offsets();
+        let mut inbox = take_grid(g, &mut self.pending);
         let mut arena = take_grid(g, &mut self.spare_outgoing);
-        let mut inboxes = take_grid(g, &mut self.spare_inboxes);
-        let mut arena_parts = split_flat(&mut arena, chunks, offsets);
-        let mut inbox_parts = split_flat(&mut inboxes, chunks, offsets);
-        let mut all_halted = states.iter().all(halted);
+        let mut inbox_parts = split_flat(&mut inbox, &chunks, offsets);
+        let mut arena_parts = split_flat(&mut arena, &chunks, offsets);
+        let mut all_halted = halted.is_some_and(|h| states.iter().all(h));
         let audit_on = self.exec.audit().is_shuffle();
-        let Network { sink, rev_slot, faults, counted, .. } = &mut *self;
+        let Network { sink, rev_slot, faults, .. } = &mut *self;
         let topo = Topo::of(g, rev_slot);
-        let worker = pin_worker(|_w: usize, range: std::ops::Range<usize>, states: &mut [St], job: XchgJob| {
-            let base = offsets[range.start] as usize;
-            match job {
-                XchgJob::Send { round, arena, .. } => {
-                    let mut counters = ChunkCounters::default();
-                    for (i, state) in states.iter_mut().enumerate() {
-                        let v = range.start + i;
-                        let row = row_of(offsets, v);
-                        let slots = &mut arena[row.start - base..row.end - base];
-                        let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-                        send(state, round, v, &mut out);
-                        counters.count(slots);
-                    }
-                    XchgJob::Send { round, arena, counters }
-                }
-                XchgJob::Recv { round, inbox, .. } => {
-                    for (i, state) in states.iter_mut().enumerate() {
-                        let v = range.start + i;
-                        let row = row_of(offsets, v);
-                        let inbox_row = &mut inbox[row.start - base..row.end - base];
-                        recv(state, round, v, inbox_row);
-                        // consumed: clear for the next round's delivery
-                        clear_slots(inbox_row);
-                    }
-                    let all_halted = states.iter().all(halted);
-                    XchgJob::Recv { round, inbox, all_halted }
-                }
-            }
-        });
+        let mut counted = Vec::with_capacity(chunks.len());
         let mut sampled = sink.metrics.is_some().then(ExecProfile::default);
-        let executed = pool::run_batch(chunks, states, &worker, sampled.as_mut(), |pool| {
-            let mut executed = 0u64;
-            for round in 0..max_rounds {
-                if all_halted {
-                    break;
-                }
-                // compose phase
-                for (i, arena) in arena_parts.iter_mut().enumerate() {
-                    let job = XchgJob::Send {
-                        round,
-                        arena: std::mem::take(arena),
-                        counters: ChunkCounters::default(),
-                    };
-                    pool.dispatch(i, job);
-                }
-                counted.clear();
-                for (i, arena) in arena_parts.iter_mut().enumerate() {
-                    match pool.collect(i) {
-                        XchgJob::Send { arena: rows, counters, .. } => {
-                            *arena = rows;
-                            counted.push(counters);
+        let executed = pool::run_batch(
+            &chunks,
+            states,
+            // worker: one phase of one round over its chunk's rows. Written
+            // in place so the `Fn(.., Job) -> Job` bound pins the job handed
+            // in and the job returned to one lifetime
+            &|_w: usize, range: std::ops::Range<usize>, states: &mut [St], mut job: RoundJob| {
+                let base = offsets[range.start] as usize;
+                let recv = consume.filter(|_| job.phase == Phase::Consume);
+                // the round's last phase read the inbox rows: it clears
+                // them and votes on quiescence
+                let last = recv.is_some() == consume.is_some();
+                for (v, state) in range.clone().zip(states.iter_mut()) {
+                    let local = offsets[v] as usize - base..offsets[v + 1] as usize - base;
+                    let inbox = &mut job.inbox[local.clone()];
+                    match recv {
+                        Some(recv) => recv(state, job.round, v, inbox),
+                        None => {
+                            let slots = &mut job.arena[local];
+                            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
+                            compose(state, job.round, v, inbox, &mut out);
+                            job.counters.count(slots);
                         }
-                        // the pool answers in dispatch order, so a compose
-                        // dispatch always collects a compose job
-                        XchgJob::Recv { .. } => unreachable!("compose phase collected a recv job"),
+                    }
+                    if last {
+                        clear_slots(inbox);
                     }
                 }
-                let total =
-                    barrier_total("exchange_batch/ChunkCounters", sink.stats.rounds, audit_on, counted);
-                // deliver + round tick between the phases, exactly as
-                // `exchange` orders them
-                deliver_chunked(chunks, &mut arena_parts, &mut inbox_parts, faults.as_ref(), topo, sink);
-                sink.round(total);
-                // consume phase; workers also vote on quiescence
-                for (i, inbox) in inbox_parts.iter_mut().enumerate() {
-                    let job = XchgJob::Recv {
-                        round,
-                        inbox: std::mem::take(inbox),
-                        all_halted: false,
-                    };
-                    pool.dispatch(i, job);
-                }
-                all_halted = true;
-                for (i, inbox) in inbox_parts.iter_mut().enumerate() {
-                    match pool.collect(i) {
-                        XchgJob::Recv { inbox: rows, all_halted: chunk_halted, .. } => {
-                            *inbox = rows;
-                            all_halted &= chunk_halted;
-                        }
-                        XchgJob::Send { .. } => unreachable!("consume phase collected a send job"),
+                job.all_halted = last && halted.is_some_and(|h| states.iter().all(h));
+                job
+            },
+            sampled.as_mut(),
+            // leader: merge, deliver and tick after every chunk has
+            // composed, exactly as the sequential body orders them
+            |pool| {
+                let mut executed = 0u64;
+                for round in 0..max_rounds {
+                    if all_halted {
+                        break;
                     }
+                    all_halted =
+                        run_phase(pool, Phase::Compose, round, &mut inbox_parts, &mut arena_parts, &mut counted);
+                    let total = barrier_total("rounds/ChunkCounters", sink.stats.rounds, audit_on, &counted);
+                    deliver_chunked(&chunks, &mut arena_parts, &mut inbox_parts, faults.as_ref(), topo, sink);
+                    sink.round(total);
+                    if consume.is_some() {
+                        all_halted =
+                            run_phase(pool, Phase::Consume, round, &mut inbox_parts, &mut arena_parts, &mut counted);
+                    }
+                    executed += 1;
                 }
-                executed += 1;
-            }
-            executed
-        });
+                executed
+            },
+        );
         sink.samples(sampled);
-        drop(arena_parts);
-        drop(inbox_parts);
+        self.pending = inbox;
         return_clean(&mut self.spare_outgoing, arena);
-        recycle_grid(&mut self.spare_inboxes, inboxes);
         executed
     }
 
@@ -1433,8 +1340,8 @@ impl<'g> Network<'g> {
     /// program state, RNG positions, progress) before writing the file.
     ///
     /// Only state that carries information across rounds is serialized:
-    /// the `pending` grid travels, the spare buffer pools do not (they are
-    /// all-`None` between rounds by the pool invariant and are rebuilt
+    /// the `pending` grid travels, the outbox arena does not (it is
+    /// all-`None` between rounds by the pool invariant and is rebuilt
     /// fresh on resume), and `rev_slot` is a pure function of the
     /// graph. A fault schedule is stored as its *plan* — drop coins are
     /// keyed by `(round, edge)` and the round counter is in `STAT`, so
@@ -1452,14 +1359,16 @@ impl<'g> Network<'g> {
         w.state_section("STAT", &self.sink.stats);
         // the flat arena is written in the wire shape of the historical
         // nested grid (row count, then per row its length and slots), so
-        // snapshots stay byte-compatible across the CSR change
+        // snapshots stay byte-compatible across the CSR change; a cold
+        // grid (lost to a panic mid-round) is written as the empty rows the
+        // next round will see in its place
         let mut pend = Enc::new();
         pend.usize(self.g.n());
         for v in 0..self.g.n() {
-            let row = &self.pending[self.g.row_range(v)];
+            let row = self.g.row_range(v);
             pend.usize(row.len());
-            for slot in row {
-                slot.encode(&mut pend);
+            for s in row {
+                self.pending.get(s).unwrap_or(&None).encode(&mut pend);
             }
         }
         w.section("PEND", pend.into_bytes());

@@ -11,8 +11,6 @@
 //! max-flood and H-partition peeling, which then run on the persistent
 //! worker pool).
 
-use lcg_graph::Graph;
-
 use crate::network::Network;
 
 /// A BFS forest computed by synchronous flooding.
@@ -57,16 +55,12 @@ impl<'a> Scope<'a> {
     }
 }
 
-fn neighbor_lists(g: &Graph) -> Vec<Vec<usize>> {
-    (0..g.n()).map(|v| g.neighbor_vertices(v).collect()).collect()
-}
-
 /// Builds a BFS forest from `sources` by flooding; runs until quiescent
 /// (`ecc + 1` rounds where `ecc` is the largest relevant eccentricity).
 /// Messages are `[root, dist]`: 2 words.
 pub fn bfs_forest(net: &mut Network, sources: &[usize], scope: Scope) -> BfsForest {
-    let n = net.graph().n();
-    let nbrs = neighbor_lists(net.graph());
+    let g = net.graph();
+    let n = g.n();
     let mut f = BfsForest {
         parent: vec![None; n],
         dist: vec![usize::MAX; n],
@@ -85,7 +79,7 @@ pub fn bfs_forest(net: &mut Network, sources: &[usize], scope: Scope) -> BfsFore
         net.exchange(
             |v, out| {
                 if announce[v] {
-                    for (p, &u) in nbrs[v].iter().enumerate() {
+                    for (p, u) in g.neighbor_vertices(v).enumerate() {
                         if scope.allows(v, u) {
                             out.send(
                                 p,
@@ -105,7 +99,7 @@ pub fn bfs_forest(net: &mut Network, sources: &[usize], scope: Scope) -> BfsFore
                         if d < f.dist[v] {
                             f.dist[v] = d;
                             f.root[v] = Some(root);
-                            f.parent[v] = Some(nbrs[v][p]);
+                            f.parent[v] = Some(g.neighbor_row(v)[p] as usize);
                             next_announce[v] = true;
                         }
                     }
@@ -127,8 +121,8 @@ pub fn max_flood(
     rounds: usize,
     scope: Scope,
 ) -> Vec<(u64, usize)> {
-    let n = net.graph().n();
-    let nbrs = neighbor_lists(net.graph());
+    let g = net.graph();
+    let n = g.n();
     // Per-vertex state is the current best pair; the send phase reads the
     // state as the previous round's recv left it, which is exactly the
     // snapshot the old per-round loop copied — so the batch engine needs
@@ -138,7 +132,7 @@ pub fn max_flood(
         rounds,
         &mut best,
         |me, _round, v, out| {
-            for (p, &u) in nbrs[v].iter().enumerate() {
+            for (p, u) in g.neighbor_vertices(v).enumerate() {
                 if scope.allows(v, u) {
                     out.send(p, [me.0, me.1 as u64]);
                 }
@@ -252,14 +246,14 @@ pub fn broadcast_down(net: &mut Network, forest: &BfsForest, payload: &[u64]) ->
 /// marks then spread for `2b + 1` rounds. If the cluster diameter is ≤ `b`
 /// no vertex is marked; if it is ≥ `2b + 1` every vertex is marked.
 pub fn diameter_check(net: &mut Network, cluster: &[usize], b: usize) -> Vec<bool> {
-    let n = net.graph().n();
-    let nbrs = neighbor_lists(net.graph());
+    let g = net.graph();
+    let n = g.n();
     let ids: Vec<u64> = (0..n as u64).collect();
     let best = max_flood(net, &ids, b, Scope::Intra(cluster));
     let mut marked = vec![false; n];
     net.exchange(
         |v, out| {
-            for (p, &u) in nbrs[v].iter().enumerate() {
+            for (p, u) in g.neighbor_vertices(v).enumerate() {
                 if cluster[u] == cluster[v] {
                     out.send(p, [best[v].0, best[v].1 as u64]);
                 }
@@ -278,7 +272,7 @@ pub fn diameter_check(net: &mut Network, cluster: &[usize], b: usize) -> Vec<boo
         net.exchange(
             |v, out| {
                 if snapshot[v] {
-                    for (p, &u) in nbrs[v].iter().enumerate() {
+                    for (p, u) in g.neighbor_vertices(v).enumerate() {
                         if cluster[u] == cluster[v] {
                             out.send(p, [1]);
                         }
@@ -315,12 +309,12 @@ pub fn h_partition_distributed(
         layer: Option<usize>,
         peeling: bool,
     }
-    let n = net.graph().n();
-    let nbrs = neighbor_lists(net.graph());
+    let g = net.graph();
+    let n = g.n();
     let threshold = ((2.0 + epsilon) * d).floor() as usize;
     let mut states: Vec<Peel> = (0..n)
         .map(|v| Peel {
-            residual: nbrs[v].iter().filter(|&&u| scope.allows(v, u)).count(),
+            residual: g.neighbor_vertices(v).filter(|&u| scope.allows(v, u)).count(),
             layer: None,
             peeling: false,
         })
@@ -334,7 +328,7 @@ pub fn h_partition_distributed(
         |s, _round, v, out| {
             s.peeling = s.layer.is_none() && s.residual <= threshold;
             if s.peeling {
-                for (p, &u) in nbrs[v].iter().enumerate() {
+                for (p, u) in g.neighbor_vertices(v).enumerate() {
                     if scope.allows(v, u) {
                         out.send(p, [1]);
                     }

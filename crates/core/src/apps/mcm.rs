@@ -45,10 +45,9 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
     let n = g.n();
     let mut net = Network::new(g, Model::congest());
     net.set_fault_plan(faults.cloned());
-    let nbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_vertices(v).collect()).collect();
     let mut kept = vec![true; n];
     loop {
-        let deg = |v: usize, kept: &[bool]| nbrs[v].iter().filter(|&&u| kept[u]).count();
+        let deg = |v: usize, kept: &[bool]| g.neighbor_vertices(v).filter(|&u| kept[u]).count();
         let mut changed = false;
 
         // --- 2-stars: pendants send 1-word tokens; centers bounce extras
@@ -57,9 +56,9 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
         net.exchange(
             |v, out| {
                 if pendant[v] {
-                    let p = nbrs[v]
-                        .iter()
-                        .position(|&u| kept[u])
+                    let p = g
+                        .neighbor_vertices(v)
+                        .position(|u| kept[u])
                         .expect("pendant vertex has exactly one kept neighbor");
                     out.send(p, [1]);
                 }
@@ -100,7 +99,7 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
                 if !kept[v] {
                     return None;
                 }
-                let nb: Vec<usize> = nbrs[v].iter().copied().filter(|&u| kept[u]).collect();
+                let nb: Vec<usize> = g.neighbor_vertices(v).filter(|&u| kept[u]).collect();
                 (nb.len() == 2).then(|| (nb[0].min(nb[1]), nb[0].max(nb[1])))
             })
             .collect();
@@ -108,9 +107,9 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
         net.exchange(
             |v, out| {
                 if let Some((a, b)) = two[v] {
-                    let p = nbrs[v]
-                        .iter()
-                        .position(|&u| u == a)
+                    let p = g
+                        .neighbor_vertices(v)
+                        .position(|u| u == a)
                         .expect("two[v] endpoints are neighbors of v");
                     out.send(p, [b as u64, 3]);
                 }

@@ -74,7 +74,6 @@ pub fn count_triangles(g: &Graph, density_bound: f64) -> TriangleOutcome {
                 .collect()
         })
         .collect();
-    let nbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_vertices(v).collect()).collect();
     let max_out = out_nbrs.iter().map(Vec::len).max().unwrap_or(0);
 
     // Phase 2: for each ordered out-pair (u -> a, u -> b) with a "first",
@@ -88,9 +87,9 @@ pub fn count_triangles(g: &Graph, density_bound: f64) -> TriangleOutcome {
         for i in 0..out_nbrs[v].len() {
             for j in (i + 1)..out_nbrs[v].len() {
                 let (a, b) = (out_nbrs[v][i], out_nbrs[v][j]);
-                let port = nbrs[v]
-                    .iter()
-                    .position(|&w| w == a)
+                let port = g
+                    .neighbor_vertices(v)
+                    .position(|w| w == a)
                     .expect("out-neighbor is a graph neighbor");
                 queries[v].push((port, b));
             }
@@ -119,7 +118,7 @@ pub fn count_triangles(g: &Graph, density_bound: f64) -> TriangleOutcome {
         net.exchange(
             |v, out| {
                 for &(p, b) in &incoming[v] {
-                    let yes = nbrs[v].binary_search(&(b as usize)).is_ok() as u64;
+                    let yes = g.neighbor_row(v).binary_search(&(b as u32)).is_ok() as u64;
                     out.send(p, [yes, 2]);
                 }
             },

@@ -21,7 +21,6 @@ pub fn luby_mis(g: &Graph, seed: u64) -> (Vec<usize>, RoundStats) {
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new(g, Model::congest());
-    let nbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_vertices(v).collect()).collect();
     let mut state = vec![0u8; n]; // 0 live, 1 in MIS, 2 knocked out
     while state.contains(&0) {
         let priority: Vec<u64> = (0..n).map(|_| rng.gen::<u32>() as u64).collect();
@@ -30,7 +29,7 @@ pub fn luby_mis(g: &Graph, seed: u64) -> (Vec<usize>, RoundStats) {
         net.exchange(
             |v, out| {
                 if state[v] == 0 {
-                    for (p, _) in nbrs[v].iter().enumerate() {
+                    for p in 0..g.degree(v) {
                         out.send(p, [priority[v]]);
                     }
                 }
@@ -41,7 +40,7 @@ pub fn luby_mis(g: &Graph, seed: u64) -> (Vec<usize>, RoundStats) {
                 }
                 for (p, m) in inbox.iter().enumerate() {
                     if let Some(m) = m {
-                        let u = nbrs[v][p];
+                        let u = g.neighbor_row(v)[p] as usize;
                         if (m[0], u) < (priority[v], v) {
                             local_min[v] = false;
                         }
@@ -59,7 +58,7 @@ pub fn luby_mis(g: &Graph, seed: u64) -> (Vec<usize>, RoundStats) {
         net.exchange(
             |v, out| {
                 if snapshot[v] == 1 && local_min[v] {
-                    for (p, _) in nbrs[v].iter().enumerate() {
+                    for p in 0..g.degree(v) {
                         out.send(p, [1]);
                     }
                 }
@@ -82,7 +81,6 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new(g, Model::congest());
-    let nbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_vertices(v).collect()).collect();
     let mut mate: Vec<Option<usize>> = vec![None; n];
     loop {
         // does any free-free edge remain? (orchestration check; the
@@ -99,9 +97,8 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
                 if mate[v].is_some() {
                     return None;
                 }
-                let free: Vec<usize> = nbrs[v]
-                    .iter()
-                    .copied()
+                let free: Vec<usize> = g
+                    .neighbor_vertices(v)
                     .filter(|&u| mate[u].is_none())
                     .collect();
                 if free.is_empty() {
@@ -114,9 +111,9 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
         net.exchange(
             |v, out| {
                 if let Some(u) = proposal[v] {
-                    let p = nbrs[v]
-                        .iter()
-                        .position(|&w| w == u)
+                    let p = g
+                        .neighbor_vertices(v)
+                        .position(|w| w == u)
                         .expect("proposal target is a neighbor");
                     out.send(p, [1]);
                 }
@@ -127,9 +124,9 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
                 }
                 if let Some(u) = proposal[v] {
                     // mutual?
-                    let p = nbrs[v]
-                        .iter()
-                        .position(|&w| w == u)
+                    let p = g
+                        .neighbor_vertices(v)
+                        .position(|w| w == u)
                         .expect("proposal target is a neighbor");
                     if inbox[p].is_some() {
                         mate[v] = Some(u);

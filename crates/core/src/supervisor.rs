@@ -69,8 +69,8 @@ pub struct CheckpointConfig {
     /// (clamped to ≥ 1). The framework driver checkpoints at every
     /// attempt boundary regardless.
     pub every: u64,
-    /// Snapshots retained after rotation (keep-last-N; default 2, so a
-    /// corrupted newest file always has a fallback).
+    /// Snapshots retained after rotation (keep-last-N, clamped to ≥ 1;
+    /// default 2, so a corrupted newest file always has a fallback).
     pub keep: usize,
     /// Crashes tolerated before the supervisor gives up: the round driver
     /// returns [`SupervisorError::RestartBudgetExhausted`], the framework
@@ -275,7 +275,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SupervisorError> {
 }
 
 /// Deletes the oldest snapshots beyond the keep-last-`keep` retention.
+/// The newest always stays: retaining nothing would delete every
+/// checkpoint as it is written and turn each crash into a silent restart.
 fn rotate(dir: &Path, keep: usize) -> Result<(), SupervisorError> {
+    let keep = keep.max(1);
     let found = list_snapshots(dir)?;
     if found.len() > keep {
         for (_, path) in &found[..found.len() - keep] {
@@ -457,19 +460,44 @@ fn try_load_state<'g, S: SnapshotState>(
 
 /// Fingerprint binding a framework checkpoint to its graph, config, and
 /// policy: resuming under different parameters silently skips the file.
+/// It covers every field that changes what an attempt computes or what
+/// [`AttemptLog`] accumulates; thread count and tracing stay free to
+/// change across a resume.
 fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPolicy) -> u64 {
-    let mut bytes = Vec::with_capacity(g.m() * 24 + 48);
+    // exhaustive on purpose: a new field does not compile until it is
+    // classified here as bound or free
+    let FrameworkConfig {
+        epsilon,
+        density_bound,
+        seed,
+        max_walk_steps,
+        deterministic_routing,
+        practical_phi,
+        message_faithful,
+        metrics,
+        faults,
+        exec: _,
+        trace: _,
+        trace_top_k: _,
+    } = cfg;
+    let mut enc = Enc::new();
     for (e, u, v) in g.edges() {
-        bytes.extend_from_slice(&(e as u64).to_le_bytes());
-        bytes.extend_from_slice(&(u as u64).to_le_bytes());
-        bytes.extend_from_slice(&(v as u64).to_le_bytes());
+        enc.usize(e);
+        enc.usize(u);
+        enc.usize(v);
     }
-    bytes.extend_from_slice(&cfg.seed.to_le_bytes());
-    bytes.extend_from_slice(&cfg.epsilon.to_bits().to_le_bytes());
-    bytes.extend_from_slice(&(cfg.max_walk_steps as u64).to_le_bytes());
-    bytes.extend_from_slice(&u64::from(policy.max_retries).to_le_bytes());
-    bytes.extend_from_slice(&(policy.initial_walk_steps as u64).to_le_bytes());
-    fnv1a64(&bytes)
+    enc.u64(*seed);
+    enc.f64(*epsilon);
+    enc.f64(*density_bound);
+    enc.usize(*max_walk_steps);
+    for flag in [deterministic_routing, practical_phi, message_faithful, metrics] {
+        enc.u8(u8::from(*flag));
+    }
+    faults.encode(&mut enc);
+    let RecoveryPolicy { max_retries, initial_walk_steps } = policy;
+    enc.u64(u64::from(*max_retries));
+    enc.usize(*initial_walk_steps);
+    fnv1a64(&enc.into_bytes())
 }
 
 /// Writes one attempt-boundary checkpoint of the framework supervisor.
@@ -718,6 +746,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `keep == 0` used to rotate away every checkpoint as it was written,
+    /// so the crash below silently restarted from round 0.
+    #[test]
+    fn keep_zero_still_retains_the_newest_checkpoint() {
+        let g = gen::grid(5, 5);
+        let dir = scratch("keep0");
+        let (want_states, want_stats) = straight_flood(&g, 10);
+        let ckpt = CheckpointConfig::new(&dir).with_every(2).with_keep(0).with_kill_at_round(7);
+        let run = run_state_checkpointed(
+            &g,
+            Model::congest(),
+            ExecConfig::default(),
+            10,
+            || flood_init(g.n()),
+            flood_step,
+            &ckpt,
+        )
+        .expect("killed run must recover");
+        assert_eq!(run.states, want_states);
+        assert_eq!(run.stats, want_stats);
+        assert_eq!(run.report.crashes, 1);
+        assert!(run.report.resumed >= 1, "the round-6 checkpoint must have survived rotation");
+        assert_eq!(list_snapshots(&dir).expect("list").len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn crash_before_first_checkpoint_restarts_from_scratch() {
         let g = gen::cycle(16);
@@ -870,6 +924,59 @@ mod tests {
         let b = want.metrics.expect("metrics on").deterministic_json();
         assert_eq!(a, b);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint directory left by a run under one configuration is
+    /// foreign to a run under another: every file is skipped (typed and
+    /// counted), nothing of the old run's accumulators leaks in, and the
+    /// outcome is that of a fresh run.
+    #[test]
+    fn framework_checkpoint_binds_to_every_result_bearing_field() {
+        let mut rng = gen::seeded_rng(500);
+        let g = gen::random_planar(60, 0.5, &mut rng);
+        let policy = RecoveryPolicy { max_retries: 3, initial_walk_steps: 1_000 };
+        let base = FrameworkConfig { max_walk_steps: 5_000, ..FrameworkConfig::planar(0.3, 7) };
+        // run A: total blackout, every attempt fails; killed at attempt 2
+        // with no restart budget, so attempts 0 and 1 are on disk
+        let dir = scratch("fw-foreign");
+        let a = FrameworkConfig { faults: Some(FaultPlan::drops(1, 1.0)), ..base.clone() };
+        let killed = CheckpointConfig::new(&dir).with_kill_at_attempt(2).with_restart_budget(0);
+        let (_, a_rec, a_sup) = run_framework_checkpointed(&g, &a, &policy, &killed).expect("run A");
+        assert_eq!((a_rec.attempts, a_sup.saved), (2, 2));
+        // run B differs only in fields the old fingerprint left out
+        let b = FrameworkConfig { message_faithful: true, density_bound: 2.0, ..base.clone() };
+        let fresh_dir = scratch("fw-foreign-fresh");
+        let (want, want_rec, _) =
+            run_framework_checkpointed(&g, &b, &policy, &CheckpointConfig::new(&fresh_dir))
+                .expect("fresh run B");
+        let (out, rec, sup) = run_framework_checkpointed(&g, &b, &policy, &CheckpointConfig::new(&dir))
+            .expect("run B over A's directory");
+        assert_eq!(sup.resumed, 0, "A's checkpoints are not B's");
+        assert!(sup.corrupt_skipped >= 1, "foreign files are skipped, typed and counted");
+        assert_eq!(rec, want_rec);
+        assert_eq!(out.stats, want.stats);
+        assert_eq!(out.decomposition.cluster_of, want.decomposition.cluster_of);
+        // each bound field moves the fingerprint on its own; the free ones do not
+        let fp = |cfg: &FrameworkConfig| framework_fingerprint(&g, cfg, &policy);
+        for (field, changed) in [
+            ("faults", FrameworkConfig { faults: Some(FaultPlan::none()), ..base.clone() }),
+            ("density_bound", FrameworkConfig { density_bound: 2.0, ..base.clone() }),
+            ("practical_phi", FrameworkConfig { practical_phi: !base.practical_phi, ..base.clone() }),
+            ("deterministic_routing", FrameworkConfig { deterministic_routing: true, ..base.clone() }),
+            ("message_faithful", FrameworkConfig { message_faithful: true, ..base.clone() }),
+            ("metrics", FrameworkConfig { metrics: true, ..base.clone() }),
+        ] {
+            assert_ne!(fp(&changed), fp(&base), "{field} must bind the checkpoint");
+        }
+        let free = FrameworkConfig {
+            exec: ExecConfig::with_threads(3),
+            trace: true,
+            trace_top_k: base.trace_top_k + 1,
+            ..base.clone()
+        };
+        assert_eq!(fp(&free), fp(&base), "thread count and tracing may change across a resume");
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&fresh_dir);
     }
 
     /// With no kill the supervisor is the resilient loop plus boundary

@@ -43,7 +43,6 @@ pub fn mpx_clustering(net: &mut Network, beta: f64, rng: &mut impl Rng) -> Distr
     assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
     let g = net.graph();
     let n = g.n();
-    let nbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_vertices(v).collect()).collect();
     // geometric delays, capped so the algorithm terminates in O(log n / beta)
     let max_delay = ((n.max(2) as f64).ln() / beta).ceil() as usize + 1;
     let delay: Vec<usize> = (0..n)
@@ -84,7 +83,7 @@ pub fn mpx_clustering(net: &mut Network, beta: f64, rng: &mut impl Rng) -> Distr
             |v, out| {
                 if ann[v] {
                     let (key, c) = snapshot[v].expect("announcing vertex holds a snapshot");
-                    for (p, _) in nbrs[v].iter().enumerate() {
+                    for p in 0..g.degree(v) {
                         out.send(p, [key as u64, c as u64]);
                     }
                 }

@@ -161,6 +161,77 @@ fn exchange_rounds_round_counts_are_invariant() {
 /// The batch engines reproduce the *checked-in* golden stats byte-for-byte
 /// — the same files the sequential `golden_stats` layer locks — so the
 /// refactor provably changed scheduling only, never results.
+/// The two round structures are one body: the same token program as
+/// k × `step`, as `run_state(k)` on the forced pool, and as an
+/// `exchange_rounds` whose `recv` stashes the inbox for the next `send`
+/// must agree on the states, the `RoundStats`, and the inboxes the next
+/// round would read.
+#[test]
+fn step_run_state_and_stashing_exchange_are_one_round_body() {
+    type Row = Vec<Option<locongest::congest::Message>>;
+    const K: usize = 7;
+    let mut rng = gen::seeded_rng(0xD1FF);
+    let g = gen::stacked_triangulation(90, &mut rng);
+    let n = g.n();
+    // reads every port, mixes, sends on a port that rotates with the round
+    let program = |tok: &mut u64, round: usize, v: usize, inbox: &[Option<locongest::congest::Message>], out: &mut locongest::congest::Outbox| {
+        for (p, msg) in inbox.iter().enumerate() {
+            if let Some(msg) = msg {
+                *tok = tok.wrapping_add(msg[0]).rotate_left((p as u32 + msg[1] as u32) % 63 + 1);
+            }
+        }
+        out.send((v + round) % out.ports(), [*tok, round as u64]);
+        if v.is_multiple_of(3) {
+            out.send((v + round + 1) % out.ports(), [*tok ^ v as u64, round as u64]);
+        }
+    };
+    // the inboxes the next round would read, observed by one more round
+    let next_inboxes = |net: &mut Network| -> Vec<Row> {
+        let mut rows: Vec<Row> = vec![Vec::new(); n];
+        net.step(|v, inbox, _out| rows[v] = inbox.to_vec());
+        rows
+    };
+    let init: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+
+    let mut stepped = Network::with_exec(&g, Model::congest(), forced(1));
+    let mut want = init.clone();
+    for round in 0..K {
+        stepped.step(|v, inbox, out| program(&mut want[v], round, v, inbox, out));
+    }
+    let want_stats = stepped.stats();
+    let want_next = next_inboxes(&mut stepped);
+    assert!(want_next.iter().flatten().any(Option::is_some), "round K must leave messages in flight");
+
+    for threads in [1, 2, 3, 5] {
+        let mut batched = Network::with_exec(&g, Model::congest(), forced(threads));
+        let mut states: Vec<(u64, usize)> = init.iter().map(|&t| (t, 0)).collect();
+        batched.run_state(K, &mut states, |(tok, round), v, inbox, out| {
+            program(tok, *round, v, inbox, out);
+            *round += 1;
+        });
+        let got: Vec<u64> = states.iter().map(|s| s.0).collect();
+        assert_eq!(got, want, "run_state at {threads} threads");
+        stats::compare(&want_stats, &batched.stats()).unwrap();
+        assert_eq!(next_inboxes(&mut batched), want_next, "run_state at {threads} threads");
+
+        let mut exchanged = Network::with_exec(&g, Model::congest(), forced(threads));
+        let mut states: Vec<(u64, Row)> =
+            init.iter().enumerate().map(|(v, &t)| (t, vec![None; g.degree(v)])).collect();
+        let ran = exchanged.exchange_rounds(
+            K,
+            &mut states,
+            |(tok, stash), round, v, out| program(tok, round, v, stash, out),
+            |(_, stash), _round, _v, inbox| *stash = inbox.to_vec(),
+            |_| false,
+        );
+        assert_eq!(ran, K as u64);
+        let (got, stashes): (Vec<u64>, Vec<Row>) = states.into_iter().unzip();
+        assert_eq!(got, want, "exchange_rounds at {threads} threads");
+        stats::compare(&want_stats, &exchanged.stats()).unwrap();
+        assert_eq!(stashes, want_next, "exchange_rounds at {threads} threads");
+    }
+}
+
 #[test]
 fn forced_parallel_runs_reproduce_checked_in_goldens() {
     let golden = |name: &str| -> RoundStats {
@@ -226,7 +297,7 @@ fn forced_parallel_trace_jsonl_is_byte_identical() {
     }
 }
 
-/// A `NodeProgram` run (now one `exchange_rounds` batch end to end) with
+/// A `NodeProgram` run (one pool batch end to end) with
 /// per-node RNG: outputs and stats at a forced-parallel count equal the
 /// 1-thread run.
 #[derive(Default)]

@@ -215,3 +215,91 @@ fn repeated_poisoning_is_survivable() {
     assert!(stats_after.messages >= fresh_stats.messages);
     stats::compare(&fresh_stats, &fresh.stats()).unwrap();
 }
+
+/// The one-thread case: below the work threshold every form runs the
+/// sequential round body, which works on the network's own inbox grid in
+/// place. A closure panicking mid-round surfaces with its payload and
+/// takes the grids (and the failed round's in-flight messages) with it;
+/// the same `Network` must then (b) save a snapshot that resumes, (c)
+/// accept an `exchange` — its empty-inbox precondition holds on both the
+/// survivor and the resumed copy — and (a) run the reference flood
+/// bit-identically to a fresh network.
+#[test]
+fn sequential_panic_mid_round_leaves_a_usable_network() {
+    quiet_panics();
+    type Form = fn(&mut Network);
+    let flood_out = |out: &mut locongest::congest::Outbox, word: u64| {
+        for p in 0..out.ports() {
+            out.send(p, [word]);
+        }
+    };
+    // (name, the form, whether it tolerates `step` messages in flight)
+    let forms: [(&str, Form, bool); 4] = [
+        ("step", |net| {
+            net.step(|v, _inbox, out| {
+                assert!(v != 17, "step blew up at vertex 17");
+                out.send(0, [v as u64]);
+            });
+        }, true),
+        ("run_state", |net| {
+            let mut rounds_seen = vec![0u32; net.graph().n()];
+            net.run_state(5, &mut rounds_seen, |me, v, _inbox, out| {
+                *me += 1;
+                assert!(!(*me == 3 && v == 17), "run_state blew up at vertex 17");
+                out.send(0, [v as u64]);
+            });
+        }, true),
+        ("exchange", |net| {
+            // the recv phase dies with a full grid of delivered messages
+            net.exchange(
+                |v, out| out.send(0, [v as u64]),
+                |v, _inbox| assert!(v != 17, "exchange blew up at vertex 17"),
+            );
+        }, false),
+        ("exchange_rounds", |net| {
+            let mut state = vec![0u64; net.graph().n()];
+            net.exchange_rounds(
+                6,
+                &mut state,
+                |me, round, v, out| {
+                    assert!(!(round == 2 && v == 17), "exchange_rounds blew up at vertex 17");
+                    out.send(0, [*me]);
+                },
+                |me, _round, _v, inbox| *me += inbox.iter().flatten().count() as u64,
+                |_| false,
+            );
+        }, false),
+    ];
+    let g = gen::grid(6, 6);
+    for (name, form, in_flight) in forms {
+        let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(1));
+        if in_flight {
+            // messages in flight when the failed round starts: it drops them
+            net.step(|_, _, out| flood_out(out, 9));
+        }
+        let msg = panic_message(AssertUnwindSafe(|| form(&mut net)))
+            .unwrap_or_else(|| panic!("{name}: the closure panic must propagate"));
+        assert!(msg.contains(&format!("{name} blew up at vertex 17")), "{name}: payload lost, got {msg:?}");
+
+        let mut bytes = Vec::new();
+        net.save_snapshot(&mut bytes).unwrap_or_else(|e| panic!("{name}: snapshot after panic: {e}"));
+        let mut resumed = Network::resume_snapshot(&g, bytes.as_slice())
+            .unwrap_or_else(|e| panic!("{name}: resume after panic: {e}"));
+        assert_eq!(resumed.stats(), net.stats(), "{name}");
+
+        let mut fresh = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(1));
+        let mut runs = Vec::new();
+        for net in [&mut net, &mut resumed, &mut fresh] {
+            let mut heard = vec![0u64; g.n()];
+            net.exchange(
+                |v, out| flood_out(out, v as u64),
+                |v, inbox| heard[v] = inbox.iter().flatten().map(|m| m[0]).sum(),
+            );
+            net.reset_stats();
+            runs.push((heard, flood_on(net)));
+        }
+        assert!(runs[2].1 .0.iter().all(|&b| b), "the reference flood reaches everyone");
+        assert_eq!(runs[0], runs[2], "{name}: the survivor diverged from a fresh network");
+        assert_eq!(runs[1], runs[2], "{name}: the resumed copy diverged from a fresh network");
+    }
+}

@@ -44,8 +44,8 @@ fn assert_matches_golden(name: &str, threads: usize, got: &RoundStats) {
     });
 }
 
-/// BFS flood via `step_state` (one-round batches through
-/// `step_batch`), identical to the golden_stats workload.
+/// BFS flood via `step_state` (one-round batches through the pool round
+/// body), identical to the golden_stats workload.
 fn flood_stats(g: &Graph, exec: ExecConfig) -> RoundStats {
     let mut net = Network::with_exec(g, Model::congest(), exec);
     let mut informed = vec![false; g.n()];
@@ -68,7 +68,7 @@ fn flood_stats(g: &Graph, exec: ExecConfig) -> RoundStats {
 }
 
 /// The golden flood workloads replay byte-identically with the shuffle
-/// auditor cross-checking every `step_batch` merge.
+/// auditor cross-checking every pool-round barrier merge.
 #[test]
 fn golden_floods_are_byte_identical_under_shuffle_audit() {
     let cycle = gen::cycle(64);
@@ -84,8 +84,8 @@ fn golden_floods_are_byte_identical_under_shuffle_audit() {
 }
 
 /// The full Theorem 2.6 framework (which drives `run_state` batches and
-/// `exchange_rounds`, so the `step_batch` and `exchange_batch` audit
-/// hooks fire) reproduces its goldens under the auditor.
+/// `exchange_rounds`, so the pool round body's audit hook fires with and
+/// without a consume phase) reproduces its goldens under the auditor.
 #[test]
 fn golden_frameworks_are_byte_identical_under_shuffle_audit() {
     for threads in AUDIT_THREADS {
@@ -106,9 +106,9 @@ fn golden_frameworks_are_byte_identical_under_shuffle_audit() {
     }
 }
 
-/// `run_state` multi-round batches (the `step_batch` hook) and
-/// `exchange_rounds` (the `exchange_batch` hook) under the auditor match
-/// the unaudited sequential baseline exactly.
+/// `run_state` multi-round batches and `exchange_rounds` (one audit hook,
+/// the pool round body's barrier merge) under the auditor match the
+/// unaudited sequential baseline exactly.
 #[test]
 fn batch_engines_match_sequential_baseline_under_shuffle_audit() {
     let g = gen::grid(9, 7);
