@@ -8,20 +8,16 @@
 //! [`crate::RoundStats`] for every thread count** (see
 //! `Network::step_state` for how).
 //!
-//! Two knobs, both settable explicitly or inherited from the environment
-//! (which the bench harness and the experiments binary expose):
+//! The thread count and the audit mode are settable explicitly or
+//! inherited from the environment (which the bench harness and the
+//! experiments binary expose); the work threshold is set in code only
+//! ([`ExecConfig::with_work_threshold`]):
 //!
 //! | `LCG_THREADS`     | behavior                              |
 //! |-------------------|---------------------------------------|
 //! | unset, empty, `1` | sequential (the default)              |
 //! | `0` or `auto`     | one thread per available CPU          |
 //! | `k`               | `k` worker threads                    |
-//!
-//! | `LCG_PAR_THRESHOLD` | behavior                                      |
-//! |---------------------|-----------------------------------------------|
-//! | unset, empty        | the default work threshold (256 vertices)     |
-//! | `0` or `1`          | no threshold: parallelize any `n ≥ 2`         |
-//! | `t`                 | require ≥ `t` vertices per worker             |
 //!
 //! | `LCG_AUDIT`         | behavior                                      |
 //! |---------------------|-----------------------------------------------|
@@ -111,9 +107,9 @@ impl ExecConfig {
         }
     }
 
-    /// Reads `LCG_THREADS`, `LCG_PAR_THRESHOLD`, and `LCG_AUDIT` (see
-    /// module docs and [`AuditMode::from_env`]); sequential with the
-    /// default threshold and auditing off when unset.
+    /// Reads `LCG_THREADS` and `LCG_AUDIT` (see module docs and
+    /// [`AuditMode::from_env`]); sequential with auditing off when unset,
+    /// always with the default work threshold.
     pub fn from_env() -> ExecConfig {
         let cfg = match std::env::var("LCG_THREADS") {
             Err(_) => ExecConfig::sequential(),
@@ -128,21 +124,6 @@ impl ExecConfig {
                         Ok(k) if k >= 1 => ExecConfig::with_threads(k),
                         // lcg-lint: allow(P001) -- documented fail-fast: a malformed LCG_THREADS must abort at startup, not be silently coerced
                         _ => panic!("LCG_THREADS must be a positive integer, 0, or 'auto'; got {s:?}"),
-                    }
-                }
-            }
-        };
-        let cfg = match std::env::var("LCG_PAR_THRESHOLD") {
-            Err(_) => cfg,
-            Ok(s) => {
-                let s = s.trim();
-                if s.is_empty() {
-                    cfg
-                } else {
-                    match s.parse::<usize>() {
-                        Ok(t) => cfg.with_work_threshold(t),
-                        // lcg-lint: allow(P001) -- documented fail-fast, same contract as LCG_THREADS
-                        Err(_) => panic!("LCG_PAR_THRESHOLD must be a non-negative integer; got {s:?}"),
                     }
                 }
             }

@@ -82,7 +82,7 @@
 
 use lcg_graph::Graph;
 use lcg_metrics::{ExecProfile, Recorder};
-use lcg_trace::{SpanId, Tracer};
+use lcg_trace::{SpanId, Tracer, TracerState};
 
 use crate::executor::{audit, chunk_of, pool, ExecConfig};
 use crate::faults::{FaultPlan, FaultState, FaultVerdict};
@@ -1326,13 +1326,13 @@ impl<'g> Network<'g> {
     /// endpoint pairs, in id order. Two graphs that fingerprint equal (at
     /// equal `n`/`m`) are interchangeable as resume targets.
     fn topology_fingerprint(g: &Graph) -> u64 {
-        let mut bytes = Vec::with_capacity(g.m() * 24);
+        let mut enc = Enc::new();
         for (e, u, v) in g.edges() {
-            bytes.extend_from_slice(&(e as u64).to_le_bytes());
-            bytes.extend_from_slice(&(u as u64).to_le_bytes());
-            bytes.extend_from_slice(&(v as u64).to_le_bytes());
+            enc.usize(e);
+            enc.usize(u);
+            enc.usize(v);
         }
-        snapshot::fnv1a64(&bytes)
+        snapshot::fnv1a64(&enc.into_bytes())
     }
 
     /// Appends the engine's snapshot sections (`TOPO` … `METR`) to `w`.
@@ -1349,11 +1349,7 @@ impl<'g> Network<'g> {
     /// keeps only the deterministic registry; the profiling plane is
     /// wall-clock state and deliberately dies with the process.
     pub fn write_snapshot_sections(&self, w: &mut SnapshotWriter) {
-        let mut topo = Enc::new();
-        topo.usize(self.g.n());
-        topo.usize(self.g.m());
-        topo.u64(Network::topology_fingerprint(self.g));
-        w.section("TOPO", topo.into_bytes());
+        w.state_section("TOPO", &(self.g.n(), self.g.m(), Network::topology_fingerprint(self.g)));
         w.state_section("MODL", &self.model);
         w.state_section("EXEC", &self.exec);
         w.state_section("STAT", &self.sink.stats);
@@ -1374,25 +1370,9 @@ impl<'g> Network<'g> {
         w.section("PEND", pend.into_bytes());
         let plan: Option<FaultPlan> = self.faults.as_ref().map(|f| f.plan().clone());
         w.state_section("FLTS", &plan);
-        let mut trce = Enc::new();
-        match &self.sink.tracer {
-            None => trce.u8(0),
-            Some(t) => {
-                trce.u8(1);
-                trce.bytes(&t.snapshot_bytes());
-            }
-        }
-        w.section("TRCE", trce.into_bytes());
-        let mut metr = Enc::new();
-        match &self.sink.metrics {
-            None => metr.u8(0),
-            Some(rec) => {
-                metr.u8(1);
-                metr.str(rec.label());
-                metr.str(&rec.registry().to_json());
-            }
-        }
-        w.section("METR", metr.into_bytes());
+        w.state_section("TRCE", &self.sink.tracer.as_ref().map(Tracer::snapshot_state));
+        let metr = self.sink.metrics.as_ref();
+        w.state_section("METR", &metr.map(|rec| (rec.label().to_string(), rec.registry().to_json())));
     }
 
     /// Writes a complete engine snapshot to `w`: magic, version header,
@@ -1413,9 +1393,7 @@ impl<'g> Network<'g> {
         g: &'g Graph,
         r: &SnapshotReader,
     ) -> Result<Network<'g>, SnapshotError> {
-        let mut topo = Dec::new("TOPO", r.section("TOPO")?);
-        let (n, m, fp) = (topo.usize()?, topo.usize()?, topo.u64()?);
-        topo.finish()?;
+        let (n, m, fp): (usize, usize, u64) = r.state_section("TOPO")?;
         let here = Network::topology_fingerprint(g);
         if n != g.n() || m != g.m() || fp != here {
             return Err(SnapshotError::TopologyMismatch {
@@ -1461,38 +1439,21 @@ impl<'g> Network<'g> {
                 });
             }
         }
-        let mut trce = Dec::new("TRCE", r.section("TRCE")?);
-        let tracer = match trce.u8()? {
-            0 => None,
-            1 => {
-                let bytes = trce.bytes()?;
-                Some(Tracer::from_snapshot_bytes(bytes).map_err(|e| SnapshotError::Corrupt {
-                    detail: format!("tracer state: {e}"),
-                })?)
-            }
-            t => {
-                return Err(SnapshotError::Corrupt { detail: format!("bad TRCE tag {t}") });
-            }
-        };
-        trce.finish()?;
-        let mut metr = Dec::new("METR", r.section("METR")?);
-        let metrics = match metr.u8()? {
-            0 => None,
-            1 => {
-                let label = metr.str()?;
-                let registry =
-                    lcg_metrics::Registry::from_json(&metr.str()?).map_err(|e| {
-                        SnapshotError::Corrupt { detail: format!("metrics registry: {e}") }
-                    })?;
+        let tracer = r
+            .state_section::<Option<TracerState>>("TRCE")?
+            .map(Tracer::from_snapshot_state)
+            .transpose()
+            .map_err(|e| SnapshotError::Corrupt { detail: format!("tracer state: {e}") })?;
+        let metrics = r
+            .state_section::<Option<(String, String)>>("METR")?
+            .map(|(label, json)| {
+                let registry = lcg_metrics::Registry::from_json(&json)?;
                 let mut rec = Recorder::new(&label);
                 rec.merge_registry(&registry);
-                Some(rec)
-            }
-            t => {
-                return Err(SnapshotError::Corrupt { detail: format!("bad METR tag {t}") });
-            }
-        };
-        metr.finish()?;
+                Ok(rec)
+            })
+            .transpose()
+            .map_err(|e: String| SnapshotError::Corrupt { detail: format!("metrics registry: {e}") })?;
 
         // every section decoded — only now is engine state assembled
         let mut net = Network::with_exec(g, model, exec);

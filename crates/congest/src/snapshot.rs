@@ -33,7 +33,7 @@
 //! | `STAT` | [`RoundStats`](crate::RoundStats), all seven counters |
 //! | `PEND` | the pending message grid (in-flight deliveries) |
 //! | `FLTS` | the installed [`FaultPlan`](crate::FaultPlan), if any |
-//! | `TRCE` | tracer recording state incl. the open-span stack, if any |
+//! | `TRCE` | `Option<TracerState>`: the tracer's recording state incl. the open-span stack |
 //! | `METR` | metrics label + deterministic registry, if attached |
 //!
 //! Supervisors append their own sections (`NODE` per-node program state
@@ -42,8 +42,16 @@
 //! resumes against a caller-provided graph and the `TOPO` fingerprint
 //! guards against resuming onto the wrong one.
 //!
-//! Two invariants worth naming (DESIGN.md §14):
+//! This module is the only byte codec under a checkpoint: the tracer hands
+//! over plain data (`lcg_trace::TracerState`) and [`SnapshotState`] is
+//! implemented for it here, next to the engine's own types. Wire
+//! compatibility is pinned by a committed file an older build wrote
+//! (`tests/golden/engine_v1.lcgsnap`, checked by `tests/snapshot_compat.rs`).
 //!
+//! Three invariants worth naming (DESIGN.md §14):
+//!
+//! * **A length prefix reserves no more bytes than the payload has left**
+//!   — it is foreign input; see the one sequence decoder (`Vec<T>`).
 //! * **RNG positions, never re-seeds.** A ChaCha stream is stored as its
 //!   32-byte seed plus the absolute keystream word offset; resume calls
 //!   `set_word_pos`, it never draws-and-discards and never re-keys.
@@ -55,6 +63,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
+use lcg_trace::{FaultEvent, RoundSample, SpanState, Totals, TraceConfig, TracerState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -428,9 +437,12 @@ impl<T: SnapshotState> SnapshotState for Vec<T> {
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let len = d.usize()?;
-        // every element costs >= 1 byte, so `remaining` bounds the
-        // allocation a hostile length prefix can force
-        let mut out = Vec::with_capacity(len.min(d.remaining()));
+        // a length prefix is foreign input: it reserves at most as many
+        // *bytes* as the payload has left (an element count bounded by the
+        // remaining bytes would reserve `size_of::<T>()` times the input);
+        // a genuinely longer vector grows as its elements decode
+        let fits = d.remaining() / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             out.push(T::decode(d)?);
         }
@@ -467,17 +479,8 @@ impl SnapshotState for Msg {
         }
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let len = d.usize()?;
-        if len.saturating_mul(8) > d.remaining() {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("message of {len} words exceeds section bytes"),
-            });
-        }
-        let mut words = Vec::with_capacity(len);
-        for _ in 0..len {
-            words.push(d.u64()?);
-        }
-        Ok(Msg::from_slice(&words))
+        // the wire shape of a `Vec<u64>`, bounded reservation included
+        Ok(Msg::from_slice(&Vec::<u64>::decode(d)?))
     }
 }
 
@@ -623,6 +626,138 @@ impl SnapshotState for RoundStats {
     }
 }
 
+// The tracer's recording state. `lcg-trace` sits below this crate and owns
+// no byte format; these impls are the `TRCE` wire layout, field order
+// included. Each destructures exhaustively, so a field added to the tracer
+// or to a span does not compile until it is persisted here.
+
+impl SnapshotState for TraceConfig {
+    fn encode(&self, out: &mut Enc) {
+        let TraceConfig { label, series, edge_loads, top_k } = self;
+        label.encode(out);
+        series.encode(out);
+        edge_loads.encode(out);
+        top_k.encode(out);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(TraceConfig {
+            label: d.str()?,
+            series: bool::decode(d)?,
+            edge_loads: bool::decode(d)?,
+            top_k: d.usize()?,
+        })
+    }
+}
+
+impl SnapshotState for SpanState {
+    fn encode(&self, out: &mut Enc) {
+        let SpanState {
+            name, parent, depth, start_round, end_round, rounds, messages, words, max_words, notes,
+        } = self;
+        name.encode(out);
+        parent.encode(out);
+        depth.encode(out);
+        start_round.encode(out);
+        end_round.encode(out);
+        rounds.encode(out);
+        messages.encode(out);
+        words.encode(out);
+        max_words.encode(out);
+        notes.encode(out);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(SpanState {
+            name: d.str()?,
+            parent: Option::decode(d)?,
+            depth: d.usize()?,
+            start_round: d.u64()?,
+            end_round: Option::decode(d)?,
+            rounds: d.u64()?,
+            messages: d.u64()?,
+            words: d.u64()?,
+            max_words: d.usize()?,
+            notes: Vec::decode(d)?,
+        })
+    }
+}
+
+impl SnapshotState for RoundSample {
+    fn encode(&self, out: &mut Enc) {
+        let RoundSample { round, messages, words, max_edge_words } = self;
+        round.encode(out);
+        messages.encode(out);
+        words.encode(out);
+        max_edge_words.encode(out);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(RoundSample {
+            round: d.u64()?,
+            messages: d.u64()?,
+            words: d.u64()?,
+            max_edge_words: d.usize()?,
+        })
+    }
+}
+
+impl SnapshotState for FaultEvent {
+    fn encode(&self, out: &mut Enc) {
+        let FaultEvent { round, kind, count } = self;
+        round.encode(out);
+        kind.encode(out);
+        count.encode(out);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(FaultEvent { round: d.u64()?, kind: d.str()?, count: d.u64()? })
+    }
+}
+
+impl SnapshotState for TracerState {
+    /// One blob framed by its byte length — the shape `TRCE` has carried
+    /// since schema v1, when the blob came from the trace crate's own
+    /// encoder.
+    fn encode(&self, out: &mut Enc) {
+        let TracerState { cfg, n, m, ends, total, spans, open, series, edge_words, faults } = self;
+        let Totals { rounds, messages, words, max_words_edge_round } = total;
+        let mut blob = Enc::new();
+        cfg.encode(&mut blob);
+        n.encode(&mut blob);
+        m.encode(&mut blob);
+        ends.encode(&mut blob);
+        rounds.encode(&mut blob);
+        messages.encode(&mut blob);
+        words.encode(&mut blob);
+        max_words_edge_round.encode(&mut blob);
+        spans.encode(&mut blob);
+        open.encode(&mut blob);
+        series.encode(&mut blob);
+        edge_words.encode(&mut blob);
+        faults.encode(&mut blob);
+        out.bytes(&blob.into_bytes());
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        let mut blob = Dec::new(d.tag, d.bytes()?);
+        let state = TracerState {
+            cfg: TraceConfig::decode(&mut blob)?,
+            n: blob.usize()?,
+            m: blob.usize()?,
+            ends: Vec::decode(&mut blob)?,
+            total: Totals {
+                rounds: blob.u64()?,
+                messages: blob.u64()?,
+                words: blob.u64()?,
+                max_words_edge_round: blob.usize()?,
+            },
+            spans: Vec::decode(&mut blob)?,
+            open: Vec::decode(&mut blob)?,
+            series: Vec::decode(&mut blob)?,
+            edge_words: Vec::decode(&mut blob)?,
+            faults: Vec::decode(&mut blob)?,
+        };
+        blob.finish()?;
+        Ok(state)
+    }
+}
+
 // ------------------------------------------------------- writer / reader
 
 /// Accumulates tagged sections, then writes the framed, checksummed file
@@ -722,10 +857,7 @@ impl SnapshotReader {
     /// Parses a snapshot from memory.
     pub fn parse(bytes: &[u8]) -> Result<SnapshotReader, SnapshotError> {
         let header_err = || SnapshotError::TruncatedSection { tag: "header".to_string() };
-        if bytes.len() < MAGIC.len() {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
+        if !bytes.starts_with(&MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
         let mut at = MAGIC.len();
@@ -782,11 +914,6 @@ impl SnapshotReader {
             .ok_or_else(|| SnapshotError::MissingSection { tag: tag.to_string() })
     }
 
-    /// The payload of `tag`, when present.
-    pub fn section_opt(&self, tag: &str) -> Option<&[u8]> {
-        self.sections.get(tag).map(Vec::as_slice)
-    }
-
     /// Decodes `tag`'s payload as one `S`, consuming it exactly.
     pub fn state_section<S: SnapshotState>(&self, tag: &str) -> Result<S, SnapshotError> {
         let mut d = Dec::new(tag, self.section(tag)?);
@@ -804,6 +931,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcg_trace::{SpanId, Tracer};
 
     fn sample_writer() -> SnapshotWriter {
         let mut w = SnapshotWriter::new();
@@ -887,6 +1015,57 @@ mod tests {
         let a: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
         let b: Vec<u64> = (0..32).map(|_| back.next_u64()).collect();
         assert_eq!(a, b, "restored stream must continue bit-identically");
+    }
+
+    /// A full tracer paused mid-recording with two spans open; returns it
+    /// with the two open handles, outermost first.
+    fn mid_recording_tracer() -> (Tracer, [SpanId; 2]) {
+        let mut t = Tracer::new(TraceConfig::full("ckpt").with_top_k(3));
+        t.bind_topology(3, 3, vec![(0, 1), (1, 2), (0, 2)]);
+        let outer = t.open_span("outer");
+        t.annotate(outer, "clusters", 4);
+        t.record_round(2, 4, 1);
+        t.add_edge_words(1, 7);
+        let inner = t.open_span("inner");
+        t.record_fault("drop", 2);
+        (t, [outer, inner])
+    }
+
+    fn encoded<S: SnapshotState>(state: &S) -> Vec<u8> {
+        let mut enc = Enc::new();
+        state.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn tracer_state_round_trips_mid_recording_with_open_spans() {
+        // snapshot while two spans are open — the resumed twin must close
+        // them exactly as the original would
+        let (mut t, [outer, inner]) = mid_recording_tracer();
+        let bytes = encoded(&t.snapshot_state());
+        let mut d = Dec::new("TRCE", &bytes);
+        let state = TracerState::decode(&mut d).expect("valid state decodes");
+        d.finish().expect("consumed exactly");
+        let mut back = Tracer::from_snapshot_state(state).expect("valid state restores");
+        assert_eq!(encoded(&back.snapshot_state()), bytes, "re-encoding is byte-identical");
+        // drive both forward identically and compare the sealed traces
+        for tr in [&mut t, &mut back] {
+            tr.record_round(1, 2, 1);
+            tr.close_span(inner);
+            tr.close_span(outer);
+        }
+        assert_eq!(t.finish(), back.finish());
+    }
+
+    #[test]
+    fn truncated_tracer_state_errors_cleanly() {
+        let bytes = encoded(&mid_recording_tracer().0.snapshot_state());
+        for cut in 0..bytes.len() {
+            assert!(
+                TracerState::decode(&mut Dec::new("TRCE", &bytes[..cut])).is_err(),
+                "truncation at byte {cut} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!   original (stats and per-vertex results).
 //! * **Corruption** — every truncation boundary and every post-header
 //!   bit-flip of a snapshot must come back as a typed
-//!   [`SnapshotError`], never a panic, never a silently wrong network.
+//!   [`SnapshotError`], never a panic, never a silently wrong network;
+//!   and byte edits *under a recomputed checksum* — what a hostile writer
+//!   produces, and the only way foreign bytes reach the payload decoder —
+//!   must resume or fail typed, never panic.
 
 use lcg_congest::snapshot::{MAGIC, SCHEMA};
 use lcg_congest::{
-    ExecConfig, FaultPlan, Model, Network, SnapshotError, SnapshotReader,
+    ExecConfig, FaultPlan, Model, Network, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use lcg_graph::{gen, Graph};
 use lcg_metrics::Recorder;
@@ -186,6 +189,44 @@ proptest! {
         let outcome = SnapshotReader::parse(&bytes)
             .and_then(|r| Network::restore_snapshot_sections(&g, &r).map(|_| ()));
         prop_assert!(outcome.is_err(), "flip at byte {} must not resume", idx);
+    }
+
+    /// Byte edits inside section payloads with every checksum recomputed:
+    /// FNV-1a is an integrity check, not a defence, so this is the input
+    /// the one payload decoder must survive on every section — `TRCE`,
+    /// `PEND` and `METR` included. Resuming may succeed (an edited counter
+    /// is still a counter) or fail typed; it never panics.
+    #[test]
+    fn edited_payloads_under_valid_checksums_never_panic(
+        case in arb_case(),
+        edits in proptest::collection::vec((0usize..8, 0usize..4096, proptest::any::<u8>()), 1..6),
+        cut in (0usize..8, 0usize..4096, proptest::any::<bool>()),
+    ) {
+        let g = build_graph(&case);
+        let (net, _) = build_net(&case, &g);
+        let clean = SnapshotReader::parse(&snapshot_bytes(&net)).expect("a fresh snapshot parses");
+        let mut sections: Vec<(String, Vec<u8>)> = clean
+            .tags()
+            .map(|t| (t.to_string(), clean.section(t).expect("listed tag").to_vec()))
+            .collect();
+        let count = sections.len();
+        for (sec, at, byte) in edits {
+            let payload = &mut sections[sec % count].1;
+            if !payload.is_empty() {
+                let at = at % payload.len();
+                payload[at] = byte;
+            }
+        }
+        if let (sec, at, true) = cut {
+            let payload = &mut sections[sec % count].1;
+            payload.truncate(at % (payload.len() + 1));
+        }
+        let mut w = SnapshotWriter::new();
+        for (tag, payload) in sections {
+            w.section(&tag, payload);
+        }
+        // Ok or a typed error: reaching the end of this call is the assertion
+        let _ = Network::resume_snapshot(&g, w.to_bytes().as_slice());
     }
 
     /// Every truncation point of a snapshot is rejected with a typed

@@ -69,30 +69,42 @@ pub fn approx_maximum_independent_set_resilient(
     let mut out = finish_from_framework(g, framework, mis_budget);
     // Greedy completion to maximality (conflict resolution can leave
     // uncovered vertices next to cut edges, and a degraded run certainly
-    // does): every vertex with no chosen neighbor joins, in id order.
-    // Charged one membership-comparison round, like the conflict round.
+    // does), in id order. Charged one membership-comparison round, like
+    // the conflict round.
+    complete_greedily(g, &mut out.set, 0..g.n());
+    out.stats.rounds += 1;
+    debug_assert!(mis::is_maximal_independent_set(g, &out.set));
+    (out, report)
+}
+
+/// Completes the independent set `set` to a maximal one: every vertex with
+/// no chosen neighbor joins, visited in `order`. Returns whether the set
+/// grew (it is then re-listed in id order).
+pub(crate) fn complete_greedily(
+    g: &Graph,
+    set: &mut Vec<usize>,
+    order: impl IntoIterator<Item = usize>,
+) -> bool {
     let mut in_set = vec![false; g.n()];
-    for &v in &out.set {
+    for &v in set.iter() {
         in_set[v] = true;
     }
     let mut grew = false;
-    for v in 0..g.n() {
+    for v in order {
         if !in_set[v] && g.neighbor_vertices(v).all(|u| !in_set[u]) {
             in_set[v] = true;
             grew = true;
         }
     }
     if grew {
-        out.set = (0..g.n()).filter(|&v| in_set[v]).collect();
+        *set = (0..g.n()).filter(|&v| in_set[v]).collect();
     }
-    out.stats.rounds += 1;
-    debug_assert!(mis::is_maximal_independent_set(g, &out.set));
-    (out, report)
+    grew
 }
 
 /// The §3.1 configuration: `ε' = ε / (2d + 1)`, density scaling bypassed
 /// because ε' is already fully scaled.
-fn maxis_config(epsilon: f64, density_bound: f64, seed: u64) -> FrameworkConfig {
+pub(crate) fn maxis_config(epsilon: f64, density_bound: f64, seed: u64) -> FrameworkConfig {
     let eps_prime = epsilon / (2.0 * density_bound + 1.0);
     FrameworkConfig {
         // the framework divides by the density bound itself; we already

@@ -27,20 +27,14 @@ pub fn distributed_star_elimination(g: &Graph) -> (Vec<bool>, RoundStats) {
     star_elimination_core(g, None)
 }
 
-/// [`distributed_star_elimination`] under a fault schedule. Dropped
-/// tokens stall the protocol — a pendant whose token is lost is never
-/// bounced, a bounce that is lost leaves a twin alive — so the result may
-/// *not* be star-free; it is still a vertex-induced kernel with
-/// `ν(kernel) ≤ ν(G)`, and every pass strictly shrinks `kept` or
-/// terminates, so the fixpoint loop always exits. The resilient matching
-/// pipeline tolerates the residual stars (they only dilute the ratio).
-pub fn distributed_star_elimination_faulty(
-    g: &Graph,
-    faults: &FaultPlan,
-) -> (Vec<bool>, RoundStats) {
-    star_elimination_core(g, Some(faults))
-}
-
+/// [`distributed_star_elimination`], under a fault schedule when one is
+/// given. Dropped tokens stall the protocol — a pendant whose token is
+/// lost is never bounced, a bounce that is lost leaves a twin alive — so
+/// the result may then *not* be star-free; it is still a vertex-induced
+/// kernel with `ν(kernel) ≤ ν(G)`, and every pass strictly shrinks `kept`
+/// or terminates, so the fixpoint loop always exits. The resilient
+/// matching pipeline tolerates the residual stars (they only dilute the
+/// ratio).
 fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, RoundStats) {
     let n = g.n();
     let mut net = Network::new(g, Model::congest());
@@ -165,6 +159,21 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
     (kept, net.stats())
 }
 
+/// Preprocessing shared by the plain and the resilient entry point: the
+/// §3.2 token protocol with real messages (under `faults`, if any) and the
+/// kernel its survivors induce. Returns `(kernel, kernel → host ids,
+/// vertices eliminated, elimination passes, stats so far)`.
+fn star_free_kernel(
+    g: &Graph,
+    faults: Option<&FaultPlan>,
+) -> (Graph, Vec<usize>, usize, usize, RoundStats) {
+    let (kept, stats) = star_elimination_core(g, faults);
+    let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
+    let (kernel, kernel_map) = g.induced_subgraph(&survivors);
+    let passes = (stats.rounds / 4).max(1) as usize;
+    (kernel, kernel_map, g.n() - survivors.len(), passes, stats)
+}
+
 /// The Lemma 3.1 constant: star-free planar kernels have ν ≥ n̄ / C31.
 /// [27, Lemma 6] proves some constant; our experiments (and the
 /// `lemma31_matching_is_linear_after_elimination` test) support C31 = 5.
@@ -189,15 +198,7 @@ pub struct McmOutcome {
 
 /// Runs Theorem 3.2 on a planar graph `g`.
 pub fn approx_maximum_matching(g: &Graph, epsilon: f64, seed: u64) -> McmOutcome {
-    // Preprocessing: the §3.2 token protocol, with real messages.
-    let (kept, elim_stats) = distributed_star_elimination(g);
-    let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
-    let eliminated = g.n() - survivors.len();
-    let (kernel, kernel_map) = g.induced_subgraph(&survivors);
-    let elim_passes = (elim_stats.rounds / 4).max(1) as usize;
-
-    let mut stats = RoundStats::default();
-    stats.merge(&elim_stats);
+    let (kernel, kernel_map, eliminated, elim_passes, mut stats) = star_free_kernel(g, None);
 
     if kernel.n() == 0 {
         return McmOutcome {
@@ -206,6 +207,8 @@ pub fn approx_maximum_matching(g: &Graph, epsilon: f64, seed: u64) -> McmOutcome
             eliminated,
             elimination_passes: elim_passes,
             stats,
+            // the framework record runs on g at the caller's own ε with the
+            // planar density bound; the resilient path's differs (see there)
             framework: run_framework(
                 g,
                 &FrameworkConfig::planar(epsilon.min(0.9), seed),
@@ -246,17 +249,13 @@ pub fn approx_maximum_matching_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (McmOutcome, RecoveryReport) {
-    let (kept, elim_stats) = distributed_star_elimination_faulty(g, faults);
-    let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
-    let eliminated = g.n() - survivors.len();
-    let (kernel, kernel_map) = g.induced_subgraph(&survivors);
-    let elim_passes = (elim_stats.rounds / 4).max(1) as usize;
-
-    let mut stats = RoundStats::default();
-    stats.merge(&elim_stats);
+    let (kernel, kernel_map, eliminated, elim_passes, mut stats) =
+        star_free_kernel(g, Some(faults));
 
     let eps_prime = (epsilon / C31).min(0.9);
-    // empty kernel: the framework record runs on g (as in the plain path)
+    // empty kernel: the framework record runs on g, as in the plain path —
+    // but at ε/C31 with density 1 where the plain path keeps ε and the
+    // planar bound. Each side's record is kept as it has always been.
     let (framework, report) = if kernel.n() == 0 {
         let cfg = FrameworkConfig {
             density_bound: 1.0,

@@ -18,6 +18,7 @@ use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::wmis;
 
+use crate::apps::maxis::{complete_greedily, maxis_config};
 use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
 use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
 
@@ -52,12 +53,7 @@ pub fn approx_maximum_weight_independent_set(
     budget: u64,
 ) -> WmaxisOutcome {
     assert_eq!(weights.len(), g.n(), "one weight per vertex");
-    let eps_prime = epsilon / (2.0 * density_bound + 1.0);
-    let cfg = FrameworkConfig {
-        density_bound: 1.0,
-        ..FrameworkConfig::planar(eps_prime, seed)
-    };
-    let framework = run_framework(g, &cfg);
+    let framework = run_framework(g, &maxis_config(epsilon, density_bound, seed));
     finish_from_framework(g, weights, framework, budget)
 }
 
@@ -82,31 +78,17 @@ pub fn approx_maximum_weight_independent_set_resilient(
     policy: &RecoveryPolicy,
 ) -> (WmaxisOutcome, RecoveryReport) {
     assert_eq!(weights.len(), g.n(), "one weight per vertex");
-    let eps_prime = epsilon / (2.0 * density_bound + 1.0);
     let cfg = FrameworkConfig {
-        density_bound: 1.0,
         faults: Some(faults.clone()),
-        ..FrameworkConfig::planar(eps_prime, seed)
+        ..maxis_config(epsilon, density_bound, seed)
     };
     let (framework, report) = run_framework_resilient(g, &cfg, policy);
     let mut out = finish_from_framework(g, weights, framework, budget);
     // Greedy completion to maximality, heavier (then lower-id) first.
     // Charged one membership-comparison round.
-    let mut in_set = vec![false; g.n()];
-    for &v in &out.set {
-        in_set[v] = true;
-    }
     let mut order: Vec<usize> = (0..g.n()).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(weights[v]), v));
-    let mut grew = false;
-    for v in order {
-        if !in_set[v] && g.neighbor_vertices(v).all(|u| !in_set[u]) {
-            in_set[v] = true;
-            grew = true;
-        }
-    }
-    if grew {
-        out.set = (0..g.n()).filter(|&v| in_set[v]).collect();
+    if complete_greedily(g, &mut out.set, order) {
         out.weight = out.set.iter().map(|&v| weights[v]).sum();
     }
     out.stats.rounds += 1;

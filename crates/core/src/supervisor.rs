@@ -11,7 +11,7 @@
 //! same stats, same messages, same RNG streams, as if the crash never
 //! happened.
 //!
-//! Two drivers share the machinery:
+//! Two drivers, one checkpoint store:
 //!
 //! * [`run_state_checkpointed`] — the round-level supervisor. Runs a
 //!   per-vertex step program in `every`-round batches via
@@ -26,13 +26,17 @@
 //!   the accumulators `commit` advances (spent stats, failure verdicts,
 //!   the folded metrics registry) are exactly the resumable state.
 //!
-//! Snapshots are written atomically (tmp file + rename) and rotated
-//! keep-last-N, so a crash *during* a save can cost at most the newest
-//! file — which resume then skips, typed and counted, falling back to its
-//! predecessor. Crashes are retried under a bounded restart budget with
-//! exponential backoff; when the budget is exhausted the framework driver
-//! degrades to the PR 4 terminal state ([`singleton_outcome`]) rather
-//! than panicking, and the round driver returns a typed error.
+//! A driver contributes its loop, the sections it writes and how it
+//! decodes them; everything about *files* is the private `Store`: naming,
+//! the atomic write (tmp file + rename), rotation, the newest-first resume
+//! that skips — typed and counted — whatever does not load, the check that
+//! a file's sequence number is the progress recorded inside it, the crash
+//! budget, and the [`SupervisorReport`] counters. A crash *during* a save
+//! can cost at most the newest file, which resume then skips, falling
+//! back to its predecessor. Crashes are retried under a bounded restart
+//! budget; when it is exhausted the framework driver degrades to the PR 4
+//! terminal state ([`singleton_outcome`]) rather than panicking, and the
+//! round driver returns a typed error.
 //!
 //! The supervisor's own verdict counters
 //! (`checkpoint.{saved,resumed,corrupt_skipped,crashes}`) live in
@@ -46,7 +50,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use lcg_congest::snapshot::{fnv1a64, Dec, Enc};
+use lcg_congest::snapshot::{fnv1a64, Enc};
 use lcg_congest::{
     ExecConfig, Inbox, Model, Network, Outbox, RoundStats, SnapshotError, SnapshotReader,
     SnapshotState, SnapshotWriter,
@@ -76,10 +80,6 @@ pub struct CheckpointConfig {
     /// returns [`SupervisorError::RestartBudgetExhausted`], the framework
     /// driver degrades to the PR 4 singleton outcome.
     pub restart_budget: u32,
-    /// Base of the exponential backoff slept before restart `k`
-    /// (`base · 2^(k-1)` ms, capped at 1024·base). 0 — the test and CI
-    /// setting — skips sleeping entirely.
-    pub backoff_base_ms: u64,
     /// Deterministic kill harness for the round driver: inject a
     /// worker-pool panic while executing this (0-based, absolute) round.
     /// One-shot — the resumed run does not re-crash.
@@ -92,14 +92,13 @@ pub struct CheckpointConfig {
 
 impl CheckpointConfig {
     /// Checkpoint every 16 rounds into `dir`, keep the last 2 snapshots,
-    /// tolerate 3 restarts, no backoff sleep, no injected kill.
+    /// tolerate 3 restarts, no injected kill.
     pub fn new(dir: impl Into<PathBuf>) -> CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
             every: 16,
             keep: 2,
             restart_budget: 3,
-            backoff_base_ms: 0,
             kill_at_round: None,
             kill_at_attempt: None,
         }
@@ -236,19 +235,14 @@ pub struct CheckpointedRun<S> {
     pub report: SupervisorReport,
 }
 
-// --------------------------------------------------------------- files
-
-/// `dir/ckpt-<seq 8 digits>.lcgsnap`.
-fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("ckpt-{seq:08}.{SNAPSHOT_EXT}"))
-}
+// --------------------------------------------------------------- the store
 
 /// Snapshot files in `dir`, `(sequence, path)`, ascending by sequence.
 /// Non-snapshot files (including orphaned `.tmp` files) are ignored.
 fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, SupervisorError> {
     let mut found = Vec::new();
-    for entry in fs::read_dir(dir).map_err(SnapshotError::Io)? {
-        let entry = entry.map_err(SnapshotError::Io)?;
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(seq) = name
@@ -264,39 +258,84 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, SupervisorError> {
     Ok(found)
 }
 
-/// Writes `bytes` to `path` via a tmp file and an atomic rename, so a
-/// crash mid-write can never leave a half-written file under the real
-/// name — the worst case is an orphaned `.tmp` the listing ignores.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SupervisorError> {
-    let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
-    fs::write(&tmp, bytes).map_err(SnapshotError::Io)?;
-    fs::rename(&tmp, path).map_err(SnapshotError::Io)?;
-    Ok(())
+/// What a driver's loader makes of one parsed file: the progress recorded
+/// inside it, and the state to resume from.
+type Loaded<T> = Result<(u64, T), SnapshotError>;
+
+/// The checkpoint directory of one supervised run and the bookkeeping
+/// both drivers hang on it.
+struct Store<'c> {
+    ckpt: &'c CheckpointConfig,
+    report: SupervisorReport,
 }
 
-/// Deletes the oldest snapshots beyond the keep-last-`keep` retention.
-/// The newest always stays: retaining nothing would delete every
-/// checkpoint as it is written and turn each crash into a silent restart.
-fn rotate(dir: &Path, keep: usize) -> Result<(), SupervisorError> {
-    let keep = keep.max(1);
-    let found = list_snapshots(dir)?;
-    if found.len() > keep {
-        for (_, path) in &found[..found.len() - keep] {
-            fs::remove_file(path).map_err(SnapshotError::Io)?;
+impl<'c> Store<'c> {
+    /// Opens (creating if missing) the checkpoint directory of `ckpt`.
+    fn open(ckpt: &'c CheckpointConfig) -> Result<Store<'c>, SupervisorError> {
+        fs::create_dir_all(&ckpt.dir)?;
+        Ok(Store { ckpt, report: SupervisorReport::default() })
+    }
+
+    /// Writes checkpoint `seq` as `dir/ckpt-<seq 8 digits>.lcgsnap`, then
+    /// rotates. Sequence numbers (rounds done; next attempt) order
+    /// checkpoints within one run only, and the directory may hold files
+    /// another run left — skipped at resume, but still numbered — so every
+    /// file numbered above `seq` goes first: an earlier run's or this run's
+    /// own pre-crash future, it lies on a timeline this run has left, and
+    /// ranked by number alone it would evict each checkpoint right after it
+    /// was written. Of the rest the newest `keep` stay — at least one:
+    /// retaining nothing would turn each crash into a silent restart.
+    fn save(&mut self, seq: u64, w: &SnapshotWriter) -> Result<(), SupervisorError> {
+        // tmp file + atomic rename: a crash mid-write can never leave a
+        // half-written file under the real name — the worst case is an
+        // orphaned `.tmp` the listing ignores
+        let path = self.ckpt.dir.join(format!("ckpt-{seq:08}.{SNAPSHOT_EXT}"));
+        let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
+        fs::write(&tmp, w.to_bytes())?;
+        fs::rename(&tmp, &path)?;
+        self.report.saved += 1;
+        let mut found = list_snapshots(&self.ckpt.dir)?;
+        let dead = found.split_off(found.partition_point(|&(s, _)| s <= seq));
+        found.truncate(found.len().saturating_sub(self.ckpt.keep.max(1)));
+        for (_, path) in found.iter().chain(&dead) {
+            fs::remove_file(path)?;
         }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Sleeps `base · 2^(k-1)` ms before restart `k` (exponent capped at 10).
-/// A zero base — the deterministic test/CI setting — skips the sleep.
-fn backoff(ckpt: &CheckpointConfig, crash: u32) {
-    if ckpt.backoff_base_ms == 0 {
-        return;
+    /// Resumes from the newest file that parses, that `load` accepts, and
+    /// whose sequence number is the progress `load` found recorded inside
+    /// it, skipping and counting every other file newest to oldest. `None`
+    /// means no usable snapshot — start fresh.
+    fn resume<T>(
+        &mut self,
+        load: impl Fn(&SnapshotReader) -> Loaded<T>,
+    ) -> Result<Option<T>, SupervisorError> {
+        let mut found = list_snapshots(&self.ckpt.dir)?;
+        while let Some((seq, path)) = found.pop() {
+            let loaded = fs::File::open(&path)
+                .map_err(SnapshotError::Io)
+                .and_then(SnapshotReader::read_from)
+                .and_then(|r| load(&r));
+            match loaded {
+                Ok((recorded, value)) if recorded == seq => {
+                    self.report.resumed += 1;
+                    return Ok(Some(value));
+                }
+                // unreadable, refused by `load` (each a typed
+                // `SnapshotError`), or a file whose sequence number
+                // disagrees with recorded progress
+                _ => self.report.corrupt_skipped += 1,
+            }
+        }
+        Ok(None)
     }
-    let exp = crash.saturating_sub(1).min(10);
-    let ms = ckpt.backoff_base_ms.saturating_mul(1u64 << exp);
-    std::thread::sleep(std::time::Duration::from_millis(ms));
+
+    /// Books one caught crash; `false` once the restart budget is spent.
+    fn crashed_within_budget(&mut self) -> bool {
+        self.report.crashes += 1;
+        self.report.crashes <= self.ckpt.restart_budget
+    }
 }
 
 // ---------------------------------------------------- round-level driver
@@ -315,8 +354,7 @@ fn backoff(ckpt: &CheckpointConfig, crash: u32) {
 /// poisoning from a node program, or the injected `kill_at_round` crash —
 /// discards the poisoned engine and resumes from the newest snapshot that
 /// parses, falling back file by file (counted in `corrupt_skipped`) down
-/// to a fresh start, under `ckpt.restart_budget` restarts with
-/// exponential backoff.
+/// to a fresh start, under `ckpt.restart_budget` restarts.
 ///
 /// If a directory already holds snapshots of a previous (killed) run of
 /// the same shape, execution resumes from them — that is the cross-process
@@ -334,15 +372,12 @@ where
     S: SnapshotState + Send,
     F: Fn(&mut S, usize, &Inbox, &mut Outbox) + Sync,
 {
-    fs::create_dir_all(&ckpt.dir).map_err(SnapshotError::Io)?;
+    let mut store = Store::open(ckpt)?;
     let every = ckpt.every.max(1);
-    let mut report = SupervisorReport::default();
     let mut kill = ckpt.kill_at_round;
-    let (mut net, mut states, mut done) = match resume_state_latest(g, rounds, ckpt, &mut report)?
-    {
-        Some(resumed) => resumed,
-        None => (Network::with_exec(g, model, exec), init(), 0),
-    };
+    let load = |r: &SnapshotReader| load_state(g, rounds, r);
+    let fresh = || (Network::with_exec(g, model, exec), init(), 0);
+    let (mut net, mut states, mut done) = store.resume(load)?.unwrap_or_else(fresh);
     if states.len() != g.n() {
         return Err(SupervisorError::Snapshot(SnapshotError::Corrupt {
             detail: format!("init() produced {} states for {} vertices", states.len(), g.n()),
@@ -369,91 +404,57 @@ where
         match ran {
             Ok(()) => {
                 done = end;
-                save_state_checkpoint(&net, &states, done, rounds, ckpt, &mut report)?;
+                store.save(done, &state_checkpoint(&net, &states, done, rounds))?;
             }
             Err(_) => {
                 kill = None; // one-shot: the resumed run must not re-crash
-                report.crashes += 1;
-                if report.crashes > ckpt.restart_budget {
-                    return Err(SupervisorError::RestartBudgetExhausted { report });
+                if !store.crashed_within_budget() {
+                    return Err(SupervisorError::RestartBudgetExhausted { report: store.report });
                 }
-                backoff(ckpt, report.crashes);
                 // the in-memory engine is poisoned; roll back to the
-                // newest checkpoint that parses, or to a fresh start
-                (net, states, done) = match resume_state_latest(g, rounds, ckpt, &mut report)? {
-                    Some(resumed) => resumed,
-                    None => (Network::with_exec(g, model, exec), init(), 0),
-                };
+                // newest checkpoint that loads, or to a fresh start
+                (net, states, done) = store.resume(load)?.unwrap_or_else(fresh);
             }
         }
     }
-    Ok(CheckpointedRun { states, stats: net.stats(), report })
+    Ok(CheckpointedRun { states, stats: net.stats(), report: store.report })
 }
 
-/// Writes one round-driver checkpoint: the engine sections, the `NODE`
-/// per-vertex states, and the `SUPR` progress record.
-fn save_state_checkpoint<S: SnapshotState>(
+/// One round-driver checkpoint: the engine sections, the `NODE`
+/// per-vertex states, and the `SUPR` progress record (done, total).
+fn state_checkpoint<S: SnapshotState>(
     net: &Network<'_>,
     states: &Vec<S>,
     done: u64,
     total: u64,
-    ckpt: &CheckpointConfig,
-    report: &mut SupervisorReport,
-) -> Result<(), SupervisorError> {
+) -> SnapshotWriter {
     let mut w = SnapshotWriter::new();
     net.write_snapshot_sections(&mut w);
     w.state_section("NODE", states);
-    let mut supr = Enc::new();
-    supr.u64(done);
-    supr.u64(total);
-    w.section("SUPR", supr.into_bytes());
-    write_atomic(&snapshot_path(&ckpt.dir, done), &w.to_bytes())?;
-    report.saved += 1;
-    rotate(&ckpt.dir, ckpt.keep)
+    w.state_section("SUPR", &(done, total));
+    w
 }
 
-/// Resumes from the newest snapshot in the checkpoint directory that
-/// parses and validates, skipping (and counting) corrupt files newest to
-/// oldest. `None` means no usable snapshot — start fresh.
-fn resume_state_latest<'g, S: SnapshotState>(
+/// Decodes one round-driver checkpoint of a `rounds`-round run on `g`:
+/// the rounds it records as done, and the run state at that point.
+fn load_state<'g, S: SnapshotState>(
     g: &'g Graph,
     rounds: u64,
-    ckpt: &CheckpointConfig,
-    report: &mut SupervisorReport,
-) -> Result<Option<(Network<'g>, Vec<S>, u64)>, SupervisorError> {
-    let mut found = list_snapshots(&ckpt.dir)?;
-    while let Some((seq, path)) = found.pop() {
-        match try_load_state(g, seq, &path) {
-            Ok((net, states, done)) if states.len() == g.n() && done <= rounds => {
-                report.resumed += 1;
-                return Ok(Some((net, states, done)));
-            }
-            _ => report.corrupt_skipped += 1,
-        }
-    }
-    Ok(None)
-}
-
-/// Loads and validates one round-driver snapshot file.
-fn try_load_state<'g, S: SnapshotState>(
-    g: &'g Graph,
-    seq: u64,
-    path: &Path,
-) -> Result<(Network<'g>, Vec<S>, u64), SnapshotError> {
-    let file = fs::File::open(path)?;
-    let r = SnapshotReader::read_from(file)?;
-    let net = Network::restore_snapshot_sections(g, &r)?;
+    r: &SnapshotReader,
+) -> Loaded<(Network<'g>, Vec<S>, u64)> {
+    let net = Network::restore_snapshot_sections(g, r)?;
     let states: Vec<S> = r.state_section("NODE")?;
-    let mut supr = Dec::new("SUPR", r.section("SUPR")?);
-    let done = supr.u64()?;
-    let _total = supr.u64()?;
-    supr.finish()?;
-    if done != seq {
+    let (done, _total): (u64, u64) = r.state_section("SUPR")?;
+    if states.len() != g.n() || done > rounds {
         return Err(SnapshotError::Corrupt {
-            detail: format!("file sequence {seq} disagrees with recorded progress {done}"),
+            detail: format!(
+                "{} states at round {done}: not a checkpoint of {rounds} rounds on {} vertices",
+                states.len(),
+                g.n()
+            ),
         });
     }
-    Ok((net, states, done))
+    Ok((done, (net, states, done)))
 }
 
 // ------------------------------------------------ framework-level driver
@@ -500,87 +501,36 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
     fnv1a64(&enc.into_bytes())
 }
 
-/// Writes one attempt-boundary checkpoint of the framework supervisor.
-fn save_framework_checkpoint(
-    fingerprint: u64,
-    acc: &AttemptLog,
-    ckpt: &CheckpointConfig,
-    report: &mut SupervisorReport,
-) -> Result<(), SupervisorError> {
+/// One attempt-boundary checkpoint of the framework supervisor.
+fn framework_checkpoint(fingerprint: u64, acc: &AttemptLog) -> SnapshotWriter {
     let mut w = SnapshotWriter::new();
-    let mut supr = Enc::new();
-    supr.u64(fingerprint);
-    supr.u64(acc.next_attempt);
-    supr.u64(acc.detector_rounds);
-    w.section("SUPR", supr.into_bytes());
+    w.state_section("SUPR", &(fingerprint, acc.next_attempt, acc.detector_rounds));
     w.state_section("SPNT", &acc.spent);
     w.state_section("FAIL", &acc.failures);
-    let mut metr = Enc::new();
-    match &acc.folded {
-        None => metr.u8(0),
-        Some(rep) => {
-            metr.u8(1);
-            // only the deterministic plane crosses the crash; the
-            // profiling plane is wall-clock state and dies with the
-            // process (Report::from_json defaults it)
-            metr.str(&rep.deterministic_json());
-        }
-    }
-    w.section("METR", metr.into_bytes());
-    write_atomic(&snapshot_path(&ckpt.dir, acc.next_attempt), &w.to_bytes())?;
-    report.saved += 1;
-    rotate(&ckpt.dir, ckpt.keep)
+    // only the deterministic plane crosses the crash; the profiling plane
+    // is wall-clock state and dies with the process (Report::from_json
+    // defaults it)
+    w.state_section("METR", &acc.folded.as_ref().map(Report::deterministic_json));
+    w
 }
 
-/// Loads and validates one framework-supervisor snapshot file.
-fn try_load_framework(fingerprint: u64, seq: u64, path: &Path) -> Result<AttemptLog, SnapshotError> {
-    let file = fs::File::open(path)?;
-    let r = SnapshotReader::read_from(file)?;
-    let mut supr = Dec::new("SUPR", r.section("SUPR")?);
-    let (fp, next_attempt, detector_rounds) = (supr.u64()?, supr.u64()?, supr.u64()?);
-    supr.finish()?;
+/// Decodes one framework-supervisor checkpoint bound to `fingerprint`:
+/// the next attempt it records, and the accumulators at that boundary.
+fn load_framework(fingerprint: u64, r: &SnapshotReader) -> Loaded<AttemptLog> {
+    let (fp, next_attempt, detector_rounds): (u64, u64, u64) = r.state_section("SUPR")?;
     if fp != fingerprint {
         return Err(SnapshotError::TopologyMismatch {
             detail: format!("checkpoint binds #{fp:016x}, run is #{fingerprint:016x}"),
         });
     }
-    if next_attempt != seq {
-        return Err(SnapshotError::Corrupt {
-            detail: format!("file sequence {seq} disagrees with recorded attempt {next_attempt}"),
-        });
-    }
     let spent: RoundStats = r.state_section("SPNT")?;
     let failures: Vec<String> = r.state_section("FAIL")?;
-    let mut metr = Dec::new("METR", r.section("METR")?);
-    let folded = match metr.u8()? {
-        0 => None,
-        1 => Some(Report::from_json(&metr.str()?).map_err(|e| SnapshotError::Corrupt {
-            detail: format!("folded metrics: {e}"),
-        })?),
-        t => return Err(SnapshotError::Corrupt { detail: format!("bad METR tag {t}") }),
-    };
-    metr.finish()?;
-    Ok(AttemptLog { next_attempt, detector_rounds, spent, failures, folded })
-}
-
-/// Newest framework checkpoint that parses and matches the fingerprint;
-/// corrupt or foreign files are skipped newest to oldest.
-fn resume_framework_latest(
-    fingerprint: u64,
-    ckpt: &CheckpointConfig,
-    report: &mut SupervisorReport,
-) -> Result<Option<AttemptLog>, SupervisorError> {
-    let mut found = list_snapshots(&ckpt.dir)?;
-    while let Some((seq, path)) = found.pop() {
-        match try_load_framework(fingerprint, seq, &path) {
-            Ok(acc) => {
-                report.resumed += 1;
-                return Ok(Some(acc));
-            }
-            Err(_) => report.corrupt_skipped += 1,
-        }
-    }
-    Ok(None)
+    let folded = r
+        .state_section::<Option<String>>("METR")?
+        .map(|json| Report::from_json(&json))
+        .transpose()
+        .map_err(|e| SnapshotError::Corrupt { detail: format!("folded metrics: {e}") })?;
+    Ok((next_attempt, AttemptLog { next_attempt, detector_rounds, spent, failures, folded }))
 }
 
 /// [`crate::recovery::run_framework_resilient`] under the kill-and-resume
@@ -607,11 +557,11 @@ pub fn run_framework_checkpointed(
     policy: &RecoveryPolicy,
     ckpt: &CheckpointConfig,
 ) -> Result<(FrameworkOutcome, RecoveryReport, SupervisorReport), SupervisorError> {
-    fs::create_dir_all(&ckpt.dir).map_err(SnapshotError::Io)?;
+    let mut store = Store::open(ckpt)?;
     let fingerprint = framework_fingerprint(g, cfg, policy);
-    let mut sup = SupervisorReport::default();
     let mut kill = ckpt.kill_at_attempt;
-    let mut acc = resume_framework_latest(fingerprint, ckpt, &mut sup)?.unwrap_or_default();
+    let load = |r: &SnapshotReader| load_framework(fingerprint, r);
+    let mut acc = store.resume(load)?.unwrap_or_default();
     while acc.next_attempt <= u64::from(policy.max_retries) {
         let attempt = acc.next_attempt as u32;
         let kill_now = kill == Some(attempt);
@@ -628,28 +578,26 @@ pub fn run_framework_checkpointed(
             Ok(completed) => completed,
             Err(_) => {
                 kill = None; // one-shot
-                sup.crashes += 1;
-                if sup.crashes > ckpt.restart_budget {
+                if !store.crashed_within_budget() {
                     // crash loop: give up on the machinery and degrade to
                     // the PR 4 terminal state — never panic
-                    sup.degraded = true;
+                    store.report.degraded = true;
                     let (outcome, recovery) = acc.degrade(g, cfg, attempt);
-                    return Ok((outcome, recovery, sup));
+                    return Ok((outcome, recovery, store.report));
                 }
-                backoff(ckpt, sup.crashes);
-                acc = resume_framework_latest(fingerprint, ckpt, &mut sup)?.unwrap_or_default();
+                acc = store.resume(load)?.unwrap_or_default();
                 continue;
             }
         };
         if let Some((outcome, recovery)) = acc.commit(ran) {
-            return Ok((outcome, recovery, sup));
+            return Ok((outcome, recovery, store.report));
         }
-        save_framework_checkpoint(fingerprint, &acc, ckpt, &mut sup)?;
+        store.save(acc.next_attempt, &framework_checkpoint(fingerprint, &acc))?;
     }
     // retry budget exhausted: every attempt completed and failed detection
-    sup.degraded = true;
+    store.report.degraded = true;
     let (outcome, recovery) = acc.degrade(g, cfg, policy.max_retries + 1);
-    Ok((outcome, recovery, sup))
+    Ok((outcome, recovery, store.report))
 }
 
 #[cfg(test)]
@@ -772,6 +720,46 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn sequences(dir: &Path) -> Vec<u64> {
+        list_snapshots(dir).expect("list").into_iter().map(|(seq, _)| seq).collect()
+    }
+
+    /// Sequence numbers order checkpoints within one run only. Ranked by
+    /// number alone, the files an earlier, longer run left behind (skipped
+    /// at resume, but still numbered 36 and 40) used to out-rank — and so
+    /// rotate away — every checkpoint the current run wrote, and its crash
+    /// silently restarted from round 0.
+    #[test]
+    fn stale_directory_cannot_evict_the_current_runs_checkpoints() {
+        let g = gen::grid(5, 5);
+        let dir = scratch("stale");
+        let run = |rounds: u64, ckpt: CheckpointConfig| {
+            run_state_checkpointed(
+                &g,
+                Model::congest(),
+                ExecConfig::default(),
+                rounds,
+                || flood_init(g.n()),
+                flood_step,
+                &ckpt,
+            )
+            .expect("supervised run")
+        };
+        run(40, CheckpointConfig::new(&dir).with_every(4));
+        assert_eq!(sequences(&dir), [36, 40]);
+        let (want_states, want_stats) = straight_flood(&g, 10);
+        let b = run(10, CheckpointConfig::new(&dir).with_every(2).with_kill_at_round(7));
+        assert_eq!(b.states, want_states);
+        assert_eq!(b.stats, want_stats);
+        assert_eq!(b.report.crashes, 1);
+        assert_eq!(b.report.resumed, 1, "the crash must resume from this run's round-6 checkpoint");
+        // exactly what the same run reads in a fresh directory, plus the
+        // two foreign files skipped once — the first save removed them
+        assert_eq!((b.report.saved, b.report.corrupt_skipped), (5, 2));
+        assert_eq!(sequences(&dir), [8, 10]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn crash_before_first_checkpoint_restarts_from_scratch() {
         let g = gen::cycle(16);
@@ -881,9 +869,8 @@ mod tests {
         seeded.set_fault_plan(Some(plan));
         let mut states = flood_init(g.n());
         seeded.run_state(4, &mut states, flood_step);
-        fs::create_dir_all(&dir).expect("scratch dir");
-        let mut report = SupervisorReport::default();
-        save_state_checkpoint(&seeded, &states, 4, rounds, &ckpt, &mut report)
+        Store::open(&ckpt)
+            .and_then(|mut store| store.save(4, &state_checkpoint(&seeded, &states, 4, rounds)))
             .expect("seed checkpoint");
         let run = run_state_checkpointed(
             &g,
@@ -977,6 +964,46 @@ mod tests {
         assert_eq!(fp(&free), fp(&base), "thread count and tracing may change across a resume");
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&fresh_dir);
+    }
+
+    /// The framework driver's side of the stale-directory case: another
+    /// configuration's attempt checkpoints 3 and 4 must not rotate away this
+    /// run's 1 and 2 before its crash at attempt 2 needs them.
+    #[test]
+    fn framework_stale_directory_cannot_evict_the_current_runs_checkpoints() {
+        let mut rng = gen::seeded_rng(500);
+        let g = gen::random_planar(60, 0.5, &mut rng);
+        let dir = scratch("fw-stale");
+        let policy = RecoveryPolicy { max_retries: 3, initial_walk_steps: 1_000 };
+        let blackout = |seed: u64| FrameworkConfig {
+            faults: Some(FaultPlan::drops(1, 1.0)),
+            max_walk_steps: 5_000,
+            ..FrameworkConfig::planar(0.3, seed)
+        };
+        let plain = CheckpointConfig::new(&dir);
+        let (_, a_rec, _) =
+            run_framework_checkpointed(&g, &blackout(7), &policy, &plain).expect("run A");
+        assert!(a_rec.degraded, "a blackout fails every attempt");
+        assert_eq!(sequences(&dir), [3, 4]);
+        let b = blackout(8);
+        let (want, want_rec) = run_framework_resilient(&g, &b, &policy);
+        let (out, rec, sup) =
+            run_framework_checkpointed(&g, &b, &policy, &plain.clone().with_kill_at_attempt(2))
+                .expect("run B over A's directory");
+        assert_eq!(rec, want_rec);
+        assert_eq!(out.stats, want.stats);
+        assert_eq!(out.decomposition.cluster_of, want.decomposition.cluster_of);
+        assert_eq!(sup.crashes, 1);
+        assert_eq!(sup.resumed, 1, "the crash must resume from this run's attempt-2 checkpoint");
+        assert_eq!((sup.saved, sup.corrupt_skipped), (4, 2));
+        // the two files left are B's own: B resumes its terminal
+        // checkpoint from them, skipping nothing and writing nothing
+        assert_eq!(sequences(&dir), [3, 4]);
+        let (_, again_rec, again) =
+            run_framework_checkpointed(&g, &b, &policy, &plain).expect("run B again");
+        assert_eq!(again_rec, want_rec);
+        assert_eq!((again.saved, again.resumed, again.corrupt_skipped), (0, 1, 0));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// With no kill the supervisor is the resilient loop plus boundary
@@ -1081,5 +1108,52 @@ mod tests {
         out.decomposition.validate(&g).expect("singleton degradation is valid");
         assert_eq!(out.decomposition.clusters.len(), g.n());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// Both drivers' loaders, fed their own checkpoints with section
+        /// payloads edited under recomputed checksums (what a hostile
+        /// writer produces): a value or a typed error, never a panic.
+        #[test]
+        fn loaders_never_panic_on_edited_payloads(
+            edits in proptest::collection::vec((0usize..16, 0usize..4096, proptest::any::<u8>()), 1..6),
+        ) {
+            let g = gen::grid(3, 3);
+            let mut net = Network::new(&g, Model::congest());
+            let mut states = flood_init(g.n());
+            net.run_state(2, &mut states, flood_step);
+            let mut folded = lcg_metrics::Recorder::new("fold");
+            folded.counter_add("net.rounds", 3);
+            let acc = AttemptLog {
+                next_attempt: 2,
+                detector_rounds: 5,
+                spent: net.stats(),
+                failures: vec!["undelivered tokens".to_string()],
+                folded: Some(folded.finish()),
+            };
+            for clean in [state_checkpoint(&net, &states, 2, 9), framework_checkpoint(0xF00D, &acc)] {
+                let clean = SnapshotReader::parse(&clean.to_bytes()).expect("own checkpoint parses");
+                let mut sections: Vec<(String, Vec<u8>)> = clean
+                    .tags()
+                    .map(|t| (t.to_string(), clean.section(t).expect("listed tag").to_vec()))
+                    .collect();
+                let count = sections.len();
+                for &(sec, at, byte) in &edits {
+                    let payload = &mut sections[sec % count].1;
+                    if !payload.is_empty() {
+                        let at = at % payload.len();
+                        payload[at] = byte;
+                    }
+                }
+                let mut w = SnapshotWriter::new();
+                for (tag, payload) in sections {
+                    w.section(&tag, payload);
+                }
+                let edited = SnapshotReader::parse(&w.to_bytes()).expect("checksums recomputed");
+                // reaching the end of each call is the assertion
+                let _ = load_state::<bool>(&g, 9, &edited);
+                let _ = load_framework(0xF00D, &edited);
+            }
+        }
     }
 }

@@ -53,13 +53,6 @@ pub fn exact_conductance(g: &Graph) -> Option<(f64, Vec<bool>)> {
     Some((best, in_s))
 }
 
-/// `Φ(G)` restricted to the induced subgraph on `members` (measured in the
-/// subgraph, not the host graph). Convenience for per-cluster checks.
-pub fn cluster_conductance_exact(g: &Graph, members: &[usize]) -> Option<f64> {
-    let (sub, _) = g.induced_subgraph(members);
-    exact_conductance(&sub).map(|(phi, _)| phi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +115,6 @@ mod tests {
         let mut in_s = vec![false; 5];
         in_s[1] = true; // a leaf
         assert!((cut_conductance(&g, &in_s) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cluster_conductance_of_subgraph() {
-        let g = gen::path(6);
-        // members 0..3 induce P3; every nontrivial cut of P3 has Φ = 1
-        let phi = cluster_conductance_exact(&g, &[0, 1, 2]).unwrap();
-        assert!((phi - 1.0).abs() < 1e-9, "phi = {phi}");
     }
 
     #[test]

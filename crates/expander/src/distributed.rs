@@ -132,20 +132,6 @@ pub fn cut_fraction(g: &lcg_graph::Graph, cluster_of: &[usize]) -> f64 {
     cut as f64 / g.m() as f64
 }
 
-/// Maximum diameter over the induced cluster subgraphs.
-pub fn max_cluster_diameter(g: &lcg_graph::Graph, cluster_of: &[usize]) -> usize {
-    let members = lcg_congest::primitives::cluster_members(cluster_of);
-    let mut worst = 0;
-    for (_, vs) in members {
-        let (sub, _) = g.induced_subgraph(&vs);
-        // clusters from wave growth are connected; diameter is defined
-        if let Some(d) = sub.diameter() {
-            worst = worst.max(d);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +184,12 @@ mod tests {
         let g = gen::path(200);
         let mut net = Network::new(&g, Model::congest());
         let c = mpx_clustering(&mut net, 0.2, &mut rng);
-        let d = max_cluster_diameter(&g, &c.cluster_of);
+        // clusters from wave growth are connected; diameter is defined
+        let d = lcg_congest::primitives::cluster_members(&c.cluster_of)
+            .values()
+            .filter_map(|vs| g.induced_subgraph(vs).0.diameter())
+            .max()
+            .expect("at least one cluster");
         // radius is at most the delay cap ⌈ln n / β⌉ + 1
         let cap = ((200f64).ln() / 0.2).ceil() as usize + 1;
         assert!(d <= 2 * cap + 2, "diameter {d} cap {cap}");

@@ -1,8 +1,7 @@
 //! # lcg-graph — graph substrate
 //!
 //! Graph representation, sparse-class generators, planarity and minor
-//! testing, edge separators, and low-out-degree orientations: every purely
-//! graph-theoretic ingredient of Chang–Su, *"Narrowing the LOCAL–CONGEST
+//! testing, and edge separators: every purely graph-theoretic ingredient of Chang–Su, *"Narrowing the LOCAL–CONGEST
 //! Gaps in Sparse Networks via Expander Decompositions"* (PODC 2022).
 //!
 //! The crate is deliberately free of any distributed-computing concepts;
@@ -32,7 +31,6 @@ pub mod gen;
 mod graph;
 pub mod io;
 pub mod minor;
-pub mod orientation;
 pub mod planarity;
 pub mod reductions;
 pub mod separator;

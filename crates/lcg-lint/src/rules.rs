@@ -546,7 +546,7 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
             && ((protocol_file && !ctx.non_library_target)
                 || facts.protocol_closure.get(i).copied().unwrap_or(false));
         if ctx.deterministic() && protocol_line {
-            for token in ["ExecConfig", "LCG_THREADS", "LCG_PAR_THRESHOLD", "available_parallelism", "work_threshold", "par_chunks", "chunk_of"] {
+            for token in ["ExecConfig", "LCG_THREADS", "available_parallelism", "work_threshold", "par_chunks", "chunk_of"] {
                 if let Some(col) = find_word(code, token) {
                     emit(&mut findings, "C003", i, col, format!("`{token}` read from protocol code: per-vertex logic must be a pure function of (state, inbox, seed) — execution topology must stay invisible to vertices"));
                 }

@@ -54,4 +54,4 @@ pub mod trace;
 mod tracer;
 
 pub use trace::{FaultEvent, Hotspot, RoundSample, SpanRecord, Totals, Trace, TraceMeta};
-pub use tracer::{SpanId, TraceConfig, Tracer};
+pub use tracer::{SpanId, SpanState, TraceConfig, Tracer, TracerState};

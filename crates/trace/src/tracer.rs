@@ -1,6 +1,12 @@
 //! The recording side: [`Tracer`] accumulates spans, per-round samples,
 //! and per-edge loads while an execution runs, then [`Tracer::finish`]es
 //! into an immutable [`Trace`].
+//!
+//! A paused recording crosses a checkpoint as a [`TracerState`] — plain
+//! data taken out by [`Tracer::snapshot_state`] and validated on the way
+//! back in by [`Tracer::from_snapshot_state`]. This crate defines no byte
+//! format: the one snapshot codec (`lcg_congest::snapshot`, which sits
+//! above this crate) encodes the state next to the engine's own.
 
 use crate::trace::{FaultEvent, Hotspot, RoundSample, SpanRecord, Totals, Trace, TraceMeta};
 
@@ -56,19 +62,58 @@ impl TraceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(usize);
 
-/// Mutable state of one span while recording.
-#[derive(Debug, Clone)]
-struct SpanData {
-    name: String,
-    parent: Option<usize>,
-    depth: usize,
-    start_round: u64,
-    end_round: Option<u64>,
-    rounds: u64,
-    messages: u64,
-    words: u64,
-    max_words: usize,
-    notes: Vec<(String, u64)>,
+/// State of one span while recording; the index of a span in
+/// [`TracerState::spans`] is its creation order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanState {
+    /// Span name.
+    pub name: String,
+    /// Index of the enclosing span (always an earlier one), if any.
+    pub parent: Option<usize>,
+    /// Nesting depth (0 = top level).
+    pub depth: usize,
+    /// Round count when the span opened.
+    pub start_round: u64,
+    /// Round count when the span closed; `None` while it is open.
+    pub end_round: Option<u64>,
+    /// Rounds executed or charged while the span was open.
+    pub rounds: u64,
+    /// Messages sent while the span was open.
+    pub messages: u64,
+    /// Words sent while the span was open.
+    pub words: u64,
+    /// Maximum words over one edge in one round while the span was open.
+    pub max_words: usize,
+    /// `key = value` annotations, in attachment order.
+    pub notes: Vec<(String, u64)>,
+}
+
+/// A [`Tracer`]'s complete recording state as plain data: what
+/// [`Tracer::snapshot_state`] takes out and [`Tracer::from_snapshot_state`]
+/// validates and puts back. The trace crate defines no byte format for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TracerState {
+    /// Recording configuration.
+    pub cfg: TraceConfig,
+    /// Bound vertex count ([`Tracer::bind_topology`]).
+    pub n: usize,
+    /// Bound edge count.
+    pub m: usize,
+    /// Endpoints per edge id; `m` pairs when edge loads are on, else empty.
+    pub ends: Vec<(usize, usize)>,
+    /// Running totals.
+    pub total: Totals,
+    /// Every span opened so far, closed or not.
+    pub spans: Vec<SpanState>,
+    /// Indices of the still-open spans, outermost first.
+    pub open: Vec<usize>,
+    /// Per-round samples (when the series is on).
+    pub series: Vec<RoundSample>,
+    /// Cumulative words per edge id; `m` entries when edge loads are on,
+    /// else empty.
+    pub edge_words: Vec<u64>,
+    /// Fault events, in adjudication order.
+    pub faults: Vec<FaultEvent>,
 }
 
 /// Records one execution. Drive it through the simulator's hook points
@@ -81,42 +126,27 @@ struct SpanData {
 /// any thread count.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    cfg: TraceConfig,
-    /// Graph size, set by [`Tracer::bind_topology`].
-    n: usize,
-    m: usize,
-    /// Endpoints per edge id (only kept when `edge_loads`).
-    ends: Vec<(usize, usize)>,
-    // cumulative counters (mirror of the execution's RoundStats)
-    rounds: u64,
-    messages: u64,
-    words: u64,
-    max_words: usize,
-    spans: Vec<SpanData>,
-    /// Stack of open span indices.
-    open: Vec<usize>,
-    series: Vec<RoundSample>,
-    edge_words: Vec<u64>,
-    faults: Vec<FaultEvent>,
+    /// Private, so the invariants [`Tracer::from_snapshot_state`] spells
+    /// out hold by construction for a tracer that only ever recorded.
+    state: TracerState,
 }
 
 impl Tracer {
     /// A tracer with nothing recorded yet.
     pub fn new(cfg: TraceConfig) -> Tracer {
         Tracer {
-            cfg,
-            n: 0,
-            m: 0,
-            ends: Vec::new(),
-            rounds: 0,
-            messages: 0,
-            words: 0,
-            max_words: 0,
-            spans: Vec::new(),
-            open: Vec::new(),
-            series: Vec::new(),
-            edge_words: Vec::new(),
-            faults: Vec::new(),
+            state: TracerState {
+                cfg,
+                n: 0,
+                m: 0,
+                ends: Vec::new(),
+                total: Totals::default(),
+                spans: Vec::new(),
+                open: Vec::new(),
+                series: Vec::new(),
+                edge_words: Vec::new(),
+                faults: Vec::new(),
+            },
         }
     }
 
@@ -125,13 +155,13 @@ impl Tracer {
     /// attached to; the per-edge load table is allocated here — never per
     /// round.
     pub fn bind_topology(&mut self, n: usize, m: usize, ends: Vec<(usize, usize)>) {
-        self.n = n;
-        self.m = m;
-        if self.cfg.edge_loads {
+        self.state.n = n;
+        self.state.m = m;
+        if self.state.cfg.edge_loads {
             assert_eq!(ends.len(), m, "one endpoint pair per edge");
-            self.ends = ends;
-            if self.edge_words.len() != m {
-                self.edge_words = vec![0; m];
+            self.state.ends = ends;
+            if self.state.edge_words.len() != m {
+                self.state.edge_words = vec![0; m];
             }
         }
     }
@@ -139,23 +169,23 @@ impl Tracer {
     /// `true` when this tracer accumulates per-edge loads (the network
     /// only walks the edge table when someone is listening).
     pub fn records_edge_loads(&self) -> bool {
-        self.cfg.edge_loads
+        self.state.cfg.edge_loads
     }
 
     /// Rounds recorded so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.state.total.rounds
     }
 
     /// Opens a nested span named `name`, starting at the current round.
     pub fn open_span(&mut self, name: &str) -> SpanId {
-        let parent = self.open.last().copied();
-        let id = self.spans.len();
-        self.spans.push(SpanData {
+        let parent = self.state.open.last().copied();
+        let id = self.state.spans.len();
+        self.state.spans.push(SpanState {
             name: name.to_string(),
             parent,
-            depth: self.open.len(),
-            start_round: self.rounds,
+            depth: self.state.open.len(),
+            start_round: self.state.total.rounds,
             end_round: None,
             rounds: 0,
             messages: 0,
@@ -163,41 +193,41 @@ impl Tracer {
             max_words: 0,
             notes: Vec::new(),
         });
-        self.open.push(id);
+        self.state.open.push(id);
         SpanId(id)
     }
 
     /// Closes `id`, which must be the innermost open span.
     pub fn close_span(&mut self, id: SpanId) {
-        let top = self.open.pop();
+        let top = self.state.open.pop();
         assert_eq!(top, Some(id.0), "spans close in LIFO order");
-        self.spans[id.0].end_round = Some(self.rounds);
+        self.state.spans[id.0].end_round = Some(self.state.total.rounds);
     }
 
     /// Attaches a `key = value` annotation to a span (open or closed) —
     /// e.g. a cluster's charged rounds or walk-step count. Annotation
     /// order is preserved in the trace.
     pub fn annotate(&mut self, id: SpanId, key: &str, value: u64) {
-        self.spans[id.0].notes.push((key.to_string(), value));
+        self.state.spans[id.0].notes.push((key.to_string(), value));
     }
 
     /// Records one executed round: `messages` sent, `words` sent, and the
     /// maximum words that crossed a single edge (one direction) this round.
     pub fn record_round(&mut self, messages: u64, words: u64, max_edge_words: usize) {
-        self.rounds += 1;
-        self.messages += messages;
-        self.words += words;
-        self.max_words = self.max_words.max(max_edge_words);
-        for &i in &self.open {
-            let s = &mut self.spans[i];
+        self.state.total.rounds += 1;
+        self.state.total.messages += messages;
+        self.state.total.words += words;
+        self.state.total.max_words_edge_round = self.state.total.max_words_edge_round.max(max_edge_words);
+        for &i in &self.state.open {
+            let s = &mut self.state.spans[i];
             s.rounds += 1;
             s.messages += messages;
             s.words += words;
             s.max_words = s.max_words.max(max_edge_words);
         }
-        if self.cfg.series {
-            self.series.push(RoundSample {
-                round: self.rounds - 1,
+        if self.state.cfg.series {
+            self.state.series.push(RoundSample {
+                round: self.state.total.rounds - 1,
                 messages,
                 words,
                 max_edge_words,
@@ -208,21 +238,21 @@ impl Tracer {
     /// Records `rounds` charged silent rounds (no traffic, no samples —
     /// sample round indices make the gap explicit).
     pub fn record_quiet_rounds(&mut self, rounds: u64) {
-        self.rounds += rounds;
-        for &i in &self.open {
-            self.spans[i].rounds += rounds;
+        self.state.total.rounds += rounds;
+        for &i in &self.state.open {
+            self.state.spans[i].rounds += rounds;
         }
     }
 
     /// Merges externally-measured statistics (e.g. traffic of per-cluster
     /// networks whose rounds are charged separately) into the counters.
     pub fn record_external(&mut self, rounds: u64, messages: u64, words: u64, max_edge_words: usize) {
-        self.rounds += rounds;
-        self.messages += messages;
-        self.words += words;
-        self.max_words = self.max_words.max(max_edge_words);
-        for &i in &self.open {
-            let s = &mut self.spans[i];
+        self.state.total.rounds += rounds;
+        self.state.total.messages += messages;
+        self.state.total.words += words;
+        self.state.total.max_words_edge_round = self.state.total.max_words_edge_round.max(max_edge_words);
+        for &i in &self.state.open {
+            let s = &mut self.state.spans[i];
             s.rounds += rounds;
             s.messages += messages;
             s.words += words;
@@ -236,13 +266,13 @@ impl Tracer {
     /// the current round count — the 0-based index of the round in
     /// flight, matching the `round` indices of the series samples.
     pub fn record_fault(&mut self, kind: &str, count: u64) {
-        self.faults.push(FaultEvent { round: self.rounds, kind: kind.to_string(), count });
+        self.state.faults.push(FaultEvent { round: self.state.total.rounds, kind: kind.to_string(), count });
     }
 
     /// Adds `words` to edge `edge`'s cumulative load. No-op unless
     /// edge loads are enabled and the topology is bound.
     pub fn add_edge_words(&mut self, edge: usize, words: u64) {
-        if let Some(w) = self.edge_words.get_mut(edge) {
+        if let Some(w) = self.state.edge_words.get_mut(edge) {
             *w += words;
         }
     }
@@ -252,188 +282,65 @@ impl Tracer {
     /// logically-parallel helper networks run over the same host graph.
     pub fn merge_edge_words_from(&mut self, other: &Tracer) {
         assert_eq!(
-            self.edge_words.len(),
-            other.edge_words.len(),
+            self.state.edge_words.len(),
+            other.state.edge_words.len(),
             "edge-load merge requires the same topology"
         );
-        for (a, b) in self.edge_words.iter_mut().zip(&other.edge_words) {
+        for (a, b) in self.state.edge_words.iter_mut().zip(&other.state.edge_words) {
             *a += b;
         }
     }
 
-    /// Serializes the tracer's complete recording state — config, bound
-    /// topology, cumulative counters, the span tree *including the stack
-    /// of still-open spans*, series, edge loads, and fault events — into
-    /// a self-describing byte blob for the engine snapshot layer.
+    /// The complete recording state — config, bound topology, running
+    /// totals, the span list *with* the stack of still-open spans, series,
+    /// edge loads, fault events — taken out as plain data, for the engine
+    /// snapshot layer to persist (`lcg_congest::snapshot` owns the bytes).
     ///
     /// Unlike [`Tracer::finish`], open spans are legal here: a snapshot
     /// taken mid-phase must capture the open stack so the resumed run
     /// closes the same spans the original opened.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.cfg.label);
-        out.push(self.cfg.series as u8);
-        out.push(self.cfg.edge_loads as u8);
-        put_u64(&mut out, self.cfg.top_k as u64);
-        put_u64(&mut out, self.n as u64);
-        put_u64(&mut out, self.m as u64);
-        put_u64(&mut out, self.ends.len() as u64);
-        for &(u, v) in &self.ends {
-            put_u64(&mut out, u as u64);
-            put_u64(&mut out, v as u64);
-        }
-        put_u64(&mut out, self.rounds);
-        put_u64(&mut out, self.messages);
-        put_u64(&mut out, self.words);
-        put_u64(&mut out, self.max_words as u64);
-        put_u64(&mut out, self.spans.len() as u64);
-        for s in &self.spans {
-            put_str(&mut out, &s.name);
-            put_opt_u64(&mut out, s.parent.map(|p| p as u64));
-            put_u64(&mut out, s.depth as u64);
-            put_u64(&mut out, s.start_round);
-            put_opt_u64(&mut out, s.end_round);
-            put_u64(&mut out, s.rounds);
-            put_u64(&mut out, s.messages);
-            put_u64(&mut out, s.words);
-            put_u64(&mut out, s.max_words as u64);
-            put_u64(&mut out, s.notes.len() as u64);
-            for (k, v) in &s.notes {
-                put_str(&mut out, k);
-                put_u64(&mut out, *v);
-            }
-        }
-        put_u64(&mut out, self.open.len() as u64);
-        for &i in &self.open {
-            put_u64(&mut out, i as u64);
-        }
-        put_u64(&mut out, self.series.len() as u64);
-        for s in &self.series {
-            put_u64(&mut out, s.round);
-            put_u64(&mut out, s.messages);
-            put_u64(&mut out, s.words);
-            put_u64(&mut out, s.max_edge_words as u64);
-        }
-        put_u64(&mut out, self.edge_words.len() as u64);
-        for &w in &self.edge_words {
-            put_u64(&mut out, w);
-        }
-        put_u64(&mut out, self.faults.len() as u64);
-        for f in &self.faults {
-            put_u64(&mut out, f.round);
-            put_str(&mut out, &f.kind);
-            put_u64(&mut out, f.count);
-        }
-        out
+    pub fn snapshot_state(&self) -> TracerState {
+        self.state.clone()
     }
 
-    /// Reconstructs a tracer from [`Tracer::snapshot_bytes`] output. A
-    /// restored tracer continues recording exactly where the original
-    /// stood: same open-span stack, same counters, same edge loads.
+    /// Puts a [`Tracer::snapshot_state`] back. A restored tracer continues
+    /// recording exactly where the original stood: same open-span stack,
+    /// same counters, same edge loads.
     ///
-    /// Errors (with a description) on truncated or malformed input; never
-    /// panics and never returns a half-decoded tracer.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Tracer, String> {
-        let mut r = ByteReader { buf: bytes, at: 0 };
-        let label = r.str_()?;
-        let series_on = r.u8_()? != 0;
-        let edge_loads = r.u8_()? != 0;
-        let top_k = r.usize_()?;
-        let cfg = TraceConfig { label, series: series_on, edge_loads, top_k };
-        let n = r.usize_()?;
-        let m = r.usize_()?;
-        let ends_len = r.usize_()?;
-        let mut ends = Vec::with_capacity(ends_len.min(r.remaining() / 16));
-        for _ in 0..ends_len {
-            let u = r.usize_()?;
-            let v = r.usize_()?;
-            ends.push((u, v));
+    /// The state may come from a foreign file, so everything the recording
+    /// and [`Tracer::finish`] index or unwrap on trust is checked here;
+    /// errors with a description, never panics.
+    pub fn from_snapshot_state(state: TracerState) -> Result<Tracer, String> {
+        let TracerState { cfg, m, ends, spans, open, edge_words, .. } = &state;
+        if let Some(i) = (0..spans.len()).find(|&i| spans[i].parent.is_some_and(|p| p >= i)) {
+            return Err(format!("span {i} names parent {:?}, not an earlier span", spans[i].parent));
         }
-        let rounds = r.u64_()?;
-        let messages = r.u64_()?;
-        let words = r.u64_()?;
-        let max_words = r.usize_()?;
-        let span_count = r.usize_()?;
-        let mut spans = Vec::with_capacity(span_count.min(r.remaining() / 8));
-        for _ in 0..span_count {
-            let name = r.str_()?;
-            let parent = r.opt_u64_()?.map(|p| p as usize);
-            let depth = r.usize_()?;
-            let start_round = r.u64_()?;
-            let end_round = r.opt_u64_()?;
-            let s_rounds = r.u64_()?;
-            let s_messages = r.u64_()?;
-            let s_words = r.u64_()?;
-            let s_max_words = r.usize_()?;
-            let notes_len = r.usize_()?;
-            let mut notes = Vec::with_capacity(notes_len.min(r.remaining() / 8));
-            for _ in 0..notes_len {
-                let k = r.str_()?;
-                let v = r.u64_()?;
-                notes.push((k, v));
+        // the stack nests: each open span is the child of the one below it
+        // (so, parents being earlier spans, its indices strictly increase)
+        let mut below = None;
+        for &i in open {
+            let span = spans
+                .get(i)
+                .ok_or_else(|| format!("open-span index {i} out of range ({} spans)", spans.len()))?;
+            if span.parent != below || span.end_round.is_some() {
+                return Err(format!("open span {i} is closed, or not nested in the one below it"));
             }
-            spans.push(SpanData {
-                name,
-                parent,
-                depth,
-                start_round,
-                end_round,
-                rounds: s_rounds,
-                messages: s_messages,
-                words: s_words,
-                max_words: s_max_words,
-                notes,
-            });
+            below = Some(i);
         }
-        let open_len = r.usize_()?;
-        let mut open = Vec::with_capacity(open_len.min(r.remaining() / 8));
-        for _ in 0..open_len {
-            let i = r.usize_()?;
-            if i >= spans.len() {
-                return Err(format!("open-span index {i} out of range ({} spans)", spans.len()));
-            }
-            open.push(i);
+        // `finish` unwraps the end round of every span off the stack
+        if spans.iter().filter(|s| s.end_round.is_none()).count() != open.len() {
+            return Err("a span off the open-span stack has no end round".to_string());
         }
-        let series_len = r.usize_()?;
-        let mut series = Vec::with_capacity(series_len.min(r.remaining() / 32));
-        for _ in 0..series_len {
-            let round = r.u64_()?;
-            let s_messages = r.u64_()?;
-            let s_words = r.u64_()?;
-            let max_edge_words = r.usize_()?;
-            series.push(RoundSample { round, messages: s_messages, words: s_words, max_edge_words });
+        // `finish` indexes `ends[edge]` for every loaded edge
+        let edges = if cfg.edge_loads { *m } else { 0 };
+        if ends.len() != edges || edge_words.len() != edges {
+            return Err(format!(
+                "{} endpoint pairs and {} edge loads for {edges} load-tracked edges",
+                ends.len(),
+                edge_words.len()
+            ));
         }
-        let ew_len = r.usize_()?;
-        let mut edge_words = Vec::with_capacity(ew_len.min(r.remaining() / 8));
-        for _ in 0..ew_len {
-            edge_words.push(r.u64_()?);
-        }
-        let faults_len = r.usize_()?;
-        let mut faults = Vec::with_capacity(faults_len.min(r.remaining() / 16));
-        for _ in 0..faults_len {
-            let round = r.u64_()?;
-            let kind = r.str_()?;
-            let count = r.u64_()?;
-            faults.push(FaultEvent { round, kind, count });
-        }
-        if r.remaining() != 0 {
-            return Err(format!("{} trailing bytes after tracer state", r.remaining()));
-        }
-        Ok(Tracer {
-            cfg,
-            n,
-            m,
-            ends,
-            rounds,
-            messages,
-            words,
-            max_words,
-            spans,
-            open,
-            series,
-            edge_words,
-            faults,
-        })
+        Ok(Tracer { state })
     }
 
     /// Seals the recording into an immutable [`Trace`]: resolves the span
@@ -444,19 +351,20 @@ impl Tracer {
     /// Panics if a span is still open (every `open_span` needs its
     /// `close_span`).
     pub fn finish(self) -> Trace {
+        let TracerState { cfg, n, m, ends, total, spans, open, series, edge_words, faults } =
+            self.state;
         assert!(
-            self.open.is_empty(),
+            open.is_empty(),
             "unclosed span {:?} at finish",
-            self.open.last().map(|&i| self.spans[i].name.clone())
+            open.last().map(|&i| spans[i].name.clone())
         );
-        let spans: Vec<SpanRecord> = self
-            .spans
-            .iter()
+        let spans: Vec<SpanRecord> = spans
+            .into_iter()
             .enumerate()
             .map(|(id, s)| SpanRecord {
                 id,
                 parent: s.parent,
-                name: s.name.clone(),
+                name: s.name,
                 depth: s.depth,
                 start_round: s.start_round,
                 end_round: s.end_round.expect("every span was closed"),
@@ -464,12 +372,11 @@ impl Tracer {
                 messages: s.messages,
                 words: s.words,
                 max_words_edge_round: s.max_words,
-                notes: s.notes.clone(),
+                notes: s.notes,
             })
             .collect();
         // hotspots: heaviest first, ties broken by edge id (deterministic)
-        let mut loaded: Vec<(usize, u64)> = self
-            .edge_words
+        let mut loaded: Vec<(usize, u64)> = edge_words
             .iter()
             .enumerate()
             .filter(|&(_, &w)| w > 0)
@@ -478,114 +385,28 @@ impl Tracer {
         loaded.sort_by_key(|&(e, w)| (std::cmp::Reverse(w), e));
         let hotspots: Vec<Hotspot> = loaded
             .into_iter()
-            .take(self.cfg.top_k)
+            .take(cfg.top_k)
             .enumerate()
             .map(|(rank, (edge, words))| {
-                let (u, v) = self.ends[edge];
+                let (u, v) = ends[edge];
                 Hotspot { rank: rank + 1, edge, u, v, words }
             })
             .collect();
         Trace {
             meta: TraceMeta {
                 schema: 2,
-                label: self.cfg.label.clone(),
-                n: self.n,
-                m: self.m,
-                series: self.cfg.series,
-                edge_loads: self.cfg.edge_loads,
+                label: cfg.label,
+                n,
+                m,
+                series: cfg.series,
+                edge_loads: cfg.edge_loads,
             },
-            total: Totals {
-                rounds: self.rounds,
-                messages: self.messages,
-                words: self.words,
-                max_words_edge_round: self.max_words,
-            },
+            total,
             spans,
-            series: self.series,
+            series,
             hotspots,
-            faults: self.faults,
+            faults,
         }
-    }
-}
-
-// ---- snapshot byte codec (little-endian, length-prefixed strings) ----
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked sequential reader over a snapshot blob; every accessor
-/// errors (never panics) on truncation.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl ByteReader<'_> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn u8_(&mut self) -> Result<u8, String> {
-        let b = *self
-            .buf
-            .get(self.at)
-            .ok_or_else(|| format!("truncated tracer state at byte {}", self.at))?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn u64_(&mut self) -> Result<u64, String> {
-        let end = self.at + 8;
-        let bytes = self
-            .buf
-            .get(self.at..end)
-            .ok_or_else(|| format!("truncated tracer state at byte {}", self.at))?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(bytes);
-        self.at = end;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn usize_(&mut self) -> Result<usize, String> {
-        let v = self.u64_()?;
-        usize::try_from(v).map_err(|_| format!("value {v} does not fit usize"))
-    }
-
-    fn opt_u64_(&mut self) -> Result<Option<u64>, String> {
-        match self.u8_()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64_()?)),
-            t => Err(format!("bad Option tag {t}")),
-        }
-    }
-
-    fn str_(&mut self) -> Result<String, String> {
-        let len = self.usize_()?;
-        if len > self.remaining() {
-            return Err(format!("string of {len} bytes exceeds remaining {}", self.remaining()));
-        }
-        let end = self.at + len;
-        let s = std::str::from_utf8(&self.buf[self.at..end])
-            .map_err(|e| format!("non-utf8 string in tracer state: {e}"))?
-            .to_string();
-        self.at = end;
-        Ok(s)
     }
 }
 
@@ -705,42 +526,57 @@ mod tests {
         assert_eq!((s.rounds, s.messages, s.words), (0, 100, 200));
     }
 
-    #[test]
-    fn snapshot_round_trips_mid_recording_with_open_spans() {
+    /// A two-deep open stack mid-recording, with edge loads bound.
+    fn mid_recording() -> Tracer {
         let mut t = Tracer::new(TraceConfig::full("ckpt").with_top_k(3));
         t.bind_topology(3, 3, vec![(0, 1), (1, 2), (0, 2)]);
-        let outer = t.open_span("outer");
+        let done = t.open_span("done");
+        t.close_span(done);
+        let _outer = t.open_span("outer");
         t.record_round(2, 4, 1);
         t.add_edge_words(1, 7);
         let _inner = t.open_span("inner");
         t.record_fault("drop", 2);
-        // snapshot while two spans are open — the resumed twin must close
-        // them exactly as the original would
-        let bytes = t.snapshot_bytes();
-        let mut back = Tracer::from_snapshot_bytes(&bytes).expect("valid snapshot decodes");
-        assert_eq!(back.snapshot_bytes(), bytes, "re-snapshot is byte-identical");
+        t
+    }
+
+    #[test]
+    fn state_round_trips_mid_recording_with_open_spans() {
+        let mut t = mid_recording();
+        let state = t.snapshot_state();
+        assert_eq!(state.open, vec![1, 2]);
+        let mut back = Tracer::from_snapshot_state(state.clone()).expect("own state is valid");
+        assert_eq!(back.snapshot_state(), state);
         // drive both forward identically and compare the sealed traces
         for tr in [&mut t, &mut back] {
             tr.record_round(1, 2, 1);
-            let inner_id = SpanId(1);
-            tr.close_span(inner_id);
-            tr.close_span(outer);
+            tr.close_span(SpanId(2));
+            tr.close_span(SpanId(1));
         }
         assert_eq!(t.finish(), back.finish());
     }
 
+    /// Everything recording and `finish` index or unwrap on trust is
+    /// rejected at put-back, with a description — never a later panic.
     #[test]
-    fn truncated_snapshot_errors_cleanly() {
-        let mut t = Tracer::new(TraceConfig::spans_only("x"));
-        let sp = t.open_span("phase");
-        t.record_round(1, 1, 1);
-        t.close_span(sp);
-        let bytes = t.snapshot_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                Tracer::from_snapshot_bytes(&bytes[..cut]).is_err(),
-                "truncation at byte {cut} must be rejected"
-            );
-        }
+    fn put_back_rejects_state_the_recording_would_trip_over() {
+        let good = mid_recording().snapshot_state();
+        let rejects = |what: &str, edit: fn(&mut TracerState)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert!(Tracer::from_snapshot_state(bad).is_err(), "{what} must be rejected");
+        };
+        rejects("open index out of range", |s| s.open.push(9));
+        rejects("parent not earlier", |s| s.spans[1].parent = Some(1));
+        rejects("parent not earlier (forward)", |s| s.spans[0].parent = Some(2));
+        rejects("open stack not nested", |s| s.open = vec![2]);
+        rejects("open stack out of order", |s| s.open = vec![2, 1]);
+        rejects("open stack repeats a span", |s| s.open = vec![1, 2, 2]);
+        rejects("closed span on the open stack", |s| s.spans[2].end_round = Some(1));
+        rejects("open span off the stack", |s| s.spans[0].end_round = None);
+        rejects("endpoint table shorter than m", |s| s.ends.truncate(2));
+        rejects("edge loads shorter than m", |s| s.edge_words.truncate(1));
+        rejects("edge loads without the channel", |s| s.cfg.edge_loads = false);
+        rejects("m moved under the tables", |s| s.m = 4);
     }
 }
