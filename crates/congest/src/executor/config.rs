@@ -40,7 +40,6 @@
 //!
 //! let seq = ExecConfig::sequential();
 //! assert_eq!(seq.threads(), 1);
-//! assert!(!seq.is_parallel());
 //!
 //! let four = ExecConfig::with_threads(4);
 //! assert_eq!(four.threads(), 4);
@@ -167,11 +166,6 @@ impl ExecConfig {
     /// The adaptive-fallback work threshold (minimum vertices per worker).
     pub fn work_threshold(&self) -> usize {
         self.work_threshold
-    }
-
-    /// `true` when more than one thread is configured.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 
     /// Partitions `0..n` into at most `threads` contiguous, balanced

@@ -12,10 +12,10 @@
 //!   is how Experiment E12 measures the LOCAL–CONGEST gap of the naive
 //!   topology-gathering approach.
 //!
-//! [`primitives`] contains the paper's building blocks (BFS flooding,
-//! max-flood leader election, convergecast/broadcast, the §2.3 diameter
-//! check, and the distributed Barenboim–Elkin H-partition), all written
-//! with real 1–2 word messages.
+//! [`primitives`] contains the paper's building blocks (max-flood leader
+//! election, the §2.3 diameter check, and the distributed Barenboim–Elkin
+//! H-partition), all written with real 1–2 word messages as closures over
+//! [`Network`]'s round forms — the one way a protocol is written here.
 //!
 //! ## Example
 //!
@@ -32,7 +32,6 @@
 //! assert!(net.stats().max_words_edge_round <= 2); // CONGEST respected
 //! ```
 
-pub mod algorithm;
 pub mod executor;
 pub mod faults;
 mod model;
@@ -42,7 +41,6 @@ pub mod primitives;
 pub mod snapshot;
 pub mod stats;
 
-pub use algorithm::{run_programs, run_programs_state, NodeCtx, NodeProgram};
 pub use executor::{AuditMode, ExecConfig};
 pub use faults::{FaultPlan, LinkFailure, NodeCrash};
 pub use model::Model;

@@ -1,7 +1,5 @@
 //! The two message-passing models of the paper.
 
-use serde::{Deserialize, Serialize, Value};
-
 /// Communication model: CONGEST (bounded messages) or LOCAL (unbounded).
 ///
 /// The paper's separation is exactly this: the GKM framework (STOC 2018)
@@ -23,37 +21,6 @@ pub enum Model {
     /// Unbounded message sizes (sizes are still *recorded* so experiments
     /// can report how much the LOCAL algorithms actually shipped).
     Local,
-}
-
-// Hand-written serde impls (vendored serde has no derive); externally
-// tagged, matching the derive shape: {"Congest":{"words_per_edge":2}} or
-// "Local".
-impl Serialize for Model {
-    fn to_value(&self) -> Value {
-        match *self {
-            Model::Congest { words_per_edge } => Value::object([(
-                "Congest".to_string(),
-                Value::object([("words_per_edge".to_string(), words_per_edge.to_value())]),
-            )]),
-            Model::Local => Value::Str("Local".to_string()),
-        }
-    }
-}
-
-impl Deserialize for Model {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(s) if s == "Local" => Ok(Model::Local),
-            Value::Object(_) => {
-                let inner = v
-                    .get("Congest")
-                    .and_then(|c| c.get("words_per_edge"))
-                    .ok_or_else(|| serde::Error::msg("expected {\"Congest\":{\"words_per_edge\":..}}"))?;
-                Ok(Model::Congest { words_per_edge: usize::from_value(inner)? })
-            }
-            _ => Err(serde::Error::msg("expected Model")),
-        }
-    }
 }
 
 impl Model {

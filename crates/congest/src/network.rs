@@ -716,7 +716,7 @@ fn run_phase<'a>(
 
 /// The closure types of an absent consume phase and an absent halt vote:
 /// what the compose-only adapters name when they pass `None`.
-pub(crate) type NoRecv<St> = fn(&mut St, usize, usize, &Inbox);
+type NoRecv<St> = fn(&mut St, usize, usize, &Inbox);
 type NoHalt<St> = fn(&St) -> bool;
 
 impl<'g> Network<'g> {
@@ -1004,17 +1004,11 @@ impl<'g> Network<'g> {
 
     /// The `exchange` family's precondition, checked where a run enters:
     /// its rounds consume the inbox grid whole, `step` leftovers included.
-    pub(crate) fn debug_assert_drained(&self) {
+    fn debug_assert_drained(&self) {
         debug_assert!(
             self.pending.iter().all(Option::is_none),
             "an exchange round was started with undelivered step() messages pending"
         );
-    }
-
-    /// Drops the messages awaiting the next `step` round, as a compose-only
-    /// run that stops mid-flight must before an `exchange` may follow it.
-    pub(crate) fn discard_pending(&mut self) {
-        clear_slots(&mut self.pending);
     }
 
     /// The sequential round body: up to `max_rounds` rounds of compose →
@@ -1025,7 +1019,7 @@ impl<'g> Network<'g> {
     /// phase that read a row clears it, so delivery lands on clean slots.
     /// It takes the states itself because both closures mutate them and
     /// cannot each capture the slice.
-    pub(crate) fn rounds_seq<St, C, R, H>(
+    fn rounds_seq<St, C, R, H>(
         &mut self,
         max_rounds: usize,
         states: &mut [St],
@@ -1179,7 +1173,7 @@ impl<'g> Network<'g> {
     /// workers; barrier merge, delivery and round tick on the leader;
     /// then, only when there is a `consume` closure, a consume phase on
     /// the workers. Panics if `states.len() != n`.
-    pub(crate) fn rounds<St, C, R, H>(
+    fn rounds<St, C, R, H>(
         &mut self,
         max_rounds: usize,
         states: &mut [St],
@@ -1307,11 +1301,6 @@ impl<'g> Network<'g> {
         let row = self.g.row_range(v);
         debug_assert!(port < row.len(), "port {port} out of range for vertex {v}");
         self.g.csr_neighbors()[row.start + port] as usize
-    }
-
-    /// Port of `v` that leads to neighbor `u`, if adjacent.
-    pub fn port_to(&self, v: usize, u: usize) -> Option<usize> {
-        self.g.neighbors(v).position(|(w, _)| w == u)
     }
 }
 
@@ -1556,7 +1545,7 @@ mod tests {
         for v in 0..5 {
             for p in 0..2 {
                 let u = net.neighbor(v, p);
-                let q = net.port_to(u, v).unwrap();
+                let q = g.neighbor_row(u).iter().position(|&w| w as usize == v).unwrap();
                 assert_eq!(net.neighbor(u, q), v);
             }
         }

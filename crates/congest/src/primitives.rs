@@ -1,9 +1,14 @@
-//! Distributed building blocks used by the paper's framework, all written
-//! against the [`Network`] engine with genuine `O(log n)`-bit messages.
+//! The distributed building blocks the paper's pipeline runs, all written
+//! against the [`Network`] engine with genuine `O(log n)`-bit messages:
+//! the max-flood of Theorem 2.6's leader election ([`max_flood`]), the
+//! §2.3 cluster-diameter check ([`diameter_check`]) and the
+//! Barenboim–Elkin peel behind the low-out-degree orientation
+//! ([`h_partition_distributed`]).
 //!
 //! Everything here is *cluster-aware*: the framework runs these primitives
 //! inside each cluster of an expander decomposition in parallel, so each
-//! primitive takes a [`Scope`] and only communicates along permitted edges.
+//! primitive takes a [`Scope`] (or the cluster assignment itself) and only
+//! communicates along permitted edges.
 //! All primitives use the textbook exchange round structure where
 //! information travels one hop per round — either the sequential
 //! [`Network::exchange`] (snapshot-heavy orchestration loops) or the
@@ -12,29 +17,6 @@
 //! worker pool).
 
 use crate::network::Network;
-
-/// A BFS forest computed by synchronous flooding.
-#[derive(Debug, Clone)]
-pub struct BfsForest {
-    /// BFS parent of each vertex (`None` for sources and unreached).
-    pub parent: Vec<Option<usize>>,
-    /// Hop distance from the nearest source (`usize::MAX` if unreached).
-    pub dist: Vec<usize>,
-    /// The source each vertex was reached from.
-    pub root: Vec<Option<usize>>,
-}
-
-impl BfsForest {
-    /// Depth of the forest (maximum finite distance).
-    pub fn depth(&self) -> usize {
-        self.dist
-            .iter()
-            .filter(|&&d| d != usize::MAX)
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-}
 
 /// Edges allowed for a primitive: all edges, or only intra-cluster ones.
 #[derive(Debug, Clone, Copy)]
@@ -53,62 +35,6 @@ impl<'a> Scope<'a> {
             Scope::Intra(c) => c[u] == c[v],
         }
     }
-}
-
-/// Builds a BFS forest from `sources` by flooding; runs until quiescent
-/// (`ecc + 1` rounds where `ecc` is the largest relevant eccentricity).
-/// Messages are `[root, dist]`: 2 words.
-pub fn bfs_forest(net: &mut Network, sources: &[usize], scope: Scope) -> BfsForest {
-    let g = net.graph();
-    let n = g.n();
-    let mut f = BfsForest {
-        parent: vec![None; n],
-        dist: vec![usize::MAX; n],
-        root: vec![None; n],
-    };
-    let mut announce = vec![false; n];
-    for &s in sources {
-        f.dist[s] = 0;
-        f.root[s] = Some(s);
-        announce[s] = true;
-    }
-    while announce.iter().any(|&b| b) {
-        let mut next_announce = vec![false; n];
-        let root_snap = f.root.clone();
-        let dist_snap = f.dist.clone();
-        net.exchange(
-            |v, out| {
-                if announce[v] {
-                    for (p, u) in g.neighbor_vertices(v).enumerate() {
-                        if scope.allows(v, u) {
-                            out.send(
-                                p,
-                                vec![
-                                    root_snap[v].expect("announcing vertex has adopted a root") as u64,
-                                    dist_snap[v] as u64,
-                                ],
-                            );
-                        }
-                    }
-                }
-            },
-            |v, inbox| {
-                for (p, m) in inbox.iter().enumerate() {
-                    if let Some(m) = m {
-                        let (root, d) = (m[0] as usize, m[1] as usize + 1);
-                        if d < f.dist[v] {
-                            f.dist[v] = d;
-                            f.root[v] = Some(root);
-                            f.parent[v] = Some(g.neighbor_row(v)[p] as usize);
-                            next_announce[v] = true;
-                        }
-                    }
-                }
-            },
-        );
-        announce = next_announce;
-    }
-    f
 }
 
 /// `rounds` rounds of max-flooding of `(value, id)` pairs: every vertex
@@ -149,91 +75,6 @@ pub fn max_flood(
         |_| false, // fixed round budget, no early quiescence
     );
     best
-}
-
-/// Aggregates `values` by summation up a BFS forest (convergecast): after
-/// `depth` rounds each source holds the sum over its tree. Messages are 1
-/// word (the running partial sum). Returns the per-vertex accumulated sums;
-/// the entry of a source is its tree total.
-pub fn convergecast_sum(net: &mut Network, forest: &BfsForest, values: &[u64]) -> Vec<u64> {
-    let n = net.graph().n();
-    let g = net.graph();
-    let mut acc: Vec<u64> = values.to_vec();
-    let parent_port: Vec<Option<usize>> = (0..n)
-        .map(|v| {
-            forest.parent[v]
-                .map(|p| {
-                    g.neighbors(v)
-                        .position(|(w, _)| w == p)
-                        .expect("forest parent is a graph neighbor")
-                })
-        })
-        .collect();
-    for d in (1..=forest.depth()).rev() {
-        let snap = acc.clone();
-        net.exchange(
-            |v, out| {
-                if forest.dist[v] == d {
-                    out.send(parent_port[v].expect("non-root has parent"), [snap[v]]);
-                }
-            },
-            |v, inbox| {
-                for m in inbox.iter().flatten() {
-                    acc[v] += m[0];
-                }
-            },
-        );
-    }
-    acc
-}
-
-/// Broadcast one word from each source down its BFS tree; returns the word
-/// each vertex received (sources keep their own). `depth` rounds, 1-word
-/// messages.
-pub fn broadcast_down(net: &mut Network, forest: &BfsForest, payload: &[u64]) -> Vec<Option<u64>> {
-    let n = net.graph().n();
-    let g = net.graph();
-    let mut got: Vec<Option<u64>> = (0..n)
-        .map(|v| if forest.dist[v] == 0 { Some(payload[v]) } else { None })
-        .collect();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for v in 0..n {
-        if let Some(p) = forest.parent[v] {
-            children[p].push(v);
-        }
-    }
-    let child_ports: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            children[v]
-                .iter()
-                .map(|&c| {
-                    g.neighbors(v)
-                        .position(|(w, _)| w == c)
-                        .expect("forest child is a graph neighbor")
-                })
-                .collect()
-        })
-        .collect();
-    for d in 0..forest.depth() {
-        let snap = got.clone();
-        net.exchange(
-            |v, out| {
-                if forest.dist[v] == d {
-                    if let Some(x) = snap[v] {
-                        for &p in &child_ports[v] {
-                            out.send(p, [x]);
-                        }
-                    }
-                }
-            },
-            |v, inbox| {
-                for m in inbox.iter().flatten() {
-                    got[v] = Some(m[0]);
-                }
-            },
-        );
-    }
-    got
 }
 
 /// The §2.3 cluster-diameter check: decides *distributedly* for each
@@ -365,32 +206,6 @@ mod tests {
     use lcg_graph::gen;
 
     #[test]
-    fn bfs_forest_distances() {
-        let g = gen::grid(5, 5);
-        let mut net = Network::new(&g, Model::congest());
-        let f = bfs_forest(&mut net, &[0], Scope::Global);
-        let want = g.bfs_distances(0);
-        assert_eq!(f.dist, want);
-        assert_eq!(f.root[24], Some(0));
-        for v in 1..g.n() {
-            let p = f.parent[v].unwrap();
-            assert_eq!(f.dist[p] + 1, f.dist[v]);
-        }
-        // eccentricity of the corner is 8; flooding quiesces in ecc + 1
-        assert_eq!(net.stats().rounds, 9);
-    }
-
-    #[test]
-    fn bfs_respects_cluster_scope() {
-        let g = gen::path(6);
-        let cluster = vec![0, 0, 0, 1, 1, 1];
-        let mut net = Network::new(&g, Model::congest());
-        let f = bfs_forest(&mut net, &[0], Scope::Intra(&cluster));
-        assert_eq!(f.dist[2], 2);
-        assert_eq!(f.dist[3], usize::MAX);
-    }
-
-    #[test]
     fn max_flood_elects_global_max() {
         let g = gen::cycle(8);
         let mut net = Network::new(&g, Model::congest());
@@ -420,33 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn convergecast_sums_to_root() {
-        let g = gen::grid(4, 4);
-        let mut net = Network::new(&g, Model::congest());
-        let f = bfs_forest(&mut net, &[0], Scope::Global);
-        let values: Vec<u64> = (0..16).collect();
-        let acc = convergecast_sum(&mut net, &f, &values);
-        assert_eq!(acc[0], (0..16).sum::<u64>());
-    }
-
-    #[test]
-    fn convergecast_multi_source() {
+    fn max_flood_respects_cluster_scope() {
         let g = gen::path(6);
+        let cluster = vec![0, 0, 0, 1, 1, 1];
         let mut net = Network::new(&g, Model::congest());
-        let f = bfs_forest(&mut net, &[0, 5], Scope::Global);
-        let acc = convergecast_sum(&mut net, &f, &[1; 6]);
-        assert_eq!(acc[0] + acc[5], 6);
-    }
-
-    #[test]
-    fn broadcast_reaches_all() {
-        let g = gen::grid(4, 4);
-        let mut net = Network::new(&g, Model::congest());
-        let f = bfs_forest(&mut net, &[5], Scope::Global);
-        let mut payload = vec![0u64; 16];
-        payload[5] = 42;
-        let got = broadcast_down(&mut net, &f, &payload);
-        assert!(got.iter().all(|&x| x == Some(42)));
+        let best = max_flood(&mut net, &[0, 0, 0, 0, 0, 9], 5, Scope::Intra(&cluster));
+        // the 9 floods its own cluster and never crosses the 2–3 boundary
+        assert_eq!(best[..3], [(0, 2); 3]);
+        assert_eq!(best[3..], [(9, 5); 3]);
+        // 5 rounds, each cluster's 2 edges in both directions: nothing on 2–3
+        assert_eq!(net.stats().messages, 5 * 8);
     }
 
     #[test]

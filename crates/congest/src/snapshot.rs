@@ -28,11 +28,11 @@
 //! | tag    | contents |
 //! |--------|----------|
 //! | `TOPO` | topology fingerprint: n, m, FNV hash of the edge list |
-//! | `MODL` | [`Model`](crate::Model) |
-//! | `EXEC` | [`ExecConfig`](crate::ExecConfig): threads, threshold, audit |
-//! | `STAT` | [`RoundStats`](crate::RoundStats), all seven counters |
+//! | `MODL` | [`Model`] |
+//! | `EXEC` | [`ExecConfig`]: threads, threshold, audit |
+//! | `STAT` | [`RoundStats`], all seven counters |
 //! | `PEND` | the pending message grid (in-flight deliveries) |
-//! | `FLTS` | the installed [`FaultPlan`](crate::FaultPlan), if any |
+//! | `FLTS` | the installed [`FaultPlan`], if any |
 //! | `TRCE` | `Option<TracerState>`: the tracer's recording state incl. the open-span stack |
 //! | `METR` | metrics label + deterministic registry, if attached |
 //!

@@ -9,8 +9,9 @@
 //! runs in the `lcg-congest` simulator or is charged its measured cost):
 //!
 //! 1. **Decomposition** (Theorem 2.1, substituted per DESIGN.md): computed
-//!    by the sequential reference algorithm; no rounds are charged and the
-//!    outcome records this (`construction_substituted = true`).
+//!    by the sequential reference algorithm; its
+//!    Θ(ε^{-O(1)} log^{O(1)} n) construction rounds are *not* charged —
+//!    every other phase's are.
 //! 2. **Leader election** (§2.3 proof): `b` rounds of max-degree flooding
 //!    inside each cluster, `b` = max cluster diameter; real 2-word
 //!    messages.
@@ -45,9 +46,6 @@ pub struct FrameworkConfig {
     pub seed: u64,
     /// Cap on lazy-walk steps per routing execution.
     pub max_walk_steps: usize,
-    /// Use deterministic tree routing instead of random-walk routing
-    /// (the Lemma 2.5 counterpart).
-    pub deterministic_routing: bool,
     /// Use the adaptive split threshold (`decompose_adaptive`): same ε
     /// contract, far better cluster granularity at laptop sizes. Set to
     /// `false` for the paper-faithful worst-case `φ = Θ(ε/log n)`.
@@ -96,7 +94,6 @@ impl FrameworkConfig {
             density_bound: 3.0,
             seed,
             max_walk_steps: 2_000_000,
-            deterministic_routing: false,
             practical_phi: true,
             message_faithful: false,
             exec: ExecConfig::from_env(),
@@ -155,10 +152,6 @@ pub struct FrameworkOutcome {
     /// routing spans, and congestion hotspots when `FrameworkConfig::trace`
     /// was set. Export with `Trace::to_jsonl`.
     pub trace: Trace,
-    /// `true`: the decomposition construction itself was computed by the
-    /// substituted sequential reference (its Θ(ε^{-O(1)} log^{O(1)} n)
-    /// rounds are *not* included in `stats`); all other phases are.
-    pub construction_substituted: bool,
     /// The two-plane metrics report when `FrameworkConfig::metrics` was
     /// set: deterministic plane byte-identical at any thread count,
     /// profiling plane (wall time, executor utilization, peak RSS)
@@ -313,8 +306,6 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
                     rounds: 0,
                     max_edge_load: 0,
                 }
-            } else if cfg.deterministic_routing {
-                routing::tree_routing(g, &mapping, leader)
             } else if cfg.message_faithful {
                 // run this cluster's routing on its own network (clusters run
                 // in parallel; rounds take the max, traffic sums)
@@ -443,7 +434,6 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
         stats,
         phases,
         trace,
-        construction_substituted: true,
         metrics,
     }
 }
@@ -510,11 +500,9 @@ mod tests {
     fn deterministic_routing_variant() {
         let mut rng = gen::seeded_rng(213);
         let g = gen::random_planar(80, 0.4, &mut rng);
-        let mut cfg = FrameworkConfig::planar(0.3, 11);
-        cfg.deterministic_routing = true;
-        let out = run_framework(&g, &cfg);
+        let out = run_framework(&g, &FrameworkConfig::planar(0.3, 11));
         for c in &out.clusters {
-            assert!(c.routing.complete());
+            assert!(routing::tree_routing(&g, &c.members, c.leader).complete());
         }
     }
 

@@ -177,7 +177,6 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
         stats: RoundStats::default(),
         phases: PhaseRounds::default(),
         trace: tracer.finish(),
-        construction_substituted: true,
         metrics: None,
     }
 }

@@ -45,6 +45,8 @@
 //! across {straight-through, checkpointed, kill-then-resume} executions,
 //! and how often the supervisor saved is a property of the harness, not
 //! of the protocol.
+//!
+//! [`singleton_outcome`]: crate::recovery::singleton_outcome
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -472,7 +474,6 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
         density_bound,
         seed,
         max_walk_steps,
-        deterministic_routing,
         practical_phi,
         message_faithful,
         metrics,
@@ -491,8 +492,11 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
     enc.f64(*epsilon);
     enc.f64(*density_bound);
     enc.usize(*max_walk_steps);
-    for flag in [deterministic_routing, practical_phi, message_faithful, metrics] {
-        enc.u8(u8::from(*flag));
+    // the leading 0 is the retired `deterministic_routing` flag, which no
+    // checkpointed run ever set: its byte stays, so checkpoints written
+    // before its removal still resume
+    for flag in [false, *practical_phi, *message_faithful, *metrics] {
+        enc.u8(u8::from(flag));
     }
     faults.encode(&mut enc);
     let RecoveryPolicy { max_retries, initial_walk_steps } = policy;
@@ -551,6 +555,8 @@ fn load_framework(fingerprint: u64, r: &SnapshotReader) -> Loaded<AttemptLog> {
 /// Crashes beyond `ckpt.restart_budget` degrade to the PR 4 terminal
 /// state ([`singleton_outcome`]) instead of erroring: the caller always
 /// receives a structurally valid outcome.
+///
+/// [`singleton_outcome`]: crate::recovery::singleton_outcome
 pub fn run_framework_checkpointed(
     g: &Graph,
     cfg: &FrameworkConfig,
@@ -949,7 +955,6 @@ mod tests {
             ("faults", FrameworkConfig { faults: Some(FaultPlan::none()), ..base.clone() }),
             ("density_bound", FrameworkConfig { density_bound: 2.0, ..base.clone() }),
             ("practical_phi", FrameworkConfig { practical_phi: !base.practical_phi, ..base.clone() }),
-            ("deterministic_routing", FrameworkConfig { deterministic_routing: true, ..base.clone() }),
             ("message_faithful", FrameworkConfig { message_faithful: true, ..base.clone() }),
             ("metrics", FrameworkConfig { metrics: true, ..base.clone() }),
         ] {

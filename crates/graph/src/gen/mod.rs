@@ -90,32 +90,13 @@ pub fn shuffle_vertices(g: &Graph, rng: &mut impl Rng) -> Graph {
     use rand::seq::SliceRandom;
     let mut perm: Vec<usize> = (0..g.n()).collect();
     perm.shuffle(rng);
-    let mut b = crate::graph::GraphBuilder::new(g.n());
-    let mut weights = Vec::with_capacity(g.m());
-    let mut labels = Vec::with_capacity(g.m());
-    // Rebuild, then reorder the side arrays to match the deduplicated,
-    // sorted edge ids of the new graph.
-    let mut mapped: Vec<(usize, usize, u64, Sign)> = g
-        .edges()
-        .map(|(e, u, v)| {
-            let (a, b2) = (perm[u].min(perm[v]), perm[u].max(perm[v]));
-            (a, b2, g.weight(e), g.label(e))
-        })
-        .collect();
-    mapped.sort_unstable_by_key(|&(a, b2, _, _)| (a, b2));
-    for &(u, v, w, l) in &mapped {
-        b.add_edge(u, v);
-        weights.push(w);
-        labels.push(l);
+    // vertex `u` becomes `perm[u]`: the subgraph induced by all vertices,
+    // listed so that position `perm[u]` holds `u`
+    let mut order = vec![0; g.n()];
+    for (u, &p) in perm.iter().enumerate() {
+        order[p] = u;
     }
-    let mut out = b.build();
-    if g.is_weighted() {
-        out = out.with_weights(weights);
-    }
-    if g.is_labeled() {
-        out = out.with_labels(labels);
-    }
-    out
+    g.induced_subgraph(&order).0
 }
 
 #[cfg(test)]

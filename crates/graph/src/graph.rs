@@ -101,6 +101,35 @@ fn build_csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     (offsets, neighbors, edge_ids)
 }
 
+/// The one rebuild under every derived graph. Each pick is an edge of the
+/// result — its endpoints in the result's numbering, smaller first — and
+/// the index into `weights`/`labels` of the attributes it carries. Picks
+/// are sorted and deduplicated *together* with that index (of several picks
+/// for one edge the lowest index survives), so edge `i` of the result
+/// carries the attributes of the edge it came from, whatever order the
+/// picks arrive in. An absent array stays absent: a plain source costs no
+/// attribute work.
+fn derive(
+    n: usize,
+    mut picks: Vec<(u32, u32, u32)>,
+    weights: Option<&[u64]>,
+    labels: Option<&[Sign]>,
+) -> Graph {
+    picks.sort_unstable();
+    picks.dedup_by_key(|&mut (u, v, _)| (u, v));
+    let edges: Vec<(u32, u32)> = picks.iter().map(|&(u, v, _)| (u, v)).collect();
+    let (offsets, neighbors, edge_ids) = build_csr(n, &edges);
+    Graph {
+        n,
+        edges,
+        offsets,
+        neighbors,
+        edge_ids,
+        weights: weights.map(|w| picks.iter().map(|&(_, _, i)| w[i as usize]).collect()),
+        labels: labels.map(|l| picks.iter().map(|&(_, _, i)| l[i as usize]).collect()),
+    }
+}
+
 // Hand-written serde impls (the vendored serde stand-in has no derive);
 // the JSON shape matches what `#[derive(Serialize, Deserialize)]` with
 // externally-tagged enums would produce.
@@ -150,16 +179,15 @@ impl Deserialize for Graph {
         {
             return Err(serde::Error::msg("edge list is not simple/sorted or out of range"));
         }
+        let weights: Option<Vec<u64>> = Option::from_value(field("weights")?)?;
+        let labels: Option<Vec<Sign>> = Option::from_value(field("labels")?)?;
+        if weights.as_ref().is_some_and(|w| w.len() != edges.len())
+            || labels.as_ref().is_some_and(|l| l.len() != edges.len())
+        {
+            return Err(serde::Error::msg("weights/labels must hold one entry per edge"));
+        }
         let (offsets, neighbors, edge_ids) = build_csr(n, &edges);
-        Ok(Graph {
-            n,
-            edges,
-            offsets,
-            neighbors,
-            edge_ids,
-            weights: Option::from_value(field("weights")?)?,
-            labels: Option::from_value(field("labels")?)?,
-        })
+        Ok(Graph { n, edges, offsets, neighbors, edge_ids, weights, labels })
     }
 }
 
@@ -498,46 +526,29 @@ impl Graph {
                 mapping.push(v);
             }
         }
-        let mut b = GraphBuilder::new(mapping.len());
-        let mut weights = Vec::new();
-        let mut labels = Vec::new();
-        for (e, u, v) in self.edges() {
-            if new_id[u] != usize::MAX && new_id[v] != usize::MAX {
-                b.add_edge(new_id[u], new_id[v]);
-                weights.push(self.weight(e));
-                labels.push(self.label(e));
-            }
-        }
-        let mut g = b.build();
-        if self.weights.is_some() {
-            g = g.with_weights(weights);
-        }
-        if self.labels.is_some() {
-            g = g.with_labels(labels);
-        }
+        let picks = self
+            .edges()
+            .filter(|&(_, u, v)| new_id[u] != usize::MAX && new_id[v] != usize::MAX)
+            .map(|(e, u, v)| {
+                let (a, b) = (new_id[u], new_id[v]);
+                (a.min(b) as u32, a.max(b) as u32, e as u32)
+            })
+            .collect();
+        let g = derive(mapping.len(), picks, self.weights.as_deref(), self.labels.as_deref());
         (g, mapping)
     }
 
     /// Subgraph containing exactly the edges in `edge_ids` and **all** `n`
     /// vertices (isolated vertices are kept). Weights and labels carry over.
     pub fn edge_subgraph(&self, edge_ids: &[usize]) -> Graph {
-        let mut b = GraphBuilder::new(self.n);
-        let mut weights = Vec::new();
-        let mut labels = Vec::new();
-        for &e in edge_ids {
-            let (u, v) = self.endpoints(e);
-            b.add_edge(u, v);
-            weights.push(self.weight(e));
-            labels.push(self.label(e));
-        }
-        let mut g = b.build();
-        if self.weights.is_some() {
-            g = g.with_weights(weights);
-        }
-        if self.labels.is_some() {
-            g = g.with_labels(labels);
-        }
-        g
+        let picks = edge_ids
+            .iter()
+            .map(|&e| {
+                let (u, v) = self.edges[e];
+                (u, v, e as u32)
+            })
+            .collect();
+        derive(self.n, picks, self.weights.as_deref(), self.labels.as_deref())
     }
 
     /// Graph with the listed edges removed (vertex set unchanged).
@@ -611,29 +622,21 @@ impl Graph {
     /// Disjoint union of two graphs; the second graph's vertices are shifted
     /// by `self.n()`. Weights/labels carry over when both sides have them.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let mut b = GraphBuilder::new(self.n + other.n);
-        for (_, u, v) in self.edges() {
-            b.add_edge(u, v);
-        }
-        for (_, u, v) in other.edges() {
-            b.add_edge(u + self.n, v + self.n);
-        }
-        let mut g = b.build();
-        if self.weights.is_some() && other.weights.is_some() {
-            let w: Vec<u64> = (0..self.m())
-                .map(|e| self.weight(e))
-                .chain((0..other.m()).map(|e| other.weight(e)))
-                .collect();
-            g = g.with_weights(w);
-        }
-        if self.labels.is_some() && other.labels.is_some() {
-            let l: Vec<Sign> = (0..self.m())
-                .map(|e| self.label(e))
-                .chain((0..other.m()).map(|e| other.label(e)))
-                .collect();
-            g = g.with_labels(l);
-        }
-        g
+        assert!(self.n + other.n <= u32::MAX as usize, "vertex count exceeds u32 range");
+        let shift = self.n as u32;
+        let shifted = other.edges.iter().map(|&(u, v)| (u + shift, v + shift));
+        let picks = self
+            .edges
+            .iter()
+            .copied()
+            .chain(shifted)
+            .zip(0u32..)
+            .map(|((u, v), i)| (u, v, i))
+            .collect();
+        // pick `i` indexes the two sides' arrays laid end to end
+        let weights = self.weights.as_ref().zip(other.weights.as_ref()).map(|(a, b)| [&a[..], &b[..]].concat());
+        let labels = self.labels.as_ref().zip(other.labels.as_ref()).map(|(a, b)| [&a[..], &b[..]].concat());
+        derive(self.n + other.n, picks, weights.as_deref(), labels.as_deref())
     }
 }
 
@@ -693,7 +696,7 @@ impl GraphBuilder {
 
     /// Finalizes the graph: sorts and deduplicates the edge list, then
     /// builds the flat CSR adjacency in a single counting + fill pass
-    /// (rows come out sorted for free; see [`build_csr`]).
+    /// (rows come out sorted for free, with no per-row sort).
     pub fn build(self) -> Graph {
         let mut edges = self.edges;
         edges.sort_unstable();
@@ -747,6 +750,20 @@ mod tests {
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(2), 2);
         assert_eq!(g.max_degree(), 2);
+    }
+
+    #[test]
+    fn deserialize_rejects_side_arrays_of_the_wrong_length() {
+        let Value::Object(mut fields) = path(3).with_weights(vec![7, 9]).to_value() else {
+            panic!("a graph serializes as an object");
+        };
+        let decode = |fields: &std::collections::BTreeMap<String, Value>| Graph::from_value(&Value::Object(fields.clone()));
+        assert_eq!(decode(&fields).expect("the untouched value decodes").weight(1), 9);
+        fields.insert("weights".to_string(), vec![7u64].to_value());
+        assert!(decode(&fields).is_err(), "one weight for two edges");
+        fields.insert("weights".to_string(), Value::Null);
+        fields.insert("labels".to_string(), vec![Sign::Positive; 3].to_value());
+        assert!(decode(&fields).is_err(), "three labels for two edges");
     }
 
     #[test]

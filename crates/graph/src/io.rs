@@ -18,7 +18,8 @@ use crate::graph::{Graph, GraphBuilder};
 /// Reads a plain-text edge list from `r` into a [`Graph`].
 ///
 /// Duplicate edges are deduplicated by the builder; self-loops are an
-/// error (the CONGEST model runs on simple graphs). `min_n` floors the
+/// error (the CONGEST model runs on simple graphs), and so is a vertex id
+/// outside the `u32` range graphs are indexed by. `min_n` floors the
 /// vertex count, letting callers keep isolated vertices; pass 0 to size
 /// the graph by the largest endpoint.
 pub fn read_edge_list<R: Read>(r: R, min_n: usize) -> Result<Graph, String> {
@@ -41,7 +42,12 @@ pub fn read_edge_list<R: Read>(r: R, min_n: usize) -> Result<Graph, String> {
         if u == v {
             return Err(format!("line {}: self-loop {u}-{v}", lineno + 1));
         }
-        max_id = max_id.max(u).max(v);
+        // vertex ids are u32 and so is the vertex count, `max id + 1`
+        let hi = u.max(v);
+        if hi >= u32::MAX as usize {
+            return Err(format!("line {}: vertex id {hi} exceeds the u32 vertex range", lineno + 1));
+        }
+        max_id = max_id.max(hi);
         edges.push((u, v));
     }
     let n = if edges.is_empty() { min_n } else { min_n.max(max_id + 1) };
@@ -104,6 +110,14 @@ mod tests {
         assert!(read_edge_list("3 3\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("0 1 2\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("zero one\n".as_bytes(), 0).is_err());
+    }
+
+    #[test]
+    fn rejects_ids_outside_the_u32_vertex_range() {
+        let err = read_edge_list("0 1\n0 5000000000\n".as_bytes(), 0).expect_err("id does not fit u32");
+        assert!(err.starts_with("line 2:") && err.contains("5000000000"), "{err}");
+        // the largest id needs a vertex count of u32::MAX + 1
+        assert!(read_edge_list(format!("0 {}\n", u32::MAX).as_bytes(), 0).is_err());
     }
 
     #[test]

@@ -89,11 +89,6 @@ pub fn has_minor(g: &Graph, h: &Graph, budget: u64) -> MinorResult {
     }
 }
 
-/// Convenience: is `g` free of `h` as a minor? `None` if undecided.
-pub fn is_minor_free(g: &Graph, h: &Graph, budget: u64) -> Option<bool> {
-    has_minor(g, h, budget).decided().map(|c| !c)
-}
-
 /// Tests `K_t ≼ G` with the given budget.
 pub fn has_clique_minor(g: &Graph, t: usize, budget: u64) -> MinorResult {
     has_minor(g, &crate::gen::complete(t), budget)
@@ -352,13 +347,6 @@ mod tests {
     fn quick_reject_by_size() {
         let g = gen::path(3);
         assert_eq!(has_clique_minor(&g, 5, B), MinorResult::Free);
-    }
-
-    #[test]
-    fn minor_free_wrapper() {
-        let g = gen::grid(3, 3);
-        assert_eq!(is_minor_free(&g, &gen::complete(5), B), Some(true));
-        assert_eq!(is_minor_free(&gen::complete(5), &gen::complete(5), B), Some(false));
     }
 
     #[test]

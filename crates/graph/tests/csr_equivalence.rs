@@ -6,8 +6,13 @@
 //! as a test-only reference implementation and checks, on random edge
 //! lists, that both constructions agree on every observable: degrees,
 //! sorted neighbor sets, edge ids, and the binary-search edge lookup.
+//!
+//! It also holds the property of the graphs *derived* from a built one
+//! (`induced_subgraph`, `edge_subgraph`, `disjoint_union`,
+//! `gen::shuffle_vertices`): the rebuild renumbers edges, and weights and
+//! labels must follow their edge.
 
-use lcg_graph::{Graph, GraphBuilder};
+use lcg_graph::{gen, Graph, GraphBuilder, Sign};
 use proptest::prelude::*;
 
 /// The pre-CSR adjacency construction, verbatim: dedup the sorted edge
@@ -55,8 +60,83 @@ fn edge_lists() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
+/// `g`'s edges with attributes that name the edge: weight `e + 1` is
+/// unique, the label follows a fixed pattern of `e`.
+fn attributed(g: Graph) -> Graph {
+    let m = g.m();
+    g.with_weights((1..=m as u64).collect())
+        .with_labels((0..m).map(|e| if e % 3 == 1 { Sign::Negative } else { Sign::Positive }).collect())
+}
+
+/// Per vertex, the sorted attributes of its incident edges; sorted over
+/// the vertices. With unique weights two graphs agree on this exactly when
+/// some vertex renaming maps every edge onto an edge with its attributes.
+fn attribute_profile(g: &Graph) -> Vec<Vec<(u64, bool)>> {
+    let mut rows: Vec<Vec<(u64, bool)>> = (0..g.n())
+        .map(|v| {
+            let mut row: Vec<_> = g.neighbors(v).map(|(_, e)| (g.weight(e), g.label(e).is_positive())).collect();
+            row.sort_unstable();
+            row
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every edge of a derived graph carries the weight and label of the
+    /// host edge it came from, in whatever order the caller lists the
+    /// vertices or edge ids (repeats included).
+    #[test]
+    fn derived_graphs_keep_each_edges_attributes(
+        (n, raw) in edge_lists(),
+        picks in proptest::collection::vec(any::<u32>(), 0..=60),
+        seed in any::<u64>(),
+    ) {
+        let g = attributed(csr_graph(n, &raw));
+
+        // vertices in pick order: a permuted subset, repeats ignored
+        let set: Vec<usize> = picks.iter().map(|&p| p as usize % n).collect();
+        let (sub, mapping) = g.induced_subgraph(&set);
+        let inside = |v: usize| mapping.contains(&v);
+        prop_assert_eq!(sub.m(), g.edges().filter(|&(_, u, v)| inside(u) && inside(v)).count());
+        for (e, a, b) in sub.edges() {
+            let host = g.edge_between(mapping[a], mapping[b]).expect("induced edges are host edges");
+            prop_assert_eq!(sub.weight(e), g.weight(host), "induced edge {}-{}", mapping[a], mapping[b]);
+            prop_assert_eq!(sub.label(e), g.label(host));
+        }
+
+        // edge ids in pick order, repeated ids and all
+        if g.m() > 0 {
+            let ids: Vec<usize> = picks.iter().map(|&p| p as usize % g.m()).collect();
+            let part = g.edge_subgraph(&ids);
+            prop_assert_eq!(part.n(), n);
+            for (e, u, v) in part.edges() {
+                let host = g.edge_between(u, v).expect("kept edges are host edges");
+                prop_assert!(ids.contains(&host));
+                prop_assert_eq!(part.weight(e), g.weight(host), "kept edge {}-{}", u, v);
+                prop_assert_eq!(part.label(e), g.label(host));
+            }
+            prop_assert!(ids.iter().all(|&e| { let (u, v) = g.endpoints(e); part.has_edge(u, v) }));
+        }
+
+        // each side of a union keeps its own attributes
+        let both = g.disjoint_union(&sub);
+        prop_assert_eq!(both.m(), g.m() + sub.m());
+        for (side, shift) in [(&g, 0), (&sub, n)] {
+            for (e, u, v) in side.edges() {
+                let joined = both.edge_between(u + shift, v + shift).expect("union keeps every edge");
+                prop_assert_eq!(both.weight(joined), side.weight(e));
+                prop_assert_eq!(both.label(joined), side.label(e));
+            }
+        }
+
+        // renaming the vertices renames nothing else
+        let shuffled = gen::shuffle_vertices(&g, &mut gen::seeded_rng(seed));
+        prop_assert_eq!(attribute_profile(&shuffled), attribute_profile(&g));
+    }
 
     /// Degrees, row contents (neighbor and edge id, in row order), and the
     /// edge-id lookup must be identical between the nested reference and

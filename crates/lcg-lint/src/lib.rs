@@ -13,7 +13,6 @@
 //! (no `syn`, no dependencies at all), so it lints the whole workspace in
 //! milliseconds and never fights the vendored-offline dependency policy.
 
-pub mod baseline;
 pub mod model;
 pub mod report;
 pub mod rules;
@@ -21,7 +20,6 @@ pub mod scanner;
 
 use std::path::{Path, PathBuf};
 
-pub use baseline::Baseline;
 pub use model::{FileFacts, WorkspaceModel};
 pub use report::Report;
 pub use rules::{

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lcg_lint::{explain, find_workspace_root, lint_workspace, Baseline, Report, RULES};
+use lcg_lint::{explain, find_workspace_root, lint_workspace, Report, RULES};
 
 const USAGE: &str = "\
 lcg-lint — determinism and CONGEST-model invariants, enforced at the source level
@@ -18,35 +18,23 @@ ARGS:
 OPTIONS:
     --root <DIR>             workspace root (default: walk up from cwd)
     --format <human|json>    report format (default: human)
-    --baseline <FILE>        fail only on findings in excess of this baseline
-                             (default: <root>/lcg-lint.baseline.json when present)
-    --no-baseline            ignore the default baseline file
-    --write-baseline <FILE>  write the current findings as the new baseline
     --list-rules             print the rule table and exit
     --explain <RULE>         print a rule's rationale, an example violation,
                              and the sanctioned fix, then exit
     -h, --help               print this help
 
 EXIT STATUS:
-    0  no findings above baseline (and no stale baseline entries)
-    1  new findings (or a stale baseline to ratchet down)
+    0  every finding carries an inline allow (or there are none)
+    1  findings
     2  usage or I/O error
 
-Suppress a finding inline, with a mandatory justification:
+Suppress a finding inline, with a mandatory justification (the only way):
     // lcg-lint: allow(D001) -- membership-only set, iteration never observed
 ";
-
-/// The baseline the repo ships; picked up from the workspace root when no
-/// `--baseline` is given, so `cargo run -p lcg-lint` enforces the ratchet
-/// by default.
-const DEFAULT_BASELINE: &str = "lcg-lint.baseline.json";
 
 struct Opts {
     root: Option<PathBuf>,
     format: String,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: Option<PathBuf>,
     list_rules: bool,
     explain: Option<String>,
     prefixes: Vec<String>,
@@ -56,9 +44,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         root: None,
         format: "human".to_string(),
-        baseline: None,
-        no_baseline: false,
-        write_baseline: None,
         list_rules: false,
         explain: None,
         prefixes: Vec::new(),
@@ -68,11 +53,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match arg.as_str() {
             "--root" => opts.root = Some(PathBuf::from(take(&mut it, "--root")?)),
             "--format" => opts.format = take(&mut it, "--format")?,
-            "--baseline" => opts.baseline = Some(PathBuf::from(take(&mut it, "--baseline")?)),
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(take(&mut it, "--write-baseline")?))
-            }
             "--list-rules" => opts.list_rules = true,
             "--explain" => opts.explain = Some(take(&mut it, "--explain")?),
             "-h" | "--help" => return Err(String::new()),
@@ -82,9 +62,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     }
     if opts.format != "human" && opts.format != "json" {
         return Err(format!("unknown format {:?} (use human or json)", opts.format));
-    }
-    if opts.baseline.is_some() && opts.no_baseline {
-        return Err("--baseline and --no-baseline are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -149,52 +126,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &opts.write_baseline {
-        let b = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(path, b.to_json()) {
-            eprintln!("lcg-lint: writing baseline {path:?} failed: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "lcg-lint: wrote baseline {:?} ({} entries)",
-            path,
-            b.entries.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Explicit --baseline wins; otherwise the shipped root baseline applies
-    // (when present), unless --no-baseline opts out.
-    let baseline_path = opts.baseline.clone().or_else(|| {
-        if opts.no_baseline {
-            return None;
-        }
-        let default = root.join(DEFAULT_BASELINE);
-        default.is_file().then_some(default)
-    });
-    let baseline = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("lcg-lint: baseline {path:?} is malformed: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("lcg-lint: reading baseline {path:?} failed: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => Baseline::default(),
-    };
-
-    let report = Report {
-        fresh: baseline.new_findings(&findings),
-        stale: baseline.stale_entries(&findings),
-        findings: &findings,
-        files_scanned,
-    };
+    let report = Report { findings: &findings, files_scanned };
     match opts.format.as_str() {
         "json" => print!("{}", report.render_json()),
         _ => print!("{}", report.render_human()),

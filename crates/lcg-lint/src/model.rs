@@ -25,8 +25,7 @@
 //!   the sequential spectral/walk code stays untouched.
 //! * **Protocol closures.** The argument regions of
 //!   `.step_state(`/`.run_state(`/`.exchange_rounds(` calls are
-//!   per-vertex protocol logic; C003 forbids thread-topology reads there
-//!   even outside `NodeProgram` files.
+//!   per-vertex protocol logic; C003 forbids thread-topology reads there.
 //! * **Proptest registry.** A `merge` impl is *registered* when some
 //!   test-context region mentions its type name together with `merge` and
 //!   one of `proptest`/`permutation`/`shuffle` — the C002 ratchet that
@@ -523,7 +522,7 @@ fn free_helper() { body(); }
 
     #[test]
     fn trait_impl_resolves_to_the_target_type() {
-        let src = "impl<T: Clone> NodeProgram for Flood<T> {\n    fn step(&mut self) { go(); }\n}\n";
+        let src = "impl<T: Clone> SnapshotState for Flood<T> {\n    fn step(&mut self) { go(); }\n}\n";
         let items = parse_items(&scan(src));
         assert_eq!(items[0].impl_type.as_deref(), Some("Flood"));
     }

@@ -1,29 +1,33 @@
 //! Human-readable and machine-readable (`--format json`) reports.
 
-use crate::baseline::escape;
 use crate::rules::Finding;
 
 /// Everything a run produces, ready for rendering.
 pub struct Report<'a> {
     /// Every finding, suppressed ones included.
     pub findings: &'a [Finding],
-    /// Findings in excess of the baseline (these fail the run).
-    pub fresh: Vec<&'a Finding>,
-    /// Ratchet-down hints: baseline entries the tree no longer needs.
-    pub stale: Vec<(String, String, usize)>,
     /// Files scanned.
     pub files_scanned: usize,
 }
 
 impl Report<'_> {
-    /// Exit status: nonzero when new findings exist or the baseline is stale.
+    /// The findings no inline allow covers: these fail the run.
+    fn active(&self) -> impl Iterator<Item = &Finding> {
+        self.findings.iter().filter(|f| f.allowed.is_none())
+    }
+
+    fn suppressed(&self) -> usize {
+        self.findings.len() - self.active().count()
+    }
+
+    /// Exit status: nonzero when any finding lacks an inline allow.
     pub fn failed(&self) -> bool {
-        !self.fresh.is_empty() || !self.stale.is_empty()
+        self.active().next().is_some()
     }
 
     pub fn render_human(&self) -> String {
         let mut out = String::new();
-        for f in &self.fresh {
+        for f in self.active() {
             out.push_str(&format!(
                 "{}: [{}] {}:{}:{}: {}\n",
                 f.severity.as_str(),
@@ -34,75 +38,58 @@ impl Report<'_> {
                 f.message
             ));
         }
-        for (rule, file, excess) in &self.stale {
-            out.push_str(&format!(
-                "stale-baseline: [{rule}] {file}: {excess} baselined finding(s) no longer present — ratchet the baseline down (rerun with --write-baseline)\n"
-            ));
-        }
-        let suppressed = self.findings.iter().filter(|f| f.allowed.is_some()).count();
-        let baselined = self
-            .findings
-            .iter()
-            .filter(|f| f.allowed.is_none())
-            .count()
-            .saturating_sub(self.fresh.len());
         out.push_str(&format!(
-            "lcg-lint: {} file(s) scanned, {} new finding(s), {} baselined, {} suppressed by allow\n",
+            "lcg-lint: {} file(s) scanned, {} finding(s), {} suppressed by allow\n",
             self.files_scanned,
-            self.fresh.len(),
-            baselined,
-            suppressed
+            self.active().count(),
+            self.suppressed()
         ));
         out
     }
 
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [\n");
-        let mut first = true;
-        for f in &self.fresh {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
-                f.rule,
-                f.severity.as_str(),
-                escape(&f.file),
-                f.line,
-                f.col,
-                escape(&f.message)
-            ));
+        let findings: Vec<String> = self
+            .active()
+            .map(|f| {
+                format!(
+                    "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
+                    f.rule,
+                    f.severity.as_str(),
+                    escape(&f.file),
+                    f.line,
+                    f.col,
+                    escape(&f.message)
+                )
+            })
+            .collect();
+        let mut rows = findings.join(",\n");
+        if !rows.is_empty() {
+            rows.push('\n');
         }
-        if !first {
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"stale_baseline\": [\n");
-        let mut first = true;
-        for (rule, file, excess) in &self.stale {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"excess\": {}}}",
-                rule,
-                escape(file),
-                excess
-            ));
-        }
-        if !first {
-            out.push('\n');
-        }
-        let suppressed = self.findings.iter().filter(|f| f.allowed.is_some()).count();
-        out.push_str(&format!(
-            "  ],\n  \"files_scanned\": {},\n  \"total_findings\": {},\n  \"new_findings\": {},\n  \"suppressed\": {},\n  \"ok\": {}\n}}\n",
+        format!(
+            "{{\n  \"findings\": [\n{}  ],\n  \"files_scanned\": {},\n  \"total_findings\": {},\n  \"suppressed\": {},\n  \"ok\": {}\n}}\n",
+            rows,
             self.files_scanned,
-            self.findings.iter().filter(|f| f.allowed.is_none()).count(),
-            self.fresh.len(),
-            suppressed,
+            findings.len(),
+            self.suppressed(),
             !self.failed()
-        ));
-        out
+        )
     }
+}
+
+/// Escapes `s` for the inside of a JSON string literal.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }

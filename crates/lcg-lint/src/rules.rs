@@ -14,8 +14,8 @@
 use crate::model::{FileFacts, WorkspaceModel};
 use crate::scanner::Line;
 
-/// Finding severity. Both fail the build when above baseline; the split
-/// exists so reports can rank output.
+/// Finding severity. Both fail the build; the split exists so reports can
+/// rank output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     Warning,
@@ -98,18 +98,6 @@ pub const RULES: &[RuleInfo] = &[
               genuinely observational timing can be waived with `// lcg-lint: allow(D003) -- <reason>`",
     },
     RuleInfo {
-        id: "M001",
-        severity: Severity::Error,
-        summary: "NodeProgram protocol files must not use shared/interior mutability (communicate only via the Outbox API)",
-        rationale: "the CONGEST model (and the parallel engine's bit-identical guarantee) rests on \
-                    per-vertex state isolation: vertices exchange information only through \
-                    messages. Shared state between node programs is an out-of-band channel that \
-                    silently breaks both.",
-        example: "struct P { shared: Mutex<Vec<u64>> }  // in a file with `impl NodeProgram`",
-        fix: "move the shared value into per-vertex state and exchange it via Outbox::send; \
-              engine-internal plumbing belongs outside protocol files",
-    },
-    RuleInfo {
         id: "P001",
         severity: Severity::Warning,
         summary: "no unwrap()/panic!/todo!/unimplemented! in library crates outside tests; use expect(\"<invariant>\") or Result",
@@ -171,12 +159,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "C003",
         severity: Severity::Error,
-        summary: "no thread-topology reads (ExecConfig internals, LCG_THREADS, chunk indices) from protocol/NodeProgram code",
+        summary: "no thread-topology reads (ExecConfig internals, LCG_THREADS, chunk indices) from protocol code (step closures)",
         rationale: "protocol logic must be a pure function of (vertex state, inbox, seed). \
                     Reading the thread count, chunk partition, or scheduler environment gives \
                     vertices information that varies with LCG_THREADS — the engine would still \
                     run, but results would differ across thread counts by construction.",
-        example: "impl NodeProgram for P { fn step(..) { if std::env::var(\"LCG_THREADS\").is_ok() { .. } } }",
+        example: "net.run_state(k, &mut st, |s, v, inbox, out| { if std::env::var(\"LCG_THREADS\").is_ok() { .. } });",
         fix: "pass whatever the protocol needs as explicit per-vertex inputs at construction; \
               execution topology is the engine's business and must stay invisible to vertices",
     },
@@ -403,12 +391,6 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
     // rules — the quarantine is the point of the file.
     let quarantined = PROFILE_QUARANTINE.iter().any(|w| ctx.rel.ends_with(w));
 
-    // Does this file define NodeProgram protocol state (for M001)?
-    let protocol_file = ctx.rel.ends_with("congest/src/algorithm.rs")
-        || lines
-            .iter()
-            .any(|l| !l.in_test && l.code.contains("impl NodeProgram"));
-
     let mut emit = |findings: &mut Vec<Finding>,
                     rule: &'static str,
                     idx: usize,
@@ -467,24 +449,6 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
             }
         }
 
-        // M001: protocol isolation. NodeProgram state must not smuggle
-        // shared mutability across vertex boundaries — the parallel engine's
-        // bit-identical guarantee rests on per-vertex state isolation.
-        if protocol_file && !line.in_test {
-            for token in ["RefCell", "Mutex", "RwLock", "static mut", "thread_local!"] {
-                if let Some(col) = code.find(token) {
-                    // `Cell` alone is too short/ambiguous; RefCell covers the
-                    // realistic escape. Atomics matched by word prefix below.
-                    emit(&mut findings, "M001", i, col, format!("`{token}` in a NodeProgram protocol file: node programs must communicate only via the Outbox API, never via shared state"));
-                }
-            }
-            for token in ["AtomicUsize", "AtomicU64", "AtomicU32", "AtomicBool", "AtomicI64"] {
-                if let Some(col) = find_word(code, token) {
-                    emit(&mut findings, "M001", i, col, format!("`{token}` in a NodeProgram protocol file: node programs must communicate only via the Outbox API, never via shared state"));
-                }
-            }
-        }
-
         // P001: panic-free library code. `expect("<invariant>")` is the
         // sanctioned form for documented invariants; bare unwrap/panic is not.
         if ctx.deterministic() && !line.in_test && !ctx.non_library_target {
@@ -514,13 +478,12 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
         }
 
         // C001: shared-mutable-state primitives in deterministic crates.
-        // Protocol files are M001's domain (one finding per sin) and the
-        // executor pool core is the one sanctioned home for cross-thread
-        // machinery — everything else must be chunk-local + barrier-merged.
+        // The executor pool core is the one sanctioned home for
+        // cross-thread machinery — everything else must be chunk-local +
+        // barrier-merged.
         if ctx.deterministic()
             && global.is_none()
             && !line.in_test
-            && !protocol_file
             && !C001_WHITELIST.iter().any(|w| ctx.rel.ends_with(w))
         {
             for token in ["Mutex", "RwLock"] {
@@ -536,15 +499,10 @@ pub fn check_file_with_model(ctx: &FileCtx, lines: &[Line], facts: &FileFacts) -
             }
         }
 
-        // C003: thread-topology leakage into protocol logic — the
-        // NodeProgram file itself, or the closure arguments of a step API.
-        // The file-level half applies to library code only: an integration
-        // test defining a program while sweeping ExecConfigs *is* the
-        // thread-invariance harness, not protocol logic. Closure bodies are
-        // per-vertex logic wherever they appear.
-        let protocol_line = !line.in_test
-            && ((protocol_file && !ctx.non_library_target)
-                || facts.protocol_closure.get(i).copied().unwrap_or(false));
+        // C003: thread-topology leakage into protocol logic — the closure
+        // arguments of a step API. Closure bodies are per-vertex logic
+        // wherever they appear.
+        let protocol_line = !line.in_test && facts.protocol_closure.get(i).copied().unwrap_or(false);
         if ctx.deterministic() && protocol_line {
             for token in ["ExecConfig", "LCG_THREADS", "available_parallelism", "work_threshold", "par_chunks", "chunk_of"] {
                 if let Some(col) = find_word(code, token) {
@@ -1343,15 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn m001_flags_shared_state_in_protocol_file() {
-        let src = "use std::sync::Mutex;\nstruct P { shared: Mutex<Vec<u64>> }\nimpl NodeProgram for P {}\n";
-        let fs = lint("crates/core/src/proto.rs", src);
-        assert!(!active(&fs, "M001").is_empty());
-        let no_proto = "use std::sync::Mutex;\nstruct Q { shared: Mutex<Vec<u64>> }\n";
-        assert!(active(&lint("crates/core/src/other.rs", no_proto), "M001").is_empty());
-    }
-
-    #[test]
     fn p001_flags_unwrap_not_unwrap_or() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\nfn g(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
         let fs = lint("crates/graph/src/x.rs", src);
@@ -1442,14 +1391,6 @@ mod tests {
     }
 
     #[test]
-    fn c001_defers_to_m001_in_protocol_files() {
-        let src = "use std::sync::Mutex;\nstruct P { m: Mutex<u32> }\nimpl NodeProgram for P {}\n";
-        let fs = lint("crates/congest/src/proto.rs", src);
-        assert!(active(&fs, "C001").is_empty(), "protocol files are M001's domain: {fs:?}");
-        assert!(!active(&fs, "M001").is_empty());
-    }
-
-    #[test]
     fn c002_flags_reachable_unannotated_unregistered_merge() {
         let src = "\
 fn engine(chunks: &[R], states: &mut [S]) {
@@ -1493,8 +1434,8 @@ mod tests {
     }
 
     #[test]
-    fn c003_flags_topology_reads_in_protocol_files_and_step_closures() {
-        let src = "impl NodeProgram for P {\n    fn step(&mut self) { let t = self.cfg.threads(); }\n}\n";
+    fn c003_flags_topology_reads_in_step_closures() {
+        let src = "fn drive(net: &mut Net, st: &mut [S]) {\n    net.run_state(4, st, |me, v, inbox, out| { me.t = net.exec().threads(); });\n}\n";
         assert_eq!(active(&lint("crates/congest/src/proto.rs", src), "C003").len(), 1);
         let closure = "\
 fn drive(net: &mut Net, states: &mut [S]) {
@@ -1680,5 +1621,6 @@ fn save_snapshot(e: &Engine, out: &mut Vec<u8>) { body(out); }
         }
         assert!(explain("c002").is_some(), "case-insensitive lookup");
         assert!(explain("Z999").is_none());
+        assert!(explain("M001").is_none(), "retired with the object model it guarded");
     }
 }

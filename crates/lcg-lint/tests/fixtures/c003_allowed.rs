@@ -1,22 +1,22 @@
 // Allow-suppressed counterpart of c003_bad.rs: a diagnostic overlay that
-// records the topology for the run report only, with written
-// justifications — round logic never reads it.
+// records the topology in per-vertex state for the run report only, with
+// written justifications — what a vertex sends never reads it.
 
 pub struct Reporting {
-    // lcg-lint: allow(C003) -- captured once for the run report, never read by round logic
-    cfg: ExecConfig,
+    best: u64,
+    lanes: u64,
+    pinned: bool,
 }
 
-impl NodeProgram for Reporting {
-    type Output = u64;
-
-    fn round(&mut self, _ctx: &mut NodeCtx, _round: usize, _inbox: &Inbox, out: &mut Outbox) -> bool {
-        out.send(0, vec![1]);
-        false
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> u64 {
-        // lcg-lint: allow(C003) -- report-only: worker count is output metadata, not protocol state
-        self.cfg.threads() as u64
-    }
+pub fn reporting_flood(net: &mut Network, rounds: usize, states: &mut [Reporting]) {
+    net.run_state(rounds, states, |me, _v, inbox, out| {
+        // lcg-lint: allow(C003) -- report-only: worker count is output metadata, never read by round logic
+        me.lanes = ExecConfig::from_env().threads() as u64;
+        // lcg-lint: allow(C003) -- report-only: records whether the run pinned its thread count
+        me.pinned = std::env::var("LCG_THREADS").is_ok();
+        for m in inbox.iter().flatten() {
+            me.best = me.best.max(m[0]);
+        }
+        out.send(0, vec![me.best]);
+    });
 }

@@ -1,26 +1,17 @@
-// Known-bad fixture for C003: a NodeProgram peeking at execution topology.
+// Known-bad fixture for C003: a step closure peeking at execution topology.
 // The protocol would still run, but its decisions vary with LCG_THREADS —
 // results differ across thread counts by construction.
 
-pub struct Batching {
-    cfg: ExecConfig,
-    me: usize,
-}
-
-impl NodeProgram for Batching {
-    type Output = u64;
-
-    fn round(&mut self, ctx: &mut NodeCtx, round: usize, inbox: &Inbox, out: &mut Outbox) -> bool {
+pub fn batching_flood(net: &mut Network, rounds: usize, states: &mut [u64]) {
+    net.run_state(rounds, states, |me, _v, inbox, out| {
         // batch size derived from the worker count: vertex behaviour now
         // depends on the scheduler, not on (state, inbox, seed)
-        let lanes = self.cfg.threads();
-        if std::env::var("LCG_THREADS").is_ok() {
-            out.send(0, vec![lanes as u64]);
+        let lanes = ExecConfig::from_env().threads();
+        for m in inbox.iter().flatten() {
+            *me = (*me).max(m[0]);
         }
-        round > self.me
-    }
-
-    fn output(&self, _ctx: &NodeCtx) -> u64 {
-        0
-    }
+        if std::env::var("LCG_THREADS").is_ok() {
+            out.send(0, vec![*me + lanes as u64]);
+        }
+    });
 }

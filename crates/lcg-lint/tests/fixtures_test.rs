@@ -68,15 +68,6 @@ fn d003_fires_and_is_suppressible() {
 }
 
 #[test]
-fn m001_fires_and_is_suppressible() {
-    let bad = lint_fixture("m001_bad.rs");
-    assert!(active(&bad, "M001") >= 1, "Mutex in a NodeProgram file: {bad:?}");
-    let ok = lint_fixture("m001_allowed.rs");
-    assert_eq!(active(&ok, "M001"), 0, "{ok:?}");
-    assert!(suppressed(&ok, "M001") >= 1);
-}
-
-#[test]
 fn p001_fires_and_is_suppressible() {
     let bad = lint_fixture("p001_bad.rs");
     assert!(active(&bad, "P001") >= 3, "unwrap + panic! + todo!: {bad:?}");

@@ -1,12 +1,22 @@
 //! The acceptance gate: the deterministic crates (`congest`, `expander`,
 //! `graph`, `solvers`, `core`, `trace`) — plus the umbrella `src/` — are
-//! lint-clean against an **empty** baseline. Every historical violation is either
-//! fixed or carries a justified inline allow; anything new fails this test
-//! (and the CI `lcg-lint` job) immediately.
+//! lint-clean, and so is the rest of the workspace. Every historical
+//! violation is either fixed or carries a justified inline allow — the
+//! only way to suppress a finding; anything new fails this test (and the
+//! CI `lcg-lint` job) immediately.
 
 use std::path::Path;
 
-use lcg_lint::{find_workspace_root, lint_workspace, Baseline};
+use lcg_lint::{find_workspace_root, lint_workspace, Finding};
+
+/// The findings no inline allow covers, one per line.
+fn active(findings: &[Finding]) -> Vec<String> {
+    findings
+        .iter()
+        .filter(|f| f.allowed.is_none())
+        .map(|f| format!("  [{}] {}:{}:{} {}", f.rule, f.file, f.line, f.col, f.message))
+        .collect()
+}
 
 fn root() -> std::path::PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -14,7 +24,7 @@ fn root() -> std::path::PathBuf {
 }
 
 #[test]
-fn deterministic_crates_are_clean_with_empty_baseline() {
+fn deterministic_crates_are_clean() {
     let restrict: Vec<String> = ["congest", "expander", "graph", "solvers", "core", "trace"]
         .iter()
         .map(|c| format!("crates/{c}/"))
@@ -22,39 +32,15 @@ fn deterministic_crates_are_clean_with_empty_baseline() {
         .collect();
     let (findings, scanned) = lint_workspace(&root(), &restrict).expect("scan succeeds");
     assert!(scanned > 20, "expected to scan the six deterministic crates, got {scanned} files");
-    let fresh = Baseline::default().new_findings(&findings);
-    assert!(
-        fresh.is_empty(),
-        "deterministic crates must be lint-clean with an empty baseline:\n{}",
-        fresh
-            .iter()
-            .map(|f| format!("  [{}] {}:{}:{} {}", f.rule, f.file, f.line, f.col, f.message))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let fresh = active(&findings);
+    assert!(fresh.is_empty(), "deterministic crates must be lint-clean:\n{}", fresh.join("\n"));
 }
 
 #[test]
-fn whole_workspace_is_clean_with_shipped_baseline() {
-    let root = root();
-    let text = std::fs::read_to_string(root.join("lcg-lint.baseline.json"))
-        .expect("shipped baseline exists at the workspace root");
-    let baseline = Baseline::parse(&text).expect("shipped baseline parses");
-    let (findings, _) = lint_workspace(&root, &[]).expect("scan succeeds");
-    let fresh = baseline.new_findings(&findings);
-    assert!(
-        fresh.is_empty(),
-        "workspace has findings above the shipped baseline:\n{}",
-        fresh
-            .iter()
-            .map(|f| format!("  [{}] {}:{}:{} {}", f.rule, f.file, f.line, f.col, f.message))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        baseline.stale_entries(&findings).is_empty(),
-        "shipped baseline is stale; regenerate with --write-baseline"
-    );
+fn whole_workspace_is_clean() {
+    let (findings, _) = lint_workspace(&root(), &[]).expect("scan succeeds");
+    let fresh = active(&findings);
+    assert!(fresh.is_empty(), "workspace has findings without an inline allow:\n{}", fresh.join("\n"));
 }
 
 #[test]

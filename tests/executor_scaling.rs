@@ -18,13 +18,12 @@
 
 use proptest::prelude::*;
 
-use locongest::congest::{
-    primitives, run_programs_state, stats, ExecConfig, Model, Network, NodeCtx, NodeProgram,
-    RoundStats,
-};
+use locongest::congest::{primitives, stats, ExecConfig, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::expander::routing;
 use locongest::graph::gen;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Thread counts with deliberately unbalanced chunk partitions, plus one
 /// (16) that exceeds several test graphs' chunk-granted parallelism.
@@ -297,46 +296,33 @@ fn forced_parallel_trace_jsonl_is_byte_identical() {
     }
 }
 
-/// A `NodeProgram` run (one pool batch end to end) with
-/// per-node RNG: outputs and stats at a forced-parallel count equal the
-/// 1-thread run.
-#[derive(Default)]
-struct RandomizedFlood {
-    best: u64,
-    noise: u64,
-}
-
-impl NodeProgram for RandomizedFlood {
-    type Output = (u64, u64);
-    fn round(&mut self, ctx: &mut NodeCtx, round: usize, inbox: &[Option<locongest::congest::Message>], out: &mut locongest::congest::Outbox) -> bool {
-        use rand::Rng;
-        if round == 0 {
-            self.best = ctx.id as u64;
-            self.noise = ctx.rng.gen();
-        }
-        let before = self.best;
-        for m in inbox.iter().flatten() {
-            self.best = self.best.max(m[0]);
-        }
-        if round == 0 || self.best > before {
-            for p in 0..ctx.ports {
-                out.send(p, [self.best]);
-            }
-        }
-        round < 24
-    }
-    fn output(&self, _ctx: &NodeCtx) -> (u64, u64) {
-        (self.best, self.noise)
-    }
-}
-
+/// A randomized max-id flood as one `run_state` pool batch: every vertex
+/// owns a private RNG stream and draws from it in its first round and on
+/// every improvement, so the stream's position is per-vertex state carried
+/// across rounds on whichever worker holds the chunk. Outputs and stats at
+/// a forced-parallel count equal the 1-thread run.
 #[test]
 fn node_programs_are_invariant_at_awkward_thread_counts() {
     assert_forced_invariant(|exec| {
         let g = gen::grid(5, 8);
         let mut net = Network::with_exec(&g, Model::congest(), exec);
-        let programs: Vec<RandomizedFlood> = (0..g.n()).map(|_| RandomizedFlood::default()).collect();
-        let out = run_programs_state(&mut net, programs, 0xF00D, 30);
+        // (stream, best id seen, xor of the draws so far)
+        let mut states: Vec<(ChaCha8Rng, u64, Option<u64>)> = (0..g.n() as u64)
+            .map(|v| (ChaCha8Rng::seed_from_u64(0xF00D ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15)), v, None))
+            .collect();
+        net.run_state(25, &mut states, |(rng, best, noise), _v, inbox, out| {
+            let before = *best;
+            for m in inbox.iter().flatten() {
+                *best = (*best).max(m[0]);
+            }
+            if noise.is_none() || *best > before {
+                *noise = Some(noise.unwrap_or(0) ^ rng.gen::<u64>());
+                for p in 0..out.ports() {
+                    out.send(p, [*best]);
+                }
+            }
+        });
+        let out: Vec<(u64, Option<u64>)> = states.into_iter().map(|(_, best, noise)| (best, noise)).collect();
         (out, net.stats())
     });
 }
