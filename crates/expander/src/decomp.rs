@@ -5,8 +5,11 @@
 //! only the decomposition's *guarantees* — at most an ε fraction of edges
 //! between clusters, every cluster an φ-expander. This module provides the
 //! sequential reference construction: recursive spectral sweep-cut
-//! splitting with per-cluster certification (exact conductance for small
-//! clusters, the λ₂/2 Cheeger estimate for large ones). The distributed
+//! splitting; small clusters are certified by exact conductance, large
+//! ones carry the λ₂/2 Cheeger *estimate* of a capped power iteration,
+//! which is not a certificate (see [`ClusterInfo::phi_spectral_lower`]). The
+//! recursion is recorded as a tree that every split threshold re-walks, so
+//! [`decompose_adaptive`] analyses each vertex set once. The distributed
 //! clustering counterpart lives in [`crate::distributed`], and the
 //! round-cost of leader election/gathering/broadcast is charged by the
 //! framework in `lcg-core`.
@@ -25,7 +28,12 @@ pub struct ClusterInfo {
     /// Exact conductance of the induced subgraph, when small enough to
     /// compute (`n ≤ 16`); `None` for single vertices / edgeless clusters.
     pub phi_exact: Option<f64>,
-    /// Spectral (Cheeger) estimate `λ₂/2 ≤ Φ` for larger clusters.
+    /// Cheeger estimate `λ₂/2` for larger clusters, from
+    /// `spectral::lambda2(·, 1e-9, 4_000)`. `λ₂/2 ≤ Φ` holds for the true
+    /// `λ₂`; the power iteration approaches it from above, so this is an
+    /// **over-estimate whenever `Spectral::iterations` equals the cap** —
+    /// which it does at every benchmark size — and not a certified lower
+    /// bound (ROADMAP item 2 replaces it with one).
     pub phi_spectral_lower: Option<f64>,
     /// Conductance of the best sweep cut found when the split loop stopped
     /// — an upper-bound witness for Φ of the cluster.
@@ -33,9 +41,11 @@ pub struct ClusterInfo {
 }
 
 impl ClusterInfo {
-    /// The best available lower-bound-style estimate of the cluster's
-    /// conductance: exact if known, else the spectral estimate, else 1.0
-    /// for trivial (≤ 2 vertex) clusters.
+    /// The best available estimate of the cluster's conductance: exact if
+    /// known, else the Cheeger estimate (an over-estimate when the power
+    /// iteration stopped at its cap, see
+    /// [`ClusterInfo::phi_spectral_lower`]), else 1.0 for trivial (≤ 2
+    /// vertex) clusters.
     pub fn phi(&self) -> f64 {
         if let Some(p) = self.phi_exact {
             return p;
@@ -78,8 +88,8 @@ impl ExpanderDecomposition {
         }
     }
 
-    /// The minimum certified/estimated conductance over all non-singleton
-    /// clusters (1.0 if all clusters are trivial).
+    /// The minimum exact-or-estimated conductance ([`ClusterInfo::phi`]) over
+    /// all non-singleton clusters (1.0 if all clusters are trivial).
     pub fn min_cluster_phi(&self) -> f64 {
         self.clusters
             .iter()
@@ -181,14 +191,17 @@ pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
         let m = g.m().max(2) as f64;
         epsilon / (4.0 * m.log2() + 4.0)
     };
+    // one tree under every candidate: a split of conductance < φ/2 is a
+    // split of conductance < φ, so each later pass re-walks recorded nodes
+    let mut tree = Tree::new(g);
     loop {
-        let d = decompose_with_phi(g, epsilon, phi);
+        let d = tree.emit(g, epsilon, phi);
         if g.m() == 0 || (d.cut_edges.len() as f64) <= epsilon * g.m() as f64 {
             return d;
         }
         phi /= 2.0;
         if phi < floor {
-            return decompose_with_phi(g, epsilon, floor);
+            return tree.emit(g, epsilon, floor);
         }
     }
 }
@@ -196,93 +209,154 @@ pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
 /// Expander decomposition with an explicit split threshold `phi_cut`:
 /// recursively split along any sweep cut of conductance `< phi_cut`.
 pub fn decompose_with_phi(g: &Graph, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
-    let n = g.n();
-    let mut cluster_of = vec![usize::MAX; n];
-    let mut clusters = Vec::new();
-    // Work queue of vertex sets; connected components first.
-    let (comp, k) = g.connected_components();
-    let mut queue: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for v in 0..n {
-        queue[comp[v]].push(v);
-    }
-    while let Some(members) = queue.pop() {
-        let (sub, map) = g.induced_subgraph(&members);
-        // recursion may disconnect the subgraph only via explicit cuts,
-        // but guard anyway: split by components if disconnected.
-        let (scomp, sk) = sub.connected_components();
-        if sk > 1 {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); sk];
-            for v in 0..sub.n() {
-                parts[scomp[v]].push(map[v]);
-            }
-            queue.extend(parts);
-            continue;
-        }
-        if sub.n() <= 2 || sub.m() == 0 {
-            finalize_cluster(&mut clusters, &mut cluster_of, members, &sub, None);
-            continue;
-        }
-        let spec = spectral::lambda2(&sub, 1e-9, 4_000);
-        let cut = sweep::sweep_cut(&sub, &spec.sweep_values(&sub))
-            .expect("connected graph with >= 1 edge has a sweep cut");
-        if cut.conductance < phi_cut {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for (v, &host) in map.iter().enumerate().take(sub.n()) {
-                if cut.in_s[v] {
-                    a.push(host);
-                } else {
-                    b.push(host);
-                }
-            }
-            queue.push(a);
-            queue.push(b);
-        } else {
-            finalize_cluster(
-                &mut clusters,
-                &mut cluster_of,
-                members,
-                &sub,
-                Some((spec.conductance_lower_bound(), cut.conductance)),
-            );
-        }
-    }
-    let cut_edges: Vec<usize> = g
-        .edges()
-        .filter(|&(_, u, v)| cluster_of[u] != cluster_of[v])
-        .map(|(e, _, _)| e)
-        .collect();
-    ExpanderDecomposition {
-        cluster_of,
-        clusters,
-        cut_edges,
-        phi_cut,
-        epsilon,
-    }
+    Tree::new(g).emit(g, epsilon, phi_cut)
 }
 
-fn finalize_cluster(
-    clusters: &mut Vec<ClusterInfo>,
-    cluster_of: &mut [usize],
-    mut members: Vec<usize>,
-    sub: &Graph,
-    spectral_and_sweep: Option<(f64, f64)>,
-) {
-    members.sort_unstable();
-    let id = clusters.len();
-    for &v in &members {
-        cluster_of[v] = id;
+/// The recursion, recorded. What it learns about a vertex set does not
+/// depend on the split threshold — φ only decides which nodes are leaves —
+/// so every node is analysed at most once however many thresholds walk
+/// the tree ([`Tree::emit`]).
+struct Tree {
+    /// Node 0 is the whole graph; children follow their parent.
+    nodes: Vec<Node>,
+}
+
+struct Node {
+    /// Host ids, in recursion order: a child lists its vertices in its
+    /// parent's order.
+    members: Vec<usize>,
+    /// `G[members]`, vertex `i` being `members[i]`. The children's
+    /// subgraphs are cut out of it (vol of the child, not a scan of the
+    /// host) and it is then dropped, so the resident subgraphs add up to
+    /// about one copy of the host. Nodes small enough for an exact
+    /// certificate keep theirs.
+    sub: Option<Graph>,
+    /// `None` until a walk first reaches the node.
+    found: Option<Found>,
+    /// Child nodes in push order, once a walk has split here.
+    children: Vec<usize>,
+}
+
+/// What the recursion learns about a vertex set.
+enum Found {
+    /// At most two vertices: a leaf under every φ.
+    Trivial,
+    /// `parts` lists each child's vertices (taken when the children are
+    /// built). A disconnected set splits into its components under every φ
+    /// and has no `cut`; a connected one splits into the two sides of its
+    /// best sweep cut under any φ above that cut's conductance, and is
+    /// otherwise a leaf certified by `cut = (λ₂/2, sweep conductance)`.
+    Parts { parts: Vec<Vec<usize>>, cut: Option<(f64, f64)> },
+}
+
+impl Tree {
+    fn new(g: &Graph) -> Tree {
+        let root = Node { members: (0..g.n()).collect(), sub: Some(g.clone()), found: None, children: Vec::new() };
+        Tree { nodes: vec![root] }
     }
-    let phi_exact = if sub.n() <= EXACT_LIMIT {
-        conductance::exact_conductance(sub).map(|(phi, _)| phi)
-    } else {
-        None
-    };
-    clusters.push(ClusterInfo {
-        members,
-        phi_exact,
-        phi_spectral_lower: spectral_and_sweep.map(|(l, _)| l),
-        sweep_upper: spectral_and_sweep.map(|(_, u)| u),
-    });
+
+    fn analyse(&mut self, id: usize) {
+        let node = &mut self.nodes[id];
+        if node.found.is_some() {
+            return;
+        }
+        let sub = node.sub.as_ref().expect("a node keeps its subgraph until its children exist");
+        let (component, k) = sub.connected_components();
+        node.found = Some(if k != 1 {
+            let mut parts = vec![Vec::new(); k];
+            for (v, &c) in component.iter().enumerate() {
+                parts[c].push(v);
+            }
+            Found::Parts { parts, cut: None }
+        } else if sub.n() <= 2 || sub.m() == 0 {
+            Found::Trivial
+        } else {
+            let spec = spectral::lambda2(sub, 1e-9, 4_000);
+            let cut = sweep::sweep_cut(sub, &spec.sweep_values(sub))
+                .expect("connected graph with >= 1 edge has a sweep cut");
+            let (a, b) = (0..sub.n()).partition(|&v| cut.in_s[v]);
+            Found::Parts { parts: vec![a, b], cut: Some((spec.conductance_lower_bound(), cut.conductance)) }
+        });
+    }
+
+    /// The children of a node `phi_cut` splits, built on first use; `None`
+    /// for a leaf.
+    fn split(&mut self, id: usize, phi_cut: f64) -> Option<&[usize]> {
+        self.analyse(id);
+        let next = self.nodes.len();
+        let node = &mut self.nodes[id];
+        let Some(Found::Parts { parts, cut }) = &mut node.found else {
+            return None;
+        };
+        if cut.is_some_and(|(_, sweep)| sweep >= phi_cut) {
+            return None;
+        }
+        if node.children.is_empty() {
+            let sub = node.sub.take().expect("a node keeps its subgraph until its children exist");
+            let children: Vec<Node> = std::mem::take(parts)
+                .iter()
+                .map(|part| {
+                    let (child, map) = sub.induced_subgraph(part);
+                    let members = map.iter().map(|&v| node.members[v]).collect();
+                    Node { members, sub: Some(child), found: None, children: Vec::new() }
+                })
+                .collect();
+            if sub.n() <= EXACT_LIMIT {
+                node.sub = Some(sub);
+            }
+            node.children = (next..next + children.len()).collect();
+            self.nodes.extend(children);
+        }
+        Some(&self.nodes[id].children)
+    }
+
+    /// The decomposition at `phi_cut`: walks the tree in the recursion's
+    /// LIFO order, so cluster ids are those of a fresh recursion at that
+    /// threshold.
+    fn emit(&mut self, g: &Graph, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
+        let mut cluster_of = vec![usize::MAX; g.n()];
+        let mut clusters: Vec<ClusterInfo> = Vec::new();
+        let mut stack = vec![0];
+        while let Some(id) = stack.pop() {
+            if let Some(children) = self.split(id, phi_cut) {
+                stack.extend(children);
+                continue;
+            }
+            let node = &self.nodes[id];
+            let mut members = node.members.clone();
+            members.sort_unstable();
+            for &v in &members {
+                cluster_of[v] = clusters.len();
+            }
+            let phi_exact = node
+                .sub
+                .as_ref()
+                .filter(|sub| sub.n() <= EXACT_LIMIT)
+                .and_then(|sub| conductance::exact_conductance(sub).map(|(phi, _)| phi));
+            let cut = match node.found {
+                Some(Found::Parts { cut, .. }) => cut,
+                _ => None,
+            };
+            clusters.push(ClusterInfo {
+                members,
+                phi_exact,
+                phi_spectral_lower: cut.map(|(lower, _)| lower),
+                sweep_upper: cut.map(|(_, sweep)| sweep),
+            });
+        }
+        let cut_edges: Vec<usize> = g
+            .edges()
+            .filter(|&(_, u, v)| cluster_of[u] != cluster_of[v])
+            .map(|(e, _, _)| e)
+            .collect();
+        ExpanderDecomposition {
+            cluster_of,
+            clusters,
+            cut_edges,
+            phi_cut,
+            epsilon,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -407,6 +481,34 @@ mod tests {
         let d = decompose(&g, 0.3);
         d.validate(&g).unwrap();
         assert!(d.cut_fraction(&g) <= 0.3);
+    }
+
+    #[test]
+    fn adaptive_passes_share_one_analysis_per_node() {
+        let g = gen::grid_with_noise(30, 30, 0.02, &mut gen::seeded_rng(125));
+        let eps = 0.1;
+        let analysed = |t: &Tree| t.nodes.iter().filter(|n| n.found.is_some()).count();
+        // decompose_adaptive's passes on one tree, each beside a fresh one
+        let mut tree = Tree::new(&g);
+        let mut over_fresh_passes = 0;
+        let mut after_first_pass = None;
+        let mut phi = eps / 2.0;
+        let chosen = loop {
+            let d = tree.emit(&g, eps, phi);
+            after_first_pass.get_or_insert(analysed(&tree));
+            let mut fresh = Tree::new(&g);
+            fresh.emit(&g, eps, phi);
+            over_fresh_passes += analysed(&fresh);
+            if d.cut_edges.len() as f64 <= eps * g.m() as f64 {
+                break d;
+            }
+            phi /= 2.0;
+        };
+        assert!(chosen.phi_cut < eps / 2.0, "the instance must take more than one pass");
+        assert_eq!(chosen.phi_cut, decompose_adaptive(&g, eps).phi_cut);
+        // later passes walk nodes the φ = ε/2 pass already analysed
+        assert_eq!(Some(analysed(&tree)), after_first_pass);
+        assert!(analysed(&tree) < over_fresh_passes);
     }
 
     #[test]

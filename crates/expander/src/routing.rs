@@ -84,7 +84,6 @@ pub fn random_walk_routing_with_counts_exec(
 /// of `(master, t)` — independent of evaluation order and thread count.
 struct Token {
     pos: usize,
-    alive: bool,
     rng: ChaCha8Rng,
 }
 
@@ -100,49 +99,59 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// One step of one token: roll (stay with probability 1/2, else a
+    /// One step of one live token: roll (stay with probability 1/2, else a
     /// uniform neighbor), adjudicate the crossing, move, absorb at the
-    /// leader. `step` is the 1-based walk step. Returns the sub edge
-    /// crossed, for [`EdgeTally::step`]. Every update here is a pure
-    /// function of `(step, token)` — it never reads the shared edge tables
-    /// — so running it on a worker thread is bit-identical to running it
-    /// in token order; this is the part the engine fans out.
+    /// leader. `step` is the 1-based walk step. The sub edge crossed, if
+    /// any, goes onto `crossed` for [`EdgeTally::merge`]; returns whether
+    /// the token is still walking. Every update here is a pure function of
+    /// `(step, token)` — it never reads the shared edge tables — so running
+    /// it on a worker thread is bit-identical to running it in token
+    /// order; this is the part the engine fans out.
     #[inline]
-    fn advance(&self, step: usize, tok: &mut Token, delivered: &mut usize, lost: &mut usize) -> Option<usize> {
-        if !tok.alive || tok.rng.gen_bool(0.5) {
-            return None;
+    fn advance(&self, step: usize, tok: &mut Token, crossed: &mut Vec<u32>, delivered: &mut usize) -> bool {
+        if tok.rng.gen_bool(0.5) {
+            return true;
         }
-        let d = self.sub.degree(tok.pos);
-        if d == 0 {
-            return None;
-        }
-        let k = tok.rng.gen_range(0..d);
-        let (w, e) = self.sub.neighbors(tok.pos).nth(k).expect("k < degree(pos) by construction");
+        // a live token is off the leader, so the connected cluster has a
+        // second vertex and every vertex a neighbor
+        let k = tok.rng.gen_range(0..self.sub.degree(tok.pos));
+        let (w, e) = (self.sub.neighbor_row(tok.pos)[k] as usize, self.sub.edge_id_row(tok.pos)[k]);
+        crossed.push(e);
         // the crossing consumed the edge's bandwidth either way (the tally
         // still charges it); the plan decides the token's survival, keyed
         // by the 0-based walk step
         let killed = self.faults.is_some_and(|f| {
-            f.kills_message((step - 1) as u64, self.host_edge[e], self.map[tok.pos], self.map[w])
+            f.kills_message((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
         });
         if killed {
-            tok.alive = false;
-            *lost += 1;
-        } else {
-            tok.pos = w;
-            if w == self.leader_local {
-                tok.alive = false;
-                *delivered += 1;
-            }
+            return false;
         }
-        Some(e)
+        tok.pos = w;
+        *delivered += usize::from(w == self.leader_local);
+        w != self.leader_local
+    }
+
+    /// One step of the `live` tokens (indices into `tokens`, ascending), in
+    /// that order: their crossings replace `crossed`, and the tokens that
+    /// stopped walking leave the list.
+    fn step(&self, step: usize, tokens: &mut [Token], live: &mut Vec<u32>, crossed: &mut Vec<u32>) -> usize {
+        let mut delivered = 0;
+        crossed.clear();
+        live.retain(|&t| self.advance(step, &mut tokens[t as usize], crossed, &mut delivered));
+        delivered
     }
 }
 
-/// The walk's shared bookkeeping, updated once per step by a token-order
-/// sweep over that step's crossings — the part that needs global order.
+/// The walk's shared bookkeeping, updated once per step from that step's
+/// crossings — the part that needs every token's move.
 struct EdgeTally {
-    /// Tokens per sub edge in the current step.
-    load: Vec<usize>,
+    /// Tokens per sub edge in the current step; all zero between steps.
+    load: Vec<u32>,
+    /// The edges `load` is non-zero on: a step costs its crossings, not a
+    /// pass over the cluster's edges.
+    touched: Vec<u32>,
+    /// Largest load of the current step.
+    step_max: u32,
     /// Cumulative words per sub edge; empty unless tracked.
     words: Vec<u64>,
     rounds: u64,
@@ -150,22 +159,35 @@ struct EdgeTally {
 }
 
 impl EdgeTally {
-    /// Charges one walk step. Each token crossing an edge is one
-    /// O(log n)-bit message and an edge carries one message per round per
-    /// direction, so the step costs (at least) the max directed load; we
-    /// charge the undirected max, a faithful upper bound within a factor 2.
-    fn step<'m>(&mut self, crossings: impl Iterator<Item = &'m Option<usize>>) {
-        self.load.fill(0);
-        let mut step_max = 0usize;
-        for &e in crossings.flatten() {
-            self.load[e] += 1;
-            step_max = step_max.max(self.load[e]);
-            if let Some(w) = self.words.get_mut(e) {
+    /// Adds one list of the current step's crossings: the sequential walk's
+    /// only list, or one chunk's.
+    // lcg-lint: commutative -- per-edge counts, their running maximum and per-edge word sums: every order of the crossings, within a list or across the chunks' lists, leaves the same `load`, `step_max` and `words`; `touched` holds the same edges in another order and is only ever zeroed from (permutation proptest: tests::edge_tally_merge_ignores_list_order)
+    fn merge(&mut self, crossed: &[u32]) {
+        for &e in crossed {
+            let load = &mut self.load[e as usize];
+            if *load == 0 {
+                self.touched.push(e);
+            }
+            *load += 1;
+            self.step_max = self.step_max.max(*load);
+            if let Some(w) = self.words.get_mut(e as usize) {
                 *w += 2; // one 2-word message per crossing
             }
         }
-        self.rounds += step_max.max(1) as u64;
-        self.max_load = self.max_load.max(step_max);
+    }
+
+    /// Charges the walk step whose crossings were merged. Each token
+    /// crossing an edge is one O(log n)-bit message and an edge carries one
+    /// message per round per direction, so the step costs (at least) the
+    /// max directed load; we charge the undirected max, a faithful upper
+    /// bound within a factor 2.
+    fn end_step(&mut self) {
+        for e in self.touched.drain(..) {
+            self.load[e as usize] = 0;
+        }
+        self.rounds += self.step_max.max(1) as u64;
+        self.max_load = self.max_load.max(self.step_max as usize);
+        self.step_max = 0;
     }
 }
 
@@ -225,24 +247,24 @@ pub fn charged_walk_routing(
     // `v` is index `v` of `counts` as long as no member repeats
     assert_eq!(map.len(), members.len(), "members must not repeat");
     let master: u64 = rng.gen();
-    // token states; tokens at the leader are absorbed immediately
     let mut tokens: Vec<Token> = Vec::new();
     for (v, &count) in counts.iter().enumerate() {
         for _ in 0..count {
             let t = tokens.len() as u64;
-            tokens.push(Token {
-                pos: v,
-                alive: v != leader_local,
-                rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)),
-            });
+            tokens.push(Token { pos: v, rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)) });
         }
     }
     let total = tokens.len();
-    let mut delivered = tokens.iter().filter(|t| !t.alive).count();
-    let mut lost = 0usize;
+    assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
+    // the tokens still walking, ascending: a step costs these, not `total`.
+    // Tokens launched at the leader are absorbed immediately.
+    let mut live: Vec<u32> = (0..total as u32).filter(|&t| tokens[t as usize].pos != leader_local).collect();
+    let mut delivered = total - live.len();
     let mut steps = 0usize;
     let mut tally = EdgeTally {
         load: vec![0; sub.m()],
+        touched: Vec::new(),
+        step_max: 0,
         words: if track_edges { vec![0; sub.m()] } else { Vec::new() },
         rounds: 0,
         max_load: 0,
@@ -255,61 +277,64 @@ pub fn charged_walk_routing(
         if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
     let walk = Walk { sub: &sub, map: &map, leader_local, faults, host_edge: &host_edge };
     // A token step is an order of magnitude cheaper than a vertex round
-    // (one RNG draw and a couple of table reads vs a full degree sweep),
+    // (two RNG draws and a couple of table reads vs a full degree sweep),
     // so the adaptive fallback needs proportionally more tokens per worker
     // before a rendezvous wakeup pays for itself. Scaling the configured
     // threshold keeps the `with_work_threshold(1)` test escape hatch
     // meaningful (1 × 8 tokens per worker still forces the pool on).
     let token_exec = exec.with_work_threshold(exec.work_threshold().saturating_mul(8));
     if let Some(chunks) = token_exec.par_chunks(total) {
-        // Parallel path: ONE persistent batch for the whole walk
-        // (`pool::run_batch`) — workers spawn once, own their token chunk
-        // across every step, and park on a rendezvous between steps. Each
-        // step's job carries the chunk's crossing buffer out and back;
-        // workers `advance` their tokens, the leader then tallies the
-        // returned crossings in token order.
+        // Parallel path: ONE persistent batch (`pool::run_batch`) — workers
+        // spawn once, own their token chunk across every step, and park on
+        // a rendezvous between steps. Each step's job carries the chunk's
+        // live list (chunk-local indices) and crossing list out and back;
+        // workers step their live tokens, the leader merges the returned
+        // crossings in chunk order. The two arms are bit-identical, so once
+        // the tokens still walking are too few to pay for a rendezvous per
+        // step the batch ends and the loop below finishes the walk here.
         struct WalkJob {
             /// 1-based step counter.
             step: usize,
-            /// The chunk's crossing buffer, refilled by the worker.
-            crossed: Vec<Option<usize>>,
+            live: Vec<u32>,
+            crossed: Vec<u32>,
             /// Tokens of this chunk absorbed at the leader this step.
             delivered: usize,
-            /// Tokens of this chunk destroyed by the fault plan this step.
-            lost: usize,
         }
-        let mut parts: Vec<Vec<Option<usize>>> = chunks.iter().map(|r| vec![None; r.len()]).collect();
+        let mut jobs: Vec<WalkJob> = chunks
+            .iter()
+            .map(|r| {
+                let live = live.iter().filter(|&&t| r.contains(&(t as usize))).map(|&t| t - r.start as u32);
+                WalkJob { step: 0, live: live.collect(), crossed: Vec::new(), delivered: 0 }
+            })
+            .collect();
         let worker = |_w: usize, _r: std::ops::Range<usize>, toks: &mut [Token], mut job: WalkJob| {
-            for (tok, mv) in toks.iter_mut().zip(job.crossed.iter_mut()) {
-                *mv = walk.advance(job.step, tok, &mut job.delivered, &mut job.lost);
-            }
+            job.delivered = walk.step(job.step, toks, &mut job.live, &mut job.crossed);
             job
         };
+        let walking = |jobs: &[WalkJob]| jobs.iter().map(|job| job.live.len()).sum::<usize>();
         lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, None, |pool| {
-            while steps < max_steps && delivered + lost < total {
+            while steps < max_steps && token_exec.par_chunks(walking(&jobs)).is_some() {
                 steps += 1;
-                for (i, part) in parts.iter_mut().enumerate() {
-                    let crossed = std::mem::take(part);
-                    pool.dispatch(i, WalkJob { step: steps, crossed, delivered: 0, lost: 0 });
+                for (i, job) in jobs.drain(..).enumerate() {
+                    pool.dispatch(i, WalkJob { step: steps, ..job });
                 }
-                for (i, part) in parts.iter_mut().enumerate() {
+                for i in 0..chunks.len() {
                     let job = pool.collect(i);
-                    *part = job.crossed;
+                    tally.merge(&job.crossed);
                     delivered += job.delivered;
-                    lost += job.lost;
+                    jobs.push(job);
                 }
-                tally.step(parts.iter().flatten());
+                tally.end_step();
             }
         });
-    } else {
-        let mut crossed: Vec<Option<usize>> = vec![None; total];
-        while steps < max_steps && delivered + lost < total {
-            steps += 1;
-            for (tok, mv) in tokens.iter_mut().zip(crossed.iter_mut()) {
-                *mv = walk.advance(steps, tok, &mut delivered, &mut lost);
-            }
-            tally.step(crossed.iter());
-        }
+        live = jobs.iter().zip(&chunks).flat_map(|(job, r)| job.live.iter().map(|&t| t + r.start as u32)).collect();
+    }
+    let mut crossed: Vec<u32> = Vec::new();
+    while steps < max_steps && !live.is_empty() {
+        steps += 1;
+        delivered += walk.step(steps, &mut tokens, &mut live, &mut crossed);
+        tally.merge(&crossed);
+        tally.end_step();
     }
     // edges come in id order, so they pair up with the per-edge words
     // (none at all when untracked)
@@ -755,6 +780,40 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// The C002-registered proof for `EdgeTally::merge`: a step's
+        /// crossings arrive as one list per chunk, and any permutation of
+        /// the lists — or of the crossings inside them — charges the step
+        /// identically and leaves the same words per edge.
+        #[test]
+        fn edge_tally_merge_ignores_list_order(
+            steps in proptest::collection::vec(proptest::collection::vec(proptest::collection::vec(0u32..12, 0..9), 1..5), 1..6),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let tally = || EdgeTally { load: vec![0; 12], touched: Vec::new(), step_max: 0, words: vec![0; 12], rounds: 0, max_load: 0 };
+            let (mut canonical, mut permuted) = (tally(), tally());
+            let mut rng = gen::seeded_rng(seed);
+            for lists in &steps {
+                let mut shuffled = lists.clone();
+                shuffled.shuffle(&mut rng);
+                for (list, other) in lists.iter().zip(&mut shuffled) {
+                    other.shuffle(&mut rng);
+                    canonical.merge(list);
+                    permuted.merge(other);
+                }
+                proptest::prop_assert_eq!(&canonical.load, &permuted.load);
+                canonical.end_step();
+                permuted.end_step();
+                proptest::prop_assert!(permuted.load.iter().all(|&l| l == 0) && permuted.touched.is_empty());
+                proptest::prop_assert_eq!(
+                    (canonical.rounds, canonical.max_load, &canonical.words),
+                    (permuted.rounds, permuted.max_load, &permuted.words)
+                );
+            }
+        }
+    }
+
     #[test]
     fn tree_routing_star() {
         let g = gen::star(10);
@@ -816,8 +875,8 @@ mod tests {
     fn network_and_charged_routing_agree_on_cost_scale() {
         use lcg_congest::Model;
         let mut rng = gen::seeded_rng(138);
-        let g = crate::decomp::decompose_adaptive(&gen::stacked_triangulation(100, &mut rng), 0.2);
-        let _ = g;
+        // advances `rng` to where the walks below have always started
+        gen::stacked_triangulation(100, &mut rng);
         let g = gen::complete(24);
         let members: Vec<usize> = (0..24).collect();
         let charged = random_walk_routing(&g, &members, 0, 100_000, &mut rng);

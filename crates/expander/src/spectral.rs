@@ -2,9 +2,15 @@
 //! eigenvalue of the normalized Laplacian, giving the Cheeger sandwich
 //! `λ₂/2 ≤ Φ(G) ≤ √(2·λ₂)`.
 //!
-//! The decomposition ([`crate::decomp`]) uses `λ₂/2` as a *certified lower
-//! bound* on cluster conductance and the sweep cut ([`crate::sweep`]) as
-//! the constructive upper bound.
+//! The decomposition ([`crate::decomp`]) reports `λ₂/2` as a Cheeger
+//! *estimate* of cluster conductance and the sweep cut ([`crate::sweep`])
+//! as the constructive upper bound. The estimate is a lower bound only for
+//! the true `λ₂`: plain power iteration on `2I − L` approaches `λ₂` from
+//! above, so the value is an over-estimate whenever
+//! [`Spectral::iterations`] equals the cap it was given — and the
+//! decomposition's `lambda2(·, 1e-9, 4_000)` hits that cap at every
+//! benchmark size (1.2–5.4× too large on `grid_with_noise`, side 50–200).
+//! A sound bound is ROADMAP item 2.
 
 use lcg_graph::Graph;
 
@@ -22,7 +28,8 @@ pub struct Spectral {
 }
 
 impl Spectral {
-    /// Cheeger lower bound `λ₂ / 2 ≤ Φ(G)`.
+    /// Cheeger estimate `λ₂ / 2`: a lower bound on `Φ(G)` once the
+    /// iteration has converged, an over-estimate while it has not.
     pub fn conductance_lower_bound(&self) -> f64 {
         (self.lambda2 / 2.0).max(0.0)
     }
@@ -84,23 +91,12 @@ pub fn lambda2(g: &Graph, tol: f64, max_iter: usize) -> Spectral {
     deflate(&mut x, &top);
     normalize(&mut x);
 
-    // M x = 2x - L x = x + N x
-    let apply = |x: &[f64], out: &mut [f64]| {
-        for v in 0..n {
-            let mut acc = x[v]; // the "x" term
-            for (u, _) in g.neighbors(v) {
-                acc += x[u] / (sqrt_deg[v] * sqrt_deg[u]);
-            }
-            out[v] = acc;
-        }
-    };
-
     let mut y = vec![0.0; n];
     let mut prev_mu = f64::INFINITY;
     let mut iters = 0;
     for it in 0..max_iter {
         iters = it + 1;
-        apply(&x, &mut y);
+        apply(g, &sqrt_deg, &x, &mut y);
         deflate(&mut y, &top);
         let mu = dot(&x, &y); // Rayleigh quotient for M (x is unit)
         normalize(&mut y);
@@ -117,6 +113,22 @@ pub fn lambda2(g: &Graph, tol: f64, max_iter: usize) -> Spectral {
         lambda2,
         eigenvector: x,
         iterations: iters,
+    }
+}
+
+/// `out = M x = 2x − L x = x + N x`. A function of its own, over slices of
+/// one length: the decomposition spends its time in this loop, and inlined
+/// into `lambda2` its speed moved by 2× with where the linker put it.
+#[inline(never)]
+fn apply(g: &Graph, sqrt_deg: &[f64], x: &[f64], out: &mut [f64]) {
+    let n = g.n();
+    let (sqrt_deg, x) = (&sqrt_deg[..n], &x[..n]);
+    for (v, acc) in out[..n].iter_mut().enumerate() {
+        let mut sum = x[v]; // the "x" term
+        for &u in g.neighbor_row(v) {
+            sum += x[u as usize] / (sqrt_deg[v] * sqrt_deg[u as usize]);
+        }
+        *acc = sum;
     }
 }
 

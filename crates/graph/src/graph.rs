@@ -7,7 +7,6 @@
 //! edges and self-loops are rejected at build time: the CONGEST model of the
 //! paper is defined on simple graphs.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize, Value};
@@ -425,18 +424,29 @@ impl Graph {
     /// `usize::MAX`.
     pub fn bfs_distances(&self, src: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.n];
-        let mut queue = VecDeque::new();
+        self.bfs_into(src, &mut dist, &mut Vec::new());
+        dist
+    }
+
+    /// BFS from `src` into reusable buffers: `dist` (length `n`) is reset
+    /// and filled, `order` receives the reached vertices by non-decreasing
+    /// distance. Returns the eccentricity of `src` within its component.
+    fn bfs_into(&self, src: usize, dist: &mut [usize], order: &mut Vec<usize>) -> usize {
+        dist.fill(usize::MAX);
+        order.clear();
         dist[src] = 0;
-        queue.push_back(src);
-        while let Some(v) = queue.pop_front() {
-            for (u, _) in self.neighbors(v) {
-                if dist[u] == usize::MAX {
-                    dist[u] = dist[v] + 1;
-                    queue.push_back(u);
+        order.push(src);
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &u in self.neighbor_row(v) {
+                if dist[u as usize] == usize::MAX {
+                    dist[u as usize] = dist[v] + 1;
+                    order.push(u as usize);
                 }
             }
         }
-        dist
+        dist[order[head - 1]]
     }
 
     /// Connected components: returns `(component_id_per_vertex, k)`.
@@ -469,23 +479,44 @@ impl Graph {
         self.n == 0 || self.connected_components().1 == 1
     }
 
-    /// Exact diameter via BFS from every vertex. `None` for disconnected or
-    /// empty graphs. Quadratic; intended for clusters, not huge networks.
+    /// Exact diameter; `None` for disconnected or empty graphs. iFUB: a
+    /// double sweep gives a long shortest path and so a lower bound; every
+    /// pair within distance `i` of its midpoint `c` is at most `2i` apart,
+    /// so eccentricities are taken from `c`'s farthest BFS level inwards
+    /// until the best one seen reaches `2i` — a handful of traversals on
+    /// the near-round clusters the framework measures, all `n` only when
+    /// every vertex is equally central (a cycle, a clique).
     pub fn diameter(&self) -> Option<usize> {
         if self.n == 0 {
             return None;
         }
-        let mut best = 0;
-        for v in 0..self.n {
-            let d = self.bfs_distances(v);
-            for &x in &d {
-                if x == usize::MAX {
-                    return None;
-                }
-                best = best.max(x);
-            }
+        let mut dist = vec![usize::MAX; self.n];
+        let mut order = Vec::with_capacity(self.n);
+        self.bfs_into(0, &mut dist, &mut order);
+        if order.len() < self.n {
+            return None;
         }
-        Some(best)
+        let far = order[self.n - 1];
+        let mut lower = self.bfs_into(far, &mut dist, &mut order);
+        // walk half-way back along a shortest path from the other end
+        let mut centre = order[self.n - 1];
+        for _ in 0..lower / 2 {
+            centre = self
+                .neighbor_vertices(centre)
+                .find(|&u| dist[u] + 1 == dist[centre])
+                .expect("a BFS-reached vertex other than the source has a predecessor");
+        }
+        let mut level = self.bfs_into(centre, &mut dist, &mut order);
+        lower = lower.max(level);
+        let by_level: Vec<(usize, usize)> = order.iter().map(|&v| (dist[v], v)).collect();
+        let mut fringe = by_level.iter().rev().peekable();
+        while 2 * level > lower {
+            while let Some(&(_, v)) = fringe.next_if(|&&(d, _)| d == level) {
+                lower = lower.max(self.bfs_into(v, &mut dist, &mut order));
+            }
+            level -= 1;
+        }
+        Some(lower)
     }
 
     /// Lower bound on the diameter from a double BFS sweep. Cheap
@@ -505,35 +536,35 @@ impl Graph {
 
     /// Eccentricity of `v` within its connected component.
     pub fn eccentricity(&self, v: usize) -> usize {
-        self.bfs_distances(v)
-            .into_iter()
-            .filter(|&d| d != usize::MAX)
-            .max()
-            .unwrap_or(0)
+        self.bfs_into(v, &mut vec![usize::MAX; self.n], &mut Vec::new())
     }
 
     /// Induced subgraph `G[S]`.
     ///
     /// Returns the subgraph together with the map from new vertex ids to the
     /// original ids (`mapping[new] = old`). Weights and labels are carried
-    /// over. Duplicate vertices in `set` are ignored.
+    /// over. Duplicate vertices in `set` are ignored. Costs `O(n + vol(S))`.
     pub fn induced_subgraph(&self, set: &[usize]) -> (Graph, Vec<usize>) {
         let mut mapping: Vec<usize> = Vec::with_capacity(set.len());
-        let mut new_id = vec![usize::MAX; self.n];
+        // vertex ids fit `u32` with `u32::MAX` to spare (`GraphBuilder::new`)
+        let mut new_id = vec![u32::MAX; self.n];
         for &v in set {
-            if new_id[v] == usize::MAX {
-                new_id[v] = mapping.len();
+            if new_id[v] == u32::MAX {
+                new_id[v] = mapping.len() as u32;
                 mapping.push(v);
             }
         }
-        let picks = self
-            .edges()
-            .filter(|&(_, u, v)| new_id[u] != usize::MAX && new_id[v] != usize::MAX)
-            .map(|(e, u, v)| {
-                let (a, b) = (new_id[u], new_id[v]);
-                (a.min(b) as u32, a.max(b) as u32, e as u32)
-            })
-            .collect();
+        // the rows of `set` — vol(S) work, not a scan of all m edges —
+        // picking each inner edge once, from its lower new id
+        let mut picks = Vec::new();
+        for (&v, a) in mapping.iter().zip(0u32..) {
+            for (&u, &e) in self.neighbor_row(v).iter().zip(self.edge_id_row(v)) {
+                let b = new_id[u as usize];
+                if b != u32::MAX && a < b {
+                    picks.push((a, b, e));
+                }
+            }
+        }
         let g = derive(mapping.len(), picks, self.weights.as_deref(), self.labels.as_deref());
         (g, mapping)
     }

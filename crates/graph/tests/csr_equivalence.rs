@@ -11,6 +11,10 @@
 //! (`induced_subgraph`, `edge_subgraph`, `disjoint_union`,
 //! `gen::shuffle_vertices`): the rebuild renumbers edges, and weights and
 //! labels must follow their edge.
+//!
+//! Two more retired bodies live on here as references: the `induced_subgraph`
+//! that scanned every host edge (the shipped one walks the rows of the set),
+//! and the all-pairs-BFS `diameter` (the shipped one is iFUB).
 
 use lcg_graph::{gen, Graph, GraphBuilder, Sign};
 use proptest::prelude::*;
@@ -83,8 +87,133 @@ fn attribute_profile(g: &Graph) -> Vec<Vec<(u64, bool)>> {
     rows
 }
 
+/// The pre-row-walk `induced_subgraph`: number the set in listing order,
+/// scan *all* host edges, keep those with both ends inside.
+fn edge_scan_induced(g: &Graph, set: &[usize]) -> (Graph, Vec<usize>) {
+    let mut mapping: Vec<usize> = Vec::new();
+    let mut new_id = vec![usize::MAX; g.n()];
+    for &v in set {
+        if new_id[v] == usize::MAX {
+            new_id[v] = mapping.len();
+            mapping.push(v);
+        }
+    }
+    let mut picks: Vec<(usize, usize, usize)> = g
+        .edges()
+        .filter(|&(_, u, v)| new_id[u] != usize::MAX && new_id[v] != usize::MAX)
+        .map(|(e, u, v)| (new_id[u].min(new_id[v]), new_id[u].max(new_id[v]), e))
+        .collect();
+    picks.sort_unstable();
+    let mut b = GraphBuilder::new(mapping.len());
+    b.extend_edges(picks.iter().map(|&(a, b, _)| (a, b)));
+    let mut sub = b.build();
+    if g.is_weighted() {
+        sub = sub.with_weights(picks.iter().map(|&(_, _, e)| g.weight(e)).collect());
+    }
+    if g.is_labeled() {
+        sub = sub.with_labels(picks.iter().map(|&(_, _, e)| g.label(e)).collect());
+    }
+    (sub, mapping)
+}
+
+/// Every field of a `Graph`, through its accessors.
+type Fields = (usize, Vec<(usize, usize)>, Vec<u32>, Vec<u32>, Vec<u32>, Option<Vec<u64>>, Option<Vec<bool>>);
+
+fn fields(g: &Graph) -> Fields {
+    (
+        g.n(),
+        (0..g.m()).map(|e| g.endpoints(e)).collect(),
+        g.csr_offsets().to_vec(),
+        g.csr_neighbors().to_vec(),
+        g.csr_edge_ids().to_vec(),
+        g.is_weighted().then(|| (0..g.m()).map(|e| g.weight(e)).collect()),
+        g.is_labeled().then(|| (0..g.m()).map(|e| g.label(e).is_positive()).collect()),
+    )
+}
+
+/// The pre-iFUB `diameter`: a BFS from every vertex.
+fn all_pairs_diameter(g: &Graph) -> Option<usize> {
+    if g.n() == 0 {
+        return None;
+    }
+    let mut best = 0;
+    for v in 0..g.n() {
+        for d in g.bfs_distances(v) {
+            if d == usize::MAX {
+                return None;
+            }
+            best = best.max(d);
+        }
+    }
+    Some(best)
+}
+
+#[test]
+fn diameter_matches_all_pairs_bfs_on_classic_families() {
+    let mut cases: Vec<(String, Graph)> = vec![
+        ("empty".into(), GraphBuilder::new(0).build()),
+        ("one vertex".into(), GraphBuilder::new(1).build()),
+        ("two isolated".into(), GraphBuilder::new(2).build()),
+        ("hypercube".into(), gen::hypercube(5)),
+        ("complete".into(), gen::complete(9)),
+        ("two components".into(), gen::grid(3, 3).disjoint_union(&gen::path(4))),
+    ];
+    for n in 1..12 {
+        cases.push((format!("path {n}"), gen::path(n)));
+        cases.push((format!("star {n}"), gen::star(n)));
+    }
+    for n in 3..12 {
+        cases.push((format!("cycle {n}"), gen::cycle(n)));
+    }
+    for (w, h) in [(1, 7), (2, 5), (4, 4), (5, 8), (9, 3)] {
+        cases.push((format!("grid {w}x{h}"), gen::grid(w, h)));
+        cases.push((format!("triangulated grid {w}x{h}"), gen::triangulated_grid(w.max(2), h.max(2))));
+        cases.push((format!("torus {w}x{h}"), gen::torus_grid(w.max(3), h.max(3))));
+    }
+    for (name, g) in cases {
+        assert_eq!(g.diameter(), all_pairs_diameter(&g), "{name}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The row-walking `induced_subgraph` returns the graph the edge scan
+    /// returned, field for field, on duplicated, unsorted and whole-graph
+    /// sets, attributes or none.
+    #[test]
+    fn induced_subgraph_agrees_with_the_edge_scan(
+        (n, raw) in edge_lists(),
+        picks in proptest::collection::vec(any::<u32>(), 0..=60),
+        with_attributes in any::<bool>(),
+    ) {
+        let plain = csr_graph(n, &raw);
+        let g = if with_attributes { attributed(plain) } else { plain };
+        let listed: Vec<usize> = picks.iter().map(|&p| p as usize % n).collect();
+        let whole: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for set in [&listed, &whole, &reversed] {
+            let (sub, mapping) = g.induced_subgraph(set);
+            let (want, want_mapping) = edge_scan_induced(&g, set);
+            prop_assert_eq!(mapping, want_mapping);
+            prop_assert_eq!(fields(&sub), fields(&want));
+        }
+        prop_assert_eq!(fields(&g.induced_subgraph(&whole).0), fields(&g));
+    }
+
+    /// iFUB against all-pairs BFS on sparse random graphs, connected (a
+    /// random spanning tree plus chords) or not.
+    #[test]
+    fn diameter_agrees_with_all_pairs_bfs((n, raw) in edge_lists(), connect in any::<bool>(), seed in any::<u64>()) {
+        let chords = csr_graph(n, &raw[..raw.len().min(n)]);
+        let g = if connect {
+            let tree = gen::random_tree(n, &mut gen::seeded_rng(seed));
+            csr_graph(n, &tree.edges().chain(chords.edges()).map(|(_, u, v)| (u, v)).collect::<Vec<_>>())
+        } else {
+            chords
+        };
+        prop_assert_eq!(g.diameter(), all_pairs_diameter(&g));
+    }
 
     /// Every edge of a derived graph carries the weight and label of the
     /// host edge it came from, in whatever order the caller lists the
