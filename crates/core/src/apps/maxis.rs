@@ -32,9 +32,9 @@ pub struct MaxisOutcome {
 /// Runs Theorem 1.2 on `g`.
 ///
 /// `density_bound` is the class's edge-density constant `d` (3 for
-/// planar); `mis_budget` caps each leader's branch-and-bound (exhaustion
-/// falls back to that cluster's best incumbent and clears
-/// `all_clusters_optimal`).
+/// planar); `mis_budget` caps each leader's search — frontier-DP states,
+/// then branch-and-bound nodes (exhaustion falls back to that cluster's
+/// best incumbent and clears `all_clusters_optimal`).
 pub fn approx_maximum_independent_set(
     g: &Graph,
     epsilon: f64,
@@ -118,8 +118,9 @@ pub(crate) fn maxis_config(epsilon: f64, density_bound: f64, seed: u64) -> Frame
 /// resilient entry points.
 fn finish_from_framework(g: &Graph, framework: FrameworkOutcome, mis_budget: u64) -> MaxisOutcome {
     // Each leader solves its cluster exactly: tree-decomposition DP when
-    // the cluster has small treewidth (k-tree families), branch-and-bound
-    // otherwise.
+    // the cluster has small treewidth (k-tree families), else a DP over a
+    // vertex order when its frontier tables fit the budget (grids), else
+    // branch-and-bound.
     let mut in_set = vec![false; g.n()];
     let mut all_optimal = true;
     for c in &framework.clusters {

@@ -15,17 +15,25 @@
 //! 3. Each leader replaces the intra-cluster part of the matching with an
 //!    exact maximum weight matching of `G[V_i] ∖ (frozen vertices)` —
 //!    monotone non-decreasing total weight by construction.
-//! 4. Repeat `O(1/ε · polylog)` times; the measured ratio against the
-//!    exact sequential optimum is what Experiment E6 reports.
+//! 4. Repeat until the fixed point, at most `O(1/ε · polylog)` times; the
+//!    measured ratio against the exact sequential optimum is what
+//!    Experiment E6 reports.
 //!
-//! **Finding (EXPERIMENTS §E6, ROADMAP item 5):** step 1 draws nothing
-//! fresh. `decompose_adaptive` takes no seed — the decomposition is a pure
-//! function of `(G, ε)` — so every iteration cuts the same edges and only
-//! the routing walks (hence `stats.rounds`) depend on the seed. Over a
-//! fixed clustering steps 2–3 are at their fixed point after one
-//! iteration: on the shuffled, weighted `triangulated_grid(16, 16)` of the
-//! repo benchmark, ε = 0.3, seeds `s … s+3` give identical `cluster_of`
-//! (k = 2, 31 cut edges) and all 14 `history` entries are 97 368.
+//! **The fixed point (EXPERIMENTS §E6).** Steps 2–3 are a deterministic
+//! function of the clustering and the matching they start from, and
+//! leaders never add a cut edge: the vertices frozen after an iteration
+//! are the ones frozen before it, so over the same clustering the next
+//! iteration re-solves the same clusters to the same matching. The loop
+//! therefore stops after the first iteration that leaves the matching
+//! unchanged under the clustering of the iteration before it. Today that
+//! is the second one, always: `decompose_adaptive` takes no seed — the
+//! decomposition is a pure function of `(G, ε)` — so every iteration cuts
+//! the same edges, and only the routing walks (hence `stats.rounds`)
+//! depend on the seed. On the shuffled, weighted `triangulated_grid(16,
+//! 16)` of the repo benchmark, ε = 0.3, both executed iterations read
+//! 97 368 — as all 14 did when the loop ran to its count. Iterations that
+//! *differ* need a seeded decomposition (ROADMAP item 3(c)); the stopping
+//! rule compares clusterings so that it stays sound when they arrive.
 
 use lcg_congest::RoundStats;
 use lcg_graph::Graph;
@@ -40,16 +48,25 @@ pub struct MwmOutcome {
     pub mate: Vec<Option<usize>>,
     /// Total matching weight.
     pub weight: u64,
-    /// Weight after each improvement iteration (non-decreasing).
+    /// Weight after each improvement iteration *executed* (non-decreasing):
+    /// the loop stops at its fixed point, so this may be shorter than the
+    /// iteration count requested.
     pub history: Vec<u64>,
-    /// Rounds/messages accumulated over all iterations.
+    /// Rounds/messages accumulated over the executed iterations.
     pub stats: RoundStats,
 }
 
 /// One improvement iteration (steps 1–3 of the module docs) under
 /// framework seed `seed`, applied to `out` in place: a history entry and
 /// one commit round are added whether or not the matching changed.
-fn improve(g: &Graph, epsilon: f64, density_bound: f64, seed: u64, out: &mut MwmOutcome) {
+/// Returns the clustering it ran under and whether `out.mate` changed.
+fn improve(
+    g: &Graph,
+    epsilon: f64,
+    density_bound: f64,
+    seed: u64,
+    out: &mut MwmOutcome,
+) -> (Vec<usize>, bool) {
     let fw = run_framework(g, &FrameworkConfig::minor_free(epsilon, density_bound, seed));
     out.stats.merge(&fw.stats);
     let cluster_of = &fw.decomposition.cluster_of;
@@ -90,17 +107,43 @@ fn improve(g: &Graph, epsilon: f64, density_bound: f64, seed: u64, out: &mut Mwm
     let new_weight = mwm::matching_weight(g, &new_mate);
     // Per-cluster optimality makes this monotone; assert it.
     debug_assert!(new_weight >= out.weight, "weight regressed: {} -> {new_weight}", out.weight);
-    if new_weight >= out.weight {
+    let changed = new_weight >= out.weight && new_mate != out.mate;
+    if changed {
         out.mate = new_mate;
         out.weight = new_weight;
     }
     out.history.push(out.weight);
     // one round: clusters commit / broadcast acceptance
     out.stats.rounds += 1;
+    (fw.decomposition.cluster_of, changed)
 }
 
-/// Runs the Theorem 1.1 harness: `iterations` rounds of decomposition +
-/// per-cluster exact MWM improvement.
+/// Up to `iterations` improvement iterations on `out`, iteration `i` under
+/// framework seed `first_seed + i`, stopping at the fixed point: after the
+/// first iteration that leaves the matching unchanged under the clustering
+/// of the iteration before it (see the module docs).
+fn improve_to_fixed_point(
+    g: &Graph,
+    epsilon: f64,
+    density_bound: f64,
+    first_seed: u64,
+    iterations: usize,
+    out: &mut MwmOutcome,
+) {
+    let mut previous: Option<Vec<usize>> = None;
+    for it in 0..iterations {
+        let seed = first_seed.wrapping_add(it as u64);
+        let (cluster_of, changed) = improve(g, epsilon, density_bound, seed, out);
+        if !changed && previous.as_ref() == Some(&cluster_of) {
+            break;
+        }
+        previous = Some(cluster_of);
+    }
+}
+
+/// Runs the Theorem 1.1 harness: at most `iterations` rounds of
+/// decomposition + per-cluster exact MWM improvement, stopping early at the
+/// fixed point.
 pub fn approx_maximum_weight_matching(
     g: &Graph,
     epsilon: f64,
@@ -111,17 +154,17 @@ pub fn approx_maximum_weight_matching(
     let mut out = MwmOutcome {
         mate: vec![None; g.n()],
         weight: 0,
-        history: Vec::with_capacity(iterations),
+        history: Vec::new(),
         stats: RoundStats::default(),
     };
-    for it in 0..iterations {
-        improve(g, epsilon, density_bound, seed.wrapping_add(it as u64), &mut out);
-    }
+    improve_to_fixed_point(g, epsilon, density_bound, seed, iterations, &mut out);
     out
 }
 
-/// Recommended iteration count for a target ε (measured convergence is
-/// geometric; 4/ε rounds leave well under an ε fraction of the gap).
+/// Recommended iteration *limit* for a target ε: an upper bound on what
+/// the harness executes, which stops at its fixed point (4/ε iterations
+/// that each closed a constant fraction of the gap would leave well under
+/// an ε fraction of it).
 pub fn recommended_iterations(epsilon: f64) -> usize {
     ((4.0 / epsilon).ceil() as usize).max(4)
 }
@@ -191,8 +234,9 @@ pub fn scaling_sweep(g: &Graph, epsilon: f64, density_bound: f64, seed: u64) -> 
     }
 }
 
-/// Scaling sweep warm start followed by improvement iterations: the full
-/// Theorem 1.1 harness composition.
+/// Scaling sweep warm start followed by at most `iterations` improvement
+/// iterations (stopping at the fixed point): the full Theorem 1.1 harness
+/// composition.
 pub fn approx_mwm_with_warm_start(
     g: &Graph,
     epsilon: f64,
@@ -201,9 +245,8 @@ pub fn approx_mwm_with_warm_start(
     iterations: usize,
 ) -> MwmOutcome {
     let mut out = scaling_sweep(g, epsilon, density_bound, seed);
-    for it in 0..iterations {
-        improve(g, epsilon, density_bound, seed.wrapping_add(1000 + it as u64), &mut out);
-    }
+    let first_seed = seed.wrapping_add(1000);
+    improve_to_fixed_point(g, epsilon, density_bound, first_seed, iterations, &mut out);
     out
 }
 

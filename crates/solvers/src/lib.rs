@@ -6,6 +6,9 @@
 //!
 //! * [`mis`] — exact maximum independent set (branch-and-bound) and the
 //!   `n/(2d+1)` greedy of §3.1 (Theorem 1.2);
+//! * [`treedp`] — tree decompositions, the DPs on them, and the
+//!   dispatchers leaders call: tree DP, then a DP over a vertex order
+//!   (frontier states), then branch-and-bound;
 //! * [`matching`] — Edmonds' blossom maximum cardinality matching
 //!   (Theorem 3.2);
 //! * [`mwm`] — Galil / van-Rantwijk maximum *weight* matching, plus the
@@ -30,6 +33,7 @@
 //! values.
 
 pub mod corrclust;
+mod frontier;
 pub mod ldd;
 pub mod matching;
 pub mod mds;

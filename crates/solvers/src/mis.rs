@@ -3,10 +3,14 @@
 //!
 //! [`maximum_independent_set`] is an exact branch-and-bound with the
 //! classic reductions (isolated vertices, pendant vertices, paths/cycles
-//! solved in closed form) and a matching-based upper bound; it comfortably
-//! handles the sparse clusters the framework produces. [`greedy_mis`] is
-//! the `n/(2d+1)` greedy of §3.1 used both as a lower-bound witness for
-//! `α(G) = Θ(n)` and as the branch-and-bound's initial incumbent.
+//! solved in closed form) and a matching-based upper bound. The bound is
+//! weak on grid-like clusters — the shuffled `triangulated_grid(16, 16)`
+//! of the repo benchmark (α = 86) exhausts 300 000 nodes at incumbents of
+//! 74–81 — so leaders call it through `treedp::mis_auto`, which tries two
+//! exact DPs first and reports `optimal: false` when all three give up.
+//! [`greedy_mis`] is the `n/(2d+1)` greedy of §3.1 used both as a
+//! lower-bound witness for `α(G) = Θ(n)` and as the branch-and-bound's
+//! initial incumbent.
 
 use lcg_graph::Graph;
 
@@ -100,18 +104,26 @@ pub fn is_maximal_independent_set(g: &Graph, set: &[usize]) -> bool {
 /// ```
 pub fn maximum_independent_set(g: &Graph, budget: u64) -> MisResult {
     let n = g.n();
-    let incumbent = greedy_mis(g);
+    let words = n.div_ceil(64);
     let mut solver = Solver {
         g,
-        adj: (0..n).map(|v| g.neighbor_vertices(v).collect()).collect(),
-        active: vec![true; n],
-        deg: (0..n).map(|v| g.degree(v)).collect(),
+        active: vec![0; words],
+        low: vec![0; words],
+        unmatched: vec![0; words],
+        deg: (0..n).map(|v| g.degree(v) as u32).collect(),
+        trail: Vec::with_capacity(n),
         current: Vec::new(),
-        best: incumbent.clone(),
+        best: greedy_mis(g),
         nodes: 0,
         budget,
         exhausted: false,
     };
+    for v in 0..n {
+        set_bit(&mut solver.active, v);
+        if solver.deg[v] <= 1 {
+            set_bit(&mut solver.low, v);
+        }
+    }
     solver.search();
     let optimal = !solver.exhausted;
     let mut set = solver.best;
@@ -124,11 +136,49 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> MisResult {
     }
 }
 
+#[inline]
+fn set_bit(bits: &mut [u64], v: usize) {
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+#[inline]
+fn clear_bit(bits: &mut [u64], v: usize) {
+    bits[v / 64] &= !(1 << (v % 64));
+}
+
+#[inline]
+fn has_bit(bits: &[u64], v: usize) -> bool {
+    bits[v / 64] >> (v % 64) & 1 == 1
+}
+
+/// Set bits of `bits`, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&x| {
+            let rest = x & (x - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
+}
+
+/// Search state. A node costs what it inspects: the residual graph is the
+/// `active` bitset over the host's CSR rows, every removal is logged on one
+/// undo `trail` (a node undoes back to the length it started at), and the
+/// reduction candidates are a bitset kept current on every degree change
+/// instead of a rescan of `0..n`.
 struct Solver<'a> {
     g: &'a Graph,
-    adj: Vec<Vec<usize>>,
-    active: Vec<bool>,
-    deg: Vec<usize>,
+    active: Vec<u64>,
+    /// `active` ∧ residual degree ≤ 1: isolated and pendant vertices.
+    low: Vec<u64>,
+    /// Scratch of [`Solver::upper_bound`]: `active` minus the matched.
+    unmatched: Vec<u64>,
+    /// Residual degree of the active vertices; an inactive vertex keeps the
+    /// degree it was removed at, which is the one it is restored to.
+    deg: Vec<u32>,
+    /// Removed vertices, in removal order.
+    trail: Vec<u32>,
     current: Vec<usize>,
     best: Vec<usize>,
     nodes: u64,
@@ -136,72 +186,83 @@ struct Solver<'a> {
     exhausted: bool,
 }
 
-impl<'a> Solver<'a> {
-    /// Removes `v` (and bookkeeping); returns it for undo.
+impl Solver<'_> {
     fn remove(&mut self, v: usize) {
-        debug_assert!(self.active[v]);
-        self.active[v] = false;
-        for i in 0..self.adj[v].len() {
-            let u = self.adj[v][i];
-            if self.active[u] {
+        debug_assert!(has_bit(&self.active, v));
+        clear_bit(&mut self.active, v);
+        clear_bit(&mut self.low, v);
+        for &u in self.g.neighbor_row(v) {
+            let u = u as usize;
+            if has_bit(&self.active, u) {
                 self.deg[u] -= 1;
+                if self.deg[u] == 1 {
+                    set_bit(&mut self.low, u);
+                }
+            }
+        }
+        self.trail.push(v as u32);
+    }
+
+    /// Restores every vertex removed since the trail had length `mark`,
+    /// last removed first.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let v = self.trail.pop().expect("trail is longer than the mark") as usize;
+            set_bit(&mut self.active, v);
+            if self.deg[v] <= 1 {
+                set_bit(&mut self.low, v);
+            }
+            for &u in self.g.neighbor_row(v) {
+                let u = u as usize;
+                if has_bit(&self.active, u) {
+                    self.deg[u] += 1;
+                    if self.deg[u] == 2 {
+                        clear_bit(&mut self.low, u);
+                    }
+                }
             }
         }
     }
 
-    fn restore(&mut self, v: usize) {
-        debug_assert!(!self.active[v]);
-        self.active[v] = true;
-        for i in 0..self.adj[v].len() {
-            let u = self.adj[v][i];
-            if self.active[u] {
-                self.deg[u] += 1;
-            }
-        }
-    }
-
-    /// Takes `v` into the set: removes N[v]. Returns removed vertices.
-    fn take(&mut self, v: usize) -> Vec<usize> {
-        let mut removed = vec![v];
+    /// Takes `v` into the set: removes N[v].
+    fn take(&mut self, v: usize) {
         self.remove(v);
-        for i in 0..self.adj[v].len() {
-            let u = self.adj[v][i];
-            if self.active[u] {
-                self.remove(u);
-                removed.push(u);
+        for &u in self.g.neighbor_row(v) {
+            if has_bit(&self.active, u as usize) {
+                self.remove(u as usize);
             }
         }
         self.current.push(v);
-        removed
-    }
-
-    fn undo_take(&mut self, removed: Vec<usize>) {
-        self.current.pop();
-        for &u in removed.iter().rev() {
-            self.restore(u);
-        }
     }
 
     /// Upper bound: active count minus a greedy maximal matching (each
-    /// matched edge excludes at least one endpoint).
-    fn upper_bound(&self) -> usize {
-        let mut matched = vec![false; self.g.n()];
+    /// matched edge excludes at least one endpoint). Vertices ascending,
+    /// each matched to its first unmatched active neighbour of larger id.
+    fn upper_bound(&mut self) -> usize {
+        self.unmatched.copy_from_slice(&self.active);
         let mut matching = 0usize;
         let mut count = 0usize;
-        for v in 0..self.g.n() {
-            if !self.active[v] {
-                continue;
-            }
-            count += 1;
-            if matched[v] {
-                continue;
-            }
-            for &u in &self.adj[v] {
-                if self.active[u] && !matched[u] && u > v {
-                    matched[v] = true;
-                    matched[u] = true;
+        for w in 0..self.active.len() {
+            count += self.active[w].count_ones() as usize;
+            // partners have larger ids, so nothing before this word changes
+            // any more; inside it, a vertex may have been matched meanwhile
+            let mut word = self.unmatched[w];
+            while word != 0 {
+                let v = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if !has_bit(&self.unmatched, v) {
+                    continue;
+                }
+                let partner = self
+                    .g
+                    .neighbor_row(v)
+                    .iter()
+                    .map(|&u| u as usize)
+                    .find(|&u| u > v && has_bit(&self.unmatched, u));
+                if let Some(u) = partner {
+                    clear_bit(&mut self.unmatched, v);
+                    clear_bit(&mut self.unmatched, u);
                     matching += 1;
-                    break;
                 }
             }
         }
@@ -214,64 +275,57 @@ impl<'a> Solver<'a> {
             self.exhausted = true;
             return;
         }
-        // reductions: isolated and pendant vertices are always safe to take
-        let n = self.g.n();
-        let mut reduction_stack: Vec<Vec<usize>> = Vec::new();
+        let (mark, taken) = (self.trail.len(), self.current.len());
+        // reductions: isolated and pendant vertices are always safe to
+        // take, smallest id first
         loop {
-            let mut applied = false;
-            for v in 0..n {
-                if self.active[v] && self.deg[v] <= 1 {
-                    reduction_stack.push(self.take(v));
-                    applied = true;
-                    break;
-                }
-            }
-            if !applied {
+            let Some(v) = ones(&self.low).next() else {
                 break;
-            }
+            };
+            self.take(v);
         }
-        let remaining: Vec<usize> = (0..n).filter(|&v| self.active[v]).collect();
-        if remaining.is_empty() {
+        if self.active.iter().all(|&word| word == 0) {
             if self.current.len() > self.best.len() {
-                self.best = self.current.clone();
+                self.best.clone_from(&self.current);
             }
         } else if self.current.len() + self.upper_bound() > self.best.len() {
+            // the branch vertex: of the maximum-degree active vertices, the
+            // one of largest id
+            let v = ones(&self.active)
+                .max_by_key(|&v| self.deg[v])
+                .expect("branch taken only while vertices remain");
             // max degree >= 2 here; if max degree == 2 the graph is a union
             // of cycles: solve directly
-            let v = *remaining
-                .iter()
-                .max_by_key(|&&v| self.deg[v])
-                .expect("branch taken only while vertices remain");
             if self.deg[v] == 2 {
-                let extra = self.solve_cycles(&remaining);
+                let extra = self.solve_cycles();
                 if self.current.len() + extra.len() > self.best.len() {
-                    let mut cand = self.current.clone();
-                    cand.extend(extra);
-                    self.best = cand;
+                    self.best.clone_from(&self.current);
+                    self.best.extend(extra);
                 }
             } else {
                 // branch: include v, then exclude v
-                let removed = self.take(v);
+                let (mark, taken) = (self.trail.len(), self.current.len());
+                self.take(v);
                 self.search();
-                self.undo_take(removed);
+                self.undo_to(mark);
+                self.current.truncate(taken);
                 if !self.exhausted {
                     self.remove(v);
                     self.search();
-                    self.restore(v);
+                    self.undo_to(mark);
                 }
             }
         }
-        for removed in reduction_stack.into_iter().rev() {
-            self.undo_take(removed);
-        }
+        self.undo_to(mark);
+        self.current.truncate(taken);
     }
 
     /// All active vertices have degree exactly 2: disjoint cycles. α of a
     /// cycle of length L is ⌊L/2⌋; pick alternate vertices.
-    fn solve_cycles(&self, remaining: &[usize]) -> Vec<usize> {
+    fn solve_cycles(&self) -> Vec<usize> {
         let mut visited = vec![false; self.g.n()];
         let mut picked = Vec::new();
-        for &s in remaining {
+        for s in ones(&self.active) {
             if visited[s] {
                 continue;
             }
@@ -281,10 +335,10 @@ impl<'a> Solver<'a> {
             let mut prev = s;
             let mut cur = s;
             loop {
-                let next = self.adj[cur]
-                    .iter()
-                    .copied()
-                    .find(|&u| self.active[u] && u != prev && !visited[u]);
+                let next = self
+                    .g
+                    .neighbor_vertices(cur)
+                    .find(|&u| has_bit(&self.active, u) && u != prev && !visited[u]);
                 match next {
                     Some(u) => {
                         visited[u] = true;

@@ -11,10 +11,16 @@
 //!
 //! Used by the solver dispatchers so that bounded-treewidth clusters of
 //! *any* size are solved exactly, where branch-and-bound would blow up.
+//! For independent sets the dispatchers have a second exact stage before
+//! branch-and-bound: where min-degree elimination gives up (grids: width
+//! ~√n), a DP over a vertex *order* (the private `frontier` module) still
+//! finishes whenever the order's frontier has few independent subsets.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use lcg_graph::Graph;
+
+use crate::frontier;
 
 /// A tree decomposition: bags arranged in a rooted tree.
 #[derive(Debug, Clone)]
@@ -93,12 +99,13 @@ impl TreeDecomposition {
 }
 
 /// Builds a tree decomposition by eliminating vertices in min-degree
-/// (min-fill tiebreak by id) order. Exact width `k` on k-trees (their
+/// order — degree in the fill graph, ties broken by id; no fill count is
+/// computed. Exact width `k` on k-trees (their
 /// construction order reversed is a perfect elimination ordering that
 /// min-degree recovers); a good heuristic on their subgraphs.
 ///
-/// Returns `None` if the produced width exceeds `max_width` (caller can
-/// fall back to branch-and-bound solvers).
+/// Returns `None` if the produced width exceeds `max_width` (the
+/// dispatchers then try the frontier DP, then branch-and-bound).
 pub fn min_degree_decomposition(g: &Graph, max_width: usize) -> Option<TreeDecomposition> {
     let n = g.n();
     if n == 0 {
@@ -484,24 +491,32 @@ pub fn mds_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, 
     (r.set, r.optimal)
 }
 
-/// Dispatcher for unweighted MIS: tree-decomposition DP when the
-/// min-degree heuristic certifies small width, branch-and-bound
-/// otherwise. Returns `(set, proven_optimal)`.
+/// Dispatcher for unweighted MIS, cheapest exact method first:
+/// tree-decomposition DP when the min-degree heuristic certifies width
+/// `≤ width_limit`; else the frontier DP over a vertex order, if its
+/// tables fit `bnb_budget` entries; else branch-and-bound with the whole
+/// of `bnb_budget`. Returns `(set, proven_optimal)`.
 pub fn mis_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, bool) {
     if let Some(td) = min_degree_decomposition(g, width_limit) {
         let (_, set) = mis_on_tree_decomposition(g, &td);
+        return (set, true);
+    }
+    let unit = vec![1u64; g.n()];
+    if let Some((_, set)) = frontier::max_weight_independent_set(g, &unit, bnb_budget).solution {
         return (set, true);
     }
     let r = crate::mis::maximum_independent_set(g, bnb_budget);
     (r.set, r.optimal)
 }
 
-/// Dispatcher: exact MWIS that uses tree-decomposition DP when the
-/// min-degree heuristic certifies small width, falling back to
-/// branch-and-bound otherwise.
+/// Dispatcher for exact MWIS, in the order of [`mis_auto`]: tree DP,
+/// frontier DP, branch-and-bound. Returns `(weight, set, proven_optimal)`.
 pub fn mwis_auto(g: &Graph, weights: &[u64], width_limit: usize, bnb_budget: u64) -> (u64, Vec<usize>, bool) {
     if let Some(td) = min_degree_decomposition(g, width_limit) {
         let (w, set) = mwis_on_tree_decomposition(g, &td, weights);
+        return (w, set, true);
+    }
+    if let Some((w, set)) = frontier::max_weight_independent_set(g, weights, bnb_budget).solution {
         return (w, set, true);
     }
     let r = crate::wmis::maximum_weight_independent_set(g, weights, bnb_budget);

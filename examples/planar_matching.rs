@@ -77,7 +77,8 @@ fn main() {
     let opt = seq_mwm::matching_weight(&g, &seq_mwm::maximum_weight_matching(&g));
     let greedy = seq_mwm::matching_weight(&g, &seq_mwm::greedy_mwm(&g));
     println!(
-        "(1−ε)-MWM after {iters} scaling iterations: weight {} vs exact {opt} → ratio {:.4}",
+        "(1−ε)-MWM after {} of at most {iters} scaling iterations: weight {} vs exact {opt} → ratio {:.4}",
+        out.history.len(),
         out.weight,
         out.weight as f64 / opt as f64
     );

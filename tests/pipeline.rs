@@ -198,3 +198,56 @@ fn local_vs_congest_gap_measured() {
     let fw = run_framework(&g, &FrameworkConfig::planar(0.3, 0));
     assert!(fw.stats.max_words_edge_round <= 2);
 }
+
+/// `apps-trigrid` instance 0 of the repo benchmark at its default seed
+/// (`benchmark/src/workloads`: `triangulated_grid(16, 16)`, ids shuffled,
+/// weights ≤ 1000), with the seed it hands the theorems.
+fn benchmark_trigrid() -> (locongest::graph::Graph, locongest::graph::Graph, u64) {
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let stream = |k: u64| splitmix64(splitmix64(20220725) ^ splitmix64(k));
+    let g = gen::shuffle_vertices(
+        &gen::triangulated_grid(16, 16),
+        &mut gen::seeded_rng(splitmix64(0x5EED_0F7A_B1E5)),
+    );
+    let weighted = gen::random_weights(g.clone(), 1000, &mut gen::seeded_rng(stream(2)));
+    (g, weighted, stream(4))
+}
+
+#[test]
+fn theorem_1_2_leader_solve_is_certified_where_branch_and_bound_exhausts() {
+    // ε' = ε/7 leaves the grid one 256-vertex cluster of min-degree width
+    // 24–27; 300 000 branch-and-bound nodes return 74–81 unproven
+    let (g, _, seed) = benchmark_trigrid();
+    let out = maxis::approx_maximum_independent_set(&g, 0.3, 3.0, seed, 300_000);
+    assert!(solvers::mis::is_independent_set(&g, &out.set));
+    assert!(out.all_clusters_optimal);
+    assert_eq!(out.set.len(), 86);
+}
+
+#[test]
+fn theorem_1_1_loop_stops_at_its_fixed_point() {
+    let (_, g, seed) = benchmark_trigrid();
+    let eps = 0.3;
+    let limit = mwm::recommended_iterations(eps);
+    let out = mwm::approx_maximum_weight_matching(&g, eps, 3.0, seed, limit);
+    assert!(solvers::mwm::is_valid_matching(&g, &out.mate));
+    // what the loop returned when it ran all 14 iterations (EXPERIMENTS §E6)
+    assert_eq!(out.weight, 97_368);
+    assert_eq!(out.history, [97_368, 97_368]);
+    let once = mwm::approx_maximum_weight_matching(&g, eps, 3.0, seed, 1);
+    assert_eq!((once.weight, &once.mate), (out.weight, &out.mate));
+    assert!(once.stats.rounds < out.stats.rounds);
+
+    let sweep = mwm::scaling_sweep(&g, eps, 3.0, seed);
+    let warm = mwm::approx_mwm_with_warm_start(&g, eps, 3.0, seed, limit);
+    assert!(solvers::mwm::is_valid_matching(&g, &warm.mate));
+    assert!(warm.weight >= sweep.weight);
+    let executed = warm.history.len() - sweep.history.len();
+    assert!(executed < limit, "{executed} of {limit} iterations ran");
+    assert_eq!(warm.weight, *warm.history.last().unwrap());
+}
