@@ -22,6 +22,7 @@ pub mod e19_parallel;
 pub mod e20_chaos;
 pub mod e24_checkpoint;
 pub mod e25_scale;
+mod e26_unit_cost;
 
 use crate::{Opts, Table};
 
@@ -53,5 +54,6 @@ pub fn all() -> Vec<(&'static str, Experiment)> {
         ("e20", e20_chaos::run),
         ("e24", e24_checkpoint::run),
         ("e25", e25_scale::run),
+        ("e26", e26_unit_cost::run),
     ]
 }

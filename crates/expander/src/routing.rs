@@ -6,7 +6,11 @@
 //!   One walk step is simulated in as many CONGEST rounds as the maximum
 //!   number of tokens crossing a single edge (each token is one
 //!   `O(log n)`-bit message), which the lemma bounds by `O(log n)` w.h.p.
-//!   We *measure* that load instead of assuming it.
+//!   We *measure* that load instead of assuming it. A token's trajectory
+//!   depends on no other token, so the walk runs token-major in windows
+//!   of `WINDOW` steps — each live token takes the window's steps in a row,
+//!   logging its crossings per step — and the per-step edge loads are
+//!   tallied from the logs afterwards, in step order.
 //!   [`random_walk_routing`] (one token per member, ambient executor) and
 //!   [`random_walk_routing_with_counts_exec`] (no faults, no edge tally)
 //!   are its two argument-fixing adapters.
@@ -16,7 +20,7 @@
 //!   convergecast along a BFS tree rooted at the leader, taking
 //!   `depth + max-edge-congestion` rounds. Both quantities are reported.
 
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use lcg_congest::{ExecConfig, FaultPlan, Network, RoundStats};
@@ -87,6 +91,13 @@ struct Token {
     rng: ChaCha8Rng,
 }
 
+/// Walk steps a live token takes in a row before the next token's turn.
+/// Not a knob: large enough that a token's 120 bytes are loaded once per
+/// window rather than once per step and that the pool meets once per
+/// window, small enough that the `WINDOW` crossing lists stay a fraction of
+/// the tokens' own footprint.
+const WINDOW: usize = 64;
+
 /// What a token step reads besides the token: the walk's constants.
 struct Walk<'a> {
     sub: &'a Graph,
@@ -98,18 +109,45 @@ struct Walk<'a> {
     host_edge: &'a [usize],
 }
 
+/// One window of one run of tokens — every token of the sequential walk,
+/// or a pool chunk's: in, the window and the run's live tokens; out, what
+/// the shared tally needs of it.
+struct WalkJob {
+    /// Walk steps already executed: the window is steps `done + 1 ..=
+    /// done + len`.
+    done: usize,
+    /// At most [`WINDOW`], clipped to the step cap.
+    len: usize,
+    /// The run's tokens still walking, as ascending indices into it.
+    live: Vec<u32>,
+    /// `events[k]`: the sub edges crossed in step `done + 1 + k`.
+    events: Vec<Vec<u32>>,
+    /// Tokens absorbed at the leader in this window.
+    delivered: usize,
+    /// Steps of the window in which some token of the run still walked.
+    advanced: usize,
+}
+
+impl WalkJob {
+    fn new(live: Vec<u32>) -> WalkJob {
+        WalkJob { done: 0, len: 0, live, events: vec![Vec::new(); WINDOW], delivered: 0, advanced: 0 }
+    }
+}
+
 impl Walk<'_> {
     /// One step of one live token: roll (stay with probability 1/2, else a
     /// uniform neighbor), adjudicate the crossing, move, absorb at the
     /// leader. `step` is the 1-based walk step. The sub edge crossed, if
     /// any, goes onto `crossed` for [`EdgeTally::merge`]; returns whether
     /// the token is still walking. Every update here is a pure function of
-    /// `(step, token)` — it never reads the shared edge tables — so running
-    /// it on a worker thread is bit-identical to running it in token
-    /// order; this is the part the engine fans out.
+    /// `(step, token)` — it never reads the shared edge tables — so a
+    /// token may run ahead of the others, on any thread, and the walk is
+    /// bit-identical to stepping all tokens in lockstep.
     #[inline]
     fn advance(&self, step: usize, tok: &mut Token, crossed: &mut Vec<u32>, delivered: &mut usize) -> bool {
-        if tok.rng.gen_bool(0.5) {
+        // bit 63 clear: `gen_bool(0.5)`'s very coin (`(x >> 11) as f64 /
+        // 2⁵³ < 0.5`) without the round trip through `f64`
+        if tok.rng.next_u64() >> 63 == 0 {
             return true;
         }
         // a live token is off the leader, so the connected cluster has a
@@ -131,14 +169,24 @@ impl Walk<'_> {
         w != self.leader_local
     }
 
-    /// One step of the `live` tokens (indices into `tokens`, ascending), in
-    /// that order: their crossings replace `crossed`, and the tokens that
-    /// stopped walking leave the list.
-    fn step(&self, step: usize, tokens: &mut [Token], live: &mut Vec<u32>, crossed: &mut Vec<u32>) -> usize {
-        let mut delivered = 0;
-        crossed.clear();
-        live.retain(|&t| self.advance(step, &mut tokens[t as usize], crossed, &mut delivered));
-        delivered
+    /// One window of `job`'s live tokens, token-major: each takes its
+    /// `job.len` steps (or as many as it stays alive for) while its state
+    /// is hot, its crossings landing on the list of the step they belong
+    /// to; the tokens that stopped walking leave the live list.
+    fn window(&self, tokens: &mut [Token], job: &mut WalkJob) {
+        let WalkJob { done, len, live, events, delivered, advanced } = job;
+        (*delivered, *advanced) = (0, 0);
+        live.retain(|&t| {
+            let tok = &mut tokens[t as usize];
+            for (k, crossed) in events[..*len].iter_mut().enumerate() {
+                if !self.advance(*done + 1 + k, tok, crossed, delivered) {
+                    *advanced = (*advanced).max(k + 1);
+                    return false;
+                }
+            }
+            *advanced = *len;
+            true
+        });
     }
 }
 
@@ -176,6 +224,23 @@ impl EdgeTally {
         }
     }
 
+    /// Charges the window the `jobs` just walked, step by step: the runs'
+    /// crossing lists of one step merged in run order, then the step
+    /// closed — exactly the sequence a step-at-a-time walk produces. Steps
+    /// past the last one any token walked are not charged: the walk ended
+    /// there. Returns the steps charged and the tokens absorbed.
+    fn charge_window(&mut self, jobs: &mut [WalkJob]) -> (usize, usize) {
+        let advanced = jobs.iter().map(|job| job.advanced).max().unwrap_or(0);
+        for k in 0..advanced {
+            for job in jobs.iter_mut() {
+                self.merge(&job.events[k]);
+                job.events[k].clear();
+            }
+            self.end_step();
+        }
+        (advanced, jobs.iter().map(|job| job.delivered).sum())
+    }
+
     /// Charges the walk step whose crossings were merged. Each token
     /// crossing an edge is one O(log n)-bit message and an edge carries one
     /// message per round per direction, so the step costs (at least) the
@@ -200,11 +265,15 @@ impl EdgeTally {
 /// `O(φ⁻⁴ log² n)`); the function returns early once every token is
 /// absorbed or destroyed.
 ///
-/// Tokens carry private RNG streams (seeded from one draw of `rng`), the
-/// per-step moves are computed chunk-parallel on `exec`'s thread pool and
-/// then merged into the edge-load table by a sequential token-order sweep
-/// — so the outcome is **bit-identical for every thread count**, and `rng`
-/// advances by exactly one draw whatever the other arguments are.
+/// Tokens carry private RNG streams (seeded from one draw of `rng`) and a
+/// move reads nothing another token wrote, so the walk advances in windows
+/// of up to `WINDOW` (64) steps: every live token walks the whole window —
+/// chunk-parallel on `exec`'s thread pool while enough tokens are live —
+/// logging each crossing under its step, and the logs are then merged into
+/// the edge-load table step by step, each step's in chunk order. The
+/// outcome is the step-at-a-time walk's, **bit-identical for every thread
+/// count**, and `rng` advances by exactly one draw whatever the other
+/// arguments are.
 ///
 /// `track_edges` additionally returns the cumulative per-edge word load of
 /// the walk: `(host_edge_id, words)` for every host edge at least one
@@ -283,58 +352,49 @@ pub fn charged_walk_routing(
     // threshold keeps the `with_work_threshold(1)` test escape hatch
     // meaningful (1 × 8 tokens per worker still forces the pool on).
     let token_exec = exec.with_work_threshold(exec.work_threshold().saturating_mul(8));
+    let window_at = |steps: usize| WINDOW.min(max_steps - steps);
     if let Some(chunks) = token_exec.par_chunks(total) {
         // Parallel path: ONE persistent batch (`pool::run_batch`) — workers
-        // spawn once, own their token chunk across every step, and park on
-        // a rendezvous between steps. Each step's job carries the chunk's
-        // live list (chunk-local indices) and crossing list out and back;
-        // workers step their live tokens, the leader merges the returned
-        // crossings in chunk order. The two arms are bit-identical, so once
-        // the tokens still walking are too few to pay for a rendezvous per
-        // step the batch ends and the loop below finishes the walk here.
-        struct WalkJob {
-            /// 1-based step counter.
-            step: usize,
-            live: Vec<u32>,
-            crossed: Vec<u32>,
-            /// Tokens of this chunk absorbed at the leader this step.
-            delivered: usize,
-        }
+        // spawn once, own their token chunk across every window, and park
+        // on a rendezvous between windows. A window's job carries the
+        // chunk's live list (chunk-local indices) and crossing lists out
+        // and back; workers walk their live tokens through the window, the
+        // leader charges the returned crossings step by step, each step's
+        // lists in chunk order. The two arms are bit-identical, so once the
+        // tokens still walking are too few to pay for a rendezvous per
+        // window the batch ends and the loop below finishes the walk here.
         let mut jobs: Vec<WalkJob> = chunks
             .iter()
             .map(|r| {
                 let live = live.iter().filter(|&&t| r.contains(&(t as usize))).map(|&t| t - r.start as u32);
-                WalkJob { step: 0, live: live.collect(), crossed: Vec::new(), delivered: 0 }
+                WalkJob::new(live.collect())
             })
             .collect();
         let worker = |_w: usize, _r: std::ops::Range<usize>, toks: &mut [Token], mut job: WalkJob| {
-            job.delivered = walk.step(job.step, toks, &mut job.live, &mut job.crossed);
+            walk.window(toks, &mut job);
             job
         };
         let walking = |jobs: &[WalkJob]| jobs.iter().map(|job| job.live.len()).sum::<usize>();
         lcg_congest::executor::pool::run_batch(&chunks, &mut tokens, &worker, None, |pool| {
             while steps < max_steps && token_exec.par_chunks(walking(&jobs)).is_some() {
-                steps += 1;
                 for (i, job) in jobs.drain(..).enumerate() {
-                    pool.dispatch(i, WalkJob { step: steps, ..job });
+                    pool.dispatch(i, WalkJob { done: steps, len: window_at(steps), ..job });
                 }
-                for i in 0..chunks.len() {
-                    let job = pool.collect(i);
-                    tally.merge(&job.crossed);
-                    delivered += job.delivered;
-                    jobs.push(job);
-                }
-                tally.end_step();
+                jobs.extend((0..chunks.len()).map(|i| pool.collect(i)));
+                let (advanced, absorbed) = tally.charge_window(&mut jobs);
+                steps += advanced;
+                delivered += absorbed;
             }
         });
         live = jobs.iter().zip(&chunks).flat_map(|(job, r)| job.live.iter().map(|&t| t + r.start as u32)).collect();
     }
-    let mut crossed: Vec<u32> = Vec::new();
-    while steps < max_steps && !live.is_empty() {
-        steps += 1;
-        delivered += walk.step(steps, &mut tokens, &mut live, &mut crossed);
-        tally.merge(&crossed);
-        tally.end_step();
+    let mut rest = WalkJob::new(live);
+    while steps < max_steps && !rest.live.is_empty() {
+        (rest.done, rest.len) = (steps, window_at(steps));
+        walk.window(&mut tokens, &mut rest);
+        let (advanced, absorbed) = tally.charge_window(std::slice::from_mut(&mut rest));
+        steps += advanced;
+        delivered += absorbed;
     }
     // edges come in id order, so they pair up with the per-edge words
     // (none at all when untracked)
@@ -811,6 +871,218 @@ mod tests {
                     (permuted.rounds, permuted.max_load, &permuted.words)
                 );
             }
+        }
+    }
+
+    /// The walk as it stood before the token-major windows, kept as the
+    /// reference they are compared against: every live token takes one step
+    /// (with `gen_bool(0.5)` for the coin), the step's crossings are
+    /// tallied, then the next step. Sequential — the arms were
+    /// bit-identical. Also counts the live token-steps, the unit the walk's
+    /// cost is quoted in.
+    #[allow(clippy::too_many_arguments)]
+    fn charged_walk_reference(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        rng: &mut ChaCha8Rng,
+        faults: Option<&FaultPlan>,
+        track_edges: bool,
+    ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
+        let (sub, map) = g.induced_subgraph(members);
+        let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
+        let master: u64 = rng.gen();
+        let mut tokens: Vec<Token> = Vec::new();
+        for (v, &count) in counts.iter().enumerate() {
+            for _ in 0..count {
+                let t = tokens.len() as u64;
+                tokens.push(Token { pos: v, rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)) });
+            }
+        }
+        let total = tokens.len();
+        let mut live: Vec<u32> = (0..total as u32).filter(|&t| tokens[t as usize].pos != leader_local).collect();
+        let mut delivered = total - live.len();
+        let mut tally = EdgeTally {
+            load: vec![0; sub.m()],
+            touched: Vec::new(),
+            step_max: 0,
+            words: if track_edges { vec![0; sub.m()] } else { Vec::new() },
+            rounds: 0,
+            max_load: 0,
+        };
+        let host_edge_of = |(_, a, b): (usize, usize, usize)| g.edge_id(map[a], map[b]).expect("host edge");
+        let host_edge: Vec<usize> = sub.edges().map(host_edge_of).collect();
+        let (mut steps, mut token_steps) = (0usize, 0u64);
+        let mut crossed: Vec<u32> = Vec::new();
+        while steps < max_steps && !live.is_empty() {
+            steps += 1;
+            token_steps += live.len() as u64;
+            crossed.clear();
+            live.retain(|&t| {
+                let tok = &mut tokens[t as usize];
+                if tok.rng.gen_bool(0.5) {
+                    return true;
+                }
+                let k = tok.rng.gen_range(0..sub.degree(tok.pos));
+                let (w, e) = (sub.neighbor_row(tok.pos)[k] as usize, sub.edge_id_row(tok.pos)[k]);
+                crossed.push(e);
+                if faults.is_some_and(|f| f.kills_message((steps - 1) as u64, host_edge[e as usize], map[tok.pos], map[w])) {
+                    return false;
+                }
+                tok.pos = w;
+                delivered += usize::from(w == leader_local);
+                w != leader_local
+            });
+            tally.merge(&crossed);
+            tally.end_step();
+        }
+        let mut loads: Vec<(usize, u64)> = sub
+            .edges()
+            .zip(&tally.words)
+            .filter(|&(_, &words)| words > 0)
+            .map(|(edge, &words)| (host_edge_of(edge), words))
+            .collect();
+        loads.sort_unstable();
+        let outcome = RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
+        (outcome, loads, token_steps)
+    }
+
+    /// [`route`]'s triple from the reference walk.
+    #[allow(clippy::too_many_arguments)]
+    fn route_reference(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        seed: u64,
+        faults: Option<&FaultPlan>,
+        track_edges: bool,
+    ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
+        let mut rng = gen::seeded_rng(seed);
+        let (out, loads, _) =
+            charged_walk_reference(g, members, leader, counts, max_steps, &mut rng, faults, track_edges);
+        (out, loads, rng.gen::<u64>())
+    }
+
+    #[test]
+    fn token_state_stays_within_two_cache_lines() {
+        assert!(std::mem::size_of::<Token>() <= 128, "{}", std::mem::size_of::<Token>());
+    }
+
+    #[test]
+    fn tokens_launched_at_the_leader_take_no_step() {
+        let g = gen::grid(4, 4);
+        let members: Vec<usize> = (0..16).collect();
+        let counts: Vec<usize> = (0..16).map(|v| if v == 5 { 7 } else { 0 }).collect();
+        for threads in [1, 4] {
+            let (out, loads, _) = route(&g, &members, 5, &counts, 1_000, 160, threads, None, true);
+            assert_eq!(out, RoutingOutcome { delivered: 7, total: 7, steps: 0, rounds: 0, max_edge_load: 0 });
+            assert!(loads.is_empty());
+        }
+    }
+
+    #[test]
+    fn walk_that_ends_inside_a_window_reports_its_last_step() {
+        // a leaf token next to the leader is absorbed by its first crossing:
+        // after a geometric number of coin flips, far short of a window
+        let g = gen::star(6);
+        let members: Vec<usize> = (0..6).collect();
+        let counts = [0, 1, 0, 1, 0, 0];
+        let mut seen_short = 0;
+        for seed in 0..20 {
+            let want = route_reference(&g, &members, 0, &counts, usize::MAX, seed, None, true);
+            assert!(want.0.complete() && want.0.steps >= 1);
+            seen_short += usize::from(want.0.steps < WINDOW - 1);
+            for threads in [1, 2] {
+                assert_eq!(route(&g, &members, 0, &counts, usize::MAX, seed, threads, None, true), want);
+            }
+        }
+        assert!(seen_short >= 15, "only {seen_short} of 20 walks ended inside their first window");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The windowed walk is the step-at-a-time walk: outcome, host-edge
+        /// loads and the caller's next draw, on either arm, at every step
+        /// cap around a window boundary and under every kind of fault plan.
+        #[test]
+        fn windowed_walk_matches_reference(
+            seed in proptest::prelude::any::<u64>(),
+            family in 0usize..6,
+            size in 3usize..9,
+            leader_pick in 0usize..1_000,
+            count_mod in 1usize..4,
+            cap_pick in 0usize..7,
+            plan_pick in 0usize..4,
+            drop_prob in 0.0f64..0.3,
+            track_edges in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = gen::seeded_rng(seed);
+            let g = match family {
+                0 => gen::complete(size + 2),
+                1 => gen::grid(size, 3),
+                2 => gen::path(2 * size),
+                3 => gen::random_tree(3 * size, &mut rng),
+                4 => gen::grid_with_noise(size, size, 0.05, &mut rng),
+                _ => gen::triangulated_grid(size, size),
+            };
+            // the whole graph, or (odd seeds) the connected half around vertex 0
+            let dist = g.bfs_distances(0);
+            let radius = if seed % 2 == 1 { dist.iter().max().copied().unwrap_or(0).div_ceil(2) } else { usize::MAX };
+            let members: Vec<usize> = (0..g.n()).filter(|&v| dist[v] <= radius).collect();
+            let leader = members[leader_pick % members.len()];
+            let counts: Vec<usize> = members.iter().map(|&v| (v + seed as usize % 3) % (count_mod + 1)).collect();
+            let max_steps = [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7, usize::MAX][cap_pick];
+            // a link that is down from just before the first window boundary
+            // to just after it, on an edge inside the cluster
+            let inside = g.edges().find(|&(_, u, v)| dist[u] <= radius && dist[v] <= radius).map_or(0, |(e, _, _)| e);
+            let plans = [
+                None,
+                Some(FaultPlan::none()),
+                Some(FaultPlan::drops(seed, drop_prob)),
+                Some(FaultPlan::none().with_link_failure(inside, WINDOW as u64 - 3, WINDOW as u64 + 5)),
+            ];
+            let faults = plans[plan_pick].as_ref();
+            let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);
+            for threads in [1, 2, 4] {
+                let got = route(&g, &members, leader, &counts, max_steps, seed, threads, faults, track_edges);
+                proptest::prop_assert_eq!(&got, &want, "{} threads", threads);
+            }
+        }
+    }
+
+    /// Unit cost of a live token-step: `cargo test --release -p lcg-expander
+    /// --lib probe_walk -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "probe: prints ns per live token-step"]
+    fn probe_walk_unit_cost() {
+        for side in [20, 40, 60] {
+            let g = gen::grid_with_noise(side, side, 0.02, &mut gen::seeded_rng(side as u64));
+            let members: Vec<usize> = (0..g.n()).collect();
+            let leader = side * side / 2 + side / 2;
+            // the framework's load: 1 + out-degree topology words per vertex
+            let counts: Vec<usize> = (0..g.n()).map(|v| 1 + g.degree(v) / 2).collect();
+            let (want, _, token_steps) =
+                charged_walk_reference(&g, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7), None, false);
+            let best = (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let out = charged_walk_routing(
+                        &g, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7), ExecConfig::sequential(), None, false,
+                    ).0;
+                    let ns = started.elapsed().as_nanos() as f64;
+                    assert_eq!(out, want);
+                    ns / token_steps as f64
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "walk side {side}: {} tokens, {} steps, {token_steps} token-steps, {best:.1} ns/token-step",
+                want.total, want.steps
+            );
         }
     }
 
