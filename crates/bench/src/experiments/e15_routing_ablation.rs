@@ -29,7 +29,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let fw = run_framework(&g, &FrameworkConfig::planar(0.3, 3));
         let walk: Vec<RoutingOutcome> = fw.clusters.iter().map(|c| c.routing).collect();
         let tree: Vec<RoutingOutcome> =
-            fw.clusters.iter().map(|c| routing::tree_routing(&g, &c.members, c.leader)).collect();
+            fw.clusters.iter().map(|c| routing::tree_routing(&g, &c.mapping, c.leader)).collect();
         for (label, routed) in [("walk (Lem 2.4)", &walk), ("tree (det)", &tree)] {
             let gather = routed.iter().map(|r| r.rounds).max().unwrap_or(0);
             t.row(cells!(

@@ -26,7 +26,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let g = gen::stacked_triangulation(n, &mut rng);
         let fw = run_framework(&g, &FrameworkConfig::planar(0.3, 2));
         let log3 = (n as f64).log2().powi(3);
-        let max_cluster = fw.clusters.iter().map(|c| c.members.len()).max().unwrap();
+        let max_cluster = fw.clusters.iter().map(|c| c.mapping.len()).max().unwrap();
         t.row(cells!(
             n,
             fw.clusters.len(),

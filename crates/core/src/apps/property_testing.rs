@@ -90,18 +90,18 @@ pub fn test_property(
         // §2.3: check the Lemma 2.3 degree condition first. The constant
         // is calibrated conservatively (c = 0.01) so genuine H-minor-free
         // inputs never trip it (the one-sided-error tests verify this).
-        let deg_ok = c.members.len() <= 2
-            || degree_condition(g, &c.members, c.leader, phi, 0.01);
+        let leader = c.mapping.binary_search(&c.leader).expect("a leader is a cluster member");
+        let deg_ok = c.mapping.len() <= 2 || degree_condition(&c.subgraph, leader, phi, 0.01);
         if !deg_ok {
             degree_failures += 1;
-            for &v in &c.members {
+            for &v in &c.mapping {
                 accepts[v] = false;
             }
             continue;
         }
         if !property.holds(&c.subgraph) {
             rejected_clusters += 1;
-            for &v in &c.members {
+            for &v in &c.mapping {
                 accepts[v] = false;
             }
         }

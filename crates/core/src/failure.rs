@@ -49,21 +49,14 @@ pub fn enforce_diameter(net: &mut Network, cluster_of: &[usize], b: usize) -> Ve
 }
 
 /// Lemma 2.3's condition, checkable in `O(φ^{-1} log n)` rounds once the
-/// leader is known: `deg_{G_i}(v_i*) ≥ c · φ² · |E_i|`.
+/// leader is known: `deg_{G_i}(v_i*) ≥ c · φ² · |E_i|`, on the cluster's own
+/// graph `G_i` (a [`ClusterRun::subgraph`](crate::framework::ClusterRun))
+/// with `leader` the local id of `v_i*`.
 ///
 /// Returns `true` if the condition holds for constant `c`.
 #[must_use = "a dropped verdict silently accepts a failed cluster"]
-pub fn degree_condition(g: &Graph, members: &[usize], leader: usize, phi: f64, c: f64) -> bool {
-    let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
-    let leader_deg = g
-        .neighbor_vertices(leader)
-        .filter(|u| member_set.contains(u))
-        .count() as f64;
-    let edges_inside = g
-        .edges()
-        .filter(|&(_, u, v)| member_set.contains(&u) && member_set.contains(&v))
-        .count() as f64;
-    leader_deg >= c * phi * phi * edges_inside
+pub fn degree_condition(cluster: &Graph, leader: usize, phi: f64, c: f64) -> bool {
+    cluster.degree(leader) as f64 >= c * phi * phi * cluster.m() as f64
 }
 
 /// Detects an incomplete routing execution by "reversing" it: the leader
@@ -141,14 +134,54 @@ mod tests {
 
     #[test]
     fn degree_condition_on_expander_vs_path() {
-        let k = gen::complete(12);
-        let members: Vec<usize> = (0..12).collect();
         // K12: leader degree 11, edges 66, φ ≈ 0.5: 11 >= c·0.25·66 holds for c=0.5
-        assert!(degree_condition(&k, &members, 0, 0.5, 0.5));
+        assert!(degree_condition(&gen::complete(12), 0, 0.5, 0.5));
         // long path with tiny conductance pretending φ = 0.5 fails
-        let p = gen::path(60);
-        let members: Vec<usize> = (0..60).collect();
-        assert!(!degree_condition(&p, &members, 0, 0.5, 0.5));
+        assert!(!degree_condition(&gen::path(60), 0, 0.5, 0.5));
+    }
+
+    /// The body `degree_condition` had while it took the host graph: a
+    /// hash set of the members and a scan of every host edge per cluster.
+    fn degree_condition_on_host(g: &Graph, members: &[usize], leader: usize, phi: f64, c: f64) -> bool {
+        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
+        let leader_deg = g
+            .neighbor_vertices(leader)
+            .filter(|u| member_set.contains(u))
+            .count() as f64;
+        let edges_inside = g
+            .edges()
+            .filter(|&(_, u, v)| member_set.contains(&u) && member_set.contains(&v))
+            .count() as f64;
+        leader_deg >= c * phi * phi * edges_inside
+    }
+
+    proptest::proptest! {
+        /// On the cluster's subgraph the condition is the one the host scan
+        /// computed, for every cluster of a random clustering, every leader
+        /// and thresholds on both sides of the verdict.
+        #[test]
+        fn degree_condition_matches_the_host_scan(
+            seed in proptest::any::<u64>(),
+            n in 2usize..40,
+            k in 1usize..6,
+            phi in 0.01f64..1.0,
+        ) {
+            use rand::Rng;
+            let mut rng = gen::seeded_rng(seed);
+            let g = gen::gnm(n, rng.gen_range(0..=(2 * n).min(n * (n - 1) / 2)), &mut rng);
+            let cluster_of: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            for members in lcg_congest::primitives::cluster_members(&cluster_of).values() {
+                let (sub, mapping) = g.induced_subgraph(members);
+                for (local, &leader) in mapping.iter().enumerate() {
+                    for c in [0.01, 0.5, 4.0] {
+                        proptest::prop_assert_eq!(
+                            degree_condition(&sub, local, phi, c),
+                            degree_condition_on_host(&g, members, leader, phi, c)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

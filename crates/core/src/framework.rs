@@ -5,13 +5,17 @@
 //! leader `v_i*` that learns the entire topology of `G[V_i]` and can
 //! exchange an `O(log n)`-bit message with every cluster member.
 //!
-//! The phases and their round accounting (every phase that communicates
-//! runs in the `lcg-congest` simulator or is charged its measured cost):
+//! The theorem *consumes* an (ε, φ) decomposition — Theorems 2.1/2.2 are a
+//! black box it cites — and the code is cut at the same joint:
+//! [`run_framework_on`] is phases 2–5 on whatever decomposition it is
+//! handed, [`run_framework`] computes the default one first. The phases and
+//! their round accounting (every phase that communicates runs in the
+//! `lcg-congest` simulator or is charged its measured cost):
 //!
 //! 1. **Decomposition** (Theorem 2.1, substituted per DESIGN.md): computed
-//!    by the sequential reference algorithm; its
-//!    Θ(ε^{-O(1)} log^{O(1)} n) construction rounds are *not* charged —
-//!    every other phase's are.
+//!    by the sequential reference algorithm (`decompose_adaptive` with
+//!    `ε' = ε / t`); its Θ(ε^{-O(1)} log^{O(1)} n) construction rounds are
+//!    *not* charged — every other phase's are.
 //! 2. **Leader election** (§2.3 proof): `b` rounds of max-degree flooding
 //!    inside each cluster, `b` = max cluster diameter; real 2-word
 //!    messages.
@@ -40,16 +44,13 @@ pub struct FrameworkConfig {
     pub epsilon: f64,
     /// Edge-density bound `t` of the minor-closed class (3 for planar,
     /// 2 for outerplanar, 1 for forests, `k` for treewidth-k, ...). The
-    /// decomposition runs with `ε' = ε / t` exactly as in the theorem.
+    /// decomposition [`run_framework`] computes runs with `ε' = ε / t`
+    /// exactly as in the theorem.
     pub density_bound: f64,
-    /// RNG seed (decomposition tie-breaks, routing walks).
+    /// RNG seed of the routing walks (the decomposition ignores it).
     pub seed: u64,
     /// Cap on lazy-walk steps per routing execution.
     pub max_walk_steps: usize,
-    /// Use the adaptive split threshold (`decompose_adaptive`): same ε
-    /// contract, far better cluster granularity at laptop sizes. Set to
-    /// `false` for the paper-faithful worst-case `φ = Θ(ε/log n)`.
-    pub practical_phi: bool,
     /// Execute the gathering phase with **real messages** in the simulator
     /// (`network_walk_routing_with_counts`: every token a 2-word message,
     /// capacity-enforced) instead of the charged-cost walk. Slower but
@@ -94,7 +95,6 @@ impl FrameworkConfig {
             density_bound: 3.0,
             seed,
             max_walk_steps: 2_000_000,
-            practical_phi: true,
             message_faithful: false,
             exec: ExecConfig::from_env(),
             trace: false,
@@ -118,13 +118,12 @@ impl FrameworkConfig {
 pub struct ClusterRun {
     /// Cluster id (index into `FrameworkOutcome::clusters`).
     pub id: usize,
-    /// Host-graph vertices, sorted.
-    pub members: Vec<usize>,
     /// The elected max-degree leader `v_i*` (host id).
     pub leader: usize,
     /// The induced subgraph `G[V_i]` the leader reconstructed.
     pub subgraph: Graph,
-    /// `mapping[local] = host` vertex translation.
+    /// The cluster's host-graph vertices, sorted: `mapping[local] = host`
+    /// translates a vertex of `subgraph`.
     pub mapping: Vec<usize>,
     /// Did the max-degree flood elect this leader at *every* member?
     /// Always `true` in a fault-free run (asserted in debug builds); under
@@ -143,6 +142,10 @@ pub struct FrameworkOutcome {
     pub decomposition: ExpanderDecomposition,
     /// Per-cluster data.
     pub clusters: Vec<ClusterRun>,
+    /// The `b` of §2.3: the largest cluster diameter, measured. The
+    /// election flooded for this many rounds, and the diameter detector of
+    /// a successful execution checks clusters against it.
+    pub diameter_bound: usize,
     /// Rounds/messages measured across all communicating phases.
     pub stats: RoundStats,
     /// Phase breakdown of the rounds in `stats`, derived from the span
@@ -184,36 +187,91 @@ impl FrameworkOutcome {
     }
 }
 
-/// Runs the Theorem 2.6 pipeline on `g`.
+/// Checks `cfg`'s ε and `t`, then computes the decomposition
+/// [`run_framework`] runs on: `decompose_adaptive` with `ε' = ε / t`.
+/// With `cfg.metrics` on, also returns the run's recorder with the
+/// decomposition timed on its profiling plane — it charges no rounds and so
+/// has no span, but is most of the wall time at charged-walk sizes.
+///
+/// # Panics
+///
+/// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
+pub(crate) fn decompose_timed(
+    g: &Graph,
+    cfg: &FrameworkConfig,
+) -> (ExpanderDecomposition, Option<Recorder>) {
+    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
+    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
+    let mut recorder = cfg.metrics.then(|| Recorder::new("framework"));
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_start("decomposition");
+    }
+    let decomposition = decomp::decompose_adaptive(g, cfg.epsilon / cfg.density_bound);
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_end("decomposition");
+    }
+    (decomposition, recorder)
+}
+
+/// Runs the Theorem 2.6 pipeline on `g`: the (ε/t, φ) decomposition of
+/// `decompose_adaptive` (phase 1, substituted), then [`run_framework_on`].
 ///
 /// # Panics
 ///
 /// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
 pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
-    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
-    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
+    let (decomposition, recorder) = decompose_timed(g, cfg);
+    run_framework_timed(g, decomposition, recorder, cfg)
+}
+
+/// Phases 2–5 of Theorem 2.6 on a decomposition the caller supplies — the
+/// theorem consumes an (ε, φ) decomposition, it does not say whose. Every
+/// result is a function of `(g, decomposition, cfg)`; `cfg.epsilon` and
+/// `cfg.density_bound` are not re-checked against the decomposition
+/// (`density_bound` still sets the orientation's forest threshold).
+///
+/// # Examples
+///
+/// ```
+/// use lcg_core::framework::{run_framework, run_framework_on, FrameworkConfig};
+/// use lcg_expander::decomp::decompose;
+/// use lcg_graph::gen;
+///
+/// let g = gen::grid(12, 12);
+/// let cfg = FrameworkConfig::planar(0.3, 7);
+/// // decompose_adaptive(g, ε/t), then election, orientation, gathering
+/// let fw = run_framework(&g, &cfg);
+/// // the same phases on the paper's worst-case φ = Θ(ε / log n) instead
+/// let paper = decompose(&g, cfg.epsilon / cfg.density_bound);
+/// let on_paper = run_framework_on(&g, paper, &cfg);
+/// assert!(on_paper.clusters.len() <= fw.clusters.len());
+/// ```
+///
+/// # Panics
+///
+/// Panics if `decomposition` does not assign a cluster to each of `g`'s
+/// vertices ("decomposition is not of this graph").
+pub fn run_framework_on(
+    g: &Graph,
+    decomposition: ExpanderDecomposition,
+    cfg: &FrameworkConfig,
+) -> FrameworkOutcome {
+    run_framework_timed(g, decomposition, None, cfg)
+}
+
+/// [`run_framework_on`], continuing the recorder that timed the
+/// decomposition when this run is the one that computed it. Metrics are
+/// opt-in, and like tracing are observation only: with a recorder attached
+/// the deterministic registry mirrors the logical counters while the
+/// profiling plane times the same phase boundaries the spans mark.
+pub(crate) fn run_framework_timed(
+    g: &Graph,
+    decomposition: ExpanderDecomposition,
+    timed: Option<Recorder>,
+    cfg: &FrameworkConfig,
+) -> FrameworkOutcome {
+    assert_eq!(decomposition.cluster_of.len(), g.n(), "decomposition is not of this graph");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-
-    // Metrics are opt-in, and like tracing are observation only: with a
-    // recorder attached the deterministic registry mirrors the logical
-    // counters while the profiling plane times the same phase boundaries
-    // the spans mark — plus the decomposition, which charges no rounds and
-    // so has no span, but is most of the wall time at charged-walk sizes.
-    let mut recorder = cfg.metrics.then(|| Recorder::new("framework"));
-
-    // Phase 1 (substituted): (ε', φ) decomposition with ε' = ε / t.
-    let eps_prime = cfg.epsilon / cfg.density_bound;
-    if let Some(rec) = recorder.as_mut() {
-        rec.phase_start("decomposition");
-    }
-    let decomposition = if cfg.practical_phi {
-        decomp::decompose_adaptive(g, eps_prime)
-    } else {
-        decomp::decompose(g, eps_prime)
-    };
-    if let Some(rec) = recorder.as_mut() {
-        rec.phase_end("decomposition");
-    }
 
     let mut net = Network::with_exec(g, Model::congest(), cfg.exec);
     // The tracer is always attached: spans are how PhaseRounds is
@@ -223,7 +281,7 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     } else {
         TraceConfig::spans_only("framework")
     }));
-    if let Some(rec) = recorder {
+    if let Some(rec) = timed.or_else(|| cfg.metrics.then(|| Recorder::new("framework"))) {
         net.attach_metrics(rec);
     }
     net.set_fault_plan(cfg.faults.clone());
@@ -235,24 +293,17 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
 
     // Phase 2: leader election. b = max cluster diameter (each G[V_i] has
     // diameter O(φ^{-1} log n); we use the measured bound).
-    let members_by_cluster = primitives::cluster_members(&cluster_of);
     let mut diam_bound = 0usize;
-    let mut subs: Vec<(usize, Graph, Vec<usize>)> = Vec::new();
-    for (&cid, members) in &members_by_cluster {
-        let (sub, mapping) = g.induced_subgraph(members);
+    let mut subs: Vec<(Graph, Vec<usize>)> = Vec::new();
+    for info in &decomposition.clusters {
+        let (sub, mapping) = g.induced_subgraph(&info.members);
         diam_bound = diam_bound.max(sub.diameter().unwrap_or(0));
-        subs.push((cid, sub, mapping));
+        subs.push((sub, mapping));
     }
-    let degrees: Vec<u64> = {
-        // degree within the cluster graph G_i (cut edges excluded)
-        (0..g.n())
-            .map(|v| {
-                g.neighbor_vertices(v)
-                    .filter(|&u| cluster_of[u] == cluster_of[v])
-                    .count() as u64
-            })
-            .collect()
-    };
+    // degree within the cluster graph G_i (cut edges excluded)
+    let degrees: Vec<u64> = (0..g.n())
+        .map(|v| g.neighbor_vertices(v).filter(|&u| cluster_of[u] == cluster_of[v]).count() as u64)
+        .collect();
     let elected = net.phase("election", |net| {
         primitives::max_flood(net, &degrees, diam_bound, Scope::Intra(&cluster_of))
     });
@@ -280,10 +331,9 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     // Clusters run in parallel: charge the maximum over clusters.
     let mut clusters = Vec::new();
     let mut gather_rounds = 0u64;
-    let mut broadcast_rounds = 0u64;
     let mut faithful_traffic = RoundStats::default();
     net.phase("gathering", |net| {
-        for (cid, sub, mapping) in subs {
+        for (cid, (sub, mapping)) in subs.into_iter().enumerate() {
             let leader = mapping
                 .iter()
                 .copied()
@@ -361,8 +411,6 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
                 outcome
             };
             gather_rounds = gather_rounds.max(routing_outcome.rounds);
-            // broadcast = reversed routing (same cost, as in the paper)
-            broadcast_rounds = broadcast_rounds.max(routing_outcome.rounds);
             if cfg.trace {
                 // zero-round child span carrying this cluster's routing budget
                 // (rounds are charged once after the loop, as the max)
@@ -379,7 +427,6 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
             }
             clusters.push(ClusterRun {
                 id: cid,
-                members: mapping.clone(),
                 leader,
                 subgraph: sub,
                 mapping,
@@ -394,14 +441,12 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
         }
     });
 
-    net.phase("broadcast", |net| net.charge_rounds(broadcast_rounds));
+    // broadcast = reversed routing (same cost, as in the paper)
+    net.phase("broadcast", |net| net.charge_rounds(gather_rounds));
 
     let metrics_recorder = net.take_metrics();
     let stats = net.stats();
-    let trace = net
-        .take_tracer()
-        .expect("tracer attached at run start")
-        .finish();
+    let trace = net.take_tracer().expect("tracer attached at run start").finish();
     // PhaseRounds is derived from the span tree: the four top-level spans
     // partition the run, so their round counts must sum to stats.rounds.
     let phases = PhaseRounds {
@@ -431,6 +476,7 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     FrameworkOutcome {
         decomposition,
         clusters,
+        diameter_bound: diam_bound,
         stats,
         phases,
         trace,
@@ -460,7 +506,7 @@ mod tests {
         // every cluster gathered completely
         for c in &out.clusters {
             assert!(c.routing.complete(), "cluster {} incomplete", c.id);
-            assert!(c.members.contains(&c.leader));
+            assert!(c.mapping.contains(&c.leader));
         }
         assert!(out.stats.rounds > 0);
         assert!(out.stats.max_words_edge_round <= 2);
@@ -478,7 +524,7 @@ mod tests {
                     .filter(|&u| cluster_of[u] == cluster_of[v])
                     .count()
             };
-            let max_deg = c.members.iter().map(|&v| deg_in(v)).max().unwrap();
+            let max_deg = c.mapping.iter().map(|&v| deg_in(v)).max().unwrap();
             assert_eq!(deg_in(c.leader), max_deg);
         }
     }
@@ -491,7 +537,7 @@ mod tests {
         let total: usize = out.clusters.iter().map(|c| c.subgraph.n()).sum();
         assert_eq!(total, g.n());
         for c in &out.clusters {
-            assert_eq!(c.subgraph.n(), c.members.len());
+            assert_eq!(c.subgraph.n(), c.mapping.len());
             assert!(c.subgraph.is_connected() || c.subgraph.n() <= 1);
         }
     }
@@ -502,7 +548,7 @@ mod tests {
         let g = gen::random_planar(80, 0.4, &mut rng);
         let out = run_framework(&g, &FrameworkConfig::planar(0.3, 11));
         for c in &out.clusters {
-            assert!(routing::tree_routing(&g, &c.members, c.leader).complete());
+            assert!(routing::tree_routing(&g, &c.mapping, c.leader).complete());
         }
     }
 
@@ -586,7 +632,7 @@ mod tests {
                     .unwrap_or_else(|| panic!("missing note `{k}`"))
             };
             assert_eq!(note("cluster"), c.id as u64);
-            assert_eq!(note("members"), c.members.len() as u64);
+            assert_eq!(note("members"), c.mapping.len() as u64);
             assert_eq!(note("rounds"), c.routing.rounds);
         }
         // full tracing records the per-round series and edge hotspots

@@ -6,7 +6,9 @@
 //! the *reaction*: run the framework under whatever
 //! [`FaultPlan`](lcg_congest::FaultPlan) the configuration carries, run
 //! every detector, and on any detected failure retry the randomized
-//! phases with a fresh derived seed and a doubled walk budget, up to a
+//! phases — election, orientation, gathering, over the one decomposition
+//! computed before the first attempt, which no seed or fault reaches —
+//! with a fresh derived seed and a doubled walk budget, up to a
 //! configurable [`RecoveryPolicy`]. When the budget is exhausted the run
 //! **degrades instead of failing**: every vertex falls back to its own
 //! singleton cluster ([`singleton_outcome`]) — a clustering that needs no
@@ -18,18 +20,21 @@
 //! assumption) and its rounds are charged. Accounting across attempts is
 //! cumulative: the returned outcome's `stats` include every failed
 //! attempt and every detector pass, which is why — unlike a plain
-//! [`run_framework`] result — its `phases` breakdown only covers the
-//! *final* attempt and no longer partitions `stats.rounds`.
+//! [`run_framework`](crate::framework::run_framework) result — its
+//! `phases` breakdown only covers the *final* attempt and no longer
+//! partitions `stats.rounds`.
 
 use lcg_congest::{Model, Network, RoundStats};
 use lcg_expander::decomp::{ClusterInfo, ExpanderDecomposition};
-use lcg_metrics::Report;
 use lcg_expander::routing::RoutingOutcome;
 use lcg_graph::Graph;
+use lcg_metrics::{Recorder, Report};
 use lcg_trace::{TraceConfig, Tracer};
 
 use crate::failure;
-use crate::framework::{run_framework, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds};
+use crate::framework::{
+    decompose_timed, run_framework_timed, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds,
+};
 
 /// Seed stride between retry attempts (odd, so all 2^64 derived seeds are
 /// distinct for distinct attempts).
@@ -88,12 +93,11 @@ pub struct RecoveryReport {
 }
 
 /// Runs every §2.3 detector against `outcome`, charging the diameter
-/// check to `det_net` (a fault-free control network on the host graph).
-/// Returns one line per detected failure; empty means the execution
-/// passed.
+/// check — against the bound `b` the execution itself measured — to
+/// `det_net` (a fault-free control network on the host graph). Returns one
+/// line per detected failure; empty means the execution passed.
 fn detect_failures(outcome: &FrameworkOutcome, det_net: &mut Network) -> Vec<String> {
     let mut verdicts = Vec::new();
-    let mut diam_bound = 0usize;
     for c in &outcome.clusters {
         if !c.election_agrees {
             verdicts.push(format!("cluster {}: election disagreement", c.id));
@@ -104,17 +108,12 @@ fn detect_failures(outcome: &FrameworkOutcome, det_net: &mut Network) -> Vec<Str
                 c.id, c.routing.delivered, c.routing.total
             ));
         }
-        diam_bound = diam_bound.max(c.subgraph.diameter().unwrap_or(0));
     }
     // §2.3 marking protocol with the measured bound `b`: every cluster
     // must still fit the diameter of a successful execution. The check
     // spends real rounds on the control network even when it passes.
-    let repaired = failure::enforce_diameter(
-        det_net,
-        &outcome.decomposition.cluster_of,
-        diam_bound,
-    );
-    if repaired != outcome.decomposition.cluster_of {
+    let cluster_of = &outcome.decomposition.cluster_of;
+    if failure::enforce_diameter(det_net, cluster_of, outcome.diameter_bound) != *cluster_of {
         verdicts.push("clustering: over-diameter cluster dissolved".to_string());
     }
     verdicts
@@ -151,7 +150,6 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
             let (subgraph, mapping) = g.induced_subgraph(&[v]);
             ClusterRun {
                 id: v,
-                members: vec![v],
                 leader: v,
                 subgraph,
                 mapping,
@@ -174,6 +172,7 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     FrameworkOutcome {
         decomposition,
         clusters,
+        diameter_bound: 0,
         stats: RoundStats::default(),
         phases: PhaseRounds::default(),
         trace: tracer.finish(),
@@ -232,11 +231,20 @@ pub(crate) struct AttemptRun {
 }
 
 impl AttemptLog {
-    /// Executes attempt `next_attempt`: seed [`derived_seed`]`(cfg.seed, k)`,
-    /// walk budget `policy.initial_walk_steps · 2^k` capped by
-    /// `cfg.max_walk_steps`, then every §2.3 detector on a fault-free
-    /// control network. A pure function of `(g, cfg, policy, next_attempt)`.
-    pub(crate) fn run(&self, g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPolicy) -> AttemptRun {
+    /// Executes attempt `next_attempt` over `decomposition`: seed
+    /// [`derived_seed`]`(cfg.seed, k)`, walk budget
+    /// `policy.initial_walk_steps · 2^k` capped by `cfg.max_walk_steps`,
+    /// then every §2.3 detector on a fault-free control network. A pure
+    /// function of `(g, decomposition, cfg, policy, next_attempt)`; `timed`
+    /// only hands the first attempt the recorder of [`decompose_timed`].
+    pub(crate) fn run(
+        &self,
+        g: &Graph,
+        decomposition: &ExpanderDecomposition,
+        timed: Option<Recorder>,
+        cfg: &FrameworkConfig,
+        policy: &RecoveryPolicy,
+    ) -> AttemptRun {
         let attempt = self.next_attempt as u32;
         let attempt_cfg = FrameworkConfig {
             seed: derived_seed(cfg.seed, attempt),
@@ -246,7 +254,7 @@ impl AttemptLog {
                 .min(cfg.max_walk_steps),
             ..cfg.clone()
         };
-        let outcome = run_framework(g, &attempt_cfg);
+        let outcome = run_framework_timed(g, decomposition.clone(), timed, &attempt_cfg);
         let mut det_net = Network::with_exec(g, Model::congest(), cfg.exec);
         let verdicts = detect_failures(&outcome, &mut det_net);
         AttemptRun { outcome, det_stats: det_net.stats(), verdicts }
@@ -334,9 +342,10 @@ pub fn run_framework_resilient(
     cfg: &FrameworkConfig,
     policy: &RecoveryPolicy,
 ) -> (FrameworkOutcome, RecoveryReport) {
+    let (decomposition, mut timed) = decompose_timed(g, cfg);
     let mut log = AttemptLog::default();
     while log.next_attempt <= u64::from(policy.max_retries) {
-        let ran = log.run(g, cfg, policy);
+        let ran = log.run(g, &decomposition, timed.take(), cfg, policy);
         if let Some(accepted) = log.commit(ran) {
             return accepted;
         }
@@ -423,7 +432,7 @@ mod tests {
         assert_eq!(out.decomposition.clusters.len(), g.n());
         assert_eq!(out.decomposition.cut_edges.len(), g.m());
         for c in &out.clusters {
-            assert_eq!(c.members, vec![c.leader]);
+            assert_eq!(c.mapping, vec![c.leader]);
             assert!(c.routing.complete());
         }
         // failed attempts' spending survives in the final stats
@@ -462,6 +471,28 @@ mod tests {
         // cumulative stats: nothing counted twice, nothing lost
         assert_eq!(det.counter("net.rounds") + report.detector_rounds, out.stats.rounds);
         assert!(det.counter("net.dropped_messages") > 0, "a blackout must drop messages");
+    }
+
+    /// The decomposition is computed once, ahead of the attempts, and timed
+    /// on the profiling plane of the attempt that followed it: the first.
+    /// Every attempt runs on that one clustering.
+    #[test]
+    fn only_the_first_attempt_reports_the_decomposition_timer() {
+        let g = gen::grid(6, 6);
+        let timed = |out: &FrameworkOutcome| {
+            let report = out.metrics.as_ref().expect("metrics on");
+            report.profile.phases.iter().any(|p| p.name == "decomposition")
+        };
+        let cfg = FrameworkConfig { metrics: true, ..FrameworkConfig::planar(0.3, 11) };
+        // 64 walk steps cannot gather a 6x6 grid; some doubling of it can
+        let starved = RecoveryPolicy { max_retries: 12, initial_walk_steps: 64 };
+        let (retried, report) = run_framework_resilient(&g, &cfg, &starved);
+        assert!(report.attempts > 1 && !report.degraded, "{report:?}");
+        assert!(!timed(&retried), "a retry re-runs the randomized phases only");
+        let (accepted, report) = run_framework_resilient(&g, &cfg, &RecoveryPolicy::default_budget());
+        assert_eq!(report.attempts, 1);
+        assert!(timed(&accepted));
+        assert_eq!(retried.decomposition.cluster_of, accepted.decomposition.cluster_of);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   framework is one monolithic execution, so the checkpoint unit is the
 //!   *attempt boundary* of the PR 4 resilient loop. It wraps recovery's
 //!   own attempt step (`recovery::AttemptLog`): `run` is a pure function of
-//!   `(graph, config, attempt)` and goes inside the `catch_unwind`, and
+//!   `(graph, decomposition, config, attempt)` — the decomposition itself
+//!   a function of graph and config, recomputed by whichever process
+//!   resumes, never checkpointed — and goes inside the `catch_unwind`, and
 //!   the accumulators `commit` advances (spent stats, failure verdicts,
 //!   the folded metrics registry) are exactly the resumable state.
 //!
@@ -60,7 +62,7 @@ use lcg_congest::{
 use lcg_graph::Graph;
 use lcg_metrics::{Registry, Report};
 
-use crate::framework::{FrameworkConfig, FrameworkOutcome};
+use crate::framework::{decompose_timed, FrameworkConfig, FrameworkOutcome};
 use crate::recovery::{AttemptLog, RecoveryPolicy, RecoveryReport};
 
 /// File extension of every snapshot the supervisor writes.
@@ -474,7 +476,6 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
         density_bound,
         seed,
         max_walk_steps,
-        practical_phi,
         message_faithful,
         metrics,
         faults,
@@ -492,10 +493,11 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
     enc.f64(*epsilon);
     enc.f64(*density_bound);
     enc.usize(*max_walk_steps);
-    // the leading 0 is the retired `deterministic_routing` flag, which no
-    // checkpointed run ever set: its byte stays, so checkpoints written
-    // before its removal still resume
-    for flag in [false, *practical_phi, *message_faithful, *metrics] {
+    // the leading 0 and 1 are two retired flags (`deterministic_routing`,
+    // and the adaptive-φ switch `run_framework_on` replaced) at the only
+    // values a checkpointed run ever had: their bytes stay, so checkpoints
+    // written before their removal still resume
+    for flag in [false, true, *message_faithful, *metrics] {
         enc.u8(u8::from(flag));
     }
     faults.encode(&mut enc);
@@ -568,11 +570,15 @@ pub fn run_framework_checkpointed(
     let mut kill = ckpt.kill_at_attempt;
     let load = |r: &SnapshotReader| load_framework(fingerprint, r);
     let mut acc = store.resume(load)?.unwrap_or_default();
+    // seed-independent and never reached by a fault plan: computed once, by
+    // the first attempt this process executes (inside its `catch_unwind`)
+    let mut decomposed = None;
     while acc.next_attempt <= u64::from(policy.max_retries) {
         let attempt = acc.next_attempt as u32;
         let kill_now = kill == Some(attempt);
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            let ran = acc.run(g, cfg, policy);
+            let (decomposition, timed) = decomposed.get_or_insert_with(|| decompose_timed(g, cfg));
+            let ran = acc.run(g, decomposition, timed.take(), cfg, policy);
             if kill_now {
                 // fires after the attempt's work, before any of it is
                 // committed — the lost-progress crash checkpoints absorb
@@ -954,7 +960,6 @@ mod tests {
         for (field, changed) in [
             ("faults", FrameworkConfig { faults: Some(FaultPlan::none()), ..base.clone() }),
             ("density_bound", FrameworkConfig { density_bound: 2.0, ..base.clone() }),
-            ("practical_phi", FrameworkConfig { practical_phi: !base.practical_phi, ..base.clone() }),
             ("message_faithful", FrameworkConfig { message_faithful: true, ..base.clone() }),
             ("metrics", FrameworkConfig { metrics: true, ..base.clone() }),
         ] {
@@ -967,6 +972,10 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(fp(&free), fp(&base), "thread count and tracing may change across a resume");
+        // ...and retiring a flag does not: the value the commit before the
+        // adaptive-φ switch was removed computed for this run
+        let grid = gen::grid(3, 3);
+        assert_eq!(framework_fingerprint(&grid, &base, &policy), 0xf5db_6b1d_28e2_8dd6);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&fresh_dir);
     }

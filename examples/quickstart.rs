@@ -24,7 +24,7 @@ fn main() {
         fw.cut_edges(),
         100.0 * fw.cut_edges() as f64 / g.m() as f64
     );
-    let biggest = fw.clusters.iter().map(|c| c.members.len()).max().unwrap();
+    let biggest = fw.clusters.iter().map(|c| c.mapping.len()).max().unwrap();
     println!(
         "largest cluster: {biggest} vertices; every leader gathered its \
          cluster topology via Lemma 2.4 random-walk routing"

@@ -2,8 +2,11 @@
 //! paper's failed-execution behaviour — failures are detected, degrade to
 //! singletons, and never produce invalid outputs.
 
-use locongest::congest::{primitives, FaultPlan, Model, Network};
+use locongest::congest::{primitives, ExecConfig, FaultPlan, Model, Network};
 use locongest::core::failure;
+use locongest::core::framework::{FrameworkConfig, FrameworkOutcome};
+use locongest::core::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use locongest::core::supervisor::{run_framework_checkpointed, CheckpointConfig};
 use locongest::expander::routing;
 use locongest::graph::gen;
 use proptest::prelude::*;
@@ -71,16 +74,14 @@ fn degree_condition_flags_non_minor_free_expanders() {
     // realistic φ — this is exactly the §3.4 Reject trigger.
     let mut rng = gen::seeded_rng(3001);
     let g = gen::gnm(200, 600, &mut rng);
-    let members: Vec<usize> = (0..200).collect();
     let leader = (0..200).max_by_key(|&v| g.degree(v)).unwrap();
     // at φ = 0.3 (what a real expander would certify), Ω(φ²)|E| ≈ 54·c;
     // max degree in G(200, 600) is ~10-15, so c = 0.5 fails
-    assert!(!failure::degree_condition(&g, &members, leader, 0.3, 0.5));
+    assert!(!failure::degree_condition(&g, leader, 0.3, 0.5));
     // while a planar cluster with its tiny φ_cut passes comfortably
     let p = gen::stacked_triangulation(100, &mut rng);
-    let members: Vec<usize> = (0..100).collect();
     let leader = (0..100).max_by_key(|&v| p.degree(v)).unwrap();
-    assert!(failure::degree_condition(&p, &members, leader, 0.01, 0.5));
+    assert!(failure::degree_condition(&p, leader, 0.01, 0.5));
 }
 
 #[test]
@@ -194,4 +195,80 @@ fn unclustered_vertices_reset_to_singletons() {
     assert_eq!(fixed[4], 9);
     assert_ne!(fixed[0], fixed[3]);
     assert!(fixed[0] > 9 && fixed[3] > 9);
+}
+
+/// `(stats, RecoveryReport, deterministic metrics JSON)` of one resilient
+/// run, as the text the `tests/golden/resilient_*.txt` fixtures hold.
+fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
+    format!(
+        "{}\n{report:?}\n{}\n",
+        serde_json::to_string(&out.stats).unwrap(),
+        out.metrics.as_ref().expect("metrics: true always yields a report").deterministic_json()
+    )
+}
+
+/// The two fixtures were written by the commit *before* `run_framework`
+/// was split into decompose + `run_framework_on` (PR 24), when every
+/// attempt still recomputed its decomposition: a run that retries twice
+/// and one that exhausts its budget and degrades. Decomposing once and
+/// retrying only the randomized phases must reproduce both bit for bit —
+/// straight through, checkpointed, and killed-and-resumed, at 1 and 3
+/// threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
+/// accounting change, and from the commit being replaced.
+#[test]
+fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
+    let mut rng = gen::seeded_rng(0x24);
+    let g = gen::grid_with_noise(16, 16, 0.02, &mut rng);
+    let retried = FrameworkConfig {
+        faults: Some(FaultPlan::none().with_link_failure(1, 0, 2)),
+        max_walk_steps: 40_000,
+        ..FrameworkConfig::planar(0.3, 6)
+    };
+    let blackout = FrameworkConfig {
+        faults: Some(FaultPlan::drops(1, 1.0)),
+        max_walk_steps: 5_000,
+        ..FrameworkConfig::planar(0.3, 11)
+    };
+    let cases = [
+        ("resilient_retried", retried, RecoveryPolicy { max_retries: 3, initial_walk_steps: 1_000 }, 3, false),
+        ("resilient_degraded", blackout, RecoveryPolicy { max_retries: 2, initial_walk_steps: 1_000 }, 3, true),
+    ];
+    for (name, base, policy, attempts, degrades) in cases {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("{name}.txt"));
+        for threads in [1, 3] {
+            let cfg = FrameworkConfig {
+                metrics: true,
+                exec: ExecConfig::with_threads(threads),
+                ..base.clone()
+            };
+            let (out, report) = run_framework_resilient(&g, &cfg, &policy);
+            assert_eq!((report.attempts, report.degraded), (attempts, degrades), "{name}");
+            let got = render_resilient(&out, &report);
+            if std::env::var("UPDATE_GOLDEN").is_ok() {
+                std::fs::write(&path, &got).unwrap();
+            }
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!("missing fixture {path:?} ({e}); it is blessed from the parent commit")
+            });
+            assert_eq!(got, want, "{name}: resilient run diverged at {threads} threads");
+            for kill in [None, Some(1)] {
+                let dir = std::env::temp_dir()
+                    .join(format!("lcg-fixture-{}-{name}-{threads}-{kill:?}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut ckpt = CheckpointConfig::new(&dir);
+                ckpt.kill_at_attempt = kill;
+                let (out, report, sup) =
+                    run_framework_checkpointed(&g, &cfg, &policy, &ckpt).expect("supervised run");
+                assert_eq!(sup.crashes, u32::from(kill.is_some()), "{name}");
+                assert_eq!(
+                    render_resilient(&out, &report),
+                    want,
+                    "{name}: checkpointed run (kill {kill:?}) diverged at {threads} threads"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }

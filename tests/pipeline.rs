@@ -2,8 +2,10 @@
 //! on shared workloads.
 
 use locongest::core::apps::{corrclust, ldd, maxis, mcm, mwm, property_testing};
-use locongest::core::framework::{run_framework, FrameworkConfig};
-use locongest::graph::gen;
+use locongest::congest::{ExecConfig, FaultPlan};
+use locongest::core::framework::{run_framework, run_framework_on, FrameworkConfig, FrameworkOutcome};
+use locongest::expander::decomp;
+use locongest::graph::{gen, Graph};
 use locongest::solvers;
 
 #[test]
@@ -27,7 +29,7 @@ fn theorem_2_6_full_contract() {
         // contract 2: every leader knows its full cluster topology
         for c in &out.clusters {
             assert!(c.routing.complete(), "{name}: cluster {} incomplete", c.id);
-            assert_eq!(c.subgraph.n(), c.members.len());
+            assert_eq!(c.subgraph.n(), c.mapping.len());
         }
         // contract 3: CONGEST discipline held throughout
         assert!(out.stats.max_words_edge_round <= 2, "{name}");
@@ -250,4 +252,104 @@ fn theorem_1_1_loop_stops_at_its_fixed_point() {
     let executed = warm.history.len() - sweep.history.len();
     assert!(executed < limit, "{executed} of {limit} iterations ran");
     assert_eq!(warm.weight, *warm.history.last().unwrap());
+}
+
+/// The three instances of `tests/golden_stats.rs`.
+fn golden_instances() -> [(&'static str, Graph); 3] {
+    let mut rng = gen::seeded_rng(0x601D);
+    [
+        ("cycle64", gen::cycle(64)),
+        ("hypercube8", gen::hypercube(8)),
+        ("planar200", gen::random_planar(200, 0.5, &mut rng)),
+    ]
+}
+
+/// `run_framework` is "decompose, then `run_framework_on`" and nothing
+/// else: handing `run_framework_on` the same decomposition reproduces every
+/// observable of the run — charged and message-faithful gathering, with
+/// and without an active fault plan, at 1 and 3 threads.
+#[test]
+fn run_framework_on_the_same_decomposition_is_run_framework() {
+    for (name, g) in golden_instances() {
+        for faithful in [false, true] {
+            for faults in [None, Some(FaultPlan::drops(0xD0, 0.2))] {
+                for threads in [1, 3] {
+                    let cfg = FrameworkConfig {
+                        message_faithful: faithful,
+                        max_walk_steps: 20_000,
+                        faults: faults.clone(),
+                        exec: ExecConfig::with_threads(threads),
+                        trace: true,
+                        metrics: true,
+                        ..FrameworkConfig::planar(0.3, 5)
+                    };
+                    let case = format!("{name} faithful={faithful} faults={} threads={threads}", faults.is_some());
+                    let whole = run_framework(&g, &cfg);
+                    let d = decomp::decompose_adaptive(&g, cfg.epsilon / cfg.density_bound);
+                    let split = run_framework_on(&g, d, &cfg);
+                    assert_eq!(split.stats, whole.stats, "{case}");
+                    assert_eq!(split.phases, whole.phases, "{case}");
+                    assert_eq!(split.diameter_bound, whole.diameter_bound, "{case}");
+                    assert_eq!(split.decomposition.cluster_of, whole.decomposition.cluster_of, "{case}");
+                    assert_eq!(split.clusters.len(), whole.clusters.len(), "{case}");
+                    for (a, b) in split.clusters.iter().zip(&whole.clusters) {
+                        assert_eq!(
+                            (a.id, a.leader, a.routing, a.election_agrees, &a.mapping),
+                            (b.id, b.leader, b.routing, b.election_agrees, &b.mapping),
+                            "{case}"
+                        );
+                    }
+                    assert_eq!(split.trace.to_jsonl(), whole.trace.to_jsonl(), "{case}");
+                    let det = |o: &FrameworkOutcome| o.metrics.as_ref().expect("metrics on").deterministic_json();
+                    assert_eq!(det(&split), det(&whole), "{case}");
+                    // the decomposition is timed by the run that computed it
+                    let timed = |o: &FrameworkOutcome| {
+                        let report = o.metrics.as_ref().expect("metrics on");
+                        report.profile.phases.iter().any(|p| p.name == "decomposition")
+                    };
+                    assert!(timed(&whole) && !timed(&split), "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// The `b` a run reports is the largest cluster diameter, here recomputed
+/// from eccentricities rather than by `Graph::diameter`'s iFUB.
+#[test]
+fn diameter_bound_is_the_largest_cluster_diameter() {
+    for (name, g) in golden_instances() {
+        let out = run_framework(&g, &FrameworkConfig::planar(0.3, 5));
+        let b = out
+            .clusters
+            .iter()
+            .flat_map(|c| (0..c.subgraph.n()).map(|v| c.subgraph.eccentricity(v)))
+            .max()
+            .unwrap();
+        assert_eq!(out.diameter_bound, b, "{name}");
+        assert_eq!(out.phases.election, b as u64, "{name}: the election floods for b rounds");
+    }
+}
+
+/// The paper-faithful `φ = Θ(ε/log n)` variant is the caller's choice of
+/// decomposition now: E14's "paper" row at n = 150, as the retired
+/// `FrameworkConfig` switch printed it.
+#[test]
+fn run_framework_on_the_paper_decomposition_reproduces_e14() {
+    let mut rng = gen::seeded_rng(0xE14);
+    let g = gen::stacked_triangulation(150, &mut rng);
+    let cfg = FrameworkConfig::planar(0.3, 5);
+    let paper = decomp::decompose(&g, cfg.epsilon / cfg.density_bound);
+    let out = run_framework_on(&g, paper, &cfg);
+    assert_eq!(
+        (out.clusters.len(), out.cut_edges(), out.stats.rounds, out.phases.gathering),
+        (1, 0, 1281, 636)
+    );
+}
+
+#[test]
+#[should_panic(expected = "decomposition is not of this graph")]
+fn run_framework_on_rejects_another_graphs_decomposition() {
+    let d = decomp::decompose_adaptive(&gen::cycle(12), 0.1);
+    let _ = run_framework_on(&gen::cycle(16), d, &FrameworkConfig::planar(0.3, 5));
 }
