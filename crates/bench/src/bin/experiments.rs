@@ -19,6 +19,11 @@
 //! the rendered report to stderr. The report's `deterministic` section is
 //! bit-identical from run to run; only its quarantined `profile` section
 //! (wall time, peak RSS) varies.
+//!
+//! `--threads N` is the thread count of the framework runs this binary
+//! starts — E25's framework row and the `--trace`/`--metrics` runs — and
+//! the one place it is set: the libraries read no environment variable.
+//! Every result is the same at any count; only the seconds move.
 
 use std::io::Write;
 
@@ -54,6 +59,9 @@ usage: experiments [IDS...] [OPTIONS]
                       With no IDS, run only the supervised run
   --scale-n N         vertex count of E25 (default 10^5 quick, 10^6 full)
   --e25-metrics PATH  write E25's framework-row metrics.json to PATH
+  --threads N         threads of E25's framework row and of the --trace and
+                      --metrics runs (default 1; results are the same at
+                      any count)
   -h, --help          print this help";
 
 /// The value after `name` on the command line, parsed; `None` when the flag
@@ -65,6 +73,17 @@ usage: experiments [IDS...] [OPTIONS]
 fn flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
     let v = args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))?;
     Some(v.parse().unwrap_or_else(|_| panic!("{name} expects {what}, got `{v}`")))
+}
+
+/// `--threads N` as an executor; one thread when absent.
+///
+/// # Panics
+///
+/// Panics, naming the flag, unless `N` is a whole number of at least 1.
+fn threads(args: &[String]) -> lcg_congest::ExecConfig {
+    let threads = flag(args, "--threads", "a thread count").unwrap_or(1);
+    assert!(threads >= 1, "--threads expects a thread count of at least 1, got `{threads}`");
+    lcg_congest::ExecConfig::with_threads(threads)
 }
 
 /// The experiment ids: every flag but `--quick` takes the argument after it
@@ -97,6 +116,7 @@ fn main() {
         kill_at_round: flag(&args, "--kill-at-round", "a round number"),
         scale_n: flag(&args, "--scale-n", "a vertex count"),
         e25_metrics: flag(&args, "--e25-metrics", "a path"),
+        exec: threads(&args),
     };
     // what only this binary reads
     let json_dir: Option<String> = flag(&args, "--json", "a directory");
@@ -110,14 +130,14 @@ fn main() {
     let scale = opts.scale;
 
     if let Some(path) = &trace_path {
-        run_traced(path, trace_top_k, scale, faults.clone());
+        run_traced(path, trace_top_k, &opts, faults.clone());
         if selected.is_empty() && metrics_path.is_none() {
             return;
         }
     }
 
     if let Some(path) = &metrics_path {
-        run_metrics(path, scale, faults.clone());
+        run_metrics(path, &opts, faults.clone());
         if selected.is_empty() && resume_from.is_none() {
             return;
         }
@@ -164,18 +184,20 @@ fn planar_instance(scale: Scale) -> lcg_graph::Graph {
     lcg_graph::gen::random_planar(n, 0.5, &mut lcg_graph::gen::seeded_rng(42))
 }
 
-/// One fully traced framework run on a planar instance, sized by `scale`.
-/// With `--faults P`, a seeded drop schedule is injected and its events
-/// land in the trace (and the report's fault section).
-fn run_traced(path: &str, top_k: usize, scale: Scale, faults: Option<lcg_congest::FaultPlan>) {
+/// One fully traced framework run on a planar instance, sized by `--quick`,
+/// on `--threads` threads. With `--faults P`, a seeded drop schedule is
+/// injected and its events land in the trace (and the report's fault
+/// section).
+fn run_traced(path: &str, top_k: usize, opts: &Opts, faults: Option<lcg_congest::FaultPlan>) {
     use lcg_core::framework::{run_framework, FrameworkConfig};
 
-    let g = planar_instance(scale);
+    let g = planar_instance(opts.scale);
     eprintln!(">>> running traced framework (n={}, top-k {top_k})...", g.n());
     let cfg = FrameworkConfig {
         trace: true,
         trace_top_k: top_k,
         faults,
+        exec: opts.exec,
         ..FrameworkConfig::planar(0.3, 42)
     };
     let out = run_framework(&g, &cfg);
@@ -218,15 +240,15 @@ fn run_checkpointed(dir: &str, opts: &Opts, faults: Option<lcg_congest::FaultPla
 }
 
 /// One metrics-recorded framework run on a planar instance, sized by
-/// `scale`. The same instance and seed as the traced run, so the two
-/// reports describe the same execution. Writes the full two-plane report
-/// to `path` and renders it to stderr.
-fn run_metrics(path: &str, scale: Scale, faults: Option<lcg_congest::FaultPlan>) {
+/// `--quick`, on `--threads` threads. The same instance and seed as the
+/// traced run, so the two reports describe the same execution. Writes the
+/// full two-plane report to `path` and renders it to stderr.
+fn run_metrics(path: &str, opts: &Opts, faults: Option<lcg_congest::FaultPlan>) {
     use lcg_core::framework::{run_framework, FrameworkConfig};
 
-    let g = planar_instance(scale);
+    let g = planar_instance(opts.scale);
     eprintln!(">>> running metrics-recorded framework (n={})...", g.n());
-    let cfg = FrameworkConfig { metrics: true, faults, ..FrameworkConfig::planar(0.3, 42) };
+    let cfg = FrameworkConfig { metrics: true, faults, exec: opts.exec, ..FrameworkConfig::planar(0.3, 42) };
     let out = run_framework(&g, &cfg);
     let report = out.metrics.expect("metrics: true always yields a report");
     std::fs::write(path, report.to_json()).expect("write metrics file");
@@ -249,6 +271,19 @@ mod tests {
         assert_eq!(flag::<u64>(&a, "--fault-seed", "a number"), Some(7));
         assert_eq!(flag::<String>(&a, "--json", "a directory").as_deref(), Some("out"));
         assert_eq!(flag::<u64>(&a, "--kill-at-round", "a round number"), None);
+    }
+
+    #[test]
+    fn threads_default_to_one() {
+        assert_eq!(threads(&args("e25 --quick")).threads(), 1);
+        assert_eq!(threads(&args("e25 --threads 2 --quick")).threads(), 2);
+        assert_eq!(ids(&args("e25 --threads 2 --quick")), ["e25"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads expects a thread count of at least 1, got `0`")]
+    fn zero_threads_name_the_flag() {
+        threads(&args("e25 --threads 0"));
     }
 
     #[test]

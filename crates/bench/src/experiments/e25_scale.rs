@@ -19,9 +19,11 @@
 //! as every other profile figure in the repo.
 //!
 //! Options read: [`Opts::scale_n`] (`--scale-n`, vertex count override;
-//! default 10⁵ quick / 10⁶ full) and [`Opts::e25_metrics`]
+//! default 10⁵ quick / 10⁶ full), [`Opts::e25_metrics`]
 //! (`--e25-metrics PATH`: the framework row's two-plane `metrics.json` is
-//! written there; the CI `scale-smoke` lane uploads it as an artifact).
+//! written there; the CI `scale-smoke` lane uploads it as an artifact) and
+//! [`Opts::exec`] (`--threads N`: the framework row's thread count; its
+//! rounds and messages are the same at every count).
 
 use lcg_congest::{Inbox, Model, Network, Outbox, RoundStats};
 use lcg_core::framework::{run_framework, FrameworkConfig};
@@ -85,11 +87,11 @@ fn routing_fixed_rounds(g: &Graph, rounds: usize) -> (RoundStats, ProfileReport)
     (net.stats(), report.profile)
 }
 
-fn framework_run(g: &Graph, seed: u64, metrics_path: Option<&str>) -> (RoundStats, ProfileReport) {
-    let cfg = FrameworkConfig { metrics: true, ..FrameworkConfig::planar(0.3, seed) };
+fn framework_run(g: &Graph, seed: u64, opts: &Opts) -> (RoundStats, ProfileReport) {
+    let cfg = FrameworkConfig { metrics: true, exec: opts.exec, ..FrameworkConfig::planar(0.3, seed) };
     let out = run_framework(g, &cfg);
     let report = out.metrics.expect("metrics: true always yields a report");
-    if let Some(path) = metrics_path {
+    if let Some(path) = &opts.e25_metrics {
         std::fs::write(path, report.to_json()).expect("write --e25-metrics report");
     }
     (out.stats, report.profile)
@@ -144,7 +146,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let rows = (n as f64).sqrt() as usize;
     let cols = n.div_ceil(rows);
     let gn = gen::grid_with_noise(rows, cols, 0.02, &mut gen::seeded_rng(0xE2503));
-    let (stats, prof) = framework_run(&gn, 0xE25, opts.e25_metrics.as_deref());
+    let (stats, prof) = framework_run(&gn, 0xE25, opts);
     t.row(cells!(
         "framework",
         "grid_with_noise(2%)",

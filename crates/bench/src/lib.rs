@@ -58,4 +58,7 @@ pub struct Opts {
     pub scale_n: Option<usize>,
     /// `--e25-metrics PATH`: where E25 writes its framework row's report.
     pub e25_metrics: Option<String>,
+    /// `--threads N`: the thread count of E25's framework row (one thread
+    /// when absent).
+    pub exec: lcg_congest::ExecConfig,
 }

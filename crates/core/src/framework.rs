@@ -57,11 +57,14 @@ pub struct FrameworkConfig {
     /// fully message-faithful; Experiment E17 shows the two agree within
     /// a factor ≈ 2.
     pub message_faithful: bool,
-    /// Recorded on the run's networks ([`Network::exec`], a snapshot's
-    /// `EXEC` section) and not read: every phase runs on the caller's
-    /// thread. [`FrameworkConfig::planar`] records
-    /// [`ExecConfig::sequential`]. Kept because the frozen `benchmark/`
-    /// sets it; ROADMAP item 7(c) removes it.
+    /// The run's thread count, set by the caller: the decomposition's
+    /// recursion levels and the charged walks of the gathering phase (one
+    /// item per cluster) run through [`ExecConfig::map`], and every result
+    /// is bit-identical at any count. The round engine and the
+    /// message-faithful gathering stay on the caller's thread; the run's
+    /// networks record the count ([`Network::exec`], a snapshot's `EXEC`
+    /// section). [`FrameworkConfig::planar`] sets
+    /// [`ExecConfig::sequential`].
     pub exec: ExecConfig,
     /// Record a **full** trace: per-round time series, per-edge load
     /// histogram with hotspots, and per-cluster routing spans (see
@@ -189,7 +192,8 @@ impl FrameworkOutcome {
 }
 
 /// Checks `cfg`'s ε and `t`, then computes the decomposition
-/// [`run_framework`] runs on: `decompose_adaptive` with `ε' = ε / t`.
+/// [`run_framework`] runs on: `decompose_adaptive` with `ε' = ε / t`, its
+/// recursion levels analysed on `cfg.exec`'s threads.
 /// With `cfg.metrics` on, also returns the run's recorder with the
 /// decomposition timed on its profiling plane — it charges no rounds and so
 /// has no span, but is most of the wall time at charged-walk sizes.
@@ -207,7 +211,7 @@ pub(crate) fn decompose_timed(
     if let Some(rec) = recorder.as_mut() {
         rec.phase_start("decomposition");
     }
-    let decomposition = decomp::decompose_adaptive(g, cfg.epsilon / cfg.density_bound);
+    let decomposition = decomp::decompose_adaptive_exec(g, cfg.epsilon / cfg.density_bound, cfg.exec);
     if let Some(rec) = recorder.as_mut() {
         rec.phase_end("decomposition");
     }
@@ -329,17 +333,53 @@ pub(crate) fn run_framework_timed(
         .collect();
 
     // Phases 4-5: gather topology to each leader, then broadcast back.
-    // Clusters run in parallel: charge the maximum over clusters.
+    // Clusters run in parallel: charge the maximum over clusters. The
+    // leader is the member of largest (cluster degree, id).
+    let leaders_local: Vec<usize> = subs
+        .iter()
+        .map(|(_, mapping)| {
+            (0..mapping.len())
+                .max_by_key(|&i| (degrees[mapping[i]], mapping[i]))
+                .expect("decomposition clusters are non-empty")
+        })
+        .collect();
+    let counts: Vec<Vec<usize>> =
+        subs.iter().map(|(_, mapping)| mapping.iter().map(|&v| 1 + out_deg[v]).collect()).collect();
     let mut clusters = Vec::new();
     let mut gather_rounds = 0u64;
     let mut faithful_traffic = RoundStats::default();
     net.phase("gathering", |net| {
-        for (cid, (sub, mapping)) in subs.into_iter().enumerate() {
-            let leader = mapping
+        // One charged walk per multi-vertex cluster, all of them at once on
+        // the run's threads, whatever is being observed: an active plan
+        // adjudicates each crossing (killed tokens consumed their
+        // bandwidth; the outcome honestly reports the shortfall for the §2.3
+        // reversal detector), a full trace asks for the host-edge loads of
+        // the hotspot table. One rng draw per walk in cluster order, and the
+        // same trajectories, in every combination and at every thread count.
+        let mut charged = if cfg.message_faithful {
+            Vec::new()
+        } else {
+            let walks: Vec<routing::ClusterWalk<'_>> = subs
                 .iter()
-                .copied()
-                .max_by_key(|&v| (degrees[v], v))
-                .expect("decomposition clusters are non-empty");
+                .zip(&leaders_local)
+                .zip(&counts)
+                .filter(|(((sub, _), _), _)| sub.n() > 1)
+                .map(|(((sub, map), &leader_local), counts)| routing::ClusterWalk { sub, map, leader_local, counts })
+                .collect();
+            routing::charged_walks(
+                g,
+                &walks,
+                cfg.max_walk_steps,
+                &mut rng,
+                cfg.faults.as_ref().filter(|_| faults_active),
+                cfg.trace,
+                cfg.exec,
+            )
+        }
+        .into_iter();
+        let per_cluster = subs.into_iter().zip(leaders_local).zip(counts);
+        for (cid, (((sub, mapping), leader_local), counts)) in per_cluster.enumerate() {
+            let leader = mapping[leader_local];
             // sanity: the flood elects the same leader everywhere — unless an
             // active fault plan dropped flood messages, in which case the
             // disagreement is *recorded* for the §2.3 detectors, not asserted.
@@ -348,7 +388,6 @@ pub(crate) fn run_framework_timed(
                 faults_active || election_agrees,
                 "fault-free election must agree on the max-degree leader"
             );
-            let counts: Vec<usize> = mapping.iter().map(|&v| 1 + out_deg[v]).collect();
             let routing_outcome = if sub.n() <= 1 {
                 routing::RoutingOutcome {
                     delivered: counts.iter().sum(),
@@ -387,22 +426,7 @@ pub(crate) fn run_framework_timed(
                 faithful_traffic.merge(&RoundStats { rounds: 0, ..rstats });
                 outcome
             } else {
-                // One charged walk whatever is being observed: an active plan
-                // adjudicates each crossing (killed tokens consumed their
-                // bandwidth; the outcome honestly reports the shortfall for
-                // the §2.3 reversal detector), a full trace asks for the
-                // host-edge loads of the hotspot table. Same single rng draw
-                // and same trajectories in every combination.
-                let (outcome, loads) = routing::charged_walk_routing(
-                    g,
-                    &mapping,
-                    leader,
-                    &counts,
-                    cfg.max_walk_steps,
-                    &mut rng,
-                    cfg.faults.as_ref().filter(|_| faults_active),
-                    cfg.trace,
-                );
+                let (outcome, loads) = charged.next().expect("one charged walk per multi-vertex cluster");
                 if let Some(t) = net.tracer_mut() {
                     for (e, w) in loads {
                         t.add_edge_words(e, w);

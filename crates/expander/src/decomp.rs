@@ -14,6 +14,7 @@
 //! round-cost of leader election/gathering/broadcast is charged by the
 //! framework in `lcg-core`.
 
+use lcg_congest::ExecConfig;
 use lcg_graph::Graph;
 
 use crate::conductance;
@@ -186,7 +187,23 @@ pub fn decompose(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
 /// granularity. At laptop sizes the conservative φ keeps most sparse
 /// graphs in one cluster; this is the variant the framework uses so the
 /// multi-cluster machinery is actually exercised (see EXPERIMENTS.md E1).
+///
+/// This is [`decompose_adaptive_exec`] on one thread.
 pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
+    decompose_adaptive_exec(g, epsilon, ExecConfig::sequential())
+}
+
+/// [`decompose_adaptive`], with the recursion's analyses on `exec`'s
+/// threads: before the first pass emits, every node it reaches is analysed
+/// one recursion level at a time — the nodes of a level are disjoint vertex
+/// sets, and what is learnt about one is a function of its subgraph alone
+/// (the Chang–Saranurak recursion also works on every part of a level at
+/// once) — each level's nodes through [`ExecConfig::map`], weighted by
+/// their edges. Later passes walk a subset of those nodes. At one thread
+/// this is the same analyses in level order instead of the recursion's,
+/// one code path at every count; the result is bit-identical at every
+/// thread count.
+pub fn decompose_adaptive_exec(g: &Graph, epsilon: f64, exec: ExecConfig) -> ExpanderDecomposition {
     let mut phi = epsilon / 2.0;
     let floor = {
         let m = g.m().max(2) as f64;
@@ -195,6 +212,7 @@ pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
     // one tree under every candidate: a split of conductance < φ/2 is a
     // split of conductance < φ, so each later pass re-walks recorded nodes
     let mut tree = Tree::new(g);
+    tree.analyse_levels(phi, exec);
     loop {
         let d = tree.emit(g, epsilon, phi);
         if g.m() == 0 || (d.cut_edges.len() as f64) <= epsilon * g.m() as f64 {
@@ -250,40 +268,70 @@ enum Found {
     Parts { parts: Vec<Vec<usize>>, cut: Option<(f64, f64)> },
 }
 
+/// What the recursion learns about the vertex set whose induced subgraph
+/// is `sub` — a function of `sub` alone.
+fn analyse(sub: &Graph) -> Found {
+    let (component, k) = sub.connected_components();
+    if k != 1 {
+        let mut parts = vec![Vec::new(); k];
+        for (v, &c) in component.iter().enumerate() {
+            parts[c].push(v);
+        }
+        Found::Parts { parts, cut: None }
+    } else if sub.n() <= 2 || sub.m() == 0 {
+        Found::Trivial
+    } else {
+        let spec = spectral::lambda2(sub, 1e-9, 4_000);
+        let cut = sweep::sweep_cut(sub, &spec.sweep_values(sub)).expect("connected graph with >= 1 edge has a sweep cut");
+        let (a, b) = (0..sub.n()).partition(|&v| cut.in_s[v]);
+        Found::Parts { parts: vec![a, b], cut: Some((spec.conductance_lower_bound(), cut.conductance)) }
+    }
+}
+
 impl Tree {
     fn new(g: &Graph) -> Tree {
         let root = Node { members: (0..g.n()).collect(), sub: Some(g.clone()), found: None, children: Vec::new() };
         Tree { nodes: vec![root] }
     }
 
-    fn analyse(&mut self, id: usize) {
+    /// [`analyse`] of node `id`, once.
+    fn analyse_node(&mut self, id: usize) {
         let node = &mut self.nodes[id];
-        if node.found.is_some() {
-            return;
+        if node.found.is_none() {
+            node.found = Some(analyse(node.sub.as_ref().expect("a node keeps its subgraph until its children exist")));
         }
-        let sub = node.sub.as_ref().expect("a node keeps its subgraph until its children exist");
-        let (component, k) = sub.connected_components();
-        node.found = Some(if k != 1 {
-            let mut parts = vec![Vec::new(); k];
-            for (v, &c) in component.iter().enumerate() {
-                parts[c].push(v);
+    }
+
+    /// Analyses every node a walk at `phi_cut` reaches, level by level from
+    /// the root, each level's unanalysed nodes through `exec`.
+    fn analyse_levels(&mut self, phi_cut: f64, exec: ExecConfig) {
+        let mut level = vec![0];
+        while !level.is_empty() {
+            let pending: Vec<usize> = level.iter().copied().filter(|&id| self.nodes[id].found.is_none()).collect();
+            let found = {
+                let subs: Vec<&Graph> = pending
+                    .iter()
+                    .map(|&id| self.nodes[id].sub.as_ref().expect("a node keeps its subgraph until its children exist"))
+                    .collect();
+                exec.map(&subs, |sub| sub.m() as u64, |sub| analyse(sub))
+            };
+            for (id, found) in pending.into_iter().zip(found) {
+                self.nodes[id].found = Some(found);
             }
-            Found::Parts { parts, cut: None }
-        } else if sub.n() <= 2 || sub.m() == 0 {
-            Found::Trivial
-        } else {
-            let spec = spectral::lambda2(sub, 1e-9, 4_000);
-            let cut = sweep::sweep_cut(sub, &spec.sweep_values(sub))
-                .expect("connected graph with >= 1 edge has a sweep cut");
-            let (a, b) = (0..sub.n()).partition(|&v| cut.in_s[v]);
-            Found::Parts { parts: vec![a, b], cut: Some((spec.conductance_lower_bound(), cut.conductance)) }
-        });
+            let mut next = Vec::new();
+            for id in level {
+                if let Some(children) = self.split(id, phi_cut) {
+                    next.extend_from_slice(children);
+                }
+            }
+            level = next;
+        }
     }
 
     /// The children of a node `phi_cut` splits, built on first use; `None`
     /// for a leaf.
     fn split(&mut self, id: usize, phi_cut: f64) -> Option<&[usize]> {
-        self.analyse(id);
+        self.analyse_node(id);
         let next = self.nodes.len();
         let node = &mut self.nodes[id];
         let Some(Found::Parts { parts, cut }) = &mut node.found else {
@@ -510,6 +558,64 @@ mod tests {
         // later passes walk nodes the φ = ε/2 pass already analysed
         assert_eq!(Some(analysed(&tree)), after_first_pass);
         assert!(analysed(&tree) < over_fresh_passes);
+        // and the level pass analyses exactly the nodes that pass reaches
+        let mut levelled = Tree::new(&g);
+        levelled.analyse_levels(eps / 2.0, ExecConfig::with_threads(2));
+        assert_eq!(Some(analysed(&levelled)), after_first_pass);
+    }
+
+    /// The Amdahl limits of the two parallel sections on the repo benchmark's
+    /// `framework-gridnoise` instances 0–4: the root node's share of
+    /// `decompose_adaptive(g, 0.1)` (its analysis runs alone) and the
+    /// largest cluster's share of the clusters' charged walks, each cluster
+    /// launching `|V_i| + |E_i|` tokens as the framework's orientation does
+    /// (here every intra-cluster edge goes to its lower endpoint, which
+    /// keeps the per-cluster totals). `cargo test --release -p lcg-expander
+    /// --lib probe_parallel -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "probe: prints the serial shares of decomposition and gathering"]
+    fn probe_parallel_shares() {
+        // `benchmark/`'s generator seed of instance `index`
+        let generator_seed = |index: u64| {
+            let mut z = (0x5EED_0F7A_B1E5u64 ^ index).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for index in 0..5 {
+            let g = gen::grid_with_noise(50, 50, 0.02, &mut gen::seeded_rng(generator_seed(index)));
+            let started = std::time::Instant::now();
+            let d = decompose_adaptive(&g, 0.1);
+            let decomposition = started.elapsed().as_secs_f64();
+            let started = std::time::Instant::now();
+            analyse(&g);
+            let root = started.elapsed().as_secs_f64();
+            let mut rng = gen::seeded_rng(index);
+            let (mut walks, mut tokens) = (Vec::new(), 0);
+            for c in d.clusters.iter().filter(|c| c.members.len() > 1) {
+                let same = |u: usize, v: usize| d.cluster_of[u] == d.cluster_of[v];
+                let degree = |v: usize| g.neighbor_vertices(v).filter(|&u| same(u, v)).count();
+                let leader = *c.members.iter().max_by_key(|&&v| (degree(v), v)).expect("non-empty");
+                let counts: Vec<usize> =
+                    c.members.iter().map(|&v| 1 + g.neighbor_vertices(v).filter(|&u| u > v && same(u, v)).count()).collect();
+                tokens += counts.iter().sum::<usize>();
+                let started = std::time::Instant::now();
+                let out = crate::routing::charged_walk_routing(&g, &c.members, leader, &counts, 2_000_000, &mut rng, None, false).0;
+                walks.push(started.elapsed().as_secs_f64());
+                assert!(out.complete());
+            }
+            let gathering: f64 = walks.iter().sum();
+            let largest = walks.iter().copied().fold(0.0, f64::max);
+            println!(
+                "instance {index}: root {:.0} % of {:.1} ms decomposition; largest cluster {:.0} % of {:.1} ms \
+                 gathering ({} clusters, {tokens} tokens)",
+                100.0 * root / decomposition,
+                1e3 * decomposition,
+                100.0 * largest / gathering,
+                1e3 * gathering,
+                d.k()
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!   depends on no other token, so the walk runs token-major in windows
 //!   of `WINDOW` steps — each live token takes the window's steps in a row,
 //!   logging its crossings per step — and the per-step edge loads are
-//!   tallied from the logs afterwards, in step order.
-//!   [`random_walk_routing`] (one token per member) and
+//!   tallied from the logs afterwards, in step order. Between windows a
+//!   token rests in 16 bytes and its stream is rebuilt from the seed.
+//!   [`charged_walks`] runs several clusters' walks — Theorem 2.6 gathers
+//!   in all of them at once — on the caller's threads with the outcomes of
+//!   one walk after another; [`charged_walk_routing`] is it on one cluster,
+//!   and [`random_walk_routing`] (one token per member) and
 //!   [`random_walk_routing_with_counts_exec`] (no faults, no edge tally)
 //!   are its two argument-fixing adapters.
 //!
@@ -66,11 +70,9 @@ pub fn random_walk_routing(
     charged_walk_routing(g, members, leader, &counts, max_steps, rng, None, false).0
 }
 
-/// [`charged_walk_routing`] with no fault plan and no edge tally.
-///
-/// `exec` is not read: the walk runs on the caller's thread. The argument
-/// stays because the frozen `benchmark/` passes it; ROADMAP item 7(c)
-/// removes it.
+/// [`charged_walk_routing`] with no fault plan and no edge tally, through
+/// [`charged_walks`] with `exec`: one cluster is one item, so the walk runs
+/// on the caller's thread at any thread count.
 ///
 /// # Panics
 ///
@@ -82,23 +84,53 @@ pub fn random_walk_routing_with_counts_exec(
     counts: &[usize],
     max_steps: usize,
     rng: &mut ChaCha8Rng,
-    _exec: ExecConfig,
+    exec: ExecConfig,
 ) -> RoutingOutcome {
-    charged_walk_routing(g, members, leader, counts, max_steps, rng, None, false).0
+    let (sub, map, leader_local) = member_cluster(g, members, leader, counts);
+    let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
+    charged_walks(g, &[walk], max_steps, rng, None, false, exec).remove(0).0
 }
 
-/// Per-token walk state. Each token owns a ChaCha8 stream seeded from the
-/// master seed and the token index, so its trajectory is a pure function
-/// of `(master, t)` — independent of evaluation order.
+/// `G[members]`, its vertex map and the leader's local id, checked the way
+/// [`charged_walk_routing`] documents.
+fn member_cluster(g: &Graph, members: &[usize], leader: usize, counts: &[usize]) -> (Graph, Vec<usize>, usize) {
+    assert_eq!(counts.len(), members.len(), "one count per member required");
+    let (sub, map) = g.induced_subgraph(members);
+    let leader_local = map
+        .iter()
+        .position(|&v| v == leader)
+        .expect("leader must be a cluster member");
+    // `induced_subgraph` numbers vertices in `members` order, so local id
+    // `v` is index `v` of `counts` as long as no member repeats
+    assert_eq!(map.len(), members.len(), "members must not repeat");
+    (sub, map, leader_local)
+}
+
+/// A walking token: its position and its private ChaCha8 stream, seeded
+/// from the walk's master seed and the token index, so its trajectory is a
+/// pure function of `(master, t)` — independent of evaluation order. It
+/// exists only while its window runs ([`Resting`] holds it in between).
 struct Token {
     pos: usize,
     rng: ChaCha8Rng,
 }
 
+/// A token between windows: where it stands and how many words of its
+/// stream it has drawn. [`Walk::window`] rebuilds the 120-byte [`Token`]
+/// from this and `(master, t)`, so the tokens of every walk in flight cost
+/// 16 bytes each.
+#[derive(Debug, Clone, Copy)]
+struct Resting {
+    pos: u32,
+    words: u64,
+}
+
 /// Walk steps a live token takes in a row before the next token's turn.
-/// Not a knob: large enough that a token's 120 bytes are loaded once per
-/// window rather than once per step, small enough that the `WINDOW`
-/// crossing lists stay a fraction of the tokens' own footprint.
+/// Not a knob: a token enters each window by reseeding its stream and
+/// refilling one keystream block (`set_word_pos`), and the window spreads
+/// that rebuild, with the load of the walking token, over 64 steps; the
+/// window's crossing lists, about 32 crossings per live token, stay
+/// bounded by the window rather than the walk.
 const WINDOW: usize = 64;
 
 /// What a token step reads besides the token: the walk's constants.
@@ -110,6 +142,9 @@ struct Walk<'a> {
     faults: Option<&'a FaultPlan>,
     /// Host edge id per sub edge; empty without a fault plan.
     host_edge: &'a [usize],
+    /// The walk's master seed: token `t` draws from
+    /// `ChaCha8Rng::seed_from_u64(master ^ t·φ64)`.
+    master: u64,
 }
 
 impl Walk<'_> {
@@ -149,27 +184,33 @@ impl Walk<'_> {
 
     /// One window of the `live` tokens (ascending indices into `tokens`),
     /// token-major: the window is steps `done + 1 ..= done +
-    /// crossings.len()`, and each token takes them (or as many as it stays
-    /// alive for) while its state is hot, its crossings landing on
-    /// `crossings[k]` for step `done + 1 + k`; the tokens that stopped
-    /// walking leave `live`. Returns the tokens absorbed at the leader and
-    /// the steps of the window in which some token still walked.
+    /// crossings.len()`, and each token, rebuilt from its resting state,
+    /// takes them (or as many as it stays alive for) while its state is
+    /// hot, its crossings landing on `crossings[k]` for step `done + 1 +
+    /// k`; the tokens that stopped walking leave `live`, the others rest
+    /// again. Returns the tokens absorbed at the leader and the steps of
+    /// the window in which some token still walked.
     fn window(
         &self,
-        tokens: &mut [Token],
+        tokens: &mut [Resting],
         live: &mut Vec<u32>,
         done: usize,
         crossings: &mut [Vec<u32>],
     ) -> (usize, usize) {
         let (mut delivered, mut advanced) = (0, 0);
         live.retain(|&t| {
-            let tok = &mut tokens[t as usize];
+            let rest = &mut tokens[t as usize];
+            let mut rng = ChaCha8Rng::seed_from_u64(self.master ^ u64::from(t).wrapping_mul(0x9E3779B97F4A7C15));
+            rng.set_word_pos(rest.words);
+            let mut tok = Token { pos: rest.pos as usize, rng };
             for (k, crossed) in crossings.iter_mut().enumerate() {
-                if !self.advance(done + 1 + k, tok, crossed, &mut delivered) {
+                if !self.advance(done + 1 + k, &mut tok, crossed, &mut delivered) {
                     advanced = advanced.max(k + 1);
                     return false;
                 }
             }
+            // a sub vertex id fits in u32 (`Graph` stores its rows so)
+            *rest = Resting { pos: tok.pos as u32, words: tok.rng.get_word_pos() };
             advanced = crossings.len();
             true
         });
@@ -250,7 +291,7 @@ impl EdgeTally {
 /// logging each crossing under its step, and the logs are then charged to
 /// the edge-load table step by step. The outcome is the step-at-a-time
 /// walk's, and `rng` advances by exactly one draw whatever the other
-/// arguments are.
+/// arguments are. This is [`charged_walks`] on one cluster.
 ///
 /// `track_edges` additionally returns the cumulative per-edge word load of
 /// the walk: `(host_edge_id, words)` for every host edge at least one
@@ -281,29 +322,76 @@ pub fn charged_walk_routing(
     faults: Option<&FaultPlan>,
     track_edges: bool,
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    assert_eq!(counts.len(), members.len(), "one count per member required");
-    let (sub, map) = g.induced_subgraph(members);
+    let (sub, map, leader_local) = member_cluster(g, members, leader, counts);
+    let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
+    charged_walks(g, &[walk], max_steps, rng, faults, track_edges, ExecConfig::sequential()).remove(0)
+}
+
+/// One cluster's charged walk, for [`charged_walks`].
+#[derive(Debug, Clone, Copy)]
+pub struct ClusterWalk<'a> {
+    /// The cluster's induced subgraph `G[V_i]`; it must be connected.
+    pub sub: &'a Graph,
+    /// `map[local] = host` vertex of `sub`.
+    pub map: &'a [usize],
+    /// The leader's local id in `sub`.
+    pub leader_local: usize,
+    /// Tokens launched at each local vertex.
+    pub counts: &'a [usize],
+}
+
+/// The charged walks of several clusters (Theorem 2.6 gathers in every
+/// cluster at once): one master seed per walk drawn from `rng` in slice
+/// order — exactly the draws that successive [`charged_walk_routing`]
+/// calls make — then each cluster's walk through [`ExecConfig::map`],
+/// weighted by its token count. Outcomes and host-edge loads come back in
+/// slice order and equal those successive calls' at every thread count;
+/// `max_steps`, `faults` and `track_edges` are as there, per walk.
+///
+/// # Panics
+///
+/// Panics if a walk's `counts.len() != sub.n()`, its `leader_local` is not
+/// a vertex of `sub`, or its `sub` is disconnected.
+pub fn charged_walks(
+    g: &Graph,
+    walks: &[ClusterWalk<'_>],
+    max_steps: usize,
+    rng: &mut ChaCha8Rng,
+    faults: Option<&FaultPlan>,
+    track_edges: bool,
+    exec: ExecConfig,
+) -> Vec<(RoutingOutcome, Vec<(usize, u64)>)> {
+    let seeded: Vec<(&ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
+    exec.map(
+        &seeded,
+        |(w, _)| w.counts.iter().sum::<usize>() as u64,
+        |&(w, master)| walk_cluster(g, w, master, max_steps, faults, track_edges),
+    )
+}
+
+/// The one walk body: cluster `w`'s tokens under master seed `master`.
+fn walk_cluster(
+    g: &Graph,
+    w: &ClusterWalk<'_>,
+    master: u64,
+    max_steps: usize,
+    faults: Option<&FaultPlan>,
+    track_edges: bool,
+) -> (RoutingOutcome, Vec<(usize, u64)>) {
+    let ClusterWalk { sub, map, leader_local, counts } = *w;
+    assert_eq!(counts.len(), sub.n(), "one count per member required");
+    assert!(leader_local < sub.n(), "leader must be a cluster member");
     assert!(sub.is_connected(), "random_walk_routing needs a connected cluster");
-    let leader_local = map
-        .iter()
-        .position(|&v| v == leader)
-        .expect("leader must be a cluster member");
-    // `induced_subgraph` numbers vertices in `members` order, so local id
-    // `v` is index `v` of `counts` as long as no member repeats
-    assert_eq!(map.len(), members.len(), "members must not repeat");
-    let master: u64 = rng.gen();
-    let mut tokens: Vec<Token> = Vec::new();
+    let mut tokens: Vec<Resting> = Vec::new();
     for (v, &count) in counts.iter().enumerate() {
-        for _ in 0..count {
-            let t = tokens.len() as u64;
-            tokens.push(Token { pos: v, rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)) });
-        }
+        tokens.extend(std::iter::repeat_n(Resting { pos: v as u32, words: 0 }, count));
     }
     let total = tokens.len();
     assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
     // the tokens still walking, ascending: a step costs these, not `total`.
     // Tokens launched at the leader are absorbed immediately.
-    let mut live: Vec<u32> = (0..total as u32).filter(|&t| tokens[t as usize].pos != leader_local).collect();
+    let mut live: Vec<u32> =
+        (0..total as u32).filter(|&t| tokens[t as usize].pos as usize != leader_local).collect();
     let mut delivered = total - live.len();
     let mut steps = 0usize;
     let mut tally = EdgeTally {
@@ -320,7 +408,7 @@ pub fn charged_walk_routing(
     // only needed to key fault decisions; `edges()` yields them in id order
     let host_edge: Vec<usize> =
         if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
-    let walk = Walk { sub: &sub, map: &map, leader_local, faults, host_edge: &host_edge };
+    let walk = Walk { sub, map, leader_local, faults, host_edge: &host_edge, master };
     // `crossings[k]`: the sub edges crossed in step k of the current window.
     // Steps past the last one any token walked are not charged: the walk
     // ended there.
@@ -839,6 +927,11 @@ mod tests {
     }
 
     #[test]
+    fn resting_token_fits_sixteen_bytes() {
+        assert!(std::mem::size_of::<Resting>() <= 16, "{}", std::mem::size_of::<Resting>());
+    }
+
+    #[test]
     fn tokens_launched_at_the_leader_take_no_step() {
         let g = gen::grid(4, 4);
         let members: Vec<usize> = (0..16).collect();
@@ -912,6 +1005,61 @@ mod tests {
             let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);
             let got = route(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);
             proptest::prop_assert_eq!(&got, &want);
+        }
+
+        /// Several clusters' walks at once are the walks one after another:
+        /// outcomes, host-edge loads and the caller's next draw, at 1–3
+        /// threads, with and without drops and edge tallies.
+        #[test]
+        fn charged_walks_match_one_at_a_time(
+            seed in proptest::prelude::any::<u64>(),
+            family in 0usize..4,
+            size in 4usize..10,
+            phi_cut in 0.05f64..0.4,
+            leader_pick in 0usize..1_000,
+            threads in 1usize..=3,
+            drops in proptest::prelude::any::<bool>(),
+            drop_prob in 0.0f64..0.3,
+            track_edges in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = gen::seeded_rng(seed);
+            let g = match family {
+                0 => gen::grid(size, 4),
+                1 => gen::random_tree(3 * size, &mut rng),
+                2 => gen::grid_with_noise(size, size, 0.05, &mut rng),
+                _ => gen::triangulated_grid(size, size),
+            };
+            // connected clusters of every size the threshold makes, one
+            // vertex included
+            let clusters = crate::decomp::decompose_with_phi(&g, 0.3, phi_cut).clusters;
+            let plan = drops.then(|| FaultPlan::drops(seed, drop_prob));
+            let faults = plan.as_ref();
+            let counts: Vec<Vec<usize>> =
+                clusters.iter().map(|c| c.members.iter().map(|&v| 1 + (v + seed as usize) % 3).collect()).collect();
+            let leaders: Vec<usize> = clusters.iter().map(|c| (leader_pick + c.members[0]) % c.members.len()).collect();
+            let max_steps = 3 * WINDOW + 7;
+
+            let mut one_rng = gen::seeded_rng(seed);
+            let one: Vec<_> = clusters
+                .iter()
+                .zip(&counts)
+                .zip(&leaders)
+                .map(|((c, counts), &l)| {
+                    charged_walk_routing(&g, &c.members, c.members[l], counts, max_steps, &mut one_rng, faults, track_edges)
+                })
+                .collect();
+
+            let subs: Vec<(Graph, Vec<usize>)> = clusters.iter().map(|c| g.induced_subgraph(&c.members)).collect();
+            let walks: Vec<ClusterWalk<'_>> = subs
+                .iter()
+                .zip(&counts)
+                .zip(&leaders)
+                .map(|(((sub, map), counts), &leader_local)| ClusterWalk { sub, map, leader_local, counts })
+                .collect();
+            let mut all_rng = gen::seeded_rng(seed);
+            let all = charged_walks(&g, &walks, max_steps, &mut all_rng, faults, track_edges, ExecConfig::with_threads(threads));
+            proptest::prop_assert_eq!(all, one);
+            proptest::prop_assert_eq!(all_rng.gen::<u64>(), one_rng.gen::<u64>());
         }
     }
 

@@ -8,9 +8,13 @@
 //! (PR 22's tree): the structure — clustering, cut, exact and sweep
 //! certificates — bit for bit, and the spectral estimates as decimals, so
 //! re-associating the iteration's arithmetic may move the latter's last
-//! bits and nothing else.
+//! bits and nothing else. Both hold at 1, 2 and 4 threads: the threaded
+//! entry point returns, field for field, what the sequential one does.
 
-use lcg_expander::decomp::{decompose, decompose_adaptive, decompose_with_phi, ExpanderDecomposition};
+use lcg_congest::ExecConfig;
+use lcg_expander::decomp::{
+    decompose, decompose_adaptive, decompose_adaptive_exec, decompose_with_phi, ExpanderDecomposition,
+};
 use lcg_graph::{gen, Graph};
 use proptest::{prop_assert, proptest, ProptestConfig};
 
@@ -173,6 +177,17 @@ fn benchmark_generator_seed(index: u64) -> u64 {
 /// ε′ = ε / density of the benchmark's framework runs.
 const EPS_PRIME: f64 = 0.3 / 3.0;
 
+/// `decompose_adaptive` at the benchmark's ε′, after checking that
+/// `decompose_adaptive_exec` returns it field for field at 2 and 4 threads.
+fn decompose_at_every_thread_count(g: &Graph, what: &str) -> ExpanderDecomposition {
+    let d = decompose_adaptive(g, EPS_PRIME);
+    for threads in [2, 4] {
+        let threaded = decompose_adaptive_exec(g, EPS_PRIME, ExecConfig::with_threads(threads));
+        assert!(fields(&threaded) == fields(&d), "{what}: {threads} threads differ from one");
+    }
+    d
+}
+
 #[test]
 fn gridnoise_instances_match_blessed_fingerprints() {
     let golden: [Blessed; 5] = [
@@ -201,7 +216,8 @@ fn gridnoise_instances_match_blessed_fingerprints() {
     for (index, want) in golden.into_iter().enumerate() {
         let mut rng = gen::seeded_rng(benchmark_generator_seed(index as u64));
         let g = gen::grid_with_noise(50, 50, 0.02, &mut rng);
-        assert_blessed(&decompose_adaptive(&g, EPS_PRIME), want, &format!("framework-gridnoise instance {index}"));
+        let what = format!("framework-gridnoise instance {index}");
+        assert_blessed(&decompose_at_every_thread_count(&g, &what), want, &what);
     }
 }
 
@@ -217,6 +233,7 @@ fn trigrid_instances_match_blessed_fingerprints() {
     for (index, want) in golden.into_iter().enumerate() {
         let mut rng = gen::seeded_rng(benchmark_generator_seed(index as u64));
         let g = gen::shuffle_vertices(&gen::triangulated_grid(16, 16), &mut rng);
-        assert_blessed(&decompose_adaptive(&g, EPS_PRIME), want, &format!("apps-trigrid instance {index}"));
+        let what = format!("apps-trigrid instance {index}");
+        assert_blessed(&decompose_at_every_thread_count(&g, &what), want, &what);
     }
 }

@@ -123,8 +123,10 @@ pub const RULES: &[RuleInfo] = &[
         id: "C001",
         severity: Severity::Error,
         summary: "no shared-mutable-state primitives (Mutex/RwLock/Atomic*/static mut) in deterministic crates, and no `static` holding interior mutability (OnceLock/LazyLock/Cell/RefCell/Mutex/RwLock/Atomic*) in any library crate",
-        rationale: "the deterministic crates run every body on the caller's thread, and \
-                    their bit-identity rests on it. A lock or atomic exists only to share state \
+        rationale: "in the deterministic crates, state is owned by the thread that runs it: \
+                    a parallel section (`ExecConfig::map`) hands each thread its own items \
+                    and joins the results in item order, and bit-identity at every thread \
+                    count rests on that. A lock or atomic exists only to share state \
                     across threads, and that communication has a timing no golden can see — \
                     results may still *look* right on one run and drift on another. A \
                     `static` with interior mutability is the run-to-run form of the same leak: \
@@ -437,7 +439,7 @@ pub fn check_file(ctx: &FileCtx, lines: &[Line]) -> Vec<Finding> {
         if ctx.deterministic() && global.is_none() && !line.in_test {
             for token in ["Mutex", "RwLock"] {
                 if let Some(col) = find_word(code, token) {
-                    emit(&mut findings, "C001", i, col, format!("`{token}` in a deterministic crate: bit-identity rests on every body running on the caller's thread, never on cross-thread synchronization"));
+                    emit(&mut findings, "C001", i, col, format!("`{token}` in a deterministic crate: bit-identity rests on state owned by the thread that runs it, with results joined in item order, never on cross-thread synchronization"));
                 }
             }
             if let Some(col) = code.find("static mut ") {

@@ -2,11 +2,11 @@
 //! deterministic-plane metrics JSON are **byte-identical** across
 //! {straight-through, checkpoint-every-k, kill-then-resume} at 1, 2, and
 //! 4 threads, and a corrupted newest snapshot falls back to the previous
-//! one without panicking. The round supervisor takes no thread count; the
-//! framework's config records one, which nothing reads (the round engine
-//! and the walks each run one sequential body).
+//! one without panicking. The round supervisor takes no thread count (the
+//! round engine runs one sequential body); the framework's config carries
+//! one, which its decomposition and charged walks run on.
 //!
-//! Thread counts are recorded through explicit `ExecConfig`s, as in
+//! Thread counts are set through explicit `ExecConfig`s, as in
 //! `parallel_determinism.rs`. Checkpoint directories are per-mode,
 //! per-thread-count scratch dirs so the test threads never share files.
 

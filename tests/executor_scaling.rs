@@ -1,12 +1,12 @@
-//! Determinism lockdown for the thread count nothing reads.
+//! Determinism lockdown for the thread count.
 //!
-//! The library runs no code on threads: the round engine and the charged
-//! walk router each run one sequential body whatever `ExecConfig` a
-//! `Network`, a `FrameworkConfig` or the walk's benchmark-facing adapter
-//! records. These cases hold every entry point that still accepts one to
-//! that — the recorded thread count is inert — at awkward counts (3, 5, 7)
-//! and counts larger than the token count. ROADMAP item 7(c) retires the
-//! recorded value and these guards with it.
+//! The round engine and a single cluster's charged walk run on the
+//! caller's thread whatever `ExecConfig` a `Network` or the walk's
+//! benchmark-facing adapter is handed; the framework reads its
+//! `FrameworkConfig`'s — the decomposition's recursion levels and the
+//! clusters' charged walks run through `ExecConfig::map`. These cases hold
+//! every entry point that accepts one to the one-thread result at awkward
+//! counts (3, 5, 7) and counts larger than the item count.
 //!
 //! The layer locks three things to the t1 baseline: outputs + full
 //! `RoundStats`, the checked-in golden stats files, and the traced
@@ -34,7 +34,7 @@ where
     let baseline = f(ExecConfig::with_threads(1));
     for &threads in &AWKWARD_THREADS {
         let got = f(ExecConfig::with_threads(threads));
-        assert_eq!(got, baseline, "{threads} recorded threads diverged from sequential");
+        assert_eq!(got, baseline, "{threads} threads diverged from sequential");
     }
     baseline
 }
@@ -71,8 +71,8 @@ fn primitives_pipeline(exec: ExecConfig) -> (Vec<(u64, usize)>, Vec<Option<usize
     (best, layers, net.stats())
 }
 
-/// The charged walk router, on the caller's thread; the adapter that still
-/// takes an `ExecConfig` (the frozen benchmark's) walks the same walk.
+/// The charged walk router; the adapter that takes an `ExecConfig` walks
+/// the same walk (one cluster is one item, on the caller's thread).
 fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>) {
     let g = gen::hypercube(6);
     let members: Vec<usize> = (0..g.n()).collect();
@@ -220,7 +220,7 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     }
 }
 
-/// Runs at every recorded thread count reproduce the *checked-in* golden stats
+/// Runs at every thread count reproduce the *checked-in* golden stats
 /// byte-for-byte — the same files the `golden_stats` layer locks.
 #[test]
 fn forced_parallel_runs_reproduce_checked_in_goldens() {
@@ -252,18 +252,18 @@ fn forced_parallel_runs_reproduce_checked_in_goldens() {
             }
         });
         stats::compare(&golden("planar200_flood"), &net.stats())
-            .unwrap_or_else(|e| panic!("flood at {threads} recorded threads broke the golden: {e}"));
+            .unwrap_or_else(|e| panic!("flood at {threads} threads broke the golden: {e}"));
 
         let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), ..FrameworkConfig::planar(0.3, 5) };
         let fw = run_framework(&g, &cfg);
         stats::compare(&golden("planar200_framework"), &fw.stats).unwrap_or_else(|e| {
-            panic!("framework at {threads} recorded threads broke the golden: {e}")
+            panic!("framework at {threads} threads broke the golden: {e}")
         });
     }
 }
 
 /// The traced framework's JSONL export is byte-identical to the 1-thread
-/// run at odd recorded thread counts.
+/// run at odd thread counts.
 #[test]
 fn forced_parallel_trace_jsonl_is_byte_identical() {
     let traced_jsonl = |exec: ExecConfig| {
@@ -282,7 +282,7 @@ fn forced_parallel_trace_jsonl_is_byte_identical() {
         assert_eq!(
             traced_jsonl(ExecConfig::with_threads(threads)),
             baseline,
-            "{threads}-thread recorded trace diverged from sequential"
+            "{threads}-thread trace diverged from sequential"
         );
     }
 }
@@ -290,7 +290,7 @@ fn forced_parallel_trace_jsonl_is_byte_identical() {
 /// A randomized max-id flood as one `run_state` call: every vertex owns a
 /// private RNG stream and draws from it in its first round and on every
 /// improvement, so the stream's position is per-vertex state carried
-/// across rounds. Outputs and stats at every recorded count equal the
+/// across rounds. Outputs and stats at every count equal the
 /// 1-thread run.
 #[test]
 fn node_programs_are_invariant_at_awkward_thread_counts() {
@@ -321,7 +321,7 @@ fn node_programs_are_invariant_at_awkward_thread_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any recorded thread count in 1..=16 reproduces the t1 flood and
+    /// Any thread count in 1..=16 reproduces the t1 flood and
     /// walk results bit-for-bit.
     #[test]
     fn any_thread_count_matches_sequential(threads in 1usize..=16) {
@@ -335,7 +335,7 @@ proptest! {
         prop_assert_eq!(walk, charged_walk(ExecConfig::with_threads(1)));
     }
 
-    /// The faulty delivery paths ignore the recorded thread count: same
+    /// The faulty delivery paths ignore the thread count: same
     /// drops, same crashes, same survivors.
     #[test]
     fn faulty_batches_match_sequential(threads in 2usize..=16) {

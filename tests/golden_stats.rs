@@ -61,9 +61,18 @@ fn flood_stats(g: &Graph) -> RoundStats {
     net.stats()
 }
 
-/// The full Theorem 2.6 framework, fixed seed.
+/// The full Theorem 2.6 framework, fixed seed — the same statistics at 1,
+/// 2 and 4 threads.
 fn framework_stats(g: &Graph) -> RoundStats {
-    run_framework(g, &FrameworkConfig::planar(0.3, 5)).stats
+    let run = |threads| {
+        let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), ..FrameworkConfig::planar(0.3, 5) };
+        run_framework(g, &cfg).stats
+    };
+    let one = run(1);
+    for threads in [2, 4] {
+        stats::compare(&one, &run(threads)).unwrap_or_else(|e| panic!("framework at {threads} threads: {e}"));
+    }
+    one
 }
 
 /// The framework with the gathering phase executed message-faithfully

@@ -1,7 +1,7 @@
 //! The two-plane contract of `lcg-metrics`, end to end.
 //!
 //! The deterministic plane must serialize **byte-identically** at any
-//! recorded thread count — same counters, same gauges, same histogram
+//! thread count — same counters, same gauges, same histogram
 //! buckets, same JSON bytes — while the same run's profiling plane
 //! records real wall time and peak RSS. And attaching metrics must change nothing: a metrics-off run is
 //! bit-identical to the historical engine, which is why every golden

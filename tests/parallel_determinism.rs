@@ -1,11 +1,12 @@
-//! The recorded thread count is inert, checked end-to-end: for every
-//! pipeline in this file, outputs AND the full `RoundStats` are
+//! The thread count changes seconds, never a result, checked end to end:
+//! for every pipeline in this file, outputs AND the full `RoundStats` are
 //! bit-identical whether the `ExecConfig` handed in says 1, 2, 4, or 8
-//! threads. Nothing in the library reads it — the round engine and the
-//! charged walk each run one sequential body on the caller's thread —
-//! and ROADMAP item 7(c) retires it with these guards.
+//! threads. The framework reads it — the decomposition's recursion levels
+//! and the clusters' charged walks run through `ExecConfig::map` — and the
+//! other pipelines are one cluster or the round engine, which run on the
+//! caller's thread at any count.
 
-use locongest::congest::{stats, ExecConfig, Model, Network, RoundStats};
+use locongest::congest::{stats, ExecConfig, FaultPlan, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::expander::routing;
 use locongest::graph::gen;
@@ -28,25 +29,33 @@ where
 
 /// E01-style pipeline: expander decomposition + the full Theorem 2.6
 /// framework (election, orientation, walk gathering, broadcast) on a
-/// maximal planar input.
+/// maximal planar input, traced and metered, without and with a fault
+/// plan: the trace JSONL and the deterministic metrics JSON too.
 #[test]
 fn framework_pipeline_thread_invariant() {
     let mut rng = gen::seeded_rng(0xA11);
     let g = gen::stacked_triangulation(300, &mut rng);
-    assert_invariant(|exec| {
-        let cfg = FrameworkConfig {
-            exec,
-            ..FrameworkConfig::planar(0.3, 17)
-        };
-        let fw = run_framework(&g, &cfg);
-        (
-            fw.decomposition.cluster_of.clone(),
-            fw.decomposition.cut_edges.clone(),
-            fw.clusters.iter().map(|c| c.leader).collect::<Vec<_>>(),
-            fw.clusters.iter().map(|c| c.routing).collect::<Vec<_>>(),
-            fw.stats,
-        )
-    });
+    for faults in [None, Some(FaultPlan::drops(0xA15, 0.05).with_link_failure(7, 2, 40))] {
+        assert_invariant(|exec| {
+            let cfg = FrameworkConfig {
+                exec,
+                trace: true,
+                metrics: true,
+                faults: faults.clone(),
+                ..FrameworkConfig::planar(0.3, 17)
+            };
+            let fw = run_framework(&g, &cfg);
+            (
+                fw.decomposition.cluster_of.clone(),
+                fw.decomposition.cut_edges.clone(),
+                fw.clusters.iter().map(|c| c.leader).collect::<Vec<_>>(),
+                fw.clusters.iter().map(|c| c.routing).collect::<Vec<_>>(),
+                fw.stats,
+                fw.trace.to_jsonl(),
+                fw.metrics.expect("metrics: true yields a report").deterministic_json(),
+            )
+        });
+    }
 }
 
 /// Random-walk routing with per-member counts on an expander.

@@ -1,5 +1,5 @@
 //! The trace layer inherits the round engine's core guarantee: a traced
-//! run's JSONL export is *byte-identical* at every recorded thread count,
+//! run's JSONL export is *byte-identical* at every thread count,
 //! and matches a checked-in golden trace exactly.
 //!
 //! The golden file doubles as the sample input for the `trace-report`
@@ -18,7 +18,7 @@ use locongest::graph::gen;
 use locongest::trace::{report, Trace};
 
 /// The canonical traced pipeline: full tracing (series + hotspots) on a
-/// small planar instance, recording `threads` (which nothing reads).
+/// small planar instance, at `threads` threads.
 fn traced_jsonl(threads: usize) -> String {
     let mut rng = gen::seeded_rng(0x7ACE);
     let g = gen::random_planar(150, 0.5, &mut rng);
