@@ -57,7 +57,6 @@ use lcg_graph::Graph;
 use lcg_metrics::Recorder;
 use lcg_trace::{SpanId, Tracer, TracerState};
 
-use crate::executor::ExecConfig;
 use crate::faults::{FaultPlan, FaultState, FaultVerdict};
 use crate::model::Model;
 use crate::msg::{Msg, INLINE_WORDS};
@@ -191,9 +190,6 @@ pub struct Network<'g> {
     // lcg-lint: transient -- snapshots store the TOPO fingerprint only; resume binds a caller-provided graph
     g: &'g Graph,
     model: Model,
-    /// What the network was built with; no round body reads it. Kept for
-    /// [`Network::exec`] and the snapshot's `EXEC` section.
-    exec: ExecConfig,
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
     /// The one inbox grid: the slot `g.csr_offsets()[v] + p` holds the
@@ -535,26 +531,8 @@ type NoRecv<St> = fn(&mut St, usize, usize, &Inbox);
 type NoHalt<St> = fn(&St) -> bool;
 
 impl<'g> Network<'g> {
-    /// Creates a network over `g` under `model`, recording
-    /// [`ExecConfig::sequential`].
+    /// Creates a network over `g` under `model`.
     pub fn new(g: &'g Graph, model: Model) -> Network<'g> {
-        Network::with_exec(g, model, ExecConfig::sequential())
-    }
-
-    /// Creates a network that records `exec`: [`Network::exec`] returns it
-    /// and a snapshot carries it, but nothing reads it — every round runs
-    /// the one sequential body. Kept because the frozen `benchmark/` calls
-    /// it; ROADMAP item 7(c) removes it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lcg_congest::{ExecConfig, Model, Network};
-    /// let g = lcg_graph::gen::grid(4, 4);
-    /// let net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(2));
-    /// assert_eq!(net.exec().threads(), 2);
-    /// ```
-    pub fn with_exec(g: &'g Graph, model: Model, exec: ExecConfig) -> Network<'g> {
         // pair up the two CSR slots of every edge in one O(m) pass: the
         // first slot seen for edge e waits in `first`, the second closes
         // the pair in both directions
@@ -573,7 +551,6 @@ impl<'g> Network<'g> {
         Network {
             g,
             model,
-            exec,
             sink: Sink::default(),
             pending: fresh_grid(g),
             outgoing: fresh_grid(g),
@@ -581,6 +558,13 @@ impl<'g> Network<'g> {
             receivers: Vec::new(),
             faults: None,
         }
+    }
+
+    /// [`Network::new`]; the thread count is ignored. Exists only because
+    /// the frozen `benchmark/src/workloads/mod.rs` calls it; ROADMAP item 7
+    /// deletes it.
+    pub fn with_exec(g: &'g Graph, model: Model, _exec: crate::ExecConfig) -> Network<'g> {
+        Network::new(g, model)
     }
 
     /// The underlying graph, borrowed for its own lifetime, not this
@@ -592,11 +576,6 @@ impl<'g> Network<'g> {
     /// The communication model.
     pub fn model(&self) -> Model {
         self.model
-    }
-
-    /// The execution configuration the network was built with.
-    pub fn exec(&self) -> ExecConfig {
-        self.exec
     }
 
     /// Accumulated statistics.
@@ -1004,11 +983,7 @@ impl<'g> Network<'g> {
     /// equal `n`/`m`) are interchangeable as resume targets.
     fn topology_fingerprint(g: &Graph) -> u64 {
         let mut enc = Enc::new();
-        for (e, u, v) in g.edges() {
-            enc.usize(e);
-            enc.usize(u);
-            enc.usize(v);
-        }
+        snapshot::encode_edges(g, &mut enc);
         snapshot::fnv1a64(&enc.into_bytes())
     }
 
@@ -1027,7 +1002,6 @@ impl<'g> Network<'g> {
     pub fn write_snapshot_sections(&self, w: &mut SnapshotWriter) {
         w.state_section("TOPO", &(self.g.n(), self.g.m(), Network::topology_fingerprint(self.g)));
         w.state_section("MODL", &self.model);
-        w.state_section("EXEC", &self.exec);
         w.state_section("STAT", &self.sink.stats);
         // the flat arena is written in the wire shape of the historical
         // nested grid (row count, then per row its length and slots), so
@@ -1081,7 +1055,6 @@ impl<'g> Network<'g> {
             });
         }
         let model: Model = r.state_section("MODL")?;
-        let exec: ExecConfig = r.state_section("EXEC")?;
         let stats: RoundStats = r.state_section("STAT")?;
         // inverse of the writer: the wire format is the historical nested
         // grid, decoded row by row straight into the flat arena
@@ -1132,7 +1105,7 @@ impl<'g> Network<'g> {
             .map_err(|e: String| SnapshotError::Corrupt { detail: format!("metrics registry: {e}") })?;
 
         // every section decoded — only now is engine state assembled
-        let mut net = Network::with_exec(g, model, exec);
+        let mut net = Network::new(g, model);
         // direct field set: `attach_tracer` would re-bind the topology and
         // reset the restored per-edge loads
         net.sink = Sink { stats, tracer, metrics };
@@ -1618,5 +1591,16 @@ mod tests {
         assert_eq!(trace.faults[0].kind, "link");
         assert_eq!(trace.faults[0].count, 2);
         assert_eq!(trace.faults[0].round, 0);
+    }
+
+    /// The `TOPO` fingerprint is what a resume checks a graph against, so
+    /// it must not move: these are the values the build before the shared
+    /// `snapshot::encode_edges` computed.
+    #[test]
+    fn topology_fingerprint_is_pinned() {
+        let mut rng = gen::seeded_rng(29);
+        let planar = gen::random_planar(40, 0.5, &mut rng);
+        assert_eq!(Network::topology_fingerprint(&planar), 0x886b_9083_d04d_9e1a);
+        assert_eq!(Network::topology_fingerprint(&gen::grid(3, 3)), 0x8cbc_3c53_d153_2365);
     }
 }

@@ -1,4 +1,4 @@
-//! Versioned binary engine snapshots (schema v1).
+//! Versioned binary engine snapshots (schema v2; v1 files still load).
 //!
 //! A snapshot is the complete state of a paused execution: everything the
 //! engine needs to continue a run **bit-identically** to one that never
@@ -11,7 +11,7 @@
 //! ```text
 //! magic    8  b"LCGSNAP1"
 //! version  2+ u16 length + crate-version string (diagnostic only)
-//! schema   4  u32 = 1 — the compatibility gate (VersionSkew on mismatch)
+//! schema   4  u32 — 2 written, 1 or 2 read (anything else: VersionSkew)
 //! section* :  tag[4] ++ len:u64 ++ payload[len] ++ fnv1a64(tag++len++payload)
 //! end      :  the "END." section (empty payload) terminates the stream
 //! ```
@@ -29,12 +29,15 @@
 //! |--------|----------|
 //! | `TOPO` | topology fingerprint: n, m, FNV hash of the edge list |
 //! | `MODL` | [`Model`] |
-//! | `EXEC` | [`ExecConfig`]: threads, a retired work-threshold slot (written 1, any value read), a retired audit byte (written 0, read 0 or 1) |
 //! | `STAT` | [`RoundStats`], all seven counters |
 //! | `PEND` | the pending message grid (in-flight deliveries) |
 //! | `FLTS` | the installed [`FaultPlan`], if any |
 //! | `TRCE` | `Option<TracerState>`: the tracer's recording state incl. the open-span stack |
 //! | `METR` | metrics label + deterministic registry, if attached |
+//!
+//! Schema 2 retired v1's `EXEC` section (the thread count a network was
+//! built with, which no round reads): a v1 file's `EXEC` frame is still
+//! checksum-verified on parse and is otherwise skipped.
 //!
 //! Supervisors append their own sections (`NODE` per-node program state
 //! via [`SnapshotState`], `RNGS`, `SUPR` progress) through the same
@@ -46,7 +49,8 @@
 //! over plain data (`lcg_trace::TracerState`) and [`SnapshotState`] is
 //! implemented for it here, next to the engine's own types. Wire
 //! compatibility is pinned by a committed file an older build wrote
-//! (`tests/golden/engine_v1.lcgsnap`, checked by `tests/snapshot_compat.rs`).
+//! (`tests/golden/engine_v1.lcgsnap`, a schema-1 file, checked by
+//! `tests/snapshot_compat.rs`).
 //!
 //! Three invariants worth naming (DESIGN.md §14):
 //!
@@ -63,6 +67,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
+use lcg_graph::Graph;
 use lcg_trace::{FaultEvent, RoundSample, SpanState, Totals, TraceConfig, TracerState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -71,13 +76,16 @@ use crate::faults::{FaultPlan, LinkFailure, NodeCrash};
 use crate::model::Model;
 use crate::msg::Msg;
 use crate::stats::RoundStats;
-use crate::ExecConfig;
 
 /// File magic: "LCGSNAP" + format generation '1'.
 pub const MAGIC: [u8; 8] = *b"LCGSNAP1";
 
-/// Schema version this build writes and accepts.
-pub const SCHEMA: u32 = 1;
+/// Schema version this build writes.
+pub const SCHEMA: u32 = 2;
+
+/// Oldest schema version this build still reads: v1 differs from v2 only
+/// by the retired `EXEC` section, which the reader skips.
+const OLDEST_SCHEMA: u32 = 1;
 
 /// Section tag for the terminator.
 const END_TAG: &str = "END.";
@@ -94,11 +102,11 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The file's schema version is not [`SCHEMA`].
+    /// The file's schema version is outside `1..=`[`SCHEMA`].
     VersionSkew {
         /// Schema found in the file header.
         found: u32,
-        /// Schema this build understands.
+        /// Schema this build writes.
         expected: u32,
     },
     /// A section header or payload ends before its declared length.
@@ -139,7 +147,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             SnapshotError::VersionSkew { found, expected } => {
-                write!(f, "snapshot schema v{found} is not the supported v{expected}")
+                write!(f, "snapshot schema v{found} is not one of the supported v{OLDEST_SCHEMA}..=v{expected}")
             }
             SnapshotError::TruncatedSection { tag } => {
                 write!(f, "section `{tag}` is truncated")
@@ -237,6 +245,18 @@ impl Enc {
     /// Appends a UTF-8 string, length-prefixed.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+}
+
+/// Appends `g`'s edge list to `out`: every edge id with its two endpoints,
+/// in id order. The bytes under both instance fingerprints — the engine's
+/// `TOPO` section and a framework checkpoint's — so a change here orphans
+/// every checkpoint written before it.
+pub fn encode_edges(g: &Graph, out: &mut Enc) {
+    for (e, u, v) in g.edges() {
+        out.usize(e);
+        out.usize(u);
+        out.usize(v);
     }
 }
 
@@ -576,30 +596,6 @@ impl SnapshotState for Model {
     }
 }
 
-impl SnapshotState for ExecConfig {
-    fn encode(&self, out: &mut Enc) {
-        out.usize(self.threads());
-        // the retired work-threshold and shuffle-audit slots: schema v1
-        // keeps both, written as `engine_v1.lcgsnap` holds them
-        out.usize(1);
-        out.u8(0);
-    }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let threads = d.usize()?;
-        if threads == 0 {
-            return Err(SnapshotError::Corrupt { detail: "0 executor threads".to_string() });
-        }
-        // any threshold older builds wrote; read and dropped
-        d.usize()?;
-        // 0 or 1 (audit off / on) as older builds wrote it; read and dropped
-        let audit = d.u8()?;
-        if audit > 1 {
-            return Err(SnapshotError::Corrupt { detail: format!("bad audit byte {audit}") });
-        }
-        Ok(ExecConfig::with_threads(threads))
-    }
-}
-
 impl SnapshotState for RoundStats {
     fn encode(&self, out: &mut Enc) {
         out.u64(self.rounds);
@@ -867,7 +863,7 @@ impl SnapshotReader {
         let sbytes = bytes.get(at..at + 4).ok_or_else(header_err)?;
         let schema = u32::from_le_bytes([sbytes[0], sbytes[1], sbytes[2], sbytes[3]]);
         at += 4;
-        if schema != SCHEMA {
+        if !(OLDEST_SCHEMA..=SCHEMA).contains(&schema) {
             return Err(SnapshotError::VersionSkew { found: schema, expected: SCHEMA });
         }
         let mut sections = BTreeMap::new();
@@ -971,6 +967,30 @@ mod tests {
         ));
     }
 
+    /// Schema 2 is written; 1 and 2 load; 0 and 3 are typed skew.
+    #[test]
+    fn schemas_one_and_two_load_and_their_neighbours_are_skew() {
+        let clean = sample_writer().to_bytes();
+        let vlen = usize::from(u16::from_le_bytes([clean[8], clean[9]]));
+        let at = 8 + 2 + vlen;
+        assert_eq!(clean[at..at + 4], SCHEMA.to_le_bytes());
+        assert_eq!(SCHEMA, 2);
+        let with_schema = |schema: u32| {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&schema.to_le_bytes());
+            SnapshotReader::parse(&bytes)
+        };
+        for schema in [1, 2] {
+            assert!(with_schema(schema).is_ok(), "schema {schema} must load");
+        }
+        for schema in [0, 3] {
+            match with_schema(schema) {
+                Err(SnapshotError::VersionSkew { found, expected: SCHEMA }) => assert_eq!(found, schema),
+                other => panic!("schema {schema}: expected VersionSkew, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn every_truncation_point_is_rejected() {
         let bytes = sample_writer().to_bytes();
@@ -1071,55 +1091,18 @@ mod tests {
             .with_link_failure(3, 1, 9)
             .with_crash(2, 4);
         let model = Model::congest();
-        let exec = ExecConfig::with_threads(3);
         let msg = Msg::from_slice(&[1, 2, 3]);
         let mut enc = Enc::new();
         plan.encode(&mut enc);
         model.encode(&mut enc);
-        exec.encode(&mut enc);
         msg.encode(&mut enc);
         Some(42u64).encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut d = Dec::new("mix.", &bytes);
         assert_eq!(FaultPlan::decode(&mut d).expect("plan"), plan);
         assert_eq!(Model::decode(&mut d).expect("model"), model);
-        assert_eq!(ExecConfig::decode(&mut d).expect("exec"), exec);
         assert_eq!(Msg::decode(&mut d).expect("msg"), msg);
         assert_eq!(Option::<u64>::decode(&mut d).expect("opt"), Some(42));
         d.finish().expect("consumed exactly");
-    }
-
-    /// The `EXEC` section's second and third fields are the work threshold
-    /// and the shuffle-audit byte older builds wrote: any threshold and an
-    /// audit byte of 0 or 1 still load (to the same config), and a new
-    /// write is threshold 1, audit 0.
-    #[test]
-    fn exec_codec_keeps_the_retired_audit_byte() {
-        let exec = ExecConfig::with_threads(3);
-        let written = |threshold: usize, audit: u8| {
-            let mut enc = Enc::new();
-            enc.usize(3);
-            enc.usize(threshold);
-            enc.u8(audit);
-            enc.into_bytes()
-        };
-        let saved = |exec: &ExecConfig| {
-            let mut enc = Enc::new();
-            exec.encode(&mut enc);
-            enc.into_bytes()
-        };
-        assert_eq!(saved(&exec), written(1, 0));
-        for threshold in [1, 7, 256] {
-            for audit in [0u8, 1, 2] {
-                let got = ExecConfig::decode(&mut Dec::new("EXEC", &written(threshold, audit)));
-                if audit <= 1 {
-                    let got = got.expect("any threshold, audit byte 0 and 1 load");
-                    assert_eq!(got, exec);
-                    assert_eq!(saved(&got), written(1, 0), "threshold {threshold} re-saves as 1");
-                } else {
-                    assert!(got.is_err(), "audit byte {audit} must be refused");
-                }
-            }
-        }
     }
 }

@@ -1,22 +1,19 @@
 //! Wire compatibility of the engine snapshot format (DESIGN.md §14.1).
 //!
-//! `golden/engine_v1.lcgsnap` was written by the build *before* the tracer
-//! state moved onto the one snapshot codec, from the fixed recipe below.
-//! Every later build must load it, re-emit it byte for byte, and continue
-//! it exactly like a run that never stopped — that is what "schema v1" means,
-//! checked against a committed file instead of a hand-built scratch probe.
+//! `golden/engine_v1.lcgsnap` is a schema-1 file, written by an older build
+//! from the fixed recipe below while snapshots still carried the `EXEC`
+//! section (the thread count a network was built with). Schema 2 retired
+//! that section, and this build must still load the v1 file, re-emit it
+//! as schema 2 — the same sections, byte for byte, minus the `EXEC` frame —
+//! and continue it exactly like a run that never stopped.
 //!
-//! Re-bless only together with a schema bump (`snapshot::SCHEMA`), and do
-//! it with the build that is being replaced, so the file keeps proving
-//! that an *older* writer's bytes still load:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test -p lcg-congest --test snapshot_compat
-//! ```
+//! The file is never re-blessed: no schema-2 build can write a v1 file. A
+//! later schema bump adds its own golden, written by the build it replaces.
 
 use std::path::PathBuf;
 
-use lcg_congest::{ExecConfig, FaultPlan, Inbox, Model, Network, Outbox};
+use lcg_congest::snapshot::SCHEMA;
+use lcg_congest::{FaultPlan, Inbox, Model, Network, Outbox};
 use lcg_graph::{gen, Graph};
 use lcg_metrics::Recorder;
 use lcg_trace::{SpanId, TraceConfig, Tracer};
@@ -42,15 +39,12 @@ fn flood(me: &mut bool, v: usize, inbox: &Inbox, out: &mut Outbox) {
     }
 }
 
-/// The recipe: a 4×4 grid network (recording a 2-thread config, which
-/// the `EXEC` section carries) with every optional section
-/// live — a full tracer holding one closed annotated span and one still
+/// The recipe: a 4×4 grid network with every optional section live — a full tracer holding one closed annotated span and one still
 /// open, a recorder, and a plan with drops, a link failure, a crash and
 /// truncation — paused after three flood rounds. Returns the network, the
 /// per-vertex states at the pause, and the handle of the open span.
 fn recipe(g: &Graph) -> (Network<'_>, Vec<bool>, SpanId) {
-    let exec = ExecConfig::with_threads(2);
-    let mut net = Network::with_exec(g, Model::congest(), exec);
+    let mut net = Network::new(g, Model::congest());
     net.set_fault_plan(Some(
         FaultPlan::drops(0xC0DEC, 0.2)
             .with_link_failure(5, 1, 4)
@@ -79,12 +73,37 @@ fn save(net: &Network<'_>) -> Vec<u8> {
     buf
 }
 
-/// Everything after the file header (magic, u16-prefixed crate version,
-/// u32 schema). The version string is diagnostic only, so a later crate
-/// version re-emits the same *sections*, not the same header.
+/// Length of the file header: magic, u16-prefixed crate version, u32
+/// schema. The version string is diagnostic only, so a later crate version
+/// re-emits the same *sections*, not the same header.
+fn header_len(bytes: &[u8]) -> usize {
+    8 + 2 + usize::from(u16::from_le_bytes([bytes[8], bytes[9]])) + 4
+}
+
+/// The schema number in the file header.
+fn schema(bytes: &[u8]) -> u32 {
+    let at = header_len(bytes) - 4;
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
+}
+
+/// Everything after the file header: the framed sections and terminator.
 fn body(bytes: &[u8]) -> &[u8] {
-    let vlen = usize::from(u16::from_le_bytes([bytes[8], bytes[9]]));
-    &bytes[8 + 2 + vlen + 4..]
+    &bytes[header_len(bytes)..]
+}
+
+/// `body` with the one frame tagged `tag` (tag, length, payload, checksum)
+/// cut out; panics if there is no such frame.
+fn without_frame(body: &[u8], tag: &[u8; 4]) -> Vec<u8> {
+    let mut at = 0;
+    while at < body.len() {
+        let len = u64::from_le_bytes(body[at + 4..at + 12].try_into().expect("eight bytes"));
+        let end = at + 12 + usize::try_from(len).expect("frame fits") + 8;
+        if &body[at..at + 4] == tag {
+            return [&body[..at], &body[end..]].concat();
+        }
+        at = end;
+    }
+    panic!("no `{}` frame", String::from_utf8_lossy(tag));
 }
 
 /// Runs the tail on `net`, closes the open span, and renders everything a
@@ -103,17 +122,19 @@ fn parent_written_golden_loads_resaves_and_continues_identically() {
     let g = gen::grid(4, 4);
     let (straight, informed, open) = recipe(&g);
     let path = golden_path();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, save(&straight)).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); see the module docs before re-blessing")
-    });
+    let golden = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); see the module docs"));
+    assert_eq!(schema(&golden), 1, "the golden must stay the older writer's v1 file");
     let resumed = Network::resume_snapshot(&g, golden.as_slice()).expect("the golden must load");
-    assert_eq!(body(&save(&resumed)), body(&golden), "re-save must be byte-identical");
-    assert_eq!(body(&save(&straight)), body(&golden), "the recipe must still write the golden");
+
+    let want = without_frame(body(&golden), b"EXEC");
+    let resaved = save(&resumed);
+    assert_eq!(schema(&resaved), SCHEMA);
+    assert_eq!(SCHEMA, 2);
+    assert_eq!(body(&resaved), want, "re-save must be the golden minus its EXEC frame");
+    let written = save(&straight);
+    assert_eq!(schema(&written), SCHEMA);
+    assert_eq!(body(&written), want, "the recipe must write the same body");
 
     let (stats, trace, metrics, states) = finish(straight, informed.clone(), open);
     let (r_stats, r_trace, r_metrics, r_states) = finish(resumed, informed, open);

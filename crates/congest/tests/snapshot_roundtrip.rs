@@ -15,9 +15,7 @@
 //!   must resume or fail typed, never panic.
 
 use lcg_congest::snapshot::{MAGIC, SCHEMA};
-use lcg_congest::{
-    ExecConfig, FaultPlan, Model, Network, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use lcg_congest::{FaultPlan, Model, Network, SnapshotError, SnapshotReader, SnapshotWriter};
 use lcg_graph::{gen, Graph};
 use lcg_metrics::Recorder;
 use lcg_trace::{TraceConfig, Tracer};
@@ -31,7 +29,6 @@ struct Case {
     size: usize,
     seed: u64,
     rounds_before: usize,
-    threads: usize,
     drop_pct: u8,
     link_failures: Vec<(usize, u64, u64)>,
     crashes: Vec<(usize, u64)>,
@@ -43,7 +40,7 @@ struct Case {
 
 fn arb_case() -> impl Strategy<Value = Case> {
     (
-        (0u8..3, 6usize..24, 0u64..1000, 0usize..10, 1usize..4),
+        (0u8..3, 6usize..24, 0u64..1000, 0usize..10),
         (0u8..61, proptest::collection::vec((0usize..64, 0u64..8, 0u64..24), 0..3)),
         (
             proptest::collection::vec((0usize..64, 0u64..12), 0..2),
@@ -55,7 +52,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
     )
         .prop_map(
             |(
-                (shape, size, seed, rounds_before, threads),
+                (shape, size, seed, rounds_before),
                 (drop_pct, link_failures),
                 (crashes, with_faults, with_tracer, with_metrics, local_model),
             )| Case {
@@ -63,7 +60,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 size,
                 seed,
                 rounds_before,
-                threads,
                 drop_pct,
                 link_failures,
                 crashes,
@@ -101,8 +97,7 @@ fn build_plan(case: &Case, g: &Graph) -> FaultPlan {
 /// it mid-flight (messages pending, faults armed, attachments live).
 fn build_net<'g>(case: &Case, g: &'g Graph) -> (Network<'g>, Vec<bool>) {
     let model = if case.local_model { Model::Local } else { Model::congest() };
-    let exec = ExecConfig::with_threads(case.threads);
-    let mut net = Network::with_exec(g, model, exec);
+    let mut net = Network::new(g, model);
     if case.with_faults && g.m() > 0 {
         net.set_fault_plan(Some(build_plan(case, g)));
     }

@@ -37,11 +37,10 @@ pub fn singleton_fallback(cluster_of: &[usize], marked: &[bool]) -> Vec<usize> {
 ///
 /// The check executes on the **caller's network**: its rounds accrue to
 /// the caller's [`lcg_congest::RoundStats`], its traffic lands in the
-/// caller's trace, and it runs under the caller's `ExecConfig` — the
-/// repair protocol is part of the execution it repairs, not a free
-/// out-of-band oracle. (An earlier version built a private default
-/// `Network` internally, silently discarding the caller's thread
-/// configuration and tracer.)
+/// caller's trace, and it sees the caller's fault plan — the repair
+/// protocol is part of the execution it repairs, not a free out-of-band
+/// oracle. (An earlier version built a private default `Network`
+/// internally, silently discarding the caller's tracer.)
 #[must_use = "the repaired clustering replaces the caller's, it does not mutate it"]
 pub fn enforce_diameter(net: &mut Network, cluster_of: &[usize], b: usize) -> Vec<usize> {
     let marked = lcg_congest::primitives::diameter_check(net, cluster_of, b);

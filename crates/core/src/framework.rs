@@ -61,10 +61,8 @@ pub struct FrameworkConfig {
     /// recursion levels and the charged walks of the gathering phase (one
     /// item per cluster) run through [`ExecConfig::map`], and every result
     /// is bit-identical at any count. The round engine and the
-    /// message-faithful gathering stay on the caller's thread; the run's
-    /// networks record the count ([`Network::exec`], a snapshot's `EXEC`
-    /// section). [`FrameworkConfig::planar`] sets
-    /// [`ExecConfig::sequential`].
+    /// message-faithful gathering stay on the caller's thread.
+    /// [`FrameworkConfig::planar`] sets [`ExecConfig::sequential`].
     pub exec: ExecConfig,
     /// Record a **full** trace: per-round time series, per-edge load
     /// histogram with hotspots, and per-cluster routing spans (see
@@ -278,7 +276,7 @@ pub(crate) fn run_framework_timed(
     assert_eq!(decomposition.cluster_of.len(), g.n(), "decomposition is not of this graph");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
-    let mut net = Network::with_exec(g, Model::congest(), cfg.exec);
+    let mut net = Network::new(g, Model::congest());
     // The tracer is always attached: spans are how PhaseRounds is
     // measured. Series/edge-load recording is the opt-in part.
     net.attach_tracer(Tracer::new(if cfg.trace {
@@ -399,7 +397,7 @@ pub(crate) fn run_framework_timed(
             } else if cfg.message_faithful {
                 // run this cluster's routing on its own network (clusters run
                 // in parallel; rounds take the max, traffic sums)
-                let mut cluster_net = Network::with_exec(g, Model::congest(), cfg.exec);
+                let mut cluster_net = Network::new(g, Model::congest());
                 if cfg.trace {
                     // the cluster net shares the host graph, so its per-edge
                     // loads merge 1:1 into the main tracer's table

@@ -255,7 +255,7 @@ impl AttemptLog {
             ..cfg.clone()
         };
         let outcome = run_framework_timed(g, decomposition.clone(), timed, &attempt_cfg);
-        let mut det_net = Network::with_exec(g, Model::congest(), cfg.exec);
+        let mut det_net = Network::new(g, Model::congest());
         let verdicts = detect_failures(&outcome, &mut det_net);
         AttemptRun { outcome, det_stats: det_net.stats(), verdicts }
     }

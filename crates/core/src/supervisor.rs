@@ -54,7 +54,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use lcg_congest::snapshot::{fnv1a64, Enc};
+use lcg_congest::snapshot::{encode_edges, fnv1a64, Enc};
 use lcg_congest::{
     Inbox, Model, Network, Outbox, RoundStats, SnapshotError, SnapshotReader, SnapshotState,
     SnapshotWriter,
@@ -481,11 +481,7 @@ fn framework_fingerprint(g: &Graph, cfg: &FrameworkConfig, policy: &RecoveryPoli
         trace_top_k: _,
     } = cfg;
     let mut enc = Enc::new();
-    for (e, u, v) in g.edges() {
-        enc.usize(e);
-        enc.usize(u);
-        enc.usize(v);
-    }
+    encode_edges(g, &mut enc);
     enc.u64(*seed);
     enc.f64(*epsilon);
     enc.f64(*density_bound);
@@ -964,6 +960,19 @@ mod tests {
         // adaptive-φ switch was removed computed for this run
         let grid = gen::grid(3, 3);
         assert_eq!(framework_fingerprint(&grid, &base, &policy), 0xf5db_6b1d_28e2_8dd6);
+        // ...and neither does sharing the edge-list encoder with `TOPO`:
+        // the value the commit before `snapshot::encode_edges` computed,
+        // every bound field set away from its default
+        let mut rng = gen::seeded_rng(29);
+        let planar = gen::random_planar(40, 0.5, &mut rng);
+        let bound = FrameworkConfig {
+            message_faithful: true,
+            metrics: true,
+            faults: Some(FaultPlan::drops(5, 0.1).with_crash(3, 4)),
+            ..FrameworkConfig::planar(0.25, 11)
+        };
+        let other_policy = RecoveryPolicy { max_retries: 2, initial_walk_steps: 700 };
+        assert_eq!(framework_fingerprint(&planar, &bound, &other_policy), 0x05c3_d8da_0bde_5b9c);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&fresh_dir);
     }

@@ -2,10 +2,10 @@
 //! (`network_walk_routing_with_counts`), blessed from the implementation
 //! that scanned every host vertex per step and per round. The router's
 //! contract is bit-identity: the same `RoutingOutcome`, the same
-//! `RoundStats`, and the caller's RNG left at the same position — at every
-//! thread count, with and without an active fault plan.
+//! `RoundStats`, and the caller's RNG left at the same position, with and
+//! without an active fault plan.
 
-use lcg_congest::{ExecConfig, FaultPlan, Model, Network, RoundStats};
+use lcg_congest::{FaultPlan, Model, Network, RoundStats};
 use lcg_expander::routing::{network_walk_routing_with_counts, RoutingOutcome};
 use lcg_graph::{gen, Graph};
 use rand::Rng;
@@ -16,10 +16,9 @@ fn replay(
     leader: usize,
     plan: Option<FaultPlan>,
     seed: u64,
-    threads: usize,
 ) -> (RoutingOutcome, RoundStats, u64) {
     let counts: Vec<usize> = members.iter().map(|&v| 1 + v % 3).collect();
-    let mut net = Network::with_exec(g, Model::congest(), ExecConfig::with_threads(threads));
+    let mut net = Network::new(g, Model::congest());
     net.set_fault_plan(plan);
     let mut rng = gen::seeded_rng(seed);
     let (outcome, stats) =
@@ -44,9 +43,7 @@ fn subcluster_walk_matches_golden() {
         },
         17_312_069_774_165_657_144,
     );
-    for threads in [1, 2, 4] {
-        assert_eq!(replay(&g, &members, 0, None, 136, threads), expected, "{threads} threads");
-    }
+    assert_eq!(replay(&g, &members, 0, None, 136), expected);
 }
 
 /// The whole of a random planar graph under an active plan: i.i.d. drops, a
@@ -71,11 +68,5 @@ fn faulty_walk_matches_golden() {
         },
         6_438_910_334_356_063_369,
     );
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            replay(&g, &members, 5, Some(plan.clone()), 137, threads),
-            expected,
-            "{threads} threads"
-        );
-    }
+    assert_eq!(replay(&g, &members, 5, Some(plan), 137), expected);
 }

@@ -1254,7 +1254,7 @@ mod tests {
 
     #[test]
     fn c003_flags_topology_reads_in_step_closures() {
-        let src = "fn drive(net: &mut Net, st: &mut [S]) {\n    net.run_state(4, st, |me, v, inbox, out| { me.t = net.exec().threads(); });\n}\n";
+        let src = "fn drive(net: &mut Net, cfg: ExecConfig, st: &mut [S]) {\n    net.run_state(4, st, |me, v, inbox, out| { me.t = cfg.threads(); });\n}\n";
         assert_eq!(active(&lint("crates/congest/src/proto.rs", src), "C003").len(), 1);
         let closure = "\
 fn drive(net: &mut Net, states: &mut [S]) {

@@ -1,11 +1,13 @@
 //! Determinism lockdown for the thread count.
 //!
-//! The round engine and a single cluster's charged walk run on the
-//! caller's thread whatever `ExecConfig` a `Network` or the walk's
-//! benchmark-facing adapter is handed; the framework reads its
-//! `FrameworkConfig`'s — the decomposition's recursion levels and the
-//! clusters' charged walks run through `ExecConfig::map`. These cases hold
-//! every entry point that accepts one to the one-thread result at awkward
+//! `ExecConfig::map` is the one reader of a thread count; the framework
+//! reaches it through its `FrameworkConfig` (the decomposition's recursion
+//! levels and the clusters' charged walks), a lone walk through
+//! `random_walk_routing_with_counts_exec`. The round engine takes no count:
+//! its cases run a *batch* of independent networks through
+//! `ExecConfig::map`, which holds the engine to keeping no state outside
+//! its `Network` — each run's result is the same on whatever thread, beside
+//! whatever sibling. Every case is held to the one-thread result at awkward
 //! counts (3, 5, 7) and counts larger than the item count.
 //!
 //! The layer locks three things to the t1 baseline: outputs + full
@@ -39,13 +41,31 @@ where
     baseline
 }
 
-/// BFS flood as one `run_state` call.
-fn flood(exec: ExecConfig) -> (Vec<bool>, RoundStats) {
-    let g = gen::grid(9, 7);
-    let mut net = Network::with_exec(&g, Model::congest(), exec);
+/// `items.map(f)` through `ExecConfig::map` at `exec`.
+fn batch<I: Sync, T: Send>(exec: ExecConfig, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    exec.map(items, |_| 1, f)
+}
+
+/// [`assert_invariant`] for a batch of independent round-engine runs.
+fn assert_batch_invariant<I, T, F>(items: &[I], f: F) -> Vec<T>
+where
+    I: Sync,
+    T: PartialEq + std::fmt::Debug + Send,
+    F: Fn(&I) -> T + Sync,
+{
+    assert_invariant(|exec| batch(exec, items, &f))
+}
+
+/// Grid shapes of the flood batch, four networks of different sizes.
+const FLOOD_GRIDS: [(usize, usize); 4] = [(9, 7), (5, 5), (3, 11), (8, 8)];
+
+/// BFS flood as one `run_state` call on a `w × h` grid.
+fn flood(&(w, h): &(usize, usize)) -> (Vec<bool>, RoundStats) {
+    let g = gen::grid(w, h);
+    let mut net = Network::new(&g, Model::congest());
     let mut informed = vec![false; g.n()];
     informed[0] = true;
-    net.run_state(20, &mut informed, |me, _v, inbox, out| {
+    net.run_state(w + h, &mut informed, |me, _v, inbox, out| {
         if inbox.iter().any(Option::is_some) {
             *me = true;
         }
@@ -61,10 +81,10 @@ fn flood(exec: ExecConfig) -> (Vec<bool>, RoundStats) {
 
 /// Leader election + H-partition on `exchange_rounds` (early quiescence
 /// included).
-fn primitives_pipeline(exec: ExecConfig) -> (Vec<(u64, usize)>, Vec<Option<usize>>, RoundStats) {
-    let mut rng = gen::seeded_rng(0x5CA1);
+fn primitives_pipeline(&seed: &u64) -> (Vec<(u64, usize)>, Vec<Option<usize>>, RoundStats) {
+    let mut rng = gen::seeded_rng(seed);
     let g = gen::stacked_triangulation(120, &mut rng);
-    let mut net = Network::with_exec(&g, Model::congest(), exec);
+    let mut net = Network::new(&g, Model::congest());
     let deg: Vec<u64> = (0..g.n()).map(|v| g.degree(v) as u64).collect();
     let best = primitives::max_flood(&mut net, &deg, 12, primitives::Scope::Global);
     let layers = primitives::h_partition_distributed(&mut net, 3.0, 0.5, 40, primitives::Scope::Global);
@@ -72,7 +92,7 @@ fn primitives_pipeline(exec: ExecConfig) -> (Vec<(u64, usize)>, Vec<Option<usize
 }
 
 /// The charged walk router; the adapter that takes an `ExecConfig` walks
-/// the same walk (one cluster is one item, on the caller's thread).
+/// the same walk (one cluster is one `charged_walks` item).
 fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>) {
     let g = gen::hypercube(6);
     let members: Vec<usize> = (0..g.n()).collect();
@@ -99,12 +119,12 @@ fn framework(exec: ExecConfig) -> (Vec<usize>, RoundStats) {
 
 #[test]
 fn flood_batch_is_invariant_at_awkward_thread_counts() {
-    assert_invariant(flood);
+    assert_batch_invariant(&FLOOD_GRIDS, flood);
 }
 
 #[test]
 fn primitives_batch_is_invariant_at_awkward_thread_counts() {
-    assert_invariant(primitives_pipeline);
+    assert_batch_invariant(&[0x5CA1, 0x5CA3, 0x5CA5], primitives_pipeline);
 }
 
 #[test]
@@ -118,13 +138,13 @@ fn framework_is_invariant_at_awkward_thread_counts() {
 }
 
 /// `exchange_rounds` must execute the same number of rounds (early
-/// quiescence included) at every thread count, and leave the network
-/// reusable for the next run.
+/// quiescence included) in a batch on any number of threads.
 #[test]
 fn exchange_rounds_round_counts_are_invariant() {
-    let executed = assert_invariant(|exec| {
-        let g = gen::grid(6, 6);
-        let mut net = Network::with_exec(&g, Model::congest(), exec);
+    let executed = assert_batch_invariant(&[(6, 6), (4, 9), (7, 3)], |&(w, h)| {
+        let g = gen::grid(w, h);
+        let top = g.n() as u64 - 1;
+        let mut net = Network::new(&g, Model::congest());
         let mut best: Vec<u64> = (0..g.n() as u64).collect();
         let executed = net.exchange_rounds(
             50,
@@ -140,13 +160,14 @@ fn exchange_rounds_round_counts_are_invariant() {
                 }
             },
             // halt once converged to the global max id
-            |me| *me == 35,
+            |me| *me == top,
         );
         (executed, best, net.stats())
     });
-    // converges in diameter (10) recv phases; the quiescence check runs
-    // *before* each round, so one extra all-halted round is never executed
-    assert_eq!(executed.0, 10);
+    // the 6 × 6 grid converges in diameter (10) recv phases; the quiescence
+    // check runs *before* each round, so one extra all-halted round is
+    // never executed
+    assert_eq!(executed[0].0, 10);
 }
 
 /// The two round structures are one body: the same token program as
@@ -181,7 +202,7 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     };
     let init: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
 
-    let mut stepped = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(1));
+    let mut stepped = Network::new(&g, Model::congest());
     let mut want = init.clone();
     for round in 0..K {
         stepped.step(|v, inbox, out| program(&mut want[v], round, v, inbox, out));
@@ -190,38 +211,37 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     let want_next = next_inboxes(&mut stepped);
     assert!(want_next.iter().flatten().any(Option::is_some), "round K must leave messages in flight");
 
-    for threads in [1, 2, 3, 5] {
-        let mut batched = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
-        let mut states: Vec<(u64, usize)> = init.iter().map(|&t| (t, 0)).collect();
-        batched.run_state(K, &mut states, |(tok, round), v, inbox, out| {
-            program(tok, *round, v, inbox, out);
-            *round += 1;
-        });
-        let got: Vec<u64> = states.iter().map(|s| s.0).collect();
-        assert_eq!(got, want, "run_state at {threads} threads");
-        stats::compare(&want_stats, &batched.stats()).unwrap();
-        assert_eq!(next_inboxes(&mut batched), want_next, "run_state at {threads} threads");
+    let mut batched = Network::new(&g, Model::congest());
+    let mut states: Vec<(u64, usize)> = init.iter().map(|&t| (t, 0)).collect();
+    batched.run_state(K, &mut states, |(tok, round), v, inbox, out| {
+        program(tok, *round, v, inbox, out);
+        *round += 1;
+    });
+    let got: Vec<u64> = states.iter().map(|s| s.0).collect();
+    assert_eq!(got, want, "run_state");
+    stats::compare(&want_stats, &batched.stats()).unwrap();
+    assert_eq!(next_inboxes(&mut batched), want_next, "run_state");
 
-        let mut exchanged = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
-        let mut states: Vec<(u64, Row)> =
-            init.iter().enumerate().map(|(v, &t)| (t, vec![None; g.degree(v)])).collect();
-        let ran = exchanged.exchange_rounds(
-            K,
-            &mut states,
-            |(tok, stash), round, v, out| program(tok, round, v, stash, out),
-            |(_, stash), _round, _v, inbox| *stash = inbox.to_vec(),
-            |_| false,
-        );
-        assert_eq!(ran, K as u64);
-        let (got, stashes): (Vec<u64>, Vec<Row>) = states.into_iter().unzip();
-        assert_eq!(got, want, "exchange_rounds at {threads} threads");
-        stats::compare(&want_stats, &exchanged.stats()).unwrap();
-        assert_eq!(stashes, want_next, "exchange_rounds at {threads} threads");
-    }
+    let mut exchanged = Network::new(&g, Model::congest());
+    let mut states: Vec<(u64, Row)> =
+        init.iter().enumerate().map(|(v, &t)| (t, vec![None; g.degree(v)])).collect();
+    let ran = exchanged.exchange_rounds(
+        K,
+        &mut states,
+        |(tok, stash), round, v, out| program(tok, round, v, stash, out),
+        |(_, stash), _round, _v, inbox| *stash = inbox.to_vec(),
+        |_| false,
+    );
+    assert_eq!(ran, K as u64);
+    let (got, stashes): (Vec<u64>, Vec<Row>) = states.into_iter().unzip();
+    assert_eq!(got, want, "exchange_rounds");
+    stats::compare(&want_stats, &exchanged.stats()).unwrap();
+    assert_eq!(stashes, want_next, "exchange_rounds");
 }
 
-/// Runs at every thread count reproduce the *checked-in* golden stats
-/// byte-for-byte — the same files the `golden_stats` layer locks.
+/// The flood and, at every thread count, the framework reproduce the
+/// *checked-in* golden stats byte-for-byte — the same files the
+/// `golden_stats` layer locks.
 #[test]
 fn forced_parallel_runs_reproduce_checked_in_goldens() {
     let golden = |name: &str| -> RoundStats {
@@ -234,26 +254,26 @@ fn forced_parallel_runs_reproduce_checked_in_goldens() {
     };
     let mut rng = gen::seeded_rng(0x601D);
     let g = gen::random_planar(200, 0.5, &mut rng);
-    for &threads in &AWKWARD_THREADS {
-        // the golden flood runs diameter + 1 rounds of step_state; one
-        // run_state call of the same length is the same computation
-        let mut net = Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
-        let mut informed = vec![false; g.n()];
-        informed[0] = true;
-        let diam = g.diameter().unwrap_or(0);
-        net.run_state(diam + 1, &mut informed, |me, _v, inbox, out| {
-            if inbox.iter().any(Option::is_some) {
-                *me = true;
+    // the golden flood runs diameter + 1 rounds of step_state; one
+    // run_state call of the same length is the same computation
+    let mut net = Network::new(&g, Model::congest());
+    let mut informed = vec![false; g.n()];
+    informed[0] = true;
+    let diam = g.diameter().unwrap_or(0);
+    net.run_state(diam + 1, &mut informed, |me, _v, inbox, out| {
+        if inbox.iter().any(Option::is_some) {
+            *me = true;
+        }
+        if *me {
+            for p in 0..out.ports() {
+                out.send(p, [1]);
             }
-            if *me {
-                for p in 0..out.ports() {
-                    out.send(p, [1]);
-                }
-            }
-        });
-        stats::compare(&golden("planar200_flood"), &net.stats())
-            .unwrap_or_else(|e| panic!("flood at {threads} threads broke the golden: {e}"));
+        }
+    });
+    stats::compare(&golden("planar200_flood"), &net.stats())
+        .unwrap_or_else(|e| panic!("flood broke the golden: {e}"));
 
+    for &threads in &AWKWARD_THREADS {
         let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), ..FrameworkConfig::planar(0.3, 5) };
         let fw = run_framework(&g, &cfg);
         stats::compare(&golden("planar200_framework"), &fw.stats).unwrap_or_else(|e| {
@@ -290,16 +310,16 @@ fn forced_parallel_trace_jsonl_is_byte_identical() {
 /// A randomized max-id flood as one `run_state` call: every vertex owns a
 /// private RNG stream and draws from it in its first round and on every
 /// improvement, so the stream's position is per-vertex state carried
-/// across rounds. Outputs and stats at every count equal the
-/// 1-thread run.
+/// across rounds. A batch of them, one per seed, gives the same outputs
+/// and stats on any number of threads.
 #[test]
 fn node_programs_are_invariant_at_awkward_thread_counts() {
-    assert_invariant(|exec| {
+    assert_batch_invariant(&[0xF00D_u64, 0xBEEF, 0xCAFE], |&seed| {
         let g = gen::grid(5, 8);
-        let mut net = Network::with_exec(&g, Model::congest(), exec);
+        let mut net = Network::new(&g, Model::congest());
         // (stream, best id seen, xor of the draws so far)
         let mut states: Vec<(ChaCha8Rng, u64, Option<u64>)> = (0..g.n() as u64)
-            .map(|v| (ChaCha8Rng::seed_from_u64(0xF00D ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15)), v, None))
+            .map(|v| (ChaCha8Rng::seed_from_u64(seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15)), v, None))
             .collect();
         net.run_state(25, &mut states, |(rng, best, noise), _v, inbox, out| {
             let before = *best;
@@ -321,30 +341,30 @@ fn node_programs_are_invariant_at_awkward_thread_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any thread count in 1..=16 reproduces the t1 flood and
+    /// Any thread count in 1..=16 reproduces the t1 flood batch and
     /// walk results bit-for-bit.
     #[test]
     fn any_thread_count_matches_sequential(threads in 1usize..=16) {
         let exec = ExecConfig::with_threads(threads);
-        let (informed, s) = flood(exec);
-        let (informed_1, s_1) = flood(ExecConfig::with_threads(1));
-        prop_assert_eq!(informed, informed_1);
-        prop_assert_eq!(s, s_1);
+        prop_assert_eq!(
+            batch(exec, &FLOOD_GRIDS, flood),
+            batch(ExecConfig::sequential(), &FLOOD_GRIDS, flood)
+        );
 
         let walk = charged_walk(exec);
         prop_assert_eq!(walk, charged_walk(ExecConfig::with_threads(1)));
     }
 
-    /// The faulty delivery paths ignore the thread count: same
-    /// drops, same crashes, same survivors.
+    /// A batch of faulty runs, one plan per seed, ignores the thread
+    /// count: same drops, same crashes, same survivors.
     #[test]
     fn faulty_batches_match_sequential(threads in 2usize..=16) {
         use locongest::congest::FaultPlan;
         let g = gen::grid(6, 6);
-        let plan = FaultPlan::drops(0xFA07, 0.25).with_crash(7, 2).with_link_failure(3, 1, 3);
-        let run = |exec: ExecConfig| {
-            let mut net = Network::with_exec(&g, Model::congest(), exec);
-            net.set_fault_plan(Some(plan.clone()));
+        let run = |&seed: &u64| {
+            let plan = FaultPlan::drops(seed, 0.25).with_crash(7, 2).with_link_failure(3, 1, 3);
+            let mut net = Network::new(&g, Model::congest());
+            net.set_fault_plan(Some(plan));
             let mut received: Vec<u64> = vec![0; g.n()];
             net.run_state(6, &mut received, |me, _v, inbox, out| {
                 *me += inbox.iter().flatten().count() as u64;
@@ -354,6 +374,10 @@ proptest! {
             });
             (received, net.stats())
         };
-        prop_assert_eq!(run(ExecConfig::with_threads(threads)), run(ExecConfig::with_threads(1)));
+        let seeds = [0xFA07_u64, 0xFA08, 0xFA09];
+        prop_assert_eq!(
+            batch(ExecConfig::with_threads(threads), &seeds, run),
+            batch(ExecConfig::sequential(), &seeds, run)
+        );
     }
 }

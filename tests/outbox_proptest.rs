@@ -1,14 +1,14 @@
 //! Property tests: `Outbox` misuse — CONGEST capacity violations and
-//! double-sends — must fail identically whatever thread count the network
-//! records: the same panic, with the same message, surfacing cleanly on
-//! the caller's thread.
+//! double-sends — must fail the same way on every run: a panic naming the
+//! offending vertex, surfacing cleanly on the caller's thread. In-budget
+//! traffic never panics and is charged exactly what it sent.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use proptest::prelude::*;
 
-use locongest::congest::{stats, ExecConfig, Model, Network};
+use locongest::congest::{Model, Network, RoundStats};
 use locongest::graph::gen;
 
 /// Silences the default panic hook (these tests *provoke* panics by the
@@ -37,8 +37,8 @@ fn panic_message<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> Option<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// An oversized send at an arbitrary vertex panics with the same
-    /// CONGEST-violation message at every thread count.
+    /// An oversized send at an arbitrary vertex panics with a
+    /// CONGEST-violation message naming it, the same on every run.
     #[test]
     fn oversize_panics_identically(
         w in 2usize..7,
@@ -51,9 +51,9 @@ proptest! {
         let g = gen::grid(w, h);
         let bad = bad_seed % g.n();
         let model = Model::Congest { words_per_edge: cap };
-        let run = |threads: usize| {
+        let run = || {
             panic_message(AssertUnwindSafe(|| {
-                let mut net = Network::with_exec(&g, model, ExecConfig::with_threads(threads));
+                let mut net = Network::new(&g, model);
                 net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
                     if v == bad {
                         out.send(0, vec![7; cap + extra]);
@@ -63,17 +63,15 @@ proptest! {
                 });
             }))
         };
-        let seq = run(1);
-        let msg = seq.as_deref().unwrap_or("");
+        let first = run();
+        let msg = first.as_deref().unwrap_or("");
         prop_assert!(msg.contains("CONGEST violation"), "unexpected: {msg}");
         prop_assert!(msg.contains(&format!("vertex {bad}")), "unexpected: {msg}");
-        for threads in [2, 4, 8] {
-            let par = run(threads);
-            prop_assert_eq!(par.as_deref(), seq.as_deref());
-        }
+        prop_assert_eq!(run(), first);
     }
 
-    /// A double-send panics with the same message at every thread count.
+    /// A double-send panics with a message naming the vertex, the same on
+    /// every run.
     #[test]
     fn double_send_panics_identically(
         n in 3usize..40,
@@ -82,10 +80,9 @@ proptest! {
         quiet_panics();
         let g = gen::cycle(n);
         let bad = bad_seed % n;
-        let run = |threads: usize| {
+        let run = || {
             panic_message(AssertUnwindSafe(|| {
-                let mut net =
-                    Network::with_exec(&g, Model::congest(), ExecConfig::with_threads(threads));
+                let mut net = Network::new(&g, Model::congest());
                 net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
                     out.send(0, [1]);
                     if v == bad {
@@ -94,18 +91,15 @@ proptest! {
                 });
             }))
         };
-        let seq = run(1);
-        let msg = seq.as_deref().unwrap_or("");
+        let first = run();
+        let msg = first.as_deref().unwrap_or("");
         prop_assert!(msg.contains("sent twice"), "unexpected: {msg}");
         prop_assert!(msg.contains(&format!("vertex {bad}")), "unexpected: {msg}");
-        for threads in [2, 4, 8] {
-            let par = run(threads);
-            prop_assert_eq!(par.as_deref(), seq.as_deref());
-        }
+        prop_assert_eq!(run(), first);
     }
 
-    /// In-budget traffic never panics, and sequential/parallel agree on
-    /// the resulting stats bit-for-bit.
+    /// In-budget traffic never panics, and the stats charge exactly what
+    /// was sent: every vertex fills every port with `cap` words per round.
     #[test]
     fn in_budget_sends_agree(
         w in 2usize..7,
@@ -116,21 +110,22 @@ proptest! {
         quiet_panics();
         let g = gen::grid(w, h);
         let model = Model::Congest { words_per_edge: cap };
-        let run = |threads: usize| {
-            let mut net = Network::with_exec(&g, model, ExecConfig::with_threads(threads));
-            for _ in 0..rounds {
-                net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
-                    for p in 0..out.ports() {
-                        out.send(p, vec![v as u64; cap]);
-                    }
-                });
-            }
-            net.stats()
-        };
-        let seq = run(1);
-        for threads in [2, 4, 8] {
-            let par = run(threads);
-            prop_assert!(stats::compare(&seq, &par).is_ok(), "{}", stats::compare(&seq, &par).unwrap_err());
+        let mut net = Network::new(&g, model);
+        for _ in 0..rounds {
+            net.step_state(&mut vec![(); g.n()], |_, v, _inbox, out| {
+                for p in 0..out.ports() {
+                    out.send(p, vec![v as u64; cap]);
+                }
+            });
         }
+        let messages = (rounds * 2 * g.m()) as u64;
+        let want = RoundStats {
+            rounds: rounds as u64,
+            messages,
+            words: messages * cap as u64,
+            max_words_edge_round: cap,
+            ..RoundStats::default()
+        };
+        prop_assert_eq!(net.stats(), want);
     }
 }

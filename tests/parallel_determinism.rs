@@ -2,9 +2,10 @@
 //! for every pipeline in this file, outputs AND the full `RoundStats` are
 //! bit-identical whether the `ExecConfig` handed in says 1, 2, 4, or 8
 //! threads. The framework reads it — the decomposition's recursion levels
-//! and the clusters' charged walks run through `ExecConfig::map` — and the
-//! other pipelines are one cluster or the round engine, which run on the
-//! caller's thread at any count.
+//! and the clusters' charged walks run through `ExecConfig::map` — and so
+//! does a lone charged walk. The round engine takes no count: its
+//! pipelines run as a batch of independent networks through
+//! `ExecConfig::map`, one per seed.
 
 use locongest::congest::{stats, ExecConfig, FaultPlan, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
@@ -14,8 +15,8 @@ use locongest::graph::gen;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs `f` at every thread count and asserts all results equal the
-/// 1-thread baseline.
-fn assert_invariant<T, F>(mut f: F)
+/// 1-thread baseline; returns the baseline.
+fn assert_invariant<T, F>(mut f: F) -> T
 where
     T: PartialEq + std::fmt::Debug,
     F: FnMut(ExecConfig) -> T,
@@ -25,6 +26,17 @@ where
         let got = f(ExecConfig::with_threads(threads));
         assert_eq!(got, baseline, "{threads} threads diverged from sequential");
     }
+    baseline
+}
+
+/// [`assert_invariant`] for a batch of independent round-engine runs, one
+/// per seed, mapped through `ExecConfig::map`.
+fn assert_batch_invariant<T, F>(seeds: &[u64], f: F) -> Vec<T>
+where
+    T: PartialEq + std::fmt::Debug + Send,
+    F: Fn(u64) -> T + Sync,
+{
+    assert_invariant(|exec| exec.map(seeds, |_| 1, |&seed| f(seed)))
 }
 
 /// E01-style pipeline: expander decomposition + the full Theorem 2.6
@@ -75,23 +87,24 @@ fn walk_routing_thread_invariant() {
 }
 
 /// The message-faithful walk (tokens as real 2-word messages inside the
-/// simulator): the network's stats must also match bit-for-bit.
+/// simulator), one network per seed: the networks' stats must also match
+/// bit-for-bit.
 #[test]
 fn message_faithful_walk_thread_invariant() {
     let g = gen::complete(16);
     let members: Vec<usize> = (0..g.n()).collect();
-    assert_invariant(|exec| {
-        let mut rng = gen::seeded_rng(0xA13);
-        let mut net = Network::with_exec(&g, Model::congest(), exec);
+    assert_batch_invariant(&[0xA13, 0xA16, 0xA17], |seed| {
+        let mut rng = gen::seeded_rng(seed);
+        let mut net = Network::new(&g, Model::congest());
         let (out, rstats) =
             routing::network_walk_routing(&mut net, &members, 3, 100_000, &mut rng);
         (out, rstats, net.stats())
     });
 }
 
-/// MIS pipeline: Luby-style randomized MIS as a per-vertex-state program.
-/// Per-vertex ChaCha streams make the coin flips a function of the vertex
-/// alone.
+/// MIS pipeline: Luby-style randomized MIS as a per-vertex-state program,
+/// one run per seed. Per-vertex ChaCha streams make the coin flips a
+/// function of the seed and the vertex alone.
 #[test]
 fn mis_pipeline_thread_invariant() {
     use locongest::graph::Graph;
@@ -110,8 +123,8 @@ fn mis_pipeline_thread_invariant() {
         priority: u64,
     }
 
-    fn luby_mis(g: &Graph, seed: u64, exec: ExecConfig) -> (Vec<bool>, RoundStats) {
-        let mut net = Network::with_exec(g, Model::congest(), exec);
+    fn luby_mis(g: &Graph, seed: u64) -> (Vec<bool>, RoundStats) {
+        let mut net = Network::new(g, Model::congest());
         let mut vs: Vec<V> = (0..g.n())
             .map(|v| V {
                 state: St::Undecided,
@@ -171,24 +184,18 @@ fn mis_pipeline_thread_invariant() {
 
     let mut rng = gen::seeded_rng(0xA14);
     let g = gen::random_planar(400, 0.6, &mut rng);
-    let baseline = luby_mis(&g, 99, ExecConfig::with_threads(1));
-    // the baseline must be a valid MIS
-    let (in_set, _) = &baseline;
-    for (_, u, v) in g.edges() {
-        assert!(!(in_set[u] && in_set[v]), "edge ({u},{v}) inside the set");
-    }
-    for v in 0..g.n() {
-        assert!(
-            in_set[v] || g.neighbor_vertices(v).any(|u| in_set[u]),
-            "vertex {v} not dominated"
-        );
-    }
-    for &threads in &THREADS[1..] {
-        assert_eq!(
-            luby_mis(&g, 99, ExecConfig::with_threads(threads)),
-            baseline,
-            "{threads} threads diverged"
-        );
+    let runs = assert_batch_invariant(&[99, 100, 101], |seed| luby_mis(&g, seed));
+    // every run must be a valid MIS
+    for (in_set, _) in &runs {
+        for (_, u, v) in g.edges() {
+            assert!(!(in_set[u] && in_set[v]), "edge ({u},{v}) inside the set");
+        }
+        for v in 0..g.n() {
+            assert!(
+                in_set[v] || g.neighbor_vertices(v).any(|u| in_set[u]),
+                "vertex {v} not dominated"
+            );
+        }
     }
 }
 
