@@ -177,6 +177,7 @@ mod tests {
     /// sibling runs to its end before the payload surfaces, and of two
     /// panicking bins the lower one's payload wins.
     #[test]
+    #[expect(clippy::disallowed_types, reason = "one completion flag per bin, set by the bin's own thread and read after the join")]
     fn a_panic_surfaces_only_after_every_sibling_joined() {
         // equal weights: item i lands in bin i
         let items: Vec<usize> = (0..4).collect();

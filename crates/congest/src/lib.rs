@@ -32,6 +32,9 @@
 //! assert!(net.stats().max_words_edge_round <= 2); // CONGEST respected
 //! ```
 
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod executor;
 pub mod faults;
 mod model;

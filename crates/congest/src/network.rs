@@ -185,9 +185,11 @@ impl<'a> Topo<'a> {
 /// assert_eq!(stats.rounds, 1);
 /// assert_eq!(stats.messages, 10); // 2 per vertex
 /// ```
-// lcg-lint: snapshot-root
+///
+/// Every field is either serialized or rebuilt on resume; the
+/// destructuring in [`Network::write_snapshot_sections`] names each one,
+/// so a new field does not compile until it takes a side.
 pub struct Network<'g> {
-    // lcg-lint: transient -- snapshots store the TOPO fingerprint only; resume binds a caller-provided graph
     g: &'g Graph,
     model: Model,
     /// Statistics, trace and metrics; every engine event lands here once.
@@ -200,16 +202,13 @@ pub struct Network<'g> {
     pending: Grid,
     /// The outbox arena, taken and put back the same way — the round
     /// engine allocates no buffers after construction.
-    // lcg-lint: transient -- all-None between rounds (`return_clean`); rebuilt fresh on resume, never serialized empty
     outgoing: Grid,
     /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — the
     /// flat-CSR form of the old `reverse[v][p] = (u, q)` port map (the
     /// neighbor `u` itself is `g.csr_neighbors()[s]`).
-    // lcg-lint: transient -- pure function of the graph, recomputed by the resume constructor
     rev_slot: Vec<u32>,
     /// Scratch of [`Network::exchange_active`]: the vertices that received
     /// a message this round. Kept here so a sparse round allocates nothing.
-    // lcg-lint: transient -- empty between rounds; rebuilt empty on resume
     receivers: Vec<usize>,
     /// Compiled fault schedule ([`Network::set_fault_plan`]). `None` (the
     /// default) keeps both delivery paths on their historical fault-free
@@ -304,7 +303,7 @@ fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
 /// exactly once, so `stats` == trace totals == the `net.*` registry
 /// counters by construction (DESIGN §8). With no tracer and no recorder
 /// attached every method is the `stats` update plus skipped branches.
-// lcg-lint: snapshot-root
+/// All three fields are snapshot state ([`Network::write_snapshot_sections`]).
 #[derive(Default)]
 struct Sink {
     stats: RoundStats,
@@ -991,38 +990,53 @@ impl<'g> Network<'g> {
     /// Supervisors call this, then append their own sections (per-node
     /// program state, RNG positions, progress) before writing the file.
     ///
-    /// Only state that carries information across rounds is serialized:
-    /// the `pending` grid travels, the outbox arena does not (it is
-    /// all-`None` between rounds and is rebuilt fresh on resume), and
-    /// `rev_slot` is a pure function of the graph. A fault schedule is stored as its *plan* — drop coins are
-    /// keyed by `(round, edge)` and the round counter is in `STAT`, so
-    /// plan + counter is complete fault progress. The metrics section
-    /// keeps only the deterministic registry; the profiling plane is
-    /// wall-clock state and deliberately dies with the process.
+    /// Only state that carries information across rounds is serialized;
+    /// the destructuring below names every field of the network and its
+    /// sink, so a field added to either does not compile until it is
+    /// written here or given a reason to be rebuilt on resume. A fault
+    /// schedule is stored as its *plan* — drop coins are keyed by
+    /// `(round, edge)` and the round counter is in `STAT`, so plan +
+    /// counter is complete fault progress. The metrics section keeps only
+    /// the deterministic registry; the profiling plane is wall-clock state
+    /// and deliberately dies with the process.
     pub fn write_snapshot_sections(&self, w: &mut SnapshotWriter) {
-        w.state_section("TOPO", &(self.g.n(), self.g.m(), Network::topology_fingerprint(self.g)));
-        w.state_section("MODL", &self.model);
-        w.state_section("STAT", &self.sink.stats);
+        let Network {
+            // only its fingerprint is stored: resume binds a caller-provided graph
+            g,
+            model,
+            sink,
+            pending,
+            faults,
+            // all-None between rounds (`return_clean`); rebuilt fresh on resume
+            outgoing: _,
+            // a pure function of the graph, recomputed by the resume constructor
+            rev_slot: _,
+            // empty between rounds; rebuilt empty on resume
+            receivers: _,
+        } = self;
+        let Sink { stats, tracer, metrics } = sink;
+        w.state_section("TOPO", &(g.n(), g.m(), Network::topology_fingerprint(g)));
+        w.state_section("MODL", model);
+        w.state_section("STAT", stats);
         // the flat arena is written in the wire shape of the historical
         // nested grid (row count, then per row its length and slots), so
         // snapshots stay byte-compatible across the CSR change; a cold
         // grid (lost to a panic mid-round) is written as the empty rows the
         // next round will see in its place
         let mut pend = Enc::new();
-        pend.usize(self.g.n());
-        for v in 0..self.g.n() {
-            let row = self.g.row_range(v);
+        pend.usize(g.n());
+        for v in 0..g.n() {
+            let row = g.row_range(v);
             pend.usize(row.len());
             for s in row {
-                self.pending.get(s).unwrap_or(&None).encode(&mut pend);
+                pending.get(s).unwrap_or(&None).encode(&mut pend);
             }
         }
         w.section("PEND", pend.into_bytes());
-        let plan: Option<FaultPlan> = self.faults.as_ref().map(|f| f.plan().clone());
+        let plan: Option<FaultPlan> = faults.as_ref().map(|f| f.plan().clone());
         w.state_section("FLTS", &plan);
-        w.state_section("TRCE", &self.sink.tracer.as_ref().map(Tracer::snapshot_state));
-        let metr = self.sink.metrics.as_ref();
-        w.state_section("METR", &metr.map(|rec| (rec.label().to_string(), rec.registry().to_json())));
+        w.state_section("TRCE", &tracer.as_ref().map(Tracer::snapshot_state));
+        w.state_section("METR", &metrics.as_ref().map(|rec| (rec.label().to_string(), rec.registry().to_json())));
     }
 
     /// Writes a complete engine snapshot to `w`: magic, version header,

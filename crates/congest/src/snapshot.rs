@@ -524,9 +524,10 @@ impl SnapshotState for ChaCha8Rng {
 
 impl SnapshotState for LinkFailure {
     fn encode(&self, out: &mut Enc) {
-        out.usize(self.edge);
-        out.u64(self.from_round);
-        out.u64(self.until_round);
+        let LinkFailure { edge, from_round, until_round } = *self;
+        out.usize(edge);
+        out.u64(from_round);
+        out.u64(until_round);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         Ok(LinkFailure {
@@ -539,8 +540,9 @@ impl SnapshotState for LinkFailure {
 
 impl SnapshotState for NodeCrash {
     fn encode(&self, out: &mut Enc) {
-        out.usize(self.node);
-        out.u64(self.at_round);
+        let NodeCrash { node, at_round } = *self;
+        out.usize(node);
+        out.u64(at_round);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         Ok(NodeCrash { node: d.usize()?, at_round: d.u64()? })
@@ -553,11 +555,12 @@ impl SnapshotState for FaultPlan {
     /// the plan, so "fault progress" costs exactly these fields plus the
     /// round counter already in `STAT`.
     fn encode(&self, out: &mut Enc) {
-        out.u64(self.seed);
-        out.f64(self.drop_prob);
-        self.link_failures.encode(out);
-        self.crashes.encode(out);
-        self.truncate_words.encode(out);
+        let FaultPlan { seed, drop_prob, link_failures, crashes, truncate_words } = self;
+        out.u64(*seed);
+        out.f64(*drop_prob);
+        link_failures.encode(out);
+        crashes.encode(out);
+        truncate_words.encode(out);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let seed = d.u64()?;
@@ -598,13 +601,22 @@ impl SnapshotState for Model {
 
 impl SnapshotState for RoundStats {
     fn encode(&self, out: &mut Enc) {
-        out.u64(self.rounds);
-        out.u64(self.messages);
-        out.u64(self.words);
-        out.usize(self.max_words_edge_round);
-        out.u64(self.dropped_messages);
-        out.u64(self.crashed_messages);
-        out.u64(self.truncated_messages);
+        let RoundStats {
+            rounds,
+            messages,
+            words,
+            max_words_edge_round,
+            dropped_messages,
+            crashed_messages,
+            truncated_messages,
+        } = *self;
+        out.u64(rounds);
+        out.u64(messages);
+        out.u64(words);
+        out.usize(max_words_edge_round);
+        out.u64(dropped_messages);
+        out.u64(crashed_messages);
+        out.u64(truncated_messages);
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         Ok(RoundStats {
@@ -621,8 +633,9 @@ impl SnapshotState for RoundStats {
 
 // The tracer's recording state. `lcg-trace` sits below this crate and owns
 // no byte format; these impls are the `TRCE` wire layout, field order
-// included. Each destructures exhaustively, so a field added to the tracer
-// or to a span does not compile until it is persisted here.
+// included. Each destructures exhaustively, as the fault and stats
+// encoders above do, so a field added to the tracer or to a span does not
+// compile until it is persisted here.
 
 impl SnapshotState for TraceConfig {
     fn encode(&self, out: &mut Enc) {

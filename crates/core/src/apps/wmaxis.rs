@@ -66,7 +66,7 @@ pub fn approx_maximum_weight_independent_set(
 /// # Panics
 ///
 /// Panics if `weights.len() != g.n()`.
-#[allow(clippy::too_many_arguments)] // mirrors the plain entry point + harness knobs
+#[expect(clippy::too_many_arguments, reason = "mirrors the plain entry point plus the harness knobs")]
 pub fn approx_maximum_weight_independent_set_resilient(
     g: &Graph,
     weights: &[u64],

@@ -32,6 +32,9 @@
 //! assert!(out.stats.rounds > 0);
 //! ```
 
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod apps;
 pub mod baselines;
 pub mod failure;

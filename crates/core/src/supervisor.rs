@@ -342,6 +342,13 @@ impl<'c> Store<'c> {
     }
 }
 
+/// Panics with `injected crash at {at}`: the fault of the kill-at-round and
+/// kill-at-attempt harnesses, caught by the supervisor's `catch_unwind`.
+#[expect(clippy::panic, reason = "the kill harnesses' fault; the supervisor's catch_unwind consumes it")]
+fn injected_crash(at: std::fmt::Arguments<'_>) -> ! {
+    panic!("injected crash at {at}")
+}
+
 // ---------------------------------------------------- round-level driver
 
 /// Runs `rounds` rounds of a per-vertex step program under the
@@ -396,7 +403,7 @@ where
                 // the supervisor, exactly what a crashed process looks like
                 net.run_state(1, &mut states, |s: &mut S, v: usize, inbox: &Inbox, out: &mut Outbox| {
                     if v == 0 {
-                        panic!("injected crash at round {k} (kill-at-round harness)"); // lcg-lint: allow(P001) -- deterministic crash injection; the supervisor's catch_unwind is the consumer
+                        injected_crash(format_args!("round {k} (kill-at-round harness)"));
                     }
                     step(s, v, inbox, out);
                 });
@@ -575,7 +582,7 @@ pub fn run_framework_checkpointed(
             if kill_now {
                 // fires after the attempt's work, before any of it is
                 // committed — the lost-progress crash checkpoints absorb
-                panic!("injected crash at attempt {attempt} (kill-at-attempt harness)"); // lcg-lint: allow(P001) -- deterministic crash injection; the supervisor's catch_unwind is the consumer
+                injected_crash(format_args!("attempt {attempt} (kill-at-attempt harness)"));
             }
             ran
         }));

@@ -574,6 +574,7 @@ mod tests {
     /// --lib probe_parallel -- --ignored --nocapture`.
     #[test]
     #[ignore = "probe: prints the serial shares of decomposition and gathering"]
+    #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
     fn probe_parallel_shares() {
         // `benchmark/`'s generator seed of instance `index`
         let generator_seed = |index: u64| {

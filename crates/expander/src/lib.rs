@@ -29,6 +29,9 @@
 //! assert!(out.complete());
 //! ```
 
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod conductance;
 pub mod decomp;
 pub mod distributed;

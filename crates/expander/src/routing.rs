@@ -311,7 +311,7 @@ impl EdgeTally {
 ///
 /// Panics if `counts.len() != members.len()`, a member repeats, the leader
 /// is not a member, or `G[members]` is disconnected.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the walk's inputs and its three run options, each a plain value")]
 pub fn charged_walk_routing(
     g: &Graph,
     members: &[usize],
@@ -722,7 +722,7 @@ mod tests {
 
     /// One seeded execution of the one router: outcome, host-edge loads,
     /// and the caller rng's next draw (the walk must consume exactly one).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters")]
     fn route(
         g: &Graph,
         members: &[usize],
@@ -834,7 +834,7 @@ mod tests {
     /// (with `gen_bool(0.5)` for the coin), the step's crossings are
     /// tallied, then the next step. Also counts the live token-steps, the
     /// unit the walk's cost is quoted in.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters")]
     fn charged_walk_reference(
         g: &Graph,
         members: &[usize],
@@ -904,7 +904,7 @@ mod tests {
     }
 
     /// [`route`]'s triple from the reference walk.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters")]
     fn route_reference(
         g: &Graph,
         members: &[usize],
@@ -1067,6 +1067,7 @@ mod tests {
     /// --lib probe_walk -- --ignored --nocapture`.
     #[test]
     #[ignore = "probe: prints ns per live token-step"]
+    #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
     fn probe_walk_unit_cost() {
         for side in [20, 40, 60] {
             let g = gen::grid_with_noise(side, side, 0.02, &mut gen::seeded_rng(side as u64));

@@ -458,6 +458,7 @@ mod tests {
     /// --lib probe_lambda2 -- --ignored --nocapture`.
     #[test]
     #[ignore = "probe: prints ns per non-zero per iteration"]
+    #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
     fn probe_lambda2_unit_cost() {
         for side in [50, 100, 200] {
             let g = gen::grid_with_noise(side, side, 0.02, &mut gen::seeded_rng(side as u64));

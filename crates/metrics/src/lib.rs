@@ -15,9 +15,13 @@
 //! and the `profile` section last, so golden comparisons strip profiling
 //! noise with [`Report::deterministic_json`].
 //!
-//! The quarantine is enforced statically: lcg-lint rule O001 rejects any
-//! flow of profiling-plane values into protocol, merge, or RNG-seeding
-//! code, and only `profile.rs` may touch the monotonic clock (D003).
+//! The quarantine is enforced statically by the root `clippy.toml`: only
+//! [`profile`] may touch the monotonic clock (rule D003) or call the
+//! profiling plane's readers (`Stamp::now`, `Stamp::ns_since`,
+//! [`profile::peak_rss_bytes`]; rule O001).
+
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod profile;
 pub mod registry;

@@ -3,15 +3,21 @@
 //! **Everything in this module is explicitly nondeterministic.** It exists
 //! to answer "how fast / how big", never "what happened": no value
 //! produced here may influence protocol state, merge order, or RNG
-//! seeding. That quarantine is enforced statically by lcg-lint rule O001,
-//! and this file is the single sanctioned carve-out from rule D003
-//! (wall-clock in deterministic crates): the monotonic clock and the
-//! `VmHWM` read live here and nowhere else. Timers are per run — each
-//! [`Profile`] owns its own — so concurrent recorders in one process never
-//! see each other's phases.
+//! seeding. That quarantine is enforced statically by the root
+//! `clippy.toml` (rule O001: `Stamp::now`, `Stamp::ns_since` and
+//! [`peak_rss_bytes`] are disallowed methods), and this module is the
+//! single sanctioned carve-out from rule D003 (wall-clock in deterministic
+//! crates): the monotonic clock and the `VmHWM` read live here and nowhere
+//! else. Timers are per run — each [`Profile`] owns its own — so
+//! concurrent recorders in one process never see each other's phases.
 //!
 //! Golden tests strip the `profile` section of a metrics report before
 //! comparing, so nothing in this module can ever force a re-blessing.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the profiling plane's quarantine: the one module that reads the clock and RSS (O001, D003)"
+)]
 
 use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;

@@ -7,7 +7,7 @@
 //! is `BTreeMap` (stable iteration order), and the serialized form is
 //! bit-identical from run to run. Wall-clock, RSS, and scheduling
 //! observations are banned here — they live in [`crate::profile`], behind
-//! the lcg-lint O001 quarantine.
+//! the O001 quarantine of the root `clippy.toml`.
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;

@@ -101,7 +101,7 @@ pub fn exact_clustering(g: &Graph, budget: u64) -> Option<ClusteringResult> {
     }
     // also edges from v to later vertices are counted when the later
     // endpoint is placed, so future[i] counts each edge exactly once. ✓
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the recursion's state, passed down rather than bundled")]
     fn dfs(
         i: usize,
         used: usize,

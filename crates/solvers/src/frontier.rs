@@ -39,7 +39,7 @@ const MAX_STARTS: usize = 8;
 /// What one attempt did, solved or not. The dispatchers read `solution`;
 /// the work counters are what the module's tests hold the budget and the
 /// memory rule to.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(not(test), expect(dead_code, reason = "the work counters are read by the module's tests only"))]
 pub(crate) struct FrontierDp {
     /// `(weight, set)` of a maximum-weight independent set, the set in id
     /// order; `None` if the order was rejected or a budget ran out.

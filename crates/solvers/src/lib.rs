@@ -32,6 +32,9 @@
 //! experiment harness never silently confuses heuristic and optimal
 //! values.
 
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod corrclust;
 mod frontier;
 pub mod ldd;

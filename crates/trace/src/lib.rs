@@ -20,7 +20,7 @@
 //! rounds only. The same seed produces the byte-identical trace on every
 //! run, because every recorded quantity comes out of the
 //! bit-deterministic round engine. Wall-clock timing is deliberately
-//! absent (lcg-lint rule D003): traces are replayable artifacts, not
+//! absent (rule D003 of the root `clippy.toml`): traces are replayable artifacts, not
 //! profiles.
 //!
 //! The `trace-report` binary renders a trace file as a span tree with
@@ -48,6 +48,9 @@
 //! ```
 //!
 //! [`RoundStats`]: https://docs.rs/lcg-congest
+
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod report;
 pub mod trace;

@@ -6,7 +6,7 @@
 //! round order, every `hotspot` in rank order — and object keys are
 //! `BTreeMap`-sorted by the vendored serde, so a trace has exactly one
 //! byte representation. All quantities are integers (logical rounds and
-//! word counts); wall-clock time never appears (lcg-lint D003).
+//! word counts); wall-clock time never appears (D003 in `clippy.toml`).
 //!
 //! Schema (version 2 — version 1 plus trailing `fault` lines):
 //!

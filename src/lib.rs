@@ -22,6 +22,9 @@
 //! assert!(verdict.all_accept); // planar inputs always accept
 //! ```
 
+// P001 (DESIGN §7): library code states an invariant with `expect`.
+#![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub use lcg_congest as congest;
 pub use lcg_core as core;
 pub use lcg_expander as expander;

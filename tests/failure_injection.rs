@@ -216,6 +216,7 @@ fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
 /// threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
 /// accounting change, and from the commit being replaced.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
 fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
     let mut rng = gen::seeded_rng(0x24);
     let g = gen::grid_with_noise(16, 16, 0.02, &mut rng);

@@ -22,9 +22,15 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
+/// `UPDATE_GOLDEN=1` re-blesses the goldens instead of comparing.
+#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
+fn blessing() -> bool {
+    std::env::var("UPDATE_GOLDEN").is_ok()
+}
+
 fn check(name: &str, got: RoundStats) {
     let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
+    if blessing() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, serde_json::to_string_pretty(&got).unwrap()).unwrap();
         return;
@@ -112,7 +118,7 @@ fn check_faithful(name: &str, g: &Graph) {
         )
     };
     let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
+    if blessing() {
         std::fs::write(&path, render(1)).unwrap();
         return;
     }

@@ -44,6 +44,7 @@ fn trace_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
 fn trace_matches_golden_file() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/planar_small_trace.jsonl");
