@@ -1,19 +1,21 @@
-//! **E26** — unit costs of Theorem 2.6's two inner loops, measured from
-//! this binary: `spectral::lambda2` in ns per non-zero per iteration and
-//! `charged_walk_routing` in ns per live token-step, on
-//! `grid_with_noise(s, s, 0.02)`.
+//! **E26** — unit costs of Theorem 2.6's three inner loops, measured from
+//! this binary: `spectral::lambda2` in ns per non-zero per iteration,
+//! `charged_walk_routing` in ns per live token-step and the
+//! message-faithful `network_walk_routing_with_counts` in ns per live
+//! token-step and per delivered message, on `grid_with_noise(s, s, 0.02)`.
 //!
 //! The instances are those of the in-module probes of `lcg-expander`
 //! (`cargo test --release -p lcg-expander --lib probe_ -- --ignored
-//! --nocapture`), so the two binaries time the same work from one rlib at
-//! two link placements: rows that disagree by more than noise are a
-//! code-placement effect, not a change in work (ROADMAP item 1, finding
-//! (ii)). Wall-clock only — nothing here is deterministic except the
-//! `iterations`, `steps` and `token-steps` columns.
+//! --nocapture --test-threads=1`), so the two binaries time the same work
+//! from one rlib at two link placements: rows that disagree by more than
+//! noise are a code-placement effect, not a change in work (ROADMAP item
+//! 1, finding (ii)). Wall-clock only — nothing here is deterministic
+//! except the `iterations`, `steps`, `token-steps` and `messages` columns.
 
 use std::time::Instant;
 
-use lcg_expander::routing::charged_walk_routing;
+use lcg_congest::{Model, Network};
+use lcg_expander::routing::{charged_walk_routing, network_walk_routing_with_counts};
 use lcg_expander::spectral::lambda2;
 use lcg_graph::{gen, Graph};
 use rand::{Rng, SeedableRng};
@@ -55,6 +57,63 @@ fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -
         }
     }
     (token_steps, longest)
+}
+
+/// The live token-steps, walk steps and messages of an uncapped,
+/// fault-free `network_walk_routing_with_counts` over all of `g`, replayed
+/// without the network from the caller's `rng`: each step the tokens flip
+/// in ascending vertex order, a token that moves joins the LIFO stack of
+/// its port, and each round every busy port hands its top token over,
+/// arrivals landing in (receiver, receiver's port) order. The caller
+/// checks the replay against the router's own `steps` and messages.
+fn replay_faithful(g: &Graph, leader: usize, counts: &[usize], rng: &mut ChaCha8Rng) -> (u64, usize, u64) {
+    let mut at: Vec<Vec<u64>> =
+        (0..g.n()).map(|v| if v == leader { Vec::new() } else { vec![v as u64; counts[v]] }).collect();
+    let mut left: u64 = at.iter().map(|tokens| tokens.len() as u64).sum();
+    // one stack per CSR slot, i.e. per (vertex, port)
+    let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); g.slots()];
+    let (mut token_steps, mut steps, mut messages) = (0u64, 0usize, 0u64);
+    while left > 0 {
+        steps += 1;
+        token_steps += left;
+        let mut busy: Vec<usize> = Vec::new();
+        for (v, tokens) in at.iter_mut().enumerate() {
+            for t in std::mem::take(tokens) {
+                if rng.gen_bool(0.5) {
+                    tokens.push(t);
+                    continue;
+                }
+                let slot = g.row_range(v).start + rng.gen_range(0..g.degree(v));
+                if stacks[slot].is_empty() {
+                    busy.push(slot);
+                }
+                stacks[slot].push(t);
+            }
+        }
+        busy.sort_unstable();
+        while !busy.is_empty() {
+            let mut arrivals: Vec<(usize, usize, u64)> = busy
+                .iter()
+                .map(|&slot| {
+                    let t = stacks[slot].pop().expect("a busy port has a token");
+                    let (u, e) = (g.csr_neighbors()[slot] as usize, g.csr_edge_ids()[slot]);
+                    let port = g.edge_id_row(u).iter().position(|&f| f == e).expect("an edge is in both rows");
+                    (u, port, t)
+                })
+                .collect();
+            messages += arrivals.len() as u64;
+            arrivals.sort_unstable();
+            for (u, _, t) in arrivals {
+                if u == leader {
+                    left -= 1;
+                } else {
+                    at[u].push(t);
+                }
+            }
+            busy.retain(|&slot| !stacks[slot].is_empty());
+        }
+    }
+    (token_steps, steps, messages)
 }
 
 /// Runs E26.
@@ -109,5 +168,38 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             format!("{:.1}", ns / token_steps as f64)
         ));
     }
-    vec![iteration, walk]
+
+    let mut faithful = Table::new(
+        "E26c",
+        "network_walk_routing_with_counts (message-faithful) on one cluster = grid_with_noise(s, s, 0.02), \
+         1 + deg/2 tokens per vertex to the central vertex: wall time per live token-step and per \
+         delivered message (best of 3)",
+        &["side", "tokens", "steps", "token-steps", "messages", "wall ms", "ns/token-step", "ns/message"],
+    );
+    for &side in opts.scale.pick(&[20, 40][..], &[20, 40, 60][..]) {
+        let g = noisy_grid(side);
+        let members: Vec<usize> = (0..g.n()).collect();
+        let leader = side * side / 2 + side / 2;
+        let counts: Vec<usize> = (0..g.n()).map(|v| 1 + g.degree(v) / 2).collect();
+        let route = || {
+            let mut net = Network::new(&g, Model::congest());
+            let mut rng = gen::seeded_rng(7);
+            network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut rng)
+        };
+        let (ns, (out, stats)) = best_of_three(route);
+        let (token_steps, steps, messages) = replay_faithful(&g, leader, &counts, &mut gen::seeded_rng(7));
+        assert!(out.complete(), "an uncapped fault-free walk delivers everything");
+        assert_eq!((out.steps, stats.messages), (steps, messages), "the replay no longer walks the router's walk");
+        faithful.row(cells!(
+            side,
+            out.total,
+            out.steps,
+            token_steps,
+            messages,
+            format!("{:.1}", ns / 1e6),
+            format!("{:.1}", ns / token_steps as f64),
+            format!("{:.1}", ns / messages as f64)
+        ));
+    }
+    vec![iteration, walk, faithful]
 }

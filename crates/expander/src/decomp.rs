@@ -9,9 +9,10 @@
 //! ones carry the λ₂/2 Cheeger *estimate* of a capped power iteration,
 //! which is not a certificate (see [`ClusterInfo::phi_spectral_lower`]). The
 //! recursion is recorded as a tree that every split threshold re-walks, so
-//! [`decompose_adaptive`] analyses each vertex set once. The distributed
-//! clustering counterpart lives in [`crate::distributed`], and the
-//! round-cost of leader election/gathering/broadcast is charged by the
+//! [`decompose_adaptive`] analyses each vertex set once, and a threshold
+//! pass stops at the level where its cut edges exceed the budget. The
+//! distributed clustering counterpart lives in [`crate::distributed`], and
+//! the round-cost of leader election/gathering/broadcast is charged by the
 //! framework in `lcg-core`.
 
 use lcg_congest::ExecConfig;
@@ -188,38 +189,52 @@ pub fn decompose(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
 /// graphs in one cluster; this is the variant the framework uses so the
 /// multi-cluster machinery is actually exercised (see EXPERIMENTS.md E1).
 ///
+/// A candidate's pass stops as soon as the levels it has walked cut more
+/// than `ε·|E|` edges — a deeper level only adds cuts, so the threshold is
+/// refuted — and the next, halved candidate starts on the same recorded
+/// tree ([`decompose_adaptive_exec`] has the details). The threshold and
+/// decomposition returned are those of walking every pass to the end.
+///
 /// This is [`decompose_adaptive_exec`] on one thread.
 pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
     decompose_adaptive_exec(g, epsilon, ExecConfig::sequential())
 }
 
 /// [`decompose_adaptive`], with the recursion's analyses on `exec`'s
-/// threads: before the first pass emits, every node it reaches is analysed
-/// one recursion level at a time — the nodes of a level are disjoint vertex
+/// threads: before a pass emits, every node it reaches is analysed one
+/// recursion level at a time — the nodes of a level are disjoint vertex
 /// sets, and what is learnt about one is a function of its subgraph alone
 /// (the Chang–Saranurak recursion also works on every part of a level at
 /// once) — each level's nodes through [`ExecConfig::map`], weighted by
-/// their edges. Later passes walk a subset of those nodes. At one thread
-/// this is the same analyses in level order instead of the recursion's,
-/// one code path at every count; the result is bit-identical at every
-/// thread count.
+/// their edges. At one thread this is the same analyses in level order
+/// instead of the recursion's, one code path at every count; the result
+/// is bit-identical at every thread count.
+///
+/// A pass stops early once refuted: the edges a split cuts are the
+/// parent's edges in no child, a pass's cut edges are the sum of that
+/// over the nodes it splits, and the sum only grows with depth, so once
+/// the levels walked so far cut more than `ε·|E|` the threshold fails
+/// whatever the deeper levels do and the next, halved one starts. The
+/// threshold chosen and the decomposition emitted are those of walking
+/// every pass to the end; only the analyses of nodes no chosen pass
+/// reaches are skipped, and each node is still analysed at most once.
 pub fn decompose_adaptive_exec(g: &Graph, epsilon: f64, exec: ExecConfig) -> ExpanderDecomposition {
     let mut phi = epsilon / 2.0;
     let floor = {
         let m = g.m().max(2) as f64;
         epsilon / (4.0 * m.log2() + 4.0)
     };
+    let budget = epsilon * g.m() as f64;
     // one tree under every candidate: a split of conductance < φ/2 is a
     // split of conductance < φ, so each later pass re-walks recorded nodes
     let mut tree = Tree::new(g);
-    tree.analyse_levels(phi, exec);
     loop {
-        let d = tree.emit(g, epsilon, phi);
-        if g.m() == 0 || (d.cut_edges.len() as f64) <= epsilon * g.m() as f64 {
-            return d;
+        if tree.analyse_levels(phi, exec, budget) {
+            return tree.emit(g, epsilon, phi);
         }
         phi /= 2.0;
         if phi < floor {
+            tree.analyse_levels(floor, exec, f64::INFINITY);
             return tree.emit(g, epsilon, floor);
         }
     }
@@ -254,6 +269,9 @@ struct Node {
     found: Option<Found>,
     /// Child nodes in push order, once a walk has split here.
     children: Vec<usize>,
+    /// Edges of `G[members]` between different children — the edges a
+    /// split here cuts — once the children exist.
+    cut_edges: usize,
 }
 
 /// What the recursion learns about a vertex set.
@@ -290,7 +308,13 @@ fn analyse(sub: &Graph) -> Found {
 
 impl Tree {
     fn new(g: &Graph) -> Tree {
-        let root = Node { members: (0..g.n()).collect(), sub: Some(g.clone()), found: None, children: Vec::new() };
+        let root = Node {
+            members: (0..g.n()).collect(),
+            sub: Some(g.clone()),
+            found: None,
+            children: Vec::new(),
+            cut_edges: 0,
+        };
         Tree { nodes: vec![root] }
     }
 
@@ -303,9 +327,14 @@ impl Tree {
     }
 
     /// Analyses every node a walk at `phi_cut` reaches, level by level from
-    /// the root, each level's unanalysed nodes through `exec`.
-    fn analyse_levels(&mut self, phi_cut: f64, exec: ExecConfig) {
+    /// the root, each level's unanalysed nodes through `exec`, and adds up
+    /// the edges the walk's splits cut. Returns `false` as soon as that sum
+    /// exceeds `budget` — the walk's decomposition cuts more, so its
+    /// deeper levels are left unanalysed — and `true` once it has walked
+    /// every level within it.
+    fn analyse_levels(&mut self, phi_cut: f64, exec: ExecConfig, budget: f64) -> bool {
         let mut level = vec![0];
+        let mut cut = 0usize;
         while !level.is_empty() {
             let pending: Vec<usize> = level.iter().copied().filter(|&id| self.nodes[id].found.is_none()).collect();
             let found = {
@@ -322,10 +351,15 @@ impl Tree {
             for id in level {
                 if let Some(children) = self.split(id, phi_cut) {
                     next.extend_from_slice(children);
+                    cut += self.nodes[id].cut_edges;
                 }
+            }
+            if cut as f64 > budget {
+                return false;
             }
             level = next;
         }
+        true
     }
 
     /// The children of a node `phi_cut` splits, built on first use; `None`
@@ -347,9 +381,10 @@ impl Tree {
                 .map(|part| {
                     let (child, map) = sub.induced_subgraph(part);
                     let members = map.iter().map(|&v| node.members[v]).collect();
-                    Node { members, sub: Some(child), found: None, children: Vec::new() }
+                    Node { members, sub: Some(child), found: None, children: Vec::new(), cut_edges: 0 }
                 })
                 .collect();
+            node.cut_edges = sub.m() - children.iter().map(|c| c.sub.as_ref().map_or(0, Graph::m)).sum::<usize>();
             if sub.n() <= EXACT_LIMIT {
                 node.sub = Some(sub);
             }
@@ -536,32 +571,40 @@ mod tests {
     fn adaptive_passes_share_one_analysis_per_node() {
         let g = gen::grid_with_noise(30, 30, 0.02, &mut gen::seeded_rng(125));
         let eps = 0.1;
+        let budget = eps * g.m() as f64;
         let analysed = |t: &Tree| t.nodes.iter().filter(|n| n.found.is_some()).count();
-        // decompose_adaptive's passes on one tree, each beside a fresh one
-        let mut tree = Tree::new(&g);
-        let mut over_fresh_passes = 0;
-        let mut after_first_pass = None;
-        let mut phi = eps / 2.0;
-        let chosen = loop {
-            let d = tree.emit(&g, eps, phi);
-            after_first_pass.get_or_insert(analysed(&tree));
-            let mut fresh = Tree::new(&g);
-            fresh.emit(&g, eps, phi);
-            over_fresh_passes += analysed(&fresh);
-            if d.cut_edges.len() as f64 <= eps * g.m() as f64 {
-                break d;
-            }
-            phi /= 2.0;
-        };
-        assert!(chosen.phi_cut < eps / 2.0, "the instance must take more than one pass");
-        assert_eq!(chosen.phi_cut, decompose_adaptive(&g, eps).phi_cut);
-        // later passes walk nodes the φ = ε/2 pass already analysed
-        assert_eq!(Some(analysed(&tree)), after_first_pass);
-        assert!(analysed(&tree) < over_fresh_passes);
-        // and the level pass analyses exactly the nodes that pass reaches
+        // the φ = ε/2 pass walked to the end, as the recursion walks it and
+        // level by level: the same nodes
+        let mut full = Tree::new(&g);
+        let refuted = full.emit(&g, eps, eps / 2.0);
+        assert!(refuted.cut_edges.len() as f64 > budget, "the instance must take more than one pass");
         let mut levelled = Tree::new(&g);
-        levelled.analyse_levels(eps / 2.0, ExecConfig::with_threads(2));
-        assert_eq!(Some(analysed(&levelled)), after_first_pass);
+        assert!(levelled.analyse_levels(eps / 2.0, ExecConfig::with_threads(2), f64::INFINITY));
+        assert_eq!(analysed(&levelled), analysed(&full));
+        // decompose_adaptive's passes on one tree, each stopping once refuted
+        let mut tree = Tree::new(&g);
+        let mut phi = eps / 2.0;
+        while !tree.analyse_levels(phi, ExecConfig::sequential(), budget) {
+            phi /= 2.0;
+        }
+        let chosen = tree.emit(&g, eps, phi);
+        let adaptive = decompose_adaptive(&g, eps);
+        assert_eq!(chosen.phi_cut, adaptive.phi_cut);
+        assert_eq!(chosen.cluster_of, adaptive.cluster_of);
+        assert_eq!(chosen.cut_edges, adaptive.cut_edges);
+        // the threshold chosen is the one full passes choose, with the same
+        // decomposition
+        let walked = full.emit(&g, eps, phi);
+        assert_eq!((walked.cluster_of, walked.cut_edges), (chosen.cluster_of, chosen.cut_edges));
+        // every vertex set is analysed at most once ...
+        let mut sets = std::collections::BTreeSet::new();
+        for node in tree.nodes.iter().filter(|n| n.found.is_some()) {
+            let mut members = node.members.clone();
+            members.sort_unstable();
+            assert!(sets.insert(members), "a vertex set analysed twice");
+        }
+        // ... and the early stop skips part of the refuted pass's analyses
+        assert!(analysed(&tree) < analysed(&levelled), "{} vs {}", analysed(&tree), analysed(&levelled));
     }
 
     /// The Amdahl limits of the two parallel sections on the repo benchmark's
@@ -571,7 +614,7 @@ mod tests {
     /// launching `|V_i| + |E_i|` tokens as the framework's orientation does
     /// (here every intra-cluster edge goes to its lower endpoint, which
     /// keeps the per-cluster totals). `cargo test --release -p lcg-expander
-    /// --lib probe_parallel -- --ignored --nocapture`.
+    /// --lib probe_parallel -- --ignored --nocapture --test-threads=1`.
     #[test]
     #[ignore = "probe: prints the serial shares of decomposition and gathering"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]

@@ -11,13 +11,24 @@
 //!   of `WINDOW` steps — each live token takes the window's steps in a row,
 //!   logging its crossings per step — and the per-step edge loads are
 //!   tallied from the logs afterwards, in step order. Between windows a
-//!   token rests in 16 bytes and its stream is rebuilt from the seed.
+//!   token rests in 16 bytes and its stream is rebuilt from the seed;
+//!   within one it reads its stream through a ring of draws, and a step
+//!   selects stay or move by the coin instead of branching on it.
 //!   [`charged_walks`] runs several clusters' walks — Theorem 2.6 gathers
 //!   in all of them at once — on the caller's threads with the outcomes of
 //!   one walk after another; [`charged_walk_routing`] is it on one cluster,
 //!   and [`random_walk_routing`] (one token per member) and
 //!   [`random_walk_routing_with_counts_exec`] (no faults, no edge tally)
 //!   are its two argument-fixing adapters.
+//!
+//! * [`network_walk_routing_with_counts`] is Lemma 2.4 message-faithfully
+//!   in the simulator: every crossing a real message, serialized one per
+//!   port per round. Its tables cover the cluster's members only — one
+//!   LIFO token stack per intra-cluster port, an ascending list of busy
+//!   ports per vertex and of the vertices holding tokens — and keep their
+//!   capacity from step to step, so a step allocates nothing and costs the
+//!   tokens that move, in the draw order of the `BTreeMap` router it
+//!   replaced.
 //!
 //! * [`tree_routing`] is the deterministic counterpart standing in for
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
@@ -106,19 +117,84 @@ fn member_cluster(g: &Graph, members: &[usize], leader: usize, counts: &[usize])
     (sub, map, leader_local)
 }
 
-/// A walking token: its position and its private ChaCha8 stream, seeded
-/// from the walk's master seed and the token index, so its trajectory is a
-/// pure function of `(master, t)` — independent of evaluation order. It
-/// exists only while its window runs ([`Resting`] holds it in between).
+/// A walking token's stream: its private ChaCha8 generator, seeded from
+/// the walk's master seed and the token index, so its trajectory is a pure
+/// function of `(master, t)` — independent of evaluation order — and read
+/// ahead as `u64` draws into a ring of [`RING`]. It exists only while the
+/// token's window runs ([`Resting`] holds the token in between).
+struct Stream {
+    rng: ChaCha8Rng,
+    ring: [u64; RING],
+}
+
+/// Entries of a [`Stream`]'s ring: a power of two above the eight a
+/// refill adds to the at most one left over.
+const RING: usize = 16;
+
+impl Stream {
+    /// The stream of token `t` under `master`, positioned `words` words in,
+    /// with nothing read ahead.
+    fn new(master: u64, t: u32, words: u64) -> Stream {
+        let mut rng = ChaCha8Rng::seed_from_u64(master ^ u64::from(t).wrapping_mul(0x9E3779B97F4A7C15));
+        rng.set_word_pos(words);
+        Stream { rng, ring: [0; RING] }
+    }
+
+    /// Writes the next eight draws into the ring from index `tail` on.
+    #[inline]
+    fn refill(&mut self, tail: usize) {
+        for k in 0..8 {
+            self.ring[(tail + k) % RING] = self.rng.next_u64();
+        }
+    }
+}
+
+/// A walking token: its position and where it stands in its [`Stream`]'s
+/// ring, which is kept at least two draws ahead — a step reads its coin
+/// and its port draw before it knows whether it moves — and refilled
+/// eight at a time. Plain scalars, so they live in registers while the
+/// token walks.
 struct Token {
     pos: usize,
-    rng: ChaCha8Rng,
+    /// Ring index of the next unread draw.
+    head: usize,
+    /// Draws read from the generator and not yet consumed.
+    unread: usize,
+}
+
+impl Token {
+    /// The next two unread draws, refilling the ring first if they are not
+    /// both there.
+    #[inline]
+    fn peek_two(&mut self, stream: &mut Stream) -> (u64, u64) {
+        if self.unread < 2 {
+            stream.refill(self.head + self.unread);
+            self.unread += 8;
+        }
+        (stream.ring[self.head], stream.ring[(self.head + 1) % RING])
+    }
+
+    /// Consumes `count` draws.
+    #[inline]
+    fn consume(&mut self, count: usize) {
+        self.head = (self.head + count) % RING;
+        self.unread -= count;
+    }
+}
+
+/// Where a token step left the token: returned, not counted through a
+/// `&mut`, so the window's tallies stay out of the step's loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Walking,
+    Absorbed,
+    Destroyed,
 }
 
 /// A token between windows: where it stands and how many words of its
-/// stream it has drawn. [`Walk::window`] rebuilds the 120-byte [`Token`]
-/// from this and `(master, t)`, so the tokens of every walk in flight cost
-/// 16 bytes each.
+/// stream it has drawn. [`Walk::window`] rebuilds the [`Token`] and its
+/// [`Stream`] from this and `(master, t)`, so the tokens of every walk in
+/// flight cost 16 bytes each.
 #[derive(Debug, Clone, Copy)]
 struct Resting {
     pos: u32,
@@ -127,10 +203,11 @@ struct Resting {
 
 /// Walk steps a live token takes in a row before the next token's turn.
 /// Not a knob: a token enters each window by reseeding its stream and
-/// refilling one keystream block (`set_word_pos`), and the window spreads
-/// that rebuild, with the load of the walking token, over 64 steps; the
-/// window's crossing lists, about 32 crossings per live token, stay
-/// bounded by the window rather than the walk.
+/// refilling one keystream block (`set_word_pos`), and leaves it giving
+/// back the draws its ring read ahead, which the next window reads again;
+/// the window spreads that rebuild, with the load of the walking token,
+/// over 64 steps; the window's crossing lists, about 32 crossings per live
+/// token, stay bounded by the window rather than the walk.
 const WINDOW: usize = 64;
 
 /// What a token step reads besides the token: the walk's constants.
@@ -150,36 +227,48 @@ struct Walk<'a> {
 impl Walk<'_> {
     /// One step of one live token: roll (stay with probability 1/2, else a
     /// uniform neighbor), adjudicate the crossing, move, absorb at the
-    /// leader. `step` is the 1-based walk step. The sub edge crossed, if
-    /// any, goes onto `crossed` for [`EdgeTally::merge`]; returns whether
-    /// the token is still walking. Every update here is a pure function of
+    /// leader. `step` is the 1-based walk step and `stream` the token's.
+    /// The sub edge crossed, if any, goes onto `crossed` for
+    /// [`EdgeTally::merge`]. Every update here is a pure function of
     /// `(step, token)` — it never reads the shared edge tables — so a
     /// token may run ahead of the others and the walk is bit-identical to
     /// stepping all tokens in lockstep.
+    ///
+    /// The coin does not branch: the step reads the coin and the next
+    /// draw, always computes the port that draw picks — `gen_range`'s
+    /// widening multiply — and consumes `1 + coin` draws, so a stay leaves
+    /// the port draw to be the next step's coin exactly as the
+    /// draw-at-a-time walk does. The crossing is pushed and then truncated
+    /// by the coin, the position selected by it; only a move can meet the
+    /// fault plan or reach the leader.
     #[inline]
-    fn advance(&self, step: usize, tok: &mut Token, crossed: &mut Vec<u32>, delivered: &mut usize) -> bool {
-        // bit 63 clear: `gen_bool(0.5)`'s very coin (`(x >> 11) as f64 /
-        // 2⁵³ < 0.5`) without the round trip through `f64`
-        if tok.rng.next_u64() >> 63 == 0 {
-            return true;
-        }
+    fn advance(&self, step: usize, tok: &mut Token, stream: &mut Stream, crossed: &mut Vec<u32>) -> Fate {
+        let (coin, draw) = tok.peek_two(stream);
+        // bit 63 set: `gen_bool(0.5)` comes up false, the token moves
+        let moves = (coin >> 63) as usize;
+        tok.consume(1 + moves);
         // a live token is off the leader, so the connected cluster has a
         // second vertex and every vertex a neighbor
-        let k = tok.rng.gen_range(0..self.sub.degree(tok.pos));
-        let (w, e) = (self.sub.neighbor_row(tok.pos)[k] as usize, self.sub.edge_id_row(tok.pos)[k]);
+        let row = self.sub.row_range(tok.pos);
+        let slot = row.start + ((u128::from(draw) * row.len() as u128) >> 64) as usize;
+        let (w, e) = (self.sub.csr_neighbors()[slot] as usize, self.sub.csr_edge_ids()[slot]);
         crossed.push(e);
+        crossed.truncate(crossed.len() - 1 + moves);
         // the crossing consumed the edge's bandwidth either way (the tally
         // still charges it); the plan decides the token's survival, keyed
         // by the 0-based walk step
         let killed = self.faults.is_some_and(|f| {
-            f.kills_message((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
+            moves == 1 && f.kills_message((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
         });
         if killed {
-            return false;
+            return Fate::Destroyed;
         }
-        tok.pos = w;
-        *delivered += usize::from(w == self.leader_local);
-        w != self.leader_local
+        tok.pos = if moves == 1 { w } else { tok.pos };
+        if tok.pos == self.leader_local {
+            Fate::Absorbed
+        } else {
+            Fate::Walking
+        }
     }
 
     /// One window of the `live` tokens (ascending indices into `tokens`),
@@ -188,8 +277,9 @@ impl Walk<'_> {
     /// takes them (or as many as it stays alive for) while its state is
     /// hot, its crossings landing on `crossings[k]` for step `done + 1 +
     /// k`; the tokens that stopped walking leave `live`, the others rest
-    /// again. Returns the tokens absorbed at the leader and the steps of
-    /// the window in which some token still walked.
+    /// again, their unread draws given back to the stream. Returns the
+    /// tokens absorbed at the leader and the steps of the window in which
+    /// some token still walked.
     fn window(
         &self,
         tokens: &mut [Resting],
@@ -200,17 +290,18 @@ impl Walk<'_> {
         let (mut delivered, mut advanced) = (0, 0);
         live.retain(|&t| {
             let rest = &mut tokens[t as usize];
-            let mut rng = ChaCha8Rng::seed_from_u64(self.master ^ u64::from(t).wrapping_mul(0x9E3779B97F4A7C15));
-            rng.set_word_pos(rest.words);
-            let mut tok = Token { pos: rest.pos as usize, rng };
+            let mut stream = Stream::new(self.master, t, rest.words);
+            let mut tok = Token { pos: rest.pos as usize, head: 0, unread: 0 };
             for (k, crossed) in crossings.iter_mut().enumerate() {
-                if !self.advance(done + 1 + k, &mut tok, crossed, &mut delivered) {
+                let fate = self.advance(done + 1 + k, &mut tok, &mut stream, crossed);
+                if fate != Fate::Walking {
+                    delivered += usize::from(fate == Fate::Absorbed);
                     advanced = advanced.max(k + 1);
                     return false;
                 }
             }
             // a sub vertex id fits in u32 (`Graph` stores its rows so)
-            *rest = Resting { pos: tok.pos as u32, words: tok.rng.get_word_pos() };
+            *rest = Resting { pos: tok.pos as u32, words: stream.rng.get_word_pos() - 2 * tok.unread as u64 };
             advanced = crossings.len();
             true
         });
@@ -531,116 +622,108 @@ pub fn network_walk_routing_with_counts(
     rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
     assert_eq!(counts.len(), members.len(), "one count per member required");
-    let g = net.graph();
-    let n = g.n();
-    let member_set: Vec<bool> = {
-        let mut s = vec![false; n];
-        for &v in members {
-            s[v] = true;
-        }
-        s
-    };
-    assert!(member_set[leader], "leader must be a cluster member");
-    {
-        let (sub, _) = g.induced_subgraph(members);
-        assert!(sub.is_connected(), "network_walk_routing needs a connected cluster");
-    }
-    // the cluster in ascending vertex order: the order in which tokens
-    // flip their coins, and so the order of every draw from `rng`
-    let mut cluster: Vec<usize> = members.to_vec();
-    cluster.sort_unstable();
-    cluster.dedup();
-    // intra-cluster ports per vertex
-    let intra_ports: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            g.neighbors(v)
-                .enumerate()
-                .filter(|&(_, (u, _))| member_set[v] && member_set[u])
-                .map(|(p, _)| p)
-                .collect()
-        })
-        .collect();
-    let start = net.stats();
-    // token = source vertex id; tokens waiting at each vertex
-    let mut at: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
-    let mut delivered = 0usize;
-    let mut total = 0usize;
+    let Ports { cluster, local, offsets, ports } = Ports::new(net.graph(), members, leader);
+    let k = cluster.len();
+    // one LIFO stack per intra-cluster port, the tokens waiting to cross
+    // it; `busy[i]` lists the non-empty stacks of local vertex `i` in
+    // ascending port order, the order sends and pops iterate in (D001)
+    let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); ports.len()];
+    let mut busy: Vec<Vec<u32>> = vec![Vec::new(); k];
+    // token = source vertex id; tokens waiting at each local vertex
+    let mut at: Vec<Vec<u64>> = vec![Vec::new(); k];
+    let (mut delivered, mut total) = (0usize, 0usize);
     for (&v, &c) in members.iter().zip(counts) {
         total += c;
         if v == leader {
             delivered += c;
         } else {
-            for _ in 0..c {
-                at[v].push(v as u64);
-            }
+            at[local[v] as usize].extend(std::iter::repeat_n(v as u64, c));
         }
     }
+    // the local vertices holding tokens — ascending at the start of each
+    // step, the order in which tokens flip their coins and so the order of
+    // every draw from `rng` — and a flag per vertex for membership
+    let mut holders: Vec<u32> = (0..k as u32).filter(|&i| !at[i as usize].is_empty()).collect();
+    let mut holding: Vec<bool> = at.iter().map(|tokens| !tokens.is_empty()).collect();
+    // the host vertices with a busy port, ascending: each serialization
+    // round costs what these carry, not a pass over the cluster
+    let mut active: Vec<usize> = Vec::new();
+    // `at[i]`'s other buffer: a vertex's tokens are read from here while
+    // the ones that stay are pushed back
+    let mut flipping: Vec<u64> = Vec::new();
+    let start = net.stats();
     let mut steps = 0usize;
     let mut max_edge_load = 0usize;
-    // pending[v][q] = queue of tokens at v waiting to cross port q.
-    // BTreeMap, not HashMap: per-round sends and queue drains iterate
-    // these maps, and hash order would make message traces depend on
-    // the hasher seed (D001).
-    let mut pending: Vec<std::collections::BTreeMap<usize, Vec<u64>>> =
-        (0..n).map(|_| Default::default()).collect();
-    // the vertices whose `pending` map is non-empty, ascending: each
-    // serialization round costs what these carry, not a pass over the host
-    let mut active: Vec<usize> = Vec::new();
     while steps < max_steps && delivered < total {
         steps += 1;
-        // each alive token decides: stay (prob 1/2) or pick a random
-        // intra-cluster port
-        for &v in &cluster {
-            let tokens = std::mem::take(&mut at[v]);
-            for t in tokens {
-                if rng.gen_bool(0.5) || intra_ports[v].is_empty() {
-                    at[v].push(t);
-                } else {
-                    let q = intra_ports[v][rng.gen_range(0..intra_ports[v].len())];
-                    let queue = pending[v].entry(q).or_default();
-                    queue.push(t);
-                    max_edge_load = max_edge_load.max(queue.len());
+        holders.sort_unstable();
+        // each token decides: stay (prob 1/2) or a random intra-cluster port
+        holders.retain(|&i| {
+            let i = i as usize;
+            std::mem::swap(&mut at[i], &mut flipping);
+            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+            for &t in &flipping {
+                // bit 63 clear: `gen_bool(0.5)`'s very coin
+                if rng.next_u64() >> 63 == 0 || lo == hi {
+                    at[i].push(t);
+                    continue;
                 }
+                let slot = lo + rng.gen_range(0..hi - lo);
+                let stack = &mut stacks[slot];
+                if stack.is_empty() {
+                    let mine = &mut busy[i];
+                    mine.insert(mine.partition_point(|&s| (s as usize) < slot), slot as u32);
+                }
+                stack.push(t);
+                max_edge_load = max_edge_load.max(stack.len());
             }
-            if !pending[v].is_empty() {
-                active.push(v);
+            flipping.clear();
+            if !busy[i].is_empty() {
+                active.push(cluster[i]);
             }
-        }
+            holding[i] = !at[i].is_empty();
+            holding[i]
+        });
         // serialize crossings: one token per port per round
         while !active.is_empty() {
             net.exchange_active(
                 &active,
                 |v, out| {
-                    for (&q, queue) in pending[v].iter() {
-                        if let Some(&t) = queue.last() {
-                            out.send(q, [t, steps as u64]);
-                        }
+                    for &s in &busy[local[v] as usize] {
+                        let stack = &stacks[s as usize];
+                        out.send(ports[s as usize] as usize, [stack[stack.len() - 1], steps as u64]);
                     }
                 },
                 |v, inbox| {
                     for m in inbox.iter().flatten() {
                         if v == leader {
                             delivered += 1;
-                        } else {
-                            at[v].push(m[0]);
+                            continue;
                         }
+                        let i = local[v] as usize;
+                        if !holding[i] {
+                            holding[i] = true;
+                            holders.push(i as u32);
+                        }
+                        at[i].push(m[0]);
                     }
                 },
             );
             active.retain(|&v| {
-                let queues = &mut pending[v];
-                for queue in queues.values_mut() {
-                    queue.pop();
-                }
-                queues.retain(|_, queue| !queue.is_empty());
-                !queues.is_empty()
+                let mine = &mut busy[local[v] as usize];
+                mine.retain(|&s| {
+                    let stack = &mut stacks[s as usize];
+                    stack.pop();
+                    !stack.is_empty()
+                });
+                !mine.is_empty()
             });
         }
         // step-synchronization round
         net.charge_rounds(1);
         // tokens destroyed in transit by a fault plan leave the system;
         // once none are waiting anywhere there is nothing left to route
-        if delivered < total && cluster.iter().all(|&v| at[v].is_empty()) {
+        if delivered < total && holders.is_empty() {
             break;
         }
     }
@@ -655,6 +738,48 @@ pub fn network_walk_routing_with_counts(
         },
         stats,
     )
+}
+
+/// A cluster's intra-cluster ports, over its members only: the table the
+/// message-faithful router indexes its token stacks by.
+struct Ports {
+    /// The members, ascending and without repeats; local vertex `i` is
+    /// `cluster[i]`.
+    cluster: Vec<usize>,
+    /// Local id per host vertex, `u32::MAX` off the cluster.
+    local: Vec<u32>,
+    /// Local vertex `i`'s ports are `ports[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Host port numbers (positions in `Graph::neighbors`) of the edges to
+    /// other members, ascending per vertex.
+    ports: Vec<u32>,
+}
+
+impl Ports {
+    /// # Panics
+    ///
+    /// Panics if `leader` is not in `members` or `G[members]` is
+    /// disconnected.
+    fn new(g: &Graph, members: &[usize], leader: usize) -> Ports {
+        let mut cluster: Vec<usize> = members.to_vec();
+        cluster.sort_unstable();
+        cluster.dedup();
+        let mut local = vec![u32::MAX; g.n()];
+        for (i, &v) in cluster.iter().enumerate() {
+            local[v] = i as u32;
+        }
+        assert!(local[leader] != u32::MAX, "leader must be a cluster member");
+        let mut offsets = Vec::with_capacity(cluster.len() + 1);
+        let mut ports = Vec::new();
+        offsets.push(0);
+        for &v in &cluster {
+            let row = g.neighbor_row(v);
+            ports.extend((0..row.len() as u32).filter(|&p| local[row[p as usize] as usize] != u32::MAX));
+            offsets.push(ports.len() as u32);
+        }
+        assert!(g.induced_subgraph(members).0.is_connected(), "network_walk_routing needs a connected cluster");
+        Ports { cluster, local, offsets, ports }
+    }
 }
 
 #[cfg(test)]
@@ -847,6 +972,10 @@ mod tests {
     ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
         let (sub, map) = g.induced_subgraph(members);
         let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
+        struct Token {
+            pos: usize,
+            rng: ChaCha8Rng,
+        }
         let master: u64 = rng.gen();
         let mut tokens: Vec<Token> = Vec::new();
         for (v, &count) in counts.iter().enumerate() {
@@ -1007,6 +1136,31 @@ mod tests {
             proptest::prop_assert_eq!(&got, &want);
         }
 
+        /// The ring's refills fall anywhere in a window: every step cap from
+        /// 0 to past the second window boundary, with and without drops.
+        #[test]
+        fn ring_walk_matches_reference_at_every_cap(
+            seed in proptest::prelude::any::<u64>(),
+            family in 0usize..3,
+            max_steps in 0usize..2 * WINDOW + 2 * RING,
+            drops in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = gen::seeded_rng(seed);
+            let g = match family {
+                0 => gen::path(12),
+                1 => gen::grid_with_noise(5, 5, 0.05, &mut rng),
+                _ => gen::star(7),
+            };
+            let members: Vec<usize> = (0..g.n()).collect();
+            let counts: Vec<usize> = members.iter().map(|&v| 1 + (v + seed as usize) % 2).collect();
+            let plan = drops.then(|| FaultPlan::drops(seed, 0.1));
+            let faults = plan.as_ref();
+            let leader = seed as usize % g.n();
+            let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, true);
+            let got = route(&g, &members, leader, &counts, max_steps, seed, faults, true);
+            proptest::prop_assert_eq!(&got, &want);
+        }
+
         /// Several clusters' walks at once are the walks one after another:
         /// outcomes, host-edge loads and the caller's next draw, at 1–3
         /// threads, with and without drops and edge tallies.
@@ -1064,7 +1218,7 @@ mod tests {
     }
 
     /// Unit cost of a live token-step: `cargo test --release -p lcg-expander
-    /// --lib probe_walk -- --ignored --nocapture`.
+    /// --lib probe_walk -- --ignored --nocapture --test-threads=1`.
     #[test]
     #[ignore = "probe: prints ns per live token-step"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
@@ -1091,6 +1245,273 @@ mod tests {
             println!(
                 "walk side {side}: {} tokens, {} steps, {token_steps} token-steps, {best:.1} ns/token-step",
                 want.total, want.steps
+            );
+        }
+    }
+
+    /// The message-faithful router as it stood before its flat port
+    /// stacks, kept as their reference: a `BTreeMap` of queues per host
+    /// vertex, every cluster member visited each step, `gen_bool(0.5)` for
+    /// the coin. Also counts the live token-steps, the unit the router's
+    /// cost is quoted in.
+    fn network_walk_routing_reference(
+        net: &mut Network,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> (RoutingOutcome, RoundStats, u64) {
+        assert_eq!(counts.len(), members.len(), "one count per member required");
+        let g = net.graph();
+        let n = g.n();
+        let member_set: Vec<bool> = {
+            let mut s = vec![false; n];
+            for &v in members {
+                s[v] = true;
+            }
+            s
+        };
+        assert!(member_set[leader], "leader must be a cluster member");
+        {
+            let (sub, _) = g.induced_subgraph(members);
+            assert!(sub.is_connected(), "network_walk_routing needs a connected cluster");
+        }
+        // the cluster in ascending vertex order: the order in which tokens
+        // flip their coins, and so the order of every draw from `rng`
+        let mut cluster: Vec<usize> = members.to_vec();
+        cluster.sort_unstable();
+        cluster.dedup();
+        // intra-cluster ports per vertex
+        let intra_ports: Vec<Vec<usize>> = (0..n)
+            .map(|v| {
+                g.neighbors(v)
+                    .enumerate()
+                    .filter(|&(_, (u, _))| member_set[v] && member_set[u])
+                    .map(|(p, _)| p)
+                    .collect()
+            })
+            .collect();
+        let start = net.stats();
+        // token = source vertex id; tokens waiting at each vertex
+        let mut at: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
+        let mut delivered = 0usize;
+        let mut total = 0usize;
+        for (&v, &c) in members.iter().zip(counts) {
+            total += c;
+            if v == leader {
+                delivered += c;
+            } else {
+                for _ in 0..c {
+                    at[v].push(v as u64);
+                }
+            }
+        }
+        let mut steps = 0usize;
+        let mut max_edge_load = 0usize;
+        // pending[v][q] = queue of tokens at v waiting to cross port q.
+        // BTreeMap, not HashMap: per-round sends and queue drains iterate
+        // these maps, and hash order would make message traces depend on
+        // the hasher seed (D001).
+        let mut pending: Vec<std::collections::BTreeMap<usize, Vec<u64>>> =
+            (0..n).map(|_| Default::default()).collect();
+        // the vertices whose `pending` map is non-empty, ascending: each
+        // serialization round costs what these carry, not a pass over the host
+        let mut active: Vec<usize> = Vec::new();
+        let mut token_steps = 0u64;
+        while steps < max_steps && delivered < total {
+            steps += 1;
+            token_steps += cluster.iter().map(|&v| at[v].len() as u64).sum::<u64>();
+            // each alive token decides: stay (prob 1/2) or pick a random
+            // intra-cluster port
+            for &v in &cluster {
+                let tokens = std::mem::take(&mut at[v]);
+                for t in tokens {
+                    if rng.gen_bool(0.5) || intra_ports[v].is_empty() {
+                        at[v].push(t);
+                    } else {
+                        let q = intra_ports[v][rng.gen_range(0..intra_ports[v].len())];
+                        let queue = pending[v].entry(q).or_default();
+                        queue.push(t);
+                        max_edge_load = max_edge_load.max(queue.len());
+                    }
+                }
+                if !pending[v].is_empty() {
+                    active.push(v);
+                }
+            }
+            // serialize crossings: one token per port per round
+            while !active.is_empty() {
+                net.exchange_active(
+                    &active,
+                    |v, out| {
+                        for (&q, queue) in pending[v].iter() {
+                            if let Some(&t) = queue.last() {
+                                out.send(q, [t, steps as u64]);
+                            }
+                        }
+                    },
+                    |v, inbox| {
+                        for m in inbox.iter().flatten() {
+                            if v == leader {
+                                delivered += 1;
+                            } else {
+                                at[v].push(m[0]);
+                            }
+                        }
+                    },
+                );
+                active.retain(|&v| {
+                    let queues = &mut pending[v];
+                    for queue in queues.values_mut() {
+                        queue.pop();
+                    }
+                    queues.retain(|_, queue| !queue.is_empty());
+                    !queues.is_empty()
+                });
+            }
+            // step-synchronization round
+            net.charge_rounds(1);
+            // tokens destroyed in transit by a fault plan leave the system;
+            // once none are waiting anywhere there is nothing left to route
+            if delivered < total && cluster.iter().all(|&v| at[v].is_empty()) {
+                break;
+            }
+        }
+        let stats = net.stats().since(&start);
+        (
+            RoutingOutcome {
+                delivered,
+                total,
+                steps,
+                rounds: stats.rounds,
+                max_edge_load,
+            },
+            stats,
+            token_steps,
+        )
+    }
+
+    /// One seeded faithful walk on a traced, optionally faulty network:
+    /// outcome, measured stats, the tracer's whole state (spans, totals,
+    /// per-edge words) and the caller's next draw.
+    #[expect(clippy::too_many_arguments, reason = "the router's inputs, its plan and which router")]
+    fn route_faithful(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        seed: u64,
+        plan: Option<FaultPlan>,
+        reference: bool,
+    ) -> (RoutingOutcome, RoundStats, lcg_trace::TracerState, u64) {
+        let mut net = Network::new(g, lcg_congest::Model::congest());
+        net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("faithful")));
+        net.set_fault_plan(plan);
+        let mut rng = gen::seeded_rng(seed);
+        let (out, stats) = if reference {
+            let (out, stats, _) = network_walk_routing_reference(&mut net, members, leader, counts, max_steps, &mut rng);
+            (out, stats)
+        } else {
+            network_walk_routing_with_counts(&mut net, members, leader, counts, max_steps, &mut rng)
+        };
+        let tracer = net.take_tracer().expect("a tracer was attached");
+        (out, stats, tracer.snapshot_state(), rng.gen::<u64>())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The flat-stack router is the `BTreeMap` one: outcome, stats,
+        /// trace (hotspot edge loads included) and the caller's next draw,
+        /// on whole graphs and connected parts, under every kind of plan.
+        #[test]
+        fn faithful_router_matches_reference(
+            seed in proptest::prelude::any::<u64>(),
+            family in 0usize..5,
+            size in 3usize..8,
+            leader_pick in 0usize..1_000,
+            count_mod in 1usize..4,
+            cap_pick in 0usize..4,
+            plan_pick in 0usize..4,
+            drop_prob in 0.0f64..0.2,
+        ) {
+            let mut rng = gen::seeded_rng(seed);
+            let g = match family {
+                0 => gen::complete(size + 2),
+                1 => gen::grid(size, 3),
+                2 => gen::random_tree(3 * size, &mut rng),
+                3 => gen::grid_with_noise(size, size, 0.05, &mut rng),
+                _ => gen::triangulated_grid(size, size),
+            };
+            let dist = g.bfs_distances(0);
+            let radius = if seed % 2 == 1 { dist.iter().max().copied().unwrap_or(0).div_ceil(2) } else { usize::MAX };
+            // members in a shuffled order, as the framework's subgraph maps give them
+            let mut members: Vec<usize> = (0..g.n()).filter(|&v| dist[v] <= radius).collect();
+            members.reverse();
+            let turn = seed as usize % members.len();
+            members.rotate_left(turn);
+            let leader = members[leader_pick % members.len()];
+            let counts: Vec<usize> = members.iter().map(|&v| (v + seed as usize % 3) % (count_mod + 1)).collect();
+            let max_steps = [0, 1, 40, 100_000][cap_pick];
+            let inside = g.edges().find(|&(_, u, v)| dist[u] <= radius && dist[v] <= radius).map_or(0, |(e, _, _)| e);
+            let plans = [
+                None,
+                Some(FaultPlan::none()),
+                Some(FaultPlan::drops(seed, drop_prob)),
+                Some(FaultPlan::drops(seed, drop_prob).with_link_failure(inside, 3, 40).with_crash(members[0], 25)),
+            ];
+            let want = route_faithful(&g, &members, leader, &counts, max_steps, seed, plans[plan_pick].clone(), true);
+            let got = route_faithful(&g, &members, leader, &counts, max_steps, seed, plans[plan_pick].clone(), false);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Unit cost of the message-faithful router: `cargo test --release -p
+    /// lcg-expander --lib probe_faithful -- --ignored --nocapture
+    /// --test-threads=1`.
+    #[test]
+    #[ignore = "probe: prints ns per live token-step and per delivered message"]
+    #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
+    fn probe_faithful_unit_cost() {
+        for side in [20, 40, 60] {
+            let g = gen::grid_with_noise(side, side, 0.02, &mut gen::seeded_rng(side as u64));
+            let members: Vec<usize> = (0..g.n()).collect();
+            let leader = side * side / 2 + side / 2;
+            let counts: Vec<usize> = (0..g.n()).map(|v| 1 + g.degree(v) / 2).collect();
+            let route = |reference: bool| {
+                let mut net = Network::new(&g, lcg_congest::Model::congest());
+                let mut rng = gen::seeded_rng(7);
+                if reference {
+                    network_walk_routing_reference(&mut net, &members, leader, &counts, usize::MAX, &mut rng)
+                } else {
+                    let (out, stats) =
+                        network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut rng);
+                    (out, stats, 0)
+                }
+            };
+            let started = std::time::Instant::now();
+            let (want, want_stats, token_steps) = route(true);
+            let reference = started.elapsed().as_nanos() as f64;
+            let best = (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let (out, stats, _) = route(false);
+                    let ns = started.elapsed().as_nanos() as f64;
+                    assert_eq!((out, stats), (want, want_stats));
+                    ns
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "faithful side {side}: {} tokens, {} steps, {token_steps} token-steps, {} messages, \
+                 {:.1} ns/token-step, {:.1} ns/message (reference, one run: {:.1} ns/token-step)",
+                want.total,
+                want.steps,
+                want_stats.messages,
+                best / token_steps as f64,
+                best / want_stats.messages as f64,
+                reference / token_steps as f64
             );
         }
     }

@@ -90,7 +90,9 @@ pub fn lambda2(g: &Graph, tol: f64, max_iter: usize) -> Spectral {
     }
     let (top, mut x) = top_and_start(g);
     let inv_sqrt_deg: Vec<f64> = (0..n).map(|v| 1.0 / (g.degree(v) as f64).sqrt()).collect();
-    let (mut y, mut z) = (vec![0.0; n], vec![0.0; n]);
+    let sell = Sell::new(g);
+    // `z[n]` is what the padding of `sell` gathers: +0.0, never written
+    let (mut y, mut z) = (vec![0.0; n], vec![0.0; n + 1]);
     // `x` holds a unit vector times `1 / pending`: the scaling the last
     // iteration owes is paid by the next one's first pass (or after the loop)
     let mut pending = 1.0;
@@ -99,7 +101,7 @@ pub fn lambda2(g: &Graph, tol: f64, max_iter: usize) -> Spectral {
     for it in 0..max_iter {
         iters = it + 1;
         scale(&mut x, pending, &inv_sqrt_deg, &mut z);
-        let c = apply(g, &inv_sqrt_deg, &x, &z, &top, &mut y);
+        let c = apply(&sell, &inv_sqrt_deg, &x, &z, &top, &mut y);
         let (mu, norm2) = deflate(&mut y, c, &top, &x); // mu: Rayleigh quotient for M (x is unit)
         pending = if norm2 > 0.0 { 1.0 / norm2.sqrt() } else { 1.0 };
         std::mem::swap(&mut x, &mut y);
@@ -165,24 +167,64 @@ fn scale(x: &mut [f64], by: f64, inv_sqrt_deg: &[f64], z: &mut [f64]) {
     }
 }
 
+/// The adjacency's column indices in chunks of [`LANES`] rows (SELL-4,
+/// Kreutzer et al., SIAM J. Sci. Comput. 2014), built once per [`lambda2`]
+/// call: chunk `c` holds rows `4c .. 4c + 4` k-major — neighbor `k` of row
+/// `4c + j` at `cols[starts[c] + 4k + j]`, in CSR order — padded to its
+/// widest row with index `n`, which also fills the rows past `n` of the
+/// last chunk.
+struct Sell {
+    /// Chunk `c` is `cols[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+impl Sell {
+    fn new(g: &Graph) -> Sell {
+        let n = g.n();
+        let (mut starts, mut cols) = (vec![0], Vec::new());
+        for base in (0..n).step_by(LANES) {
+            let row = |j: usize| if base + j < n { g.neighbor_row(base + j) } else { &[] };
+            let width = (0..LANES).map(|j| row(j).len()).max().unwrap_or(0);
+            for k in 0..width {
+                cols.extend((0..LANES).map(|j| row(j).get(k).copied().unwrap_or(n as u32)));
+            }
+            starts.push(cols.len());
+        }
+        Sell { starts, cols }
+    }
+}
+
 /// `out = M x = 2x − L x = x + N x` with `z = D^{-1/2} x` given, so the
 /// gather over the adjacency is loads and adds only; returns `out · top`.
-/// A function of its own, over slices of one length: the decomposition
-/// spends its time in this loop, and inlined into `lambda2` its speed
-/// moved by 2× with where the linker put it.
+///
+/// The gather runs over [`Sell`]'s chunks: four rows sum side by side,
+/// lane `j` row `4c + j`, then lane `j` feeds dot lane `j` — the lane
+/// row `v` always fed, `v % 4`. Each row still adds its neighbors in CSR
+/// order from +0.0, and a padding entry adds `z[n]` = +0.0; a sum that
+/// starts at +0.0 is never −0.0 under round-to-nearest, and adding +0.0
+/// to anything else leaves its bits unchanged, so every row sum, `out`
+/// and the dot are bit for bit those of the row-at-a-time gather. A
+/// function of its own: the decomposition spends its time in this loop,
+/// and inlined into `lambda2` its speed moved by 2× with where the linker
+/// put it.
 #[inline(never)]
-fn apply(g: &Graph, inv_sqrt_deg: &[f64], x: &[f64], z: &[f64], top: &[f64], out: &mut [f64]) -> f64 {
-    let n = g.n();
-    let (inv_sqrt_deg, x, z, top) = (&inv_sqrt_deg[..n], &x[..n], &z[..n], &top[..n]);
-    let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+fn apply(sell: &Sell, inv_sqrt_deg: &[f64], x: &[f64], z: &[f64], top: &[f64], out: &mut [f64]) -> f64 {
+    let n = out.len();
+    let (inv_sqrt_deg, x, z, top) = (&inv_sqrt_deg[..n], &x[..n], &z[..=n], &top[..n]);
     let mut dot = [0.0; LANES];
-    for (v, (acc, row)) in out[..n].iter_mut().zip(offsets.windows(2)).enumerate() {
-        let mut sum = 0.0;
-        for &u in &neighbors[row[0] as usize..row[1] as usize] {
-            sum += z[u as usize];
+    for (c, chunk) in sell.starts.windows(2).enumerate() {
+        let mut sum = [0.0; LANES];
+        for cols in sell.cols[chunk[0]..chunk[1]].chunks_exact(LANES) {
+            for lane in 0..LANES {
+                sum[lane] += z[cols[lane] as usize];
+            }
         }
-        *acc = x[v] + inv_sqrt_deg[v] * sum;
-        dot[v % LANES] += *acc * top[v];
+        let rows = c * LANES..n.min(c * LANES + LANES);
+        for (lane, v) in rows.enumerate() {
+            out[v] = x[v] + inv_sqrt_deg[v] * sum[lane];
+            dot[lane] += out[v] * top[v];
+        }
     }
     sum_lanes(dot)
 }
@@ -454,8 +496,97 @@ mod tests {
         }
     }
 
+    /// The row-at-a-time gather [`apply`] replaced, kept as its reference:
+    /// one row after another, its neighbors summed in CSR order, `dot` lane
+    /// `v % 4`.
+    fn apply_reference(g: &Graph, inv_sqrt_deg: &[f64], x: &[f64], z: &[f64], top: &[f64], out: &mut [f64]) -> f64 {
+        let (offsets, neighbors) = (g.csr_offsets(), g.csr_neighbors());
+        let mut dot = [0.0; LANES];
+        for (v, (acc, row)) in out[..g.n()].iter_mut().zip(offsets.windows(2)).enumerate() {
+            let mut sum = 0.0;
+            for &u in &neighbors[row[0] as usize..row[1] as usize] {
+                sum += z[u as usize];
+            }
+            *acc = x[v] + inv_sqrt_deg[v] * sum;
+            dot[v % LANES] += *acc * top[v];
+        }
+        sum_lanes(dot)
+    }
+
+    /// [`apply`] on [`Sell`] against [`apply_reference`] with arbitrary
+    /// inputs — ±0.0 and magnitudes 1e-300..1e300 among them, `z[n]` the
+    /// +0.0 the padding reads — compared bit for bit.
+    fn check_apply(g: &Graph, seed: u64) -> Result<(), String> {
+        use rand::Rng;
+        let n = g.n();
+        let mut rng = gen::seeded_rng(seed);
+        let mut value = || match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-1e300..1e300),
+            3 => rng.gen_range(-1e-300..1e-300),
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        let mut vector = |len: usize| (0..len).map(|_| value()).collect::<Vec<f64>>();
+        let (inv_sqrt_deg, x, top) = (vector(n), vector(n), vector(n));
+        let mut z = vector(n);
+        z.push(0.0);
+        let (mut got, mut want) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        let dot = apply(&Sell::new(g), &inv_sqrt_deg, &x, &z, &top, &mut got);
+        let dot_want = apply_reference(g, &inv_sqrt_deg, &x, &z, &top, &mut want);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        if bits(&got) != bits(&want) {
+            return Err(format!("out differs: {got:?} vs {want:?}"));
+        }
+        if dot.to_bits() != dot_want.to_bits() {
+            return Err(format!("dot {dot:e} vs {dot_want:e}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn chunked_gather_matches_row_gather_on_edge_shapes() {
+        let mut rng = gen::seeded_rng(0x5E11);
+        let shapes = [
+            ("single vertex", lcg_graph::GraphBuilder::new(1).build()),
+            ("edge", gen::path(2)),
+            ("star", gen::star(9)),
+            ("path of 4", gen::path(4)),
+            ("power_law", gen::power_law(203, 2, &mut rng)),
+            ("triangulated_grid", gen::triangulated_grid(7, 5)),
+        ];
+        for (name, g) in &shapes {
+            for seed in 0..4 {
+                check_apply(g, seed).unwrap_or_else(|e| panic!("{name}, seed {seed}: {e}"));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every `n % 4`, dense and skewed rows (a `power_law` hub makes
+        /// most of its chunk padding).
+        #[test]
+        fn chunked_gather_matches_row_gather(
+            seed in proptest::prelude::any::<u64>(),
+            family in 0usize..4,
+            n in 1usize..70,
+        ) {
+            let mut rng = gen::seeded_rng(seed);
+            let g = match family {
+                0 => gen::gnm(n, (2 * n).min(n * (n - 1) / 2), &mut rng),
+                1 => gen::star(n),
+                2 => gen::power_law(n + 3, 2, &mut rng),
+                _ => gen::grid_with_noise(n / 8 + 1, 9, 0.05, &mut rng),
+            };
+            let outcome = check_apply(&g, seed);
+            proptest::prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
+    }
+
     /// Unit cost of the iteration: `cargo test --release -p lcg-expander
-    /// --lib probe_lambda2 -- --ignored --nocapture`.
+    /// --lib probe_lambda2 -- --ignored --nocapture --test-threads=1`.
     #[test]
     #[ignore = "probe: prints ns per non-zero per iteration"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
