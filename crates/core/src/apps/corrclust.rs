@@ -13,8 +13,9 @@ use lcg_solvers::corrclust;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::{reported, run, scaled, Faults};
+use crate::framework::FrameworkOutcome;
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// Result of the distributed correlation clustering.
 #[derive(Debug, Clone)]
@@ -35,7 +36,10 @@ pub struct CorrClustOutcome {
 /// Runs Theorem 1.3 on a labeled graph.
 ///
 /// `exact_limit` is the largest cluster size solved by exhaustive
-/// branch-and-bound (≈ 18–22 is practical).
+/// branch-and-bound (≈ 18–22 is practical). `_density_bound` is accepted
+/// and ignored: §3.3 charges the cut edges against |E| (γ(G) ≥ |E|/2),
+/// not against n, so `ε' = ε/2` is not divided by the class's density —
+/// until the framework runs at the class's own t (ROADMAP item 5(b)).
 ///
 /// # Panics
 ///
@@ -43,14 +47,11 @@ pub struct CorrClustOutcome {
 pub fn approx_correlation_clustering(
     g: &Graph,
     epsilon: f64,
-    density_bound: f64,
+    _density_bound: f64,
     seed: u64,
     exact_limit: usize,
 ) -> CorrClustOutcome {
-    assert!(g.is_labeled(), "correlation clustering needs edge labels");
-    let _ = density_bound; // class constant only affects round bounds
-    let framework = run_framework(g, &corrclust_config(epsilon, seed));
-    finish_from_framework(g, framework, seed, exact_limit)
+    corrclust(g, epsilon, seed, exact_limit, None).0
 }
 
 /// [`approx_correlation_clustering`] under a fault schedule through the
@@ -69,32 +70,20 @@ pub fn approx_correlation_clustering_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (CorrClustOutcome, RecoveryReport) {
-    assert!(g.is_labeled(), "correlation clustering needs edge labels");
-    let cfg = FrameworkConfig {
-        faults: Some(faults.clone()),
-        ..corrclust_config(epsilon, seed)
-    };
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    (finish_from_framework(g, framework, seed, exact_limit), report)
+    reported(corrclust(g, epsilon, seed, exact_limit, Some(Faults { plan: faults, policy })))
 }
 
-/// The §3.3 configuration: `ε' = ε/2` (γ(G) ≥ |E|/2); the framework's own
-/// density scaling is bypassed because the ε/2 charge is against |E|.
-fn corrclust_config(epsilon: f64, seed: u64) -> FrameworkConfig {
-    FrameworkConfig {
-        density_bound: 1.0,
-        ..FrameworkConfig::planar((epsilon / 2.0).min(0.9), seed)
-    }
-}
-
-/// Per-cluster solve + global relabeling, shared by the plain and
-/// resilient entry points.
-fn finish_from_framework(
+/// Theorem 1.3 at `ε' = ε/2` (γ(G) ≥ |E|/2): per-cluster solves relabeled
+/// to globally distinct labels, plainly or under `faults`.
+fn corrclust(
     g: &Graph,
-    framework: FrameworkOutcome,
+    epsilon: f64,
     seed: u64,
     exact_limit: usize,
-) -> CorrClustOutcome {
+    faults: Option<Faults<'_>>,
+) -> (CorrClustOutcome, Option<RecoveryReport>) {
+    assert!(g.is_labeled(), "correlation clustering needs edge labels");
+    let (framework, report) = run(g, scaled((epsilon / 2.0).min(0.9), seed), faults);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC0FFEE);
     let mut clustering = vec![0usize; g.n()];
     let mut next_label = 0usize;
@@ -117,13 +106,14 @@ fn finish_from_framework(
     let score = corrclust::score(g, &clustering);
     let mut stats = framework.stats;
     stats.rounds += 1; // leaders broadcast labels (piggybacked on reversal)
-    CorrClustOutcome {
+    let out = CorrClustOutcome {
         clustering,
         score,
         all_clusters_optimal: all_optimal,
         stats,
         framework,
-    }
+    };
+    (out, report)
 }
 
 #[cfg(test)]

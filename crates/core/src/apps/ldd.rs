@@ -16,8 +16,8 @@ use lcg_solvers::ldd as seq_ldd;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::{reported, run, scaled, Faults};
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// Result of the distributed LDD.
 #[derive(Debug, Clone)]
@@ -33,21 +33,18 @@ pub struct LddOutcome {
 }
 
 /// Runs Theorem 1.5 on `g`.
+///
+/// `_density_bound` is accepted and ignored: §3.5 charges the cut edges
+/// against |E|, not against n, so `ε̃ = ε/2` is not divided by the class's
+/// density — until the framework runs at the class's own t (ROADMAP item
+/// 5(b)).
 pub fn low_diameter_decomposition(
     g: &Graph,
     epsilon: f64,
-    density_bound: f64,
+    _density_bound: f64,
     seed: u64,
 ) -> LddOutcome {
-    assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1DD);
-    let cfg = FrameworkConfig {
-        density_bound: 1.0, // charge ε/2 against |E| directly, as §3.5
-        ..FrameworkConfig::planar((epsilon / 2.0).min(0.9), seed)
-    };
-    let _ = density_bound;
-    let framework: FrameworkOutcome = run_framework(g, &cfg);
-    refine_from_framework(g, epsilon, &framework, &mut rng)
+    ldd(g, epsilon, seed, None).0
 }
 
 /// [`low_diameter_decomposition`] under a fault schedule through the
@@ -56,45 +53,40 @@ pub fn low_diameter_decomposition(
 /// decomposition, merely with the `O(log n)` diameter factor Theorem 1.5
 /// removes — instead of the framework's singleton clustering (diameter 0
 /// but every edge cut). Either way the result is a valid clustering with
-/// connected parts, under any fault schedule.
+/// connected parts, under any fault schedule. `_density_bound` is ignored,
+/// as in [`low_diameter_decomposition`].
 pub fn low_diameter_decomposition_resilient(
     g: &Graph,
     epsilon: f64,
-    density_bound: f64,
+    _density_bound: f64,
     seed: u64,
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (LddOutcome, RecoveryReport) {
+    reported(ldd(g, epsilon, seed, Some(Faults { plan: faults, policy })))
+}
+
+/// Theorem 1.5 at `ε̃ = ε/2`: per-cluster KPR refinement and relabeling,
+/// plainly or under `faults`.
+fn ldd(
+    g: &Graph,
+    epsilon: f64,
+    seed: u64,
+    faults: Option<Faults<'_>>,
+) -> (LddOutcome, Option<RecoveryReport>) {
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1DD);
-    let cfg = FrameworkConfig {
-        density_bound: 1.0,
-        faults: Some(faults.clone()),
-        ..FrameworkConfig::planar((epsilon / 2.0).min(0.9), seed)
-    };
-    let _ = density_bound;
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    if report.degraded {
+    let (framework, report) = run(g, scaled((epsilon / 2.0).min(0.9), seed), faults);
+    if report.as_ref().is_some_and(|r| r.degraded) {
         // keep the failed attempts' spending on the books
         let mut out = baseline_mpx_ldd(g, epsilon, seed);
         out.stats.merge(&framework.stats);
         return (out, report);
     }
-    (refine_from_framework(g, epsilon, &framework, &mut rng), report)
-}
-
-/// Per-cluster KPR refinement + relabeling, shared by the plain and
-/// resilient entry points.
-fn refine_from_framework(
-    g: &Graph,
-    epsilon: f64,
-    framework: &FrameworkOutcome,
-    rng: &mut ChaCha8Rng,
-) -> LddOutcome {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1DD);
     let mut cluster_of = vec![0usize; g.n()];
     let mut next = 0usize;
     for c in &framework.clusters {
-        let refined = seq_ldd::minor_free_ldd(&c.subgraph, (epsilon / 2.0).min(0.9), rng);
+        let refined = seq_ldd::minor_free_ldd(&c.subgraph, (epsilon / 2.0).min(0.9), &mut rng);
         for (local, &rc) in refined.cluster_of.iter().enumerate() {
             cluster_of[c.mapping[local]] = next + rc;
         }
@@ -108,12 +100,13 @@ fn refine_from_framework(
     let cut_fraction = ldd.cut_fraction(g);
     let mut stats = framework.stats;
     stats.rounds += 1; // leaders broadcast refined labels
-    LddOutcome {
+    let out = LddOutcome {
         cluster_of,
         max_diameter,
         cut_fraction,
         stats,
-    }
+    };
+    (out, report)
 }
 
 /// Prior-work baseline: one-shot distributed MPX clustering with
@@ -218,27 +211,6 @@ mod tests {
         }
         assert!(out.max_diameter < usize::MAX);
         assert!(out.stats.dropped_messages > 0);
-    }
-
-    #[test]
-    fn resilient_ldd_matches_plain_when_fault_free() {
-        let mut rng = gen::seeded_rng(294);
-        let g = gen::random_planar(120, 0.5, &mut rng);
-        let plain = low_diameter_decomposition(&g, 0.4, 3.0, 5);
-        let (res, report) = low_diameter_decomposition_resilient(
-            &g,
-            0.4,
-            3.0,
-            5,
-            &FaultPlan::none(),
-            &crate::recovery::RecoveryPolicy::default_budget(),
-        );
-        assert!(!report.degraded);
-        assert_eq!(report.attempts, 1);
-        // same seed, same refinement; only the detector rounds differ
-        assert_eq!(plain.cluster_of, res.cluster_of);
-        assert_eq!(plain.max_diameter, res.max_diameter);
-        assert!(res.stats.rounds >= plain.stats.rounds);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::mis;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::{reported, run, scaled, Faults};
+use crate::framework::FrameworkOutcome;
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// Result of the distributed (1−ε)-MAXIS algorithm.
 #[derive(Debug, Clone)]
@@ -42,8 +43,7 @@ pub fn approx_maximum_independent_set(
     seed: u64,
     mis_budget: u64,
 ) -> MaxisOutcome {
-    let framework = run_framework(g, &maxis_config(epsilon, density_bound, seed));
-    finish_from_framework(g, framework, mis_budget)
+    maxis(g, epsilon, density_bound, seed, mis_budget, None).0
 }
 
 /// [`approx_maximum_independent_set`] under a fault schedule, through the
@@ -61,62 +61,40 @@ pub fn approx_maximum_independent_set_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (MaxisOutcome, RecoveryReport) {
-    let cfg = FrameworkConfig {
-        faults: Some(faults.clone()),
-        ..maxis_config(epsilon, density_bound, seed)
-    };
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    let mut out = finish_from_framework(g, framework, mis_budget);
-    // Greedy completion to maximality (conflict resolution can leave
-    // uncovered vertices next to cut edges, and a degraded run certainly
-    // does), in id order. Charged one membership-comparison round, like
-    // the conflict round.
-    complete_greedily(g, &mut out.set, 0..g.n());
-    out.stats.rounds += 1;
-    debug_assert!(mis::is_maximal_independent_set(g, &out.set));
-    (out, report)
+    reported(maxis(g, epsilon, density_bound, seed, mis_budget, Some(Faults { plan: faults, policy })))
 }
 
 /// Completes the independent set `set` to a maximal one: every vertex with
-/// no chosen neighbor joins, visited in `order`. Returns whether the set
-/// grew (it is then re-listed in id order).
+/// no chosen neighbor joins, visited in `order`; the set is then listed in
+/// id order.
 pub(crate) fn complete_greedily(
     g: &Graph,
     set: &mut Vec<usize>,
     order: impl IntoIterator<Item = usize>,
-) -> bool {
+) {
     let mut in_set = vec![false; g.n()];
     for &v in set.iter() {
         in_set[v] = true;
     }
-    let mut grew = false;
     for v in order {
         if !in_set[v] && g.neighbor_vertices(v).all(|u| !in_set[u]) {
             in_set[v] = true;
-            grew = true;
         }
     }
-    if grew {
-        *set = (0..g.n()).filter(|&v| in_set[v]).collect();
-    }
-    grew
+    *set = (0..g.n()).filter(|&v| in_set[v]).collect();
 }
 
-/// The §3.1 configuration: `ε' = ε / (2d + 1)`, density scaling bypassed
-/// because ε' is already fully scaled.
-pub(crate) fn maxis_config(epsilon: f64, density_bound: f64, seed: u64) -> FrameworkConfig {
+/// Theorem 1.2 at `ε' = ε / (2d + 1)`, plainly or under `faults`.
+fn maxis(
+    g: &Graph,
+    epsilon: f64,
+    density_bound: f64,
+    seed: u64,
+    mis_budget: u64,
+    faults: Option<Faults<'_>>,
+) -> (MaxisOutcome, Option<RecoveryReport>) {
     let eps_prime = epsilon / (2.0 * density_bound + 1.0);
-    FrameworkConfig {
-        // the framework divides by the density bound itself; we already
-        // scaled, so pass t = 1 to use ε' as-is for the decomposition
-        density_bound: 1.0,
-        ..FrameworkConfig::planar(eps_prime, seed)
-    }
-}
-
-/// Per-cluster solve + conflict resolution, shared by the plain and
-/// resilient entry points.
-fn finish_from_framework(g: &Graph, framework: FrameworkOutcome, mis_budget: u64) -> MaxisOutcome {
+    let (framework, report) = run(g, scaled(eps_prime, seed), faults);
     // Each leader solves its cluster exactly: tree-decomposition DP when
     // the cluster has small treewidth (k-tree families), else a DP over a
     // vertex order when its frontier tables fit the budget (grids), else
@@ -143,15 +121,25 @@ fn finish_from_framework(g: &Graph, framework: FrameworkOutcome, mis_budget: u64
             removed += 1;
         }
     }
-    let set: Vec<usize> = (0..g.n()).filter(|&v| in_set[v]).collect();
+    let mut set: Vec<usize> = (0..g.n()).filter(|&v| in_set[v]).collect();
     debug_assert!(mis::is_independent_set(g, &set));
-    MaxisOutcome {
+    if report.is_some() {
+        // Greedy completion to maximality (conflict resolution can leave
+        // uncovered vertices next to cut edges, and a degraded run
+        // certainly does), in id order. Charged one membership-comparison
+        // round, like the conflict round.
+        complete_greedily(g, &mut set, 0..g.n());
+        stats.rounds += 1;
+        debug_assert!(mis::is_maximal_independent_set(g, &set));
+    }
+    let out = MaxisOutcome {
         set,
         removed_conflicts: removed,
         stats,
         all_clusters_optimal: all_optimal,
         framework,
-    }
+    };
+    (out, report)
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@ use lcg_congest::{FaultPlan, Model, Network, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::matching;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::{reported, run, scaled, Faults};
+use crate::framework::FrameworkOutcome;
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// The §3.2 token protocol, run with real messages: degree-1 vertices send
 /// a token to their neighbor, who bounces all but one back (2-stars);
@@ -159,21 +160,6 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
     (kept, net.stats())
 }
 
-/// Preprocessing shared by the plain and the resilient entry point: the
-/// §3.2 token protocol with real messages (under `faults`, if any) and the
-/// kernel its survivors induce. Returns `(kernel, kernel → host ids,
-/// vertices eliminated, elimination passes, stats so far)`.
-fn star_free_kernel(
-    g: &Graph,
-    faults: Option<&FaultPlan>,
-) -> (Graph, Vec<usize>, usize, usize, RoundStats) {
-    let (kept, stats) = star_elimination_core(g, faults);
-    let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
-    let (kernel, kernel_map) = g.induced_subgraph(&survivors);
-    let passes = (stats.rounds / 4).max(1) as usize;
-    (kernel, kernel_map, g.n() - survivors.len(), passes, stats)
-}
-
 /// The Lemma 3.1 constant: star-free planar kernels have ν ≥ n̄ / C31.
 /// [27, Lemma 6] proves some constant; our experiments (and the
 /// `lemma31_matching_is_linear_after_elimination` test) support C31 = 5.
@@ -198,42 +184,7 @@ pub struct McmOutcome {
 
 /// Runs Theorem 3.2 on a planar graph `g`.
 pub fn approx_maximum_matching(g: &Graph, epsilon: f64, seed: u64) -> McmOutcome {
-    let (kernel, kernel_map, eliminated, elim_passes, mut stats) = star_free_kernel(g, None);
-
-    if kernel.n() == 0 {
-        return McmOutcome {
-            mate: vec![None; g.n()],
-            size: 0,
-            eliminated,
-            elimination_passes: elim_passes,
-            stats,
-            // the framework record runs on g at the caller's own ε with the
-            // planar density bound; the resilient path's differs (see there)
-            framework: run_framework(
-                g,
-                &FrameworkConfig::planar(epsilon.min(0.9), seed),
-            ),
-        };
-    }
-
-    // ε' = c·ε with c = 1/C31 so that ε'·n̄ ≤ ε·ν(kernel).
-    let eps_prime = (epsilon / C31).min(0.9);
-    let cfg = FrameworkConfig {
-        density_bound: 1.0, // ε' already fully scaled
-        ..FrameworkConfig::planar(eps_prime, seed)
-    };
-    let framework = run_framework(&kernel, &cfg);
-    stats.merge(&framework.stats);
-
-    let (mate, size) = matching_from_framework(g.n(), &kernel_map, &framework);
-    McmOutcome {
-        mate,
-        size,
-        eliminated,
-        elimination_passes: elim_passes,
-        stats,
-        framework,
-    }
+    mcm(g, epsilon, seed, None).0
 }
 
 /// [`approx_maximum_matching`] under a fault schedule: faulty star
@@ -249,52 +200,59 @@ pub fn approx_maximum_matching_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (McmOutcome, RecoveryReport) {
-    let (kernel, kernel_map, eliminated, elim_passes, mut stats) =
-        star_free_kernel(g, Some(faults));
+    reported(mcm(g, epsilon, seed, Some(Faults { plan: faults, policy })))
+}
 
-    let eps_prime = (epsilon / C31).min(0.9);
-    // empty kernel: the framework record runs on g, as in the plain path —
-    // but at ε/C31 with density 1 where the plain path keeps ε and the
-    // planar bound. Each side's record is kept as it has always been.
-    let (framework, report) = if kernel.n() == 0 {
-        let cfg = FrameworkConfig {
-            density_bound: 1.0,
-            faults: Some(faults.clone()),
-            ..FrameworkConfig::planar(eps_prime, seed)
-        };
-        run_framework_resilient(g, &cfg, policy)
-    } else {
-        // the physical faults live on host ids; translate them onto the
-        // kernel's vertex/edge numbering before handing them down
-        let cfg = FrameworkConfig {
-            density_bound: 1.0,
-            faults: Some(restrict_plan_to_kernel(faults, g, &kernel, &kernel_map)),
-            ..FrameworkConfig::planar(eps_prime, seed)
-        };
-        run_framework_resilient(&kernel, &cfg, policy)
-    };
+/// Theorem 3.2, plainly or under `faults`: the §3.2 token protocol with
+/// real messages, the framework on the kernel its survivors induce, and
+/// the leaders' exact blossom matchings united over clusters and
+/// translated back to `g`'s ids (matchings of disjoint clusters never
+/// conflict). An edgeless `g` leaves an empty kernel, on which the
+/// framework runs like on any other.
+fn mcm(
+    g: &Graph,
+    epsilon: f64,
+    seed: u64,
+    faults: Option<Faults<'_>>,
+) -> (McmOutcome, Option<RecoveryReport>) {
+    let (kept, mut stats) = star_elimination_core(g, faults.map(|f| f.plan));
+    let elimination_passes = (stats.rounds / 4).max(1) as usize;
+    let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
+    let (kernel, kernel_map) = g.induced_subgraph(&survivors);
+    // the physical faults live on host ids; translate them onto the
+    // kernel's vertex/edge numbering before handing them down
+    let kernel_plan = faults.map(|f| restrict_plan_to_kernel(f.plan, g, &kernel, &kernel_map));
+    let faults = faults.zip(kernel_plan.as_ref()).map(|(f, plan)| Faults { plan, ..f });
+    // ε' = c·ε with c = 1/C31 so that ε'·n̄ ≤ ε·ν(kernel).
+    let (framework, report) = run(&kernel, scaled((epsilon / C31).min(0.9), seed), faults);
     stats.merge(&framework.stats);
 
-    let (mut mate, _) = if kernel.n() == 0 {
-        (vec![None; g.n()], 0)
-    } else {
-        matching_from_framework(g.n(), &kernel_map, &framework)
-    };
-    // Greedy completion: both-unmatched endpoints pair up, in edge-id
-    // order. Charged one proposal round, like the star-elimination passes.
-    for (_, u, v) in g.edges() {
-        if mate[u].is_none() && mate[v].is_none() && u != v {
-            mate[u] = Some(v);
-            mate[v] = Some(u);
+    let mut mate: Vec<Option<usize>> = vec![None; g.n()];
+    for c in &framework.clusters {
+        let m = matching::maximum_matching(&c.subgraph);
+        for (local, &partner) in m.mate.iter().enumerate() {
+            if let Some(p) = partner {
+                mate[kernel_map[c.mapping[local]]] = Some(kernel_map[c.mapping[p]]);
+            }
         }
     }
-    stats.rounds += 1;
-    let size = mate.iter().flatten().count() / 2;
+    if report.is_some() {
+        // Greedy completion: both-unmatched endpoints pair up, in edge-id
+        // order. Charged one proposal round, like the star-elimination
+        // passes.
+        for (_, u, v) in g.edges() {
+            if mate[u].is_none() && mate[v].is_none() && u != v {
+                mate[u] = Some(v);
+                mate[v] = Some(u);
+            }
+        }
+        stats.rounds += 1;
+    }
     let out = McmOutcome {
+        size: mate.iter().flatten().count() / 2,
         mate,
-        size,
-        eliminated,
-        elimination_passes: elim_passes,
+        eliminated: g.n() - survivors.len(),
+        elimination_passes,
         stats,
         framework,
     };
@@ -337,29 +295,6 @@ fn restrict_plan_to_kernel(
         }
     }
     out
-}
-
-/// Leaders' exact blossom matchings, united over clusters and translated
-/// back to original vertex ids (matchings of disjoint clusters never
-/// conflict). Shared by the plain and resilient entry points.
-fn matching_from_framework(
-    n: usize,
-    kernel_map: &[usize],
-    framework: &FrameworkOutcome,
-) -> (Vec<Option<usize>>, usize) {
-    let mut mate: Vec<Option<usize>> = vec![None; n];
-    for c in &framework.clusters {
-        let m = matching::maximum_matching(&c.subgraph);
-        for (local, &partner) in m.mate.iter().enumerate() {
-            if let Some(p) = partner {
-                let u = kernel_map[c.mapping[local]];
-                let v = kernel_map[c.mapping[p]];
-                mate[u] = Some(v);
-            }
-        }
-    }
-    let size = mate.iter().flatten().count() / 2;
-    (mate, size)
 }
 
 /// Validity check over the original graph.

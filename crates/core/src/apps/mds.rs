@@ -22,8 +22,9 @@ use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::mds;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::{reported, run, scaled, Faults};
+use crate::framework::FrameworkOutcome;
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// Result of the distributed (1+ε)-MDS extension.
 #[derive(Debug, Clone)]
@@ -48,8 +49,7 @@ pub fn approx_minimum_dominating_set(
     seed: u64,
     mds_budget: u64,
 ) -> MdsOutcome {
-    let framework = run_framework(g, &mds_config(g, epsilon, seed));
-    finish_from_framework(g, framework, mds_budget)
+    mds(g, epsilon, seed, mds_budget, None).0
 }
 
 /// [`approx_minimum_dominating_set`] under a fault schedule through the
@@ -65,27 +65,21 @@ pub fn approx_minimum_dominating_set_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (MdsOutcome, RecoveryReport) {
-    let cfg = FrameworkConfig {
-        faults: Some(faults.clone()),
-        ..mds_config(g, epsilon, seed)
-    };
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    (finish_from_framework(g, framework, mds_budget), report)
+    reported(mds(g, epsilon, seed, mds_budget, Some(Faults { plan: faults, policy })))
 }
 
-fn mds_config(g: &Graph, epsilon: f64, seed: u64) -> FrameworkConfig {
+/// The union of per-cluster optimal dominating sets at `ε' = ε / (Δ + 1)`
+/// (`|E^r| ≤ ε'·n ≤ ε·γ(G)`), plainly or under `faults`.
+fn mds(
+    g: &Graph,
+    epsilon: f64,
+    seed: u64,
+    mds_budget: u64,
+    faults: Option<Faults<'_>>,
+) -> (MdsOutcome, Option<RecoveryReport>) {
     let delta = g.max_degree().max(1);
-    // ε' = ε / (Δ + 1): |E^r| ≤ ε'·n ≤ ε·γ(G)
     let eps_prime = (epsilon / (delta + 1) as f64).min(0.9);
-    FrameworkConfig {
-        density_bound: 1.0, // already fully scaled
-        ..FrameworkConfig::planar(eps_prime, seed)
-    }
-}
-
-/// Per-cluster solve + union, shared by the plain and resilient entry
-/// points.
-fn finish_from_framework(g: &Graph, framework: FrameworkOutcome, mds_budget: u64) -> MdsOutcome {
+    let (framework, report) = run(g, scaled(eps_prime, seed), faults);
     let mut in_set = vec![false; g.n()];
     let mut all_optimal = true;
     for c in &framework.clusters {
@@ -100,12 +94,13 @@ fn finish_from_framework(g: &Graph, framework: FrameworkOutcome, mds_budget: u64
     debug_assert!(mds::is_dominating_set(g, &set));
     let mut stats = framework.stats;
     stats.rounds += 1; // membership broadcast
-    MdsOutcome {
+    let out = MdsOutcome {
         set,
         all_clusters_optimal: all_optimal,
         stats,
         framework,
-    }
+    };
+    (out, report)
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@ use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::wmis;
 
-use crate::apps::maxis::{complete_greedily, maxis_config};
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::apps::maxis::complete_greedily;
+use crate::apps::{reported, run, scaled, Faults};
+use crate::framework::FrameworkOutcome;
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// Result of the weighted MAXIS extension.
 #[derive(Debug, Clone)]
@@ -52,9 +53,7 @@ pub fn approx_maximum_weight_independent_set(
     seed: u64,
     budget: u64,
 ) -> WmaxisOutcome {
-    assert_eq!(weights.len(), g.n(), "one weight per vertex");
-    let framework = run_framework(g, &maxis_config(epsilon, density_bound, seed));
-    finish_from_framework(g, weights, framework, budget)
+    wmaxis(g, weights, epsilon, density_bound, seed, budget, None).0
 }
 
 /// [`approx_maximum_weight_independent_set`] under a fault schedule: the
@@ -77,33 +76,23 @@ pub fn approx_maximum_weight_independent_set_resilient(
     faults: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> (WmaxisOutcome, RecoveryReport) {
-    assert_eq!(weights.len(), g.n(), "one weight per vertex");
-    let cfg = FrameworkConfig {
-        faults: Some(faults.clone()),
-        ..maxis_config(epsilon, density_bound, seed)
-    };
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    let mut out = finish_from_framework(g, weights, framework, budget);
-    // Greedy completion to maximality, heavier (then lower-id) first.
-    // Charged one membership-comparison round.
-    let mut order: Vec<usize> = (0..g.n()).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(weights[v]), v));
-    if complete_greedily(g, &mut out.set, order) {
-        out.weight = out.set.iter().map(|&v| weights[v]).sum();
-    }
-    out.stats.rounds += 1;
-    debug_assert!(lcg_solvers::mis::is_maximal_independent_set(g, &out.set));
-    (out, report)
+    reported(wmaxis(g, weights, epsilon, density_bound, seed, budget, Some(Faults { plan: faults, policy })))
 }
 
-/// Per-cluster solve + weight-aware conflict resolution, shared by the
-/// plain and resilient entry points.
-fn finish_from_framework(
+/// The §3.1 pipeline with exact per-cluster weighted MIS and weight-aware
+/// conflict resolution, plainly or under `faults`.
+fn wmaxis(
     g: &Graph,
     weights: &[u64],
-    framework: FrameworkOutcome,
+    epsilon: f64,
+    density_bound: f64,
+    seed: u64,
     budget: u64,
-) -> WmaxisOutcome {
+    faults: Option<Faults<'_>>,
+) -> (WmaxisOutcome, Option<RecoveryReport>) {
+    assert_eq!(weights.len(), g.n(), "one weight per vertex");
+    let eps_prime = epsilon / (2.0 * density_bound + 1.0);
+    let (framework, report) = run(g, scaled(eps_prime, seed), faults);
     let mut in_set = vec![false; g.n()];
     let mut all_optimal = true;
     for c in &framework.clusters {
@@ -130,18 +119,28 @@ fn finish_from_framework(
             lost += weights[drop];
         }
     }
-    let set: Vec<usize> = (0..g.n()).filter(|&v| in_set[v]).collect();
+    let mut set: Vec<usize> = (0..g.n()).filter(|&v| in_set[v]).collect();
     debug_assert!(lcg_solvers::mis::is_independent_set(g, &set));
     let mut stats = framework.stats;
     stats.rounds += 1;
-    WmaxisOutcome {
+    if report.is_some() {
+        // Greedy completion to maximality, heavier (then lower-id) first.
+        // Charged one membership-comparison round.
+        let mut order: Vec<usize> = (0..g.n()).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(weights[v]), v));
+        complete_greedily(g, &mut set, order);
+        stats.rounds += 1;
+        debug_assert!(lcg_solvers::mis::is_maximal_independent_set(g, &set));
+    }
+    let out = WmaxisOutcome {
         weight: set.iter().map(|&v| weights[v]).sum(),
         set,
         conflict_weight_lost: lost,
         all_clusters_optimal: all_optimal,
         stats,
         framework,
-    }
+    };
+    (out, report)
 }
 
 #[cfg(test)]

@@ -80,7 +80,8 @@ fn dump() -> String {
 
         let o = maxis::approx_maximum_independent_set(&g, 0.3, 3.0, SEED, 5_000_000);
         line(&mut out, name, "maxis", "plain", &o.stats, None, &o);
-        let o = wmaxis::approx_maximum_weight_independent_set(&g, &weights, 0.3, 3.0, SEED, 5_000_000);
+        let o =
+            wmaxis::approx_maximum_weight_independent_set(&g, &weights, 0.3, 3.0, SEED, 5_000_000);
         line(&mut out, name, "wmaxis", "plain", &o.stats, None, &o);
         let o = mds::approx_minimum_dominating_set(&g, 0.5, SEED, 1_000_000);
         line(&mut out, name, "mds", "plain", &o.stats, None, &o);
@@ -104,14 +105,16 @@ fn dump() -> String {
                 &g, &weights, 0.3, 3.0, SEED, 5_000_000, &plan, &policy,
             );
             line(&mut out, name, "wmaxis", mode, &o.stats, Some(&r), &o);
-            let (o, r) =
-                mds::approx_minimum_dominating_set_resilient(&g, 0.5, SEED, 1_000_000, &plan, &policy);
+            let (o, r) = mds::approx_minimum_dominating_set_resilient(
+                &g, 0.5, SEED, 1_000_000, &plan, &policy,
+            );
             line(&mut out, name, "mds", mode, &o.stats, Some(&r), &o);
             let (o, r) = corrclust::approx_correlation_clustering_resilient(
                 &labeled, 0.3, SEED, 16, &plan, &policy,
             );
             line(&mut out, name, "corrclust", mode, &o.stats, Some(&r), &o);
-            let (o, r) = ldd::low_diameter_decomposition_resilient(&g, 0.4, 3.0, SEED, &plan, &policy);
+            let (o, r) =
+                ldd::low_diameter_decomposition_resilient(&g, 0.4, 3.0, SEED, &plan, &policy);
             line(&mut out, name, "ldd", mode, &o.stats, Some(&r), &o);
             let (o, r) = mcm::approx_maximum_matching_resilient(&g, 0.4, SEED, &plan, &policy);
             line(&mut out, name, "mcm", mode, &o.stats, Some(&r), &o);
@@ -121,7 +124,10 @@ fn dump() -> String {
 }
 
 /// `UPDATE_GOLDEN=1` re-blesses the golden instead of comparing.
-#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the re-bless switch of a test; the code under test reads no environment"
+)]
 fn blessing() -> bool {
     std::env::var("UPDATE_GOLDEN").is_ok()
 }
@@ -134,8 +140,9 @@ fn app_outputs_match_golden() {
         std::fs::write(&path, &got).unwrap();
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
+    });
     let diff: Vec<String> = expected
         .lines()
         .zip(got.lines())

@@ -13,8 +13,8 @@
 use locongest::congest::{stats, ExecConfig, FaultPlan, Model, Network, RoundStats};
 use locongest::core::apps::{corrclust, ldd, maxis, mcm, mds, wmaxis};
 use locongest::core::framework::{run_framework, FrameworkConfig};
-use locongest::core::recovery::RecoveryPolicy;
-use locongest::graph::{gen, Graph};
+use locongest::core::recovery::{RecoveryPolicy, RecoveryReport};
+use locongest::graph::{gen, Graph, GraphBuilder};
 use locongest::solvers::mis::is_maximal_independent_set;
 
 fn chaos_policy() -> RecoveryPolicy {
@@ -143,6 +143,91 @@ fn all_apps_terminate_validly_under_total_blackout() {
         // every message of every round dropped, forever: every run
         // degrades, every output must still validate
         apps_survive(name, &g, &FaultPlan::drops(3, 1.0), seed);
+    }
+}
+
+/// Plain and resilient are one body per app, so a fault-free resilient
+/// run is the plain run plus the §2.3 detectors — and, for the apps that
+/// complete to maximality (maxis, wmaxis, mcm), one completion round that
+/// only adds to the plain solution. Nothing else may differ, on an
+/// edgeless input (where MCM's kernel is empty) as anywhere else.
+#[test]
+fn fault_free_resilient_run_is_the_plain_run_plus_detectors() {
+    let (none, policy) = (FaultPlan::none(), RecoveryPolicy::default_budget());
+    let seed = 1u64;
+    let mut graphs = instances(seed);
+    graphs.push(("edgeless5", GraphBuilder::new(5).build()));
+    for (name, g) in &graphs {
+        let rounds =
+            |app: &str, plain: &RoundStats, res: &RoundStats, report: &RecoveryReport, c: u64| {
+                assert_eq!(
+                    report.attempts, 1,
+                    "{app} on {name}: a fault-free run needs one attempt"
+                );
+                assert_eq!(
+                    res.rounds,
+                    plain.rounds + report.detector_rounds + c,
+                    "{app} on {name}: rounds beyond detectors and completion"
+                );
+            };
+
+        let plain = maxis::approx_maximum_independent_set(g, 0.3, 3.0, seed, 5_000_000);
+        let (res, r) = maxis::approx_maximum_independent_set_resilient(
+            g, 0.3, 3.0, seed, 5_000_000, &none, &policy,
+        );
+        rounds("maxis", &plain.stats, &res.stats, &r, 1);
+        assert!(
+            plain.set.iter().all(|v| res.set.contains(v)),
+            "maxis on {name}: plain set not kept"
+        );
+
+        let w: Vec<u64> = (0..g.n() as u64).map(|v| 1 + (v * 7919) % 50).collect();
+        let plain = wmaxis::approx_maximum_weight_independent_set(g, &w, 0.3, 3.0, seed, 5_000_000);
+        let (res, r) = wmaxis::approx_maximum_weight_independent_set_resilient(
+            g, &w, 0.3, 3.0, seed, 5_000_000, &none, &policy,
+        );
+        rounds("wmaxis", &plain.stats, &res.stats, &r, 1);
+        assert!(
+            plain.set.iter().all(|v| res.set.contains(v)),
+            "wmaxis on {name}: plain set not kept"
+        );
+
+        let plain = mds::approx_minimum_dominating_set(g, 0.5, seed, 1_000_000);
+        let (res, r) =
+            mds::approx_minimum_dominating_set_resilient(g, 0.5, seed, 1_000_000, &none, &policy);
+        rounds("mds", &plain.stats, &res.stats, &r, 0);
+        assert_eq!(plain.set, res.set, "mds on {name}");
+
+        let plain = mcm::approx_maximum_matching(g, 0.4, seed);
+        let (res, r) = mcm::approx_maximum_matching_resilient(g, 0.4, seed, &none, &policy);
+        rounds("mcm", &plain.stats, &res.stats, &r, 1);
+        for (v, &m) in plain.mate.iter().enumerate() {
+            assert!(
+                m.is_none() || res.mate[v] == m,
+                "mcm on {name}: plain pair at {v} not kept"
+            );
+        }
+
+        let mut rng = gen::seeded_rng(0x1ABE1 ^ seed);
+        let lg = gen::random_labels(g.clone(), 0.6, &mut rng);
+        let plain = corrclust::approx_correlation_clustering(&lg, 0.3, 3.0, seed, 16);
+        let (res, r) =
+            corrclust::approx_correlation_clustering_resilient(&lg, 0.3, seed, 16, &none, &policy);
+        rounds("corrclust", &plain.stats, &res.stats, &r, 0);
+        assert_eq!(
+            (&plain.clustering, plain.score),
+            (&res.clustering, res.score),
+            "corrclust on {name}"
+        );
+
+        let plain = ldd::low_diameter_decomposition(g, 0.4, 3.0, seed);
+        let (res, r) = ldd::low_diameter_decomposition_resilient(g, 0.4, 3.0, seed, &none, &policy);
+        rounds("ldd", &plain.stats, &res.stats, &r, 0);
+        assert_eq!(
+            (&plain.cluster_of, plain.max_diameter, plain.cut_fraction),
+            (&res.cluster_of, res.max_diameter, res.cut_fraction),
+            "ldd on {name}"
+        );
     }
 }
 
