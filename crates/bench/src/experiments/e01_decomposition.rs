@@ -2,7 +2,7 @@
 //! cluster count, and per-cluster conductance certificates, over the
 //! paper's graph families.
 
-use lcg_expander::decomp;
+use lcg_expander::decomp::{self, Threshold};
 use lcg_graph::gen;
 
 use crate::workloads::Family;
@@ -29,8 +29,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 // Theorem 2.6 runs the decomposition with ε' = ε/t
                 let eps_prime = eps / fam.density_bound();
                 for (variant, d) in [
-                    ("paper", decomp::decompose(&g, eps_prime)),
-                    ("adaptive", decomp::decompose_adaptive(&g, eps_prime)),
+                    ("paper", decomp::decompose(&g, eps_prime, Threshold::WorstCase, opts.exec)),
+                    ("adaptive", decomp::decompose(&g, eps_prime, Threshold::Adaptive, opts.exec)),
                 ] {
                     d.validate(&g).expect("invariant violation");
                     let bound = eps * g.n().min(g.m()) as f64;

@@ -6,7 +6,7 @@
 //! by a constant on minor-free families. The hypercube column shows the
 //! contrast on a family *without* small separators.
 
-use lcg_expander::decomp;
+use lcg_expander::decomp::{self, Threshold};
 use lcg_graph::{gen, Graph};
 
 use crate::workloads::Family;
@@ -47,7 +47,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         for &n in sizes {
             let g = fam.generate(n, &mut rng);
             let eps = 0.2;
-            let d = decomp::decompose_adaptive(&g, eps / fam.density_bound());
+            let d = decomp::decompose(&g, eps / fam.density_bound(), Threshold::Adaptive, opts.exec);
             let ratio = min_degree_ratio(&g, &d);
             let biggest = d.clusters.iter().map(|c| c.members.len()).max().unwrap_or(0);
             t.row(cells!(

@@ -3,6 +3,7 @@
 //! congestion per step; plus the deterministic tree-routing counterpart
 //! (Lemma 2.5 substitute) with its congestion + dilation cost.
 
+use lcg_expander::decomp::{self, Threshold};
 use lcg_expander::{routing, spectral};
 use lcg_graph::gen;
 
@@ -28,7 +29,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let leader = n - 1; // the hub (max degree, as the framework elects)
         let spec = spectral::lambda2(&g, 1e-8, 5_000);
         let phi = spec.conductance_lower_bound().max(1e-6);
-        let out = routing::random_walk_routing(&g, &members, leader, 10_000_000, &mut rng);
+        let out = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng, None, false).0;
         assert!(out.complete(), "routing failed on wheel {n}");
         let logn = (n as f64).log2();
         let bound = logn.powi(3) / phi.powi(4);
@@ -54,7 +55,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     );
     for &n in scale.pick(&[256][..], &[256, 1024][..]) {
         let g = gen::stacked_triangulation(n, &mut rng);
-        let d = lcg_expander::decomp::decompose_adaptive(&g, 0.1);
+        let d = decomp::decompose(&g, 0.1, Threshold::Adaptive, opts.exec);
         let c = d.clusters.iter().max_by_key(|c| c.members.len()).unwrap();
         let leader = *c
             .members
@@ -65,7 +66,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                     .count()
             })
             .unwrap();
-        let out = routing::random_walk_routing(&g, &c.members, leader, 10_000_000, &mut rng);
+        let out = routing::charged_walk_routing(&g, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng, None, false).0;
         t2.row(cells!(
             n,
             c.members.len(),

@@ -3,7 +3,8 @@
 //! Θ(1/d)) and confirm that decompositions cannot do better — either the
 //! cube stays whole or its clusters' conductance stays `O(1/log n)`.
 
-use lcg_expander::{decomp, spectral, walks};
+use lcg_expander::decomp::{self, Threshold};
+use lcg_expander::{spectral, walks};
 use lcg_graph::gen;
 
 use crate::{cells, Opts, Table};
@@ -31,7 +32,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 .map(|t| format!("~{t}"))
                 .unwrap_or_else(|| ">cap".into())
         };
-        let dec = decomp::decompose_adaptive(&g, 0.3);
+        let dec = decomp::decompose(&g, 0.3, Threshold::Adaptive, opts.exec);
         let logn = d as f64;
         t.row(cells!(
             d,

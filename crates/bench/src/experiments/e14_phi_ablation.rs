@@ -9,7 +9,7 @@
 //! here called the MAXIS app, which never saw the row's variant.
 
 use lcg_core::framework::{run_framework_on, FrameworkConfig};
-use lcg_expander::decomp;
+use lcg_expander::decomp::{self, Threshold};
 use lcg_graph::gen;
 
 use crate::{cells, Opts, Table};
@@ -31,8 +31,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     for &n in sizes {
         let g = gen::stacked_triangulation(n, &mut rng);
         for (variant, d) in [
-            ("paper", decomp::decompose(&g, eps_prime)),
-            ("adaptive", decomp::decompose_adaptive(&g, eps_prime)),
+            ("paper", decomp::decompose(&g, eps_prime, Threshold::WorstCase, opts.exec)),
+            ("adaptive", decomp::decompose(&g, eps_prime, Threshold::Adaptive, opts.exec)),
         ] {
             let fw = run_framework_on(&g, d, &cfg);
             let max_cluster = fw.clusters.iter().map(|c| c.mapping.len()).max().unwrap();

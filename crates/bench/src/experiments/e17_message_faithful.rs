@@ -1,11 +1,12 @@
 //! **E17 (validation)** — is the round *charging* model honest? The
 //! framework charges Lemma 2.4 routing `Σ_steps max-edge-load` rounds;
 //! this experiment re-executes the same routing **with real messages** in
-//! the CONGEST simulator (`network_walk_routing`: every token a 2-word
+//! the CONGEST simulator (`network_walk_routing_with_counts`: every token a 2-word
 //! message, one per edge-direction per round, enforced by the engine) and
 //! compares the two costs.
 
 use lcg_congest::{Model, Network};
+use lcg_expander::decomp::{self, Threshold};
 use lcg_expander::routing;
 use lcg_graph::gen;
 
@@ -29,10 +30,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let g = wheel(n);
         let members: Vec<usize> = (0..n).collect();
         let leader = n - 1;
-        let charged = routing::random_walk_routing(&g, &members, leader, 10_000_000, &mut rng);
+        let charged = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng, None, false).0;
         let mut net = Network::new(&g, Model::congest());
         let (real, stats) =
-            routing::network_walk_routing(&mut net, &members, leader, 10_000_000, &mut rng);
+            routing::network_walk_routing_with_counts(&mut net, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng);
         assert!(charged.complete() && real.complete());
         t.row(cells!(
             "wheel",
@@ -46,7 +47,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     }
     // a real decomposition cluster too
     let g = gen::stacked_triangulation(scale.pick(150, 300), &mut rng);
-    let d = lcg_expander::decomp::decompose_adaptive(&g, 0.15);
+    let d = decomp::decompose(&g, 0.15, Threshold::Adaptive, opts.exec);
     let c = d.clusters.iter().max_by_key(|c| c.members.len()).unwrap();
     let leader = *c
         .members
@@ -57,10 +58,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 .count()
         })
         .unwrap();
-    let charged = routing::random_walk_routing(&g, &c.members, leader, 10_000_000, &mut rng);
+    let charged = routing::charged_walk_routing(&g, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng, None, false).0;
     let mut net = Network::new(&g, Model::congest());
     let (real, stats) =
-        routing::network_walk_routing(&mut net, &c.members, leader, 10_000_000, &mut rng);
+        routing::network_walk_routing_with_counts(&mut net, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng);
     t.row(cells!(
         "planar cluster",
         c.members.len(),

@@ -5,7 +5,7 @@
 //! §10.3). What runs on threads is Theorem 2.6 at the paper's grain — the
 //! clusters' charged walks (`lcg_expander::routing::charged_walks`) and the
 //! recursion nodes of one decomposition level
-//! (`lcg_expander::decomp::decompose_adaptive_exec`) — and both go through
+//! (`lcg_expander::decomp::decompose`) — and both go through
 //! [`ExecConfig::map`]: independent items, each result owned by the thread
 //! that computed it and returned in item order, so no output depends on the
 //! thread count. The count itself is set by callers (`main` of a binary, a

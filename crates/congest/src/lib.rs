@@ -48,6 +48,6 @@ pub use executor::ExecConfig;
 pub use faults::{FaultPlan, LinkFailure, NodeCrash};
 pub use model::Model;
 pub use msg::{Msg, INLINE_WORDS};
-pub use network::{Inbox, Message, Network, Outbox};
+pub use network::{Inbox, Network, Outbox};
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
 pub use stats::RoundStats;

@@ -65,11 +65,6 @@ use crate::snapshot::{
 };
 use crate::stats::RoundStats;
 
-/// A message. Historical alias of [`Msg`], which stores CONGEST-size
-/// payloads (≤ 2 words) inline and spills longer LOCAL-mode payloads to
-/// the heap.
-pub type Message = Msg;
-
 /// Inbox of one vertex: `inbox[port]` is the message received on that port
 /// this round, if any. Port `p` of vertex `v` is the `p`-th entry of
 /// `Graph::neighbors(v)` (sorted by neighbor id).
@@ -280,7 +275,7 @@ struct Composed {
 impl Composed {
     /// Tallies one vertex's composed outbox.
     #[inline]
-    fn count(&mut self, slots: &[Option<Message>]) {
+    fn count(&mut self, slots: &[Option<Msg>]) {
         for msg in slots.iter().flatten() {
             self.messages += 1;
             self.words += msg.len() as u64;
@@ -559,9 +554,8 @@ impl<'g> Network<'g> {
         }
     }
 
-    /// [`Network::new`]; the thread count is ignored. Exists only because
-    /// the frozen `benchmark/src/workloads/mod.rs` calls it; ROADMAP item 7
-    /// deletes it.
+    /// [`Network::new`]; the thread count is ignored. Kept only for the
+    /// frozen `benchmark/` crate; ROADMAP item 9(c) deletes it.
     pub fn with_exec(g: &'g Graph, model: Model, _exec: crate::ExecConfig) -> Network<'g> {
         Network::new(g, model)
     }

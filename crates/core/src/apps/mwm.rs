@@ -26,7 +26,7 @@
 //! iteration re-solves the same clusters to the same matching. The loop
 //! therefore stops after the first iteration that leaves the matching
 //! unchanged under the clustering of the iteration before it. Today that
-//! is the second one, always: `decompose_adaptive` takes no seed — the
+//! is the second one, always: `decomp::decompose` takes no seed — the
 //! decomposition is a pure function of `(G, ε)` — so every iteration cuts
 //! the same edges, and only the routing walks (hence `stats.rounds`)
 //! depend on the seed. On the shuffled, weighted `triangulated_grid(16,

@@ -13,8 +13,8 @@
 //! `lcg-congest` simulator or is charged its measured cost):
 //!
 //! 1. **Decomposition** (Theorem 2.1, substituted per DESIGN.md): computed
-//!    by the sequential reference algorithm (`decompose_adaptive` with
-//!    `ε' = ε / t`); its Θ(ε^{-O(1)} log^{O(1)} n) construction rounds are
+//!    by the sequential reference algorithm (`decompose` with the adaptive
+//!    threshold at `ε' = ε / t`); its Θ(ε^{-O(1)} log^{O(1)} n) construction rounds are
 //!    *not* charged — every other phase's are.
 //! 2. **Leader election** (§2.3 proof): `b` rounds of max-degree flooding
 //!    inside each cluster, `b` = max cluster diameter; real 2-word
@@ -29,7 +29,7 @@
 
 use lcg_congest::primitives::{self, Scope};
 use lcg_congest::{ExecConfig, FaultPlan, Model, Network, RoundStats};
-use lcg_expander::decomp::{self, ExpanderDecomposition};
+use lcg_expander::decomp::{self, ExpanderDecomposition, Threshold};
 use lcg_expander::routing;
 use lcg_graph::Graph;
 use lcg_metrics::{Recorder, Report};
@@ -190,8 +190,9 @@ impl FrameworkOutcome {
 }
 
 /// Checks `cfg`'s ε and `t`, then computes the decomposition
-/// [`run_framework`] runs on: `decompose_adaptive` with `ε' = ε / t`, its
-/// recursion levels analysed on `cfg.exec`'s threads.
+/// [`run_framework`] runs on: [`decomp::decompose`] with the adaptive
+/// threshold at `ε' = ε / t`, its recursion levels analysed on
+/// `cfg.exec`'s threads.
 /// With `cfg.metrics` on, also returns the run's recorder with the
 /// decomposition timed on its profiling plane — it charges no rounds and so
 /// has no span, but is most of the wall time at charged-walk sizes.
@@ -209,15 +210,15 @@ pub(crate) fn decompose_timed(
     if let Some(rec) = recorder.as_mut() {
         rec.phase_start("decomposition");
     }
-    let decomposition = decomp::decompose_adaptive_exec(g, cfg.epsilon / cfg.density_bound, cfg.exec);
+    let decomposition = decomp::decompose(g, cfg.epsilon / cfg.density_bound, Threshold::Adaptive, cfg.exec);
     if let Some(rec) = recorder.as_mut() {
         rec.phase_end("decomposition");
     }
     (decomposition, recorder)
 }
 
-/// Runs the Theorem 2.6 pipeline on `g`: the (ε/t, φ) decomposition of
-/// `decompose_adaptive` (phase 1, substituted), then [`run_framework_on`].
+/// Runs the Theorem 2.6 pipeline on `g`: the adaptive (ε/t, φ)
+/// decomposition (phase 1, substituted), then [`run_framework_on`].
 ///
 /// # Panics
 ///
@@ -237,15 +238,15 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
 ///
 /// ```
 /// use lcg_core::framework::{run_framework, run_framework_on, FrameworkConfig};
-/// use lcg_expander::decomp::decompose;
+/// use lcg_expander::decomp::{decompose, Threshold};
 /// use lcg_graph::gen;
 ///
 /// let g = gen::grid(12, 12);
 /// let cfg = FrameworkConfig::planar(0.3, 7);
-/// // decompose_adaptive(g, ε/t), then election, orientation, gathering
+/// // the adaptive decomposition at ε/t, then election, orientation, gathering
 /// let fw = run_framework(&g, &cfg);
 /// // the same phases on the paper's worst-case φ = Θ(ε / log n) instead
-/// let paper = decompose(&g, cfg.epsilon / cfg.density_bound);
+/// let paper = decompose(&g, cfg.epsilon / cfg.density_bound, Threshold::WorstCase, cfg.exec);
 /// let on_paper = run_framework_on(&g, paper, &cfg);
 /// assert!(on_paper.clusters.len() <= fw.clusters.len());
 /// ```

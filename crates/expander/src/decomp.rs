@@ -7,11 +7,13 @@
 //! sequential reference construction: recursive spectral sweep-cut
 //! splitting; small clusters are certified by exact conductance, large
 //! ones carry the λ₂/2 Cheeger *estimate* of a capped power iteration,
-//! which is not a certificate (see [`ClusterInfo::phi_spectral_lower`]). The
-//! recursion is recorded as a tree that every split threshold re-walks, so
-//! [`decompose_adaptive`] analyses each vertex set once, and a threshold
-//! pass stops at the level where its cut edges exceed the budget. The
-//! distributed clustering counterpart lives in [`crate::distributed`], and
+//! which is not a certificate (see [`ClusterInfo::phi_spectral_lower`]).
+//! [`decompose`] is the one entry point; a [`Threshold`] picks φ — the
+//! adaptive search, the paper's worst case, or a fixed one. The recursion
+//! is recorded as a tree, analysed level by level, that every candidate
+//! threshold re-walks, so each vertex set is analysed once, and an
+//! adaptive pass stops at the level where its cut edges exceed the budget.
+//! The distributed clustering counterpart lives in [`crate::distributed`], and
 //! the round-cost of leader election/gathering/broadcast is charged by the
 //! framework in `lcg-core`.
 
@@ -148,108 +150,109 @@ impl ExpanderDecomposition {
 /// conductance computation.
 const EXACT_LIMIT: usize = 16;
 
-/// Computes an (ε, φ) expander decomposition with
-/// `φ = ε / (4·log₂(m) + 4)` (the `φ = Ω(ε / log n)` scale that is
-/// existentially optimal, per §2 of the paper).
+/// How [`decompose`] picks its split threshold φ.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Threshold {
+    /// The **largest** threshold, halving from `ε/2`, whose measured cut
+    /// fraction still respects the ε budget, and [`Threshold::WorstCase`]'s
+    /// if none above it does.
+    ///
+    /// Rationale: the `φ = Θ(ε/log n)` of [`Threshold::WorstCase`] is the
+    /// threshold the charging argument needs; on sparse real instances the
+    /// cuts found are far cheaper than the worst case, so much larger φ (and
+    /// hence much better-connected, smaller clusters) fit the same budget.
+    /// The decomposition satisfies the Theorem 2.6 cut contract *by
+    /// construction* — the adaptivity only trades cluster granularity. At
+    /// laptop sizes the conservative φ keeps most sparse graphs in one
+    /// cluster; this is the threshold the framework uses so the
+    /// multi-cluster machinery is actually exercised (see EXPERIMENTS.md
+    /// E1).
+    ///
+    /// A candidate's pass stops as soon as the levels it has walked cut
+    /// more than `ε·|E|` edges: the edges a split cuts are the parent's
+    /// edges in no child, a pass's cut edges are the sum of that over the
+    /// nodes it splits, and the sum only grows with depth, so the threshold
+    /// fails whatever the deeper levels do, and the next, halved candidate
+    /// starts on the same recorded tree. The threshold chosen and the
+    /// decomposition emitted are those of walking every pass to the end.
+    Adaptive,
+    /// `φ = ε / (4·log₂(m) + 4)`, the `φ = Ω(ε / log n)` scale that is
+    /// existentially optimal (§2 of the paper). The standard charging
+    /// argument bounds the cut edges: every split removes at most
+    /// `φ · min-side-volume` edges, and a vertex's volume can be on the
+    /// smaller side at most `log₂(vol)` times, so the total is at most
+    /// `φ · vol(G) · log₂(vol(G)) / 2 ≤ ε·|E|`.
+    WorstCase,
+    /// This threshold: split along any sweep cut of conductance below it.
+    Fixed(f64),
+}
+
+/// [`Threshold::WorstCase`]'s φ, also [`Threshold::Adaptive`]'s floor.
+fn worst_case_phi(g: &Graph, epsilon: f64) -> f64 {
+    epsilon / (4.0 * (g.m().max(2) as f64).log2() + 4.0)
+}
+
+/// Computes an (ε, φ) expander decomposition of `g` by recursive sweep-cut
+/// splitting at the φ `threshold` picks.
 ///
-/// The standard charging argument bounds the cut edges: every split
-/// removes at most `φ_cut · min-side-volume` edges, and a vertex's volume
-/// can be on the smaller side at most `log₂(vol)` times, so the total is
-/// at most `φ_cut · vol(G) · log₂(vol(G)) / 2 ≤ ε·|E|` for this `φ_cut`.
+/// Every node a pass reaches is analysed one recursion level at a time on
+/// `exec`'s threads — the nodes of a level are disjoint vertex sets, and
+/// what is learnt about one is a function of its subgraph alone (the
+/// Chang–Saranurak recursion also works on every part of a level at once)
+/// — each level's nodes through [`ExecConfig::map`], weighted by their
+/// edges. Cluster ids follow the recursion's LIFO order, and the result is
+/// bit-identical at every thread count. Each vertex set is analysed at most
+/// once however many candidate thresholds [`Threshold::Adaptive`] tries.
 ///
 /// # Examples
 ///
 /// ```
+/// use lcg_congest::ExecConfig;
 /// use lcg_graph::gen;
-/// use lcg_expander::decomp::decompose;
+/// use lcg_expander::decomp::{decompose, Threshold};
 ///
 /// let mut rng = gen::seeded_rng(5);
 /// let g = gen::stacked_triangulation(120, &mut rng);
-/// let d = decompose(&g, 0.3);
+/// let d = decompose(&g, 0.3, Threshold::WorstCase, ExecConfig::sequential());
 /// d.validate(&g).unwrap();
 /// assert!(d.cut_fraction(&g) <= 0.3);
 /// ```
-pub fn decompose(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
-    let m = g.m().max(2) as f64;
-    let phi_cut = epsilon / (4.0 * m.log2() + 4.0);
-    decompose_with_phi(g, epsilon, phi_cut)
-}
-
-/// Adaptive expander decomposition: finds the **largest** split threshold
-/// (by halving from `ε/2`) whose measured cut fraction still respects the
-/// ε budget, then returns that decomposition.
-///
-/// Rationale: the `φ = Θ(ε/log n)` of [`decompose`] is the *worst-case*
-/// threshold under the charging argument; on sparse real instances the
-/// cuts found are far cheaper than the worst case, so much larger φ (and
-/// hence much better-connected, smaller clusters) fit the same budget.
-/// The returned decomposition always satisfies the Theorem 2.6 cut
-/// contract *by construction* — the adaptivity only trades cluster
-/// granularity. At laptop sizes the conservative φ keeps most sparse
-/// graphs in one cluster; this is the variant the framework uses so the
-/// multi-cluster machinery is actually exercised (see EXPERIMENTS.md E1).
-///
-/// A candidate's pass stops as soon as the levels it has walked cut more
-/// than `ε·|E|` edges — a deeper level only adds cuts, so the threshold is
-/// refuted — and the next, halved candidate starts on the same recorded
-/// tree ([`decompose_adaptive_exec`] has the details). The threshold and
-/// decomposition returned are those of walking every pass to the end.
-///
-/// This is [`decompose_adaptive_exec`] on one thread.
-pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
-    decompose_adaptive_exec(g, epsilon, ExecConfig::sequential())
-}
-
-/// [`decompose_adaptive`], with the recursion's analyses on `exec`'s
-/// threads: before a pass emits, every node it reaches is analysed one
-/// recursion level at a time — the nodes of a level are disjoint vertex
-/// sets, and what is learnt about one is a function of its subgraph alone
-/// (the Chang–Saranurak recursion also works on every part of a level at
-/// once) — each level's nodes through [`ExecConfig::map`], weighted by
-/// their edges. At one thread this is the same analyses in level order
-/// instead of the recursion's, one code path at every count; the result
-/// is bit-identical at every thread count.
-///
-/// A pass stops early once refuted: the edges a split cuts are the
-/// parent's edges in no child, a pass's cut edges are the sum of that
-/// over the nodes it splits, and the sum only grows with depth, so once
-/// the levels walked so far cut more than `ε·|E|` the threshold fails
-/// whatever the deeper levels do and the next, halved one starts. The
-/// threshold chosen and the decomposition emitted are those of walking
-/// every pass to the end; only the analyses of nodes no chosen pass
-/// reaches are skipped, and each node is still analysed at most once.
-pub fn decompose_adaptive_exec(g: &Graph, epsilon: f64, exec: ExecConfig) -> ExpanderDecomposition {
-    let mut phi = epsilon / 2.0;
-    let floor = {
-        let m = g.m().max(2) as f64;
-        epsilon / (4.0 * m.log2() + 4.0)
-    };
-    let budget = epsilon * g.m() as f64;
+pub fn decompose(g: &Graph, epsilon: f64, threshold: Threshold, exec: ExecConfig) -> ExpanderDecomposition {
+    let floor = worst_case_phi(g, epsilon);
     // one tree under every candidate: a split of conductance < φ/2 is a
     // split of conductance < φ, so each later pass re-walks recorded nodes
     let mut tree = Tree::new(g);
-    loop {
-        if tree.analyse_levels(phi, exec, budget) {
-            return tree.emit(g, epsilon, phi);
+    let phi = match threshold {
+        Threshold::Fixed(phi) => phi,
+        Threshold::WorstCase => floor,
+        Threshold::Adaptive => {
+            let budget = epsilon * g.m() as f64;
+            let mut phi = epsilon / 2.0;
+            while !tree.analyse_levels(phi, exec, budget) {
+                phi /= 2.0;
+                if phi < floor {
+                    phi = floor;
+                    break;
+                }
+            }
+            phi
         }
-        phi /= 2.0;
-        if phi < floor {
-            tree.analyse_levels(floor, exec, f64::INFINITY);
-            return tree.emit(g, epsilon, floor);
-        }
-    }
+    };
+    // analyses nothing after an adaptive pass that fitted the budget
+    tree.analyse_levels(phi, exec, f64::INFINITY);
+    tree.emit(g, epsilon, phi)
 }
 
-/// Expander decomposition with an explicit split threshold `phi_cut`:
-/// recursively split along any sweep cut of conductance `< phi_cut`.
-pub fn decompose_with_phi(g: &Graph, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
-    Tree::new(g).emit(g, epsilon, phi_cut)
+/// [`decompose`] with [`Threshold::Adaptive`] on one thread. Kept only for
+/// the frozen `benchmark/` crate; ROADMAP item 9(c) deletes it.
+pub fn decompose_adaptive(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
+    decompose(g, epsilon, Threshold::Adaptive, ExecConfig::sequential())
 }
 
 /// The recursion, recorded. What it learns about a vertex set does not
 /// depend on the split threshold — φ only decides which nodes are leaves —
 /// so every node is analysed at most once however many thresholds walk
-/// the tree ([`Tree::emit`]).
+/// the tree ([`Tree::analyse_levels`]).
 struct Tree {
     /// Node 0 is the whole graph; children follow their parent.
     nodes: Vec<Node>,
@@ -265,7 +268,7 @@ struct Node {
     /// about one copy of the host. Nodes small enough for an exact
     /// certificate keep theirs.
     sub: Option<Graph>,
-    /// `None` until a walk first reaches the node.
+    /// `None` until [`Tree::analyse_levels`] first reaches the node.
     found: Option<Found>,
     /// Child nodes in push order, once a walk has split here.
     children: Vec<usize>,
@@ -318,14 +321,6 @@ impl Tree {
         Tree { nodes: vec![root] }
     }
 
-    /// [`analyse`] of node `id`, once.
-    fn analyse_node(&mut self, id: usize) {
-        let node = &mut self.nodes[id];
-        if node.found.is_none() {
-            node.found = Some(analyse(node.sub.as_ref().expect("a node keeps its subgraph until its children exist")));
-        }
-    }
-
     /// Analyses every node a walk at `phi_cut` reaches, level by level from
     /// the root, each level's unanalysed nodes through `exec`, and adds up
     /// the edges the walk's splits cut. Returns `false` as soon as that sum
@@ -362,13 +357,12 @@ impl Tree {
         true
     }
 
-    /// The children of a node `phi_cut` splits, built on first use; `None`
-    /// for a leaf.
+    /// The children of an analysed node `phi_cut` splits, built on first
+    /// use; `None` for a leaf.
     fn split(&mut self, id: usize, phi_cut: f64) -> Option<&[usize]> {
-        self.analyse_node(id);
         let next = self.nodes.len();
         let node = &mut self.nodes[id];
-        let Some(Found::Parts { parts, cut }) = &mut node.found else {
+        let Found::Parts { parts, cut } = node.found.as_mut().expect("a walk splits only analysed nodes") else {
             return None;
         };
         if cut.is_some_and(|(_, sweep)| sweep >= phi_cut) {
@@ -394,9 +388,9 @@ impl Tree {
         Some(&self.nodes[id].children)
     }
 
-    /// The decomposition at `phi_cut`: walks the tree in the recursion's
-    /// LIFO order, so cluster ids are those of a fresh recursion at that
-    /// threshold.
+    /// The decomposition at `phi_cut`, once [`Tree::analyse_levels`] has
+    /// walked it: walks the tree in the recursion's LIFO order, so cluster
+    /// ids are those of a fresh recursion at that threshold.
     fn emit(&mut self, g: &Graph, epsilon: f64, phi_cut: f64) -> ExpanderDecomposition {
         let mut cluster_of = vec![usize::MAX; g.n()];
         let mut clusters: Vec<ClusterInfo> = Vec::new();
@@ -448,11 +442,15 @@ mod tests {
     use super::*;
     use lcg_graph::gen;
 
+    fn worst_case(g: &Graph, epsilon: f64) -> ExpanderDecomposition {
+        decompose(g, epsilon, Threshold::WorstCase, ExecConfig::sequential())
+    }
+
     #[test]
     fn expander_stays_whole() {
         // K16 is a great expander: no cut below any reasonable phi
         let g = gen::complete(16);
-        let d = decompose(&g, 0.2);
+        let d = worst_case(&g, 0.2);
         d.validate(&g).unwrap();
         assert_eq!(d.k(), 1);
         assert!(d.cut_edges.is_empty());
@@ -471,12 +469,12 @@ mod tests {
         let g = b.build();
         // the bridge cut has conductance 1/57 ≈ 0.0175: any phi_cut above
         // that must split the dumbbell exactly there
-        let d = decompose_with_phi(&g, 0.2, 0.05);
+        let d = decompose(&g, 0.2, Threshold::Fixed(0.05), ExecConfig::sequential());
         d.validate(&g).unwrap();
         assert_eq!(d.k(), 2);
         assert_eq!(d.cut_edges.len(), 1);
         // while the default (conservative) phi keeps it whole
-        let d2 = decompose(&g, 0.2);
+        let d2 = worst_case(&g, 0.2);
         d2.validate(&g).unwrap();
         assert_eq!(d2.k(), 1);
     }
@@ -486,7 +484,7 @@ mod tests {
         let mut rng = gen::seeded_rng(120);
         for eps in [0.1, 0.2, 0.4] {
             let g = gen::stacked_triangulation(200, &mut rng);
-            let d = decompose(&g, eps);
+            let d = worst_case(&g, eps);
             d.validate(&g).unwrap();
             assert!(
                 d.cut_fraction(&g) <= eps,
@@ -501,7 +499,7 @@ mod tests {
         let mut rng = gen::seeded_rng(121);
         let grids: Vec<Graph> = vec![gen::grid(15, 15), gen::ktree(150, 3, &mut rng)];
         for g in &grids {
-            let d = decompose(g, 0.25);
+            let d = worst_case(g, 0.25);
             d.validate(g).unwrap();
             assert!(d.cut_fraction(g) <= 0.25, "got {}", d.cut_fraction(g));
         }
@@ -511,7 +509,7 @@ mod tests {
     fn clusters_exceed_phi_cut() {
         let mut rng = gen::seeded_rng(122);
         let g = gen::random_planar(150, 0.6, &mut rng);
-        let d = decompose(&g, 0.3);
+        let d = worst_case(&g, 0.3);
         d.validate(&g).unwrap();
         // every non-trivial cluster's *measured* conductance estimate is at
         // least phi_cut (the loop only stops when no sweep cut beats it;
@@ -537,7 +535,7 @@ mod tests {
     #[test]
     fn disconnected_input_ok() {
         let g = gen::grid(4, 4).disjoint_union(&gen::cycle(6));
-        let d = decompose(&g, 0.3);
+        let d = worst_case(&g, 0.3);
         d.validate(&g).unwrap();
         assert!(d.k() >= 2);
     }
@@ -545,12 +543,12 @@ mod tests {
     #[test]
     fn singleton_and_tiny_graphs() {
         let g = lcg_graph::GraphBuilder::new(1).build();
-        let d = decompose(&g, 0.5);
+        let d = worst_case(&g, 0.5);
         d.validate(&g).unwrap();
         assert_eq!(d.k(), 1);
 
         let g = gen::path(2);
-        let d = decompose(&g, 0.5);
+        let d = worst_case(&g, 0.5);
         d.validate(&g).unwrap();
         assert_eq!(d.k(), 1);
     }
@@ -562,7 +560,7 @@ mod tests {
         // keep it whole (Q_d has conductance Θ(1/d)) or produce clusters
         // with conductance O(1/log n): min cluster phi is small either way.
         let g = gen::hypercube(6);
-        let d = decompose(&g, 0.3);
+        let d = worst_case(&g, 0.3);
         d.validate(&g).unwrap();
         assert!(d.cut_fraction(&g) <= 0.3);
     }
@@ -573,27 +571,27 @@ mod tests {
         let eps = 0.1;
         let budget = eps * g.m() as f64;
         let analysed = |t: &Tree| t.nodes.iter().filter(|n| n.found.is_some()).count();
-        // the φ = ε/2 pass walked to the end, as the recursion walks it and
-        // level by level: the same nodes
+        // the φ = ε/2 pass walked to the end
         let mut full = Tree::new(&g);
+        assert!(full.analyse_levels(eps / 2.0, ExecConfig::with_threads(2), f64::INFINITY));
         let refuted = full.emit(&g, eps, eps / 2.0);
         assert!(refuted.cut_edges.len() as f64 > budget, "the instance must take more than one pass");
-        let mut levelled = Tree::new(&g);
-        assert!(levelled.analyse_levels(eps / 2.0, ExecConfig::with_threads(2), f64::INFINITY));
-        assert_eq!(analysed(&levelled), analysed(&full));
-        // decompose_adaptive's passes on one tree, each stopping once refuted
+        // the adaptive passes on one tree, each stopping once refuted
         let mut tree = Tree::new(&g);
         let mut phi = eps / 2.0;
         while !tree.analyse_levels(phi, ExecConfig::sequential(), budget) {
             phi /= 2.0;
         }
         let chosen = tree.emit(&g, eps, phi);
-        let adaptive = decompose_adaptive(&g, eps);
+        let adaptive = decompose(&g, eps, Threshold::Adaptive, ExecConfig::sequential());
         assert_eq!(chosen.phi_cut, adaptive.phi_cut);
         assert_eq!(chosen.cluster_of, adaptive.cluster_of);
         assert_eq!(chosen.cut_edges, adaptive.cut_edges);
         // the threshold chosen is the one full passes choose, with the same
-        // decomposition
+        // decomposition; its walk reaches only nodes the larger φ analysed
+        let before = analysed(&full);
+        assert!(full.analyse_levels(phi, ExecConfig::sequential(), f64::INFINITY));
+        assert_eq!(analysed(&full), before);
         let walked = full.emit(&g, eps, phi);
         assert_eq!((walked.cluster_of, walked.cut_edges), (chosen.cluster_of, chosen.cut_edges));
         // every vertex set is analysed at most once ...
@@ -604,12 +602,12 @@ mod tests {
             assert!(sets.insert(members), "a vertex set analysed twice");
         }
         // ... and the early stop skips part of the refuted pass's analyses
-        assert!(analysed(&tree) < analysed(&levelled), "{} vs {}", analysed(&tree), analysed(&levelled));
+        assert!(analysed(&tree) < analysed(&full), "{} vs {}", analysed(&tree), analysed(&full));
     }
 
     /// The Amdahl limits of the two parallel sections on the repo benchmark's
     /// `framework-gridnoise` instances 0–4: the root node's share of
-    /// `decompose_adaptive(g, 0.1)` (its analysis runs alone) and the
+    /// the adaptive decomposition at ε = 0.1 (its analysis runs alone) and the
     /// largest cluster's share of the clusters' charged walks, each cluster
     /// launching `|V_i| + |E_i|` tokens as the framework's orientation does
     /// (here every intra-cluster edge goes to its lower endpoint, which
@@ -629,7 +627,7 @@ mod tests {
         for index in 0..5 {
             let g = gen::grid_with_noise(50, 50, 0.02, &mut gen::seeded_rng(generator_seed(index)));
             let started = std::time::Instant::now();
-            let d = decompose_adaptive(&g, 0.1);
+            let d = decompose(&g, 0.1, Threshold::Adaptive, ExecConfig::sequential());
             let decomposition = started.elapsed().as_secs_f64();
             let started = std::time::Instant::now();
             analyse(&g);
@@ -666,8 +664,8 @@ mod tests {
     fn smaller_epsilon_cuts_fewer_edges() {
         let mut rng = gen::seeded_rng(123);
         let g = gen::stacked_triangulation(150, &mut rng);
-        let loose = decompose(&g, 0.4);
-        let tight = decompose(&g, 0.05);
+        let loose = worst_case(&g, 0.4);
+        let tight = worst_case(&g, 0.05);
         assert!(tight.cut_edges.len() <= loose.cut_edges.len());
     }
 }

@@ -9,12 +9,13 @@
 //! ## Example: decompose and route
 //!
 //! ```
+//! use lcg_congest::ExecConfig;
 //! use lcg_graph::gen;
 //! use lcg_expander::{decomp, routing};
 //!
 //! let mut rng = gen::seeded_rng(9);
 //! let g = gen::stacked_triangulation(150, &mut rng);
-//! let d = decomp::decompose(&g, 0.25);
+//! let d = decomp::decompose(&g, 0.25, decomp::Threshold::WorstCase, ExecConfig::sequential());
 //! d.validate(&g).unwrap();
 //! assert!(d.cut_fraction(&g) <= 0.25);
 //!
@@ -25,7 +26,8 @@
 //!     .iter()
 //!     .max_by_key(|&&v| g.degree(v))
 //!     .unwrap();
-//! let out = routing::random_walk_routing(&g, &big.members, leader, 200_000, &mut rng);
+//! let ones = vec![1; big.members.len()];
+//! let (out, _) = routing::charged_walk_routing(&g, &big.members, leader, &ones, 200_000, &mut rng, None, false);
 //! assert!(out.complete());
 //! ```
 

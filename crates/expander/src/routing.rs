@@ -16,10 +16,9 @@
 //!   selects stay or move by the coin instead of branching on it.
 //!   [`charged_walks`] runs several clusters' walks — Theorem 2.6 gathers
 //!   in all of them at once — on the caller's threads with the outcomes of
-//!   one walk after another; [`charged_walk_routing`] is it on one cluster,
-//!   and [`random_walk_routing`] (one token per member) and
-//!   [`random_walk_routing_with_counts_exec`] (no faults, no edge tally)
-//!   are its two argument-fixing adapters.
+//!   one walk after another; [`charged_walk_routing`] is it on one cluster
+//!   given by its member list, cutting out `G[members]` and checking the
+//!   members itself.
 //!
 //! * [`network_walk_routing_with_counts`] is Lemma 2.4 message-faithfully
 //!   in the simulator: every crossing a real message, serialized one per
@@ -34,6 +33,9 @@
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
 //!   convergecast along a BFS tree rooted at the leader, taking
 //!   `depth + max-edge-congestion` rounds. Both quantities are reported.
+//!
+//! [`random_walk_routing_with_counts_exec`] survives only as a shim for the
+//! frozen `benchmark/` crate.
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -64,26 +66,9 @@ impl RoutingOutcome {
     }
 }
 
-/// [`charged_walk_routing`] with one token per member, no fault plan and
-/// no edge tally.
-///
-/// # Panics
-///
-/// Panics if `leader` is not in `members` or `G[members]` is disconnected.
-pub fn random_walk_routing(
-    g: &Graph,
-    members: &[usize],
-    leader: usize,
-    max_steps: usize,
-    rng: &mut ChaCha8Rng,
-) -> RoutingOutcome {
-    let counts = vec![1usize; members.len()];
-    charged_walk_routing(g, members, leader, &counts, max_steps, rng, None, false).0
-}
-
-/// [`charged_walk_routing`] with no fault plan and no edge tally, through
-/// [`charged_walks`] with `exec`: one cluster is one item, so the walk runs
-/// on the caller's thread at any thread count.
+/// [`charged_walk_routing`] with no fault plan and no edge tally; the
+/// thread count is ignored. Kept only for the frozen `benchmark/` crate;
+/// ROADMAP item 9(c) deletes it.
 ///
 /// # Panics
 ///
@@ -95,26 +80,9 @@ pub fn random_walk_routing_with_counts_exec(
     counts: &[usize],
     max_steps: usize,
     rng: &mut ChaCha8Rng,
-    exec: ExecConfig,
+    _exec: ExecConfig,
 ) -> RoutingOutcome {
-    let (sub, map, leader_local) = member_cluster(g, members, leader, counts);
-    let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
-    charged_walks(g, &[walk], max_steps, rng, None, false, exec).remove(0).0
-}
-
-/// `G[members]`, its vertex map and the leader's local id, checked the way
-/// [`charged_walk_routing`] documents.
-fn member_cluster(g: &Graph, members: &[usize], leader: usize, counts: &[usize]) -> (Graph, Vec<usize>, usize) {
-    assert_eq!(counts.len(), members.len(), "one count per member required");
-    let (sub, map) = g.induced_subgraph(members);
-    let leader_local = map
-        .iter()
-        .position(|&v| v == leader)
-        .expect("leader must be a cluster member");
-    // `induced_subgraph` numbers vertices in `members` order, so local id
-    // `v` is index `v` of `counts` as long as no member repeats
-    assert_eq!(map.len(), members.len(), "members must not repeat");
-    (sub, map, leader_local)
+    charged_walk_routing(g, members, leader, counts, max_steps, rng, None, false).0
 }
 
 /// A walking token's stream: its private ChaCha8 generator, seeded from
@@ -413,7 +381,12 @@ pub fn charged_walk_routing(
     faults: Option<&FaultPlan>,
     track_edges: bool,
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    let (sub, map, leader_local) = member_cluster(g, members, leader, counts);
+    assert_eq!(counts.len(), members.len(), "one count per member required");
+    let (sub, map) = g.induced_subgraph(members);
+    let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
+    // `induced_subgraph` numbers vertices in `members` order, so local id
+    // `v` is index `v` of `counts` as long as no member repeats
+    assert_eq!(map.len(), members.len(), "members must not repeat");
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
     charged_walks(g, &[walk], max_steps, rng, faults, track_edges, ExecConfig::sequential()).remove(0)
 }
@@ -472,7 +445,7 @@ fn walk_cluster(
     let ClusterWalk { sub, map, leader_local, counts } = *w;
     assert_eq!(counts.len(), sub.n(), "one count per member required");
     assert!(leader_local < sub.n(), "leader must be a cluster member");
-    assert!(sub.is_connected(), "random_walk_routing needs a connected cluster");
+    assert!(sub.is_connected(), "charged_walk_routing needs a connected cluster");
     let mut tokens: Vec<Resting> = Vec::new();
     for (v, &count) in counts.iter().enumerate() {
         tokens.extend(std::iter::repeat_n(Resting { pos: v as u32, words: 0 }, count));
@@ -590,29 +563,15 @@ pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutco
 /// would spend an O(diameter) convergecast per step; we charge 1 round
 /// per step for it).
 ///
-/// Returns the outcome plus the network's measured [`RoundStats`].
+/// Each member `i` launches `counts[i]` tokens (the `L · deg(v)` form of
+/// Lemma 2.4, used by the message-faithful framework to ship
+/// `1 + outdeg(v)` topology words per vertex). Returns the outcome plus
+/// the network's measured [`RoundStats`].
 ///
 /// # Panics
 ///
-/// Panics if `leader` is not in `members` or `G[members]` is disconnected.
-pub fn network_walk_routing(
-    net: &mut Network,
-    members: &[usize],
-    leader: usize,
-    max_steps: usize,
-    rng: &mut ChaCha8Rng,
-) -> (RoutingOutcome, RoundStats) {
-    let counts = vec![1usize; members.len()];
-    network_walk_routing_with_counts(net, members, leader, &counts, max_steps, rng)
-}
-
-/// [`network_walk_routing`] with an explicit token count per member (the
-/// `L · deg(v)` form of Lemma 2.4, used by the message-faithful framework
-/// to ship `1 + outdeg(v)` topology words per vertex).
-///
-/// # Panics
-///
-/// As [`network_walk_routing`], plus `counts.len() != members.len()`.
+/// Panics if `counts.len() != members.len()`, `leader` is not in
+/// `members` or `G[members]` is disconnected.
 pub fn network_walk_routing_with_counts(
     net: &mut Network,
     members: &[usize],
@@ -777,7 +736,7 @@ impl Ports {
             ports.extend((0..row.len() as u32).filter(|&p| local[row[p as usize] as usize] != u32::MAX));
             offsets.push(ports.len() as u32);
         }
-        assert!(g.induced_subgraph(members).0.is_connected(), "network_walk_routing needs a connected cluster");
+        assert!(g.induced_subgraph(members).0.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
         Ports { cluster, local, offsets, ports }
     }
 }
@@ -792,7 +751,7 @@ mod tests {
         let mut rng = gen::seeded_rng(130);
         let g = gen::complete(20);
         let members: Vec<usize> = (0..20).collect();
-        let out = random_walk_routing(&g, &members, 3, 10_000, &mut rng);
+        let out = charged_walk_routing(&g, &members, 3, &vec![1; members.len()], 10_000, &mut rng, None, false).0;
         assert!(out.complete(), "{out:?}");
         assert_eq!(out.total, 20);
         assert!(out.rounds >= out.steps as u64);
@@ -804,7 +763,7 @@ mod tests {
         let g = gen::grid(6, 6);
         // cluster = first two rows
         let members: Vec<usize> = (0..12).collect();
-        let out = random_walk_routing(&g, &members, 0, 100_000, &mut rng);
+        let out = charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 100_000, &mut rng, None, false).0;
         assert!(out.complete());
     }
 
@@ -813,7 +772,7 @@ mod tests {
         let mut rng = gen::seeded_rng(132);
         let g = gen::path(40);
         let members: Vec<usize> = (0..40).collect();
-        let out = random_walk_routing(&g, &members, 0, 5, &mut rng);
+        let out = charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 5, &mut rng, None, false).0;
         assert!(!out.complete());
         assert_eq!(out.steps, 5);
     }
@@ -823,7 +782,7 @@ mod tests {
     fn walk_routing_checks_leader() {
         let mut rng = gen::seeded_rng(133);
         let g = gen::grid(3, 3);
-        random_walk_routing(&g, &[0, 1, 2], 8, 10, &mut rng);
+        charged_walk_routing(&g, &[0, 1, 2], 8, &[1; 3], 10, &mut rng, None, false);
     }
 
     #[test]
@@ -832,15 +791,7 @@ mod tests {
         let g = gen::complete(10);
         let members: Vec<usize> = (0..10).collect();
         let counts: Vec<usize> = (0..10).map(|v| 1 + v % 3).collect();
-        let out = random_walk_routing_with_counts_exec(
-            &g,
-            &members,
-            2,
-            &counts,
-            50_000,
-            &mut rng,
-            ExecConfig::sequential(),
-        );
+        let out = charged_walk_routing(&g, &members, 2, &counts, 50_000, &mut rng, None, false).0;
         assert_eq!(out.total, counts.iter().sum::<usize>());
         assert!(out.complete());
     }
@@ -1185,7 +1136,8 @@ mod tests {
             };
             // connected clusters of every size the threshold makes, one
             // vertex included
-            let clusters = crate::decomp::decompose_with_phi(&g, 0.3, phi_cut).clusters;
+            let threshold = crate::decomp::Threshold::Fixed(phi_cut);
+            let clusters = crate::decomp::decompose(&g, 0.3, threshold, ExecConfig::sequential()).clusters;
             let plan = drops.then(|| FaultPlan::drops(seed, drop_prob));
             let faults = plan.as_ref();
             let counts: Vec<Vec<usize>> =
@@ -1275,7 +1227,7 @@ mod tests {
         assert!(member_set[leader], "leader must be a cluster member");
         {
             let (sub, _) = g.induced_subgraph(members);
-            assert!(sub.is_connected(), "network_walk_routing needs a connected cluster");
+            assert!(sub.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
         }
         // the cluster in ascending vertex order: the order in which tokens
         // flip their coins, and so the order of every draw from `rng`
@@ -1551,7 +1503,7 @@ mod tests {
         let g = gen::complete(16);
         let members: Vec<usize> = (0..16).collect();
         let mut net = Network::new(&g, Model::congest());
-        let (out, stats) = network_walk_routing(&mut net, &members, 3, 100_000, &mut rng);
+        let (out, stats) = network_walk_routing_with_counts(&mut net, &members, 3, &vec![1; members.len()], 100_000, &mut rng);
         assert!(out.complete(), "{out:?}");
         assert_eq!(out.total, 16);
         // every message really fit the CONGEST budget
@@ -1569,7 +1521,7 @@ mod tests {
         // cluster = left 3 columns
         let members: Vec<usize> = (0..24).filter(|v| v % 6 < 3).collect();
         let mut net = Network::new(&g, Model::congest());
-        let (out, _) = network_walk_routing(&mut net, &members, 0, 200_000, &mut rng);
+        let (out, _) = network_walk_routing_with_counts(&mut net, &members, 0, &vec![1; members.len()], 200_000, &mut rng);
         assert!(out.complete());
     }
 
@@ -1581,9 +1533,9 @@ mod tests {
         gen::stacked_triangulation(100, &mut rng);
         let g = gen::complete(24);
         let members: Vec<usize> = (0..24).collect();
-        let charged = random_walk_routing(&g, &members, 0, 100_000, &mut rng);
+        let charged = charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 100_000, &mut rng, None, false).0;
         let mut net = Network::new(&g, Model::congest());
-        let (real, _) = network_walk_routing(&mut net, &members, 0, 100_000, &mut rng);
+        let (real, _) = network_walk_routing_with_counts(&mut net, &members, 0, &vec![1; members.len()], 100_000, &mut rng);
         assert!(charged.complete() && real.complete());
         // both cost within a small factor of each other (same mechanism,
         // independent randomness; sync rounds add ~1 per step)
@@ -1597,8 +1549,8 @@ mod tests {
         let e = gen::complete(16);
         let p = gen::path(16);
         let me: Vec<usize> = (0..16).collect();
-        let oe = random_walk_routing(&e, &me, 0, 100_000, &mut rng);
-        let op = random_walk_routing(&p, &me, 0, 100_000, &mut rng);
+        let oe = charged_walk_routing(&e, &me, 0, &vec![1; me.len()], 100_000, &mut rng, None, false).0;
+        let op = charged_walk_routing(&p, &me, 0, &vec![1; me.len()], 100_000, &mut rng, None, false).0;
         assert!(oe.complete() && op.complete());
         assert!(oe.steps < op.steps, "expander {} vs path {}", oe.steps, op.steps);
     }

@@ -1,20 +1,18 @@
-//! The three decomposition entry points are one recursion, and
-//! `decompose_adaptive` keeps its contract: it returns, field for field,
-//! the decomposition `decompose_with_phi` computes from scratch at the
-//! threshold it settled on, and every larger candidate threshold really
-//! exceeds the ε budget ("the largest φ that fits"). The fingerprints at
-//! the bottom pin the output on the repo benchmark's instance graphs in
-//! two parts, both blessed from the division-per-non-zero power iteration
-//! (PR 22's tree): the structure — clustering, cut, exact and sweep
-//! certificates — bit for bit, and the spectral estimates as decimals, so
-//! re-associating the iteration's arithmetic may move the latter's last
-//! bits and nothing else. Both hold at 1, 2 and 4 threads: the threaded
-//! entry point returns, field for field, what the sequential one does.
+//! The three thresholds of `decompose` are one recursion, and
+//! `Threshold::Adaptive` keeps its contract: it returns, field for field,
+//! the decomposition `Threshold::Fixed` computes at the threshold it
+//! settled on, and every larger candidate threshold really exceeds the ε
+//! budget ("the largest φ that fits"). The fingerprints at the bottom pin
+//! the output on the repo benchmark's instance graphs in two parts, both
+//! blessed from the division-per-non-zero power iteration (PR 22's tree):
+//! the structure — clustering, cut, exact and sweep certificates — bit for
+//! bit, and the spectral estimates as decimals, so re-associating the
+//! iteration's arithmetic may move the latter's last bits and nothing
+//! else. Both hold at 1, 2 and 4 threads: a threaded decomposition returns,
+//! field for field, what the sequential one does.
 
 use lcg_congest::ExecConfig;
-use lcg_expander::decomp::{
-    decompose, decompose_adaptive, decompose_adaptive_exec, decompose_with_phi, ExpanderDecomposition,
-};
+use lcg_expander::decomp::{decompose, ExpanderDecomposition, Threshold};
 use lcg_graph::{gen, Graph};
 use proptest::{prop_assert, proptest, ProptestConfig};
 
@@ -32,10 +30,14 @@ fn fields(d: &ExpanderDecomposition) -> Fields {
     (d.cluster_of.clone(), clusters, d.cut_edges.clone(), d.phi_cut.to_bits(), d.epsilon.to_bits())
 }
 
-/// The thresholds `decompose_adaptive` tries, in its order: ε/2 halved down
-/// to the worst-case floor of [`decompose`], then the floor itself.
+fn sequential(g: &Graph, epsilon: f64, threshold: Threshold) -> ExpanderDecomposition {
+    decompose(g, epsilon, threshold, ExecConfig::sequential())
+}
+
+/// The thresholds `Threshold::Adaptive` tries, in its order: ε/2 halved
+/// down to `Threshold::WorstCase`'s φ, then that floor itself.
 fn candidates(g: &Graph, epsilon: f64) -> Vec<f64> {
-    let floor = epsilon / (4.0 * (g.m().max(2) as f64).log2() + 4.0);
+    let floor = sequential(g, epsilon, Threshold::WorstCase).phi_cut;
     let mut out = Vec::new();
     let mut phi = epsilon / 2.0;
     while phi >= floor {
@@ -47,9 +49,9 @@ fn candidates(g: &Graph, epsilon: f64) -> Vec<f64> {
 }
 
 fn check_adaptive_contract(g: &Graph, epsilon: f64) -> Result<(), String> {
-    let d = decompose_adaptive(g, epsilon);
+    let d = sequential(g, epsilon, Threshold::Adaptive);
     d.validate(g)?;
-    let fresh = decompose_with_phi(g, epsilon, d.phi_cut);
+    let fresh = sequential(g, epsilon, Threshold::Fixed(d.phi_cut));
     if fields(&d) != fields(&fresh) {
         return Err(format!("adaptive differs from a fresh pass at phi = {}", d.phi_cut));
     }
@@ -58,15 +60,15 @@ fn check_adaptive_contract(g: &Graph, epsilon: f64) -> Result<(), String> {
         return Err(format!("phi_cut {} is not a candidate threshold", d.phi_cut));
     }
     for &phi in tried.iter().take_while(|&&phi| phi > d.phi_cut) {
-        let over = decompose_with_phi(g, epsilon, phi);
+        let over = sequential(g, epsilon, Threshold::Fixed(phi));
         if g.m() == 0 || over.cut_edges.len() as f64 <= epsilon * g.m() as f64 {
             return Err(format!("phi = {phi} fits the budget but {} was chosen", d.phi_cut));
         }
     }
     if d.phi_cut == *tried.last().expect("the floor is always a candidate") {
-        let worst_case = decompose(g, epsilon);
+        let worst_case = sequential(g, epsilon, Threshold::WorstCase);
         if fields(&d) != fields(&worst_case) {
-            return Err("adaptive at the floor differs from decompose".into());
+            return Err("adaptive at the floor differs from the worst case".into());
         }
     }
     Ok(())
@@ -177,15 +179,18 @@ fn benchmark_generator_seed(index: u64) -> u64 {
 /// ε′ = ε / density of the benchmark's framework runs.
 const EPS_PRIME: f64 = 0.3 / 3.0;
 
-/// `decompose_adaptive` at the benchmark's ε′, after checking that
-/// `decompose_adaptive_exec` returns it field for field at 2 and 4 threads.
+/// The adaptive decomposition at the benchmark's ε′, after checking that
+/// it and the worst-case one come back field for field at 2 and 4 threads.
 fn decompose_at_every_thread_count(g: &Graph, what: &str) -> ExpanderDecomposition {
-    let d = decompose_adaptive(g, EPS_PRIME);
-    for threads in [2, 4] {
-        let threaded = decompose_adaptive_exec(g, EPS_PRIME, ExecConfig::with_threads(threads));
-        assert!(fields(&threaded) == fields(&d), "{what}: {threads} threads differ from one");
-    }
-    d
+    let [adaptive, _] = [Threshold::Adaptive, Threshold::WorstCase].map(|threshold| {
+        let d = sequential(g, EPS_PRIME, threshold);
+        for threads in [2, 4] {
+            let threaded = decompose(g, EPS_PRIME, threshold, ExecConfig::with_threads(threads));
+            assert!(fields(&threaded) == fields(&d), "{what}, {threshold:?}: {threads} threads differ from one");
+        }
+        d
+    });
+    adaptive
 }
 
 #[test]

@@ -333,25 +333,18 @@ impl Graph {
     /// sorted CSR row of the lower endpoint.
     #[inline]
     #[must_use]
-    pub fn edge_between(&self, u: usize, v: usize) -> Option<usize> {
+    pub fn edge_id(&self, u: usize, v: usize) -> Option<usize> {
         let a = u.min(v);
         let b = u.max(v) as u32;
         let row = self.neighbor_row(a);
         row.binary_search(&b).ok().map(|i| self.edge_id_row(a)[i] as usize)
     }
 
-    /// Edge id of the edge `{u, v}`, if present.
-    #[inline]
-    #[must_use]
-    pub fn edge_id(&self, u: usize, v: usize) -> Option<usize> {
-        self.edge_between(u, v)
-    }
-
     /// Returns `true` if `{u, v}` is an edge.
     #[inline]
     #[must_use]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.edge_between(u, v).is_some()
+        self.edge_id(u, v).is_some()
     }
 
     /// Weight of edge `e` (1 if the graph is unweighted).

@@ -232,7 +232,7 @@ proptest! {
         let inside = |v: usize| mapping.contains(&v);
         prop_assert_eq!(sub.m(), g.edges().filter(|&(_, u, v)| inside(u) && inside(v)).count());
         for (e, a, b) in sub.edges() {
-            let host = g.edge_between(mapping[a], mapping[b]).expect("induced edges are host edges");
+            let host = g.edge_id(mapping[a], mapping[b]).expect("induced edges are host edges");
             prop_assert_eq!(sub.weight(e), g.weight(host), "induced edge {}-{}", mapping[a], mapping[b]);
             prop_assert_eq!(sub.label(e), g.label(host));
         }
@@ -243,7 +243,7 @@ proptest! {
             let part = g.edge_subgraph(&ids);
             prop_assert_eq!(part.n(), n);
             for (e, u, v) in part.edges() {
-                let host = g.edge_between(u, v).expect("kept edges are host edges");
+                let host = g.edge_id(u, v).expect("kept edges are host edges");
                 prop_assert!(ids.contains(&host));
                 prop_assert_eq!(part.weight(e), g.weight(host), "kept edge {}-{}", u, v);
                 prop_assert_eq!(part.label(e), g.label(host));
@@ -256,7 +256,7 @@ proptest! {
         prop_assert_eq!(both.m(), g.m() + sub.m());
         for (side, shift) in [(&g, 0), (&sub, n)] {
             for (e, u, v) in side.edges() {
-                let joined = both.edge_between(u + shift, v + shift).expect("union keeps every edge");
+                let joined = both.edge_id(u + shift, v + shift).expect("union keeps every edge");
                 prop_assert_eq!(both.weight(joined), side.weight(e));
                 prop_assert_eq!(both.label(joined), side.label(e));
             }
@@ -298,8 +298,8 @@ proptest! {
 
         // edge lookup agrees with the reference edge list, both ways
         for (e, &(u, v)) in legacy.edges.iter().enumerate() {
-            prop_assert_eq!(g.edge_between(u as usize, v as usize), Some(e));
-            prop_assert_eq!(g.edge_between(v as usize, u as usize), Some(e));
+            prop_assert_eq!(g.edge_id(u as usize, v as usize), Some(e));
+            prop_assert_eq!(g.edge_id(v as usize, u as usize), Some(e));
             prop_assert_eq!(g.endpoints(e), (u as usize, v as usize));
         }
 
@@ -307,7 +307,7 @@ proptest! {
         for u in 0..n {
             for v in (u + 1)..n {
                 if !legacy.edges.contains(&(u as u32, v as u32)) {
-                    prop_assert_eq!(g.edge_between(u, v), None);
+                    prop_assert_eq!(g.edge_id(u, v), None);
                 }
             }
         }

@@ -3,7 +3,9 @@
 
 use locongest::core::apps::{ldd, maxis, mwm, property_testing};
 use locongest::core::framework::{run_framework, FrameworkConfig};
-use locongest::expander::{decomp, routing};
+use locongest::congest::ExecConfig;
+use locongest::expander::decomp::{self, Threshold};
+use locongest::expander::routing;
 use locongest::graph::gen;
 
 #[test]
@@ -21,8 +23,8 @@ fn generators_are_seed_deterministic() {
 fn decomposition_is_deterministic() {
     let mut rng = gen::seeded_rng(42);
     let g = gen::stacked_triangulation(200, &mut rng);
-    let a = decomp::decompose_adaptive(&g, 0.1);
-    let b = decomp::decompose_adaptive(&g, 0.1);
+    let a = decomp::decompose(&g, 0.1, Threshold::Adaptive, ExecConfig::sequential());
+    let b = decomp::decompose(&g, 0.1, Threshold::Adaptive, ExecConfig::sequential());
     assert_eq!(a.cluster_of, b.cluster_of);
     assert_eq!(a.cut_edges, b.cut_edges);
 }
@@ -89,8 +91,8 @@ fn routing_is_rng_deterministic() {
     let leader = (0..80).max_by_key(|&v| g.degree(v)).unwrap();
     let mut w1 = gen::seeded_rng(99);
     let mut w2 = gen::seeded_rng(99);
-    let a = routing::random_walk_routing(&g, &members, leader, 1_000_000, &mut w1);
-    let b = routing::random_walk_routing(&g, &members, leader, 1_000_000, &mut w2);
+    let a = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut w1, None, false).0;
+    let b = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut w2, None, false).0;
     assert_eq!(a, b);
 }
 

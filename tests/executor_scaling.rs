@@ -3,7 +3,7 @@
 //! `ExecConfig::map` is the one reader of a thread count; the framework
 //! reaches it through its `FrameworkConfig` (the decomposition's recursion
 //! levels and the clusters' charged walks), a lone walk through
-//! `random_walk_routing_with_counts_exec`. The round engine takes no count:
+//! `charged_walks` with one cluster. The round engine takes no count:
 //! its cases run a *batch* of independent networks through
 //! `ExecConfig::map`, which holds the engine to keeping no state outside
 //! its `Network` — each run's result is the same on whatever thread, beside
@@ -91,8 +91,8 @@ fn primitives_pipeline(&seed: &u64) -> (Vec<(u64, usize)>, Vec<Option<usize>>, R
     (best, layers, net.stats())
 }
 
-/// The charged walk router; the adapter that takes an `ExecConfig` walks
-/// the same walk (one cluster is one `charged_walks` item).
+/// The charged walk router; `charged_walks` under an `ExecConfig` walks
+/// the same walk (one cluster is one item).
 fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>) {
     let g = gen::hypercube(6);
     let members: Vec<usize> = (0..g.n()).collect();
@@ -100,10 +100,9 @@ fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>
     let (out, loads) = routing::charged_walk_routing(
         &g, &members, 0, &counts, 100_000, &mut gen::seeded_rng(0x5CA2), None, true,
     );
-    let adapted = routing::random_walk_routing_with_counts_exec(
-        &g, &members, 0, &counts, 100_000, &mut gen::seeded_rng(0x5CA2), exec,
-    );
-    assert_eq!(adapted, out);
+    let walk = routing::ClusterWalk { sub: &g, map: &members, leader_local: 0, counts: &counts };
+    let batched = routing::charged_walks(&g, &[walk], 100_000, &mut gen::seeded_rng(0x5CA2), None, true, exec);
+    assert_eq!(batched, [(out, loads.clone())]);
     assert!(out.complete());
     (out, loads)
 }
@@ -177,13 +176,13 @@ fn exchange_rounds_round_counts_are_invariant() {
 /// round would read.
 #[test]
 fn step_run_state_and_stashing_exchange_are_one_round_body() {
-    type Row = Vec<Option<locongest::congest::Message>>;
+    type Row = Vec<Option<locongest::congest::Msg>>;
     const K: usize = 7;
     let mut rng = gen::seeded_rng(0xD1FF);
     let g = gen::stacked_triangulation(90, &mut rng);
     let n = g.n();
     // reads every port, mixes, sends on a port that rotates with the round
-    let program = |tok: &mut u64, round: usize, v: usize, inbox: &[Option<locongest::congest::Message>], out: &mut locongest::congest::Outbox| {
+    let program = |tok: &mut u64, round: usize, v: usize, inbox: &[Option<locongest::congest::Msg>], out: &mut locongest::congest::Outbox| {
         for (p, msg) in inbox.iter().enumerate() {
             if let Some(msg) = msg {
                 *tok = tok.wrapping_add(msg[0]).rotate_left((p as u32 + msg[1] as u32) % 63 + 1);

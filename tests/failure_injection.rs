@@ -62,7 +62,7 @@ fn failed_routing_is_detected_and_reported() {
     let g = gen::path(50);
     let members: Vec<usize> = (0..50).collect();
     // starve the routing of steps: failure must be visible, not silent
-    let out = routing::random_walk_routing(&g, &members, 0, 10, &mut rng);
+    let out = routing::charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 10, &mut rng, None, false).0;
     assert!(failure::routing_failure_detected(&out));
     assert!(out.delivered < out.total);
 }

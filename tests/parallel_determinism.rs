@@ -78,9 +78,8 @@ fn walk_routing_thread_invariant() {
     let counts: Vec<usize> = (0..g.n()).map(|v| 1 + v % 3).collect();
     assert_invariant(|exec| {
         let mut rng = gen::seeded_rng(0xA12);
-        let out = routing::random_walk_routing_with_counts_exec(
-            &g, &members, 0, &counts, 200_000, &mut rng, exec,
-        );
+        let walk = routing::ClusterWalk { sub: &g, map: &members, leader_local: 0, counts: &counts };
+        let (out, _) = routing::charged_walks(&g, &[walk], 200_000, &mut rng, None, false, exec).remove(0);
         assert!(out.complete());
         out
     });
@@ -96,8 +95,8 @@ fn message_faithful_walk_thread_invariant() {
     assert_batch_invariant(&[0xA13, 0xA16, 0xA17], |seed| {
         let mut rng = gen::seeded_rng(seed);
         let mut net = Network::new(&g, Model::congest());
-        let (out, rstats) =
-            routing::network_walk_routing(&mut net, &members, 3, 100_000, &mut rng);
+        let ones = vec![1; members.len()];
+        let (out, rstats) = routing::network_walk_routing_with_counts(&mut net, &members, 3, &ones, 100_000, &mut rng);
         (out, rstats, net.stats())
     });
 }

@@ -4,7 +4,7 @@
 use locongest::core::apps::{corrclust, ldd, maxis, mcm, mwm, property_testing};
 use locongest::congest::{ExecConfig, FaultPlan};
 use locongest::core::framework::{run_framework, run_framework_on, FrameworkConfig, FrameworkOutcome};
-use locongest::expander::decomp;
+use locongest::expander::decomp::{self, Threshold};
 use locongest::graph::{gen, Graph};
 use locongest::solvers;
 
@@ -285,7 +285,8 @@ fn run_framework_on_the_same_decomposition_is_run_framework() {
                     };
                     let case = format!("{name} faithful={faithful} faults={} threads={threads}", faults.is_some());
                     let whole = run_framework(&g, &cfg);
-                    let d = decomp::decompose_adaptive(&g, cfg.epsilon / cfg.density_bound);
+                    let eps_prime = cfg.epsilon / cfg.density_bound;
+                    let d = decomp::decompose(&g, eps_prime, Threshold::Adaptive, ExecConfig::sequential());
                     let split = run_framework_on(&g, d, &cfg);
                     assert_eq!(split.stats, whole.stats, "{case}");
                     assert_eq!(split.phases, whole.phases, "{case}");
@@ -339,7 +340,7 @@ fn run_framework_on_the_paper_decomposition_reproduces_e14() {
     let mut rng = gen::seeded_rng(0xE14);
     let g = gen::stacked_triangulation(150, &mut rng);
     let cfg = FrameworkConfig::planar(0.3, 5);
-    let paper = decomp::decompose(&g, cfg.epsilon / cfg.density_bound);
+    let paper = decomp::decompose(&g, cfg.epsilon / cfg.density_bound, Threshold::WorstCase, cfg.exec);
     let out = run_framework_on(&g, paper, &cfg);
     assert_eq!(
         (out.clusters.len(), out.cut_edges(), out.stats.rounds, out.phases.gathering),
@@ -350,6 +351,6 @@ fn run_framework_on_the_paper_decomposition_reproduces_e14() {
 #[test]
 #[should_panic(expected = "decomposition is not of this graph")]
 fn run_framework_on_rejects_another_graphs_decomposition() {
-    let d = decomp::decompose_adaptive(&gen::cycle(12), 0.1);
+    let d = decomp::decompose(&gen::cycle(12), 0.1, Threshold::Adaptive, ExecConfig::sequential());
     let _ = run_framework_on(&gen::cycle(16), d, &FrameworkConfig::planar(0.3, 5));
 }

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use locongest::expander::{conductance, decomp, routing, sweep};
+use locongest::congest::ExecConfig;
+use locongest::expander::decomp::{self, Threshold};
+use locongest::expander::{conductance, routing, sweep};
 use locongest::graph::{gen, minor, planarity, Graph, GraphBuilder};
 use locongest::solvers::{corrclust, ldd, matching, mis, mwm, star_elim};
 
@@ -37,7 +39,7 @@ proptest! {
 
     #[test]
     fn decomposition_invariants(g in planar_graph(), eps in 0.05f64..0.5) {
-        let d = decomp::decompose(&g, eps);
+        let d = decomp::decompose(&g, eps, Threshold::WorstCase, ExecConfig::sequential());
         prop_assert!(d.validate(&g).is_ok());
         prop_assert!(d.cut_fraction(&g) <= eps + 1e-9);
     }
@@ -57,7 +59,7 @@ proptest! {
         let g = gen::stacked_triangulation(n, &mut rng);
         let members: Vec<usize> = (0..n).collect();
         let leader = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
-        let out = routing::random_walk_routing(&g, &members, leader, 1_000_000, &mut rng);
+        let out = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut rng, None, false).0;
         prop_assert!(out.complete());
         prop_assert_eq!(out.total, n);
         let det = routing::tree_routing(&g, &members, leader);
