@@ -29,7 +29,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let leader = n - 1; // the hub (max degree, as the framework elects)
         let spec = spectral::lambda2(&g, 1e-8, 5_000);
         let phi = spec.conductance_lower_bound().max(1e-6);
-        let out = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let out = routing::charged_walk_routing(&g, &members, leader, &ones, 10_000_000, &mut rng, None, false).0;
         assert!(out.complete(), "routing failed on wheel {n}");
         let logn = (n as f64).log2();
         let bound = logn.powi(3) / phi.powi(4);
@@ -66,7 +67,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                     .count()
             })
             .unwrap();
-        let out = routing::charged_walk_routing(&g, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng, None, false).0;
+        let ones = vec![1; c.members.len()];
+        let out = routing::charged_walk_routing(&g, &c.members, leader, &ones, 10_000_000, &mut rng, None, false).0;
         t2.row(cells!(
             n,
             c.members.len(),

@@ -30,10 +30,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let g = wheel(n);
         let members: Vec<usize> = (0..n).collect();
         let leader = n - 1;
-        let charged = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let charged = routing::charged_walk_routing(&g, &members, leader, &ones, 10_000_000, &mut rng, None, false).0;
         let mut net = Network::new(&g, Model::congest());
-        let (real, stats) =
-            routing::network_walk_routing_with_counts(&mut net, &members, leader, &vec![1; members.len()], 10_000_000, &mut rng);
+        let (real, stats) = routing::network_walk_routing_with_counts(&mut net, &members, leader, &ones, 10_000_000, &mut rng);
         assert!(charged.complete() && real.complete());
         t.row(cells!(
             "wheel",
@@ -58,10 +58,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 .count()
         })
         .unwrap();
-    let charged = routing::charged_walk_routing(&g, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng, None, false).0;
+    let ones = vec![1; c.members.len()];
+    let charged = routing::charged_walk_routing(&g, &c.members, leader, &ones, 10_000_000, &mut rng, None, false).0;
     let mut net = Network::new(&g, Model::congest());
-    let (real, stats) =
-        routing::network_walk_routing_with_counts(&mut net, &c.members, leader, &vec![1; c.members.len()], 10_000_000, &mut rng);
+    let (real, stats) = routing::network_walk_routing_with_counts(&mut net, &c.members, leader, &ones, 10_000_000, &mut rng);
     t.row(cells!(
         "planar cluster",
         c.members.len(),

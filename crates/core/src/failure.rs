@@ -189,10 +189,11 @@ mod tests {
         let g = gen::path(30);
         let members: Vec<usize> = (0..30).collect();
         // too few steps: routing must report failure
-        let out = lcg_expander::routing::charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 3, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let out = lcg_expander::routing::charged_walk_routing(&g, &members, 0, &ones, 3, &mut rng, None, false).0;
         assert!(routing_failure_detected(&out));
         // plenty of steps: success
-        let out = lcg_expander::routing::charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 500_000, &mut rng, None, false).0;
+        let out = lcg_expander::routing::charged_walk_routing(&g, &members, 0, &ones, 500_000, &mut rng, None, false).0;
         assert!(!routing_failure_detected(&out));
     }
 }

@@ -736,7 +736,10 @@ impl Ports {
             ports.extend((0..row.len() as u32).filter(|&p| local[row[p as usize] as usize] != u32::MAX));
             offsets.push(ports.len() as u32);
         }
-        assert!(g.induced_subgraph(members).0.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
+        assert!(
+            g.induced_subgraph(members).0.is_connected(),
+            "network_walk_routing_with_counts needs a connected cluster"
+        );
         Ports { cluster, local, offsets, ports }
     }
 }
@@ -751,7 +754,8 @@ mod tests {
         let mut rng = gen::seeded_rng(130);
         let g = gen::complete(20);
         let members: Vec<usize> = (0..20).collect();
-        let out = charged_walk_routing(&g, &members, 3, &vec![1; members.len()], 10_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let out = charged_walk_routing(&g, &members, 3, &ones, 10_000, &mut rng, None, false).0;
         assert!(out.complete(), "{out:?}");
         assert_eq!(out.total, 20);
         assert!(out.rounds >= out.steps as u64);
@@ -763,7 +767,8 @@ mod tests {
         let g = gen::grid(6, 6);
         // cluster = first two rows
         let members: Vec<usize> = (0..12).collect();
-        let out = charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 100_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let out = charged_walk_routing(&g, &members, 0, &ones, 100_000, &mut rng, None, false).0;
         assert!(out.complete());
     }
 
@@ -1503,7 +1508,8 @@ mod tests {
         let g = gen::complete(16);
         let members: Vec<usize> = (0..16).collect();
         let mut net = Network::new(&g, Model::congest());
-        let (out, stats) = network_walk_routing_with_counts(&mut net, &members, 3, &vec![1; members.len()], 100_000, &mut rng);
+        let ones = vec![1; members.len()];
+        let (out, stats) = network_walk_routing_with_counts(&mut net, &members, 3, &ones, 100_000, &mut rng);
         assert!(out.complete(), "{out:?}");
         assert_eq!(out.total, 16);
         // every message really fit the CONGEST budget
@@ -1521,7 +1527,8 @@ mod tests {
         // cluster = left 3 columns
         let members: Vec<usize> = (0..24).filter(|v| v % 6 < 3).collect();
         let mut net = Network::new(&g, Model::congest());
-        let (out, _) = network_walk_routing_with_counts(&mut net, &members, 0, &vec![1; members.len()], 200_000, &mut rng);
+        let ones = vec![1; members.len()];
+        let (out, _) = network_walk_routing_with_counts(&mut net, &members, 0, &ones, 200_000, &mut rng);
         assert!(out.complete());
     }
 
@@ -1533,9 +1540,10 @@ mod tests {
         gen::stacked_triangulation(100, &mut rng);
         let g = gen::complete(24);
         let members: Vec<usize> = (0..24).collect();
-        let charged = charged_walk_routing(&g, &members, 0, &vec![1; members.len()], 100_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let charged = charged_walk_routing(&g, &members, 0, &ones, 100_000, &mut rng, None, false).0;
         let mut net = Network::new(&g, Model::congest());
-        let (real, _) = network_walk_routing_with_counts(&mut net, &members, 0, &vec![1; members.len()], 100_000, &mut rng);
+        let (real, _) = network_walk_routing_with_counts(&mut net, &members, 0, &ones, 100_000, &mut rng);
         assert!(charged.complete() && real.complete());
         // both cost within a small factor of each other (same mechanism,
         // independent randomness; sync rounds add ~1 per step)

@@ -4,8 +4,7 @@
 //! settled on, and every larger candidate threshold really exceeds the ε
 //! budget ("the largest φ that fits"). The fingerprints at the bottom pin
 //! the output on the repo benchmark's instance graphs in two parts, both
-//! blessed from the division-per-non-zero power iteration (PR 22's tree):
-//! the structure — clustering, cut, exact and sweep certificates — bit for
+//! blessed from the division-per-non-zero power iteration: the structure — clustering, cut, exact and sweep certificates — bit for
 //! bit, and the spectral estimates as decimals, so re-associating the
 //! iteration's arithmetic may move the latter's last bits and nothing
 //! else. Both hold at 1, 2 and 4 threads: a threaded decomposition returns,

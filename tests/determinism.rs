@@ -91,8 +91,9 @@ fn routing_is_rng_deterministic() {
     let leader = (0..80).max_by_key(|&v| g.degree(v)).unwrap();
     let mut w1 = gen::seeded_rng(99);
     let mut w2 = gen::seeded_rng(99);
-    let a = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut w1, None, false).0;
-    let b = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut w2, None, false).0;
+    let ones = vec![1; members.len()];
+    let a = routing::charged_walk_routing(&g, &members, leader, &ones, 1_000_000, &mut w1, None, false).0;
+    let b = routing::charged_walk_routing(&g, &members, leader, &ones, 1_000_000, &mut w2, None, false).0;
     assert_eq!(a, b);
 }
 

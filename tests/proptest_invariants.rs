@@ -59,7 +59,8 @@ proptest! {
         let g = gen::stacked_triangulation(n, &mut rng);
         let members: Vec<usize> = (0..n).collect();
         let leader = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
-        let out = routing::charged_walk_routing(&g, &members, leader, &vec![1; members.len()], 1_000_000, &mut rng, None, false).0;
+        let ones = vec![1; members.len()];
+        let out = routing::charged_walk_routing(&g, &members, leader, &ones, 1_000_000, &mut rng, None, false).0;
         prop_assert!(out.complete());
         prop_assert_eq!(out.total, n);
         let det = routing::tree_routing(&g, &members, leader);
