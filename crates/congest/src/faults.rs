@@ -131,18 +131,6 @@ impl FaultPlan {
             && self.truncate_words.is_none()
     }
 
-    /// `true` when `node` is crashed in `round`.
-    pub fn node_crashed(&self, node: usize, round: u64) -> bool {
-        self.crashes.iter().any(|c| c.node == node && c.at_round <= round)
-    }
-
-    /// `true` when `edge` is down in `round`.
-    pub fn edge_down(&self, edge: usize, round: u64) -> bool {
-        self.link_failures
-            .iter()
-            .any(|l| l.edge == edge && l.from_round <= round && round < l.until_round)
-    }
-
     /// The i.i.d. drop coin for one message: a ChaCha8 stream is seeded
     /// from `(seed, round, edge)` and the direction selects which of its
     /// first two words is compared against the probability threshold. A
@@ -159,17 +147,6 @@ impl FaultPlan {
         let forward = stream.next_u64();
         let word = if reverse_dir { stream.next_u64() } else { forward };
         word < drop_threshold(self.drop_prob)
-    }
-
-    /// Combined verdict for a single message crossing `edge` from `from`
-    /// to `to` in `round`: `true` when the message is lost. Used by the
-    /// charged (non-message-faithful) routing walks, which never enter a
-    /// `Network` but must suffer the same schedule.
-    pub fn kills_message(&self, round: u64, edge: usize, from: usize, to: usize) -> bool {
-        self.node_crashed(from, round)
-            || self.node_crashed(to, round)
-            || self.edge_down(edge, round)
-            || self.drops_message(round, edge, from > to)
     }
 }
 
@@ -196,9 +173,12 @@ pub(crate) enum FaultVerdict {
 
 /// A plan compiled against one topology: crash rounds indexed by vertex
 /// and down-intervals indexed by edge, so the per-message verdict is O(1)
-/// plus one keyed stream when `drop_prob > 0`.
+/// plus one keyed stream when `drop_prob > 0`. The one interpreter of a
+/// [`FaultPlan`]: a [`crate::Network`] compiles the plan it is given, and
+/// so do the charged routing walks, which never enter a network but must
+/// suffer the same schedule ([`FaultState::kills`]).
 #[derive(Debug, Clone)]
-pub(crate) struct FaultState {
+pub struct FaultState {
     plan: FaultPlan,
     /// `crashed_at[v]`: earliest crash round of `v`, `u64::MAX` if never.
     crashed_at: Vec<u64>,
@@ -213,7 +193,7 @@ impl FaultState {
     ///
     /// Panics when the plan references a vertex `>= n`, an edge `>= m`,
     /// or a drop probability outside `[0, 1]`.
-    pub(crate) fn compile(plan: FaultPlan, n: usize, m: usize) -> FaultState {
+    pub fn compile(plan: FaultPlan, n: usize, m: usize) -> FaultState {
         assert!(
             (0.0..=1.0).contains(&plan.drop_prob),
             "drop probability must be in [0, 1]"
@@ -254,6 +234,13 @@ impl FaultState {
         }
         FaultVerdict::Deliver
     }
+
+    /// `true` when the message from `from` to `to` over `edge` in `round`
+    /// is lost, whatever the cause: the delivery sweep's verdict
+    /// (`classify`) is not `Deliver`.
+    pub fn kills(&self, round: u64, edge: usize, from: usize, to: usize) -> bool {
+        self.classify(round, edge, from, to) != FaultVerdict::Deliver
+    }
 }
 
 #[cfg(test)]
@@ -264,11 +251,12 @@ mod tests {
     fn vacuous_plan_never_drops() {
         let plan = FaultPlan::none();
         assert!(plan.is_vacuous());
+        let fs = FaultState::compile(plan.clone(), 2, 50);
         for round in 0..50 {
             for edge in 0..50 {
                 assert!(!plan.drops_message(round, edge, false));
                 assert!(!plan.drops_message(round, edge, true));
-                assert!(!plan.kills_message(round, edge, 0, 1));
+                assert!(!fs.kills(round, edge, 0, 1));
             }
         }
     }
@@ -340,11 +328,11 @@ mod tests {
 
     #[test]
     fn link_intervals_are_half_open() {
-        let plan = FaultPlan::none().with_link_failure(0, 3, 6);
-        assert!(!plan.edge_down(0, 2));
-        assert!(plan.edge_down(0, 3));
-        assert!(plan.edge_down(0, 5));
-        assert!(!plan.edge_down(0, 6));
+        let fs = FaultState::compile(FaultPlan::none().with_link_failure(0, 3, 6), 2, 1);
+        assert!(!fs.kills(2, 0, 0, 1));
+        assert!(fs.kills(3, 0, 0, 1));
+        assert!(fs.kills(5, 0, 0, 1));
+        assert!(!fs.kills(6, 0, 0, 1));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use executor::ExecConfig;
-pub use faults::{FaultPlan, LinkFailure, NodeCrash};
+pub use faults::{FaultPlan, FaultState, LinkFailure, NodeCrash};
 pub use model::Model;
 pub use msg::{Msg, INLINE_WORDS};
 pub use network::{Inbox, Network, Outbox};

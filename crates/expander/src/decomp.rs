@@ -179,8 +179,8 @@ pub enum Threshold {
     /// `φ = ε / (4·log₂(m) + 4)`, the `φ = Ω(ε / log n)` scale that is
     /// existentially optimal (§2 of the paper). The standard charging
     /// argument bounds the cut edges: every split removes at most
-    /// `φ · min-side-volume` edges, and a vertex's volume can be on the
-    /// smaller side at most `log₂(vol)` times, so the total is at most
+    /// `φ · vol(smaller side)` edges, and a vertex can be on the smaller
+    /// side at most `log₂(vol)` times, so the total is at most
     /// `φ · vol(G) · log₂(vol(G)) / 2 ≤ ε·|E|`.
     WorstCase,
     /// This threshold: split along any sweep cut of conductance below it.

@@ -40,7 +40,7 @@
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use lcg_congest::{ExecConfig, FaultPlan, Network, RoundStats};
+use lcg_congest::{ExecConfig, FaultPlan, FaultState, Network, RoundStats};
 use lcg_graph::Graph;
 
 /// Outcome of a routing execution, in CONGEST-round currency.
@@ -184,7 +184,7 @@ struct Walk<'a> {
     /// `map[local] = host` vertex (fault coins key on host ids).
     map: &'a [usize],
     leader_local: usize,
-    faults: Option<&'a FaultPlan>,
+    faults: Option<&'a FaultState>,
     /// Host edge id per sub edge; empty without a fault plan.
     host_edge: &'a [usize],
     /// The walk's master seed: token `t` draws from
@@ -226,7 +226,7 @@ impl Walk<'_> {
         // still charges it); the plan decides the token's survival, keyed
         // by the 0-based walk step
         let killed = self.faults.is_some_and(|f| {
-            moves == 1 && f.kills_message((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
+            moves == 1 && f.kills((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
         });
         if killed {
             return Fate::Destroyed;
@@ -357,19 +357,20 @@ impl EdgeTally {
 /// token crossed, sorted by edge id; each crossing is one 2-word message,
 /// so `words = 2 · crossings`. Without it the returned list is empty.
 ///
-/// Under `faults`, each crossing of host edge `e` in walk step `s` is
-/// adjudicated by `faults.kills_message(s, e, from, to)` — a killed token
-/// still consumed the edge's bandwidth (the crossing is charged and, when
-/// tracked, tallied) but the token is destroyed, so the outcome can come
-/// back incomplete and `routing_failure_detected` fires. Trajectories are
-/// bit-identical to the fault-free walk; only token survival differs.
-/// The fault coins are keyed by `(step, edge)`, exactly as in the
-/// simulator's delivery paths.
+/// Under `faults`, the plan is compiled against `g` and each crossing of
+/// host edge `e` in walk step `s` is adjudicated by
+/// [`FaultState::kills`]`(s, e, from, to)` — the verdict the simulator's
+/// delivery paths reach, with the coins keyed by `(step, edge)`. A killed
+/// token still consumed the edge's bandwidth (the crossing is charged and,
+/// when tracked, tallied) but the token is destroyed, so the outcome can
+/// come back incomplete and `routing_failure_detected` fires. Trajectories
+/// are bit-identical to the fault-free walk; only token survival differs.
 ///
 /// # Panics
 ///
 /// Panics if `counts.len() != members.len()`, a member repeats, the leader
-/// is not a member, or `G[members]` is disconnected.
+/// is not a member, `G[members]` is disconnected, or `faults` names a
+/// vertex or edge `g` lacks.
 #[expect(clippy::too_many_arguments, reason = "the walk's inputs and its three run options, each a plain value")]
 pub fn charged_walk_routing(
     g: &Graph,
@@ -410,12 +411,15 @@ pub struct ClusterWalk<'a> {
 /// calls make — then each cluster's walk through [`ExecConfig::map`],
 /// weighted by its token count. Outcomes and host-edge loads come back in
 /// slice order and equal those successive calls' at every thread count;
-/// `max_steps`, `faults` and `track_edges` are as there, per walk.
+/// `max_steps`, `faults` and `track_edges` are as there, per walk; the
+/// plan is compiled once per call.
 ///
 /// # Panics
 ///
 /// Panics if a walk's `counts.len() != sub.n()`, its `leader_local` is not
-/// a vertex of `sub`, or its `sub` is disconnected.
+/// a vertex of `sub`, or its `sub` is disconnected, and where
+/// [`FaultState::compile`] does: when `faults` names a vertex or edge `g`
+/// lacks.
 pub fn charged_walks(
     g: &Graph,
     walks: &[ClusterWalk<'_>],
@@ -425,11 +429,12 @@ pub fn charged_walks(
     track_edges: bool,
     exec: ExecConfig,
 ) -> Vec<(RoutingOutcome, Vec<(usize, u64)>)> {
+    let faults = faults.map(|plan| FaultState::compile(plan.clone(), g.n(), g.m()));
     let seeded: Vec<(&ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
     exec.map(
         &seeded,
         |(w, _)| w.counts.iter().sum::<usize>() as u64,
-        |&(w, master)| walk_cluster(g, w, master, max_steps, faults, track_edges),
+        |&(w, master)| walk_cluster(g, w, master, max_steps, faults.as_ref(), track_edges),
     )
 }
 
@@ -439,7 +444,7 @@ fn walk_cluster(
     w: &ClusterWalk<'_>,
     master: u64,
     max_steps: usize,
-    faults: Option<&FaultPlan>,
+    faults: Option<&FaultState>,
     track_edges: bool,
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
     let ClusterWalk { sub, map, leader_local, counts } = *w;
@@ -967,7 +972,8 @@ mod tests {
                 let k = tok.rng.gen_range(0..sub.degree(tok.pos));
                 let (w, e) = (sub.neighbor_row(tok.pos)[k] as usize, sub.edge_id_row(tok.pos)[k]);
                 crossed.push(e);
-                if faults.is_some_and(|f| f.kills_message((steps - 1) as u64, host_edge[e as usize], map[tok.pos], map[w])) {
+                let (round, edge, from, to) = ((steps - 1) as u64, host_edge[e as usize], map[tok.pos], map[w]);
+                if faults.is_some_and(|f| kills_by_plan(f, round, edge, from, to)) {
                     return false;
                 }
                 tok.pos = w;
@@ -986,6 +992,15 @@ mod tests {
         loads.sort_unstable();
         let outcome = RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
         (outcome, loads, token_steps)
+    }
+
+    /// The plan's verdict read off its lists, independently of the compiled
+    /// [`FaultState`]: a crash of either endpoint, then a down link, then
+    /// the keyed coin.
+    fn kills_by_plan(f: &FaultPlan, round: u64, edge: usize, from: usize, to: usize) -> bool {
+        f.crashes.iter().any(|c| (c.node == from || c.node == to) && c.at_round <= round)
+            || f.link_failures.iter().any(|l| l.edge == edge && l.from_round <= round && round < l.until_round)
+            || f.drops_message(round, edge, from > to)
     }
 
     /// [`route`]'s triple from the reference walk.
@@ -1057,7 +1072,7 @@ mod tests {
             leader_pick in 0usize..1_000,
             count_mod in 1usize..4,
             cap_pick in 0usize..7,
-            plan_pick in 0usize..4,
+            plan_pick in 0usize..5,
             drop_prob in 0.0f64..0.3,
             track_edges in proptest::prelude::any::<bool>(),
         ) {
@@ -1085,6 +1100,8 @@ mod tests {
                 Some(FaultPlan::none()),
                 Some(FaultPlan::drops(seed, drop_prob)),
                 Some(FaultPlan::none().with_link_failure(inside, WINDOW as u64 - 3, WINDOW as u64 + 5)),
+                // a member other than the leader crashing a few steps in
+                Some(FaultPlan::none().with_crash(members[(leader_pick + 1) % members.len()], 3)),
             ];
             let faults = plans[plan_pick].as_ref();
             let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);

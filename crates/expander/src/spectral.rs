@@ -35,11 +35,6 @@ impl Spectral {
         (self.lambda2 / 2.0).max(0.0)
     }
 
-    /// Cheeger upper bound `Φ(G) ≤ √(2 λ₂)`.
-    pub fn conductance_upper_bound(&self) -> f64 {
-        (2.0 * self.lambda2.max(0.0)).sqrt()
-    }
-
     /// The sweep ordering values `y_v = x_v / √deg(v)`.
     pub fn sweep_values(&self, g: &Graph) -> Vec<f64> {
         self.eigenvector
@@ -297,12 +292,8 @@ mod tests {
                 s.conductance_lower_bound(),
                 phi
             );
-            assert!(
-                s.conductance_upper_bound() >= phi - 1e-6,
-                "upper {} < phi {}",
-                s.conductance_upper_bound(),
-                phi
-            );
+            let upper = (2.0 * s.lambda2.max(0.0)).sqrt(); // Φ(G) ≤ √(2 λ₂)
+            assert!(upper >= phi - 1e-6, "upper {upper} < phi {phi}");
         }
     }
 

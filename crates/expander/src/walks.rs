@@ -4,8 +4,8 @@
 //! ½ Σ_{w∈N(u)} p_{i-1}(w)/deg(w)` with stationary distribution
 //! `π(u) = deg(u)/vol(V)` and mixing time `τ_mix = min { t :
 //! |p_t^v(u) − π(u)| ≤ π(u)/n ∀u,v }`, and uses the sandwich
-//! `Θ(1/Φ) ≤ τ_mix ≤ Θ(log n / Φ²)`. This module computes walk
-//! distributions exactly (dense iteration) and measures τ_mix.
+//! `Θ(1/Φ) ≤ τ_mix ≤ Θ(log n / Φ²)`. This module steps walk distributions
+//! exactly ([`lazy_step`], a dense iteration) and measures τ_mix from them.
 
 use lcg_graph::Graph;
 
@@ -32,16 +32,6 @@ pub fn lazy_step(g: &Graph, p: &[f64]) -> Vec<f64> {
         out[u] = acc;
     }
     out
-}
-
-/// Walk distribution after `t` lazy steps from `start`.
-pub fn walk_distribution(g: &Graph, start: usize, t: usize) -> Vec<f64> {
-    let mut p = vec![0.0; g.n()];
-    p[start] = 1.0;
-    for _ in 0..t {
-        p = lazy_step(g, &p);
-    }
-    p
 }
 
 /// Is `p` mixed in the paper's sense (`|p(u) − π(u)| ≤ π(u)/n` for all u)?
@@ -96,7 +86,9 @@ mod tests {
     #[test]
     fn lazy_step_preserves_mass() {
         let g = gen::cycle(7);
-        let p = walk_distribution(&g, 0, 13);
+        let mut p = vec![0.0; g.n()];
+        p[0] = 1.0;
+        (0..13).for_each(|_| p = lazy_step(&g, &p));
         let s: f64 = p.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
     }

@@ -291,11 +291,6 @@ impl Graph {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Sum of degrees of the vertices in `set` (the paper's `vol(S)`).
-    pub fn volume<I: IntoIterator<Item = usize>>(&self, set: I) -> usize {
-        set.into_iter().map(|v| self.degree(v)).sum()
-    }
-
     /// Iterator over `(neighbor, edge_id)` pairs of `v`, sorted by neighbor.
     #[inline]
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -512,21 +507,6 @@ impl Graph {
         Some(lower)
     }
 
-    /// Lower bound on the diameter from a double BFS sweep. Cheap
-    /// (two BFS traversals); exact on trees.
-    pub fn diameter_lower_bound(&self) -> usize {
-        if self.n == 0 {
-            return 0;
-        }
-        let d0 = self.bfs_distances(0);
-        let far = (0..self.n)
-            .filter(|&v| d0[v] != usize::MAX)
-            .max_by_key(|&v| d0[v])
-            .unwrap_or(0);
-        let d1 = self.bfs_distances(far);
-        d1.iter().filter(|&&x| x != usize::MAX).copied().max().unwrap_or(0)
-    }
-
     /// Eccentricity of `v` within its connected component.
     pub fn eccentricity(&self, v: usize) -> usize {
         self.bfs_into(v, &mut vec![usize::MAX; self.n], &mut Vec::new())
@@ -573,16 +553,6 @@ impl Graph {
             })
             .collect();
         derive(self.n, picks, self.weights.as_deref(), self.labels.as_deref())
-    }
-
-    /// Graph with the listed edges removed (vertex set unchanged).
-    pub fn remove_edges(&self, removed: &[usize]) -> Graph {
-        let mut keep = vec![true; self.m()];
-        for &e in removed {
-            keep[e] = false;
-        }
-        let ids: Vec<usize> = (0..self.m()).filter(|&e| keep[e]).collect();
-        self.edge_subgraph(&ids)
     }
 
     /// Degeneracy ordering: repeatedly remove a minimum-degree vertex.
@@ -822,7 +792,6 @@ mod tests {
         let d = g.bfs_distances(0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(g.diameter(), Some(5));
-        assert_eq!(g.diameter_lower_bound(), 5);
         assert_eq!(g.eccentricity(2), 3);
     }
 
@@ -857,14 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_edges_removes() {
-        let g = path(4);
-        let h = g.remove_edges(&[1]);
-        assert_eq!(h.m(), 2);
-        assert!(!h.has_edge(1, 2));
-    }
-
-    #[test]
     fn boundary_of_prefix() {
         let g = path(5);
         let in_set = vec![true, true, false, false, false];
@@ -890,13 +851,6 @@ mod tests {
         let (order, d) = b.build().degeneracy_ordering();
         assert_eq!(order.len(), 5);
         assert_eq!(d, 4);
-    }
-
-    #[test]
-    fn volume_counts_degrees() {
-        let g = path(4);
-        assert_eq!(g.volume(0..4), 2 * g.m());
-        assert_eq!(g.volume([1, 2]), 4);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 // P001 (DESIGN §7): library code states an invariant with `expect`.
 #![warn(clippy::unwrap_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
-pub mod arboricity;
 pub mod gen;
 mod graph;
 pub mod io;

@@ -1,6 +1,6 @@
 //! Exact maximum-weight independent set by dynamic programming over a
-//! vertex order — the middle stage of `treedp::{mis_auto, mwis_auto}`,
-//! between the width-bounded tree DP and branch-and-bound.
+//! vertex order — the middle stage of `treedp::mis_auto`, between the
+//! width-bounded tree DP and branch-and-bound.
 //!
 //! A vertex order is a path decomposition. Process the vertices in order
 //! and keep, as the state, which vertices of the *frontier* (processed

@@ -1,16 +1,13 @@
-//! Sequential low-diameter decompositions (paper §3.5).
+//! Sequential low-diameter decomposition (paper §3.5).
 //!
-//! Two algorithms with the two guarantees the experiments compare:
-//!
-//! * [`ball_growing_ldd`] — exponential-shift ball growing: strong-diameter
-//!   clusters of radius `O(log n / ε)` with expected cut fraction `≤ ε`.
-//!   This is the *general-graph* guarantee, the baseline of Experiment E9.
-//! * [`layered_ldd`] — KPR-style iterated BFS-band chopping (Klein–
-//!   Plotkin–Rao \[68\], Fakcharoenphol–Talwar \[40\], Abraham et al. \[1\]):
-//!   for H-minor-free graphs, `r` chopping iterations with band width
-//!   `Θ(r/ε)` give diameter `O(r²/ε)` — `O(1/ε)` with the constant
-//!   depending only on H — and expected cut fraction ≤ ε. This is the
-//!   algorithm cluster leaders run in Theorem 1.5.
+//! [`layered_ldd`] is KPR-style iterated BFS-band chopping (Klein–
+//! Plotkin–Rao \[68\], Fakcharoenphol–Talwar \[40\], Abraham et al. \[1\]):
+//! for H-minor-free graphs, `r` chopping iterations with band width
+//! `Θ(r/ε)` give diameter `O(r²/ε)` — `O(1/ε)` with the constant depending
+//! only on H — and expected cut fraction ≤ ε. Cluster leaders run it in
+//! Theorem 1.5 through [`minor_free_ldd`]. The general-graph baseline of
+//! Experiment E9, exponential-shift ball growing (MPX), is distributed:
+//! `lcg_expander::distributed::mpx_clustering`.
 
 use lcg_graph::Graph;
 use rand::Rng;
@@ -38,8 +35,8 @@ impl Ldd {
     }
 
     /// Maximum strong diameter over clusters (∞ ⇒ `usize::MAX` should not
-    /// occur: clusters are connected by construction for both algorithms
-    /// after componentization).
+    /// occur: clusters are connected by construction after
+    /// componentization).
     pub fn max_diameter(&self, g: &Graph) -> usize {
         let mut members: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
         for (v, &c) in self.cluster_of.iter().enumerate() {
@@ -82,55 +79,6 @@ impl Ldd {
         self.k = next;
         self
     }
-}
-
-/// Exponential-shift ball growing (sequential MPX): every vertex draws a
-/// geometric delay with parameter `eps / 2`; each vertex joins the
-/// shifted-BFS wave reaching it first.
-///
-/// Guarantees: cut fraction ≤ ε in expectation, strong cluster diameter
-/// `O(log n / ε)` w.h.p.
-pub fn ball_growing_ldd(g: &Graph, eps: f64, rng: &mut impl Rng) -> Ldd {
-    assert!(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1]");
-    let n = g.n();
-    if n == 0 {
-        return Ldd { cluster_of: Vec::new(), k: 0 };
-    }
-    let beta = (eps / 2.0).min(0.9);
-    let cap = ((n.max(2) as f64).ln() / beta).ceil() as usize * 2 + 2;
-    let start: Vec<usize> = (0..n)
-        .map(|_| {
-            let mut d = 0usize;
-            while d < cap && !rng.gen_bool(beta) {
-                d += 1;
-            }
-            cap - d
-        })
-        .collect();
-    // Dijkstra-like multi-source wave: key = start[v] + dist
-    let mut key = vec![usize::MAX; n];
-    let mut owner = vec![usize::MAX; n];
-    let mut heap = std::collections::BinaryHeap::new();
-    for (v, &s) in start.iter().enumerate().take(n) {
-        heap.push(std::cmp::Reverse((s, v, v)));
-    }
-    while let Some(std::cmp::Reverse((k, c, v))) = heap.pop() {
-        if owner[v] != usize::MAX {
-            continue;
-        }
-        owner[v] = c;
-        key[v] = k;
-        for u in g.neighbor_vertices(v) {
-            if owner[u] == usize::MAX {
-                heap.push(std::cmp::Reverse((k + 1, c, u)));
-            }
-        }
-    }
-    Ldd {
-        cluster_of: owner,
-        k: 0,
-    }
-    .componentize(g)
 }
 
 /// KPR-style decomposition: `iterations` rounds of BFS-layer chopping with
@@ -188,54 +136,6 @@ pub fn layered_ldd(g: &Graph, width: usize, iterations: usize, rng: &mut impl Rn
     .componentize(g)
 }
 
-/// Weighted low-diameter decomposition (the Czygrinow–Hańćkowiak–
-/// Wawrzyniak guarantee mentioned in §1.1 / Theorem 1.5's related work):
-/// the *weight* of inter-cluster edges is at most an ε fraction of the
-/// total edge weight, with diameter still `O(1/ε)` (hop diameter — the
-/// chopping is hop-based; weights only steer which bands get re-chopped).
-///
-/// Implementation: run [`layered_ldd`] with independent random offsets
-/// `retries` times and keep the decomposition with the lightest cut.
-/// Each run cuts ≤ ε of the *weight* in expectation (each edge is cut
-/// with probability ≤ ε independently of its weight, because band
-/// boundaries are uniformly shifted), so the best-of-k concentrates well
-/// below ε.
-pub fn weighted_minor_free_ldd(g: &Graph, eps: f64, retries: usize, rng: &mut impl Rng) -> Ldd {
-    assert!(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1]");
-    assert!(retries >= 1, "need at least one attempt");
-    let iterations = 3;
-    let width = ((2 * iterations) as f64 / eps).ceil() as usize;
-    let total_w = g.total_weight().max(1);
-    let cut_weight = |ldd: &Ldd| -> u64 {
-        g.edges()
-            .filter(|&(_, u, v)| ldd.cluster_of[u] != ldd.cluster_of[v])
-            .map(|(e, _, _)| g.weight(e))
-            .sum()
-    };
-    let mut best: Option<(u64, Ldd)> = None;
-    for _ in 0..retries {
-        let cand = layered_ldd(g, width, iterations, rng);
-        let w = cut_weight(&cand);
-        if best.as_ref().is_none_or(|(bw, _)| w < *bw) {
-            best = Some((w, cand));
-        }
-        if let Some((bw, _)) = &best {
-            if (*bw as f64) <= eps * total_w as f64 / 2.0 {
-                break; // already comfortably inside budget
-            }
-        }
-    }
-    best.expect("retries >= 1").1
-}
-
-/// Weight of the inter-cluster edges of a decomposition.
-pub fn cut_weight(g: &Graph, ldd: &Ldd) -> u64 {
-    g.edges()
-        .filter(|&(_, u, v)| ldd.cluster_of[u] != ldd.cluster_of[v])
-        .map(|(e, _, _)| g.weight(e))
-        .sum()
-}
-
 /// Convenience wrapper used by Theorem 1.5's leaders: `layered_ldd` with
 /// `iterations = 3` (planar = K₅-minor-free needs ≤ 4; 3 suffices for the
 /// families we generate) and width `⌈2·iterations/ε⌉`.
@@ -250,30 +150,6 @@ pub fn minor_free_ldd(g: &Graph, eps: f64, rng: &mut impl Rng) -> Ldd {
 mod tests {
     use super::*;
     use lcg_graph::gen;
-
-    #[test]
-    fn ball_growing_covers_and_bounds_diameter() {
-        let mut rng = gen::seeded_rng(190);
-        let g = gen::grid(16, 16);
-        let ldd = ball_growing_ldd(&g, 0.3, &mut rng);
-        assert_eq!(ldd.cluster_of.len(), g.n());
-        let d = ldd.max_diameter(&g);
-        assert!(d < usize::MAX);
-        // radius <= 2 * cap
-        let cap = ((g.n() as f64).ln() / 0.15).ceil() as usize * 2 + 2;
-        assert!(d <= 2 * cap);
-    }
-
-    #[test]
-    fn ball_growing_cut_fraction_reasonable() {
-        let mut rng = gen::seeded_rng(191);
-        let g = gen::grid(20, 20);
-        let mut total = 0.0;
-        for _ in 0..5 {
-            total += ball_growing_ldd(&g, 0.3, &mut rng).cut_fraction(&g);
-        }
-        assert!(total / 5.0 <= 0.4, "avg cut fraction {}", total / 5.0);
-    }
 
     #[test]
     fn layered_ldd_diameter_scales_with_width() {
@@ -322,47 +198,11 @@ mod tests {
     fn empty_and_tiny() {
         let mut rng = gen::seeded_rng(195);
         let g = lcg_graph::GraphBuilder::new(0).build();
-        let ldd = ball_growing_ldd(&g, 0.5, &mut rng);
+        let ldd = minor_free_ldd(&g, 0.5, &mut rng);
         assert_eq!(ldd.k, 0);
         let g = gen::path(2);
         let ldd = minor_free_ldd(&g, 0.5, &mut rng);
         assert_eq!(ldd.cluster_of.len(), 2);
-    }
-
-    #[test]
-    fn weighted_ldd_respects_weight_budget() {
-        let mut rng = gen::seeded_rng(197);
-        // adversarial: a band of huge-weight edges through the middle
-        let g = gen::grid(20, 20);
-        let weights: Vec<u64> = g
-            .edges()
-            .map(|(_, u, v)| {
-                let row = |x: usize| x / 20;
-                if row(u) == 10 || row(v) == 10 {
-                    1000
-                } else {
-                    1
-                }
-            })
-            .collect();
-        let g = g.with_weights(weights);
-        let eps = 0.3;
-        let ldd = weighted_minor_free_ldd(&g, eps, 8, &mut rng);
-        let cw = cut_weight(&g, &ldd) as f64;
-        assert!(
-            cw <= eps * g.total_weight() as f64,
-            "cut weight {cw} of {}",
-            g.total_weight()
-        );
-        assert!(ldd.max_diameter(&g) < usize::MAX);
-    }
-
-    #[test]
-    fn weighted_ldd_unweighted_degenerates() {
-        let mut rng = gen::seeded_rng(198);
-        let g = gen::triangulated_grid(12, 12);
-        let ldd = weighted_minor_free_ldd(&g, 0.4, 3, &mut rng);
-        assert!(ldd.cut_fraction(&g) <= 0.4 * 1.5);
     }
 
     #[test]

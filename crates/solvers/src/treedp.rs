@@ -11,10 +11,11 @@
 //!
 //! Used by the solver dispatchers so that bounded-treewidth clusters of
 //! *any* size are solved exactly, where branch-and-bound would blow up.
-//! For independent sets the dispatchers have a second exact stage before
-//! branch-and-bound: where min-degree elimination gives up (grids: width
-//! ~√n), a DP over a vertex *order* (the private `frontier` module) still
-//! finishes whenever the order's frontier has few independent subsets.
+//! For independent sets the dispatcher ([`mis_auto`]) has a second exact
+//! stage before branch-and-bound: where min-degree elimination gives up
+//! (grids: width ~√n), a DP over a vertex *order* (the private `frontier`
+//! module) still finishes whenever the order's frontier has few
+//! independent subsets.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -509,20 +510,6 @@ pub fn mis_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, 
     (r.set, r.optimal)
 }
 
-/// Dispatcher for exact MWIS, in the order of [`mis_auto`]: tree DP,
-/// frontier DP, branch-and-bound. Returns `(weight, set, proven_optimal)`.
-pub fn mwis_auto(g: &Graph, weights: &[u64], width_limit: usize, bnb_budget: u64) -> (u64, Vec<usize>, bool) {
-    if let Some(td) = min_degree_decomposition(g, width_limit) {
-        let (w, set) = mwis_on_tree_decomposition(g, &td, weights);
-        return (w, set, true);
-    }
-    if let Some((w, set)) = frontier::max_weight_independent_set(g, weights, bnb_budget).solution {
-        return (w, set, true);
-    }
-    let r = crate::wmis::maximum_weight_independent_set(g, weights, bnb_budget);
-    (r.weight, r.set, r.optimal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,14 +642,12 @@ mod tests {
     fn auto_dispatcher_picks_dp_or_bnb() {
         let mut rng = gen::seeded_rng(405);
         let easy = gen::partial_ktree(40, 2, 0.5, &mut rng);
-        let w = vec![1u64; easy.n()];
-        let (_, _, exact) = mwis_auto(&easy, &w, 6, 1_000);
+        let (_, exact) = mis_auto(&easy, 6, 1_000);
         assert!(exact); // DP, no budget issues
         let hard = gen::complete(12);
-        let w = vec![1u64; 12];
-        let (weight, _, exact) = mwis_auto(&hard, &w, 4, 1_000_000);
+        let (set, exact) = mis_auto(&hard, 4, 1_000_000);
         assert!(exact);
-        assert_eq!(weight, 1);
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

@@ -207,7 +207,5 @@ proptest! {
         let (_, d) = g.degeneracy_ordering();
         // degeneracy >= density (every subgraph has a vertex of degree <= d)
         prop_assert!(d as f64 >= g.edge_density() - 1e-9 || g.m() == 0);
-        let fd = locongest::graph::arboricity::forest_decomposition(&g);
-        prop_assert!(locongest::graph::arboricity::is_valid_forest_decomposition(&g, &fd));
     }
 }
