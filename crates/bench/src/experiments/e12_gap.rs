@@ -22,23 +22,23 @@ fn local_gather(g: &lcg_graph::Graph, radius: usize) -> (u64, usize) {
                 .collect()
         })
         .collect();
-    for _ in 0..radius {
-        let snap = known.clone();
-        net.exchange(
-            |v, out| {
-                for p in 0..g.degree(v) {
-                    out.send(p, snap[v].clone());
-                }
-            },
-            |v, inbox| {
-                for m in inbox.iter().flatten() {
-                    known[v].extend_from_slice(m);
-                }
-                known[v].sort_unstable();
-                known[v].dedup();
-            },
-        );
-    }
+    net.exchange_rounds(
+        radius,
+        &mut known,
+        |known, _round, _v, out| {
+            for p in 0..out.ports() {
+                out.send(p, known.as_slice());
+            }
+        },
+        |known, _round, _v, inbox| {
+            for m in inbox.iter().flatten() {
+                known.extend_from_slice(m);
+            }
+            known.sort_unstable();
+            known.dedup();
+        },
+        |_| false,
+    );
     let s = net.stats();
     (s.rounds, s.max_words_edge_round)
 }

@@ -4,8 +4,8 @@
 //! per-round-interval link failures, seeded i.i.d. message drops, node
 //! crash-stops, and CONGEST-capacity truncation. Attached to a
 //! [`crate::Network`] via `set_fault_plan`, the plan intercepts every
-//! message at delivery time — on both the `step` and the `exchange`
-//! delivery path — and decides its fate.
+//! message at delivery time — in every round form, dense or sparse —
+//! and decides its fate.
 //!
 //! # Determinism
 //!

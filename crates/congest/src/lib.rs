@@ -15,7 +15,11 @@
 //! [`primitives`] contains the paper's building blocks (max-flood leader
 //! election, the §2.3 diameter check, and the distributed Barenboim–Elkin
 //! H-partition), all written with real 1–2 word messages as closures over
-//! [`Network`]'s round forms — the one way a protocol is written here.
+//! [`Network::exchange_rounds`]: each vertex sends from its own element of
+//! a per-vertex state slice and updates it from what arrived — the one way
+//! a protocol is written here. The network runs a round in four ways
+//! (`run_state`/`step_state`, `exchange_rounds`, and the sparse
+//! `exchange_active`), all over one round body.
 //!
 //! ## Example
 //!

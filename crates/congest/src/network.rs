@@ -1,15 +1,15 @@
 //! The synchronous message-passing engine.
 //!
 //! A [`Network`] wraps a graph and a [`Model`] and executes synchronous
-//! rounds. Algorithms are written as *step closures*: in each round the
-//! closure is invoked once per vertex with the vertex's inbox (one optional
-//! message per port, as in the standard CONGEST definition where each edge
-//! carries at most one message per direction per round) and returns the
-//! outbox. The engine enforces the model's per-edge capacity — an oversized
+//! rounds. Algorithms are written as closures over a per-vertex state
+//! slice: in each round a closure is invoked once per vertex with that
+//! vertex's own state, its inbox (one optional message per port, as in the
+//! standard CONGEST definition where each edge carries at most one message
+//! per direction per round) or its outbox. The engine enforces the model's per-edge capacity — an oversized
 //! send in CONGEST mode panics, so a test passing is a proof that the
 //! algorithm really fit its messages into `O(log n)` bits.
 //!
-//! # One round body, six adapters
+//! # One round body, four forms
 //!
 //! The model has one kind of round — compose, deliver, consume — and the
 //! engine writes it out once, as a sequential body on the caller's thread
@@ -17,19 +17,22 @@
 //! how a round executes is pure implementation; a worker pool under this
 //! body measured slower than one thread on every committed benchmark row
 //! and was deleted (DESIGN §10.3). The two round
-//! *structures* differ only in when the inbox is read: a `step` round
+//! *structures* differ only in when the inbox is read: a step round
 //! reads last round's deliveries while composing and has no consume
-//! phase; an `exchange` round composes, delivers, then consumes. The
+//! phase; an exchange round composes, delivers, then consumes. The
 //! phase that read an inbox row clears it. The public forms are adapters:
 //!
-//! * [`Network::step`]/[`Network::exchange`] take one closure for every
-//!   vertex, capturing whatever state they like.
-//!   [`Network::exchange_active`] is `exchange` for a caller that knows
-//!   which vertices send: its own sparse body, so the round costs what it
-//!   carries instead of a pass over every vertex and slot.
-//! * [`Network::run_state`]/[`Network::exchange_rounds`] hand each vertex
-//!   its own element of a state slice (`&mut [S]`) and run `k` rounds in
-//!   one call; [`Network::step_state`] is `run_state(1)`.
+//! * [`Network::run_state`] runs `k` step rounds and
+//!   [`Network::exchange_rounds`] up to `k` exchange rounds, handing each
+//!   vertex its own element of a state slice (`&mut [S]`);
+//!   [`Network::step_state`] is `run_state(1)`. An exchange round is the
+//!   CONGEST round verbatim: every vertex sends from its own state, then
+//!   updates that state from what arrived — so no caller copies its state
+//!   to keep the send phase from reading what the receive phase writes.
+//! * [`Network::exchange_active`] is one exchange round for a caller that
+//!   knows which vertices send: its own sparse body over closures, so the
+//!   round costs what it carries instead of a pass over every vertex and
+//!   slot.
 //!
 //! A panic inside a closure (e.g. a CONGEST capacity violation) unwinds
 //! to the caller with its payload, and the network remains usable.
@@ -163,7 +166,7 @@ impl<'a> Topo<'a> {
 ///
 /// # Examples
 ///
-/// One round of "send your id to all neighbors":
+/// One round of "send your id to all neighbors" (no state kept):
 ///
 /// ```
 /// use lcg_congest::{Model, Network};
@@ -171,7 +174,7 @@ impl<'a> Topo<'a> {
 ///
 /// let g = gen::cycle(5);
 /// let mut net = Network::new(&g, Model::congest());
-/// net.step(|v, _inbox, out| {
+/// net.step_state(&mut [(); 5], |_, v, _inbox, out| {
 ///     for p in 0..out.ports() {
 ///         out.send(p, [v as u64]);
 ///     }
@@ -190,8 +193,8 @@ pub struct Network<'g> {
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
     /// The one inbox grid: the slot `g.csr_offsets()[v] + p` holds the
-    /// message delivered to `v` on port `p`. Between `step` rounds it
-    /// carries the messages awaiting the next one; an `exchange` round
+    /// message delivered to `v` on port `p`. Between step rounds it
+    /// carries the messages awaiting the next one; an exchange round
     /// fills and drains it. Taken out of `self` for the duration of a
     /// round, so a panic mid-round leaves it cold (empty).
     pending: Grid,
@@ -211,7 +214,7 @@ pub struct Network<'g> {
     faults: Option<FaultState>,
 }
 
-/// Per-vertex outbox handed to the step closure.
+/// Per-vertex outbox handed to a compose closure.
 pub struct Outbox<'a> {
     slots: &'a mut [Option<Msg>],
     capacity: Option<usize>,
@@ -596,7 +599,7 @@ impl<'g> Network<'g> {
     /// let mut net = Network::new(&g, Model::congest());
     /// net.attach_tracer(Tracer::new(TraceConfig::full("demo")));
     /// let sp = net.span_open("ping");
-    /// net.step(|_, _, out| out.send(0, [1]));
+    /// net.step_state(&mut [(); 4], |_, _, _, out| out.send(0, [1]));
     /// net.span_close(sp);
     /// let trace = net.take_tracer().expect("tracer was attached").finish();
     /// assert_eq!(trace.span_rounds("ping"), 1);
@@ -616,7 +619,7 @@ impl<'g> Network<'g> {
     }
 
     /// Installs (or clears) a fault schedule. Every subsequent delivery —
-    /// on both the `step` and the `exchange` path — consults the plan;
+    /// in every round form — consults the plan;
     /// destroyed messages never reach an inbox and are tallied into the
     /// [`RoundStats`] fault counters (and, when a tracer is attached, as
     /// fault events in the trace). The plan keys its random drops by
@@ -640,12 +643,19 @@ impl<'g> Network<'g> {
     /// let g = lcg_graph::gen::path(3);
     /// let mut net = Network::new(&g, Model::congest());
     /// net.set_fault_plan(Some(FaultPlan::none().with_link_failure(0, 0, u64::MAX)));
-    /// net.step(|v, _, out| {
-    ///     if v == 0 {
-    ///         out.send(0, [7]); // crosses edge 0 — destroyed
-    ///     }
-    /// });
-    /// net.step(|_, inbox, _| assert!(inbox.iter().all(Option::is_none)));
+    /// let mut heard = [false; 3];
+    /// net.exchange_rounds(
+    ///     1,
+    ///     &mut heard,
+    ///     |_, _, v, out| {
+    ///         if v == 0 {
+    ///             out.send(0, [7]); // crosses edge 0 — destroyed
+    ///         }
+    ///     },
+    ///     |heard, _, _, inbox| *heard = inbox.iter().any(Option::is_some),
+    ///     |_| false,
+    /// );
+    /// assert_eq!(heard, [false; 3]);
     /// assert_eq!(net.stats().dropped_messages, 1);
     /// assert_eq!(net.stats().messages, 1); // sending is still charged
     /// ```
@@ -707,21 +717,6 @@ impl<'g> Network<'g> {
         out
     }
 
-    /// Executes one synchronous round.
-    ///
-    /// `f(v, inbox, outbox)` is called once per vertex; the inbox holds the
-    /// messages sent to `v` in the previous round. Messages written to the
-    /// outbox are delivered at the *next* round, as in the synchronous
-    /// model.
-    pub fn step<F>(&mut self, mut f: F)
-    where
-        F: FnMut(usize, &Inbox, &mut Outbox),
-    {
-        let mut unit = vec![(); self.g.n()];
-        let compose = |_: &mut (), _, v, inbox: &Inbox, out: &mut Outbox| f(v, inbox, out);
-        self.rounds(1, &mut unit, compose, None::<NoRecv<()>>, None::<NoHalt<()>>);
-    }
-
     /// One round with per-vertex state: [`Network::run_state`] with
     /// `rounds = 1`.
     pub fn step_state<S, F>(&mut self, states: &mut [S], f: F)
@@ -731,9 +726,12 @@ impl<'g> Network<'g> {
         self.run_state(1, states, f);
     }
 
-    /// Runs `rounds` rounds of the same per-vertex-state closure:
+    /// Runs `rounds` step rounds of the same per-vertex-state closure:
     /// `states[v]` is vertex `v`'s private state, and `f(state, v, inbox,
-    /// outbox)` may mutate it freely. `run_state(k)` ≡ k × `step_state`.
+    /// outbox)` may mutate it freely. The inbox holds the messages sent to
+    /// `v` in the previous round; what `f` writes to the outbox is read at
+    /// the *next* round, as in the synchronous model.
+    /// `run_state(k)` ≡ k × `step_state`.
     ///
     /// # Panics
     ///
@@ -748,32 +746,12 @@ impl<'g> Network<'g> {
         self.rounds(rounds, states, compose, None::<NoRecv<S>>, None::<NoHalt<S>>);
     }
 
-    /// Executes one synchronous round with the *standard* round structure:
-    /// every vertex first composes its outgoing messages from its current
-    /// state (`send`), then all messages are delivered and processed
-    /// (`recv`) — so information travels one hop per round, exactly as in
-    /// the textbook CONGEST definition.
-    ///
-    /// Do not mix with in-flight [`Network::step`] messages: both forms
-    /// use the one inbox grid (debug builds assert it is empty).
-    pub fn exchange<S, R>(&mut self, mut send: S, mut recv: R)
-    where
-        S: FnMut(usize, &mut Outbox),
-        R: FnMut(usize, &Inbox),
-    {
-        self.debug_assert_drained();
-        let mut unit = vec![(); self.g.n()];
-        let compose = |_: &mut (), _, v, _: &Inbox, out: &mut Outbox| send(v, out);
-        let consume = |_: &mut (), _, v, inbox: &Inbox| recv(v, inbox);
-        self.rounds(1, &mut unit, compose, Some(consume), None::<NoHalt<()>>);
-    }
-
-    /// The `exchange` family's precondition, checked where a run enters:
-    /// its rounds consume the inbox grid whole, `step` leftovers included.
+    /// The exchange forms' precondition, checked where a run enters: their
+    /// rounds consume the inbox grid whole, step-round leftovers included.
     fn debug_assert_drained(&self) {
         debug_assert!(
             self.pending.iter().all(Option::is_none),
-            "an exchange round was started with undelivered step() messages pending"
+            "an exchange round was started with undelivered step-round messages pending"
         );
     }
 
@@ -836,12 +814,13 @@ impl<'g> Network<'g> {
         executed
     }
 
-    /// [`Network::exchange`] for a round in which only `senders` have
-    /// anything to say: `send` runs for those vertices only, delivery walks
-    /// only their outbox rows, and `recv` runs — in ascending vertex order —
-    /// only for the vertices a message actually reached. Statistics, trace,
-    /// metrics, fault adjudication and every delivered inbox are exactly
-    /// those of `exchange` with the other vertices sending nothing; what
+    /// One exchange round in which only `senders` have anything to say:
+    /// `send` runs for those vertices only, delivery walks only their
+    /// outbox rows, and `recv` runs — in ascending vertex order — only for
+    /// the vertices a message actually reached. Statistics, trace, metrics,
+    /// fault adjudication and every delivered inbox are exactly those of
+    /// [`Network::exchange_rounds`]`(1, …)` with the other vertices sending
+    /// nothing; what
     /// changes is the cost, Θ(Σ deg(senders) + messages + Σ deg(receivers))
     /// instead of Θ(n + 2m) (DESIGN §10).
     ///
@@ -890,19 +869,21 @@ impl<'g> Network<'g> {
         return_clean(&mut self.outgoing, outgoing);
     }
 
-    /// Runs up to `max_rounds` standard exchange rounds
-    /// ([`Network::exchange`] semantics over per-vertex state), stopping
-    /// early once every vertex reports halted. Per round:
-    /// `send(state, round, v, outbox)` composes, the
-    /// engine delivers (fault adjudication and tracing included), then
-    /// `recv(state, round, v, inbox)` consumes. `halted` is evaluated on
-    /// each state as the previous round left it — a network that is
-    /// quiescent on entry executes zero rounds. Returns the number of
-    /// rounds executed.
+    /// Runs up to `max_rounds` exchange rounds over per-vertex state,
+    /// stopping early once every vertex reports halted. Per round: every
+    /// vertex composes from its current state (`send(state, round, v,
+    /// outbox)`), the engine delivers (fault adjudication and tracing
+    /// included), then every vertex consumes (`recv(state, round, v,
+    /// inbox)`) — so information travels one hop per round, exactly as in
+    /// the textbook CONGEST definition, and `send` never sees what this
+    /// round's `recv` wrote. `halted` is evaluated on each state as the
+    /// previous round left it — a network that is quiescent on entry,
+    /// the empty network included, executes zero rounds. Returns the
+    /// number of rounds executed.
     ///
-    /// This is the multi-round driver the paper's flood/peel/walk loops
-    /// run on. Results and [`RoundStats`] are bit-identical to the
-    /// equivalent loop over [`Network::exchange`].
+    /// Do not start one with step-round messages in flight: both
+    /// structures use the one inbox grid (debug builds assert it is
+    /// empty).
     ///
     /// # Panics
     ///
@@ -952,15 +933,6 @@ impl<'g> Network<'g> {
     /// without any traffic in the simulation shortcut.
     pub fn charge_rounds(&mut self, rounds: u64) {
         self.sink.quiet_rounds(rounds);
-    }
-
-    /// Neighbor vertex on `port` of `v`.
-    #[inline]
-    #[must_use]
-    pub fn neighbor(&self, v: usize, port: usize) -> usize {
-        let row = self.g.row_range(v);
-        debug_assert!(port < row.len(), "port {port} out of range for vertex {v}");
-        self.g.csr_neighbors()[row.start + port] as usize
     }
 }
 
@@ -1147,21 +1119,19 @@ mod tests {
         let g = gen::path(3);
         let mut net = Network::new(&g, Model::congest());
         // round 1: vertex 0 sends 7 to its only neighbor (vertex 1)
-        net.step(|v, inbox, out| {
+        net.step_state(&mut [(); 3], |_, v, inbox, out| {
             assert!(inbox.iter().all(Option::is_none)); // nothing yet
             if v == 0 {
                 out.send(0, [7]);
             }
         });
-        let mut got = false;
-        net.step(|v, inbox, _out| {
-            if v == 1 {
-                let port_from_0 = 0; // neighbor 0 is first in sorted order
-                // borrow, don't copy: the inbox is only read
-                got = inbox[port_from_0].as_deref() == Some([7u64].as_slice());
-            }
+        let mut got = [false; 3];
+        net.step_state(&mut got, |got, _v, inbox, _out| {
+            // borrow, don't copy: the inbox is only read
+            *got = inbox[0].as_deref() == Some([7u64].as_slice());
         });
-        assert!(got, "the 1-word message must arrive on port 0");
+        // neighbor 0 is first in vertex 1's sorted order
+        assert_eq!(got, [false, true, false], "the 1-word message must arrive on port 0 of vertex 1");
         assert_eq!(net.stats().rounds, 2);
         assert_eq!(net.stats().messages, 1);
     }
@@ -1171,14 +1141,14 @@ mod tests {
     fn oversized_message_panics() {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::Congest { words_per_edge: 1 });
-        net.step(|_, _, out| out.send(0, [1, 2, 3]));
+        net.step_state(&mut [(); 2], |_, _, _, out| out.send(0, [1, 2, 3]));
     }
 
     #[test]
     fn local_allows_big_messages() {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::Local);
-        net.step(|_, _, out| out.send(0, vec![0u64; 1000]));
+        net.step_state(&mut [(); 2], |_, _, _, out| out.send(0, vec![0u64; 1000]));
         assert_eq!(net.stats().max_words_edge_round, 1000);
     }
 
@@ -1187,7 +1157,7 @@ mod tests {
     fn double_send_panics() {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::Local);
-        net.step(|_, _, out| {
+        net.step_state(&mut [(); 2], |_, _, _, out| {
             out.send(0, [1]);
             out.send(0, [2]);
         });
@@ -1196,12 +1166,27 @@ mod tests {
     #[test]
     fn ports_are_consistent() {
         let g = gen::cycle(5);
-        let net = Network::new(&g, Model::congest());
-        for v in 0..5 {
+        let mut net = Network::new(&g, Model::congest());
+        // every vertex sends its id on every port: port p of v must hear
+        // v's p-th neighbor
+        let mut heard = vec![Vec::new(); 5];
+        net.exchange_rounds(
+            1,
+            &mut heard,
+            |_, _, v, out| {
+                for p in 0..out.ports() {
+                    out.send(p, [v as u64]);
+                }
+            },
+            |heard, _, _, inbox| *heard = inbox.iter().flatten().map(|m| m[0] as u32).collect(),
+            |_| false,
+        );
+        for (v, heard) in heard.iter().enumerate() {
+            assert_eq!(heard, g.neighbor_row(v));
             for p in 0..2 {
-                let u = net.neighbor(v, p);
+                let u = g.neighbor_row(v)[p] as usize;
                 let q = g.neighbor_row(u).iter().position(|&w| w as usize == v).unwrap();
-                assert_eq!(net.neighbor(u, q), v);
+                assert_eq!(g.neighbor_row(u)[q] as usize, v);
             }
         }
     }
@@ -1213,61 +1198,54 @@ mod tests {
         let n = g.n();
         let mut informed = vec![false; n];
         informed[0] = true;
-        // BFS flood: diameter of 6x6 grid is 10. `informed[v]` is only
-        // ever written by vertex v's own closure call, so reading it after
-        // the inbox update already reflects this round — no per-round
-        // snapshot copy needed.
-        for _ in 0..11 {
-            net.step(|v, inbox, out| {
-                if inbox.iter().any(Option::is_some) {
-                    informed[v] = true;
+        // BFS flood: diameter of 6x6 grid is 10. Each vertex reads and
+        // writes only its own state, so reading it after the inbox update
+        // already reflects this round — no per-round snapshot copy needed.
+        net.run_state(11, &mut informed, |informed, _v, inbox, out| {
+            if inbox.iter().any(Option::is_some) {
+                *informed = true;
+            }
+            if *informed {
+                for p in 0..out.ports() {
+                    out.send(p, [1u64]);
                 }
-                if informed[v] {
-                    for p in 0..out.ports() {
-                        out.send(p, [1u64]);
-                    }
-                }
-            });
-        }
+            }
+        });
         assert!(informed.iter().all(|&b| b));
         // capacity respected throughout
         assert!(net.stats().max_words_edge_round <= 2);
     }
 
     #[test]
-    fn exchange_rounds_matches_exchange_bitwise() {
+    fn exchange_rounds_matches_single_round_calls_bitwise() {
         let g = gen::grid(5, 7);
-        // sequential FnMut exchange
-        let mut seq_net = Network::new(&g, Model::congest());
-        let mut seq_seen: Vec<u64> = vec![0; g.n()];
-        seq_net.exchange(
-            |v, out| {
-                for p in 0..out.ports() {
-                    out.send(p, [v as u64 + 1]);
-                }
-            },
-            |v, inbox| {
-                seq_seen[v] = inbox.iter().flatten().map(|m| m[0]).sum();
-            },
-        );
+        // every vertex sends its running sum; `send` must see the state as
+        // the previous round's `recv` left it, never this round's
+        let run = |net: &mut Network, seen: &mut [u64], rounds: usize| {
+            net.exchange_rounds(
+                rounds,
+                seen,
+                |me, _round, v, out| {
+                    for p in 0..out.ports() {
+                        out.send(p, [*me + v as u64 + 1]);
+                    }
+                },
+                |me, _round, _v, inbox| {
+                    *me += inbox.iter().flatten().map(|m| m[0]).sum::<u64>();
+                },
+                |_| false,
+            )
+        };
+        let mut one_by_one = Network::new(&g, Model::congest());
+        let mut want: Vec<u64> = vec![0; g.n()];
+        for _ in 0..3 {
+            assert_eq!(run(&mut one_by_one, &mut want, 1), 1);
+        }
         let mut net = Network::new(&g, Model::congest());
         let mut seen: Vec<u64> = vec![0; g.n()];
-        let executed = net.exchange_rounds(
-            1,
-            &mut seen,
-            |_me, _round, v, out| {
-                for p in 0..out.ports() {
-                    out.send(p, [v as u64 + 1]);
-                }
-            },
-            |me, _round, _v, inbox| {
-                *me = inbox.iter().flatten().map(|m| m[0]).sum();
-            },
-            |_| false,
-        );
-        assert_eq!(executed, 1);
-        assert_eq!(seen, seq_seen);
-        stats::compare(&seq_net.stats(), &net.stats()).unwrap();
+        assert_eq!(run(&mut net, &mut seen, 3), 3);
+        assert_eq!(seen, want);
+        stats::compare(&one_by_one.stats(), &net.stats()).unwrap();
     }
 
     #[test]
@@ -1358,15 +1336,11 @@ mod tests {
         };
         let mut unit = vec![(); g.n()];
 
-        net.step(|_, _, out| flood(out));
-        assert_sinks_agree(&mut net, sp, &external, "step");
         net.step_state(&mut unit, |_, _, _, out| flood(out));
         assert_sinks_agree(&mut net, sp, &external, "step_state");
         net.run_state(2, &mut unit, |_, _, _, out| flood(out));
         assert_sinks_agree(&mut net, sp, &external, "run_state");
-        net.step(|_, _, _| {}); // drain: the exchange forms need an empty pending grid
-        net.exchange(|_, out| flood(out), |_, _| {});
-        assert_sinks_agree(&mut net, sp, &external, "exchange");
+        net.step_state(&mut unit, |_, _, _, _| {}); // drain: the exchange forms need an empty pending grid
         net.exchange_active(&[0, 6, 15], |_, out| flood(out), |_, _| {});
         assert_sinks_agree(&mut net, sp, &external, "exchange_active");
         let ran = net.exchange_rounds(3, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);
@@ -1390,8 +1364,8 @@ mod tests {
         assert!(s.dropped_messages > 4 && s.crashed_messages > 1 && s.truncated_messages > 2, "{s}");
         net.span_close(sp);
         let trace = net.take_tracer().expect("tracer attached").finish();
-        // ten executed rounds were sampled; charged rounds are quiet
-        assert_eq!(trace.series.len(), 10);
+        // eight executed rounds were sampled; charged rounds are quiet
+        assert_eq!(trace.series.len(), 8);
     }
 
     #[test]
@@ -1399,21 +1373,25 @@ mod tests {
         let g = gen::path(3); // edges: 0 = {0,1}, 1 = {1,2}
         let mut net = Network::new(&g, Model::congest());
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
+        let mut unit = [(); 3];
         // step path: vertex 0 sends 2 words to vertex 1
-        net.step(|v, _, out| {
+        net.step_state(&mut unit, |_, v, _, out| {
             if v == 0 {
                 out.send(0, [1, 2]);
             }
         });
-        net.step(|_, _, _| {}); // drain the pending delivery
+        net.step_state(&mut unit, |_, _, _, _| {}); // drain the pending delivery
         // exchange path: vertex 2 sends 1 word to vertex 1
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut unit,
+            |_, _, v, out| {
                 if v == 2 {
                     out.send(0, [9]);
                 }
             },
-            |_, _| {},
+            |_, _, _, _| {},
+            |_| false,
         );
         let trace = net.take_tracer().expect("tracer attached").finish();
         assert_eq!(trace.hotspots.len(), 2);
@@ -1457,7 +1435,7 @@ mod tests {
     fn reset_stats_takes() {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::congest());
-        net.step(|_, _, out| out.send(0, [1]));
+        net.step_state(&mut [(); 2], |_, _, _, out| out.send(0, [1]));
         let s = net.reset_stats();
         assert_eq!(s.rounds, 1);
         assert_eq!(net.stats().rounds, 0);
@@ -1495,14 +1473,12 @@ mod tests {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::congest());
         net.set_fault_plan(Some(FaultPlan::drops(1, 1.0)));
-        let mut got_any = false;
-        for _ in 0..5 {
-            net.step(|_, inbox, out| {
-                got_any |= inbox.iter().any(Option::is_some);
-                out.send(0, [1]);
-            });
-        }
-        assert!(!got_any, "p = 1.0 must destroy every message");
+        let mut got_any = [false; 2];
+        net.run_state(5, &mut got_any, |got_any, _, inbox, out| {
+            *got_any |= inbox.iter().any(Option::is_some);
+            out.send(0, [1]);
+        });
+        assert_eq!(got_any, [false; 2], "p = 1.0 must destroy every message");
         let s = net.stats();
         assert_eq!(s.messages, 10, "sends are still charged");
         // round 5's sends are adjudicated at delivery within round 5, so
@@ -1515,21 +1491,19 @@ mod tests {
         let g = gen::path(2); // single edge 0
         let mut net = Network::new(&g, Model::congest());
         net.set_fault_plan(Some(FaultPlan::none().with_link_failure(0, 1, 3)));
-        let mut received = 0u64;
-        for _ in 0..5 {
-            net.step(|v, inbox, out| {
-                if v == 1 && inbox[0].is_some() {
-                    received += 1;
-                }
-                if v == 0 {
-                    out.send(0, [9]);
-                }
-            });
-        }
+        let mut received = [0u64; 2];
+        net.run_state(5, &mut received, |received, v, inbox, out| {
+            if inbox[0].is_some() {
+                *received += 1;
+            }
+            if v == 0 {
+                out.send(0, [9]);
+            }
+        });
         // rounds 0..5 all send; rounds 1 and 2 are down, and the round-4
         // delivery has no later round to be read in
         assert_eq!(net.stats().dropped_messages, 2);
-        assert_eq!(received, 2);
+        assert_eq!(received, [0, 2]);
     }
 
     #[test]
@@ -1537,13 +1511,14 @@ mod tests {
         let g = gen::path(3); // 0 - 1 - 2
         let mut net = Network::new(&g, Model::congest());
         net.set_fault_plan(Some(FaultPlan::none().with_crash(1, 0)));
-        // step path: everyone sends to everyone
-        net.step(|_, _, out| {
+        let flood = |out: &mut Outbox| {
             for p in 0..out.ports() {
                 out.send(p, [1]);
             }
-        });
-        net.step(|v, inbox, _| {
+        };
+        // step path: everyone sends to everyone
+        net.step_state(&mut [(); 3], |_, _, _, out| flood(out));
+        net.step_state(&mut [(); 3], |_, v, inbox, _| {
             if v != 1 {
                 assert!(inbox.iter().all(Option::is_none), "vertex {v} heard a crashed node");
             }
@@ -1553,13 +1528,12 @@ mod tests {
         let mut net2 = Network::new(&g, Model::congest());
         net2.set_fault_plan(Some(FaultPlan::none().with_crash(1, 0)));
         let mut heard = vec![false; 3];
-        net2.exchange(
-            |_, out| {
-                for p in 0..out.ports() {
-                    out.send(p, [1]);
-                }
-            },
-            |v, inbox| heard[v] = inbox.iter().any(Option::is_some),
+        net2.exchange_rounds(
+            1,
+            &mut heard,
+            |_, _, _, out| flood(out),
+            |heard, _, _, inbox| *heard = inbox.iter().any(Option::is_some),
+            |_| false,
         );
         assert_eq!(heard, vec![false, false, false]);
         assert_eq!(net2.stats().crashed_messages, 4);
@@ -1570,19 +1544,17 @@ mod tests {
         let g = gen::path(2);
         let mut net = Network::new(&g, Model::Local);
         net.set_fault_plan(Some(FaultPlan::none().with_truncation(2)));
-        net.step(|v, _, out| {
+        net.step_state(&mut [(); 2], |_, v, _, out| {
             if v == 0 {
                 out.send(0, [1, 2, 3, 4, 5]);
             }
         });
-        let mut got = false;
-        net.step(|v, inbox, _| {
-            if v == 1 {
-                // borrow the truncated payload instead of cloning it
-                got = inbox[0].as_deref() == Some([1u64, 2].as_slice());
-            }
+        let mut got = [false; 2];
+        net.step_state(&mut got, |got, _, inbox, _| {
+            // borrow the truncated payload instead of cloning it
+            *got = inbox[0].as_deref() == Some([1u64, 2].as_slice());
         });
-        assert!(got, "message must arrive truncated to the cap");
+        assert_eq!(got, [false, true], "message must arrive truncated to the cap");
         assert_eq!(net.stats().truncated_messages, 1);
         assert_eq!(net.stats().words, 5, "send accounting sees the full message");
     }
@@ -1593,7 +1565,7 @@ mod tests {
         let mut net = Network::new(&g, Model::congest());
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
         net.set_fault_plan(Some(FaultPlan::none().with_link_failure(0, 0, u64::MAX)));
-        net.step(|_, _, out| out.send(0, [1]));
+        net.step_state(&mut [(); 2], |_, _, _, out| out.send(0, [1]));
         let trace = net.take_tracer().expect("tracer attached").finish();
         assert_eq!(trace.faults.len(), 1);
         assert_eq!(trace.faults[0].kind, "link");

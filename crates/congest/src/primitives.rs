@@ -10,12 +10,10 @@
 //! primitive takes a [`Scope`] (or the cluster assignment itself) and only
 //! communicates along permitted edges.
 //! All primitives use the textbook exchange round structure where
-//! information travels one hop per round — either the sequential
-//! [`Network::exchange`] (snapshot-heavy orchestration loops) or the
-//! multi-round [`Network::exchange_rounds`] (per-vertex-state loops like
-//! max-flood and H-partition peeling).
+//! information travels one hop per round: [`Network::exchange_rounds`]
+//! over the per-vertex state each one updates.
 
-use crate::network::Network;
+use crate::network::{Network, Outbox};
 
 /// Edges allowed for a primitive: all edges, or only intra-cluster ones.
 #[derive(Debug, Clone, Copy)]
@@ -91,41 +89,36 @@ pub fn diameter_check(net: &mut Network, cluster: &[usize], b: usize) -> Vec<boo
     let ids: Vec<u64> = (0..n as u64).collect();
     let best = max_flood(net, &ids, b, Scope::Intra(cluster));
     let mut marked = vec![false; n];
-    net.exchange(
-        |v, out| {
-            for (p, u) in g.neighbor_vertices(v).enumerate() {
-                if cluster[u] == cluster[v] {
-                    out.send(p, [best[v].0, best[v].1 as u64]);
-                }
+    let send_intra = |v: usize, out: &mut Outbox, msg: &[u64]| {
+        for (p, u) in g.neighbor_vertices(v).enumerate() {
+            if cluster[u] == cluster[v] {
+                out.send(p, msg);
             }
+        }
+    };
+    // the mark round: disagree with an intra-cluster neighbor's maximum
+    net.exchange_rounds(
+        1,
+        &mut marked,
+        |_, _round, v, out| send_intra(v, out, &[best[v].0, best[v].1 as u64]),
+        |mark, _round, v, inbox| {
+            *mark = inbox.iter().flatten().any(|m| (m[0], m[1] as usize) != best[v]);
         },
-        |v, inbox| {
-            for m in inbox.iter().flatten() {
-                if (m[0], m[1] as usize) != best[v] {
-                    marked[v] = true;
-                }
-            }
-        },
+        |_| false,
     );
-    for _ in 0..(2 * b + 1) {
-        let snapshot = marked.clone();
-        net.exchange(
-            |v, out| {
-                if snapshot[v] {
-                    for (p, u) in g.neighbor_vertices(v).enumerate() {
-                        if cluster[u] == cluster[v] {
-                            out.send(p, [1]);
-                        }
-                    }
-                }
-            },
-            |v, inbox| {
-                if inbox.iter().flatten().next().is_some() {
-                    marked[v] = true;
-                }
-            },
-        );
-    }
+    // the spread: a vertex sends while its mark stands as the previous
+    // round left it
+    net.exchange_rounds(
+        2 * b + 1,
+        &mut marked,
+        |mark, _round, v, out| {
+            if *mark {
+                send_intra(v, out, &[1]);
+            }
+        },
+        |mark, _round, _v, inbox| *mark |= inbox.iter().flatten().next().is_some(),
+        |_| false,
+    );
     marked
 }
 

@@ -1,7 +1,8 @@
 //! Differential property test for the active-set round
 //! ([`Network::exchange_active`]): over generated graphs, sender subsets,
 //! fault plans and observer attachments it must be indistinguishable from
-//! plain [`Network::exchange`] with the non-senders sending nothing — same
+//! a one-round [`Network::exchange_rounds`] with the non-senders sending
+//! nothing — same
 //! `RoundStats`, same trace bytes, same deterministic metrics, same inbox
 //! at every vertex a message reached — and it must hand the network's
 //! grids back clean, which the dense rounds that follow on the same network
@@ -106,22 +107,26 @@ fn log_inbox(log: &mut Log, round: u64, v: usize, inbox: &Inbox) {
 }
 
 /// Dense rounds on a network that just ran sparse ones: an all-ports
-/// `exchange`, then two `step`s (send everywhere, then read).
+/// exchange round, then two step rounds (send everywhere, then read).
 fn dense_rounds(net: &mut Network<'_>, log: &mut Log) {
-    net.exchange(
-        |v, out| {
+    let mut unit = vec![(); net.graph().n()];
+    net.exchange_rounds(
+        1,
+        &mut unit,
+        |_, _, v, out| {
             for p in 0..out.ports() {
                 out.send(p, [v as u64, 7]);
             }
         },
-        |v, inbox| log_inbox(log, 100, v, inbox),
+        |_, _, v, inbox| log_inbox(log, 100, v, inbox),
+        |_| false,
     );
-    net.step(|v, _inbox, out| {
+    net.step_state(&mut unit, |_, v, _inbox, out| {
         for p in 0..out.ports() {
             out.send(p, [v as u64, 8]);
         }
     });
-    net.step(|v, inbox, _out| log_inbox(log, 101, v, inbox));
+    net.step_state(&mut unit, |_, v, inbox, _out| log_inbox(log, 101, v, inbox));
 }
 
 /// Everything an observer can see of a finished run.
@@ -148,13 +153,16 @@ proptest! {
             for &v in &senders {
                 is_sender[v] = true;
             }
-            dense.exchange(
-                |v, out| {
-                    if is_sender[v] {
+            dense.exchange_rounds(
+                1,
+                &mut is_sender,
+                |&mut is_sender, _, v, out| {
+                    if is_sender {
                         compose(case.seed, round, v, out);
                     }
                 },
-                |v, inbox| log_inbox(&mut dense_log, round, v, inbox),
+                |_, _, v, inbox| log_inbox(&mut dense_log, round, v, inbox),
+                |_| false,
             );
             let mut called = Vec::new();
             sparse.exchange_active(

@@ -48,8 +48,10 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
         // --- 2-stars: pendants send 1-word tokens; centers bounce extras
         let pendant: Vec<bool> = (0..n).map(|v| kept[v] && deg(v, &kept) == 1).collect();
         let mut received: Vec<Vec<usize>> = vec![Vec::new(); n]; // ports
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut received,
+            |_, _round, v, out| {
                 if pendant[v] {
                     let p = g
                         .neighbor_vertices(v)
@@ -58,27 +60,29 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
                     out.send(p, [1]);
                 }
             },
-            |v, inbox| {
+            |received, _round, _v, inbox| {
                 for (p, m) in inbox.iter().enumerate() {
                     if m.is_some() {
-                        received[v].push(p);
+                        received.push(p);
                     }
                 }
             },
+            |_| false,
         );
         let mut bounced = vec![false; n];
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut bounced,
+            |_, _round, v, out| {
                 // keep the token from the lowest port; bounce the rest
                 for &p in received[v].iter().skip(1) {
                     out.send(p, [1]);
                 }
             },
-            |v, inbox| {
-                if pendant[v] && inbox.iter().flatten().next().is_some() {
-                    bounced[v] = true;
-                }
+            |bounced, _round, v, inbox| {
+                *bounced = pendant[v] && inbox.iter().flatten().next().is_some();
             },
+            |_| false,
         );
         for v in 0..n {
             if bounced[v] {
@@ -99,8 +103,10 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
             })
             .collect();
         let mut pair_tokens: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (port, other)
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut pair_tokens,
+            |_, _round, v, out| {
                 if let Some((a, b)) = two[v] {
                     let p = g
                         .neighbor_vertices(v)
@@ -109,19 +115,22 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
                     out.send(p, [b as u64, 3]);
                 }
             },
-            |v, inbox| {
+            |tokens, _round, _v, inbox| {
                 for (p, m) in inbox.iter().enumerate() {
                     if let Some(m) = m {
                         if m.len() == 2 && m[1] == 3 {
-                            pair_tokens[v].push((p, m[0] as usize));
+                            tokens.push((p, m[0] as usize));
                         }
                     }
                 }
             },
+            |_| false,
         );
         let mut bounced = vec![false; n];
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut bounced,
+            |_, _round, v, out| {
                 let mut by_other: std::collections::BTreeMap<usize, Vec<usize>> =
                     Default::default();
                 for &(p, other) in &pair_tokens[v] {
@@ -133,11 +142,11 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
                     }
                 }
             },
-            |v, inbox| {
-                if two[v].is_some() && inbox.iter().flatten().any(|m| m.len() == 2 && m[1] == 3) {
-                    bounced[v] = true;
-                }
+            |bounced, _round, v, inbox| {
+                *bounced =
+                    two[v].is_some() && inbox.iter().flatten().any(|m| m.len() == 2 && m[1] == 3);
             },
+            |_| false,
         );
         for v in 0..n {
             if bounced[v] {

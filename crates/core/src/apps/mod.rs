@@ -14,9 +14,9 @@
 //! `low_diameter_decomposition`) and its `*_resilient` twin, are one call
 //! each into that body.
 //!
-//! `mwm` iterates the framework over working subgraphs, `property_testing`
-//! runs it at the class's own density, and `triangles` does not run it;
-//! none of them has a resilient mode.
+//! `mwm` iterates the framework over working subgraphs and
+//! `property_testing` runs it at the class's own density; neither has a
+//! resilient mode.
 
 use lcg_congest::FaultPlan;
 use lcg_graph::Graph;
@@ -31,7 +31,6 @@ pub mod mcm;
 pub mod mds;
 pub mod mwm;
 pub mod property_testing;
-pub mod triangles;
 pub mod wmaxis;
 
 /// The fault schedule and retry budget of a resilient run.

@@ -18,59 +18,68 @@ use rand_chacha::ChaCha8Rng;
 /// priority; local minima join the MIS and knock out their neighbors.
 /// Returns the MIS and the measured round stats.
 pub fn luby_mis(g: &Graph, seed: u64) -> (Vec<usize>, RoundStats) {
+    /// One vertex's phase state.
+    struct Luby {
+        /// 0 live, 1 in MIS, 2 knocked out.
+        status: u8,
+        priority: u64,
+        local_min: bool,
+    }
     let n = g.n();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new(g, Model::congest());
-    let mut state = vec![0u8; n]; // 0 live, 1 in MIS, 2 knocked out
-    while state.contains(&0) {
-        let priority: Vec<u64> = (0..n).map(|_| rng.gen::<u32>() as u64).collect();
-        // round A: exchange priorities
-        let mut local_min = vec![true; n];
-        net.exchange(
-            |v, out| {
-                if state[v] == 0 {
-                    for p in 0..g.degree(v) {
-                        out.send(p, [priority[v]]);
+    let mut states: Vec<Luby> = (0..n)
+        .map(|_| Luby { status: 0, priority: 0, local_min: true })
+        .collect();
+    while states.iter().any(|s| s.status == 0) {
+        // one phase, two rounds: A exchanges priorities, B lets local
+        // minima join and announce so their neighbors drop out
+        net.exchange_rounds(
+            2,
+            &mut states,
+            |s, round, v, out| {
+                if round == 0 {
+                    // every vertex draws, in vertex order
+                    s.priority = rng.gen::<u32>() as u64;
+                    s.local_min = true;
+                    if s.status == 0 {
+                        for p in 0..g.degree(v) {
+                            out.send(p, [s.priority]);
+                        }
                     }
-                }
-            },
-            |v, inbox| {
-                if state[v] != 0 {
-                    return;
-                }
-                for (p, m) in inbox.iter().enumerate() {
-                    if let Some(m) = m {
-                        let u = g.neighbor_row(v)[p] as usize;
-                        if (m[0], u) < (priority[v], v) {
-                            local_min[v] = false;
+                } else {
+                    if s.status == 0 && s.local_min {
+                        s.status = 1;
+                    }
+                    // set members re-announce every phase
+                    if s.status == 1 && s.local_min {
+                        for p in 0..g.degree(v) {
+                            out.send(p, [1]);
                         }
                     }
                 }
             },
-        );
-        for v in 0..n {
-            if state[v] == 0 && local_min[v] {
-                state[v] = 1;
-            }
-        }
-        // round B: winners announce; neighbors drop out
-        let snapshot = state.clone();
-        net.exchange(
-            |v, out| {
-                if snapshot[v] == 1 && local_min[v] {
-                    for p in 0..g.degree(v) {
-                        out.send(p, [1]);
+            |s, round, v, inbox| {
+                if s.status != 0 {
+                    return;
+                }
+                if round == 0 {
+                    for (p, m) in inbox.iter().enumerate() {
+                        if let Some(m) = m {
+                            let u = g.neighbor_row(v)[p] as usize;
+                            if (m[0], u) < (s.priority, v) {
+                                s.local_min = false;
+                            }
+                        }
                     }
+                } else if inbox.iter().flatten().next().is_some() {
+                    s.status = 2;
                 }
             },
-            |v, inbox| {
-                if state[v] == 0 && inbox.iter().flatten().next().is_some() {
-                    state[v] = 2;
-                }
-            },
+            |_| false,
         );
     }
-    let mis: Vec<usize> = (0..n).filter(|&v| state[v] == 1).collect();
+    let mis: Vec<usize> = (0..n).filter(|&v| states[v].status == 1).collect();
     (mis, net.stats())
 }
 
@@ -108,8 +117,10 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
                 }
             })
             .collect();
-        net.exchange(
-            |v, out| {
+        net.exchange_rounds(
+            1,
+            &mut mate,
+            |_, _round, v, out| {
                 if let Some(u) = proposal[v] {
                     let p = g
                         .neighbor_vertices(v)
@@ -118,8 +129,8 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
                     out.send(p, [1]);
                 }
             },
-            |v, inbox| {
-                if mate[v].is_some() {
+            |mate, _round, v, inbox| {
+                if mate.is_some() {
                     return;
                 }
                 if let Some(u) = proposal[v] {
@@ -129,10 +140,11 @@ pub fn randomized_greedy_matching(g: &Graph, seed: u64) -> (Vec<Option<usize>>, 
                         .position(|w| w == u)
                         .expect("proposal target is a neighbor");
                     if inbox[p].is_some() {
-                        mate[v] = Some(u);
+                        *mate = Some(u);
                     }
                 }
             },
+            |_| false,
         );
         // one more round: vertices that matched announce it so neighbors
         // stop proposing to them (information is already consistent in the

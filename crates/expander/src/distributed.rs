@@ -54,70 +54,67 @@ pub fn mpx_clustering(net: &mut Network, beta: f64, rng: &mut impl Rng) -> Distr
             max_delay - d // start time: smaller for larger shifts
         })
         .collect();
-    // state: (start_time_key, center) each vertex eventually holds; a
-    // vertex becomes active at its own start time unless captured earlier.
-    let mut center: Vec<Option<(usize, usize)>> = vec![None; n]; // (key, center)
-    // Capture is FIRST-ARRIVAL-WINS: once a wave reaches a vertex it owns
-    // it; only waves arriving in the very same round may tie-break (by
-    // smaller (key, center)). This realizes "join the cluster minimizing
-    // dist(u, ·) − δ_u" exactly.
-    let mut captured_at: Vec<usize> = vec![usize::MAX; n];
-    let mut announce: Vec<bool> = vec![false; n];
-    let start_rounds = net.stats().rounds;
-    let horizon = 2 * max_delay + 2;
-    for t in 0..horizon {
-        // Vertices whose clock fires now and are not yet captured become
-        // centers. Self-capture is final (captured_at stays MAX so the
-        // tie-break below can never steal a center): a center announces its
-        // own wave this very round, and letting it defect afterwards would
-        // orphan the vertices that wave captures.
-        for v in 0..n {
-            if center[v].is_none() && delay[v] == t {
-                center[v] = Some((t, v));
-                announce[v] = true;
-            }
-        }
-        let snapshot: Vec<Option<(usize, usize)>> = center.clone();
-        let ann = std::mem::replace(&mut announce, vec![false; n]);
-        net.exchange(
-            |v, out| {
-                if ann[v] {
-                    let (key, c) = snapshot[v].expect("announcing vertex holds a snapshot");
-                    for p in 0..g.degree(v) {
-                        out.send(p, [key as u64, c as u64]);
-                    }
-                }
-            },
-            |v, inbox| {
-                for m in inbox.iter().flatten() {
-                    let cand = (m[0] as usize, m[1] as usize);
-                    let better = match center[v] {
-                        None => true,
-                        Some(cur) => captured_at[v] == t && cand < cur,
-                    };
-                    if better {
-                        center[v] = Some(cand);
-                        captured_at[v] = t;
-                        announce[v] = true;
-                    }
-                }
-            },
-        );
-        if center.iter().all(Option::is_some) && !announce.iter().any(|&b| b) {
-            break;
-        }
+    /// What a vertex holds: the `(start_time_key, center)` of the wave
+    /// that captured it, the round it was captured in, and whether it
+    /// forwards that wave next round. A vertex becomes active at its own
+    /// start time unless captured earlier.
+    struct Wave {
+        center: Option<(usize, usize)>,
+        captured_at: usize,
+        announce: bool,
     }
+    let mut waves: Vec<Wave> = (0..n)
+        .map(|_| Wave { center: None, captured_at: usize::MAX, announce: false })
+        .collect();
+    let horizon = 2 * max_delay + 2;
+    let rounds = net.exchange_rounds(
+        horizon,
+        &mut waves,
+        |w, t, v, out| {
+            // A vertex whose clock fires now and is not yet captured
+            // becomes a center. Self-capture is final (captured_at stays
+            // MAX so the tie-break below can never steal a center): a center
+            // announces its own wave this very round, and letting it defect
+            // afterwards would orphan the vertices that wave captures.
+            if w.center.is_none() && delay[v] == t {
+                w.center = Some((t, v));
+                w.announce = true;
+            }
+            if std::mem::take(&mut w.announce) {
+                let (key, c) = w.center.expect("an announcing vertex holds a center");
+                for p in 0..g.degree(v) {
+                    out.send(p, [key as u64, c as u64]);
+                }
+            }
+        },
+        |w, t, _v, inbox| {
+            // Capture is FIRST-ARRIVAL-WINS: once a wave reaches a vertex it
+            // owns it; only waves arriving in the very same round may
+            // tie-break (by smaller (key, center)). This realizes "join the
+            // cluster minimizing dist(u, ·) − δ_u" exactly.
+            for m in inbox.iter().flatten() {
+                let cand = (m[0] as usize, m[1] as usize);
+                let better = match w.center {
+                    None => true,
+                    Some(cur) => w.captured_at == t && cand < cur,
+                };
+                if better {
+                    w.center = Some(cand);
+                    w.captured_at = t;
+                    w.announce = true;
+                }
+            }
+        },
+        |w| w.center.is_some() && !w.announce,
+    );
     // Any vertex still uncaptured (cannot happen with the cap, but be
     // defensive, as §2.3 requires): becomes a singleton.
-    let cluster_of: Vec<usize> = center
+    let cluster_of: Vec<usize> = waves
         .iter()
         .enumerate()
-        .map(|(v, c)| c.map_or(v, |(_, c)| c))
+        .map(|(v, w)| w.center.map_or(v, |(_, c)| c))
         .collect();
-    DistributedClustering {
-        cluster_of,
-        rounds: net.stats().rounds - start_rounds,
-    }
+    DistributedClustering { cluster_of, rounds }
 }
 
 /// Fraction of edges cut by a clustering.

@@ -170,7 +170,7 @@ fn exchange_rounds_round_counts_are_invariant() {
 }
 
 /// The two round structures are one body: the same token program as
-/// k × `step`, as `run_state(k)`, and as an
+/// k × `step_state`, as `run_state(k)`, and as an
 /// `exchange_rounds` whose `recv` stashes the inbox for the next `send`
 /// must agree on the states, the `RoundStats`, and the inboxes the next
 /// round would read.
@@ -196,7 +196,7 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     // the inboxes the next round would read, observed by one more round
     let next_inboxes = |net: &mut Network| -> Vec<Row> {
         let mut rows: Vec<Row> = vec![Vec::new(); n];
-        net.step(|v, inbox, _out| rows[v] = inbox.to_vec());
+        net.step_state(&mut rows, |row, _v, inbox, _out| *row = inbox.to_vec());
         rows
     };
     let init: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
@@ -204,7 +204,7 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     let mut stepped = Network::new(&g, Model::congest());
     let mut want = init.clone();
     for round in 0..K {
-        stepped.step(|v, inbox, out| program(&mut want[v], round, v, inbox, out));
+        stepped.step_state(&mut want, |tok, v, inbox, out| program(tok, round, v, inbox, out));
     }
     let want_stats = stepped.stats();
     let want_next = next_inboxes(&mut stepped);

@@ -87,14 +87,12 @@ proptest! {
 /// The sender is parameterized by *how* the payload is expressed.
 fn straddle_stats(g: &Graph, send: impl Fn(usize, usize, &mut locongest::congest::Outbox)) -> RoundStats {
     let mut net = Network::new(g, Model::Local);
-    for _ in 0..3 {
-        net.step(|v, _inbox, out| {
-            let words = v % 5;
-            if words > 0 {
-                send(v, words, out); // the callback covers every port
-            }
-        });
-    }
+    net.run_state(3, &mut vec![(); g.n()], |_, v, _inbox, out| {
+        let words = v % 5;
+        if words > 0 {
+            send(v, words, out); // the callback covers every port
+        }
+    });
     net.stats()
 }
 

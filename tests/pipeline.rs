@@ -173,23 +173,23 @@ fn local_vs_congest_gap_measured() {
                 .collect()
         })
         .collect();
-    for _ in 0..3 {
-        let snapshot = known.clone();
-        net.exchange(
-            |v, out| {
-                for p in 0..g.degree(v) {
-                    out.send(p, snapshot[v].clone());
-                }
-            },
-            |v, inbox| {
-                for m in inbox.iter().flatten() {
-                    known[v].extend_from_slice(m);
-                    known[v].sort_unstable();
-                    known[v].dedup();
-                }
-            },
-        );
-    }
+    net.exchange_rounds(
+        3,
+        &mut known,
+        |known, _round, _v, out| {
+            for p in 0..out.ports() {
+                out.send(p, known.as_slice());
+            }
+        },
+        |known, _round, _v, inbox| {
+            for m in inbox.iter().flatten() {
+                known.extend_from_slice(m);
+                known.sort_unstable();
+                known.dedup();
+            }
+        },
+        |_| false,
+    );
     let local_stats = net.stats();
     assert!(
         local_stats.max_words_edge_round > 2,

@@ -171,7 +171,7 @@ fn repeated_poisoning_is_survivable() {
 /// network's own inbox grid in place. A closure panicking mid-round surfaces with its payload and
 /// takes the grids (and the failed round's in-flight messages) with it;
 /// the same `Network` must then (b) save a snapshot that resumes, (c)
-/// accept an `exchange` — its empty-inbox precondition holds on both the
+/// accept an exchange round — its empty-inbox precondition holds on both the
 /// survivor and the resumed copy — and (a) run the reference flood
 /// bit-identically to a fresh network.
 #[test]
@@ -183,11 +183,11 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
             out.send(p, [word]);
         }
     };
-    // (name, the form, whether it tolerates `step` messages in flight)
+    // (name, the form, whether it tolerates step-round messages in flight)
     let forms: [(&str, Form, bool); 4] = [
-        ("step", |net| {
-            net.step(|v, _inbox, out| {
-                assert!(v != 17, "step blew up at vertex 17");
+        ("step_state", |net| {
+            net.step_state(&mut vec![(); net.graph().n()], |_, v, _inbox, out| {
+                assert!(v != 17, "step_state blew up at vertex 17");
                 out.send(0, [v as u64]);
             });
         }, true),
@@ -199,11 +199,14 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
                 out.send(0, [v as u64]);
             });
         }, true),
-        ("exchange", |net| {
+        ("exchange_rounds recv", |net| {
             // the recv phase dies with a full grid of delivered messages
-            net.exchange(
-                |v, out| out.send(0, [v as u64]),
-                |v, _inbox| assert!(v != 17, "exchange blew up at vertex 17"),
+            net.exchange_rounds(
+                1,
+                &mut vec![(); net.graph().n()],
+                |_, _, v, out| out.send(0, [v as u64]),
+                |_, _, v, _inbox| assert!(v != 17, "exchange_rounds recv blew up at vertex 17"),
+                |_| false,
             );
         }, false),
         ("exchange_rounds", |net| {
@@ -225,7 +228,7 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
         let mut net = Network::new(&g, Model::congest());
         if in_flight {
             // messages in flight when the failed round starts: it drops them
-            net.step(|_, _, out| flood_out(out, 9));
+            net.step_state(&mut vec![(); g.n()], |_, _, _, out| flood_out(out, 9));
         }
         let msg = panic_message(AssertUnwindSafe(|| form(&mut net)))
             .unwrap_or_else(|| panic!("{name}: the closure panic must propagate"));
@@ -241,9 +244,12 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
         let mut runs = Vec::new();
         for net in [&mut net, &mut resumed, &mut fresh] {
             let mut heard = vec![0u64; g.n()];
-            net.exchange(
-                |v, out| flood_out(out, v as u64),
-                |v, inbox| heard[v] = inbox.iter().flatten().map(|m| m[0]).sum(),
+            net.exchange_rounds(
+                1,
+                &mut heard,
+                |_, _, v, out| flood_out(out, v as u64),
+                |heard, _, _, inbox| *heard = inbox.iter().flatten().map(|m| m[0]).sum(),
+                |_| false,
             );
             net.reset_stats();
             runs.push((heard, flood_on(net)));

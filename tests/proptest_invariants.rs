@@ -181,16 +181,6 @@ proptest! {
     }
 
     #[test]
-    fn triangle_counting_agrees(seed in any::<u64>(), n in 10usize..60) {
-        use locongest::core::apps::triangles;
-        let mut rng = gen::seeded_rng(seed);
-        let g = gen::random_planar(n.max(3), 0.6, &mut rng);
-        let seq = triangles::count_triangles_sequential(&g);
-        let dist = triangles::count_triangles(&g, 3.0);
-        prop_assert_eq!(seq, dist.count);
-    }
-
-    #[test]
     fn treewidth2_recognizer_consistent(seed in any::<u64>(), n in 5usize..40) {
         use locongest::graph::reductions::treewidth_at_most_2;
         let mut rng = gen::seeded_rng(seed);
