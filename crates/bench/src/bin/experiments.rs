@@ -172,7 +172,8 @@ fn main() {
         ran += 1;
     }
     if ran == 0 {
-        eprintln!("no experiment matched; available: e1..e12, all");
+        let ids: Vec<&str> = experiments::all().iter().map(|(id, _)| *id).collect();
+        eprintln!("no experiment matched; available: {}, all", ids.join(" "));
         std::process::exit(2);
     }
 }

@@ -1,6 +1,6 @@
 //! # lcg-bench — experiment harness
 //!
-//! One module per experiment in EXPERIMENTS.md (E1–E12). The
+//! One module per experiment in EXPERIMENTS.md (E1–E18, E20, E24–E26). The
 //! `experiments` binary regenerates any table:
 //!
 //! ```text
