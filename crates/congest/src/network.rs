@@ -5,9 +5,10 @@
 //! slice: in each round a closure is invoked once per vertex with that
 //! vertex's own state, its inbox (one optional message per port, as in the
 //! standard CONGEST definition where each edge carries at most one message
-//! per direction per round) or its outbox. The engine enforces the model's per-edge capacity — an oversized
-//! send in CONGEST mode panics, so a test passing is a proof that the
-//! algorithm really fit its messages into `O(log n)` bits.
+//! per direction per round) or its outbox. The engine enforces the
+//! model's per-edge capacity — an oversized send in CONGEST mode panics,
+//! so a test passing is a proof that the algorithm really fit its messages
+//! into `O(log n)` bits.
 //!
 //! # One round body, four forms
 //!
@@ -820,9 +821,8 @@ impl<'g> Network<'g> {
     /// the vertices a message actually reached. Statistics, trace, metrics,
     /// fault adjudication and every delivered inbox are exactly those of
     /// [`Network::exchange_rounds`]`(1, …)` with the other vertices sending
-    /// nothing; what
-    /// changes is the cost, Θ(Σ deg(senders) + messages + Σ deg(receivers))
-    /// instead of Θ(n + 2m) (DESIGN §10).
+    /// nothing; what changes is the cost, Θ(Σ deg(senders) + messages +
+    /// Σ deg(receivers)) instead of Θ(n + 2m) (DESIGN §10).
     ///
     /// # Panics
     ///

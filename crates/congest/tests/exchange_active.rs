@@ -2,12 +2,12 @@
 //! ([`Network::exchange_active`]): over generated graphs, sender subsets,
 //! fault plans and observer attachments it must be indistinguishable from
 //! a one-round [`Network::exchange_rounds`] with the non-senders sending
-//! nothing — same
-//! `RoundStats`, same trace bytes, same deterministic metrics, same inbox
-//! at every vertex a message reached — and it must hand the network's
-//! grids back clean, which the dense rounds that follow on the same network
-//! would expose (a stale outbox slot trips the double-send assertion, a
-//! stale inbox slot shows up as a phantom message).
+//! nothing — same `RoundStats`, same trace bytes, same deterministic
+//! metrics, same inbox at every vertex a message reached — and it must
+//! hand the network's grids back clean, which the dense rounds that follow
+//! on the same network would expose (a stale outbox slot trips the
+//! double-send assertion, a stale inbox slot shows up as a phantom
+//! message).
 
 use lcg_congest::{FaultPlan, Inbox, Model, Network, Outbox};
 use lcg_graph::{gen, Graph};
