@@ -147,6 +147,7 @@ fn wmaxis(
 mod tests {
     use super::*;
     use lcg_graph::gen;
+    use lcg_solvers::treedp;
     use rand::Rng;
 
     #[test]
@@ -218,7 +219,34 @@ mod tests {
         let wout = approx_maximum_weight_independent_set(&g, &w, 0.3, 3.0, 4, 100_000_000);
         let uout =
             crate::apps::maxis::approx_maximum_independent_set(&g, 0.3, 3.0, 4, 100_000_000);
-        // same framework seed/ε ⇒ same decomposition; sizes should agree
+        // same framework seed/ε ⇒ same decomposition, and at unit weights
+        // every later step is MAXIS's: the outcomes agree in full
+        assert_eq!(wout.set, uout.set);
         assert_eq!(wout.weight as usize, uout.set.len());
+        assert_eq!(wout.stats, uout.stats);
+        assert_eq!(wout.all_clusters_optimal, uout.all_clusters_optimal);
+        assert_eq!(wout.conflict_weight_lost as usize, uout.removed_conflicts);
+    }
+
+    #[test]
+    fn leaders_solve_bounded_treewidth_clusters_exactly() {
+        let mut rng = gen::seeded_rng(2026);
+        let g = gen::partial_ktree(200, 3, 0.5, &mut rng);
+        let w: Vec<u64> = (0..g.n()).map(|_| rng.gen_range(1..=100)).collect();
+        let out = approx_maximum_weight_independent_set(&g, &w, 0.2, 3.0, 7, 100_000);
+        // every cluster contributes its exact optimum before conflicts
+        let optimum: u64 = out
+            .framework
+            .clusters
+            .iter()
+            .map(|c| {
+                let local_w: Vec<u64> = c.mapping.iter().map(|&v| w[v]).collect();
+                let td = treedp::min_degree_decomposition(&c.subgraph, c.subgraph.n())
+                    .expect("no width limit");
+                treedp::mwis_on_tree_decomposition(&c.subgraph, &td, &local_w).0
+            })
+            .sum();
+        assert_eq!(out.weight + out.conflict_weight_lost, optimum);
+        assert!(out.all_clusters_optimal);
     }
 }
