@@ -9,9 +9,9 @@
 
 use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
-use lcg_solvers::mis;
 
-use crate::apps::{reported, run, scaled, Faults};
+use crate::apps::wmaxis::wmaxis;
+use crate::apps::{reported, Faults};
 use crate::framework::FrameworkOutcome;
 use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
@@ -64,27 +64,10 @@ pub fn approx_maximum_independent_set_resilient(
     reported(maxis(g, epsilon, density_bound, seed, mis_budget, Some(Faults { plan: faults, policy })))
 }
 
-/// Completes the independent set `set` to a maximal one: every vertex with
-/// no chosen neighbor joins, visited in `order`; the set is then listed in
-/// id order.
-pub(crate) fn complete_greedily(
-    g: &Graph,
-    set: &mut Vec<usize>,
-    order: impl IntoIterator<Item = usize>,
-) {
-    let mut in_set = vec![false; g.n()];
-    for &v in set.iter() {
-        in_set[v] = true;
-    }
-    for v in order {
-        if !in_set[v] && g.neighbor_vertices(v).all(|u| !in_set[u]) {
-            in_set[v] = true;
-        }
-    }
-    *set = (0..g.n()).filter(|&v| in_set[v]).collect();
-}
-
-/// Theorem 1.2 at `ε' = ε / (2d + 1)`, plainly or under `faults`.
+/// Theorem 1.2 at `ε' = ε / (2d + 1)`, plainly or under `faults`: the
+/// weighted body at unit weights, where each of its steps is the
+/// unweighted one — the larger id of a conflicting pair drops, and the
+/// completion visits vertices in id order.
 fn maxis(
     g: &Graph,
     epsilon: f64,
@@ -93,51 +76,14 @@ fn maxis(
     mis_budget: u64,
     faults: Option<Faults<'_>>,
 ) -> (MaxisOutcome, Option<RecoveryReport>) {
-    let eps_prime = epsilon / (2.0 * density_bound + 1.0);
-    let (framework, report) = run(g, scaled(eps_prime, seed), faults);
-    // Each leader solves its cluster exactly: tree-decomposition DP when
-    // the cluster has small treewidth (k-tree families), else a DP over a
-    // vertex order when its frontier tables fit the budget (grids), else
-    // branch-and-bound.
-    let mut in_set = vec![false; g.n()];
-    let mut all_optimal = true;
-    for c in &framework.clusters {
-        let (set, optimal) = lcg_solvers::treedp::mis_auto(&c.subgraph, 8, mis_budget);
-        all_optimal &= optimal;
-        for &local in &set {
-            in_set[c.mapping[local]] = true;
-        }
-    }
-    // Conflict resolution: one round — endpoints of inter-cluster edges
-    // compare membership; the larger id drops out.
-    let mut stats = framework.stats;
-    stats.rounds += 1; // the comparison round
-    let mut removed = 0usize;
-    for &e in &framework.decomposition.cut_edges {
-        let (u, v) = g.endpoints(e);
-        if in_set[u] && in_set[v] {
-            let drop = u.max(v);
-            in_set[drop] = false;
-            removed += 1;
-        }
-    }
-    let mut set: Vec<usize> = (0..g.n()).filter(|&v| in_set[v]).collect();
-    debug_assert!(mis::is_independent_set(g, &set));
-    if report.is_some() {
-        // Greedy completion to maximality (conflict resolution can leave
-        // uncovered vertices next to cut edges, and a degraded run
-        // certainly does), in id order. Charged one membership-comparison
-        // round, like the conflict round.
-        complete_greedily(g, &mut set, 0..g.n());
-        stats.rounds += 1;
-        debug_assert!(mis::is_maximal_independent_set(g, &set));
-    }
+    let unit = vec![1; g.n()];
+    let (out, report) = wmaxis(g, &unit, epsilon, density_bound, seed, mis_budget, faults);
     let out = MaxisOutcome {
-        set,
-        removed_conflicts: removed,
-        stats,
-        all_clusters_optimal: all_optimal,
-        framework,
+        set: out.set,
+        removed_conflicts: out.conflict_weight_lost as usize,
+        stats: out.stats,
+        all_clusters_optimal: out.all_clusters_optimal,
+        framework: out.framework,
     };
     (out, report)
 }

@@ -12,7 +12,7 @@
 //! to MPX on a degraded run — while mds and corrclust need nothing more.
 //! Both public entry points of an app, `approx_*` (or
 //! `low_diameter_decomposition`) and its `*_resilient` twin, are one call
-//! each into that body.
+//! each into that body; maxis's body is wmaxis's at unit weights.
 //!
 //! `mwm` iterates the framework over working subgraphs and
 //! `property_testing` runs it at the class's own density; neither has a

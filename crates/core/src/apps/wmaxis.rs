@@ -4,7 +4,9 @@
 //! the weighted CONGEST state of the art ((1−ε)/Δ-style factors from
 //! \[10, 66\]). This extension runs the framework with exact per-cluster
 //! *weighted* MIS and weight-aware conflict resolution (the lighter
-//! endpoint of a conflicting cut edge drops out).
+//! endpoint of a conflicting cut edge drops out). It is the general case
+//! of Theorem 1.2's pipeline, and its body is the only one: `maxis` runs
+//! it at unit weights.
 //!
 //! Unlike the unweighted case, `ε'·n` dropped *vertices* do not translate
 //! into an `ε·α_w` weight bound when weights are wildly skewed — the same
@@ -16,9 +18,8 @@
 
 use lcg_congest::{FaultPlan, RoundStats};
 use lcg_graph::Graph;
-use lcg_solvers::wmis;
+use lcg_solvers::treedp;
 
-use crate::apps::maxis::complete_greedily;
 use crate::apps::{reported, run, scaled, Faults};
 use crate::framework::FrameworkOutcome;
 use crate::recovery::{RecoveryPolicy, RecoveryReport};
@@ -40,7 +41,9 @@ pub struct WmaxisOutcome {
     pub framework: FrameworkOutcome,
 }
 
-/// Runs the weighted-MAXIS extension. `weights` are per-vertex.
+/// Runs the weighted-MAXIS extension. `weights` are per-vertex; `budget`
+/// caps each leader's search as in
+/// [`approx_maximum_independent_set`](crate::apps::maxis::approx_maximum_independent_set).
 ///
 /// # Panics
 ///
@@ -79,9 +82,26 @@ pub fn approx_maximum_weight_independent_set_resilient(
     reported(wmaxis(g, weights, epsilon, density_bound, seed, budget, Some(Faults { plan: faults, policy })))
 }
 
+/// Completes the independent set `set` to a maximal one: every vertex with
+/// no chosen neighbor joins, visited in `order`; the set is then listed in
+/// id order.
+fn complete_greedily(g: &Graph, set: &mut Vec<usize>, order: impl IntoIterator<Item = usize>) {
+    let mut in_set = vec![false; g.n()];
+    for &v in set.iter() {
+        in_set[v] = true;
+    }
+    for v in order {
+        if !in_set[v] && g.neighbor_vertices(v).all(|u| !in_set[u]) {
+            in_set[v] = true;
+        }
+    }
+    *set = (0..g.n()).filter(|&v| in_set[v]).collect();
+}
+
 /// The §3.1 pipeline with exact per-cluster weighted MIS and weight-aware
-/// conflict resolution, plainly or under `faults`.
-fn wmaxis(
+/// conflict resolution, plainly or under `faults`; MAXIS runs it at unit
+/// weights.
+pub(crate) fn wmaxis(
     g: &Graph,
     weights: &[u64],
     epsilon: f64,
@@ -93,17 +113,23 @@ fn wmaxis(
     assert_eq!(weights.len(), g.n(), "one weight per vertex");
     let eps_prime = epsilon / (2.0 * density_bound + 1.0);
     let (framework, report) = run(g, scaled(eps_prime, seed), faults);
+    // Each leader solves its cluster exactly: tree-decomposition DP when
+    // the cluster has small treewidth (k-tree families), else a DP over a
+    // vertex order when its frontier tables fit the budget (grids), else
+    // branch-and-bound.
     let mut in_set = vec![false; g.n()];
     let mut all_optimal = true;
     for c in &framework.clusters {
         let local_w: Vec<u64> = c.mapping.iter().map(|&v| weights[v]).collect();
-        let r = wmis::maximum_weight_independent_set(&c.subgraph, &local_w, budget);
-        all_optimal &= r.optimal;
-        for &local in &r.set {
+        let (set, optimal) = treedp::mwis_auto(&c.subgraph, &local_w, 8, budget);
+        all_optimal &= optimal;
+        for &local in &set {
             in_set[c.mapping[local]] = true;
         }
     }
-    // weight-aware conflict resolution on cut edges: lighter endpoint drops
+    // Conflict resolution: one round — endpoints of inter-cluster edges
+    // compare membership; the lighter endpoint drops out, on a tie the
+    // larger id.
     let mut lost = 0u64;
     for &e in &framework.decomposition.cut_edges {
         let (u, v) = g.endpoints(e);
@@ -124,8 +150,10 @@ fn wmaxis(
     let mut stats = framework.stats;
     stats.rounds += 1;
     if report.is_some() {
-        // Greedy completion to maximality, heavier (then lower-id) first.
-        // Charged one membership-comparison round.
+        // Greedy completion to maximality (conflict resolution can leave
+        // uncovered vertices next to cut edges, and a degraded run
+        // certainly does), heavier (then lower-id) first. Charged one
+        // membership-comparison round, like the conflict round.
         let mut order: Vec<usize> = (0..g.n()).collect();
         order.sort_by_key(|&v| (std::cmp::Reverse(weights[v]), v));
         complete_greedily(g, &mut set, order);
@@ -147,7 +175,6 @@ fn wmaxis(
 mod tests {
     use super::*;
     use lcg_graph::gen;
-    use lcg_solvers::treedp;
     use rand::Rng;
 
     #[test]

@@ -68,6 +68,10 @@ use crate::recovery::{AttemptLog, RecoveryPolicy, RecoveryReport};
 /// File extension of every snapshot the supervisor writes.
 pub const SNAPSHOT_EXT: &str = "lcgsnap";
 
+/// Snapshots retained after rotation: the newest two, so a corrupted
+/// newest file always has a fallback.
+const KEEP: usize = 2;
+
 /// Checkpoint cadence, retention, and restart policy of a supervised run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
@@ -77,9 +81,6 @@ pub struct CheckpointConfig {
     /// (clamped to ≥ 1). The framework driver checkpoints at every
     /// attempt boundary regardless.
     pub every: u64,
-    /// Snapshots retained after rotation (keep-last-N, clamped to ≥ 1;
-    /// default 2, so a corrupted newest file always has a fallback).
-    pub keep: usize,
     /// Crashes tolerated before the supervisor gives up: the round driver
     /// returns [`SupervisorError::RestartBudgetExhausted`], the framework
     /// driver degrades to the PR 4 singleton outcome.
@@ -101,7 +102,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
             every: 16,
-            keep: 2,
             restart_budget: 3,
             kill_at_round: None,
             kill_at_attempt: None,
@@ -112,13 +112,6 @@ impl CheckpointConfig {
     #[must_use]
     pub fn with_every(mut self, every: u64) -> CheckpointConfig {
         self.every = every;
-        self
-    }
-
-    /// Sets the keep-last-N retention.
-    #[must_use]
-    pub fn with_keep(mut self, keep: usize) -> CheckpointConfig {
-        self.keep = keep;
         self
     }
 
@@ -287,8 +280,7 @@ impl<'c> Store<'c> {
     /// file numbered above `seq` goes first: an earlier run's or this run's
     /// own pre-crash future, it lies on a timeline this run has left, and
     /// ranked by number alone it would evict each checkpoint right after it
-    /// was written. Of the rest the newest `keep` stay — at least one:
-    /// retaining nothing would turn each crash into a silent restart.
+    /// was written. Of the rest the newest `KEEP` stay.
     fn save(&mut self, seq: u64, w: &SnapshotWriter) -> Result<(), SupervisorError> {
         // tmp file + atomic rename: a crash mid-write can never leave a
         // half-written file under the real name — the worst case is an
@@ -300,7 +292,7 @@ impl<'c> Store<'c> {
         self.report.saved += 1;
         let mut found = list_snapshots(&self.ckpt.dir)?;
         let dead = found.split_off(found.partition_point(|&(s, _)| s <= seq));
-        found.truncate(found.len().saturating_sub(self.ckpt.keep.max(1)));
+        found.truncate(found.len().saturating_sub(KEEP));
         for (_, path) in found.iter().chain(&dead) {
             fs::remove_file(path)?;
         }
@@ -361,7 +353,7 @@ fn injected_crash(at: std::fmt::Arguments<'_>) -> ! {
 /// tracer, deterministic metrics — see
 /// [`Network::write_snapshot_sections`]) plus the per-vertex states
 /// (`NODE` section) and supervisor progress (`SUPR`) are written
-/// atomically and rotated keep-last-N. A caught panic — a node program's,
+/// atomically and rotated keep-last-2. A caught panic — a node program's,
 /// or the injected `kill_at_round` crash — discards the crashed engine and resumes from the newest snapshot that
 /// parses, falling back file by file (counted in `corrupt_skipped`) down
 /// to a fresh start, under `ckpt.restart_budget` restarts.
@@ -672,7 +664,7 @@ mod tests {
         assert_eq!(run.report.resumed, 0);
         // 11 rounds at cadence 3 → boundaries at 3, 6, 9, 11
         assert_eq!(run.report.saved, 4);
-        // rotation kept exactly `keep` files
+        // rotation kept exactly `KEEP` files
         assert_eq!(list_snapshots(&dir).expect("list").len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -701,31 +693,6 @@ mod tests {
         let reg = run.report.registry();
         assert_eq!(reg.counter("checkpoint.resumed"), 1);
         assert_eq!(reg.counter("checkpoint.crashes"), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// `keep == 0` used to rotate away every checkpoint as it was written,
-    /// so the crash below silently restarted from round 0.
-    #[test]
-    fn keep_zero_still_retains_the_newest_checkpoint() {
-        let g = gen::grid(5, 5);
-        let dir = scratch("keep0");
-        let (want_states, want_stats) = straight_flood(&g, 10);
-        let ckpt = CheckpointConfig::new(&dir).with_every(2).with_keep(0).with_kill_at_round(7);
-        let run = run_state_checkpointed(
-            &g,
-            Model::congest(),
-            10,
-            || flood_init(g.n()),
-            flood_step,
-            &ckpt,
-        )
-        .expect("killed run must recover");
-        assert_eq!(run.states, want_states);
-        assert_eq!(run.stats, want_stats);
-        assert_eq!(run.report.crashes, 1);
-        assert!(run.report.resumed >= 1, "the round-6 checkpoint must have survived rotation");
-        assert_eq!(list_snapshots(&dir).expect("list").len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

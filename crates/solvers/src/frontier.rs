@@ -1,5 +1,5 @@
 //! Exact maximum-weight independent set by dynamic programming over a
-//! vertex order — the middle stage of `treedp::mis_auto`, between the
+//! vertex order — the middle stage of `treedp::mwis_auto`, between the
 //! width-bounded tree DP and branch-and-bound.
 //!
 //! A vertex order is a path decomposition. Process the vertices in order

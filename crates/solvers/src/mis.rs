@@ -6,8 +6,9 @@
 //! solved in closed form) and a matching-based upper bound. The bound is
 //! weak on grid-like clusters — the shuffled `triangulated_grid(16, 16)`
 //! of the repo benchmark (α = 86) exhausts 300 000 nodes at incumbents of
-//! 74–81 — so leaders call it through `treedp::mis_auto`, which tries two
-//! exact DPs first and reports `optimal: false` when all three give up.
+//! 74–81 — so leaders call it through `treedp::mwis_auto` (its last stage
+//! when every weight is 1), which tries two exact DPs first and reports
+//! `optimal: false` when all three give up.
 //! [`greedy_mis`] is the `n/(2d+1)` greedy of §3.1 used both as a
 //! lower-bound witness for `α(G) = Θ(n)` and as the branch-and-bound's
 //! initial incumbent.

@@ -11,7 +11,7 @@
 //!
 //! Used by the solver dispatchers so that bounded-treewidth clusters of
 //! *any* size are solved exactly, where branch-and-bound would blow up.
-//! For independent sets the dispatcher ([`mis_auto`]) has a second exact
+//! For independent sets the dispatcher ([`mwis_auto`]) has a second exact
 //! stage before branch-and-bound: where min-degree elimination gives up
 //! (grids: width ~√n), a DP over a vertex *order* (the private `frontier`
 //! module) still finishes whenever the order's frontier has few
@@ -492,22 +492,41 @@ pub fn mds_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, 
     (r.set, r.optimal)
 }
 
-/// Dispatcher for unweighted MIS, cheapest exact method first:
+/// Dispatcher for maximum-weight independent set — how every leader
+/// solves an independent-set cluster — cheapest exact method first:
 /// tree-decomposition DP when the min-degree heuristic certifies width
 /// `≤ width_limit`; else the frontier DP over a vertex order, if its
 /// tables fit `bnb_budget` entries; else branch-and-bound with the whole
-/// of `bnb_budget`. Returns `(set, proven_optimal)`.
-pub fn mis_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, bool) {
+/// of `bnb_budget`: [`crate::mis`]'s when every weight is 1, else
+/// [`crate::wmis`]'s. Returns `(set, proven_optimal)`.
+///
+/// # Panics
+///
+/// Panics if `weights.len() != g.n()`.
+pub fn mwis_auto(
+    g: &Graph,
+    weights: &[u64],
+    width_limit: usize,
+    bnb_budget: u64,
+) -> (Vec<usize>, bool) {
     if let Some(td) = min_degree_decomposition(g, width_limit) {
-        let (_, set) = mis_on_tree_decomposition(g, &td);
+        let (_, set) = mwis_on_tree_decomposition(g, &td, weights);
         return (set, true);
     }
-    let unit = vec![1u64; g.n()];
-    if let Some((_, set)) = frontier::max_weight_independent_set(g, &unit, bnb_budget).solution {
+    if let Some((_, set)) = frontier::max_weight_independent_set(g, weights, bnb_budget).solution {
         return (set, true);
     }
-    let r = crate::mis::maximum_independent_set(g, bnb_budget);
+    if weights.iter().all(|&w| w == 1) {
+        let r = crate::mis::maximum_independent_set(g, bnb_budget);
+        return (r.set, r.optimal);
+    }
+    let r = crate::wmis::maximum_weight_independent_set(g, weights, bnb_budget);
     (r.set, r.optimal)
+}
+
+/// [`mwis_auto`] at unit weights.
+pub fn mis_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, bool) {
+    mwis_auto(g, &vec![1; g.n()], width_limit, bnb_budget)
 }
 
 #[cfg(test)]
@@ -640,6 +659,7 @@ mod tests {
 
     #[test]
     fn auto_dispatcher_picks_dp_or_bnb() {
+        use rand::Rng;
         let mut rng = gen::seeded_rng(405);
         let easy = gen::partial_ktree(40, 2, 0.5, &mut rng);
         let (_, exact) = mis_auto(&easy, 6, 1_000);
@@ -648,6 +668,31 @@ mod tests {
         let (set, exact) = mis_auto(&hard, 4, 1_000_000);
         assert!(exact);
         assert_eq!(set.len(), 1);
+        // weighted, on `easy`: the tree DP's optimum
+        let w: Vec<u64> = (0..easy.n()).map(|_| rng.gen_range(1..=20)).collect();
+        let td = min_degree_decomposition(&easy, 6).unwrap();
+        let (set, exact) = mwis_auto(&easy, &w, 6, 1_000);
+        assert!(exact);
+        let weight: u64 = set.iter().map(|&v| w[v]).sum();
+        assert_eq!(weight, mwis_on_tree_decomposition(&easy, &td, &w).0);
+        // both DPs decline on a 10 × 10 triangulated grid at width limit 2
+        // and budget 100: branch-and-bound answers, the weighted one
+        // unless every weight is 1 (at unit weights the two differ here)
+        let tri = gen::triangulated_grid(10, 10);
+        let w: Vec<u64> = (0..tri.n()).map(|_| rng.gen_range(1..=20)).collect();
+        let unit = vec![1; tri.n()];
+        assert!(min_degree_decomposition(&tri, 2).is_none());
+        assert!(frontier::max_weight_independent_set(&tri, &w, 100).solution.is_none());
+        assert!(frontier::max_weight_independent_set(&tri, &unit, 100).solution.is_none());
+        let r = crate::wmis::maximum_weight_independent_set(&tri, &w, 100);
+        assert_eq!(mwis_auto(&tri, &w, 2, 100), (r.set, r.optimal));
+        let r = crate::mis::maximum_independent_set(&tri, 100);
+        assert_eq!(mwis_auto(&tri, &unit, 2, 100), (r.set, r.optimal));
+        // with room for its tables the frontier DP answers, with the weights
+        let (set, exact) = mwis_auto(&tri, &w, 2, 1_000_000);
+        let dp = frontier::max_weight_independent_set(&tri, &w, 1_000_000).solution;
+        assert!(exact);
+        assert_eq!(Some(set.iter().map(|&v| w[v]).sum::<u64>()), dp.map(|(weight, _)| weight));
     }
 
     #[test]

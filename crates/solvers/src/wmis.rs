@@ -2,9 +2,10 @@
 //!
 //! The paper's Theorem 1.2 is unweighted; §1.1 surveys the weighted
 //! CONGEST literature (\[10\], \[66\]). This module provides the exact
-//! weighted solver a leader would use to extend the framework to weighted
-//! MAXIS (the `lcg-core::apps` experiments report the measured ratios of
-//! that extension).
+//! weighted branch-and-bound, the last stage of `treedp::mwis_auto` when
+//! some weight is not 1: a weighted-MAXIS leader reaches it only when
+//! both DPs decline (the `lcg-core::apps` experiments report the measured
+//! ratios of that extension).
 
 use lcg_graph::Graph;
 
