@@ -44,25 +44,34 @@ usage: experiments [IDS...] [OPTIONS]
                       report to stderr; with no IDS, run only that run
   --faults P          inject seeded i.i.d. message drops with probability P
                       into the traced run (fault events land in the trace)
-  --fault-seed S      fault-schedule seed for --faults, E20 and E24
+  --fault-seed S      fault-schedule seed for --faults and E20
                       (default 0xFA17)
-  --retry-budget N    max retries of the self-healing harness in E20 and
-                      the supervised run (default 3)
-  --checkpoint-every K  engine-plane checkpoint cadence in rounds for E24
-                      (default 8)
-  --kill-at-round R   inject a deterministic crash at round R in E24's
-                      engine plane (default: half the run)
-  --resume-from DIR   run the framework under the kill-and-resume
-                      supervisor, checkpointing into DIR and resuming any
-                      snapshots already there (the cross-process resume
-                      path); prints the checkpoint.* counters to stderr.
-                      With no IDS, run only the supervised run
+  --retry-budget N    max retries of the self-healing harness in E20
+                      (default 3)
   --scale-n N         vertex count of E25 (default 10^5 quick, 10^6 full)
   --e25-metrics PATH  write E25's framework-row metrics.json to PATH
   --threads N         threads of E25's framework row and of the --trace and
                       --metrics runs (default 1; results are the same at
                       any count)
-  -h, --help          print this help";
+  -h, --help          print this help
+
+Any other `--` argument is an error (exit 2).";
+
+/// Every flag this binary knows, with whether it takes the argument after
+/// it as its value; `-h`/`--help` are answered before parsing.
+const FLAGS: [(&str, bool); 11] = [
+    ("--quick", false),
+    ("--json", true),
+    ("--trace", true),
+    ("--trace-top-k", true),
+    ("--metrics", true),
+    ("--faults", true),
+    ("--fault-seed", true),
+    ("--retry-budget", true),
+    ("--scale-n", true),
+    ("--e25-metrics", true),
+    ("--threads", true),
+];
 
 /// The value after `name` on the command line, parsed; `None` when the flag
 /// is absent.
@@ -86,19 +95,27 @@ fn threads(args: &[String]) -> lcg_congest::ExecConfig {
     lcg_congest::ExecConfig::with_threads(threads)
 }
 
-/// The experiment ids: every flag but `--quick` takes the argument after it
-/// as its value, what is left over names experiments.
-fn ids(args: &[String]) -> Vec<&str> {
+/// The experiment ids: what is left over once every flag of [`FLAGS`] and
+/// the value of each that takes one are set aside.
+///
+/// # Errors
+///
+/// The first `--` argument that is not in [`FLAGS`]. Ignoring it would be
+/// worse than refusing it: a misspelled `--quik e1` would swallow `e1` as
+/// its value, select nothing, and so run every experiment at full scale.
+fn ids(args: &[String]) -> Result<Vec<&str>, &str> {
     let mut ids = Vec::new();
     let mut is_value = false;
     for a in args {
-        let is_flag = a.starts_with("--");
-        if !is_flag && !is_value {
+        if is_value {
+            is_value = false;
+        } else if a.starts_with("--") {
+            is_value = FLAGS.iter().find(|(name, _)| name == a).ok_or(a.as_str())?.1;
+        } else {
             ids.push(a.as_str());
         }
-        is_value = is_flag && a != "--quick";
     }
-    ids
+    Ok(ids)
 }
 
 fn main() {
@@ -107,13 +124,15 @@ fn main() {
         println!("{USAGE}");
         return;
     }
+    let selected = ids(&args).unwrap_or_else(|unknown| {
+        eprintln!("experiments: unknown flag `{unknown}`\n\n{USAGE}");
+        std::process::exit(2);
+    });
     // what experiments read
     let opts = Opts {
         scale: if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full },
         fault_seed: flag(&args, "--fault-seed", "a number").unwrap_or(0xFA17),
         retry_budget: flag(&args, "--retry-budget", "a number").unwrap_or(3),
-        checkpoint_every: flag(&args, "--checkpoint-every", "a round count").unwrap_or(8),
-        kill_at_round: flag(&args, "--kill-at-round", "a round number"),
         scale_n: flag(&args, "--scale-n", "a vertex count"),
         e25_metrics: flag(&args, "--e25-metrics", "a path"),
         exec: threads(&args),
@@ -123,10 +142,8 @@ fn main() {
     let trace_path: Option<String> = flag(&args, "--trace", "a path");
     let trace_top_k = flag(&args, "--trace-top-k", "a number").unwrap_or(10);
     let metrics_path: Option<String> = flag(&args, "--metrics", "a path");
-    let resume_from: Option<String> = flag(&args, "--resume-from", "a directory");
     let faults = flag(&args, "--faults", "a probability in [0,1]")
         .map(|p: f64| lcg_congest::FaultPlan::drops(opts.fault_seed, p));
-    let selected = ids(&args);
     let scale = opts.scale;
 
     if let Some(path) = &trace_path {
@@ -137,14 +154,7 @@ fn main() {
     }
 
     if let Some(path) = &metrics_path {
-        run_metrics(path, &opts, faults.clone());
-        if selected.is_empty() && resume_from.is_none() {
-            return;
-        }
-    }
-
-    if let Some(dir) = &resume_from {
-        run_checkpointed(dir, &opts, faults);
+        run_metrics(path, &opts, faults);
         if selected.is_empty() {
             return;
         }
@@ -178,7 +188,7 @@ fn main() {
     }
 }
 
-/// The planar instance the three framework runs below share (with the one
+/// The planar instance the two framework runs below share (with the one
 /// fault plan `main` builds), so their reports describe the same execution.
 fn planar_instance(scale: Scale) -> lcg_graph::Graph {
     let n = scale.pick(200, 2_000);
@@ -205,39 +215,6 @@ fn run_traced(path: &str, top_k: usize, opts: &Opts, faults: Option<lcg_congest:
     std::fs::write(path, out.trace.to_jsonl()).expect("write trace file");
     eprintln!("{}", lcg_trace::report::render(&out.trace));
     eprintln!("<<< trace written to {path}\n");
-}
-
-/// One supervised framework run on the standard planar instance (same
-/// seed as the traced/metrics runs), checkpointing into `dir` at every
-/// attempt boundary and resuming any compatible snapshots already there —
-/// kill the process mid-run and invoke it again with the same `--resume-from`
-/// to watch the cross-process resume path lose at most one attempt.
-fn run_checkpointed(dir: &str, opts: &Opts, faults: Option<lcg_congest::FaultPlan>) {
-    use lcg_core::framework::FrameworkConfig;
-    use lcg_core::recovery::RecoveryPolicy;
-    use lcg_core::supervisor::{run_framework_checkpointed, CheckpointConfig};
-
-    let g = planar_instance(opts.scale);
-    eprintln!(">>> running checkpointed framework (n={}, dir={dir})...", g.n());
-    let cfg = FrameworkConfig { metrics: true, faults, ..FrameworkConfig::planar(0.3, 42) };
-    let policy = RecoveryPolicy {
-        max_retries: opts.retry_budget,
-        initial_walk_steps: opts.scale.pick(20_000, 200_000),
-    };
-    let ckpt = CheckpointConfig::new(dir);
-    let (outcome, recovery, sup) =
-        run_framework_checkpointed(&g, &cfg, &policy, &ckpt).expect("supervised framework run");
-    eprintln!(
-        "<<< outcome: {} rounds, {} attempts, degraded={} | checkpoint.saved={} \
-         checkpoint.resumed={} checkpoint.corrupt_skipped={} checkpoint.crashes={}\n",
-        outcome.stats.rounds,
-        recovery.attempts,
-        recovery.degraded,
-        sup.saved,
-        sup.resumed,
-        sup.corrupt_skipped,
-        sup.crashes
-    );
 }
 
 /// One metrics-recorded framework run on a planar instance, sized by
@@ -267,18 +244,33 @@ mod tests {
 
     #[test]
     fn flags_take_the_next_argument_and_the_rest_are_ids() {
-        let a = args("e20 --quick e24 --fault-seed 7 --json out all");
-        assert_eq!(ids(&a), ["e20", "e24", "all"]);
+        let a = args("e20 --quick e25 --fault-seed 7 --json out all");
+        assert_eq!(ids(&a), Ok(vec!["e20", "e25", "all"]));
         assert_eq!(flag::<u64>(&a, "--fault-seed", "a number"), Some(7));
         assert_eq!(flag::<String>(&a, "--json", "a directory").as_deref(), Some("out"));
-        assert_eq!(flag::<u64>(&a, "--kill-at-round", "a round number"), None);
+        assert_eq!(flag::<u64>(&a, "--scale-n", "a vertex count"), None);
+    }
+
+    #[test]
+    fn quick_takes_no_value() {
+        assert_eq!(ids(&args("--quick e1")), Ok(vec!["e1"]));
+        assert_eq!(ids(&args("e1 --quick e4")), Ok(vec!["e1", "e4"]));
+    }
+
+    /// A flag the binary does not know is refused, not read as taking the
+    /// next argument: `--quik e1` would otherwise select nothing and run
+    /// every experiment at full scale.
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        assert_eq!(ids(&args("--quik e1")), Err("--quik"));
+        assert_eq!(ids(&args("e1 --resume-from ckpt")), Err("--resume-from"));
     }
 
     #[test]
     fn threads_default_to_one() {
         assert_eq!(threads(&args("e25 --quick")).threads(), 1);
         assert_eq!(threads(&args("e25 --threads 2 --quick")).threads(), 2);
-        assert_eq!(ids(&args("e25 --threads 2 --quick")), ["e25"]);
+        assert_eq!(ids(&args("e25 --threads 2 --quick")), Ok(vec!["e25"]));
     }
 
     #[test]

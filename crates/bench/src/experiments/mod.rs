@@ -19,7 +19,6 @@ pub mod e16_kernel_ablation;
 pub mod e17_message_faithful;
 pub mod e18_scaling;
 pub mod e20_chaos;
-pub mod e24_checkpoint;
 pub mod e25_scale;
 mod e26_unit_cost;
 
@@ -50,7 +49,6 @@ pub fn all() -> Vec<(&'static str, Experiment)> {
         ("e17", e17_message_faithful::run),
         ("e18", e18_scaling::run),
         ("e20", e20_chaos::run),
-        ("e24", e24_checkpoint::run),
         ("e25", e25_scale::run),
         ("e26", e26_unit_cost::run),
     ]

@@ -1,6 +1,6 @@
 //! # lcg-bench — experiment harness
 //!
-//! One module per experiment in EXPERIMENTS.md (E1–E18, E20, E24–E26). The
+//! One module per experiment in EXPERIMENTS.md (E1–E18, E20, E25, E26). The
 //! `experiments` binary regenerates any table:
 //!
 //! ```text
@@ -45,15 +45,10 @@ impl Scale {
 pub struct Opts {
     /// `--quick`: CI scale.
     pub scale: Scale,
-    /// `--fault-seed S`: fault-schedule seed of `--faults`, E20 and E24.
+    /// `--fault-seed S`: fault-schedule seed of `--faults` and E20.
     pub fault_seed: u64,
-    /// `--retry-budget N`: max retries in E20 and the supervised run.
+    /// `--retry-budget N`: max retries in E20.
     pub retry_budget: u32,
-    /// `--checkpoint-every K`: E24 engine-plane checkpoint cadence (rounds).
-    pub checkpoint_every: u64,
-    /// `--kill-at-round R`: E24 engine-plane injected crash round; half the
-    /// run when absent.
-    pub kill_at_round: Option<u64>,
     /// `--scale-n N`: E25 vertex count; 10⁵ quick / 10⁶ full when absent.
     pub scale_n: Option<usize>,
     /// `--e25-metrics PATH`: where E25 writes its framework row's report.

@@ -9,8 +9,8 @@
 //! [`ExecConfig::map`]: independent items, each result owned by the thread
 //! that computed it and returned in item order, so no output depends on the
 //! thread count. The count itself is set by callers (`main` of a binary, a
-//! test); the libraries read no environment variable, and neither a
-//! [`Network`](crate::Network) nor a snapshot stores one.
+//! test); the libraries read no environment variable, and a
+//! [`Network`](crate::Network) stores none.
 //!
 //! # Examples
 //!

@@ -211,10 +211,6 @@ impl FaultState {
         FaultState { plan, crashed_at, down }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     pub(crate) fn truncate_words(&self) -> Option<usize> {
         self.plan.truncate_words
     }

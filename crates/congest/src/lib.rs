@@ -45,7 +45,6 @@ mod model;
 pub mod msg;
 mod network;
 pub mod primitives;
-pub mod snapshot;
 pub mod stats;
 
 pub use executor::ExecConfig;
@@ -53,5 +52,4 @@ pub use faults::{FaultPlan, FaultState, LinkFailure, NodeCrash};
 pub use model::Model;
 pub use msg::{Msg, INLINE_WORDS};
 pub use network::{Inbox, Network, Outbox};
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
 pub use stats::RoundStats;

@@ -59,14 +59,11 @@
 
 use lcg_graph::Graph;
 use lcg_metrics::Recorder;
-use lcg_trace::{SpanId, Tracer, TracerState};
+use lcg_trace::{SpanId, Tracer};
 
 use crate::faults::{FaultPlan, FaultState, FaultVerdict};
 use crate::model::Model;
 use crate::msg::{Msg, INLINE_WORDS};
-use crate::snapshot::{
-    self, Dec, Enc, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter,
-};
 use crate::stats::RoundStats;
 
 /// Inbox of one vertex: `inbox[port]` is the message received on that port
@@ -184,10 +181,6 @@ impl<'a> Topo<'a> {
 /// assert_eq!(stats.rounds, 1);
 /// assert_eq!(stats.messages, 10); // 2 per vertex
 /// ```
-///
-/// Every field is either serialized or rebuilt on resume; the
-/// destructuring in [`Network::write_snapshot_sections`] names each one,
-/// so a new field does not compile until it takes a side.
 pub struct Network<'g> {
     g: &'g Graph,
     model: Model,
@@ -302,7 +295,6 @@ fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
 /// exactly once, so `stats` == trace totals == the `net.*` registry
 /// counters by construction (DESIGN §8). With no tracer and no recorder
 /// attached every method is the `stats` update plus skipped branches.
-/// All three fields are snapshot state ([`Network::write_snapshot_sections`]).
 #[derive(Default)]
 struct Sink {
     stats: RoundStats,
@@ -936,178 +928,6 @@ impl<'g> Network<'g> {
     }
 }
 
-// ------------------------------------------------------------- snapshots
-//
-// Engine-state serialization (see `crate::snapshot` for the file format
-// and DESIGN.md §14 for the schema). Lives here because it is the one
-// consumer of the network's private fields outside the round engine.
-
-impl<'g> Network<'g> {
-    /// FNV-1a fingerprint of the graph's edge list: edge ids with their
-    /// endpoint pairs, in id order. Two graphs that fingerprint equal (at
-    /// equal `n`/`m`) are interchangeable as resume targets.
-    fn topology_fingerprint(g: &Graph) -> u64 {
-        let mut enc = Enc::new();
-        snapshot::encode_edges(g, &mut enc);
-        snapshot::fnv1a64(&enc.into_bytes())
-    }
-
-    /// Appends the engine's snapshot sections (`TOPO` … `METR`) to `w`.
-    /// Supervisors call this, then append their own sections (per-node
-    /// program state, RNG positions, progress) before writing the file.
-    ///
-    /// Only state that carries information across rounds is serialized;
-    /// the destructuring below names every field of the network and its
-    /// sink, so a field added to either does not compile until it is
-    /// written here or given a reason to be rebuilt on resume. A fault
-    /// schedule is stored as its *plan* — drop coins are keyed by
-    /// `(round, edge)` and the round counter is in `STAT`, so plan +
-    /// counter is complete fault progress. The metrics section keeps only
-    /// the deterministic registry; the profiling plane is wall-clock state
-    /// and deliberately dies with the process.
-    pub fn write_snapshot_sections(&self, w: &mut SnapshotWriter) {
-        let Network {
-            // only its fingerprint is stored: resume binds a caller-provided graph
-            g,
-            model,
-            sink,
-            pending,
-            faults,
-            // all-None between rounds (`return_clean`); rebuilt fresh on resume
-            outgoing: _,
-            // a pure function of the graph, recomputed by the resume constructor
-            rev_slot: _,
-            // empty between rounds; rebuilt empty on resume
-            receivers: _,
-        } = self;
-        let Sink { stats, tracer, metrics } = sink;
-        w.state_section("TOPO", &(g.n(), g.m(), Network::topology_fingerprint(g)));
-        w.state_section("MODL", model);
-        w.state_section("STAT", stats);
-        // the flat arena is written in the wire shape of the historical
-        // nested grid (row count, then per row its length and slots), so
-        // snapshots stay byte-compatible across the CSR change; a cold
-        // grid (lost to a panic mid-round) is written as the empty rows the
-        // next round will see in its place
-        let mut pend = Enc::new();
-        pend.usize(g.n());
-        for v in 0..g.n() {
-            let row = g.row_range(v);
-            pend.usize(row.len());
-            for s in row {
-                pending.get(s).unwrap_or(&None).encode(&mut pend);
-            }
-        }
-        w.section("PEND", pend.into_bytes());
-        let plan: Option<FaultPlan> = faults.as_ref().map(|f| f.plan().clone());
-        w.state_section("FLTS", &plan);
-        w.state_section("TRCE", &tracer.as_ref().map(Tracer::snapshot_state));
-        w.state_section("METR", &metrics.as_ref().map(|rec| (rec.label().to_string(), rec.registry().to_json())));
-    }
-
-    /// Writes a complete engine snapshot to `w`: magic, version header,
-    /// the checksummed sections of [`Network::write_snapshot_sections`],
-    /// and the terminator.
-    pub fn save_snapshot<W: std::io::Write>(&self, w: W) -> Result<(), SnapshotError> {
-        let mut sw = SnapshotWriter::new();
-        self.write_snapshot_sections(&mut sw);
-        sw.write_to(w)
-    }
-
-    /// Reconstructs a network from a parsed snapshot, binding it to `g`.
-    /// The snapshot's `TOPO` fingerprint must match `g` — resuming onto a
-    /// different graph is a typed [`SnapshotError::TopologyMismatch`],
-    /// not undefined behavior. All errors leave no partial state behind:
-    /// the network is built only after every section has decoded.
-    pub fn restore_snapshot_sections(
-        g: &'g Graph,
-        r: &SnapshotReader,
-    ) -> Result<Network<'g>, SnapshotError> {
-        let (n, m, fp): (usize, usize, u64) = r.state_section("TOPO")?;
-        let here = Network::topology_fingerprint(g);
-        if n != g.n() || m != g.m() || fp != here {
-            return Err(SnapshotError::TopologyMismatch {
-                detail: format!(
-                    "snapshot has n={n} m={m} edges#{fp:016x}, resume graph has n={} m={} edges#{here:016x}",
-                    g.n(),
-                    g.m()
-                ),
-            });
-        }
-        let model: Model = r.state_section("MODL")?;
-        let stats: RoundStats = r.state_section("STAT")?;
-        // inverse of the writer: the wire format is the historical nested
-        // grid, decoded row by row straight into the flat arena
-        let mut pend = Dec::new("PEND", r.section("PEND")?);
-        let rows = pend.usize()?;
-        if rows != g.n() {
-            return Err(SnapshotError::Corrupt {
-                detail: "pending grid shape does not match the graph".to_string(),
-            });
-        }
-        let mut pending: Grid = vec![None; g.slots()];
-        for v in 0..g.n() {
-            let deg = pend.usize()?;
-            if deg != g.degree(v) {
-                return Err(SnapshotError::Corrupt {
-                    detail: "pending grid shape does not match the graph".to_string(),
-                });
-            }
-            for slot in &mut pending[g.row_range(v)] {
-                *slot = Option::<Msg>::decode(&mut pend)?;
-            }
-        }
-        pend.finish()?;
-        let plan: Option<FaultPlan> = r.state_section("FLTS")?;
-        if let Some(p) = &plan {
-            if p.link_failures.iter().any(|l| l.edge >= g.m())
-                || p.crashes.iter().any(|c| c.node >= g.n())
-            {
-                return Err(SnapshotError::Corrupt {
-                    detail: "fault plan references edges/nodes outside the graph".to_string(),
-                });
-            }
-        }
-        let tracer = r
-            .state_section::<Option<TracerState>>("TRCE")?
-            .map(Tracer::from_snapshot_state)
-            .transpose()
-            .map_err(|e| SnapshotError::Corrupt { detail: format!("tracer state: {e}") })?;
-        let metrics = r
-            .state_section::<Option<(String, String)>>("METR")?
-            .map(|(label, json)| {
-                let registry = lcg_metrics::Registry::from_json(&json)?;
-                let mut rec = Recorder::new(&label);
-                rec.merge_registry(&registry);
-                Ok(rec)
-            })
-            .transpose()
-            .map_err(|e: String| SnapshotError::Corrupt { detail: format!("metrics registry: {e}") })?;
-
-        // every section decoded — only now is engine state assembled
-        let mut net = Network::new(g, model);
-        // direct field set: `attach_tracer` would re-bind the topology and
-        // reset the restored per-edge loads
-        net.sink = Sink { stats, tracer, metrics };
-        net.pending = pending;
-        net.set_fault_plan(plan); // recompiles FaultState from the plan
-        Ok(net)
-    }
-
-    /// Reads a complete snapshot from `r` and resumes it against `g` —
-    /// the inverse of [`Network::save_snapshot`]. A resumed network
-    /// continues bit-identically to the network that was saved: same
-    /// stats, same in-flight messages, same fault schedule at the same
-    /// round, same RNG-free engine state.
-    pub fn resume_snapshot<R: std::io::Read>(
-        g: &'g Graph,
-        r: R,
-    ) -> Result<Network<'g>, SnapshotError> {
-        let reader = SnapshotReader::read_from(r)?;
-        Network::restore_snapshot_sections(g, &reader)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1566,16 +1386,5 @@ mod tests {
         assert_eq!(trace.faults[0].kind, "link");
         assert_eq!(trace.faults[0].count, 2);
         assert_eq!(trace.faults[0].round, 0);
-    }
-
-    /// The `TOPO` fingerprint is what a resume checks a graph against, so
-    /// it must not move: these are the values the build before the shared
-    /// `snapshot::encode_edges` computed.
-    #[test]
-    fn topology_fingerprint_is_pinned() {
-        let mut rng = gen::seeded_rng(29);
-        let planar = gen::random_planar(40, 0.5, &mut rng);
-        assert_eq!(Network::topology_fingerprint(&planar), 0x886b_9083_d04d_9e1a);
-        assert_eq!(Network::topology_fingerprint(&gen::grid(3, 3)), 0x8cbc_3c53_d153_2365);
     }
 }

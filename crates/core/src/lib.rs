@@ -9,7 +9,6 @@
 //! | [`framework`] | Theorem 2.6 |
 //! | [`failure`] | §2.3 failed-execution behaviour |
 //! | [`recovery`] | §2.3 reaction: retry under faults, degrade, never panic |
-//! | [`supervisor`] | crash-tolerant checkpoint/resume over engine snapshots |
 //! | [`apps::maxis`] | Theorem 1.2 — (1−ε)-MAXIS |
 //! | [`apps::mcm`] | Theorem 3.2 — planar (1−ε)-MCM |
 //! | [`apps::mwm`] | Theorem 1.1 — (1−ε)-MWM |
@@ -40,4 +39,3 @@ pub mod baselines;
 pub mod failure;
 pub mod framework;
 pub mod recovery;
-pub mod supervisor;

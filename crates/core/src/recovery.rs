@@ -28,7 +28,7 @@ use lcg_congest::{Model, Network, RoundStats};
 use lcg_expander::decomp::{ClusterInfo, ExpanderDecomposition};
 use lcg_expander::routing::RoutingOutcome;
 use lcg_graph::Graph;
-use lcg_metrics::{Recorder, Report};
+use lcg_metrics::Report;
 use lcg_trace::{TraceConfig, Tracer};
 
 use crate::failure;
@@ -180,144 +180,6 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     }
 }
 
-/// Stamps the recovery verdict into a folded metrics report (counters
-/// `recovery.attempts`, `recovery.degraded`, `recovery.detector_rounds`),
-/// passing `None` through when metrics were off.
-///
-/// The terminal seal is the **only** place these counters are written —
-/// checkpoints persist the pre-seal fold, so a resumed run can never
-/// double-count them (see [`crate::supervisor`]).
-fn seal_recovery_metrics(
-    folded: Option<Report>,
-    attempts: u32,
-    degraded: bool,
-    detector_rounds: u64,
-) -> Option<Report> {
-    folded.map(|mut rep| {
-        rep.deterministic.counter_add("recovery.attempts", u64::from(attempts));
-        rep.deterministic.counter_add("recovery.degraded", u64::from(degraded));
-        rep.deterministic.counter_add("recovery.detector_rounds", detector_rounds);
-        rep
-    })
-}
-
-/// The accumulators of the §2.3 retry loop between attempts — which makes
-/// them exactly the state [`crate::supervisor`] checkpoints at an attempt
-/// boundary. One attempt is [`AttemptLog::run`] (pure: a crash in there
-/// loses nothing) followed by [`AttemptLog::commit`].
-#[derive(Default)]
-pub(crate) struct AttemptLog {
-    /// Next attempt to execute (attempts `0..next_attempt` completed and
-    /// failed detection).
-    pub(crate) next_attempt: u64,
-    /// Detector rounds across completed attempts.
-    pub(crate) detector_rounds: u64,
-    /// Stats spent by completed attempts plus their detector passes.
-    pub(crate) spent: RoundStats,
-    /// Failure verdicts of completed attempts, in order.
-    pub(crate) failures: Vec<String>,
-    /// Folded deterministic metrics of completed attempts. The
-    /// `recovery.*` verdict counters are **not** in here — they are
-    /// stamped exactly once, at the terminal state, so a resume can never
-    /// double-count `recovery.attempts`.
-    pub(crate) folded: Option<Report>,
-}
-
-/// What [`AttemptLog::run`] produced, before any of it is committed.
-pub(crate) struct AttemptRun {
-    outcome: FrameworkOutcome,
-    det_stats: RoundStats,
-    verdicts: Vec<String>,
-}
-
-impl AttemptLog {
-    /// Executes attempt `next_attempt` over `decomposition`: seed
-    /// [`derived_seed`]`(cfg.seed, k)`, walk budget
-    /// `policy.initial_walk_steps · 2^k` capped by `cfg.max_walk_steps`,
-    /// then every §2.3 detector on a fault-free control network. A pure
-    /// function of `(g, decomposition, cfg, policy, next_attempt)`; `timed`
-    /// only hands the first attempt the recorder of [`decompose_timed`].
-    pub(crate) fn run(
-        &self,
-        g: &Graph,
-        decomposition: &ExpanderDecomposition,
-        timed: Option<Recorder>,
-        cfg: &FrameworkConfig,
-        policy: &RecoveryPolicy,
-    ) -> AttemptRun {
-        let attempt = self.next_attempt as u32;
-        let attempt_cfg = FrameworkConfig {
-            seed: derived_seed(cfg.seed, attempt),
-            max_walk_steps: policy
-                .initial_walk_steps
-                .saturating_mul(2usize.saturating_pow(attempt))
-                .min(cfg.max_walk_steps),
-            ..cfg.clone()
-        };
-        let outcome = run_framework_timed(g, decomposition.clone(), timed, &attempt_cfg);
-        let mut det_net = Network::new(g, Model::congest());
-        let verdicts = detect_failures(&outcome, &mut det_net);
-        AttemptRun { outcome, det_stats: det_net.stats(), verdicts }
-    }
-
-    /// Commits a finished attempt: folds its registry on top of the failed
-    /// attempts' (the newest report wins the profiling plane), charges the
-    /// detector pass, then either accepts — the outcome with cumulative
-    /// stats and sealed metrics, plus the report — or records the verdicts
-    /// and advances to the next attempt (`None`).
-    pub(crate) fn commit(&mut self, ran: AttemptRun) -> Option<(FrameworkOutcome, RecoveryReport)> {
-        let AttemptRun { mut outcome, det_stats, verdicts } = ran;
-        let attempt = self.next_attempt as u32;
-        if let Some(mut rep) = outcome.metrics.take() {
-            if let Some(prev) = self.folded.take() {
-                rep.deterministic.merge(&prev.deterministic);
-            }
-            self.folded = Some(rep);
-        }
-        self.detector_rounds += det_stats.rounds;
-        self.spent.merge(&det_stats);
-        if verdicts.is_empty() {
-            return Some(self.conclude(outcome, attempt + 1, false));
-        }
-        self.failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
-        self.spent.merge(&outcome.stats);
-        self.next_attempt += 1;
-        None
-    }
-
-    /// The terminal degradation after `attempts` completed attempts:
-    /// [`singleton_outcome`] carrying everything the failed attempts spent,
-    /// with the folded metrics sealed.
-    pub(crate) fn degrade(
-        mut self,
-        g: &Graph,
-        cfg: &FrameworkConfig,
-        attempts: u32,
-    ) -> (FrameworkOutcome, RecoveryReport) {
-        self.conclude(singleton_outcome(g, cfg), attempts, true)
-    }
-
-    /// The terminal state either way: `outcome` takes on the cumulative
-    /// spending and the sealed metrics, the report takes the verdicts.
-    fn conclude(
-        &mut self,
-        mut outcome: FrameworkOutcome,
-        attempts: u32,
-        degraded: bool,
-    ) -> (FrameworkOutcome, RecoveryReport) {
-        outcome.stats.merge(&self.spent);
-        outcome.metrics =
-            seal_recovery_metrics(self.folded.take(), attempts, degraded, self.detector_rounds);
-        let report = RecoveryReport {
-            attempts,
-            degraded,
-            failures: std::mem::take(&mut self.failures),
-            detector_rounds: self.detector_rounds,
-        };
-        (outcome, report)
-    }
-}
-
 /// Runs the Theorem 2.6 framework under `cfg` (including its fault plan),
 /// retrying per `policy` until the §2.3 detectors pass, then returns the
 /// accepted outcome and the recovery report. Degrades to
@@ -343,14 +205,68 @@ pub fn run_framework_resilient(
     policy: &RecoveryPolicy,
 ) -> (FrameworkOutcome, RecoveryReport) {
     let (decomposition, mut timed) = decompose_timed(g, cfg);
-    let mut log = AttemptLog::default();
-    while log.next_attempt <= u64::from(policy.max_retries) {
-        let ran = log.run(g, &decomposition, timed.take(), cfg, policy);
-        if let Some(accepted) = log.commit(ran) {
-            return accepted;
+    // the run so far: the stats of failed attempts and of every detector
+    // pass, the detector rounds, the failures, every attempt's metrics
+    let mut spent = RoundStats::default();
+    let mut detector_rounds = 0;
+    let mut failures = Vec::new();
+    let mut folded: Option<Report> = None;
+    for attempt in 0..=policy.max_retries {
+        let attempt_cfg = FrameworkConfig {
+            seed: derived_seed(cfg.seed, attempt),
+            max_walk_steps: policy
+                .initial_walk_steps
+                .saturating_mul(2usize.saturating_pow(attempt))
+                .min(cfg.max_walk_steps),
+            ..cfg.clone()
+        };
+        // only the first attempt reports the decomposition's timer
+        let mut outcome = run_framework_timed(g, decomposition.clone(), timed.take(), &attempt_cfg);
+        let mut det_net = Network::new(g, Model::congest());
+        let verdicts = detect_failures(&outcome, &mut det_net);
+        // this attempt's registry on top of the failed attempts' (the
+        // newest report keeps its profiling plane)
+        if let Some(mut rep) = outcome.metrics.take() {
+            if let Some(prev) = folded.take() {
+                rep.deterministic.merge(&prev.deterministic);
+            }
+            folded = Some(rep);
         }
+        let det_stats = det_net.stats();
+        detector_rounds += det_stats.rounds;
+        spent.merge(&det_stats);
+        if verdicts.is_empty() {
+            let report =
+                RecoveryReport { attempts: attempt + 1, degraded: false, failures, detector_rounds };
+            return conclude(outcome, &spent, folded, report);
+        }
+        failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
+        spent.merge(&outcome.stats);
     }
-    log.degrade(g, cfg, policy.max_retries + 1)
+    let report =
+        RecoveryReport { attempts: policy.max_retries + 1, degraded: true, failures, detector_rounds };
+    conclude(singleton_outcome(g, cfg), &spent, folded, report)
+}
+
+/// The terminal state either way: `outcome` takes on what the failed
+/// attempts and every detector pass `spent`, and the `folded` metrics get
+/// the `recovery.*` verdict counters of `report` (passing `None` through
+/// when metrics were off).
+fn conclude(
+    mut outcome: FrameworkOutcome,
+    spent: &RoundStats,
+    folded: Option<Report>,
+    report: RecoveryReport,
+) -> (FrameworkOutcome, RecoveryReport) {
+    outcome.stats.merge(spent);
+    outcome.metrics = folded.map(|mut rep| {
+        let det = &mut rep.deterministic;
+        det.counter_add("recovery.attempts", u64::from(report.attempts));
+        det.counter_add("recovery.degraded", u64::from(report.degraded));
+        det.counter_add("recovery.detector_rounds", report.detector_rounds);
+        rep
+    });
+    (outcome, report)
 }
 
 #[cfg(test)]

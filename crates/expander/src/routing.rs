@@ -1379,7 +1379,7 @@ mod tests {
         seed: u64,
         plan: Option<FaultPlan>,
         reference: bool,
-    ) -> (RoutingOutcome, RoundStats, lcg_trace::TracerState, u64) {
+    ) -> (RoutingOutcome, RoundStats, lcg_trace::Tracer, u64) {
         let mut net = Network::new(g, lcg_congest::Model::congest());
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("faithful")));
         net.set_fault_plan(plan);
@@ -1391,7 +1391,7 @@ mod tests {
             network_walk_routing_with_counts(&mut net, members, leader, counts, max_steps, &mut rng)
         };
         let tracer = net.take_tracer().expect("a tracer was attached");
-        (out, stats, tracer.snapshot_state(), rng.gen::<u64>())
+        (out, stats, tracer, rng.gen::<u64>())
     }
 
     proptest::proptest! {

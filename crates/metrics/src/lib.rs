@@ -88,22 +88,6 @@ impl Recorder {
         &self.registry
     }
 
-    /// The report label this recorder was started with.
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Folds a previously recorded registry into this recorder's
-    /// deterministic plane — the snapshot-resume path: a resumed run
-    /// starts a fresh recorder (fresh profiling plane — wall-clock state
-    /// is never serialized) and restores the deterministic counters
-    /// through the same order-safe [`Registry::merge`] every other fold
-    /// in the workspace uses.
-    pub fn merge_registry(&mut self, other: &Registry) {
-        self.registry.merge(other);
-    }
-
     /// Stops recording and produces the final two-plane report.
     #[must_use]
     pub fn finish(self) -> Report {

@@ -202,25 +202,6 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Canonical JSON form of the registry (sorted keys via the BTreeMap
-    /// backing): the snapshot layer's `METR` payload. Byte-stable — the
-    /// same registry always serializes to the same bytes.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("a registry value tree always serializes")
-    }
-
-    /// Parses a registry back from [`Registry::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed construct; never
-    /// panics on foreign input.
-    pub fn from_json(text: &str) -> Result<Registry, String> {
-        let v: Value = serde_json::parse_value(text).map_err(|e| e.to_string())?;
-        Registry::from_value(&v).map_err(|e| e.to_string())
-    }
-
     /// Accumulates another registry into this one (used by the recovery
     /// harness to fold per-attempt registries into one report).
     // Order-insensitive: counters are u64 sums, gauges merge by maximum, histograms by Histogram::merge; all three are commutative+associative with the empty registry as identity (order-permutation proptest: crates/congest/tests/merge_order.rs)

@@ -57,4 +57,4 @@ pub mod trace;
 mod tracer;
 
 pub use trace::{FaultEvent, Hotspot, RoundSample, SpanRecord, Totals, Trace, TraceMeta};
-pub use tracer::{SpanId, SpanState, TraceConfig, Tracer, TracerState};
+pub use tracer::{SpanId, TraceConfig, Tracer};

@@ -16,7 +16,6 @@
 use std::fmt::{Debug, Write as _};
 use std::path::PathBuf;
 
-use locongest::congest::snapshot::fnv1a64;
 use locongest::congest::{FaultPlan, RoundStats};
 use locongest::core::apps::property_testing::{test_property, TestedProperty};
 use locongest::core::apps::{corrclust, ldd, maxis, mcm, mds, mwm, wmaxis};
@@ -42,6 +41,16 @@ fn plans() -> [(&'static str, FaultPlan); 3] {
         ("drops5", FaultPlan::drops(5, 0.1)),
         ("drops9", FaultPlan::drops(9, 1.0)),
     ]
+}
+
+/// FNV-1a 64-bit: a stable, dependency-free hash of an outcome's dump.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Appends one run's line to `out`.

@@ -6,7 +6,6 @@ use locongest::congest::{primitives, ExecConfig, FaultPlan, Model, Network};
 use locongest::core::failure;
 use locongest::core::framework::{FrameworkConfig, FrameworkOutcome};
 use locongest::core::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
-use locongest::core::supervisor::{run_framework_checkpointed, CheckpointConfig};
 use locongest::expander::routing;
 use locongest::graph::gen;
 use proptest::prelude::*;
@@ -211,9 +210,8 @@ fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
 /// was split into decompose + `run_framework_on` (PR 24), when every
 /// attempt still recomputed its decomposition: a run that retries twice
 /// and one that exhausts its budget and degrades. Decomposing once and
-/// retrying only the randomized phases must reproduce both bit for bit —
-/// straight through, checkpointed, and killed-and-resumed, at 1 and 3
-/// threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
+/// retrying only the randomized phases must reproduce both bit for bit,
+/// at 1 and 3 threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
 /// accounting change, and from the commit being replaced.
 #[test]
 #[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
@@ -254,22 +252,6 @@ fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
                 panic!("missing fixture {path:?} ({e}); it is blessed from the parent commit")
             });
             assert_eq!(got, want, "{name}: resilient run diverged at {threads} threads");
-            for kill in [None, Some(1)] {
-                let dir = std::env::temp_dir()
-                    .join(format!("lcg-fixture-{}-{name}-{threads}-{kill:?}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                let mut ckpt = CheckpointConfig::new(&dir);
-                ckpt.kill_at_attempt = kill;
-                let (out, report, sup) =
-                    run_framework_checkpointed(&g, &cfg, &policy, &ckpt).expect("supervised run");
-                assert_eq!(sup.crashes, u32::from(kill.is_some()), "{name}");
-                assert_eq!(
-                    render_resilient(&out, &report),
-                    want,
-                    "{name}: checkpointed run (kill {kill:?}) diverged at {threads} threads"
-                );
-                let _ = std::fs::remove_dir_all(&dir);
-            }
         }
     }
 }
