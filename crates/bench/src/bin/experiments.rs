@@ -55,7 +55,7 @@ usage: experiments [IDS...] [OPTIONS]
                       any count)
   -h, --help          print this help
 
-Any other `--` argument is an error (exit 2).";
+Any other argument starting with -- is an error (exit 2).";
 
 /// Every flag this binary knows, with whether it takes the argument after
 /// it as its value; `-h`/`--help` are answered before parsing.
