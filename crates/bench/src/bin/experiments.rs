@@ -84,15 +84,15 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option
     Some(v.parse().unwrap_or_else(|_| panic!("{name} expects {what}, got `{v}`")))
 }
 
-/// `--threads N` as an executor; one thread when absent.
+/// `--threads N` as an executor; `None` when absent.
 ///
 /// # Panics
 ///
 /// Panics, naming the flag, unless `N` is a whole number of at least 1.
-fn threads(args: &[String]) -> lcg_congest::ExecConfig {
-    let threads = flag(args, "--threads", "a thread count").unwrap_or(1);
+fn threads(args: &[String]) -> Option<lcg_congest::ExecConfig> {
+    let threads = flag(args, "--threads", "a thread count")?;
     assert!(threads >= 1, "--threads expects a thread count of at least 1, got `{threads}`");
-    lcg_congest::ExecConfig::with_threads(threads)
+    Some(lcg_congest::ExecConfig::with_threads(threads))
 }
 
 /// The experiment ids: what is left over once every flag of [`FLAGS`] and
@@ -129,13 +129,15 @@ fn main() {
         std::process::exit(2);
     });
     // what experiments read
+    let defaults =
+        Opts::new(if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full });
     let opts = Opts {
-        scale: if args.iter().any(|a| a == "--quick") { Scale::Quick } else { Scale::Full },
-        fault_seed: flag(&args, "--fault-seed", "a number").unwrap_or(0xFA17),
-        retry_budget: flag(&args, "--retry-budget", "a number").unwrap_or(3),
+        fault_seed: flag(&args, "--fault-seed", "a number").unwrap_or(defaults.fault_seed),
+        retry_budget: flag(&args, "--retry-budget", "a number").unwrap_or(defaults.retry_budget),
         scale_n: flag(&args, "--scale-n", "a vertex count"),
         e25_metrics: flag(&args, "--e25-metrics", "a path"),
-        exec: threads(&args),
+        exec: threads(&args).unwrap_or(defaults.exec),
+        ..defaults
     };
     // what only this binary reads
     let json_dir: Option<String> = flag(&args, "--json", "a directory");
@@ -268,8 +270,9 @@ mod tests {
 
     #[test]
     fn threads_default_to_one() {
-        assert_eq!(threads(&args("e25 --quick")).threads(), 1);
-        assert_eq!(threads(&args("e25 --threads 2 --quick")).threads(), 2);
+        assert!(threads(&args("e25 --quick")).is_none());
+        assert_eq!(Opts::new(Scale::Quick).exec.threads(), 1);
+        assert_eq!(threads(&args("e25 --threads 2 --quick")).map(|e| e.threads()), Some(2));
         assert_eq!(ids(&args("e25 --threads 2 --quick")), Ok(vec!["e25"]));
     }
 

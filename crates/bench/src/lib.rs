@@ -57,3 +57,20 @@ pub struct Opts {
     /// when absent).
     pub exec: lcg_congest::ExecConfig,
 }
+
+impl Opts {
+    /// What an experiment reads when the command line sets nothing but the
+    /// scale: fault seed 0xFA17, a retry budget of 3, E25 at its default
+    /// size with no report file, one thread. `experiments` starts from
+    /// these, and so does every caller that runs an experiment in-process.
+    pub fn new(scale: Scale) -> Opts {
+        Opts {
+            scale,
+            fault_seed: 0xFA17,
+            retry_budget: 3,
+            scale_n: None,
+            e25_metrics: None,
+            exec: lcg_congest::ExecConfig::sequential(),
+        }
+    }
+}

@@ -931,7 +931,6 @@ impl<'g> Network<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats;
     use lcg_graph::gen;
 
     #[test]
@@ -1060,7 +1059,7 @@ mod tests {
         let mut seen: Vec<u64> = vec![0; g.n()];
         assert_eq!(run(&mut net, &mut seen, 3), 3);
         assert_eq!(seen, want);
-        stats::compare(&one_by_one.stats(), &net.stats()).unwrap();
+        assert_eq!(one_by_one.stats(), net.stats(), "three rounds in one call");
     }
 
     #[test]
@@ -1122,7 +1121,7 @@ mod tests {
             crashed_messages: reg.counter("net.crashed_messages"),
             truncated_messages: reg.counter("net.truncated_messages"),
         };
-        stats::compare(&s, &mirrored).unwrap_or_else(|e| panic!("registry after {what}: {e}"));
+        assert_eq!(s, mirrored, "registry after {what}");
         let destroyed = s.dropped_messages + s.crashed_messages
             - external_faults.dropped_messages
             - external_faults.crashed_messages;
@@ -1232,7 +1231,7 @@ mod tests {
             }
             net.stats()
         };
-        stats::compare(&run(false), &run(true)).unwrap();
+        assert_eq!(run(false), run(true), "a tracer changed the stats");
     }
 
     #[test]
@@ -1279,8 +1278,7 @@ mod tests {
         let (base_stats, base_recv) = flood_under_plan(&g, None, 4);
         let (vac_stats, vac_recv) = flood_under_plan(&g, Some(FaultPlan::none()), 4);
         assert_eq!(base_recv, vac_recv);
-        stats::compare(&base_stats, &vac_stats).expect("vacuous plan changed stats");
-        assert_eq!(base_stats, vac_stats);
+        assert_eq!(base_stats, vac_stats, "vacuous plan changed stats");
     }
 
     #[test]

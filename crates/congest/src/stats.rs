@@ -98,57 +98,6 @@ impl RoundStats {
     }
 }
 
-/// Compares two executions' statistics field by field, returning a
-/// human-readable diff on mismatch.
-///
-/// This is the assertion primitive behind the determinism test layer: a
-/// run must reproduce its golden's stats *exactly*, and when it doesn't,
-/// "which counter diverged" is the first question.
-///
-/// # Examples
-///
-/// ```
-/// use lcg_congest::stats::{compare, RoundStats};
-///
-/// let a = RoundStats { rounds: 3, messages: 10, words: 20, ..RoundStats::default() };
-/// assert!(compare(&a, &a).is_ok());
-/// let b = RoundStats { messages: 11, ..a };
-/// let err = compare(&a, &b).unwrap_err();
-/// assert!(err.contains("messages"));
-/// ```
-pub fn compare(a: &RoundStats, b: &RoundStats) -> Result<(), String> {
-    let mut diffs = Vec::new();
-    if a.rounds != b.rounds {
-        diffs.push(format!("rounds: {} != {}", a.rounds, b.rounds));
-    }
-    if a.messages != b.messages {
-        diffs.push(format!("messages: {} != {}", a.messages, b.messages));
-    }
-    if a.words != b.words {
-        diffs.push(format!("words: {} != {}", a.words, b.words));
-    }
-    if a.max_words_edge_round != b.max_words_edge_round {
-        diffs.push(format!(
-            "max_words_edge_round: {} != {}",
-            a.max_words_edge_round, b.max_words_edge_round
-        ));
-    }
-    for (name, x, y) in [
-        ("dropped_messages", a.dropped_messages, b.dropped_messages),
-        ("crashed_messages", a.crashed_messages, b.crashed_messages),
-        ("truncated_messages", a.truncated_messages, b.truncated_messages),
-    ] {
-        if x != y {
-            diffs.push(format!("{name}: {x} != {y}"));
-        }
-    }
-    if diffs.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("RoundStats diverged: {}", diffs.join("; ")))
-    }
-}
-
 impl std::fmt::Display for RoundStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -221,29 +170,6 @@ mod tests {
         assert_eq!(a.max_words_edge_round, 5);
         a.merge(&RoundStats { max_words_edge_round: 2, ..RoundStats::default() });
         assert_eq!(a.max_words_edge_round, 5, "smaller peak must not lower the max");
-    }
-
-    #[test]
-    fn compare_reports_all_four_fields() {
-        let a = RoundStats { rounds: 1, messages: 2, words: 3, max_words_edge_round: 4, ..RoundStats::default() };
-        let b = RoundStats { rounds: 9, messages: 8, words: 7, max_words_edge_round: 6, ..RoundStats::default() };
-        let err = compare(&a, &b).unwrap_err();
-        for field in ["rounds", "messages", "words", "max_words_edge_round"] {
-            assert!(err.contains(field), "diff is missing `{field}`: {err}");
-        }
-        // and each field diverging alone is caught
-        for d in [
-            RoundStats { rounds: 2, ..a },
-            RoundStats { messages: 3, ..a },
-            RoundStats { words: 4, ..a },
-            RoundStats { max_words_edge_round: 5, ..a },
-            RoundStats { dropped_messages: 1, ..a },
-            RoundStats { crashed_messages: 1, ..a },
-            RoundStats { truncated_messages: 1, ..a },
-        ] {
-            assert!(compare(&a, &d).is_err());
-        }
-        assert!(compare(&a, &a).is_ok());
     }
 
     /// The serialized form of fault-free stats must not change with the

@@ -13,8 +13,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test app_outputs
 //! ```
 
+mod common;
+
 use std::fmt::{Debug, Write as _};
-use std::path::PathBuf;
 
 use locongest::congest::{FaultPlan, RoundStats};
 use locongest::core::apps::property_testing::{test_property, TestedProperty};
@@ -43,16 +44,6 @@ fn plans() -> [(&'static str, FaultPlan); 3] {
     ]
 }
 
-/// FNV-1a 64-bit: a stable, dependency-free hash of an outcome's dump.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Appends one run's line to `out`.
 fn line(
     out: &mut String,
@@ -66,7 +57,7 @@ fn line(
     let report = report.map_or("-".to_string(), |r| {
         format!("{}/{}/{}", r.attempts, r.degraded, r.detector_rounds)
     });
-    let hash = fnv1a64(format!("{outcome:?}").as_bytes());
+    let hash = common::fnv1a64(format!("{outcome:?}").as_bytes());
     writeln!(
         out,
         "{graph} {SEED} {app} {mode} rounds={} msgs={} report={report} out={hash:016x}",
@@ -132,36 +123,7 @@ fn dump() -> String {
     out
 }
 
-/// `UPDATE_GOLDEN=1` re-blesses the golden instead of comparing.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the re-bless switch of a test; the code under test reads no environment"
-)]
-fn blessing() -> bool {
-    std::env::var("UPDATE_GOLDEN").is_ok()
-}
-
 #[test]
 fn app_outputs_match_golden() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/app_outputs.txt");
-    let got = dump();
-    if blessing() {
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
-    });
-    let diff: Vec<String> = expected
-        .lines()
-        .zip(got.lines())
-        .filter(|(e, g)| e != g)
-        .map(|(e, g)| format!("- {e}\n+ {g}"))
-        .collect();
-    assert!(
-        diff.is_empty() && expected.lines().count() == got.lines().count(),
-        "app outputs differ from tests/golden/app_outputs.txt \
-         (re-bless with UPDATE_GOLDEN=1 if intentional):\n{}",
-        diff.join("\n")
-    );
+    common::check_golden("app_outputs.txt", &dump());
 }

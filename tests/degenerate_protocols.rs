@@ -12,8 +12,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test degenerate_protocols
 //! ```
 
+mod common;
+
 use std::fmt::{Debug, Write as _};
-use std::path::PathBuf;
 
 use locongest::congest::primitives::diameter_check;
 use locongest::congest::{Model, Network, RoundStats};
@@ -59,37 +60,7 @@ fn dump() -> String {
     out
 }
 
-/// `UPDATE_GOLDEN=1` re-blesses the golden instead of comparing.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the re-bless switch of a test; the code under test reads no environment"
-)]
-fn blessing() -> bool {
-    std::env::var("UPDATE_GOLDEN").is_ok()
-}
-
 #[test]
 fn round_protocols_match_golden() {
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/degenerate_protocols.txt");
-    let got = dump();
-    if blessing() {
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
-    });
-    let diff: Vec<String> = expected
-        .lines()
-        .zip(got.lines())
-        .filter(|(e, g)| e != g)
-        .map(|(e, g)| format!("- {e}\n+ {g}"))
-        .collect();
-    assert!(
-        diff.is_empty() && expected.lines().count() == got.lines().count(),
-        "round protocols differ from tests/golden/degenerate_protocols.txt \
-         (re-bless with UPDATE_GOLDEN=1 if intentional):\n{}",
-        diff.join("\n")
-    );
+    common::check_golden("degenerate_protocols.txt", &dump());
 }

@@ -2,6 +2,8 @@
 //! paper's failed-execution behaviour — failures are detected, degrade to
 //! singletons, and never produce invalid outputs.
 
+mod common;
+
 use locongest::congest::{primitives, ExecConfig, FaultPlan, Model, Network};
 use locongest::core::failure;
 use locongest::core::framework::{FrameworkConfig, FrameworkOutcome};
@@ -214,7 +216,6 @@ fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
 /// at 1 and 3 threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
 /// accounting change, and from the commit being replaced.
 #[test]
-#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
 fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
     let mut rng = gen::seeded_rng(0x24);
     let g = gen::grid_with_noise(16, 16, 0.02, &mut rng);
@@ -233,10 +234,7 @@ fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
         ("resilient_degraded", blackout, RecoveryPolicy { max_retries: 2, initial_walk_steps: 1_000 }, 3, true),
     ];
     for (name, base, policy, attempts, degrades) in cases {
-        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden")
-            .join(format!("{name}.txt"));
-        for threads in [1, 3] {
+        let render = |threads| {
             let cfg = FrameworkConfig {
                 metrics: true,
                 exec: ExecConfig::with_threads(threads),
@@ -244,14 +242,10 @@ fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
             };
             let (out, report) = run_framework_resilient(&g, &cfg, &policy);
             assert_eq!((report.attempts, report.degraded), (attempts, degrades), "{name}");
-            let got = render_resilient(&out, &report);
-            if std::env::var("UPDATE_GOLDEN").is_ok() {
-                std::fs::write(&path, &got).unwrap();
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!("missing fixture {path:?} ({e}); it is blessed from the parent commit")
-            });
-            assert_eq!(got, want, "{name}: resilient run diverged at {threads} threads");
-        }
+            render_resilient(&out, &report)
+        };
+        let got = render(1);
+        assert_eq!(render(3), got, "{name}: resilient run diverged at 3 threads");
+        common::check_golden(&format!("{name}.txt"), &got);
     }
 }

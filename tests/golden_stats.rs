@@ -3,89 +3,88 @@
 //! and max words per edge per round — exactly.
 //!
 //! Because the engine is bit-deterministic, a diff means an *algorithmic*
-//! change, not a scheduling artifact. To re-bless after an
-//! intentional change:
+//! change, not a scheduling artifact. Each golden is rendered several ways
+//! — round forms, a vacuous fault plan, thread counts — and the renders
+//! must agree before one of them is compared (or blessed). To re-bless
+//! after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_stats
 //! ```
 
-use std::path::PathBuf;
+mod common;
 
-use locongest::congest::{stats, ExecConfig, Model, Network, RoundStats};
+use common::check_golden;
+use locongest::congest::{ExecConfig, FaultPlan, Inbox, Model, Network, Outbox, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::graph::{gen, Graph};
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
+/// Statistics as their golden holds them: pretty JSON. The fault counters
+/// serialize only when nonzero, so a vacuous plan is invisible on disk.
+fn json(stats: RoundStats) -> String {
+    serde_json::to_string_pretty(&stats).unwrap()
 }
 
-/// `UPDATE_GOLDEN=1` re-blesses the goldens instead of comparing.
-#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
-fn blessing() -> bool {
-    std::env::var("UPDATE_GOLDEN").is_ok()
-}
-
-fn check(name: &str, got: RoundStats) {
-    let path = golden_path(name);
-    if blessing() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, serde_json::to_string_pretty(&got).unwrap()).unwrap();
-        return;
+/// One round of the BFS flood: an informed vertex sends one word on every
+/// port.
+fn flood_round(me: &mut bool, _v: usize, inbox: &Inbox, out: &mut Outbox) {
+    if inbox.iter().any(Option::is_some) {
+        *me = true;
     }
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
-    });
-    let expected: RoundStats = serde_json::from_str(&raw).unwrap();
-    stats::compare(&expected, &got).unwrap_or_else(|e| {
-        panic!("{name}: {e}\n(if the change is intentional, re-bless with UPDATE_GOLDEN=1)")
-    });
+    if *me {
+        for p in 0..out.ports() {
+            out.send(p, [1]);
+        }
+    }
 }
 
-/// BFS flood from vertex 0 until quiescence: the engine's bread-and-butter
-/// workload, with 1-word messages.
-fn flood_stats(g: &Graph) -> RoundStats {
-    let mut net = Network::new(g, Model::congest());
-    let mut informed = vec![false; g.n()];
-    informed[0] = true;
+/// BFS flood from vertex 0 for diameter + 1 rounds — the engine's
+/// bread-and-butter workload — run as that many `step_state` calls, the
+/// same under the vacuous `FaultPlan::none()`, and as one `run_state`
+/// call: the three must count the same.
+fn flood_stats(g: &Graph) -> String {
     let diam = g.diameter().unwrap_or(0);
-    for _ in 0..diam + 1 {
-        net.step_state(&mut informed, |me, _v, inbox, out| {
-            if inbox.iter().any(Option::is_some) {
-                *me = true;
+    let run = |plan: Option<FaultPlan>, one_call: bool| {
+        let mut net = Network::new(g, Model::congest());
+        net.set_fault_plan(plan);
+        let mut informed = vec![false; g.n()];
+        informed[0] = true;
+        if one_call {
+            net.run_state(diam + 1, &mut informed, flood_round);
+        } else {
+            for _ in 0..=diam {
+                net.step_state(&mut informed, flood_round);
             }
-            if *me {
-                for p in 0..out.ports() {
-                    out.send(p, [1]);
-                }
-            }
-        });
-    }
-    assert!(informed.iter().all(|&b| b), "flood must reach everyone");
-    net.stats()
+        }
+        assert!(informed.iter().all(|&b| b), "flood must reach everyone");
+        net.stats()
+    };
+    let stepped = run(None, false);
+    assert_eq!(stepped, run(Some(FaultPlan::none()), false), "flood under the vacuous plan");
+    assert_eq!(stepped, run(None, true), "flood as one run_state call");
+    json(stepped)
 }
 
-/// The full Theorem 2.6 framework, fixed seed — the same statistics at 1,
-/// 2 and 4 threads.
-fn framework_stats(g: &Graph) -> RoundStats {
-    let run = |threads| {
-        let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), ..FrameworkConfig::planar(0.3, 5) };
+/// The full Theorem 2.6 framework, fixed seed — the same statistics at one
+/// thread, under the vacuous plan, and at every count of `threads`.
+fn framework_stats(g: &Graph, threads: &[usize]) -> String {
+    let run = |threads, faults| {
+        let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), faults, ..FrameworkConfig::planar(0.3, 5) };
         run_framework(g, &cfg).stats
     };
-    let one = run(1);
-    for threads in [2, 4] {
-        stats::compare(&one, &run(threads)).unwrap_or_else(|e| panic!("framework at {threads} threads: {e}"));
+    let one = run(1, None);
+    assert_eq!(one, run(1, Some(FaultPlan::none())), "framework under the vacuous plan");
+    for &t in threads {
+        assert_eq!(one, run(t, None), "framework at {t} threads");
     }
-    one
+    json(one)
 }
 
 /// The framework with the gathering phase executed message-faithfully
 /// (`network_walk_routing_with_counts`: every token a real 2-word message),
-/// fixed seed: statistics, phase rounds and every cluster's routing outcome.
-/// The golden is compared as text and replayed at 1, 2 and 4 threads.
-fn check_faithful(name: &str, g: &Graph) {
+/// fixed seed: statistics, phase rounds and every cluster's routing outcome,
+/// the same text at 1, 2 and 4 threads.
+fn faithful_render(g: &Graph) -> String {
     let render = |threads: usize| {
         let cfg = FrameworkConfig {
             message_faithful: true,
@@ -117,40 +116,34 @@ fn check_faithful(name: &str, g: &Graph) {
             clusters.join(",\n")
         )
     };
-    let path = golden_path(name);
-    if blessing() {
-        std::fs::write(&path, render(1)).unwrap();
-        return;
+    let one = render(1);
+    for threads in [2, 4] {
+        assert_eq!(render(threads), one, "faithful framework diverged at {threads} threads");
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
-    });
-    for threads in [1, 2, 4] {
-        assert_eq!(render(threads), expected, "{name} diverged at {threads} threads");
-    }
+    one
+}
+
+/// The three goldens of graph `name`.
+fn check(name: &str, g: &Graph, threads: &[usize]) {
+    check_golden(&format!("{name}_flood.json"), &flood_stats(g));
+    check_golden(&format!("{name}_framework.json"), &framework_stats(g, threads));
+    check_golden(&format!("{name}_framework_faithful.json"), &faithful_render(g));
 }
 
 #[test]
 fn golden_cycle() {
-    let g = gen::cycle(64);
-    check("cycle64_flood", flood_stats(&g));
-    check("cycle64_framework", framework_stats(&g));
-    check_faithful("cycle64_framework_faithful", &g);
+    check("cycle64", &gen::cycle(64), &[2, 4]);
 }
 
+/// The random planar graph's framework also runs at the awkward thread
+/// counts of `tests/executor_scaling.rs`: odd ones, and 16.
 #[test]
 fn golden_random_planar() {
     let mut rng = gen::seeded_rng(0x601D);
-    let g = gen::random_planar(200, 0.5, &mut rng);
-    check("planar200_flood", flood_stats(&g));
-    check("planar200_framework", framework_stats(&g));
-    check_faithful("planar200_framework_faithful", &g);
+    check("planar200", &gen::random_planar(200, 0.5, &mut rng), &[2, 3, 4, 5, 7, 16]);
 }
 
 #[test]
 fn golden_hypercube() {
-    let g = gen::hypercube(8);
-    check("hypercube8_flood", flood_stats(&g));
-    check("hypercube8_framework", framework_stats(&g));
-    check_faithful("hypercube8_framework_faithful", &g);
+    check("hypercube8", &gen::hypercube(8), &[2, 4]);
 }

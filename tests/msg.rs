@@ -1,23 +1,20 @@
 //! `Msg` semantics lock-down: the small-value message type must be an
 //! *invisible* replacement for the old `Vec<u64>` messages.
 //!
-//! Three angles:
+//! Two angles:
 //! 1. property tests crossing the inline↔spilled boundary (`INLINE_WORDS`
 //!    = 2) in both directions — construction and truncation;
 //! 2. word accounting: a run whose messages straddle the boundary produces
 //!    the same `RoundStats` whether call sites send arrays, slices, or
 //!    `Vec<u64>` (the old API), because accounting is by *content length*,
-//!    never by representation;
-//! 3. bit-identity: the checked-in `tests/golden` fixtures — blessed
-//!    before the `Msg` change and deliberately NOT re-blessed — must be
-//!    reproduced exactly, the framework's at 1, 2, and 4 threads.
-
-use std::path::PathBuf;
+//!    never by representation.
+//!
+//! Bit-identity with the fixtures blessed before the `Msg` change is
+//! `tests/golden_stats.rs`'s.
 
 use proptest::prelude::*;
 
-use locongest::congest::{stats, ExecConfig, Model, Msg, Network, RoundStats, INLINE_WORDS};
-use locongest::core::framework::{run_framework, FrameworkConfig};
+use locongest::congest::{Model, Msg, Network, RoundStats, INLINE_WORDS};
 use locongest::graph::{gen, Graph};
 
 // --- 1. representation round-trips across the boundary -------------------
@@ -112,7 +109,7 @@ fn word_accounting_equals_old_vec_semantics() {
             out.send(p, Msg::from_slice(&payload));
         }
     });
-    stats::compare(&via_vec, &via_msg).expect("accounting must be representation-blind");
+    assert_eq!(via_vec, via_msg, "accounting must be representation-blind");
     // sanity: the workload really does straddle the boundary
     assert!(via_vec.max_words_edge_round > INLINE_WORDS, "spilled sizes must occur");
     assert!(via_vec.words > 0 && via_vec.messages > 0);
@@ -120,69 +117,4 @@ fn word_accounting_equals_old_vec_semantics() {
     // per round, each vertex with v%5 != 0 sends (v%5) words per port
     let per_round: u64 = (0..g.n()).map(|v| (v % 5) as u64 * g.degree(v) as u64).sum();
     assert_eq!(via_vec.words, 3 * per_round);
-}
-
-// --- 3. golden fixtures reproduce, unchanged ------------------------------
-
-fn golden(name: &str) -> RoundStats {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"));
-    let raw = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("golden fixture {path:?} must exist unchanged: {e}"));
-    serde_json::from_str(&raw).expect("golden fixture parses")
-}
-
-fn flood_stats(g: &Graph) -> RoundStats {
-    let mut net = Network::new(g, Model::congest());
-    let mut informed = vec![false; g.n()];
-    informed[0] = true;
-    let diam = g.diameter().unwrap_or(0);
-    for _ in 0..diam + 1 {
-        net.step_state(&mut informed, |me, _v, inbox, out| {
-            if inbox.iter().any(Option::is_some) {
-                *me = true;
-            }
-            if *me {
-                for p in 0..out.ports() {
-                    out.send(p, [1u64]);
-                }
-            }
-        });
-    }
-    assert!(informed.iter().all(|&b| b), "flood must reach everyone");
-    net.stats()
-}
-
-fn framework_stats(g: &Graph, threads: usize) -> RoundStats {
-    let config = FrameworkConfig {
-        exec: ExecConfig::with_threads(threads),
-        ..FrameworkConfig::planar(0.3, 5)
-    };
-    run_framework(g, &config).stats
-}
-
-/// The pre-`Msg` golden fixtures, read byte-for-byte as committed, are
-/// reproduced — the framework's at every thread count it is handed: the
-/// message representation and the pooled round buffers changed, the
-/// observable execution did not.
-#[test]
-fn golden_fixtures_bit_identical_at_1_2_4_threads() {
-    let mut rng = gen::seeded_rng(0x601D);
-    let graphs: Vec<(&str, Graph)> = vec![
-        ("cycle64", gen::cycle(64)),
-        ("planar200", gen::random_planar(200, 0.5, &mut rng)),
-        ("hypercube8", gen::hypercube(8)),
-    ];
-    for (name, g) in &graphs {
-        let flood_expect = golden(&format!("{name}_flood"));
-        let fw_expect = golden(&format!("{name}_framework"));
-        stats::compare(&flood_expect, &flood_stats(g))
-            .unwrap_or_else(|e| panic!("{name}_flood diverged from pre-Msg golden: {e}"));
-        for threads in [1, 2, 4] {
-            stats::compare(&fw_expect, &framework_stats(g, threads)).unwrap_or_else(|e| {
-                panic!("{name}_framework diverged from pre-Msg golden at {threads} threads: {e}")
-            });
-        }
-    }
 }

@@ -7,7 +7,7 @@
 //! pipelines run as a batch of independent networks through
 //! `ExecConfig::map`, one per seed.
 
-use locongest::congest::{stats, ExecConfig, FaultPlan, Model, Network, RoundStats};
+use locongest::congest::{ExecConfig, FaultPlan, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::expander::routing;
 use locongest::graph::gen;
@@ -196,22 +196,4 @@ fn mis_pipeline_thread_invariant() {
             );
         }
     }
-}
-
-/// The stats helper every case above leans on: it reports equality, and
-/// names exactly the fields that differ.
-#[test]
-fn stats_compare_reports_field_level_diffs() {
-    let a = RoundStats {
-        rounds: 1,
-        messages: 2,
-        words: 3,
-        max_words_edge_round: 1,
-        ..RoundStats::default()
-    };
-    assert!(stats::compare(&a, &a).is_ok());
-    let b = RoundStats { words: 4, rounds: 2, ..a };
-    let err = stats::compare(&a, &b).unwrap_err();
-    assert!(err.contains("rounds") && err.contains("words"), "{err}");
-    assert!(!err.contains("messages"), "{err}");
 }

@@ -10,7 +10,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test trace_determinism
 //! ```
 
-use std::path::PathBuf;
+mod common;
 
 use locongest::congest::ExecConfig;
 use locongest::core::framework::{run_framework, FrameworkConfig};
@@ -44,31 +44,16 @@ fn trace_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "the re-bless switch of a test; the code under test reads no environment")]
 fn trace_matches_golden_file() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/planar_small_trace.jsonl");
-    let got = traced_jsonl(1);
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {path:?} ({e}); bless with UPDATE_GOLDEN=1")
-    });
-    assert_eq!(
-        got, expected,
-        "trace diverged from golden; if intentional, re-bless with UPDATE_GOLDEN=1"
-    );
+    common::check_golden("planar_small_trace.jsonl", &traced_jsonl(1));
 }
 
-/// The golden file must round-trip through the parser and render without
+/// The golden trace (the bytes [`trace_matches_golden_file`] holds the
+/// run to) must round-trip through the parser and render without
 /// panicking — the same pair of operations the `trace-report` CLI performs.
 #[test]
 fn golden_trace_parses_and_renders() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/planar_small_trace.jsonl");
-    let text = std::fs::read_to_string(&path).unwrap();
+    let text = traced_jsonl(1);
     let trace = Trace::from_jsonl(&text).unwrap();
     assert_eq!(trace.to_jsonl(), text, "canonical form must be stable");
     let rendered = report::render(&trace);
