@@ -5,11 +5,14 @@
 //!
 //! * the fault schedule and the final stats are bit-identical at 1/2/4
 //!   worker threads (schedules are keyed by `(round, edge)`, not by
-//!   scheduling order).
-//!
-//! That a `FaultPlan::none()` run reproduces the pre-fault-layer golden
-//! stats is `tests/golden_stats.rs`'s.
+//!   scheduling order), and
+//! * a `FaultPlan::none()` run reproduces the pre-fault-layer golden
+//!   stats **byte for byte** (the fault counters serialize only when
+//!   nonzero, so the vacuous plan is invisible on disk).
 
+mod common;
+
+use common::{check_stats_golden, flood_round, flood_stats, framework_stats, stats_golden_graphs};
 use locongest::congest::{ExecConfig, FaultPlan, RoundStats};
 use locongest::core::apps::{corrclust, ldd, maxis, mcm, mds, wmaxis};
 use locongest::core::framework::{run_framework, FrameworkConfig};
@@ -267,4 +270,22 @@ fn fault_schedule_and_stats_are_thread_count_invariant() {
         assert_eq!(base_trace, trace, "trace diverged at {threads} threads");
         assert_eq!(base_stats, st, "stats diverged at {threads} threads");
     }
+}
+
+/// Replays the golden-stats workloads with a vacuous fault plan attached:
+/// each run equals the plain one and matches the checked-in
+/// pre-fault-layer golden **byte for byte** once serialized —
+/// `FaultPlan::none()` is free, and zero fault counters never appear on
+/// disk.
+#[test]
+fn vacuous_plan_reproduces_pre_fault_layer_goldens() {
+    let [(cycle, cycle64), (planar, planar200), _] = stats_golden_graphs();
+
+    let flood = flood_stats(&cycle64, Some(FaultPlan::none()), false, flood_round);
+    assert_eq!(flood, flood_stats(&cycle64, None, false, flood_round), "flood under the vacuous plan");
+    check_stats_golden(&format!("{cycle}_flood"), &flood);
+
+    let framework = framework_stats(&planar200, 1, Some(FaultPlan::none()));
+    assert_eq!(framework, framework_stats(&planar200, 1, None), "framework under the vacuous plan");
+    check_stats_golden(&format!("{planar}_framework"), &framework);
 }

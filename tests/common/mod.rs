@@ -12,6 +12,10 @@
 
 use std::path::PathBuf;
 
+use locongest::congest::{ExecConfig, FaultPlan, Inbox, Model, Network, Outbox, RoundStats};
+use locongest::core::framework::{run_framework, FrameworkConfig};
+use locongest::graph::{gen, Graph};
+
 /// Checks `got` against the golden file `name` under `tests/golden/`,
 /// byte for byte; with `UPDATE_GOLDEN` set, writes `got` there instead.
 ///
@@ -58,6 +62,68 @@ pub fn first_difference(want: &str, got: &str) -> Option<String> {
             format!("line {line} differs:\n- {w}\n+ {g}")
         });
     }
+}
+
+/// Checks `stats` against the golden `name.json`, as pretty JSON. The
+/// fault counters serialize only when nonzero, so a vacuous plan is
+/// invisible on disk.
+pub fn check_stats_golden(name: &str, stats: &RoundStats) {
+    check_golden(&format!("{name}.json"), &serde_json::to_string_pretty(stats).unwrap());
+}
+
+/// The three graphs of the `RoundStats` goldens, by golden-name prefix.
+pub fn stats_golden_graphs() -> [(&'static str, Graph); 3] {
+    let mut rng = gen::seeded_rng(0x601D);
+    [
+        ("cycle64", gen::cycle(64)),
+        ("planar200", gen::random_planar(200, 0.5, &mut rng)),
+        ("hypercube8", gen::hypercube(8)),
+    ]
+}
+
+/// One round of the BFS flood: an informed vertex sends one word on every
+/// port.
+pub fn flood_round(me: &mut bool, _v: usize, inbox: &Inbox, out: &mut Outbox) {
+    if inbox.iter().any(Option::is_some) {
+        *me = true;
+    }
+    if *me {
+        for p in 0..out.ports() {
+            out.send(p, [1]);
+        }
+    }
+}
+
+/// BFS flood from vertex 0 for diameter + 1 rounds of `round` under
+/// `plan`: as that many `step_state` calls, or with `one_call` as one
+/// `run_state` call. The engine's bread-and-butter workload.
+pub fn flood_stats(
+    g: &Graph,
+    plan: Option<FaultPlan>,
+    one_call: bool,
+    round: fn(&mut bool, usize, &Inbox, &mut Outbox),
+) -> RoundStats {
+    let diam = g.diameter().unwrap_or(0);
+    let mut net = Network::new(g, Model::congest());
+    net.set_fault_plan(plan);
+    let mut informed = vec![false; g.n()];
+    informed[0] = true;
+    if one_call {
+        net.run_state(diam + 1, &mut informed, round);
+    } else {
+        for _ in 0..=diam {
+            net.step_state(&mut informed, round);
+        }
+    }
+    assert!(informed.iter().all(|&b| b), "flood must reach everyone");
+    net.stats()
+}
+
+/// The full Theorem 2.6 framework, fixed seed, at `threads` threads under
+/// `faults`.
+pub fn framework_stats(g: &Graph, threads: usize, faults: Option<FaultPlan>) -> RoundStats {
+    let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), faults, ..FrameworkConfig::planar(0.3, 5) };
+    run_framework(g, &cfg).stats
 }
 
 /// FNV-1a 64-bit: a stable, dependency-free hash for a golden line.

@@ -10,12 +10,15 @@
 //! whatever sibling. Every case is held to the one-thread result at awkward
 //! counts (3, 5, 7) and counts larger than the item count.
 //!
-//! The layer locks two things to the t1 baseline: outputs + full
-//! `RoundStats`, and the traced framework's byte-exact JSONL export. The
-//! checked-in golden stats at these counts are `tests/golden_stats.rs`'s.
+//! The layer locks three things to the t1 baseline: outputs + full
+//! `RoundStats`, the checked-in golden stats files, and the traced
+//! framework's byte-exact JSONL export.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{check_stats_golden, flood_round, flood_stats, framework_stats, stats_golden_graphs};
 use locongest::congest::{primitives, ExecConfig, Model, Network, RoundStats};
 use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::expander::routing;
@@ -236,6 +239,25 @@ fn step_run_state_and_stashing_exchange_are_one_round_body() {
     assert_eq!(got, want, "exchange_rounds");
     assert_eq!(want_stats, exchanged.stats(), "exchange_rounds");
     assert_eq!(stashes, want_next, "exchange_rounds");
+}
+
+/// The flood and, at every thread count, the framework reproduce the
+/// *checked-in* golden stats byte-for-byte — the same files the
+/// `golden_stats` layer locks.
+#[test]
+fn forced_parallel_runs_reproduce_checked_in_goldens() {
+    let [_, (name, g), _] = stats_golden_graphs();
+    // the golden flood runs diameter + 1 rounds of step_state; one
+    // run_state call of the same length is the same computation
+    let flood = flood_stats(&g, None, true, flood_round);
+    assert_eq!(flood, flood_stats(&g, None, false, flood_round), "flood as one run_state call");
+    check_stats_golden(&format!("{name}_flood"), &flood);
+
+    let framework = framework_stats(&g, 1, None);
+    for &threads in &AWKWARD_THREADS {
+        assert_eq!(framework, framework_stats(&g, threads, None), "framework at {threads} threads");
+    }
+    check_stats_golden(&format!("{name}_framework"), &framework);
 }
 
 /// The traced framework's JSONL export is byte-identical to the 1-thread

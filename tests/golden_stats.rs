@@ -3,10 +3,13 @@
 //! and max words per edge per round — exactly.
 //!
 //! Because the engine is bit-deterministic, a diff means an *algorithmic*
-//! change, not a scheduling artifact. Each golden is rendered several ways
-//! — round forms, a vacuous fault plan, thread counts — and the renders
-//! must agree before one of them is compared (or blessed). To re-bless
-//! after an intentional change:
+//! change, not a scheduling artifact. A golden rendered at several thread
+//! counts is compared (or blessed) only once the renders agree. The same
+//! goldens are the reference of three other checks, each through the
+//! shared workloads of `tests/common`: the old `Vec<u64>` messages
+//! (`tests/msg.rs`), a vacuous fault plan (`tests/chaos.rs`), and one
+//! `run_state` call and odd thread counts (`tests/executor_scaling.rs`).
+//! To re-bless after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_stats
@@ -14,71 +17,10 @@
 
 mod common;
 
-use common::check_golden;
-use locongest::congest::{ExecConfig, FaultPlan, Inbox, Model, Network, Outbox, RoundStats};
+use common::{check_golden, check_stats_golden, flood_round, flood_stats, framework_stats, stats_golden_graphs};
+use locongest::congest::ExecConfig;
 use locongest::core::framework::{run_framework, FrameworkConfig};
-use locongest::graph::{gen, Graph};
-
-/// Statistics as their golden holds them: pretty JSON. The fault counters
-/// serialize only when nonzero, so a vacuous plan is invisible on disk.
-fn json(stats: RoundStats) -> String {
-    serde_json::to_string_pretty(&stats).unwrap()
-}
-
-/// One round of the BFS flood: an informed vertex sends one word on every
-/// port.
-fn flood_round(me: &mut bool, _v: usize, inbox: &Inbox, out: &mut Outbox) {
-    if inbox.iter().any(Option::is_some) {
-        *me = true;
-    }
-    if *me {
-        for p in 0..out.ports() {
-            out.send(p, [1]);
-        }
-    }
-}
-
-/// BFS flood from vertex 0 for diameter + 1 rounds — the engine's
-/// bread-and-butter workload — run as that many `step_state` calls, the
-/// same under the vacuous `FaultPlan::none()`, and as one `run_state`
-/// call: the three must count the same.
-fn flood_stats(g: &Graph) -> String {
-    let diam = g.diameter().unwrap_or(0);
-    let run = |plan: Option<FaultPlan>, one_call: bool| {
-        let mut net = Network::new(g, Model::congest());
-        net.set_fault_plan(plan);
-        let mut informed = vec![false; g.n()];
-        informed[0] = true;
-        if one_call {
-            net.run_state(diam + 1, &mut informed, flood_round);
-        } else {
-            for _ in 0..=diam {
-                net.step_state(&mut informed, flood_round);
-            }
-        }
-        assert!(informed.iter().all(|&b| b), "flood must reach everyone");
-        net.stats()
-    };
-    let stepped = run(None, false);
-    assert_eq!(stepped, run(Some(FaultPlan::none()), false), "flood under the vacuous plan");
-    assert_eq!(stepped, run(None, true), "flood as one run_state call");
-    json(stepped)
-}
-
-/// The full Theorem 2.6 framework, fixed seed — the same statistics at one
-/// thread, under the vacuous plan, and at every count of `threads`.
-fn framework_stats(g: &Graph, threads: &[usize]) -> String {
-    let run = |threads, faults| {
-        let cfg = FrameworkConfig { exec: ExecConfig::with_threads(threads), faults, ..FrameworkConfig::planar(0.3, 5) };
-        run_framework(g, &cfg).stats
-    };
-    let one = run(1, None);
-    assert_eq!(one, run(1, Some(FaultPlan::none())), "framework under the vacuous plan");
-    for &t in threads {
-        assert_eq!(one, run(t, None), "framework at {t} threads");
-    }
-    json(one)
-}
+use locongest::graph::Graph;
 
 /// The framework with the gathering phase executed message-faithfully
 /// (`network_walk_routing_with_counts`: every token a real 2-word message),
@@ -123,27 +65,30 @@ fn faithful_render(g: &Graph) -> String {
     one
 }
 
-/// The three goldens of graph `name`.
-fn check(name: &str, g: &Graph, threads: &[usize]) {
-    check_golden(&format!("{name}_flood.json"), &flood_stats(g));
-    check_golden(&format!("{name}_framework.json"), &framework_stats(g, threads));
+/// The three goldens of the `i`-th graph of `stats_golden_graphs`: the
+/// flood, the framework at 1, 2 and 4 threads, and the faithful framework.
+fn check(i: usize) {
+    let (name, g) = &stats_golden_graphs()[i];
+    check_stats_golden(&format!("{name}_flood"), &flood_stats(g, None, false, flood_round));
+    let one = framework_stats(g, 1, None);
+    for threads in [2, 4] {
+        assert_eq!(one, framework_stats(g, threads, None), "{name} framework at {threads} threads");
+    }
+    check_stats_golden(&format!("{name}_framework"), &one);
     check_golden(&format!("{name}_framework_faithful.json"), &faithful_render(g));
 }
 
 #[test]
 fn golden_cycle() {
-    check("cycle64", &gen::cycle(64), &[2, 4]);
+    check(0);
 }
 
-/// The random planar graph's framework also runs at the awkward thread
-/// counts of `tests/executor_scaling.rs`: odd ones, and 16.
 #[test]
 fn golden_random_planar() {
-    let mut rng = gen::seeded_rng(0x601D);
-    check("planar200", &gen::random_planar(200, 0.5, &mut rng), &[2, 3, 4, 5, 7, 16]);
+    check(1);
 }
 
 #[test]
 fn golden_hypercube() {
-    check("hypercube8", &gen::hypercube(8), &[2, 4]);
+    check(2);
 }

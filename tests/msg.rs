@@ -1,20 +1,24 @@
 //! `Msg` semantics lock-down: the small-value message type must be an
 //! *invisible* replacement for the old `Vec<u64>` messages.
 //!
-//! Two angles:
+//! Three angles:
 //! 1. property tests crossing the inline↔spilled boundary (`INLINE_WORDS`
 //!    = 2) in both directions — construction and truncation;
 //! 2. word accounting: a run whose messages straddle the boundary produces
 //!    the same `RoundStats` whether call sites send arrays, slices, or
 //!    `Vec<u64>` (the old API), because accounting is by *content length*,
-//!    never by representation.
-//!
-//! Bit-identity with the fixtures blessed before the `Msg` change is
-//! `tests/golden_stats.rs`'s.
+//!    never by representation;
+//! 3. bit-identity: the checked-in `tests/golden` fixtures — blessed
+//!    before the `Msg` change and deliberately NOT re-blessed — are
+//!    reproduced exactly, the flood with the old `Vec<u64>` messages and
+//!    the framework at 1, 2, and 4 threads.
+
+mod common;
 
 use proptest::prelude::*;
 
-use locongest::congest::{Model, Msg, Network, RoundStats, INLINE_WORDS};
+use common::{check_stats_golden, flood_round, flood_stats, framework_stats, stats_golden_graphs};
+use locongest::congest::{Inbox, Model, Msg, Network, Outbox, RoundStats, INLINE_WORDS};
 use locongest::graph::{gen, Graph};
 
 // --- 1. representation round-trips across the boundary -------------------
@@ -117,4 +121,36 @@ fn word_accounting_equals_old_vec_semantics() {
     // per round, each vertex with v%5 != 0 sends (v%5) words per port
     let per_round: u64 = (0..g.n()).map(|v| (v % 5) as u64 * g.degree(v) as u64).sum();
     assert_eq!(via_vec.words, 3 * per_round);
+}
+
+// --- 3. golden fixtures reproduce, unchanged ------------------------------
+
+/// [`flood_round`] as the old API spelled it: every message a `Vec<u64>`.
+fn vec_flood_round(me: &mut bool, _v: usize, inbox: &Inbox, out: &mut Outbox) {
+    if inbox.iter().any(Option::is_some) {
+        *me = true;
+    }
+    if *me {
+        for p in 0..out.ports() {
+            out.send(p, vec![1u64]);
+        }
+    }
+}
+
+/// The pre-`Msg` golden fixtures are reproduced — the flood sent as old
+/// `Vec<u64>` messages, the framework at every thread count it is handed:
+/// the message representation and the pooled round buffers changed, the
+/// observable execution did not.
+#[test]
+fn golden_fixtures_bit_identical_at_1_2_4_threads() {
+    for (name, g) in &stats_golden_graphs() {
+        let flood = flood_stats(g, None, false, vec_flood_round);
+        assert_eq!(flood, flood_stats(g, None, false, flood_round), "{name} flood: Vec and array messages");
+        check_stats_golden(&format!("{name}_flood"), &flood);
+        let one = framework_stats(g, 1, None);
+        for threads in [2, 4] {
+            assert_eq!(one, framework_stats(g, threads, None), "{name} framework at {threads} threads");
+        }
+        check_stats_golden(&format!("{name}_framework"), &one);
+    }
 }
