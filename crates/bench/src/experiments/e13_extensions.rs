@@ -4,7 +4,7 @@
 
 use lcg_core::apps::{mds, wmaxis};
 use lcg_graph::gen;
-use lcg_solvers::{mds as seq_mds, wmis};
+use lcg_solvers::{mds as seq_mds, mis};
 use rand::Rng;
 
 use crate::{cells, Opts, Table};
@@ -71,12 +71,13 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 let out = wmaxis::approx_maximum_weight_independent_set(
                     &g, &w, eps, 3.0, seed, 500_000_000,
                 );
-                let opt = wmis::maximum_weight_independent_set(&g, &w, 4_000_000_000);
-                let r = out.weight as f64 / opt.weight.max(1) as f64;
+                let opt = mis::maximum_weight_independent_set(&g, &w, 4_000_000_000);
+                let opt_w: u64 = opt.set.iter().map(|&v| w[v]).sum();
+                let r = out.weight as f64 / opt_w.max(1) as f64;
                 all_ok &= opt.optimal && r >= 1.0 - eps;
                 ratio += r;
-                let gw: u64 = wmis::greedy_weighted_mis(&g, &w).iter().map(|&v| w[v]).sum();
-                greedy_ratio += gw as f64 / opt.weight.max(1) as f64;
+                let gw: u64 = mis::greedy_weighted_mis(&g, &w).iter().map(|&v| w[v]).sum();
+                greedy_ratio += gw as f64 / opt_w.max(1) as f64;
                 lost += out.conflict_weight_lost;
             }
             let k = trials as f64;

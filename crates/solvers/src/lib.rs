@@ -4,8 +4,9 @@
 //! topology and may run "any sequential algorithm" on it. This crate is
 //! that toolbox:
 //!
-//! * [`mis`] — exact maximum independent set (branch-and-bound) and the
-//!   `n/(2d+1)` greedy of §3.1 (Theorem 1.2);
+//! * [`mis`] — exact maximum (vertex-weighted) independent set, one
+//!   branch-and-bound for both, and the `n/(2d+1)` greedy of §3.1
+//!   (Theorem 1.2; the weighted form is the weighted-MAXIS extension);
 //! * [`treedp`] — tree decompositions, the DPs on them, and the
 //!   dispatchers leaders call: tree DP, then a DP over a vertex order
 //!   (frontier states), then branch-and-bound;
@@ -18,14 +19,11 @@
 //! * [`corrclust`] — agreement-maximization correlation clustering: exact
 //!   branch-and-bound, local search, and the |E|/2 trivial witness
 //!   (Theorem 1.3);
-//! * [`ldd`] — sequential low-diameter decompositions: KPR-style
-//!   `O(1/ε)`-diameter chopping for minor-free graphs, a weighted variant,
-//!   and exponential-shift ball growing as the general-graph baseline
-//!   (Theorem 1.5);
+//! * [`ldd`] — sequential low-diameter decomposition: KPR-style
+//!   `O(1/ε)`-diameter chopping for minor-free graphs (Theorem 1.5; the
+//!   exponential-shift baseline is `lcg_expander::distributed`'s);
 //! * [`mds`] — exact minimum dominating set (extension: bounded-degree
-//!   planar (1+ε)-MDS, following the LOCAL-model line the paper cites);
-//! * [`wmis`] — exact vertex-weighted maximum independent set (extension:
-//!   weighted MAXIS).
+//!   planar (1+ε)-MDS, following the LOCAL-model line the paper cites).
 //!
 //! Everything is exact where exactness is tractable, and every
 //! approximate fallback reports itself (`optimal: false`), so the
@@ -44,4 +42,3 @@ pub mod mis;
 pub mod mwm;
 pub mod star_elim;
 pub mod treedp;
-pub mod wmis;

@@ -496,9 +496,11 @@ pub fn mds_auto(g: &Graph, width_limit: usize, bnb_budget: u64) -> (Vec<usize>, 
 /// solves an independent-set cluster — cheapest exact method first:
 /// tree-decomposition DP when the min-degree heuristic certifies width
 /// `≤ width_limit`; else the frontier DP over a vertex order, if its
-/// tables fit `bnb_budget` entries; else branch-and-bound with the whole
-/// of `bnb_budget`: [`crate::mis`]'s when every weight is 1, else
-/// [`crate::wmis`]'s. Returns `(set, proven_optimal)`.
+/// tables fit `bnb_budget` entries; else [`crate::mis`]'s branch-and-bound
+/// with the whole of `bnb_budget`, through
+/// [`crate::mis::maximum_independent_set`] when every weight is 1 (its
+/// greedy incumbent) and [`crate::mis::maximum_weight_independent_set`]
+/// otherwise. Returns `(set, proven_optimal)`.
 ///
 /// # Panics
 ///
@@ -520,7 +522,7 @@ pub fn mwis_auto(
         let r = crate::mis::maximum_independent_set(g, bnb_budget);
         return (r.set, r.optimal);
     }
-    let r = crate::wmis::maximum_weight_independent_set(g, weights, bnb_budget);
+    let r = crate::mis::maximum_weight_independent_set(g, weights, bnb_budget);
     (r.set, r.optimal)
 }
 
@@ -590,9 +592,9 @@ mod tests {
             let (dp_w, set) = mwis_on_tree_decomposition(&g, &td, &w);
             assert!(crate::mis::is_independent_set(&g, &set));
             assert_eq!(dp_w, set.iter().map(|&v| w[v]).sum::<u64>());
-            let bnb = crate::wmis::maximum_weight_independent_set(&g, &w, 100_000_000);
+            let bnb = crate::mis::maximum_weight_independent_set(&g, &w, 100_000_000);
             assert!(bnb.optimal);
-            assert_eq!(dp_w, bnb.weight, "{w:?}");
+            assert_eq!(dp_w, bnb.set.iter().map(|&v| w[v]).sum::<u64>(), "{w:?}");
         }
     }
 
@@ -684,7 +686,7 @@ mod tests {
         assert!(min_degree_decomposition(&tri, 2).is_none());
         assert!(frontier::max_weight_independent_set(&tri, &w, 100).solution.is_none());
         assert!(frontier::max_weight_independent_set(&tri, &unit, 100).solution.is_none());
-        let r = crate::wmis::maximum_weight_independent_set(&tri, &w, 100);
+        let r = crate::mis::maximum_weight_independent_set(&tri, &w, 100);
         assert_eq!(mwis_auto(&tri, &w, 2, 100), (r.set, r.optimal));
         let r = crate::mis::maximum_independent_set(&tri, 100);
         assert_eq!(mwis_auto(&tri, &unit, 2, 100), (r.set, r.optimal));
