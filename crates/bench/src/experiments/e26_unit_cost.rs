@@ -18,7 +18,7 @@ use lcg_congest::{Model, Network};
 use lcg_expander::routing::{charged_walk_routing, network_walk_routing_with_counts};
 use lcg_expander::spectral::lambda2;
 use lcg_graph::{gen, Graph};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::{cells, Opts, Table};
@@ -36,24 +36,34 @@ fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
 /// The live token-steps of an uncapped, fault-free `charged_walk_routing`
 /// over all of `g` — Σ over tokens of the steps each took to reach
 /// `leader` — and the longest such walk, replayed token by token from the
-/// router's seeding (token `t` draws from `master ^ t · φ64`, a fair coin
-/// then a uniform neighbor). The caller checks the replay against the
-/// router's own `steps`, so a change of seeding cannot pass silently.
+/// router's documented draw: token `t` at step `s` reads
+/// `h = mix(mix(master ^ t·φ64) + s·φ64)` with SplitMix64's finaliser
+/// `mix`, moves when bit 63 is set, and then takes port
+/// `(h mod 2³² · deg) >> 32`. The caller checks the replay against the
+/// router's own `steps`, so a change of draw cannot pass silently.
 fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -> (u64, usize) {
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |z: u64| {
+        let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
     let (mut token_steps, mut longest, mut t) = (0u64, 0usize, 0u64);
     for (v, &count) in counts.iter().enumerate() {
         for _ in 0..count {
-            let mut rng = ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let key = mix(master ^ t.wrapping_mul(PHI));
             t += 1;
-            let (mut pos, mut steps) = (v, 0usize);
+            let (mut pos, mut steps) = (v, 0u64);
             while pos != leader {
                 steps += 1;
-                if !rng.gen_bool(0.5) {
-                    pos = g.neighbor_row(pos)[rng.gen_range(0..g.degree(pos))] as usize;
+                let h = mix(key.wrapping_add(steps.wrapping_mul(PHI)));
+                if h >> 63 == 1 {
+                    let port = ((h & 0xFFFF_FFFF) * g.degree(pos) as u64) >> 32;
+                    pos = g.neighbor_row(pos)[port as usize] as usize;
                 }
             }
-            token_steps += steps as u64;
-            longest = longest.max(steps);
+            token_steps += steps;
+            longest = longest.max(steps as usize);
         }
     }
     (token_steps, longest)

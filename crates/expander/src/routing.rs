@@ -6,14 +6,14 @@
 //!   One walk step is simulated in as many CONGEST rounds as the maximum
 //!   number of tokens crossing a single edge (each token is one
 //!   `O(log n)`-bit message), which the lemma bounds by `O(log n)` w.h.p.
-//!   We *measure* that load instead of assuming it. A token's trajectory
-//!   depends on no other token, so the walk runs token-major in windows
-//!   of `WINDOW` steps — each live token takes the window's steps in a row,
-//!   logging its crossings per step — and the per-step edge loads are
-//!   tallied from the logs afterwards, in step order. Between windows a
-//!   token rests in 16 bytes and its stream is rebuilt from the seed;
-//!   within one it reads its stream through a ring of draws, and a step
-//!   selects stay or move by the coin instead of branching on it.
+//!   We *measure* that load instead of assuming it. A token carries no
+//!   generator: its step `s` reads the one 64-bit draw `h(master, t, s)`,
+//!   a SplitMix64-finalised counter (bit 63 the lazy coin, the low half
+//!   the port), so a trajectory is a pure function of the walk's master
+//!   seed and the token's index. The walk runs step-major over a list of
+//!   live tokens (key and position): each step every live token moves
+//!   once, its crossing charged to the edge-load table as it happens, and
+//!   the coin selects stay or move instead of branching on it.
 //!   [`charged_walks`] runs several clusters' walks — Theorem 2.6 gathers
 //!   in all of them at once — on the caller's threads with the outcomes of
 //!   one walk after another; [`charged_walk_routing`] is it on one cluster
@@ -37,7 +37,7 @@
 //! [`random_walk_routing_with_counts_exec`] survives only as a shim for the
 //! frozen `benchmark/` crate.
 
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 
 use lcg_congest::{ExecConfig, FaultPlan, FaultState, Network, RoundStats};
@@ -85,206 +85,53 @@ pub fn random_walk_routing_with_counts_exec(
     charged_walk_routing(g, members, leader, counts, max_steps, rng, None, false).0
 }
 
-/// A walking token's stream: its private ChaCha8 generator, seeded from
-/// the walk's master seed and the token index, so its trajectory is a pure
-/// function of `(master, t)` — independent of evaluation order — and read
-/// ahead as `u64` draws into a ring of [`RING`]. It exists only while the
-/// token's window runs ([`Resting`] holds the token in between).
-struct Stream {
-    rng: ChaCha8Rng,
-    ring: [u64; RING],
+/// φ64, SplitMix64's golden-ratio increment: the walk's token and step
+/// strides.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA 2014): a
+/// bijection of `u64` in which every output bit depends on every input bit.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// Entries of a [`Stream`]'s ring: a power of two above the eight a
-/// refill adds to the at most one left over.
-const RING: usize = 16;
-
-impl Stream {
-    /// The stream of token `t` under `master`, positioned `words` words in,
-    /// with nothing read ahead.
-    fn new(master: u64, t: u32, words: u64) -> Stream {
-        let mut rng = ChaCha8Rng::seed_from_u64(master ^ u64::from(t).wrapping_mul(0x9E3779B97F4A7C15));
-        rng.set_word_pos(words);
-        Stream { rng, ring: [0; RING] }
-    }
-
-    /// Writes the next eight draws into the ring from index `tail` on.
-    #[inline]
-    fn refill(&mut self, tail: usize) {
-        for k in 0..8 {
-            self.ring[(tail + k) % RING] = self.rng.next_u64();
-        }
-    }
+/// Token `t`'s key under the walk's master seed: `mix(master ^ t·φ64)`,
+/// the half of its draws that does not depend on the step.
+#[inline]
+fn token_key(master: u64, t: u64) -> u64 {
+    mix(master ^ t.wrapping_mul(GOLDEN))
 }
 
-/// A walking token: its position and where it stands in its [`Stream`]'s
-/// ring, which is kept at least two draws ahead — a step reads its coin
-/// and its port draw before it knows whether it moves — and refilled
-/// eight at a time. Plain scalars, so they live in registers while the
-/// token walks.
-struct Token {
-    pos: usize,
-    /// Ring index of the next unread draw.
-    head: usize,
-    /// Draws read from the generator and not yet consumed.
-    unread: usize,
+/// The one draw of the token keyed `key` at walk step `s` (1-based):
+/// `h(master, t, s) = mix(token_key(master, t) + s·φ64)`, a counter-based
+/// draw (Salmon et al., SC 2011) — a pure function of `(master, t, s)`, so
+/// no token carries a generator and the tokens of a step may be taken in
+/// any order. Bit 63 is the lazy coin (set: the token moves); the low 32
+/// bits pick the port, `(h mod 2³² · deg) >> 32`.
+#[inline]
+fn draw(key: u64, s: u64) -> u64 {
+    mix(key.wrapping_add(s.wrapping_mul(GOLDEN)))
 }
 
-impl Token {
-    /// The next two unread draws, refilling the ring first if they are not
-    /// both there.
-    #[inline]
-    fn peek_two(&mut self, stream: &mut Stream) -> (u64, u64) {
-        if self.unread < 2 {
-            stream.refill(self.head + self.unread);
-            self.unread += 8;
-        }
-        (stream.ring[self.head], stream.ring[(self.head + 1) % RING])
-    }
-
-    /// Consumes `count` draws.
-    #[inline]
-    fn consume(&mut self, count: usize) {
-        self.head = (self.head + count) % RING;
-        self.unread -= count;
-    }
-}
-
-/// Where a token step left the token: returned, not counted through a
-/// `&mut`, so the window's tallies stay out of the step's loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fate {
-    Walking,
-    Absorbed,
-    Destroyed,
-}
-
-/// A token between windows: where it stands and how many words of its
-/// stream it has drawn. [`Walk::window`] rebuilds the [`Token`] and its
-/// [`Stream`] from this and `(master, t)`, so the tokens of every walk in
-/// flight cost 16 bytes each.
+/// A live token: its [`token_key`] and its local vertex.
 #[derive(Debug, Clone, Copy)]
-struct Resting {
+struct Walker {
+    key: u64,
     pos: u32,
-    words: u64,
 }
 
-/// Walk steps a live token takes in a row before the next token's turn.
-/// Not a knob: a token enters each window by reseeding its stream and
-/// refilling one keystream block (`set_word_pos`), and leaves it giving
-/// back the draws its ring read ahead, which the next window reads again;
-/// the window spreads that rebuild, with the load of the walking token,
-/// over 64 steps; the window's crossing lists, about 32 crossings per live
-/// token, stay bounded by the window rather than the walk.
-const WINDOW: usize = 64;
-
-/// What a token step reads besides the token: the walk's constants.
-struct Walk<'a> {
-    sub: &'a Graph,
-    /// `map[local] = host` vertex (fault coins key on host ids).
-    map: &'a [usize],
-    leader_local: usize,
-    faults: Option<&'a FaultState>,
-    /// Host edge id per sub edge; empty without a fault plan.
-    host_edge: &'a [usize],
-    /// The walk's master seed: token `t` draws from
-    /// `ChaCha8Rng::seed_from_u64(master ^ t·φ64)`.
-    master: u64,
-}
-
-impl Walk<'_> {
-    /// One step of one live token: roll (stay with probability 1/2, else a
-    /// uniform neighbor), adjudicate the crossing, move, absorb at the
-    /// leader. `step` is the 1-based walk step and `stream` the token's.
-    /// The sub edge crossed, if any, goes onto `crossed` for
-    /// [`EdgeTally::merge`]. Every update here is a pure function of
-    /// `(step, token)` — it never reads the shared edge tables — so a
-    /// token may run ahead of the others and the walk is bit-identical to
-    /// stepping all tokens in lockstep.
-    ///
-    /// The coin does not branch: the step reads the coin and the next
-    /// draw, always computes the port that draw picks — `gen_range`'s
-    /// widening multiply — and consumes `1 + coin` draws, so a stay leaves
-    /// the port draw to be the next step's coin exactly as the
-    /// draw-at-a-time walk does. The crossing is pushed and then truncated
-    /// by the coin, the position selected by it; only a move can meet the
-    /// fault plan or reach the leader.
-    #[inline]
-    fn advance(&self, step: usize, tok: &mut Token, stream: &mut Stream, crossed: &mut Vec<u32>) -> Fate {
-        let (coin, draw) = tok.peek_two(stream);
-        // bit 63 set: `gen_bool(0.5)` comes up false, the token moves
-        let moves = (coin >> 63) as usize;
-        tok.consume(1 + moves);
-        // a live token is off the leader, so the connected cluster has a
-        // second vertex and every vertex a neighbor
-        let row = self.sub.row_range(tok.pos);
-        let slot = row.start + ((u128::from(draw) * row.len() as u128) >> 64) as usize;
-        let (w, e) = (self.sub.csr_neighbors()[slot] as usize, self.sub.csr_edge_ids()[slot]);
-        crossed.push(e);
-        crossed.truncate(crossed.len() - 1 + moves);
-        // the crossing consumed the edge's bandwidth either way (the tally
-        // still charges it); the plan decides the token's survival, keyed
-        // by the 0-based walk step
-        let killed = self.faults.is_some_and(|f| {
-            moves == 1 && f.kills((step - 1) as u64, self.host_edge[e as usize], self.map[tok.pos], self.map[w])
-        });
-        if killed {
-            return Fate::Destroyed;
-        }
-        tok.pos = if moves == 1 { w } else { tok.pos };
-        if tok.pos == self.leader_local {
-            Fate::Absorbed
-        } else {
-            Fate::Walking
-        }
-    }
-
-    /// One window of the `live` tokens (ascending indices into `tokens`),
-    /// token-major: the window is steps `done + 1 ..= done +
-    /// crossings.len()`, and each token, rebuilt from its resting state,
-    /// takes them (or as many as it stays alive for) while its state is
-    /// hot, its crossings landing on `crossings[k]` for step `done + 1 +
-    /// k`; the tokens that stopped walking leave `live`, the others rest
-    /// again, their unread draws given back to the stream. Returns the
-    /// tokens absorbed at the leader and the steps of the window in which
-    /// some token still walked.
-    fn window(
-        &self,
-        tokens: &mut [Resting],
-        live: &mut Vec<u32>,
-        done: usize,
-        crossings: &mut [Vec<u32>],
-    ) -> (usize, usize) {
-        let (mut delivered, mut advanced) = (0, 0);
-        live.retain(|&t| {
-            let rest = &mut tokens[t as usize];
-            let mut stream = Stream::new(self.master, t, rest.words);
-            let mut tok = Token { pos: rest.pos as usize, head: 0, unread: 0 };
-            for (k, crossed) in crossings.iter_mut().enumerate() {
-                let fate = self.advance(done + 1 + k, &mut tok, &mut stream, crossed);
-                if fate != Fate::Walking {
-                    delivered += usize::from(fate == Fate::Absorbed);
-                    advanced = advanced.max(k + 1);
-                    return false;
-                }
-            }
-            // a sub vertex id fits in u32 (`Graph` stores its rows so)
-            *rest = Resting { pos: tok.pos as u32, words: stream.rng.get_word_pos() - 2 * tok.unread as u64 };
-            advanced = crossings.len();
-            true
-        });
-        (delivered, advanced)
-    }
-}
-
-/// The walk's shared bookkeeping, updated once per step from that step's
-/// crossings — the part that needs every token's move.
+/// The walk's shared bookkeeping: each step's crossings go in as they
+/// happen, and the step is charged once every live token has moved.
 struct EdgeTally {
     /// Tokens per sub edge in the current step; all zero between steps.
     load: Vec<u32>,
-    /// The edges `load` is non-zero on: a step costs its crossings, not a
-    /// pass over the cluster's edges.
+    /// `touched[..len]`: the edges `load` is non-zero on, so a step costs
+    /// its crossings, not a pass over the cluster's edges.
     touched: Vec<u32>,
+    len: usize,
     /// Largest load of the current step.
     step_max: u32,
     /// Cumulative words per sub edge; empty unless tracked.
@@ -294,41 +141,31 @@ struct EdgeTally {
 }
 
 impl EdgeTally {
-    /// Adds the current step's crossings.
-    fn merge(&mut self, crossed: &[u32]) {
-        for &e in crossed {
-            let load = &mut self.load[e as usize];
-            if *load == 0 {
-                self.touched.push(e);
-            }
-            *load += 1;
-            self.step_max = self.step_max.max(*load);
-            if let Some(w) = self.words.get_mut(e as usize) {
-                *w += 2; // one 2-word message per crossing
-            }
+    /// Adds `moves` (0 or 1) crossings of sub edge `e` to the current step.
+    #[inline]
+    fn cross(&mut self, e: u32, moves: u32) {
+        let load = &mut self.load[e as usize];
+        // `touched` has room for every edge plus one, so the slot past its
+        // end can always be written and kept only for a first crossing
+        self.touched[self.len] = e;
+        self.len += usize::from((*load == 0) & (moves == 1));
+        *load += moves;
+        self.step_max = self.step_max.max(*load);
+        if let Some(w) = self.words.get_mut(e as usize) {
+            *w += 2 * u64::from(moves); // one 2-word message per crossing
         }
     }
 
-    /// Charges a window's steps, one crossing list per step in step order,
-    /// emptying each list — exactly the sequence a step-at-a-time walk
-    /// produces.
-    fn charge_window(&mut self, crossings: &mut [Vec<u32>]) {
-        for crossed in crossings {
-            self.merge(crossed);
-            crossed.clear();
-            self.end_step();
-        }
-    }
-
-    /// Charges the walk step whose crossings were merged. Each token
+    /// Charges the walk step whose crossings were added. Each token
     /// crossing an edge is one O(log n)-bit message and an edge carries one
     /// message per round per direction, so the step costs (at least) the
     /// max directed load; we charge the undirected max, a faithful upper
     /// bound within a factor 2.
     fn end_step(&mut self) {
-        for e in self.touched.drain(..) {
+        for &e in &self.touched[..self.len] {
             self.load[e as usize] = 0;
         }
+        self.len = 0;
         self.rounds += self.step_max.max(1) as u64;
         self.max_load = self.max_load.max(self.step_max as usize);
         self.step_max = 0;
@@ -344,13 +181,13 @@ impl EdgeTally {
 /// `O(φ⁻⁴ log² n)`); the function returns early once every token is
 /// absorbed or destroyed.
 ///
-/// Tokens carry private RNG streams (seeded from one draw of `rng`) and a
-/// move reads nothing another token wrote, so the walk advances in windows
-/// of up to `WINDOW` (64) steps: every live token walks the whole window,
-/// logging each crossing under its step, and the logs are then charged to
-/// the edge-load table step by step. The outcome is the step-at-a-time
-/// walk's, and `rng` advances by exactly one draw whatever the other
-/// arguments are. This is [`charged_walks`] on one cluster.
+/// The walk takes one draw from `rng` as its master seed; token `t`'s step
+/// `s` then reads the single 64-bit draw `h(master, t, s)` — its lazy coin
+/// and its port — which no other token's step touches. The walk runs
+/// step-major: each step every live token moves once and its crossing is
+/// charged to the edge-load table at once. `rng` advances by exactly one
+/// draw whatever the other arguments are. This is [`charged_walks`] on
+/// one cluster.
 ///
 /// `track_edges` additionally returns the cumulative per-edge word load of
 /// the walk: `(host_edge_id, words)` for every host edge at least one
@@ -358,8 +195,8 @@ impl EdgeTally {
 /// so `words = 2 · crossings`. Without it the returned list is empty.
 ///
 /// Under `faults`, the plan is compiled against `g` and each crossing of
-/// host edge `e` in walk step `s` is adjudicated by
-/// [`FaultState::kills`]`(s, e, from, to)` — the verdict the simulator's
+/// host edge `e` in (1-based) walk step `s` is adjudicated by
+/// [`FaultState::kills`]`(s − 1, e, from, to)` — the verdict the simulator's
 /// delivery paths reach, with the coins keyed by `(step, edge)`. A killed
 /// token still consumed the edge's bandwidth (the crossing is charged and,
 /// when tracked, tallied) but the token is destroyed, so the outcome can
@@ -451,21 +288,28 @@ fn walk_cluster(
     assert_eq!(counts.len(), sub.n(), "one count per member required");
     assert!(leader_local < sub.n(), "leader must be a cluster member");
     assert!(sub.is_connected(), "charged_walk_routing needs a connected cluster");
-    let mut tokens: Vec<Resting> = Vec::new();
-    for (v, &count) in counts.iter().enumerate() {
-        tokens.extend(std::iter::repeat_n(Resting { pos: v as u32, words: 0 }, count));
-    }
-    let total = tokens.len();
+    let total: usize = counts.iter().sum();
     assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
-    // the tokens still walking, ascending: a step costs these, not `total`.
-    // Tokens launched at the leader are absorbed immediately.
-    let mut live: Vec<u32> =
-        (0..total as u32).filter(|&t| tokens[t as usize].pos as usize != leader_local).collect();
+    // the tokens still walking, in token order: a step costs these, not
+    // `total`. Tokens launched at the leader are absorbed immediately.
+    let mut live: Vec<Walker> = Vec::new();
+    let mut t = 0u64;
+    for (v, &count) in counts.iter().enumerate() {
+        for _ in 0..count {
+            let key = token_key(master, t);
+            t += 1;
+            if v != leader_local {
+                // a sub vertex id fits in u32 (`Graph` stores its rows so)
+                live.push(Walker { key, pos: v as u32 });
+            }
+        }
+    }
     let mut delivered = total - live.len();
     let mut steps = 0usize;
     let mut tally = EdgeTally {
         load: vec![0; sub.m()],
-        touched: Vec::new(),
+        touched: vec![0; sub.m() + 1],
+        len: 0,
         step_max: 0,
         words: if track_edges { vec![0; sub.m()] } else { Vec::new() },
         rounds: 0,
@@ -475,19 +319,42 @@ fn walk_cluster(
         g.edge_id(map[a], map[b]).expect("induced-subgraph edges exist in the host graph")
     };
     // only needed to key fault decisions; `edges()` yields them in id order
-    let host_edge: Vec<usize> =
-        if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
-    let walk = Walk { sub, map, leader_local, faults, host_edge: &host_edge, master };
-    // `crossings[k]`: the sub edges crossed in step k of the current window.
-    // Steps past the last one any token walked are not charged: the walk
-    // ended there.
-    let mut crossings: Vec<Vec<u32>> = vec![Vec::new(); WINDOW];
+    let host_edge: Vec<usize> = if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
+    let (neighbors, edge_ids) = (sub.csr_neighbors(), sub.csr_edge_ids());
+    // step-major: every live token takes step `s`, its crossing charged as
+    // it happens, then the step is closed; a step with a live token is
+    // always charged, so the walk ends on its last token's step
     while steps < max_steps && !live.is_empty() {
-        let len = WINDOW.min(max_steps - steps);
-        let (absorbed, advanced) = walk.window(&mut tokens, &mut live, steps, &mut crossings[..len]);
-        tally.charge_window(&mut crossings[..advanced]);
-        steps += advanced;
-        delivered += absorbed;
+        steps += 1;
+        let s = steps as u64;
+        // the survivors are compacted in place: `live[kept]` is written
+        // for every token and kept only when it still walks
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let Walker { key, pos: v } = live[i];
+            let h = draw(key, s);
+            let moves = (h >> 63) as u32;
+            // the port is picked and its crossing charged whether or not the
+            // token moves (`moves` = 0 adds nothing), so the coin selects
+            // instead of branching; a live token is off the leader, so the
+            // connected cluster has a second vertex and every vertex a
+            // neighbor
+            let row = sub.row_range(v as usize);
+            let slot = row.start + ((u64::from(h as u32) * row.len() as u64) >> 32) as usize;
+            let (w, e) = (neighbors[slot], edge_ids[slot]);
+            tally.cross(e, moves);
+            // a crossing consumes the edge's bandwidth whatever the plan
+            // decides; the plan is keyed by the 0-based walk step
+            let killed = faults
+                .is_some_and(|f| moves == 1 && f.kills(s - 1, host_edge[e as usize], map[v as usize], map[w as usize]));
+            let to = if moves == 1 { w } else { v };
+            let home = to as usize == leader_local;
+            delivered += usize::from(home & !killed);
+            live[kept] = Walker { key, pos: to };
+            kept += usize::from(!home & !killed);
+        }
+        live.truncate(kept);
+        tally.end_step();
     }
     // edges come in id order, so they pair up with the per-edge words
     // (none at all when untracked)
@@ -498,8 +365,7 @@ fn walk_cluster(
         .map(|(edge, &words)| (host_edge_of(edge), words))
         .collect();
     loads.sort_unstable();
-    let outcome =
-        RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
+    let outcome = RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
     (outcome, loads)
 }
 
@@ -915,11 +781,80 @@ mod tests {
         assert!(out.steps < 50_000, "lost tokens must end the walk early");
     }
 
-    /// The walk as it stood before the token-major windows, kept as the
-    /// reference they are compared against: every live token takes one step
-    /// (with `gen_bool(0.5)` for the coin), the step's crossings are
-    /// tallied, then the next step. Also counts the live token-steps, the
-    /// unit the walk's cost is quoted in.
+    /// A step-at-a-time charged walk, the body of both references: each
+    /// step every live token, in ascending order, asks `port(t, s, deg)`
+    /// which of its `deg` ports it takes at 1-based step `s` (`None`: it
+    /// stays), a crossing is adjudicated by the plan's own lists, and the
+    /// step's crossings are counted per edge once the step is over. Also
+    /// counts the live token-steps, the unit the walk's cost is quoted in.
+    #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters plus the draw rule")]
+    fn walk_reference(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        faults: Option<&FaultPlan>,
+        track_edges: bool,
+        mut port: impl FnMut(u32, u64, usize) -> Option<usize>,
+    ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
+        let (sub, map) = g.induced_subgraph(members);
+        let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
+        let mut pos: Vec<usize> = Vec::new();
+        for (v, &count) in counts.iter().enumerate() {
+            pos.extend(std::iter::repeat_n(v, count));
+        }
+        let total = pos.len();
+        let mut live: Vec<u32> = (0..total as u32).filter(|&t| pos[t as usize] != leader_local).collect();
+        let mut delivered = total - live.len();
+        let host_edge_of = |(_, a, b): (usize, usize, usize)| g.edge_id(map[a], map[b]).expect("host edge");
+        let host_edge: Vec<usize> = sub.edges().map(host_edge_of).collect();
+        let (mut load, mut words) = (vec![0usize; sub.m()], vec![0u64; sub.m()]);
+        let (mut steps, mut token_steps, mut rounds, mut max_edge_load) = (0usize, 0u64, 0u64, 0usize);
+        while steps < max_steps && !live.is_empty() {
+            steps += 1;
+            token_steps += live.len() as u64;
+            let mut crossed: Vec<u32> = Vec::new();
+            live.retain(|&t| {
+                let v = pos[t as usize];
+                let Some(k) = port(t, steps as u64, sub.degree(v)) else {
+                    return true;
+                };
+                let (w, e) = (sub.neighbor_row(v)[k] as usize, sub.edge_id_row(v)[k]);
+                crossed.push(e);
+                let (round, edge, from, to) = ((steps - 1) as u64, host_edge[e as usize], map[v], map[w]);
+                if faults.is_some_and(|f| kills_by_plan(f, round, edge, from, to)) {
+                    return false;
+                }
+                pos[t as usize] = w;
+                delivered += usize::from(w == leader_local);
+                w != leader_local
+            });
+            for &e in &crossed {
+                load[e as usize] += 1;
+                words[e as usize] += 2;
+            }
+            let step_max = crossed.iter().map(|&e| load[e as usize]).max().unwrap_or(0);
+            for &e in &crossed {
+                load[e as usize] = 0;
+            }
+            rounds += step_max.max(1) as u64;
+            max_edge_load = max_edge_load.max(step_max);
+        }
+        let mut loads: Vec<(usize, u64)> = if track_edges {
+            sub.edges().zip(&words).filter(|&(_, &w)| w > 0).map(|(edge, &w)| (host_edge_of(edge), w)).collect()
+        } else {
+            Vec::new()
+        };
+        loads.sort_unstable();
+        (RoutingOutcome { delivered, total, steps, rounds, max_edge_load }, loads, token_steps)
+    }
+
+    /// The router's walk re-derived from its documented draw: the master
+    /// seed is one draw of `rng`, and token `t` at step `s` reads
+    /// `h = mix(mix(master ^ t·φ64) + s·φ64)` with SplitMix64's finaliser
+    /// `mix`, moves when bit 63 is set, and then takes port
+    /// `(h mod 2³² · deg) >> 32`.
     #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters")]
     fn charged_walk_reference(
         g: &Graph,
@@ -931,67 +866,43 @@ mod tests {
         faults: Option<&FaultPlan>,
         track_edges: bool,
     ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
-        let (sub, map) = g.induced_subgraph(members);
-        let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
-        struct Token {
-            pos: usize,
-            rng: ChaCha8Rng,
-        }
-        let master: u64 = rng.gen();
-        let mut tokens: Vec<Token> = Vec::new();
-        for (v, &count) in counts.iter().enumerate() {
-            for _ in 0..count {
-                let t = tokens.len() as u64;
-                tokens.push(Token { pos: v, rng: ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E3779B97F4A7C15)) });
-            }
-        }
-        let total = tokens.len();
-        let mut live: Vec<u32> = (0..total as u32).filter(|&t| tokens[t as usize].pos != leader_local).collect();
-        let mut delivered = total - live.len();
-        let mut tally = EdgeTally {
-            load: vec![0; sub.m()],
-            touched: Vec::new(),
-            step_max: 0,
-            words: if track_edges { vec![0; sub.m()] } else { Vec::new() },
-            rounds: 0,
-            max_load: 0,
+        const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+        let splitmix = |z: u64| {
+            let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         };
-        let host_edge_of = |(_, a, b): (usize, usize, usize)| g.edge_id(map[a], map[b]).expect("host edge");
-        let host_edge: Vec<usize> = sub.edges().map(host_edge_of).collect();
-        let (mut steps, mut token_steps) = (0usize, 0u64);
-        let mut crossed: Vec<u32> = Vec::new();
-        while steps < max_steps && !live.is_empty() {
-            steps += 1;
-            token_steps += live.len() as u64;
-            crossed.clear();
-            live.retain(|&t| {
-                let tok = &mut tokens[t as usize];
-                if tok.rng.gen_bool(0.5) {
-                    return true;
-                }
-                let k = tok.rng.gen_range(0..sub.degree(tok.pos));
-                let (w, e) = (sub.neighbor_row(tok.pos)[k] as usize, sub.edge_id_row(tok.pos)[k]);
-                crossed.push(e);
-                let (round, edge, from, to) = ((steps - 1) as u64, host_edge[e as usize], map[tok.pos], map[w]);
-                if faults.is_some_and(|f| kills_by_plan(f, round, edge, from, to)) {
-                    return false;
-                }
-                tok.pos = w;
-                delivered += usize::from(w == leader_local);
-                w != leader_local
-            });
-            tally.merge(&crossed);
-            tally.end_step();
-        }
-        let mut loads: Vec<(usize, u64)> = sub
-            .edges()
-            .zip(&tally.words)
-            .filter(|&(_, &words)| words > 0)
-            .map(|(edge, &words)| (host_edge_of(edge), words))
-            .collect();
-        loads.sort_unstable();
-        let outcome = RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
-        (outcome, loads, token_steps)
+        let master: u64 = rng.gen();
+        walk_reference(g, members, leader, counts, max_steps, faults, track_edges, |t, s, deg| {
+            let h = splitmix(splitmix(master ^ u64::from(t).wrapping_mul(PHI)).wrapping_add(s.wrapping_mul(PHI)));
+            (h >> 63 == 1).then(|| (((h & 0xFFFF_FFFF) * deg as u64) >> 32) as usize)
+        })
+    }
+
+    /// The walk as it stood before the stateless draw, kept to compare the
+    /// two draws' statistics: token `t` owns the generator
+    /// `ChaCha8Rng::seed_from_u64(master ^ t·φ64)` and a step reads
+    /// `gen_bool(0.5)` (true: it stays), then `gen_range(0..deg)`.
+    #[expect(clippy::too_many_arguments, reason = "mirrors charged_walk_routing's parameters")]
+    fn chacha_walk_reference(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        rng: &mut ChaCha8Rng,
+        faults: Option<&FaultPlan>,
+        track_edges: bool,
+    ) -> (RoutingOutcome, Vec<(usize, u64)>, u64) {
+        use rand::SeedableRng;
+        let master: u64 = rng.gen();
+        let total = counts.iter().sum::<usize>() as u64;
+        let mut streams: Vec<ChaCha8Rng> =
+            (0..total).map(|t| ChaCha8Rng::seed_from_u64(master ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+        walk_reference(g, members, leader, counts, max_steps, faults, track_edges, |t, _, deg| {
+            let stream = &mut streams[t as usize];
+            (!stream.gen_bool(0.5)).then(|| stream.gen_range(0..deg))
+        })
     }
 
     /// The plan's verdict read off its lists, independently of the compiled
@@ -1022,16 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn token_state_stays_within_two_cache_lines() {
-        assert!(std::mem::size_of::<Token>() <= 128, "{}", std::mem::size_of::<Token>());
-    }
-
-    #[test]
-    fn resting_token_fits_sixteen_bytes() {
-        assert!(std::mem::size_of::<Resting>() <= 16, "{}", std::mem::size_of::<Resting>());
-    }
-
-    #[test]
     fn tokens_launched_at_the_leader_take_no_step() {
         let g = gen::grid(4, 4);
         let members: Vec<usize> = (0..16).collect();
@@ -1041,33 +942,61 @@ mod tests {
         assert!(loads.is_empty());
     }
 
+    /// The stateless draw walks like the ChaCha streams it replaced: over
+    /// 100 seeds on two families at the framework's load (`1 + outdeg(v)`
+    /// tokens at `v`), uncapped, every walk delivers everything and the
+    /// mean charged rounds agree within 5 %.
     #[test]
-    fn walk_that_ends_inside_a_window_reports_its_last_step() {
-        // a leaf token next to the leader is absorbed by its first crossing:
-        // after a geometric number of coin flips, far short of a window
-        let g = gen::star(6);
-        let members: Vec<usize> = (0..6).collect();
-        let counts = [0, 1, 0, 1, 0, 0];
-        let mut seen_short = 0;
-        for seed in 0..20 {
-            let want = route_reference(&g, &members, 0, &counts, usize::MAX, seed, None, true);
-            assert!(want.0.complete() && want.0.steps >= 1);
-            seen_short += usize::from(want.0.steps < WINDOW - 1);
-            assert_eq!(route(&g, &members, 0, &counts, usize::MAX, seed, None, true), want);
+    fn stateless_draw_walks_like_the_chacha_streams() {
+        let families = [
+            ("grid_with_noise(10, 10)", gen::grid_with_noise(10, 10, 0.02, &mut gen::seeded_rng(8))),
+            ("triangulated_grid(9, 9)", gen::triangulated_grid(9, 9)),
+        ];
+        for (name, g) in families {
+            let members: Vec<usize> = (0..g.n()).collect();
+            let counts: Vec<usize> =
+                (0..g.n()).map(|v| 1 + g.neighbor_vertices(v).filter(|&u| u > v).count()).collect();
+            let leader = (0..g.n()).max_by_key(|&v| (g.degree(v), v)).expect("non-empty");
+            let (mut stateless, mut chacha) = (0u64, 0u64);
+            for seed in 0..100 {
+                let (new, _) = charged_walk_routing(
+                    &g,
+                    &members,
+                    leader,
+                    &counts,
+                    usize::MAX,
+                    &mut gen::seeded_rng(seed),
+                    None,
+                    false,
+                );
+                let (old, _, _) = chacha_walk_reference(
+                    &g,
+                    &members,
+                    leader,
+                    &counts,
+                    usize::MAX,
+                    &mut gen::seeded_rng(seed),
+                    None,
+                    false,
+                );
+                assert!(new.complete() && old.complete(), "{name} seed {seed}: {new:?} {old:?}");
+                (stateless, chacha) = (stateless + new.rounds, chacha + old.rounds);
+            }
+            let ratio = stateless as f64 / chacha as f64;
+            assert!((0.95..=1.05).contains(&ratio), "{name}: mean rounds {stateless} vs {chacha} over 100 seeds");
         }
-        assert!(seen_short >= 15, "only {seen_short} of 20 walks ended inside their first window");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The windowed walk is the step-at-a-time walk: outcome, host-edge
-        /// loads and the caller's next draw, at every step cap around a
-        /// window boundary and under every kind of fault plan.
+        /// The router is the step-at-a-time walk of its documented draw:
+        /// outcome, host-edge loads and the caller's next draw, at step caps
+        /// from none to unbounded and under every kind of fault plan.
         #[test]
-        fn windowed_walk_matches_reference(
+        fn walk_matches_reference(
             seed in proptest::prelude::any::<u64>(),
-            family in 0usize..6,
+            family in 0usize..7,
             size in 3usize..9,
             leader_pick in 0usize..1_000,
             count_mod in 1usize..4,
@@ -1083,6 +1012,7 @@ mod tests {
                 2 => gen::path(2 * size),
                 3 => gen::random_tree(3 * size, &mut rng),
                 4 => gen::grid_with_noise(size, size, 0.05, &mut rng),
+                5 => gen::star(size),
                 _ => gen::triangulated_grid(size, size),
             };
             // the whole graph, or (odd seeds) the connected half around vertex 0
@@ -1091,46 +1021,20 @@ mod tests {
             let members: Vec<usize> = (0..g.n()).filter(|&v| dist[v] <= radius).collect();
             let leader = members[leader_pick % members.len()];
             let counts: Vec<usize> = members.iter().map(|&v| (v + seed as usize % 3) % (count_mod + 1)).collect();
-            let max_steps = [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7, usize::MAX][cap_pick];
-            // a link that is down from just before the first window boundary
-            // to just after it, on an edge inside the cluster
+            let max_steps = [0, 1, 2, 17, 64, 199, usize::MAX][cap_pick];
+            // a link down for steps 5..20, on an edge inside the cluster
             let inside = g.edges().find(|&(_, u, v)| dist[u] <= radius && dist[v] <= radius).map_or(0, |(e, _, _)| e);
             let plans = [
                 None,
                 Some(FaultPlan::none()),
                 Some(FaultPlan::drops(seed, drop_prob)),
-                Some(FaultPlan::none().with_link_failure(inside, WINDOW as u64 - 3, WINDOW as u64 + 5)),
+                Some(FaultPlan::none().with_link_failure(inside, 5, 20)),
                 // a member other than the leader crashing a few steps in
                 Some(FaultPlan::none().with_crash(members[(leader_pick + 1) % members.len()], 3)),
             ];
             let faults = plans[plan_pick].as_ref();
             let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);
             let got = route(&g, &members, leader, &counts, max_steps, seed, faults, track_edges);
-            proptest::prop_assert_eq!(&got, &want);
-        }
-
-        /// The ring's refills fall anywhere in a window: every step cap from
-        /// 0 to past the second window boundary, with and without drops.
-        #[test]
-        fn ring_walk_matches_reference_at_every_cap(
-            seed in proptest::prelude::any::<u64>(),
-            family in 0usize..3,
-            max_steps in 0usize..2 * WINDOW + 2 * RING,
-            drops in proptest::prelude::any::<bool>(),
-        ) {
-            let mut rng = gen::seeded_rng(seed);
-            let g = match family {
-                0 => gen::path(12),
-                1 => gen::grid_with_noise(5, 5, 0.05, &mut rng),
-                _ => gen::star(7),
-            };
-            let members: Vec<usize> = (0..g.n()).collect();
-            let counts: Vec<usize> = members.iter().map(|&v| 1 + (v + seed as usize) % 2).collect();
-            let plan = drops.then(|| FaultPlan::drops(seed, 0.1));
-            let faults = plan.as_ref();
-            let leader = seed as usize % g.n();
-            let want = route_reference(&g, &members, leader, &counts, max_steps, seed, faults, true);
-            let got = route(&g, &members, leader, &counts, max_steps, seed, faults, true);
             proptest::prop_assert_eq!(&got, &want);
         }
 
@@ -1165,7 +1069,7 @@ mod tests {
             let counts: Vec<Vec<usize>> =
                 clusters.iter().map(|c| c.members.iter().map(|&v| 1 + (v + seed as usize) % 3).collect()).collect();
             let leaders: Vec<usize> = clusters.iter().map(|c| (leader_pick + c.members[0]) % c.members.len()).collect();
-            let max_steps = 3 * WINDOW + 7;
+            let max_steps = 199;
 
             let mut one_rng = gen::seeded_rng(seed);
             let one: Vec<_> = clusters

@@ -208,19 +208,19 @@ fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
     )
 }
 
-/// The two fixtures were written by the commit *before* `run_framework`
-/// was split into decompose + `run_framework_on` (PR 24), when every
-/// attempt still recomputed its decomposition: a run that retries twice
-/// and one that exhausts its budget and degrades. Decomposing once and
-/// retrying only the randomized phases must reproduce both bit for bit,
-/// at 1 and 3 threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
+/// Two fixtures: a run whose one-round outage of link 1 costs its first
+/// attempt a token, so it retries once and succeeds, and one that
+/// exhausts its budget and degrades. They were last blessed when the
+/// charged walk took its stateless draw; decomposing once and retrying
+/// only the randomized phases must reproduce both bit for bit, at 1 and 3
+/// threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
 /// accounting change, and from the commit being replaced.
 #[test]
 fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
     let mut rng = gen::seeded_rng(0x24);
     let g = gen::grid_with_noise(16, 16, 0.02, &mut rng);
     let retried = FrameworkConfig {
-        faults: Some(FaultPlan::none().with_link_failure(1, 0, 2)),
+        faults: Some(FaultPlan::none().with_link_failure(1, 0, 1)),
         max_walk_steps: 40_000,
         ..FrameworkConfig::planar(0.3, 6)
     };
@@ -230,7 +230,7 @@ fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
         ..FrameworkConfig::planar(0.3, 11)
     };
     let cases = [
-        ("resilient_retried", retried, RecoveryPolicy { max_retries: 3, initial_walk_steps: 1_000 }, 3, false),
+        ("resilient_retried", retried, RecoveryPolicy { max_retries: 3, initial_walk_steps: 1_000 }, 2, false),
         ("resilient_degraded", blackout, RecoveryPolicy { max_retries: 2, initial_walk_steps: 1_000 }, 3, true),
     ];
     for (name, base, policy, attempts, degrades) in cases {
