@@ -19,7 +19,6 @@ use lcg_expander::routing::{charged_walk_routing, network_walk_routing_with_coun
 use lcg_expander::spectral::lambda2;
 use lcg_graph::{gen, Graph};
 use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::{cells, Opts, Table};
 
@@ -33,22 +32,24 @@ fn best_of_three<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     (0..3).map(timed).reduce(|(best, _), (ns, out)| (best.min(ns), out)).expect("three runs")
 }
 
-/// The live token-steps of an uncapped, fault-free `charged_walk_routing`
-/// over all of `g` — Σ over tokens of the steps each took to reach
-/// `leader` — and the longest such walk, replayed token by token from the
-/// router's documented draw: token `t` at step `s` reads
+/// The live token-steps of an uncapped, fault-free walk over all of `g` —
+/// Σ over tokens of the steps each took to reach `leader` — the longest
+/// such walk and the crossings, replayed token by token from the routers'
+/// documented draw: token `t` at step `s` reads
 /// `h = mix(mix(master ^ t·φ64) + s·φ64)` with SplitMix64's finaliser
 /// `mix`, moves when bit 63 is set, and then takes port
-/// `(h mod 2³² · deg) >> 32`. The caller checks the replay against the
-/// router's own `steps`, so a change of draw cannot pass silently.
-fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -> (u64, usize) {
+/// `(h mod 2³² · deg) >> 32`. Both routers walk these trajectories, the
+/// message-faithful one sending a message per crossing; the caller checks
+/// the replay against a router's own `steps` (and messages), so a change
+/// of draw cannot pass silently.
+fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -> (u64, usize, u64) {
     const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
     let mix = |z: u64| {
         let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    let (mut token_steps, mut longest, mut t) = (0u64, 0usize, 0u64);
+    let (mut token_steps, mut longest, mut crossings, mut t) = (0u64, 0usize, 0u64, 0u64);
     for (v, &count) in counts.iter().enumerate() {
         for _ in 0..count {
             let key = mix(master ^ t.wrapping_mul(PHI));
@@ -58,6 +59,7 @@ fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -
                 steps += 1;
                 let h = mix(key.wrapping_add(steps.wrapping_mul(PHI)));
                 if h >> 63 == 1 {
+                    crossings += 1;
                     let port = ((h & 0xFFFF_FFFF) * g.degree(pos) as u64) >> 32;
                     pos = g.neighbor_row(pos)[port as usize] as usize;
                 }
@@ -66,64 +68,7 @@ fn replay_token_steps(g: &Graph, leader: usize, counts: &[usize], master: u64) -
             longest = longest.max(steps as usize);
         }
     }
-    (token_steps, longest)
-}
-
-/// The live token-steps, walk steps and messages of an uncapped,
-/// fault-free `network_walk_routing_with_counts` over all of `g`, replayed
-/// without the network from the caller's `rng`: each step the tokens flip
-/// in ascending vertex order, a token that moves joins the LIFO stack of
-/// its port, and each round every busy port hands its top token over,
-/// arrivals landing in (receiver, receiver's port) order. The caller
-/// checks the replay against the router's own `steps` and messages.
-fn replay_faithful(g: &Graph, leader: usize, counts: &[usize], rng: &mut ChaCha8Rng) -> (u64, usize, u64) {
-    let mut at: Vec<Vec<u64>> =
-        (0..g.n()).map(|v| if v == leader { Vec::new() } else { vec![v as u64; counts[v]] }).collect();
-    let mut left: u64 = at.iter().map(|tokens| tokens.len() as u64).sum();
-    // one stack per CSR slot, i.e. per (vertex, port)
-    let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); g.slots()];
-    let (mut token_steps, mut steps, mut messages) = (0u64, 0usize, 0u64);
-    while left > 0 {
-        steps += 1;
-        token_steps += left;
-        let mut busy: Vec<usize> = Vec::new();
-        for (v, tokens) in at.iter_mut().enumerate() {
-            for t in std::mem::take(tokens) {
-                if rng.gen_bool(0.5) {
-                    tokens.push(t);
-                    continue;
-                }
-                let slot = g.row_range(v).start + rng.gen_range(0..g.degree(v));
-                if stacks[slot].is_empty() {
-                    busy.push(slot);
-                }
-                stacks[slot].push(t);
-            }
-        }
-        busy.sort_unstable();
-        while !busy.is_empty() {
-            let mut arrivals: Vec<(usize, usize, u64)> = busy
-                .iter()
-                .map(|&slot| {
-                    let t = stacks[slot].pop().expect("a busy port has a token");
-                    let (u, e) = (g.csr_neighbors()[slot] as usize, g.csr_edge_ids()[slot]);
-                    let port = g.edge_id_row(u).iter().position(|&f| f == e).expect("an edge is in both rows");
-                    (u, port, t)
-                })
-                .collect();
-            messages += arrivals.len() as u64;
-            arrivals.sort_unstable();
-            for (u, _, t) in arrivals {
-                if u == leader {
-                    left -= 1;
-                } else {
-                    at[u].push(t);
-                }
-            }
-            busy.retain(|&slot| !stacks[slot].is_empty());
-        }
-    }
-    (token_steps, steps, messages)
+    (token_steps, longest, crossings)
 }
 
 /// Runs E26.
@@ -166,7 +111,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             charged_walk_routing(&g, &members, leader, &counts, usize::MAX, &mut rng, None, false).0
         };
         let (ns, out) = best_of_three(route);
-        let (token_steps, longest) = replay_token_steps(&g, leader, &counts, gen::seeded_rng(7).gen());
+        let (token_steps, longest, _) = replay_token_steps(&g, leader, &counts, gen::seeded_rng(7).gen());
         assert!(out.complete(), "an uncapped fault-free walk delivers everything");
         assert_eq!(out.steps, longest, "the replay no longer walks the router's trajectories");
         walk.row(cells!(
@@ -197,9 +142,9 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut rng)
         };
         let (ns, (out, stats)) = best_of_three(route);
-        let (token_steps, steps, messages) = replay_faithful(&g, leader, &counts, &mut gen::seeded_rng(7));
+        let (token_steps, longest, messages) = replay_token_steps(&g, leader, &counts, gen::seeded_rng(7).gen());
         assert!(out.complete(), "an uncapped fault-free walk delivers everything");
-        assert_eq!((out.steps, stats.messages), (steps, messages), "the replay no longer walks the router's walk");
+        assert_eq!((out.steps, stats.messages), (longest, messages), "the replay no longer walks the router's walk");
         faithful.row(cells!(
             side,
             out.total,

@@ -34,7 +34,7 @@ use lcg_expander::routing;
 use lcg_graph::Graph;
 use lcg_metrics::{Recorder, Report};
 use lcg_trace::{Trace, TraceConfig, Tracer};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration of a framework run.
@@ -52,16 +52,17 @@ pub struct FrameworkConfig {
     /// Cap on lazy-walk steps per routing execution.
     pub max_walk_steps: usize,
     /// Execute the gathering phase with **real messages** in the simulator
-    /// (`network_walk_routing_with_counts`: every token a 2-word message,
-    /// capacity-enforced) instead of the charged-cost walk. Slower but
-    /// fully message-faithful; Experiment E17 shows the two agree within
-    /// a factor ≈ 2.
+    /// (`routing::faithful_walk`: every crossing a 2-word message,
+    /// capacity-enforced, on a network per cluster) instead of the
+    /// charged-cost walk. Slower but fully message-faithful; without faults
+    /// each token walks the charged token's vertices, and the cluster's
+    /// gathering rounds are within a factor 2 of the charged ones.
     pub message_faithful: bool,
     /// The run's thread count, set by the caller: the decomposition's
-    /// recursion levels and the charged walks of the gathering phase (one
-    /// item per cluster) run through [`ExecConfig::map`], and every result
-    /// is bit-identical at any count. The round engine and the
-    /// message-faithful gathering stay on the caller's thread.
+    /// recursion levels and the walks of the gathering phase, charged or
+    /// message-faithful (one item per cluster), run through
+    /// [`ExecConfig::map`], and every result is bit-identical at any count.
+    /// The round engine runs each network on one thread.
     /// [`FrameworkConfig::planar`] sets [`ExecConfig::sequential`].
     pub exec: ExecConfig,
     /// Record a **full** trace: per-round time series, per-edge load
@@ -348,34 +349,44 @@ pub(crate) fn run_framework_timed(
     let mut gather_rounds = 0u64;
     let mut faithful_traffic = RoundStats::default();
     net.phase("gathering", |net| {
-        // One charged walk per multi-vertex cluster, all of them at once on
-        // the run's threads, whatever is being observed: an active plan
-        // adjudicates each crossing (killed tokens consumed their
-        // bandwidth; the outcome honestly reports the shortfall for the §2.3
-        // reversal detector), a full trace asks for the host-edge loads of
-        // the hotspot table. One rng draw per walk in cluster order, and the
-        // same trajectories, in every combination and at every thread count.
-        let mut charged = if cfg.message_faithful {
-            Vec::new()
+        // One walk per multi-vertex cluster, all of them at once on the
+        // run's threads, each taking one rng draw as its master seed in
+        // cluster order, whichever router and whatever is observed. A
+        // charged walk adjudicates each crossing under an active plan
+        // (killed tokens consumed their bandwidth; the outcome honestly
+        // reports the shortfall for the §2.3 reversal detector), and a full
+        // trace asks it for the host-edge loads of the hotspot table.
+        let walks: Vec<routing::ClusterWalk<'_>> = subs
+            .iter()
+            .zip(&leaders_local)
+            .zip(&counts)
+            .filter(|(((sub, _), _), _)| sub.n() > 1)
+            .map(|(((sub, map), &leader_local), counts)| routing::ClusterWalk { sub, map, leader_local, counts })
+            .collect();
+        let (charged, faithful) = if cfg.message_faithful {
+            // each cluster on its own network over the host graph, so the
+            // fault schedule applies to its traffic exactly as on the host
+            // and its per-edge loads merge 1:1 into the main tracer's table
+            let seeded: Vec<(&routing::ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
+            let gathered = cfg.exec.map(
+                &seeded,
+                |(w, _)| w.counts.iter().sum::<usize>() as u64,
+                |&(w, master)| {
+                    let mut cluster_net = Network::new(g, Model::congest());
+                    if cfg.trace {
+                        cluster_net.attach_tracer(Tracer::new(TraceConfig::hotspots_only("cluster")));
+                    }
+                    cluster_net.set_fault_plan(cfg.faults.clone());
+                    let (outcome, rstats) = routing::faithful_walk(&mut cluster_net, w, cfg.max_walk_steps, master);
+                    (outcome, rstats, cluster_net.take_tracer())
+                },
+            );
+            (Vec::new(), gathered)
         } else {
-            let walks: Vec<routing::ClusterWalk<'_>> = subs
-                .iter()
-                .zip(&leaders_local)
-                .zip(&counts)
-                .filter(|(((sub, _), _), _)| sub.n() > 1)
-                .map(|(((sub, map), &leader_local), counts)| routing::ClusterWalk { sub, map, leader_local, counts })
-                .collect();
-            routing::charged_walks(
-                g,
-                &walks,
-                cfg.max_walk_steps,
-                &mut rng,
-                cfg.faults.as_ref().filter(|_| faults_active),
-                cfg.trace,
-                cfg.exec,
-            )
-        }
-        .into_iter();
+            let faults = cfg.faults.as_ref().filter(|_| faults_active);
+            (routing::charged_walks(g, &walks, cfg.max_walk_steps, &mut rng, faults, cfg.trace, cfg.exec), Vec::new())
+        };
+        let (mut charged, mut faithful) = (charged.into_iter(), faithful.into_iter());
         let per_cluster = subs.into_iter().zip(leaders_local).zip(counts);
         for (cid, (((sub, mapping), leader_local), counts)) in per_cluster.enumerate() {
             let leader = mapping[leader_local];
@@ -396,36 +407,16 @@ pub(crate) fn run_framework_timed(
                     max_edge_load: 0,
                 }
             } else if cfg.message_faithful {
-                // run this cluster's routing on its own network (clusters run
-                // in parallel; rounds take the max, traffic sums)
-                let mut cluster_net = Network::new(g, Model::congest());
-                if cfg.trace {
-                    // the cluster net shares the host graph, so its per-edge
-                    // loads merge 1:1 into the main tracer's table
-                    cluster_net.attach_tracer(Tracer::new(TraceConfig::hotspots_only("cluster")));
-                }
-                // same host graph, same edge ids: the fault schedule applies
-                // to the cluster's traffic exactly as it would on the host
-                cluster_net.set_fault_plan(cfg.faults.clone());
-                let (outcome, rstats) = routing::network_walk_routing_with_counts(
-                    &mut cluster_net,
-                    &mapping,
-                    leader,
-                    &counts,
-                    cfg.max_walk_steps,
-                    &mut rng,
-                );
-                if let Some(cluster_tracer) = cluster_net.take_tracer() {
-                    if let Some(t) = net.tracer_mut() {
-                        t.merge_edge_words_from(&cluster_tracer);
-                    }
+                let (outcome, rstats, cluster_tracer) = faithful.next().expect("one walk per multi-vertex cluster");
+                if let (Some(cluster_tracer), Some(t)) = (cluster_tracer, net.tracer_mut()) {
+                    t.merge_edge_words_from(&cluster_tracer);
                 }
                 // clusters run in parallel: rounds are charged once below, as
                 // the max; everything else sums
                 faithful_traffic.merge(&RoundStats { rounds: 0, ..rstats });
                 outcome
             } else {
-                let (outcome, loads) = charged.next().expect("one charged walk per multi-vertex cluster");
+                let (outcome, loads) = charged.next().expect("one walk per multi-vertex cluster");
                 if let Some(t) = net.tracer_mut() {
                     for (e, w) in loads {
                         t.add_edge_words(e, w);

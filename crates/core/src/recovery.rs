@@ -85,7 +85,9 @@ pub struct RecoveryReport {
     /// [`singleton_outcome`] degradation.
     pub degraded: bool,
     /// Human-readable detector verdicts of every *failed* attempt, in
-    /// order ("attempt 0: cluster 3: gathering incomplete (17/21)", ...).
+    /// order ("attempt 0: cluster 3: gathering incomplete (17/21, 4 lost)",
+    /// "attempt 1: cluster 5: gathering incomplete (9/12, step cap 2000
+    /// reached)", ...).
     pub failures: Vec<String>,
     /// Rounds spent by the §2.3 detectors across all attempts (also
     /// already included in the outcome's `stats.rounds`).
@@ -95,18 +97,23 @@ pub struct RecoveryReport {
 /// Runs every §2.3 detector against `outcome`, charging the diameter
 /// check — against the bound `b` the execution itself measured — to
 /// `det_net` (a fault-free control network on the host graph). Returns one
-/// line per detected failure; empty means the execution passed.
-fn detect_failures(outcome: &FrameworkOutcome, det_net: &mut Network) -> Vec<String> {
+/// line per detected failure; empty means the execution passed. An
+/// incomplete gathering says why its walk ended: at the attempt's step
+/// budget `max_steps`, or earlier, once every token left was lost.
+fn detect_failures(outcome: &FrameworkOutcome, max_steps: usize, det_net: &mut Network) -> Vec<String> {
     let mut verdicts = Vec::new();
     for c in &outcome.clusters {
         if !c.election_agrees {
             verdicts.push(format!("cluster {}: election disagreement", c.id));
         }
-        if failure::routing_failure_detected(&c.routing) {
-            verdicts.push(format!(
-                "cluster {}: gathering incomplete ({}/{})",
-                c.id, c.routing.delivered, c.routing.total
-            ));
+        let r = &c.routing;
+        if failure::routing_failure_detected(r) {
+            let why = if r.steps < max_steps {
+                format!("{} lost", r.total - r.delivered)
+            } else {
+                format!("step cap {max_steps} reached")
+            };
+            verdicts.push(format!("cluster {}: gathering incomplete ({}/{}, {why})", c.id, r.delivered, r.total));
         }
     }
     // §2.3 marking protocol with the measured bound `b`: every cluster
@@ -223,7 +230,7 @@ pub fn run_framework_resilient(
         // only the first attempt reports the decomposition's timer
         let mut outcome = run_framework_timed(g, decomposition.clone(), timed.take(), &attempt_cfg);
         let mut det_net = Network::new(g, Model::congest());
-        let verdicts = detect_failures(&outcome, &mut det_net);
+        let verdicts = detect_failures(&outcome, attempt_cfg.max_walk_steps, &mut det_net);
         // this attempt's registry on top of the failed attempts' (the
         // newest report keeps its profiling plane)
         if let Some(mut rep) = outcome.metrics.take() {
@@ -409,6 +416,23 @@ mod tests {
         assert_eq!(report.attempts, 1);
         assert!(timed(&accepted));
         assert_eq!(retried.decomposition.cluster_of, accepted.decomposition.cluster_of);
+    }
+
+    /// A fault-free run that retries does so only because its walks ran out
+    /// of steps, and says so: no token is ever lost without faults.
+    #[test]
+    fn fault_free_retries_report_only_the_step_cap() {
+        let g = gen::grid(6, 6);
+        let cfg = FrameworkConfig::planar(0.3, 11);
+        let starved = RecoveryPolicy { max_retries: 12, initial_walk_steps: 64 };
+        let (_, report) = run_framework_resilient(&g, &cfg, &starved);
+        assert!(report.attempts > 1 && !report.degraded, "{report:?}");
+        for line in &report.failures {
+            let (attempt, verdict) = line.strip_prefix("attempt ").and_then(|l| l.split_once(": ")).expect("attempt k: …");
+            let cap = 64usize << attempt.parse::<u32>().expect("an attempt number");
+            let reason = format!(", step cap {cap} reached)");
+            assert!(verdict.contains("gathering incomplete (") && verdict.ends_with(&reason), "{line}");
+        }
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //!   members itself.
 //!
 //! * [`network_walk_routing_with_counts`] is Lemma 2.4 message-faithfully
-//!   in the simulator: every crossing a real message, serialized one per
-//!   port per round. Its tables cover the cluster's members only — one
-//!   LIFO token stack per intra-cluster port, an ascending list of busy
-//!   ports per vertex and of the vertices holding tokens — and keep their
-//!   capacity from step to step, so a step allocates nothing and costs the
-//!   tokens that move, in the draw order of the `BTreeMap` router it
-//!   replaced.
+//!   in the simulator, on the same trajectories: token `t` steps with the
+//!   charged walk's draw, so under one master seed it visits the charged
+//!   token's vertex sequence, only later. Each step's movers are bucketed
+//!   into flat per-port queues that drain one real `[key, step]` message
+//!   per port per round through [`Network::exchange_active`]; the arrivals
+//!   are the next step's live tokens. [`faithful_walk`] is the same walk
+//!   given a cluster and its master seed, so several clusters can gather
+//!   at once, each on its own network.
 //!
 //! * [`tree_routing`] is the deterministic counterpart standing in for
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
@@ -37,7 +38,7 @@
 //! [`random_walk_routing_with_counts_exec`] survives only as a shim for the
 //! frozen `benchmark/` crate.
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use lcg_congest::{ExecConfig, FaultPlan, FaultState, Network, RoundStats};
@@ -105,15 +106,18 @@ fn token_key(master: u64, t: u64) -> u64 {
     mix(master ^ t.wrapping_mul(GOLDEN))
 }
 
-/// The one draw of the token keyed `key` at walk step `s` (1-based):
-/// `h(master, t, s) = mix(token_key(master, t) + s·φ64)`, a counter-based
-/// draw (Salmon et al., SC 2011) — a pure function of `(master, t, s)`, so
-/// no token carries a generator and the tokens of a step may be taken in
-/// any order. Bit 63 is the lazy coin (set: the token moves); the low 32
-/// bits pick the port, `(h mod 2³² · deg) >> 32`.
+/// Token keyed `key` at local vertex `v` of `sub` takes walk step `s`
+/// (1-based) on its one draw `h(master, t, s) = mix(token_key(master, t) +
+/// s·φ64)`, a counter-based draw (Salmon et al., SC 2011) — a pure function
+/// of `(master, t, s)`, so no token carries a generator and the tokens of a
+/// step may be taken in any order. Bit 63 is the lazy coin (set: the token
+/// moves); the low 32 bits pick the slot of `v`'s row, `(h mod 2³² · deg)
+/// >> 32`. Both walks step here, so a trajectory is the same in either.
 #[inline]
-fn draw(key: u64, s: u64) -> u64 {
-    mix(key.wrapping_add(s.wrapping_mul(GOLDEN)))
+fn step(sub: &Graph, key: u64, s: u64, v: u32) -> (usize, bool) {
+    let h = mix(key.wrapping_add(s.wrapping_mul(GOLDEN)));
+    let row = sub.row_range(v as usize);
+    (row.start + ((u64::from(h as u32) * row.len() as u64) >> 32) as usize, h >> 63 == 1)
 }
 
 /// A live token: its [`token_key`] and its local vertex.
@@ -121,6 +125,42 @@ fn draw(key: u64, s: u64) -> u64 {
 struct Walker {
     key: u64,
     pos: u32,
+}
+
+/// The tokens of a walk under master seed `master`, numbered in `counts`
+/// order (`counts[v]` of them at local vertex `v`): the ones still walking,
+/// in token order, and how many were launched. Tokens launched at the
+/// leader are absorbed at once.
+fn launch(master: u64, counts: &[usize], leader_local: usize) -> (Vec<Walker>, usize) {
+    let total: usize = counts.iter().sum();
+    assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
+    let mut live = Vec::new();
+    let mut t = 0u64;
+    for (v, &count) in counts.iter().enumerate() {
+        for _ in 0..count {
+            let key = token_key(master, t);
+            t += 1;
+            if v != leader_local {
+                // a sub vertex id fits in u32 (`Graph` stores its rows so)
+                live.push(Walker { key, pos: v as u32 });
+            }
+        }
+    }
+    (live, total)
+}
+
+/// `G[members]`, its vertex map and the leader's local id.
+///
+/// # Panics
+///
+/// Panics if the leader is not a member or a member repeats.
+fn cut_cluster(g: &Graph, members: &[usize], leader: usize) -> (Graph, Vec<usize>, usize) {
+    let (sub, map) = g.induced_subgraph(members);
+    let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
+    // `induced_subgraph` numbers vertices in `members` order, so local id
+    // `v` is index `v` of `counts` as long as no member repeats
+    assert_eq!(map.len(), members.len(), "members must not repeat");
+    (sub, map, leader_local)
 }
 
 /// The walk's shared bookkeeping: each step's crossings go in as they
@@ -220,11 +260,7 @@ pub fn charged_walk_routing(
     track_edges: bool,
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
     assert_eq!(counts.len(), members.len(), "one count per member required");
-    let (sub, map) = g.induced_subgraph(members);
-    let leader_local = map.iter().position(|&v| v == leader).expect("leader must be a cluster member");
-    // `induced_subgraph` numbers vertices in `members` order, so local id
-    // `v` is index `v` of `counts` as long as no member repeats
-    assert_eq!(map.len(), members.len(), "members must not repeat");
+    let (sub, map, leader_local) = cut_cluster(g, members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
     charged_walks(g, &[walk], max_steps, rng, faults, track_edges, ExecConfig::sequential()).remove(0)
 }
@@ -275,7 +311,7 @@ pub fn charged_walks(
     )
 }
 
-/// The one walk body: cluster `w`'s tokens under master seed `master`.
+/// The charged walk body: cluster `w`'s tokens under master seed `master`.
 fn walk_cluster(
     g: &Graph,
     w: &ClusterWalk<'_>,
@@ -288,22 +324,8 @@ fn walk_cluster(
     assert_eq!(counts.len(), sub.n(), "one count per member required");
     assert!(leader_local < sub.n(), "leader must be a cluster member");
     assert!(sub.is_connected(), "charged_walk_routing needs a connected cluster");
-    let total: usize = counts.iter().sum();
-    assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
-    // the tokens still walking, in token order: a step costs these, not
-    // `total`. Tokens launched at the leader are absorbed immediately.
-    let mut live: Vec<Walker> = Vec::new();
-    let mut t = 0u64;
-    for (v, &count) in counts.iter().enumerate() {
-        for _ in 0..count {
-            let key = token_key(master, t);
-            t += 1;
-            if v != leader_local {
-                // a sub vertex id fits in u32 (`Graph` stores its rows so)
-                live.push(Walker { key, pos: v as u32 });
-            }
-        }
-    }
+    // the tokens still walking: a step costs these, not `total`
+    let (mut live, total) = launch(master, counts, leader_local);
     let mut delivered = total - live.len();
     let mut steps = 0usize;
     let mut tally = EdgeTally {
@@ -332,15 +354,13 @@ fn walk_cluster(
         let mut kept = 0;
         for i in 0..live.len() {
             let Walker { key, pos: v } = live[i];
-            let h = draw(key, s);
-            let moves = (h >> 63) as u32;
             // the port is picked and its crossing charged whether or not the
             // token moves (`moves` = 0 adds nothing), so the coin selects
             // instead of branching; a live token is off the leader, so the
             // connected cluster has a second vertex and every vertex a
             // neighbor
-            let row = sub.row_range(v as usize);
-            let slot = row.start + ((u64::from(h as u32) * row.len() as u64) >> 32) as usize;
+            let (slot, moves) = step(sub, key, s, v);
+            let moves = u32::from(moves);
             let (w, e) = (neighbors[slot], edge_ids[slot]);
             tally.cross(e, moves);
             // a crossing consumes the edge's bandwidth whatever the plan
@@ -420,29 +440,17 @@ pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutco
 }
 
 /// Lemma 2.4 executed **message-faithfully** inside the CONGEST
-/// simulator: every token is a real 2-word message `[source, step]`, and
-/// each edge direction carries at most one token per round (the
-/// simulator's capacity enforcement would panic otherwise). Tokens that
-/// want to cross the same edge in the same walk step serialize over
-/// multiple rounds, which is exactly the `O(max edge load)` cost
-/// [`charged_walk_routing`] charges — this function *measures* it with
-/// real messages instead.
-///
-/// Walk steps are globally synchronized (as the lemma's analysis
-/// requires): step `s+1` begins only after every step-`s` crossing has
-/// been delivered. Synchronization is orchestrated (a real implementation
-/// would spend an O(diameter) convergecast per step; we charge 1 round
-/// per step for it).
-///
+/// simulator: [`faithful_walk`] on `G[members]` under one draw from `rng`
+/// as its master seed, the draw [`charged_walk_routing`] takes on the same
+/// generator state — so each token walks the charged token's vertices.
 /// Each member `i` launches `counts[i]` tokens (the `L · deg(v)` form of
 /// Lemma 2.4, used by the message-faithful framework to ship
-/// `1 + outdeg(v)` topology words per vertex). Returns the outcome plus
-/// the network's measured [`RoundStats`].
+/// `1 + outdeg(v)` topology words per vertex).
 ///
 /// # Panics
 ///
-/// Panics if `counts.len() != members.len()`, `leader` is not in
-/// `members` or `G[members]` is disconnected.
+/// Panics if `counts.len() != members.len()`, a member repeats, `leader`
+/// is not in `members` or `G[members]` is disconnected.
 pub fn network_walk_routing_with_counts(
     net: &mut Network,
     members: &[usize],
@@ -452,166 +460,157 @@ pub fn network_walk_routing_with_counts(
     rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
     assert_eq!(counts.len(), members.len(), "one count per member required");
-    let Ports { cluster, local, offsets, ports } = Ports::new(net.graph(), members, leader);
-    let k = cluster.len();
-    // one LIFO stack per intra-cluster port, the tokens waiting to cross
-    // it; `busy[i]` lists the non-empty stacks of local vertex `i` in
-    // ascending port order, the order sends and pops iterate in (D001)
-    let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); ports.len()];
-    let mut busy: Vec<Vec<u32>> = vec![Vec::new(); k];
-    // token = source vertex id; tokens waiting at each local vertex
-    let mut at: Vec<Vec<u64>> = vec![Vec::new(); k];
-    let (mut delivered, mut total) = (0usize, 0usize);
-    for (&v, &c) in members.iter().zip(counts) {
-        total += c;
-        if v == leader {
-            delivered += c;
-        } else {
-            at[local[v] as usize].extend(std::iter::repeat_n(v as u64, c));
-        }
-    }
-    // the local vertices holding tokens — ascending at the start of each
-    // step, the order in which tokens flip their coins and so the order of
-    // every draw from `rng` — and a flag per vertex for membership
-    let mut holders: Vec<u32> = (0..k as u32).filter(|&i| !at[i as usize].is_empty()).collect();
-    let mut holding: Vec<bool> = at.iter().map(|tokens| !tokens.is_empty()).collect();
-    // the host vertices with a busy port, ascending: each serialization
-    // round costs what these carry, not a pass over the cluster
-    let mut active: Vec<usize> = Vec::new();
-    // `at[i]`'s other buffer: a vertex's tokens are read from here while
-    // the ones that stay are pushed back
-    let mut flipping: Vec<u64> = Vec::new();
+    let (sub, map, leader_local) = cut_cluster(net.graph(), members, leader);
+    let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
+    faithful_walk(net, &walk, max_steps, rng.gen())
+}
+
+/// Cluster `w`'s charged trajectories plus engine queueing: each crossing
+/// is a real 2-word message `[key, step]` on `net`, whose graph is the host
+/// graph `w.map` indexes. `master` is one draw of the caller's generator,
+/// as [`charged_walks`] takes one per cluster. Returns the outcome and the
+/// network's measured [`RoundStats`].
+///
+/// A step's movers are bucketed into one queue per port (count, prefix
+/// sum, bucket), and the queues drain one token per port per round through
+/// [`Network::exchange_active`]; the arrivals are the next step's live
+/// tokens. Steps are globally synchronised, as the lemma's analysis
+/// requires, at one charged silent round per step (a real implementation
+/// would spend an O(diameter) convergecast). A step so costs its longest
+/// port queue plus one round where the charged walk pays `max(largest
+/// two-way edge load, 1)`: fault-free, the two agree on `steps` and
+/// `delivered`, `charged.rounds / 2 ≤ rounds ≤ charged.rounds + steps` and
+/// `max_edge_load ≤ charged.max_edge_load ≤ 2 · max_edge_load`. A message
+/// the plan of `net` drops or crashes loses its token; the walk ends after
+/// `max_steps` steps or once no token is left walking.
+///
+/// # Panics
+///
+/// Panics if `w.counts.len() != w.sub.n()`, `w.leader_local` is not a
+/// vertex of `w.sub`, or `w.sub` is disconnected.
+pub fn faithful_walk(net: &mut Network, w: &ClusterWalk<'_>, max_steps: usize, master: u64) -> (RoutingOutcome, RoundStats) {
+    let ClusterWalk { sub, map, leader_local, counts } = *w;
+    assert_eq!(counts.len(), sub.n(), "one count per member required");
+    assert!(leader_local < sub.n(), "leader must be a cluster member");
+    assert!(sub.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
+    let queues = Queues::new(net.graph(), sub, map);
+    let leader = map[leader_local];
+    let (mut live, total) = launch(master, counts, leader_local);
+    let mut delivered = total - live.len();
+    // per queue: this step's tokens, and where they start in `queued`
+    let (mut count, mut first) = (vec![0u32; queues.host.len()], vec![0u32; queues.host.len()]);
+    // the queues with a token left to send, the step's movers and senders
+    let (mut draining, mut moving, mut queued, mut senders) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let start = net.stats();
-    let mut steps = 0usize;
-    let mut max_edge_load = 0usize;
-    while steps < max_steps && delivered < total {
+    let (mut steps, mut max_edge_load) = (0usize, 0usize);
+    while steps < max_steps && !live.is_empty() {
         steps += 1;
-        holders.sort_unstable();
-        // each token decides: stay (prob 1/2) or a random intra-cluster port
-        holders.retain(|&i| {
-            let i = i as usize;
-            std::mem::swap(&mut at[i], &mut flipping);
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            for &t in &flipping {
-                // bit 63 clear: `gen_bool(0.5)`'s very coin
-                if rng.next_u64() >> 63 == 0 || lo == hi {
-                    at[i].push(t);
-                    continue;
+        let s = steps as u64;
+        // the tokens that stay are compacted in place, the movers counted
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let walker = live[i];
+            let (slot, moves) = step(sub, walker.key, s, walker.pos);
+            if moves {
+                let q = queues.of_slot[slot];
+                if count[q as usize] == 0 {
+                    draining.push(q);
                 }
-                let slot = lo + rng.gen_range(0..hi - lo);
-                let stack = &mut stacks[slot];
-                if stack.is_empty() {
-                    let mine = &mut busy[i];
-                    mine.insert(mine.partition_point(|&s| (s as usize) < slot), slot as u32);
-                }
-                stack.push(t);
-                max_edge_load = max_edge_load.max(stack.len());
+                count[q as usize] += 1;
+                moving.push((q, walker.key));
+            } else {
+                live[kept] = walker;
+                kept += 1;
             }
-            flipping.clear();
-            if !busy[i].is_empty() {
-                active.push(cluster[i]);
-            }
-            holding[i] = !at[i].is_empty();
-            holding[i]
-        });
-        // serialize crossings: one token per port per round
-        while !active.is_empty() {
+        }
+        live.truncate(kept);
+        // prefix sums over the draining queues in host order, then the movers
+        // placed back to front, so each queue keeps the live order
+        draining.sort_unstable();
+        let (mut end, mut longest) = (0u32, 0u32);
+        for &q in &draining {
+            end += count[q as usize];
+            first[q as usize] = end;
+            longest = longest.max(count[q as usize]);
+        }
+        queued.resize(end as usize, 0u64);
+        for &(q, key) in moving.iter().rev() {
+            first[q as usize] -= 1;
+            queued[first[q as usize] as usize] = key;
+        }
+        moving.clear();
+        max_edge_load = max_edge_load.max(longest as usize);
+        // round `r` sends the `r`-th token of every queue that has one
+        for r in 0..longest {
+            senders.clear();
+            senders.extend(draining.iter().map(|&q| queues.host[q as usize] as usize));
+            senders.dedup();
+            let mut next = 0;
             net.exchange_active(
-                &active,
+                &senders,
                 |v, out| {
-                    for &s in &busy[local[v] as usize] {
-                        let stack = &stacks[s as usize];
-                        out.send(ports[s as usize] as usize, [stack[stack.len() - 1], steps as u64]);
+                    while let Some(&q) = draining.get(next).filter(|&&q| queues.host[q as usize] as usize == v) {
+                        let q = q as usize;
+                        out.send(queues.port[q] as usize, [queued[(first[q] + r) as usize], s]);
+                        next += 1;
                     }
                 },
-                |v, inbox| {
-                    for m in inbox.iter().flatten() {
-                        if v == leader {
-                            delivered += 1;
-                            continue;
-                        }
-                        let i = local[v] as usize;
-                        if !holding[i] {
-                            holding[i] = true;
-                            holders.push(i as u32);
-                        }
-                        at[i].push(m[0]);
+                |u, inbox| {
+                    let arrived = inbox.iter().flatten();
+                    if u == leader {
+                        delivered += arrived.count();
+                    } else {
+                        let pos = queues.local[u];
+                        live.extend(arrived.map(|m| Walker { key: m[0], pos }));
                     }
                 },
             );
-            active.retain(|&v| {
-                let mine = &mut busy[local[v] as usize];
-                mine.retain(|&s| {
-                    let stack = &mut stacks[s as usize];
-                    stack.pop();
-                    !stack.is_empty()
-                });
-                !mine.is_empty()
+            // a drained queue leaves `draining` with its count reset
+            draining.retain(|&q| {
+                let c = &mut count[q as usize];
+                *c = if *c > r + 1 { *c } else { 0 };
+                *c > 0
             });
         }
         // step-synchronization round
         net.charge_rounds(1);
-        // tokens destroyed in transit by a fault plan leave the system;
-        // once none are waiting anywhere there is nothing left to route
-        if delivered < total && holders.is_empty() {
-            break;
-        }
     }
     let stats = net.stats().since(&start);
-    (
-        RoutingOutcome {
-            delivered,
-            total,
-            steps,
-            rounds: stats.rounds,
-            max_edge_load,
-        },
-        stats,
-    )
+    (RoutingOutcome { delivered, total, steps, rounds: stats.rounds, max_edge_load }, stats)
 }
 
-/// A cluster's intra-cluster ports, over its members only: the table the
-/// message-faithful router indexes its token stacks by.
-struct Ports {
-    /// The members, ascending and without repeats; local vertex `i` is
-    /// `cluster[i]`.
-    cluster: Vec<usize>,
-    /// Local id per host vertex, `u32::MAX` off the cluster.
+/// A cluster's port queues, one per slot of its sub rows, numbered in host
+/// (vertex, port) order — the order [`Network::exchange_active`] takes
+/// senders in.
+struct Queues {
+    /// Queue of each sub slot (the identity for ascending members).
+    of_slot: Vec<u32>,
+    /// Host vertex and host port (index into its `neighbor_row`) per queue.
+    host: Vec<u32>,
+    port: Vec<u32>,
+    /// Local id per host vertex of the cluster.
     local: Vec<u32>,
-    /// Local vertex `i`'s ports are `ports[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    /// Host port numbers (positions in `Graph::neighbors`) of the edges to
-    /// other members, ascending per vertex.
-    ports: Vec<u32>,
 }
 
-impl Ports {
-    /// # Panics
-    ///
-    /// Panics if `leader` is not in `members` or `G[members]` is
-    /// disconnected.
-    fn new(g: &Graph, members: &[usize], leader: usize) -> Ports {
-        let mut cluster: Vec<usize> = members.to_vec();
-        cluster.sort_unstable();
-        cluster.dedup();
+impl Queues {
+    fn new(g: &Graph, sub: &Graph, map: &[usize]) -> Queues {
         let mut local = vec![u32::MAX; g.n()];
-        for (i, &v) in cluster.iter().enumerate() {
+        let mut ends = Vec::with_capacity(sub.csr_neighbors().len());
+        for (i, &v) in map.iter().enumerate() {
             local[v] = i as u32;
+            for &j in sub.neighbor_row(i) {
+                let port = g.neighbor_row(v).binary_search(&(map[j as usize] as u32)).expect("an induced edge");
+                ends.push((v as u32, port as u32));
+            }
         }
-        assert!(local[leader] != u32::MAX, "leader must be a cluster member");
-        let mut offsets = Vec::with_capacity(cluster.len() + 1);
-        let mut ports = Vec::new();
-        offsets.push(0);
-        for &v in &cluster {
-            let row = g.neighbor_row(v);
-            ports.extend((0..row.len() as u32).filter(|&p| local[row[p as usize] as usize] != u32::MAX));
-            offsets.push(ports.len() as u32);
+        let mut order: Vec<u32> = (0..ends.len() as u32).collect();
+        order.sort_unstable_by_key(|&slot| ends[slot as usize]);
+        let mut of_slot = vec![0; ends.len()];
+        for (q, &slot) in (0u32..).zip(&order) {
+            of_slot[slot as usize] = q;
         }
-        assert!(
-            g.induced_subgraph(members).0.is_connected(),
-            "network_walk_routing_with_counts needs a connected cluster"
-        );
-        Ports { cluster, local, offsets, ports }
+        let (host, port) = order.iter().map(|&slot| ends[slot as usize]).unzip();
+        Queues { of_slot, host, port, local }
     }
 }
 
@@ -1127,153 +1126,10 @@ mod tests {
         }
     }
 
-    /// The message-faithful router as it stood before its flat port
-    /// stacks, kept as their reference: a `BTreeMap` of queues per host
-    /// vertex, every cluster member visited each step, `gen_bool(0.5)` for
-    /// the coin. Also counts the live token-steps, the unit the router's
-    /// cost is quoted in.
-    fn network_walk_routing_reference(
-        net: &mut Network,
-        members: &[usize],
-        leader: usize,
-        counts: &[usize],
-        max_steps: usize,
-        rng: &mut ChaCha8Rng,
-    ) -> (RoutingOutcome, RoundStats, u64) {
-        assert_eq!(counts.len(), members.len(), "one count per member required");
-        let g = net.graph();
-        let n = g.n();
-        let member_set: Vec<bool> = {
-            let mut s = vec![false; n];
-            for &v in members {
-                s[v] = true;
-            }
-            s
-        };
-        assert!(member_set[leader], "leader must be a cluster member");
-        {
-            let (sub, _) = g.induced_subgraph(members);
-            assert!(sub.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
-        }
-        // the cluster in ascending vertex order: the order in which tokens
-        // flip their coins, and so the order of every draw from `rng`
-        let mut cluster: Vec<usize> = members.to_vec();
-        cluster.sort_unstable();
-        cluster.dedup();
-        // intra-cluster ports per vertex
-        let intra_ports: Vec<Vec<usize>> = (0..n)
-            .map(|v| {
-                g.neighbors(v)
-                    .enumerate()
-                    .filter(|&(_, (u, _))| member_set[v] && member_set[u])
-                    .map(|(p, _)| p)
-                    .collect()
-            })
-            .collect();
-        let start = net.stats();
-        // token = source vertex id; tokens waiting at each vertex
-        let mut at: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
-        let mut delivered = 0usize;
-        let mut total = 0usize;
-        for (&v, &c) in members.iter().zip(counts) {
-            total += c;
-            if v == leader {
-                delivered += c;
-            } else {
-                for _ in 0..c {
-                    at[v].push(v as u64);
-                }
-            }
-        }
-        let mut steps = 0usize;
-        let mut max_edge_load = 0usize;
-        // pending[v][q] = queue of tokens at v waiting to cross port q.
-        // BTreeMap, not HashMap: per-round sends and queue drains iterate
-        // these maps, and hash order would make message traces depend on
-        // the hasher seed (D001).
-        let mut pending: Vec<std::collections::BTreeMap<usize, Vec<u64>>> =
-            (0..n).map(|_| Default::default()).collect();
-        // the vertices whose `pending` map is non-empty, ascending: each
-        // serialization round costs what these carry, not a pass over the host
-        let mut active: Vec<usize> = Vec::new();
-        let mut token_steps = 0u64;
-        while steps < max_steps && delivered < total {
-            steps += 1;
-            token_steps += cluster.iter().map(|&v| at[v].len() as u64).sum::<u64>();
-            // each alive token decides: stay (prob 1/2) or pick a random
-            // intra-cluster port
-            for &v in &cluster {
-                let tokens = std::mem::take(&mut at[v]);
-                for t in tokens {
-                    if rng.gen_bool(0.5) || intra_ports[v].is_empty() {
-                        at[v].push(t);
-                    } else {
-                        let q = intra_ports[v][rng.gen_range(0..intra_ports[v].len())];
-                        let queue = pending[v].entry(q).or_default();
-                        queue.push(t);
-                        max_edge_load = max_edge_load.max(queue.len());
-                    }
-                }
-                if !pending[v].is_empty() {
-                    active.push(v);
-                }
-            }
-            // serialize crossings: one token per port per round
-            while !active.is_empty() {
-                net.exchange_active(
-                    &active,
-                    |v, out| {
-                        for (&q, queue) in pending[v].iter() {
-                            if let Some(&t) = queue.last() {
-                                out.send(q, [t, steps as u64]);
-                            }
-                        }
-                    },
-                    |v, inbox| {
-                        for m in inbox.iter().flatten() {
-                            if v == leader {
-                                delivered += 1;
-                            } else {
-                                at[v].push(m[0]);
-                            }
-                        }
-                    },
-                );
-                active.retain(|&v| {
-                    let queues = &mut pending[v];
-                    for queue in queues.values_mut() {
-                        queue.pop();
-                    }
-                    queues.retain(|_, queue| !queue.is_empty());
-                    !queues.is_empty()
-                });
-            }
-            // step-synchronization round
-            net.charge_rounds(1);
-            // tokens destroyed in transit by a fault plan leave the system;
-            // once none are waiting anywhere there is nothing left to route
-            if delivered < total && cluster.iter().all(|&v| at[v].is_empty()) {
-                break;
-            }
-        }
-        let stats = net.stats().since(&start);
-        (
-            RoutingOutcome {
-                delivered,
-                total,
-                steps,
-                rounds: stats.rounds,
-                max_edge_load,
-            },
-            stats,
-            token_steps,
-        )
-    }
-
-    /// One seeded faithful walk on a traced, optionally faulty network:
-    /// outcome, measured stats, the tracer's whole state (spans, totals,
-    /// per-edge words) and the caller's next draw.
-    #[expect(clippy::too_many_arguments, reason = "the router's inputs, its plan and which router")]
+    /// One fault-free faithful walk on a network whose tracer keeps every
+    /// edge's words: outcome, measured stats, host-edge words sorted by
+    /// edge (the charged walk's tracked loads, in the same form) and the
+    /// caller's next draw.
     fn route_faithful(
         g: &Graph,
         members: &[usize],
@@ -1281,39 +1137,86 @@ mod tests {
         counts: &[usize],
         max_steps: usize,
         seed: u64,
-        plan: Option<FaultPlan>,
-        reference: bool,
-    ) -> (RoutingOutcome, RoundStats, lcg_trace::Tracer, u64) {
+    ) -> (RoutingOutcome, RoundStats, Vec<(usize, u64)>, u64) {
         let mut net = Network::new(g, lcg_congest::Model::congest());
-        net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("faithful")));
-        net.set_fault_plan(plan);
+        let every_edge = lcg_trace::TraceConfig::hotspots_only("faithful").with_top_k(g.m());
+        net.attach_tracer(lcg_trace::Tracer::new(every_edge));
         let mut rng = gen::seeded_rng(seed);
-        let (out, stats) = if reference {
-            let (out, stats, _) = network_walk_routing_reference(&mut net, members, leader, counts, max_steps, &mut rng);
-            (out, stats)
-        } else {
-            network_walk_routing_with_counts(&mut net, members, leader, counts, max_steps, &mut rng)
-        };
-        let tracer = net.take_tracer().expect("a tracer was attached");
-        (out, stats, tracer, rng.gen::<u64>())
+        let (out, stats) = network_walk_routing_with_counts(&mut net, members, leader, counts, max_steps, &mut rng);
+        let trace = net.take_tracer().expect("a tracer was attached").finish();
+        let mut loads: Vec<(usize, u64)> = trace.hotspots.iter().map(|h| (h.edge, h.words)).collect();
+        loads.sort_unstable();
+        (out, stats, loads, rng.gen::<u64>())
+    }
+
+    /// The per-token oracle: the charged and the faithful walk of one
+    /// generator state, fault-free. Every token walks the same vertices, so
+    /// the two agree on steps, on delivered tokens, on the caller's next
+    /// draw and on every edge's crossings (each one 2-word message); per
+    /// step the faithful walk pays its longest one-way port queue plus one
+    /// synchronisation round where the charged one pays `max(largest
+    /// two-way edge load, 1)`, which bounds rounds and edge loads within a
+    /// factor 2.
+    fn faithful_oracle(
+        g: &Graph,
+        members: &[usize],
+        leader: usize,
+        counts: &[usize],
+        max_steps: usize,
+        seed: u64,
+    ) -> Result<(), String> {
+        let (charged, charged_loads, charged_next) = route(g, members, leader, counts, max_steps, seed, None, true);
+        let (faithful, stats, loads, next) = route_faithful(g, members, leader, counts, max_steps, seed);
+        let (c, f) = (&charged, &faithful);
+        let checks = [
+            ("steps", c.steps == f.steps),
+            ("delivered", c.delivered == f.delivered && c.total == f.total),
+            ("rounds", c.rounds <= 2 * f.rounds && f.rounds <= c.rounds + c.steps as u64),
+            ("max_edge_load", f.max_edge_load <= c.max_edge_load && c.max_edge_load <= 2 * f.max_edge_load),
+            ("edge words", loads == charged_loads && stats.words == 2 * stats.messages),
+            ("next draw", next == charged_next),
+        ];
+        match checks.iter().find(|&&(_, holds)| !holds) {
+            Some((what, _)) => Err(format!("{what}: charged {c:?}, faithful {f:?}")),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn faithful_walk_is_the_charged_walk_later() {
+        let noisy = gen::grid_with_noise(12, 12, 0.02, &mut gen::seeded_rng(9));
+        let tree = gen::random_tree(40, &mut gen::seeded_rng(10));
+        let families = [
+            ("complete(24)", gen::complete(24)),
+            ("grid_with_noise(12, 12)", noisy),
+            ("triangulated_grid(8, 8)", gen::triangulated_grid(8, 8)),
+            ("random_tree(40)", tree),
+            ("path(30)", gen::path(30)),
+        ];
+        for (name, g) in &families {
+            let members: Vec<usize> = (0..g.n()).collect();
+            let counts: Vec<usize> = members.iter().map(|&v| 1 + v % 3).collect();
+            for (seed, max_steps) in [(138, usize::MAX), (139, 17), (140, 1), (141, 0)] {
+                let leader = seed as usize % g.n();
+                let verdict = faithful_oracle(g, &members, leader, &counts, max_steps, seed);
+                assert_eq!(verdict, Ok(()), "{name}, cap {max_steps}");
+            }
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The flat-stack router is the `BTreeMap` one: outcome, stats,
-        /// trace (hotspot edge loads included) and the caller's next draw,
-        /// on whole graphs and connected parts, under every kind of plan.
+        /// The per-token oracle on whole graphs and connected parts, with
+        /// the members in any order and at step caps from none to unbounded.
         #[test]
-        fn faithful_router_matches_reference(
+        fn faithful_oracle_holds(
             seed in proptest::prelude::any::<u64>(),
             family in 0usize..5,
             size in 3usize..8,
             leader_pick in 0usize..1_000,
             count_mod in 1usize..4,
             cap_pick in 0usize..4,
-            plan_pick in 0usize..4,
-            drop_prob in 0.0f64..0.2,
         ) {
             let mut rng = gen::seeded_rng(seed);
             let g = match family {
@@ -1325,30 +1228,22 @@ mod tests {
             };
             let dist = g.bfs_distances(0);
             let radius = if seed % 2 == 1 { dist.iter().max().copied().unwrap_or(0).div_ceil(2) } else { usize::MAX };
-            // members in a shuffled order, as the framework's subgraph maps give them
+            // members in a shuffled order: local and host order differ
             let mut members: Vec<usize> = (0..g.n()).filter(|&v| dist[v] <= radius).collect();
             members.reverse();
             let turn = seed as usize % members.len();
             members.rotate_left(turn);
             let leader = members[leader_pick % members.len()];
             let counts: Vec<usize> = members.iter().map(|&v| (v + seed as usize % 3) % (count_mod + 1)).collect();
-            let max_steps = [0, 1, 40, 100_000][cap_pick];
-            let inside = g.edges().find(|&(_, u, v)| dist[u] <= radius && dist[v] <= radius).map_or(0, |(e, _, _)| e);
-            let plans = [
-                None,
-                Some(FaultPlan::none()),
-                Some(FaultPlan::drops(seed, drop_prob)),
-                Some(FaultPlan::drops(seed, drop_prob).with_link_failure(inside, 3, 40).with_crash(members[0], 25)),
-            ];
-            let want = route_faithful(&g, &members, leader, &counts, max_steps, seed, plans[plan_pick].clone(), true);
-            let got = route_faithful(&g, &members, leader, &counts, max_steps, seed, plans[plan_pick].clone(), false);
-            proptest::prop_assert_eq!(got, want);
+            let max_steps = [0, 1, 40, usize::MAX][cap_pick];
+            let verdict = faithful_oracle(&g, &members, leader, &counts, max_steps, seed);
+            proptest::prop_assert_eq!(verdict, Ok(()));
         }
     }
 
     /// Unit cost of the message-faithful router: `cargo test --release -p
     /// lcg-expander --lib probe_faithful -- --ignored --nocapture
-    /// --test-threads=1`.
+    /// --test-threads=1`. Its token-steps are the charged walk's.
     #[test]
     #[ignore = "probe: prints ns per live token-step and per delivered message"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
@@ -1358,38 +1253,29 @@ mod tests {
             let members: Vec<usize> = (0..g.n()).collect();
             let leader = side * side / 2 + side / 2;
             let counts: Vec<usize> = (0..g.n()).map(|v| 1 + g.degree(v) / 2).collect();
-            let route = |reference: bool| {
-                let mut net = Network::new(&g, lcg_congest::Model::congest());
-                let mut rng = gen::seeded_rng(7);
-                if reference {
-                    network_walk_routing_reference(&mut net, &members, leader, &counts, usize::MAX, &mut rng)
-                } else {
-                    let (out, stats) =
-                        network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut rng);
-                    (out, stats, 0)
-                }
-            };
-            let started = std::time::Instant::now();
-            let (want, want_stats, token_steps) = route(true);
-            let reference = started.elapsed().as_nanos() as f64;
-            let best = (0..3)
+            let (charged, _, token_steps) =
+                charged_walk_reference(&g, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7), None, false);
+            let runs: Vec<(RoutingOutcome, RoundStats, f64)> = (0..3)
                 .map(|_| {
+                    let mut net = Network::new(&g, lcg_congest::Model::congest());
                     let started = std::time::Instant::now();
-                    let (out, stats, _) = route(false);
-                    let ns = started.elapsed().as_nanos() as f64;
-                    assert_eq!((out, stats), (want, want_stats));
-                    ns
+                    let (out, stats) =
+                        network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7));
+                    (out, stats, started.elapsed().as_nanos() as f64)
                 })
-                .fold(f64::INFINITY, f64::min);
+                .collect();
+            let (out, stats, _) = runs[0];
+            assert!(runs.iter().all(|&(o, s, _)| (o, s) == (out, stats)));
+            assert_eq!((out.steps, out.delivered), (charged.steps, charged.delivered));
+            let best = runs.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
             println!(
                 "faithful side {side}: {} tokens, {} steps, {token_steps} token-steps, {} messages, \
-                 {:.1} ns/token-step, {:.1} ns/message (reference, one run: {:.1} ns/token-step)",
-                want.total,
-                want.steps,
-                want_stats.messages,
+                 {:.1} ns/token-step, {:.1} ns/message",
+                out.total,
+                out.steps,
+                stats.messages,
                 best / token_steps as f64,
-                best / want_stats.messages as f64,
-                reference / token_steps as f64
+                best / stats.messages as f64,
             );
         }
     }
@@ -1451,25 +1337,6 @@ mod tests {
         let ones = vec![1; members.len()];
         let (out, _) = network_walk_routing_with_counts(&mut net, &members, 0, &ones, 200_000, &mut rng);
         assert!(out.complete());
-    }
-
-    #[test]
-    fn network_and_charged_routing_agree_on_cost_scale() {
-        use lcg_congest::Model;
-        let mut rng = gen::seeded_rng(138);
-        // advances `rng` to where the walks below have always started
-        gen::stacked_triangulation(100, &mut rng);
-        let g = gen::complete(24);
-        let members: Vec<usize> = (0..24).collect();
-        let ones = vec![1; members.len()];
-        let charged = charged_walk_routing(&g, &members, 0, &ones, 100_000, &mut rng, None, false).0;
-        let mut net = Network::new(&g, Model::congest());
-        let (real, _) = network_walk_routing_with_counts(&mut net, &members, 0, &ones, 100_000, &mut rng);
-        assert!(charged.complete() && real.complete());
-        // both cost within a small factor of each other (same mechanism,
-        // independent randomness; sync rounds add ~1 per step)
-        let ratio = real.rounds as f64 / charged.rounds.max(1) as f64;
-        assert!(ratio < 6.0 && ratio > 0.15, "charged {} real {}", charged.rounds, real.rounds);
     }
 
     #[test]

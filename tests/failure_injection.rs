@@ -210,11 +210,12 @@ fn render_resilient(out: &FrameworkOutcome, report: &RecoveryReport) -> String {
 
 /// Two fixtures: a run whose one-round outage of link 1 costs its first
 /// attempt a token, so it retries once and succeeds, and one that
-/// exhausts its budget and degrades. They were last blessed when the
-/// charged walk took its stateless draw; decomposing once and retrying
-/// only the randomized phases must reproduce both bit for bit, at 1 and 3
-/// threads. Re-bless (`UPDATE_GOLDEN=1`) only with an intentional
-/// accounting change, and from the commit being replaced.
+/// exhausts its budget and degrades. They were last blessed when a failed
+/// gathering started to say whether its walk hit the step cap or lost its
+/// tokens; decomposing once and retrying only the randomized phases must
+/// reproduce both bit for bit, at 1 and 3 threads. Re-bless
+/// (`UPDATE_GOLDEN=1`) only with an intentional accounting change, and
+/// from the commit being replaced.
 #[test]
 fn resilient_runs_reproduce_the_parent_blessed_fixtures() {
     let mut rng = gen::seeded_rng(0x24);

@@ -14,10 +14,10 @@
 //! * The charged router (`charged_walk_routing`), blessed from the
 //!   implementation that advanced every token — absorbed or not — and
 //!   zeroed every edge load on every walk step, and the message-faithful
-//!   router (`network_walk_routing_with_counts`), blessed from the one that
-//!   scanned every host vertex per step and per round. Their contract is
-//!   bit-identity: the same `RoutingOutcome`, the same loads or
-//!   `RoundStats`, and the caller's RNG left at the same position.
+//!   router (`network_walk_routing_with_counts`), blessed when it took the
+//!   charged walk's draw. Their contract is bit-identity: the same
+//!   `RoutingOutcome`, the same loads or `RoundStats`, and the caller's RNG
+//!   left at the same position.
 //!
 //! To re-bless after an intentional change:
 //!
