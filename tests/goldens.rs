@@ -32,6 +32,7 @@ use std::fmt::Write as _;
 use common::{check_golden, first_difference, fnv1a64};
 use lcg_bench::{experiments, Opts, Scale};
 use locongest::congest::{FaultPlan, Model, Network};
+use locongest::core::framework::{run_framework, FrameworkConfig};
 use locongest::expander::routing::{charged_walk_routing, network_walk_routing_with_counts, RoutingOutcome};
 use locongest::graph::{gen, Graph};
 use rand::Rng;
@@ -150,19 +151,38 @@ fn faithful_line(name: &str, g: &Graph, members: &[usize], leader: usize, plan: 
     format!("{name} {out:?} {stats:?} draw={}\n", rng.gen::<u64>())
 }
 
-/// A strict subcluster (the left three columns of a 6 × 4 grid) fault-free,
-/// and the whole of a random planar graph under an active plan: i.i.d.
-/// drops, a link-down interval and a crash-stop destroy tokens in transit,
-/// so the walk ends incomplete once nothing is left waiting.
+/// One message-faithful framework run under `plan` with the full trace on:
+/// its stats, every cluster's gathering outcome and the trace's hotspots.
+fn faithful_framework_line(name: &str, g: &Graph, plan: FaultPlan, seed: u64) -> String {
+    let mut cfg = FrameworkConfig::planar(0.3, seed);
+    (cfg.message_faithful, cfg.trace, cfg.faults) = (true, true, Some(plan));
+    let out = run_framework(g, &cfg);
+    assert!(out.clusters.len() > 1, "{name}: one cluster pins no cluster-local view");
+    let outcomes: Vec<RoutingOutcome> = out.clusters.iter().map(|c| c.routing).collect();
+    let hotspots: Vec<(usize, u64)> = out.trace.hotspots.iter().map(|h| (h.edge, h.words)).collect();
+    format!("{name} {:?} clusters={outcomes:?} hotspots={hotspots:?}\n", out.stats)
+}
+
+/// A strict subcluster (the left three columns of a 6 × 4 grid) fault-free
+/// and under an active plan, the whole of a random planar graph under
+/// another, and a faithful framework run of many clusters under a third:
+/// i.i.d. drops, a link-down interval and a crash-stop destroy tokens in
+/// transit, so a walk ends incomplete once nothing is left waiting.
 #[test]
 fn faithful_router_golden() {
     let grid = gen::grid(6, 4);
     let left: Vec<usize> = (0..24).filter(|v| v % 6 < 3).collect();
+    let inside = grid.edge_id(7, 8).expect("an edge between two left-column vertices");
+    let sub_plan = FaultPlan::drops(0xFB, 0.03).with_link_failure(inside, 4, 60).with_crash(13, 30);
     let planar = gen::random_planar(60, 0.5, &mut gen::seeded_rng(0x60_1D));
     let all: Vec<usize> = (0..planar.n()).collect();
     let plan = FaultPlan::drops(0xFA, 0.02).with_link_failure(3, 0, 50).with_crash(17, 40);
+    let noisy = gen::grid_with_noise(20, 20, 0.02, &mut gen::seeded_rng(0x6E));
+    let fw_plan = FaultPlan::drops(0xFC, 0.01).with_link_failure(5, 0, 200).with_crash(40, 60);
     let got = faithful_line("subcluster", &grid, &left, 0, None, 136)
-        + &faithful_line("faulty", &planar, &all, 5, Some(plan), 137);
+        + &faithful_line("faulty", &planar, &all, 5, Some(plan), 137)
+        + &faithful_line("faulty-subcluster", &grid, &left, 0, Some(sub_plan), 138)
+        + &faithful_framework_line("framework", &noisy, fw_plan, 139);
     check_golden("faithful_router.txt", &got);
 }
 
