@@ -55,7 +55,8 @@ usage: experiments [IDS...] [OPTIONS]
                       any count)
   -h, --help          print this help
 
-Any other argument starting with -- is an error (exit 2).";
+Any other argument starting with --, and a flag above that takes a value
+with none after it, is an error (exit 2).";
 
 /// Every flag this binary knows, with whether it takes the argument after
 /// it as its value; `-h`/`--help` are answered before parsing.
@@ -100,19 +101,23 @@ fn threads(args: &[String]) -> Option<lcg_congest::ExecConfig> {
 ///
 /// # Errors
 ///
-/// The first `--` argument that is not in [`FLAGS`]. Ignoring it would be
-/// worse than refusing it: a misspelled `--quik e1` would swallow `e1` as
-/// its value, select nothing, and so run every experiment at full scale.
-fn ids(args: &[String]) -> Result<Vec<&str>, &str> {
+/// What is wrong with the first bad flag, naming it: a `--` argument that
+/// is not in [`FLAGS`], or a flag that takes a value with none after it (it
+/// is last, or the next argument starts with `--`). Ignoring either would be
+/// worse than refusing it: a misspelled `--quik e1` would swallow `e1` as its
+/// value, and a bare `--trace` would read as no flag at all; both select
+/// nothing and so run every experiment at full scale.
+fn ids(args: &[String]) -> Result<Vec<&str>, String> {
     let mut ids = Vec::new();
-    let mut is_value = false;
-    for a in args {
-        if is_value {
-            is_value = false;
-        } else if a.starts_with("--") {
-            is_value = FLAGS.iter().find(|(name, _)| name == a).ok_or(a.as_str())?.1;
-        } else {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
             ids.push(a.as_str());
+            continue;
+        }
+        let &(_, takes_value) = FLAGS.iter().find(|(name, _)| name == a).ok_or(format!("unknown flag `{a}`"))?;
+        if takes_value && rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("flag `{a}` expects a value"));
         }
     }
     Ok(ids)
@@ -124,8 +129,8 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let selected = ids(&args).unwrap_or_else(|unknown| {
-        eprintln!("experiments: unknown flag `{unknown}`\n\n{USAGE}");
+    let selected = ids(&args).unwrap_or_else(|error| {
+        eprintln!("experiments: {error}\n\n{USAGE}");
         std::process::exit(2);
     });
     // what experiments read
@@ -264,8 +269,22 @@ mod tests {
     /// every experiment at full scale.
     #[test]
     fn unknown_flags_are_refused_by_name() {
-        assert_eq!(ids(&args("--quik e1")), Err("--quik"));
-        assert_eq!(ids(&args("e1 --resume-from ckpt")), Err("--resume-from"));
+        assert_eq!(ids(&args("--quik e1")), Err("unknown flag `--quik`".to_string()));
+        assert_eq!(ids(&args("e1 --resume-from ckpt")), Err("unknown flag `--resume-from`".to_string()));
+    }
+
+    /// A flag that takes a value is refused, naming it, when it is last or
+    /// the next argument is another flag: a bare `--trace` would otherwise
+    /// select nothing and run every experiment at full scale, and
+    /// `e1 --json --quick` would take `--quick` for the directory.
+    #[test]
+    fn a_value_flag_without_its_value_is_refused_by_name() {
+        for (line, flag) in [("--trace", "--trace"), ("e1 --json --quick", "--json"), ("e25 --threads", "--threads")] {
+            let a = args(line);
+            let refused = ids(&a).expect_err(line);
+            assert!(refused.contains(flag) && refused.contains("expects a value"), "{line}: {refused}");
+        }
+        assert_eq!(ids(&args("e1 --json out --quick")), Ok(vec!["e1"]));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! faulty execution is **bit-identical from run to run**, the same
 //! guarantee the engine gives fault-free runs.
 
+use lcg_graph::Graph;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -175,8 +176,7 @@ pub(crate) enum FaultVerdict {
 /// and down-intervals indexed by edge, so the per-message verdict is O(1)
 /// plus one keyed stream when `drop_prob > 0`. The one interpreter of a
 /// [`FaultPlan`]: a [`crate::Network`] compiles the plan it is given, and
-/// so do the charged routing walks, which never enter a network but must
-/// suffer the same schedule ([`FaultState::kills`]).
+/// the routing walks view it from their cluster ([`FaultState::cluster`]).
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
@@ -184,6 +184,10 @@ pub struct FaultState {
     crashed_at: Vec<u64>,
     /// Down intervals per edge (usually zero or one).
     down: Vec<Vec<(u64, u64)>>,
+    /// A cluster view's host vertex and edge per local id (they key the
+    /// drop coin) and the plan round of its round 0; `None` and 0 on the host.
+    host: Option<(Vec<usize>, Vec<usize>)>,
+    first_round: u64,
 }
 
 impl FaultState {
@@ -208,7 +212,30 @@ impl FaultState {
             assert!(l.edge < m, "link failure on edge {} but the graph has {m} edges", l.edge);
             down[l.edge].push((l.from_round, l.until_round));
         }
-        FaultState { plan, crashed_at, down }
+        FaultState { plan, crashed_at, down, host: None, first_round: 0 }
+    }
+
+    /// This schedule seen from the cluster `sub = G[map]` of the graph `g`
+    /// it was compiled for (`map[local] = g`'s vertex): it takes `sub`'s
+    /// vertex and edge ids and rounds counted from `first_round`, and every
+    /// verdict — crash, link and drop coin — is this one's for the ids and
+    /// round they stand for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is a cluster view already, or an edge of `sub` is not
+    /// an edge of `g` between the mapped vertices.
+    pub fn cluster(&self, g: &Graph, sub: &Graph, map: &[usize], first_round: u64) -> FaultState {
+        assert!(self.host.is_none(), "a cluster view is taken of the host's schedule");
+        let edge: Vec<usize> =
+            sub.edges().map(|(_, a, b)| g.edge_id(map[a], map[b]).expect("a cluster edge is a host edge")).collect();
+        FaultState {
+            plan: self.plan.clone(),
+            crashed_at: map.iter().map(|&v| self.crashed_at[v]).collect(),
+            down: edge.iter().map(|&e| self.down[e].clone()).collect(),
+            host: Some((map.to_vec(), edge)),
+            first_round,
+        }
     }
 
     pub(crate) fn truncate_words(&self) -> Option<usize> {
@@ -219,13 +246,18 @@ impl FaultState {
     /// `round`. Precedence: crash, then link failure, then the i.i.d.
     /// coin — so counters attribute each loss to one cause.
     pub(crate) fn classify(&self, round: u64, edge: usize, from: usize, to: usize) -> FaultVerdict {
+        let round = self.first_round + round;
         if self.crashed_at[from] <= round || self.crashed_at[to] <= round {
             return FaultVerdict::Crashed;
         }
         if self.down[edge].iter().any(|&(a, b)| a <= round && round < b) {
             return FaultVerdict::LinkDown;
         }
-        if self.plan.drops_message(round, edge, from > to) {
+        let (edge, reverse) = match &self.host {
+            None => (edge, from > to),
+            Some((vertex, host_edge)) => (host_edge[edge], vertex[from] > vertex[to]),
+        };
+        if self.plan.drops_message(round, edge, reverse) {
             return FaultVerdict::Dropped;
         }
         FaultVerdict::Deliver

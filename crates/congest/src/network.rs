@@ -656,6 +656,16 @@ impl<'g> Network<'g> {
         self.faults = plan.map(|p| FaultState::compile(p, self.g.n(), self.g.m()));
     }
 
+    /// A network over `sub = G[map]`, a cluster of this network's graph
+    /// (`map[local] = host`), under this network's model and its fault
+    /// schedule as [`FaultState::cluster`] views it with the cluster's
+    /// round 0 at this network's round `first_round`; no tracer or recorder.
+    pub fn cluster<'s>(&self, sub: &'s Graph, map: &[usize], first_round: u64) -> Network<'s> {
+        let mut net = Network::new(sub, self.model);
+        net.faults = self.faults.as_ref().map(|f| f.cluster(self.g, sub, map, first_round));
+        net
+    }
+
     /// The attached tracer, if any (e.g. to annotate the current span).
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
         self.sink.tracer.as_mut()

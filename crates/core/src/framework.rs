@@ -34,7 +34,7 @@ use lcg_expander::routing;
 use lcg_graph::Graph;
 use lcg_metrics::{Recorder, Report};
 use lcg_trace::{Trace, TraceConfig, Tracer};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration of a framework run.
@@ -52,8 +52,8 @@ pub struct FrameworkConfig {
     /// Cap on lazy-walk steps per routing execution.
     pub max_walk_steps: usize,
     /// Execute the gathering phase with **real messages** in the simulator
-    /// (`routing::faithful_walk`: every crossing a 2-word message,
-    /// capacity-enforced, on a network per cluster) instead of the
+    /// (`routing::faithful_walks`: every crossing a 2-word message,
+    /// capacity-enforced, on a network over each cluster's `G[V_i]`) instead of the
     /// charged-cost walk. Slower but fully message-faithful; without faults
     /// each token walks the charged token's vertices, and the cluster's
     /// gathering rounds are within a factor 2 of the charged ones.
@@ -349,13 +349,11 @@ pub(crate) fn run_framework_timed(
     let mut gather_rounds = 0u64;
     let mut faithful_traffic = RoundStats::default();
     net.phase("gathering", |net| {
-        // One walk per multi-vertex cluster, all of them at once on the
-        // run's threads, each taking one rng draw as its master seed in
-        // cluster order, whichever router and whatever is observed. A
-        // charged walk adjudicates each crossing under an active plan
-        // (killed tokens consumed their bandwidth; the outcome honestly
-        // reports the shortfall for the §2.3 reversal detector), and a full
-        // trace asks it for the host-edge loads of the hotspot table.
+        // One walk per multi-vertex cluster, all at once on the run's
+        // threads, each taking one rng draw as its master seed in cluster
+        // order, whichever router. Under an active plan the outcome reports
+        // the shortfall for the §2.3 reversal detector; a full trace asks
+        // for the host-edge loads of the hotspot table.
         let walks: Vec<routing::ClusterWalk<'_>> = subs
             .iter()
             .zip(&leaders_local)
@@ -363,30 +361,14 @@ pub(crate) fn run_framework_timed(
             .filter(|(((sub, _), _), _)| sub.n() > 1)
             .map(|(((sub, map), &leader_local), counts)| routing::ClusterWalk { sub, map, leader_local, counts })
             .collect();
-        let (charged, faithful) = if cfg.message_faithful {
-            // each cluster on its own network over the host graph, so the
-            // fault schedule applies to its traffic exactly as on the host
-            // and its per-edge loads merge 1:1 into the main tracer's table
-            let seeded: Vec<(&routing::ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
-            let gathered = cfg.exec.map(
-                &seeded,
-                |(w, _)| w.counts.iter().sum::<usize>() as u64,
-                |&(w, master)| {
-                    let mut cluster_net = Network::new(g, Model::congest());
-                    if cfg.trace {
-                        cluster_net.attach_tracer(Tracer::new(TraceConfig::hotspots_only("cluster")));
-                    }
-                    cluster_net.set_fault_plan(cfg.faults.clone());
-                    let (outcome, rstats) = routing::faithful_walk(&mut cluster_net, w, cfg.max_walk_steps, master);
-                    (outcome, rstats, cluster_net.take_tracer())
-                },
-            );
-            (Vec::new(), gathered)
+        let (steps, exec) = (cfg.max_walk_steps, cfg.exec);
+        let mut gathered = if cfg.message_faithful {
+            routing::faithful_walks(net, &walks, steps, &mut rng, cfg.trace, exec)
         } else {
-            let faults = cfg.faults.as_ref().filter(|_| faults_active);
-            (routing::charged_walks(g, &walks, cfg.max_walk_steps, &mut rng, faults, cfg.trace, cfg.exec), Vec::new())
-        };
-        let (mut charged, mut faithful) = (charged.into_iter(), faithful.into_iter());
+            let charged = routing::charged_walks(g, &walks, steps, &mut rng, cfg.faults.as_ref(), cfg.trace, exec);
+            charged.into_iter().map(|(outcome, loads)| (outcome, loads, RoundStats::default())).collect()
+        }
+        .into_iter();
         let per_cluster = subs.into_iter().zip(leaders_local).zip(counts);
         for (cid, (((sub, mapping), leader_local), counts)) in per_cluster.enumerate() {
             let leader = mapping[leader_local];
@@ -406,22 +388,16 @@ pub(crate) fn run_framework_timed(
                     rounds: 0,
                     max_edge_load: 0,
                 }
-            } else if cfg.message_faithful {
-                let (outcome, rstats, cluster_tracer) = faithful.next().expect("one walk per multi-vertex cluster");
-                if let (Some(cluster_tracer), Some(t)) = (cluster_tracer, net.tracer_mut()) {
-                    t.merge_edge_words_from(&cluster_tracer);
-                }
-                // clusters run in parallel: rounds are charged once below, as
-                // the max; everything else sums
-                faithful_traffic.merge(&RoundStats { rounds: 0, ..rstats });
-                outcome
             } else {
-                let (outcome, loads) = charged.next().expect("one walk per multi-vertex cluster");
+                let (outcome, loads, traffic) = gathered.next().expect("one walk per multi-vertex cluster");
                 if let Some(t) = net.tracer_mut() {
                     for (e, w) in loads {
                         t.add_edge_words(e, w);
                     }
                 }
+                // clusters run in parallel: rounds are charged once below, as
+                // the max; everything else sums
+                faithful_traffic.merge(&RoundStats { rounds: 0, ..traffic });
                 outcome
             };
             gather_rounds = gather_rounds.max(routing_outcome.rounds);
@@ -450,7 +426,7 @@ pub(crate) fn run_framework_timed(
         }
         net.charge_rounds(gather_rounds);
         if cfg.message_faithful {
-            // the per-cluster networks' traffic (rounds were charged above)
+            // the cluster networks' traffic (rounds were charged above)
             net.charge_stats(&faithful_traffic);
         }
     });
@@ -829,7 +805,7 @@ mod tests {
         for c in &out.clusters {
             assert!(c.routing.complete());
         }
-        // the per-cluster networks' edge loads fold into the host trace
+        // the cluster walks' delivered words per host edge reach the host trace
         assert!(!out.trace.hotspots.is_empty());
         for h in &out.trace.hotspots {
             assert!(h.edge < g.m(), "hotspot edge id must be a host edge");

@@ -26,9 +26,11 @@
 //!   token's vertex sequence, only later. Each step's movers are bucketed
 //!   into flat per-port queues that drain one real `[key, step]` message
 //!   per port per round through [`Network::exchange_active`]; the arrivals
-//!   are the next step's live tokens. [`faithful_walk`] is the same walk
-//!   given a cluster and its master seed, so several clusters can gather
-//!   at once, each on its own network.
+//!   are the next step's live tokens, on a [`Network`] over `G[V_i]`.
+//!   [`faithful_walks`] is it on several clusters at once.
+//!
+//! Both walks run in the cluster's local ids and suffer a fault plan as
+//! [`FaultState::cluster`] views it; only their edge loads name host edges.
 //!
 //! * [`tree_routing`] is the deterministic counterpart standing in for
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
@@ -127,11 +129,20 @@ struct Walker {
     pos: u32,
 }
 
-/// The tokens of a walk under master seed `master`, numbered in `counts`
+/// The tokens of walk `w` under master seed `master`, numbered in `counts`
 /// order (`counts[v]` of them at local vertex `v`): the ones still walking,
 /// in token order, and how many were launched. Tokens launched at the
 /// leader are absorbed at once.
-fn launch(master: u64, counts: &[usize], leader_local: usize) -> (Vec<Walker>, usize) {
+///
+/// # Panics
+///
+/// Panics if `w.counts.len() != w.sub.n()`, `w.leader_local` is not a
+/// vertex of `w.sub`, or `w.sub` is disconnected.
+fn launch(w: &ClusterWalk<'_>, master: u64) -> (Vec<Walker>, usize) {
+    let ClusterWalk { sub, leader_local, counts, .. } = *w;
+    assert_eq!(counts.len(), sub.n(), "one count per member required");
+    assert!(leader_local < sub.n(), "leader must be a cluster member");
+    assert!(sub.is_connected(), "a walk needs a connected cluster");
     let total: usize = counts.iter().sum();
     assert!(total <= u32::MAX as usize, "token count exceeds u32 range");
     let mut live = Vec::new();
@@ -234,10 +245,10 @@ impl EdgeTally {
 /// token crossed, sorted by edge id; each crossing is one 2-word message,
 /// so `words = 2 · crossings`. Without it the returned list is empty.
 ///
-/// Under `faults`, the plan is compiled against `g` and each crossing of
-/// host edge `e` in (1-based) walk step `s` is adjudicated by
+/// Under `faults`, the plan's [`FaultState::cluster`] view adjudicates each
+/// crossing of sub edge `e` in (1-based) walk step `s` by
 /// [`FaultState::kills`]`(s − 1, e, from, to)` — the verdict the simulator's
-/// delivery paths reach, with the coins keyed by `(step, edge)`. A killed
+/// delivery paths reach, with the coins keyed by `(step, host edge)`. A killed
 /// token still consumed the edge's bandwidth (the crossing is charged and,
 /// when tracked, tallied) but the token is destroyed, so the outcome can
 /// come back incomplete and `routing_failure_detected` fires. Trajectories
@@ -259,7 +270,6 @@ pub fn charged_walk_routing(
     faults: Option<&FaultPlan>,
     track_edges: bool,
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    assert_eq!(counts.len(), members.len(), "one count per member required");
     let (sub, map, leader_local) = cut_cluster(g, members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
     charged_walks(g, &[walk], max_steps, rng, faults, track_edges, ExecConfig::sequential()).remove(0)
@@ -279,13 +289,10 @@ pub struct ClusterWalk<'a> {
 }
 
 /// The charged walks of several clusters (Theorem 2.6 gathers in every
-/// cluster at once): one master seed per walk drawn from `rng` in slice
-/// order — exactly the draws that successive [`charged_walk_routing`]
-/// calls make — then each cluster's walk through [`ExecConfig::map`],
-/// weighted by its token count. Outcomes and host-edge loads come back in
-/// slice order and equal those successive calls' at every thread count;
-/// `max_steps`, `faults` and `track_edges` are as there, per walk; the
-/// plan is compiled once per call.
+/// cluster at once): [`charged_walk_routing`] on each, on the caller's
+/// threads, its outcome and loads equal to successive calls' at every
+/// thread count. `max_steps`, `faults` and `track_edges` are as there, per
+/// walk; the plan is compiled once per call and viewed from each cluster.
 ///
 /// # Panics
 ///
@@ -303,29 +310,51 @@ pub fn charged_walks(
     exec: ExecConfig,
 ) -> Vec<(RoutingOutcome, Vec<(usize, u64)>)> {
     let faults = faults.map(|plan| FaultState::compile(plan.clone(), g.n(), g.m()));
+    each_walk(walks, rng, exec, |w, master| {
+        let faults = faults.as_ref().map(|f| f.cluster(g, w.sub, w.map, 0));
+        let (outcome, words) = walk_cluster(w, master, max_steps, faults, track_edges);
+        (outcome, host_loads(g, w, &words))
+    })
+}
+
+/// Several clusters' walks at once: one master seed per walk drawn from
+/// `rng` in slice order — the draws successive single-cluster calls make —
+/// then `body(walk, master)` on each through [`ExecConfig::map`], weighted
+/// by its token count; results in slice order.
+fn each_walk<T: Send>(
+    walks: &[ClusterWalk<'_>],
+    rng: &mut ChaCha8Rng,
+    exec: ExecConfig,
+    body: impl Fn(&ClusterWalk<'_>, u64) -> T + Sync,
+) -> Vec<T> {
     let seeded: Vec<(&ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
-    exec.map(
-        &seeded,
-        |(w, _)| w.counts.iter().sum::<usize>() as u64,
-        |&(w, master)| walk_cluster(g, w, master, max_steps, faults.as_ref(), track_edges),
-    )
+    exec.map(&seeded, |(w, _)| w.counts.iter().sum::<usize>() as u64, |&(w, master)| body(w, master))
+}
+
+/// A walk's words per edge of `w.sub` as `(host edge id, words)` for every
+/// edge that carried any, sorted by edge id: how both walks report loads.
+fn host_loads(g: &Graph, w: &ClusterWalk<'_>, words: &[u64]) -> Vec<(usize, u64)> {
+    let host_edge = |a: usize, b: usize| g.edge_id(w.map[a], w.map[b]).expect("induced-subgraph edges exist in the host graph");
+    // edges come in id order, so they pair up with the per-edge words
+    let mut loads: Vec<(usize, u64)> =
+        w.sub.edges().zip(words).filter(|&(_, &x)| x > 0).map(|((_, a, b), &x)| (host_edge(a, b), x)).collect();
+    loads.sort_unstable();
+    loads
 }
 
 /// The charged walk body: cluster `w`'s tokens under master seed `master`.
+/// Returns the outcome and the words per edge of `w.sub` (empty unless
+/// tracked).
 fn walk_cluster(
-    g: &Graph,
     w: &ClusterWalk<'_>,
     master: u64,
     max_steps: usize,
-    faults: Option<&FaultState>,
+    faults: Option<FaultState>,
     track_edges: bool,
-) -> (RoutingOutcome, Vec<(usize, u64)>) {
-    let ClusterWalk { sub, map, leader_local, counts } = *w;
-    assert_eq!(counts.len(), sub.n(), "one count per member required");
-    assert!(leader_local < sub.n(), "leader must be a cluster member");
-    assert!(sub.is_connected(), "charged_walk_routing needs a connected cluster");
+) -> (RoutingOutcome, Vec<u64>) {
+    let ClusterWalk { sub, leader_local, .. } = *w;
     // the tokens still walking: a step costs these, not `total`
-    let (mut live, total) = launch(master, counts, leader_local);
+    let (mut live, total) = launch(w, master);
     let mut delivered = total - live.len();
     let mut steps = 0usize;
     let mut tally = EdgeTally {
@@ -337,12 +366,7 @@ fn walk_cluster(
         rounds: 0,
         max_load: 0,
     };
-    let host_edge_of = |(_, a, b): (usize, usize, usize)| {
-        g.edge_id(map[a], map[b]).expect("induced-subgraph edges exist in the host graph")
-    };
-    // only needed to key fault decisions; `edges()` yields them in id order
-    let host_edge: Vec<usize> = if faults.is_some() { sub.edges().map(host_edge_of).collect() } else { Vec::new() };
-    let (neighbors, edge_ids) = (sub.csr_neighbors(), sub.csr_edge_ids());
+    let (neighbors, edge_ids, faults) = (sub.csr_neighbors(), sub.csr_edge_ids(), faults.as_ref());
     // step-major: every live token takes step `s`, its crossing charged as
     // it happens, then the step is closed; a step with a live token is
     // always charged, so the walk ends on its last token's step
@@ -365,9 +389,9 @@ fn walk_cluster(
             tally.cross(e, moves);
             // a crossing consumes the edge's bandwidth whatever the plan
             // decides; the plan is keyed by the 0-based walk step
-            let killed = faults
-                .is_some_and(|f| moves == 1 && f.kills(s - 1, host_edge[e as usize], map[v as usize], map[w as usize]));
-            let to = if moves == 1 { w } else { v };
+            let killed = faults.is_some_and(|f| moves == 1 && f.kills(s - 1, e as usize, v as usize, w as usize));
+            // a select, not a branch: the coin is a fair random bit
+            let to = v ^ ((v ^ w) & moves.wrapping_neg());
             let home = to as usize == leader_local;
             delivered += usize::from(home & !killed);
             live[kept] = Walker { key, pos: to };
@@ -376,17 +400,8 @@ fn walk_cluster(
         live.truncate(kept);
         tally.end_step();
     }
-    // edges come in id order, so they pair up with the per-edge words
-    // (none at all when untracked)
-    let mut loads: Vec<(usize, u64)> = sub
-        .edges()
-        .zip(&tally.words)
-        .filter(|&(_, &words)| words > 0)
-        .map(|(edge, &words)| (host_edge_of(edge), words))
-        .collect();
-    loads.sort_unstable();
     let outcome = RoutingOutcome { delivered, total, steps, rounds: tally.rounds, max_edge_load: tally.max_load };
-    (outcome, loads)
+    (outcome, tally.words)
 }
 
 /// Deterministic routing: pipelined convergecast of one message per vertex
@@ -398,14 +413,11 @@ fn walk_cluster(
 ///
 /// # Panics
 ///
-/// Panics if `leader` is not in `members` or `G[members]` is disconnected.
+/// Panics if `leader` is not in `members`, a member repeats or
+/// `G[members]` is disconnected.
 pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutcome {
-    let (sub, map) = g.induced_subgraph(members);
+    let (sub, _, leader_local) = cut_cluster(g, members, leader);
     assert!(sub.is_connected(), "tree_routing needs a connected cluster");
-    let leader_local = map
-        .iter()
-        .position(|&v| v == leader)
-        .expect("leader must be a cluster member");
     let n = sub.n();
     let dist = sub.bfs_distances(leader_local);
     // BFS parents: any neighbor at distance - 1
@@ -440,12 +452,16 @@ pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutco
 }
 
 /// Lemma 2.4 executed **message-faithfully** inside the CONGEST
-/// simulator: [`faithful_walk`] on `G[members]` under one draw from `rng`
+/// simulator: the faithful walk of `G[members]` under one draw from `rng`
 /// as its master seed, the draw [`charged_walk_routing`] takes on the same
 /// generator state — so each token walks the charged token's vertices.
 /// Each member `i` launches `counts[i]` tokens (the `L · deg(v)` form of
 /// Lemma 2.4, used by the message-faithful framework to ship
 /// `1 + outdeg(v)` topology words per vertex).
+///
+/// It runs on [`Network::cluster`] of `net` from `net`'s next round on,
+/// and its statistics and (when `net`'s tracer keeps edge loads) words per
+/// host edge are charged to `net`. Returns the outcome and `net`'s gain.
 ///
 /// # Panics
 ///
@@ -459,49 +475,75 @@ pub fn network_walk_routing_with_counts(
     max_steps: usize,
     rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
-    assert_eq!(counts.len(), members.len(), "one count per member required");
-    let (sub, map, leader_local) = cut_cluster(net.graph(), members, leader);
+    let g = net.graph();
+    let (sub, map, leader_local) = cut_cluster(g, members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
-    faithful_walk(net, &walk, max_steps, rng.gen())
+    let start = net.stats();
+    let track_edges = net.tracer_mut().is_some_and(|t| t.records_edge_loads());
+    let (outcome, words, traffic) = faithful_walk(net.cluster(&sub, &map, start.rounds), &walk, max_steps, rng.gen(), track_edges);
+    net.charge_stats(&traffic);
+    if let Some(t) = net.tracer_mut() {
+        for (e, words) in host_loads(g, &walk, &words) {
+            t.add_edge_words(e, words);
+        }
+    }
+    (outcome, net.stats().since(&start))
 }
 
-/// Cluster `w`'s charged trajectories plus engine queueing: each crossing
-/// is a real 2-word message `[key, step]` on `net`, whose graph is the host
-/// graph `w.map` indexes. `master` is one draw of the caller's generator,
-/// as [`charged_walks`] takes one per cluster. Returns the outcome and the
-/// network's measured [`RoundStats`].
-///
-/// A step's movers are bucketed into one queue per port (count, prefix
-/// sum, bucket), and the queues drain one token per port per round through
-/// [`Network::exchange_active`]; the arrivals are the next step's live
-/// tokens. Steps are globally synchronised, as the lemma's analysis
-/// requires, at one charged silent round per step (a real implementation
-/// would spend an O(diameter) convergecast). A step so costs its longest
-/// port queue plus one round where the charged walk pays `max(largest
-/// two-way edge load, 1)`: fault-free, the two agree on `steps` and
-/// `delivered`, `charged.rounds / 2 ≤ rounds ≤ charged.rounds + steps` and
-/// `max_edge_load ≤ charged.max_edge_load ≤ 2 · max_edge_load`. A message
-/// the plan of `net` drops or crashes loses its token; the walk ends after
-/// `max_steps` steps or once no token is left walking.
+/// One message-faithful walk's outcome, delivered words per host edge (in
+/// [`charged_walks`]' form) and cluster network [`RoundStats`].
+pub type FaithfulWalk = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
+
+/// [`charged_walks`] with message-faithful walks, each cluster of `net`'s
+/// graph on [`Network::cluster`]`(sub, map, 0)`.
 ///
 /// # Panics
 ///
-/// Panics if `w.counts.len() != w.sub.n()`, `w.leader_local` is not a
-/// vertex of `w.sub`, or `w.sub` is disconnected.
-pub fn faithful_walk(net: &mut Network, w: &ClusterWalk<'_>, max_steps: usize, master: u64) -> (RoutingOutcome, RoundStats) {
-    let ClusterWalk { sub, map, leader_local, counts } = *w;
-    assert_eq!(counts.len(), sub.n(), "one count per member required");
-    assert!(leader_local < sub.n(), "leader must be a cluster member");
-    assert!(sub.is_connected(), "network_walk_routing_with_counts needs a connected cluster");
-    let queues = Queues::new(net.graph(), sub, map);
-    let leader = map[leader_local];
-    let (mut live, total) = launch(master, counts, leader_local);
+/// As [`charged_walks`].
+pub fn faithful_walks(
+    net: &Network,
+    walks: &[ClusterWalk<'_>],
+    max_steps: usize,
+    rng: &mut ChaCha8Rng,
+    track_edges: bool,
+    exec: ExecConfig,
+) -> Vec<FaithfulWalk> {
+    each_walk(walks, rng, exec, |w, master| {
+        let (outcome, words, traffic) = faithful_walk(net.cluster(w.sub, w.map, 0), w, max_steps, master, track_edges);
+        (outcome, host_loads(net.graph(), w, &words), traffic)
+    })
+}
+
+/// Cluster `w`'s charged trajectories plus engine queueing on `net`, a
+/// fresh network over `w.sub`, under master seed `master`: each crossing is
+/// a real 2-word message `[key, step]`, and a message the plan destroys
+/// loses its token. A step's movers are bucketed into one queue per slot
+/// of `w.sub` (count, prefix sum, bucket) that drain one token per port per
+/// round through [`Network::exchange_active`]; the arrivals are the next
+/// step's live tokens. Steps are synchronised at one charged silent round
+/// each (a real implementation would spend an O(diameter) convergecast), so
+/// a step costs its longest port queue plus one round where the charged
+/// walk pays `max(largest two-way edge load, 1)` — the per-token oracle of
+/// the tests. Returns the outcome, the delivered words per edge of `w.sub`
+/// (empty unless `track_edges`) and `net`'s [`RoundStats`].
+fn faithful_walk(
+    mut net: Network,
+    w: &ClusterWalk<'_>,
+    max_steps: usize,
+    master: u64,
+    track_edges: bool,
+) -> (RoutingOutcome, Vec<u64>, RoundStats) {
+    let ClusterWalk { sub, leader_local, .. } = *w;
+    let (offsets, edge_ids) = (sub.csr_offsets(), sub.csr_edge_ids());
+    let (mut live, total) = launch(w, master);
     let mut delivered = total - live.len();
-    // per queue: this step's tokens, and where they start in `queued`
-    let (mut count, mut first) = (vec![0u32; queues.host.len()], vec![0u32; queues.host.len()]);
-    // the queues with a token left to send, the step's movers and senders
+    let mut words = if track_edges { vec![0u64; sub.m()] } else { Vec::new() };
+    // per queue (slot): this step's tokens, and where they start in `queued`
+    let (mut count, mut first) = (vec![0u32; sub.slots()], vec![0u32; sub.slots()]);
+    // the queues with a token left to send as (sender, slot) — slot order
+    // once sorted, the order exchange_active takes senders in — and the
+    // step's movers and senders
     let (mut draining, mut moving, mut queued, mut senders) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let start = net.stats();
     let (mut steps, mut max_edge_load) = (0usize, 0usize);
     while steps < max_steps && !live.is_empty() {
         steps += 1;
@@ -512,61 +554,64 @@ pub fn faithful_walk(net: &mut Network, w: &ClusterWalk<'_>, max_steps: usize, m
             let walker = live[i];
             let (slot, moves) = step(sub, walker.key, s, walker.pos);
             if moves {
-                let q = queues.of_slot[slot];
-                if count[q as usize] == 0 {
-                    draining.push(q);
+                if count[slot] == 0 {
+                    draining.push((walker.pos, slot as u32));
                 }
-                count[q as usize] += 1;
-                moving.push((q, walker.key));
+                count[slot] += 1;
+                moving.push((slot, walker.key));
             } else {
                 live[kept] = walker;
                 kept += 1;
             }
         }
         live.truncate(kept);
-        // prefix sums over the draining queues in host order, then the movers
-        // placed back to front, so each queue keeps the live order
+        // prefix sums over the draining queues in slot order, then the
+        // movers placed back to front, so each queue keeps the live order
         draining.sort_unstable();
         let (mut end, mut longest) = (0u32, 0u32);
-        for &q in &draining {
+        for &(_, q) in &draining {
             end += count[q as usize];
             first[q as usize] = end;
             longest = longest.max(count[q as usize]);
         }
         queued.resize(end as usize, 0u64);
         for &(q, key) in moving.iter().rev() {
-            first[q as usize] -= 1;
-            queued[first[q as usize] as usize] = key;
+            first[q] -= 1;
+            queued[first[q] as usize] = key;
         }
         moving.clear();
         max_edge_load = max_edge_load.max(longest as usize);
         // round `r` sends the `r`-th token of every queue that has one
         for r in 0..longest {
             senders.clear();
-            senders.extend(draining.iter().map(|&q| queues.host[q as usize] as usize));
+            senders.extend(draining.iter().map(|&(v, _)| v as usize));
             senders.dedup();
             let mut next = 0;
             net.exchange_active(
                 &senders,
                 |v, out| {
-                    while let Some(&q) = draining.get(next).filter(|&&q| queues.host[q as usize] as usize == v) {
+                    while let Some(&(_, q)) = draining.get(next).filter(|&&(u, _)| u as usize == v) {
                         let q = q as usize;
-                        out.send(queues.port[q] as usize, [queued[(first[q] + r) as usize], s]);
+                        out.send(q - offsets[v] as usize, [queued[(first[q] + r) as usize], s]);
                         next += 1;
                     }
                 },
                 |u, inbox| {
-                    let arrived = inbox.iter().flatten();
-                    if u == leader {
-                        delivered += arrived.count();
-                    } else {
-                        let pos = queues.local[u];
-                        live.extend(arrived.map(|m| Walker { key: m[0], pos }));
+                    let row = offsets[u] as usize..offsets[u + 1] as usize;
+                    for (slot, m) in row.zip(inbox).filter_map(|(slot, m)| Some((slot, m.as_ref()?))) {
+                        if let Some(w) = words.get_mut(edge_ids[slot] as usize) {
+                            *w += m.len() as u64;
+                        }
+                        if u == leader_local {
+                            delivered += 1;
+                        } else {
+                            live.push(Walker { key: m[0], pos: u as u32 });
+                        }
                     }
                 },
             );
             // a drained queue leaves `draining` with its count reset
-            draining.retain(|&q| {
+            draining.retain(|&(_, q)| {
                 let c = &mut count[q as usize];
                 *c = if *c > r + 1 { *c } else { 0 };
                 *c > 0
@@ -575,43 +620,8 @@ pub fn faithful_walk(net: &mut Network, w: &ClusterWalk<'_>, max_steps: usize, m
         // step-synchronization round
         net.charge_rounds(1);
     }
-    let stats = net.stats().since(&start);
-    (RoutingOutcome { delivered, total, steps, rounds: stats.rounds, max_edge_load }, stats)
-}
-
-/// A cluster's port queues, one per slot of its sub rows, numbered in host
-/// (vertex, port) order — the order [`Network::exchange_active`] takes
-/// senders in.
-struct Queues {
-    /// Queue of each sub slot (the identity for ascending members).
-    of_slot: Vec<u32>,
-    /// Host vertex and host port (index into its `neighbor_row`) per queue.
-    host: Vec<u32>,
-    port: Vec<u32>,
-    /// Local id per host vertex of the cluster.
-    local: Vec<u32>,
-}
-
-impl Queues {
-    fn new(g: &Graph, sub: &Graph, map: &[usize]) -> Queues {
-        let mut local = vec![u32::MAX; g.n()];
-        let mut ends = Vec::with_capacity(sub.csr_neighbors().len());
-        for (i, &v) in map.iter().enumerate() {
-            local[v] = i as u32;
-            for &j in sub.neighbor_row(i) {
-                let port = g.neighbor_row(v).binary_search(&(map[j as usize] as u32)).expect("an induced edge");
-                ends.push((v as u32, port as u32));
-            }
-        }
-        let mut order: Vec<u32> = (0..ends.len() as u32).collect();
-        order.sort_unstable_by_key(|&slot| ends[slot as usize]);
-        let mut of_slot = vec![0; ends.len()];
-        for (q, &slot) in (0u32..).zip(&order) {
-            of_slot[slot as usize] = q;
-        }
-        let (host, port) = order.iter().map(|&slot| ends[slot as usize]).unzip();
-        Queues { of_slot, host, port, local }
-    }
+    let stats = net.stats();
+    (RoutingOutcome { delivered, total, steps, rounds: stats.rounds, max_edge_load }, words, stats)
 }
 
 #[cfg(test)]
@@ -1139,7 +1149,7 @@ mod tests {
         seed: u64,
     ) -> (RoutingOutcome, RoundStats, Vec<(usize, u64)>, u64) {
         let mut net = Network::new(g, lcg_congest::Model::congest());
-        let every_edge = lcg_trace::TraceConfig::hotspots_only("faithful").with_top_k(g.m());
+        let every_edge = lcg_trace::TraceConfig::full("faithful").with_top_k(g.m());
         net.attach_tracer(lcg_trace::Tracer::new(every_edge));
         let mut rng = gen::seeded_rng(seed);
         let (out, stats) = network_walk_routing_with_counts(&mut net, members, leader, counts, max_steps, &mut rng);

@@ -35,13 +35,6 @@ impl TraceConfig {
         TraceConfig { label: label.to_string(), series: true, edge_loads: true, top_k: 10 }
     }
 
-    /// Spans plus edge loads, without the per-round series. Used for
-    /// short-lived helper networks whose hotspot contribution is merged
-    /// into a main tracer ([`Tracer::merge_edge_words_from`]).
-    pub fn hotspots_only(label: &str) -> TraceConfig {
-        TraceConfig { label: label.to_string(), series: false, edge_loads: true, top_k: 10 }
-    }
-
     /// Overrides the hotspot count.
     pub fn with_top_k(mut self, top_k: usize) -> TraceConfig {
         self.top_k = top_k;
@@ -154,11 +147,6 @@ impl Tracer {
         self.cfg.edge_loads
     }
 
-    /// Rounds recorded so far.
-    pub fn rounds(&self) -> u64 {
-        self.total.rounds
-    }
-
     /// Opens a nested span named `name`, starting at the current round.
     pub fn open_span(&mut self, name: &str) -> SpanId {
         let parent = self.open.last().copied();
@@ -220,10 +208,7 @@ impl Tracer {
     /// Records `rounds` charged silent rounds (no traffic, no samples —
     /// sample round indices make the gap explicit).
     pub fn record_quiet_rounds(&mut self, rounds: u64) {
-        self.total.rounds += rounds;
-        for &i in &self.open {
-            self.spans[i].rounds += rounds;
-        }
+        self.record_external(rounds, 0, 0, 0);
     }
 
     /// Merges externally-measured statistics (e.g. traffic of per-cluster
@@ -256,20 +241,6 @@ impl Tracer {
     pub fn add_edge_words(&mut self, edge: usize, words: u64) {
         if let Some(w) = self.edge_words.get_mut(edge) {
             *w += words;
-        }
-    }
-
-    /// Sums another tracer's per-edge loads into this one. Both tracers
-    /// must be bound to the same topology (same edge ids) — used when
-    /// logically-parallel helper networks run over the same host graph.
-    pub fn merge_edge_words_from(&mut self, other: &Tracer) {
-        assert_eq!(
-            self.edge_words.len(),
-            other.edge_words.len(),
-            "edge-load merge requires the same topology"
-        );
-        for (a, b) in self.edge_words.iter_mut().zip(&other.edge_words) {
-            *a += b;
         }
     }
 
@@ -412,24 +383,6 @@ mod tests {
         assert_eq!((trace.hotspots[1].edge, trace.hotspots[1].words), (0, 5));
         assert_eq!((trace.hotspots[0].u, trace.hotspots[0].v), (2, 3));
         assert_eq!(trace.hotspots[0].rank, 1);
-    }
-
-    #[test]
-    fn merge_edge_words_sums_elementwise() {
-        let mk = || {
-            let mut t = Tracer::new(TraceConfig::hotspots_only("x"));
-            t.bind_topology(3, 2, vec![(0, 1), (1, 2)]);
-            t
-        };
-        let mut a = mk();
-        let mut b = mk();
-        a.add_edge_words(0, 3);
-        b.add_edge_words(0, 4);
-        b.add_edge_words(1, 1);
-        a.merge_edge_words_from(&b);
-        let trace = a.finish();
-        assert_eq!((trace.hotspots[0].edge, trace.hotspots[0].words), (0, 7));
-        assert_eq!((trace.hotspots[1].edge, trace.hotspots[1].words), (1, 1));
     }
 
     #[test]
