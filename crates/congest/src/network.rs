@@ -992,6 +992,35 @@ mod tests {
         });
     }
 
+    /// A second send on a port is caught even when the plan destroys the
+    /// first message (its link is down, or every coin drops), in every
+    /// round form.
+    #[test]
+    fn double_send_is_caught_when_the_first_message_is_destroyed() {
+        let g = gen::path(2);
+        let twice = |out: &mut Outbox| {
+            out.send(0, [1]);
+            out.send(0, [2]);
+        };
+        let forms: [&dyn Fn(&mut Network); 3] = [
+            &|net| net.step_state(&mut [(); 2], |_, _, _, out| twice(out)),
+            &|net| {
+                net.exchange_rounds(1, &mut [(); 2], |_, _, _, out| twice(out), |_, _, _, _| {}, |_| false);
+            },
+            &|net| net.exchange_active(&[1], |_, out| twice(out), |_, _| {}),
+        ];
+        for plan in [FaultPlan::none().with_link_failure(0, 0, u64::MAX), FaultPlan::drops(3, 1.0)] {
+            for (i, form) in forms.iter().enumerate() {
+                let mut net = Network::new(&g, Model::congest());
+                net.set_fault_plan(Some(plan.clone()));
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| form(&mut net)))
+                    .expect_err("the second send must panic");
+                let text = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(text.contains("sent twice on port 0"), "form {i} under {plan:?}: {text}");
+            }
+        }
+    }
+
     #[test]
     fn ports_are_consistent() {
         let g = gen::cycle(5);
