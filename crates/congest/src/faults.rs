@@ -4,8 +4,8 @@
 //! per-round-interval link failures, seeded i.i.d. message drops, node
 //! crash-stops, and CONGEST-capacity truncation. Attached to a
 //! [`crate::Network`] via `set_fault_plan`, the plan intercepts every
-//! message at delivery time — in every round form, dense or sparse —
-//! and decides its fate.
+//! message as it is sent (sending is delivering) — in every round form,
+//! dense or sparse — and decides its fate.
 //!
 //! # Determinism
 //!
@@ -17,10 +17,9 @@
 //!   the two direction words drawn from that stream — never from a shared
 //!   sequential RNG.
 //!
-//! Because delivery is a sequential vertex-order sweep, and because the
-//! keyed stream makes each coin independent of visitation order anyway, a
-//! faulty execution is **bit-identical from run to run**, the same
-//! guarantee the engine gives fault-free runs.
+//! Because every verdict is keyed by its message's coordinates, never by
+//! the order messages are sent in, a faulty execution is **bit-identical
+//! from run to run**, the same guarantee the engine gives fault-free runs.
 
 use lcg_graph::Graph;
 use rand::{RngCore, SeedableRng};
@@ -264,7 +263,7 @@ impl FaultState {
     }
 
     /// `true` when the message from `from` to `to` over `edge` in `round`
-    /// is lost, whatever the cause: the delivery sweep's verdict
+    /// is lost, whatever the cause: the engine's verdict at send
     /// (`classify`) is not `Deliver`.
     pub fn kills(&self, round: u64, edge: usize, from: usize, to: usize) -> bool {
         self.classify(round, edge, from, to) != FaultVerdict::Deliver

@@ -1,13 +1,23 @@
 //! The message value type of the simulator's hot path.
 //!
 //! A [`Msg`] holds up to [`INLINE_WORDS`] 64-bit words inline — no heap
-//! allocation — and spills to a `Vec<u64>` only beyond that. Two words is
+//! allocation — and spills to a `Box<[u64]>` only beyond that. Two words is
 //! exactly the CONGEST common case: every primitive in this reproduction
 //! sends 1–2 word messages (`[root, dist]`, `[value, id]`, `[token,
 //! step]`, …), so under `Model::congest()` the engine never allocates per
 //! message. LOCAL-mode payloads (e.g. the E12 topology-gathering baseline)
 //! take the spilled variant and behave exactly like the old
 //! `Message = Vec<u64>`.
+//!
+//! # Size
+//!
+//! The inline length is `Len`, a three-valued enum rather than a `u8`:
+//! its unused values are a niche rustc stores the variant tag in, and
+//! `Option`'s `None` in the next one. So an inbox slot, `Option<Msg>`, is
+//! 24 bytes (two words plus the length byte, padded) where a `u8` length
+//! made it 32 — the round engine's grids shrink by a quarter. A
+//! compile-time assertion below holds the size, so a toolchain that stops
+//! finding the niche fails the build instead of silently growing them.
 //!
 //! # Representation invariant
 //!
@@ -27,13 +37,37 @@
 /// `O(log n)`-bit CONGEST messages of every primitive in the repo.
 pub const INLINE_WORDS: usize = 2;
 
+/// The length of an inline payload, `0..=INLINE_WORDS` (see the module
+/// docs, "Size").
+#[derive(Clone, Copy)]
+enum Len {
+    Zero,
+    One,
+    Two,
+}
+
+impl Len {
+    /// The length `n`, for `n <= INLINE_WORDS` (larger `n` read as full).
+    #[inline]
+    const fn of(n: usize) -> Len {
+        match n {
+            0 => Len::Zero,
+            1 => Len::One,
+            _ => Len::Two,
+        }
+    }
+}
+
 #[derive(Clone)]
 enum Repr {
-    /// `words[..len]` is the payload; `len <= INLINE_WORDS`.
-    Inline { len: u8, words: [u64; INLINE_WORDS] },
-    /// Heap payload; by invariant `vec.len() > INLINE_WORDS`.
-    Spilled(Vec<u64>),
+    /// `words[..len]` is the payload.
+    Inline { words: [u64; INLINE_WORDS], len: Len },
+    /// Heap payload; by invariant longer than `INLINE_WORDS`.
+    Spilled(Box<[u64]>),
 }
+
+const _: () = assert!(INLINE_WORDS == Len::Two as usize);
+const _: () = assert!(size_of::<Option<Msg>>() == 24);
 
 /// A simulator message: a small sequence of 64-bit words, stored inline
 /// when it fits [`INLINE_WORDS`].
@@ -62,7 +96,7 @@ impl Msg {
     #[inline]
     #[must_use]
     pub const fn new() -> Msg {
-        Msg(Repr::Inline { len: 0, words: [0; INLINE_WORDS] })
+        Msg(Repr::Inline { words: [0; INLINE_WORDS], len: Len::Zero })
     }
 
     /// Builds a message from a word slice, inlining when it fits.
@@ -74,9 +108,9 @@ impl Msg {
             for (dst, src) in buf.iter_mut().zip(words) {
                 *dst = *src;
             }
-            Msg(Repr::Inline { len: words.len() as u8, words: buf })
+            Msg(Repr::Inline { words: buf, len: Len::of(words.len()) })
         } else {
-            Msg(Repr::Spilled(words.to_vec()))
+            Msg(Repr::Spilled(words.into()))
         }
     }
 
@@ -86,7 +120,7 @@ impl Msg {
     pub fn len(&self) -> usize {
         match &self.0 {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Spilled(v) => v.len(),
+            Repr::Spilled(b) => b.len(),
         }
     }
 
@@ -109,8 +143,8 @@ impl Msg {
     #[must_use]
     pub fn as_slice(&self) -> &[u64] {
         match &self.0 {
-            Repr::Inline { len, words } => &words[..*len as usize],
-            Repr::Spilled(v) => v,
+            Repr::Inline { words, len } => &words[..*len as usize],
+            Repr::Spilled(b) => b,
         }
     }
 
@@ -123,15 +157,12 @@ impl Msg {
         match &mut self.0 {
             Repr::Inline { len, .. } => {
                 if (*len as usize) > cap {
-                    *len = cap as u8;
+                    *len = Len::of(cap);
                 }
             }
-            Repr::Spilled(v) => {
-                if v.len() > cap {
-                    v.truncate(cap);
-                    if v.len() <= INLINE_WORDS {
-                        *self = Msg::from_slice(v);
-                    }
+            Repr::Spilled(b) => {
+                if b.len() > cap {
+                    *self = Msg::from_slice(&b[..cap]);
                 }
             }
         }
@@ -173,7 +204,7 @@ impl AsRef<[u64]> for Msg {
 impl From<u64> for Msg {
     #[inline]
     fn from(w: u64) -> Msg {
-        Msg(Repr::Inline { len: 1, words: [w, 0] })
+        Msg(Repr::Inline { words: [w, 0], len: Len::One })
     }
 }
 
@@ -195,14 +226,14 @@ impl From<&[u64]> for Msg {
 
 /// `Vec<u64>` messages keep working (the pre-`Msg` spelling): short ones
 /// are inlined and the vector is dropped, long ones take ownership of the
-/// allocation — identical word accounting either way.
+/// allocation (shrunk to fit) — identical word accounting either way.
 impl From<Vec<u64>> for Msg {
     #[inline]
     fn from(words: Vec<u64>) -> Msg {
         if words.len() <= INLINE_WORDS {
             Msg::from_slice(&words)
         } else {
-            Msg(Repr::Spilled(words))
+            Msg(Repr::Spilled(words.into_boxed_slice()))
         }
     }
 }
@@ -218,17 +249,17 @@ impl FromIterator<u64> for Msg {
                     *dst = w;
                     len += 1;
                 }
-                None => return Msg(Repr::Inline { len: len as u8, words: buf }),
+                None => return Msg(Repr::Inline { words: buf, len: Len::of(len) }),
             }
         }
         match it.next() {
-            None => Msg(Repr::Inline { len: len as u8, words: buf }),
+            None => Msg(Repr::Inline { words: buf, len: Len::of(len) }),
             Some(w) => {
                 let mut v = Vec::with_capacity(INLINE_WORDS + 2);
                 v.extend_from_slice(&buf);
                 v.push(w);
                 v.extend(it);
-                Msg(Repr::Spilled(v))
+                Msg(Repr::Spilled(v.into_boxed_slice()))
             }
         }
     }

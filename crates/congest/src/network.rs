@@ -17,10 +17,12 @@
 //! (DESIGN §10). The paper prices an algorithm in rounds, not seconds, so
 //! how a round executes is pure implementation; a worker pool under this
 //! body measured slower than one thread on every committed benchmark row
-//! and was deleted (DESIGN §10.3). The two round
-//! *structures* differ only in when the inbox is read: a step round
-//! reads last round's deliveries while composing and has no consume
-//! phase; an exchange round composes, delivers, then consumes. The
+//! and was deleted (DESIGN §10.3). Delivery is not a phase of its own:
+//! [`Outbox::send`] stores the message in the receiver's inbox slot at
+//! once, so composing *is* delivering. The two round *structures* differ
+//! only in when the inbox is read: a step round reads last round's
+//! deliveries while composing the next round's into a second grid, and
+//! has no consume phase; an exchange round composes, then consumes. The
 //! phase that read an inbox row clears it. The public forms are adapters:
 //!
 //! * [`Network::run_state`] runs `k` step rounds and
@@ -41,18 +43,20 @@
 //! # Accounting (DESIGN §8)
 //!
 //! [`RoundStats`], the optional [`Tracer`] and the optional [`Recorder`]
-//! live in one private sink with one method per engine event; every
-//! delivery body and charge path reports there, so the three views cannot
-//! drift. [`Network::phase`] is the one boundary above it: a trace span and
-//! a profiling-plane timer opened and closed together.
+//! live in one private sink that books each round once, from the tallies
+//! its sends kept; the charge paths report there too, so the three views
+//! cannot drift. [`Network::phase`] is the one boundary above it: a trace
+//! span and a profiling-plane timer opened and closed together.
 //!
 //! # Memory model (DESIGN §10)
 //!
 //! The hot path is allocation-free: messages are [`Msg`] values that store
-//! CONGEST-size payloads inline, and the network owns the two
-//! per-vertex/per-port grids a round needs — the inbox grid (`pending`)
-//! and the outbox arena (`outgoing`). Delivery starts only after every
-//! vertex has composed, so the inbox needs no double buffer: a round takes both
+//! CONGEST-size payloads inline (an inbox slot is 24 bytes), and the
+//! network owns the per-vertex/per-port inbox grids a round writes into.
+//! An exchange round delivers into the one grid its consume phase then
+//! drains; a step round also needs a back buffer to deliver into while the
+//! compose phase still reads the front one, allocated by the first step
+//! round — a network that only exchanges holds one grid. A round takes the
 //! grids out of the network, works in place, and puts them back. A panic
 //! mid-round loses them with the round's in-flight messages; the next
 //! round starts from fresh, identically shaped grids.
@@ -71,11 +75,10 @@ use crate::stats::RoundStats;
 /// `Graph::neighbors(v)` (sorted by neighbor id).
 pub type Inbox = [Option<Msg>];
 
-/// One per-vertex/per-port buffer grid as a flat arena indexed by CSR
-/// edge slot: the message crossing port `p` of vertex `v` this round
-/// lives at slot `g.csr_offsets()[v] + p`. One contiguous allocation of
-/// `g.slots() = 2m` entries — delivery and compose iterate it linearly,
-/// row by row, instead of pointer-chasing `n` separate row vectors.
+/// One per-vertex/per-port inbox grid as a flat arena indexed by CSR
+/// edge slot: the message delivered to vertex `v` on port `p` lives at
+/// slot `g.csr_offsets()[v] + p`. One contiguous allocation of
+/// `g.slots() = 2m` entries, read row by row.
 type Grid = Vec<Option<Msg>>;
 
 /// A clean (all-`None`) flat grid shaped to `g`.
@@ -84,8 +87,9 @@ fn fresh_grid(g: &Graph) -> Grid {
 }
 
 /// Takes a grid out of its slot for the duration of a round, falling back
-/// to a fresh allocation when the slot is cold (a panic unwound mid-round
-/// and the grid, with the failed round's in-flight messages, was lost).
+/// to a fresh allocation when the slot is cold: never used yet (a step
+/// round's back buffer), or a panic unwound mid-round and the grid, with
+/// the failed round's in-flight messages, was lost.
 fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
     let grid = std::mem::take(slot);
     if grid.len() == g.slots() {
@@ -106,58 +110,19 @@ fn clear_slots(slots: &mut [Option<Msg>]) {
 }
 
 /// Returns a grid that is already all-`None` to its slot with no clearing
-/// pass. The outbox arena qualifies because every delivery sweep `take()`s
-/// each slot of each row it was handed; the inbox grid of an exchange
-/// round qualifies because the consume phase clears every row it read.
-/// Taking the grids without a clearing pass (DESIGN §10) rests on this,
-/// hence the debug check.
+/// pass: every phase that reads an inbox row clears it, so a grid whose
+/// rows were all read qualifies (a step round's front buffer, an exchange
+/// round's grid). Taking the grids without a clearing pass (DESIGN §10)
+/// rests on this, hence the debug check.
 fn return_clean(slot: &mut Grid, grid: Grid) {
     debug_assert!(grid.iter().all(Option::is_none), "a grid went back to the network dirty");
     *slot = grid;
 }
 
-/// The rows of the ascending `senders`, carved off the outbox arena one
-/// `split_at_mut` at a time: the part list an active-set round hands to
-/// [`sweep`], so delivery touches those rows and nothing else.
-fn sender_rows<'a>(
-    offsets: &'a [u32],
-    senders: &'a [usize],
-    arena: &'a mut [Option<Msg>],
-) -> impl Iterator<Item = (std::ops::Range<usize>, &'a mut [Option<Msg>])> {
-    let mut rest = arena;
-    let mut consumed = 0usize;
-    senders.iter().map(move |&v| {
-        let row = row_of(offsets, v);
-        let (_, tail) = std::mem::take(&mut rest).split_at_mut(row.start - consumed);
-        let (head, tail) = tail.split_at_mut(row.len());
-        rest = tail;
-        consumed = row.end;
-        (v..v + 1, head)
-    })
-}
-
-/// The CSR topology slices every delivery sweep walks: row starts, flat
-/// neighbor/edge-id arrays (borrowed straight from the graph), and the
-/// per-slot reverse map (`rev_slot[s]` = the slot on the receiving side
-/// of slot `s`'s edge). Bundled so the borrow-split call sites pass one
-/// value instead of four slices.
-#[derive(Clone, Copy)]
-struct Topo<'a> {
-    offsets: &'a [u32],
-    neighbors: &'a [u32],
-    edge_ids: &'a [u32],
-    rev_slot: &'a [u32],
-}
-
-impl<'a> Topo<'a> {
-    fn of(g: &'a Graph, rev_slot: &'a [u32]) -> Topo<'a> {
-        Topo {
-            offsets: g.csr_offsets(),
-            neighbors: g.csr_neighbors(),
-            edge_ids: g.csr_edge_ids(),
-            rev_slot,
-        }
-    }
+/// The slot range of vertex `v`'s row, as plain indices.
+#[inline]
+fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
+    offsets[v] as usize..offsets[v + 1] as usize
 }
 
 /// A synchronous CONGEST/LOCAL network over a graph.
@@ -186,33 +151,80 @@ pub struct Network<'g> {
     model: Model,
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
-    /// The one inbox grid: the slot `g.csr_offsets()[v] + p` holds the
+    /// The inbox grid: the slot `g.csr_offsets()[v] + p` holds the
     /// message delivered to `v` on port `p`. Between step rounds it
     /// carries the messages awaiting the next one; an exchange round
     /// fills and drains it. Taken out of `self` for the duration of a
     /// round, so a panic mid-round leaves it cold (empty).
     pending: Grid,
-    /// The outbox arena, taken and put back the same way — the round
-    /// engine allocates no buffers after construction.
-    outgoing: Grid,
-    /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — the
-    /// flat-CSR form of the old `reverse[v][p] = (u, q)` port map (the
-    /// neighbor `u` itself is `g.csr_neighbors()[s]`).
+    /// A step round's back buffer, the grid it delivers into while its
+    /// compose phase reads `pending`; swapped with `pending` after each
+    /// step round. Empty until the first step round takes it.
+    back: Grid,
+    /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — where
+    /// a message sent on slot `s` lands (the receiver itself is
+    /// `g.csr_neighbors()[s]`).
     rev_slot: Vec<u32>,
     /// Scratch of [`Network::exchange_active`]: the vertices that received
     /// a message this round. Kept here so a sparse round allocates nothing.
     receivers: Vec<usize>,
+    /// Scratch of a watched round: the slots holding a message the plan
+    /// destroyed, cleared when composing ends.
+    doomed: Vec<usize>,
     /// Compiled fault schedule ([`Network::set_fault_plan`]). `None` (the
-    /// default) keeps both delivery paths on their historical fault-free
-    /// sweeps — zero cost, bit-identical behavior.
+    /// default) keeps every send on the plain store — zero cost,
+    /// bit-identical behavior.
     faults: Option<FaultState>,
 }
 
-/// Per-vertex outbox handed to a compose closure.
+/// What one round's sends came to: the tallies [`Sink::round`] books.
+#[derive(Default)]
+struct Tally {
+    messages: u64,
+    words: u64,
+    /// Largest single message (words).
+    max_words: usize,
+    /// Messages too long for [`Msg`]'s inline storage (LOCAL-mode payloads
+    /// that cost a heap allocation) — a deterministic model of the round's
+    /// allocation count, surfaced through the metrics registry.
+    spilled: u64,
+    /// Messages the fault plan destroyed, by cause, and truncated.
+    dropped: u64,
+    link: u64,
+    crashed: u64,
+    truncated: u64,
+}
+
+/// A round's outbox, handed to a compose closure for one vertex at a time
+/// (the engine moves it from vertex to vertex). [`Outbox::send`] delivers
+/// at once, into the receiving vertex's slot of the grid the round
+/// delivers into.
 pub struct Outbox<'a> {
-    slots: &'a mut [Option<Msg>],
-    capacity: Option<usize>,
+    /// The composing vertex.
     vertex: usize,
+    /// Its row of `rev_slot`: where each of its ports delivers.
+    rev: &'a [u32],
+    offsets: &'a [u32],
+    rev_slot: &'a [u32],
+    capacity: Option<usize>,
+    grid: &'a mut [Option<Msg>],
+    tally: Tally,
+    /// Present when a fault plan or an edge-load tracer must see each
+    /// message; a plain round stores and counts, nothing else.
+    watch: Option<Watch<'a>>,
+}
+
+/// What a watched round does with each message besides storing it.
+struct Watch<'a> {
+    /// The 0-based index of the round in flight: the plan's clock.
+    round: u64,
+    faults: Option<&'a FaultState>,
+    /// The tracer, when it tallies words per edge.
+    edges: Option<&'a mut Tracer>,
+    neighbors: &'a [u32],
+    edge_ids: &'a [u32],
+    /// The slots holding a destroyed message (see [`Outbox::deliver`]).
+    doomed: &'a mut Vec<usize>,
 }
 
 impl<'a> Outbox<'a> {
@@ -220,7 +232,7 @@ impl<'a> Outbox<'a> {
     #[inline]
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.slots.len()
+        self.rev.len()
     }
 
     /// Sends `msg` on `port`. In CONGEST mode the message must fit the
@@ -247,54 +259,86 @@ impl<'a> Outbox<'a> {
                 cap
             );
         }
-        assert!(
-            self.slots[port].is_none(),
-            "vertex {} sent twice on port {port} in one round",
-            self.vertex
-        );
-        self.slots[port] = Some(msg);
-    }
-}
-
-/// What one round composed: the tallies [`Sink::round`] books.
-#[derive(Default)]
-struct Composed {
-    messages: u64,
-    words: u64,
-    /// Largest single message (words).
-    max_words: usize,
-    /// Messages too long for [`Msg`]'s inline storage (LOCAL-mode payloads
-    /// that cost a heap allocation) — a deterministic model of the round's
-    /// allocation count, surfaced through the metrics registry.
-    spilled: u64,
-}
-
-impl Composed {
-    /// Tallies one vertex's composed outbox.
-    #[inline]
-    fn count(&mut self, slots: &[Option<Msg>]) {
-        for msg in slots.iter().flatten() {
-            self.messages += 1;
-            self.words += msg.len() as u64;
-            self.max_words = self.max_words.max(msg.len());
-            if msg.len() > INLINE_WORDS {
-                self.spilled += 1;
-            }
+        // the round's grid was clean, and this port is the only sender
+        // into its slot: an occupied slot is this port's earlier message
+        let dest = self.rev[port] as usize;
+        assert!(self.grid[dest].is_none(), "vertex {} sent twice on port {port} in one round", self.vertex);
+        let t = &mut self.tally;
+        t.messages += 1;
+        t.words += msg.len() as u64;
+        t.max_words = t.max_words.max(msg.len());
+        t.spilled += u64::from(msg.len() > INLINE_WORDS);
+        if self.watch.is_some() {
+            self.deliver(port, dest, msg);
+        } else {
+            self.grid[dest] = Some(msg);
         }
     }
+
+    /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`:
+    /// the plan adjudicates it — a destroyed message is tallied by cause,
+    /// a surviving one truncated to the plan's cap when one is set — and
+    /// the tracer tallies its edge's *delivered* words. A destroyed
+    /// message is stored all the same, so a second send on the port is
+    /// still caught, and its slot is listed for [`Outbox::finish`] to
+    /// clear before anything reads the grid.
+    #[inline(never)]
+    fn deliver(&mut self, port: usize, dest: usize, mut msg: Msg) {
+        let w = self.watch.as_mut().expect("only a watched round delivers here");
+        let s = self.offsets[self.vertex] as usize + port;
+        let e = w.edge_ids[s] as usize;
+        if let Some(fs) = w.faults {
+            let t = &mut self.tally;
+            match fs.classify(w.round, e, self.vertex, w.neighbors[s] as usize) {
+                FaultVerdict::Deliver => {
+                    if let Some(cap) = fs.truncate_words().filter(|&cap| msg.len() > cap) {
+                        msg.truncate(cap);
+                        t.truncated += 1;
+                    }
+                }
+                lost => {
+                    match lost {
+                        FaultVerdict::Crashed => t.crashed += 1,
+                        FaultVerdict::LinkDown => t.link += 1,
+                        _ => t.dropped += 1,
+                    }
+                    w.doomed.push(dest);
+                    self.grid[dest] = Some(msg);
+                    return;
+                }
+            }
+        }
+        if let Some(tracer) = w.edges.as_mut() {
+            tracer.add_edge_words(e, msg.len() as u64);
+        }
+        self.grid[dest] = Some(msg);
+    }
+
+    /// Moves the outbox to vertex `v`.
+    #[inline]
+    fn at(&mut self, v: usize) {
+        let rev_slot: &'a [u32] = self.rev_slot;
+        self.vertex = v;
+        self.rev = &rev_slot[row_of(self.offsets, v)];
+    }
+
+    /// Ends the compose phase: clears the destroyed messages' slots and
+    /// returns the round's tallies.
+    fn finish(self) -> Tally {
+        if let Some(w) = self.watch {
+            for d in w.doomed.drain(..) {
+                self.grid[d] = None;
+            }
+        }
+        self.tally
+    }
 }
 
-/// The slot range of vertex `v`'s row, as plain indices.
-#[inline]
-fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
-    offsets[v] as usize..offsets[v + 1] as usize
-}
-
-/// The one accounting sink under the round engine, one method per engine
-/// event. Every delivery body and both charge paths report each event here
-/// exactly once, so `stats` == trace totals == the `net.*` registry
-/// counters by construction (DESIGN §8). With no tracer and no recorder
-/// attached every method is the `stats` update plus skipped branches.
+/// The one accounting sink under the round engine. Each round is booked
+/// once, from its [`Tally`], and each charge path reports here, so
+/// `stats` == trace totals == the `net.*` registry counters by
+/// construction (DESIGN §8). With no tracer and no recorder attached
+/// every method is the `stats` update plus skipped branches.
 #[derive(Default)]
 struct Sink {
     stats: RoundStats,
@@ -305,50 +349,39 @@ struct Sink {
 }
 
 impl Sink {
-    /// One round composed: the tallies of every message *sent* this round.
-    fn round(&mut self, counters: Composed) {
-        self.stats.messages += counters.messages;
-        self.stats.words += counters.words;
-        self.stats.max_words_edge_round = self.stats.max_words_edge_round.max(counters.max_words);
-        self.stats.rounds += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.record_round(counters.messages, counters.words, counters.max_words);
-        }
-        if let Some(rec) = self.metrics.as_mut() {
-            rec.counter_add("net.rounds", 1);
-            rec.counter_add("net.messages", counters.messages);
-            rec.counter_add("net.words", counters.words);
-            if counters.spilled > 0 {
-                rec.counter_add("net.spilled_messages", counters.spilled);
-            }
-            rec.gauge_max("net.max_words_edge_round", counters.max_words as u64);
-            rec.histogram_record("net.words_per_round", counters.words);
-        }
-    }
-
-    /// Messages one delivery sweep stored in an inbox.
-    fn delivered(&mut self, messages: u64) {
-        if let Some(rec) = self.metrics.as_mut() {
-            rec.counter_add("net.delivered_messages", messages);
-        }
-    }
-
-    /// One delivery sweep's fault adjudication, by cause. `dropped` and
-    /// `link` share a statistics field; the trace keeps them apart.
-    fn faults(&mut self, dropped: u64, link: u64, crashed: u64, truncated: u64) {
-        self.stats.dropped_messages += dropped + link;
-        self.stats.crashed_messages += crashed;
-        self.stats.truncated_messages += truncated;
-        if let Some(t) = self.tracer.as_mut() {
-            for (kind, count) in
-                [("drop", dropped), ("link", link), ("crash", crashed), ("trunc", truncated)]
-            {
+    /// One round: what the plan destroyed (by cause), what was delivered,
+    /// then the round itself with the tallies of every message *sent*.
+    /// `dropped` and `link` share a statistics field; the trace keeps
+    /// them apart.
+    fn round(&mut self, t: &Tally) {
+        let s = &mut self.stats;
+        s.dropped_messages += t.dropped + t.link;
+        s.crashed_messages += t.crashed;
+        s.truncated_messages += t.truncated;
+        s.messages += t.messages;
+        s.words += t.words;
+        s.max_words_edge_round = s.max_words_edge_round.max(t.max_words);
+        s.rounds += 1;
+        if let Some(tracer) = self.tracer.as_mut() {
+            for (kind, count) in [("drop", t.dropped), ("link", t.link), ("crash", t.crashed), ("trunc", t.truncated)] {
                 if count > 0 {
-                    t.record_fault(kind, count);
+                    tracer.record_fault(kind, count);
                 }
             }
+            tracer.record_round(t.messages, t.words, t.max_words);
         }
-        self.fault_counters(dropped + link, crashed, truncated);
+        self.fault_counters(t.dropped + t.link, t.crashed, t.truncated);
+        if let Some(rec) = self.metrics.as_mut() {
+            rec.counter_add("net.delivered_messages", t.messages - t.dropped - t.link - t.crashed);
+            rec.counter_add("net.rounds", 1);
+            rec.counter_add("net.messages", t.messages);
+            rec.counter_add("net.words", t.words);
+            if t.spilled > 0 {
+                rec.counter_add("net.spilled_messages", t.spilled);
+            }
+            rec.gauge_max("net.max_words_edge_round", t.max_words as u64);
+            rec.histogram_record("net.words_per_round", t.words);
+        }
     }
 
     /// Mirrors fault tallies into the registry; a counter that never fired
@@ -391,128 +424,6 @@ impl Sink {
         }
         self.fault_counters(s.dropped_messages, s.crashed_messages, s.truncated_messages);
     }
-
-    /// Where a sweep tallies per-edge words: the tracer, iff it asked for
-    /// edge loads. Hoisted out of the sweep loops, so an untraced sweep
-    /// pays one branch per sweep, not one per message.
-    fn edge_tally(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut().filter(|t| t.records_edge_loads())
-    }
-}
-
-/// The delivery sweep under an installed fault plan: every taken message
-/// is adjudicated by the compiled schedule — destroyed messages are
-/// tallied (by cause) instead of delivered, surviving messages are
-/// truncated to the plan's capacity cap when one is set. Same contract on
-/// `parts` and `put` as [`sweep`]. Tracer edge loads count *delivered*
-/// words, so traces show the traffic that actually arrived; the
-/// compose-barrier statistics still count everything *sent*, preserving
-/// their meaning.
-fn faulty_sweep<'s, I, P>(fs: &FaultState, topo: Topo<'_>, sink: &mut Sink, parts: I, mut put: P)
-where
-    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
-    P: FnMut(usize, usize, Msg),
-{
-    // delivery precedes the round's `Sink::round`, so `stats.rounds` is
-    // the 0-based index of the round in flight
-    let round = sink.stats.rounds;
-    let cap = fs.truncate_words();
-    let (mut delivered, mut dropped, mut link, mut crashed, mut truncated) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut track = sink.edge_tally();
-    for (r, part) in parts {
-        let base = topo.offsets[r.start] as usize;
-        for v in r {
-            let row = row_of(topo.offsets, v);
-            for (s, slot) in row.clone().zip(&mut part[row.start - base..row.end - base]) {
-                if let Some(mut msg) = slot.take() {
-                    let u = topo.neighbors[s] as usize;
-                    let e = topo.edge_ids[s] as usize;
-                    match fs.classify(round, e, v, u) {
-                        FaultVerdict::Crashed => {
-                            crashed += 1;
-                            continue;
-                        }
-                        FaultVerdict::LinkDown => {
-                            link += 1;
-                            continue;
-                        }
-                        FaultVerdict::Dropped => {
-                            dropped += 1;
-                            continue;
-                        }
-                        FaultVerdict::Deliver => {}
-                    }
-                    if let Some(cap) = cap {
-                        if msg.len() > cap {
-                            msg.truncate(cap);
-                            truncated += 1;
-                        }
-                    }
-                    if let Some(t) = track.as_mut() {
-                        t.add_edge_words(e, msg.len() as u64);
-                    }
-                    delivered += 1;
-                    put(u, topo.rev_slot[s] as usize, msg);
-                }
-            }
-        }
-    }
-    sink.faults(dropped, link, crashed, truncated);
-    sink.delivered(delivered);
-}
-
-/// The fault-free delivery sweep (same contract as [`sweep`]): pure moves,
-/// plus per-edge load tallies when a tracer asked for them. The common
-/// case — no tracer — walks each part's flat sub-slice linearly, row by
-/// row.
-fn sweep_rows<'s, I, P>(topo: Topo<'_>, sink: &mut Sink, parts: I, mut put: P)
-where
-    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
-    P: FnMut(usize, usize, Msg),
-{
-    let mut delivered = 0u64;
-    let mut track = sink.edge_tally();
-    for (r, part) in parts {
-        // one pass over the part's contiguous slot range: slot `s` is
-        // absolute, the zip walks the sub-slice alongside; sender order
-        // equals slot order, so the sweep stays a vertex-order sweep
-        let lo = topo.offsets[r.start] as usize;
-        let hi = topo.offsets[r.end] as usize;
-        for (s, slot) in (lo..hi).zip(part.iter_mut()) {
-            if let Some(msg) = slot.take() {
-                if let Some(t) = track.as_mut() {
-                    t.add_edge_words(topo.edge_ids[s] as usize, msg.len() as u64);
-                }
-                delivered += 1;
-                put(topo.neighbors[s] as usize, topo.rev_slot[s] as usize, msg);
-            }
-        }
-        debug_assert_eq!(part.len(), hi - lo, "part sub-slice shape mismatch");
-    }
-    sink.delivered(delivered);
-}
-
-/// The delivery sweep: fault-adjudicated when a plan is installed, plain
-/// moves otherwise. `parts` must list disjoint vertex ranges in ascending
-/// order, each with the arena sub-slice of exactly its rows — that
-/// ordering is the entire determinism argument, and it holds equally for
-/// a single whole-arena part and for an active-set round's sender rows.
-/// Every slot of every part is `take()`n, so the rows handed in come back
-/// all-`None`.
-/// `put(u, dest_slot, msg)` stores a delivered message at the receiver's
-/// absolute CSR slot. The sweep reports what it delivered, and what the
-/// plan destroyed, to `sink` once — tallies derived purely from the
-/// vertex-order sweep, so they inherit its determinism argument.
-fn sweep<'s, I, P>(faults: Option<&FaultState>, topo: Topo<'_>, sink: &mut Sink, parts: I, put: P)
-where
-    I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
-    P: FnMut(usize, usize, Msg),
-{
-    match faults {
-        Some(fs) => faulty_sweep(fs, topo, sink, parts, put),
-        None => sweep_rows(topo, sink, parts, put),
-    }
 }
 
 /// The closure types of an absent consume phase and an absent halt vote:
@@ -543,9 +454,10 @@ impl<'g> Network<'g> {
             model,
             sink: Sink::default(),
             pending: fresh_grid(g),
-            outgoing: fresh_grid(g),
+            back: Grid::new(),
             rev_slot,
             receivers: Vec::new(),
+            doomed: Vec::new(),
             faults: None,
         }
     }
@@ -758,14 +670,48 @@ impl<'g> Network<'g> {
         );
     }
 
-    /// The round body: up to `max_rounds` rounds of compose → deliver →
-    /// consume on the caller's thread, stopping early once every state is
-    /// `halted`; returns the rounds executed. Without a `consume` phase,
-    /// `compose` reads the previous round's deliveries; with one, the rows
-    /// it sees are empty and `consume` reads this round's. The phase that
-    /// read a row clears it, so delivery lands on clean slots. It takes the
-    /// states itself because both closures mutate them and cannot each
-    /// capture the slice. Panics if `states.len() != n`.
+    /// The outbox of a round that delivers into `grid` (clean on entry),
+    /// at vertex 0. It is watched — every send leaves the plain store —
+    /// when a fault plan is installed or the tracer tallies edge words.
+    fn outbox<'a>(&'a mut self, grid: &'a mut [Option<Msg>]) -> Outbox<'a> {
+        let Network { g, model, sink, rev_slot, doomed, faults, .. } = self;
+        let edges = sink.tracer.as_mut().filter(|t| t.records_edge_loads());
+        let watch = (faults.is_some() || edges.is_some()).then(|| {
+            // a panic mid-round may have left slots of a lost grid here
+            doomed.clear();
+            Watch {
+                // delivery precedes the round's booking, so `stats.rounds`
+                // is the 0-based index of the round in flight
+                round: sink.stats.rounds,
+                faults: faults.as_ref(),
+                edges,
+                neighbors: g.csr_neighbors(),
+                edge_ids: g.csr_edge_ids(),
+                doomed,
+            }
+        });
+        Outbox {
+            vertex: 0,
+            rev: &[],
+            offsets: g.csr_offsets(),
+            rev_slot,
+            capacity: model.capacity(),
+            grid,
+            tally: Tally::default(),
+            watch,
+        }
+    }
+
+    /// The round body: up to `max_rounds` rounds of compose (which
+    /// delivers) → consume on the caller's thread, stopping early once
+    /// every state is `halted`; returns the rounds executed. Without a
+    /// `consume` phase, `compose` reads the previous round's deliveries
+    /// while delivering into the back buffer, and the two grids swap after
+    /// the round; with one, `compose` is handed an empty inbox, delivers
+    /// into the one grid, and `consume` reads it. The phase that read a
+    /// row clears it, so delivery lands on clean slots. It takes the states
+    /// itself because both closures mutate them and cannot each capture
+    /// the slice. Panics if `states.len() != n`.
     fn rounds<St, C, R, H>(
         &mut self,
         max_rounds: usize,
@@ -780,51 +726,55 @@ impl<'g> Network<'g> {
         H: FnMut(&St) -> bool,
     {
         assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        let cap = self.model.capacity();
         let offsets = self.g.csr_offsets();
+        let step = consume.is_none();
         let mut inbox = take_grid(self.g, &mut self.pending);
-        let mut outgoing = take_grid(self.g, &mut self.outgoing);
+        let mut next = if step { take_grid(self.g, &mut self.back) } else { Grid::new() };
         let mut executed = 0u64;
         for round in 0..max_rounds {
             if halted.as_mut().is_some_and(|h| states.iter().all(h)) {
                 break;
             }
-            let mut counters = Composed::default();
+            let (dest, mut read) = if step { (&mut next, Some(&mut inbox)) } else { (&mut inbox, None) };
+            let mut out = self.outbox(dest);
             for (v, state) in states.iter_mut().enumerate() {
-                let row = row_of(offsets, v);
-                let slots = &mut outgoing[row.clone()];
-                let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
-                compose(state, round, v, &inbox[row.clone()], &mut out);
-                counters.count(slots);
-                if consume.is_none() {
-                    clear_slots(&mut inbox[row]);
-                }
+                out.at(v);
+                let row: &mut Inbox = match read.as_mut() {
+                    Some(read) => &mut read[row_of(offsets, v)],
+                    None => &mut [],
+                };
+                compose(state, round, v, row, &mut out);
+                clear_slots(row);
             }
-            let whole = std::iter::once((0..self.g.n(), &mut outgoing[..]));
-            self.route(whole, |_u, dest, msg| inbox[dest] = Some(msg));
-            self.sink.round(counters);
-            if let Some(recv) = consume.as_mut() {
-                for (v, state) in states.iter_mut().enumerate() {
-                    let row = &mut inbox[row_of(offsets, v)];
-                    recv(state, round, v, row);
-                    clear_slots(row);
+            let tally = out.finish();
+            self.sink.round(&tally);
+            match consume.as_mut() {
+                Some(recv) => {
+                    for (v, state) in states.iter_mut().enumerate() {
+                        let row = &mut inbox[row_of(offsets, v)];
+                        recv(state, round, v, row);
+                        clear_slots(row);
+                    }
                 }
+                None => std::mem::swap(&mut inbox, &mut next),
             }
             executed += 1;
         }
         self.pending = inbox;
-        return_clean(&mut self.outgoing, outgoing);
+        if step {
+            return_clean(&mut self.back, next);
+        }
         executed
     }
 
     /// One exchange round in which only `senders` have anything to say:
-    /// `send` runs for those vertices only, delivery walks only their
-    /// outbox rows, and `recv` runs — in ascending vertex order — only for
-    /// the vertices a message actually reached. Statistics, trace, metrics,
-    /// fault adjudication and every delivered inbox are exactly those of
-    /// [`Network::exchange_rounds`]`(1, …)` with the other vertices sending
-    /// nothing; what changes is the cost, Θ(Σ deg(senders) + messages +
-    /// Σ deg(receivers)) instead of Θ(n + 2m) (DESIGN §10).
+    /// `send` runs for those vertices only, and `recv` runs — in ascending
+    /// vertex order — only for the vertices a message actually reached.
+    /// Statistics, trace, metrics, fault adjudication and every delivered
+    /// inbox are exactly those of [`Network::exchange_rounds`]`(1, …)` with
+    /// the other vertices sending nothing; what changes is the cost,
+    /// Θ(Σ deg(senders) + Σ deg(receivers)) instead of Θ(n + 2m)
+    /// (DESIGN §10).
     ///
     /// # Panics
     ///
@@ -841,34 +791,35 @@ impl<'g> Network<'g> {
                 && senders.last().is_none_or(|&v| v < self.g.n()),
             "senders must be strictly ascending vertex ids"
         );
-        let cap = self.model.capacity();
-        let offsets = self.g.csr_offsets();
-        let mut outgoing = take_grid(self.g, &mut self.outgoing);
-        let mut counters = Composed::default();
+        let (offsets, neighbors) = (self.g.csr_offsets(), self.g.csr_neighbors());
+        let mut inbox = take_grid(self.g, &mut self.pending);
+        let mut out = self.outbox(&mut inbox);
         for &v in senders {
-            let slots = &mut outgoing[row_of(offsets, v)];
-            let mut out = Outbox { slots: &mut *slots, capacity: cap, vertex: v };
+            out.at(v);
             send(v, &mut out);
-            counters.count(slots);
         }
-        let mut inboxes = take_grid(self.g, &mut self.pending);
+        let tally = out.finish();
+        self.sink.round(&tally);
+        // the grid was clean and each slot has one sender: a sender's port
+        // reached its neighbor iff the slot it delivers to is occupied
         let mut receivers = std::mem::take(&mut self.receivers);
-        self.route(sender_rows(offsets, senders, &mut outgoing), |u, dest, msg| {
-            inboxes[dest] = Some(msg);
-            receivers.push(u);
-        });
-        self.sink.round(counters);
+        for &v in senders {
+            for s in row_of(offsets, v) {
+                if inbox[self.rev_slot[s] as usize].is_some() {
+                    receivers.push(neighbors[s] as usize);
+                }
+            }
+        }
         receivers.sort_unstable();
         receivers.dedup();
         for &u in &receivers {
-            let row = &mut inboxes[row_of(offsets, u)];
+            let row = &mut inbox[row_of(offsets, u)];
             recv(u, row);
             row.fill(None);
         }
         receivers.clear();
         self.receivers = receivers;
-        return_clean(&mut self.pending, inboxes);
-        return_clean(&mut self.outgoing, outgoing);
+        return_clean(&mut self.pending, inbox);
     }
 
     /// Runs up to `max_rounds` exchange rounds over per-vertex state,
@@ -907,18 +858,6 @@ impl<'g> Network<'g> {
         self.debug_assert_drained();
         let compose = |s: &mut St, round, v, _: &Inbox, out: &mut Outbox| send(s, round, v, out);
         self.rounds(max_rounds, states, compose, Some(recv), Some(halted))
-    }
-
-    /// Moves the outbox rows in `parts` to wherever `put` stores them: the
-    /// [`sweep`] (see there for the contract on `parts`) over this
-    /// network's topology, fault plan and sink.
-    fn route<'s, I, P>(&mut self, parts: I, put: P)
-    where
-        I: Iterator<Item = (std::ops::Range<usize>, &'s mut [Option<Msg>])>,
-        P: FnMut(usize, usize, Msg),
-    {
-        let Network { g, rev_slot, faults, sink, .. } = self;
-        sweep(faults.as_ref(), Topo::of(g, rev_slot), sink, parts, put);
     }
 
     /// Merges externally-measured statistics into this network's counters
@@ -1423,5 +1362,57 @@ mod tests {
         assert_eq!(trace.faults[0].kind, "link");
         assert_eq!(trace.faults[0].count, 2);
         assert_eq!(trace.faults[0].round, 0);
+    }
+
+    /// Unit cost of the dense round forms on `engine-dense`'s graph
+    /// (`power_law(4·10⁵, 2)`), best of five rounds: a full exchange round
+    /// (every port sends 2 words) and a quarter-full step round (one
+    /// 2-word message per vertex). `cargo test --release -p lcg-congest
+    /// --lib probe_round -- --ignored --nocapture --test-threads=1`.
+    #[test]
+    #[ignore = "probe: prints ns per slot of a full and a quarter-full round"]
+    #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
+    fn probe_round_unit_cost() {
+        let g = gen::power_law(400_000, 2, &mut gen::seeded_rng(20220725));
+        let mut net = Network::new(&g, Model::congest());
+        let mut acc = vec![0u64; g.n()];
+        let mut best_ns = |net: &mut Network, round: &dyn Fn(&mut Network, &mut [u64])| {
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    round(net, &mut acc);
+                    started.elapsed().as_nanos() as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let absorb = |acc: &mut u64, inbox: &Inbox| {
+            for m in inbox.iter().flatten() {
+                *acc = acc.wrapping_add(m[0]).rotate_left(m[1] as u32 % 63 + 1);
+            }
+        };
+        let full = best_ns(&mut net, &|net, acc| {
+            let sends = |acc: &mut u64, _, v: usize, out: &mut Outbox| {
+                for p in 0..out.ports() {
+                    out.send(p, [*acc ^ v as u64, p as u64]);
+                }
+            };
+            net.exchange_rounds(1, acc, sends, |acc, _, _, inbox| absorb(acc, inbox), |_| false);
+        });
+        let quarter = best_ns(&mut net, &|net, acc| {
+            net.step_state(acc, |acc, v, inbox, out| {
+                absorb(acc, inbox);
+                if out.ports() > 0 {
+                    out.send(v % out.ports(), [*acc, v as u64]);
+                }
+            });
+        });
+        let slots = g.slots() as f64;
+        println!(
+            "round n {} slots {}: full exchange {:.1} ns/slot, quarter-full step {:.1} ns/slot",
+            g.n(),
+            g.slots(),
+            full / slots,
+            quarter / slots
+        );
     }
 }

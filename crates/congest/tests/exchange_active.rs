@@ -4,10 +4,9 @@
 //! a one-round [`Network::exchange_rounds`] with the non-senders sending
 //! nothing — same `RoundStats`, same trace bytes, same deterministic
 //! metrics, same inbox at every vertex a message reached — and it must
-//! hand the network's grids back clean, which the dense rounds that follow
-//! on the same network would expose (a stale outbox slot trips the
-//! double-send assertion, a stale inbox slot shows up as a phantom
-//! message).
+//! hand the network's grid back clean, which the dense rounds that follow
+//! on the same network would expose (a stale inbox slot trips the
+//! double-send assertion or shows up as a phantom message).
 
 use lcg_congest::{FaultPlan, Inbox, Model, Network, Outbox};
 use lcg_graph::{gen, Graph};

@@ -47,8 +47,9 @@ impl Reference<'_> {
         let round = self.stats.rounds;
         let (mut lost, mut delivered) = ([0u64; 4], 0); // drop, link, crash, trunc
         for v in 0..g.n() {
-            for s in off[v] as usize..off[v + 1] as usize {
-                let Some(mut m) = outbox[s].take() else { continue };
+            let row = off[v] as usize..off[v + 1] as usize;
+            for (s, slot) in row.clone().zip(&mut outbox[row]) {
+                let Some(mut m) = slot.take() else { continue };
                 let (u, e) = (g.csr_neighbors()[s] as usize, g.csr_edge_ids()[s] as usize);
                 if let Some(plan) = &self.plan {
                     let cause = if plan.crashes.iter().any(|c| (c.node == v || c.node == u) && c.at_round <= round) {
@@ -158,10 +159,15 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 fn emit(seed: u64, v: usize, acc: u64, ports: usize, send: &mut Emit<'_>) {
     for p in 0..ports {
         let coin = mix(seed, acc, (v * 64 + p) as u64);
-        if coin % 3 > 0 {
+        if !coin.is_multiple_of(3) {
             send(p, (0..(coin >> 8) % 3 + 1).map(|i| acc ^ v as u64 ^ i).collect());
         }
     }
+}
+
+/// Whether `v` sends in the sparse round salted `salt`.
+fn active(seed: u64, salt: u64, v: usize) -> bool {
+    mix(seed, salt, v as u64).is_multiple_of(2)
 }
 
 /// Folds an inbox into a vertex's state.
@@ -231,7 +237,7 @@ fn run_engine(net: &mut Network<'_>, acc: &mut [u64], call: Call, seed: u64, out
             assert_eq!(rounds, k as u64);
         }
         Call::Active(salt) => {
-            let senders: Vec<usize> = (0..acc.len()).filter(|&v| mix(seed, salt, v as u64) % 2 == 0).collect();
+            let senders: Vec<usize> = (0..acc.len()).filter(|&v| active(seed, salt, v)).collect();
             let acc_in: Vec<u64> = acc.to_vec();
             net.exchange_active(&senders, |v, o| emit(seed, v, acc_in[v], o.ports(), &mut |p, m| o.send(p, m)), |v, inbox| {
                 log(out, v, inbox);
@@ -250,7 +256,7 @@ fn run_reference(r: &mut Reference<'_>, acc: &mut [u64], call: Call, seed: u64, 
     };
     for _ in 0..k {
         let sender = |v: usize| match call {
-            Call::Active(salt) => mix(seed, salt, v as u64) % 2 == 0,
+            Call::Active(salt) => active(seed, salt, v),
             _ => sends,
         };
         r.round(step, |v, inbox, send| {

@@ -290,7 +290,7 @@ pub(crate) fn run_framework_timed(
         net.attach_metrics(rec);
     }
     net.set_fault_plan(cfg.faults.clone());
-    // A vacuous plan exercises the fault-adjudicating delivery sweep but
+    // A vacuous plan exercises the fault-adjudicating delivery path but
     // changes nothing (bit-verified in lcg-congest); only an *active* plan
     // relaxes the fault-free invariants below.
     let faults_active = cfg.faults.as_ref().is_some_and(|f| !f.is_vacuous());
@@ -712,7 +712,7 @@ mod tests {
     }
 
     /// `faults: Some(FaultPlan::none())` exercises the fault-adjudicating
-    /// delivery sweep and the plan-compilation path but must be
+    /// delivery path and the plan-compilation path but must be
     /// bit-identical to a `None` run — this is what lets resilient callers
     /// always pass a plan without forking on vacuity.
     #[test]
