@@ -365,7 +365,10 @@ pub(crate) fn run_framework_timed(
         let mut gathered = if cfg.message_faithful {
             routing::faithful_walks(net, &walks, steps, &mut rng, cfg.trace, exec)
         } else {
-            let charged = routing::charged_walks(g, &walks, steps, &mut rng, cfg.faults.as_ref(), cfg.trace, exec);
+            // the plan's clock goes on from the rounds election and
+            // orientation ran on it
+            let faults = cfg.faults.as_ref().map(|plan| (plan, net.stats().rounds));
+            let charged = routing::charged_walks(g, &walks, steps, &mut rng, faults, cfg.trace, exec);
             charged.into_iter().map(|(outcome, loads)| (outcome, loads, RoundStats::default())).collect()
         }
         .into_iter();
@@ -735,6 +738,39 @@ mod tests {
             assert_eq!(a.routing, b.routing);
             assert!(b.election_agrees);
         }
+    }
+
+    /// A vertex crashed in an election round relays nothing in gathering,
+    /// under both routers: the gathering reads the plan at its own rounds,
+    /// so the crash does not heal there. The faithful router's trace keeps
+    /// the delivered words of every edge: the election rounds before the
+    /// crash put 2 words each way on every intra-cluster edge of the
+    /// vertex, and nothing crosses one of its edges after. Both routers
+    /// walk the same trajectories, so with the vertex down for the whole
+    /// gathering they lose the same tokens — those whose walk touches it.
+    #[test]
+    fn vertex_crashed_in_election_relays_nothing_in_gathering() {
+        let g = gen::random_planar(90, 0.5, &mut gen::seeded_rng(216));
+        let base =
+            FrameworkConfig { trace: true, trace_top_k: g.m(), max_walk_steps: 20_000, ..FrameworkConfig::planar(0.3, 9) };
+        let plain = run_framework(&g, &base);
+        let crash_round = 2;
+        assert!(plain.diameter_bound > crash_round, "round {crash_round} is an election round");
+        let cluster = plain.clusters.iter().max_by_key(|c| c.mapping.len()).expect("a cluster");
+        let x = *cluster.mapping.iter().find(|&&v| v != cluster.leader).expect("a multi-vertex cluster");
+        let [charged, faithful] = [false, true].map(|message_faithful| {
+            let plan = lcg_congest::FaultPlan::none().with_crash(x, crash_round as u64);
+            run_framework(&g, &FrameworkConfig { faults: Some(plan), message_faithful, ..base.clone() })
+        });
+        let cluster_of = &faithful.decomposition.cluster_of;
+        for (e, u, v) in g.edges().filter(|&(_, u, v)| u == x || v == x) {
+            let words = faithful.trace.hotspots.iter().find(|h| h.edge == e).map_or(0, |h| h.words);
+            let election = if cluster_of[u] == cluster_of[v] { 4 * crash_round as u64 } else { 0 };
+            assert_eq!(words, election, "edge {e} = {{{u}, {v}}}");
+        }
+        let lost = |out: &FrameworkOutcome| out.clusters.iter().map(|c| c.routing.total - c.routing.delivered).collect::<Vec<_>>();
+        assert!(lost(&faithful).iter().sum::<usize>() > 0, "the crash must cost tokens");
+        assert_eq!(lost(&charged), lost(&faithful));
     }
 
     /// Heavy drops: the run must still terminate (no panic, no spin) and

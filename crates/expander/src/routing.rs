@@ -272,7 +272,7 @@ pub fn charged_walk_routing(
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
     let (sub, map, leader_local) = cut_cluster(g, members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
-    charged_walks(g, &[walk], max_steps, rng, faults, track_edges, ExecConfig::sequential()).remove(0)
+    charged_walks(g, &[walk], max_steps, rng, faults.map(|p| (p, 0)), track_edges, ExecConfig::sequential()).remove(0)
 }
 
 /// One cluster's charged walk, for [`charged_walks`].
@@ -291,8 +291,12 @@ pub struct ClusterWalk<'a> {
 /// The charged walks of several clusters (Theorem 2.6 gathers in every
 /// cluster at once): [`charged_walk_routing`] on each, on the caller's
 /// threads, its outcome and loads equal to successive calls' at every
-/// thread count. `max_steps`, `faults` and `track_edges` are as there, per
-/// walk; the plan is compiled once per call and viewed from each cluster.
+/// thread count. `max_steps` and `track_edges` are as there, per walk;
+/// `faults` is the plan with the plan round of the walks' round 0 — step
+/// `s` is plan round `first_round + s − 1`, so a caller whose network has
+/// run rounds on the same plan passes its round count, and
+/// [`charged_walk_routing`] passes 0. The plan is compiled once per call
+/// and viewed from each cluster.
 ///
 /// # Panics
 ///
@@ -305,13 +309,13 @@ pub fn charged_walks(
     walks: &[ClusterWalk<'_>],
     max_steps: usize,
     rng: &mut ChaCha8Rng,
-    faults: Option<&FaultPlan>,
+    faults: Option<(&FaultPlan, u64)>,
     track_edges: bool,
     exec: ExecConfig,
 ) -> Vec<(RoutingOutcome, Vec<(usize, u64)>)> {
-    let faults = faults.map(|plan| FaultState::compile(plan.clone(), g.n(), g.m()));
+    let faults = faults.map(|(plan, first_round)| (FaultState::compile(plan.clone(), g.n(), g.m()), first_round));
     each_walk(walks, rng, exec, |w, master| {
-        let faults = faults.as_ref().map(|f| f.cluster(g, w.sub, w.map, 0));
+        let faults = faults.as_ref().map(|(f, first_round)| f.cluster(g, w.sub, w.map, *first_round));
         let (outcome, words) = walk_cluster(w, master, max_steps, faults, track_edges);
         (outcome, host_loads(g, w, &words))
     })
@@ -495,7 +499,9 @@ pub fn network_walk_routing_with_counts(
 pub type FaithfulWalk = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
 
 /// [`charged_walks`] with message-faithful walks, each cluster of `net`'s
-/// graph on [`Network::cluster`]`(sub, map, 0)`.
+/// graph on [`Network::cluster`]`(sub, map, net.stats().rounds)`: from
+/// `net`'s next round on, so a plan `net` has run rounds on is read at
+/// the walks' own rounds.
 ///
 /// # Panics
 ///
@@ -509,7 +515,8 @@ pub fn faithful_walks(
     exec: ExecConfig,
 ) -> Vec<FaithfulWalk> {
     each_walk(walks, rng, exec, |w, master| {
-        let (outcome, words, traffic) = faithful_walk(net.cluster(w.sub, w.map, 0), w, max_steps, master, track_edges);
+        let cluster = net.cluster(w.sub, w.map, net.stats().rounds);
+        let (outcome, words, traffic) = faithful_walk(cluster, w, max_steps, master, track_edges);
         (outcome, host_loads(net.graph(), w, &words), traffic)
     })
 }
@@ -1098,7 +1105,7 @@ mod tests {
                 .map(|(((sub, map), counts), &leader_local)| ClusterWalk { sub, map, leader_local, counts })
                 .collect();
             let mut all_rng = gen::seeded_rng(seed);
-            let all = charged_walks(&g, &walks, max_steps, &mut all_rng, faults, track_edges, ExecConfig::with_threads(threads));
+            let all = charged_walks(&g, &walks, max_steps, &mut all_rng, faults.map(|p| (p, 0)), track_edges, ExecConfig::with_threads(threads));
             proptest::prop_assert_eq!(all, one);
             proptest::prop_assert_eq!(all_rng.gen::<u64>(), one_rng.gen::<u64>());
         }
