@@ -671,7 +671,7 @@ impl<'g> Network<'g> {
     }
 
     /// The outbox of a round that delivers into `grid` (clean on entry),
-    /// at vertex 0. It is watched — every send leaves the plain store —
+    /// before [`Outbox::at`] moves it to a vertex. It is watched — every send leaves the plain store —
     /// when a fault plan is installed or the tracer tallies edge words.
     fn outbox<'a>(&'a mut self, grid: &'a mut [Option<Msg>]) -> Outbox<'a> {
         let Network { g, model, sink, rev_slot, doomed, faults, .. } = self;
