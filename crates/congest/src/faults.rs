@@ -20,6 +20,17 @@
 //! Because every verdict is keyed by its message's coordinates, never by
 //! the order messages are sent in, a faulty execution is **bit-identical
 //! from run to run**, the same guarantee the engine gives fault-free runs.
+//!
+//! # One interpreter, one clock
+//!
+//! [`crate::Network::set_fault_plan`] compiles a plan into a
+//! [`FaultState`], the one interpreter; nothing else compiles one. Every
+//! other schedule of a run — a cluster network's, a charged walk's, a retry
+//! attempt's, MCM's kernel framework's — is a view of a network's
+//! ([`crate::Network::cluster`], [`crate::Network::cluster_faults`]), taken
+//! at that network's current round: local ids and rounds in, the host's
+//! verdicts out. Views compose, so however a run nests its phases it
+//! suffers one schedule on one clock, and no caller passes a plan round.
 
 use lcg_graph::Graph;
 use rand::{RngCore, SeedableRng};
@@ -174,8 +185,9 @@ pub(crate) enum FaultVerdict {
 /// A plan compiled against one topology: crash rounds indexed by vertex
 /// and down-intervals indexed by edge, so the per-message verdict is O(1)
 /// plus one keyed stream when `drop_prob > 0`. The one interpreter of a
-/// [`FaultPlan`]: a [`crate::Network`] compiles the plan it is given, and
-/// the routing walks view it from their cluster ([`FaultState::cluster`]).
+/// [`FaultPlan`]: only [`crate::Network::set_fault_plan`] compiles one, and
+/// every other schedule is a view of a network's
+/// ([`crate::Network::cluster`], [`crate::Network::cluster_faults`]).
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
@@ -183,8 +195,8 @@ pub struct FaultState {
     crashed_at: Vec<u64>,
     /// Down intervals per edge (usually zero or one).
     down: Vec<Vec<(u64, u64)>>,
-    /// A cluster view's host vertex and edge per local id (they key the
-    /// drop coin) and the plan round of its round 0; `None` and 0 on the host.
+    /// A view's host vertex and edge per local id (they key the drop coin)
+    /// and the plan round of its round 0; `None` and 0 on the host.
     host: Option<(Vec<usize>, Vec<usize>)>,
     first_round: u64,
 }
@@ -196,7 +208,7 @@ impl FaultState {
     ///
     /// Panics when the plan references a vertex `>= n`, an edge `>= m`,
     /// or a drop probability outside `[0, 1]`.
-    pub fn compile(plan: FaultPlan, n: usize, m: usize) -> FaultState {
+    pub(crate) fn compile(plan: FaultPlan, n: usize, m: usize) -> FaultState {
         assert!(
             (0.0..=1.0).contains(&plan.drop_prob),
             "drop probability must be in [0, 1]"
@@ -215,25 +227,31 @@ impl FaultState {
     }
 
     /// This schedule seen from the cluster `sub = G[map]` of the graph `g`
-    /// it was compiled for (`map[local] = g`'s vertex): it takes `sub`'s
-    /// vertex and edge ids and rounds counted from `first_round`, and every
-    /// verdict — crash, link and drop coin — is this one's for the ids and
-    /// round they stand for.
+    /// it is read on (`map[local] = g`'s vertex), from this schedule's round
+    /// `round` on: it takes `sub`'s vertex and edge ids and rounds counted
+    /// from there, and every verdict — crash, link and drop coin — is this
+    /// one's for the ids and round they stand for. Views compose: a view of
+    /// a view is a view of the host, keyed by the host's ids and rounds.
     ///
     /// # Panics
     ///
-    /// Panics if this is a cluster view already, or an edge of `sub` is not
-    /// an edge of `g` between the mapped vertices.
-    pub fn cluster(&self, g: &Graph, sub: &Graph, map: &[usize], first_round: u64) -> FaultState {
-        assert!(self.host.is_none(), "a cluster view is taken of the host's schedule");
+    /// Panics if an edge of `sub` is not an edge of `g` between the mapped
+    /// vertices.
+    pub(crate) fn cluster(&self, g: &Graph, sub: &Graph, map: &[usize], round: u64) -> FaultState {
         let edge: Vec<usize> =
             sub.edges().map(|(_, a, b)| g.edge_id(map[a], map[b]).expect("a cluster edge is a host edge")).collect();
+        let host = match &self.host {
+            None => (map.to_vec(), edge.clone()),
+            Some((vertex, host_edge)) => {
+                (map.iter().map(|&v| vertex[v]).collect(), edge.iter().map(|&e| host_edge[e]).collect())
+            }
+        };
         FaultState {
             plan: self.plan.clone(),
             crashed_at: map.iter().map(|&v| self.crashed_at[v]).collect(),
             down: edge.iter().map(|&e| self.down[e].clone()).collect(),
-            host: Some((map.to_vec(), edge)),
-            first_round,
+            host: Some(host),
+            first_round: self.first_round + round,
         }
     }
 

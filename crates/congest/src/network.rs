@@ -55,11 +55,13 @@
 //! network owns the per-vertex/per-port inbox grids a round writes into.
 //! An exchange round delivers into the one grid its consume phase then
 //! drains; a step round also needs a back buffer to deliver into while the
-//! compose phase still reads the front one, allocated by the first step
-//! round — a network that only exchanges holds one grid. A round takes the
-//! grids out of the network, works in place, and puts them back. A panic
-//! mid-round loses them with the round's in-flight messages; the next
-//! round starts from fresh, identically shaped grids.
+//! compose phase still reads the front one. The first round allocates what
+//! it needs — the slot pairing, the inbox grid, a step round's back buffer
+//! — so a network that only exchanges holds one grid, and one that only
+//! carries a fault schedule (a charged walk's, a retry's base) holds none.
+//! A round takes the grids out of the network, works in place, and puts
+//! them back. A panic mid-round loses them with the round's in-flight
+//! messages; the next round starts from fresh, identically shaped grids.
 
 use lcg_graph::Graph;
 use lcg_metrics::Recorder;
@@ -81,21 +83,16 @@ pub type Inbox = [Option<Msg>];
 /// `g.slots() = 2m` entries, read row by row.
 type Grid = Vec<Option<Msg>>;
 
-/// A clean (all-`None`) flat grid shaped to `g`.
-fn fresh_grid(g: &Graph) -> Grid {
-    vec![None; g.slots()]
-}
-
 /// Takes a grid out of its slot for the duration of a round, falling back
-/// to a fresh allocation when the slot is cold: never used yet (a step
-/// round's back buffer), or a panic unwound mid-round and the grid, with
-/// the failed round's in-flight messages, was lost.
+/// to a fresh allocation when the slot is cold: never used yet (no round
+/// has run, or none has needed a back buffer), or a panic unwound mid-round
+/// and the grid, with the failed round's in-flight messages, was lost.
 fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
     let grid = std::mem::take(slot);
     if grid.len() == g.slots() {
         grid
     } else {
-        fresh_grid(g)
+        vec![None; g.slots()]
     }
 }
 
@@ -154,8 +151,9 @@ pub struct Network<'g> {
     /// The inbox grid: the slot `g.csr_offsets()[v] + p` holds the
     /// message delivered to `v` on port `p`. Between step rounds it
     /// carries the messages awaiting the next one; an exchange round
-    /// fills and drains it. Taken out of `self` for the duration of a
-    /// round, so a panic mid-round leaves it cold (empty).
+    /// fills and drains it. Empty until the first round takes it, and
+    /// taken out of `self` for the duration of a round, so a panic
+    /// mid-round leaves it cold (empty).
     pending: Grid,
     /// A step round's back buffer, the grid it delivers into while its
     /// compose phase reads `pending`; swapped with `pending` after each
@@ -163,7 +161,7 @@ pub struct Network<'g> {
     back: Grid,
     /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — where
     /// a message sent on slot `s` lands (the receiver itself is
-    /// `g.csr_neighbors()[s]`).
+    /// `g.csr_neighbors()[s]`). Empty until the first round pairs the slots.
     rev_slot: Vec<u32>,
     /// Scratch of [`Network::exchange_active`]: the vertices that received
     /// a message this round. Kept here so a sparse round allocates nothing.
@@ -432,15 +430,32 @@ type NoRecv<St> = fn(&mut St, usize, usize, &Inbox);
 type NoHalt<St> = fn(&St) -> bool;
 
 impl<'g> Network<'g> {
-    /// Creates a network over `g` under `model`.
+    /// Creates a network over `g` under `model`. It allocates nothing per
+    /// slot: the first round does.
     pub fn new(g: &'g Graph, model: Model) -> Network<'g> {
-        // pair up the two CSR slots of every edge in one O(m) pass: the
-        // first slot seen for edge e waits in `first`, the second closes
-        // the pair in both directions
-        let edge_ids = g.csr_edge_ids();
-        let mut first = vec![u32::MAX; g.m()];
-        let mut rev_slot = vec![0u32; g.slots()];
-        for (s, &e) in edge_ids.iter().enumerate() {
+        Network {
+            g,
+            model,
+            sink: Sink::default(),
+            pending: Grid::new(),
+            back: Grid::new(),
+            rev_slot: Vec::new(),
+            receivers: Vec::new(),
+            doomed: Vec::new(),
+            faults: None,
+        }
+    }
+
+    /// Pairs up the two CSR slots of every edge into `rev_slot`, once, in
+    /// one O(m) pass: the first slot seen for edge e waits in `first`, the
+    /// second closes the pair in both directions.
+    fn pair_slots(&mut self) {
+        if self.rev_slot.len() == self.g.slots() {
+            return;
+        }
+        let mut first = vec![u32::MAX; self.g.m()];
+        let mut rev_slot = vec![0u32; self.g.slots()];
+        for (s, &e) in self.g.csr_edge_ids().iter().enumerate() {
             let other = &mut first[e as usize];
             if *other == u32::MAX {
                 *other = s as u32;
@@ -449,17 +464,7 @@ impl<'g> Network<'g> {
                 rev_slot[*other as usize] = s as u32;
             }
         }
-        Network {
-            g,
-            model,
-            sink: Sink::default(),
-            pending: fresh_grid(g),
-            back: Grid::new(),
-            rev_slot,
-            receivers: Vec::new(),
-            doomed: Vec::new(),
-            faults: None,
-        }
+        self.rev_slot = rev_slot;
     }
 
     /// [`Network::new`]; the thread count is ignored. Kept only for the
@@ -511,10 +516,11 @@ impl<'g> Network<'g> {
     /// assert_eq!(trace.total.messages, net.stats().messages);
     /// ```
     pub fn attach_tracer(&mut self, mut tracer: Tracer) {
-        let ends: Vec<(usize, usize)> = self.g.edges().map(|(_, u, v)| (u, v)).collect();
+        // only a tracer that keeps edge loads reads the endpoint table (its
+        // hotspots name both ends); per-edge tallies read the graph's flat
+        // `edge_ids` array directly
+        let ends = if tracer.records_edge_loads() { self.g.edges().map(|(_, u, v)| (u, v)).collect() } else { Vec::new() };
         tracer.bind_topology(self.g.n(), self.g.m(), ends);
-        // per-edge load tallies read the graph's flat `edge_ids` array
-        // directly — no per-port side table to build
         self.sink.tracer = Some(tracer);
     }
 
@@ -569,13 +575,29 @@ impl<'g> Network<'g> {
     }
 
     /// A network over `sub = G[map]`, a cluster of this network's graph
-    /// (`map[local] = host`), under this network's model and its fault
-    /// schedule as [`FaultState::cluster`] views it with the cluster's
-    /// round 0 at this network's round `first_round`; no tracer or recorder.
-    pub fn cluster<'s>(&self, sub: &'s Graph, map: &[usize], first_round: u64) -> Network<'s> {
+    /// (`map[local] = host`), under this network's model and the schedule
+    /// [`Network::cluster_faults`] views; no tracer or recorder. Its round 0
+    /// is this network's next round.
+    pub fn cluster<'s>(&self, sub: &'s Graph, map: &[usize]) -> Network<'s> {
         let mut net = Network::new(sub, self.model);
-        net.faults = self.faults.as_ref().map(|f| f.cluster(self.g, sub, map, first_round));
+        net.faults = self.cluster_faults(sub, map);
         net
+    }
+
+    /// This network's fault schedule seen from its cluster `sub = G[map]`
+    /// from its next round on: `sub`'s vertex, edge and round ids in (round
+    /// 0 is this network's next round), this network's verdicts out, for a
+    /// walk that asks [`FaultState::kills`] without running rounds. `None`
+    /// when no plan is installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge of `sub` is not an edge of this graph between the
+    /// mapped vertices.
+    pub fn cluster_faults(&self, sub: &Graph, map: &[usize]) -> Option<FaultState> {
+        // delivery precedes the round's booking, so `stats.rounds` is the
+        // index of the next round to run
+        self.faults.as_ref().map(|f| f.cluster(self.g, sub, map, self.sink.stats.rounds))
     }
 
     /// The attached tracer, if any (e.g. to annotate the current span).
@@ -726,6 +748,7 @@ impl<'g> Network<'g> {
         H: FnMut(&St) -> bool,
     {
         assert_eq!(states.len(), self.g.n(), "one state per vertex");
+        self.pair_slots();
         let offsets = self.g.csr_offsets();
         let step = consume.is_none();
         let mut inbox = take_grid(self.g, &mut self.pending);
@@ -791,6 +814,7 @@ impl<'g> Network<'g> {
                 && senders.last().is_none_or(|&v| v < self.g.n()),
             "senders must be strictly ascending vertex ids"
         );
+        self.pair_slots();
         let (offsets, neighbors) = (self.g.csr_offsets(), self.g.csr_neighbors());
         let mut inbox = take_grid(self.g, &mut self.pending);
         let mut out = self.outbox(&mut inbox);
@@ -1365,54 +1389,60 @@ mod tests {
     }
 
     /// Unit cost of the dense round forms on `engine-dense`'s graph
-    /// (`power_law(4·10⁵, 2)`), best of five rounds: a full exchange round
-    /// (every port sends 2 words) and a quarter-full step round (one
-    /// 2-word message per vertex). `cargo test --release -p lcg-congest
-    /// --lib probe_round -- --ignored --nocapture --test-threads=1`.
+    /// (`power_law(4·10⁵, 2)`): a full exchange round (every port sends 2
+    /// words) and a quarter-full step round (one 2-word message per vertex),
+    /// best of five on a warm network, and cold — the first of each on a
+    /// fresh network, in `engine-dense`'s order, so they also pay the slot
+    /// pairing and the grids they allocate. `cargo test --release -p
+    /// lcg-congest --lib probe_round -- --ignored --nocapture --test-threads=1`.
     #[test]
-    #[ignore = "probe: prints ns per slot of a full and a quarter-full round"]
+    #[ignore = "probe: prints ns per slot of a full and a quarter-full round, warm and cold"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
     fn probe_round_unit_cost() {
         let g = gen::power_law(400_000, 2, &mut gen::seeded_rng(20220725));
-        let mut net = Network::new(&g, Model::congest());
         let mut acc = vec![0u64; g.n()];
-        let mut best_ns = |net: &mut Network, round: &dyn Fn(&mut Network, &mut [u64])| {
-            (0..5)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    round(net, &mut acc);
-                    started.elapsed().as_nanos() as f64
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
         let absorb = |acc: &mut u64, inbox: &Inbox| {
             for m in inbox.iter().flatten() {
                 *acc = acc.wrapping_add(m[0]).rotate_left(m[1] as u32 % 63 + 1);
             }
         };
-        let full = best_ns(&mut net, &|net, acc| {
+        let full = |net: &mut Network, acc: &mut [u64]| {
             let sends = |acc: &mut u64, _, v: usize, out: &mut Outbox| {
                 for p in 0..out.ports() {
                     out.send(p, [*acc ^ v as u64, p as u64]);
                 }
             };
             net.exchange_rounds(1, acc, sends, |acc, _, _, inbox| absorb(acc, inbox), |_| false);
-        });
-        let quarter = best_ns(&mut net, &|net, acc| {
+        };
+        let quarter = |net: &mut Network, acc: &mut [u64]| {
             net.step_state(acc, |acc, v, inbox, out| {
                 absorb(acc, inbox);
                 if out.ports() > 0 {
                     out.send(v % out.ports(), [*acc, v as u64]);
                 }
             });
-        });
+        };
+        let mut timed = |net: &mut Network, round: &dyn Fn(&mut Network, &mut [u64])| {
+            let started = std::time::Instant::now();
+            round(net, &mut acc);
+            started.elapsed().as_nanos() as f64
+        };
+        let mut cold = Network::new(&g, Model::congest());
+        let (cold_full, cold_quarter) = (timed(&mut cold, &full), timed(&mut cold, &quarter));
+        let mut net = Network::new(&g, Model::congest());
+        let mut best_ns = |round: &dyn Fn(&mut Network, &mut [u64])| {
+            (0..5).map(|_| timed(&mut net, round)).fold(f64::INFINITY, f64::min)
+        };
+        let (full, quarter) = (best_ns(&full), best_ns(&quarter));
         let slots = g.slots() as f64;
         println!(
-            "round n {} slots {}: full exchange {:.1} ns/slot, quarter-full step {:.1} ns/slot",
+            "round n {} slots {}: full exchange {:.1} ns/slot warm, {:.1} cold; quarter-full step {:.1} ns/slot warm, {:.1} cold",
             g.n(),
             g.slots(),
             full / slots,
-            quarter / slots
+            cold_full / slots,
+            quarter / slots,
+            cold_quarter / slots
         );
     }
 }

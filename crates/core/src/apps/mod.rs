@@ -6,7 +6,8 @@
 //! let each leader solve its cluster in cluster order, and repair the cut
 //! edges. Faults are a mode of that one body, not a second one: each app's
 //! private body takes an `Option<Faults>`, and `run` sends a faulted run
-//! through the self-healing harness ([`run_framework_resilient`]). The
+//! through the self-healing harness
+//! ([`run_framework_resilient`](crate::recovery::run_framework_resilient)). The
 //! body then reads the harness's report to finish what faults can break —
 //! maxis, wmaxis and mcm complete greedily to maximality, ldd falls back
 //! to MPX on a degraded run — while mds and corrclust need nothing more.
@@ -18,11 +19,11 @@
 //! `property_testing` runs it at the class's own density; neither has a
 //! resilient mode.
 
-use lcg_congest::FaultPlan;
+use lcg_congest::{FaultPlan, Model, Network};
 use lcg_graph::Graph;
 
-use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{run_framework_resilient, RecoveryPolicy, RecoveryReport};
+use crate::framework::{run_framework_with, FrameworkConfig, FrameworkOutcome};
+use crate::recovery::{resilient, RecoveryPolicy, RecoveryReport};
 
 pub mod corrclust;
 pub mod ldd;
@@ -59,15 +60,25 @@ pub(crate) fn run(
     cfg: FrameworkConfig,
     faults: Option<Faults<'_>>,
 ) -> (FrameworkOutcome, Option<RecoveryReport>) {
-    let Some(Faults { plan, policy }) = faults else {
-        return (run_framework(g, &cfg), None);
-    };
-    let cfg = FrameworkConfig {
-        faults: Some(plan.clone()),
-        ..cfg
-    };
-    let (framework, report) = run_framework_resilient(g, &cfg, policy);
-    (framework, Some(report))
+    let mut net = Network::new(g, Model::congest());
+    net.set_fault_plan(faults.map(|f| f.plan.clone()));
+    run_on(net, &cfg, faults.map(|f| f.policy))
+}
+
+/// [`run`] on `net`'s graph under the schedule `net` carries: plainly
+/// without a `policy`, else through the retry harness.
+pub(crate) fn run_on(
+    net: Network<'_>,
+    cfg: &FrameworkConfig,
+    policy: Option<&RecoveryPolicy>,
+) -> (FrameworkOutcome, Option<RecoveryReport>) {
+    match policy {
+        None => (run_framework_with(net, cfg), None),
+        Some(policy) => {
+            let (framework, report) = resilient(&net, cfg, policy);
+            (framework, Some(report))
+        }
+    }
 }
 
 /// A body's result under faults, with the report that is then always

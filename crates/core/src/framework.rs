@@ -82,8 +82,10 @@ pub struct FrameworkConfig {
     pub metrics: bool,
     /// Fault schedule injected into every communicating phase (election,
     /// orientation, gathering — both the charged-walk and message-faithful
-    /// routers). `None` (the default) and [`FaultPlan::is_vacuous`] plans
-    /// are bit-identical to the fault-free engine. Under active faults the
+    /// routers): the entry points install it on the network the phases
+    /// run on, which reads it at its own rounds. `None` (the default) and
+    /// [`FaultPlan::is_vacuous`] plans are bit-identical to the fault-free
+    /// engine. Under active faults the
     /// run still terminates and reports honestly — elections may disagree
     /// ([`ClusterRun::election_agrees`]), routing may be incomplete — and
     /// the §2.3 detectors plus [`crate::recovery::run_framework_resilient`]
@@ -225,8 +227,22 @@ pub(crate) fn decompose_timed(
 ///
 /// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
 pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
-    let (decomposition, recorder) = decompose_timed(g, cfg);
-    run_framework_timed(g, decomposition, recorder, cfg)
+    run_framework_with(network(g, cfg), cfg)
+}
+
+/// The network a run over `g` starts on: the CONGEST model with
+/// `cfg.faults` installed.
+pub(crate) fn network<'g>(g: &'g Graph, cfg: &FrameworkConfig) -> Network<'g> {
+    let mut net = Network::new(g, Model::congest());
+    net.set_fault_plan(cfg.faults.clone());
+    net
+}
+
+/// [`run_framework`] on `net`'s graph, under the fault schedule `net`
+/// carries instead of `cfg.faults` — a view of another run's network, say.
+pub(crate) fn run_framework_with(net: Network<'_>, cfg: &FrameworkConfig) -> FrameworkOutcome {
+    let (decomposition, recorder) = decompose_timed(net.graph(), cfg);
+    run_framework_timed(net, decomposition, recorder, cfg)
 }
 
 /// Phases 2–5 of Theorem 2.6 on a decomposition the caller supplies — the
@@ -261,24 +277,25 @@ pub fn run_framework_on(
     decomposition: ExpanderDecomposition,
     cfg: &FrameworkConfig,
 ) -> FrameworkOutcome {
-    run_framework_timed(g, decomposition, None, cfg)
+    run_framework_timed(network(g, cfg), decomposition, None, cfg)
 }
 
-/// [`run_framework_on`], continuing the recorder that timed the
+/// Phases 2–5 on `net`, a fresh network over the run's graph carrying the
+/// run's fault schedule, continuing the recorder that timed the
 /// decomposition when this run is the one that computed it. Metrics are
 /// opt-in, and like tracing are observation only: with a recorder attached
 /// the deterministic registry mirrors the logical counters while the
 /// profiling plane times the same phase boundaries the spans mark.
 pub(crate) fn run_framework_timed(
-    g: &Graph,
+    mut net: Network<'_>,
     decomposition: ExpanderDecomposition,
     timed: Option<Recorder>,
     cfg: &FrameworkConfig,
 ) -> FrameworkOutcome {
+    let g = net.graph();
     assert_eq!(decomposition.cluster_of.len(), g.n(), "decomposition is not of this graph");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
-    let mut net = Network::new(g, Model::congest());
     // The tracer is always attached: spans are how PhaseRounds is
     // measured. Series/edge-load recording is the opt-in part.
     net.attach_tracer(Tracer::new(if cfg.trace {
@@ -289,11 +306,6 @@ pub(crate) fn run_framework_timed(
     if let Some(rec) = timed.or_else(|| cfg.metrics.then(|| Recorder::new("framework"))) {
         net.attach_metrics(rec);
     }
-    net.set_fault_plan(cfg.faults.clone());
-    // A vacuous plan exercises the fault-adjudicating delivery path but
-    // changes nothing (bit-verified in lcg-congest); only an *active* plan
-    // relaxes the fault-free invariants below.
-    let faults_active = cfg.faults.as_ref().is_some_and(|f| !f.is_vacuous());
     let cluster_of = decomposition.cluster_of.clone();
 
     // Phase 2: leader election. b = max cluster diameter (each G[V_i] has
@@ -312,6 +324,11 @@ pub(crate) fn run_framework_timed(
     let elected = net.phase("election", |net| {
         primitives::max_flood(net, &degrees, diam_bound, Scope::Intra(&cluster_of))
     });
+    // an election that lost or clipped no message agrees everywhere
+    let election_damaged = {
+        let s = net.stats();
+        s.dropped_messages + s.crashed_messages + s.truncated_messages > 0
+    };
 
     // Phase 3: distributed orientation (so each vertex ships O(1) edges).
     let max_layers = 4 * ((g.n().max(2) as f64).log2().ceil() as usize) + 8;
@@ -351,9 +368,10 @@ pub(crate) fn run_framework_timed(
     net.phase("gathering", |net| {
         // One walk per multi-vertex cluster, all at once on the run's
         // threads, each taking one rng draw as its master seed in cluster
-        // order, whichever router. Under an active plan the outcome reports
-        // the shortfall for the §2.3 reversal detector; a full trace asks
-        // for the host-edge loads of the hotspot table.
+        // order, whichever router, and reading the plan at the gathering's
+        // own rounds. Under an active plan the outcome reports the
+        // shortfall for the §2.3 reversal detector; a full trace asks for
+        // the host-edge loads of the hotspot table.
         let walks: Vec<routing::ClusterWalk<'_>> = subs
             .iter()
             .zip(&leaders_local)
@@ -361,27 +379,18 @@ pub(crate) fn run_framework_timed(
             .filter(|(((sub, _), _), _)| sub.n() > 1)
             .map(|(((sub, map), &leader_local), counts)| routing::ClusterWalk { sub, map, leader_local, counts })
             .collect();
-        let (steps, exec) = (cfg.max_walk_steps, cfg.exec);
-        let mut gathered = if cfg.message_faithful {
-            routing::faithful_walks(net, &walks, steps, &mut rng, cfg.trace, exec)
-        } else {
-            // the plan's clock goes on from the rounds election and
-            // orientation ran on it
-            let faults = cfg.faults.as_ref().map(|plan| (plan, net.stats().rounds));
-            let charged = routing::charged_walks(g, &walks, steps, &mut rng, faults, cfg.trace, exec);
-            charged.into_iter().map(|(outcome, loads)| (outcome, loads, RoundStats::default())).collect()
-        }
-        .into_iter();
+        let route = if cfg.message_faithful { routing::faithful_walks } else { routing::charged_walks };
+        let mut gathered = route(net, &walks, cfg.max_walk_steps, &mut rng, cfg.trace, cfg.exec).into_iter();
         let per_cluster = subs.into_iter().zip(leaders_local).zip(counts);
         for (cid, (((sub, mapping), leader_local), counts)) in per_cluster.enumerate() {
             let leader = mapping[leader_local];
-            // sanity: the flood elects the same leader everywhere — unless an
-            // active fault plan dropped flood messages, in which case the
+            // sanity: the flood elects the same leader everywhere — unless
+            // the plan destroyed or clipped flood messages, in which case the
             // disagreement is *recorded* for the §2.3 detectors, not asserted.
             let election_agrees = mapping.iter().all(|&v| elected[v].1 == leader);
             debug_assert!(
-                faults_active || election_agrees,
-                "fault-free election must agree on the max-degree leader"
+                election_damaged || election_agrees,
+                "an undamaged election must agree on the max-degree leader"
             );
             let routing_outcome = if sub.n() <= 1 {
                 routing::RoutingOutcome {

@@ -33,7 +33,7 @@ use lcg_trace::{TraceConfig, Tracer};
 
 use crate::failure;
 use crate::framework::{
-    decompose_timed, run_framework_timed, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds,
+    decompose_timed, network, run_framework_timed, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds,
 };
 
 /// Seed stride between retry attempts (odd, so all 2^64 derived seeds are
@@ -195,10 +195,14 @@ pub fn singleton_outcome(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
 ///
 /// Retry `k` runs with seed [`derived_seed`]`(cfg.seed, k)` and walk
 /// budget `policy.initial_walk_steps · 2^k` (capped by
-/// `cfg.max_walk_steps`), so a transient fault burst is usually outrun by
-/// the second or third attempt. The returned `stats` accumulate every
-/// attempt plus detector rounds; `phases` and `trace` describe the final
-/// attempt only.
+/// `cfg.max_walk_steps`), on a fresh network that reads the plan from the
+/// same start round as every other attempt — round 0. So a retry differs
+/// from the attempt before it only in its re-rolled walks and its doubled
+/// budget: a fault at a fixed round (a crash, a link down in the election)
+/// strikes every attempt alike, and what a retry can outrun is a loss on
+/// the walk's random path (a drop coin, a down link it now steps around)
+/// or the step cap. The returned `stats` accumulate every attempt plus
+/// detector rounds; `phases` and `trace` describe the final attempt only.
 ///
 /// When `cfg.metrics` is on, the outcome's report folds the deterministic
 /// registries of *every* attempt (`Registry::merge` is order-insensitive,
@@ -211,6 +215,20 @@ pub fn run_framework_resilient(
     cfg: &FrameworkConfig,
     policy: &RecoveryPolicy,
 ) -> (FrameworkOutcome, RecoveryReport) {
+    resilient(&network(g, cfg), cfg, policy)
+}
+
+/// [`run_framework_resilient`] on `base`'s graph, under the fault schedule
+/// `base` carries instead of `cfg.faults`: every attempt runs on a fresh
+/// view of `base` over its whole graph, so each reads the schedule from
+/// `base`'s next round on.
+pub(crate) fn resilient(
+    base: &Network<'_>,
+    cfg: &FrameworkConfig,
+    policy: &RecoveryPolicy,
+) -> (FrameworkOutcome, RecoveryReport) {
+    let g = base.graph();
+    let everyone: Vec<usize> = (0..g.n()).collect();
     let (decomposition, mut timed) = decompose_timed(g, cfg);
     // the run so far: the stats of failed attempts and of every detector
     // pass, the detector rounds, the failures, every attempt's metrics
@@ -228,7 +246,8 @@ pub fn run_framework_resilient(
             ..cfg.clone()
         };
         // only the first attempt reports the decomposition's timer
-        let mut outcome = run_framework_timed(g, decomposition.clone(), timed.take(), &attempt_cfg);
+        let net = base.cluster(g, &everyone);
+        let mut outcome = run_framework_timed(net, decomposition.clone(), timed.take(), &attempt_cfg);
         let mut det_net = Network::new(g, Model::congest());
         let verdicts = detect_failures(&outcome, attempt_cfg.max_walk_steps, &mut det_net);
         // this attempt's registry on top of the failed attempts' (the

@@ -18,7 +18,7 @@
 //!   in all of them at once — on the caller's threads with the outcomes of
 //!   one walk after another; [`charged_walk_routing`] is it on one cluster
 //!   given by its member list, cutting out `G[members]` and checking the
-//!   members itself.
+//!   members itself, on a network over `g` that carries its plan.
 //!
 //! * [`network_walk_routing_with_counts`] is Lemma 2.4 message-faithfully
 //!   in the simulator, on the same trajectories: token `t` steps with the
@@ -29,8 +29,14 @@
 //!   are the next step's live tokens, on a [`Network`] over `G[V_i]`.
 //!   [`faithful_walks`] is it on several clusters at once.
 //!
-//! Both walks run in the cluster's local ids and suffer a fault plan as
-//! [`FaultState::cluster`] views it; only their edge loads name host edges.
+//! One router signature: [`charged_walks`] and [`faithful_walks`] take the
+//! run's network, the clusters' walks, a step cap, the caller's rng, an
+//! edge-load switch and the thread count, and return one [`WalkRecord`]
+//! per walk, so the framework's gathering calls whichever it picks at one
+//! site. Both walks run in the cluster's local ids and suffer the network's
+//! fault schedule as [`Network::cluster_faults`] views it from its next
+//! round on — the plan is compiled once, by the network, and no caller
+//! passes a plan round; only their edge loads name host edges.
 //!
 //! * [`tree_routing`] is the deterministic counterpart standing in for
 //!   Lemma 2.5 (see the substitution table in DESIGN.md): a pipelined
@@ -43,7 +49,7 @@
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use lcg_congest::{ExecConfig, FaultPlan, FaultState, Network, RoundStats};
+use lcg_congest::{ExecConfig, FaultPlan, FaultState, Model, Network, RoundStats};
 use lcg_graph::Graph;
 
 /// Outcome of a routing execution, in CONGEST-round currency.
@@ -245,8 +251,9 @@ impl EdgeTally {
 /// token crossed, sorted by edge id; each crossing is one 2-word message,
 /// so `words = 2 · crossings`. Without it the returned list is empty.
 ///
-/// Under `faults`, the plan's [`FaultState::cluster`] view adjudicates each
-/// crossing of sub edge `e` in (1-based) walk step `s` by
+/// Under `faults`, the plan's view from the cluster
+/// ([`Network::cluster_faults`] of a network over `g` that carries it)
+/// adjudicates each crossing of sub edge `e` in (1-based) walk step `s` by
 /// [`FaultState::kills`]`(s − 1, e, from, to)` — the verdict the simulator's
 /// delivery paths reach, with the coins keyed by `(step, host edge)`. A killed
 /// token still consumed the edge's bandwidth (the crossing is charged and,
@@ -272,7 +279,10 @@ pub fn charged_walk_routing(
 ) -> (RoutingOutcome, Vec<(usize, u64)>) {
     let (sub, map, leader_local) = cut_cluster(g, members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
-    charged_walks(g, &[walk], max_steps, rng, faults.map(|p| (p, 0)), track_edges, ExecConfig::sequential()).remove(0)
+    let mut net = Network::new(g, Model::congest());
+    net.set_fault_plan(faults.cloned());
+    let (outcome, loads, _) = charged_walks(&net, &[walk], max_steps, rng, track_edges, ExecConfig::sequential()).remove(0);
+    (outcome, loads)
 }
 
 /// One cluster's charged walk, for [`charged_walks`].
@@ -288,51 +298,56 @@ pub struct ClusterWalk<'a> {
     pub counts: &'a [usize],
 }
 
-/// The charged walks of several clusters (Theorem 2.6 gathers in every
-/// cluster at once): [`charged_walk_routing`] on each, on the caller's
-/// threads, its outcome and loads equal to successive calls' at every
-/// thread count. `max_steps` and `track_edges` are as there, per walk;
-/// `faults` is the plan with the plan round of the walks' round 0 — step
-/// `s` is plan round `first_round + s − 1`, so a caller whose network has
-/// run rounds on the same plan passes its round count, and
-/// [`charged_walk_routing`] passes 0. The plan is compiled once per call
-/// and viewed from each cluster.
+/// One walk's outcome, delivered words per host edge (`(host edge id,
+/// words)` for every edge that carried any, sorted by edge id; empty unless
+/// tracked) and the [`RoundStats`] of the network it ran on (zero for a
+/// charged walk, which runs none).
+pub type WalkRecord = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
+
+/// The charged walks of several clusters of `net`'s graph (Theorem 2.6
+/// gathers in every cluster at once): [`charged_walk_routing`] on each, on
+/// the caller's threads, its outcome and loads equal to successive calls'
+/// at every thread count. `max_steps` and `track_edges` are as there, per
+/// walk. Each walk suffers `net`'s fault schedule as
+/// [`Network::cluster_faults`] views it, its step `s` at `net`'s round
+/// `next + s − 1` — so a plan `net` has run rounds on is read at the walks'
+/// own rounds — and builds no network.
 ///
 /// # Panics
 ///
 /// Panics if a walk's `counts.len() != sub.n()`, its `leader_local` is not
-/// a vertex of `sub`, or its `sub` is disconnected, and where
-/// [`FaultState::compile`] does: when `faults` names a vertex or edge `g`
-/// lacks.
+/// a vertex of `sub`, or its `sub` is disconnected.
 pub fn charged_walks(
-    g: &Graph,
+    net: &Network,
     walks: &[ClusterWalk<'_>],
     max_steps: usize,
     rng: &mut ChaCha8Rng,
-    faults: Option<(&FaultPlan, u64)>,
     track_edges: bool,
     exec: ExecConfig,
-) -> Vec<(RoutingOutcome, Vec<(usize, u64)>)> {
-    let faults = faults.map(|(plan, first_round)| (FaultState::compile(plan.clone(), g.n(), g.m()), first_round));
-    each_walk(walks, rng, exec, |w, master| {
-        let faults = faults.as_ref().map(|(f, first_round)| f.cluster(g, w.sub, w.map, *first_round));
-        let (outcome, words) = walk_cluster(w, master, max_steps, faults, track_edges);
-        (outcome, host_loads(g, w, &words))
+) -> Vec<WalkRecord> {
+    each_walk(net, walks, rng, exec, |w, master| {
+        let (outcome, words) = walk_cluster(w, master, max_steps, net.cluster_faults(w.sub, w.map), track_edges);
+        (outcome, words, RoundStats::default())
     })
 }
 
-/// Several clusters' walks at once: one master seed per walk drawn from
-/// `rng` in slice order — the draws successive single-cluster calls make —
-/// then `body(walk, master)` on each through [`ExecConfig::map`], weighted
-/// by its token count; results in slice order.
-fn each_walk<T: Send>(
+/// Several clusters' walks of `net`'s graph at once: one master seed per
+/// walk drawn from `rng` in slice order — the draws successive
+/// single-cluster calls make — then `body(walk, master)` on each through
+/// [`ExecConfig::map`], weighted by its token count, its words per sub edge
+/// reported per host edge; results in slice order.
+fn each_walk(
+    net: &Network,
     walks: &[ClusterWalk<'_>],
     rng: &mut ChaCha8Rng,
     exec: ExecConfig,
-    body: impl Fn(&ClusterWalk<'_>, u64) -> T + Sync,
-) -> Vec<T> {
+    body: impl Fn(&ClusterWalk<'_>, u64) -> (RoutingOutcome, Vec<u64>, RoundStats) + Sync,
+) -> Vec<WalkRecord> {
     let seeded: Vec<(&ClusterWalk<'_>, u64)> = walks.iter().map(|w| (w, rng.gen())).collect();
-    exec.map(&seeded, |(w, _)| w.counts.iter().sum::<usize>() as u64, |&(w, master)| body(w, master))
+    exec.map(&seeded, |(w, _)| w.counts.iter().sum::<usize>() as u64, |&(w, master)| {
+        let (outcome, words, traffic) = body(w, master);
+        (outcome, host_loads(net.graph(), w, &words), traffic)
+    })
 }
 
 /// A walk's words per edge of `w.sub` as `(host edge id, words)` for every
@@ -463,7 +478,7 @@ pub fn tree_routing(g: &Graph, members: &[usize], leader: usize) -> RoutingOutco
 /// Lemma 2.4, used by the message-faithful framework to ship
 /// `1 + outdeg(v)` topology words per vertex).
 ///
-/// It runs on [`Network::cluster`] of `net` from `net`'s next round on,
+/// It runs on [`Network::cluster`] of `net`, from `net`'s next round on,
 /// and its statistics and (when `net`'s tracer keeps edge loads) words per
 /// host edge are charged to `net`. Returns the outcome and `net`'s gain.
 ///
@@ -484,7 +499,7 @@ pub fn network_walk_routing_with_counts(
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
     let start = net.stats();
     let track_edges = net.tracer_mut().is_some_and(|t| t.records_edge_loads());
-    let (outcome, words, traffic) = faithful_walk(net.cluster(&sub, &map, start.rounds), &walk, max_steps, rng.gen(), track_edges);
+    let (outcome, words, traffic) = faithful_walk(net.cluster(&sub, &map), &walk, max_steps, rng.gen(), track_edges);
     net.charge_stats(&traffic);
     if let Some(t) = net.tracer_mut() {
         for (e, words) in host_loads(g, &walk, &words) {
@@ -494,14 +509,10 @@ pub fn network_walk_routing_with_counts(
     (outcome, net.stats().since(&start))
 }
 
-/// One message-faithful walk's outcome, delivered words per host edge (in
-/// [`charged_walks`]' form) and cluster network [`RoundStats`].
-pub type FaithfulWalk = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
-
-/// [`charged_walks`] with message-faithful walks, each cluster of `net`'s
-/// graph on [`Network::cluster`]`(sub, map, net.stats().rounds)`: from
-/// `net`'s next round on, so a plan `net` has run rounds on is read at
-/// the walks' own rounds.
+/// [`charged_walks`] with message-faithful walks, each cluster on
+/// [`Network::cluster`] of `net`: from `net`'s next round on, so a plan
+/// `net` has run rounds on is read at the walks' own rounds. Each record
+/// carries its cluster network's [`RoundStats`].
 ///
 /// # Panics
 ///
@@ -513,12 +524,8 @@ pub fn faithful_walks(
     rng: &mut ChaCha8Rng,
     track_edges: bool,
     exec: ExecConfig,
-) -> Vec<FaithfulWalk> {
-    each_walk(walks, rng, exec, |w, master| {
-        let cluster = net.cluster(w.sub, w.map, net.stats().rounds);
-        let (outcome, words, traffic) = faithful_walk(cluster, w, max_steps, master, track_edges);
-        (outcome, host_loads(net.graph(), w, &words), traffic)
-    })
+) -> Vec<WalkRecord> {
+    each_walk(net, walks, rng, exec, |w, master| faithful_walk(net.cluster(w.sub, w.map), w, max_steps, master, track_edges))
 }
 
 /// Cluster `w`'s charged trajectories plus engine queueing on `net`, a
@@ -1104,8 +1111,16 @@ mod tests {
                 .zip(&leaders)
                 .map(|(((sub, map), counts), &leader_local)| ClusterWalk { sub, map, leader_local, counts })
                 .collect();
+            let mut net = Network::new(&g, Model::congest());
+            net.set_fault_plan(plan.clone());
             let mut all_rng = gen::seeded_rng(seed);
-            let all = charged_walks(&g, &walks, max_steps, &mut all_rng, faults.map(|p| (p, 0)), track_edges, ExecConfig::with_threads(threads));
+            let all: Vec<_> = charged_walks(&net, &walks, max_steps, &mut all_rng, track_edges, ExecConfig::with_threads(threads))
+                .into_iter()
+                .map(|(outcome, loads, traffic)| {
+                    assert_eq!(traffic, RoundStats::default(), "a charged walk runs no rounds");
+                    (outcome, loads)
+                })
+                .collect();
             proptest::prop_assert_eq!(all, one);
             proptest::prop_assert_eq!(all_rng.gen::<u64>(), one_rng.gen::<u64>());
         }
@@ -1155,7 +1170,7 @@ mod tests {
         max_steps: usize,
         seed: u64,
     ) -> (RoutingOutcome, RoundStats, Vec<(usize, u64)>, u64) {
-        let mut net = Network::new(g, lcg_congest::Model::congest());
+        let mut net = Network::new(g, Model::congest());
         let every_edge = lcg_trace::TraceConfig::full("faithful").with_top_k(g.m());
         net.attach_tracer(lcg_trace::Tracer::new(every_edge));
         let mut rng = gen::seeded_rng(seed);
@@ -1274,7 +1289,7 @@ mod tests {
                 charged_walk_reference(&g, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7), None, false);
             let runs: Vec<(RoutingOutcome, RoundStats, f64)> = (0..3)
                 .map(|_| {
-                    let mut net = Network::new(&g, lcg_congest::Model::congest());
+                    let mut net = Network::new(&g, Model::congest());
                     let started = std::time::Instant::now();
                     let (out, stats) =
                         network_walk_routing_with_counts(&mut net, &members, leader, &counts, usize::MAX, &mut gen::seeded_rng(7));
@@ -1327,7 +1342,6 @@ mod tests {
 
     #[test]
     fn network_routing_delivers_with_real_messages() {
-        use lcg_congest::Model;
         let mut rng = gen::seeded_rng(136);
         let g = gen::complete(16);
         let members: Vec<usize> = (0..16).collect();
@@ -1345,7 +1359,6 @@ mod tests {
 
     #[test]
     fn network_routing_respects_cluster_boundary() {
-        use lcg_congest::Model;
         let mut rng = gen::seeded_rng(137);
         let g = gen::grid(6, 4);
         // cluster = left 3 columns

@@ -104,8 +104,9 @@ fn charged_walk(exec: ExecConfig) -> (routing::RoutingOutcome, Vec<(usize, u64)>
         &g, &members, 0, &counts, 100_000, &mut gen::seeded_rng(0x5CA2), None, true,
     );
     let walk = routing::ClusterWalk { sub: &g, map: &members, leader_local: 0, counts: &counts };
-    let batched = routing::charged_walks(&g, &[walk], 100_000, &mut gen::seeded_rng(0x5CA2), None, true, exec);
-    assert_eq!(batched, [(out, loads.clone())]);
+    let net = Network::new(&g, Model::congest());
+    let batched = routing::charged_walks(&net, &[walk], 100_000, &mut gen::seeded_rng(0x5CA2), true, exec);
+    assert_eq!(batched, [(out, loads.clone(), RoundStats::default())]);
     assert!(out.complete());
     (out, loads)
 }

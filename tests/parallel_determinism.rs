@@ -79,7 +79,8 @@ fn walk_routing_thread_invariant() {
     assert_invariant(|exec| {
         let mut rng = gen::seeded_rng(0xA12);
         let walk = routing::ClusterWalk { sub: &g, map: &members, leader_local: 0, counts: &counts };
-        let (out, _) = routing::charged_walks(&g, &[walk], 200_000, &mut rng, None, false, exec).remove(0);
+        let net = Network::new(&g, Model::congest());
+        let (out, _, _) = routing::charged_walks(&net, &[walk], 200_000, &mut rng, false, exec).remove(0);
         assert!(out.complete());
         out
     });
