@@ -11,7 +11,7 @@ use lcg_congest::{FaultPlan, Model, Network, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::matching;
 
-use crate::apps::{reported, run, scaled, Faults};
+use crate::apps::{reported, run_on, scaled, Faults};
 use crate::framework::FrameworkOutcome;
 use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
@@ -25,21 +25,21 @@ use crate::recovery::{RecoveryPolicy, RecoveryReport};
 /// [`lcg_solvers::star_elim::star_elimination`] in *which* twin survives, but both are
 /// star-free kernels with the same maximum-matching size.
 pub fn distributed_star_elimination(g: &Graph) -> (Vec<bool>, RoundStats) {
-    star_elimination_core(g, None)
+    let mut net = Network::new(g, Model::congest());
+    (star_elimination_core(&mut net), net.stats())
 }
 
-/// [`distributed_star_elimination`], under a fault schedule when one is
-/// given. Dropped tokens stall the protocol — a pendant whose token is
+/// [`distributed_star_elimination`] on `net`, under the fault schedule it
+/// carries. Dropped tokens stall the protocol — a pendant whose token is
 /// lost is never bounced, a bounce that is lost leaves a twin alive — so
 /// the result may then *not* be star-free; it is still a vertex-induced
 /// kernel with `ν(kernel) ≤ ν(G)`, and every pass strictly shrinks `kept`
 /// or terminates, so the fixpoint loop always exits. The resilient
 /// matching pipeline tolerates the residual stars (they only dilute the
 /// ratio).
-fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, RoundStats) {
+fn star_elimination_core(net: &mut Network) -> Vec<bool> {
+    let g = net.graph();
     let n = g.n();
-    let mut net = Network::new(g, Model::congest());
-    net.set_fault_plan(faults.cloned());
     let mut kept = vec![true; n];
     loop {
         let deg = |v: usize, kept: &[bool]| g.neighbor_vertices(v).filter(|&u| kept[u]).count();
@@ -166,7 +166,7 @@ fn star_elimination_core(g: &Graph, faults: Option<&FaultPlan>) -> (Vec<bool>, R
             break;
         }
     }
-    (kept, net.stats())
+    kept
 }
 
 /// The Lemma 3.1 constant: star-free planar kernels have ν ≥ n̄ / C31.
@@ -213,8 +213,10 @@ pub fn approx_maximum_matching_resilient(
 }
 
 /// Theorem 3.2, plainly or under `faults`: the §3.2 token protocol with
-/// real messages, the framework on the kernel its survivors induce, and
-/// the leaders' exact blossom matchings united over clusters and
+/// real messages, the framework on the kernel its survivors induce — the
+/// next phase of the same execution, on the star-elimination network's
+/// view of `G[kernel]`, so it reads the plan at the rounds that follow —
+/// and the leaders' exact blossom matchings united over clusters and
 /// translated back to `g`'s ids (matchings of disjoint clusters never
 /// conflict). An edgeless `g` leaves an empty kernel, on which the
 /// framework runs like on any other.
@@ -224,16 +226,16 @@ fn mcm(
     seed: u64,
     faults: Option<Faults<'_>>,
 ) -> (McmOutcome, Option<RecoveryReport>) {
-    let (kept, mut stats) = star_elimination_core(g, faults.map(|f| f.plan));
+    let mut net = Network::new(g, Model::congest());
+    net.set_fault_plan(faults.map(|f| f.plan.clone()));
+    let kept = star_elimination_core(&mut net);
+    let mut stats = net.stats();
     let elimination_passes = (stats.rounds / 4).max(1) as usize;
     let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
     let (kernel, kernel_map) = g.induced_subgraph(&survivors);
-    // the physical faults live on host ids; translate them onto the
-    // kernel's vertex/edge numbering before handing them down
-    let kernel_plan = faults.map(|f| restrict_plan_to_kernel(f.plan, g, &kernel, &kernel_map));
-    let faults = faults.zip(kernel_plan.as_ref()).map(|(f, plan)| Faults { plan, ..f });
     // ε' = c·ε with c = 1/C31 so that ε'·n̄ ≤ ε·ν(kernel).
-    let (framework, report) = run(&kernel, scaled((epsilon / C31).min(0.9), seed), faults);
+    let cfg = scaled((epsilon / C31).min(0.9), seed);
+    let (framework, report) = run_on(net.cluster(&kernel, &kernel_map), &cfg, faults.map(|f| f.policy));
     stats.merge(&framework.stats);
 
     let mut mate: Vec<Option<usize>> = vec![None; g.n()];
@@ -267,43 +269,6 @@ fn mcm(
     };
     debug_assert!(is_valid(g, &out));
     (out, report)
-}
-
-/// Translates a host-graph fault plan onto the kernel's numbering: the
-/// i.i.d. drop stream and truncation carry over unchanged (re-keyed by
-/// kernel edge ids), crashes of eliminated vertices and failures of
-/// edges with an eliminated endpoint are discarded — those nodes and
-/// links carry no kernel traffic to fault.
-fn restrict_plan_to_kernel(
-    plan: &FaultPlan,
-    g: &Graph,
-    kernel: &Graph,
-    kernel_map: &[usize],
-) -> FaultPlan {
-    let mut host_to_kernel = vec![usize::MAX; g.n()];
-    for (k, &h) in kernel_map.iter().enumerate() {
-        host_to_kernel[h] = k;
-    }
-    let mut out = FaultPlan::drops(plan.seed, plan.drop_prob);
-    if let Some(w) = plan.truncate_words {
-        out = out.with_truncation(w);
-    }
-    for c in &plan.crashes {
-        let k = host_to_kernel[c.node];
-        if k != usize::MAX {
-            out = out.with_crash(k, c.at_round);
-        }
-    }
-    for lf in &plan.link_failures {
-        let (u, v) = g.endpoints(lf.edge);
-        let (ku, kv) = (host_to_kernel[u], host_to_kernel[v]);
-        if ku != usize::MAX && kv != usize::MAX {
-            if let Some(e) = kernel.edge_id(ku, kv) {
-                out = out.with_link_failure(e, lf.from_round, lf.until_round);
-            }
-        }
-    }
-    out
 }
 
 /// Validity check over the original graph.
@@ -442,5 +407,37 @@ mod tests {
         let out = approx_maximum_matching(&g, 0.5, 2);
         assert!(is_valid(&g, &out));
         assert_eq!(out.size, 1); // ν(star) = 1
+    }
+
+    /// Star elimination and the kernel's framework are consecutive phases of
+    /// one execution, so the kernel reads the host's plan at the host's
+    /// rounds: a link down on a kernel edge during star elimination's rounds
+    /// only destroys nothing of the kernel framework's, which floods that
+    /// edge from its first round on.
+    #[test]
+    fn a_link_down_during_star_elimination_spares_the_kernel_framework() {
+        use crate::recovery::RecoveryPolicy;
+        use lcg_congest::FaultPlan;
+        let g = gen::random_planar(80, 0.5, &mut gen::seeded_rng(255));
+        let (kept, elimination) = distributed_star_elimination(&g);
+        let plain = approx_maximum_matching(&g, 0.4, 3);
+        let survivors: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
+        let (kernel, _) = g.induced_subgraph(&survivors);
+        let cluster_of = &plain.framework.decomposition.cluster_of;
+        // inside a kernel cluster, so the election floods it every round;
+        // both ends keep three kernel neighbours, so no star-elimination
+        // token crosses it
+        let (a, b) = kernel
+            .edges()
+            .map(|(_, a, b)| (a, b))
+            .find(|&(a, b)| cluster_of[a] == cluster_of[b] && kernel.degree(a) >= 3 && kernel.degree(b) >= 3)
+            .expect("an intra-cluster kernel edge between kernel vertices of degree 3");
+        let e = g.edge_id(survivors[a], survivors[b]).expect("a kernel edge is a host edge");
+        let plan = FaultPlan::none().with_link_failure(e, 0, elimination.rounds);
+        let (out, report) =
+            approx_maximum_matching_resilient(&g, 0.4, 3, &plan, &RecoveryPolicy::default_budget());
+        assert_eq!(out.stats.dropped_messages, 0, "edge {e} is down in rounds 0..{} only", elimination.rounds);
+        assert_eq!(report.attempts, 1);
+        assert_eq!(out.mate, plain.mate);
     }
 }
