@@ -21,16 +21,12 @@
 //! the order messages are sent in, a faulty execution is **bit-identical
 //! from run to run**, the same guarantee the engine gives fault-free runs.
 //!
-//! # One interpreter, one clock
-//!
-//! [`crate::Network::set_fault_plan`] compiles a plan into a
-//! [`FaultState`], the one interpreter; nothing else compiles one. Every
-//! other schedule of a run — a cluster network's, a charged walk's, a retry
-//! attempt's, MCM's kernel framework's — is a view of a network's
-//! ([`crate::Network::cluster`], [`crate::Network::cluster_faults`]), taken
-//! at that network's current round: local ids and rounds in, the host's
-//! verdicts out. Views compose, so however a run nests its phases it
-//! suffers one schedule on one clock, and no caller passes a plan round.
+//! Only `set_fault_plan` compiles a plan, into a [`FaultState`], the one
+//! interpreter. Every other schedule of a run — a cluster network's, a
+//! charged walk's, a retry's, MCM's kernel framework's — is a view of a
+//! network's, taken at its current round (local ids in, host verdicts out),
+//! and views compose: one schedule on one clock, and no caller passes a
+//! plan round.
 
 use lcg_graph::Graph;
 use rand::{RngCore, SeedableRng};
@@ -71,7 +67,6 @@ pub struct NodeCrash {
 /// let plan = FaultPlan::drops(0xBAD5EED, 0.25)
 ///     .with_link_failure(3, 0, 10)
 ///     .with_crash(7, 100);
-/// assert!(!plan.is_vacuous());
 /// // decisions are reproducible: same key, same verdict
 /// let d = plan.drops_message(5, 12, false);
 /// assert_eq!(plan.drops_message(5, 12, false), d);
@@ -133,15 +128,6 @@ impl FaultPlan {
         self
     }
 
-    /// `true` when the plan can never affect any message — the network
-    /// treats a vacuous plan exactly like no plan.
-    pub fn is_vacuous(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.link_failures.is_empty()
-            && self.crashes.is_empty()
-            && self.truncate_words.is_none()
-    }
-
     /// The i.i.d. drop coin for one message: a ChaCha8 stream is seeded
     /// from `(seed, round, edge)` and the direction selects which of its
     /// first two words is compared against the probability threshold. A
@@ -157,16 +143,10 @@ impl FaultPlan {
         let mut stream = ChaCha8Rng::seed_from_u64(key);
         let forward = stream.next_u64();
         let word = if reverse_dir { stream.next_u64() } else { forward };
-        word < drop_threshold(self.drop_prob)
+        // `p` onto the u64 range: the cast saturates, so `p = 1` drops all
+        // but the single largest draw (monotone in `p`)
+        word < (self.drop_prob * (u64::MAX as f64)) as u64
     }
-}
-
-/// `p` mapped onto the u64 range. Rust float→int casts saturate, so
-/// `p = 1.0` maps to `u64::MAX` (drops everything except the single
-/// largest draw — indistinguishable from certainty in practice, and
-/// monotone in `p`).
-fn drop_threshold(p: f64) -> u64 {
-    (p * (u64::MAX as f64)) as u64
 }
 
 /// What happened to one message at delivery time.
@@ -295,7 +275,6 @@ mod tests {
     #[test]
     fn vacuous_plan_never_drops() {
         let plan = FaultPlan::none();
-        assert!(plan.is_vacuous());
         let fs = FaultState::compile(plan.clone(), 2, 50);
         for round in 0..50 {
             for edge in 0..50 {

@@ -479,11 +479,6 @@ impl<'g> Network<'g> {
         self.g
     }
 
-    /// The communication model.
-    pub fn model(&self) -> Model {
-        self.model
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> RoundStats {
@@ -516,9 +511,7 @@ impl<'g> Network<'g> {
     /// assert_eq!(trace.total.messages, net.stats().messages);
     /// ```
     pub fn attach_tracer(&mut self, mut tracer: Tracer) {
-        // only a tracer that keeps edge loads reads the endpoint table (its
-        // hotspots name both ends); per-edge tallies read the graph's flat
-        // `edge_ids` array directly
+        // only an edge-load tracer's hotspots name an edge's two ends
         let ends = if tracer.records_edge_loads() { self.g.edges().map(|(_, u, v)| (u, v)).collect() } else { Vec::new() };
         tracer.bind_topology(self.g.n(), self.g.m(), ends);
         self.sink.tracer = Some(tracer);
@@ -585,18 +578,11 @@ impl<'g> Network<'g> {
     }
 
     /// This network's fault schedule seen from its cluster `sub = G[map]`
-    /// from its next round on: `sub`'s vertex, edge and round ids in (round
-    /// 0 is this network's next round), this network's verdicts out, for a
-    /// walk that asks [`FaultState::kills`] without running rounds. `None`
-    /// when no plan is installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge of `sub` is not an edge of this graph between the
-    /// mapped vertices.
+    /// ([`Network::cluster`]'s, for a walk that asks [`FaultState::kills`]
+    /// and runs no rounds): `sub`'s ids in, round 0 at this network's next
+    /// round (`stats.rounds`), this network's verdicts out; `None` without
+    /// a plan.
     pub fn cluster_faults(&self, sub: &Graph, map: &[usize]) -> Option<FaultState> {
-        // delivery precedes the round's booking, so `stats.rounds` is the
-        // index of the next round to run
         self.faults.as_ref().map(|f| f.cluster(self.g, sub, map, self.sink.stats.rounds))
     }
 

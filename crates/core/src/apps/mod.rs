@@ -72,13 +72,9 @@ pub(crate) fn run_on(
     cfg: &FrameworkConfig,
     policy: Option<&RecoveryPolicy>,
 ) -> (FrameworkOutcome, Option<RecoveryReport>) {
-    match policy {
-        None => (run_framework_with(net, cfg), None),
-        Some(policy) => {
-            let (framework, report) = resilient(&net, cfg, policy);
-            (framework, Some(report))
-        }
-    }
+    let Some(policy) = policy else { return (run_framework_with(net, cfg), None) };
+    let (framework, report) = resilient(&net, cfg, policy);
+    (framework, Some(report))
 }
 
 /// A body's result under faults, with the report that is then always

@@ -84,8 +84,8 @@ pub struct FrameworkConfig {
     /// orientation, gathering — both the charged-walk and message-faithful
     /// routers): the entry points install it on the network the phases
     /// run on, which reads it at its own rounds. `None` (the default) and
-    /// [`FaultPlan::is_vacuous`] plans are bit-identical to the fault-free
-    /// engine. Under active faults the
+    /// a vacuous plan ([`FaultPlan::none`]) are bit-identical to the
+    /// fault-free engine. Under active faults the
     /// run still terminates and reports honestly — elections may disagree
     /// ([`ClusterRun::election_agrees`]), routing may be incomplete — and
     /// the §2.3 detectors plus [`crate::recovery::run_framework_resilient`]
@@ -181,11 +181,6 @@ pub struct PhaseRounds {
 }
 
 impl FrameworkOutcome {
-    /// Cluster id of a host vertex.
-    pub fn cluster_of(&self, v: usize) -> usize {
-        self.decomposition.cluster_of[v]
-    }
-
     /// Number of inter-cluster edges.
     pub fn cut_edges(&self) -> usize {
         self.decomposition.cut_edges.len()
@@ -230,16 +225,14 @@ pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
     run_framework_with(network(g, cfg), cfg)
 }
 
-/// The network a run over `g` starts on: the CONGEST model with
-/// `cfg.faults` installed.
+/// A CONGEST network over `g` carrying `cfg.faults`.
 pub(crate) fn network<'g>(g: &'g Graph, cfg: &FrameworkConfig) -> Network<'g> {
     let mut net = Network::new(g, Model::congest());
     net.set_fault_plan(cfg.faults.clone());
     net
 }
 
-/// [`run_framework`] on `net`'s graph, under the fault schedule `net`
-/// carries instead of `cfg.faults` — a view of another run's network, say.
+/// [`run_framework`] under the schedule `net` carries, not `cfg.faults`.
 pub(crate) fn run_framework_with(net: Network<'_>, cfg: &FrameworkConfig) -> FrameworkOutcome {
     let (decomposition, recorder) = decompose_timed(net.graph(), cfg);
     run_framework_timed(net, decomposition, recorder, cfg)
@@ -325,10 +318,8 @@ pub(crate) fn run_framework_timed(
         primitives::max_flood(net, &degrees, diam_bound, Scope::Intra(&cluster_of))
     });
     // an election that lost or clipped no message agrees everywhere
-    let election_damaged = {
-        let s = net.stats();
-        s.dropped_messages + s.crashed_messages + s.truncated_messages > 0
-    };
+    let s = net.stats();
+    let election_damaged = s.dropped_messages + s.crashed_messages + s.truncated_messages > 0;
 
     // Phase 3: distributed orientation (so each vertex ships O(1) edges).
     let max_layers = 4 * ((g.n().max(2) as f64).log2().ceil() as usize) + 8;

@@ -218,10 +218,9 @@ pub fn run_framework_resilient(
     resilient(&network(g, cfg), cfg, policy)
 }
 
-/// [`run_framework_resilient`] on `base`'s graph, under the fault schedule
-/// `base` carries instead of `cfg.faults`: every attempt runs on a fresh
-/// view of `base` over its whole graph, so each reads the schedule from
-/// `base`'s next round on.
+/// [`run_framework_resilient`] under the schedule `base` carries: each
+/// attempt runs on a fresh view of `base` over its whole graph, reading the
+/// schedule from `base`'s next round on.
 pub(crate) fn resilient(
     base: &Network<'_>,
     cfg: &FrameworkConfig,
@@ -298,6 +297,7 @@ fn conclude(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::run_framework;
     use lcg_congest::FaultPlan;
     use lcg_graph::gen;
 
@@ -320,12 +320,14 @@ mod tests {
         assert!(out.stats.rounds >= report.detector_rounds);
     }
 
+    /// Drops at 0.45 and eight links down for good: every attempt reads
+    /// the same schedule from round 0, so no retry outruns the links. What
+    /// is checked is the contract whatever happens: a valid structure, an
+    /// honest report, cumulative stats.
     #[test]
-    fn transient_faults_are_outrun_by_retries() {
+    fn lossy_runs_keep_the_recovery_contract() {
         let mut rng = gen::seeded_rng(401);
         let g = gen::random_planar(70, 0.5, &mut rng);
-        // heavy early link damage that expires at round 40: attempt 0 is
-        // likely damaged, later attempts re-roll walks past the burst
         let mut plan = FaultPlan::drops(0x7_BAD, 0.45);
         for e in 0..g.m().min(8) {
             plan = plan.with_link_failure(e, 0, u64::MAX);
@@ -340,8 +342,6 @@ mod tests {
             initial_walk_steps: 4_000,
         };
         let (out, report) = run_framework_resilient(&g, &cfg, &policy);
-        // whatever happened, the contract holds: valid structure, honest
-        // report, cumulative stats
         out.decomposition.validate(&g).unwrap();
         assert!(report.attempts >= 1 && report.attempts <= 3);
         if report.degraded {
@@ -349,6 +349,28 @@ mod tests {
             assert!(!report.failures.is_empty());
         }
         assert!(out.stats.rounds >= report.detector_rounds);
+    }
+
+    /// Every attempt runs on a fresh network that reads the plan from the
+    /// same start round, so a fault at a fixed round strikes each attempt
+    /// alike: a link down in two election rounds destroys the same messages,
+    /// at the same rounds, in every attempt of a run that retries for want
+    /// of walk steps.
+    #[test]
+    fn every_attempt_meets_a_fault_at_the_same_plan_round() {
+        let g = gen::grid(6, 6);
+        let plain = FrameworkConfig::planar(0.3, 11);
+        let cluster_of = run_framework(&g, &plain).decomposition.cluster_of;
+        let (e, _, _) = g.edges().find(|&(_, u, v)| cluster_of[u] == cluster_of[v]).expect("an intra-cluster edge");
+        let cfg = FrameworkConfig { faults: Some(FaultPlan::none().with_link_failure(e, 1, 3)), ..plain };
+        // 64 walk steps cannot gather a 6x6 grid; some doubling of it can
+        let starved = RecoveryPolicy { max_retries: 12, initial_walk_steps: 64 };
+        let (out, report) = run_framework_resilient(&g, &cfg, &starved);
+        assert!(report.attempts > 1 && !report.degraded, "{report:?}");
+        let first = run_framework(&g, &FrameworkConfig { max_walk_steps: 64, ..cfg });
+        assert!(first.stats.dropped_messages > 0, "the link carries election messages in rounds 1 and 2");
+        assert_eq!(out.stats.dropped_messages, u64::from(report.attempts) * first.stats.dropped_messages);
+        assert_eq!(out.trace.faults, first.trace.faults, "the last attempt met the fault where the first did");
     }
 
     #[test]

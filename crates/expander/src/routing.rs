@@ -232,34 +232,11 @@ impl EdgeTally {
 /// Lemma 2.4, charged: route `counts[i]` tokens from member `i` of
 /// `members` (the paper's `L · deg(v)` formulation — the framework ships
 /// each vertex's `1 + outdeg(v)` topology words in one execution) to
-/// `leader` by lazy random walks over the induced subgraph `G[members]`.
-///
-/// Walks step for at most `max_steps` logical steps (the lemma uses
-/// `O(φ⁻⁴ log² n)`); the function returns early once every token is
-/// absorbed or destroyed.
-///
-/// The walk takes one draw from `rng` as its master seed; token `t`'s step
-/// `s` then reads the single 64-bit draw `h(master, t, s)` — its lazy coin
-/// and its port — which no other token's step touches. The walk runs
-/// step-major: each step every live token moves once and its crossing is
-/// charged to the edge-load table at once. `rng` advances by exactly one
-/// draw whatever the other arguments are. This is [`charged_walks`] on
-/// one cluster.
-///
-/// `track_edges` additionally returns the cumulative per-edge word load of
-/// the walk: `(host_edge_id, words)` for every host edge at least one
-/// token crossed, sorted by edge id; each crossing is one 2-word message,
-/// so `words = 2 · crossings`. Without it the returned list is empty.
-///
-/// Under `faults`, the plan's view from the cluster
-/// ([`Network::cluster_faults`] of a network over `g` that carries it)
-/// adjudicates each crossing of sub edge `e` in (1-based) walk step `s` by
-/// [`FaultState::kills`]`(s − 1, e, from, to)` — the verdict the simulator's
-/// delivery paths reach, with the coins keyed by `(step, host edge)`. A killed
-/// token still consumed the edge's bandwidth (the crossing is charged and,
-/// when tracked, tallied) but the token is destroyed, so the outcome can
-/// come back incomplete and `routing_failure_detected` fires. Trajectories
-/// are bit-identical to the fault-free walk; only token survival differs.
+/// `leader` by lazy random walks over the induced subgraph `G[members]`
+/// for at most `max_steps` logical steps (the lemma uses `O(φ⁻⁴ log² n)`),
+/// under `faults` when given. This is [`charged_walks`] on one cluster, on
+/// a network over `g` that carries `faults`: see there for the draw, the
+/// fault verdicts and the loads `track_edges` returns.
 ///
 /// # Panics
 ///
@@ -285,7 +262,7 @@ pub fn charged_walk_routing(
     (outcome, loads)
 }
 
-/// One cluster's charged walk, for [`charged_walks`].
+/// One cluster's walk, for [`charged_walks`] and [`faithful_walks`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterWalk<'a> {
     /// The cluster's induced subgraph `G[V_i]`; it must be connected.
@@ -305,13 +282,26 @@ pub struct ClusterWalk<'a> {
 pub type WalkRecord = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
 
 /// The charged walks of several clusters of `net`'s graph (Theorem 2.6
-/// gathers in every cluster at once): [`charged_walk_routing`] on each, on
-/// the caller's threads, its outcome and loads equal to successive calls'
-/// at every thread count. `max_steps` and `track_edges` are as there, per
-/// walk. Each walk suffers `net`'s fault schedule as
+/// gathers in every cluster at once) on the caller's threads, with the
+/// outcomes of one walk after another at every thread count.
+///
+/// Each walk takes one draw from `rng` as its master seed, in slice order;
+/// token `t`'s step `s` then reads the single 64-bit draw `h(master, t, s)`
+/// — its lazy coin and its port — which no other token's step touches. A
+/// walk runs step-major for at most `max_steps` steps, every live token
+/// moving once per step with its crossing charged to the edge-load table
+/// at once, and ends early once every token is absorbed or destroyed.
+/// `track_edges` reports its words per host edge (each crossing is one
+/// 2-word message); without it the list is empty.
+///
+/// A walk builds no network: it suffers `net`'s fault schedule as
 /// [`Network::cluster_faults`] views it, its step `s` at `net`'s round
-/// `next + s − 1` — so a plan `net` has run rounds on is read at the walks'
-/// own rounds — and builds no network.
+/// `next + s − 1` (a plan `net` has run rounds on is read at the walk's
+/// own rounds). A crossing of sub edge `e` in step `s` is lost when
+/// [`FaultState::kills`]`(s − 1, e, from, to)`, the engine's verdict at
+/// send; it still consumed the edge's bandwidth (charged and tallied), but
+/// its token is destroyed, so the outcome can come back incomplete and
+/// `routing_failure_detected` fires. Trajectories are the fault-free ones.
 ///
 /// # Panics
 ///
@@ -494,15 +484,13 @@ pub fn network_walk_routing_with_counts(
     max_steps: usize,
     rng: &mut ChaCha8Rng,
 ) -> (RoutingOutcome, RoundStats) {
-    let g = net.graph();
-    let (sub, map, leader_local) = cut_cluster(g, members, leader);
+    let (sub, map, leader_local) = cut_cluster(net.graph(), members, leader);
     let walk = ClusterWalk { sub: &sub, map: &map, leader_local, counts };
-    let start = net.stats();
-    let track_edges = net.tracer_mut().is_some_and(|t| t.records_edge_loads());
-    let (outcome, words, traffic) = faithful_walk(net.cluster(&sub, &map), &walk, max_steps, rng.gen(), track_edges);
+    let (start, track_edges) = (net.stats(), net.tracer_mut().is_some_and(|t| t.records_edge_loads()));
+    let (outcome, loads, traffic) = faithful_walks(net, &[walk], max_steps, rng, track_edges, ExecConfig::sequential()).remove(0);
     net.charge_stats(&traffic);
     if let Some(t) = net.tracer_mut() {
-        for (e, words) in host_loads(g, &walk, &words) {
+        for (e, words) in loads {
             t.add_edge_words(e, words);
         }
     }
