@@ -411,9 +411,9 @@ mod tests {
 
     /// Star elimination and the kernel's framework are consecutive phases of
     /// one execution, so the kernel reads the host's plan at the host's
-    /// rounds: a link down on a kernel edge during star elimination's rounds
-    /// only destroys nothing of the kernel framework's, which floods that
-    /// edge from its first round on.
+    /// rounds: a kernel edge down during star elimination's rounds, and only
+    /// then, destroys no message of the kernel framework, though its
+    /// election floods that edge from its first round on.
     #[test]
     fn a_link_down_during_star_elimination_spares_the_kernel_framework() {
         use crate::recovery::RecoveryPolicy;
