@@ -13,11 +13,11 @@
 //!
 //! Minor containment is NP-hard for general `H`, so the search takes an
 //! explicit node budget and returns [`MinorResult::BudgetExceeded`] when it
-//! is exhausted. Within the workspace it is used on *small* graphs:
-//! validation of the planarity tester, and the K₅/K₃,₃/Kₜ cluster checks in
-//! Theorem 1.4's property tester experiments.
+//! is exhausted. It is an oracle for *small* graphs: the tests check the
+//! planarity tester and Theorem 1.4's minor-closed property verdicts
+//! against their forbidden minors with it.
 
-use crate::graph::Graph;
+use crate::Adjacency;
 
 /// Outcome of a budgeted minor search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,17 +47,15 @@ impl MinorResult {
 /// # Examples
 ///
 /// ```
-/// use lcg_graph::gen;
-/// use lcg_graph::minor::{has_minor, MinorResult};
+/// use lcg_check::minor::{has_minor, MinorResult};
+/// use lcg_check::Adjacency;
 ///
-/// let g = gen::complete(6);
-/// let k5 = gen::complete(5);
-/// assert_eq!(has_minor(&g, &k5, 100_000), MinorResult::Contains);
-/// let tree = gen::path(10);
-/// let k3 = gen::complete(3);
-/// assert_eq!(has_minor(&tree, &k3, 100_000), MinorResult::Free);
+/// let complete = |t: usize| Adjacency::new(t, (0..t).flat_map(|i| (i + 1..t).map(move |j| (i, j))));
+/// assert_eq!(has_minor(&complete(6), &complete(5), 100_000), MinorResult::Contains);
+/// let path = Adjacency::new(10, (1..10).map(|v| (v - 1, v)));
+/// assert_eq!(has_minor(&path, &complete(3), 100_000), MinorResult::Free);
 /// ```
-pub fn has_minor(g: &Graph, h: &Graph, budget: u64) -> MinorResult {
+pub fn has_minor(g: &Adjacency, h: &Adjacency, budget: u64) -> MinorResult {
     let k = h.n();
     if k == 0 {
         return MinorResult::Contains;
@@ -70,7 +68,7 @@ pub fn has_minor(g: &Graph, h: &Graph, budget: u64) -> MinorResult {
         // intended (small forbidden minor) use cases.
         return MinorResult::BudgetExceeded;
     }
-    let h_edges: Vec<(usize, usize)> = h.edges().map(|(_, a, b)| (a, b)).collect();
+    let h_edges: Vec<(usize, usize)> = h.edges().collect();
     let mut s = MinorSearch {
         g,
         k,
@@ -90,14 +88,14 @@ pub fn has_minor(g: &Graph, h: &Graph, budget: u64) -> MinorResult {
 }
 
 /// Tests `K_t ≼ G` with the given budget.
-pub fn has_clique_minor(g: &Graph, t: usize, budget: u64) -> MinorResult {
-    has_minor(g, &crate::gen::complete(t), budget)
+pub fn has_clique_minor(g: &Adjacency, t: usize, budget: u64) -> MinorResult {
+    has_minor(g, &Adjacency::new(t, (0..t).flat_map(|i| (i + 1..t).map(move |j| (i, j)))), budget)
 }
 
 const FREE: usize = usize::MAX;
 
 struct MinorSearch<'a> {
-    g: &'a Graph,
+    g: &'a Adjacency,
     k: usize,
     h_edges: Vec<(usize, usize)>,
     /// Branch-set id of each G vertex, or FREE.
@@ -200,7 +198,7 @@ impl<'a> MinorSearch<'a> {
         } else {
             (0..self.g.n())
                 .filter(|&v| self.color[v] == c)
-                .flat_map(|v| self.g.neighbor_vertices(v))
+                .flat_map(|v| self.g.neighbors(v).iter().copied())
                 .find(|&u| self.color[u] == FREE && self.excluded[u] & bit == 0)
                 .map(|u| (u, c))
         }
@@ -213,7 +211,7 @@ impl<'a> MinorSearch<'a> {
         }
         for v in 0..self.g.n() {
             if self.color[v] == i
-                && self.g.neighbor_vertices(v).any(|u| self.color[u] == j)
+                && self.g.neighbors(v).iter().any(|&u| self.color[u] == j)
             {
                 return true;
             }
@@ -233,7 +231,7 @@ impl<'a> MinorSearch<'a> {
             seen[v] = true;
         }
         while let Some(v) = stack.pop() {
-            for u in self.g.neighbor_vertices(v) {
+            for &u in self.g.neighbors(v) {
                 if self.color[u] == j {
                     return true;
                 }
@@ -250,52 +248,51 @@ impl<'a> MinorSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use lcg_graph::{gen, Graph};
+
+    /// A generator's graph as the checker's own type.
+    fn adj(g: &Graph) -> Adjacency {
+        Adjacency::new(g.n(), g.edges().map(|(_, u, v)| (u, v)))
+    }
 
     const B: u64 = 5_000_000;
 
     #[test]
     fn clique_minors_of_cliques() {
         let k6 = gen::complete(6);
-        assert_eq!(has_clique_minor(&k6, 6, B), MinorResult::Contains);
-        assert_eq!(has_clique_minor(&k6, 7, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&k6), 6, B), MinorResult::Contains);
+        assert_eq!(has_clique_minor(&adj(&k6), 7, B), MinorResult::Free);
     }
 
     #[test]
     fn trees_are_k3_minor_free() {
         let mut rng = gen::seeded_rng(50);
         let t = gen::random_tree(12, &mut rng);
-        assert_eq!(has_clique_minor(&t, 3, B), MinorResult::Free);
-        assert_eq!(has_clique_minor(&t, 2, B), MinorResult::Contains);
+        assert_eq!(has_clique_minor(&adj(&t), 3, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&t), 2, B), MinorResult::Contains);
     }
 
     #[test]
     fn cycle_has_k3_minor() {
-        assert_eq!(has_clique_minor(&gen::cycle(8), 3, B), MinorResult::Contains);
-        assert_eq!(has_clique_minor(&gen::cycle(8), 4, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&gen::cycle(8)), 3, B), MinorResult::Contains);
+        assert_eq!(has_clique_minor(&adj(&gen::cycle(8)), 4, B), MinorResult::Free);
     }
 
     #[test]
     fn planar_graphs_are_k5_free() {
         let g = gen::triangulated_grid(3, 3);
-        assert_eq!(has_clique_minor(&g, 5, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&g), 5, B), MinorResult::Free);
         // ... but a triangulated grid does contain K4.
-        assert_eq!(has_clique_minor(&g, 4, B), MinorResult::Contains);
+        assert_eq!(has_clique_minor(&adj(&g), 4, B), MinorResult::Contains);
         // a sparser planar graph of moderate size also proves K5-free
         let g = gen::grid(4, 4);
-        assert_eq!(has_clique_minor(&g, 5, 50_000_000), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&g), 5, 50_000_000), MinorResult::Free);
     }
 
     #[test]
     fn petersen_has_k5_minor() {
         // contract the five spokes of the Petersen graph -> K5
-        let mut b = crate::graph::GraphBuilder::new(10);
-        for i in 0..5 {
-            b.add_edge(i, (i + 1) % 5);
-            b.add_edge(5 + i, 5 + (i + 2) % 5);
-            b.add_edge(i, i + 5);
-        }
-        let g = b.build();
+        let g = Adjacency::new(10, (0..5).flat_map(|i| [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, i + 5)]));
         assert_eq!(has_clique_minor(&g, 5, B), MinorResult::Contains);
     }
 
@@ -303,21 +300,16 @@ mod tests {
     fn grid_is_k33_minor_free_but_k23_is_not() {
         let g = gen::grid(3, 3);
         let k33 = gen::complete_bipartite(3, 3);
-        assert_eq!(has_minor(&g, &k33, B), MinorResult::Free);
+        assert_eq!(has_minor(&adj(&g), &adj(&k33), B), MinorResult::Free);
         // The 3x3 grid does contain a K_{2,3} minor.
         let k23 = gen::complete_bipartite(2, 3);
-        assert_eq!(has_minor(&g, &k23, B), MinorResult::Contains);
+        assert_eq!(has_minor(&adj(&g), &adj(&k23), B), MinorResult::Contains);
     }
 
     #[test]
     fn k33_minor_in_k33_subdivision() {
-        let k33 = gen::complete_bipartite(3, 3);
-        let mut b = crate::graph::GraphBuilder::new(6 + k33.m());
-        for (e, u, v) in k33.edges() {
-            b.add_edge(u, 6 + e);
-            b.add_edge(6 + e, v);
-        }
-        let g = b.build();
+        let k33 = adj(&gen::complete_bipartite(3, 3));
+        let g = Adjacency::new(6 + k33.m(), k33.edges().enumerate().flat_map(|(e, (u, v))| [(u, 6 + e), (6 + e, v)]));
         assert_eq!(has_minor(&g, &k33, B), MinorResult::Contains);
     }
 
@@ -325,42 +317,42 @@ mod tests {
     fn budget_exhaustion_reported() {
         let g = gen::grid(6, 6);
         let k5 = gen::complete(5);
-        assert_eq!(has_minor(&g, &k5, 50), MinorResult::BudgetExceeded);
+        assert_eq!(has_minor(&adj(&g), &adj(&k5), 50), MinorResult::BudgetExceeded);
     }
 
     #[test]
     fn empty_h_is_trivial_minor() {
         let g = gen::path(3);
-        let h = crate::graph::GraphBuilder::new(0).build();
-        assert_eq!(has_minor(&g, &h, B), MinorResult::Contains);
+        let h = Adjacency::new(0, []);
+        assert_eq!(has_minor(&adj(&g), &h, B), MinorResult::Contains);
     }
 
     #[test]
     fn isolated_h_vertices_need_enough_vertices() {
         // H = 3 isolated vertices; G = path on 2 vertices: not a minor.
-        let h = crate::graph::GraphBuilder::new(3).build();
-        assert_eq!(has_minor(&gen::path(2), &h, B), MinorResult::Free);
-        assert_eq!(has_minor(&gen::path(3), &h, B), MinorResult::Contains);
+        let h = Adjacency::new(3, []);
+        assert_eq!(has_minor(&adj(&gen::path(2)), &h, B), MinorResult::Free);
+        assert_eq!(has_minor(&adj(&gen::path(3)), &h, B), MinorResult::Contains);
     }
 
     #[test]
     fn quick_reject_by_size() {
         let g = gen::path(3);
-        assert_eq!(has_clique_minor(&g, 5, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&g), 5, B), MinorResult::Free);
     }
 
     #[test]
     fn outerplanar_is_k4_free() {
         let mut rng = gen::seeded_rng(51);
         let g = gen::outerplanar_maximal(12, &mut rng);
-        assert_eq!(has_clique_minor(&g, 4, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&g), 4, B), MinorResult::Free);
     }
 
     #[test]
     fn ktree_contains_k_plus_1_clique_minor_only() {
         let mut rng = gen::seeded_rng(52);
         let g = gen::ktree(10, 2, &mut rng);
-        assert_eq!(has_clique_minor(&g, 3, B), MinorResult::Contains);
-        assert_eq!(has_clique_minor(&g, 4, B), MinorResult::Free);
+        assert_eq!(has_clique_minor(&adj(&g), 3, B), MinorResult::Contains);
+        assert_eq!(has_clique_minor(&adj(&g), 4, B), MinorResult::Free);
     }
 }

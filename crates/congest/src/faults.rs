@@ -1,11 +1,11 @@
 //! Deterministic fault injection for the simulator.
 //!
 //! A [`FaultPlan`] describes an *adversarial but reproducible* network:
-//! per-round-interval link failures, seeded i.i.d. message drops, node
-//! crash-stops, and CONGEST-capacity truncation. Attached to a
-//! [`crate::Network`] via `set_fault_plan`, the plan intercepts every
-//! message as it is sent (sending is delivering) — in every round form,
-//! dense or sparse — and decides its fate.
+//! per-round-interval link failures, seeded i.i.d. message drops and node
+//! crash-stops. Attached to a [`crate::Network`] via `set_fault_plan`, the
+//! plan intercepts every message as it is sent (sending is delivering) — in
+//! every round form, dense or sparse — and decides its fate: delivered, or
+//! destroyed by exactly one cause.
 //!
 //! # Determinism
 //!
@@ -81,9 +81,6 @@ pub struct FaultPlan {
     pub link_failures: Vec<LinkFailure>,
     /// Crash-stop nodes.
     pub crashes: Vec<NodeCrash>,
-    /// When set, messages longer than this many words are truncated to it
-    /// at delivery (modelling a capacity-cutting adversary).
-    pub truncate_words: Option<usize>,
 }
 
 impl FaultPlan {
@@ -96,7 +93,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             link_failures: Vec::new(),
             crashes: Vec::new(),
-            truncate_words: None,
         }
     }
 
@@ -119,12 +115,6 @@ impl FaultPlan {
     /// Adds a crash-stop of `node` starting at `at_round`.
     pub fn with_crash(mut self, node: usize, at_round: u64) -> FaultPlan {
         self.crashes.push(NodeCrash { node, at_round });
-        self
-    }
-
-    /// Caps delivered messages at `words` words.
-    pub fn with_truncation(mut self, words: usize) -> FaultPlan {
-        self.truncate_words = Some(words);
         self
     }
 
@@ -152,7 +142,7 @@ impl FaultPlan {
 /// What happened to one message at delivery time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FaultVerdict {
-    /// Delivered (possibly truncated).
+    /// Delivered.
     Deliver,
     /// Destroyed because an endpoint is crashed.
     Crashed,
@@ -233,10 +223,6 @@ impl FaultState {
             host: Some(host),
             first_round: self.first_round + round,
         }
-    }
-
-    pub(crate) fn truncate_words(&self) -> Option<usize> {
-        self.plan.truncate_words
     }
 
     /// The verdict for a message from `from` to `to` over `edge` in

@@ -22,8 +22,8 @@
 //! # Representation invariant
 //!
 //! A message of `len() <= INLINE_WORDS` is **always** stored inline: the
-//! constructors normalize, and [`Msg::truncate`] re-inlines when a spilled
-//! message shrinks across the boundary. Equality, hashing, and ordering
+//! constructors normalize, and nothing shortens a message after it is
+//! built. Equality, hashing, and ordering
 //! are defined on the word slice, so the invariant is belt-and-braces —
 //! but it makes `Clone` of every CONGEST-size message a plain copy and
 //! keeps the proptest round-trip in `tests/msg.rs` meaningful.
@@ -145,26 +145,6 @@ impl Msg {
         match &self.0 {
             Repr::Inline { words, len } => &words[..*len as usize],
             Repr::Spilled(b) => b,
-        }
-    }
-
-    /// Shortens the message to at most `cap` words (no-op when already
-    /// within `cap`). Used by the fault layer's capacity truncation; a
-    /// spilled message that shrinks to `INLINE_WORDS` or fewer re-inlines,
-    /// preserving the representation invariant.
-    #[inline]
-    pub fn truncate(&mut self, cap: usize) {
-        match &mut self.0 {
-            Repr::Inline { len, .. } => {
-                if (*len as usize) > cap {
-                    *len = Len::of(cap);
-                }
-            }
-            Repr::Spilled(b) => {
-                if b.len() > cap {
-                    *self = Msg::from_slice(&b[..cap]);
-                }
-            }
         }
     }
 
@@ -342,19 +322,6 @@ mod tests {
         assert_eq!(m[0], 5);
         assert_eq!(m.iter().sum::<u64>(), 14);
         assert_eq!(m.first(), Some(&5));
-    }
-
-    #[test]
-    fn truncate_reinlines_across_the_boundary() {
-        let mut m = Msg::from(vec![1u64, 2, 3, 4]);
-        assert!(!m.is_inline());
-        m.truncate(5); // no-op
-        assert_eq!(m.len(), 4);
-        m.truncate(2);
-        assert!(m.is_inline(), "spilled → ≤ 2 words must re-inline");
-        assert_eq!(m, [1u64, 2]);
-        m.truncate(0);
-        assert!(m.is_empty() && m.is_inline());
     }
 
     #[test]

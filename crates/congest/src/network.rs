@@ -186,11 +186,10 @@ struct Tally {
     /// that cost a heap allocation) — a deterministic model of the round's
     /// allocation count, surfaced through the metrics registry.
     spilled: u64,
-    /// Messages the fault plan destroyed, by cause, and truncated.
+    /// Messages the fault plan destroyed, by cause.
     dropped: u64,
     link: u64,
     crashed: u64,
-    truncated: u64,
 }
 
 /// A round's outbox, handed to a compose closure for one vertex at a time
@@ -274,36 +273,29 @@ impl<'a> Outbox<'a> {
     }
 
     /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`:
-    /// the plan adjudicates it — a destroyed message is tallied by cause,
-    /// a surviving one truncated to the plan's cap when one is set — and
-    /// the tracer tallies its edge's *delivered* words. A destroyed
+    /// the plan adjudicates it — a destroyed message is tallied by cause —
+    /// and the tracer tallies its edge's *delivered* words. A destroyed
     /// message is stored all the same, so a second send on the port is
     /// still caught, and its slot is listed for [`Outbox::finish`] to
     /// clear before anything reads the grid.
     #[inline(never)]
-    fn deliver(&mut self, port: usize, dest: usize, mut msg: Msg) {
+    fn deliver(&mut self, port: usize, dest: usize, msg: Msg) {
         let w = self.watch.as_mut().expect("only a watched round delivers here");
         let s = self.offsets[self.vertex] as usize + port;
         let e = w.edge_ids[s] as usize;
         if let Some(fs) = w.faults {
             let t = &mut self.tally;
-            match fs.classify(w.round, e, self.vertex, w.neighbors[s] as usize) {
-                FaultVerdict::Deliver => {
-                    if let Some(cap) = fs.truncate_words().filter(|&cap| msg.len() > cap) {
-                        msg.truncate(cap);
-                        t.truncated += 1;
-                    }
-                }
-                lost => {
-                    match lost {
-                        FaultVerdict::Crashed => t.crashed += 1,
-                        FaultVerdict::LinkDown => t.link += 1,
-                        _ => t.dropped += 1,
-                    }
-                    w.doomed.push(dest);
-                    self.grid[dest] = Some(msg);
-                    return;
-                }
+            let lost = match fs.classify(w.round, e, self.vertex, w.neighbors[s] as usize) {
+                FaultVerdict::Deliver => None,
+                FaultVerdict::Crashed => Some(&mut t.crashed),
+                FaultVerdict::LinkDown => Some(&mut t.link),
+                FaultVerdict::Dropped => Some(&mut t.dropped),
+            };
+            if let Some(count) = lost {
+                *count += 1;
+                w.doomed.push(dest);
+                self.grid[dest] = Some(msg);
+                return;
             }
         }
         if let Some(tracer) = w.edges.as_mut() {
@@ -355,20 +347,19 @@ impl Sink {
         let s = &mut self.stats;
         s.dropped_messages += t.dropped + t.link;
         s.crashed_messages += t.crashed;
-        s.truncated_messages += t.truncated;
         s.messages += t.messages;
         s.words += t.words;
         s.max_words_edge_round = s.max_words_edge_round.max(t.max_words);
         s.rounds += 1;
         if let Some(tracer) = self.tracer.as_mut() {
-            for (kind, count) in [("drop", t.dropped), ("link", t.link), ("crash", t.crashed), ("trunc", t.truncated)] {
+            for (kind, count) in [("drop", t.dropped), ("link", t.link), ("crash", t.crashed)] {
                 if count > 0 {
                     tracer.record_fault(kind, count);
                 }
             }
             tracer.record_round(t.messages, t.words, t.max_words);
         }
-        self.fault_counters(t.dropped + t.link, t.crashed, t.truncated);
+        self.fault_counters(t.dropped + t.link, t.crashed);
         if let Some(rec) = self.metrics.as_mut() {
             rec.counter_add("net.delivered_messages", t.messages - t.dropped - t.link - t.crashed);
             rec.counter_add("net.rounds", 1);
@@ -384,13 +375,9 @@ impl Sink {
 
     /// Mirrors fault tallies into the registry; a counter that never fired
     /// stays absent from the report.
-    fn fault_counters(&mut self, dropped: u64, crashed: u64, truncated: u64) {
+    fn fault_counters(&mut self, dropped: u64, crashed: u64) {
         let Some(rec) = self.metrics.as_mut() else { return };
-        for (name, count) in [
-            ("net.dropped_messages", dropped),
-            ("net.crashed_messages", crashed),
-            ("net.truncated_messages", truncated),
-        ] {
+        for (name, count) in [("net.dropped_messages", dropped), ("net.crashed_messages", crashed)] {
             if count > 0 {
                 rec.counter_add(name, count);
             }
@@ -420,7 +407,7 @@ impl Sink {
             rec.counter_add("net.words", s.words);
             rec.gauge_max("net.max_words_edge_round", s.max_words_edge_round as u64);
         }
-        self.fault_counters(s.dropped_messages, s.crashed_messages, s.truncated_messages);
+        self.fault_counters(s.dropped_messages, s.crashed_messages);
     }
 }
 
@@ -483,11 +470,6 @@ impl<'g> Network<'g> {
     #[must_use]
     pub fn stats(&self) -> RoundStats {
         self.sink.stats
-    }
-
-    /// Resets statistics (e.g. between measured phases).
-    pub fn reset_stats(&mut self) -> RoundStats {
-        std::mem::take(&mut self.sink.stats)
     }
 
     /// Attaches a trace recorder: binds it to this network's topology and
@@ -1091,11 +1073,10 @@ mod tests {
             trace.faults.iter().filter(|f| f.kind == kind).map(|f| f.count).sum()
         };
         assert_eq!(
-            (events("drop") + events("link"), events("crash"), events("trunc")),
+            (events("drop") + events("link"), events("crash")),
             (
                 s.dropped_messages - external_faults.dropped_messages,
                 s.crashed_messages - external_faults.crashed_messages,
-                s.truncated_messages - external_faults.truncated_messages,
             ),
             "trace fault events after {what}"
         );
@@ -1107,7 +1088,7 @@ mod tests {
             max_words_edge_round: reg.gauge("net.max_words_edge_round").unwrap_or(0) as usize,
             dropped_messages: reg.counter("net.dropped_messages"),
             crashed_messages: reg.counter("net.crashed_messages"),
-            truncated_messages: reg.counter("net.truncated_messages"),
+            ..RoundStats::default()
         };
         assert_eq!(s, mirrored, "registry after {what}");
         let destroyed = s.dropped_messages + s.crashed_messages
@@ -1127,7 +1108,7 @@ mod tests {
         net.attach_tracer(lcg_trace::Tracer::new(lcg_trace::TraceConfig::full("t")));
         net.attach_metrics(Recorder::new("t"));
         net.set_fault_plan(Some(
-            FaultPlan::drops(0x51, 0.3).with_crash(5, 1).with_link_failure(2, 0, 4).with_truncation(1),
+            FaultPlan::drops(0x51, 0.3).with_crash(5, 1).with_link_failure(2, 0, 4),
         ));
         let sp = net.span_open("phase");
         let mut external = RoundStats::default();
@@ -1157,13 +1138,13 @@ mod tests {
             max_words_edge_round: 3,
             dropped_messages: 4,
             crashed_messages: 1,
-            truncated_messages: 2,
+            ..RoundStats::default()
         };
         net.charge_stats(&external);
         assert_sinks_agree(&mut net, sp, &external, "charge_stats");
 
         let s = net.stats();
-        assert!(s.dropped_messages > 4 && s.crashed_messages > 1 && s.truncated_messages > 2, "{s}");
+        assert!(s.dropped_messages > 4 && s.crashed_messages > 1, "{s}");
         net.span_close(sp);
         let trace = net.take_tracer().expect("tracer attached").finish();
         // eight executed rounds were sampled; charged rounds are quiet
@@ -1231,16 +1212,6 @@ mod tests {
         net.span_close(sp); // must not panic
         assert!(net.take_tracer().is_none());
         assert!(net.tracer_mut().is_none());
-    }
-
-    #[test]
-    fn reset_stats_takes() {
-        let g = gen::path(2);
-        let mut net = Network::new(&g, Model::congest());
-        net.step_state(&mut [(); 2], |_, _, _, out| out.send(0, [1]));
-        let s = net.reset_stats();
-        assert_eq!(s.rounds, 1);
-        assert_eq!(net.stats().rounds, 0);
     }
 
     /// An all-to-all flood for `rounds` rounds under `plan`, returning the
@@ -1338,26 +1309,6 @@ mod tests {
         );
         assert_eq!(heard, vec![false, false, false]);
         assert_eq!(net2.stats().crashed_messages, 4);
-    }
-
-    #[test]
-    fn truncation_caps_delivered_words() {
-        let g = gen::path(2);
-        let mut net = Network::new(&g, Model::Local);
-        net.set_fault_plan(Some(FaultPlan::none().with_truncation(2)));
-        net.step_state(&mut [(); 2], |_, v, _, out| {
-            if v == 0 {
-                out.send(0, [1, 2, 3, 4, 5]);
-            }
-        });
-        let mut got = [false; 2];
-        net.step_state(&mut got, |got, _, inbox, _| {
-            // borrow the truncated payload instead of cloning it
-            *got = inbox[0].as_deref() == Some([1u64, 2].as_slice());
-        });
-        assert_eq!(got, [false, true], "message must arrive truncated to the cap");
-        assert_eq!(net.stats().truncated_messages, 1);
-        assert_eq!(net.stats().words, 5, "send accounting sees the full message");
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub struct RoundStats {
     pub dropped_messages: u64,
     /// Messages destroyed because an endpoint was crash-stopped.
     pub crashed_messages: u64,
-    /// Messages truncated to the fault plan's capacity cap (still delivered).
+    /// Always 0: no fault truncates a message. Kept because the frozen
+    /// `benchmark/` crate names the field (ROADMAP item 9(c) deletes it).
     pub truncated_messages: u64,
 }
 

@@ -1,8 +1,8 @@
 //! Differential property tests for the cluster view of a fault schedule
 //! ([`Network::cluster`]): over generated graphs, fault plans (drops, link
-//! failures, crashes, truncation), member sets and host rounds already
-//! run, a network over `G[members]` taken from its host must destroy,
-//! truncate and deliver exactly what the host network does when the
+//! failures, crashes), member sets and host rounds already run, a network
+//! over `G[members]` taken from its host must destroy and deliver exactly
+//! what the host network does when the
 //! members send the same messages on the same intra-cluster edges in the
 //! same rounds — every round, edge and direction, and every fault counter.
 //! Views compose: a cluster of a cluster, taken after rounds have run on
@@ -48,8 +48,8 @@ fn run(net: &mut Network, rounds: u64, host: &[usize], sends: impl Fn(usize, usi
 }
 
 /// The fault counters of `s`.
-fn faults(s: &RoundStats) -> (u64, u64, u64) {
-    (s.dropped_messages, s.crashed_messages, s.truncated_messages)
+fn faults(s: &RoundStats) -> (u64, u64) {
+    (s.dropped_messages, s.crashed_messages)
 }
 
 /// A random non-empty member set of `g`, ascending or (when shuffled) in
@@ -67,7 +67,6 @@ fn members(g: &Graph, keep: f64, shuffled: bool, rng: &mut impl Rng) -> Vec<usiz
 
 /// A graph of `family` and a plan over it whose link failures and crashes
 /// fall in the first `horizon` rounds.
-#[expect(clippy::too_many_arguments, reason = "the generated knobs of one instance, each a plain value")]
 fn instance(
     rng: &mut impl Rng,
     family: usize,
@@ -75,7 +74,6 @@ fn instance(
     drop_prob: f64,
     links: usize,
     crashes: usize,
-    truncate: bool,
     horizon: u64,
 ) -> (Graph, FaultPlan) {
     let g: Graph = match family {
@@ -91,9 +89,6 @@ fn instance(
     }
     for _ in 0..crashes {
         plan = plan.with_crash(rng.gen_range(0..g.n()), rng.gen_range(0..horizon));
-    }
-    if truncate {
-        plan = plan.with_truncation(1);
     }
     (g, plan)
 }
@@ -131,11 +126,10 @@ proptest! {
         drop_prob in 0.0f64..0.4,
         links in 0usize..4,
         crashes in 0usize..3,
-        truncate in proptest::prelude::any::<bool>(),
         before in 0u64..12,
     ) {
         let mut rng = gen::seeded_rng(seed);
-        let (g, plan) = instance(&mut rng, family, size, drop_prob, links, crashes, truncate, before + 20);
+        let (g, plan) = instance(&mut rng, family, size, drop_prob, links, crashes, before + 20);
         prop_assert!(g.n() > 0);
         let members = members(&g, keep, shuffled, &mut rng);
         let mut host = Network::new(&g, Model::congest());
@@ -161,12 +155,11 @@ proptest! {
         drop_prob in 0.0f64..0.4,
         links in 0usize..4,
         crashes in 0usize..3,
-        truncate in proptest::prelude::any::<bool>(),
         before in 0u64..12,
         between in 0u64..12,
     ) {
         let mut rng = gen::seeded_rng(seed);
-        let (g, plan) = instance(&mut rng, family, size, drop_prob, links, crashes, truncate, before + between + 20);
+        let (g, plan) = instance(&mut rng, family, size, drop_prob, links, crashes, before + between + 20);
         prop_assert!(g.n() > 0);
         let mut host = Network::new(&g, Model::congest());
         host.set_fault_plan(Some(plan));

@@ -21,7 +21,7 @@ struct Case {
     seed: u64,
     /// Percentage of vertices that send in a sparse round.
     density: u64,
-    /// 0 = no plan, 1 = vacuous plan, 2 = drops + link-down + crash + truncation.
+    /// 0 = no plan, 1 = vacuous plan, 2 = drops + link-down + crash.
     plan: u8,
     with_tracer: bool,
     with_metrics: bool,
@@ -62,8 +62,7 @@ fn build_net<'g>(case: &Case, g: &'g Graph) -> Network<'g> {
         _ => net.set_fault_plan(Some(
             FaultPlan::drops(case.seed ^ 0xFA17, 0.2)
                 .with_link_failure(case.seed as usize % g.m(), 1, 3)
-                .with_crash((case.seed / 7) as usize % g.n(), 2)
-                .with_truncation(1),
+                .with_crash((case.seed / 7) as usize % g.n(), 2),
         )),
     }
     if case.with_tracer {

@@ -2,8 +2,8 @@
 //! round written out the slow way: every vertex composes into its own
 //! per-slot outbox, then one vertex-order sweep adjudicates each message
 //! under the fault plan and stores the survivors at the receiver's slot.
-//! Over generated graphs, fault plans (drops, link failures, crashes,
-//! truncation), edge-load tracers and recorders, `run_state`,
+//! Over generated graphs, fault plans (drops, link failures, crashes),
+//! edge-load tracers and recorders, `run_state`,
 //! `exchange_rounds` and `exchange_active` must match it call for call:
 //! every inbox in the order it was read, `RoundStats`, trace bytes and the
 //! metrics registry.
@@ -45,11 +45,11 @@ impl Reference<'_> {
             });
         }
         let round = self.stats.rounds;
-        let (mut lost, mut delivered) = ([0u64; 4], 0); // drop, link, crash, trunc
+        let (mut lost, mut delivered) = ([0u64; 3], 0); // drop, link, crash
         for v in 0..g.n() {
             let row = off[v] as usize..off[v + 1] as usize;
             for (s, slot) in row.clone().zip(&mut outbox[row]) {
-                let Some(mut m) = slot.take() else { continue };
+                let Some(m) = slot.take() else { continue };
                 let (u, e) = (g.csr_neighbors()[s] as usize, g.csr_edge_ids()[s] as usize);
                 if let Some(plan) = &self.plan {
                     let cause = if plan.crashes.iter().any(|c| (c.node == v || c.node == u) && c.at_round <= round) {
@@ -63,10 +63,6 @@ impl Reference<'_> {
                         lost[c] += 1;
                         continue;
                     }
-                    if let Some(cap) = plan.truncate_words.filter(|&cap| m.len() > cap) {
-                        m.truncate(cap);
-                        lost[3] += 1;
-                    }
                 }
                 if let Some(t) = self.tracer.as_mut() {
                     t.add_edge_words(e, m.len() as u64);
@@ -77,12 +73,11 @@ impl Reference<'_> {
             }
         }
         let s = &mut self.stats;
-        (s.dropped_messages, s.crashed_messages, s.truncated_messages) =
-            (s.dropped_messages + lost[0] + lost[1], s.crashed_messages + lost[2], s.truncated_messages + lost[3]);
+        (s.dropped_messages, s.crashed_messages) = (s.dropped_messages + lost[0] + lost[1], s.crashed_messages + lost[2]);
         (s.rounds, s.messages, s.words) = (s.rounds + 1, s.messages + sent, s.words + words);
         s.max_words_edge_round = s.max_words_edge_round.max(max);
         if let Some(t) = self.tracer.as_mut() {
-            for (kind, c) in ["drop", "link", "crash", "trunc"].into_iter().zip(lost) {
+            for (kind, c) in ["drop", "link", "crash"].into_iter().zip(lost) {
                 if c > 0 {
                     t.record_fault(kind, c);
                 }
@@ -90,7 +85,7 @@ impl Reference<'_> {
             t.record_round(sent, words, max);
         }
         if let Some(r) = self.metrics.as_mut() {
-            let faults = [("dropped", lost[0] + lost[1]), ("crashed", lost[2]), ("truncated", lost[3]), ("spilled", spilled)];
+            let faults = [("dropped", lost[0] + lost[1]), ("crashed", lost[2]), ("spilled", spilled)];
             for (name, c) in faults {
                 if c > 0 {
                     r.counter_add(&format!("net.{name}_messages"), c);
@@ -110,7 +105,7 @@ struct Case {
     shape: u8,
     size: usize,
     seed: u64,
-    /// 0 none, 1 drops, 2 link failures, 3 a crash, 4 truncation, 5 all four.
+    /// 0 none, 1 drops, 2 link failures, 3 a crash, 4 all three.
     plan: u8,
     /// 0 no tracer, 1 spans and series only, 2 with edge loads.
     tracer: u8,
@@ -118,7 +113,7 @@ struct Case {
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    ((0u8..3, 3usize..24, 0u64..1000), (0u8..6, 0u8..3, proptest::any::<bool>())).prop_map(
+    ((0u8..3, 3usize..24, 0u64..1000), (0u8..5, 0u8..3, proptest::any::<bool>())).prop_map(
         |((shape, size, seed), (plan, tracer, metrics))| Case { shape, size, seed, plan, tracer, metrics },
     )
 }
@@ -141,8 +136,7 @@ fn plan_of(case: &Case, g: &Graph) -> Option<FaultPlan> {
         1 => Some(drops),
         2 => Some(links(FaultPlan::none())),
         3 => Some(crash(FaultPlan::none())),
-        4 => Some(FaultPlan::none().with_truncation(1)),
-        _ => Some(crash(links(drops)).with_truncation(2)),
+        _ => Some(crash(links(drops))),
     }
 }
 

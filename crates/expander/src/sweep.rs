@@ -77,21 +77,16 @@ pub fn sweep_cut(g: &Graph, values: &[f64]) -> Option<SweepCut> {
     })
 }
 
-/// Convenience: spectral sweep cut of a connected graph — computes the
-/// λ₂ eigenvector and sweeps it. The returned cut satisfies the Cheeger
-/// guarantee `Φ(cut) ≤ √(2 λ₂)` up to power-iteration accuracy.
-pub fn spectral_sweep_cut(g: &Graph) -> Option<SweepCut> {
-    if g.n() < 2 || g.m() == 0 {
-        return None;
-    }
-    let s = crate::spectral::lambda2(g, 1e-9, 5_000);
-    sweep_cut(g, &s.sweep_values(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lcg_graph::gen;
+
+    /// The sweep of `g`'s λ₂ eigenvector: `Φ(cut) ≤ √(2 λ₂)` up to
+    /// power-iteration accuracy.
+    fn spectral_sweep(g: &Graph) -> Option<SweepCut> {
+        sweep_cut(g, &crate::spectral::lambda2(g, 1e-9, 5_000).sweep_values(g))
+    }
 
     #[test]
     fn sweep_finds_dumbbell_bridge() {
@@ -103,7 +98,7 @@ mod tests {
         }
         b.add_edge(0, 5);
         let g = b.build();
-        let cut = spectral_sweep_cut(&g).unwrap();
+        let cut = spectral_sweep(&g).unwrap();
         assert_eq!(cut.cut_edges, 1);
         assert!((cut.conductance - 1.0 / 21.0).abs() < 1e-9);
     }
@@ -111,7 +106,7 @@ mod tests {
     #[test]
     fn sweep_on_cycle_matches_optimal() {
         let g = gen::cycle(16);
-        let cut = spectral_sweep_cut(&g).unwrap();
+        let cut = spectral_sweep(&g).unwrap();
         assert_eq!(cut.cut_edges, 2);
         assert!((cut.conductance - 2.0 / 16.0).abs() < 1e-9);
     }
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn sweep_cut_consistency() {
         let g = gen::grid(4, 4);
-        let cut = spectral_sweep_cut(&g).unwrap();
+        let cut = spectral_sweep(&g).unwrap();
         let recount = crate::conductance::boundary_size(&g, &cut.in_s);
         assert_eq!(recount, cut.cut_edges);
         let phi = crate::conductance::cut_conductance(&g, &cut.in_s);

@@ -347,11 +347,6 @@ impl Graph {
         self.weights.as_ref().map_or(1, |w| w[e])
     }
 
-    /// Total weight of all edges.
-    pub fn total_weight(&self) -> u64 {
-        (0..self.m()).map(|e| self.weight(e)).sum()
-    }
-
     /// Maximum edge weight `W` (paper notation), or 1 if unweighted/empty.
     pub fn max_weight(&self) -> u64 {
         self.weights
@@ -373,15 +368,6 @@ impl Graph {
     /// Returns `true` if explicit correlation-clustering labels were supplied.
     pub fn is_labeled(&self) -> bool {
         self.labels.is_some()
-    }
-
-    /// Edge density `|E| / |V|` (0 for the empty graph).
-    pub fn edge_density(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m() as f64 / self.n as f64
-        }
     }
 
     /// Returns a copy of this graph with the given edge weights attached.
@@ -505,11 +491,6 @@ impl Graph {
             level -= 1;
         }
         Some(lower)
-    }
-
-    /// Eccentricity of `v` within its connected component.
-    pub fn eccentricity(&self, v: usize) -> usize {
-        self.bfs_into(v, &mut vec![usize::MAX; self.n], &mut Vec::new())
     }
 
     /// Induced subgraph `G[S]`.
@@ -792,7 +773,7 @@ mod tests {
         let d = g.bfs_distances(0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(g.diameter(), Some(5));
-        assert_eq!(g.eccentricity(2), 3);
+        assert_eq!(g.bfs_distances(2).into_iter().max(), Some(3));
     }
 
     #[test]
@@ -813,7 +794,7 @@ mod tests {
         assert_eq!(h.n(), 3);
         assert_eq!(h.m(), 2);
         assert_eq!(map, vec![1, 2, 3]);
-        assert_eq!(h.total_weight(), 50);
+        assert_eq!((0..h.m()).map(|e| h.weight(e)).sum::<u64>(), 50);
     }
 
     #[test]

@@ -98,19 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_k4_minor_search() {
-        let mut rng = gen::seeded_rng(413);
-        let k4 = gen::complete(4);
-        for _ in 0..20 {
-            let g = gen::gnm(10, 13, &mut rng);
-            let tw2 = treewidth_at_most_2(&g);
-            if let Some(has_k4) = crate::minor::has_minor(&g, &k4, 10_000_000).decided() {
-                assert_eq!(tw2, !has_k4, "{g:?}");
-            }
-        }
-    }
-
-    #[test]
     fn disjoint_union_closure() {
         let mut rng = gen::seeded_rng(414);
         let a = gen::series_parallel(20, &mut rng);

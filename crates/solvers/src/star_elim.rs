@@ -97,51 +97,17 @@ pub fn star_elimination(g: &Graph) -> StarElimination {
     StarElimination { kept, passes }
 }
 
-/// Checks the Lemma 3.1 precondition: no 2-stars, no 3-double-stars, no
-/// isolated vertices in `G[kept]`.
-pub fn is_star_free(g: &Graph, kept: &[bool]) -> bool {
-    let n = g.n();
-    let deg = |v: usize| -> usize { g.neighbor_vertices(v).filter(|&u| kept[u]).count() };
-    let mut pendants: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    let mut pairs: std::collections::BTreeMap<(usize, usize), usize> =
-        std::collections::BTreeMap::new();
-    for v in 0..n {
-        if !kept[v] {
-            continue;
-        }
-        let d = deg(v);
-        if d == 0 {
-            return false;
-        }
-        if d == 1 {
-            let c = g
-                .neighbor_vertices(v)
-                .find(|&u| kept[u])
-                .expect("degree-1 vertex has a kept neighbor");
-            let e = pendants.entry(c).or_insert(0);
-            *e += 1;
-            if *e >= 2 {
-                return false;
-            }
-        }
-        if d == 2 {
-            let nb: Vec<usize> = g.neighbor_vertices(v).filter(|&u| kept[u]).collect();
-            let key = (nb[0].min(nb[1]), nb[0].max(nb[1]));
-            let e = pairs.entry(key).or_insert(0);
-            *e += 1;
-            if *e >= 3 {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matching::maximum_matching;
+    use lcg_check::Adjacency;
     use lcg_graph::gen;
+
+    /// The independent checker's verdict on the kernel `kept` of `g`.
+    fn kernel_is_star_free(g: &Graph, kept: &[bool]) -> bool {
+        lcg_check::star::is_star_free(&Adjacency::new(g.n(), g.edges().map(|(_, u, v)| (u, v))), kept)
+    }
 
     fn kept_subgraph(g: &Graph, kept: &[bool]) -> Graph {
         let members: Vec<usize> = (0..g.n()).filter(|&v| kept[v]).collect();
@@ -152,7 +118,7 @@ mod tests {
     fn star_collapses_to_one_edge() {
         let g = gen::star(8);
         let r = star_elimination(&g);
-        assert!(is_star_free(&g, &r.kept));
+        assert!(kernel_is_star_free(&g, &r.kept));
         assert_eq!(r.survivors().len(), 2); // center + one pendant
         assert_eq!(
             maximum_matching(&kept_subgraph(&g, &r.kept)).size(),
@@ -170,7 +136,7 @@ mod tests {
         }
         let g = b.build();
         let r = star_elimination(&g);
-        assert!(is_star_free(&g, &r.kept));
+        assert!(kernel_is_star_free(&g, &r.kept));
         // 0, 1 and exactly two middles survive
         assert_eq!(r.survivors().len(), 4);
         assert_eq!(
@@ -185,7 +151,7 @@ mod tests {
         for _ in 0..5 {
             let g = gen::random_planar(80, 0.35, &mut rng);
             let r = star_elimination(&g);
-            assert!(is_star_free(&g, &r.kept), "not star-free");
+            assert!(kernel_is_star_free(&g, &r.kept), "not star-free");
             let before = maximum_matching(&g).size();
             let after = maximum_matching(&kept_subgraph(&g, &r.kept)).size();
             assert_eq!(before, after);
@@ -243,7 +209,7 @@ mod tests {
         }
         let g = b.build();
         let r = star_elimination(&g);
-        assert!(is_star_free(&g, &r.kept));
+        assert!(kernel_is_star_free(&g, &r.kept));
         assert_eq!(
             maximum_matching(&kept_subgraph(&g, &r.kept)).size(),
             maximum_matching(&g).size()

@@ -18,14 +18,14 @@
 //!   "notes":[["key",value],…]}
 //! {"type":"round", "round":…, "messages":…, "words":…, "max_edge_words":…}
 //! {"type":"hotspot", "rank":…, "edge":…, "u":…, "v":…, "words":…}
-//! {"type":"fault", "round":…, "kind":"drop"|"link"|"crash"|"trunc", "count":…}
+//! {"type":"fault", "round":…, "kind":"drop"|"link"|"crash", "count":…}
 //! ```
 //!
 //! Span `notes` serialize as an array of pairs (not an object) to keep
 //! their insertion order. Quiet charged rounds produce no `round` lines;
 //! the `round` index on each sample makes the gaps explicit. `fault`
-//! lines (one per `(round, kind)` with at least one destroyed or
-//! truncated message, in event order) appear only in runs executed under
+//! lines (one per `(round, kind)` with at least one destroyed message, in
+//! event order) appear only in runs executed under
 //! a fault plan — fault-free traces are bytewise version-1 traces except
 //! for the `schema` field.
 
@@ -117,12 +117,12 @@ pub struct Hotspot {
     pub words: u64,
 }
 
-/// One round's destroyed/truncated messages of one fault kind.
+/// One round's destroyed messages of one fault kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Round (0-based) in which the messages were adjudicated.
     pub round: u64,
-    /// Fault cause: `"drop"`, `"link"`, `"crash"`, or `"trunc"`.
+    /// Fault cause: `"drop"`, `"link"`, or `"crash"`.
     pub kind: String,
     /// How many messages this round met this fate.
     pub count: u64,

@@ -228,7 +228,7 @@ impl Tracer {
     }
 
     /// Records `count` messages meeting fault `kind` (`"drop"`, `"link"`,
-    /// `"crash"`, or `"trunc"`) in the round currently being delivered.
+    /// or `"crash"`) in the round currently being delivered.
     /// Delivery precedes the round tick, so the event's round index is
     /// the current round count — the 0-based index of the round in
     /// flight, matching the `round` indices of the series samples.

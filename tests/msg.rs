@@ -2,8 +2,8 @@
 //! *invisible* replacement for the old `Vec<u64>` messages.
 //!
 //! Three angles:
-//! 1. property tests crossing the inline↔spilled boundary (`INLINE_WORDS`
-//!    = 2) in both directions — construction and truncation;
+//! 1. property tests of construction across the inline↔spilled boundary
+//!    (`INLINE_WORDS` = 2);
 //! 2. word accounting: a run whose messages straddle the boundary produces
 //!    the same `RoundStats` whether call sites send arrays, slices, or
 //!    `Vec<u64>` (the old API), because accounting is by *content length*,
@@ -44,40 +44,18 @@ proptest! {
         }
     }
 
-    /// `truncate` matches `Vec::truncate` on content and restores the
-    /// inline representation whenever the result fits — including the
-    /// spilled→inline crossing at exactly INLINE_WORDS.
-    #[test]
-    fn truncate_matches_vec_semantics(
-        words in proptest::collection::vec(any::<u64>(), 0..8),
-        cap in 0usize..10,
-    ) {
-        let mut msg = Msg::from_slice(&words);
-        let mut expect = words.clone();
-        msg.truncate(cap);
-        expect.truncate(cap);
-        prop_assert_eq!(msg.as_slice(), expect.as_slice());
-        prop_assert_eq!(msg.is_inline(), expect.len() <= INLINE_WORDS,
-            "truncate({cap}) of len {} must re-inline iff it fits", words.len());
-    }
-
-    /// Equality and hashing are content-based: a spilled message truncated
-    /// into the inline range equals the directly-built inline message.
+    /// Equality and hashing are content-based: a message built from an
+    /// owned `Vec` equals the one built from a borrowed slice and hashes
+    /// alike.
     #[test]
     fn representations_are_indistinguishable(words in proptest::collection::vec(any::<u64>(), 0..=INLINE_WORDS)) {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        // force the long way round: spill, then truncate back down
-        let mut padded = words.clone();
-        padded.resize(words.len() + INLINE_WORDS + 1, 0xDEAD);
-        let mut via_spill = Msg::from(padded);
-        prop_assert!(!via_spill.is_inline());
-        via_spill.truncate(words.len());
+        let via_vec = Msg::from(words.clone());
         let direct = Msg::from_slice(&words);
-        prop_assert!(via_spill.is_inline());
-        prop_assert_eq!(&via_spill, &direct);
+        prop_assert_eq!(&via_vec, &direct);
         let h = |m: &Msg| { let mut s = DefaultHasher::new(); m.hash(&mut s); s.finish() };
-        prop_assert_eq!(h(&via_spill), h(&direct));
+        prop_assert_eq!(h(&via_vec), h(&direct));
     }
 }
 

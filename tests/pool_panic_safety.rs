@@ -34,11 +34,13 @@ fn panic_message<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> Option<String> {
     })
 }
 
-/// Reference flood used to prove a network still works after a panic.
+/// Reference flood used to prove a network still works after a panic:
+/// who was informed, and the statistics of the flood alone.
 fn flood_on(net: &mut Network) -> (Vec<bool>, locongest::congest::RoundStats) {
     let n = net.graph().n();
     let mut informed = vec![false; n];
     informed[0] = true;
+    let start = net.stats();
     net.run_state(20, &mut informed, |me, _v, inbox, out| {
         if inbox.iter().any(Option::is_some) {
             *me = true;
@@ -49,7 +51,7 @@ fn flood_on(net: &mut Network) -> (Vec<bool>, locongest::congest::RoundStats) {
             }
         }
     });
-    (informed, net.stats())
+    (informed, net.stats().since(&start))
 }
 
 /// A user closure panicking at one vertex in a later round of a
@@ -73,8 +75,7 @@ fn run_state_panic_propagates_and_network_survives() {
     .expect("the closure panic must propagate out of run_state");
     assert!(msg.contains("vertex 17 exploded in its 4th round"), "payload lost, got {msg:?}");
 
-    let before = net.reset_stats();
-    assert_eq!(before.rounds, 3, "the three completed rounds stay charged");
+    assert_eq!(net.stats().rounds, 3, "the three completed rounds stay charged");
     let mut fresh = Network::new(&g, Model::congest());
     let (informed, after) = flood_on(&mut net);
     assert!(informed.iter().all(|&b| b), "the flood after the panic reaches everyone");
@@ -162,7 +163,6 @@ fn repeated_poisoning_is_survivable() {
         .expect("panic must propagate on every attempt");
         assert!(msg.contains("attempt blew up"), "attempt {attempt}: {msg:?}");
     }
-    net.reset_stats();
     let mut fresh = Network::new(&g, Model::congest());
     assert_eq!(flood_on(&mut net), flood_on(&mut fresh));
 }
@@ -244,7 +244,6 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
                 |heard, _, _, inbox| *heard = inbox.iter().flatten().map(|m| m[0]).sum(),
                 |_| false,
             );
-            net.reset_stats();
             runs.push((heard, flood_on(net)));
         }
         assert!(runs[1].1 .0.iter().all(|&b| b), "the reference flood reaches everyone");

@@ -3,11 +3,54 @@
 
 use proptest::prelude::*;
 
+use lcg_check::{minor, star, Adjacency};
 use locongest::congest::ExecConfig;
+use locongest::core::apps::property_testing::TestedProperty;
 use locongest::expander::decomp::{self, Threshold};
-use locongest::expander::{conductance, routing, sweep};
-use locongest::graph::{gen, minor, planarity, Graph, GraphBuilder};
+use locongest::expander::{conductance, routing, spectral, sweep};
+use locongest::graph::{gen, planarity, Graph, GraphBuilder};
 use locongest::solvers::{corrclust, ldd, matching, mis, mwm, star_elim};
+
+/// `g` as the independent checker's graph type.
+fn adj(g: &Graph) -> Adjacency {
+    Adjacency::new(g.n(), g.edges().map(|(_, u, v)| (u, v)))
+}
+
+/// Theorem 1.4's properties, each with the forbidden minors its doc names.
+fn forbidden_minors() -> [(TestedProperty, Vec<Adjacency>); 4] {
+    let k = |t| adj(&gen::complete(t));
+    let k_bip = |a, b| adj(&gen::complete_bipartite(a, b));
+    [
+        (TestedProperty::Planar, vec![k(5), k_bip(3, 3)]),
+        (TestedProperty::Outerplanar, vec![k(4), k_bip(2, 3)]),
+        (TestedProperty::Forest, vec![k(3)]),
+        (TestedProperty::TreewidthAtMost2, vec![k(4)]),
+    ]
+}
+
+/// Every property's `holds(g)` is "no forbidden minor" by the exact
+/// search, wherever the search finishes within its budget.
+fn verdicts_agree_with_forbidden_minors(g: &Graph) -> Result<(), TestCaseError> {
+    let host = adj(g);
+    for (property, minors) in forbidden_minors() {
+        let found: Option<Vec<bool>> =
+            minors.iter().map(|h| minor::has_minor(&host, h, 50_000_000).decided()).collect();
+        if let Some(found) = found {
+            prop_assert_eq!(property.holds(g), !found.contains(&true), "{:?} on {:?}: minors found {:?}", property, g, found);
+        }
+    }
+    Ok(())
+}
+
+/// Sparse inputs near the treewidth-2 boundary: twenty `gnm(10, 13)`
+/// graphs, seeded.
+#[test]
+fn property_verdicts_agree_with_forbidden_minors_on_sparse_gnm() {
+    let mut rng = gen::seeded_rng(413);
+    for _ in 0..20 {
+        verdicts_agree_with_forbidden_minors(&gen::gnm(10, 13, &mut rng)).unwrap();
+    }
+}
 
 /// Strategy: a random simple graph with `n ≤ max_n` vertices.
 fn small_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
@@ -46,7 +89,8 @@ proptest! {
 
     #[test]
     fn sweep_cut_conductance_consistent(g in planar_graph()) {
-        if let Some(cut) = sweep::spectral_sweep_cut(&g) {
+        let spec = spectral::lambda2(&g, 1e-9, 5_000);
+        if let Some(cut) = sweep::sweep_cut(&g, &spec.sweep_values(&g)) {
             let phi = conductance::cut_conductance(&g, &cut.in_s);
             prop_assert!((phi - cut.conductance).abs() < 1e-9);
             prop_assert!(cut.cut_edges == conductance::boundary_size(&g, &cut.in_s));
@@ -103,7 +147,7 @@ proptest! {
     #[test]
     fn star_elimination_preserves_matching(g in planar_graph()) {
         let r = star_elim::star_elimination(&g);
-        prop_assert!(star_elim::is_star_free(&g, &r.kept));
+        prop_assert!(star::is_star_free(&adj(&g), &r.kept));
         let survivors: Vec<usize> = r.survivors();
         let (sub, _) = g.induced_subgraph(&survivors);
         prop_assert_eq!(
@@ -113,14 +157,8 @@ proptest! {
     }
 
     #[test]
-    fn planarity_consistent_with_minor_search(g in small_graph(9, 0.6)) {
-        // On tiny graphs, planar <=> no K5 minor and no K3,3 minor.
-        let lr = planarity::is_planar(&g);
-        let k5 = minor::has_clique_minor(&g, 5, 50_000_000).decided();
-        let k33 = minor::has_minor(&g, &gen::complete_bipartite(3, 3), 50_000_000).decided();
-        if let (Some(k5), Some(k33)) = (k5, k33) {
-            prop_assert_eq!(lr, !k5 && !k33, "LR={} K5={} K33={}", lr, k5, k33);
-        }
+    fn property_verdicts_agree_with_forbidden_minors(g in small_graph(9, 0.6)) {
+        verdicts_agree_with_forbidden_minors(&g)?;
     }
 
     #[test]
@@ -196,6 +234,6 @@ proptest! {
     fn degeneracy_bounds_density(g in small_graph(14, 0.6)) {
         let (_, d) = g.degeneracy_ordering();
         // degeneracy >= density (every subgraph has a vertex of degree <= d)
-        prop_assert!(d as f64 >= g.edge_density() - 1e-9 || g.m() == 0);
+        prop_assert!(d as f64 >= g.m() as f64 / g.n() as f64 - 1e-9 || g.m() == 0);
     }
 }
