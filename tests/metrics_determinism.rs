@@ -7,8 +7,11 @@
 //! bit-identical to the historical engine, which is why every golden
 //! replays unchanged with zero re-blessing.
 
+mod common;
+
 use locongest::congest::ExecConfig;
-use locongest::core::framework::{run_framework, FrameworkConfig};
+use locongest::core::framework::{run_framework, run_framework_on, FrameworkConfig};
+use locongest::expander::decomp::{decompose, Threshold};
 use locongest::graph::gen;
 use locongest::metrics::Report;
 
@@ -140,4 +143,33 @@ fn report_roundtrips_and_mirrors_round_stats() {
     );
     let words_hist = det.histogram("net.words_per_round").expect("per-round histogram");
     assert_eq!(words_hist.sum, out.stats.words, "histogram sums the same words");
+}
+
+/// The stats and deterministic metrics JSON of a plain run and of phases
+/// 2–5 on the paper's worst-case decomposition, as
+/// `tests/golden/framework_metrics.txt` holds them: the recorder that times
+/// the decomposition and the one `run_framework_on` starts must register
+/// the same counters, bit for bit, at 1 and 3 threads.
+#[test]
+fn framework_runs_reproduce_the_blessed_metrics() {
+    let mut rng = gen::seeded_rng(0x24);
+    let g = gen::grid_with_noise(16, 16, 0.02, &mut rng);
+    let render = |threads| {
+        let cfg = FrameworkConfig {
+            metrics: true,
+            exec: ExecConfig::with_threads(threads),
+            ..FrameworkConfig::planar(0.3, 6)
+        };
+        let paper = decompose(&g, cfg.epsilon / cfg.density_bound, Threshold::WorstCase, cfg.exec);
+        [("run_framework", run_framework(&g, &cfg)), ("run_framework_on", run_framework_on(&g, paper, &cfg))]
+            .iter()
+            .map(|(name, out)| {
+                let report = out.metrics.as_ref().expect("metrics: true always yields a report");
+                format!("{name}\n{}\n{}\n", serde_json::to_string(&out.stats).unwrap(), report.deterministic_json())
+            })
+            .collect::<String>()
+    };
+    let got = render(1);
+    common::check_golden("framework_metrics.txt", &got);
+    assert_eq!(render(3), got, "a framework run diverged at 3 threads");
 }
