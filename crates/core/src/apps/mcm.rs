@@ -11,8 +11,8 @@ use lcg_congest::{FaultPlan, Model, Network, RoundStats};
 use lcg_graph::Graph;
 use lcg_solvers::matching;
 
-use crate::apps::{reported, run_on, scaled, Faults};
-use crate::framework::FrameworkOutcome;
+use crate::apps::{reported, scaled, Faults};
+use crate::framework::{self, FrameworkOutcome};
 use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 /// The §3.2 token protocol, run with real messages: degree-1 vertices send
@@ -235,7 +235,7 @@ fn mcm(
     let (kernel, kernel_map) = g.induced_subgraph(&survivors);
     // ε' = c·ε with c = 1/C31 so that ε'·n̄ ≤ ε·ν(kernel).
     let cfg = scaled((epsilon / C31).min(0.9), seed);
-    let (framework, report) = run_on(net.cluster(&kernel, &kernel_map), &cfg, faults.map(|f| f.policy));
+    let (framework, report) = framework::run(net.cluster(&kernel, &kernel_map), &cfg, faults.map(|f| f.policy));
     stats.merge(&framework.stats);
 
     let mut mate: Vec<Option<usize>> = vec![None; g.n()];

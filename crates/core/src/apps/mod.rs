@@ -6,9 +6,9 @@
 //! let each leader solve its cluster in cluster order, and repair the cut
 //! edges. Faults are a mode of that one body, not a second one: each app's
 //! private body takes an `Option<Faults>`, and `run` sends a faulted run
-//! through the self-healing harness
-//! ([`run_framework_resilient`](crate::recovery::run_framework_resilient)). The
-//! body then reads the harness's report to finish what faults can break —
+//! through the framework's retry loop, the one
+//! [`run_framework_resilient`](crate::recovery::run_framework_resilient)
+//! takes. The body then reads the loop's report to finish what faults can break —
 //! maxis, wmaxis and mcm complete greedily to maximality, ldd falls back
 //! to MPX on a degraded run — while mds and corrclust need nothing more.
 //! Both public entry points of an app, `approx_*` (or
@@ -22,8 +22,8 @@
 use lcg_congest::{FaultPlan, Model, Network};
 use lcg_graph::Graph;
 
-use crate::framework::{run_framework_with, FrameworkConfig, FrameworkOutcome};
-use crate::recovery::{resilient, RecoveryPolicy, RecoveryReport};
+use crate::framework::{self, FrameworkConfig, FrameworkOutcome};
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 
 pub mod corrclust;
 pub mod ldd;
@@ -54,7 +54,7 @@ pub(crate) fn scaled(eps_prime: f64, seed: u64) -> FrameworkConfig {
 }
 
 /// Runs Theorem 2.6 on `g`: plainly without `faults`, else under
-/// `faults.plan` through the retry harness, whose report is returned.
+/// `faults.plan` through the retry loop, whose report is returned.
 pub(crate) fn run(
     g: &Graph,
     cfg: FrameworkConfig,
@@ -62,19 +62,7 @@ pub(crate) fn run(
 ) -> (FrameworkOutcome, Option<RecoveryReport>) {
     let mut net = Network::new(g, Model::congest());
     net.set_fault_plan(faults.map(|f| f.plan.clone()));
-    run_on(net, &cfg, faults.map(|f| f.policy))
-}
-
-/// [`run`] on `net`'s graph under the schedule `net` carries: plainly
-/// without a `policy`, else through the retry harness.
-pub(crate) fn run_on(
-    net: Network<'_>,
-    cfg: &FrameworkConfig,
-    policy: Option<&RecoveryPolicy>,
-) -> (FrameworkOutcome, Option<RecoveryReport>) {
-    let Some(policy) = policy else { return (run_framework_with(net, cfg), None) };
-    let (framework, report) = resilient(&net, cfg, policy);
-    (framework, Some(report))
+    framework::run(net, &cfg, faults.map(|f| f.policy))
 }
 
 /// A body's result under faults, with the report that is then always

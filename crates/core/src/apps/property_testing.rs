@@ -16,7 +16,6 @@ use lcg_congest::RoundStats;
 use lcg_graph::planarity;
 use lcg_graph::Graph;
 
-use crate::failure::degree_condition;
 use crate::framework::{run_framework, FrameworkConfig, FrameworkOutcome};
 
 /// Properties shipped with exact, fast cluster checkers. All three are
@@ -119,10 +118,88 @@ pub fn test_property(
     }
 }
 
+/// Lemma 2.3's condition, checkable in `O(φ^{-1} log n)` rounds once the
+/// leader is known: `deg_{G_i}(v_i*) ≥ c · φ² · |E_i|`, on the cluster's own
+/// graph `G_i` with `leader` the local id of `v_i*`. Its failure is a
+/// *certificate* that the graph is not H-minor-free (§2.3), which the
+/// tester turns into a Reject.
+fn degree_condition(cluster: &Graph, leader: usize, phi: f64, c: f64) -> bool {
+    cluster.degree(leader) as f64 >= c * phi * phi * cluster.m() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lcg_graph::gen;
+
+    #[test]
+    fn degree_condition_on_expander_vs_path() {
+        // K12: leader degree 11, edges 66, φ ≈ 0.5: 11 >= c·0.25·66 holds for c=0.5
+        assert!(degree_condition(&gen::complete(12), 0, 0.5, 0.5));
+        // long path with tiny conductance pretending φ = 0.5 fails
+        assert!(!degree_condition(&gen::path(60), 0, 0.5, 0.5));
+    }
+
+    #[test]
+    fn degree_condition_flags_non_minor_free_expanders() {
+        // A bounded-degree expander-ish random graph: no high-degree vertex
+        // exists, so the Lemma 2.3 condition must fail for large clusters at
+        // realistic φ — this is exactly the §3.4 Reject trigger.
+        let mut rng = gen::seeded_rng(3001);
+        let g = gen::gnm(200, 600, &mut rng);
+        let leader = (0..200).max_by_key(|&v| g.degree(v)).expect("a vertex");
+        // at φ = 0.3 (what a real expander would certify), Ω(φ²)|E| ≈ 54·c;
+        // max degree in G(200, 600) is ~10-15, so c = 0.5 fails
+        assert!(!degree_condition(&g, leader, 0.3, 0.5));
+        // while a planar cluster with its tiny φ_cut passes comfortably
+        let p = gen::stacked_triangulation(100, &mut rng);
+        let leader = (0..100).max_by_key(|&v| p.degree(v)).expect("a vertex");
+        assert!(degree_condition(&p, leader, 0.01, 0.5));
+    }
+
+    /// The body `degree_condition` had while it took the host graph: a
+    /// hash set of the members and a scan of every host edge per cluster.
+    fn degree_condition_on_host(g: &Graph, members: &[usize], leader: usize, phi: f64, c: f64) -> bool {
+        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
+        let leader_deg = g
+            .neighbor_vertices(leader)
+            .filter(|u| member_set.contains(u))
+            .count() as f64;
+        let edges_inside = g
+            .edges()
+            .filter(|&(_, u, v)| member_set.contains(&u) && member_set.contains(&v))
+            .count() as f64;
+        leader_deg >= c * phi * phi * edges_inside
+    }
+
+    proptest::proptest! {
+        /// On the cluster's subgraph the condition is the one the host scan
+        /// computed, for every cluster of a random clustering, every leader
+        /// and thresholds on both sides of the verdict.
+        #[test]
+        fn degree_condition_matches_the_host_scan(
+            seed in proptest::any::<u64>(),
+            n in 2usize..40,
+            k in 1usize..6,
+            phi in 0.01f64..1.0,
+        ) {
+            use rand::Rng;
+            let mut rng = gen::seeded_rng(seed);
+            let g = gen::gnm(n, rng.gen_range(0..=(2 * n).min(n * (n - 1) / 2)), &mut rng);
+            let cluster_of: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            for members in lcg_congest::primitives::cluster_members(&cluster_of).values() {
+                let (sub, mapping) = g.induced_subgraph(members);
+                for (local, &leader) in mapping.iter().enumerate() {
+                    for c in [0.01, 0.5, 4.0] {
+                        proptest::prop_assert_eq!(
+                            degree_condition(&sub, local, phi, c),
+                            degree_condition_on_host(&g, members, leader, phi, c)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn planar_inputs_always_accept() {

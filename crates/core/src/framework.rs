@@ -37,6 +37,8 @@ use lcg_trace::{Trace, TraceConfig, Tracer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::recovery::{derived_seed, detect_failures, singleton_outcome, RecoveryPolicy, RecoveryReport};
+
 /// Configuration of a framework run.
 #[derive(Debug, Clone)]
 pub struct FrameworkConfig {
@@ -187,34 +189,6 @@ impl FrameworkOutcome {
     }
 }
 
-/// Checks `cfg`'s ε and `t`, then computes the decomposition
-/// [`run_framework`] runs on: [`decomp::decompose`] with the adaptive
-/// threshold at `ε' = ε / t`, its recursion levels analysed on
-/// `cfg.exec`'s threads.
-/// With `cfg.metrics` on, also returns the run's recorder with the
-/// decomposition timed on its profiling plane — it charges no rounds and so
-/// has no span, but is most of the wall time at charged-walk sizes.
-///
-/// # Panics
-///
-/// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
-pub(crate) fn decompose_timed(
-    g: &Graph,
-    cfg: &FrameworkConfig,
-) -> (ExpanderDecomposition, Option<Recorder>) {
-    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
-    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
-    let mut recorder = cfg.metrics.then(|| Recorder::new("framework"));
-    if let Some(rec) = recorder.as_mut() {
-        rec.phase_start("decomposition");
-    }
-    let decomposition = decomp::decompose(g, cfg.epsilon / cfg.density_bound, Threshold::Adaptive, cfg.exec);
-    if let Some(rec) = recorder.as_mut() {
-        rec.phase_end("decomposition");
-    }
-    (decomposition, recorder)
-}
-
 /// Runs the Theorem 2.6 pipeline on `g`: the adaptive (ε/t, φ)
 /// decomposition (phase 1, substituted), then [`run_framework_on`].
 ///
@@ -222,7 +196,7 @@ pub(crate) fn decompose_timed(
 ///
 /// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
 pub fn run_framework(g: &Graph, cfg: &FrameworkConfig) -> FrameworkOutcome {
-    run_framework_with(network(g, cfg), cfg)
+    run(network(g, cfg), cfg, None).0
 }
 
 /// A CONGEST network over `g` carrying `cfg.faults`.
@@ -232,10 +206,93 @@ pub(crate) fn network<'g>(g: &'g Graph, cfg: &FrameworkConfig) -> Network<'g> {
     net
 }
 
-/// [`run_framework`] under the schedule `net` carries, not `cfg.faults`.
-pub(crate) fn run_framework_with(net: Network<'_>, cfg: &FrameworkConfig) -> FrameworkOutcome {
-    let (decomposition, recorder) = decompose_timed(net.graph(), cfg);
-    run_framework_timed(net, decomposition, recorder, cfg)
+/// Theorem 2.6 on `net`'s graph under the schedule `net` carries, not
+/// `cfg.faults` — the one run path every entry point but
+/// [`run_framework_on`] takes. Checks ε and `t`, then computes the
+/// decomposition: [`decomp::decompose`] with the adaptive threshold at
+/// `ε' = ε / t`, its recursion levels analysed on `cfg.exec`'s threads.
+/// With `cfg.metrics` on it is timed on the profiling plane of the run's
+/// recorder — it charges no rounds and so has no span, but is most of the
+/// wall time at charged-walk sizes.
+///
+/// Without a `policy` the run is one [`attempt`] on `net` itself, and no
+/// report comes back. With one it is the §2.3 retry loop
+/// ([`crate::recovery::run_framework_resilient`] documents its contract):
+/// each attempt runs on a fresh view of `net` over its whole graph,
+/// reading the schedule from `net`'s next round on, and only the first
+/// carries the decomposition's timer.
+///
+/// # Panics
+///
+/// Panics if `epsilon` is not in `(0, 1)` or `density_bound < 1`.
+pub(crate) fn run(
+    net: Network<'_>,
+    cfg: &FrameworkConfig,
+    policy: Option<&RecoveryPolicy>,
+) -> (FrameworkOutcome, Option<RecoveryReport>) {
+    assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0, "epsilon must be in (0,1)");
+    assert!(cfg.density_bound >= 1.0, "density bound must be >= 1");
+    let g = net.graph();
+    let mut recorder = cfg.metrics.then(|| Recorder::new("framework"));
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_start("decomposition");
+    }
+    let decomposition = decomp::decompose(g, cfg.epsilon / cfg.density_bound, Threshold::Adaptive, cfg.exec);
+    if let Some(rec) = recorder.as_mut() {
+        rec.phase_end("decomposition");
+    }
+    let Some(policy) = policy else { return (attempt(net, decomposition, recorder, cfg), None) };
+
+    let everyone: Vec<usize> = (0..g.n()).collect();
+    // the run so far: the stats of failed attempts and of every detector
+    // pass, the detector rounds, the failures, every attempt's metrics
+    let mut spent = RoundStats::default();
+    let mut detector_rounds = 0;
+    let mut failures = Vec::new();
+    let mut folded: Option<Report> = None;
+    let mut accepted = None;
+    for k in 0..=policy.max_retries {
+        let attempt_cfg = FrameworkConfig {
+            seed: derived_seed(cfg.seed, k),
+            max_walk_steps: policy.initial_walk_steps.saturating_mul(2usize.saturating_pow(k)).min(cfg.max_walk_steps),
+            ..cfg.clone()
+        };
+        let mut outcome = attempt(net.cluster(g, &everyone), decomposition.clone(), recorder.take(), &attempt_cfg);
+        let mut det_net = Network::new(g, Model::congest());
+        let verdicts = detect_failures(&outcome, attempt_cfg.max_walk_steps, &mut det_net);
+        // this attempt's registry on top of the failed attempts' (the
+        // newest report keeps its profiling plane)
+        if let Some(mut rep) = outcome.metrics.take() {
+            if let Some(prev) = folded.take() {
+                rep.deterministic.merge(&prev.deterministic);
+            }
+            folded = Some(rep);
+        }
+        let det_stats = det_net.stats();
+        detector_rounds += det_stats.rounds;
+        spent.merge(&det_stats);
+        if verdicts.is_empty() {
+            accepted = Some((outcome, k + 1));
+            break;
+        }
+        failures.extend(verdicts.into_iter().map(|v| format!("attempt {k}: {v}")));
+        spent.merge(&outcome.stats);
+    }
+    // the terminal state either way: the outcome takes on what the failed
+    // attempts and every detector pass spent, the metrics the verdict
+    let degraded = accepted.is_none();
+    let (mut outcome, attempts) =
+        accepted.unwrap_or_else(|| (singleton_outcome(g, cfg), policy.max_retries + 1));
+    let report = RecoveryReport { attempts, degraded, failures, detector_rounds };
+    outcome.stats.merge(&spent);
+    outcome.metrics = folded.map(|mut rep| {
+        let det = &mut rep.deterministic;
+        det.counter_add("recovery.attempts", u64::from(report.attempts));
+        det.counter_add("recovery.degraded", u64::from(report.degraded));
+        det.counter_add("recovery.detector_rounds", report.detector_rounds);
+        rep
+    });
+    (outcome, Some(report))
 }
 
 /// Phases 2–5 of Theorem 2.6 on a decomposition the caller supplies — the
@@ -270,16 +327,16 @@ pub fn run_framework_on(
     decomposition: ExpanderDecomposition,
     cfg: &FrameworkConfig,
 ) -> FrameworkOutcome {
-    run_framework_timed(network(g, cfg), decomposition, None, cfg)
+    attempt(network(g, cfg), decomposition, None, cfg)
 }
 
 /// Phases 2–5 on `net`, a fresh network over the run's graph carrying the
 /// run's fault schedule, continuing the recorder that timed the
-/// decomposition when this run is the one that computed it. Metrics are
+/// decomposition when this attempt is the first after it. Metrics are
 /// opt-in, and like tracing are observation only: with a recorder attached
 /// the deterministic registry mirrors the logical counters while the
 /// profiling plane times the same phase boundaries the spans mark.
-pub(crate) fn run_framework_timed(
+fn attempt(
     mut net: Network<'_>,
     decomposition: ExpanderDecomposition,
     timed: Option<Recorder>,

@@ -7,8 +7,7 @@
 //! | Module | Paper result |
 //! |---|---|
 //! | [`framework`] | Theorem 2.6 |
-//! | [`failure`] | §2.3 failed-execution behaviour |
-//! | [`recovery`] | §2.3 reaction: retry under faults, degrade, never panic |
+//! | [`recovery`] | §2.3 detection and reaction: detect failed executions, retry under faults, degrade, never panic |
 //! | [`apps::maxis`] | Theorem 1.2 — (1−ε)-MAXIS |
 //! | [`apps::mcm`] | Theorem 3.2 — planar (1−ε)-MCM |
 //! | [`apps::mwm`] | Theorem 1.1 — (1−ε)-MWM |
@@ -36,6 +35,5 @@
 
 pub mod apps;
 pub mod baselines;
-pub mod failure;
 pub mod framework;
 pub mod recovery;

@@ -24,17 +24,14 @@
 //! `phases` breakdown only covers the *final* attempt and no longer
 //! partitions `stats.rounds`.
 
-use lcg_congest::{Model, Network, RoundStats};
+use lcg_congest::primitives;
+use lcg_congest::{Network, RoundStats};
 use lcg_expander::decomp::{ClusterInfo, ExpanderDecomposition};
 use lcg_expander::routing::RoutingOutcome;
 use lcg_graph::Graph;
-use lcg_metrics::Report;
 use lcg_trace::{TraceConfig, Tracer};
 
-use crate::failure;
-use crate::framework::{
-    decompose_timed, network, run_framework_timed, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds,
-};
+use crate::framework::{network, run, ClusterRun, FrameworkConfig, FrameworkOutcome, PhaseRounds};
 
 /// Seed stride between retry attempts (odd, so all 2^64 derived seeds are
 /// distinct for distinct attempts).
@@ -100,14 +97,16 @@ pub struct RecoveryReport {
 /// line per detected failure; empty means the execution passed. An
 /// incomplete gathering says why its walk ended: at the attempt's step
 /// budget `max_steps`, or earlier, once every token left was lost.
-fn detect_failures(outcome: &FrameworkOutcome, max_steps: usize, det_net: &mut Network) -> Vec<String> {
+pub(crate) fn detect_failures(outcome: &FrameworkOutcome, max_steps: usize, det_net: &mut Network) -> Vec<String> {
     let mut verdicts = Vec::new();
     for c in &outcome.clusters {
         if !c.election_agrees {
             verdicts.push(format!("cluster {}: election disagreement", c.id));
         }
         let r = &c.routing;
-        if failure::routing_failure_detected(r) {
+        // the reversal of §2.3: the leader echoes what it received, and a
+        // shortfall is a failed routing
+        if !r.complete() {
             let why = if r.steps < max_steps {
                 format!("{} lost", r.total - r.delivered)
             } else {
@@ -117,10 +116,11 @@ fn detect_failures(outcome: &FrameworkOutcome, max_steps: usize, det_net: &mut N
         }
     }
     // §2.3 marking protocol with the measured bound `b`: every cluster
-    // must still fit the diameter of a successful execution. The check
-    // spends real rounds on the control network even when it passes.
-    let cluster_of = &outcome.decomposition.cluster_of;
-    if failure::enforce_diameter(det_net, cluster_of, outcome.diameter_bound) != *cluster_of {
+    // must still fit the diameter of a successful execution, and a marked
+    // vertex is one whose cluster does not. The check spends real rounds on
+    // the control network even when it passes.
+    let marked = primitives::diameter_check(det_net, &outcome.decomposition.cluster_of, outcome.diameter_bound);
+    if marked.contains(&true) {
         verdicts.push("clustering: over-diameter cluster dissolved".to_string());
     }
     verdicts
@@ -215,90 +215,15 @@ pub fn run_framework_resilient(
     cfg: &FrameworkConfig,
     policy: &RecoveryPolicy,
 ) -> (FrameworkOutcome, RecoveryReport) {
-    resilient(&network(g, cfg), cfg, policy)
-}
-
-/// [`run_framework_resilient`] under the schedule `base` carries: each
-/// attempt runs on a fresh view of `base` over its whole graph, reading the
-/// schedule from `base`'s next round on.
-pub(crate) fn resilient(
-    base: &Network<'_>,
-    cfg: &FrameworkConfig,
-    policy: &RecoveryPolicy,
-) -> (FrameworkOutcome, RecoveryReport) {
-    let g = base.graph();
-    let everyone: Vec<usize> = (0..g.n()).collect();
-    let (decomposition, mut timed) = decompose_timed(g, cfg);
-    // the run so far: the stats of failed attempts and of every detector
-    // pass, the detector rounds, the failures, every attempt's metrics
-    let mut spent = RoundStats::default();
-    let mut detector_rounds = 0;
-    let mut failures = Vec::new();
-    let mut folded: Option<Report> = None;
-    for attempt in 0..=policy.max_retries {
-        let attempt_cfg = FrameworkConfig {
-            seed: derived_seed(cfg.seed, attempt),
-            max_walk_steps: policy
-                .initial_walk_steps
-                .saturating_mul(2usize.saturating_pow(attempt))
-                .min(cfg.max_walk_steps),
-            ..cfg.clone()
-        };
-        // only the first attempt reports the decomposition's timer
-        let net = base.cluster(g, &everyone);
-        let mut outcome = run_framework_timed(net, decomposition.clone(), timed.take(), &attempt_cfg);
-        let mut det_net = Network::new(g, Model::congest());
-        let verdicts = detect_failures(&outcome, attempt_cfg.max_walk_steps, &mut det_net);
-        // this attempt's registry on top of the failed attempts' (the
-        // newest report keeps its profiling plane)
-        if let Some(mut rep) = outcome.metrics.take() {
-            if let Some(prev) = folded.take() {
-                rep.deterministic.merge(&prev.deterministic);
-            }
-            folded = Some(rep);
-        }
-        let det_stats = det_net.stats();
-        detector_rounds += det_stats.rounds;
-        spent.merge(&det_stats);
-        if verdicts.is_empty() {
-            let report =
-                RecoveryReport { attempts: attempt + 1, degraded: false, failures, detector_rounds };
-            return conclude(outcome, &spent, folded, report);
-        }
-        failures.extend(verdicts.into_iter().map(|v| format!("attempt {attempt}: {v}")));
-        spent.merge(&outcome.stats);
-    }
-    let report =
-        RecoveryReport { attempts: policy.max_retries + 1, degraded: true, failures, detector_rounds };
-    conclude(singleton_outcome(g, cfg), &spent, folded, report)
-}
-
-/// The terminal state either way: `outcome` takes on what the failed
-/// attempts and every detector pass `spent`, and the `folded` metrics get
-/// the `recovery.*` verdict counters of `report` (passing `None` through
-/// when metrics were off).
-fn conclude(
-    mut outcome: FrameworkOutcome,
-    spent: &RoundStats,
-    folded: Option<Report>,
-    report: RecoveryReport,
-) -> (FrameworkOutcome, RecoveryReport) {
-    outcome.stats.merge(spent);
-    outcome.metrics = folded.map(|mut rep| {
-        let det = &mut rep.deterministic;
-        det.counter_add("recovery.attempts", u64::from(report.attempts));
-        det.counter_add("recovery.degraded", u64::from(report.degraded));
-        det.counter_add("recovery.detector_rounds", report.detector_rounds);
-        rep
-    });
-    (outcome, report)
+    let (outcome, report) = run(network(g, cfg), cfg, Some(policy));
+    (outcome, report.expect("a run with a policy has a recovery report"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::run_framework;
-    use lcg_congest::FaultPlan;
+    use lcg_congest::{FaultPlan, Model};
     use lcg_graph::gen;
 
     #[test]
@@ -474,6 +399,74 @@ mod tests {
             let reason = format!(", step cap {cap} reached)");
             assert!(verdict.contains("gathering incomplete (") && verdict.ends_with(&reason), "{line}");
         }
+    }
+
+    /// The diameter detector on a sabotaged clustering: one cluster of
+    /// diameter 39 against a bound of 3 is marked and reported, while a
+    /// cluster whose diameter is exactly the bound passes. Either way the
+    /// check spends rounds on the network it is handed.
+    #[test]
+    fn detector_flags_an_over_diameter_cluster() {
+        let g = gen::path(40);
+        let mut out = singleton_outcome(&g, &FrameworkConfig::planar(0.3, 0));
+        out.decomposition.cluster_of = vec![7; 40];
+        out.diameter_bound = 3;
+        let mut net = Network::new(&g, Model::congest());
+        assert_eq!(detect_failures(&out, 1, &mut net), ["clustering: over-diameter cluster dissolved"]);
+        assert!(net.stats().rounds > 0, "check rounds accrue to the caller's network");
+
+        let g = gen::grid(4, 4); // diameter 6
+        let mut out = singleton_outcome(&g, &FrameworkConfig::planar(0.3, 0));
+        out.decomposition.cluster_of = vec![0; 16];
+        out.diameter_bound = 6;
+        let mut net = Network::new(&g, Model::congest());
+        assert!(detect_failures(&out, 1, &mut net).is_empty());
+        assert!(net.stats().rounds > 0, "the check is never free");
+    }
+
+    /// The check is charged to the network it is handed: stats accumulate
+    /// on top of whatever the caller already spent, and an attached tracer
+    /// sees the protocol's rounds.
+    #[test]
+    fn diameter_check_charges_the_callers_network() {
+        let g = gen::path(20);
+        let cluster_of = vec![0usize; 20];
+        let mut net = Network::new(&g, Model::congest());
+        net.attach_tracer(Tracer::new(TraceConfig::spans_only("repair")));
+        net.charge_rounds(5); // pre-existing spending
+        let sp = net.span_open("diameter-check");
+        let _marked = primitives::diameter_check(&mut net, &cluster_of, 4);
+        net.span_close(sp);
+        let check_rounds = net.stats().rounds - 5;
+        assert!(check_rounds > 0);
+        let trace = net.take_tracer().expect("tracer attached").finish();
+        assert_eq!(trace.span_rounds("diameter-check"), check_rounds);
+        assert_eq!(trace.total.rounds, net.stats().rounds);
+    }
+
+    /// A starved walk leaves a cluster's gathering incomplete, and the
+    /// reversal detector reports it with its shortfall and the cap it hit;
+    /// a walk with steps to spare passes.
+    #[test]
+    fn routing_failure_detection() {
+        let mut rng = gen::seeded_rng(220);
+        let g = gen::path(30);
+        let members: Vec<usize> = (0..30).collect();
+        let ones = vec![1; members.len()];
+        let mut out = singleton_outcome(&g, &FrameworkConfig::planar(0.3, 0));
+        let mut det_net = Network::new(&g, Model::congest());
+        // too few steps: routing must report failure
+        out.clusters[0].routing =
+            lcg_expander::routing::charged_walk_routing(&g, &members, 0, &ones, 3, &mut rng, None, false).0;
+        let r = &out.clusters[0].routing;
+        assert!(!r.complete());
+        let want = format!("cluster 0: gathering incomplete ({}/30, step cap 3 reached)", r.delivered);
+        assert_eq!(detect_failures(&out, 3, &mut det_net), [want]);
+        // plenty of steps: success
+        out.clusters[0].routing =
+            lcg_expander::routing::charged_walk_routing(&g, &members, 0, &ones, 500_000, &mut rng, None, false).0;
+        assert!(out.clusters[0].routing.complete());
+        assert!(detect_failures(&out, 500_000, &mut det_net).is_empty());
     }
 
     #[test]

@@ -301,7 +301,7 @@ pub type WalkRecord = (RoutingOutcome, Vec<(usize, u64)>, RoundStats);
 /// [`FaultState::kills`]`(s − 1, e, from, to)`, the engine's verdict at
 /// send; it still consumed the edge's bandwidth (charged and tallied), but
 /// its token is destroyed, so the outcome can come back incomplete and
-/// `routing_failure_detected` fires. Trajectories are the fault-free ones.
+/// the §2.3 reversal detector fires. Trajectories are the fault-free ones.
 ///
 /// # Panics
 ///

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
-
 /// Sign of an edge in a correlation-clustering instance (paper §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
@@ -126,67 +124,6 @@ fn derive(
         edge_ids,
         weights: weights.map(|w| picks.iter().map(|&(_, _, i)| w[i as usize]).collect()),
         labels: labels.map(|l| picks.iter().map(|&(_, _, i)| l[i as usize]).collect()),
-    }
-}
-
-// Hand-written serde impls (the vendored serde stand-in has no derive);
-// the JSON shape matches what `#[derive(Serialize, Deserialize)]` with
-// externally-tagged enums would produce.
-
-impl Serialize for Sign {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                Sign::Positive => "Positive",
-                Sign::Negative => "Negative",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for Sign {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(s) if s == "Positive" => Ok(Sign::Positive),
-            Value::Str(s) if s == "Negative" => Ok(Sign::Negative),
-            _ => Err(serde::Error::msg("expected \"Positive\" or \"Negative\"")),
-        }
-    }
-}
-
-impl Serialize for Graph {
-    fn to_value(&self) -> Value {
-        // The CSR arrays are derived data: serializing the edge list alone
-        // keeps the wire format minimal and lets `from_value` rebuild them.
-        Value::object([
-            ("n".to_string(), self.n.to_value()),
-            ("edges".to_string(), self.edges.to_value()),
-            ("weights".to_string(), self.weights.to_value()),
-            ("labels".to_string(), self.labels.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Graph {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |k: &str| v.get(k).ok_or_else(|| serde::Error::msg(format!("missing field `{k}`")));
-        let n = usize::from_value(field("n")?)?;
-        let edges: Vec<(u32, u32)> = Vec::from_value(field("edges")?)?;
-        if edges.iter().any(|&(u, v)| u >= v || (v as usize) >= n)
-            || edges.windows(2).any(|w| w[0] >= w[1])
-        {
-            return Err(serde::Error::msg("edge list is not simple/sorted or out of range"));
-        }
-        let weights: Option<Vec<u64>> = Option::from_value(field("weights")?)?;
-        let labels: Option<Vec<Sign>> = Option::from_value(field("labels")?)?;
-        if weights.as_ref().is_some_and(|w| w.len() != edges.len())
-            || labels.as_ref().is_some_and(|l| l.len() != edges.len())
-        {
-            return Err(serde::Error::msg("weights/labels must hold one entry per edge"));
-        }
-        let (offsets, neighbors, edge_ids) = build_csr(n, &edges);
-        Ok(Graph { n, edges, offsets, neighbors, edge_ids, weights, labels })
     }
 }
 
@@ -585,15 +522,6 @@ impl Graph {
         (order, degeneracy)
     }
 
-    /// The boundary `∂(S)`: ids of edges with exactly one endpoint in `S`.
-    pub fn boundary(&self, in_set: &[bool]) -> Vec<usize> {
-        assert_eq!(in_set.len(), self.n);
-        self.edges()
-            .filter(|&(_, u, v)| in_set[u] != in_set[v])
-            .map(|(e, _, _)| e)
-            .collect()
-    }
-
     /// Disjoint union of two graphs; the second graph's vertices are shifted
     /// by `self.n()`. Weights/labels carry over when both sides have them.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
@@ -728,20 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn deserialize_rejects_side_arrays_of_the_wrong_length() {
-        let Value::Object(mut fields) = path(3).with_weights(vec![7, 9]).to_value() else {
-            panic!("a graph serializes as an object");
-        };
-        let decode = |fields: &std::collections::BTreeMap<String, Value>| Graph::from_value(&Value::Object(fields.clone()));
-        assert_eq!(decode(&fields).expect("the untouched value decodes").weight(1), 9);
-        fields.insert("weights".to_string(), vec![7u64].to_value());
-        assert!(decode(&fields).is_err(), "one weight for two edges");
-        fields.insert("weights".to_string(), Value::Null);
-        fields.insert("labels".to_string(), vec![Sign::Positive; 3].to_value());
-        assert!(decode(&fields).is_err(), "three labels for two edges");
-    }
-
-    #[test]
     fn dedups_parallel_edges() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1);
@@ -804,15 +718,6 @@ mod tests {
         assert_eq!(h.n(), 4);
         assert_eq!(h.m(), 1);
         assert_eq!(h.degree(3), 0);
-    }
-
-    #[test]
-    fn boundary_of_prefix() {
-        let g = path(5);
-        let in_set = vec![true, true, false, false, false];
-        let b = g.boundary(&in_set);
-        assert_eq!(b.len(), 1);
-        assert_eq!(g.endpoints(b[0]), (1, 2));
     }
 
     #[test]

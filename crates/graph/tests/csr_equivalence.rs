@@ -312,17 +312,4 @@ proptest! {
             }
         }
     }
-
-    /// Serialize → deserialize reproduces the identical CSR arrays.
-    #[test]
-    fn csr_survives_serde_roundtrip((n, raw) in edge_lists()) {
-        use serde::{Deserialize, Serialize};
-        let g = csr_graph(n, &raw);
-        let v = g.to_value();
-        let h = Graph::from_value(&v).expect("roundtrip decodes");
-        prop_assert_eq!(g.n(), h.n());
-        prop_assert_eq!(g.csr_offsets(), h.csr_offsets());
-        prop_assert_eq!(g.csr_neighbors(), h.csr_neighbors());
-        prop_assert_eq!(g.csr_edge_ids(), h.csr_edge_ids());
-    }
 }

@@ -86,7 +86,7 @@ pub fn greedy_mwm(g: &Graph) -> Vec<Option<usize>> {
 /// Core algorithm on an explicit edge list (weights may be arbitrary
 /// non-negative integers; edges with non-positive weight never help a
 /// maximum weight matching and are kept for structural fidelity).
-pub fn max_weight_matching_edges(
+fn max_weight_matching_edges(
     nvertex: usize,
     edges: &[(usize, usize, i64)],
 ) -> Vec<Option<usize>> {

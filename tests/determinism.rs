@@ -96,22 +96,3 @@ fn routing_is_rng_deterministic() {
     let b = routing::charged_walk_routing(&g, &members, leader, &ones, 1_000_000, &mut w2, None, false).0;
     assert_eq!(a, b);
 }
-
-#[test]
-fn graph_serde_roundtrip() {
-    let mut rng = gen::seeded_rng(46);
-    let g = gen::random_labels(
-        gen::random_weights(gen::random_planar(40, 0.5, &mut rng), 20, &mut rng),
-        0.5,
-        &mut rng,
-    );
-    let json = serde_json::to_string(&g).expect("serialize");
-    let h: locongest::graph::Graph = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(g.n(), h.n());
-    assert_eq!(g.m(), h.m());
-    for (e, u, v) in g.edges() {
-        assert_eq!(h.endpoints(e), (u, v));
-        assert_eq!(g.weight(e), h.weight(e));
-        assert_eq!(g.label(e), h.label(e));
-    }
-}
