@@ -2,8 +2,9 @@
 //!
 //! The paper's §2.3 failure machinery is *detection*: elections that
 //! disagree, routings whose reversal comes up short, clusters whose
-//! diameter exceeds the bound of a successful execution. This module is
-//! the *reaction*: run the framework under whatever
+//! diameter exceeds the bound of a successful execution. This module holds
+//! those detectors and the *reaction*, which runs as the retry arm of the
+//! framework's one run path: run the framework under whatever
 //! [`FaultPlan`](lcg_congest::FaultPlan) the configuration carries, run
 //! every detector, and on any detected failure retry the randomized
 //! phases — election, orientation, gathering, over the one decomposition
@@ -24,8 +25,7 @@
 //! `phases` breakdown only covers the *final* attempt and no longer
 //! partitions `stats.rounds`.
 
-use lcg_congest::primitives;
-use lcg_congest::{Network, RoundStats};
+use lcg_congest::{primitives, Network, RoundStats};
 use lcg_expander::decomp::{ClusterInfo, ExpanderDecomposition};
 use lcg_expander::routing::RoutingOutcome;
 use lcg_graph::Graph;
