@@ -402,9 +402,9 @@ mod tests {
     }
 
     /// The diameter detector on a sabotaged clustering: one cluster of
-    /// diameter 39 against a bound of 3 is marked and reported, while a
-    /// cluster whose diameter is exactly the bound passes. Either way the
-    /// check spends rounds on the network it is handed.
+    /// diameter 39 against a bound of 3 is reported, and the check marks
+    /// every vertex of it for dissolution into singletons. The check spends
+    /// rounds on the network it is handed.
     #[test]
     fn detector_flags_an_over_diameter_cluster() {
         let g = gen::path(40);
@@ -414,7 +414,15 @@ mod tests {
         let mut net = Network::new(&g, Model::congest());
         assert_eq!(detect_failures(&out, 1, &mut net), ["clustering: over-diameter cluster dissolved"]);
         assert!(net.stats().rounds > 0, "check rounds accrue to the caller's network");
+        let mut net = Network::new(&g, Model::congest());
+        let marked = primitives::diameter_check(&mut net, &out.decomposition.cluster_of, 3);
+        assert!(marked.iter().all(|&m| m), "every vertex of the long cluster is dissolved");
+    }
 
+    /// A cluster whose diameter is exactly the bound passes the detector and
+    /// keeps every vertex; the check is still charged.
+    #[test]
+    fn detector_keeps_a_cluster_at_the_bound() {
         let g = gen::grid(4, 4); // diameter 6
         let mut out = singleton_outcome(&g, &FrameworkConfig::planar(0.3, 0));
         out.decomposition.cluster_of = vec![0; 16];
@@ -422,6 +430,9 @@ mod tests {
         let mut net = Network::new(&g, Model::congest());
         assert!(detect_failures(&out, 1, &mut net).is_empty());
         assert!(net.stats().rounds > 0, "the check is never free");
+        let mut net = Network::new(&g, Model::congest());
+        let marked = primitives::diameter_check(&mut net, &out.decomposition.cluster_of, 6);
+        assert!(marked.iter().all(|&m| !m), "a valid cluster keeps all its vertices");
     }
 
     /// The check is charged to the network it is handed: stats accumulate
