@@ -13,11 +13,13 @@
 //!
 //! The inline length is `Len`, a three-valued enum rather than a `u8`:
 //! its unused values are a niche rustc stores the variant tag in, and
-//! `Option`'s `None` in the next one. So an inbox slot, `Option<Msg>`, is
+//! `Option`'s `None` in the next one. So an inbox entry, `Option<Msg>`, is
 //! 24 bytes (two words plus the length byte, padded) where a `u8` length
-//! made it 32 — the round engine's grids shrink by a quarter. A
-//! compile-time assertion below holds the size, so a toolchain that stops
-//! finding the niche fails the build instead of silently growing them.
+//! made it 32. The round engine's grid does not store `Option<Msg>`: its
+//! slot is the two words and a tag byte, 17 bytes, and only the row a
+//! closure reads is copied out as `Option<Msg>`s. A compile-time assertion
+//! below holds the size, so a toolchain that stops finding the niche fails
+//! the build instead of silently growing every inbox.
 //!
 //! # Representation invariant
 //!
@@ -146,6 +148,24 @@ impl Msg {
             Repr::Inline { words, len } => &words[..*len as usize],
             Repr::Spilled(b) => b,
         }
+    }
+
+    /// The inline payload as its two words (unused ones zero) and its
+    /// length, or `None` for a spilled one: how the round engine's inbox
+    /// grid stores a message.
+    #[inline]
+    pub(crate) fn inline_words(&self) -> Option<([u64; INLINE_WORDS], usize)> {
+        match &self.0 {
+            Repr::Inline { words, len } => Some((*words, *len as usize)),
+            Repr::Spilled(_) => None,
+        }
+    }
+
+    /// The inline message `words[..len]`, for `len <= INLINE_WORDS`
+    /// (larger `len` read as full): the inverse of [`Msg::inline_words`].
+    #[inline]
+    pub(crate) fn from_inline_words(words: [u64; INLINE_WORDS], len: usize) -> Msg {
+        Msg(Repr::Inline { words, len: Len::of(len) })
     }
 
     /// Copies the payload into a fresh `Vec<u64>` (mostly for tests and

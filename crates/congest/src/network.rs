@@ -19,11 +19,17 @@
 //! body measured slower than one thread on every committed benchmark row
 //! and was deleted (DESIGN §10.3). Delivery is not a phase of its own:
 //! [`Outbox::send`] stores the message in the receiver's inbox slot at
-//! once, so composing *is* delivering. The two round *structures* differ
-//! only in when the inbox is read: a step round reads last round's
-//! deliveries while composing the next round's into a second grid, and
-//! has no consume phase; an exchange round composes, then consumes. The
-//! phase that read an inbox row clears it. The public forms are adapters:
+//! once, so composing *is* delivering. Every form delivers into the one
+//! inbox grid. The two round *structures* differ only in when the inbox
+//! is read: a step round reads last round's deliveries while composing
+//! the next round's, and has no consume phase; an exchange round
+//! composes, then consumes. In a step round a vertex reads its row just
+//! before it composes, so a send to a vertex that has read its row lands
+//! at once, and a send to a later vertex is stored marked as this
+//! round's, which that vertex's read leaves for the next round — unless
+//! the slot still holds the vertex's unread message, and then the send is
+//! held until the sweep ends. The phase that read an inbox row clears
+//! it. The public forms are adapters:
 //!
 //! * [`Network::run_state`] runs `k` step rounds and
 //!   [`Network::exchange_rounds`] up to `k` exchange rounds, handing each
@@ -51,17 +57,20 @@
 //! # Memory model (DESIGN §10)
 //!
 //! The hot path is allocation-free: messages are [`Msg`] values that store
-//! CONGEST-size payloads inline (an inbox slot is 24 bytes), and the
-//! network owns the per-vertex/per-port inbox grids a round writes into.
-//! An exchange round delivers into the one grid its consume phase then
-//! drains; a step round also needs a back buffer to deliver into while the
-//! compose phase still reads the front one. The first round allocates what
-//! it needs — the slot pairing, the inbox grid, a step round's back buffer
-//! — so a network that only exchanges holds one grid, and one that only
-//! carries a fault schedule (a charged walk's, a retry's base) holds none.
-//! A round takes the grids out of the network, works in place, and puts
-//! them back. A panic mid-round loses them with the round's in-flight
-//! messages; the next round starts from fresh, identically shaped grids.
+//! CONGEST-size payloads inline, and the network owns the one inbox grid
+//! every round form writes into — `2m` slots of two words and a tag byte,
+//! 17 bytes each, a CONGEST message per edge direction. The tag holds the
+//! length, whether the slot is full, destroyed by the fault plan or held,
+//! the parity of the step round that stored it, and a spill mark: a LOCAL
+//! payload longer than two words waits in a side table, and the slot's
+//! first word is its index there. Closures still see an [`Inbox`], a
+//! scratch row the engine copies the vertex's grid row into, clearing the
+//! grid row as it goes. The first round allocates the slot pairing and the
+//! grid, so a network that only carries a fault schedule (a charged
+//! walk's, a retry's base) holds neither. A round takes the grid out of
+//! the network, works in place, and puts it back. A panic mid-round loses
+//! it with the round's in-flight messages; the next round starts from a
+//! fresh, empty grid.
 
 use lcg_graph::Graph;
 use lcg_metrics::Recorder;
@@ -77,43 +86,190 @@ use crate::stats::RoundStats;
 /// `Graph::neighbors(v)` (sorted by neighbor id).
 pub type Inbox = [Option<Msg>];
 
-/// One per-vertex/per-port inbox grid as a flat arena indexed by CSR
-/// edge slot: the message delivered to vertex `v` on port `p` lives at
-/// slot `g.csr_offsets()[v] + p`. One contiguous allocation of
-/// `g.slots() = 2m` entries, read row by row.
-type Grid = Vec<Option<Msg>>;
+/// Tag bits of an inbox slot ([`Grid`]). `LEN`: the length of an inline
+/// payload, `0..=INLINE_WORDS`.
+const LEN: u8 = 0b11;
+/// The slot holds a message (perhaps a destroyed one).
+const FULL: u8 = 1 << 2;
+/// The payload is longer than [`INLINE_WORDS`]: it waits in the side table
+/// of the slot's `MARK`, and the slot's first word is its index there.
+const SPILL: u8 = 1 << 3;
+/// The fault plan destroyed the message: it occupies the slot until read,
+/// so a second send on its port is still caught, and reads as absent.
+const DESTROYED: u8 = 1 << 4;
+/// The parity of the step round that stored the message: a step round
+/// leaves a message stored this round for the next one to read.
+const MARK: u8 = 1 << 5;
+/// The slot still holds the receiver's unread message of the previous
+/// step round, and this round's send into it waits in [`Grid::held`].
+const HELD: u8 = 1 << 6;
 
-/// Takes a grid out of its slot for the duration of a round, falling back
-/// to a fresh allocation when the slot is cold: never used yet (no round
-/// has run, or none has needed a back buffer), or a panic unwound mid-round
-/// and the grid, with the failed round's in-flight messages, was lost.
-fn take_grid(g: &Graph, slot: &mut Grid) -> Grid {
-    let grid = std::mem::take(slot);
-    if grid.len() == g.slots() {
-        grid
-    } else {
-        vec![None; g.slots()]
-    }
+/// Bytes per inbox slot: two payload words and the tag.
+const SLOT_BYTES: usize = size_of::<[u64; INLINE_WORDS]>() + size_of::<u8>();
+const _: () = assert!(SLOT_BYTES == 17);
+
+/// The one inbox grid of every round form, indexed by CSR edge slot: the
+/// message delivered to vertex `v` on port `p` lives at slot
+/// `g.csr_offsets()[v] + p`. A slot is two words and a tag byte, in two
+/// zero-initialised arrays of `g.slots() = 2m` entries; a tag of 0 is an
+/// empty slot. Closures never see it: the engine copies the row a vertex
+/// reads into a scratch `Inbox` and clears it as it goes.
+#[derive(Default)]
+struct Grid {
+    /// The payload words of an inline message, or a spilled one's index.
+    words: Vec<[u64; INLINE_WORDS]>,
+    /// The slot tags (`LEN`, `FULL`, `SPILL`, `DESTROYED`, `MARK`, `HELD`).
+    tags: Vec<u8>,
+    /// The payloads longer than [`INLINE_WORDS`], one table per `MARK`
+    /// parity: a step round reads one while storing into the other.
+    spill: [Vec<Msg>; 2],
+    /// A step round's sends into slots whose unread message the receiver
+    /// reads later in the same round: stored when the round's sweep ends.
+    held: Vec<(u32, Msg)>,
+    /// Step rounds executed on this grid: the parity of the count is the
+    /// round's `MARK`. Charged rounds do not move it, since they touch no
+    /// slot.
+    step_rounds: u64,
 }
 
-/// Clears consumed inbox slots, writing only the occupied ones.
+/// Whether a send into a slot tagged `tag` is the second one of its port
+/// this round: the slot holds a message of this round's `mark`, or one
+/// held for the end of the round. Each slot has one sender, its port.
 #[inline]
-fn clear_slots(slots: &mut [Option<Msg>]) {
-    for s in slots.iter_mut() {
-        if s.is_some() {
-            *s = None;
+fn sent_this_round(tag: u8, mark: u8) -> bool {
+    tag & HELD != 0 || tag & (FULL | MARK) == FULL | mark
+}
+
+impl Grid {
+    /// An empty grid of `slots` slots. The words are zero-filled in one
+    /// sequential pass rather than allocated zeroed (`vec![[0; 2]; slots]`),
+    /// whose pages fault in on first touch: the first round's sends touch
+    /// them in random order, and on `engine-dense` that cost more than the
+    /// fill. The tags, a seventeenth of the grid, come zeroed.
+    fn new(slots: usize) -> Grid {
+        let mut words = Vec::with_capacity(slots);
+        words.resize(slots, [0; INLINE_WORDS]);
+        Grid { words, tags: vec![0; slots], ..Grid::default() }
+    }
+
+    /// The `MARK` bit of the round in flight.
+    #[inline]
+    fn mark(&self) -> u8 {
+        if self.step_rounds % 2 == 1 {
+            MARK
+        } else {
+            0
         }
     }
-}
 
-/// Returns a grid that is already all-`None` to its slot with no clearing
-/// pass: every phase that reads an inbox row clears it, so a grid whose
-/// rows were all read qualifies (a step round's front buffer, an exchange
-/// round's grid). Taking the grids without a clearing pass (DESIGN §10)
-/// rests on this, hence the debug check.
-fn return_clean(slot: &mut Grid, grid: Grid) {
-    debug_assert!(grid.iter().all(Option::is_none), "a grid went back to the network dirty");
-    *slot = grid;
+    /// Whether slot `s` holds a message to be read (neither destroyed nor
+    /// empty).
+    #[inline]
+    fn is_live(&self, s: usize) -> bool {
+        self.tags[s] & (FULL | DESTROYED) == FULL
+    }
+
+    /// Stores `msg`, sent this round, at slot `s` (tagged `tag`): at once,
+    /// or — when the slot still holds the receiver's unread message of the
+    /// previous step round — held until the round's sweep ends.
+    #[inline]
+    fn store(&mut self, s: usize, tag: u8, mark: u8, msg: Msg) {
+        if tag & (FULL | DESTROYED) == FULL {
+            self.hold(s, tag, msg);
+        } else {
+            self.put(s, mark, msg);
+        }
+    }
+
+    /// Holds `msg` for slot `s` (tagged `tag`) until the round's sweep ends.
+    #[inline(never)]
+    fn hold(&mut self, s: usize, tag: u8, msg: Msg) {
+        self.tags[s] = tag | HELD;
+        self.held.push((s as u32, msg));
+    }
+
+    /// Marks the message sent this round into slot `s` (tagged `tag`)
+    /// destroyed: its payload is dropped, its send still occupies the slot.
+    #[inline]
+    fn destroy(&mut self, s: usize, tag: u8, mark: u8) {
+        self.tags[s] = if tag & (FULL | DESTROYED) == FULL { tag | HELD } else { FULL | DESTROYED | mark };
+    }
+
+    /// Writes `msg` into slot `s`, overwriting it.
+    #[inline(always)]
+    fn put(&mut self, s: usize, mark: u8, msg: Msg) {
+        match msg.inline_words() {
+            Some((words, len)) => {
+                self.words[s] = words;
+                self.tags[s] = FULL | mark | len as u8;
+            }
+            None => self.put_spilled(s, mark, msg),
+        }
+    }
+
+    /// [`Grid::put`] of a payload longer than [`INLINE_WORDS`].
+    #[inline(never)]
+    fn put_spilled(&mut self, s: usize, mark: u8, msg: Msg) {
+        let table = &mut self.spill[usize::from(mark != 0)];
+        self.words[s] = [table.len() as u64, 0];
+        table.push(msg);
+        self.tags[s] = FULL | SPILL | mark;
+    }
+
+    /// Stores the sends held this round: their receivers have read (and
+    /// cleared) their rows since.
+    fn release_held(&mut self, mark: u8) {
+        let mut held = std::mem::take(&mut self.held);
+        for (s, msg) in held.drain(..) {
+            self.put(s as usize, mark, msg);
+        }
+        self.held = held;
+    }
+
+    /// Takes the message at slot `s` and clears the slot — unless its tag
+    /// reads `keep` under `FULL | MARK` (a step round keeps what it stored
+    /// this round; an exchange round, passing 0, keeps nothing).
+    #[inline]
+    fn take(&mut self, s: usize, keep: u8) -> Option<Msg> {
+        let tag = self.tags[s];
+        if tag & FULL == 0 || tag & (FULL | MARK) == keep {
+            return None;
+        }
+        self.tags[s] = 0;
+        if tag & DESTROYED != 0 {
+            return None;
+        }
+        let words = self.words[s];
+        Some(if tag & SPILL == 0 {
+            Msg::from_inline_words(words, usize::from(tag & LEN))
+        } else {
+            std::mem::take(&mut self.spill[usize::from(tag & MARK != 0)][words[0] as usize])
+        })
+    }
+
+    /// Copies the slots `row` into `inbox`, taking each message ([`Grid::take`]).
+    #[inline]
+    fn read_row(&mut self, row: std::ops::Range<usize>, keep: u8, inbox: &mut Vec<Option<Msg>>) {
+        inbox.clear();
+        inbox.extend(row.map(|s| self.take(s, keep)));
+    }
+
+    /// Ends a step round: every message of the previous one has been read,
+    /// so its side table empties, and the next round's mark flips.
+    fn end_step_round(&mut self) {
+        self.spill[usize::from(self.mark() == 0)].clear();
+        self.step_rounds += 1;
+    }
+
+    /// Ends an exchange round, whose messages have all been read.
+    fn end_exchange_round(&mut self) {
+        self.spill[usize::from(self.mark() != 0)].clear();
+    }
+
+    /// Whether no slot holds a message to be read.
+    fn drained(&self) -> bool {
+        (0..self.tags.len()).all(|s| !self.is_live(s))
+    }
 }
 
 /// The slot range of vertex `v`'s row, as plain indices.
@@ -148,17 +304,15 @@ pub struct Network<'g> {
     model: Model,
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
-    /// The inbox grid: the slot `g.csr_offsets()[v] + p` holds the
-    /// message delivered to `v` on port `p`. Between step rounds it
-    /// carries the messages awaiting the next one; an exchange round
-    /// fills and drains it. Empty until the first round takes it, and
-    /// taken out of `self` for the duration of a round, so a panic
-    /// mid-round leaves it cold (empty).
-    pending: Grid,
-    /// A step round's back buffer, the grid it delivers into while its
-    /// compose phase reads `pending`; swapped with `pending` after each
-    /// step round. Empty until the first step round takes it.
-    back: Grid,
+    /// The inbox grid of every round form. Between step rounds it carries
+    /// the messages awaiting the next one; an exchange round fills and
+    /// drains it. Empty until the first round takes it, and taken out of
+    /// `self` for the duration of a round, so a panic mid-round leaves it
+    /// cold (empty).
+    grid: Grid,
+    /// The scratch inbox a vertex's closure reads: its grid row, copied.
+    /// Kept here so a round allocates nothing.
+    row: Vec<Option<Msg>>,
     /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — where
     /// a message sent on slot `s` lands (the receiver itself is
     /// `g.csr_neighbors()[s]`). Empty until the first round pairs the slots.
@@ -166,9 +320,6 @@ pub struct Network<'g> {
     /// Scratch of [`Network::exchange_active`]: the vertices that received
     /// a message this round. Kept here so a sparse round allocates nothing.
     receivers: Vec<usize>,
-    /// Scratch of a watched round: the slots holding a message the plan
-    /// destroyed, cleared when composing ends.
-    doomed: Vec<usize>,
     /// Compiled fault schedule ([`Network::set_fault_plan`]). `None` (the
     /// default) keeps every send on the plain store — zero cost,
     /// bit-identical behavior.
@@ -194,8 +345,7 @@ struct Tally {
 
 /// A round's outbox, handed to a compose closure for one vertex at a time
 /// (the engine moves it from vertex to vertex). [`Outbox::send`] delivers
-/// at once, into the receiving vertex's slot of the grid the round
-/// delivers into.
+/// at once, into the receiving vertex's slot of the inbox grid.
 pub struct Outbox<'a> {
     /// The composing vertex.
     vertex: usize,
@@ -204,7 +354,9 @@ pub struct Outbox<'a> {
     offsets: &'a [u32],
     rev_slot: &'a [u32],
     capacity: Option<usize>,
-    grid: &'a mut [Option<Msg>],
+    grid: &'a mut Grid,
+    /// The `MARK` of the round in flight.
+    mark: u8,
     tally: Tally,
     /// Present when a fault plan or an edge-load tracer must see each
     /// message; a plain round stores and counts, nothing else.
@@ -220,8 +372,6 @@ struct Watch<'a> {
     edges: Option<&'a mut Tracer>,
     neighbors: &'a [u32],
     edge_ids: &'a [u32],
-    /// The slots holding a destroyed message (see [`Outbox::deliver`]).
-    doomed: &'a mut Vec<usize>,
 }
 
 impl<'a> Outbox<'a> {
@@ -256,30 +406,41 @@ impl<'a> Outbox<'a> {
                 cap
             );
         }
-        // the round's grid was clean, and this port is the only sender
-        // into its slot: an occupied slot is this port's earlier message
+        // this port is the only sender into its slot: a message of this
+        // round there is this port's earlier one
         let dest = self.rev[port] as usize;
-        assert!(self.grid[dest].is_none(), "vertex {} sent twice on port {port} in one round", self.vertex);
+        let tag = self.grid.tags[dest];
+        if tag != 0 {
+            self.check_second_send(port, tag);
+        }
         let t = &mut self.tally;
         t.messages += 1;
         t.words += msg.len() as u64;
         t.max_words = t.max_words.max(msg.len());
         t.spilled += u64::from(msg.len() > INLINE_WORDS);
         if self.watch.is_some() {
-            self.deliver(port, dest, msg);
+            self.deliver(port, dest, tag, msg);
         } else {
-            self.grid[dest] = Some(msg);
+            self.grid.store(dest, tag, self.mark, msg);
         }
     }
 
-    /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`:
-    /// the plan adjudicates it — a destroyed message is tallied by cause —
-    /// and the tracer tallies its edge's *delivered* words. A destroyed
-    /// message is stored all the same, so a second send on the port is
-    /// still caught, and its slot is listed for [`Outbox::finish`] to
-    /// clear before anything reads the grid.
+    /// Panics if the slot `tag` describes holds this port's earlier
+    /// message of this round.
+    #[cold]
     #[inline(never)]
-    fn deliver(&mut self, port: usize, dest: usize, msg: Msg) {
+    fn check_second_send(&self, port: usize, tag: u8) {
+        assert!(!sent_this_round(tag, self.mark), "vertex {} sent twice on port {port} in one round", self.vertex);
+    }
+
+    /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`
+    /// (tagged `tag`): the plan adjudicates it — a destroyed message is
+    /// tallied by cause — and the tracer tallies its edge's *delivered*
+    /// words. A destroyed message still occupies its slot, tagged
+    /// `DESTROYED`, so a second send on the port is still caught; reading
+    /// the slot clears it.
+    #[inline(never)]
+    fn deliver(&mut self, port: usize, dest: usize, tag: u8, msg: Msg) {
         let w = self.watch.as_mut().expect("only a watched round delivers here");
         let s = self.offsets[self.vertex] as usize + port;
         let e = w.edge_ids[s] as usize;
@@ -293,15 +454,14 @@ impl<'a> Outbox<'a> {
             };
             if let Some(count) = lost {
                 *count += 1;
-                w.doomed.push(dest);
-                self.grid[dest] = Some(msg);
+                self.grid.destroy(dest, tag, self.mark);
                 return;
             }
         }
         if let Some(tracer) = w.edges.as_mut() {
             tracer.add_edge_words(e, msg.len() as u64);
         }
-        self.grid[dest] = Some(msg);
+        self.grid.store(dest, tag, self.mark, msg);
     }
 
     /// Moves the outbox to vertex `v`.
@@ -312,14 +472,10 @@ impl<'a> Outbox<'a> {
         self.rev = &rev_slot[row_of(self.offsets, v)];
     }
 
-    /// Ends the compose phase: clears the destroyed messages' slots and
-    /// returns the round's tallies.
+    /// Ends the compose phase: stores the held sends and returns the
+    /// round's tallies.
     fn finish(self) -> Tally {
-        if let Some(w) = self.watch {
-            for d in w.doomed.drain(..) {
-                self.grid[d] = None;
-            }
-        }
+        self.grid.release_held(self.mark);
         self.tally
     }
 }
@@ -424,11 +580,10 @@ impl<'g> Network<'g> {
             g,
             model,
             sink: Sink::default(),
-            pending: Grid::new(),
-            back: Grid::new(),
+            grid: Grid::default(),
+            row: Vec::new(),
             rev_slot: Vec::new(),
             receivers: Vec::new(),
-            doomed: Vec::new(),
             faults: None,
         }
     }
@@ -452,6 +607,19 @@ impl<'g> Network<'g> {
             }
         }
         self.rev_slot = rev_slot;
+    }
+
+    /// Takes the inbox grid out for the duration of a round, allocating a
+    /// fresh one when the network's is cold: no round has run yet, or a
+    /// panic unwound mid-round and the grid, with the failed round's
+    /// in-flight messages, was lost.
+    fn take_grid(&mut self) -> Grid {
+        let grid = std::mem::take(&mut self.grid);
+        if grid.tags.len() == self.g.slots() {
+            grid
+        } else {
+            Grid::new(self.g.slots())
+        }
     }
 
     /// [`Network::new`]; the thread count is ignored. Kept only for the
@@ -655,30 +823,26 @@ impl<'g> Network<'g> {
     /// rounds consume the inbox grid whole, step-round leftovers included.
     fn debug_assert_drained(&self) {
         debug_assert!(
-            self.pending.iter().all(Option::is_none),
+            self.grid.drained(),
             "an exchange round was started with undelivered step-round messages pending"
         );
     }
 
-    /// The outbox of a round that delivers into `grid` (clean on entry),
-    /// before [`Outbox::at`] moves it to a vertex. It is watched — every send leaves the plain store —
-    /// when a fault plan is installed or the tracer tallies edge words.
-    fn outbox<'a>(&'a mut self, grid: &'a mut [Option<Msg>]) -> Outbox<'a> {
-        let Network { g, model, sink, rev_slot, doomed, faults, .. } = self;
+    /// The outbox of a round that delivers into `grid`, before
+    /// [`Outbox::at`] moves it to a vertex. It is watched — every send
+    /// leaves the plain store — when a fault plan is installed or the
+    /// tracer tallies edge words.
+    fn outbox<'a>(&'a mut self, grid: &'a mut Grid) -> Outbox<'a> {
+        let Network { g, model, sink, rev_slot, faults, .. } = self;
         let edges = sink.tracer.as_mut().filter(|t| t.records_edge_loads());
-        let watch = (faults.is_some() || edges.is_some()).then(|| {
-            // a panic mid-round may have left slots of a lost grid here
-            doomed.clear();
-            Watch {
-                // delivery precedes the round's booking, so `stats.rounds`
-                // is the 0-based index of the round in flight
-                round: sink.stats.rounds,
-                faults: faults.as_ref(),
-                edges,
-                neighbors: g.csr_neighbors(),
-                edge_ids: g.csr_edge_ids(),
-                doomed,
-            }
+        let watch = (faults.is_some() || edges.is_some()).then(|| Watch {
+            // delivery precedes the round's booking, so `stats.rounds`
+            // is the 0-based index of the round in flight
+            round: sink.stats.rounds,
+            faults: faults.as_ref(),
+            edges,
+            neighbors: g.csr_neighbors(),
+            edge_ids: g.csr_edge_ids(),
         });
         Outbox {
             vertex: 0,
@@ -686,6 +850,7 @@ impl<'g> Network<'g> {
             offsets: g.csr_offsets(),
             rev_slot,
             capacity: model.capacity(),
+            mark: grid.mark(),
             grid,
             tally: Tally::default(),
             watch,
@@ -694,12 +859,12 @@ impl<'g> Network<'g> {
 
     /// The round body: up to `max_rounds` rounds of compose (which
     /// delivers) → consume on the caller's thread, stopping early once
-    /// every state is `halted`; returns the rounds executed. Without a
-    /// `consume` phase, `compose` reads the previous round's deliveries
-    /// while delivering into the back buffer, and the two grids swap after
-    /// the round; with one, `compose` is handed an empty inbox, delivers
-    /// into the one grid, and `consume` reads it. The phase that read a
-    /// row clears it, so delivery lands on clean slots. It takes the states
+    /// every state is `halted`; returns the rounds executed. Both round
+    /// structures deliver into the one grid. Without a `consume` phase,
+    /// each vertex reads its row — last round's deliveries — as it
+    /// composes, and leaves what this round stored there for the next
+    /// round; with one, `compose` is handed an empty inbox and `consume`
+    /// reads the rows. Reading a row clears it. It takes the states
     /// itself because both closures mutate them and cannot each capture
     /// the slice. Panics if `states.len() != n`.
     fn rounds<St, C, R, H>(
@@ -719,42 +884,41 @@ impl<'g> Network<'g> {
         self.pair_slots();
         let offsets = self.g.csr_offsets();
         let step = consume.is_none();
-        let mut inbox = take_grid(self.g, &mut self.pending);
-        let mut next = if step { take_grid(self.g, &mut self.back) } else { Grid::new() };
+        let mut grid = self.take_grid();
+        let mut row = std::mem::take(&mut self.row);
+        row.clear();
         let mut executed = 0u64;
         for round in 0..max_rounds {
             if halted.as_mut().is_some_and(|h| states.iter().all(h)) {
                 break;
             }
-            let (dest, mut read) = if step { (&mut next, Some(&mut inbox)) } else { (&mut inbox, None) };
-            let mut out = self.outbox(dest);
+            let keep = FULL | grid.mark();
+            let mut out = self.outbox(&mut grid);
             for (v, state) in states.iter_mut().enumerate() {
                 out.at(v);
-                let row: &mut Inbox = match read.as_mut() {
-                    Some(read) => &mut read[row_of(offsets, v)],
-                    None => &mut [],
-                };
-                compose(state, round, v, row, &mut out);
-                clear_slots(row);
+                if step {
+                    out.grid.read_row(row_of(offsets, v), keep, &mut row);
+                }
+                compose(state, round, v, &row, &mut out);
             }
             let tally = out.finish();
             self.sink.round(&tally);
             match consume.as_mut() {
                 Some(recv) => {
                     for (v, state) in states.iter_mut().enumerate() {
-                        let row = &mut inbox[row_of(offsets, v)];
-                        recv(state, round, v, row);
-                        clear_slots(row);
+                        grid.read_row(row_of(offsets, v), 0, &mut row);
+                        recv(state, round, v, &row);
                     }
+                    row.clear();
+                    grid.end_exchange_round();
                 }
-                None => std::mem::swap(&mut inbox, &mut next),
+                None => grid.end_step_round(),
             }
             executed += 1;
         }
-        self.pending = inbox;
-        if step {
-            return_clean(&mut self.back, next);
-        }
+        debug_assert!(step || grid.drained(), "an exchange round left a message unread");
+        self.grid = grid;
+        self.row = row;
         executed
     }
 
@@ -784,34 +948,42 @@ impl<'g> Network<'g> {
         );
         self.pair_slots();
         let (offsets, neighbors) = (self.g.csr_offsets(), self.g.csr_neighbors());
-        let mut inbox = take_grid(self.g, &mut self.pending);
-        let mut out = self.outbox(&mut inbox);
+        let mut grid = self.take_grid();
+        let mut out = self.outbox(&mut grid);
         for &v in senders {
             out.at(v);
             send(v, &mut out);
         }
         let tally = out.finish();
         self.sink.round(&tally);
-        // the grid was clean and each slot has one sender: a sender's port
-        // reached its neighbor iff the slot it delivers to is occupied
+        // each slot has one sender: a sender's port reached its neighbor
+        // iff the slot it delivers to holds a live message; a destroyed
+        // one is cleared here, as no receiver reads it
         let mut receivers = std::mem::take(&mut self.receivers);
         for &v in senders {
             for s in row_of(offsets, v) {
-                if inbox[self.rev_slot[s] as usize].is_some() {
+                let d = self.rev_slot[s] as usize;
+                if grid.is_live(d) {
                     receivers.push(neighbors[s] as usize);
+                } else {
+                    grid.tags[d] = 0;
                 }
             }
         }
         receivers.sort_unstable();
         receivers.dedup();
+        let mut row = std::mem::take(&mut self.row);
         for &u in &receivers {
-            let row = &mut inbox[row_of(offsets, u)];
-            recv(u, row);
-            row.fill(None);
+            grid.read_row(row_of(offsets, u), 0, &mut row);
+            recv(u, &row);
         }
+        row.clear();
+        grid.end_exchange_round();
         receivers.clear();
         self.receivers = receivers;
-        return_clean(&mut self.pending, inbox);
+        self.row = row;
+        debug_assert!(grid.drained(), "a sparse round left a message unread");
+        self.grid = grid;
     }
 
     /// Runs up to `max_rounds` exchange rounds over per-vertex state,
@@ -827,8 +999,8 @@ impl<'g> Network<'g> {
     /// number of rounds executed.
     ///
     /// Do not start one with step-round messages in flight: both
-    /// structures use the one inbox grid (debug builds assert it is
-    /// empty).
+    /// structures use the one inbox grid (debug builds assert it holds
+    /// none).
     ///
     /// # Panics
     ///
@@ -1043,6 +1215,34 @@ mod tests {
         assert_eq!(net.stats().messages, 45);
     }
 
+    /// Every round form runs on one grid of `2m` slots at 17 bytes each —
+    /// two words and a tag — and a step round keeps no second one.
+    #[test]
+    fn one_grid_of_17_byte_slots_serves_every_round_form() {
+        let g = gen::grid(5, 6);
+        let mut net = Network::new(&g, Model::congest());
+        let flood = |out: &mut Outbox| {
+            for p in 0..out.ports() {
+                out.send(p, [1, 2]);
+            }
+        };
+        let mut unit = vec![(); g.n()];
+        let holds_one_grid = |net: &Network, what: &str| {
+            let grid = &net.grid;
+            assert_eq!((grid.words.len(), grid.tags.len()), (g.slots(), g.slots()), "{what}");
+            let bytes = grid.words.capacity() * size_of::<[u64; INLINE_WORDS]>() + grid.tags.capacity();
+            assert!(bytes <= SLOT_BYTES * g.slots(), "{what}: {bytes} bytes for {} slots", g.slots());
+        };
+        net.run_state(3, &mut unit, |_, _, _, out| flood(out));
+        holds_one_grid(&net, "step rounds");
+        net.step_state(&mut unit, |_, _, _, _| {});
+        net.exchange_rounds(2, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);
+        holds_one_grid(&net, "exchange rounds");
+        net.exchange_active(&[0, 7, 29], |_, out| flood(out), |_, _| {});
+        holds_one_grid(&net, "a sparse round");
+        assert_eq!(SLOT_BYTES, 17);
+    }
+
     #[test]
     fn charge_rounds_counts() {
         let g = gen::path(2);
@@ -1123,7 +1323,7 @@ mod tests {
         assert_sinks_agree(&mut net, sp, &external, "step_state");
         net.run_state(2, &mut unit, |_, _, _, out| flood(out));
         assert_sinks_agree(&mut net, sp, &external, "run_state");
-        net.step_state(&mut unit, |_, _, _, _| {}); // drain: the exchange forms need an empty pending grid
+        net.step_state(&mut unit, |_, _, _, _| {}); // drain: the exchange forms need a grid with no message pending
         net.exchange_active(&[0, 6, 15], |_, out| flood(out), |_, _| {});
         assert_sinks_agree(&mut net, sp, &external, "exchange_active");
         let ran = net.exchange_rounds(3, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);

@@ -6,7 +6,10 @@
 //! edge-load tracers and recorders, `run_state`,
 //! `exchange_rounds` and `exchange_active` must match it call for call:
 //! every inbox in the order it was read, `RoundStats`, trace bytes and the
-//! metrics registry.
+//! metrics registry. Charged rounds fall between step calls that leave
+//! messages in flight, and one step call sends on every port every round,
+//! so each of its sends to a vertex that has not yet read its row meets
+//! that vertex's unread message.
 
 use lcg_congest::{FaultPlan, Inbox, Model, Msg, Network, RoundStats};
 use lcg_graph::{gen, Graph};
@@ -98,6 +101,18 @@ impl Reference<'_> {
             r.histogram_record("net.words_per_round", words);
         }
     }
+
+    /// `k` silent rounds charged: the books and the plan's clock move, the
+    /// inbox grid does not.
+    fn charge(&mut self, k: u64) {
+        self.stats.rounds += k;
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_quiet_rounds(k);
+        }
+        if let Some(r) = self.metrics.as_mut() {
+            r.counter_add("net.rounds", k);
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -149,11 +164,11 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 }
 
 /// A vertex's sends from state `acc`: 1–3 words (3 spills) on two thirds
-/// of its ports, chosen by the coin.
-fn emit(seed: u64, v: usize, acc: u64, ports: usize, send: &mut Emit<'_>) {
+/// of its ports, chosen by the coin — or on every port when `every`.
+fn emit(seed: u64, v: usize, acc: u64, ports: usize, every: bool, send: &mut Emit<'_>) {
     for p in 0..ports {
         let coin = mix(seed, acc, (v * 64 + p) as u64);
-        if !coin.is_multiple_of(3) {
+        if every || !coin.is_multiple_of(3) {
             send(p, (0..(coin >> 8) % 3 + 1).map(|i| acc ^ v as u64 ^ i).collect());
         }
     }
@@ -196,32 +211,56 @@ fn observe_reference(r: &Reference<'_>) -> (RoundStats, Option<String>, Option<R
     (r.stats, trace, r.metrics.as_ref().map(|m| m.registry().clone()))
 }
 
-/// The calls both sides make, in order: step rounds that send, a step
-/// round that only reads, exchange rounds, then two sparse rounds.
+/// What a step call's vertices send each round.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Sends {
+    Nothing,
+    /// Two thirds of the ports, by the coin.
+    Some,
+    /// Every port.
+    Every,
+}
+
+/// The calls both sides make, in order: step rounds that send, with
+/// charged rounds between step calls while messages are in flight (an odd
+/// count among them), step rounds that send on every port, a step round
+/// that only reads, exchange rounds, then two sparse rounds.
 #[derive(Clone, Copy, Debug)]
 enum Call {
-    Steps(usize, bool),
+    Steps(usize, Sends),
+    Charge(u64),
     Exchanges(usize),
     Active(u64),
 }
 
-const CALLS: [Call; 6] =
-    [Call::Steps(3, true), Call::Steps(1, false), Call::Exchanges(2), Call::Active(1), Call::Active(2), Call::Steps(2, true)];
+const CALLS: [Call; 10] = [
+    Call::Steps(3, Sends::Some),
+    Call::Charge(1),
+    Call::Steps(2, Sends::Every),
+    Call::Charge(2),
+    Call::Steps(1, Sends::Some),
+    Call::Steps(1, Sends::Nothing),
+    Call::Exchanges(2),
+    Call::Active(1),
+    Call::Active(2),
+    Call::Steps(2, Sends::Some),
+];
 
 fn run_engine(net: &mut Network<'_>, acc: &mut [u64], call: Call, seed: u64, out: &mut Log) {
     match call {
         Call::Steps(k, sends) => net.run_state(k, acc, |acc, v, inbox, o| {
             log(out, v, inbox);
             absorb(acc, inbox);
-            if sends {
-                emit(seed, v, *acc, o.ports(), &mut |p, m| o.send(p, m));
+            if sends != Sends::Nothing {
+                emit(seed, v, *acc, o.ports(), sends == Sends::Every, &mut |p, m| o.send(p, m));
             }
         }),
+        Call::Charge(k) => net.charge_rounds(k),
         Call::Exchanges(k) => {
             let rounds = net.exchange_rounds(
                 k,
                 acc,
-                |acc, _, v, o| emit(seed, v, *acc, o.ports(), &mut |p, m| o.send(p, m)),
+                |acc, _, v, o| emit(seed, v, *acc, o.ports(), false, &mut |p, m| o.send(p, m)),
                 |acc, _, v, inbox| {
                     log(out, v, inbox);
                     absorb(acc, inbox);
@@ -233,7 +272,7 @@ fn run_engine(net: &mut Network<'_>, acc: &mut [u64], call: Call, seed: u64, out
         Call::Active(salt) => {
             let senders: Vec<usize> = (0..acc.len()).filter(|&v| active(seed, salt, v)).collect();
             let acc_in: Vec<u64> = acc.to_vec();
-            net.exchange_active(&senders, |v, o| emit(seed, v, acc_in[v], o.ports(), &mut |p, m| o.send(p, m)), |v, inbox| {
+            net.exchange_active(&senders, |v, o| emit(seed, v, acc_in[v], o.ports(), false, &mut |p, m| o.send(p, m)), |v, inbox| {
                 log(out, v, inbox);
                 absorb(&mut acc[v], inbox);
             });
@@ -245,13 +284,17 @@ fn run_reference(r: &mut Reference<'_>, acc: &mut [u64], call: Call, seed: u64, 
     let g = r.g;
     let (k, step, sends) = match call {
         Call::Steps(k, sends) => (k, true, sends),
-        Call::Exchanges(k) => (k, false, true),
-        Call::Active(_) => (1, false, true),
+        Call::Charge(k) => {
+            r.charge(k);
+            return;
+        }
+        Call::Exchanges(k) => (k, false, Sends::Some),
+        Call::Active(_) => (1, false, Sends::Some),
     };
     for _ in 0..k {
         let sender = |v: usize| match call {
             Call::Active(salt) => active(seed, salt, v),
-            _ => sends,
+            _ => sends != Sends::Nothing,
         };
         r.round(step, |v, inbox, send| {
             if step {
@@ -259,7 +302,7 @@ fn run_reference(r: &mut Reference<'_>, acc: &mut [u64], call: Call, seed: u64, 
                 absorb(&mut acc[v], inbox);
             }
             if sender(v) {
-                emit(seed, v, acc[v], g.degree(v), send);
+                emit(seed, v, acc[v], g.degree(v), sends == Sends::Every, send);
             }
         });
         if !step {

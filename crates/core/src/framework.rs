@@ -237,7 +237,7 @@ pub(crate) fn run(
     if let Some(rec) = recorder.as_mut() {
         rec.phase_start("decomposition");
     }
-    let decomposition = decomp::decompose(g, cfg.epsilon / cfg.density_bound, Threshold::Adaptive, cfg.exec);
+    let mut decomposition = decomp::decompose(g, cfg.epsilon / cfg.density_bound, Threshold::Adaptive, cfg.exec);
     if let Some(rec) = recorder.as_mut() {
         rec.phase_end("decomposition");
     }
@@ -257,7 +257,7 @@ pub(crate) fn run(
             max_walk_steps: policy.initial_walk_steps.saturating_mul(2usize.saturating_pow(k)).min(cfg.max_walk_steps),
             ..cfg.clone()
         };
-        let mut outcome = attempt(net.cluster(g, &everyone), decomposition.clone(), recorder.take(), &attempt_cfg);
+        let mut outcome = attempt(net.cluster(g, &everyone), decomposition, recorder.take(), &attempt_cfg);
         let mut det_net = Network::new(g, Model::congest());
         let verdicts = detect_failures(&outcome, attempt_cfg.max_walk_steps, &mut det_net);
         // this attempt's registry on top of the failed attempts' (the
@@ -277,6 +277,8 @@ pub(crate) fn run(
         }
         failures.extend(verdicts.into_iter().map(|v| format!("attempt {k}: {v}")));
         spent.merge(&outcome.stats);
+        // the failed outcome hands the decomposition on to the next attempt
+        decomposition = outcome.decomposition;
     }
     // the terminal state either way: the outcome takes on what the failed
     // attempts and every detector pass spent, the metrics the verdict

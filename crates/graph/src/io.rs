@@ -23,11 +23,18 @@ use crate::graph::{Graph, GraphBuilder};
 /// vertex count, letting callers keep isolated vertices; pass 0 to size
 /// the graph by the largest endpoint.
 pub fn read_edge_list<R: Read>(r: R, min_n: usize) -> Result<Graph, String> {
-    let reader = BufReader::new(r);
-    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut reader = BufReader::new(r);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut max_id = 0usize;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", lineno + 1))?;
+    // one line buffer, refilled in place
+    let mut line = String::new();
+    for lineno in 1usize.. {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => return Err(format!("line {lineno}: {e}")),
+        }
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
@@ -35,24 +42,24 @@ pub fn read_edge_list<R: Read>(r: R, min_n: usize) -> Result<Graph, String> {
         let mut it = t.split_whitespace();
         let (u, v) = match (it.next(), it.next(), it.next()) {
             (Some(u), Some(v), None) => (u, v),
-            _ => return Err(format!("line {}: expected `u v`, got {t:?}", lineno + 1)),
+            _ => return Err(format!("line {lineno}: expected `u v`, got {t:?}")),
         };
-        let u: usize = u.parse().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let v: usize = v.parse().map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let u: usize = u.parse().map_err(|e| format!("line {lineno}: {e}"))?;
+        let v: usize = v.parse().map_err(|e| format!("line {lineno}: {e}"))?;
         if u == v {
-            return Err(format!("line {}: self-loop {u}-{v}", lineno + 1));
+            return Err(format!("line {lineno}: self-loop {u}-{v}"));
         }
         // vertex ids are u32 and so is the vertex count, `max id + 1`
         let hi = u.max(v);
         if hi >= u32::MAX as usize {
-            return Err(format!("line {}: vertex id {hi} exceeds the u32 vertex range", lineno + 1));
+            return Err(format!("line {lineno}: vertex id {hi} exceeds the u32 vertex range"));
         }
         max_id = max_id.max(hi);
-        edges.push((u, v));
+        edges.push((u as u32, v as u32));
     }
     let n = if edges.is_empty() { min_n } else { min_n.max(max_id + 1) };
     let mut b = GraphBuilder::new(n);
-    b.extend_edges(edges);
+    b.extend_edges(edges.into_iter().map(|(u, v)| (u as usize, v as usize)));
     Ok(b.build())
 }
 
@@ -67,12 +74,9 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P, min_n: usize) -> Result<Graph, St
 /// one `u v` line per edge in edge-id order.
 pub fn write_edge_list<W: Write>(w: W, g: &Graph) -> Result<(), String> {
     let mut out = BufWriter::new(w);
-    let emit = |out: &mut BufWriter<W>, s: String| {
-        out.write_all(s.as_bytes()).map_err(|e| e.to_string())
-    };
-    emit(&mut out, format!("# n={} m={}\n", g.n(), g.m()))?;
+    writeln!(out, "# n={} m={}", g.n(), g.m()).map_err(|e| e.to_string())?;
     for (_, u, v) in g.edges() {
-        emit(&mut out, format!("{u} {v}\n"))?;
+        writeln!(out, "{u} {v}").map_err(|e| e.to_string())?;
     }
     out.flush().map_err(|e| e.to_string())
 }
@@ -118,6 +122,31 @@ mod tests {
         assert!(err.starts_with("line 2:") && err.contains("5000000000"), "{err}");
         // the largest id needs a vertex count of u32::MAX + 1
         assert!(read_edge_list(format!("0 {}\n", u32::MAX).as_bytes(), 0).is_err());
+    }
+
+    /// The exact bytes of a small fixed graph: the header, then one line
+    /// per edge in edge-id order.
+    #[test]
+    fn writes_the_exact_edge_list() {
+        let mut b = GraphBuilder::new(5);
+        b.extend_edges([(3, 1), (0, 1), (2, 3), (0, 3)]);
+        let mut buf = Vec::new();
+        write_edge_list(&mut buf, &b.build()).expect("writes");
+        assert_eq!(String::from_utf8(buf).expect("utf-8"), "# n=5 m=4\n0 1\n0 3\n1 3\n2 3\n");
+    }
+
+    /// Error texts name the 1-based line, counting comment and blank lines
+    /// and either line ending.
+    #[test]
+    fn errors_name_the_line() {
+        let err = read_edge_list("# c\r\n0 1\r\n\n2 2\n".as_bytes(), 0).expect_err("self-loop");
+        assert_eq!(err, "line 4: self-loop 2-2");
+        let err = read_edge_list("0 1\n1 x\n".as_bytes(), 0).expect_err("not a number");
+        assert_eq!(err, "line 2: invalid digit found in string");
+        let err = read_edge_list("0 1\n 1 2 3 \n".as_bytes(), 0).expect_err("three fields");
+        assert_eq!(err, "line 2: expected `u v`, got \"1 2 3\"");
+        let err = read_edge_list(&b"0 1\n\xff 2\n"[..], 0).expect_err("not utf-8");
+        assert_eq!(err, "line 2: stream did not contain valid UTF-8");
     }
 
     #[test]

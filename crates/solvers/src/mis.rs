@@ -328,7 +328,7 @@ impl Solver<'_> {
         (self.trail.len(), self.current.len())
     }
 
-    /// Takes `v` into the set: removes N[v].
+    /// Takes `v` into the set: removes `N[v]`.
     fn take(&mut self, v: usize) {
         self.remove(v);
         for &u in self.g.neighbor_row(v) {

@@ -168,8 +168,10 @@ fn repeated_poisoning_is_survivable() {
 }
 
 /// Every form runs the one sequential round body, which works on the
-/// network's own inbox grid in place. A closure panicking mid-round surfaces with its payload and
-/// takes the grids (and the failed round's in-flight messages) with it;
+/// network's own inbox grid in place. A closure panicking mid-round —
+/// a step round's included, with sends to later vertices still held for
+/// the end of the round — surfaces with its payload and
+/// takes the grid (and the failed round's in-flight messages) with it;
 /// the same `Network` must then accept an exchange round — its
 /// empty-inbox precondition holds on the survivor — and run the reference
 /// flood bit-identically to a fresh network.
@@ -183,7 +185,7 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
         }
     };
     // (name, the form, whether it tolerates step-round messages in flight)
-    let forms: [(&str, Form, bool); 4] = [
+    let forms: [(&str, Form, bool); 5] = [
         ("step_state", |net| {
             net.step_state(&mut vec![(); net.graph().n()], |_, v, _inbox, out| {
                 assert!(v != 17, "step_state blew up at vertex 17");
@@ -196,6 +198,19 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
                 *me += 1;
                 assert!(!(*me == 3 && v == 17), "run_state blew up at vertex 17");
                 out.send(0, [v as u64]);
+            });
+        }, true),
+        ("run_state on every port", |net| {
+            // with messages in flight, every send to a vertex that has not
+            // yet read its row meets an unread message and waits for the
+            // end of the round: the panic strikes with such sends held
+            let mut rounds_seen = vec![0u32; net.graph().n()];
+            net.run_state(3, &mut rounds_seen, |me, v, _inbox, out| {
+                *me += 1;
+                assert!(!(*me == 2 && v == 17), "run_state on every port blew up at vertex 17");
+                for p in 0..out.ports() {
+                    out.send(p, [v as u64]);
+                }
             });
         }, true),
         ("exchange_rounds recv", |net| {
