@@ -1527,15 +1527,19 @@ mod tests {
 
     /// Unit cost of the dense round forms on `engine-dense`'s graph
     /// (`power_law(4·10⁵, 2)`): a full exchange round (every port sends 2
-    /// words) and a quarter-full step round (one 2-word message per vertex),
-    /// best of five on a warm network, and cold — the first of each on a
-    /// fresh network, in `engine-dense`'s order, so they also pay the slot
-    /// pairing and the grids they allocate. `cargo test --release -p
+    /// words), split into its compose half (up to the first `recv`) and its
+    /// read half, and a quarter-full step round (one 2-word message per
+    /// vertex, on port `(v + round) % ports` as `engine-dense`'s token
+    /// rounds send). Warm is the best of five on a network that has run
+    /// three rounds of each; cold is the first of each on a fresh network,
+    /// in `engine-dense`'s order, so it also pays the slot pairing and
+    /// whatever the first rounds allocate. `cargo test --release -p
     /// lcg-congest --lib probe_round -- --ignored --nocapture --test-threads=1`.
     #[test]
     #[ignore = "probe: prints ns per slot of a full and a quarter-full round, warm and cold"]
     #[expect(clippy::disallowed_methods, reason = "a probe times itself and only prints; nothing asserts on the clock")]
     fn probe_round_unit_cost() {
+        use std::time::Instant;
         let g = gen::power_law(400_000, 2, &mut gen::seeded_rng(20220725));
         let mut acc = vec![0u64; g.n()];
         let absorb = |acc: &mut u64, inbox: &Inbox| {
@@ -1543,43 +1547,72 @@ mod tests {
                 *acc = acc.wrapping_add(m[0]).rotate_left(m[1] as u32 % 63 + 1);
             }
         };
+        // (compose, read) nanoseconds of one full exchange round
         let full = |net: &mut Network, acc: &mut [u64]| {
             let sends = |acc: &mut u64, _, v: usize, out: &mut Outbox| {
                 for p in 0..out.ports() {
                     out.send(p, [*acc ^ v as u64, p as u64]);
                 }
             };
-            net.exchange_rounds(1, acc, sends, |acc, _, _, inbox| absorb(acc, inbox), |_| false);
+            let started = Instant::now();
+            let mut reading = None;
+            let recv = |acc: &mut u64, _, v: usize, inbox: &Inbox| {
+                if v == 0 {
+                    reading = Some(Instant::now());
+                }
+                absorb(acc, inbox);
+            };
+            net.exchange_rounds(1, acc, sends, recv, |_| false);
+            let (done, reading) = (Instant::now(), reading.expect("vertex 0 consumes"));
+            ((reading - started).as_nanos() as f64, (done - reading).as_nanos() as f64)
         };
-        let quarter = |net: &mut Network, acc: &mut [u64]| {
+        let mut step_round = 0usize;
+        let mut quarter = |net: &mut Network, acc: &mut [u64]| {
+            let round = step_round;
+            step_round += 1;
+            let started = Instant::now();
             net.step_state(acc, |acc, v, inbox, out| {
                 absorb(acc, inbox);
                 if out.ports() > 0 {
-                    out.send(v % out.ports(), [*acc, v as u64]);
+                    out.send((v + round) % out.ports(), [*acc, round as u64]);
                 }
             });
-        };
-        let mut timed = |net: &mut Network, round: &dyn Fn(&mut Network, &mut [u64])| {
-            let started = std::time::Instant::now();
-            round(net, &mut acc);
             started.elapsed().as_nanos() as f64
         };
         let mut cold = Network::new(&g, Model::congest());
-        let (cold_full, cold_quarter) = (timed(&mut cold, &full), timed(&mut cold, &quarter));
+        let cold_full = full(&mut cold, &mut acc);
+        let cold_quarter = quarter(&mut cold, &mut acc);
+        drop(cold);
         let mut net = Network::new(&g, Model::congest());
-        let mut best_ns = |round: &dyn Fn(&mut Network, &mut [u64])| {
-            (0..5).map(|_| timed(&mut net, round)).fold(f64::INFINITY, f64::min)
-        };
-        let (full, quarter) = (best_ns(&full), best_ns(&quarter));
-        let slots = g.slots() as f64;
-        println!(
-            "round n {} slots {}: full exchange {:.1} ns/slot warm, {:.1} cold; quarter-full step {:.1} ns/slot warm, {:.1} cold",
-            g.n(),
-            g.slots(),
-            full / slots,
-            cold_full / slots,
-            quarter / slots,
-            cold_quarter / slots
-        );
+        for _ in 0..3 {
+            full(&mut net, &mut acc);
+        }
+        let warm_full = (0..5).map(|_| full(&mut net, &mut acc)).fold((f64::INFINITY, 0.0), |best, (c, r)| {
+            if c + r < best.0 + best.1 {
+                (c, r)
+            } else {
+                best
+            }
+        });
+        for _ in 0..3 {
+            quarter(&mut net, &mut acc);
+        }
+        let warm_quarter = (0..5).map(|_| quarter(&mut net, &mut acc)).fold(f64::INFINITY, f64::min);
+        // drain the last step round's messages
+        net.step_state(&mut acc, |acc, _, inbox, _| absorb(acc, inbox));
+        let per = |ns: f64| ns / g.slots() as f64;
+        println!("round n {} slots {}", g.n(), g.slots());
+        for (form, (compose, read)) in [("warm", warm_full), ("cold", cold_full)] {
+            println!(
+                "  full exchange, {form}: {:.1} ns/slot = compose {:.1} + read {:.1}",
+                per(compose + read),
+                per(compose),
+                per(read)
+            );
+        }
+        for (form, ns) in [("warm", warm_quarter), ("cold", cold_quarter)] {
+            println!("  quarter-full step, {form}: {:.1} ns/slot", per(ns));
+        }
+        assert!(acc.iter().any(|&a| a != 0), "the rounds carried the payloads");
     }
 }
