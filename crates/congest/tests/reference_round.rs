@@ -9,13 +9,17 @@
 //! metrics registry. Charged rounds fall between step calls that leave
 //! messages in flight, and one step call sends on every port every round,
 //! so each of its sends to a vertex that has not yet read its row meets
-//! that vertex's unread message.
+//! that vertex's unread message. Besides the generated small graphs, two
+//! fixed ones span several of the engine's destination blocks: a
+//! power-law graph, whose rows straddle block boundaries and whose long
+//! rows wrap the delivery ring, and a star whose centre row is longer than
+//! a block.
 
 use lcg_congest::{FaultPlan, Inbox, Model, Msg, Network, RoundStats};
-use lcg_graph::{gen, Graph};
+use lcg_graph::{gen, Graph, GraphBuilder};
 use lcg_metrics::{Recorder, Registry};
 use lcg_trace::{TraceConfig, Tracer};
-use proptest::{prop_assert_eq, proptest, ProptestConfig, Strategy};
+use proptest::{prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError};
 
 /// What the reference keeps between rounds: its inbox grid, and the
 /// accounting the engine's sink keeps.
@@ -120,7 +124,8 @@ struct Case {
     shape: u8,
     size: usize,
     seed: u64,
-    /// 0 none, 1 drops, 2 link failures, 3 a crash, 4 all three.
+    /// 0 none, 1 drops, 2 link failures, 3 a crash, 4 all three, 5 link
+    /// failures and a crash.
     plan: u8,
     /// 0 no tracer, 1 spans and series only, 2 with edge loads.
     tracer: u8,
@@ -151,7 +156,8 @@ fn plan_of(case: &Case, g: &Graph) -> Option<FaultPlan> {
         1 => Some(drops),
         2 => Some(links(FaultPlan::none())),
         3 => Some(crash(FaultPlan::none())),
-        _ => Some(crash(links(drops))),
+        4 => Some(crash(links(drops))),
+        _ => Some(crash(links(FaultPlan::none()))),
     }
 }
 
@@ -319,48 +325,89 @@ fn run_reference(r: &mut Reference<'_>, acc: &mut [u64], call: Call, seed: u64, 
     }
 }
 
+/// Runs every call of [`CALLS`] on the engine and on the reference over
+/// `g`, under the plan, tracer and recorder `case` names, and compares them
+/// after each call.
+fn engine_matches_reference(g: &Graph, case: &Case) -> Result<(), TestCaseError> {
+    let plan = plan_of(case, g);
+    let tracer = |g: &Graph| {
+        let cfg = match case.tracer {
+            1 => TraceConfig { edge_loads: false, ..TraceConfig::full("ref") },
+            _ => TraceConfig::full("ref").with_top_k(g.m().min(256)),
+        };
+        (case.tracer > 0).then(|| {
+            let mut t = Tracer::new(cfg);
+            t.bind_topology(g.n(), g.m(), g.edges().map(|(_, u, v)| (u, v)).collect());
+            t
+        })
+    };
+    let mut net = Network::new(g, Model::Local);
+    net.set_fault_plan(plan.clone());
+    if let Some(t) = tracer(g) {
+        net.attach_tracer(t);
+    }
+    if case.metrics {
+        net.attach_metrics(Recorder::new("ref"));
+    }
+    let mut reference = Reference {
+        g,
+        plan,
+        inbox: vec![None; g.slots()],
+        stats: RoundStats::default(),
+        tracer: tracer(g),
+        metrics: case.metrics.then(|| Recorder::new("ref")),
+    };
+    let (mut acc, mut want_acc) = (vec![case.seed; g.n()], vec![case.seed; g.n()]);
+    for call in CALLS {
+        let (mut got, mut want) = (Log::new(), Log::new());
+        run_engine(&mut net, &mut acc, call, case.seed, &mut got);
+        run_reference(&mut reference, &mut want_acc, call, case.seed, &mut want);
+        prop_assert_eq!(got, want, "inboxes of {:?}", call);
+        prop_assert_eq!(&acc, &want_acc, "states after {:?}", call);
+        prop_assert_eq!(observe(&mut net), observe_reference(&reference), "observables after {:?}", call);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn engine_rounds_match_the_reference_round(case in arb_case()) {
-        let g = graph_of(&case);
-        let plan = plan_of(&case, &g);
-        let tracer = |g: &Graph| {
-            let cfg = match case.tracer {
-                1 => TraceConfig { edge_loads: false, ..TraceConfig::full("ref") },
-                _ => TraceConfig::full("ref").with_top_k(g.m()),
-            };
-            (case.tracer > 0).then(|| {
-                let mut t = Tracer::new(cfg);
-                t.bind_topology(g.n(), g.m(), g.edges().map(|(_, u, v)| (u, v)).collect());
-                t
-            })
-        };
-        let mut net = Network::new(&g, Model::Local);
-        net.set_fault_plan(plan.clone());
-        if let Some(t) = tracer(&g) {
-            net.attach_tracer(t);
-        }
-        if case.metrics {
-            net.attach_metrics(Recorder::new("ref"));
-        }
-        let mut reference = Reference {
-            g: &g,
-            plan,
-            inbox: vec![None; g.slots()],
-            stats: RoundStats::default(),
-            tracer: tracer(&g),
-            metrics: case.metrics.then(|| Recorder::new("ref")),
-        };
-        let (mut acc, mut want_acc) = (vec![case.seed; g.n()], vec![case.seed; g.n()]);
-        for call in CALLS {
-            let (mut got, mut want) = (Log::new(), Log::new());
-            run_engine(&mut net, &mut acc, call, case.seed, &mut got);
-            run_reference(&mut reference, &mut want_acc, call, case.seed, &mut want);
-            prop_assert_eq!(got, want, "inboxes of {:?}", call);
-            prop_assert_eq!(&acc, &want_acc, "states after {:?}", call);
-            prop_assert_eq!(observe(&mut net), observe_reference(&reference), "observables after {:?}", call);
-        }
+        engine_matches_reference(&graph_of(&case), &case)?;
     }
+}
+
+/// Slots in one of the engine's destination blocks, at least: a graph of
+/// more than `k` times as many slots spans more than `k` blocks.
+const BLOCK_SLOTS: usize = 1 << 16;
+
+/// Link failures, a crash, an edge-load tracer and a recorder: the watched
+/// path. (The drop coin, a ChaCha stream per message, is the slow part of
+/// a plan in a debug build; the small cases cover it.)
+fn watched(seed: u64) -> Case {
+    Case { shape: 0, size: 0, seed, plan: 5, tracer: 2, metrics: true }
+}
+
+/// A power-law graph over several destination blocks: its rows straddle
+/// block boundaries, and its hubs' long rows wrap the engine's ring.
+#[test]
+fn a_power_law_graph_over_several_blocks_matches_the_reference() {
+    let g = gen::power_law(68_000, 2, &mut gen::seeded_rng(58));
+    assert!(g.slots() > 4 * BLOCK_SLOTS, "{} slots", g.slots());
+    engine_matches_reference(&g, &watched(58)).unwrap();
+}
+
+/// A star whose centre, in the middle of the id range, has a row longer
+/// than a block: reading it needs more than one block delivered at once.
+#[test]
+fn a_star_whose_centre_row_spans_blocks_matches_the_reference() {
+    let (n, centre) = (66_001, 33_000);
+    let mut b = GraphBuilder::new(n);
+    for v in (0..n).filter(|&v| v != centre) {
+        b.add_edge(centre, v);
+    }
+    let g = b.build();
+    assert!(g.degree(centre) > BLOCK_SLOTS && g.slots() > 2 * BLOCK_SLOTS);
+    engine_matches_reference(&g, &watched(11)).unwrap();
 }
