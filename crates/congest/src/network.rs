@@ -17,19 +17,15 @@
 //! (DESIGN §10). The paper prices an algorithm in rounds, not seconds, so
 //! how a round executes is pure implementation; a worker pool under this
 //! body measured slower than one thread on every committed benchmark row
-//! and was deleted (DESIGN §10.3). Delivery is not a phase of its own:
-//! [`Outbox::send`] stores the message in the receiver's inbox slot at
-//! once, so composing *is* delivering. Every form delivers into the one
-//! inbox grid. The two round *structures* differ only in when the inbox
-//! is read: a step round reads last round's deliveries while composing
-//! the next round's, and has no consume phase; an exchange round
-//! composes, then consumes. In a step round a vertex reads its row just
-//! before it composes, so a send to a vertex that has read its row lands
-//! at once, and a send to a later vertex is stored marked as this
-//! round's, which that vertex's read leaves for the next round — unless
-//! the slot still holds the vertex's unread message, and then the send is
-//! held until the sweep ends. The phase that read an inbox row clears
-//! it. The public forms are adapters:
+//! and was deleted (DESIGN §10.3). Every form delivers the same way:
+//! [`Outbox::send`] appends the message to the bin of the receiver's
+//! destination block — a run of about 2¹⁶ consecutive inbox slots — and
+//! the sweep that reads the rows delivers each block into a small ring of
+//! inbox slots just before its first row is read, then hands each vertex
+//! its row of the ring and clears it. The two round *structures* differ
+//! only in when the rows are read: a step round reads last round's bins
+//! while appending to this round's, and has no consume phase; an exchange
+//! round composes, then reads. The public forms are adapters:
 //!
 //! * [`Network::run_state`] runs `k` step rounds and
 //!   [`Network::exchange_rounds`] up to `k` exchange rounds, handing each
@@ -39,9 +35,9 @@
 //!   updates that state from what arrived — so no caller copies its state
 //!   to keep the send phase from reading what the receive phase writes.
 //! * [`Network::exchange_active`] is one exchange round for a caller that
-//!   knows which vertices send: its own sparse body over closures, so the
-//!   round costs what it carries instead of a pass over every vertex and
-//!   slot.
+//!   knows which vertices send: its sends list their receivers, and only
+//!   those rows are read, so the round costs what it carries instead of a
+//!   pass over every vertex and slot.
 //!
 //! A panic inside a closure (e.g. a CONGEST capacity violation) unwinds
 //! to the caller with its payload, and the network remains usable.
@@ -57,20 +53,27 @@
 //! # Memory model (DESIGN §10)
 //!
 //! The hot path is allocation-free: messages are [`Msg`] values that store
-//! CONGEST-size payloads inline, and the network owns the one inbox grid
-//! every round form writes into — `2m` slots of two words and a tag byte,
-//! 17 bytes each, a CONGEST message per edge direction. The tag holds the
-//! length, whether the slot is full, destroyed by the fault plan or held,
-//! the parity of the step round that stored it, and a spill mark: a LOCAL
-//! payload longer than two words waits in a side table, and the slot's
-//! first word is its index there. Closures still see an [`Inbox`], a
-//! scratch row the engine copies the vertex's grid row into, clearing the
-//! grid row as it goes. The first round allocates the slot pairing and the
-//! grid, so a network that only carries a fault schedule (a charged
-//! walk's, a retry's base) holds neither. A round takes the grid out of
-//! the network, works in place, and puts it back. A panic mid-round loses
-//! it with the round's in-flight messages; the next round starts from a
-//! fresh, empty grid.
+//! CONGEST-size payloads inline, and a round's traffic is a list of at most
+//! `2m` records of 19 bytes — two payload words, the slot's offset in its
+//! block and a tag (length, and a spill mark: a LOCAL payload longer than
+//! two words waits in its bin set's side table, and the record's first
+//! word is its index there) — appended in send order to per-block bins.
+//! The bins store their records in fixed-size chunks drawn from one free
+//! list, so the two bin sets of a step round share their storage: a block
+//! delivered gives its chunks back before the sends that follow need them.
+//! The ring holds `Option<Msg>` slots, enough for a block plus the longest
+//! row (at most the next power of two above `2m`), and a row that does not
+//! wrap around its end is handed to the closure in place. A message the
+//! fault plan destroys is counted at send and never binned; the
+//! double-send check is a mask over the composing vertex's ports. The
+//! first round allocates the slot pairing, the bins and the ring, so a
+//! network that only carries a fault schedule (a charged walk's, a retry's
+//! base) holds none of them, and no later round allocates unless it
+//! carries more than any before it. A round takes the delivery state out
+//! of the network and puts it back; a panic mid-round loses it with the
+//! round's in-flight messages, and the next round starts empty.
+
+use std::ops::Range;
 
 use lcg_graph::Graph;
 use lcg_metrics::Recorder;
@@ -86,195 +89,230 @@ use crate::stats::RoundStats;
 /// `Graph::neighbors(v)` (sorted by neighbor id).
 pub type Inbox = [Option<Msg>];
 
-/// Tag bits of an inbox slot ([`Grid`]). `LEN`: the length of an inline
-/// payload, `0..=INLINE_WORDS`.
+/// Log₂ of the inbox slots in a destination block. A message sent on
+/// slot `s` goes to block `rev_slot[s] >> SHIFT`; a record keeps its
+/// offset within the block in a `u16`.
+const SHIFT: u32 = 16;
+const _: () = assert!(SHIFT <= u16::BITS);
+/// Inbox slots per destination block.
+const BLOCK: usize = 1 << SHIFT;
+/// Records per chunk of bin storage (fewer on a graph of fewer slots).
+const CHUNK: usize = 1 << 10;
+
+/// Tag bits of a [`Record`]. `LEN`: the length of an inline payload,
+/// `0..=INLINE_WORDS`.
 const LEN: u8 = 0b11;
-/// The slot holds a message (perhaps a destroyed one).
-const FULL: u8 = 1 << 2;
-/// The payload is longer than [`INLINE_WORDS`]: it waits in the side table
-/// of the slot's `MARK`, and the slot's first word is its index there.
-const SPILL: u8 = 1 << 3;
-/// The fault plan destroyed the message: it occupies the slot until read,
-/// so a second send on its port is still caught, and reads as absent.
-const DESTROYED: u8 = 1 << 4;
-/// The parity of the step round that stored the message: a step round
-/// leaves a message stored this round for the next one to read.
-const MARK: u8 = 1 << 5;
-/// The slot still holds the receiver's unread message of the previous
-/// step round, and this round's send into it waits in [`Grid::held`].
-const HELD: u8 = 1 << 6;
+/// The payload is longer than [`INLINE_WORDS`]: it waits in its bin set's
+/// side table, and the record's first word is its index there.
+const SPILL: u8 = 1 << 2;
 
-/// Bytes per inbox slot: two payload words and the tag.
-const SLOT_BYTES: usize = size_of::<[u64; INLINE_WORDS]>() + size_of::<u8>();
-const _: () = assert!(SLOT_BYTES == 17);
+/// A message on its way to its destination block: the payload words (or a
+/// spilled payload's index), the receiving slot's offset within the
+/// block, and a tag (`LEN`, `SPILL`). Packed, so that a round's records
+/// take 19 bytes each.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct Record {
+    words: [u64; INLINE_WORDS],
+    off: u16,
+    tag: u8,
+}
+const _: () = assert!(size_of::<Record>() <= 19);
 
-/// The one inbox grid of every round form, indexed by CSR edge slot: the
-/// message delivered to vertex `v` on port `p` lives at slot
-/// `g.csr_offsets()[v] + p`. A slot is two words and a tag byte, in two
-/// zero-initialised arrays of `g.slots() = 2m` entries; a tag of 0 is an
-/// empty slot. Closures never see it: the engine copies the row a vertex
-/// reads into a scratch `Inbox` and clears it as it goes.
+/// One round's messages, binned by destination block in send order. A bin
+/// is a list of chunks: `open[b]` takes block `b`'s next record, and
+/// `full[b]` holds its filled chunks.
 #[derive(Default)]
-struct Grid {
-    /// The payload words of an inline message, or a spilled one's index.
-    words: Vec<[u64; INLINE_WORDS]>,
-    /// The slot tags (`LEN`, `FULL`, `SPILL`, `DESTROYED`, `MARK`, `HELD`).
-    tags: Vec<u8>,
-    /// The payloads longer than [`INLINE_WORDS`], one table per `MARK`
-    /// parity: a step round reads one while storing into the other.
-    spill: [Vec<Msg>; 2],
-    /// A step round's sends into slots whose unread message the receiver
-    /// reads later in the same round: stored when the round's sweep ends.
-    held: Vec<(u32, Msg)>,
-    /// Step rounds executed on this grid: the parity of the count is the
-    /// round's `MARK`. Charged rounds do not move it, since they touch no
-    /// slot.
-    step_rounds: u64,
+struct BinSet {
+    open: Vec<Vec<Record>>,
+    full: Vec<Vec<Vec<Record>>>,
+    /// The payloads longer than [`INLINE_WORDS`].
+    spill: Vec<Msg>,
 }
 
-/// Whether a send into a slot tagged `tag` is the second one of its port
-/// this round: the slot holds a message of this round's `mark`, or one
-/// held for the end of the round. Each slot has one sender, its port.
-#[inline]
-fn sent_this_round(tag: u8, mark: u8) -> bool {
-    tag & HELD != 0 || tag & (FULL | MARK) == FULL | mark
+impl BinSet {
+    fn new(blocks: usize) -> BinSet {
+        BinSet { open: (0..blocks).map(|_| Vec::new()).collect(), full: vec![Vec::new(); blocks], spill: Vec::new() }
+    }
+
+    /// Whether no bin holds a record.
+    fn is_empty(&self) -> bool {
+        self.open.iter().all(Vec::is_empty) && self.full.iter().all(Vec::is_empty)
+    }
 }
 
-impl Grid {
-    /// An empty grid of `slots` slots. The words are zero-filled in one
-    /// sequential pass rather than allocated zeroed (`vec![[0; 2]; slots]`),
-    /// whose pages fault in on first touch: the first round's sends touch
-    /// them in random order, and on `engine-dense` that cost more than the
-    /// fill. The tags, a seventeenth of the grid, come zeroed.
-    fn new(slots: usize) -> Grid {
-        let mut words = Vec::with_capacity(slots);
-        words.resize(slots, [0; INLINE_WORDS]);
-        Grid { words, tags: vec![0; slots], ..Grid::default() }
-    }
+/// The two bin sets of the round engine and the chunks they share.
+#[derive(Default)]
+struct Bins {
+    /// The messages sent this round. Between step rounds: the messages
+    /// awaiting the next one.
+    sent: BinSet,
+    /// The messages the round's sweep reads.
+    arrived: BinSet,
+    /// Empty chunks, each of capacity `chunk`.
+    free: Vec<Vec<Record>>,
+    /// Records per chunk.
+    chunk: usize,
+}
 
-    /// The `MARK` bit of the round in flight.
-    #[inline]
-    fn mark(&self) -> u8 {
-        if self.step_rounds % 2 == 1 {
-            MARK
-        } else {
-            0
-        }
-    }
-
-    /// Whether slot `s` holds a message to be read (neither destroyed nor
-    /// empty).
-    #[inline]
-    fn is_live(&self, s: usize) -> bool {
-        self.tags[s] & (FULL | DESTROYED) == FULL
-    }
-
-    /// Stores `msg`, sent this round, at slot `s` (tagged `tag`): at once,
-    /// or — when the slot still holds the receiver's unread message of the
-    /// previous step round — held until the round's sweep ends.
-    #[inline]
-    fn store(&mut self, s: usize, tag: u8, mark: u8, msg: Msg) {
-        if tag & (FULL | DESTROYED) == FULL {
-            self.hold(s, tag, msg);
-        } else {
-            self.put(s, mark, msg);
-        }
-    }
-
-    /// Holds `msg` for slot `s` (tagged `tag`) until the round's sweep ends.
-    #[inline(never)]
-    fn hold(&mut self, s: usize, tag: u8, msg: Msg) {
-        self.tags[s] = tag | HELD;
-        self.held.push((s as u32, msg));
-    }
-
-    /// Marks the message sent this round into slot `s` (tagged `tag`)
-    /// destroyed: its payload is dropped, its send still occupies the slot.
-    #[inline]
-    fn destroy(&mut self, s: usize, tag: u8, mark: u8) {
-        self.tags[s] = if tag & (FULL | DESTROYED) == FULL { tag | HELD } else { FULL | DESTROYED | mark };
-    }
-
-    /// Writes `msg` into slot `s`, overwriting it.
+impl Bins {
+    /// Appends `msg` to the bin of the block holding inbox slot `dest`.
     #[inline(always)]
-    fn put(&mut self, s: usize, mark: u8, msg: Msg) {
-        match msg.inline_words() {
-            Some((words, len)) => {
-                self.words[s] = words;
-                self.tags[s] = FULL | mark | len as u8;
-            }
-            None => self.put_spilled(s, mark, msg),
-        }
-    }
-
-    /// [`Grid::put`] of a payload longer than [`INLINE_WORDS`].
-    #[inline(never)]
-    fn put_spilled(&mut self, s: usize, mark: u8, msg: Msg) {
-        let table = &mut self.spill[usize::from(mark != 0)];
-        self.words[s] = [table.len() as u64, 0];
-        table.push(msg);
-        self.tags[s] = FULL | SPILL | mark;
-    }
-
-    /// Stores the sends held this round: their receivers have read (and
-    /// cleared) their rows since.
-    fn release_held(&mut self, mark: u8) {
-        let mut held = std::mem::take(&mut self.held);
-        for (s, msg) in held.drain(..) {
-            self.put(s as usize, mark, msg);
-        }
-        self.held = held;
-    }
-
-    /// Takes the message at slot `s` and clears the slot — unless its tag
-    /// reads `keep` under `FULL | MARK` (a step round keeps what it stored
-    /// this round; an exchange round, passing 0, keeps nothing).
-    #[inline]
-    fn take(&mut self, s: usize, keep: u8) -> Option<Msg> {
-        let tag = self.tags[s];
-        if tag & FULL == 0 || tag & (FULL | MARK) == keep {
-            return None;
-        }
-        self.tags[s] = 0;
-        if tag & DESTROYED != 0 {
-            return None;
-        }
-        let words = self.words[s];
-        Some(if tag & SPILL == 0 {
-            Msg::from_inline_words(words, usize::from(tag & LEN))
+    fn push(&mut self, dest: usize, msg: Msg) {
+        let (words, tag) = match msg.inline_words() {
+            Some((words, len)) => (words, len as u8),
+            None => (self.spill(msg), SPILL),
+        };
+        let record = Record { words, off: (dest & (BLOCK - 1)) as u16, tag };
+        let open = &mut self.sent.open[dest >> SHIFT];
+        if open.len() < open.capacity() {
+            open.push(record);
         } else {
-            std::mem::take(&mut self.spill[usize::from(tag & MARK != 0)][words[0] as usize])
-        })
+            self.push_to_new_chunk(dest >> SHIFT, record);
+        }
     }
 
-    /// Copies the slots `row` into `inbox`, taking each message ([`Grid::take`]).
+    /// Keeps a payload longer than [`INLINE_WORDS`] in the side table; its
+    /// record's words are its index there.
+    #[inline(never)]
+    fn spill(&mut self, msg: Msg) -> [u64; INLINE_WORDS] {
+        self.sent.spill.push(msg);
+        [self.sent.spill.len() as u64 - 1, 0]
+    }
+
+    /// Closes block `b`'s open chunk, which is full, and appends `record`
+    /// to a fresh one.
+    #[inline(never)]
+    fn push_to_new_chunk(&mut self, b: usize, record: Record) {
+        let mut chunk = self.free.pop().unwrap_or_else(|| Vec::with_capacity(self.chunk));
+        chunk.push(record);
+        let full = std::mem::replace(&mut self.sent.open[b], chunk);
+        if full.capacity() > 0 {
+            self.sent.full[b].push(full);
+        }
+    }
+
+    /// Turns this round's sends into the messages to read, and the drained
+    /// set into the one the next sends fill.
+    fn turn(&mut self) {
+        std::mem::swap(&mut self.sent, &mut self.arrived);
+        debug_assert!(self.sent.is_empty(), "a round left a message unread");
+        self.sent.spill.clear();
+    }
+
+    /// Delivers block `b` of the arrived messages into `ring` (`mask` =
+    /// its length − 1) and gives the block's chunks back.
+    fn deliver(&mut self, b: usize, ring: &mut [Option<Msg>], mask: usize) {
+        let BinSet { open, full, spill } = &mut self.arrived;
+        let base = b << SHIFT;
+        let last = std::mem::take(&mut open[b]);
+        for mut chunk in full[b].drain(..).chain([last]) {
+            for &Record { words, off, tag } in &chunk {
+                let msg = if tag & SPILL == 0 {
+                    Msg::from_inline_words(words, usize::from(tag & LEN))
+                } else {
+                    std::mem::take(&mut spill[words[0] as usize])
+                };
+                let slot = &mut ring[(base + usize::from(off)) & mask];
+                debug_assert!(slot.is_none(), "a delivery overwrote an unread message");
+                *slot = Some(msg);
+            }
+            if chunk.capacity() > 0 {
+                chunk.clear();
+                self.free.push(chunk);
+            }
+        }
+    }
+}
+
+/// The inbox slots of the blocks a round's sweep has delivered so far:
+/// slot `s` at `slots[s & mask]`. It holds a block plus the longest row,
+/// so the slots from the row being read to the end of the last block
+/// delivered never share a position.
+#[derive(Default)]
+struct Ring {
+    /// A power of two long; `None` where no message waits.
+    slots: Vec<Option<Msg>>,
+    /// The next block of the arrived messages to deliver.
+    next: usize,
+}
+
+impl Ring {
+    /// Starts a sweep at block 0.
+    fn rewind(&mut self) {
+        self.next = 0;
+    }
+
+    /// The inbox of the row of slots `row`, once every block that starts
+    /// before its end has been delivered from `bins`: the ring's slots in
+    /// place, or — when the row wraps around the ring's end — taken into
+    /// `scratch`.
     #[inline]
-    fn read_row(&mut self, row: std::ops::Range<usize>, keep: u8, inbox: &mut Vec<Option<Msg>>) {
-        inbox.clear();
-        inbox.extend(row.map(|s| self.take(s, keep)));
+    fn read<'r>(&'r mut self, row: Range<usize>, bins: &mut Bins, scratch: &'r mut Vec<Option<Msg>>) -> &'r Inbox {
+        let mask = self.slots.len() - 1;
+        while self.next < bins.arrived.open.len() && self.next << SHIFT < row.end {
+            bins.deliver(self.next, &mut self.slots, mask);
+            self.next += 1;
+        }
+        let at = row.start & mask;
+        if at + row.len() <= self.slots.len() {
+            &self.slots[at..at + row.len()]
+        } else {
+            scratch.clear();
+            scratch.extend(row.map(|s| self.slots[s & mask].take()));
+            scratch
+        }
     }
 
-    /// Ends a step round: every message of the previous one has been read,
-    /// so its side table empties, and the next round's mark flips.
-    fn end_step_round(&mut self) {
-        self.spill[usize::from(self.mark() == 0)].clear();
-        self.step_rounds += 1;
+    /// Clears the row [`Ring::read`] handed out.
+    #[inline]
+    fn clear(&mut self, row: Range<usize>) {
+        let at = row.start & (self.slots.len() - 1);
+        if let Some(slots) = self.slots.get_mut(at..at + row.len()) {
+            slots.fill(None);
+        }
+    }
+}
+
+/// What a round delivers through: the bins, the ring, and the composing
+/// vertex's port mask.
+#[derive(Default)]
+struct Delivery {
+    bins: Bins,
+    ring: Ring,
+    /// Bit `p` is set once the composing vertex has sent on port `p`.
+    ports: Vec<u64>,
+}
+
+impl Delivery {
+    /// Empty bins over `g`'s blocks, an empty ring of a block plus the
+    /// longest row (at most `2m` rounded up to a power of two), and a port
+    /// mask of the longest row.
+    fn new(g: &Graph) -> Delivery {
+        let (slots, max_degree) = (g.slots(), g.max_degree());
+        let blocks = slots.div_ceil(BLOCK);
+        let ring = (BLOCK + max_degree).next_power_of_two().min(slots.next_power_of_two());
+        Delivery {
+            bins: Bins {
+                sent: BinSet::new(blocks),
+                arrived: BinSet::new(blocks),
+                free: Vec::new(),
+                chunk: CHUNK.min(slots.max(1)),
+            },
+            ring: Ring { slots: vec![None; ring], next: 0 },
+            ports: vec![0; max_degree.div_ceil(64)],
+        }
     }
 
-    /// Ends an exchange round, whose messages have all been read.
-    fn end_exchange_round(&mut self) {
-        self.spill[usize::from(self.mark() != 0)].clear();
-    }
-
-    /// Whether no slot holds a message to be read.
+    /// Whether no message is in flight.
     fn drained(&self) -> bool {
-        (0..self.tags.len()).all(|s| !self.is_live(s))
+        self.bins.sent.is_empty() && self.bins.arrived.is_empty()
     }
 }
 
 /// The slot range of vertex `v`'s row, as plain indices.
 #[inline]
-fn row_of(offsets: &[u32], v: usize) -> std::ops::Range<usize> {
+fn row_of(offsets: &[u32], v: usize) -> Range<usize> {
     offsets[v] as usize..offsets[v + 1] as usize
 }
 
@@ -304,14 +342,14 @@ pub struct Network<'g> {
     model: Model,
     /// Statistics, trace and metrics; every engine event lands here once.
     sink: Sink,
-    /// The inbox grid of every round form. Between step rounds it carries
-    /// the messages awaiting the next one; an exchange round fills and
-    /// drains it. Empty until the first round takes it, and taken out of
-    /// `self` for the duration of a round, so a panic mid-round leaves it
-    /// cold (empty).
-    grid: Grid,
-    /// The scratch inbox a vertex's closure reads: its grid row, copied.
-    /// Kept here so a round allocates nothing.
+    /// The bins and ring of every round form. Between step rounds the bins
+    /// carry the messages awaiting the next one; an exchange round fills
+    /// and drains them. Empty until the first round takes it, and taken
+    /// out of `self` for the duration of a round, so a panic mid-round
+    /// leaves it cold (empty).
+    delivery: Delivery,
+    /// The scratch inbox of a row that wraps around the ring's end. Kept
+    /// here so a round allocates nothing.
     row: Vec<Option<Msg>>,
     /// `rev_slot[s]`: the receiving-side slot of slot `s`'s edge — where
     /// a message sent on slot `s` lands (the receiver itself is
@@ -344,8 +382,8 @@ struct Tally {
 }
 
 /// A round's outbox, handed to a compose closure for one vertex at a time
-/// (the engine moves it from vertex to vertex). [`Outbox::send`] delivers
-/// at once, into the receiving vertex's slot of the inbox grid.
+/// (the engine moves it from vertex to vertex). [`Outbox::send`] appends
+/// each message to the bin of its receiver's destination block.
 pub struct Outbox<'a> {
     /// The composing vertex.
     vertex: usize,
@@ -353,24 +391,28 @@ pub struct Outbox<'a> {
     rev: &'a [u32],
     offsets: &'a [u32],
     rev_slot: &'a [u32],
+    neighbors: &'a [u32],
     capacity: Option<usize>,
-    grid: &'a mut Grid,
-    /// The `MARK` of the round in flight.
-    mark: u8,
+    bins: &'a mut Bins,
+    /// The composing vertex's port mask: bit `p` is set once it has sent
+    /// on port `p` this round.
+    sent: &'a mut [u64],
+    /// [`Network::exchange_active`]'s receivers: the vertex each message
+    /// reaches is listed as it is binned.
+    receivers: Option<&'a mut Vec<usize>>,
     tally: Tally,
     /// Present when a fault plan or an edge-load tracer must see each
-    /// message; a plain round stores and counts, nothing else.
+    /// message; a plain round bins and counts, nothing else.
     watch: Option<Watch<'a>>,
 }
 
-/// What a watched round does with each message besides storing it.
+/// What a watched round does with each message besides binning it.
 struct Watch<'a> {
     /// The 0-based index of the round in flight: the plan's clock.
     round: u64,
     faults: Option<&'a FaultState>,
     /// The tracer, when it tallies words per edge.
     edges: Option<&'a mut Tracer>,
-    neighbors: &'a [u32],
     edge_ids: &'a [u32],
 }
 
@@ -406,47 +448,44 @@ impl<'a> Outbox<'a> {
                 cap
             );
         }
-        // this port is the only sender into its slot: a message of this
-        // round there is this port's earlier one
         let dest = self.rev[port] as usize;
-        let tag = self.grid.tags[dest];
-        if tag != 0 {
-            self.check_second_send(port, tag);
-        }
+        let (word, bit) = (port / 64, 1u64 << (port % 64));
+        assert!(self.sent[word] & bit == 0, "vertex {} sent twice on port {port} in one round", self.vertex);
+        self.sent[word] |= bit;
         let t = &mut self.tally;
         t.messages += 1;
         t.words += msg.len() as u64;
         t.max_words = t.max_words.max(msg.len());
         t.spilled += u64::from(msg.len() > INLINE_WORDS);
         if self.watch.is_some() {
-            self.deliver(port, dest, tag, msg);
+            self.deliver(port, dest, msg);
         } else {
-            self.grid.store(dest, tag, self.mark, msg);
+            self.bin(port, dest, msg);
         }
     }
 
-    /// Panics if the slot `tag` describes holds this port's earlier
-    /// message of this round.
-    #[cold]
-    #[inline(never)]
-    fn check_second_send(&self, port: usize, tag: u8) {
-        assert!(!sent_this_round(tag, self.mark), "vertex {} sent twice on port {port} in one round", self.vertex);
+    /// Bins `msg`, sent on `port`, for inbox slot `dest`, and lists its
+    /// receiver when the round is sparse.
+    #[inline(always)]
+    fn bin(&mut self, port: usize, dest: usize, msg: Msg) {
+        if let Some(receivers) = self.receivers.as_mut() {
+            receivers.push(self.neighbors[self.offsets[self.vertex] as usize + port] as usize);
+        }
+        self.bins.push(dest, msg);
     }
 
-    /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`
-    /// (tagged `tag`): the plan adjudicates it — a destroyed message is
-    /// tallied by cause — and the tracer tallies its edge's *delivered*
-    /// words. A destroyed message still occupies its slot, tagged
-    /// `DESTROYED`, so a second send on the port is still caught; reading
-    /// the slot clears it.
+    /// A watched round's delivery of `msg`, sent on `port`, to slot `dest`:
+    /// the plan adjudicates it — a destroyed message is tallied by cause
+    /// and never binned — and the tracer tallies its edge's *delivered*
+    /// words.
     #[inline(never)]
-    fn deliver(&mut self, port: usize, dest: usize, tag: u8, msg: Msg) {
+    fn deliver(&mut self, port: usize, dest: usize, msg: Msg) {
         let w = self.watch.as_mut().expect("only a watched round delivers here");
         let s = self.offsets[self.vertex] as usize + port;
         let e = w.edge_ids[s] as usize;
         if let Some(fs) = w.faults {
             let t = &mut self.tally;
-            let lost = match fs.classify(w.round, e, self.vertex, w.neighbors[s] as usize) {
+            let lost = match fs.classify(w.round, e, self.vertex, self.neighbors[s] as usize) {
                 FaultVerdict::Deliver => None,
                 FaultVerdict::Crashed => Some(&mut t.crashed),
                 FaultVerdict::LinkDown => Some(&mut t.link),
@@ -454,29 +493,22 @@ impl<'a> Outbox<'a> {
             };
             if let Some(count) = lost {
                 *count += 1;
-                self.grid.destroy(dest, tag, self.mark);
                 return;
             }
         }
         if let Some(tracer) = w.edges.as_mut() {
             tracer.add_edge_words(e, msg.len() as u64);
         }
-        self.grid.store(dest, tag, self.mark, msg);
+        self.bin(port, dest, msg);
     }
 
-    /// Moves the outbox to vertex `v`.
+    /// Moves the outbox to vertex `v`, none of whose ports has sent.
     #[inline]
     fn at(&mut self, v: usize) {
         let rev_slot: &'a [u32] = self.rev_slot;
         self.vertex = v;
         self.rev = &rev_slot[row_of(self.offsets, v)];
-    }
-
-    /// Ends the compose phase: stores the held sends and returns the
-    /// round's tallies.
-    fn finish(self) -> Tally {
-        self.grid.release_held(self.mark);
-        self.tally
+        self.sent[..self.rev.len().div_ceil(64)].fill(0);
     }
 }
 
@@ -580,7 +612,7 @@ impl<'g> Network<'g> {
             g,
             model,
             sink: Sink::default(),
-            grid: Grid::default(),
+            delivery: Delivery::default(),
             row: Vec::new(),
             rev_slot: Vec::new(),
             receivers: Vec::new(),
@@ -609,16 +641,17 @@ impl<'g> Network<'g> {
         self.rev_slot = rev_slot;
     }
 
-    /// Takes the inbox grid out for the duration of a round, allocating a
-    /// fresh one when the network's is cold: no round has run yet, or a
-    /// panic unwound mid-round and the grid, with the failed round's
-    /// in-flight messages, was lost.
-    fn take_grid(&mut self) -> Grid {
-        let grid = std::mem::take(&mut self.grid);
-        if grid.tags.len() == self.g.slots() {
-            grid
+    /// Takes the delivery state out for the duration of a round, pairing
+    /// the slots and allocating fresh bins and ring when the network's are
+    /// cold: no round has run yet, or a panic unwound mid-round and they
+    /// were lost with the failed round's in-flight messages.
+    fn take_delivery(&mut self) -> Delivery {
+        self.pair_slots();
+        let delivery = std::mem::take(&mut self.delivery);
+        if delivery.ring.slots.is_empty() {
+            Delivery::new(self.g)
         } else {
-            Grid::new(self.g.slots())
+            delivery
         }
     }
 
@@ -820,28 +853,27 @@ impl<'g> Network<'g> {
     }
 
     /// The exchange forms' precondition, checked where a run enters: their
-    /// rounds consume the inbox grid whole, step-round leftovers included.
+    /// rounds read every message binned, step-round leftovers included.
     fn debug_assert_drained(&self) {
         debug_assert!(
-            self.grid.drained(),
+            self.delivery.drained(),
             "an exchange round was started with undelivered step-round messages pending"
         );
     }
 
-    /// The outbox of a round that delivers into `grid`, before
-    /// [`Outbox::at`] moves it to a vertex. It is watched — every send
-    /// leaves the plain store — when a fault plan is installed or the
-    /// tracer tallies edge words.
-    fn outbox<'a>(&'a mut self, grid: &'a mut Grid) -> Outbox<'a> {
+    /// The outbox of a round that bins into `bins`, before [`Outbox::at`]
+    /// moves it to a vertex. It is watched — every send leaves the plain
+    /// path — when a fault plan is installed or the tracer tallies edge
+    /// words.
+    fn outbox<'a>(&'a mut self, bins: &'a mut Bins, sent: &'a mut [u64]) -> Outbox<'a> {
         let Network { g, model, sink, rev_slot, faults, .. } = self;
         let edges = sink.tracer.as_mut().filter(|t| t.records_edge_loads());
         let watch = (faults.is_some() || edges.is_some()).then(|| Watch {
-            // delivery precedes the round's booking, so `stats.rounds`
-            // is the 0-based index of the round in flight
+            // sending precedes the round's booking, so `stats.rounds` is
+            // the 0-based index of the round in flight
             round: sink.stats.rounds,
             faults: faults.as_ref(),
             edges,
-            neighbors: g.csr_neighbors(),
             edge_ids: g.csr_edge_ids(),
         });
         Outbox {
@@ -849,24 +881,25 @@ impl<'g> Network<'g> {
             rev: &[],
             offsets: g.csr_offsets(),
             rev_slot,
+            neighbors: g.csr_neighbors(),
             capacity: model.capacity(),
-            mark: grid.mark(),
-            grid,
+            bins,
+            sent,
+            receivers: None,
             tally: Tally::default(),
             watch,
         }
     }
 
-    /// The round body: up to `max_rounds` rounds of compose (which
-    /// delivers) → consume on the caller's thread, stopping early once
-    /// every state is `halted`; returns the rounds executed. Both round
-    /// structures deliver into the one grid. Without a `consume` phase,
-    /// each vertex reads its row — last round's deliveries — as it
-    /// composes, and leaves what this round stored there for the next
-    /// round; with one, `compose` is handed an empty inbox and `consume`
-    /// reads the rows. Reading a row clears it. It takes the states
-    /// itself because both closures mutate them and cannot each capture
-    /// the slice. Panics if `states.len() != n`.
+    /// The round body: up to `max_rounds` rounds of compose (which bins)
+    /// → consume on the caller's thread, stopping early once every state
+    /// is `halted`; returns the rounds executed. Both round structures
+    /// read through the one ring. Without a `consume` phase, each vertex
+    /// reads its row — last round's messages — as it composes, while its
+    /// sends fill this round's bins; with one, `compose` is handed an
+    /// empty inbox and `consume` reads the rows. Reading a row clears it.
+    /// It takes the states itself because both closures mutate them and
+    /// cannot each capture the slice. Panics if `states.len() != n`.
     fn rounds<St, C, R, H>(
         &mut self,
         max_rounds: usize,
@@ -881,43 +914,45 @@ impl<'g> Network<'g> {
         H: FnMut(&St) -> bool,
     {
         assert_eq!(states.len(), self.g.n(), "one state per vertex");
-        self.pair_slots();
         let offsets = self.g.csr_offsets();
         let step = consume.is_none();
-        let mut grid = self.take_grid();
+        let mut delivery = self.take_delivery();
+        let Delivery { bins, ring, ports } = &mut delivery;
         let mut row = std::mem::take(&mut self.row);
-        row.clear();
         let mut executed = 0u64;
         for round in 0..max_rounds {
             if halted.as_mut().is_some_and(|h| states.iter().all(h)) {
                 break;
             }
-            let keep = FULL | grid.mark();
-            let mut out = self.outbox(&mut grid);
+            if step {
+                bins.turn();
+                ring.rewind();
+            }
+            let mut out = self.outbox(bins, ports);
             for (v, state) in states.iter_mut().enumerate() {
                 out.at(v);
                 if step {
-                    out.grid.read_row(row_of(offsets, v), keep, &mut row);
+                    let inbox = ring.read(row_of(offsets, v), out.bins, &mut row);
+                    compose(state, round, v, inbox, &mut out);
+                    ring.clear(row_of(offsets, v));
+                } else {
+                    compose(state, round, v, &[], &mut out);
                 }
-                compose(state, round, v, &row, &mut out);
             }
-            let tally = out.finish();
+            let tally = out.tally;
             self.sink.round(&tally);
-            match consume.as_mut() {
-                Some(recv) => {
-                    for (v, state) in states.iter_mut().enumerate() {
-                        grid.read_row(row_of(offsets, v), 0, &mut row);
-                        recv(state, round, v, &row);
-                    }
-                    row.clear();
-                    grid.end_exchange_round();
+            if let Some(recv) = consume.as_mut() {
+                bins.turn();
+                ring.rewind();
+                for (v, state) in states.iter_mut().enumerate() {
+                    recv(state, round, v, ring.read(row_of(offsets, v), bins, &mut row));
+                    ring.clear(row_of(offsets, v));
                 }
-                None => grid.end_step_round(),
             }
             executed += 1;
         }
-        debug_assert!(step || grid.drained(), "an exchange round left a message unread");
-        self.grid = grid;
+        debug_assert!(step || delivery.drained(), "an exchange round left a message unread");
+        self.delivery = delivery;
         self.row = row;
         executed
     }
@@ -946,44 +981,33 @@ impl<'g> Network<'g> {
                 && senders.last().is_none_or(|&v| v < self.g.n()),
             "senders must be strictly ascending vertex ids"
         );
-        self.pair_slots();
-        let (offsets, neighbors) = (self.g.csr_offsets(), self.g.csr_neighbors());
-        let mut grid = self.take_grid();
-        let mut out = self.outbox(&mut grid);
+        let offsets = self.g.csr_offsets();
+        let mut delivery = self.take_delivery();
+        let Delivery { bins, ring, ports } = &mut delivery;
+        let mut receivers = std::mem::take(&mut self.receivers);
+        let mut out = self.outbox(bins, ports);
+        out.receivers = Some(&mut receivers);
         for &v in senders {
             out.at(v);
             send(v, &mut out);
         }
-        let tally = out.finish();
+        let tally = out.tally;
         self.sink.round(&tally);
-        // each slot has one sender: a sender's port reached its neighbor
-        // iff the slot it delivers to holds a live message; a destroyed
-        // one is cleared here, as no receiver reads it
-        let mut receivers = std::mem::take(&mut self.receivers);
-        for &v in senders {
-            for s in row_of(offsets, v) {
-                let d = self.rev_slot[s] as usize;
-                if grid.is_live(d) {
-                    receivers.push(neighbors[s] as usize);
-                } else {
-                    grid.tags[d] = 0;
-                }
-            }
-        }
+        // every binned message lists its receiver, and no other row holds one
         receivers.sort_unstable();
         receivers.dedup();
+        bins.turn();
+        ring.rewind();
         let mut row = std::mem::take(&mut self.row);
         for &u in &receivers {
-            grid.read_row(row_of(offsets, u), 0, &mut row);
-            recv(u, &row);
+            recv(u, ring.read(row_of(offsets, u), bins, &mut row));
+            ring.clear(row_of(offsets, u));
         }
-        row.clear();
-        grid.end_exchange_round();
         receivers.clear();
         self.receivers = receivers;
         self.row = row;
-        debug_assert!(grid.drained(), "a sparse round left a message unread");
-        self.grid = grid;
+        debug_assert!(delivery.drained(), "a sparse round left a message unread");
+        self.delivery = delivery;
     }
 
     /// Runs up to `max_rounds` exchange rounds over per-vertex state,
@@ -999,7 +1023,7 @@ impl<'g> Network<'g> {
     /// number of rounds executed.
     ///
     /// Do not start one with step-round messages in flight: both
-    /// structures use the one inbox grid (debug builds assert it holds
+    /// structures use the one set of bins (debug builds assert it holds
     /// none).
     ///
     /// # Panics
@@ -1215,32 +1239,49 @@ mod tests {
         assert_eq!(net.stats().messages, 45);
     }
 
-    /// Every round form runs on one grid of `2m` slots at 17 bytes each —
-    /// two words and a tag — and a step round keeps no second one.
+    /// A network holds nothing per slot before its first round. After
+    /// every round form its bins hold at most the largest round's messages
+    /// in 19-byte records, plus one chunk per bin: a full step round gives
+    /// a block's chunks back before the sends that follow need them, and
+    /// the ring stays a block plus the longest row.
     #[test]
-    fn one_grid_of_17_byte_slots_serves_every_round_form() {
-        let g = gen::grid(5, 6);
+    fn bins_hold_the_largest_round_plus_a_chunk_per_bin() {
+        let g = gen::power_law(60_000, 2, &mut gen::seeded_rng(7));
+        let blocks = g.slots().div_ceil(BLOCK);
+        assert!(blocks >= 3, "{} slots", g.slots());
         let mut net = Network::new(&g, Model::congest());
+        let cold = &net.delivery;
+        assert!(net.rev_slot.is_empty() && net.row.is_empty(), "no slot pairing or scratch row");
+        assert!(cold.ring.slots.is_empty() && cold.bins.sent.open.is_empty() && cold.ports.is_empty(), "no bins or ring");
         let flood = |out: &mut Outbox| {
             for p in 0..out.ports() {
                 out.send(p, [1, 2]);
             }
         };
-        let mut unit = vec![(); g.n()];
-        let holds_one_grid = |net: &Network, what: &str| {
-            let grid = &net.grid;
-            assert_eq!((grid.words.len(), grid.tags.len()), (g.slots(), g.slots()), "{what}");
-            let bytes = grid.words.capacity() * size_of::<[u64; INLINE_WORDS]>() + grid.tags.capacity();
-            assert!(bytes <= SLOT_BYTES * g.slots(), "{what}: {bytes} bytes for {} slots", g.slots());
+        let mut largest = 0;
+        let mut bounded = |net: &Network, before: RoundStats, what: &str| {
+            largest = largest.max(net.stats().since(&before).messages as usize);
+            let Bins { sent, arrived, free, chunk } = &net.delivery.bins;
+            let sets = [sent, arrived];
+            let chunks = free.iter().chain(sets.iter().flat_map(|set| set.open.iter().chain(set.full.iter().flatten())));
+            let bytes = chunks.map(Vec::capacity).sum::<usize>() * size_of::<Record>();
+            let bound = (largest + 2 * blocks * chunk) * size_of::<Record>();
+            assert!(bytes <= bound, "{what}: {bytes} bytes of bins, largest round {largest} messages");
+            assert!(net.delivery.ring.slots.len() <= (BLOCK + g.max_degree()).next_power_of_two(), "{what}");
         };
-        net.run_state(3, &mut unit, |_, _, _, out| flood(out));
-        holds_one_grid(&net, "step rounds");
+        let mut unit = vec![(); g.n()];
+        let before = net.stats();
+        net.exchange_active(&(0..500).collect::<Vec<_>>(), |_, out| flood(out), |_, _| {});
+        bounded(&net, before, "a sparse round");
+        for rounds in 1..=3 {
+            let before = net.stats();
+            net.step_state(&mut unit, |_, _, _, out| flood(out));
+            bounded(&net, before, &format!("step round {rounds}"));
+        }
         net.step_state(&mut unit, |_, _, _, _| {});
-        net.exchange_rounds(2, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);
-        holds_one_grid(&net, "exchange rounds");
-        net.exchange_active(&[0, 7, 29], |_, out| flood(out), |_, _| {});
-        holds_one_grid(&net, "a sparse round");
-        assert_eq!(SLOT_BYTES, 17);
+        let before = net.stats();
+        net.exchange_rounds(1, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);
+        bounded(&net, before, "an exchange round");
     }
 
     #[test]
@@ -1323,7 +1364,7 @@ mod tests {
         assert_sinks_agree(&mut net, sp, &external, "step_state");
         net.run_state(2, &mut unit, |_, _, _, out| flood(out));
         assert_sinks_agree(&mut net, sp, &external, "run_state");
-        net.step_state(&mut unit, |_, _, _, _| {}); // drain: the exchange forms need a grid with no message pending
+        net.step_state(&mut unit, |_, _, _, _| {}); // drain: the exchange forms need bins with no message pending
         net.exchange_active(&[0, 6, 15], |_, out| flood(out), |_, _| {});
         assert_sinks_agree(&mut net, sp, &external, "exchange_active");
         let ran = net.exchange_rounds(3, &mut unit, |_, _, _, out| flood(out), |_, _, _, _| {}, |_| false);

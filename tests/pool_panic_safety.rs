@@ -167,14 +167,13 @@ fn repeated_poisoning_is_survivable() {
     assert_eq!(flood_on(&mut net), flood_on(&mut fresh));
 }
 
-/// Every form runs the one sequential round body, which works on the
-/// network's own inbox grid in place. A closure panicking mid-round —
-/// a step round's included, with sends to later vertices still held for
-/// the end of the round — surfaces with its payload and
-/// takes the grid (and the failed round's in-flight messages) with it;
-/// the same `Network` must then accept an exchange round — its
-/// empty-inbox precondition holds on the survivor — and run the reference
-/// flood bit-identically to a fresh network.
+/// Every form runs the one sequential round body, which delivers through
+/// the network's own bins and ring. A closure panicking mid-round
+/// surfaces with its payload and takes the bins (and the failed round's
+/// in-flight messages) with it; the same `Network` must then accept an
+/// exchange round — its no-messages-in-flight precondition holds on the
+/// survivor — and run the reference flood bit-identically to a fresh
+/// network.
 #[test]
 fn sequential_panic_mid_round_leaves_a_usable_network() {
     quiet_panics();
@@ -185,7 +184,7 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
         }
     };
     // (name, the form, whether it tolerates step-round messages in flight)
-    let forms: [(&str, Form, bool); 5] = [
+    let forms: [(&str, Form, bool); 4] = [
         ("step_state", |net| {
             net.step_state(&mut vec![(); net.graph().n()], |_, v, _inbox, out| {
                 assert!(v != 17, "step_state blew up at vertex 17");
@@ -200,21 +199,8 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
                 out.send(0, [v as u64]);
             });
         }, true),
-        ("run_state on every port", |net| {
-            // with messages in flight, every send to a vertex that has not
-            // yet read its row meets an unread message and waits for the
-            // end of the round: the panic strikes with such sends held
-            let mut rounds_seen = vec![0u32; net.graph().n()];
-            net.run_state(3, &mut rounds_seen, |me, v, _inbox, out| {
-                *me += 1;
-                assert!(!(*me == 2 && v == 17), "run_state on every port blew up at vertex 17");
-                for p in 0..out.ports() {
-                    out.send(p, [v as u64]);
-                }
-            });
-        }, true),
         ("exchange_rounds recv", |net| {
-            // the recv phase dies with a full grid of delivered messages
+            // the recv phase dies with the round's messages in its bins
             net.exchange_rounds(
                 1,
                 &mut vec![(); net.graph().n()],
@@ -264,4 +250,55 @@ fn sequential_panic_mid_round_leaves_a_usable_network() {
         assert!(runs[1].1 .0.iter().all(|&b| b), "the reference flood reaches everyone");
         assert_eq!(runs[0], runs[1], "{name}: the survivor diverged from a fresh network");
     }
+}
+
+/// A step round that panics midway while the previous round's messages
+/// still sit in the bins of several destination blocks (runs of 2¹⁶
+/// inbox slots), with this round's sends binned in others: the bins go
+/// with the panic, and the survivor runs an exchange round and then step
+/// rounds exactly as a fresh network does.
+#[test]
+fn step_panic_with_messages_in_several_blocks_leaves_a_usable_network() {
+    quiet_panics();
+    let g = gen::grid(200, 200);
+    assert!(g.slots() > 2 << 16, "three blocks or more: {} slots", g.slots());
+    let flood = |out: &mut locongest::congest::Outbox, word: u64| {
+        for p in 0..out.ports() {
+            out.send(p, [word]);
+        }
+    };
+    let mut net = Network::new(&g, Model::congest());
+    net.step_state(&mut vec![(); g.n()], |_, v, _, out| flood(out, v as u64));
+    // vertex n/2's row lies in block 1: block 2's messages are undelivered
+    let middle = g.n() / 2;
+    let msg = panic_message(AssertUnwindSafe(|| {
+        net.step_state(&mut vec![(); g.n()], |_, v, inbox, out| {
+            assert!(inbox.iter().all(Option::is_some), "vertex {v} heard every neighbour");
+            assert!(v != middle, "the step round blew up at vertex {middle}");
+            flood(out, 1);
+        });
+    }))
+    .expect("the closure panic must propagate out of step_state");
+    assert!(msg.contains(&format!("blew up at vertex {middle}")), "payload lost, got {msg:?}");
+
+    let mut fresh = Network::new(&g, Model::congest());
+    let mut runs = Vec::new();
+    for net in [&mut net, &mut fresh] {
+        let start = net.stats();
+        let mut heard = vec![0u64; g.n()];
+        net.exchange_rounds(
+            1,
+            &mut heard,
+            |_, _, v, out| flood(out, v as u64),
+            |heard, _, _, inbox| *heard = inbox.iter().flatten().map(|m| m[0]).sum(),
+            |_| false,
+        );
+        net.run_state(3, &mut heard, |heard, v, inbox, out| {
+            *heard = heard.wrapping_mul(31).wrapping_add(inbox.iter().flatten().map(|m| m[0]).sum());
+            flood(out, *heard ^ v as u64);
+        });
+        runs.push((heard, net.stats().since(&start)));
+    }
+    assert!(runs[1].0.iter().all(|&h| h != 0), "every vertex heard the rounds");
+    assert_eq!(runs[0], runs[1], "the survivor diverged from a fresh network");
 }
