@@ -62,8 +62,9 @@
 //! list, so the two bin sets of a step round share their storage: a block
 //! delivered gives its chunks back before the sends that follow need them.
 //! The ring holds `Option<Msg>` slots, enough for a block plus the longest
-//! row (at most the next power of two above `2m`), and a row that does not
-//! wrap around its end is handed to the closure in place. A message the
+//! row (rounded up to a power of two, or all `2m` slots of a smaller
+//! graph), and a row that does not wrap around its end is handed to the
+//! closure in place. A message the
 //! fault plan destroys is counted at send and never binned; the
 //! double-send check is a mask over the composing vertex's ports. The
 //! first round allocates the slot pairing, the bins and the ring, so a
@@ -132,7 +133,7 @@ struct BinSet {
 
 impl BinSet {
     fn new(blocks: usize) -> BinSet {
-        BinSet { open: (0..blocks).map(|_| Vec::new()).collect(), full: vec![Vec::new(); blocks], spill: Vec::new() }
+        BinSet { open: vec![Vec::new(); blocks], full: vec![Vec::new(); blocks], spill: Vec::new() }
     }
 
     /// Whether no bin holds a record.
@@ -200,8 +201,8 @@ impl Bins {
         self.sent.spill.clear();
     }
 
-    /// Delivers block `b` of the arrived messages into `ring` (`mask` =
-    /// its length − 1) and gives the block's chunks back.
+    /// Delivers block `b` of the arrived messages into `ring` (slot `s` at
+    /// `s & mask`) and gives the block's chunks back.
     fn deliver(&mut self, b: usize, ring: &mut [Option<Msg>], mask: usize) {
         let BinSet { open, full, spill } = &mut self.arrived;
         let base = b << SHIFT;
@@ -228,11 +229,15 @@ impl Bins {
 /// The inbox slots of the blocks a round's sweep has delivered so far:
 /// slot `s` at `slots[s & mask]`. It holds a block plus the longest row,
 /// so the slots from the row being read to the end of the last block
-/// delivered never share a position.
+/// delivered never share a position — or, on a graph of fewer slots,
+/// every slot, indexed by the slot itself.
 #[derive(Default)]
 struct Ring {
-    /// A power of two long; `None` where no message waits.
+    /// `None` where no message waits.
     slots: Vec<Option<Msg>>,
+    /// The ring's length − 1, a power of two less one; `usize::MAX` when
+    /// the ring holds every slot.
+    mask: usize,
     /// The next block of the arrived messages to deliver.
     next: usize,
 }
@@ -249,7 +254,7 @@ impl Ring {
     /// `scratch`.
     #[inline]
     fn read<'r>(&'r mut self, row: Range<usize>, bins: &mut Bins, scratch: &'r mut Vec<Option<Msg>>) -> &'r Inbox {
-        let mask = self.slots.len() - 1;
+        let mask = self.mask;
         while self.next < bins.arrived.open.len() && self.next << SHIFT < row.end {
             bins.deliver(self.next, &mut self.slots, mask);
             self.next += 1;
@@ -267,7 +272,7 @@ impl Ring {
     /// Clears the row [`Ring::read`] handed out.
     #[inline]
     fn clear(&mut self, row: Range<usize>) {
-        let at = row.start & (self.slots.len() - 1);
+        let at = row.start & self.mask;
         if let Some(slots) = self.slots.get_mut(at..at + row.len()) {
             slots.fill(None);
         }
@@ -286,12 +291,13 @@ struct Delivery {
 
 impl Delivery {
     /// Empty bins over `g`'s blocks, an empty ring of a block plus the
-    /// longest row (at most `2m` rounded up to a power of two), and a port
-    /// mask of the longest row.
+    /// longest row (rounded up to a power of two, or `2m` slots when that
+    /// is fewer), and a port mask of the longest row.
     fn new(g: &Graph) -> Delivery {
         let (slots, max_degree) = (g.slots(), g.max_degree());
         let blocks = slots.div_ceil(BLOCK);
-        let ring = (BLOCK + max_degree).next_power_of_two().min(slots.next_power_of_two());
+        let ring = (BLOCK + max_degree).next_power_of_two();
+        let (ring, mask) = if slots <= ring { (slots, usize::MAX) } else { (ring, ring - 1) };
         Delivery {
             bins: Bins {
                 sent: BinSet::new(blocks),
@@ -299,7 +305,7 @@ impl Delivery {
                 free: Vec::new(),
                 chunk: CHUNK.min(slots.max(1)),
             },
-            ring: Ring { slots: vec![None; ring], next: 0 },
+            ring: Ring { slots: vec![None; ring], mask, next: 0 },
             ports: vec![0; max_degree.div_ceil(64)],
         }
     }
